@@ -68,7 +68,8 @@ func TestScaleNodesPartsOverride(t *testing.T) {
 // per-partition invariant ledgers attached and fingerprints
 // byte-compared between worker counts.
 func TestGoldenReplayPDESSubset(t *testing.T) {
-	rep, err := GoldenReplayPDES([]string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"}, Options{Quick: true, PDESParts: 2}, 2)
+	opts := Options{Quick: true, PDESParts: 2}
+	rep, err := GoldenReplayPDES([]string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"}, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,7 @@ func TestGoldenReplayPDESSubset(t *testing.T) {
 		rep.Fprint(&buf)
 		t.Fatal(buf.String())
 	}
+	checkGolden(t, rep, opts)
 }
 
 // TestPDESBenchQuick: the speedup matrix measures both worker counts,

@@ -127,7 +127,8 @@ func TestQoSLanesPDESDeterminism(t *testing.T) {
 // determinism axes (sweep serial-vs-parallel, PDES 1-vs-2 workers) with
 // the invariant checker attached to every cluster.
 func TestGoldenReplayQoSSubset(t *testing.T) {
-	rep, err := GoldenReplayQoS(Options{Quick: true}, []int{2})
+	opts := Options{Quick: true}
+	rep, err := GoldenReplayQoS(opts, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,4 +139,5 @@ func TestGoldenReplayQoSSubset(t *testing.T) {
 		t.Fatalf("qos golden replay failed:\nviolations: %v\nmismatches: %v",
 			rep.Violations, rep.Mismatches)
 	}
+	checkGolden(t, rep, opts)
 }

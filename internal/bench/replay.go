@@ -9,6 +9,7 @@ package bench
 // class of bug a performance-focused refactor can introduce silently.
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"sync"
@@ -33,6 +34,21 @@ type ReplayReport struct {
 	// Mismatches lists runs whose serial and parallel fingerprints
 	// differ byte-for-byte.
 	Mismatches []string
+	// Digests holds the sha256 of every (id, seed) baseline fingerprint,
+	// in replay order — the cross-commit oracle: a refactor that claims
+	// identical simulated behavior must reproduce every digest.
+	Digests []Digest
+}
+
+// Digest is the sha256 of one (id, seed) replay fingerprint.
+type Digest struct {
+	ID   string
+	Seed uint64
+	Sum  string
+}
+
+func digestOf(id string, seed uint64, fingerprint string) Digest {
+	return Digest{ID: id, Seed: seed, Sum: fmt.Sprintf("%x", sha256.Sum256([]byte(fingerprint)))}
 }
 
 // OK reports whether the replay saw no violations and no mismatches.
@@ -44,6 +60,9 @@ func (r *ReplayReport) OK() bool {
 func (r *ReplayReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "golden replay: %d experiments, %d runs, %d checked clusters, %d invariant checks\n",
 		r.Experiments, r.Runs, r.Clusters, r.Checks)
+	for _, d := range r.Digests {
+		fmt.Fprintf(w, "  digest %s seed=%d %s\n", d.ID, d.Seed, d.Sum)
+	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  VIOLATION %s\n", v)
 	}
@@ -127,6 +146,7 @@ func GoldenReplay(ids []string, opts Options, workers int) (*ReplayReport, error
 				return nil, err
 			}
 
+			rep.Digests = append(rep.Digests, digestOf(id, seed, sfp))
 			rep.Runs += 2
 			rep.Clusters += scl + pcl
 			rep.Checks += sch + pch
@@ -174,6 +194,7 @@ func GoldenReplayPDES(ids []string, opts Options, workers int) (*ReplayReport, e
 				return nil, err
 			}
 
+			rep.Digests = append(rep.Digests, digestOf(id, seed, sfp))
 			rep.Runs += 2
 			rep.Clusters += scl + pcl
 			rep.Checks += sch + pch
