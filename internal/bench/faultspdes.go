@@ -6,9 +6,9 @@ import (
 	"repro/internal/actor"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -20,7 +20,7 @@ import (
 // arms (NIC-down, overload, accelerator stall) on their owning engines —
 // while retrying clients ride out the windows. Every column is
 // deterministic and byte-identical at any window worker count, which is
-// what `make fault-pdes-smoke` replays along the PDES axis.
+// what `make replay-smoke` replays along the PDES axis.
 
 func init() {
 	register("faults-pdes", "Every fault arm on a partitioned (PDES) echo mesh: barrier arms at window boundaries, local arms on owning engines", faultsPDES)
@@ -45,34 +45,14 @@ func pdesMeshSize(opts Options) (nodes, parts int, window sim.Time) {
 	return nodes, parts, window
 }
 
-// buildPDESMesh creates the partitioned echo mesh: one NIC-pinned echo
-// actor per node (ID 1+i), one client per node on the node's partition.
-func buildPDESMesh(opts Options, nodes, parts int) (*core.Cluster, []*core.Node, []*workload.Client) {
-	cl := core.NewPartitionedCluster(opts.seed(), parts)
-	cl.SetPDESWorkers(opts.PDESWorkers)
-	var nn []*core.Node
-	for i := 0; i < nodes; i++ {
-		n := cl.AddNode(core.Config{
-			Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-			LinkGbps: 10, DisableMigration: true,
-		})
-		a := &actor.Actor{
-			ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i), PinNIC: true,
-			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-				ctx.Reply(m)
-				return sim.Microsecond
-			},
-		}
-		if err := n.Register(a, true, 1<<20); err != nil {
-			panic(err)
-		}
-		nn = append(nn, n)
-	}
-	clients := make([]*workload.Client, nodes)
-	for i := 0; i < nodes; i++ {
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, nn[i].Part)
-	}
-	return cl, nn, clients
+// pdesMesh builds the partitioned echo mesh every PDES fault, migration
+// and QoS experiment runs on (mesh.Build: echo actor 1+i on node i, one
+// client per node on the node's partition), with a 1µs service cost.
+func pdesMesh(opts Options, nodes, parts int, migratable bool) (*core.Cluster, []*core.Node, []*workload.Client) {
+	return mesh.Build(mesh.Config{
+		Nodes: nodes, Partitions: parts, Workers: opts.PDESWorkers,
+		Seed: opts.seed(), ServiceNs: 1000, Migratable: migratable,
+	})
 }
 
 // pdesFaultSchedule covers every arm class, scaled to the run window:
@@ -108,7 +88,7 @@ func faultsPDES(opts Options) *Result {
 		rounds, crossed          uint64
 	}
 	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildPDESMesh(opts, nodes, parts)
+		cl, _, clients := pdesMesh(opts, nodes, parts, false)
 		in, err := fault.Install(cl, pdesFaultSchedule(window))
 		if err != nil {
 			panic(err)
@@ -133,7 +113,6 @@ func faultsPDES(opts Options) *Result {
 			})
 		}
 		cl.RunUntil(window + sim.Millisecond) // drain room for late retries
-		_ = nn
 
 		o := outcome{nodes: nodes, parts: parts,
 			injected: in.Injected(), activeEnd: in.Active(), logLines: len(in.Log())}
@@ -147,9 +126,7 @@ func faultsPDES(opts Options) *Result {
 			lat.Merge(c.Lat)
 		}
 		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		if cl.Group != nil {
-			o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		}
+		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 		return o
 	})
 	o := outs[0]
@@ -188,7 +165,7 @@ func qosStormPDES(opts Options) *Result {
 		rounds                      uint64
 	}
 	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildPDESMesh(opts, nodes, parts)
+		cl, nn, clients := pdesMesh(opts, nodes, parts, false)
 		rt, err := qos.Install(cl, nn, &qos.Tenancy{
 			Tenants: []qos.Tenant{
 				{Name: "even", RatePerSec: 250_000, Burst: 64},
@@ -239,9 +216,7 @@ func qosStormPDES(opts Options) *Result {
 			o.rejected[t] = rt.RejectedTo(t)
 		}
 		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		if cl.Group != nil {
-			o.rounds = cl.Group.Rounds()
-		}
+		o.rounds = cl.Group.Rounds()
 		return o
 	})
 	o := outs[0]

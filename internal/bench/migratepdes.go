@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/actor"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -21,43 +19,11 @@ import (
 // rewrite, host/NIC registration, buffered re-dispatch — defers to the
 // next conservative-window boundary (sim.Group.DeferBarrier), so the
 // copy-on-write actor table stays single-writer and every column is
-// byte-identical at any worker count. `make migrate-pdes-smoke` replays
-// this along the PDES axis.
+// byte-identical at any worker count. `make replay-smoke` replays this
+// along the PDES axis.
 
 func init() {
 	register("migrate-pdes", "Forced push+pull migrations on a partitioned (PDES) mesh with fault arms landing between the migration phases", migratePDES)
-}
-
-// buildMigratePDESMesh is buildPDESMesh without the migration freeze:
-// actors are unpinned, migration hooks are wired, and each actor owns a
-// 256KB DMO region so the phase-3 object move has real bytes to charge.
-func buildMigratePDESMesh(opts Options, nodes, parts int) (*core.Cluster, []*core.Node, []*workload.Client) {
-	cl := core.NewPartitionedCluster(opts.seed(), parts)
-	cl.SetPDESWorkers(opts.PDESWorkers)
-	var nn []*core.Node
-	for i := 0; i < nodes; i++ {
-		n := cl.AddNode(core.Config{
-			Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-			LinkGbps: 10,
-		})
-		a := &actor.Actor{
-			ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i),
-			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-				ctx.Reply(m)
-				return sim.Microsecond
-			},
-			OnInit: func(ctx actor.Ctx) { ctx.Alloc(256 << 10) },
-		}
-		if err := n.Register(a, true, 1<<20); err != nil {
-			panic(err)
-		}
-		nn = append(nn, n)
-	}
-	clients := make([]*workload.Client, nodes)
-	for i := 0; i < nodes; i++ {
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, nn[i].Part)
-	}
-	return cl, nn, clients
 }
 
 func migratePDES(opts Options) *Result {
@@ -82,7 +48,7 @@ func migratePDES(opts Options) *Result {
 		rounds, crossed      uint64
 	}
 	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildMigratePDESMesh(opts, nodes, parts)
+		cl, nn, clients := pdesMesh(opts, nodes, parts, true)
 		in, err := fault.Install(cl, fault.Schedule{Faults: []fault.Fault{
 			// Crash n000 mid phase-3 of its push (object move in flight);
 			// the commit still lands — placement survives the crash like
@@ -151,9 +117,7 @@ func migratePDES(opts Options) *Result {
 			}
 		}
 		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		if cl.Group != nil {
-			o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		}
+		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 		return o
 	})
 	o := outs[0]

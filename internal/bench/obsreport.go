@@ -115,10 +115,8 @@ func obsReportOne(id string, opts Options) (*obs.ExperimentSummary, error) {
 		}
 	})
 	for _, c := range clusters {
-		if c.Group != nil {
-			es.Handoffs += c.Group.Crossed()
-			es.Rounds += c.Group.Rounds()
-		}
+		es.Handoffs += c.Group.Crossed()
+		es.Rounds += c.Group.Rounds()
 	}
 	es.WallMS = float64(r.Wall.Microseconds()) / 1e3
 	es.Events = r.Events

@@ -460,27 +460,7 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 	}
 
 	outs := sweepMap(opts, 1, func(int) qosLanesOutcome {
-		cl := core.NewPartitionedCluster(opts.seed(), parts)
-		cl.SetPDESWorkers(opts.PDESWorkers)
-
-		var nn []*core.Node
-		for i := 0; i < nodes; i++ {
-			n := cl.AddNode(core.Config{
-				Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-				LinkGbps: 10, DisableMigration: true,
-			})
-			a := &actor.Actor{
-				ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i), PinNIC: true,
-				OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-					ctx.Reply(m)
-					return sim.Microsecond
-				},
-			}
-			if err := n.Register(a, true, 1<<20); err != nil {
-				panic(err)
-			}
-			nn = append(nn, n)
-		}
+		cl, nn, clients := pdesMesh(opts, nodes, parts, false)
 
 		// Lanes + admission only: the controller reads cross-node state
 		// and is classic-only, so the partitioned run leaves it off — and
@@ -497,11 +477,8 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 			panic(err)
 		}
 
-		clients := make([]*workload.Client, nodes)
-		for i := 0; i < nodes; i++ {
-			node := cl.Node(fmt.Sprintf("n%03d", i))
-			clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, node.Part)
-			rt.Bind(clients[i])
+		for _, c := range clients {
+			rt.Bind(c)
 		}
 		for i := 0; i < nodes; i++ {
 			i := i
@@ -582,10 +559,8 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 			o.admitted[t] = rt.AdmittedTo(t)
 			o.rejected[t] = rt.RejectedTo(t)
 		}
-		if cl.Group != nil {
-			o.crossed = cl.Group.Crossed()
-			o.rounds = cl.Group.Rounds()
-		}
+		o.crossed = cl.Group.Crossed()
+		o.rounds = cl.Group.Rounds()
 		return o
 	})
 	return outs[0]

@@ -55,33 +55,29 @@ type BatchEnvelope struct {
 	Sizes []int
 }
 
-// Cluster is a deployment: one engine, one network, a shared actor
-// table, and a set of nodes.
+// Cluster is a deployment: a group of engine partitions, one network, a
+// shared actor table, and a set of nodes. A classic cluster is the
+// 1-partition group (DESIGN.md §9): AtBarrier actions are ordinary
+// engine events there, DeferBarrier runs inline, and RunUntil is
+// Eng.RunUntil — so driving it with Eng.Run() is equally valid.
 type Cluster struct {
+	// Eng is partition 0's engine — the only one on a classic cluster.
 	Eng   *sim.Engine
 	Net   *netsim.Network
 	Table *actor.Table
 	nodes map[string]*Node
 
-	// Group is non-nil on partitioned (PDES) clusters: nodes are
-	// assigned round-robin to its engines and Eng aliases partition 0.
+	// Group owns the engines; nodes are assigned round-robin to its
+	// partitions.
 	Group       *sim.Group
 	pdesWorkers int
 	nextPart    int
 
-	// pendingKills defers watchdog kills on partitioned clusters to the
-	// next window boundary: entry p is appended only by partition p's
-	// window goroutine and drained by the coordinator's OnRound hook in
-	// partition order, so the shared-table rewrite never races a live
-	// window and lands identically at any worker count.
-	pendingKills [][]pendingKill
-
 	tracer    *obs.Tracer
 	collector *obs.Collector
 	obsPrefix string
-	checker   *invariant.Checker
-	// checkers holds one invariant checker per partition (length 1 and
-	// identical to checker on classic clusters). See AttachCheckers.
+	// checkers holds one invariant checker per partition; empty when
+	// checking is disabled. See AttachCheckers.
 	checkers []*invariant.Checker
 
 	// onMembership listeners observe node crash/recovery transitions
@@ -89,20 +85,9 @@ type Cluster struct {
 	onMembership []func(node string, down bool)
 }
 
-// NewCluster creates an empty cluster with a deterministic seed.
-func NewCluster(seed uint64) *Cluster {
-	eng := sim.NewEngine(seed)
-	c := &Cluster{
-		Eng:   eng,
-		Net:   netsim.New(eng),
-		Table: actor.NewTable(),
-		nodes: map[string]*Node{},
-	}
-	if defaultObserver != nil {
-		defaultObserver(c)
-	}
-	return c
-}
+// NewCluster creates an empty classic (single-engine) cluster with a
+// deterministic seed.
+func NewCluster(seed uint64) *Cluster { return NewPartitionedCluster(seed, 1) }
 
 // NewPartitionedCluster creates a cluster sharded across parts engine
 // partitions for conservative parallel execution: AddNode assigns each
@@ -110,43 +95,25 @@ func NewCluster(seed uint64) *Cluster {
 // and the network switch hands packets across partitions (see
 // netsim.AttachOn). Drive it with Cluster.RunUntil; SetPDESWorkers
 // picks the parallelism (any worker count produces byte-identical
-// results). parts = 1 degenerates to a classic cluster.
+// results). parts ≤ 1 is the classic cluster.
 //
-// The §3.2.5 push/pull actor migration IS supported: the protocol's
-// node-local phases run on the owning partition's engine and the
-// cluster-visible commit — the actor-table rewrite, the host/NIC
-// registration, the buffered re-dispatch — defers to the next
-// conservative-window boundary via sim.Group.DeferBarrier, so the
-// copy-on-write table stays single-writer and results are
-// byte-identical at any worker count (DESIGN.md §13). The
-// per-invocation watchdog is supported the same way — its kill path is
-// deferred to the next window boundary, where the coordinator
-// performs the table rewrite with no window in flight (kills land in
-// partition order, deterministically at any worker count). Fault
-// injection is supported too: fault.Install routes cluster-wide arms
-// (crash, loss, flap, partition cuts) through sim.Group.AtBarrier
-// window-boundary actions and partition-local arms (overload, accel
-// stall, NIC-down) to the owning partition's engine. Tracing and
-// metrics are also supported: each partition emits spans into its own
-// obs.Sink and the collector samples at conservative-window
-// boundaries, so artifacts are byte-identical at any worker count and
-// observation never perturbs results (see EnableTracingPrefixed /
-// EnableMetricsPrefixed).
+// Everything a classic cluster supports runs partitioned too, through
+// the group's two window-boundary mechanisms (DESIGN.md §9): work that
+// mutates cluster-visible state from inside a window — a §3.2.5
+// migration commit, a watchdog kill — goes through
+// sim.Group.DeferBarrier and lands at the next window boundary in
+// partition order; cluster-wide fault arms are sim.Group.AtBarrier
+// actions. Tracing emits into per-partition obs.Sinks and the collector
+// samples at window boundaries, so artifacts are byte-identical at any
+// worker count and observation never perturbs results.
 func NewPartitionedCluster(seed uint64, parts int) *Cluster {
-	if parts < 1 {
-		parts = 1
-	}
 	g := sim.NewGroup(seed, parts)
 	c := &Cluster{
 		Eng:   g.Engine(0),
+		Group: g,
 		Net:   netsim.NewPartitioned(g),
 		Table: actor.NewTable(),
 		nodes: map[string]*Node{},
-	}
-	if parts > 1 {
-		c.Group = g
-		c.pendingKills = make([][]pendingKill, parts)
-		g.OnRound(func(sim.Time) { c.drainKills() })
 	}
 	if defaultObserver != nil {
 		defaultObserver(c)
@@ -154,54 +121,17 @@ func NewPartitionedCluster(seed uint64, parts int) *Cluster {
 	return c
 }
 
-// pendingKill is one watchdog kill deferred to a window boundary.
-type pendingKill struct {
-	n *Node
-	a *actor.Actor
-}
-
-// drainKills performs deferred watchdog kills between conservative
-// windows, in partition order (see pendingKills).
-func (c *Cluster) drainKills() {
-	for p := range c.pendingKills {
-		kills := c.pendingKills[p]
-		if len(kills) == 0 {
-			continue
-		}
-		c.pendingKills[p] = nil
-		for _, k := range kills {
-			k.n.performKill(k.a)
-		}
-	}
-}
-
 // Partitions returns the number of engine partitions (1 on classic
 // clusters).
-func (c *Cluster) Partitions() int {
-	if c.Group == nil {
-		return 1
-	}
-	return c.Group.Partitions()
-}
+func (c *Cluster) Partitions() int { return c.Group.Partitions() }
 
 // SetPDESWorkers bounds the goroutines used by RunUntil on partitioned
 // clusters; ≤ 1 runs all partitions on the caller's goroutine (the
 // serial merge — same results, no parallelism).
 func (c *Cluster) SetPDESWorkers(w int) { c.pdesWorkers = w }
 
-// RunUntil advances the cluster to the deadline: the partitioned run
-// loop on PDES clusters, plain Engine.RunUntil otherwise.
-func (c *Cluster) RunUntil(deadline sim.Time) {
-	if c.Group != nil {
-		workers := c.pdesWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		c.Group.RunUntil(deadline, workers)
-		return
-	}
-	c.Eng.RunUntil(deadline)
-}
+// RunUntil advances every partition to the deadline.
+func (c *Cluster) RunUntil(deadline sim.Time) { c.Group.RunUntil(deadline, c.pdesWorkers) }
 
 // Tracer returns the cluster's tracer (nil when tracing is disabled).
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
@@ -355,17 +285,9 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		}
 	}
 
-	eng, part := c.Eng, 0
-	if c.Group != nil {
-		// Migration IS supported here: the 4-phase protocol's node-local
-		// phases run on this partition's engine and its cluster-visible
-		// commit defers to the next window boundary (see migrate.go), so
-		// the shared actor table stays single-writer. The watchdog's kill
-		// path is deferred the same way (see killActor).
-		part = c.nextPart % c.Group.Partitions()
-		c.nextPart++
-		eng = c.Group.Engine(part)
-	}
+	part := c.nextPart % c.Group.Partitions()
+	c.nextPart++
+	eng := c.Group.Engine(part)
 
 	n := &Node{
 		c:          c,
@@ -749,33 +671,26 @@ func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
 }
 
 // killActor is the watchdog's OnKill: deregister everywhere and free
-// resources (§3.4). On a partitioned cluster the kill fires mid-window
-// on the owning partition's goroutine, so the rewrite is deferred to
-// the next window boundary (the actor may execute a few more already
-// queued invocations inside the current window — the documented PDES
-// kill semantics).
+// resources (§3.4). The kill fires mid-window on the owning partition's
+// goroutine, so the shared-table rewrite goes through DeferBarrier:
+// inline on a classic cluster, at the next window boundary on a
+// partitioned one (the actor may execute a few more already queued
+// invocations inside the current window — the documented PDES kill
+// semantics). Idempotent: a deferred kill may race a crash drain or a
+// repeated watchdog trip for the same actor within one window.
 func (n *Node) killActor(a *actor.Actor) {
-	if n.c.Group != nil {
-		n.c.pendingKills[n.Part] = append(n.c.pendingKills[n.Part], pendingKill{n: n, a: a})
-		return
-	}
-	n.performKill(a)
-}
-
-// performKill deregisters the actor everywhere. Idempotent: a deferred
-// kill may race a crash drain or a repeated watchdog trip for the same
-// actor within one window.
-func (n *Node) performKill(a *actor.Actor) {
-	if _, live := n.actors[a.ID]; !live {
-		return
-	}
-	if n.Sched != nil {
-		n.Sched.RemoveActor(a.ID)
-	}
-	n.Host.RemoveActor(a.ID)
-	n.Objects.DestroyActor(uint32(a.ID))
-	n.c.Table.Delete(a.ID)
-	delete(n.actors, a.ID)
+	n.c.Group.DeferBarrier(n.Part, func() {
+		if _, live := n.actors[a.ID]; !live {
+			return
+		}
+		if n.Sched != nil {
+			n.Sched.RemoveActor(a.ID)
+		}
+		n.Host.RemoveActor(a.ID)
+		n.Objects.DestroyActor(uint32(a.ID))
+		n.c.Table.Delete(a.ID)
+		delete(n.actors, a.ID)
+	})
 }
 
 // HostCoresUsed reports the node's host CPU usage in cores (Figure 13's

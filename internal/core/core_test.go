@@ -370,3 +370,71 @@ func TestFrameworkOverheadRawVsIPipe(t *testing.T) {
 		t.Fatalf("framework overhead %.0f%% too large (paper: ≈12%%)", overhead*100)
 	}
 }
+
+// TestWatchdogKillCommitPoint: the watchdog's table rewrite goes through
+// the group's DeferBarrier, so where it lands is the substrate's call —
+// inline on a classic (1-partition) cluster, at the next window
+// boundary in partition order on a partitioned one, at any worker
+// count. Two runaway actors on different nodes trip their watchdogs at
+// the same instant; each then probes the table at that same instant
+// (a zero-delay follow-on event) and again from a deferred action
+// queued behind its own kill.
+func TestWatchdogKillCommitPoint(t *testing.T) {
+	type seen struct{ own, other bool } // still in the table?
+	run := func(parts, workers int) (sameInstant, atCommit [2]seen) {
+		cl := core.NewPartitionedCluster(1, parts)
+		cl.SetPDESWorkers(workers)
+		ids := [2]actor.ID{61, 62}
+		inTable := func(id actor.ID) bool { _, ok := cl.Table.Lookup(id); return ok }
+		for i := 0; i < 4; i++ {
+			n := cl.AddNode(core.Config{
+				Name: string(rune('a' + i)), NIC: spec.LiquidIOII_CN2350(),
+				WatchdogTimeout: 100 * sim.Microsecond,
+			})
+			k := i - 1 // nodes b and c host the runaways
+			if k < 0 || k > 1 {
+				continue
+			}
+			evil := &actor.Actor{ID: ids[k], OnMessage: func(actor.Ctx, actor.Msg) sim.Time {
+				n.Eng().After(0, func() {
+					sameInstant[k] = seen{inTable(ids[k]), inTable(ids[1-k])}
+					cl.Group.DeferBarrier(n.Part, func() {
+						atCommit[k] = seen{inTable(ids[k]), inTable(ids[1-k])}
+					})
+				})
+				return sim.Second // never yields
+			}}
+			if err := n.Register(evil, true, 0); err != nil {
+				t.Fatal(err)
+			}
+			n.Eng().At(10*sim.Microsecond, func() { n.Inject(actor.Msg{Kind: 1, Dst: ids[k]}) })
+		}
+		cl.RunUntil(sim.Millisecond)
+		for _, id := range ids {
+			if inTable(id) {
+				t.Fatalf("parts=%d: killed actor %d still in the table after the run", parts, id)
+			}
+		}
+		return sameInstant, atCommit
+	}
+
+	same, _ := run(1, 1)
+	for k, s := range same {
+		if s.own {
+			t.Errorf("classic: runaway %d still in the table right after its kill; want an inline kill", k)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		same, commit := run(4, workers)
+		for k, s := range same {
+			if !s.own {
+				t.Errorf("4 partitions, %d workers: runaway %d left the table mid-window; want the kill deferred", workers, k)
+			}
+		}
+		// Partition order: b's deferrals (its kill, then its probe) run
+		// before c's, whichever window goroutine got there first.
+		if commit[0] != (seen{own: false, other: true}) || commit[1] != (seen{}) {
+			t.Errorf("4 partitions, %d workers: kills did not land in partition order at the boundary: %+v", workers, commit)
+		}
+	}
+}

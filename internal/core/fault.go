@@ -101,7 +101,7 @@ func (n *Node) FailNIC() {
 	// still mid-flight is left to the migration machinery: a push commit
 	// lands it on the host anyway, and a pull commit sees nicDown and
 	// bounces it back (pullFromHost's dead-hardware guard).
-	n.commit(func() {
+	n.c.Group.DeferBarrier(n.Part, func() {
 		// Deterministic re-homing order: sorted actor IDs, never map order.
 		ids := make([]actor.ID, 0, len(n.actors))
 		for id := range n.actors {

@@ -5,70 +5,70 @@ import (
 )
 
 // This file wires internal/invariant into the node runtime, mirroring
-// the obs wiring in obs.go: one checker per cluster, threaded into the
-// network fabric and into every current and future node's scheduler,
-// message rings, traffic gate, and DMO store.
+// the obs wiring in obs.go: one checker per partition, threaded into
+// the network fabric and into every current and future node's
+// scheduler, message rings, traffic gate, and DMO store.
 
-// EnableInvariants attaches a runtime invariant checker to the cluster.
-// Call at most once, before the engine runs (the FIFO and byte-shadow
-// audits must see every push/alloc from the start); a nil checker is
-// ignored. The fault injector picks the checker up at Install time and
-// stamps a fingerprint epoch at every fault activation/restoration.
+// EnableInvariants attaches a caller-built invariant checker to a
+// classic cluster. Call at most once, before the engine runs (the FIFO
+// and byte-shadow audits must see every push/alloc from the start); a
+// nil checker is ignored. The fault injector picks the checker up at
+// Install time and stamps a fingerprint epoch at every fault
+// activation/restoration.
 func (c *Cluster) EnableInvariants(chk *invariant.Checker) {
-	if chk == nil || len(c.checkers) > 0 {
+	if chk == nil {
 		return
 	}
 	if c.Partitions() > 1 {
 		panic("core: partitioned clusters take one checker per partition (AttachCheckers)")
 	}
-	c.checker = chk
-	c.checkers = []*invariant.Checker{chk}
-	c.Net.EnableInvariants(chk)
-	for _, name := range c.nodeNames() {
-		c.nodes[name].enableInvariants(chk)
-	}
+	c.wireCheckers([]*invariant.Checker{chk})
 }
 
 // AttachCheckers creates and wires one invariant checker per engine
 // partition — the granularity conservation must be checked at under
 // PDES, since each partition's ledger only sees its own events (cross-
-// partition packets are reconciled by the handoff counters). On classic
-// clusters it is EnableInvariants with a single fresh checker. Returns
+// partition packets are reconciled by the handoff counters). Returns
 // the checkers, in partition order; idempotent.
 func (c *Cluster) AttachCheckers() []*invariant.Checker {
-	if len(c.checkers) > 0 {
-		return c.checkers
-	}
-	if c.Partitions() <= 1 {
-		c.EnableInvariants(invariant.New(c.Eng))
-		return c.checkers
-	}
-	c.checkers = make([]*invariant.Checker, c.Partitions())
-	for p := range c.checkers {
-		chk := invariant.New(c.Group.Engine(p))
-		c.checkers[p] = chk
-		c.Net.EnableInvariantsAt(p, chk)
-	}
-	c.checker = c.checkers[0]
-	for _, name := range c.nodeNames() {
-		n := c.nodes[name]
-		n.enableInvariants(c.checkers[n.Part])
+	if len(c.checkers) == 0 {
+		chks := make([]*invariant.Checker, c.Partitions())
+		for p := range chks {
+			chks[p] = invariant.New(c.Group.Engine(p))
+		}
+		c.wireCheckers(chks)
 	}
 	return c.checkers
 }
 
-// Checker returns the cluster's invariant checker (nil when checking is
-// disabled — the nil receiver is the no-op state).
-func (c *Cluster) Checker() *invariant.Checker { return c.checker }
+// wireCheckers threads chks (one per partition) into the network fabric
+// and every current node; AddNode covers future ones. No-op once
+// checkers are attached.
+func (c *Cluster) wireCheckers(chks []*invariant.Checker) {
+	if len(c.checkers) > 0 {
+		return
+	}
+	c.checkers = chks
+	for p, chk := range chks {
+		c.Net.EnableInvariantsAt(p, chk)
+	}
+	for _, name := range c.nodeNames() {
+		n := c.nodes[name]
+		n.enableInvariants(chks[n.Part])
+	}
+}
 
-// CheckerAt returns the invariant checker owning partition part (the
-// single cluster checker on classic clusters; nil when checking is
-// disabled — the nil receiver is the no-op state).
+// Checker returns the cluster's (partition 0's) invariant checker; nil
+// when checking is disabled — the nil receiver is the no-op state.
+func (c *Cluster) Checker() *invariant.Checker { return c.CheckerAt(0) }
+
+// CheckerAt returns the invariant checker owning partition part; nil
+// when checking is disabled — the nil receiver is the no-op state.
 func (c *Cluster) CheckerAt(part int) *invariant.Checker {
 	if part >= 0 && part < len(c.checkers) {
 		return c.checkers[part]
 	}
-	return c.checker
+	return nil
 }
 
 // Checkers returns the attached checkers in partition order (length 1

@@ -6,24 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Migration under PDES (DESIGN.md §13): the 4-phase protocol splits
-// into node-local phases — drain, in-flight execution, the DMO move —
-// that run on the owning partition's engine, and one cluster-visible
-// *commit* — the actor-table rewrite, the host/NIC registration, the
-// buffered-request re-dispatch — that must not race the other
-// partitions' table reads. commit routes the latter: inline on a
-// classic cluster (byte-identical to the pre-PDES behavior), deferred
-// to the next conservative-window boundary on a partitioned one
-// (sim.Group.DeferBarrier), where the coordinator applies it with no
-// window in flight, in partition order — a pure function of the round
-// structure, so results are identical at any worker count.
-func (n *Node) commit(fn func()) {
-	if n.c.Group != nil {
-		n.c.Group.DeferBarrier(n.Part, fn)
-		return
-	}
-	fn()
-}
+// Migration and the window boundary (DESIGN.md §13): the 4-phase
+// protocol splits into node-local phases — drain, in-flight execution,
+// the DMO move — that run on the owning partition's engine, and one
+// cluster-visible *commit* — the actor-table rewrite, the host/NIC
+// registration, the buffered-request re-dispatch — that must not race
+// the other partitions' table reads. The commit goes through
+// sim.Group.DeferBarrier: inline on a classic cluster, at the next
+// conservative-window boundary on a partitioned one, where the
+// coordinator applies it with no window in flight, in partition order —
+// a pure function of the round structure, so results are identical at
+// any worker count.
 
 // pushToHost runs the 4-phase NIC→host actor migration of §3.2.5:
 //
@@ -40,7 +33,7 @@ func (n *Node) commit(fn func()) {
 // The scheduler has already set the actor's state to Prepare and is
 // holding the migration latch; we release it at the end. The phase-3→4
 // hand-off is the commit point: everything before it is partition-local
-// and everything at it goes through commit (see above).
+// and everything at it goes through DeferBarrier (see above).
 func (n *Node) pushToHost(a *actor.Actor) {
 	chk := n.c.CheckerAt(n.Part)
 	chk.MigrateBegin(n.Name, a.Name, true)
@@ -81,7 +74,7 @@ func (n *Node) pushToHost(a *actor.Actor) {
 				a.State = actor.Gone
 				n.Sched.RemoveActor(a.ID)
 
-				n.commit(func() {
+				n.c.Group.DeferBarrier(n.Part, func() {
 					if _, live := n.actors[a.ID]; !live {
 						// Killed (watchdog/crash drain) while in flight:
 						// don't resurrect it on the host — just release
@@ -122,7 +115,7 @@ func (n *Node) pushToHost(a *actor.Actor) {
 // the SmartNIC has spare capacity (§3.2.5). Only the NIC initiates
 // migration in either direction. The NIC-side start — Sched.AddActor,
 // the table flip, the buffered re-dispatch — is the commit point and
-// goes through commit, like the push path's phase-3→4 hand-off.
+// goes through DeferBarrier, like the push path's phase-3→4 hand-off.
 func (n *Node) pullFromHost() bool {
 	if n.nicDown || n.down {
 		return false
@@ -143,7 +136,7 @@ func (n *Node) pullFromHost() bool {
 	rec.BytesMoved = bytes
 	d := 200*sim.Microsecond + sim.Time(float64(bytes)/migrationBandwidthGBs)
 	n.eng.After(d, func() {
-		n.commit(func() {
+		n.c.Group.DeferBarrier(n.Part, func() {
 			if _, live := n.actors[a.ID]; !live {
 				chk.MigrateAbort(n.Name, a.Name, false)
 				n.Sched.MigrationDone()

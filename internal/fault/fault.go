@@ -217,34 +217,31 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 	return nil
 }
 
-// Injector is an installed schedule: its events are on the engine (or,
-// on a partitioned cluster, split between partition engines and the
-// group's window-boundary barrier queue), its trace lanes are
+// Injector is an installed schedule: its events are split between the
+// partition engines and the group's window-boundary barrier queue (on a
+// classic cluster both are the one engine), its trace lanes are
 // registered, and its activation log fills in as the run progresses.
 type Injector struct {
-	cl  *core.Cluster
-	eng *sim.Engine
-	g   *sim.Group // non-nil on partitioned clusters
-	tr  *obs.Tracer
-	// chks, on partitioned clusters, holds every partition's checker:
-	// cluster-wide barrier arms epoch all of them at the barrier time.
-	chks []*invariant.Checker
+	cl *core.Cluster
+	g  *sim.Group
+	tr *obs.Tracer
 
-	// srcs holds one log/counter/trace slot per emitting source:
-	// srcs[0] is the classic engine (or, under PDES, the coordinator
-	// running barrier arms), srcs[1+p] is partition p running its local
-	// arms. Each slot is only ever written by its owning goroutine —
-	// the coordinator between windows, partition p inside its own
-	// window — so the injector needs no locks; reads (Log, Injected,
-	// Active) are for after the run, like every other counter.
+	// srcs holds one log/counter/trace slot per emitting source: srcs[0]
+	// is the coordinator running barrier arms, srcs[1+p] is partition p
+	// running its local arms. A classic cluster has the single source 0
+	// for every arm — one engine, one timeline. Each slot is only ever
+	// written by its owning goroutine — the coordinator between windows,
+	// partition p inside its own window — so the injector needs no
+	// locks; reads (Log, Injected, Active) are for after the run, like
+	// every other counter.
 	srcs []injSrc
 }
 
 // injSrc is one source's private injector state.
 type injSrc struct {
-	part  int16 // -1 for the coordinator/classic source
-	eng   *sim.Engine
-	chk   *invariant.Checker // owning checker (nil for the PDES coordinator)
+	part  int16              // -1 for the coordinator
+	eng   *sim.Engine        // local arms' engine; the coordinator's jitter stream
+	chk   *invariant.Checker // local arms' ledger
 	sink  *obs.Sink
 	track obs.TrackID
 
@@ -267,9 +264,9 @@ type logEntry struct {
 
 // barrierArm reports whether the fault kind mutates cluster-wide state
 // (membership, the network's loss and blocked-link tables) and must run
-// as a window-boundary barrier action on a partitioned cluster. The
-// remaining kinds touch only the owning node's partition-local state
-// and run on its partition engine.
+// as a window-boundary barrier action. The remaining kinds touch only
+// the owning node's partition-local state and run on its partition
+// engine.
 func (f Fault) barrierArm() bool {
 	switch f.Kind {
 	case NodeCrash, LinkLoss, LinkFlap, Partition:
@@ -278,15 +275,47 @@ func (f Fault) barrierArm() bool {
 	return false
 }
 
-// Install validates the schedule and schedules every fault. On a
-// classic cluster every fault is an engine event. On a partitioned
-// (PDES) cluster, cluster-wide arms (crash, loss, flap, partition cuts)
-// become sim.Group.AtBarrier window-boundary actions — they mutate
-// shared state between conservative windows, race-free and
-// deterministically at any worker count — while partition-local arms
-// (overload, accel stall, NIC-down) are scheduled on the owning
-// partition's engine, with jitter drawn from that partition's seeded
-// PRNG stream. A mis-built schedule (unknown node, non-positive window,
+// srcOf returns the source slot that runs the fault.
+func (in *Injector) srcOf(f Fault) int {
+	if f.barrierArm() || len(in.srcs) == 1 {
+		return 0
+	}
+	return 1 + in.cl.Node(f.Node).Part
+}
+
+// at returns the scheduler for the fault's arm class: cluster-wide arms
+// are sim.Group.AtBarrier window-boundary actions, local arms events on
+// the owning source's engine (the same thing on a classic cluster).
+func (in *Injector) at(s *injSrc, f Fault) func(sim.Time, func()) {
+	if f.barrierArm() {
+		return in.g.AtBarrier
+	}
+	return func(t sim.Time, fn func()) { s.eng.At(t, fn) }
+}
+
+// epoch stamps a fault epoch at time t: on every partition's ledger for
+// a cluster-wide arm (the mutation is visible to all of them), on the
+// owner's for a local one. Explicit t, because partition clocks sit one
+// tick behind a barrier action.
+func (in *Injector) epoch(s *injSrc, f Fault, label string, t sim.Time) {
+	if !f.barrierArm() {
+		s.chk.EpochAt(label, t)
+		return
+	}
+	for _, chk := range in.cl.Checkers() {
+		chk.EpochAt(label, t)
+	}
+}
+
+// Install validates the schedule and schedules every fault. Cluster-wide
+// arms (crash, loss, flap, partition cuts) become sim.Group.AtBarrier
+// window-boundary actions — they mutate shared state between
+// conservative windows, race-free and deterministically at any worker
+// count — while partition-local arms (overload, accel stall, NIC-down)
+// are scheduled on the owning partition's engine, with jitter drawn
+// from that partition's seeded PRNG stream (partition 0's for barrier
+// arms). On a classic cluster both classes are events on the one
+// engine. A mis-built schedule (unknown node, non-positive window,
 // start before the engine's current time) is rejected with a
 // *ScheduleError before anything reaches the engine. Installing an
 // empty schedule is allowed and yields an injector that never fires.
@@ -294,28 +323,19 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	if err := s.Validate(cl); err != nil {
 		return nil, err
 	}
-	in := &Injector{cl: cl, eng: cl.Eng, tr: cl.Tracer()}
-	parts := 1
-	if cl.Partitions() > 1 {
-		in.g = cl.Group
-		in.chks = cl.Checkers()
-		parts = cl.Partitions()
-	}
+	in := &Injector{cl: cl, g: cl.Group, tr: cl.Tracer()}
 	nsrc := 1
-	if in.g != nil {
+	if parts := cl.Partitions(); parts > 1 {
 		nsrc = 1 + parts
 	}
 	in.srcs = make([]injSrc, nsrc)
-	in.srcs[0] = injSrc{part: -1, eng: cl.Eng, sink: in.tr.Sink(0), track: obs.NoTrack}
-	if in.g == nil {
-		in.srcs[0].chk = cl.Checker()
-	}
-	for p := 1; p < nsrc; p++ {
-		in.srcs[p] = injSrc{
-			part:  int16(p - 1),
-			eng:   in.g.Engine(p - 1),
-			chk:   cl.CheckerAt(p - 1),
-			sink:  in.tr.Sink(p - 1),
+	in.srcs[0] = injSrc{part: -1, eng: cl.Eng, chk: cl.Checker(), sink: in.tr.Sink(0), track: obs.NoTrack}
+	for p := 0; p < nsrc-1; p++ {
+		in.srcs[1+p] = injSrc{
+			part:  int16(p),
+			eng:   in.g.Engine(p),
+			chk:   cl.CheckerAt(p),
+			sink:  in.tr.Sink(p),
 			track: obs.NoTrack,
 		}
 	}
@@ -326,56 +346,34 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	faults := append([]Fault(nil), s.Faults...)
 	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At < faults[j].At })
 
-	// Trace lanes (coordinator-only registration, at install): the
-	// classic/barrier lane, plus one per partition owning local arms.
+	// Trace lanes (coordinator-only registration, at install): one per
+	// source that owns an arm, the coordinator's first.
 	if in.tr.Enabled() && len(faults) > 0 {
 		grp := in.tr.Group(cl.ObsPrefix() + "faults")
-		needCoord := in.g == nil
-		needPart := make([]bool, parts)
+		used := make([]bool, nsrc)
 		for _, f := range faults {
-			if in.g == nil {
-				break
-			}
-			if f.barrierArm() {
-				needCoord = true
-			} else {
-				needPart[cl.Node(f.Node).Part] = true
-			}
+			used[in.srcOf(f)] = true
 		}
-		if needCoord {
-			in.srcs[0].track = in.tr.NewTrack(grp, "injector")
-		}
-		for p := 0; p < parts && in.g != nil; p++ {
-			if needPart[p] {
-				in.srcs[1+p].track = in.tr.NewTrack(grp, fmt.Sprintf("injector-p%d", p))
+		for i := range in.srcs {
+			switch {
+			case !used[i]:
+			case i == 0:
+				in.srcs[0].track = in.tr.NewTrack(grp, "injector")
+			default:
+				in.srcs[i].track = in.tr.NewTrack(grp, fmt.Sprintf("injector-p%d", i-1))
 			}
 		}
 	}
 
 	for _, f := range faults {
-		f := f
+		f, src := f, in.srcOf(f)
+		sr := &in.srcs[src]
 		start := f.At
-		if in.g == nil {
-			if f.Jitter > 0 {
-				start += sim.Time(in.eng.Rand().Float64() * float64(f.Jitter))
-			}
-			in.eng.At(start, func() { in.activate(0, f, start) })
-			continue
-		}
-		if f.barrierArm() {
-			// Coordinator jitter stream: partition 0's engine PRNG —
-			// deterministic because install order is the stable sort.
-			if f.Jitter > 0 {
-				start += sim.Time(in.eng.Rand().Float64() * float64(f.Jitter))
-			}
-			in.g.AtBarrier(start, func() { in.activateBarrier(f, start) })
-			continue
-		}
-		p := cl.Node(f.Node).Part
 		if f.Jitter > 0 {
-			start += sim.Time(in.g.Engine(p).Rand().Float64() * float64(f.Jitter))
+			// Deterministic because install order is the stable sort.
+			start += sim.Time(sr.eng.Rand().Float64() * float64(f.Jitter))
 		}
-		in.g.Engine(p).At(start, func() { in.activate(1+p, f, start) })
+		in.at(sr, f)(start, func() { in.activate(src, f, start) })
 	}
 	return in, nil
 }
@@ -401,7 +399,7 @@ func (in *Injector) Active() int {
 // Log returns the activation log: one line per fault start and end,
 // with virtual timestamps, merged across sources in (time, source,
 // seq) order. Byte-deterministic for a given seed and schedule at any
-// PDES worker count; on classic clusters the merge is the identity.
+// PDES worker count; with a single source the merge is the identity.
 // Call between runs, not from inside one.
 func (in *Injector) Log() []string {
 	var all []logEntry
@@ -435,66 +433,37 @@ func (in *Injector) logAt(src int, t sim.Time, text string) {
 	s.log = append(s.log, logEntry{t: t, part: s.part, seq: s.seq, text: text})
 }
 
-// activate applies a fault on its owning engine (the classic engine, or
-// a partition engine for local arms) and schedules its restoration.
+// activate applies a fault at its start time — between conservative
+// windows for a cluster-wide arm, on the owning engine for a local one —
+// and schedules its restoration the same way. Log lines and epochs are
+// stamped with the explicit event time.
 func (in *Injector) activate(src int, f Fault, start sim.Time) {
-	revert := in.apply(src, f, start)
 	s := &in.srcs[src]
+	at := in.at(s, f)
+	revert := in.apply(src, at, f, start)
 	s.injected++
 	s.active++
 	in.logAt(src, start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
-	s.chk.Epoch("+" + f.label())
+	in.epoch(s, f, "+"+f.label(), start)
 	end := start + f.Dur
 	// The span is emitted at activation (the window is known up front):
 	// per-lane timestamps then stay monotonic even when windows overlap.
 	s.sink.Span(s.track, f.label(), start, end, obs.Args{})
-	s.eng.At(end, func() {
+	at(end, func() {
 		if revert != nil {
 			revert()
 		}
 		s.active--
 		in.logAt(src, end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
-		s.chk.Epoch("-" + f.label())
+		in.epoch(s, f, "-"+f.label(), end)
 	})
-}
-
-// activateBarrier applies a cluster-wide fault between conservative
-// windows and chains its restoration as another barrier action. Log
-// lines and epochs are stamped with the barrier time (partition clocks
-// sit one tick behind it during the action).
-func (in *Injector) activateBarrier(f Fault, start sim.Time) {
-	revert := in.applyBarrier(f, start)
-	s := &in.srcs[0]
-	s.injected++
-	s.active++
-	in.logAt(0, start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
-	in.epochAll("+"+f.label(), start)
-	end := start + f.Dur
-	s.sink.Span(s.track, f.label(), start, end, obs.Args{})
-	in.g.AtBarrier(end, func() {
-		if revert != nil {
-			revert()
-		}
-		s.active--
-		in.logAt(0, end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
-		in.epochAll("-"+f.label(), end)
-	})
-}
-
-// epochAll stamps a fault epoch on every partition's ledger at the
-// barrier time: a cluster-wide mutation is visible to all of them.
-func (in *Injector) epochAll(label string, t sim.Time) {
-	for _, chk := range in.chks {
-		chk.EpochAt(label, t)
-	}
 }
 
 // apply performs a fault's effect and returns its undo (nil when the
-// effect self-expires). Engine-path only — on a partitioned cluster
-// this runs solely for partition-local arms, on the owning engine.
-func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
+// effect self-expires). at is the fault's arm-class scheduler; flap
+// toggles chain through it at explicit times.
+func (in *Injector) apply(src int, at func(sim.Time, func()), f Fault, start sim.Time) func() {
 	net := in.cl.Net
-	s := &in.srcs[src]
 	switch f.Kind {
 	case NodeCrash:
 		n := in.cl.Node(f.Node)
@@ -519,24 +488,25 @@ func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
 			}
 		}
 		half := flapHalf(f)
-		end := s.eng.Now() + f.Dur
+		end := start + f.Dur
 		down := true
 		cut(true)
-		var toggle func()
-		toggle = func() {
-			if s.eng.Now() >= end {
+		s := &in.srcs[src]
+		var toggle func(t sim.Time)
+		toggle = func(t sim.Time) {
+			if t >= end {
 				return
 			}
 			down = !down
 			cut(down)
 			if down {
-				s.sink.Instant(s.track, "flap down "+f.Node, s.eng.Now())
+				s.sink.Instant(s.track, "flap down "+f.Node, t)
 			} else {
-				s.sink.Instant(s.track, "flap up "+f.Node, s.eng.Now())
+				s.sink.Instant(s.track, "flap up "+f.Node, t)
 			}
-			s.eng.After(half, toggle)
+			at(t+half, func() { toggle(t + half) })
 		}
-		s.eng.After(half, toggle)
+		at(start+half, func() { toggle(start + half) })
 		return func() { cut(false) }
 	case Partition:
 		return in.applyCut(f)
@@ -546,53 +516,6 @@ func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
 			in.logAt(src, start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))
 		}
 		return nil // the station drains the stall by itself
-	}
-	return nil
-}
-
-// applyBarrier performs a cluster-wide fault's effect from a barrier
-// action and returns its undo. Flap toggles chain as further barrier
-// actions at explicit times (no engine owns them).
-func (in *Injector) applyBarrier(f Fault, start sim.Time) func() {
-	net := in.cl.Net
-	switch f.Kind {
-	case NodeCrash:
-		n := in.cl.Node(f.Node)
-		n.Fail()
-		return n.Recover
-	case LinkLoss:
-		net.SetNodeLoss(f.Node, f.Rate)
-		return func() { net.SetNodeLoss(f.Node, 0) }
-	case LinkFlap:
-		others := in.peersOf(f.Node)
-		cut := func(on bool) {
-			for _, o := range others {
-				net.SetBlocked(f.Node, o, on)
-			}
-		}
-		half := flapHalf(f)
-		end := start + f.Dur
-		down := true
-		cut(true)
-		s := &in.srcs[0]
-		var toggle func(at sim.Time)
-		toggle = func(at sim.Time) {
-			if at >= end {
-				return
-			}
-			down = !down
-			cut(down)
-			if down {
-				s.sink.Instant(s.track, "flap down "+f.Node, at)
-			} else {
-				s.sink.Instant(s.track, "flap up "+f.Node, at)
-			}
-			in.g.AtBarrier(at+half, func() { toggle(at + half) })
-		}
-		in.g.AtBarrier(start+half, func() { toggle(start + half) })
-		return func() { cut(false) }
-	case Partition:
-		return in.applyCut(f)
 	}
 	return nil
 }
@@ -610,8 +533,7 @@ func flapHalf(f Fault) sim.Time {
 }
 
 // applyCut severs the fault's group from every other attached endpoint
-// and returns the heal. Pure blocked-table writes — shared between the
-// classic engine path and the barrier path.
+// and returns the heal.
 func (in *Injector) applyCut(f Fault) func() {
 	net := in.cl.Net
 	group := map[string]bool{}

@@ -290,6 +290,32 @@ func fullSchedule() Schedule {
 	}}
 }
 
+// TestClassicDriveStyleEquivalence: a classic cluster is a 1-partition
+// group whose barrier arms are ordinary engine events, so the full arm
+// matrix produces the same activation log whether the cluster is driven
+// through the engine (cl.Eng.Run, the way most classic call sites do)
+// or through the group (cl.RunUntil).
+func TestClassicDriveStyleEquivalence(t *testing.T) {
+	run := func(drive func(*core.Cluster)) string {
+		cl, nodes, _ := partCluster(t, 31, 6, 1)
+		in, err := Install(cl, fullSchedule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sprayAll(cl, nodes, 6*sim.Millisecond, 50*sim.Microsecond)
+		drive(cl)
+		if in.Injected() != 8 || in.Active() != 0 {
+			t.Fatalf("injected %d, active %d; want 8 and 0:\n%s", in.Injected(), in.Active(), in.Fingerprint())
+		}
+		return in.Fingerprint()
+	}
+	viaEngine := run(func(cl *core.Cluster) { cl.Eng.Run() })
+	viaGroup := run(func(cl *core.Cluster) { cl.RunUntil(8 * sim.Millisecond) })
+	if viaEngine != viaGroup {
+		t.Fatalf("fault log depends on how the classic cluster is driven:\n%s\n----\n%s", viaEngine, viaGroup)
+	}
+}
+
 // TestInstallOnPartitionedCluster is the tentpole contract: Install no
 // longer rejects partitioned clusters; every arm class activates and
 // restores, and the run completes with no active windows left.

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/core"
-	"repro/internal/invariant"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -59,6 +58,11 @@ type Config struct {
 	Window sim.Time
 	// Check attaches per-partition invariant checkers.
 	Check bool
+	// Migratable leaves the actors unpinned with the §3.2.5 migration
+	// hooks wired, and gives each a 256KB DMO object so the phase-3
+	// object move has real bytes to charge. Default: NIC-pinned actors,
+	// migration off.
+	Migratable bool
 }
 
 // Stats is one run's deterministic outcome plus its wall-clock cost.
@@ -86,8 +90,8 @@ type Stats struct {
 
 func nodeName(i int) string { return fmt.Sprintf("n%03d", i) }
 
-// Run builds the mesh, drives it for the window, and reports.
-func Run(cfg Config) Stats {
+// defaults fills the unset fields.
+func (cfg *Config) defaults() {
 	if cfg.Nodes < 2 {
 		cfg.Nodes = 2
 	}
@@ -115,45 +119,60 @@ func Run(cfg Config) Stats {
 	if cfg.Window <= 0 {
 		cfg.Window = 2 * sim.Millisecond
 	}
+}
 
+// Build constructs the echo mesh without driving it: cfg.Nodes CN2350
+// servers spread round-robin over cfg.Partitions engine partitions,
+// server i ("nNNN") running one echo actor (ID 1+i, "svcNNN", ServiceNs
+// per request), plus one client per server ("cNNN") attached on the
+// server's partition so its request generation parallelizes with it.
+// Only the topology fields of cfg are read; the traffic is the
+// caller's.
+func Build(cfg Config) (*core.Cluster, []*core.Node, []*workload.Client) {
+	cfg.defaults()
 	cl := core.NewPartitionedCluster(cfg.Seed, cfg.Partitions)
 	cl.SetPDESWorkers(cfg.Workers)
-	var chks []*invariant.Checker
 	if cfg.Check {
-		chks = cl.AttachCheckers()
+		cl.AttachCheckers()
 	}
 
 	serviceCost := sim.Time(cfg.ServiceNs)
-	for i := 0; i < cfg.Nodes; i++ {
-		n := cl.AddNode(core.Config{
+	nodes := make([]*core.Node, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = cl.AddNode(core.Config{
 			Name:             nodeName(i),
 			NIC:              spec.LiquidIOII_CN2350(),
-			DisableMigration: true,
+			DisableMigration: !cfg.Migratable,
 		})
 		a := &actor.Actor{
 			ID:     actor.ID(1 + i),
 			Name:   fmt.Sprintf("svc%03d", i),
-			PinNIC: true,
+			PinNIC: !cfg.Migratable,
 			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
 				ctx.Reply(m)
 				return serviceCost
 			},
 		}
-		if err := n.Register(a, true, 1<<20); err != nil {
+		if cfg.Migratable {
+			a.OnInit = func(ctx actor.Ctx) { ctx.Alloc(256 << 10) }
+		}
+		if err := nodes[i].Register(a, true, 1<<20); err != nil {
 			panic(err)
 		}
 	}
-
-	// One closed-loop client per server node, attached on the same
-	// partition so its request generation parallelizes with it.
 	clients := make([]*workload.Client, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		node := cl.Node(nodeName(i))
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), cl.Net.LinkGbps(node.Name), node.Part)
+	for i, n := range nodes {
+		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), cl.Net.LinkGbps(n.Name), n.Part)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		i := i
-		c := clients[i]
+	return cl, nodes, clients
+}
+
+// Run builds the mesh, drives it closed-loop with Zipf-chosen
+// destinations for the window, and reports.
+func Run(cfg Config) Stats {
+	cfg.defaults()
+	cl, _, clients := Build(cfg)
+	for i, c := range clients {
 		zipf := workload.NewZipf(c.Eng().Rand(), uint64(cfg.Nodes), cfg.Theta)
 		c.ClosedLoop(cfg.Depth, cfg.Window, func(k uint64) workload.Request {
 			dst := int(zipf.Next())
@@ -189,17 +208,13 @@ func Run(cfg Config) Stats {
 	out.TputKops = float64(out.Ops) / cfg.Window.Seconds() / 1e3
 	out.P50us = lat.Percentile(50)
 	out.P99us = lat.Percentile(99)
-	if cl.Group != nil {
-		out.Events = cl.Group.ExecutedEvents()
-		out.Crossed = cl.Group.Crossed()
-		out.Rounds = cl.Group.Rounds()
-	} else {
-		out.Events = cl.Eng.Executed()
-	}
+	out.Events = cl.Group.ExecutedEvents()
+	out.Crossed = cl.Group.Crossed()
+	out.Rounds = cl.Group.Rounds()
 	if cfg.Check {
 		out.Violations = 0
 		var fp string
-		for _, chk := range chks {
+		for _, chk := range cl.Checkers() {
 			chk.Finish()
 			if err := chk.Err(); err != nil {
 				out.Violations++

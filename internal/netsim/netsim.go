@@ -57,18 +57,19 @@ func newLink(eng *sim.Engine, gbps float64, prop sim.Time) *link {
 // Network is a star topology: every node connects to one switch. That is
 // exactly the testbed shape (a ToR switch with client and server boxes).
 //
-// A network is either classic — every port on one engine — or
-// partitioned (NewPartitioned): ports are pinned to the engines of a
-// sim.Group and the switch becomes the PDES synchronization boundary.
-// A packet whose source and destination live on different partitions is
-// handed across at the moment it leaves the source uplink, via
-// Group.Inject; the propagation + switch-fabric floor of the slowest
-// such hop is exactly the lookahead the group needs, and AttachOn
-// registers it. Delivery counters live on the (partition-pinned) ports
-// so the hot path stays lock-free; the Network aggregates them on read.
+// Ports are pinned to the engine partitions of a sim.Group
+// (NewPartitioned; New wraps a bare engine as the only partition) and
+// the switch is the PDES synchronization boundary. A packet whose
+// source and destination live on different partitions is handed across
+// at the moment it leaves the source uplink, via Group.Inject; the
+// propagation + switch-fabric floor of the slowest such hop is exactly
+// the lookahead the group needs, and AttachOn registers it. Delivery
+// counters live on the (partition-pinned) ports so the hot path stays
+// lock-free; the Network aggregates them on read.
 type Network struct {
 	eng *sim.Engine
-	// group is non-nil on partitioned networks.
+	// group owns the partition engines; nil only on an engine-only
+	// network built with New, which has the one partition eng.
 	group *sim.Group
 	// SwitchLatency models store-and-forward plus fabric latency.
 	SwitchLatency sim.Time
@@ -92,10 +93,10 @@ type Network struct {
 	groupOf func(node string) obs.GroupID
 	// domain is the tracing domain stamped into cross-partition handoff
 	// spans (obs.Tracer.NewDomain); -1 until tracing is enabled on a
-	// partitioned network.
+	// multi-partition network.
 	domain int32
-	// chks holds one conservation checker per partition (index 0 on
-	// classic networks). Sparse: entries may be nil.
+	// chks holds one conservation checker per partition. Sparse: entries
+	// may be nil.
 	chks []*invariant.Checker
 }
 
@@ -121,7 +122,7 @@ type port struct {
 	// initialized explicitly). sink is the partition-private emit buffer
 	// all of this port's spans go through (nil when tracing is off);
 	// xTrack is the cross-partition handoff lane, registered only on
-	// partitioned networks.
+	// multi-partition networks.
 	txTrack obs.TrackID
 	rxTrack obs.TrackID
 	xTrack  obs.TrackID
@@ -131,36 +132,43 @@ type port struct {
 // DefaultSwitchLatency is a typical ToR port-to-port latency.
 const DefaultSwitchLatency = 600 * sim.Nanosecond
 
-// New creates an empty network on the engine.
+// New creates an empty single-partition network on a bare engine, for
+// users that have no sim.Group.
 func New(eng *sim.Engine) *Network {
 	return &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{}}
 }
 
 // NewPartitioned creates an empty network whose ports attach to the
-// partitions of g (see AttachOn). With a single-partition group this is
-// exactly New on that partition's engine.
+// partitions of g (see AttachOn).
 func NewPartitioned(g *sim.Group) *Network {
 	n := New(g.Engine(0))
-	if g.Partitions() > 1 {
-		n.group = g
-	}
+	n.group = g
 	return n
 }
 
-// Engine returns the underlying simulation engine (partition 0's on
-// partitioned networks).
+// Engine returns partition 0's simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// EnableInvariants attaches the message-conservation checker: every
-// packet entering the fabric must eventually be delivered or counted
-// into a drop bucket (injected = delivered + dropped + in-flight).
-// Partitioned networks need one checker per partition — use
-// EnableInvariantsAt.
-func (n *Network) EnableInvariants(chk *invariant.Checker) {
-	if n.group != nil {
-		panic("netsim: partitioned networks take one checker per partition (EnableInvariantsAt)")
+// Partitions returns the number of engine partitions ports can attach
+// to.
+func (n *Network) Partitions() int {
+	if n.group == nil {
+		return 1
 	}
-	n.EnableInvariantsAt(0, chk)
+	return n.group.Partitions()
+}
+
+// EngineAt returns partition part's engine. Every placement (AttachOn,
+// workload.NewClientAt) resolves its engine here, so an out-of-range
+// partition — a topology construction bug — panics with one message.
+func (n *Network) EngineAt(part int) *sim.Engine {
+	if part < 0 || part >= n.Partitions() {
+		panic(fmt.Sprintf("netsim: partition %d out of range (network has %d)", part, n.Partitions()))
+	}
+	if n.group == nil {
+		return n.eng
+	}
+	return n.group.Engine(part)
 }
 
 // EnableInvariantsAt attaches the conservation checker for one
@@ -189,8 +197,8 @@ func (n *Network) chkAt(part int) *invariant.Checker {
 
 // Attach connects a node with the given link speed and registers its
 // receive handler. Attaching a duplicate name panics: it is a topology
-// construction bug. On partitioned networks the port lands on
-// partition 0; use AttachOn to place it.
+// construction bug. The port lands on partition 0; use AttachOn to
+// place it.
 func (n *Network) Attach(name string, gbps float64, h Handler) {
 	n.AttachOn(name, gbps, h, 0)
 }
@@ -203,12 +211,7 @@ func (n *Network) AttachOn(name string, gbps float64, h Handler, part int) {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: node %q attached twice", name))
 	}
-	eng := n.eng
-	if n.group != nil {
-		eng = n.group.Engine(part)
-	} else if part != 0 {
-		panic(fmt.Sprintf("netsim: partition %d on an unpartitioned network", part))
-	}
+	eng := n.EngineAt(part)
 	prop := 300 * sim.Nanosecond // NIC MAC + cable
 	p := &port{
 		name:    name,
@@ -222,7 +225,7 @@ func (n *Network) AttachOn(name string, gbps float64, h Handler, part int) {
 		xTrack:  obs.NoTrack,
 	}
 	n.nodes[name] = p
-	if n.group != nil {
+	if n.Partitions() > 1 {
 		// The switch hop is the minimum cross-partition latency: a
 		// handoff happens after uplink serialization, and covers
 		// propagation to the switch plus the fabric delay.
@@ -276,10 +279,10 @@ func (n *Network) PartitionDrops() uint64 {
 // does not depend on map iteration order; later Attach calls register in
 // program order, which is equally deterministic.
 //
-// On a partitioned network each port emits through its partition's
-// obs.Sink (no shared span buffer across partitions) and gets an extra
-// "xpart" lane carrying cross-partition handoff spans stamped with the
-// (domain, src partition, Inject seq) merge identity.
+// Each port emits through its partition's obs.Sink (no shared span
+// buffer across partitions); on a multi-partition network it also gets
+// an "xpart" lane carrying cross-partition handoff spans stamped with
+// the (domain, src partition, Inject seq) merge identity.
 func (n *Network) EnableTracing(tr *obs.Tracer, group func(node string) obs.GroupID) {
 	if !tr.Enabled() {
 		return
@@ -287,7 +290,7 @@ func (n *Network) EnableTracing(tr *obs.Tracer, group func(node string) obs.Grou
 	n.tracer = tr
 	n.groupOf = group
 	n.domain = -1
-	if n.group != nil {
+	if n.Partitions() > 1 {
 		n.domain = tr.NewDomain()
 	}
 	names := make([]string, 0, len(n.nodes))
@@ -305,7 +308,7 @@ func (n *Network) tracePort(p *port) {
 	p.sink = n.tracer.Sink(p.part)
 	p.txTrack = n.tracer.NewTrack(g, "link tx")
 	p.rxTrack = n.tracer.NewTrack(g, "link rx")
-	if n.group != nil {
+	if n.Partitions() > 1 {
 		p.xTrack = n.tracer.NewTrack(g, "xpart")
 	}
 }
@@ -439,7 +442,7 @@ func (n *Network) Send(pkt *Packet) {
 			// Propagation to switch, then queue on the downlink after
 			// the switch fabric delay.
 			hop := src.up.propagation + n.SwitchLatency
-			if n.group == nil || src.part == dst.part {
+			if src.part == dst.part {
 				src.eng.After(hop, func() { n.arrive(dst, pkt) })
 				return
 			}

@@ -99,7 +99,8 @@ type Group struct {
 
 	// barriers is the coordinator-side action queue (see AtBarrier):
 	// cluster-wide mutations that run between conservative windows, when
-	// no partition is mid-window and every inbox is drained. floor is
+	// no partition is mid-window and every inbox is drained — unused on
+	// a single partition, where actions are plain engine events. floor is
 	// the commit point — every event strictly before it has executed —
 	// so a new action before the floor is a model bug and panics. bseq
 	// totally orders same-time actions by registration.
@@ -174,12 +175,9 @@ func (g *Group) Rounds() uint64 { return g.rounds }
 // rounds, never concurrently with window execution. Observability
 // hooks must stay read-only with respect to simulation state — they
 // must not schedule events, which would change the window structure
-// and perturb results. Coordinator-side *maintenance* mutations (e.g.
-// draining deferred watchdog kills) are permitted because their effect
-// is a pure function of the round structure, which is itself identical
-// at any worker count; they still must not touch state a window could
-// be reading, since hooks and windows never overlap but two hooks'
-// writes are ordered only by registration. Register before RunUntil.
+// and perturb results; cluster-visible mutations belong in AtBarrier /
+// DeferBarrier actions. A single-partition group has no rounds, so its
+// hooks never fire. Register before RunUntil.
 func (g *Group) OnRound(fn func(limit Time)) {
 	if fn == nil {
 		return
@@ -206,9 +204,21 @@ func (g *Group) OnRound(fn func(limit Time)) {
 // before the group's commit floor (a window already executed past it)
 // panics, mirroring Engine.At on past times. Actions past the RunUntil
 // deadline stay queued for a later run.
+//
+// On a single-partition group there is nothing to run between: the
+// action is an ordinary event on the one engine (Engine.At), so it also
+// fires under a plain Engine.Run and sees Now() == at. The one
+// observable difference from N partitions is the tie rule — the action
+// runs in engine seq order among same-time events instead of before
+// all of them — which coincides whenever actions are registered before
+// the events they tie with, as install-time fault arms are.
 func (g *Group) AtBarrier(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil barrier action")
+	}
+	if len(g.engs) == 1 {
+		g.engs[0].At(at, fn)
+		return
 	}
 	if at < g.floor {
 		panic(fmt.Sprintf("sim: barrier action at %v is in the past (group floor %v)", at, g.floor))
@@ -228,8 +238,7 @@ func (g *Group) AtBarrier(at Time, fn func()) {
 // structure and therefore identical at any worker count.
 //
 // On a single-partition group fn runs inline: there are no concurrent
-// readers to defer around, matching the classic-cluster path where the
-// same mutation commits immediately.
+// readers to defer around.
 func (g *Group) DeferBarrier(part int, fn func()) {
 	if fn == nil {
 		panic("sim: nil deferred barrier action")
@@ -382,29 +391,14 @@ func (g *Group) Run(workers int) { g.RunUntil(MaxTime, workers) }
 
 // RunUntil advances the whole group until no pending event (in any heap
 // or inbox) is at or before deadline, then normalizes every partition's
-// clock to the deadline — the partitioned analogue of Engine.RunUntil.
-// workers bounds the goroutines executing windows; 1 (or a single
-// partition) runs everything on the caller's goroutine with identical
-// results.
+// clock to the deadline — the partitioned analogue of Engine.RunUntil,
+// and on a single partition exactly Engine.RunUntil (barrier actions
+// are engine events there, see AtBarrier). workers bounds the
+// goroutines executing windows; ≤ 1 runs everything on the caller's
+// goroutine with identical results.
 func (g *Group) RunUntil(deadline Time, workers int) {
 	if len(g.engs) == 1 {
-		// Degenerate group: no windows, but barrier actions keep their
-		// ordering contract — run events strictly before each action
-		// time, then the action, then continue.
-		e := g.engs[0]
-		for {
-			B := g.nextBarrier()
-			if B > deadline || B == MaxTime {
-				break
-			}
-			if B > 0 {
-				e.RunUntil(B - 1)
-			}
-			g.floor = B
-			g.runBarrierActions(B)
-		}
-		e.RunUntil(deadline)
-		g.bumpFloor(deadline)
+		g.engs[0].RunUntil(deadline)
 		return
 	}
 	if g.lookahead <= 0 {

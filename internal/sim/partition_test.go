@@ -265,6 +265,33 @@ func TestAtBarrierSameTimeAndChaining(t *testing.T) {
 	}
 }
 
+// TestAtBarrierSinglePartitionIsEngineEvent: on a one-partition group a
+// barrier action is an ordinary event on the one engine, so it fires
+// under a plain Engine.Run() — the way classic clusters are driven —
+// at its own timestamp, and leaves nothing on the group's queue.
+func TestAtBarrierSinglePartitionIsEngineEvent(t *testing.T) {
+	g := NewGroup(7, 1)
+	e := g.Engine(0)
+	var trace []string
+	e.At(4*Microsecond, func() { trace = append(trace, "before") })
+	g.AtBarrier(5*Microsecond, func() {
+		trace = append(trace, "barrier")
+		if now := e.Now(); now != 5*Microsecond {
+			t.Errorf("action saw Now() = %v, want its own time %v", now, 5*Microsecond)
+		}
+		g.AtBarrier(7*Microsecond, func() { trace = append(trace, "chained") })
+	})
+	e.At(6*Microsecond, func() { trace = append(trace, "after") })
+	e.Run()
+	want := []string{"before", "barrier", "after", "chained"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("single-partition barrier under Engine.Run:\n got %v\nwant %v", trace, want)
+	}
+	if g.Rounds() != 0 {
+		t.Fatalf("single-partition group counted %d rounds, want 0", g.Rounds())
+	}
+}
+
 // TestAtBarrierPastFloorPanics: scheduling an action behind the commit
 // floor is a model bug and panics, like Engine.At on a past time.
 func TestAtBarrierPastFloorPanics(t *testing.T) {

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/actor"
@@ -209,5 +210,31 @@ func TestQoSRejectAccounting(t *testing.T) {
 	}
 	if client.Retried != 0 || q.latencies != 0 {
 		t.Fatalf("Retried=%d qosLatencies=%d, want 0/0", client.Retried, q.latencies)
+	}
+}
+
+// TestPlacementRejectsOutOfRangePartition: placing a client or a port
+// on a partition the cluster does not have is a construction bug, and
+// classic and partitioned clusters report it with the same descriptive
+// panic (the partitioned path used to die on a bare index out of range,
+// and NewClientAt read its engine before any check ran).
+func TestPlacementRejectsOutOfRangePartition(t *testing.T) {
+	mustPanic := func(name string, parts int, place func(*core.Cluster)) {
+		t.Helper()
+		defer func() {
+			want := fmt.Sprintf("netsim: partition %d out of range (network has %d)", parts, parts)
+			if got := fmt.Sprint(recover()); got != want {
+				t.Errorf("%s on %d partition(s): panic %q, want %q", name, parts, got, want)
+			}
+		}()
+		place(core.NewPartitionedCluster(1, parts))
+	}
+	for _, parts := range []int{1, 2} {
+		mustPanic("NewClientAt", parts, func(cl *core.Cluster) { workload.NewClientAt(cl, "cli", 10, parts) })
+		mustPanic("AttachOn", parts, func(cl *core.Cluster) { cl.Net.AttachOn("port", 10, nil, parts) })
+	}
+	cl := core.NewPartitionedCluster(1, 2)
+	if c := workload.NewClientAt(cl, "ok", 10, 1); c.Eng() != cl.Group.Engine(1) {
+		t.Error("client on partition 1 does not run on partition 1's engine")
 	}
 }

@@ -69,16 +69,11 @@ func NewClient(c *core.Cluster, name string, gbps float64) *Client {
 }
 
 // NewClientAt is NewClient pinning the client's port to an engine
-// partition of a partitioned cluster — typically the partition of the
-// server node it drives, so request generation runs concurrently with
-// the rest of the topology. Partition 0 on a classic cluster is
-// exactly NewClient.
+// partition of the cluster — typically the partition of the server node
+// it drives, so request generation runs concurrently with the rest of
+// the topology. An out-of-range partition panics (netsim.EngineAt).
 func NewClientAt(c *core.Cluster, name string, gbps float64, part int) *Client {
-	eng := c.Eng
-	if c.Group != nil {
-		eng = c.Group.Engine(part)
-	}
-	cl := &Client{Name: name, eng: eng, net: c.Net, part: part, Lat: stats.NewSample()}
+	cl := &Client{Name: name, eng: c.Net.EngineAt(part), net: c.Net, part: part, Lat: stats.NewSample()}
 	c.Net.AttachOn(name, gbps, netsim.HandlerFunc(cl.deliver), part)
 	return cl
 }
