@@ -12,23 +12,22 @@
 // -memprofile write pprof profiles of the run.
 //
 // -check replaces the normal run with a golden-fingerprint replay: each
-// experiment runs at two seeds, serially and with a parallel sweep,
-// with the runtime invariant checker attached to every cluster; the
-// invariant fingerprints must match byte-for-byte and no invariant may
-// be violated. Exits nonzero otherwise.
+// experiment runs at two seeds with the runtime invariant checker
+// attached to every cluster — once as the baseline (serial sweep, serial
+// window merge) and once per determinism axis that applies: the
+// parallel sweep (-parallel workers) and, for runs that built a
+// multi-partition cluster, window execution at 2 and at 4 workers. The
+// invariant fingerprints must match the baseline byte-for-byte and no
+// invariant may be violated; exits nonzero otherwise. A sha256 digest of
+// every (id, seed) fingerprint is printed for cross-commit comparison.
 //
 // -qos selects the qos-* experiment family (multi-tenant lanes,
-// admission, SLO controller). Combined with -check it replays the
-// family along both determinism axes: serial vs parallel sweep, and
-// PDES at 1 vs 2 and 1 vs 4 window workers.
+// admission, SLO controller) when no ids are given.
 //
 // -pdes N shards partition-aware experiments (the scale-nodes family)
 // across N engine partitions, executed by -parallel window workers.
-// Combined with -check, the replay runs along the PDES axis instead:
-// serial window merge vs parallel window execution, fingerprints
-// byte-compared. -pdes-bench FILE writes the wall-clock speedup matrix
-// (per size × worker count, with fingerprint certification and the
-// machine's core count) as a JSON artifact.
+// The wall-clock cost of partitioned execution is measured by the
+// mesh_pdes vs mesh_classic workloads of benchmark/.
 //
 // -report FILE re-runs a small experiment set (default: fig17 and
 // scale-nodes; override with explicit ids) with tracing and metrics
@@ -42,15 +41,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -71,42 +67,12 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace of every simulated cluster to `file` (forces -parallel 1)")
 	metricsFile := flag.String("metrics", "", "write NDJSON metric snapshots to `file` (forces -parallel 1)")
 	metricsInterval := flag.Duration("metrics-interval", 100*time.Microsecond, "metric snapshot interval (virtual time)")
-	check := flag.Bool("check", false, "golden replay: run with invariant checking at two seeds × serial/parallel and compare fingerprints")
-	qosAxis := flag.Bool("qos", false, "run the qos-* experiment family; with -check, replay it along both the sweep axis and the PDES axis at 1/2/4 workers")
-	pdes := flag.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults); with -check, replays along the PDES axis")
-	pdesBench := flag.String("pdes-bench", "", "write the PDES speedup matrix (JSON) to `file` and exit ('-' for stdout)")
-	pdesNodes := flag.String("pdes-nodes", "", "comma-separated mesh sizes for -pdes-bench (default: the scale-nodes sweep sizes)")
-	pdesWorkers := flag.String("pdes-workers", "2,4,8", "comma-separated window worker counts for -pdes-bench")
+	check := flag.Bool("check", false, "golden replay: run with invariant checking at two seeds and compare fingerprints along every determinism axis (sweep 1-vs-N, PDES 1-vs-2 and 1-vs-4 window workers)")
+	qosFamily := flag.Bool("qos", false, "run the qos-* experiment family when no ids are given")
+	pdes := flag.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults)")
 	reportFile := flag.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
 	baselineFile := flag.String("baseline", "", "compare the observed-run summary against the artifact in `file`; exit nonzero on regression")
 	flag.Parse()
-
-	if *pdesBench != "" {
-		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
-		sizes, err := intList(*pdesNodes)
-		if err != nil {
-			fatal(fmt.Errorf("-pdes-nodes: %w", err))
-		}
-		workers, err := intList(*pdesWorkers)
-		if err != nil {
-			fatal(fmt.Errorf("-pdes-workers: %w", err))
-		}
-		rep := bench.PDESBench(opts, sizes, workers)
-		err = writeTo(*pdesBench, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, e := range rep.Entries {
-			if !e.FingerprintOK {
-				fatal(fmt.Errorf("pdes-bench: nodes=%d workers=%d diverged from the serial merge", e.Nodes, e.Workers))
-			}
-		}
-		return
-	}
 
 	if *reportFile != "" || *baselineFile != "" {
 		opts := bench.Options{Quick: *quick, Seed: *seed,
@@ -148,7 +114,7 @@ func main() {
 	}
 
 	ids := flag.Args()
-	if *qosAxis && len(ids) == 0 {
+	if *qosFamily && len(ids) == 0 {
 		ids = bench.QoSExperimentIDs()
 	}
 	if *list || len(ids) == 0 {
@@ -167,16 +133,7 @@ func main() {
 			fatal(fmt.Errorf("-check cannot be combined with -trace/-metrics (both claim the cluster observer hook)"))
 		}
 		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
-		var rep *bench.ReplayReport
-		var err error
-		switch {
-		case *qosAxis:
-			rep, err = bench.GoldenReplayQoS(opts, []int{2, 4})
-		case *pdes > 0:
-			rep, err = bench.GoldenReplayPDES(ids, opts, *parallel)
-		default:
-			rep, err = bench.GoldenReplay(ids, opts, *parallel)
-		}
+		rep, err := bench.GoldenReplay(ids, opts, *parallel)
 		if err != nil {
 			fatal(err)
 		}
@@ -295,25 +252,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ipipe-bench:", err)
 	os.Exit(1)
-}
-
-// intList parses a comma-separated list of positive ints ("" = nil).
-func intList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("value %d out of range", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // writeTo writes an exporter's output to a file ("-" for stdout).

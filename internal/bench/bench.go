@@ -36,7 +36,7 @@ type Options struct {
 	PDESParts int
 	// PDESWorkers bounds the goroutines executing one partitioned
 	// simulation's windows. 0 or 1 is the serial merge; results are
-	// byte-identical at any worker count (enforced by GoldenReplayPDES).
+	// byte-identical at any worker count (enforced by GoldenReplay).
 	PDESWorkers int
 }
 

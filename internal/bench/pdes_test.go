@@ -61,48 +61,13 @@ func TestScaleNodesPartsOverride(t *testing.T) {
 }
 
 // TestGoldenReplayPDESSubset: the PDES replay axis holds on a quick
-// subset — the partitioned scale sweep, a classic experiment as the
-// unpartitioned control, the faulted mesh (barrier-arm fault injection
-// at window boundaries), and the migrating mesh (window-boundary
-// migration commits with fault arms landing mid-phase) — with
-// per-partition invariant ledgers attached and fingerprints
-// byte-compared between worker counts.
+// subset — the partitioned scale sweep, a classic experiment (which the
+// axis skips: it builds no multi-partition cluster), the faulted mesh
+// (barrier-arm fault injection at window boundaries), and the migrating
+// mesh (window-boundary migration commits with fault arms landing
+// mid-phase) — with per-partition invariant ledgers attached and
+// fingerprints byte-compared between 1 and 2 window workers.
 func TestGoldenReplayPDESSubset(t *testing.T) {
-	opts := Options{Quick: true, PDESParts: 2}
-	rep, err := GoldenReplayPDES([]string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"}, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clusters == 0 || rep.Checks == 0 {
-		t.Fatalf("replay checked nothing: %+v", rep)
-	}
-	if !rep.OK() {
-		var buf strings.Builder
-		rep.Fprint(&buf)
-		t.Fatal(buf.String())
-	}
-	checkGolden(t, rep, opts)
-}
-
-// TestPDESBenchQuick: the speedup matrix measures both worker counts,
-// certifies fingerprints, and records the machine environment.
-func TestPDESBenchQuick(t *testing.T) {
-	rep := PDESBench(Options{Quick: true}, []int{8}, []int{2})
-	if rep.GOMAXPROCS == 0 || rep.NumCPU == 0 {
-		t.Fatalf("environment not recorded: %+v", rep)
-	}
-	if len(rep.Entries) != 2 {
-		t.Fatalf("expected baseline + 1 parallel entry, got %d", len(rep.Entries))
-	}
-	for _, e := range rep.Entries {
-		if !e.FingerprintOK {
-			t.Fatalf("workers=%d diverged from the serial merge", e.Workers)
-		}
-		if e.Ops == 0 || e.Events == 0 {
-			t.Fatalf("degenerate measurement: %+v", e)
-		}
-	}
-	if rep.Entries[0].Ops != rep.Entries[1].Ops {
-		t.Fatalf("ops differ across worker counts: %d vs %d", rep.Entries[0].Ops, rep.Entries[1].Ops)
-	}
+	replaySubset(t, []string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"},
+		Options{Quick: true, PDESParts: 2}, replayAxes(4)[1:2])
 }

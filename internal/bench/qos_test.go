@@ -127,17 +127,5 @@ func TestQoSLanesPDESDeterminism(t *testing.T) {
 // determinism axes (sweep serial-vs-parallel, PDES 1-vs-2 workers) with
 // the invariant checker attached to every cluster.
 func TestGoldenReplayQoSSubset(t *testing.T) {
-	opts := Options{Quick: true}
-	rep, err := GoldenReplayQoS(opts, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clusters == 0 || rep.Checks == 0 {
-		t.Fatalf("replay checked nothing: %+v", rep)
-	}
-	if !rep.OK() {
-		t.Fatalf("qos golden replay failed:\nviolations: %v\nmismatches: %v",
-			rep.Violations, rep.Mismatches)
-	}
-	checkGolden(t, rep, opts)
+	replaySubset(t, QoSExperimentIDs(), Options{Quick: true}, replayAxes(4)[:2])
 }

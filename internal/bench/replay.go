@@ -3,10 +3,12 @@ package bench
 // Golden-fingerprint replay: rerun registered experiments with the
 // runtime invariant checker attached to every cluster they build, then
 // byte-compare the invariant fingerprints (per-epoch and final counter
-// snapshots, see internal/invariant) between a serial and a parallel
-// sweep of the same experiment at the same seed. Any divergence means
-// the parallel sweep runner changed simulation behavior — exactly the
-// class of bug a performance-focused refactor can introduce silently.
+// snapshots, see internal/invariant) between a baseline run and one
+// varied run per determinism axis — the parallel sweep runner, and
+// sim.Group's parallel window execution — at the same seed. Any
+// divergence means the varied machinery changed simulation behavior —
+// exactly the class of bug a performance-focused refactor can introduce
+// silently.
 
 import (
 	"crypto/sha256"
@@ -18,10 +20,41 @@ import (
 	"repro/internal/invariant"
 )
 
-// ReplayReport summarizes a GoldenReplay sweep.
+// axis is one determinism axis: a variation of the run options that
+// must leave every fingerprint unchanged. Every axis is compared against
+// the same baseline — serial sweep, serial window merge.
+type axis struct {
+	name        string
+	parallel    int // sweep workers of the varied run
+	pdesWorkers int // window workers of the varied run; > 1 makes it a PDES axis
+}
+
+// replayAxes is the full axis list: the sweep at 1 vs sweepWorkers, and
+// window execution at 1 vs 2 and 1 vs 4 workers (the 1/2/4 contract).
+func replayAxes(sweepWorkers int) []axis {
+	if sweepWorkers < 2 {
+		sweepWorkers = 4
+	}
+	return []axis{
+		{name: fmt.Sprintf("sweep 1-vs-%d", sweepWorkers), parallel: sweepWorkers, pdesWorkers: 1},
+		{name: "pdes 1-vs-2", parallel: 1, pdesWorkers: 2},
+		{name: "pdes 1-vs-4", parallel: 1, pdesWorkers: 4},
+	}
+}
+
+// tally counts the checked work of one set of runs.
+type tally struct {
+	name     string
+	runs     int
+	clusters int
+	checks   uint64
+}
+
+// ReplayReport summarizes a GoldenReplay.
 type ReplayReport struct {
-	// Experiments and Runs count experiment ids and individual checked
-	// runs (each id runs at two seeds × serial/parallel = 4 runs).
+	// Experiments counts experiment ids; Runs the individual checked
+	// runs (each id runs at two seeds: one baseline plus one run per
+	// axis that applies to it).
 	Experiments int
 	Runs        int
 	// Clusters counts clusters that had a checker attached; Checks the
@@ -31,24 +64,17 @@ type ReplayReport struct {
 	// Violations holds every invariant violation observed, annotated
 	// with the run that produced it.
 	Violations []string
-	// Mismatches lists runs whose serial and parallel fingerprints
-	// differ byte-for-byte.
+	// Mismatches lists runs whose fingerprint differs byte-for-byte
+	// from their baseline's.
 	Mismatches []string
-	// Digests holds the sha256 of every (id, seed) baseline fingerprint,
-	// in replay order — the cross-commit oracle: a refactor that claims
-	// identical simulated behavior must reproduce every digest.
-	Digests []Digest
-}
+	// Digests holds "id seed=N sha256" for every (id, seed) baseline
+	// fingerprint, in replay order — the cross-commit oracle: a refactor
+	// that claims identical simulated behavior must reproduce every one.
+	Digests []string
 
-// Digest is the sha256 of one (id, seed) replay fingerprint.
-type Digest struct {
-	ID   string
-	Seed uint64
-	Sum  string
-}
-
-func digestOf(id string, seed uint64, fingerprint string) Digest {
-	return Digest{ID: id, Seed: seed, Sum: fmt.Sprintf("%x", sha256.Sum256([]byte(fingerprint)))}
+	// tallies splits Runs/Clusters/Checks by run set: the baseline
+	// first, then one entry per axis.
+	tallies []tally
 }
 
 // OK reports whether the replay saw no violations and no mismatches.
@@ -60,8 +86,12 @@ func (r *ReplayReport) OK() bool {
 func (r *ReplayReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "golden replay: %d experiments, %d runs, %d checked clusters, %d invariant checks\n",
 		r.Experiments, r.Runs, r.Clusters, r.Checks)
+	for _, t := range r.tallies {
+		fmt.Fprintf(w, "  %-13s %d runs, %d checked clusters, %d invariant checks\n",
+			t.name, t.runs, t.clusters, t.checks)
+	}
 	for _, d := range r.Digests {
-		fmt.Fprintf(w, "  digest %s seed=%d %s\n", d.ID, d.Seed, d.Sum)
+		fmt.Fprintf(w, "  digest %s\n", d)
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  VIOLATION %s\n", v)
@@ -70,34 +100,56 @@ func (r *ReplayReport) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  MISMATCH  %s\n", m)
 	}
 	if r.OK() {
-		fmt.Fprintln(w, "  all invariants hold; serial and parallel fingerprints match")
+		fmt.Fprintln(w, "  all invariants hold; every axis reproduces the baseline fingerprints")
 	}
 }
 
+// add books one checked run under tally i.
+func (r *ReplayReport) add(i int, run checked) {
+	r.Runs++
+	r.Clusters += run.clusters
+	r.Checks += run.checks
+	r.Violations = append(r.Violations, run.violations...)
+	t := &r.tallies[i]
+	t.runs++
+	t.clusters += run.clusters
+	t.checks += run.checks
+}
+
+// checked is the outcome of one checkedRun.
+type checked struct {
+	// fingerprint combines the per-cluster fingerprints, sorted, so
+	// cluster creation order — which a parallel sweep does not fix —
+	// cannot affect the comparison.
+	fingerprint string
+	violations  []string
+	clusters    int
+	checks      uint64
+	// partitioned reports that the run built a multi-partition cluster:
+	// observed from the clusters themselves, not declared per experiment.
+	partitioned bool
+}
+
 // checkedRun executes one experiment with an invariant checker attached
-// to every cluster it builds, returning the run's combined fingerprint
-// (per-cluster fingerprints sorted, so cluster creation order — which a
-// parallel sweep does not fix — cannot affect the comparison).
-func checkedRun(id, tag string, opts Options) (fingerprint string, violations []string, clusters int, checks uint64, err error) {
+// to every partition of every cluster it builds.
+func checkedRun(id, tag string, opts Options) (checked, error) {
 	var mu sync.Mutex
 	var byCluster [][]*invariant.Checker
 	core.SetDefaultObserver(func(c *core.Cluster) {
-		// One checker per engine partition: a partitioned cluster's
-		// conservation ledgers live at partition granularity (handoff
-		// counters reconcile the cross-partition packets); a classic
-		// cluster gets the usual single checker. Grouping per cluster
-		// lets the post-run cross-partition reconciliation below sum one
-		// cluster's ledgers without mixing clusters from a sweep.
+		// Grouping the per-partition checkers per cluster lets the
+		// post-run cross-partition reconciliation below sum one cluster's
+		// ledgers without mixing clusters from a sweep.
 		cchks := c.AttachCheckers()
 		mu.Lock()
 		byCluster = append(byCluster, cchks)
 		mu.Unlock()
 	})
-	_, err = Run(id, opts)
+	_, err := Run(id, opts)
 	core.SetDefaultObserver(nil)
 	if err != nil {
-		return "", nil, 0, 0, err
+		return checked{}, err
 	}
+	var out checked
 	var fps []string
 	for _, cchks := range byCluster {
 		// Cross-partition handoff reconciliation: after a drained run,
@@ -106,134 +158,68 @@ func checkedRun(id, tag string, opts Options) (fingerprint string, violations []
 		invariant.CrossCheckHandoffs(cchks)
 		for _, chk := range cchks {
 			chk.Finish()
-			checks += chk.Checks()
+			out.checks += chk.Checks()
 			for _, v := range chk.Violations() {
-				violations = append(violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
+				out.violations = append(out.violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
 			}
 			fps = append(fps, chk.Fingerprint())
 		}
-		clusters += len(cchks)
+		out.clusters += len(cchks)
+		out.partitioned = out.partitioned || len(cchks) > 1
 	}
-	return invariant.SortFingerprints(fps), violations, clusters, checks, nil
+	out.fingerprint = invariant.SortFingerprints(fps)
+	return out, nil
 }
 
 // GoldenReplay runs each experiment id at two seeds (opts.Seed and
-// opts.Seed+1), serially and with a parallel sweep of the given worker
-// count, checking invariants throughout and byte-comparing the two
-// fingerprints per (id, seed). Experiments that build no clusters (the
-// raw device characterizations) contribute empty — trivially equal —
-// fingerprints. GoldenReplay installs the process-wide cluster observer
-// hook, so it must not run concurrently with other harness users.
-func GoldenReplay(ids []string, opts Options, workers int) (*ReplayReport, error) {
-	if workers < 2 {
-		workers = 4
-	}
-	rep := &ReplayReport{}
-	for _, id := range ids {
-		rep.Experiments++
-		for _, seed := range []uint64{opts.seed(), opts.seed() + 1} {
-			runOpts := opts
-			runOpts.Seed = seed
-
-			runOpts.Parallel = 1
-			sfp, sviol, scl, sch, err := checkedRun(id, fmt.Sprintf("seed=%d serial", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-			runOpts.Parallel = workers
-			pfp, pviol, pcl, pch, err := checkedRun(id, fmt.Sprintf("seed=%d parallel", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-
-			rep.Digests = append(rep.Digests, digestOf(id, seed, sfp))
-			rep.Runs += 2
-			rep.Clusters += scl + pcl
-			rep.Checks += sch + pch
-			rep.Violations = append(rep.Violations, sviol...)
-			rep.Violations = append(rep.Violations, pviol...)
-			if sfp != pfp {
-				rep.Mismatches = append(rep.Mismatches,
-					fmt.Sprintf("%s seed=%d: serial and parallel invariant fingerprints differ", id, seed))
-			}
-		}
-	}
-	return rep, nil
-}
-
-// GoldenReplayPDES is GoldenReplay along the PDES axis: each experiment
-// runs at two seeds with the serial window merge (PDESWorkers=1) and
-// again with `workers` goroutines executing partition windows, sweep
-// parallelism pinned to 1 on both sides so the only variable is the
-// parallel engine. The per-partition invariant fingerprints must match
-// byte for byte — the determinism contract of sim.Group. Classic
-// (unpartitioned) experiments run identically on both sides and act as
-// a no-regression control. Like GoldenReplay, this installs the
+// opts.Seed+1): once as the baseline — serial sweep, serial window
+// merge — and once per determinism axis that applies to it, checking
+// invariants throughout and byte-comparing every varied fingerprint
+// with the baseline's. The axes are the parallel sweep (sweepWorkers
+// goroutines, default 4) and, for runs that built a multi-partition
+// cluster, parallel window execution at 2 and at 4 workers. Experiments
+// that build no clusters (the raw device characterizations) contribute
+// empty — trivially equal — fingerprints. GoldenReplay installs the
 // process-wide cluster observer hook, so it must not run concurrently
 // with other harness users.
-func GoldenReplayPDES(ids []string, opts Options, workers int) (*ReplayReport, error) {
-	if workers < 2 {
-		workers = 2
+func GoldenReplay(ids []string, opts Options, sweepWorkers int) (*ReplayReport, error) {
+	return goldenReplay(ids, opts, replayAxes(sweepWorkers))
+}
+
+func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error) {
+	rep := &ReplayReport{tallies: make([]tally, 1+len(axes))}
+	rep.tallies[0].name = "baseline"
+	for i, a := range axes {
+		rep.tallies[1+i].name = a.name
 	}
-	rep := &ReplayReport{}
 	for _, id := range ids {
 		rep.Experiments++
 		for _, seed := range []uint64{opts.seed(), opts.seed() + 1} {
 			runOpts := opts
-			runOpts.Seed = seed
-			runOpts.Parallel = 1
-
-			runOpts.PDESWorkers = 1
-			sfp, sviol, scl, sch, err := checkedRun(id, fmt.Sprintf("seed=%d pdes-serial", seed), runOpts)
+			runOpts.Seed, runOpts.Parallel, runOpts.PDESWorkers = seed, 1, 1
+			base, err := checkedRun(id, fmt.Sprintf("seed=%d baseline", seed), runOpts)
 			if err != nil {
 				return nil, err
 			}
-			runOpts.PDESWorkers = workers
-			pfp, pviol, pcl, pch, err := checkedRun(id, fmt.Sprintf("seed=%d pdes-parallel", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-
-			rep.Digests = append(rep.Digests, digestOf(id, seed, sfp))
-			rep.Runs += 2
-			rep.Clusters += scl + pcl
-			rep.Checks += sch + pch
-			rep.Violations = append(rep.Violations, sviol...)
-			rep.Violations = append(rep.Violations, pviol...)
-			if sfp != pfp {
-				rep.Mismatches = append(rep.Mismatches,
-					fmt.Sprintf("%s seed=%d: PDES serial-merge and parallel fingerprints differ", id, seed))
+			rep.add(0, base)
+			rep.Digests = append(rep.Digests,
+				fmt.Sprintf("%s seed=%d %x", id, seed, sha256.Sum256([]byte(base.fingerprint))))
+			for i, a := range axes {
+				if a.pdesWorkers > 1 && !base.partitioned {
+					continue // window workers cannot matter without windows
+				}
+				runOpts.Parallel, runOpts.PDESWorkers = a.parallel, a.pdesWorkers
+				varied, err := checkedRun(id, fmt.Sprintf("seed=%d %s", seed, a.name), runOpts)
+				if err != nil {
+					return nil, err
+				}
+				rep.add(1+i, varied)
+				if varied.fingerprint != base.fingerprint {
+					rep.Mismatches = append(rep.Mismatches,
+						fmt.Sprintf("%s seed=%d: %s fingerprint differs from the baseline", id, seed, a.name))
+				}
 			}
 		}
 	}
 	return rep, nil
-}
-
-// GoldenReplayQoS replays the qos-* experiment family along both
-// determinism axes: the serial-vs-parallel sweep axis, and the PDES
-// axis at every requested worker count (defaults 2 and 4, covering the
-// 1/2/4-worker contract — each PDES pass compares a 1-worker run
-// against an N-worker run of the same partitioned cluster). Reports are
-// merged into one.
-func GoldenReplayQoS(opts Options, workerCounts []int) (*ReplayReport, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{2, 4}
-	}
-	ids := QoSExperimentIDs()
-	combined, err := GoldenReplay(ids, opts, 4)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range workerCounts {
-		rep, err := GoldenReplayPDES(ids, opts, w)
-		if err != nil {
-			return nil, err
-		}
-		combined.Runs += rep.Runs
-		combined.Clusters += rep.Clusters
-		combined.Checks += rep.Checks
-		combined.Violations = append(combined.Violations, rep.Violations...)
-		combined.Mismatches = append(combined.Mismatches, rep.Mismatches...)
-	}
-	return combined, nil
 }

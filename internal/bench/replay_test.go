@@ -33,14 +33,15 @@ func checkGolden(t *testing.T, rep *ReplayReport, opts Options) {
 		}
 	}
 	for _, d := range rep.Digests {
-		key := fmt.Sprintf("%s pdes=%d seed=%d", d.ID, opts.PDESParts, d.Seed)
+		f := strings.Fields(d) // id, seed=N, sha256
+		key, sum := fmt.Sprintf("%s pdes=%d %s", f[0], opts.PDESParts, f[1]), f[2]
 		switch want, ok := golden[key]; {
 		case *update:
-			golden[key] = d.Sum
+			golden[key] = sum
 		case !ok:
 			t.Errorf("%s: no golden digest (regenerate with -update)", key)
-		case want != d.Sum:
-			t.Errorf("%s: fingerprint digest %s, golden %s", key, d.Sum, want)
+		case want != sum:
+			t.Errorf("%s: fingerprint digest %s, golden %s", key, sum, want)
 		}
 	}
 	if !*update {
@@ -62,15 +63,11 @@ func checkGolden(t *testing.T, rep *ReplayReport, opts Options) {
 	}
 }
 
-// TestGoldenReplaySubset is the tier-1 slice of the golden-replay
-// harness: a fault-schedule experiment (epoch fingerprints), a
-// multi-cluster sweep, and the faulted-PDES mesh (window-boundary
-// barrier arms + partition-local arms), quick mode, serial vs parallel.
-// The full registry runs under `make invariant-smoke` / `ipipe-bench
-// -check`.
-func TestGoldenReplaySubset(t *testing.T) {
-	opts := Options{Quick: true}
-	rep, err := GoldenReplay([]string{"faults-availability", "fig17", "faults-pdes"}, opts, 4)
+// replaySubset runs the golden replay over ids along the given axes and
+// requires a clean report whose digests match the committed ones.
+func replaySubset(t *testing.T, ids []string, opts Options, axes []axis) *ReplayReport {
+	t.Helper()
+	rep, err := goldenReplay(ids, opts, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +80,41 @@ func TestGoldenReplaySubset(t *testing.T) {
 		t.Fatal(buf.String())
 	}
 	checkGolden(t, rep, opts)
+	return rep
+}
+
+// TestGoldenReplaySubset is the tier-1 slice of the golden replay along
+// the sweep axis: a fault-schedule experiment (epoch fingerprints), a
+// multi-cluster sweep, and the faulted-PDES mesh (window-boundary
+// barrier arms + partition-local arms), quick mode, serial vs parallel
+// sweep. `make replay-smoke` / `ipipe-bench -check` run every axis.
+func TestGoldenReplaySubset(t *testing.T) {
+	replaySubset(t, []string{"faults-availability", "fig17", "faults-pdes"},
+		Options{Quick: true}, replayAxes(4)[:1])
+}
+
+// TestGoldenReplayAxesFollowTheClusters: whether the PDES axes apply is
+// observed from the clusters a run builds — a classic experiment gets
+// the baseline and the sweep run only, a partitioned one all four, and
+// the same partition-aware experiment forced onto one partition (-pdes
+// 1) is classic again.
+func TestGoldenReplayAxesFollowTheClusters(t *testing.T) {
+	runsPerSeed := func(id string, parts int) int {
+		rep, err := GoldenReplay([]string{id}, Options{Quick: true, PDESParts: parts}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s -pdes %d: %v %v", id, parts, rep.Violations, rep.Mismatches)
+		}
+		return rep.Runs / 2
+	}
+	if got := runsPerSeed("faults-pdes", 0); got != 4 {
+		t.Errorf("partitioned experiment: %d runs per seed, want baseline + 3 axes", got)
+	}
+	if got := runsPerSeed("faults-pdes", 1); got != 2 {
+		t.Errorf("same experiment on one partition: %d runs per seed, want baseline + sweep", got)
+	}
 }
 
 func TestGoldenReplayUnknownID(t *testing.T) {
