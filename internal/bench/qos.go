@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/actor"
 	"repro/internal/apps/rkv"
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/fault"
 	"repro/internal/qos"

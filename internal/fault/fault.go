@@ -223,7 +223,6 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 // registered, and its activation log fills in as the run progresses.
 type Injector struct {
 	cl *core.Cluster
-	g  *sim.Group
 	tr *obs.Tracer
 
 	// srcs holds one log/counter/trace slot per emitting source: srcs[0]
@@ -275,7 +274,7 @@ func (f Fault) barrierArm() bool {
 	return false
 }
 
-// srcOf returns the source slot that runs the fault.
+// srcOf returns the index of the source slot that runs the fault.
 func (in *Injector) srcOf(f Fault) int {
 	if f.barrierArm() || len(in.srcs) == 1 {
 		return 0
@@ -288,7 +287,7 @@ func (in *Injector) srcOf(f Fault) int {
 // the owning source's engine (the same thing on a classic cluster).
 func (in *Injector) at(s *injSrc, f Fault) func(sim.Time, func()) {
 	if f.barrierArm() {
-		return in.g.AtBarrier
+		return in.cl.Group.AtBarrier
 	}
 	return func(t sim.Time, fn func()) { s.eng.At(t, fn) }
 }
@@ -323,7 +322,7 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	if err := s.Validate(cl); err != nil {
 		return nil, err
 	}
-	in := &Injector{cl: cl, g: cl.Group, tr: cl.Tracer()}
+	in := &Injector{cl: cl, tr: cl.Tracer()}
 	nsrc := 1
 	if parts := cl.Partitions(); parts > 1 {
 		nsrc = 1 + parts
@@ -333,7 +332,7 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	for p := 0; p < nsrc-1; p++ {
 		in.srcs[1+p] = injSrc{
 			part:  int16(p),
-			eng:   in.g.Engine(p),
+			eng:   cl.Group.Engine(p),
 			chk:   cl.CheckerAt(p),
 			sink:  in.tr.Sink(p),
 			track: obs.NoTrack,
@@ -355,25 +354,25 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 			used[in.srcOf(f)] = true
 		}
 		for i := range in.srcs {
-			switch {
-			case !used[i]:
-			case i == 0:
-				in.srcs[0].track = in.tr.NewTrack(grp, "injector")
-			default:
-				in.srcs[i].track = in.tr.NewTrack(grp, fmt.Sprintf("injector-p%d", i-1))
+			if !used[i] {
+				continue
 			}
+			name := "injector"
+			if i > 0 {
+				name = fmt.Sprintf("injector-p%d", i-1)
+			}
+			in.srcs[i].track = in.tr.NewTrack(grp, name)
 		}
 	}
 
 	for _, f := range faults {
-		f, src := f, in.srcOf(f)
-		sr := &in.srcs[src]
+		src := &in.srcs[in.srcOf(f)]
 		start := f.At
 		if f.Jitter > 0 {
 			// Deterministic because install order is the stable sort.
-			start += sim.Time(sr.eng.Rand().Float64() * float64(f.Jitter))
+			start += sim.Time(src.eng.Rand().Float64() * float64(f.Jitter))
 		}
-		in.at(sr, f)(start, func() { in.activate(src, f, start) })
+		in.at(src, f)(start, func() { in.activate(src, f, start) })
 	}
 	return in, nil
 }
@@ -427,8 +426,7 @@ func (in *Injector) Fingerprint() string { return strings.Join(in.Log(), "\n") }
 
 // logAt appends a log line to the source's private vector, stamped for
 // the deterministic merge.
-func (in *Injector) logAt(src int, t sim.Time, text string) {
-	s := &in.srcs[src]
+func (s *injSrc) logAt(t sim.Time, text string) {
 	s.seq++
 	s.log = append(s.log, logEntry{t: t, part: s.part, seq: s.seq, text: text})
 }
@@ -437,13 +435,12 @@ func (in *Injector) logAt(src int, t sim.Time, text string) {
 // windows for a cluster-wide arm, on the owning engine for a local one —
 // and schedules its restoration the same way. Log lines and epochs are
 // stamped with the explicit event time.
-func (in *Injector) activate(src int, f Fault, start sim.Time) {
-	s := &in.srcs[src]
+func (in *Injector) activate(s *injSrc, f Fault, start sim.Time) {
 	at := in.at(s, f)
-	revert := in.apply(src, at, f, start)
+	revert := in.apply(s, at, f, start)
 	s.injected++
 	s.active++
-	in.logAt(src, start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
+	s.logAt(start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
 	in.epoch(s, f, "+"+f.label(), start)
 	end := start + f.Dur
 	// The span is emitted at activation (the window is known up front):
@@ -454,7 +451,7 @@ func (in *Injector) activate(src int, f Fault, start sim.Time) {
 			revert()
 		}
 		s.active--
-		in.logAt(src, end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
+		s.logAt(end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
 		in.epoch(s, f, "-"+f.label(), end)
 	})
 }
@@ -462,7 +459,7 @@ func (in *Injector) activate(src int, f Fault, start sim.Time) {
 // apply performs a fault's effect and returns its undo (nil when the
 // effect self-expires). at is the fault's arm-class scheduler; flap
 // toggles chain through it at explicit times.
-func (in *Injector) apply(src int, at func(sim.Time, func()), f Fault, start sim.Time) func() {
+func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start sim.Time) func() {
 	net := in.cl.Net
 	switch f.Kind {
 	case NodeCrash:
@@ -491,7 +488,6 @@ func (in *Injector) apply(src int, at func(sim.Time, func()), f Fault, start sim
 		end := start + f.Dur
 		down := true
 		cut(true)
-		s := &in.srcs[src]
 		var toggle func(t sim.Time)
 		toggle = func(t sim.Time) {
 			if t >= end {
@@ -513,7 +509,7 @@ func (in *Injector) apply(src int, at func(sim.Time, func()), f Fault, start sim
 	case AccelStall:
 		n := in.cl.Node(f.Node)
 		if n.Accels == nil || !n.Accels.Stall(f.Unit, f.Dur) {
-			in.logAt(src, start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))
+			s.logAt(start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))
 		}
 		return nil // the station drains the stall by itself
 	}

@@ -290,11 +290,12 @@ func fullSchedule() Schedule {
 	}}
 }
 
-// TestClassicDriveStyleEquivalence: a classic cluster is a 1-partition
-// group whose barrier arms are ordinary engine events, so the full arm
-// matrix produces the same activation log whether the cluster is driven
-// through the engine (cl.Eng.Run, the way most classic call sites do)
-// or through the group (cl.RunUntil).
+// TestClassicDriveStyleEquivalence: a classic cluster (core.NewCluster
+// is NewPartitionedCluster(seed, 1), which partCluster builds) is a
+// 1-partition group whose barrier arms are ordinary engine events, so
+// the full arm matrix produces the same activation log whether the
+// cluster is driven through the engine (cl.Eng.Run, the way most
+// classic call sites do) or through the group (cl.RunUntil).
 func TestClassicDriveStyleEquivalence(t *testing.T) {
 	run := func(drive func(*core.Cluster)) string {
 		cl, nodes, _ := partCluster(t, 31, 6, 1)
