@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-compare gobench race vet trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate obs-baseline
+.PHONY: build test check bench bench-compare gobench race vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate obs-baseline
 
 build:
 	$(GO) build ./...
@@ -11,11 +11,20 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt-check: fail on any file gofmt would rewrite.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "fmt-check: gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
+	@echo "fmt-check: ok"
+
 # race: the concurrency gate — every package whose code runs on sweep
 # workers or on sim.Group window workers (the engine, the cross-partition
-# handoff, per-partition sinks, ledgers, lanes and gates, and the
+# handoff, per-partition sinks, ledgers, lanes and gates, the
 # AtBarrier / DeferBarrier window-boundary actions that faults,
-# migration commits and watchdog kills go through), plus the harness
+# migration commits and watchdog kills go through, and the per-partition
+# free lists and in-core operation records of the per-message path:
+# netsim flights, core contexts, the sched and hostsim cores, actor
+# mailboxes and the nicsim gate they run behind), plus the harness
 # parity tests.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/bench/... \
@@ -23,7 +32,8 @@ race:
 		./internal/shard/... ./internal/workload/... ./internal/msgring/... \
 		./internal/stats/... ./internal/invariant/... ./internal/sched/... \
 		./internal/netsim/... ./internal/mesh/... ./internal/obs/... \
-		./internal/pcie/... ./internal/qos/...
+		./internal/pcie/... ./internal/qos/... ./internal/hostsim/... \
+		./internal/nicsim/... ./internal/actor/...
 
 # trace-smoke: run a traced simulation and validate the emitted Chrome
 # trace (well-formed trace_event JSON, named lanes, monotonic per-track
@@ -102,9 +112,9 @@ obs-baseline:
 	$(GO) run ./cmd/ipipe-bench -quick -report BENCH_obs.json
 	@echo "obs-baseline: wrote BENCH_obs.json"
 
-# check: the CI step — static analysis, the race suite, and the
-# observability, invariant and replay smoke tests.
-check: vet race trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate
+# check: the CI step — formatting, static analysis, the race suite, and
+# the observability, invariant and replay smoke tests.
+check: fmt-check vet race trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate
 
 # bench: the repository's one performance benchmark (benchmark/README.md)
 # — the full ledger at seed 1, ~85s. Judge a change with two ledgers:

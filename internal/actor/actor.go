@@ -64,6 +64,11 @@ type Msg struct {
 	Class uint8
 }
 
+// MsgFIFO is the message queue of the per-message path — scheduler
+// ingress queues, mailboxes, host core queues: head-indexed, so popping
+// neither pins consumed messages nor forces the next burst to reallocate.
+type MsgFIFO = sim.FIFO[Msg]
+
 // Via enumerates message ingress paths.
 type Via uint8
 
@@ -264,7 +269,7 @@ func (a *Actor) Observe(sojourn, service sim.Time, wireSize int) {
 // manager (or the software shuffle layer) makes concurrent producers
 // safe in the real system; in simulation ordering is the engine's.
 type Mailbox struct {
-	q []Msg
+	q MsgFIFO
 	// HighWater records the maximum backlog, which the DRR migration
 	// trigger (mailbox length threshold) uses.
 	HighWater int
@@ -272,32 +277,21 @@ type Mailbox struct {
 
 // Push appends a message.
 func (mb *Mailbox) Push(m Msg) {
-	mb.q = append(mb.q, m)
-	if len(mb.q) > mb.HighWater {
-		mb.HighWater = len(mb.q)
+	mb.q.Push(m)
+	if n := mb.q.Len(); n > mb.HighWater {
+		mb.HighWater = n
 	}
 }
 
 // Pop removes the oldest message.
-func (mb *Mailbox) Pop() (Msg, bool) {
-	if len(mb.q) == 0 {
-		return Msg{}, false
-	}
-	m := mb.q[0]
-	mb.q = mb.q[1:]
-	return m, true
-}
+func (mb *Mailbox) Pop() (Msg, bool) { return mb.q.Pop() }
 
 // Len returns the backlog.
-func (mb *Mailbox) Len() int { return len(mb.q) }
+func (mb *Mailbox) Len() int { return mb.q.Len() }
 
 // Drain removes and returns all pending messages (used by migration to
 // forward buffered requests).
-func (mb *Mailbox) Drain() []Msg {
-	out := mb.q
-	mb.q = nil
-	return out
-}
+func (mb *Mailbox) Drain() []Msg { return mb.q.Drain() }
 
 // Ref locates an actor in the deployment: which node, and which side of
 // the PCIe bus. The actor table (actor_tbl) maps IDs to Refs.

@@ -46,6 +46,20 @@ func TestMailboxDrain(t *testing.T) {
 	if mb.Len() != 0 {
 		t.Fatal("mailbox not empty after drain")
 	}
+	// Drain hands over only what is still queued — not what was popped —
+	// and leaves a mailbox that keeps working and keeps its high-water mark.
+	for k := 3; k <= 6; k++ {
+		mb.Push(Msg{Kind: Kind(k)})
+	}
+	mb.Pop()
+	got = mb.Drain()
+	if len(got) != 3 || got[0].Kind != 4 || got[2].Kind != 6 {
+		t.Fatalf("Drain after a pop = %v, want kinds 4..6", got)
+	}
+	mb.Push(Msg{Kind: 7})
+	if m, ok := mb.Pop(); !ok || m.Kind != 7 || mb.HighWater != 4 {
+		t.Fatalf("after drain: pop = %v %v, HighWater = %d (want kind 7, 4)", m.Kind, ok, mb.HighWater)
+	}
 }
 
 func TestExecLockExclusive(t *testing.T) {

@@ -424,10 +424,10 @@ func (c *Coordinator) startTxn(ctx actor.Ctx, m actor.Msg) sim.Time {
 	st := &txnState{
 		id: id, txn: txn, client: m,
 		startedAt: ctx.Now(),
-		readVers: map[string]uint64{},
-		readVals: map[string][]byte{},
-		lockedAt: map[actor.ID][]Op{},
-		readAt:   map[actor.ID][]Op{},
+		readVers:  map[string]uint64{},
+		readVals:  map[string][]byte{},
+		lockedAt:  map[actor.ID][]Op{},
+		readAt:    map[actor.ID][]Op{},
 	}
 	for _, op := range txn.Reads {
 		p := c.participants[Partition(op.Key, len(c.participants))]

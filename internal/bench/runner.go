@@ -97,5 +97,5 @@ func sweepMap[T any](o Options, n int, f func(i int) T) []T {
 // sweepMap and back. Row-major: index = oi*inner + ii.
 type grid struct{ outer, inner int }
 
-func (g grid) size() int             { return g.outer * g.inner }
+func (g grid) size() int              { return g.outer * g.inner }
 func (g grid) split(i int) (int, int) { return i / g.inner, i % g.inner }

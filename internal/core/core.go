@@ -233,6 +233,8 @@ type Node struct {
 	Dropped uint64
 	// flushArmed tracks the pending ring-flush timer.
 	flushArmed bool
+	// freeCtx is the free list of handler contexts (see takeCtx).
+	freeCtx []*execCtx
 
 	// Failure-injection state (see fault.go): down marks the whole node
 	// crashed, nicDown the SmartNIC processing complex alone, and
@@ -519,7 +521,7 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 		n.DownDrops++
 		return 100 * sim.Nanosecond
 	}
-	ctx := &execCtx{node: n, a: a, onNIC: true}
+	ctx := n.takeCtx(a, true)
 	ref := a.OnMessage(ctx, m)
 	service := n.scaleNIC(ref) + ctx.extra
 	if n.Watchdog != nil {
@@ -534,7 +536,7 @@ func (n *Node) runOnHost(a *actor.Actor, m actor.Msg) sim.Time {
 		n.DownDrops++
 		return 100 * sim.Nanosecond
 	}
-	ctx := &execCtx{node: n, a: a, onNIC: false}
+	ctx := n.takeCtx(a, false)
 	ref := a.OnMessage(ctx, m)
 	service := n.scaleHost(ref, a) + ctx.extra
 	switch m.Via {
@@ -638,7 +640,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 	}
 	if ref.Node != n.Name {
 		// Mid-flight to a remote actor (rare): send it over the wire.
-		n.sendRemote(m, ref.Node, false)
+		n.sendRemote(m, ref.Node)
 		return
 	}
 	// The actor is mid-migration (pulled off the host, not yet started
@@ -651,7 +653,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 }
 
 // sendRemote serializes a message onto the network.
-func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
+func (n *Node) sendRemote(m actor.Msg, dstNode string) {
 	size := msgring.HeaderBytes + len(m.Data)
 	if m.WireSize > size {
 		size = m.WireSize
@@ -667,7 +669,6 @@ func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
 		FlowID:  m.FlowID,
 		Payload: m,
 	})
-	_ = fromNIC
 }
 
 // killActor is the watchdog's OnKill: deregister everywhere and free

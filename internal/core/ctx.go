@@ -11,6 +11,10 @@ import (
 // the modeled cost of every runtime service the handler uses (sends,
 // DMO accesses, accelerator invocations) in extra; the Run hooks add
 // extra to the handler's own compute cost.
+//
+// Contexts are recycled per node (takeCtx / putCtx), so an actor.Ctx is
+// valid only for the handler call it was passed to. An OnInit context is
+// a plain free one and is never pooled.
 type execCtx struct {
 	node  *Node
 	a     *actor.Actor
@@ -19,11 +23,57 @@ type execCtx struct {
 	// free disables cost accounting (used for OnInit, which the paper
 	// performs at registration time, off the data path).
 	free bool
-	// deferred collects the handler's outbound effects (sends, replies).
+	// effects collects the handler's outbound effects (sends, replies).
 	// Handlers execute instantly in real time, but their messages must
 	// leave when the modeled execution *finishes*, so the runtime
 	// flushes these after the service time elapses.
-	deferred []func()
+	effects []effect
+	flushFn func() // c.flush, bound when the context is made
+}
+
+// effectKind says what an outbound effect does when it is performed.
+type effectKind uint8
+
+const (
+	effWire      effectKind = iota // put m on the wire to node
+	effLocalNIC                    // NIC-originated m to an actor on this node
+	effLocalHost                   // host-originated m to an actor on this node
+	effReply                       // m answers the external client at m.Origin
+)
+
+// effect is one recorded outbound effect. size is the packet size of
+// the two kinds that leave on the wire.
+type effect struct {
+	kind effectKind
+	m    actor.Msg
+	node string
+	size int
+}
+
+// maxFreeCtxs bounds a node's free list of contexts. One is out per
+// handler whose effects have not flushed yet, so steady state needs
+// about one per core; a burst past the cap is left to the GC.
+const maxFreeCtxs = 64
+
+// takeCtx readies a context for one handler invocation of a.
+func (n *Node) takeCtx(a *actor.Actor, onNIC bool) *execCtx {
+	var c *execCtx
+	if k := len(n.freeCtx); k > 0 {
+		c = n.freeCtx[k-1]
+		n.freeCtx = n.freeCtx[:k-1]
+	} else {
+		c = &execCtx{node: n}
+		c.flushFn = c.flush
+	}
+	c.a, c.onNIC, c.extra = a, onNIC, 0
+	return c
+}
+
+func (n *Node) putCtx(c *execCtx) {
+	c.a = nil
+	if len(n.freeCtx) < maxFreeCtxs {
+		n.freeCtx = append(n.freeCtx, c)
+	}
 }
 
 func (c *execCtx) charge(d sim.Time) {
@@ -32,31 +82,64 @@ func (c *execCtx) charge(d sim.Time) {
 	}
 }
 
-// later queues an outbound effect; OnInit contexts run immediately.
-func (c *execCtx) later(fn func()) {
+// emit records an outbound effect; OnInit contexts perform it at once.
+func (c *execCtx) emit(e effect) {
 	if c.free {
-		fn()
+		c.node.perform(&e)
 		return
 	}
-	c.deferred = append(c.deferred, fn)
+	c.effects = append(c.effects, e)
 }
 
-// finish schedules the deferred effects to fire when the modeled
-// service completes and returns the service time unchanged.
+// finish ends the handler invocation: the recorded effects are scheduled
+// to be performed when the modeled service completes, and the service
+// time is returned. The context goes back to the node's free list once
+// nothing refers to it — here, or after the flush.
 func (c *execCtx) finish(service sim.Time) sim.Time {
-	if len(c.deferred) > 0 {
-		fns := c.deferred
-		c.deferred = nil
-		if service <= 0 {
-			service = 1
-		}
-		c.node.eng.After(service, func() {
-			for _, fn := range fns {
-				fn()
-			}
+	if len(c.effects) == 0 {
+		c.node.putCtx(c)
+		return service
+	}
+	if service <= 0 {
+		service = 1
+	}
+	c.node.eng.After(service, c.flushFn)
+	return service
+}
+
+// flush performs the recorded effects in order.
+func (c *execCtx) flush() {
+	n := c.node
+	for i := range c.effects {
+		n.perform(&c.effects[i])
+	}
+	clear(c.effects) // do not pin the messages' payloads
+	c.effects = c.effects[:0]
+	n.putCtx(c)
+}
+
+// perform carries out one outbound effect.
+func (n *Node) perform(e *effect) {
+	switch e.kind {
+	case effWire:
+		n.c.Net.Send(&netsim.Packet{
+			Src: n.Name, Dst: e.node, Size: e.size,
+			FlowID:  e.m.FlowID,
+			Payload: e.m,
+		})
+	case effLocalNIC:
+		n.deliverLocalFromNIC(e.m)
+	case effLocalHost:
+		n.deliverLocalFromHost(e.m)
+	case effReply:
+		resp := e.m
+		resp.Reply = nil
+		n.c.Net.Send(&netsim.Packet{
+			Src: n.Name, Dst: e.m.Origin, Size: e.size,
+			FlowID:  e.m.FlowID,
+			Payload: RespEnvelope{Fn: e.m.Reply, Msg: resp},
 		})
 	}
-	return service
 }
 
 // Now implements actor.Ctx.
@@ -96,13 +179,7 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 		}
 		m.Via = actor.ViaWire
 		m.WireSize = size
-		c.later(func() {
-			n.c.Net.Send(&netsim.Packet{
-				Src: n.Name, Dst: ref.Node, Size: size,
-				FlowID:  m.FlowID,
-				Payload: m,
-			})
-		})
+		c.emit(effect{kind: effWire, m: m, node: ref.Node, size: size})
 		return
 	}
 	// Local node. The destination side is re-resolved at flush time:
@@ -110,29 +187,28 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 	switch {
 	case c.onNIC && ref.OnNIC:
 		c.charge(100 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromNIC(m) })
+		c.emit(effect{kind: effLocalNIC, m: m})
 	case c.onNIC && !ref.OnNIC:
 		c.charge(150 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromNIC(m) })
+		c.emit(effect{kind: effLocalNIC, m: m})
 	case !c.onNIC && ref.OnNIC:
 		c.charge(60*sim.Nanosecond + n.HostModel.RingTxOcc)
-		c.later(func() { c.deliverLocalFromHost(m) })
+		c.emit(effect{kind: effLocalHost, m: m})
 	default:
 		c.charge(80 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromHost(m) })
+		c.emit(effect{kind: effLocalHost, m: m})
 	}
 }
 
 // deliverLocalFromNIC routes a NIC-originated local message to wherever
 // the destination lives now.
-func (c *execCtx) deliverLocalFromNIC(m actor.Msg) {
-	n := c.node
+func (n *Node) deliverLocalFromNIC(m actor.Msg) {
 	ref, ok := n.c.Table.Lookup(m.Dst)
 	switch {
 	case !ok:
 		n.Dropped++
 	case ref.Node != n.Name:
-		n.sendRemote(m, ref.Node, true)
+		n.sendRemote(m, ref.Node)
 	case ref.OnNIC:
 		m.Via = actor.ViaLocal
 		n.Sched.Arrive(m)
@@ -142,14 +218,13 @@ func (c *execCtx) deliverLocalFromNIC(m actor.Msg) {
 }
 
 // deliverLocalFromHost routes a host-originated local message.
-func (c *execCtx) deliverLocalFromHost(m actor.Msg) {
-	n := c.node
+func (n *Node) deliverLocalFromHost(m actor.Msg) {
 	ref, ok := n.c.Table.Lookup(m.Dst)
 	switch {
 	case !ok:
 		n.Dropped++
 	case ref.Node != n.Name:
-		n.sendRemote(m, ref.Node, false)
+		n.sendRemote(m, ref.Node)
 	case ref.OnNIC:
 		m.Via = actor.ViaRing
 		if _, err := n.Chan.HostPush(toRingMsg(m)); err != nil {
@@ -181,15 +256,7 @@ func (c *execCtx) Reply(m actor.Msg) {
 	} else {
 		c.charge(n.HostModel.DPDKTxOcc)
 	}
-	resp := m
-	resp.Reply = nil
-	c.later(func() {
-		n.c.Net.Send(&netsim.Packet{
-			Src: n.Name, Dst: m.Origin, Size: size,
-			FlowID:  m.FlowID,
-			Payload: RespEnvelope{Fn: m.Reply, Msg: resp},
-		})
-	})
+	c.emit(effect{kind: effReply, m: m, size: size})
 }
 
 // side returns where this execution's objects live.

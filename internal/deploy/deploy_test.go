@@ -419,7 +419,7 @@ func TestRKVShardedFailoverIsolated(t *testing.T) {
 				fault.Crash("kv0", sim.Millisecond, 100*sim.Millisecond),
 			}},
 		},
-		Nodes:  nodes, BaseID: 100, MemLimit: 8 << 20,
+		Nodes: nodes, BaseID: 100, MemLimit: 8 << 20,
 		Shards: 4, Replicas: 3,
 	}.Deploy()
 	if err != nil {

@@ -42,7 +42,7 @@ type Host struct {
 	cfg   Config
 	hooks Hooks
 
-	queues [][]actor.Msg
+	queues []actor.MsgFIFO
 	cores  []*hcore
 	actors map[actor.ID]*actor.Actor
 
@@ -61,6 +61,33 @@ type hcore struct {
 	busy      bool
 
 	Executed uint64
+
+	// op is the operation occupying the core: one at a time, so its state
+	// lives here instead of in a closure per occupy. The record and the
+	// two event callbacks are made on first use, not in New — a host has
+	// dozens of cores and most deployments wake only a few.
+	op           *hostOp
+	stepFn       func() // c.step
+	occupyDoneFn func() // c.occupyDone
+}
+
+// opKind says how an occupy continues once its busy time has elapsed.
+type opKind uint8
+
+const (
+	opNone    opKind = iota // the core is not occupied
+	opUnowned               // m's actor is not host-resident
+	opPark                  // exclusive a was busy: park m on it
+	opExec                  // execution of m on a
+)
+
+// hostOp is the in-service operation of one core.
+type hostOp struct {
+	kind    opKind
+	a       *actor.Actor
+	m       actor.Msg
+	start   sim.Time
+	service sim.Time
 }
 
 // New builds a host with the given configuration.
@@ -78,7 +105,7 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Host {
 		eng:    eng,
 		cfg:    cfg,
 		hooks:  hooks,
-		queues: make([][]actor.Msg, cfg.Cores),
+		queues: make([]actor.MsgFIFO, cfg.Cores),
 		actors: map[actor.ID]*actor.Actor{},
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -128,7 +155,7 @@ func (h *Host) LeastLoadedActor() *actor.Actor {
 func (h *Host) Arrive(m actor.Msg) {
 	m.ArrivedAt = h.eng.Now()
 	i := int(m.FlowID % uint64(h.cfg.Cores))
-	h.queues[i] = append(h.queues[i], m)
+	h.queues[i].Push(m)
 	h.cores[i].kick()
 	if h.cfg.Steal {
 		// An idle core may steal immediately.
@@ -144,8 +171,8 @@ func (h *Host) Arrive(m actor.Msg) {
 // Backlog reports queued messages across all cores.
 func (h *Host) Backlog() int {
 	n := 0
-	for _, q := range h.queues {
-		n += len(q)
+	for i := range h.queues {
+		n += h.queues[i].Len()
 	}
 	return n
 }
@@ -178,31 +205,35 @@ func (c *hcore) kick() {
 		return
 	}
 	c.idle = false
-	c.h.eng.Defer(c.step)
+	if c.stepFn == nil {
+		c.stepFn = c.step
+	}
+	c.h.eng.Defer(c.stepFn)
 }
 
 func (c *hcore) pop() (actor.Msg, bool) {
 	h := c.h
-	if q := h.queues[c.id]; len(q) > 0 {
-		m := q[0]
-		h.queues[c.id] = q[1:]
+	if m, ok := h.queues[c.id].Pop(); ok {
 		return m, true
 	}
 	if !h.cfg.Steal {
 		return actor.Msg{}, false
 	}
 	victim, best := -1, 0
-	for i, q := range h.queues {
-		if i != c.id && len(q) > best {
-			victim, best = i, len(q)
+	for i := range h.queues {
+		if n := h.queues[i].Len(); i != c.id && n > best {
+			victim, best = i, n
 		}
 	}
 	if victim == -1 {
 		return actor.Msg{}, false
 	}
-	q := h.queues[victim]
-	m := q[len(q)-1]
-	h.queues[victim] = q[:len(q)-1]
+	// A classic tail steal: the victim's *newest* message. That runs a
+	// flow's latest request ahead of its queued predecessors — the same
+	// per-flow-FIFO hazard sched.shuffleQueue had and fixed by stealing
+	// the head. Left as is here because fixing it reorders host
+	// executions, which moves every fingerprint with a busy host.
+	m, _ := h.queues[victim].PopTail()
 	h.Steals++
 	return m, true
 }
@@ -217,25 +248,13 @@ func (c *hcore) step() {
 	}
 	a, resident := h.actors[m.Dst]
 	if !resident {
-		c.occupy(h.cfg.PollCost, func() {
-			if h.hooks.Unowned != nil {
-				h.hooks.Unowned(m)
-			}
-			c.step()
-		})
+		c.occupy(h.cfg.PollCost, hostOp{kind: opUnowned, m: m})
 		return
 	}
 	if !a.TryAcquire() {
 		// Exclusive actor busy elsewhere: park on the actor; the
 		// releasing core drains (a requeue would busy-spin).
-		c.occupy(h.cfg.PollCost, func() {
-			if a.Running() > 0 {
-				a.Mailbox.Push(m)
-			} else {
-				h.queues[c.id] = append(h.queues[c.id], m)
-			}
-			c.step()
-		})
+		c.occupy(h.cfg.PollCost, hostOp{kind: opPark, a: a, m: m})
 		return
 	}
 	c.exec(a, m)
@@ -247,12 +266,55 @@ func (c *hcore) exec(a *actor.Actor, m actor.Msg) {
 	h := c.h
 	start := h.eng.Now()
 	service := h.cfg.PollCost + h.hooks.Run(a, m)
-	c.occupy(service, func() {
+	c.occupy(service, hostOp{kind: opExec, a: a, m: m, start: start, service: service})
+}
+
+// occupy charges d of busy time, then continues as op.kind says.
+// Occupying a core that already has an operation in service is a bug
+// and panics.
+func (c *hcore) occupy(d sim.Time, op hostOp) {
+	if c.op == nil {
+		c.op = new(hostOp)
+		c.occupyDoneFn = c.occupyDone
+	}
+	if c.op.kind != opNone {
+		panic("hostsim: core occupied while an operation is in service")
+	}
+	*c.op = op
+	if !c.busy {
+		c.busy = true
+		c.busyStart = c.h.eng.Now()
+	}
+	c.h.eng.After(d, c.occupyDoneFn)
+}
+
+// occupyDone fires when the busy time has elapsed. The operation is
+// cleared before its continuation runs, because every continuation ends
+// by occupying the core again or parking it.
+func (c *hcore) occupyDone() {
+	c.endBusy()
+	op := *c.op
+	*c.op = hostOp{}
+	h, a, m := c.h, op.a, op.m
+	switch op.kind {
+	case opUnowned:
+		if h.hooks.Unowned != nil {
+			h.hooks.Unowned(m)
+		}
+		c.step()
+	case opPark:
+		if a.Running() > 0 {
+			a.Mailbox.Push(m)
+		} else {
+			h.queues[c.id].Push(m)
+		}
+		c.step()
+	case opExec:
 		c.Executed++
 		h.Completed++
-		a.Observe(h.eng.Now()-m.ArrivedAt, service, m.WireSize)
+		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, m.WireSize)
 		if h.hooks.OnExec != nil {
-			h.hooks.OnExec(c.id, a, m, start, h.eng.Now())
+			h.hooks.OnExec(c.id, a, m, op.start, h.eng.Now())
 		}
 		if next, ok := a.Mailbox.Pop(); ok {
 			c.exec(a, next)
@@ -260,21 +322,7 @@ func (c *hcore) exec(a *actor.Actor, m actor.Msg) {
 		}
 		a.Release()
 		c.step()
-	})
-}
-
-func (c *hcore) occupy(d sim.Time, fn func()) {
-	if !c.busy {
-		c.busy = true
-		c.busyStart = c.h.eng.Now()
 	}
-	c.h.eng.After(d, func() {
-		if c.busy {
-			c.busy = false
-			c.busyAccum += c.h.eng.Now() - c.busyStart
-		}
-		fn()
-	})
 }
 
 func (c *hcore) endBusy() {

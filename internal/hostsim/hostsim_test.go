@@ -198,3 +198,31 @@ func TestValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestStealTakesVictimsNewestMessage pins the steal end: an idle core
+// takes the *newest* message of the longest queue, so a flow's latest
+// request can overtake its queued predecessors. That is the per-flow
+// FIFO hazard sched.shuffleQueue fixed by stealing the head; it is kept
+// here because changing it reorders host executions (see pop).
+func TestStealTakesVictimsNewestMessage(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var order []uint64
+	h := New(eng, Config{Cores: 2, Steal: true}, Hooks{
+		Run: func(_ *actor.Actor, m actor.Msg) sim.Time {
+			order = append(order, m.FlowID)
+			return 10 * sim.Microsecond
+		},
+	})
+	h.AddActor(&actor.Actor{ID: 1})
+	for _, flow := range []uint64{0, 2, 4} { // all steer to core 0
+		h.Arrive(actor.Msg{Dst: 1, FlowID: flow})
+	}
+	eng.Run()
+	want := []uint64{0, 4, 2}
+	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("execution order %v, want %v (core 1 steals the newest)", order, want)
+	}
+	if h.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1", h.Steals)
+	}
+}

@@ -88,8 +88,6 @@ type Stats struct {
 	Fingerprint string
 }
 
-func nodeName(i int) string { return fmt.Sprintf("n%03d", i) }
-
 // defaults fills the unset fields.
 func (cfg *Config) defaults() {
 	if cfg.Nodes < 2 {
@@ -140,7 +138,7 @@ func Build(cfg Config) (*core.Cluster, []*core.Node, []*workload.Client) {
 	nodes := make([]*core.Node, cfg.Nodes)
 	for i := range nodes {
 		nodes[i] = cl.AddNode(core.Config{
-			Name:             nodeName(i),
+			Name:             fmt.Sprintf("n%03d", i),
 			NIC:              spec.LiquidIOII_CN2350(),
 			DisableMigration: !cfg.Migratable,
 		})
@@ -167,11 +165,12 @@ func Build(cfg Config) (*core.Cluster, []*core.Node, []*workload.Client) {
 	return cl, nodes, clients
 }
 
-// Run builds the mesh, drives it closed-loop with Zipf-chosen
-// destinations for the window, and reports.
-func Run(cfg Config) Stats {
+// arm builds the mesh and attaches its traffic: every client drives a
+// closed loop of cfg.Depth requests to Zipf-chosen servers until
+// cfg.Window. Nothing has run yet when it returns.
+func arm(cfg Config) (*core.Cluster, []*workload.Client) {
 	cfg.defaults()
-	cl, _, clients := Build(cfg)
+	cl, nodes, clients := Build(cfg)
 	for i, c := range clients {
 		zipf := workload.NewZipf(c.Eng().Rand(), uint64(cfg.Nodes), cfg.Theta)
 		c.ClosedLoop(cfg.Depth, cfg.Window, func(k uint64) workload.Request {
@@ -180,13 +179,21 @@ func Run(cfg Config) Stats {
 				dst = (dst + 1) % cfg.Nodes // never self: keep traffic on the wire
 			}
 			return workload.Request{
-				Node:   nodeName(dst),
+				Node:   nodes[dst].Name,
 				Dst:    actor.ID(1 + dst),
 				Size:   cfg.ReqSize,
 				FlowID: uint64(i)<<32 | (k + 1),
 			}
 		})
 	}
+	return cl, clients
+}
+
+// Run builds the mesh, drives it closed-loop with Zipf-chosen
+// destinations for the window, and reports.
+func Run(cfg Config) Stats {
+	cfg.defaults()
+	cl, clients := arm(cfg)
 
 	start := time.Now()
 	cl.RunUntil(cfg.Window)

@@ -98,6 +98,9 @@ type Network struct {
 	// chks holds one conservation checker per partition. Sparse: entries
 	// may be nil.
 	chks []*invariant.Checker
+
+	// pools holds one free list of flight records per partition.
+	pools []flightPool
 }
 
 type port struct {
@@ -135,7 +138,8 @@ const DefaultSwitchLatency = 600 * sim.Nanosecond
 // New creates an empty single-partition network on a bare engine, for
 // users that have no sim.Group.
 func New(eng *sim.Engine) *Network {
-	return &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{}}
+	return &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{},
+		pools: make([]flightPool, 1)}
 }
 
 // NewPartitioned creates an empty network whose ports attach to the
@@ -143,6 +147,7 @@ func New(eng *sim.Engine) *Network {
 func NewPartitioned(g *sim.Group) *Network {
 	n := New(g.Engine(0))
 	n.group = g
+	n.pools = make([]flightPool, g.Partitions())
 	return n
 }
 
@@ -433,60 +438,142 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	pkt.SentAt = src.eng.Now()
 	chk.NetInject()
-	wire := spec.SerializationDelay(src.up.gbps, pkt.Size)
-	src.up.station.Submit(&sim.Job{
-		Service: wire,
-		Done: func(enq, started, fin sim.Time) {
-			src.sink.Span(src.txTrack, "frame", started, fin,
-				obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
-			// Propagation to switch, then queue on the downlink after
-			// the switch fabric delay.
-			hop := src.up.propagation + n.SwitchLatency
-			if src.part == dst.part {
-				src.eng.After(hop, func() { n.arrive(dst, pkt) })
-				return
-			}
-			n.chkAt(src.part).NetHandoffOut()
-			now := src.eng.Now()
-			arriveAt := now + hop
-			// seq is assigned by Inject below, before this window ends;
-			// the "handoff in" closure reads it in a later window on the
-			// destination partition (the round barrier orders the two).
-			var seq uint64
-			seq = n.group.Inject(src.part, dst.part, arriveAt, func() {
-				n.chkAt(dst.part).NetHandoffIn()
-				dst.sink.Span(dst.xTrack, "handoff in", arriveAt, arriveAt, obs.Args{
-					Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
-					XC: n.domain, XSrc: int32(src.part), XSeq: seq, HasX: true,
-				})
-				n.arrive(dst, pkt)
-			})
-			src.sink.Span(src.xTrack, "handoff out", now, arriveAt, obs.Args{
-				Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
-				XC: n.domain, XSrc: int32(src.part), XSeq: seq, HasX: true,
-			})
-		},
+	f := n.takeFlight(src.part)
+	f.pkt, f.src, f.dst = pkt, src, dst
+	f.up.Service = spec.SerializationDelay(src.up.gbps, pkt.Size)
+	src.up.station.Submit(&f.up)
+}
+
+// flight is the network's private record of one packet in transit: both
+// serializer jobs, the caller's packet, the two ports, and the hop
+// continuations, bound once when the record is made so that carrying a
+// packet schedules the same events a closure per hop would without
+// allocating any. The Packet stays caller-owned and reaches the handler
+// untouched; only the flight is recycled.
+//
+// A flight lives on exactly one partition at a time. Send takes it from
+// the source partition's pool; a cross-partition packet carries it over
+// in the Group.Inject handoff (the source's last touch is in the event
+// that injects, the destination's first in a later window — the round
+// barrier orders the two, as it does for seq); deliver returns it to the
+// destination partition's pool. Balanced traffic therefore recycles
+// records indefinitely, while a one-way cross-partition stream drains
+// the source pool and falls back to making one record per packet.
+type flight struct {
+	n        *Network
+	pkt      *Packet
+	src, dst *port
+	up, down sim.Job
+
+	// seq and arriveAt stamp a cross-partition handoff: written on the
+	// source partition when the packet is injected, read by handoffIn.
+	seq      uint64
+	arriveAt sim.Time
+
+	arriveFn, handoffInFn, deliverFn func()
+}
+
+// flightPool is one partition's free list, touched only from that
+// partition's events. Padded to a cache line: the neighbouring entries
+// belong to partitions that other window workers are running.
+type flightPool struct {
+	free []*flight
+	_    [40]byte
+}
+
+// maxFreeFlights bounds each partition's free list, as maxFreeEvents
+// bounds the engine's: a burst may put many packets in flight at once,
+// and without a cap every record it needed would stay pinned for the
+// rest of the run. Beyond the cap records are left to the GC. The cap
+// is the number of packets a partition has in flight at once in steady
+// state with room to spare (the 64-node depth-2 mesh needs 128 records),
+// and no more: a record with its continuations is ≈ 400 B the collector
+// has to mark every cycle, and the ones a one-way cross-partition stream
+// strands on the far side are never used again — 4096 of them made that
+// stream 40% slower than allocating per hop had been.
+const maxFreeFlights = 512
+
+func (n *Network) takeFlight(part int) *flight {
+	p := &n.pools[part]
+	if k := len(p.free); k > 0 {
+		f := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		return f
+	}
+	f := &flight{n: n}
+	f.up.Done = f.upDone
+	f.down.Done = f.downDone
+	f.arriveFn = f.arrive
+	f.handoffInFn = f.handoffIn
+	f.deliverFn = f.deliver
+	return f
+}
+
+func (n *Network) releaseFlight(part int, f *flight) {
+	f.pkt, f.src, f.dst = nil, nil, nil
+	if p := &n.pools[part]; len(p.free) < maxFreeFlights {
+		p.free = append(p.free, f)
+	}
+}
+
+// upDone runs on the source partition when the frame has left the
+// uplink: propagation to the switch, then the fabric delay, then the
+// destination's downlink queue — on the destination's engine.
+func (f *flight) upDone(enq, started, fin sim.Time) {
+	n, src, dst, pkt := f.n, f.src, f.dst, f.pkt
+	src.sink.Span(src.txTrack, "frame", started, fin,
+		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
+	hop := src.up.propagation + n.SwitchLatency
+	if src.part == dst.part {
+		src.eng.After(hop, f.arriveFn)
+		return
+	}
+	n.chkAt(src.part).NetHandoffOut()
+	now := src.eng.Now()
+	f.arriveAt = now + hop
+	f.seq = n.group.Inject(src.part, dst.part, f.arriveAt, f.handoffInFn)
+	src.sink.Span(src.xTrack, "handoff out", now, f.arriveAt, obs.Args{
+		Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
+		XC: n.domain, XSrc: int32(src.part), XSeq: f.seq, HasX: true,
 	})
+}
+
+// handoffIn is the destination partition's half of a crossing.
+func (f *flight) handoffIn() {
+	n, dst, pkt := f.n, f.dst, f.pkt
+	n.chkAt(dst.part).NetHandoffIn()
+	dst.sink.Span(dst.xTrack, "handoff in", f.arriveAt, f.arriveAt, obs.Args{
+		Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
+		XC: n.domain, XSrc: int32(f.src.part), XSeq: f.seq, HasX: true,
+	})
+	f.arrive()
 }
 
 // arrive runs on the destination's partition: the packet queues on the
 // downlink, serializes, propagates, and is delivered.
-func (n *Network) arrive(dst *port, pkt *Packet) {
-	down := spec.SerializationDelay(dst.down.gbps, pkt.Size)
-	dst.down.station.Submit(&sim.Job{
-		Service: down,
-		Done: func(enq, started, fin sim.Time) {
-			dst.sink.Span(dst.rxTrack, "frame", started, fin,
-				obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
-			dst.eng.After(dst.down.propagation, func() {
-				dst.delivered++
-				n.chkAt(dst.part).NetDeliver()
-				if dst.handler != nil {
-					dst.handler.Deliver(pkt)
-				}
-			})
-		},
-	})
+func (f *flight) arrive() {
+	f.down.Service = spec.SerializationDelay(f.dst.down.gbps, f.pkt.Size)
+	f.dst.down.station.Submit(&f.down)
+}
+
+func (f *flight) downDone(enq, started, fin sim.Time) {
+	dst, pkt := f.dst, f.pkt
+	dst.sink.Span(dst.rxTrack, "frame", started, fin,
+		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
+	dst.eng.After(dst.down.propagation, f.deliverFn)
+}
+
+// deliver hands the packet to the destination's handler. The flight is
+// released first: the handler may Send, and should find the record.
+func (f *flight) deliver() {
+	n, dst, pkt := f.n, f.dst, f.pkt
+	dst.delivered++
+	n.chkAt(dst.part).NetDeliver()
+	n.releaseFlight(dst.part, f)
+	if dst.handler != nil {
+		dst.handler.Deliver(pkt)
+	}
 }
 
 // OneWayBaseLatency returns the unloaded one-way latency for a frame

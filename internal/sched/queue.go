@@ -19,56 +19,9 @@ type inQueue interface {
 	setAudit(a *invariant.QueueAudit)
 }
 
-// msgFIFO is a head-indexed message queue. Popping advances head instead
-// of reslicing (q = q[1:] would pin the consumed prefix of the backing
-// array — and every Msg.Data payload in it — for the queue's lifetime);
-// consumed slots are zeroed so payloads release immediately, and the
-// live region is copied down once the dead prefix dominates, so a
-// steady-state queue reuses one backing array with no per-op allocation.
-type msgFIFO struct {
-	buf  []actor.Msg
-	head int
-}
-
-// compactAt is the dead-prefix watermark: copy-down only past it, so
-// short bursts never pay the copy.
-const compactAt = 32
-
-func (f *msgFIFO) push(m actor.Msg) { f.buf = append(f.buf, m) }
-
-func (f *msgFIFO) pop() (actor.Msg, bool) {
-	if f.head == len(f.buf) {
-		return actor.Msg{}, false
-	}
-	m := f.buf[f.head]
-	f.buf[f.head] = actor.Msg{}
-	f.head++
-	f.maybeCompact()
-	return m, true
-}
-
-func (f *msgFIFO) maybeCompact() {
-	if f.head == len(f.buf) {
-		// Empty: rewind in place, keeping the array for reuse.
-		f.buf = f.buf[:0]
-		f.head = 0
-		return
-	}
-	if f.head > compactAt && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		for i := n; i < len(f.buf); i++ {
-			f.buf[i] = actor.Msg{}
-		}
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-}
-
-func (f *msgFIFO) len() int { return len(f.buf) - f.head }
-
 // sharedQueue is the hardware traffic manager model: one FIFO, any core.
 type sharedQueue struct {
-	q     msgFIFO
+	q     actor.MsgFIFO
 	audit *invariant.QueueAudit
 }
 
@@ -76,18 +29,18 @@ func newSharedQueue() *sharedQueue { return &sharedQueue{} }
 
 func (s *sharedQueue) push(m actor.Msg) {
 	m.AuditSeq = s.audit.Push(m.FlowID)
-	s.q.push(m)
+	s.q.Push(m)
 }
 
 func (s *sharedQueue) pop(int) (actor.Msg, bool) {
-	m, ok := s.q.pop()
+	m, ok := s.q.Pop()
 	if ok {
 		s.audit.Pop(m.FlowID, m.AuditSeq)
 	}
 	return m, ok
 }
 
-func (s *sharedQueue) len() int { return s.q.len() }
+func (s *sharedQueue) len() int { return s.q.Len() }
 
 func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 
@@ -95,7 +48,7 @@ func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 // multi-consumer shuffle layer steering flows to per-core queues, with
 // work stealing to repair the load imbalance flow steering causes.
 type shuffleQueue struct {
-	perCore []msgFIFO
+	perCore []actor.MsgFIFO
 	audit   *invariant.QueueAudit
 	// Steals counts stolen messages, exposing the imbalance repair rate.
 	Steals uint64
@@ -108,13 +61,13 @@ func newShuffleQueue(cores int) *shuffleQueue {
 		// modulus divides by zero.
 		cores = 1
 	}
-	return &shuffleQueue{perCore: make([]msgFIFO, cores)}
+	return &shuffleQueue{perCore: make([]actor.MsgFIFO, cores)}
 }
 
 func (s *shuffleQueue) push(m actor.Msg) {
 	m.AuditSeq = s.audit.Push(m.FlowID)
 	i := int(m.FlowID % uint64(len(s.perCore)))
-	s.perCore[i].push(m)
+	s.perCore[i].Push(m)
 }
 
 func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
@@ -122,7 +75,7 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 	if coreID >= n {
 		coreID = coreID % n
 	}
-	if m, ok := s.perCore[coreID].pop(); ok {
+	if m, ok := s.perCore[coreID].Pop(); ok {
 		s.audit.Pop(m.FlowID, m.AuditSeq)
 		return m, true
 	}
@@ -134,14 +87,14 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 	// them ordered).
 	victim, best := -1, 0
 	for i := range s.perCore {
-		if i != coreID && s.perCore[i].len() > best {
-			victim, best = i, s.perCore[i].len()
+		if i != coreID && s.perCore[i].Len() > best {
+			victim, best = i, s.perCore[i].Len()
 		}
 	}
 	if victim == -1 {
 		return actor.Msg{}, false
 	}
-	m, _ := s.perCore[victim].pop()
+	m, _ := s.perCore[victim].Pop()
 	s.Steals++
 	s.audit.Pop(m.FlowID, m.AuditSeq)
 	return m, true
@@ -150,7 +103,7 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 func (s *shuffleQueue) len() int {
 	n := 0
 	for i := range s.perCore {
-		n += s.perCore[i].len()
+		n += s.perCore[i].Len()
 	}
 	return n
 }
@@ -164,8 +117,8 @@ func (s *shuffleQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 // workers read only their own queue (no stealing — the dispatcher is
 // responsible for balance).
 type iokQueue struct {
-	central msgFIFO
-	perCore []msgFIFO
+	central actor.MsgFIFO
+	perCore []actor.MsgFIFO
 	audit   *invariant.QueueAudit
 	// flows pins a flow with queued messages to its worker: routing by
 	// queue depth alone would scatter one flow across workers draining
@@ -182,12 +135,12 @@ type iokFlow struct {
 }
 
 func newIOKQueue(workers int) *iokQueue {
-	return &iokQueue{perCore: make([]msgFIFO, workers), flows: map[uint64]*iokFlow{}}
+	return &iokQueue{perCore: make([]actor.MsgFIFO, workers), flows: map[uint64]*iokFlow{}}
 }
 
 func (q *iokQueue) push(m actor.Msg) {
 	m.AuditSeq = q.audit.Push(m.FlowID)
-	q.central.push(m)
+	q.central.Push(m)
 }
 
 // pop serves a worker core from its own queue only.
@@ -195,7 +148,7 @@ func (q *iokQueue) pop(coreID int) (actor.Msg, bool) {
 	if coreID >= len(q.perCore) {
 		return actor.Msg{}, false // the dispatcher core never executes
 	}
-	m, ok := q.perCore[coreID].pop()
+	m, ok := q.perCore[coreID].Pop()
 	if !ok {
 		return actor.Msg{}, false
 	}
@@ -214,7 +167,7 @@ func (q *iokQueue) pop(coreID int) (actor.Msg, bool) {
 // the least-loaded worker (lowest index on ties, keeping routing
 // deterministic).
 func (q *iokQueue) dispatchOne() (int, bool) {
-	m, ok := q.central.pop()
+	m, ok := q.central.Pop()
 	if !ok {
 		return 0, false
 	}
@@ -222,7 +175,7 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 	if fl == nil {
 		best := 0
 		for i := 1; i < len(q.perCore); i++ {
-			if q.perCore[i].len() < q.perCore[best].len() {
+			if q.perCore[i].Len() < q.perCore[best].Len() {
 				best = i
 			}
 		}
@@ -230,15 +183,15 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 		q.flows[m.FlowID] = fl
 	}
 	fl.pending++
-	q.perCore[fl.worker].push(m)
+	q.perCore[fl.worker].Push(m)
 	q.Dispatched++
 	return fl.worker, true
 }
 
 func (q *iokQueue) len() int {
-	n := q.central.len()
+	n := q.central.Len()
 	for i := range q.perCore {
-		n += q.perCore[i].len()
+		n += q.perCore[i].Len()
 	}
 	return n
 }

@@ -126,74 +126,6 @@ func TestNewShuffleQueueZeroCores(t *testing.T) {
 	}
 }
 
-func TestMsgFIFOReleasesConsumedSlots(t *testing.T) {
-	var f msgFIFO
-	f.push(actor.Msg{Data: make([]byte, 1024)})
-	f.push(actor.Msg{Data: make([]byte, 1024)})
-	f.pop()
-	// The consumed slot must not pin its payload: head-advance without
-	// zeroing would hold every popped Data alive as long as the queue.
-	if f.buf[0].Data != nil {
-		t.Fatal("consumed slot still references its payload")
-	}
-}
-
-func TestMsgFIFOCompactionPreservesOrder(t *testing.T) {
-	var f msgFIFO
-	for i := 0; i < 100; i++ {
-		f.push(actor.Msg{Kind: actor.Kind(i)})
-	}
-	// Interleave pops and pushes across the compaction watermark.
-	next := 100
-	for i := 0; i < 300; i++ {
-		m, ok := f.pop()
-		if !ok || int(m.Kind) != i {
-			t.Fatalf("pop %d = kind %d ok=%v", i, m.Kind, ok)
-		}
-		f.push(actor.Msg{Kind: actor.Kind(next)})
-		next++
-	}
-	if f.len() == 0 {
-		t.Fatal("expected residual backlog")
-	}
-}
-
-func TestMsgFIFOSteadyStateAllocFree(t *testing.T) {
-	var f msgFIFO
-	// Warm up the backing array.
-	for i := 0; i < 64; i++ {
-		f.push(actor.Msg{})
-	}
-	for i := 0; i < 64; i++ {
-		f.pop()
-	}
-	// A steady-state producer/consumer must reuse the array: the reslice
-	// idiom (q = q[1:]) this replaced re-allocated on every burst because
-	// append could never reuse the consumed prefix.
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 48; i++ {
-			f.push(actor.Msg{})
-		}
-		for i := 0; i < 48; i++ {
-			f.pop()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state allocs/run = %v, want 0", allocs)
-	}
-}
-
-// BenchmarkMsgFIFOSteadyState is the alloc-regression benchmark for the
-// ingress FIFO: a balanced producer/consumer must report 0 allocs/op.
-func BenchmarkMsgFIFOSteadyState(b *testing.B) {
-	var f msgFIFO
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.push(actor.Msg{WireSize: 64})
-		f.pop()
-	}
-}
-
 // TestDRRDequeueAdjustsCursors is the white-box regression for the
 // cursor-skew bug: removing a runnable actor at an index below a core's
 // cursor shifts the later actors down one slot, so an unadjusted cursor

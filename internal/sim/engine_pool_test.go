@@ -132,9 +132,9 @@ func TestRunUntilFiresEventsScheduledDuringRun(t *testing.T) {
 	var fired []Time
 	e.At(10, func() {
 		fired = append(fired, e.Now())
-		e.After(5, func() { fired = append(fired, e.Now()) })   // 15 ≤ 20
-		e.At(20, func() { fired = append(fired, e.Now()) })     // == deadline
-		e.At(21, func() { fired = append(fired, e.Now()) })     // beyond
+		e.After(5, func() { fired = append(fired, e.Now()) }) // 15 ≤ 20
+		e.At(20, func() { fired = append(fired, e.Now()) })   // == deadline
+		e.At(21, func() { fired = append(fired, e.Now()) })   // beyond
 	})
 	e.RunUntil(20)
 	want := []Time{10, 15, 20}

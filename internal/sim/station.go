@@ -9,7 +9,13 @@ type Job struct {
 	// Payload carries arbitrary caller context through the station.
 	Payload any
 
-	enqueued Time
+	// In-service state lives on the job itself, so starting a job
+	// allocates nothing once fire is bound: a caller that embeds its Jobs
+	// in a recycled record (netsim's flight) schedules them for free. A
+	// job is in at most one station at a time.
+	enqueued, started Time
+	st                *Station
+	fire              func() // j.complete, bound on first start
 }
 
 // Station is a FIFO queueing station with a configurable number of
@@ -21,7 +27,7 @@ type Station struct {
 	eng     *Engine
 	servers int
 	busy    int
-	queue   []*Job
+	queue   FIFO[*Job]
 
 	// Busy time accounting for utilization measurements.
 	busyAccum  Time
@@ -45,7 +51,7 @@ func NewStation(eng *Engine, servers int) *Station {
 func (s *Station) Servers() int { return s.servers }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // InService returns the number of jobs currently being served.
 func (s *Station) InService() int { return s.busy }
@@ -63,31 +69,42 @@ func (s *Station) Submit(j *Job) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
+	s.queue.Push(j)
+	if n := s.queue.Len(); n > s.maxQueue {
+		s.maxQueue = n
 	}
 }
 
 func (s *Station) start(j *Job) {
 	s.account()
 	s.busy++
-	started := s.eng.Now()
-	s.eng.After(j.Service, func() {
-		s.account()
-		s.busy--
-		s.completed++
-		if j.Done != nil {
-			j.Done(j.enqueued, started, s.eng.Now())
-		}
-		s.dispatch()
-	})
+	j.started = s.eng.Now()
+	j.st = s
+	if j.fire == nil {
+		j.fire = j.complete
+	}
+	s.eng.After(j.Service, j.fire)
+}
+
+// complete is the job's service-completion event. Done may resubmit or
+// recycle the job, so nothing reads it afterwards.
+func (j *Job) complete() {
+	s := j.st
+	s.account()
+	s.busy--
+	s.completed++
+	if j.Done != nil {
+		j.Done(j.enqueued, j.started, s.eng.Now())
+	}
+	s.dispatch()
 }
 
 func (s *Station) dispatch() {
-	for s.busy < s.servers && len(s.queue) > 0 {
-		j := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.busy < s.servers {
+		j, ok := s.queue.Pop()
+		if !ok {
+			return
+		}
 		s.start(j)
 	}
 }

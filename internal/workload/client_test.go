@@ -238,3 +238,61 @@ func TestPlacementRejectsOutOfRangePartition(t *testing.T) {
 		t.Error("client on partition 1 does not run on partition 1's engine")
 	}
 }
+
+// TestLateDuplicateReplyCountedOnce: a server slower than the timeout
+// answers the original and every retry; the first answer completes the
+// request and the late duplicates are dropped — one Received, one
+// latency sample, one OnResp.
+func TestLateDuplicateReplyCountedOnce(t *testing.T) {
+	cl, client := echoCluster(t, 7, 40*sim.Microsecond)
+	resps, gaveUp := 0, 0
+	client.Send(workload.Request{
+		Node: "srv", Dst: 1, Size: 256, FlowID: 1,
+		Timeout: 20 * sim.Microsecond, Retries: 2,
+		OnResp:   func(actor.Msg) { resps++ },
+		OnGiveUp: func() { gaveUp++ },
+	})
+	cl.Eng.Run()
+	if client.Retried != 2 {
+		t.Fatalf("retried %d times, want 2 (the first answer needs > 2 timeouts)", client.Retried)
+	}
+	if client.Sent != 1 || client.Received != 1 || client.Lat.Count() != 1 || resps != 1 {
+		t.Fatalf("sent=%d received=%d samples=%d OnResp=%d, want 1 each",
+			client.Sent, client.Received, client.Lat.Count(), resps)
+	}
+	if gaveUp != 0 {
+		t.Fatal("gave up on a request that was answered")
+	}
+	if us := client.Lat.Percentile(50); us < 40 || us > 60 {
+		t.Fatalf("latency %vµs: must be measured from the first transmission to the first answer", us)
+	}
+}
+
+// TestGiveUpIgnoresLaterReply: once the last timeout has expired the
+// request is lost from the client's point of view, and an answer that
+// arrives afterwards changes nothing.
+func TestGiveUpIgnoresLaterReply(t *testing.T) {
+	cl, client := echoCluster(t, 8, 200*sim.Microsecond)
+	resps, gaveUp := 0, 0
+	var gaveUpAt sim.Time
+	client.Send(workload.Request{
+		Node: "srv", Dst: 1, Size: 256, FlowID: 1,
+		Timeout: 10 * sim.Microsecond, Retries: 1,
+		OnResp:   func(actor.Msg) { resps++ },
+		OnGiveUp: func() { gaveUp++; gaveUpAt = cl.Eng.Now() },
+	})
+	cl.Eng.Run()
+	if gaveUp != 1 || gaveUpAt != 20*sim.Microsecond {
+		t.Fatalf("gave up %d times at %v, want once at 20µs", gaveUp, gaveUpAt)
+	}
+	if cl.Eng.Now() < 200*sim.Microsecond {
+		t.Fatalf("run ended at %v: the late answers never arrived", cl.Eng.Now())
+	}
+	if client.Received != 0 || client.Lat.Count() != 0 || resps != 0 {
+		t.Fatalf("received=%d samples=%d OnResp=%d after giving up, want 0",
+			client.Received, client.Lat.Count(), resps)
+	}
+	if client.Sent != 1 || client.Retried != 1 {
+		t.Fatalf("sent=%d retried=%d, want 1 and 1", client.Sent, client.Retried)
+	}
+}

@@ -168,78 +168,109 @@ func (cl *Client) send(r Request, stage func(m actor.Msg, size int)) {
 		size = 64
 	}
 	cl.Sent++
-	sentAt := cl.eng.Now()
-	done := false
-	attempt := 0
-	timeout := r.Timeout
-	var fire func()
-	reply := func(resp actor.Msg) {
-		if done {
-			return // duplicate response after a retry
-		}
-		done = true
-		cl.Received++
-		us := (cl.eng.Now() - sentAt).Micros()
-		cl.Lat.Observe(us)
-		if cl.qos != nil {
-			cl.qos.Latency(r.Tenant, r.Class, us)
-		}
-		if r.OnResp != nil {
-			r.OnResp(resp)
-		}
+	c := &call{cl: cl, r: r, size: size, sentAt: cl.eng.Now(), timeout: r.Timeout}
+	c.replyFn = c.reply
+	c.fire(stage)
+}
+
+// call is one admitted request from first transmission to its response
+// (or to giving up): everything its reply continuation and its retry
+// timers share, in one record.
+type call struct {
+	cl      *Client
+	r       Request
+	size    int
+	sentAt  sim.Time
+	done    bool
+	attempt int
+	timeout sim.Time // the next attempt's wait; grows with r.Backoff
+	replyFn func(actor.Msg)
+	// first is the packet of the first transmission. A retry cannot
+	// reuse it — the original may still be queued on a link — and gets
+	// its own.
+	first netsim.Packet
+}
+
+// reply is the Reply continuation every attempt's message carries.
+func (c *call) reply(resp actor.Msg) {
+	if c.done {
+		return // duplicate response after a retry, or after giving up
 	}
-	fire = func() {
-		m := actor.Msg{
-			Kind:   r.Kind,
-			Dst:    r.Dst,
-			Data:   r.Data,
-			FlowID: r.FlowID,
-			Origin: cl.Name,
-			Reply:  reply,
-			Tenant: r.Tenant,
-			Class:  r.Class,
+	c.done = true
+	cl := c.cl
+	cl.Received++
+	us := (cl.eng.Now() - c.sentAt).Micros()
+	cl.Lat.Observe(us)
+	if cl.qos != nil {
+		cl.qos.Latency(c.r.Tenant, c.r.Class, us)
+	}
+	if c.r.OnResp != nil {
+		c.r.OnResp(resp)
+	}
+}
+
+// fire transmits one attempt — through stage when the caller parks the
+// first one in a message train — and, for requests with a timeout, arms
+// the timer that retries or gives up.
+func (c *call) fire(stage func(m actor.Msg, size int)) {
+	cl, r := c.cl, &c.r
+	m := actor.Msg{
+		Kind:   r.Kind,
+		Dst:    r.Dst,
+		Data:   r.Data,
+		FlowID: r.FlowID,
+		Origin: cl.Name,
+		Reply:  c.replyFn,
+		Tenant: r.Tenant,
+		Class:  r.Class,
+	}
+	switch {
+	case stage != nil:
+		stage(m, c.size)
+	case c.attempt == 0:
+		c.first = netsim.Packet{Src: cl.Name, Dst: r.Node, Size: c.size, FlowID: m.FlowID, Payload: m}
+		cl.net.Send(&c.first)
+	default:
+		cl.emit(r.Node, m, c.size)
+	}
+	if r.Timeout <= 0 {
+		return
+	}
+	wait := c.timeout
+	if r.Backoff > 1 {
+		ceil := r.MaxTimeout
+		if ceil <= 0 {
+			ceil = MaxUncappedTimeout
 		}
-		if attempt == 0 && stage != nil {
-			stage(m, size)
+		// Compare in float space: converting an out-of-range float
+		// to sim.Time is implementation-defined, so clamp before
+		// the conversion, not after.
+		if next := float64(c.timeout) * r.Backoff; next < float64(ceil) {
+			c.timeout = sim.Time(next)
 		} else {
-			cl.emit(r.Node, m, size)
-		}
-		if r.Timeout <= 0 {
-			return
-		}
-		wait := timeout
-		if r.Backoff > 1 {
-			ceil := r.MaxTimeout
-			if ceil <= 0 {
-				ceil = MaxUncappedTimeout
-			}
-			// Compare in float space: converting an out-of-range float
-			// to sim.Time is implementation-defined, so clamp before
-			// the conversion, not after.
-			if next := float64(timeout) * r.Backoff; next < float64(ceil) {
-				timeout = sim.Time(next)
-			} else {
-				timeout = ceil
-			}
-		}
-		if attempt < r.Retries {
-			attempt++
-			cl.eng.After(wait, func() {
-				if !done {
-					cl.Retried++
-					fire()
-				}
-			})
-		} else if r.OnGiveUp != nil {
-			cl.eng.After(wait, func() {
-				if !done {
-					done = true // late responses are ignored once given up
-					r.OnGiveUp()
-				}
-			})
+			c.timeout = ceil
 		}
 	}
-	fire()
+	if c.attempt < r.Retries {
+		c.attempt++
+		cl.eng.After(wait, c.retry)
+	} else if r.OnGiveUp != nil {
+		cl.eng.After(wait, c.giveUp)
+	}
+}
+
+func (c *call) retry() {
+	if !c.done {
+		c.cl.Retried++
+		c.fire(nil)
+	}
+}
+
+func (c *call) giveUp() {
+	if !c.done {
+		c.done = true // late responses are ignored once given up
+		c.r.OnGiveUp()
+	}
 }
 
 // emit puts one prepared message on the wire as its own packet.
