@@ -25,7 +25,10 @@ fmt-check:
 # free lists and in-core operation records of the per-message path:
 # netsim flights, core contexts, the sched and hostsim cores, actor
 # mailboxes and the nicsim gate they run behind), plus the harness
-# parity tests.
+# parity tests. The window workers poll, steal and park rather than
+# block on a channel, so which of those paths a test takes depends on
+# how many Ps there are: the engine package runs a second time at
+# -cpu 1,2,4 — fewer Ps than workers, as many, and more.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/bench/... \
 		./internal/fault/... ./internal/deploy/... ./internal/core/... \
@@ -34,6 +37,7 @@ race:
 		./internal/netsim/... ./internal/mesh/... ./internal/obs/... \
 		./internal/pcie/... ./internal/qos/... ./internal/hostsim/... \
 		./internal/nicsim/... ./internal/actor/...
+	$(GO) test -race -cpu 1,2,4 ./internal/sim/...
 
 # trace-smoke: run a traced simulation and validate the emitted Chrome
 # trace (well-formed trace_event JSON, named lanes, monotonic per-track

@@ -106,8 +106,9 @@ func (t Timer) Pending() bool {
 }
 
 // executedTotal counts events executed across all engines in the
-// process. Engines flush into it at the end of Run/RunUntil (not per
-// event — this must not touch the hot path), so it is a cheap process-
+// process. Engines flush into it at the end of Run/RunUntil, groups
+// after every round (not per event — this must not touch the hot
+// path), so it is a cheap process-
 // wide progress meter for the bench harness's events/sec reporting.
 var executedTotal atomic.Uint64
 
@@ -296,8 +297,9 @@ func (e *Engine) nextTime() Time {
 // clock is left at the last executed event (not advanced to limit):
 // windows are a synchronization construct, not a time span, and the
 // next window's events may still land between now and limit. Executed
-// counts flush to the process-wide meter every window so progress
-// reporting stays live during long partitioned runs.
+// counts are flushed to the process-wide meter by the group, once per
+// round (Group.flushExecuted), so progress reporting stays live during
+// long partitioned runs without every worker hitting the shared counter.
 func (e *Engine) runWindow(limit Time) {
 	for len(e.q) > 0 {
 		top := e.q[0]
@@ -318,7 +320,6 @@ func (e *Engine) runWindow(limit Time) {
 		e.ran++
 		fn()
 	}
-	e.flushExecuted()
 }
 
 // flushExecuted publishes this engine's progress to the process-wide

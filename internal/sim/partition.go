@@ -29,9 +29,12 @@ package sim
 // unaffected by scheduling.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // goldenGamma is the splitmix64 increment; partition i derives its seed
@@ -49,23 +52,43 @@ type xevent struct {
 	fn  func()
 }
 
-// inbox buffers events injected into a partition by the others. It is
-// the only synchronized structure in the group; the event hot path
-// (heap push/pop, execution) never takes a lock. The mutex is touched
-// once per cross-partition message and once per window drain — both
-// orders of magnitude rarer than event execution.
-type inbox struct {
-	mu  sync.Mutex
-	buf []xevent
-}
+// cacheLine is the coherence granule the partition record is laid out
+// around.
+const cacheLine = 64
 
-// take removes and returns the buffered events.
-func (ib *inbox) take() []xevent {
-	ib.mu.Lock()
-	evs := ib.buf
-	ib.buf = nil
-	ib.mu.Unlock()
-	return evs
+// partition is one engine's share of the group's synchronization
+// state: everything the round protocol keeps per partition, in one
+// record of two cache lines so that no two goroutines write the same
+// line during a window. The first line belongs to the *senders* — any
+// worker whose window injects into this partition — and is the only
+// synchronized structure in the group: the event hot path (heap
+// push/pop, execution) never takes a lock, the mutex is touched once
+// per cross-partition message and once per round. The second line
+// belongs to whichever worker claimed this partition's window.
+type partition struct {
+	// mu guards in and inMin. in is the batch being filled: the events
+	// injected since the coordinator last flipped the buffers. inMin is
+	// the earliest timestamp in it (MaxTime when empty), so the safe
+	// horizon needs no drain.
+	mu    sync.Mutex
+	in    []xevent
+	inMin Time
+	_     [cacheLine - 40]byte
+
+	// out is the retired batch: flipped out of in by the coordinator
+	// between rounds, folded into the heap (and emptied, keeping the
+	// array) by the first thing the partition's next window does.
+	out []xevent
+	// xseq stamps outbound cross-partition events; only the goroutine
+	// executing this partition's window touches it.
+	xseq uint64
+	// deferred holds window-boundary actions registered from *inside*
+	// this partition's window (see DeferBarrier), promoted to the barrier
+	// queue by the coordinator between rounds.
+	deferred []func()
+	// stamp is the last round whose window was claimed: a worker owns the
+	// partition for round r once it moves stamp up to r.
+	stamp atomic.Uint64
 }
 
 // Group is a set of engines advancing one simulation together. Build
@@ -73,28 +96,27 @@ func (ib *inbox) take() []xevent {
 // every cross-partition interaction through Inject, then drive the
 // whole group with RunUntil.
 type Group struct {
-	engs    []*Engine
-	inboxes []inbox
-	// xseq stamps outbound cross-partition events per source partition.
-	// Entry i is only ever touched by the goroutine executing partition
-	// i's window, so no synchronization is needed.
-	xseq      []uint64
+	engs      []*Engine
+	parts     []partition // parts[i] is engs[i]'s round state
 	lookahead Time
-	rounds    uint64
+	// rounds counts windows executed. It doubles as the round generation
+	// the helpers watch and the partitions are stamped with, so it only
+	// ever grows — across RunUntil calls too.
+	rounds uint64
 
 	// onRound hooks run on the coordinator after each round's windows
-	// complete (and before the next drain), with the round's window
+	// complete (and before the next flip), with the round's window
 	// limit. Every partition has executed exactly its events strictly
 	// before the limit at that point, so hooks observe a consistent
-	// cross-partition cut; the WaitGroup barrier orders their reads
-	// after all window writes. The observability layer samples metrics
-	// here instead of scheduling engine events, which would perturb the
+	// cross-partition cut; the round barrier orders their reads after
+	// all window writes. The observability layer samples metrics here
+	// instead of scheduling engine events, which would perturb the
 	// window structure.
 	onRound []func(limit Time)
 
 	// limit is the current window bound, written by the coordinator
-	// between rounds and read by workers during them (the work channel
-	// send/receive pair orders the accesses).
+	// between rounds and read by workers during them (publishing the
+	// round orders the accesses).
 	limit Time
 
 	// barriers is the coordinator-side action queue (see AtBarrier):
@@ -107,13 +129,6 @@ type Group struct {
 	barriers []barrierAction
 	bseq     uint64
 	floor    Time
-
-	// deferred holds window-boundary actions registered from *inside*
-	// window execution (see DeferBarrier): entry p is appended only by
-	// the goroutine running partition p's window and promoted to the
-	// barrier queue by the coordinator between rounds, in partition
-	// order — the same single-writer-per-slot pattern as xseq.
-	deferred [][]func()
 }
 
 // barrierAction is one queued window-boundary mutation.
@@ -132,14 +147,10 @@ func NewGroup(seed uint64, n int) *Group {
 	if n < 1 {
 		n = 1
 	}
-	g := &Group{
-		engs:     make([]*Engine, n),
-		inboxes:  make([]inbox, n),
-		xseq:     make([]uint64, n),
-		deferred: make([][]func(), n),
-	}
+	g := &Group{engs: make([]*Engine, n), parts: make([]partition, n)}
 	for i := range g.engs {
 		g.engs[i] = NewEngine(seed + uint64(i)*goldenGamma)
+		g.parts[i].inMin = MaxTime
 	}
 	return g
 }
@@ -188,7 +199,7 @@ func (g *Group) OnRound(fn func(limit Time)) {
 // AtBarrier schedules fn to run on the coordinator at virtual time at,
 // between conservative windows: when it runs, every partition has
 // executed exactly the events strictly before at, every inbox is
-// drained, and no window goroutine is live — so fn may mutate
+// drained, and no window is in flight — so fn may mutate
 // cluster-wide shared state (network loss tables, blocked-link maps,
 // node up/down flags) race-free and deterministically at any worker
 // count. Actions at the same time run in registration order, and run
@@ -247,21 +258,23 @@ func (g *Group) DeferBarrier(part int, fn func()) {
 		fn()
 		return
 	}
-	g.deferred[part] = append(g.deferred[part], fn)
+	p := &g.parts[part]
+	p.deferred = append(p.deferred, fn)
 }
 
 // promoteDeferred moves window-registered deferrals onto the barrier
 // queue at the completed round's limit. Runs on the coordinator after
-// the round's windows complete (the pool barrier orders the reads
-// after the window writes); the barrier branch of the next loop
-// iteration executes them — no pending event can precede the limit, so
-// the actions observe exactly the pre-limit state.
+// the round's windows complete (the round barrier orders the reads
+// after the window writes), in partition order; the barrier branch of
+// the next loop iteration executes them — no pending event can precede
+// the limit, so the actions observe exactly the pre-limit state.
 func (g *Group) promoteDeferred(at Time) {
-	for p := range g.deferred {
-		for _, fn := range g.deferred[p] {
+	for i := range g.parts {
+		p := &g.parts[i]
+		for _, fn := range p.deferred {
 			g.AtBarrier(at, fn)
 		}
-		g.deferred[p] = g.deferred[p][:0]
+		p.deferred = p.deferred[:0]
 	}
 }
 
@@ -301,8 +314,8 @@ func (g *Group) runBarrierActions(at Time) {
 // synchronization).
 func (g *Group) Crossed() uint64 {
 	var n uint64
-	for _, s := range g.xseq {
-		n += s
+	for i := range g.parts {
+		n += g.parts[i].xseq
 	}
 	return n
 }
@@ -341,49 +354,100 @@ func (g *Group) Inject(src, dst int, at Time, fn func()) uint64 {
 		panic(fmt.Sprintf("sim: cross-partition event at %v from partition %d (now %v) violates lookahead %v",
 			at, src, now, g.lookahead))
 	}
-	g.xseq[src]++
-	x := xevent{at: at, src: int32(src), seq: g.xseq[src], fn: fn}
-	ib := &g.inboxes[dst]
-	ib.mu.Lock()
-	ib.buf = append(ib.buf, x)
-	ib.mu.Unlock()
+	g.parts[src].xseq++
+	x := xevent{at: at, src: int32(src), seq: g.parts[src].xseq, fn: fn}
+	p := &g.parts[dst]
+	p.mu.Lock()
+	p.in = append(p.in, x)
+	p.inMin = min(p.inMin, at)
+	p.mu.Unlock()
 	return x.seq
 }
 
-// drain folds the partition's inbox into its heap. It runs on the
-// coordinator between rounds — never concurrently with window
-// execution — so a batch always holds exactly the events injected in
-// prior rounds; draining from inside a window would let batch contents
-// depend on worker timing, and the seq assignment with them. Within a
-// batch, events are sorted by (at, src, seq) so the local seq order —
-// and therefore execution order among simultaneous events — is a pure
-// function of the traffic, not of which source goroutine appended
-// first.
+// flip retires every inbox's batch — the events injected since the last
+// flip become the batch the partition's next window folds in — and
+// returns the earliest timestamp among them, the inboxes' term of the
+// safe horizon. It runs on the coordinator with no window in flight, so
+// a batch always holds exactly the events injected in prior rounds: its
+// membership is a pure function of the round structure, never of worker
+// timing. O(1) per partition; the arrays are swapped, not copied.
+func (g *Group) flip() Time {
+	T := MaxTime
+	for i := range g.parts {
+		p := &g.parts[i]
+		p.mu.Lock()
+		if len(p.in) > 0 {
+			// out is empty here: every window starts by draining it, and
+			// the two paths that skip the windows drain it serially.
+			p.in, p.out = p.out, p.in
+			T = min(T, p.inMin)
+			p.inMin = MaxTime
+		}
+		p.mu.Unlock()
+	}
+	return T
+}
+
+// drain folds partition i's retired batch into its heap, ahead of every
+// event of the window that follows. Events are sorted by (at, src, seq)
+// first so the local seq order — and therefore execution order among
+// simultaneous events — is a pure function of the traffic, not of which
+// source goroutine appended first. The batch is zeroed (the closures
+// are the heap's now) and its array kept for the next flip.
 func (g *Group) drain(i int) {
-	evs := g.inboxes[i].take()
-	if len(evs) == 0 {
+	p := &g.parts[i]
+	if len(p.out) == 0 {
 		return
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		x, y := &evs[a], &evs[b]
-		if x.at != y.at {
-			return x.at < y.at
+	slices.SortFunc(p.out, func(x, y xevent) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
 		}
-		if x.src != y.src {
-			return x.src < y.src
+		if c := cmp.Compare(x.src, y.src); c != 0 {
+			return c
 		}
-		return x.seq < y.seq
+		return cmp.Compare(x.seq, y.seq)
 	})
 	e := g.engs[i]
-	for k := range evs {
-		e.At(evs[k].at, evs[k].fn)
+	for k := range p.out {
+		e.At(p.out[k].at, p.out[k].fn)
+	}
+	clear(p.out)
+	p.out = p.out[:0]
+}
+
+// drainAll folds every retired batch into its heap on the coordinator.
+// The run loop calls it wherever code other than a window runs next —
+// barrier actions, which may schedule onto partitions, and the caller
+// after RunUntil returns — so that such events take their heap seq
+// after the inbox events already pending, exactly as if the drain ran
+// between rounds.
+func (g *Group) drainAll() {
+	for i := range g.parts {
+		g.drain(i)
 	}
 }
 
-// runWindow executes partition i's share of the current window (the
-// inbox was already drained by the coordinator).
+// runWindow executes partition i's share of the current window, on
+// whichever worker claimed it: fold in the retired inbox batch, then
+// run every event strictly before the limit.
 func (g *Group) runWindow(i int) {
+	g.drain(i)
 	g.engs[i].runWindow(g.limit)
+}
+
+// flushExecuted publishes the round's progress to the process-wide
+// meter: one add per round, from the coordinator, so the workers never
+// contend on the shared counter.
+func (g *Group) flushExecuted() {
+	var d uint64
+	for _, e := range g.engs {
+		d += e.ran - e.flushed
+		e.flushed = e.ran
+	}
+	if d > 0 {
+		executedTotal.Add(d)
+	}
 }
 
 // Run drives the group until every partition drains.
@@ -394,8 +458,8 @@ func (g *Group) Run(workers int) { g.RunUntil(MaxTime, workers) }
 // clock to the deadline — the partitioned analogue of Engine.RunUntil,
 // and on a single partition exactly Engine.RunUntil (barrier actions
 // are engine events there, see AtBarrier). workers bounds the
-// goroutines executing windows; ≤ 1 runs everything on the caller's
-// goroutine with identical results.
+// goroutines executing windows, the caller's included; ≤ 1 runs
+// everything on the caller's goroutine with identical results.
 func (g *Group) RunUntil(deadline Time, workers int) {
 	if len(g.engs) == 1 {
 		g.engs[0].RunUntil(deadline)
@@ -407,26 +471,20 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 	if workers > len(g.engs) {
 		workers = len(g.engs)
 	}
-	var pool *windowPool
+	var hs *helpers
 	if workers > 1 {
-		pool = g.startPool(workers)
-		defer pool.stop()
+		hs = g.startHelpers(workers)
+		defer hs.stop()
 	}
 	for {
-		// Fold last round's cross-partition traffic into the heaps, in
-		// partition order, so every batch — and every seq assignment —
-		// is fixed by the round structure alone.
-		for i := range g.engs {
-			g.drain(i)
-		}
-		// Safe horizon: the earliest event anywhere. Nothing executed
-		// this round can create work before T + lookahead, so every
-		// partition may run [.., T+lookahead) without coordination.
-		T := MaxTime
-		for i := range g.engs {
-			if t := g.engs[i].nextTime(); t < T {
-				T = t
-			}
+		// Safe horizon: the earliest event anywhere — in a heap, or in
+		// the cross-partition batches retired just now, which the windows
+		// fold in themselves. Nothing executed this round can create work
+		// before T + lookahead, so every partition may run
+		// [.., T+lookahead) without coordination.
+		T := g.flip()
+		for _, e := range g.engs {
+			T = min(T, e.nextTime())
 		}
 		// Window-boundary barrier actions: the earliest queued action is
 		// due once no pending event precedes it — prior windows were
@@ -435,7 +493,9 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 		// to B-1 first (executes nothing: no event is before B) so
 		// actions observe a consistent Now and may schedule follow-on
 		// events at or after B.
-		if B := g.nextBarrier(); B != MaxTime && B <= deadline && B <= T {
+		B := g.nextBarrier()
+		if B != MaxTime && B <= deadline && B <= T {
+			g.drainAll()
 			if B > 0 {
 				for _, e := range g.engs {
 					e.RunUntil(B - 1)
@@ -446,6 +506,7 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 			continue // actions may add events, actions, or inbox traffic
 		}
 		if T > deadline || T == MaxTime {
+			g.drainAll()
 			break
 		}
 		limit := T + g.lookahead
@@ -457,15 +518,15 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 			// keeps post-deadline events pending, like Engine.RunUntil.
 			limit = deadline + 1
 		}
-		if B := g.nextBarrier(); limit > B {
+		if limit > B {
 			// Nobody may execute at or past a pending barrier action
 			// before it runs. B > T here, so the window still advances.
 			limit = B
 		}
 		g.limit = limit
 		g.rounds++
-		if pool != nil {
-			pool.runRound()
+		if hs != nil {
+			hs.runRound()
 		} else {
 			for i := range g.engs {
 				g.runWindow(i)
@@ -474,6 +535,7 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 		if limit > g.floor {
 			g.floor = limit
 		}
+		g.flushExecuted()
 		g.promoteDeferred(limit)
 		for _, fn := range g.onRound {
 			fn(limit)
@@ -500,59 +562,178 @@ func (g *Group) bumpFloor(deadline Time) {
 	}
 }
 
-// windowPool is a persistent worker pool executing one partition window
-// per work item. Rebuilding goroutines every round would dominate the
-// sub-millisecond windows the protocol produces.
-type windowPool struct {
-	g    *Group
-	work chan int
-	wg   sync.WaitGroup
+// Window workers. A round on a dense topology is tens of microseconds
+// of events, so how the workers meet at its two ends decides whether a
+// second core pays: a worker that blocks between rounds (on a channel,
+// a WaitGroup) spends most of a core in the scheduler. So the caller of
+// RunUntil is worker 0 and the other W-1 ("helpers") poll: a round is
+// published by storing its number in one atomic, every worker —
+// coordinator included — claims partitions by moving their stamp up to
+// that number, and completion is one atomic counter the coordinator
+// spins on. A worker claims its own stripe first (i ≡ w mod W), so a
+// partition's heap, stations and free lists stay in one core's cache
+// from round to round, and then whatever is still unclaimed, so nobody
+// waits for a worker that is late, parked or not scheduled: the barrier
+// only ever waits for windows in progress. This is the shape of iPipe's
+// own NIC-side runtime (§3.2): run-to-completion cores that poll, keep
+// their own queue and take a neighbour's work only when idle.
+const (
+	// spinBudget is how many polls of the round number an idle helper
+	// makes before it parks on the condition variable, so a helper that
+	// has no processor's worth of work (more workers than Ps, a long
+	// barrier action, a long serial stretch) stops costing one.
+	spinBudget = 1 << 14
+	// yieldEvery is how many polls a waiting worker makes between calls
+	// to runtime.Gosched: with fewer Ps than workers the goroutine being
+	// waited for needs this one's P.
+	yieldEvery = 1 << 7
+	// stopRound is the round number that tells helpers to exit.
+	stopRound = ^uint64(0)
+)
 
-	mu     sync.Mutex
-	panicv any
+// helpers is the set of goroutines executing windows beside the
+// coordinator for the length of one RunUntil.
+type helpers struct {
+	g       *Group
+	workers int // coordinator included
+
+	// round is the generation helpers wait on: the number of the round
+	// in flight (the group's, so it never repeats across RunUntil calls),
+	// or stopRound. Stored under mu so a parking helper cannot miss it.
+	round atomic.Uint64
+	_     [cacheLine - 8]byte
+	// done counts the windows completed this round. On its own line: it
+	// is written by every worker while helpers poll round.
+	done atomic.Int32
+	_    [cacheLine - 4]byte
+
+	mu   sync.Mutex
+	cond sync.Cond // signals a change of round to parked helpers
+	// panicv is the panic raised by the events of partition panicPart,
+	// the lowest-numbered one that panicked this round.
+	panicv    any
+	panicPart int
+
+	wg sync.WaitGroup // joins the helpers in stop
 }
 
-func (g *Group) startPool(workers int) *windowPool {
-	p := &windowPool{g: g, work: make(chan int)}
-	for w := 0; w < workers; w++ {
-		go p.worker()
+func (g *Group) startHelpers(workers int) *helpers {
+	h := &helpers{g: g, workers: workers}
+	h.cond.L = &h.mu
+	h.round.Store(g.rounds)
+	h.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go h.help(w, g.rounds)
 	}
-	return p
+	return h
 }
 
-func (p *windowPool) worker() {
-	for i := range p.work {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.mu.Lock()
-					if p.panicv == nil {
-						p.panicv = r
-					}
-					p.mu.Unlock()
-				}
-			}()
-			p.g.runWindow(i)
-		}()
-		p.wg.Done()
-	}
-}
-
-// runRound executes every partition's window on the pool and waits for
-// the barrier. A panic inside any partition's events is re-raised on
-// the coordinator goroutine, mirroring serial behavior.
-func (p *windowPool) runRound() {
-	p.wg.Add(len(p.g.engs))
-	for i := range p.g.engs {
-		p.work <- i
-	}
-	p.wg.Wait()
-	p.mu.Lock()
-	v := p.panicv
-	p.mu.Unlock()
-	if v != nil {
-		panic(v)
+// help is helper w's loop: wait for a round other than the one last
+// seen, sweep it, repeat until stopped.
+func (h *helpers) help(w int, seen uint64) {
+	defer h.wg.Done()
+	for {
+		seen = h.await(seen)
+		if seen == stopRound {
+			return
+		}
+		h.sweep(w, seen)
 	}
 }
 
-func (p *windowPool) stop() { close(p.work) }
+// await returns the published round once it differs from seen: polling
+// for spinBudget iterations (the next round is normally microseconds
+// away), then parked.
+func (h *helpers) await(seen uint64) uint64 {
+	for i := 1; i <= spinBudget; i++ {
+		if r := h.round.Load(); r != seen {
+			return r
+		}
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.round.Load() == seen {
+		h.cond.Wait()
+	}
+	return h.round.Load()
+}
+
+// publish makes round r (or stopRound) visible to polling and parked
+// helpers alike.
+func (h *helpers) publish(r uint64) {
+	h.mu.Lock()
+	h.round.Store(r)
+	h.mu.Unlock()
+	h.cond.Broadcast()
+}
+
+// stop ends the helpers and waits for them: a helper still finishing a
+// sweep must not outlive the RunUntil that started it.
+func (h *helpers) stop() {
+	h.publish(stopRound)
+	h.wg.Wait()
+}
+
+// runRound executes every partition's window — the coordinator working
+// as worker 0 — and waits until all have completed. A panic inside any
+// partition's events is re-raised here, on the coordinator goroutine,
+// once the round's other windows have finished, mirroring serial
+// behavior.
+func (h *helpers) runRound() {
+	h.done.Store(0)
+	h.publish(h.g.rounds)
+	h.sweep(0, h.g.rounds)
+	for i := 1; h.done.Load() != int32(len(h.g.parts)); i++ {
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	if h.panicv != nil {
+		panic(h.panicv)
+	}
+}
+
+// sweep runs every window of the round that worker w can claim: its own
+// stripe, then the rest. A sweep for a round that has since completed
+// (a helper that was slow to start) finds every stamp at or past its
+// round and claims nothing.
+func (h *helpers) sweep(w int, round uint64) {
+	n := len(h.g.parts)
+	for i := w; i < n; i += h.workers {
+		h.claim(i, round)
+	}
+	for i := 0; i < n; i++ {
+		if i%h.workers != w {
+			h.claim(i, round)
+		}
+	}
+}
+
+// claim runs partition i's window if no other worker has taken it this
+// round. Winning the stamp means the round is still in flight (it
+// cannot complete without this window), so g.limit is this round's.
+func (h *helpers) claim(i int, round uint64) {
+	p := &h.g.parts[i]
+	if s := p.stamp.Load(); s >= round || !p.stamp.CompareAndSwap(s, round) {
+		return
+	}
+	h.window(i)
+	h.done.Add(1)
+}
+
+// window runs partition i's window, keeping a panic for runRound.
+func (h *helpers) window(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			h.mu.Lock()
+			if h.panicv == nil || i < h.panicPart {
+				h.panicv, h.panicPart = r, i
+			}
+			h.mu.Unlock()
+		}
+	}()
+	h.g.runWindow(i)
+}

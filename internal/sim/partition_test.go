@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // pingRecord is one delivered cross-partition message, as observed by
@@ -15,13 +17,14 @@ type pingRecord struct {
 	draw uint64
 }
 
-// runPingMesh builds a Group of parts partitions, each running a
+// buildPingMesh builds a Group of parts partitions, each running a
 // self-ticking process that does local PRNG work and fires
-// cross-partition messages, and returns every partition's delivery log.
-// The workload exercises simultaneous events (many ticks share an
-// instant), fan-in (all partitions target partition 0 more often), and
-// chained injects (deliveries schedule follow-up local work).
-func runPingMesh(seed uint64, parts, workers int, deadline Time) ([][]pingRecord, *Group) {
+// cross-partition messages until deadline, and returns it with every
+// partition's (still empty) delivery log. The workload exercises
+// simultaneous events (many ticks share an instant), fan-in (all
+// partitions target partition 0 more often), and chained injects
+// (deliveries schedule follow-up local work).
+func buildPingMesh(seed uint64, parts int, deadline Time) (*Group, [][]pingRecord) {
 	const lookahead = 900 * Nanosecond
 	g := NewGroup(seed, parts)
 	g.TightenLookahead(lookahead)
@@ -58,28 +61,54 @@ func runPingMesh(seed uint64, parts, workers int, deadline Time) ([][]pingRecord
 		}
 		e.Defer(func() { tick(0) })
 	}
+	return g, logs
+}
+
+// runPingMesh runs a fresh ping mesh to deadline on workers workers.
+func runPingMesh(seed uint64, parts, workers int, deadline Time) ([][]pingRecord, *Group) {
+	g, logs := buildPingMesh(seed, parts, deadline)
 	g.RunUntil(deadline, workers)
 	return logs, g
 }
 
+// atProcs runs fn with GOMAXPROCS pinned to n (left alone when n is 0).
+func atProcs(n int, fn func()) {
+	if n > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	}
+	fn()
+}
+
 // TestGroupParallelMatchesSerial is the core determinism property: the
-// same partitioned simulation run with 1 worker and with P workers must
-// produce byte-identical per-partition event histories.
+// same partitioned simulation run with 1 worker and with W workers must
+// produce byte-identical per-partition event histories — with a worker
+// per partition, with uneven stripes, with more workers than the box has
+// Ps, and with every worker sharing one P (procs > 0 pins GOMAXPROCS),
+// where the helpers only run when the coordinator yields to them.
 func TestGroupParallelMatchesSerial(t *testing.T) {
-	for _, parts := range []int{2, 4, 7} {
+	for _, tc := range []struct{ parts, workers, procs int }{
+		{parts: 2, workers: 2},
+		{parts: 4, workers: 4},
+		{parts: 7, workers: 7},
+		{parts: 7, workers: 3},
+		{parts: 8, workers: 8},
+		{parts: 8, workers: 4, procs: 1},
+	} {
 		for _, seed := range []uint64{1, 42} {
 			deadline := 200 * Microsecond
-			serial, gs := runPingMesh(seed, parts, 1, deadline)
-			parallel, gp := runPingMesh(seed, parts, parts, deadline)
+			serial, gs := runPingMesh(seed, tc.parts, 1, deadline)
+			var parallel [][]pingRecord
+			var gp *Group
+			atProcs(tc.procs, func() { parallel, gp = runPingMesh(seed, tc.parts, tc.workers, deadline) })
 			for i := range serial {
 				if len(serial[i]) != len(parallel[i]) {
-					t.Fatalf("parts=%d seed=%d partition %d: %d records serial vs %d parallel",
-						parts, seed, i, len(serial[i]), len(parallel[i]))
+					t.Fatalf("%+v seed=%d partition %d: %d records serial vs %d parallel",
+						tc, seed, i, len(serial[i]), len(parallel[i]))
 				}
 				for k := range serial[i] {
 					if serial[i][k] != parallel[i][k] {
-						t.Fatalf("parts=%d seed=%d partition %d record %d: %+v vs %+v",
-							parts, seed, i, k, serial[i][k], parallel[i][k])
+						t.Fatalf("%+v seed=%d partition %d record %d: %+v vs %+v",
+							tc, seed, i, k, serial[i][k], parallel[i][k])
 					}
 				}
 			}
@@ -89,8 +118,8 @@ func TestGroupParallelMatchesSerial(t *testing.T) {
 			if gs.Crossed() == 0 {
 				t.Fatalf("workload degenerate: no cross-partition traffic")
 			}
-			if gs.Rounds() == 0 || gp.Rounds() == 0 {
-				t.Fatalf("no synchronization rounds ran")
+			if gs.Rounds() == 0 || gs.Rounds() != gp.Rounds() {
+				t.Fatalf("rounds: %d serial vs %d parallel", gs.Rounds(), gp.Rounds())
 			}
 		}
 	}
@@ -166,22 +195,46 @@ func TestGroupRequiresLookahead(t *testing.T) {
 }
 
 // TestGroupPanicPropagates: a panic inside a partition's event surfaces
-// on the coordinating goroutine, like in a serial run.
+// on the coordinating goroutine, like in a serial run — whether the
+// window ran in the coordinator's own stripe (partition 0) or in a
+// helper's (partition 1) — and, with helpers, only after the round's
+// other windows have finished. When several partitions panic in one
+// round the lowest-numbered one is reported, as a serial run would.
 func TestGroupPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		g := NewGroup(1, 2)
-		g.TightenLookahead(Microsecond)
-		g.Engine(1).At(10, func() { panic("boom") })
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Fatalf("workers=%d: partition panic lost", workers)
-				} else if fmt.Sprint(r) != "boom" {
-					t.Fatalf("workers=%d: panic value %v", workers, r)
-				}
+		for _, tc := range []struct {
+			name   string
+			panics []int
+			want   string
+		}{
+			{"coordinator's stripe", []int{0}, "boom 0"},
+			{"helper's stripe", []int{1}, "boom 1"},
+			{"both", []int{1, 0}, "boom 0"},
+		} {
+			g := NewGroup(1, 2)
+			g.TightenLookahead(Microsecond)
+			ran := [2]bool{}
+			for i := 0; i < 2; i++ {
+				g.Engine(i).At(10, func() { ran[i] = true })
+			}
+			for _, i := range tc.panics {
+				g.Engine(i).At(10, func() { panic(fmt.Sprint("boom ", i)) })
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil {
+						t.Fatalf("workers=%d %s: partition panic lost", workers, tc.name)
+					} else if fmt.Sprint(r) != tc.want {
+						t.Fatalf("workers=%d %s: panic value %v, want %v", workers, tc.name, r, tc.want)
+					}
+				}()
+				g.RunUntil(Microsecond, workers)
 			}()
-			g.RunUntil(Microsecond, workers)
-		}()
+			if workers > 1 && ran != [2]bool{true, true} {
+				t.Fatalf("workers=%d %s: panic re-raised before the round's other windows finished (ran %v)",
+					workers, tc.name, ran)
+			}
+		}
 	}
 }
 
@@ -514,6 +567,179 @@ func TestDeferBarrierDeterminismAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		if got := run(w); got != base {
 			t.Fatalf("deferred-commit run diverged at %d workers", w)
+		}
+	}
+}
+
+// TestPartitionRecordLayout: the per-partition record keeps what senders
+// write and what the window's owner writes a cache line apart, and
+// neighbouring records do not share one.
+func TestPartitionRecordLayout(t *testing.T) {
+	var p partition
+	if off := unsafe.Offsetof(p.out); off != cacheLine {
+		t.Errorf("owner half starts at byte %d, want %d", off, cacheLine)
+	}
+	if size := unsafe.Sizeof(p); size != 2*cacheLine {
+		t.Errorf("partition record is %d bytes, want %d", size, 2*cacheLine)
+	}
+}
+
+// buildHeartbeats arms every partition of a fresh group with an event
+// every lookahead that also pings the next partition, so each lookahead
+// is exactly one round with cross-partition traffic in it. Every closure
+// is bound once: in steady state the model allocates nothing.
+func buildHeartbeats(parts int) (g *Group, delivered []uint64) {
+	const lookahead = Microsecond
+	g = NewGroup(5, parts)
+	g.TightenLookahead(lookahead)
+	delivered = make([]uint64, parts)
+	for i := 0; i < parts; i++ {
+		e, dst := g.Engine(i), (i+1)%parts
+		recv := func() { delivered[dst]++ }
+		var beat func()
+		beat = func() {
+			g.Inject(i, dst, e.Now()+lookahead, recv)
+			e.After(lookahead, beat)
+		}
+		e.At(0, beat)
+	}
+	return g, delivered
+}
+
+// TestRoundAllocFree: in steady state a round allocates nothing — not
+// for the inbox batches (two arrays per partition, flipped and kept),
+// not for the sort, not for the barrier. What a multi-worker RunUntil
+// does allocate is its helpers, once per call, so a batch of 1000
+// rounds carrying 4000 cross-partition events must stay under a
+// handful; one allocation per round or per inject would read ≥ 1000.
+func TestRoundAllocFree(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g, _ := buildHeartbeats(4)
+		batch := func() { g.RunUntil(g.Engine(0).Now()+1000*Microsecond, workers) }
+		batch() // warm-up: heaps, free lists and both inbox arrays grow
+		rounds := g.Rounds()
+		allocs := testing.AllocsPerRun(5, batch)
+		if got := g.Rounds() - rounds; got < 6000 {
+			t.Fatalf("workers=%d: %d rounds measured, want 1000 per batch", workers, got)
+		}
+		if max := float64(4 * (workers - 1)); allocs > max {
+			t.Errorf("workers=%d: %.0f allocations per 1000-round RunUntil, want ≤ %.0f (starting a helper makes 2)",
+				workers, allocs, max)
+		}
+	}
+}
+
+// TestInjectAllocFree: once both of a partition's inbox arrays have
+// grown, injecting into it and draining it allocates nothing — also from
+// outside RunUntil, the way the layer drivers use it.
+func TestInjectAllocFree(t *testing.T) {
+	g := NewGroup(1, 2)
+	g.TightenLookahead(Microsecond)
+	got := 0
+	fn := func() { got++ }
+	burst := func() {
+		for k := 0; k < 8; k++ {
+			g.Inject(0, 1, g.Engine(0).Now()+Microsecond, fn)
+		}
+		g.RunUntil(g.Engine(0).Now()+10*Microsecond, 1)
+	}
+	burst()
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("%.2f allocations per burst of 8 injects, want 0", allocs)
+	}
+	if got != 8*103 {
+		t.Fatalf("%d injected events ran, want %d", got, 8*103)
+	}
+}
+
+// TestBackToBackRunUntil is the helpers' lifetime property: a thousand
+// one-round RunUntil calls in a row on one group, each starting and
+// joining its own helpers. A helper that outlived its call, or a round
+// number that restarted with each call, would let a late sweep claim a
+// window of the next call's round — a data race on the partition, and
+// a double-executed or skipped window in the counts below.
+func TestBackToBackRunUntil(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		const parts, calls = 4, 1000
+		g, delivered := buildHeartbeats(parts)
+		for k := 0; k < calls; k++ {
+			before := g.Rounds()
+			g.RunUntil(Time(k)*Microsecond, workers)
+			if got := g.Rounds() - before; got != 1 {
+				t.Fatalf("workers=%d call %d: %d rounds, want 1", workers, k, got)
+			}
+		}
+		// Call k ran the beats at k µs and the pings they sent at k-1 µs.
+		for i, n := range delivered {
+			if n != calls-1 {
+				t.Errorf("workers=%d partition %d: %d pings delivered, want %d", workers, i, n, calls-1)
+			}
+		}
+		if got, want := g.ExecutedEvents(), uint64(parts*(2*calls-1)); got != want {
+			t.Errorf("workers=%d: %d events executed, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestHelpersParkAndResume: helpers that find no round to run give up
+// their P — here all four workers share one, and a barrier action yields
+// it for longer than the spin budget, so every helper parks mid-run —
+// and the run carries on to the serial result when rounds resume.
+func TestHelpersParkAndResume(t *testing.T) {
+	const parts, deadline = 4, 200 * Microsecond
+	run := func(workers int) [][]pingRecord {
+		g, logs := buildPingMesh(3, parts, deadline)
+		g.AtBarrier(100*Microsecond, func() {
+			for i := 0; i < 2*spinBudget/yieldEvery; i++ {
+				runtime.Gosched()
+			}
+		})
+		g.RunUntil(deadline, workers)
+		return logs
+	}
+	want := fmt.Sprint(run(1))
+	atProcs(1, func() {
+		if got := fmt.Sprint(run(parts)); got != want {
+			t.Fatalf("run diverged from serial after the helpers parked")
+		}
+	})
+}
+
+// TestInboxTieOrder pins the two places where code other than a window
+// runs after cross-partition events are pending: the inbox event takes
+// its heap seq first, so it runs before a same-time event scheduled by a
+// barrier action, or by the caller between two RunUntil calls. The
+// windows drain their own inboxes, so each case fails unless the
+// coordinator drains serially before handing control over.
+func TestInboxTieOrder(t *testing.T) {
+	const at = 5 * Microsecond
+	for _, workers := range []int{1, 2, 4} {
+		arm := func() (*Group, *[]string) {
+			g := NewGroup(1, 4)
+			g.TightenLookahead(Microsecond)
+			order := new([]string) // appended only by partition 1's events
+			g.Engine(0).At(Microsecond, func() {
+				g.Inject(0, 1, at, func() { *order = append(*order, "inbox") })
+			})
+			return g, order
+		}
+
+		g, order := arm()
+		g.AtBarrier(3*Microsecond, func() {
+			g.Engine(1).At(at, func() { *order = append(*order, "barrier") })
+		})
+		g.RunUntil(10*Microsecond, workers)
+		if got := fmt.Sprint(*order); got != "[inbox barrier]" {
+			t.Errorf("workers=%d: inbox event vs barrier-scheduled event ran %v, want inbox first", workers, got)
+		}
+
+		g, order = arm()
+		g.RunUntil(3*Microsecond, workers)
+		g.Engine(1).At(at, func() { *order = append(*order, "caller") })
+		g.RunUntil(10*Microsecond, workers)
+		if got := fmt.Sprint(*order); got != "[inbox caller]" {
+			t.Errorf("workers=%d: inbox event vs caller-scheduled event ran %v, want inbox first", workers, got)
 		}
 	}
 }
