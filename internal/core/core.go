@@ -231,10 +231,23 @@ type Node struct {
 	Migrations []MigrationRecord
 	// Dropped counts undeliverable messages.
 	Dropped uint64
-	// flushArmed tracks the pending ring-flush timer.
+	// flushArmed tracks the pending ring-flush timer; flushFn is
+	// n.flushRing, bound the first time the timer is armed.
 	flushArmed bool
-	// freeCtx is the free list of handler contexts (see takeCtx).
-	freeCtx []*execCtx
+	flushFn    func()
+	// fwdRetry holds the messages a full NIC→host ring turned away, in
+	// the order their retry timers fire; fwdRetryFn is n.retryForward,
+	// bound on the first retry.
+	fwdRetry   actor.MsgFIFO
+	fwdRetryFn func()
+	// The node's free lists of per-message records: handler contexts
+	// (takeCtx), wire arrivals and node→node wire records (wire.go).
+	freeCtx      sim.FreeList[execCtx]
+	freeArrivals sim.FreeList[arrival]
+	freeWires    sim.FreeList[wireMsg]
+	// chk is the partition's invariant checker (nil when disabled):
+	// under it released records are poisoned instead of recycled.
+	chk *invariant.Checker
 
 	// Failure-injection state (see fault.go): down marks the whole node
 	// crashed, nicDown the SmartNIC processing complex alone, and
@@ -455,6 +468,22 @@ func (n *Node) ActorSide(id actor.ID) (dmo.Side, error) {
 
 // Deliver implements netsim.Handler: traffic from the wire.
 func (n *Node) Deliver(pkt *netsim.Packet) {
+	if w, ok := pkt.Payload.(*wireMsg); ok {
+		// A node→node message: pkt is the record's own packet, so what
+		// is needed of it is copied out before the record is released.
+		// The record changes hands even when this node is down — it was
+		// delivered; only the message is dropped.
+		src, size, flow := pkt.Src, pkt.Size, pkt.FlowID
+		m, ok := n.takeWire(w)
+		switch {
+		case !ok:
+		case n.down:
+			n.DownDrops++
+		default:
+			n.receive(m, src, size, flow)
+		}
+		return
+	}
 	if n.down {
 		// Crashed nodes drop everything on the floor: the client's retry
 		// path is what recovers the request.
@@ -466,50 +495,37 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 		// A response to a client co-located on this node.
 		p.Fn(p.Msg)
 	case actor.Msg:
-		m := p
-		m.WireSize = pkt.Size
-		m.FlowID = pkt.FlowID
-		m.Via = actor.ViaWire
-		if m.Origin == "" {
-			m.Origin = pkt.Src
-		}
-		if n.Sched != nil && !n.nicDown {
-			n.Gate.Admit(m.FlowID, pkt.Size, func() { n.arriveNIC(m) })
-			return
-		}
-		// Baseline node: DPDK delivers straight to host cores after the
-		// stack's receive latency.
-		n.eng.After(n.HostModel.DPDKRecvCost.Cost(pkt.Size)-n.HostModel.DPDKRxOcc, func() {
-			n.Host.Arrive(m)
-		})
+		n.receive(p, pkt.Src, pkt.Size, pkt.FlowID)
 	case BatchEnvelope:
-		msgs := make([]actor.Msg, len(p.Msgs))
+		// One gate admission for the whole train; the scheduler then
+		// sees the individual messages.
+		a := n.takeArrival()
 		for i, m := range p.Msgs {
 			m.WireSize = p.Sizes[i]
-			m.Via = actor.ViaWire
-			if m.Origin == "" {
-				m.Origin = pkt.Src
-			}
-			msgs[i] = m
+			a.msgs = append(a.msgs, fromWire(m, pkt.Src))
 		}
-		if n.Sched != nil && !n.nicDown {
-			// One gate admission for the whole train; the scheduler then
-			// sees the individual messages.
-			n.Gate.Admit(pkt.FlowID, pkt.Size, func() {
-				for _, m := range msgs {
-					n.arriveNIC(m)
-				}
-			})
-			return
-		}
-		n.eng.After(n.HostModel.DPDKRecvCost.Cost(pkt.Size)-n.HostModel.DPDKRxOcc, func() {
-			for _, m := range msgs {
-				n.Host.Arrive(m)
-			}
-		})
+		n.admit(a, pkt.FlowID, pkt.Size)
 	default:
 		n.Dropped++
 	}
+}
+
+// receive admits one message that arrived in a packet of its own.
+func (n *Node) receive(m actor.Msg, src string, size int, flow uint64) {
+	m.WireSize = size
+	m.FlowID = flow
+	a := n.takeArrival()
+	a.msgs = append(a.msgs, fromWire(m, src))
+	n.admit(a, flow, size)
+}
+
+// fromWire stamps a message that arrived in a packet from node src.
+func fromWire(m actor.Msg, src string) actor.Msg {
+	m.Via = actor.ViaWire
+	if m.Origin == "" {
+		m.Origin = src
+	}
+	return m
 }
 
 // runOnNIC is the scheduler's Run hook: execute the handler for real,
@@ -572,16 +588,32 @@ func (n *Node) scaleHost(ref sim.Time, a *actor.Actor) sim.Time {
 	return sim.Time(float64(ref) / speed)
 }
 
+// fwdRetryDelay is how long the NIC waits before it offers a message to
+// a full NIC→host ring again.
+const fwdRetryDelay = 2 * sim.Microsecond
+
 // forwardToHost is the scheduler's Forward hook: NIC-received traffic
 // owned by a host actor (or nobody) crosses the rings.
 func (n *Node) forwardToHost(m actor.Msg) {
 	m.Via = actor.ViaRing
 	if _, err := n.Chan.NICPush(toRingMsg(m)); err != nil {
 		// Ring full: in hardware the NIC retries; bounded retry here.
-		n.eng.After(2*sim.Microsecond, func() { n.forwardToHost(m) })
+		// Every retry waits the same delay, so the timers fire in the
+		// order the messages were queued.
+		if n.fwdRetryFn == nil {
+			n.fwdRetryFn = n.retryForward
+		}
+		n.fwdRetry.Push(m)
+		n.eng.After(fwdRetryDelay, n.fwdRetryFn)
 		return
 	}
 	n.armFlush()
+}
+
+func (n *Node) retryForward() {
+	if m, ok := n.fwdRetry.Pop(); ok {
+		n.forwardToHost(m)
+	}
 }
 
 // armFlush guarantees a partially filled ring batch flushes within 1µs.
@@ -590,10 +622,15 @@ func (n *Node) armFlush() {
 		return
 	}
 	n.flushArmed = true
-	n.eng.After(sim.Microsecond, func() {
-		n.flushArmed = false
-		n.Chan.Flush()
-	})
+	if n.flushFn == nil {
+		n.flushFn = n.flushRing
+	}
+	n.eng.After(sim.Microsecond, n.flushFn)
+}
+
+func (n *Node) flushRing() {
+	n.flushArmed = false
+	n.Chan.Flush()
 }
 
 // pumpToHost drains ready NIC→host messages into the host scheduler.
@@ -662,13 +699,7 @@ func (n *Node) sendRemote(m actor.Msg, dstNode string) {
 		size = 64
 	}
 	m.Via = actor.ViaWire
-	n.c.Net.Send(&netsim.Packet{
-		Src:     n.Name,
-		Dst:     dstNode,
-		Size:    size,
-		FlowID:  m.FlowID,
-		Payload: m,
-	})
+	n.sendWire(m, dstNode, size)
 }
 
 // killActor is the watchdog's OnKill: deregister everywhere and free

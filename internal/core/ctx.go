@@ -57,11 +57,8 @@ const maxFreeCtxs = 64
 
 // takeCtx readies a context for one handler invocation of a.
 func (n *Node) takeCtx(a *actor.Actor, onNIC bool) *execCtx {
-	var c *execCtx
-	if k := len(n.freeCtx); k > 0 {
-		c = n.freeCtx[k-1]
-		n.freeCtx = n.freeCtx[:k-1]
-	} else {
+	c := n.freeCtx.Take()
+	if c == nil {
 		c = &execCtx{node: n}
 		c.flushFn = c.flush
 	}
@@ -71,9 +68,7 @@ func (n *Node) takeCtx(a *actor.Actor, onNIC bool) *execCtx {
 
 func (n *Node) putCtx(c *execCtx) {
 	c.a = nil
-	if len(n.freeCtx) < maxFreeCtxs {
-		n.freeCtx = append(n.freeCtx, c)
-	}
+	n.freeCtx.Put(c, maxFreeCtxs)
 }
 
 func (c *execCtx) charge(d sim.Time) {
@@ -122,11 +117,7 @@ func (c *execCtx) flush() {
 func (n *Node) perform(e *effect) {
 	switch e.kind {
 	case effWire:
-		n.c.Net.Send(&netsim.Packet{
-			Src: n.Name, Dst: e.node, Size: e.size,
-			FlowID:  e.m.FlowID,
-			Payload: e.m,
-		})
+		n.sendWire(e.m, e.node, e.size)
 	case effLocalNIC:
 		n.deliverLocalFromNIC(e.m)
 	case effLocalHost:

@@ -53,8 +53,8 @@ func TestRecycledCtxSameEffects(t *testing.T) {
 		return netsim.HandlerFunc(func(p *netsim.Packet) {
 			o := observed{what: what, at: rel(), size: p.Size, flow: p.FlowID}
 			switch pl := p.Payload.(type) {
-			case actor.Msg:
-				o.msg = pl
+			case *wireMsg:
+				o.msg = pl.m
 			case RespEnvelope:
 				o.msg = pl.Msg
 				pl.Fn(pl.Msg)
@@ -76,15 +76,23 @@ func TestRecycledCtxSameEffects(t *testing.T) {
 		})
 	}
 	cl.Eng.RunUntil(spacing - 1)
-	if len(n.freeCtx) == 0 {
+	// top peeks at the context the next handler will be given.
+	top := func() *execCtx {
+		c := n.freeCtx.Take()
+		if c != nil {
+			n.freeCtx.Put(c, maxFreeCtxs)
+		}
+		return c
+	}
+	pooled := top()
+	if pooled == nil {
 		t.Fatal("no context returned to the node's free list after the first request")
 	}
-	pooled := n.freeCtx[len(n.freeCtx)-1]
 	cl.Eng.Run()
 	if replies != requests {
 		t.Fatalf("%d replies, want %d", replies, requests)
 	}
-	if got := n.freeCtx[len(n.freeCtx)-1]; got != pooled {
+	if top() != pooled {
 		t.Fatal("later requests did not reuse the pooled context")
 	}
 
@@ -141,8 +149,8 @@ func TestInitCtxImmediateAndUnpooled(t *testing.T) {
 	if n.Sched.QueueBacklog() != 1 {
 		t.Fatalf("scheduler backlog %d right after Register, want the OnInit message already queued", n.Sched.QueueBacklog())
 	}
-	if len(n.freeCtx) != 0 {
-		t.Fatalf("OnInit context was pooled (%d on the free list)", len(n.freeCtx))
+	if n.freeCtx.Len() != 0 {
+		t.Fatalf("OnInit context was pooled (%d on the free list)", n.freeCtx.Len())
 	}
 	cl.Eng.Run()
 	if got != 1 {

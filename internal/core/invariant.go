@@ -79,6 +79,7 @@ func (c *Cluster) CheckerAt(part int) *invariant.Checker {
 func (c *Cluster) Checkers() []*invariant.Checker { return c.checkers }
 
 func (n *Node) enableInvariants(chk *invariant.Checker) {
+	n.chk = chk
 	if n.Sched != nil {
 		n.Sched.EnableInvariants(chk, n.Name)
 	}

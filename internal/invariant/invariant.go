@@ -577,6 +577,29 @@ func (c *Checker) LeaderClaim(group string, ballot uint64, replica int) {
 	byBallot[ballot] = replica
 }
 
+// --- pooled records -------------------------------------------------------
+
+// PoisonByte is what a released record's borrowed bytes are overwritten
+// with under the checker (an ObjRead view, once its handler has
+// returned), so a retained slice reads as garbage at once instead of as
+// another request's data later.
+const PoisonByte = 0xDB
+
+// UseAfterRelease records something landing on a pooled per-message
+// record after its owner released it: a second reply to a client call, a
+// second delivery of a node→node wire record, a gate continuation fired
+// twice. Under the checker the owners mark released records and never
+// reuse them, so the stale use is caught at the record instead of being
+// misattributed to whichever message recycled it. Only the failure is
+// reported — the owners test their own mark — so a clean run counts no
+// extra checks.
+func (c *Checker) UseAfterRelease(kind, where string) {
+	if c == nil {
+		return
+	}
+	c.violate("use-after-release", "%s on %s used after its release", kind, where)
+}
+
 // --- epochs & fingerprint ------------------------------------------------
 
 // countersLine renders the conservation counters compactly; identical

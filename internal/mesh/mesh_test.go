@@ -83,9 +83,9 @@ func TestMeshAllocBudget(t *testing.T) {
 		countAt     []int  // worker counts whose allocations are counted
 		workers     []int  // worker counts whose fingerprints are checked
 	}{
-		{parts: 1, budget: 10, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
+		{parts: 1, budget: 4, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
 			fingerprint: "fb597bba29ed4603be55faac5617ff3b7accc390320686b79537d01dcdbbfd7e"},
-		{parts: 8, budget: 10, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
+		{parts: 8, budget: 4, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
 			fingerprint: "ad35fea62562b8c74d8dbcf91837d36aca9acc5b83dd5690b518fd1077f51919"},
 	} {
 		cfg := Config{Nodes: 64, Partitions: tc.parts, Seed: 1}

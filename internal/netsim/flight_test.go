@@ -15,7 +15,7 @@ import (
 func pooled(n *Network) int {
 	total := 0
 	for i := range n.pools {
-		total += len(n.pools[i].free)
+		total += n.pools[i].Len()
 	}
 	return total
 }
@@ -135,7 +135,7 @@ func TestCrossPartitionFlightsChangePools(t *testing.T) {
 		}
 
 		// One way only: every record ends up on partition 1.
-		before := len(net.pools[1].free)
+		before := net.pools[1].Len()
 		net.SetHandler("b", HandlerFunc(func(*Packet) {}))
 		const oneWay = 100
 		g.Engine(0).Defer(func() {
@@ -144,10 +144,10 @@ func TestCrossPartitionFlightsChangePools(t *testing.T) {
 			}
 		})
 		g.RunUntil(2*sim.Second, workers)
-		if got := len(net.pools[0].free); got != 0 {
+		if got := net.pools[0].Len(); got != 0 {
 			t.Fatalf("workers=%d: source pool holds %d records after a one-way burst, want 0", workers, got)
 		}
-		if got := len(net.pools[1].free); got < before+oneWay-2*depth {
+		if got := net.pools[1].Len(); got < before+oneWay-2*depth {
 			t.Fatalf("workers=%d: destination pool grew %d → %d on a one-way burst of %d", workers, before, got, oneWay)
 		}
 	}

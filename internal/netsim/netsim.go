@@ -477,28 +477,21 @@ type flight struct {
 // partition's events. Padded to a cache line: the neighbouring entries
 // belong to partitions that other window workers are running.
 type flightPool struct {
-	free []*flight
-	_    [40]byte
+	sim.FreeList[flight]
+	_ [40]byte
 }
 
-// maxFreeFlights bounds each partition's free list, as maxFreeEvents
-// bounds the engine's: a burst may put many packets in flight at once,
-// and without a cap every record it needed would stay pinned for the
-// rest of the run. Beyond the cap records are left to the GC. The cap
-// is the number of packets a partition has in flight at once in steady
-// state with room to spare (the 64-node depth-2 mesh needs 128 records),
-// and no more: a record with its continuations is ≈ 400 B the collector
-// has to mark every cycle, and the ones a one-way cross-partition stream
+// maxFreeFlights bounds each partition's free list. The cap is the
+// number of packets a partition has in flight at once in steady state
+// with room to spare (the 64-node depth-2 mesh needs 128 records), and
+// no more: a record with its continuations is ≈ 400 B the collector has
+// to mark every cycle, and the ones a one-way cross-partition stream
 // strands on the far side are never used again — 4096 of them made that
 // stream 40% slower than allocating per hop had been.
 const maxFreeFlights = 512
 
 func (n *Network) takeFlight(part int) *flight {
-	p := &n.pools[part]
-	if k := len(p.free); k > 0 {
-		f := p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
+	if f := n.pools[part].Take(); f != nil {
 		return f
 	}
 	f := &flight{n: n}
@@ -512,9 +505,7 @@ func (n *Network) takeFlight(part int) *flight {
 
 func (n *Network) releaseFlight(part int, f *flight) {
 	f.pkt, f.src, f.dst = nil, nil, nil
-	if p := &n.pools[part]; len(p.free) < maxFreeFlights {
-		p.free = append(p.free, f)
-	}
+	n.pools[part].Put(f, maxFreeFlights)
 }
 
 // upDone runs on the source partition when the frame has left the

@@ -63,6 +63,38 @@ func TestCoreCyclesAllocFree(t *testing.T) {
 	}
 }
 
+// TestModeSwitchDecisionsAllocFree: downgrade, upgrade and the periodic
+// maybeUpgrade rank the actors' service tails on every call — hundreds of
+// thousands of times in a loaded run — in one scratch slice the
+// scheduler keeps.
+func TestModeSwitchDecisionsAllocFree(t *testing.T) {
+	h := newHarness(t, baseConfig(4))
+	for id := actor.ID(1); id <= 8; id++ {
+		a := &actor.Actor{ID: id}
+		h.s.AddActor(a)
+		for i := 0; i < 8; i++ {
+			a.Observe(10*sim.Microsecond, sim.Time(id)*sim.Microsecond, 256)
+		}
+	}
+	// Tails of 1..8 µs around a median of 4, the heaviest actor already
+	// in DRR: every decision computes its median and then declines to
+	// switch anybody, which is the common case.
+	h.s.actors[8].InDRR = true
+	h.s.drrRunnable = append(h.s.drrRunnable, h.s.actors[8])
+	decide := func() {
+		h.s.downgrade()
+		h.s.upgrade()
+		h.s.maybeUpgrade()
+	}
+	decide()
+	if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+		t.Fatalf("%v allocs per round of mode-switch decisions, want 0", allocs)
+	}
+	if h.s.Downgrades+h.s.Upgrades != 0 {
+		t.Fatalf("%d downgrades, %d upgrades: the decisions were meant to decline", h.s.Downgrades, h.s.Upgrades)
+	}
+}
+
 // TestOccupyTwicePanics: one operation per core at a time is the
 // invariant the in-core operation record rests on.
 func TestOccupyTwicePanics(t *testing.T) {

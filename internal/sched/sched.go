@@ -180,6 +180,9 @@ type Scheduler struct {
 	actors map[actor.ID]*actor.Actor
 	// drrRunnable is the single runnable queue all DRR cores share.
 	drrRunnable []*actor.Actor
+	// tails is the scratch slice the mode-switch decisions collect the
+	// actors' service tails in to take their median.
+	tails []float64
 
 	// fcfsStats tracks sojourn times (queueing + execution) of FCFS
 	// operations; its Tail()/Mean() drive downgrade and migration.
@@ -317,17 +320,10 @@ func (s *Scheduler) maybeUpgrade() {
 	if s.cfg.AllDRR || len(s.drrRunnable) == 0 {
 		return
 	}
-	tails := make([]float64, 0, len(s.actors))
-	for _, a := range s.actors {
-		if a.State == actor.Stable && a.ServiceStats.Count() > 0 {
-			tails = append(tails, a.ServiceStats.Tail())
-		}
-	}
-	if len(tails) == 0 {
+	median, ok := s.medianTail()
+	if !ok {
 		return
 	}
-	sort.Float64s(tails)
-	median := tails[(len(tails)-1)/2]
 	for _, a := range s.drrRunnable {
 		if a.State != actor.Stable {
 			continue
@@ -349,6 +345,28 @@ func (s *Scheduler) maybeUpgrade() {
 			return // at most one per tick
 		}
 	}
+}
+
+// medianTail returns the median service tail (µ+3σ) over the stable
+// actors that have executed at all; ok is false when there are none.
+func (s *Scheduler) medianTail() (median float64, ok bool) {
+	tails := s.tails[:0]
+	for _, a := range s.actors {
+		if a.State == actor.Stable && a.ServiceStats.Count() > 0 {
+			tails = append(tails, a.ServiceStats.Tail())
+		}
+	}
+	s.tails = tails
+	if len(tails) == 0 {
+		return 0, false
+	}
+	return lowerMedian(tails), true
+}
+
+// lowerMedian sorts v in place and returns its lower median.
+func lowerMedian(v []float64) float64 {
+	sort.Float64s(v)
+	return v[(len(v)-1)/2]
 }
 
 // AddActor registers a NIC-resident actor with the dispatcher.
@@ -501,7 +519,7 @@ func (s *Scheduler) wakeDRR() {
 // and evicting arbitrary actors would only thrash).
 func (s *Scheduler) downgrade() {
 	var victim *actor.Actor
-	tails := make([]float64, 0, len(s.actors))
+	tails := s.tails[:0]
 	// Require a few samples before classifying; rare-but-heavy actors
 	// must stay eligible, so the bar is low.
 	const minSamples = 4
@@ -520,11 +538,11 @@ func (s *Scheduler) downgrade() {
 			victim = a
 		}
 	}
+	s.tails = tails
 	if victim == nil || len(tails) == 0 {
 		return
 	}
-	sort.Float64s(tails)
-	median := tails[(len(tails)-1)/2]
+	median := lowerMedian(tails)
 	if victim.ServiceStats.Tail() <= 2*median {
 		return
 	}
@@ -548,17 +566,10 @@ func (s *Scheduler) upgrade() {
 	if len(s.drrRunnable) == 0 {
 		return
 	}
-	tails := make([]float64, 0, len(s.actors))
-	for _, a := range s.actors {
-		if a.State == actor.Stable && a.ServiceStats.Count() > 0 {
-			tails = append(tails, a.ServiceStats.Tail())
-		}
-	}
-	if len(tails) == 0 {
+	median, ok := s.medianTail()
+	if !ok {
 		return
 	}
-	sort.Float64s(tails)
-	median := tails[(len(tails)-1)/2]
 	best := -1
 	for i, a := range s.drrRunnable {
 		if a.State != actor.Stable {

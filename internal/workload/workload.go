@@ -19,11 +19,14 @@ import (
 
 // Client is a load generator attached to the cluster's network.
 type Client struct {
-	Name string
-	eng  *sim.Engine
-	net  *netsim.Network
-	part int
-	qos  QoSHook
+	Name    string
+	cluster *core.Cluster
+	eng     *sim.Engine
+	net     *netsim.Network
+	part    int
+	qos     QoSHook
+	// free recycles the call records of requests without a timeout.
+	free sim.FreeList[call]
 
 	// Lat collects end-to-end response latencies in microseconds.
 	Lat *stats.Sample
@@ -73,7 +76,7 @@ func NewClient(c *core.Cluster, name string, gbps float64) *Client {
 // it drives, so request generation runs concurrently with the rest of
 // the topology. An out-of-range partition panics (netsim.EngineAt).
 func NewClientAt(c *core.Cluster, name string, gbps float64, part int) *Client {
-	cl := &Client{Name: name, eng: c.Net.EngineAt(part), net: c.Net, part: part, Lat: stats.NewSample()}
+	cl := &Client{Name: name, cluster: c, eng: c.Net.EngineAt(part), net: c.Net, part: part, Lat: stats.NewSample()}
 	c.Net.AttachOn(name, gbps, netsim.HandlerFunc(cl.deliver), part)
 	return cl
 }
@@ -128,6 +131,12 @@ type Request struct {
 	// Zero values reproduce the legacy untagged behavior.
 	Tenant uint16
 	Class  uint8
+
+	// next is the closed loop's continuation: it runs after OnResp and
+	// issues the loop's next request. One per loop, not one per request;
+	// it rides in the Request so that a pluggable send path (a Batcher's
+	// Add) carries it along by passing the Request on unchanged.
+	next func()
 }
 
 // MaxUncappedTimeout bounds exponential backoff growth when a Request
@@ -168,14 +177,22 @@ func (cl *Client) send(r Request, stage func(m actor.Msg, size int)) {
 		size = 64
 	}
 	cl.Sent++
-	c := &call{cl: cl, r: r, size: size, sentAt: cl.eng.Now(), timeout: r.Timeout}
-	c.replyFn = c.reply
+	c := cl.takeCall(r.Timeout > 0)
+	c.r, c.size, c.sentAt, c.timeout = r, size, cl.eng.Now(), r.Timeout
 	c.fire(stage)
 }
 
 // call is one admitted request from first transmission to its response
 // (or to giving up): everything its reply continuation and its retry
-// timers share, in one record.
+// timers share, in one record, with the continuations bound once when
+// the record is made.
+//
+// A request without a timeout has exactly one transmission and at most
+// one answer, so its record is released to the client's free list at the
+// reply and the next Send reuses it. A request with a timeout is never
+// pooled: a late duplicate answer or a pending timer may still hold the
+// record long after the first answer, and only its done latch tells them
+// the request is over.
 type call struct {
 	cl      *Client
 	r       Request
@@ -184,28 +201,84 @@ type call struct {
 	done    bool
 	attempt int
 	timeout sim.Time // the next attempt's wait; grows with r.Backoff
-	replyFn func(actor.Msg)
+	// poisoned marks a record released under the invariant checker: it
+	// is never reused, and an answer landing on it is a violation.
+	poisoned bool
+	replyFn  func(actor.Msg)
+	// retryFn and giveUpFn are bound only on records of requests with a
+	// timeout; nothing else arms a timer.
+	retryFn, giveUpFn func()
 	// first is the packet of the first transmission. A retry cannot
 	// reuse it — the original may still be queued on a link — and gets
 	// its own.
 	first netsim.Packet
 }
 
+// maxFreeCalls bounds a client's free list of call records: a closed
+// loop needs its depth, and a burst past the cap is left to the GC.
+const maxFreeCalls = 256
+
+// takeCall readies a call record: a recycled one for a request without
+// a timeout when the free list has one, a new one otherwise.
+func (cl *Client) takeCall(timed bool) *call {
+	if !timed {
+		if c := cl.free.Take(); c != nil {
+			c.done = false
+			return c
+		}
+	}
+	c := &call{cl: cl}
+	c.replyFn = c.reply
+	if timed {
+		c.retryFn, c.giveUpFn = c.retry, c.giveUp
+	}
+	return c
+}
+
+// release returns an untimed call's record at its reply: to the free
+// list, or — under the invariant checker — nowhere, poisoned.
+func (cl *Client) release(c *call) {
+	if c.r.Timeout > 0 {
+		return
+	}
+	c.r = Request{}
+	c.first.Payload = nil
+	if cl.cluster.CheckerAt(cl.part) != nil {
+		c.poisoned = true
+		return
+	}
+	cl.free.Put(c, maxFreeCalls)
+}
+
 // reply is the Reply continuation every attempt's message carries.
 func (c *call) reply(resp actor.Msg) {
+	cl := c.cl
 	if c.done {
-		return // duplicate response after a retry, or after giving up
+		// A duplicate response after a retry, or after giving up. On an
+		// untimed call there is no such thing: the server answered one
+		// request twice, and without the checker the second answer
+		// would complete whichever request recycled the record.
+		if c.poisoned {
+			cl.cluster.CheckerAt(cl.part).UseAfterRelease("call record", cl.Name)
+		}
+		return
 	}
 	c.done = true
-	cl := c.cl
 	cl.Received++
 	us := (cl.eng.Now() - c.sentAt).Micros()
 	cl.Lat.Observe(us)
 	if cl.qos != nil {
 		cl.qos.Latency(c.r.Tenant, c.r.Class, us)
 	}
-	if c.r.OnResp != nil {
-		c.r.OnResp(resp)
+	// Release before the callbacks: the next request they issue finds the
+	// record on the list.
+	onResp, next := c.r.OnResp, c.r.next
+	cl.release(c)
+	if onResp != nil {
+		onResp(resp)
+	}
+	if next != nil {
+		next()
 	}
 }
 
@@ -253,9 +326,9 @@ func (c *call) fire(stage func(m actor.Msg, size int)) {
 	}
 	if c.attempt < r.Retries {
 		c.attempt++
-		cl.eng.After(wait, c.retry)
+		cl.eng.After(wait, c.retryFn)
 	} else if r.OnGiveUp != nil {
-		cl.eng.After(wait, c.giveUp)
+		cl.eng.After(wait, c.giveUpFn)
 	}
 }
 
@@ -319,6 +392,8 @@ func (cl *Client) ClosedLoop(depth int, dur sim.Time, gen func(i uint64) Request
 
 // ClosedLoopVia is ClosedLoop with a pluggable send path — pass a
 // Batcher's Add to coalesce same-shard requests into message trains.
+// The send path must hand on the Request it is given (it may change its
+// exported fields): the loop's continuation travels in it.
 func (cl *Client) ClosedLoopVia(depth int, dur sim.Time, gen func(i uint64) Request, send func(Request)) {
 	deadline := cl.eng.Now() + dur
 	var i uint64
@@ -329,13 +404,7 @@ func (cl *Client) ClosedLoopVia(depth int, dur sim.Time, gen func(i uint64) Requ
 		}
 		r := gen(i)
 		i++
-		prev := r.OnResp
-		r.OnResp = func(resp actor.Msg) {
-			if prev != nil {
-				prev(resp)
-			}
-			issue()
-		}
+		r.next = issue
 		send(r)
 	}
 	for k := 0; k < depth; k++ {
