@@ -38,7 +38,10 @@ func main() {
 	tenantB := &ipipe.Actor{
 		ID: 2, Name: "tenant-b-snoop",
 		OnMessage: func(ctx ipipe.Ctx, m ipipe.Msg) ipipe.Duration {
-			stolen, stealErr = ctx.ObjRead(secretObj, 0, 15)
+			// An ObjRead view is borrowed until the handler returns;
+			// what outlives it is a copy.
+			view, err := ctx.ObjRead(secretObj, 0, 15)
+			stolen, stealErr = append([]byte(nil), view...), err
 			ctx.Reply(m)
 			return ipipe.Microsecond
 		},

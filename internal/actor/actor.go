@@ -97,6 +97,16 @@ type Ctx interface {
 	// Object store (DMO) operations; see internal/dmo for semantics.
 	Alloc(size int) (uint64, error)
 	Free(obj uint64) error
+	// ObjRead is the addressed read of Table 4: it returns a view of
+	// the object's bytes, not a copy. The view is a borrow. It is valid
+	// until the handler returns, and its contents only until the handler
+	// next writes, moves or frees the object; the handler must not write
+	// through it (ObjWrite is the way in) and cannot grow it (its
+	// capacity is its length). Whatever outlives the handler — a value
+	// sent in a reply, kept in actor state, captured by a closure — must
+	// be copied first. Under the invariant checker the view is a private
+	// copy overwritten with a sentinel when the handler returns, so a
+	// handler that breaks the rule reads garbage at once.
 	ObjRead(obj uint64, off, n int) ([]byte, error)
 	ObjWrite(obj uint64, off int, p []byte) error
 	// ObjMigrate moves one object to the other side of the PCIe bus

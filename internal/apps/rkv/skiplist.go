@@ -86,7 +86,8 @@ func (s *SkipList) randLevel() int {
 	return lvl
 }
 
-// nodeKey reads a node's key.
+// nodeKey reads a node's key: an ObjRead view, for comparing on the
+// spot.
 func (s *SkipList) nodeKey(ctx actor.Ctx, obj uint64) ([]byte, error) {
 	s.Visits++
 	return ctx.ObjRead(obj, 0, KeyLen)
@@ -273,7 +274,9 @@ func (s *SkipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 		return nil, true, true, nil
 	}
 	v, err := ctx.ObjRead(vo, 0, n)
-	return v, true, false, err
+	// The value outlives the handler (it travels in the reply), the
+	// ObjRead view does not.
+	return bytes.Clone(v), true, false, err
 }
 
 // Entry is one key/value pair; Tombstone marks deletion.
@@ -305,10 +308,11 @@ func (s *SkipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 		if vo == 0 {
 			e.Tombstone = true
 		} else {
-			e.Value, err = ctx.ObjRead(vo, 0, n)
+			v, err := ctx.ObjRead(vo, 0, n)
 			if err != nil {
 				return nil, err
 			}
+			e.Value = bytes.Clone(v) // the view dies with the object
 			ctx.Free(vo)
 		}
 		out = append(out, e)

@@ -258,3 +258,82 @@ func TestEntriesCodec(t *testing.T) {
 		t.Fatal("long value truncated")
 	}
 }
+
+// TestGetValueSurvivesOverwriteAndFree: ObjRead hands out views into the
+// objects, and a value's object is freed when the key is overwritten or
+// the list drained — so the value Get returns, and the values Drain
+// returns, are the caller's own copies.
+func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
+	ctx := newDmoCtx()
+	s, err := NewSkipList(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(ctx, []byte("k"), []byte("first"))
+	got, found, _, err := s.Get(ctx, []byte("k"))
+	if err != nil || !found || string(got) != "first" {
+		t.Fatalf("Get = %q %v %v", got, found, err)
+	}
+	// The freed object's bytes are scribbled over first, as a reused
+	// region would be; a view would show it.
+	var update [MaxLevel]uint64
+	node, _ := s.findPredecessors(ctx, padKey([]byte("k")), &update)
+	vo, _, _ := s.nodeVal(ctx, node)
+	if err := ctx.ObjMemset(vo, 0, len("first"), 0xEE); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(ctx, []byte("k"), []byte("other")) // frees the first value's object
+	if string(got) != "first" {
+		t.Fatalf("value from Get reads %q after its key was overwritten", got)
+	}
+	s.Put(ctx, []byte("j"), []byte("second"))
+	entries, err := s.Drain(ctx) // frees every node and value object
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("Drain = %v, %v", entries, err)
+	}
+	if ctx.st.Objects() != 1 {
+		t.Fatalf("%d objects left after Drain, want the head sentinel", ctx.st.Objects())
+	}
+	s.Put(ctx, []byte("j"), []byte("SECOND")) // reuse the store after the drain
+	if string(entries[0].Key[:1]) != "j" || string(entries[0].Value) != "second" || string(entries[1].Value) != "other" {
+		t.Fatalf("drained entries changed after their objects were freed: %q=%q %q=%q",
+			entries[0].Key, entries[0].Value, entries[1].Key, entries[1].Value)
+	}
+}
+
+// TestSkipListHeaderReadsAllocFree: walking the list reads 8–32-byte
+// node headers — key, value reference, forward pointers — through
+// ObjRead, many per operation; none of them allocates.
+func TestSkipListHeaderReadsAllocFree(t *testing.T) {
+	ctx := newDmoCtx()
+	s, err := NewSkipList(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
+	}
+	k := padKey([]byte("key-0250"))
+	var update [MaxLevel]uint64
+	visits := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Visits = 0
+		node, err := s.findPredecessors(ctx, k, &update)
+		if err != nil || node == 0 {
+			t.Fatal("key not found")
+		}
+		if _, err := s.nodeKey(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.nodeVal(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+		visits = s.Visits
+	})
+	if visits < 5 {
+		t.Fatalf("the walk visited %d nodes: not a walk", visits)
+	}
+	if allocs != 0 {
+		t.Fatalf("a %d-node walk allocates %v, want 0", visits, allocs)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/actor"
 	"repro/internal/dmo"
+	"repro/internal/invariant"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -29,6 +30,9 @@ type execCtx struct {
 	// flushes these after the service time elapses.
 	effects []effect
 	flushFn func() // c.flush, bound when the context is made
+	// views holds the private copies ObjRead handed out in place of
+	// views under the invariant checker; finish poisons them.
+	views [][]byte
 }
 
 // effectKind says what an outbound effect does when it is performed.
@@ -91,6 +95,13 @@ func (c *execCtx) emit(e effect) {
 // time is returned. The context goes back to the node's free list once
 // nothing refers to it — here, or after the flush.
 func (c *execCtx) finish(service sim.Time) sim.Time {
+	for i, v := range c.views {
+		for j := range v {
+			v[j] = invariant.PoisonByte
+		}
+		c.views[i] = nil
+	}
+	c.views = c.views[:0]
 	if len(c.effects) == 0 {
 		c.node.putCtx(c)
 		return service
@@ -282,11 +293,20 @@ func (c *execCtx) Free(obj uint64) error {
 	return err
 }
 
-// ObjRead implements actor.Ctx.
+// ObjRead implements actor.Ctx: a view of the object's bytes, borrowed
+// until the handler returns. Under the invariant checker the handler
+// gets a private copy instead, overwritten with invariant.PoisonByte
+// when it returns, so a view kept past the borrow reads as garbage at
+// once rather than as whatever the object holds later. OnInit contexts
+// never finish and hand out the view itself.
 func (c *execCtx) ObjRead(obj uint64, off, n int) ([]byte, error) {
 	c.charge(c.dmoOverhead(n))
 	p, err := c.node.Objects.Read(uint32(c.a.ID), obj, off, n)
 	c.note(err)
+	if err == nil && c.node.chk != nil && !c.free {
+		p = append(make([]byte, 0, n), p...)
+		c.views = append(c.views, p)
+	}
 	return p, err
 }
 

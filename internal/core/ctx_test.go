@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/actor"
+	"repro/internal/invariant"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -155,5 +157,60 @@ func TestInitCtxImmediateAndUnpooled(t *testing.T) {
 	cl.Eng.Run()
 	if got != 1 {
 		t.Fatalf("sink executed %d messages, want 1", got)
+	}
+}
+
+// TestObjReadViewBorrowedUntilHandlerReturns: ObjRead lends the handler a
+// view of the object's bytes. Without the checker a handler that keeps
+// it is simply reading the object, whatever it holds later. Under the
+// invariant checker the handler is lent a private copy that is
+// overwritten with invariant.PoisonByte the moment the handler returns —
+// the kept slice reads as garbage at once — while the object and the
+// handler's own results are untouched.
+func TestObjReadViewBorrowedUntilHandlerReturns(t *testing.T) {
+	for _, checked := range []bool{false, true} {
+		cl := NewCluster(1)
+		if checked {
+			cl.AttachCheckers()
+		}
+		n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
+		var obj uint64
+		var kept []byte
+		var during string
+		a := &actor.Actor{ID: 1,
+			OnInit: func(ctx actor.Ctx) {
+				obj, _ = ctx.Alloc(16)
+				ctx.ObjWrite(obj, 0, []byte("secret-0"))
+			},
+			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+				v, err := ctx.ObjRead(obj, 0, 8)
+				if err != nil || cap(v) != len(v) {
+					t.Fatalf("ObjRead = %q (cap %d), %v", v, cap(v), err)
+				}
+				during = string(v)
+				kept = v // the bug: the borrow ends with the handler
+				return sim.Microsecond
+			}}
+		if err := n.Register(a, true, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		n.Inject(actor.Msg{Dst: 1})
+		cl.Eng.Run()
+		if during != "secret-0" {
+			t.Fatalf("checked=%v: handler read %q", checked, during)
+		}
+		if now, _ := n.Objects.Read(1, obj, 0, 8); string(now) != "secret-0" {
+			t.Fatalf("checked=%v: the object reads %q after the handler", checked, now)
+		}
+		want := "secret-0"
+		if checked {
+			want = string(bytes.Repeat([]byte{invariant.PoisonByte}, 8))
+		}
+		if string(kept) != want {
+			t.Fatalf("checked=%v: the kept view reads %q after the handler returned, want %q", checked, kept, want)
+		}
+		if err := cl.Checker().Err(); err != nil {
+			t.Fatalf("checked=%v: %v", checked, err)
+		}
 	}
 }

@@ -183,7 +183,14 @@ func (s *Store) SideOf(actor uint32, id ObjID) (Side, error) {
 	return o.side, nil
 }
 
-// Read copies n bytes at offset off out of the object.
+// Read returns the n bytes at offset off as a view into the object —
+// the addressed read of Table 4, not a copy-out. The view's capacity
+// ends where it does, so it cannot be grown into the neighbouring bytes.
+// It is a borrow: it aliases the object's single copy, so it is good
+// until the object is next written, moved over itself or freed, and the
+// caller must not write through it (Write is the way in, and the only
+// one the byte accounting sees). A caller that keeps the bytes copies
+// them.
 func (s *Store) Read(actor uint32, id ObjID, off, n int) ([]byte, error) {
 	o, err := s.lookup(actor, id)
 	if err != nil {
@@ -192,9 +199,7 @@ func (s *Store) Read(actor uint32, id ObjID, off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(o.data) {
 		return nil, ErrBounds
 	}
-	out := make([]byte, n)
-	copy(out, o.data[off:off+n])
-	return out, nil
+	return o.data[off : off+n : off+n], nil
 }
 
 // Write copies p into the object at offset off.

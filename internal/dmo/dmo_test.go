@@ -265,3 +265,40 @@ func TestRegionAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadIsBoundedView: Read is an addressed read — a view into the
+// object's single copy, not a copy-out. Its capacity ends where it does,
+// so appending to it reallocates instead of running into the neighbouring
+// bytes; it sees a later Write (which is why a caller that keeps the
+// bytes must copy them); and it allocates nothing.
+func TestReadIsBoundedView(t *testing.T) {
+	s := NewStore()
+	s.Register(1, 1024)
+	id, _ := s.Alloc(1, 64, NIC)
+	if err := s.Write(1, id, 0, []byte("headerNEIGHBOUR")); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := s.Read(1, id, 0, 6)
+	if err != nil || string(hdr) != "header" {
+		t.Fatalf("Read = %q, %v", hdr, err)
+	}
+	if cap(hdr) != len(hdr) {
+		t.Fatalf("view has len %d cap %d: it can be grown into its neighbour", len(hdr), cap(hdr))
+	}
+	grown := append(hdr, "XXXX"...)
+	if next, _ := s.Read(1, id, 6, 9); string(next) != "NEIGHBOUR" {
+		t.Fatalf("appending to a view rewrote the neighbouring bytes: %q (grown %q)", next, grown)
+	}
+	if err := s.Write(1, id, 0, []byte("HEADER")); err != nil {
+		t.Fatal(err)
+	}
+	if string(hdr) != "HEADER" {
+		t.Fatalf("view reads %q after the object was rewritten: it is a copy, not a view", hdr)
+	}
+	if empty, err := s.Read(1, id, 64, 0); err != nil || empty == nil || len(empty) != 0 {
+		t.Fatalf("zero-length read at the end = %v, %v; want an empty non-nil view", empty, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Read(1, id, 8, 32) }); allocs != 0 {
+		t.Fatalf("Read allocates %v, want 0", allocs)
+	}
+}
