@@ -475,13 +475,14 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 		// delivered; only the message is dropped.
 		src, size, flow := pkt.Src, pkt.Size, pkt.FlowID
 		m, ok := n.takeWire(w)
-		switch {
-		case !ok:
-		case n.down:
-			n.DownDrops++
-		default:
-			n.receive(m, src, size, flow)
+		if !ok {
+			return
 		}
+		if n.down {
+			n.DownDrops++
+			return
+		}
+		n.receive(m, src, size, flow)
 		return
 	}
 	if n.down {

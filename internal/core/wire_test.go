@@ -17,31 +17,29 @@ import (
 // pingPong builds two offloaded nodes a and b on a cluster of parts
 // partitions. Actor 1 on a and actor 2 on b bounce a message between
 // them: a message with FlowID k > 0 is forwarded to the peer with k-1.
-// hops counts the messages the two handlers executed.
-func pingPong(parts int) (cl *Cluster, a, b *Node, hops *int) {
+// hops reports the messages the two handlers have executed; each handler
+// counts on its own, since the two may run on different window workers.
+func pingPong(parts int) (cl *Cluster, a, b *Node, hops func() int) {
 	cl = NewPartitionedCluster(1, parts)
 	a = cl.AddNode(Config{Name: "a", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	b = cl.AddNode(Config{Name: "b", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
-	hops = new(int)
-	bounce := func(peer actor.ID) actor.Handler {
-		return func(ctx actor.Ctx, m actor.Msg) sim.Time {
-			*hops++
+	var counts [2]*int
+	for i, n := range []*Node{a, b} {
+		count := new(int)
+		counts[i] = count
+		id := actor.ID(i + 1)
+		act := &actor.Actor{ID: id, PinNIC: true, OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+			*count++
 			if m.FlowID > 0 {
-				ctx.Send(peer, actor.Msg{FlowID: m.FlowID - 1})
+				ctx.Send(3-id, actor.Msg{FlowID: m.FlowID - 1})
 			}
 			return sim.Microsecond
-		}
-	}
-	for _, reg := range []struct {
-		n  *Node
-		id actor.ID
-	}{{a, 1}, {b, 2}} {
-		act := &actor.Actor{ID: reg.id, PinNIC: true, OnMessage: bounce(3 - reg.id)}
-		if err := reg.n.Register(act, true, 1<<20); err != nil {
+		}}
+		if err := n.Register(act, true, 1<<20); err != nil {
 			panic(err)
 		}
 	}
-	return cl, a, b, hops
+	return cl, a, b, func() int { return *counts[0] + *counts[1] }
 }
 
 func wiresPooled(nodes ...*Node) int {
@@ -68,8 +66,8 @@ func TestWireAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(100, round); got != 0 {
 		t.Fatalf("steady-state ping-pong allocates %.2f per round of %d messages, want 0", got, depth*bounces)
 	}
-	if want := 102 * depth * (bounces + 1); *hops != want {
-		t.Fatalf("%d handler executions, want %d", *hops, want)
+	if want := 102 * depth * (bounces + 1); hops() != want {
+		t.Fatalf("%d handler executions, want %d", hops(), want)
 	}
 	if got := wiresPooled(a, b); got != depth {
 		t.Fatalf("%d wire records pooled after rounds of %d in flight: two-way traffic must recycle one set", got, depth)
@@ -132,8 +130,8 @@ func TestWireRecordCrashedReceiver(t *testing.T) {
 	b.Fail()
 	a.Inject(actor.Msg{Dst: 1, FlowID: 5})
 	cl.Eng.Run()
-	if *hops != 1 || b.DownDrops != 1 {
-		t.Fatalf("hops=%d DownDrops=%d, want the first hop executed and the second dropped at b", *hops, b.DownDrops)
+	if hops() != 1 || b.DownDrops != 1 {
+		t.Fatalf("hops=%d DownDrops=%d, want the first hop executed and the second dropped at b", hops(), b.DownDrops)
 	}
 	if a.freeWires.Len() != 0 || b.freeWires.Len() != 1 {
 		t.Fatalf("wire records a=%d b=%d, want 0 and 1: the crashed receiver keeps the record", a.freeWires.Len(), b.freeWires.Len())
@@ -145,9 +143,9 @@ func TestWireRecordCrashedReceiver(t *testing.T) {
 	b.Recover()
 	b.Inject(actor.Msg{Dst: 2, FlowID: 1})
 	cl.Eng.Run()
-	if *hops != 3 || wiresPooled(a, b) != 1 || a.freeWires.Len() != 1 {
+	if hops() != 3 || wiresPooled(a, b) != 1 || a.freeWires.Len() != 1 {
 		t.Fatalf("after recovery: hops=%d, records a=%d b=%d; want 3 hops and the one record now on a",
-			*hops, a.freeWires.Len(), b.freeWires.Len())
+			hops(), a.freeWires.Len(), b.freeWires.Len())
 	}
 }
 
@@ -156,9 +154,9 @@ func TestWireRecordCrashedReceiver(t *testing.T) {
 // and traffic resumes with fresh records once the link heals.
 func TestWireRecordLostOnLink(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		cut, heal  func(*Cluster)
-		lostBefore func(*Cluster) uint64
+		name      string
+		cut, heal func(*Cluster)
+		dropped   func(*Cluster) uint64
 	}{
 		{"loss", func(cl *Cluster) { cl.Net.LossRate = 1 }, func(cl *Cluster) { cl.Net.LossRate = 0 },
 			func(cl *Cluster) uint64 { return cl.Net.Lost() }},
@@ -174,8 +172,8 @@ func TestWireRecordLostOnLink(t *testing.T) {
 		tc.cut(cl)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
 		cl.Eng.Run()
-		if tc.lostBefore(cl) != 1 || *hops != 3+1 {
-			t.Fatalf("%s: dropped=%d hops=%d, want the one packet dropped", tc.name, tc.lostBefore(cl), *hops)
+		if tc.dropped(cl) != 1 || hops() != 3+1 {
+			t.Fatalf("%s: dropped=%d hops=%d, want the one packet dropped", tc.name, tc.dropped(cl), hops())
 		}
 		if wiresPooled(a, b) != 0 {
 			t.Fatalf("%s: %d records pooled: the dropped packet's record must be gone", tc.name, wiresPooled(a, b))
@@ -183,8 +181,8 @@ func TestWireRecordLostOnLink(t *testing.T) {
 		tc.heal(cl)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
 		cl.Eng.Run()
-		if *hops != 4+3 || wiresPooled(a, b) != 1 {
-			t.Fatalf("%s: after healing hops=%d records=%d, want 7 and 1", tc.name, *hops, wiresPooled(a, b))
+		if hops() != 4+3 || wiresPooled(a, b) != 1 {
+			t.Fatalf("%s: after healing hops=%d records=%d, want 7 and 1", tc.name, hops(), wiresPooled(a, b))
 		}
 	}
 }
@@ -198,8 +196,8 @@ func TestWireAndArrivalListsBounded(t *testing.T) {
 		a.Inject(actor.Msg{Dst: 1, FlowID: 1}) // one hop a→b each, none back
 	}
 	cl.Eng.Run()
-	if *hops != 2*burst {
-		t.Fatalf("%d hops, want %d", *hops, 2*burst)
+	if hops() != 2*burst {
+		t.Fatalf("%d hops, want %d", hops(), 2*burst)
 	}
 	if a.freeWires.Len() != 0 || b.freeWires.Len() != maxFreeWires {
 		t.Fatalf("wire records a=%d b=%d after a one-way burst of %d, want 0 and the cap %d",
@@ -228,11 +226,11 @@ func TestWireRecordsChangePartitions(t *testing.T) {
 			}
 		})
 		cl.RunUntil(100 * sim.Millisecond)
-		if *hops != depth*(bounces+1) {
-			t.Fatalf("workers=%d: %d hops, want %d", workers, *hops, depth*(bounces+1))
+		if hops() != depth*(bounces+1) {
+			t.Fatalf("workers=%d: %d hops, want %d", workers, hops(), depth*(bounces+1))
 		}
 		if got := wiresPooled(a, b); got != depth {
-			t.Fatalf("workers=%d: %d records after %d crossings at depth %d: two-way traffic must recycle", workers, got, *hops, depth)
+			t.Fatalf("workers=%d: %d records after %d crossings at depth %d: two-way traffic must recycle", workers, got, hops(), depth)
 		}
 		before := b.freeWires.Len()
 		const oneWay = 50
@@ -257,8 +255,8 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 	chk := cl.AttachCheckers()[0]
 	a.Inject(actor.Msg{Dst: 1, FlowID: 10})
 	cl.Eng.Run()
-	if *hops != 11 {
-		t.Fatalf("%d hops under the checker, want 11", *hops)
+	if hops() != 11 {
+		t.Fatalf("%d hops under the checker, want 11", hops())
 	}
 	if wiresPooled(a, b) != 0 || a.freeArrivals.Len()+b.freeArrivals.Len() != 0 {
 		t.Fatal("records were recycled under the checker")
@@ -272,16 +270,16 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 	b.Deliver(&w.pkt)
 	b.Deliver(&w.pkt) // the same record again
 	cl.Eng.Run()
-	if *hops != 12 {
-		t.Fatalf("%d hops, want 12: the stale delivery must not execute", *hops)
+	if hops() != 12 {
+		t.Fatalf("%d hops, want 12: the stale delivery must not execute", hops())
 	}
 	ar := b.takeArrival()
 	ar.msgs = append(ar.msgs, actor.Msg{Dst: 2, Via: actor.ViaWire})
 	b.admit(ar, 0, 64)
 	ar.toNICFn() // the gate's continuation fired twice
 	cl.Eng.Run()
-	if *hops != 13 {
-		t.Fatalf("%d hops, want 13: the stale continuation must not execute", *hops)
+	if hops() != 13 {
+		t.Fatalf("%d hops, want 13: the stale continuation must not execute", hops())
 	}
 	vs := chk.Violations()
 	if len(vs) != 2 || vs[0].Rule != "use-after-release" || vs[1].Rule != "use-after-release" {

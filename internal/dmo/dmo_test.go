@@ -266,12 +266,12 @@ func TestRegionAccountingProperty(t *testing.T) {
 	}
 }
 
-// TestReadIsBoundedView: Read is an addressed read — a view into the
+// TestReadViewBoundedAllocFree: Read is an addressed read — a view into the
 // object's single copy, not a copy-out. Its capacity ends where it does,
 // so appending to it reallocates instead of running into the neighbouring
 // bytes; it sees a later Write (which is why a caller that keeps the
 // bytes must copy them); and it allocates nothing.
-func TestReadIsBoundedView(t *testing.T) {
+func TestReadViewBoundedAllocFree(t *testing.T) {
 	s := NewStore()
 	s.Register(1, 1024)
 	id, _ := s.Alloc(1, 64, NIC)

@@ -12,12 +12,15 @@
 // Results are deterministic for a fixed (seed, nodes, partitions)
 // triple regardless of worker count.
 //
-// Observability: attach a tracer/collector through
-// core.SetDefaultObserver before calling Run — the partitioned cluster
-// shards the tracer per partition and samples metrics at window
-// boundaries, so enabling observability changes neither the results nor
-// their worker-count independence (the exported artifacts are
-// themselves byte-identical at any worker count).
+// Observability: pass the observer to the builder — Build returns the
+// cluster before anything has run, so enable the tracer, the collector
+// or the checkers on the cluster it hands back (benchmark/ gives its own
+// mesh builder an observe function for the same purpose) instead of
+// installing a process-wide default. The partitioned cluster shards the
+// tracer per partition and samples metrics at window boundaries, so
+// enabling observability changes neither the results nor their
+// worker-count independence (the exported artifacts are themselves
+// byte-identical at any worker count).
 package mesh
 
 import (

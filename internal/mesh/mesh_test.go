@@ -66,9 +66,9 @@ func TestMeshZipfSkew(t *testing.T) {
 
 // TestMeshAllocBudget pins what one completed request costs the host in
 // heap allocations, counted exactly (MemStats.Mallocs around RunUntil,
-// no wall clock): a 64-node, 2 ms mesh allocated 35.6 per request when
-// every event carried its own closure; with per-message records what is
-// left is what the callers themselves hand over (DESIGN.md §4). The
+// no wall clock) on a 64-node, 2 ms mesh: every record the runtime makes
+// per message is recycled, so what is left is the three allocations the
+// reply contract pins (DESIGN.md §4) plus the run's warm-up. The
 // partitioned run shares the classic budget at any worker count: its
 // rounds, inbox batches and window workers allocate nothing per round
 // (DESIGN.md §9), so all that separates 8 partitions from 1 is the

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -243,12 +244,17 @@ func (cl *Client) release(c *call) {
 	}
 	c.r = Request{}
 	c.first.Payload = nil
-	if cl.cluster.CheckerAt(cl.part) != nil {
+	if cl.checker() != nil {
 		c.poisoned = true
 		return
 	}
 	cl.free.Put(c, maxFreeCalls)
 }
+
+// checker returns the invariant checker of the client's partition, nil
+// when checking is off. Looked up on use: checkers may be attached after
+// the client.
+func (cl *Client) checker() *invariant.Checker { return cl.cluster.CheckerAt(cl.part) }
 
 // reply is the Reply continuation every attempt's message carries.
 func (c *call) reply(resp actor.Msg) {
@@ -259,7 +265,7 @@ func (c *call) reply(resp actor.Msg) {
 		// request twice, and without the checker the second answer
 		// would complete whichever request recycled the record.
 		if c.poisoned {
-			cl.cluster.CheckerAt(cl.part).UseAfterRelease("call record", cl.Name)
+			cl.checker().UseAfterRelease("call record", cl.Name)
 		}
 		return
 	}

@@ -62,13 +62,17 @@ type (
 	Msg = actor.Msg
 	// Kind tags message types.
 	Kind = actor.Kind
-	// Ctx is the capability surface handed to actor handlers.
+	// Ctx is the capability surface handed to actor handlers. It is
+	// valid only for the handler call it is passed to, and so is what
+	// ObjRead returns: a view of the object, not a copy — copy whatever
+	// must outlive the handler (see actor.Ctx).
 	Ctx = actor.Ctx
 	// Duration is virtual time (nanoseconds).
 	Duration = sim.Time
 	// Client is a load generator attached to the simulated network.
 	Client = workload.Client
-	// Request is one client request.
+	// Request is one client request. With Timeout <= 0 its bookkeeping
+	// record is recycled at the reply; a server answers it once.
 	Request = workload.Request
 	// Batcher coalesces same-destination requests into message trains
 	// (the paper's I6 insight); drive it via Client.ClosedLoopVia /
