@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-compare gobench race alloc-budget vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate obs-baseline
+.PHONY: build test check bench bench-compare race alloc-budget vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -17,42 +17,21 @@ fmt-check:
 		echo "fmt-check: gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 	@echo "fmt-check: ok"
 
-# race: the concurrency gate — every package whose code runs on sweep
-# workers or on sim.Group window workers (the engine, the cross-partition
-# handoff, per-partition sinks, ledgers, lanes and gates, the
-# AtBarrier / DeferBarrier window-boundary actions that faults,
-# migration commits and watchdog kills go through, and the per-partition
-# free lists and in-core operation records of the per-message path:
-# netsim flights, core contexts, arrivals and wire records, the sched
-# and hostsim cores, actor mailboxes and the nicsim gate they run
-# behind; the DMO store and the applications, whose ObjRead views alias
-# objects across handlers and whose messages ride wire records across
-# partitions), plus the harness parity tests. The window workers poll,
-# steal and park rather than
-# block on a channel, so which of those paths a test takes depends on
-# how many Ps there are: the engine package runs a second time at
-# -cpu 1,2,4 — fewer Ps than workers, as many, and more.
+# race: every library package under the race detector. sim.Group's window
+# workers poll, steal and park rather than block on a channel, so which
+# of those paths a test takes depends on how many Ps there are: the
+# engine package runs a second time at -cpu 1,2,4 — fewer Ps than
+# workers, as many, and more.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/bench/... \
-		./internal/fault/... ./internal/deploy/... ./internal/core/... \
-		./internal/shard/... ./internal/workload/... ./internal/msgring/... \
-		./internal/stats/... ./internal/invariant/... ./internal/sched/... \
-		./internal/netsim/... ./internal/mesh/... ./internal/obs/... \
-		./internal/pcie/... ./internal/qos/... ./internal/hostsim/... \
-		./internal/nicsim/... ./internal/actor/... ./internal/dmo/... \
-		./internal/apps/rkv/... ./internal/apps/dt/...
+	$(GO) test -race ./internal/... .
 	$(GO) test -race -cpu 1,2,4 ./internal/sim/...
 
 # alloc-budget: the exact allocation budgets of the per-message path —
-# what one message costs each layer (engine round, station, flight,
-# core cycle, arrival, wire record, client call, DMO and skip-list
-# reads) and what one request costs a whole mesh, DT and RKV run —
-# counted with testing.AllocsPerRun / MemStats.Mallocs, no wall clock.
+# what one message costs each layer and what one request costs a whole
+# mesh, DT and RKV run — counted with testing.AllocsPerRun /
+# MemStats.Mallocs, no wall clock.
 alloc-budget:
-	$(GO) test -count=1 -run 'Alloc(Budget|Free)' ./internal/sim/... \
-		./internal/netsim/... ./internal/sched/... ./internal/hostsim/... \
-		./internal/workload/... ./internal/core/... ./internal/dmo/... \
-		./internal/apps/rkv/... ./internal/mesh/... ./internal/bench/...
+	$(GO) test -count=1 -run 'Alloc(Budget|Free)' ./internal/... .
 
 # trace-smoke: run a traced simulation and validate the emitted Chrome
 # trace (well-formed trace_event JSON, named lanes, monotonic per-track
@@ -115,26 +94,10 @@ obs-smoke:
 		{ echo "obs-smoke: no handoff spans in partitioned trace" >&2; exit 1; }
 	@echo "obs-smoke: ok"
 
-# obs-gate: the perf-trajectory gate — rebuild the observed-run summary
-# and compare it against the committed BENCH_obs.json baseline.
-# Deterministic fields (ops, quantiles, events, counters, watermarks,
-# handoffs) must match exactly; allocation cost may not grow past its
-# band. Regenerate the baseline intentionally with `make obs-baseline`.
-obs-gate:
-	$(GO) run ./cmd/ipipe-bench -quick -report /tmp/ipipe-obs-report.json \
-		-baseline BENCH_obs.json
-	@echo "obs-gate: ok"
-
-# obs-baseline: regenerate the committed observed-run baseline after an
-# intentional behavior change (review the diff before committing).
-obs-baseline:
-	$(GO) run ./cmd/ipipe-bench -quick -report BENCH_obs.json
-	@echo "obs-baseline: wrote BENCH_obs.json"
-
 # check: the CI step — formatting, static analysis, the race suite, the
 # allocation budgets, and the observability, invariant and replay smoke
 # tests.
-check: fmt-check vet race alloc-budget trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke obs-gate
+check: fmt-check vet race alloc-budget trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
 
 # bench: the repository's one performance benchmark (benchmark/README.md)
 # — the full ledger at seed 1, ~85s. Judge a change with two ledgers:
@@ -144,7 +107,3 @@ bench:
 
 bench-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
-
-# gobench: the go-test micro-benchmarks of the engine and the harness.
-gobench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/ ./internal/bench/

@@ -48,7 +48,7 @@ const (
 	TrafficTelemetry = deploy.ClassTelemetry
 )
 
-// Multi-tenant QoS vocabulary (see internal/qos and DESIGN.md §11).
+// Multi-tenant QoS vocabulary (see internal/qos and DESIGN.md §10).
 type (
 	// Tenancy is the QoS block a DeployCommon carries: tenant table,
 	// lane bounds, SLO controller. A nil *Tenancy disables QoS entirely.

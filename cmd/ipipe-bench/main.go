@@ -31,13 +31,10 @@
 //
 // -report FILE re-runs a small experiment set (default: fig17 and
 // scale-nodes; override with explicit ids) with tracing and metrics
-// attached and writes the versioned run-summary artifact: merged
-// sojourn histograms, gauge watermarks, scheduler timelines, counter
-// totals, PDES handoff/round counts, and allocation cost. -baseline
-// FILE compares the same summary against a stored artifact
-// (BENCH_obs.json) and exits nonzero on any regression: deterministic
-// fields must match exactly, allocation cost may not grow past its
-// band. The two flags combine (write and gate in one run).
+// attached and writes the run-summary artifact: merged sojourn
+// histograms, gauge watermarks, scheduler timelines, counter totals,
+// event and PDES handoff/round counts. Its bytes depend only on the
+// seed and the code, so two commits compare with diff.
 package main
 
 import (
@@ -50,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -71,44 +67,21 @@ func main() {
 	qosFamily := flag.Bool("qos", false, "run the qos-* experiment family when no ids are given")
 	pdes := flag.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults)")
 	reportFile := flag.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
-	baselineFile := flag.String("baseline", "", "compare the observed-run summary against the artifact in `file`; exit nonzero on regression")
 	flag.Parse()
 
-	if *reportFile != "" || *baselineFile != "" {
+	if *reportFile != "" {
 		opts := bench.Options{Quick: *quick, Seed: *seed,
 			PDESParts: *pdes, PDESWorkers: *parallel}
 		rep, err := bench.ObsReport(opts, flag.Args())
 		if err != nil {
 			fatal(err)
 		}
-		if *reportFile != "" {
-			if err := writeTo(*reportFile, rep.WriteReport); err != nil {
-				fatal(err)
-			}
-			if *reportFile != "-" {
-				fmt.Fprintf(os.Stderr, "report: %d experiments -> %s\n",
-					len(rep.Experiments), *reportFile)
-			}
+		if err := writeTo(*reportFile, rep.WriteReport); err != nil {
+			fatal(err)
 		}
-		if *baselineFile != "" {
-			f, err := os.Open(*baselineFile)
-			if err != nil {
-				fatal(err)
-			}
-			base, err := obs.ReadReport(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			if bad := obs.CompareReports(base, rep, obs.GateOptions{}); len(bad) > 0 {
-				for _, line := range bad {
-					fmt.Fprintln(os.Stderr, "obs-gate: REGRESSION:", line)
-				}
-				fmt.Fprintf(os.Stderr, "obs-gate: FAIL (%d regressions vs %s)\n", len(bad), *baselineFile)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "obs-gate: OK (%d experiments vs %s)\n",
-				len(base.Experiments), *baselineFile)
+		if *reportFile != "-" {
+			fmt.Fprintf(os.Stderr, "report: %d experiments -> %s\n",
+				len(rep.Experiments), *reportFile)
 		}
 		return
 	}
@@ -119,8 +92,12 @@ func main() {
 	}
 	if *list || len(ids) == 0 {
 		fmt.Println("experiments (run with: ipipe-bench [ids...] or 'all'):")
+		width := 0
 		for _, id := range bench.IDs() {
-			fmt.Printf("  %-8s %s\n", id, bench.Title(id))
+			width = max(width, len(id))
+		}
+		for _, id := range bench.IDs() {
+			fmt.Printf("  %-*s  %s\n", width, id, bench.Title(id))
 		}
 		return
 	}
@@ -130,7 +107,7 @@ func main() {
 
 	if *check {
 		if *traceFile != "" || *metricsFile != "" {
-			fatal(fmt.Errorf("-check cannot be combined with -trace/-metrics (both claim the cluster observer hook)"))
+			fatal(fmt.Errorf("-check cannot be combined with -trace/-metrics (the replay runs each experiment several times; trace one run without -check)"))
 		}
 		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
 		rep, err := bench.GoldenReplay(ids, opts, *parallel)
@@ -156,44 +133,27 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Observability: one tracer shared across every cluster the sweep
-	// builds (groups prefixed r00/, r01/, ...), one collector per cluster
-	// (each is bound to its engine) concatenated into one NDJSON stream.
-	// Sweep points must then run serially: parallel workers would race on
-	// the shared tracer and scramble registration order.
-	// Sweep parallelism must drop to 1, but PDES window workers stay:
-	// sinks are sharded per partition, so window-parallel execution
-	// cannot perturb the artifacts.
+	// Observability (bench.Observer): sweep points must run serially,
+	// but PDES window workers stay — sinks are sharded per partition, so
+	// window-parallel execution cannot perturb the artifacts.
 	pdesW := *parallel
-	var tracer *obs.Tracer
-	var collectors []*obs.Collector
+	var ob *bench.Observer
 	if *traceFile != "" || *metricsFile != "" {
 		if *parallel != 1 {
 			fmt.Fprintln(os.Stderr, "ipipe-bench: -trace/-metrics force -parallel 1")
 			*parallel = 1
 		}
+		ob = &bench.Observer{Metrics: *metricsFile != "", Interval: sim.Time(metricsInterval.Nanoseconds())}
 		if *traceFile != "" {
-			tracer = obs.NewTracer()
+			ob.Tracer = obs.NewTracer()
 		}
-		run := 0
-		core.SetDefaultObserver(func(c *core.Cluster) {
-			prefix := fmt.Sprintf("r%02d/", run)
-			run++
-			if tracer != nil {
-				c.EnableTracingPrefixed(tracer, prefix)
-			}
-			if *metricsFile != "" {
-				col := obs.NewCollector(c.Eng, sim.Time(metricsInterval.Nanoseconds()))
-				collectors = append(collectors, col)
-				c.EnableMetricsPrefixed(col, prefix)
-				col.Start()
-			}
-		})
-		defer core.SetDefaultObserver(nil)
 	}
 
 	opts := bench.Options{Quick: *quick, Seed: *seed, Parallel: *parallel,
 		PDESParts: *pdes, PDESWorkers: pdesW}
+	if ob != nil {
+		opts.Observe = ob.Attach
+	}
 	for _, id := range ids {
 		r, err := bench.Run(id, opts)
 		if err != nil {
@@ -213,27 +173,18 @@ func main() {
 		}
 	}
 
-	if tracer != nil {
-		if err := writeTo(*traceFile, tracer.WriteChromeTrace); err != nil {
+	if *traceFile != "" {
+		if err := writeTo(*traceFile, ob.Tracer.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d spans on %d tracks -> %s\n",
-			tracer.Spans(), tracer.Tracks(), *traceFile)
+			ob.Tracer.Spans(), ob.Tracer.Tracks(), *traceFile)
 	}
 	if *metricsFile != "" {
-		err := writeTo(*metricsFile, func(w io.Writer) error {
-			for _, col := range collectors {
-				col.Snapshot() // end-state record per cluster
-				if err := col.WriteNDJSON(w); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := writeTo(*metricsFile, ob.WriteMetrics); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: %d clusters -> %s\n", len(collectors), *metricsFile)
+		fmt.Fprintf(os.Stderr, "metrics: %d clusters -> %s\n", len(ob.Collectors), *metricsFile)
 	}
 
 	if *memprofile != "" {

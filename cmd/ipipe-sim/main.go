@@ -77,26 +77,24 @@ func main() {
 
 	if *app == "mesh" {
 		// The mesh builds its cluster internally; observability attaches
-		// through the default-observer hook. Partitioned tracing shards
-		// per partition and metrics sample at window boundaries, so the
-		// artifacts are byte-identical at any -pdes worker count.
+		// through Config.Observe. Partitioned tracing shards per partition
+		// and metrics sample at window boundaries, so the artifacts are
+		// byte-identical at any -pdes worker count.
 		var meshTracer *obs.Tracer
 		var meshCol *obs.Collector
+		var observe func(*core.Cluster)
 		if *traceFile != "" || *metricsFile != "" {
 			if *traceFile != "" {
 				meshTracer = obs.NewTracer()
 			}
-			core.SetDefaultObserver(func(c *core.Cluster) {
-				if meshTracer != nil {
-					c.EnableTracing(meshTracer)
-				}
+			observe = func(c *core.Cluster) {
+				c.EnableTracing(meshTracer)
 				if *metricsFile != "" {
 					meshCol = obs.NewCollector(c.Eng, sim.Time(metricsInterval.Nanoseconds()))
 					c.EnableMetrics(meshCol)
 					meshCol.Start()
 				}
-			})
-			defer core.SetDefaultObserver(nil)
+			}
 		}
 		runMesh(mesh.Config{
 			Nodes:      *meshNodes,
@@ -107,6 +105,7 @@ func main() {
 			ReqSize:    *size,
 			Window:     ipipe.Duration(dur.Nanoseconds()),
 			Check:      *check,
+			Observe:    observe,
 		})
 		if meshTracer != nil {
 			if err := writeTo(*traceFile, meshTracer.WriteChromeTrace); err != nil {

@@ -93,7 +93,7 @@ func ablateQueue(opts Options) *Result {
 		case "iokernel":
 			cfg.IOKernel = true
 		}
-		cl := core.NewCluster(opts.seed())
+		cl := opts.cluster()
 		n := cl.AddNode(core.Config{Name: "srv", NIC: model, SchedOverride: &cfg, DisableMigration: true})
 		a := &actor.Actor{
 			ID: 1,
@@ -178,7 +178,7 @@ func ablateMigration(opts Options) *Result {
 	}
 	r := &Result{Header: []string{"placement", "served", "p50(us)", "p99(us)", "migrations"}}
 	run := func(dynamic bool) []any {
-		cl := core.NewCluster(opts.seed())
+		cl := opts.cluster()
 		n := cl.AddNode(core.Config{
 			Name: "srv", NIC: spec.LiquidIOII_CN2350(),
 			DisableMigration: !dynamic,

@@ -27,8 +27,8 @@ func TestAppAllocBudget(t *testing.T) {
 		run    func() appRun
 		budget float64
 	}{
-		{"dt-host", func() appRun { return runDT(1, 10, false, 512, 8, 20*sim.Millisecond) }, 57},
-		{"rkv-offloaded", func() appRun { return runRKV(1, 10, true, 512, 8, 20*sim.Millisecond) }, 17},
+		{"dt-host", func() appRun { return runDT(Options{}, 10, false, 512, 8, 20*sim.Millisecond) }, 57},
+		{"rkv-offloaded", func() appRun { return runRKV(Options{}, 10, true, 512, 8, 20*sim.Millisecond) }, 17},
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

@@ -57,8 +57,8 @@ const appShards = 4
 
 // runRTA deploys the analytics pipeline on 3 worker nodes and drives
 // tuple batches at every worker. Measured role: "RTA Worker" (node 0).
-func runRTA(seed uint64, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
-	cl := core.NewCluster(seed)
+func runRTA(opts Options, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
+	cl := opts.cluster()
 	nic := nicFor(linkGbps, offload)
 	var nodes []*core.Node
 	for i := 0; i < 3; i++ {
@@ -118,8 +118,8 @@ func runRTA(seed uint64, linkGbps float64, offload bool, size, depth int, window
 
 // runDT deploys coordinator + two participants. Measured roles:
 // "DT Coord." (coordinator node) and "DT Parti." (participant node).
-func runDT(seed uint64, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
-	cl := core.NewCluster(seed)
+func runDT(opts Options, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
+	cl := opts.cluster()
 	nic := nicFor(linkGbps, offload)
 	nc := cl.AddNode(core.Config{Name: "coord", NIC: nic, LinkGbps: linkGbps})
 	n1 := cl.AddNode(core.Config{Name: "part1", NIC: nic, LinkGbps: linkGbps})
@@ -163,8 +163,8 @@ func runDT(seed uint64, linkGbps float64, offload bool, size, depth int, window 
 
 // runRKV deploys the replicated KV store (3 replicas × shards).
 // Measured roles: "RKV Leader" (node 0) and "RKV Follower" (node 1).
-func runRKV(seed uint64, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
-	cl := core.NewCluster(seed)
+func runRKV(opts Options, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun {
+	cl := opts.cluster()
 	nic := nicFor(linkGbps, offload)
 	var nodes []*core.Node
 	for i := 0; i < 3; i++ {
@@ -221,7 +221,7 @@ func collect(cl *core.Cluster, client *workload.Client, window sim.Time, roles m
 type roleRunner struct {
 	app   string
 	roles []string
-	run   func(seed uint64, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun
+	run   func(opts Options, linkGbps float64, offload bool, size, depth int, window sim.Time) appRun
 }
 
 var roleRunners = []roleRunner{
@@ -257,8 +257,8 @@ func fig13(opts Options) *Result {
 	outs := sweepMap(opts, len(pts), func(i int) outcome {
 		p := pts[i]
 		return outcome{
-			base: p.rr.run(opts.seed(), p.link, false, p.size, 24, window),
-			off:  p.rr.run(opts.seed(), p.link, true, p.size, 24, window),
+			base: p.rr.run(opts, p.link, false, p.size, 24, window),
+			off:  p.rr.run(opts, p.link, true, p.size, 24, window),
 		}
 	})
 	var totalSaved10, totalSaved25 float64
@@ -310,7 +310,7 @@ func latVsTput(opts Options, link float64) *Result {
 	}
 	runs := sweepMap(opts, len(pts), func(i int) appRun {
 		p := pts[i]
-		return p.rr.run(opts.seed(), link, p.offload, 512, depths[p.di], window)
+		return p.rr.run(opts, link, p.offload, 512, depths[p.di], window)
 	})
 	type best struct{ dpdk, ipipe float64 }
 	perCoreBest := map[string]*best{}
@@ -367,7 +367,7 @@ func fig17(opts Options) *Result {
 	}
 	// Host-only RKV: capacity reference from a saturating closed loop.
 	run := func(raw bool, rate float64) (leader, follower float64, received uint64) {
-		cl := core.NewCluster(opts.seed())
+		cl := opts.cluster()
 		var nodes []*core.Node
 		for i := 0; i < 3; i++ {
 			nodes = append(nodes, cl.AddNode(core.Config{

@@ -3,8 +3,7 @@
 // series the paper reports (§2.2 characterization and §5 evaluation).
 // Runners are registered by id ("fig2" … "fig18", "table2", "table3",
 // "floem", "nf") and produce a Result that prints as an aligned table;
-// cmd/ipipe-bench exposes them on the command line and bench_test.go as
-// testing.B benchmarks.
+// cmd/ipipe-bench exposes them on the command line.
 package bench
 
 import (
@@ -16,6 +15,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/mesh"
 	"repro/internal/sim"
 )
 
@@ -38,6 +39,11 @@ type Options struct {
 	// simulation's windows. 0 or 1 is the serial merge; results are
 	// byte-identical at any worker count (enforced by GoldenReplay).
 	PDESWorkers int
+	// Observe, when set, sees every cluster the run builds right after
+	// it is constructed, before any node is added — the one way to
+	// attach a tracer, a collector or invariant checkers to a harness
+	// run. A parallel sweep calls it from its worker goroutines.
+	Observe func(*core.Cluster)
 }
 
 func (o Options) seed() uint64 {
@@ -45,6 +51,24 @@ func (o Options) seed() uint64 {
 		return 1
 	}
 	return o.Seed
+}
+
+// cluster is the one constructor experiments build their classic
+// clusters through: the run's seed, then Observe.
+func (o Options) cluster() *core.Cluster {
+	cl := core.NewCluster(o.seed())
+	if o.Observe != nil {
+		o.Observe(cl)
+	}
+	return cl
+}
+
+// meshConfig is cluster's counterpart for the echo-mesh experiments:
+// mesh.Build constructs the partitioned cluster and applies Observe at
+// the same point.
+func (o Options) meshConfig(nodes, parts int) mesh.Config {
+	return mesh.Config{Nodes: nodes, Partitions: parts, Workers: o.PDESWorkers,
+		Seed: o.seed(), Observe: o.Observe}
 }
 
 // Result is one experiment's output.

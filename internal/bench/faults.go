@@ -148,8 +148,8 @@ func faultRetry() deploy.RetryPolicy {
 
 // rkvFaultCluster builds the 3-replica RKV deployment the RKV fault
 // experiments share.
-func rkvFaultCluster(seed uint64, onNIC bool, sched fault.Schedule, failover deploy.FailoverPolicy) (*core.Cluster, *deploy.RKV) {
-	cl := core.NewCluster(seed)
+func rkvFaultCluster(opts Options, onNIC bool, sched fault.Schedule, failover deploy.FailoverPolicy) (*core.Cluster, *deploy.RKV) {
+	cl := opts.cluster()
 	var nodes []*core.Node
 	for i := 0; i < 3; i++ {
 		nodes = append(nodes, cl.AddNode(core.Config{
@@ -214,7 +214,7 @@ func faultsAvailability(opts Options) *Result {
 	}
 	modes := []bool{true, false} // NIC placement, host placement
 	outs := sweepMap(opts, len(modes), func(mi int) outcome {
-		cl, d := rkvFaultCluster(opts.seed(), modes[mi], sched(), deploy.FailoverPolicy{})
+		cl, d := rkvFaultCluster(opts, modes[mi], sched(), deploy.FailoverPolicy{})
 		p := newRKVProbe(cl, d, faultRetry(), 10)
 		n := int(window / every)
 		for i := 0; i < n; i++ {
@@ -268,7 +268,7 @@ func faultsRecovery(opts Options) *Result {
 	}
 	outs := sweepMap(opts, len(detects), func(di int) outcome {
 		sched := fault.Schedule{Faults: []fault.Fault{fault.Crash("kv0", crashAt, crashDur)}}
-		cl, d := rkvFaultCluster(opts.seed(), true, sched, deploy.FailoverPolicy{Detect: detects[di]})
+		cl, d := rkvFaultCluster(opts, true, sched, deploy.FailoverPolicy{Detect: detects[di]})
 		p := newRKVProbe(cl, d, faultRetry(), 10)
 		o := outcome{}
 		issuedAt := map[uint64]sim.Time{}
@@ -354,7 +354,7 @@ func faultsPartition(opts Options) *Result {
 			// so writes stall until the partition heals.
 			fault.Cut(cutAt, healAt-cutAt, "kv0"),
 		}}
-		cl, d := rkvFaultCluster(opts.seed(), true, sched, deploy.FailoverPolicy{Disabled: true})
+		cl, d := rkvFaultCluster(opts, true, sched, deploy.FailoverPolicy{Disabled: true})
 		p := newRKVProbe(cl, d, faultRetry(), 10)
 		o := outcome{}
 		phaseOf := func(t sim.Time) int {
@@ -421,7 +421,7 @@ func faultsDT(opts Options) *Result {
 		checkpoints                             uint64
 	}
 	outs := sweepMap(opts, 1, func(int) outcome {
-		cl := core.NewCluster(opts.seed())
+		cl := opts.cluster()
 		mk := func(name string) *core.Node {
 			return cl.AddNode(core.Config{Name: name, NIC: spec.LiquidIOII_CN2350(), LinkGbps: 10})
 		}

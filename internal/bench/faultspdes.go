@@ -49,10 +49,9 @@ func pdesMeshSize(opts Options) (nodes, parts int, window sim.Time) {
 // and QoS experiment runs on (mesh.Build: echo actor 1+i on node i, one
 // client per node on the node's partition), with a 1µs service cost.
 func pdesMesh(opts Options, nodes, parts int, migratable bool) (*core.Cluster, []*core.Node, []*workload.Client) {
-	return mesh.Build(mesh.Config{
-		Nodes: nodes, Partitions: parts, Workers: opts.PDESWorkers,
-		Seed: opts.seed(), ServiceNs: 1000, Migratable: migratable,
-	})
+	cfg := opts.meshConfig(nodes, parts)
+	cfg.ServiceNs, cfg.Migratable = 1000, migratable
+	return mesh.Build(cfg)
 }
 
 // pdesFaultSchedule covers every arm class, scaled to the run window:

@@ -32,7 +32,7 @@ func fig18(opts Options) *Result {
 	if opts.Quick {
 		warm = 2 * sim.Millisecond
 	}
-	cl := core.NewCluster(opts.seed())
+	cl := opts.cluster()
 	n := cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	peer := cl.AddNode(core.Config{Name: "peer", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 
@@ -214,7 +214,7 @@ func floem(opts Options) *Result {
 	g := grid{outer: len(sizes), inner: len(modes)}
 	runs := sweepMap(opts, g.size(), func(i int) appRun {
 		si, mi := g.split(i)
-		return runRTAVariant(opts.seed(), modes[mi], sizes[si], window)
+		return runRTAVariant(opts, modes[mi], sizes[si], window)
 	})
 	var per512 map[string]float64 = map[string]float64{}
 	var per64 map[string]float64 = map[string]float64{}
@@ -238,8 +238,8 @@ func floem(opts Options) *Result {
 }
 
 // runRTAVariant deploys RTA under a given runtime flavour on one node.
-func runRTAVariant(seed uint64, mode string, size int, window sim.Time) appRun {
-	cl := core.NewCluster(seed)
+func runRTAVariant(opts Options, mode string, size int, window sim.Time) appRun {
+	cl := opts.cluster()
 	nicModel := spec.LiquidIOII_CN2350()
 	var cfg core.Config
 	switch mode {
@@ -310,9 +310,9 @@ func nfExp(opts Options) *Result {
 	nics := []*spec.NICModel{spec.LiquidIOII_CN2350(), spec.LiquidIOII_CN2360()}
 	vals := sweepMap(opts, len(fwLoads)+len(nics), func(i int) float64 {
 		if i < len(fwLoads) {
-			return runFirewall(opts.seed(), fwLoads[i], window).P50
+			return runFirewall(opts, fwLoads[i], window).P50
 		}
-		return runIPSec(opts.seed(), nics[i-len(fwLoads)], window)
+		return runIPSec(opts, nics[i-len(fwLoads)], window)
 	})
 	r.Add("Firewall", "8K rules, 1KB, 10GbE", "p50 low-load (us)", vals[0])
 	r.Add("Firewall", "8K rules, 1KB, 10GbE", "p50 high-load (us)", vals[1])

@@ -17,8 +17,8 @@ func floemCfg(nic *spec.NICModel) core.Config {
 
 // runFirewall deploys the 8K-rule TCAM firewall on the NIC and drives
 // 1KB packets at the given fraction of line rate.
-func runFirewall(seed uint64, load float64, window sim.Time) appRun {
-	cl := core.NewCluster(seed)
+func runFirewall(opts Options, load float64, window sim.Time) appRun {
+	cl := opts.cluster()
 	nic := spec.LiquidIOII_CN2350()
 	n := cl.AddNode(core.Config{Name: "fw", NIC: nic, DisableMigration: true})
 	tcam := nf.NewTCAM(nf.UniformRules(8192))
@@ -28,7 +28,7 @@ func runFirewall(seed uint64, load float64, window sim.Time) appRun {
 		panic(err)
 	}
 	client := workload.NewClient(cl, "cli", nic.LinkGbps)
-	rnd := sim.NewRand(seed * 3)
+	rnd := sim.NewRand(opts.seed() * 3)
 	rate := spec.LineRatePPS(nic.LinkGbps, 1024) * load
 	client.OpenLoop(rate, window, func(i uint64) workload.Request {
 		t := nf.FiveTuple{
@@ -48,8 +48,8 @@ func runFirewall(seed uint64, load float64, window sim.Time) appRun {
 
 // runIPSec deploys the IPSec gateway on a LiquidIO card and measures
 // achieved goodput for 1KB packets at line-rate offered load.
-func runIPSec(seed uint64, nic *spec.NICModel, window sim.Time) float64 {
-	cl := core.NewCluster(seed)
+func runIPSec(opts Options, nic *spec.NICModel, window sim.Time) float64 {
+	cl := opts.cluster()
 	n := cl.AddNode(core.Config{Name: "gw", NIC: nic, DisableMigration: true})
 	var gws []actor.ID
 	// One gateway actor per two NIC cores: the crypto engines serialize,

@@ -2,46 +2,29 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// observedRun executes an experiment serially with a default observer
-// installed (the -trace/-metrics path of ipipe-bench) and returns the
-// result plus the rendered trace and metrics bytes.
+// observedRun executes an experiment serially under an Observer (the
+// -trace/-metrics path of ipipe-bench) and returns the result plus the
+// rendered trace and metrics bytes.
 func observedRun(t *testing.T, id string) (*Result, []byte, []byte) {
 	t.Helper()
-	tracer := obs.NewTracer()
-	var collectors []*obs.Collector
-	run := 0
-	core.SetDefaultObserver(func(c *core.Cluster) {
-		prefix := fmt.Sprintf("r%02d/", run)
-		run++
-		c.EnableTracingPrefixed(tracer, prefix)
-		col := obs.NewCollector(c.Eng, 100*sim.Microsecond)
-		collectors = append(collectors, col)
-		c.EnableMetricsPrefixed(col, prefix)
-		col.Start()
-	})
-	defer core.SetDefaultObserver(nil)
-	r, err := Run(id, Options{Quick: true, Parallel: 1})
+	ob := &Observer{Tracer: obs.NewTracer(), Metrics: true, Interval: 100 * sim.Microsecond}
+	r, err := Run(id, Options{Quick: true, Parallel: 1, Observe: ob.Attach})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var trace, metrics bytes.Buffer
-	if err := tracer.WriteChromeTrace(&trace); err != nil {
+	if err := ob.Tracer.WriteChromeTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range collectors {
-		col.Snapshot()
-		if err := col.WriteNDJSON(&metrics); err != nil {
-			t.Fatal(err)
-		}
+	if err := ob.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
 	}
 	return r, trace.Bytes(), metrics.Bytes()
 }

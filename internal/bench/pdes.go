@@ -53,13 +53,9 @@ func runScaleNodes(opts Options) *Result {
 	r := &Result{Header: []string{"nodes", "partitions", "ops", "tput_kops", "p50_us", "p99_us", "events", "crossed", "rounds"}}
 	sizes := scaleNodeSizes(opts)
 	runs := sweepMap(opts, len(sizes), func(i int) mesh.Stats {
-		return mesh.Run(mesh.Config{
-			Nodes:      sizes[i],
-			Partitions: scaleParts(opts, sizes[i]),
-			Workers:    opts.PDESWorkers,
-			Seed:       opts.seed(),
-			Window:     scaleWindow(opts),
-		})
+		cfg := opts.meshConfig(sizes[i], scaleParts(opts, sizes[i]))
+		cfg.Window = scaleWindow(opts)
+		return mesh.Run(cfg)
 	})
 	for _, s := range runs {
 		r.Add(s.Nodes, s.Partitions, s.Ops, s.TputKops, s.P50us, s.P99us, s.Events, s.Crossed, s.Rounds)

@@ -78,8 +78,8 @@ const qosTelemetryBase = 900
 // qosRKVCluster builds the 4-node, 4-shard RKV deployment the storm and
 // skew experiments share. Each node also carries a cheap NIC-side
 // telemetry sink actor — monitoring streams are not KV requests.
-func qosRKVCluster(seed uint64, sched fault.Schedule, t *qos.Tenancy) (*core.Cluster, *deploy.RKV) {
-	cl := core.NewCluster(seed)
+func qosRKVCluster(opts Options, sched fault.Schedule, t *qos.Tenancy) (*core.Cluster, *deploy.RKV) {
+	cl := opts.cluster()
 	var nodes []*core.Node
 	for i := 0; i < 4; i++ {
 		n := cl.AddNode(core.Config{
@@ -161,7 +161,7 @@ func qosStormRun(opts Options) qosStormOutcome {
 			fault.Overload("kv1", at(0.45), odur, 16),
 			fault.Overload("kv2", at(0.45), odur, 16),
 		}}
-		cl, d := qosRKVCluster(opts.seed(), sched, &qos.Tenancy{
+		cl, d := qosRKVCluster(opts, sched, &qos.Tenancy{
 			Tenants: []qos.Tenant{
 				{Name: "prod", RatePerSec: 150_000, SLOp99Us: sloUs},
 				{Name: "batch", RatePerSec: 60_000},
@@ -339,7 +339,7 @@ func qosSkewRun(opts Options) qosSkewOutcome {
 	const sloUs = 120.0
 
 	outs := sweepMap(opts, 1, func(int) qosSkewOutcome {
-		cl, d := qosRKVCluster(opts.seed(), fault.Schedule{}, &qos.Tenancy{
+		cl, d := qosRKVCluster(opts, fault.Schedule{}, &qos.Tenancy{
 			Tenants: []qos.Tenant{
 				{Name: "prod", RatePerSec: 500_000, SLOp99Us: sloUs},
 			},

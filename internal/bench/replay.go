@@ -135,7 +135,7 @@ type checked struct {
 func checkedRun(id, tag string, opts Options) (checked, error) {
 	var mu sync.Mutex
 	var byCluster [][]*invariant.Checker
-	core.SetDefaultObserver(func(c *core.Cluster) {
+	opts.Observe = func(c *core.Cluster) {
 		// Grouping the per-partition checkers per cluster lets the
 		// post-run cross-partition reconciliation below sum one cluster's
 		// ledgers without mixing clusters from a sweep.
@@ -143,10 +143,8 @@ func checkedRun(id, tag string, opts Options) (checked, error) {
 		mu.Lock()
 		byCluster = append(byCluster, cchks)
 		mu.Unlock()
-	})
-	_, err := Run(id, opts)
-	core.SetDefaultObserver(nil)
-	if err != nil {
+	}
+	if _, err := Run(id, opts); err != nil {
 		return checked{}, err
 	}
 	var out checked
@@ -179,9 +177,8 @@ func checkedRun(id, tag string, opts Options) (checked, error) {
 // goroutines, default 4) and, for runs that built a multi-partition
 // cluster, parallel window execution at 2 and at 4 workers. Experiments
 // that build no clusters (the raw device characterizations) contribute
-// empty — trivially equal — fingerprints. GoldenReplay installs the
-// process-wide cluster observer hook, so it must not run concurrently
-// with other harness users.
+// empty — trivially equal — fingerprints. The replay owns the runs'
+// Options.Observe; whatever opts carries there is replaced.
 func GoldenReplay(ids []string, opts Options, sweepWorkers int) (*ReplayReport, error) {
 	return goldenReplay(ids, opts, replayAxes(sweepWorkers))
 }

@@ -13,14 +13,15 @@ var update = flag.Bool("update", false, "rewrite testdata/replay_golden.txt from
 
 const goldenPath = "testdata/replay_golden.txt"
 
-// checkGolden compares the replay's (id, seed) fingerprint digests with
-// the committed ones — the cross-commit oracle: the in-run comparison
-// proves serial ≡ parallel, this proves today ≡ the commit that wrote
-// the file. Keys carry the partition override because it shapes the
-// clusters an experiment builds. `go test ./internal/bench -run
-// GoldenReplay -update` rewrites the entries the run produced, after an
-// intentional behavior change.
-func checkGolden(t *testing.T, rep *ReplayReport, opts Options) {
+// checkGolden compares "id seed=N sha256" digests — the replay's
+// fingerprints, the observed-run report's "obs:id" entries — with the
+// committed ones: the cross-commit oracle. The in-run comparison proves
+// serial ≡ parallel, this proves today ≡ the commit that wrote the file.
+// Keys carry the partition override because it shapes the clusters an
+// experiment builds. `go test ./internal/bench -run 'GoldenReplay|ObsReport'
+// -update` rewrites the entries the run produced, after an intentional
+// behavior change. detail, if any, is printed under a mismatch.
+func checkGolden(t *testing.T, digests []string, opts Options, detail string) {
 	t.Helper()
 	golden := map[string]string{}
 	data, err := os.ReadFile(goldenPath)
@@ -32,7 +33,7 @@ func checkGolden(t *testing.T, rep *ReplayReport, opts Options) {
 			golden[line[:i]] = line[i+1:]
 		}
 	}
-	for _, d := range rep.Digests {
+	for _, d := range digests {
 		f := strings.Fields(d) // id, seed=N, sha256
 		key, sum := fmt.Sprintf("%s pdes=%d %s", f[0], opts.PDESParts, f[1]), f[2]
 		switch want, ok := golden[key]; {
@@ -41,7 +42,7 @@ func checkGolden(t *testing.T, rep *ReplayReport, opts Options) {
 		case !ok:
 			t.Errorf("%s: no golden digest (regenerate with -update)", key)
 		case want != sum:
-			t.Errorf("%s: fingerprint digest %s, golden %s", key, sum, want)
+			t.Errorf("%s: digest %s, golden %s\n%s", key, sum, want, detail)
 		}
 	}
 	if !*update {
@@ -79,7 +80,7 @@ func replaySubset(t *testing.T, ids []string, opts Options, axes []axis) *Replay
 		rep.Fprint(&buf)
 		t.Fatal(buf.String())
 	}
-	checkGolden(t, rep, opts)
+	checkGolden(t, rep.Digests, opts, "")
 	return rep
 }
 

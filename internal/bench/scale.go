@@ -54,9 +54,9 @@ const (
 // batch > 1 coalesces same-leader requests into message trains within a
 // 2µs window. onNIC offloads to CN2350 cards; false runs the host DPDK
 // baseline, where trains amortize the per-packet receive cost.
-func runScale(seed uint64, shards, batch, depth int, theta float64, window sim.Time, onNIC bool) scaleRun {
+func runScale(opts Options, shards, batch, depth int, theta float64, window sim.Time, onNIC bool) scaleRun {
 	const nNodes = 8
-	cl := core.NewCluster(seed)
+	cl := opts.cluster()
 	var nodes []*core.Node
 	for i := 0; i < nNodes; i++ {
 		cfg := core.Config{Name: fmt.Sprintf("s%d", i), LinkGbps: 10}
@@ -188,7 +188,7 @@ func scaleShards(opts Options) *Result {
 	g := grid{outer: len(thetas), inner: len(shardCounts)}
 	runs := sweepMap(opts, g.size(), func(i int) scaleRun {
 		ti, si := g.split(i)
-		return runScale(opts.seed(), shardCounts[si], 1, depth, thetas[ti], window, true)
+		return runScale(opts, shardCounts[si], 1, depth, thetas[ti], window, true)
 	})
 	for ti, theta := range thetas {
 		base := runs[ti*len(shardCounts)].Tput // shardCounts[0] == 1
@@ -228,7 +228,7 @@ func scaleBatch(opts Options) *Result {
 	g := grid{outer: len(paths), inner: len(batches)}
 	runs := sweepMap(opts, g.size(), func(i int) scaleRun {
 		pi, bi := g.split(i)
-		return runScale(opts.seed(), shards, batches[bi], depth, 0.99, window, paths[pi].onNIC)
+		return runScale(opts, shards, batches[bi], depth, 0.99, window, paths[pi].onNIC)
 	})
 	for pi, path := range paths {
 		base := runs[pi*len(batches)]

@@ -57,15 +57,15 @@ func fig16(opts Options) *Result {
 	const actors = 6
 	const heavyShare = 150 // heavy actor receives 1/heavyShare of traffic
 	const heavyScale = 40  // heavy cost ≈ heavyScale × b2 (≈40% utilization share)
-	run := func(nc nicCase, highDisp bool, cfg sched.Config, load float64, seed uint64) float64 {
-		cl := core.NewCluster(seed)
+	run := func(nc nicCase, highDisp bool, cfg sched.Config, load float64) float64 {
+		cl := opts.cluster()
 		n := cl.AddNode(core.Config{
 			Name: "srv", NIC: nc.model,
 			DisableMigration: true, // isolate the NIC-side discipline
 			WatchdogTimeout:  -1,   // heavy handlers are legitimate here
 			SchedOverride:    &cfg,
 		})
-		rnd := sim.NewRand(seed * 7)
+		rnd := sim.NewRand(opts.seed() * 7)
 		var meanService float64
 		for i := 0; i < actors; i++ {
 			var dist workload.ServiceDist
@@ -144,7 +144,7 @@ func fig16(opts Options) *Result {
 		default:
 			cfg = baseline.Hybrid(p.nc.model)
 		}
-		return run(p.nc, p.highDisp, cfg, p.load, opts.seed())
+		return run(p.nc, p.highDisp, cfg, p.load)
 	})
 	for i := 0; i < len(pts); i += 3 {
 		p := pts[i]

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"repro/internal/actor"
 	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/sim"
@@ -35,7 +34,7 @@ func table3Live(opts Options) *Result {
 	rows := sweepMap(opts, len(builders), func(bi int) []any {
 		w := builders[bi]()
 		prof, _ := spec.WorkloadByName(w.Name())
-		cl := core.NewCluster(opts.seed())
+		cl := opts.cluster()
 		n := cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 		a := microbench.Actor(1, w)
 		if err := n.Register(a, true, 0); err != nil {
@@ -58,7 +57,6 @@ func table3Live(opts Options) *Result {
 		measured := a.ServiceStats.Mean()
 		want := prof.ExecLat1KB.Micros()
 		delta := (measured - want) / want * 100
-		_ = actor.Stable
 		return []any{w.Name(), want, measured, delta}
 	})
 	for _, row := range rows {

@@ -108,17 +108,13 @@ func NewCluster(seed uint64) *Cluster { return NewPartitionedCluster(seed, 1) }
 // worker count and observation never perturbs results.
 func NewPartitionedCluster(seed uint64, parts int) *Cluster {
 	g := sim.NewGroup(seed, parts)
-	c := &Cluster{
+	return &Cluster{
 		Eng:   g.Engine(0),
 		Group: g,
 		Net:   netsim.NewPartitioned(g),
 		Table: actor.NewTable(),
 		nodes: map[string]*Node{},
 	}
-	if defaultObserver != nil {
-		defaultObserver(c)
-	}
-	return c
 }
 
 // Partitions returns the number of engine partitions (1 on classic

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Migration and the window boundary (DESIGN.md §13): the 4-phase
+// Migration and the window boundary (DESIGN.md §9): the 4-phase
 // protocol splits into node-local phases — drain, in-flight execution,
 // the DMO move — that run on the owning partition's engine, and one
 // cluster-visible *commit* — the actor-table rewrite, the host/NIC

@@ -37,16 +37,6 @@ type nodeObs struct {
 	schedTrack obs.TrackID
 }
 
-// defaultObserver, when set, is applied to every cluster at creation —
-// the hook the experiment harness uses to observe clusters it builds
-// internally.
-var defaultObserver func(*Cluster)
-
-// SetDefaultObserver installs (or, with nil, clears) a function applied
-// to every Cluster created by NewCluster. It must be set before the
-// clusters of interest are built and cleared afterwards.
-func SetDefaultObserver(fn func(*Cluster)) { defaultObserver = fn }
-
 // EnableTracing attaches a tracer to the cluster: every current and
 // future node gets a trace group with lanes for its NIC cores, host
 // cores, scheduler decisions, device units, and link directions. Call at

@@ -46,7 +46,7 @@ type Common struct {
 	Failover FailoverPolicy
 	// Faults is an optional failure schedule installed at deploy time.
 	// Schedules install on classic and partitioned (PDES) clusters
-	// alike; cluster-wide arms run at window boundaries (DESIGN.md §12).
+	// alike; cluster-wide arms run at window boundaries (DESIGN.md §9).
 	Faults fault.Schedule
 	// Tenancy enables multi-tenant QoS: priority lanes on the app's
 	// nodes, token-bucket admission on bound clients, and optionally the

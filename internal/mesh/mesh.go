@@ -12,11 +12,9 @@
 // Results are deterministic for a fixed (seed, nodes, partitions)
 // triple regardless of worker count.
 //
-// Observability: pass the observer to the builder — Build returns the
-// cluster before anything has run, so enable the tracer, the collector
-// or the checkers on the cluster it hands back (benchmark/ gives its own
-// mesh builder an observe function for the same purpose) instead of
-// installing a process-wide default. The partitioned cluster shards the
+// Observability: set Config.Observe; it sees the cluster right after
+// construction, before any node exists, and attaches the tracer, the
+// collector or the checkers there. The partitioned cluster shards the
 // tracer per partition and samples metrics at window boundaries, so
 // enabling observability changes neither the results nor their
 // worker-count independence (the exported artifacts are themselves
@@ -61,6 +59,9 @@ type Config struct {
 	Window sim.Time
 	// Check attaches per-partition invariant checkers.
 	Check bool
+	// Observe, when set, is applied to the cluster right after it is
+	// constructed, before any node is added.
+	Observe func(*core.Cluster)
 	// Migratable leaves the actors unpinned with the §3.2.5 migration
 	// hooks wired, and gives each a 256KB DMO object so the phase-3
 	// object move has real bytes to charge. Default: NIC-pinned actors,
@@ -132,6 +133,9 @@ func (cfg *Config) defaults() {
 func Build(cfg Config) (*core.Cluster, []*core.Node, []*workload.Client) {
 	cfg.defaults()
 	cl := core.NewPartitionedCluster(cfg.Seed, cfg.Partitions)
+	if cfg.Observe != nil {
+		cfg.Observe(cl)
+	}
 	cl.SetPDESWorkers(cfg.Workers)
 	if cfg.Check {
 		cl.AttachCheckers()
