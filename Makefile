@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-compare race alloc-budget vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
+.PHONY: build test check bench bench-compare race alloc-budget fuzz-smoke vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,15 @@ race:
 # mesh, DT and RKV run — counted with testing.AllocsPerRun /
 # MemStats.Mallocs, no wall clock.
 alloc-budget:
-	$(GO) test -count=1 -run 'Alloc(Budget|Free)' ./internal/... .
+	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)' ./internal/... .
+
+# fuzz-smoke: five seconds of each native fuzz target on top of its
+# committed seed corpus (testdata/fuzz) — the RKV command decoder, and
+# the DMO page table against a map model. A failing input is written
+# under the package's testdata/fuzz: commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCmd$$' -fuzztime 5s ./internal/apps/rkv
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 5s ./internal/dmo
 
 # trace-smoke: run a traced simulation and validate the emitted Chrome
 # trace (well-formed trace_event JSON, named lanes, monotonic per-track
@@ -95,9 +103,9 @@ obs-smoke:
 	@echo "obs-smoke: ok"
 
 # check: the CI step — formatting, static analysis, the race suite, the
-# allocation budgets, and the observability, invariant and replay smoke
-# tests.
-check: fmt-check vet race alloc-budget trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
+# allocation budgets, the fuzz targets, and the observability, invariant
+# and replay smoke tests.
+check: fmt-check vet race alloc-budget fuzz-smoke trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
 
 # bench: the repository's one performance benchmark (benchmark/README.md)
 # — the full ledger at seed 1, ~85s. Judge a change with two ledgers:

@@ -71,7 +71,8 @@ func StatusOf(p []byte) Status {
 	return Status(p[0])
 }
 
-// Cmd is one key-value command.
+// Cmd is one key-value command. A Cmd that DecodeCmd returned borrows
+// its Key and Value from the decoded buffer.
 type Cmd struct {
 	Op    byte
 	Key   []byte
@@ -90,7 +91,11 @@ func EncodeCmd(c Cmd) []byte {
 	return out
 }
 
-// DecodeCmd parses a command; ok is false on malformed input.
+// DecodeCmd parses a command; ok is false on malformed input. Key and
+// Value are views into p, not copies — a borrow like ObjRead's: they are
+// good for as long as p is (a handler decoding m.Data: until it returns),
+// their capacity ends where they do, and a caller that keeps either
+// copies it. An empty field decodes as nil.
 func DecodeCmd(p []byte) (Cmd, bool) {
 	if len(p) < 4 {
 		return Cmd{}, false
@@ -101,35 +106,44 @@ func DecodeCmd(p []byte) (Cmd, bool) {
 	if len(p) < kl+2 {
 		return Cmd{}, false
 	}
-	c.Key = append([]byte(nil), p[:kl]...)
+	if kl > 0 {
+		c.Key = p[:kl:kl]
+	}
 	p = p[kl:]
 	vl := int(binary.LittleEndian.Uint16(p))
 	p = p[2:]
 	if len(p) < vl {
 		return Cmd{}, false
 	}
-	c.Value = append([]byte(nil), p[:vl]...)
+	if vl > 0 {
+		c.Value = p[:vl:vl]
+	}
 	return c, true
 }
 
 // EncodeEntries / DecodeEntries serialize Memtable drains for the
 // minor-compaction message.
 func EncodeEntries(es []Entry) []byte {
-	var b bytes.Buffer
+	n := 0
 	for _, e := range es {
-		b.WriteByte(byte(len(e.Key)))
-		b.Write(e.Key)
+		n += 1 + len(e.Key) + 1
+		if !e.Tombstone {
+			n += 4 + len(e.Value)
+		}
+	}
+	out := make([]byte, 0, n)
+	for _, e := range es {
+		out = append(out, byte(len(e.Key)))
+		out = append(out, e.Key...)
 		if e.Tombstone {
-			b.WriteByte(1)
+			out = append(out, 1)
 			continue
 		}
-		b.WriteByte(0)
-		var vl [4]byte
-		binary.LittleEndian.PutUint32(vl[:], uint32(len(e.Value)))
-		b.Write(vl[:])
-		b.Write(e.Value)
+		out = append(out, 0)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Value)))
+		out = append(out, e.Value...)
 	}
-	return b.Bytes()
+	return out
 }
 
 // DecodeEntries parses a minor-compaction payload.
@@ -315,7 +329,8 @@ func mergeRuns(runs []Run, bottom bool) Run {
 
 // Lookup searches the levels newest-first.
 func (s *SSTStore) Lookup(key []byte) ([]byte, bool) {
-	k := padKey(key)
+	var kbuf [KeyLen]byte
+	k := padKey(&kbuf, key)
 	for _, runs := range s.Levels {
 		for _, r := range runs {
 			i := sort.Search(len(r), func(i int) bool {
@@ -357,6 +372,9 @@ type Memtable struct {
 	Compactions uint64
 	// Hits/Misses count read outcomes served from the Memtable.
 	Hits, Misses uint64
+	// PutErrors counts committed writes the skip list refused (the
+	// actor's DMO region was exhausted): the write is lost here.
+	PutErrors uint64
 }
 
 // NewMemtable builds the Memtable actor. limitBytes triggers minor
@@ -383,7 +401,9 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			if cmd.Op == OpPut {
 				val = cmd.Value
 			} // OpDel: nil value = tombstone
-			mt.list.Put(ctx, cmd.Key, val)
+			if err := mt.list.Put(ctx, cmd.Key, val); err != nil {
+				mt.PutErrors++
+			}
 			cost := mt.list.visitCost()
 			if mt.list.Bytes() >= mt.limit {
 				cost += mt.minorCompact(ctx)

@@ -10,11 +10,11 @@ import (
 )
 
 func e(k, v string) Entry {
-	return Entry{Key: padKey([]byte(k)), Value: []byte(v)}
+	return Entry{Key: padded([]byte(k)), Value: []byte(v)}
 }
 
 func tomb(k string) Entry {
-	return Entry{Key: padKey([]byte(k)), Tombstone: true}
+	return Entry{Key: padded([]byte(k)), Tombstone: true}
 }
 
 func TestSSTStoreLookupNewestWins(t *testing.T) {
@@ -66,7 +66,7 @@ func TestSSTStoreByteLimitCascade(t *testing.T) {
 	s := NewSSTStore(256) // tiny level-1 limit
 	big := make([]byte, 200)
 	for i := 0; i < 12; i++ {
-		s.AddL0([]Entry{{Key: padKey([]byte(fmt.Sprintf("b%02d", i))), Value: big}})
+		s.AddL0([]Entry{{Key: padded([]byte(fmt.Sprintf("b%02d", i))), Value: big}})
 	}
 	if len(s.Levels) < 3 {
 		t.Fatalf("cascade depth %d; byte limits never pushed to level 2", len(s.Levels))
@@ -110,7 +110,7 @@ func TestNormalizeRunDedupsKeepingNewest(t *testing.T) {
 		t.Fatalf("len = %d", len(run))
 	}
 	for _, en := range run {
-		if bytes.Equal(en.Key, padKey([]byte("k"))) && string(en.Value) != "v2" {
+		if bytes.Equal(en.Key, padded([]byte("k"))) && string(en.Value) != "v2" {
 			t.Fatalf("dedup kept %q, want newest v2", en.Value)
 		}
 	}
@@ -153,7 +153,7 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 				delete(ref, k)
 			} else {
 				v := []byte(fmt.Sprintf("v%d", i))
-				batch = append(batch, Entry{Key: padKey([]byte(k)), Value: v})
+				batch = append(batch, Entry{Key: padded([]byte(k)), Value: v})
 				ref[k] = v
 			}
 			if op%3 == 0 {
@@ -221,3 +221,6 @@ func msgWith(kind actor.Kind, data []byte, reply func([]byte)) actor.Msg {
 	}
 	return m
 }
+
+// padded is padKey into a fresh array, for keys the tests keep.
+func padded(k []byte) []byte { return padKey(new([KeyLen]byte), k) }

@@ -46,6 +46,11 @@ type SkipList struct {
 	// Visits counts node hops of the last operation (drives the cost
 	// model: each hop is an object-table lookup plus a cache miss).
 	Visits int
+
+	// scratch is where a node header, value reference or forward link is
+	// encoded on its way into ObjWrite, which copies it: a stack array
+	// would escape through the actor.Ctx interface on every call.
+	scratch [nodeHdr]byte
 }
 
 // NewSkipList allocates the head sentinel through the context.
@@ -56,9 +61,8 @@ func NewSkipList(ctx actor.Ctx) (*SkipList, error) {
 		return nil, err
 	}
 	s.head = head
-	var hdr [nodeHdr]byte
-	hdr[KeyLen+12] = MaxLevel
-	if err := ctx.ObjWrite(head, 0, hdr[:]); err != nil {
+	s.scratch[KeyLen+12] = MaxLevel
+	if err := ctx.ObjWrite(head, 0, s.scratch[:]); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -103,10 +107,10 @@ func (s *SkipList) nodeVal(ctx actor.Ctx, obj uint64) (uint64, int, error) {
 }
 
 func (s *SkipList) setVal(ctx actor.Ctx, obj, val uint64, n int) error {
-	var b [12]byte
-	binary.LittleEndian.PutUint64(b[:], val)
+	b := s.scratch[:12]
+	binary.LittleEndian.PutUint64(b, val)
 	binary.LittleEndian.PutUint32(b[8:], uint32(n))
-	return ctx.ObjWrite(obj, KeyLen, b[:])
+	return ctx.ObjWrite(obj, KeyLen, b)
 }
 
 // forward reads node.forward[i].
@@ -119,15 +123,16 @@ func (s *SkipList) forward(ctx actor.Ctx, obj uint64, i int) (uint64, error) {
 }
 
 func (s *SkipList) setForward(ctx actor.Ctx, obj uint64, i int, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return ctx.ObjWrite(obj, nodeHdr+8*i, b[:])
+	b := s.scratch[:8]
+	binary.LittleEndian.PutUint64(b, v)
+	return ctx.ObjWrite(obj, nodeHdr+8*i, b)
 }
 
-func padKey(k []byte) []byte {
-	var out [KeyLen]byte
-	copy(out[:], k)
-	return out[:]
+// padKey zero-pads (or truncates) k to KeyLen in the caller's array.
+func padKey(dst *[KeyLen]byte, k []byte) []byte {
+	*dst = [KeyLen]byte{}
+	copy(dst[:], k)
+	return dst[:]
 }
 
 // findPredecessors walks the list, filling update[] with the last node
@@ -162,7 +167,8 @@ func (s *SkipList) findPredecessors(ctx actor.Ctx, k []byte, update *[MaxLevel]u
 // (deletions are insertions with a deletion marker, §4).
 func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
 	s.Visits = 0
-	k := padKey(key)
+	var kbuf [KeyLen]byte
+	k := padKey(&kbuf, key)
 	var update [MaxLevel]uint64
 	cand, err := s.findPredecessors(ctx, k, &update)
 	if err != nil {
@@ -185,6 +191,9 @@ func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
 			}
 			vo, n, err := s.allocValue(ctx, value)
 			if err != nil {
+				// The node must not keep the ID just freed: the key reads
+				// as deleted until it is next put.
+				s.setVal(ctx, cand, 0, 0)
 				return err
 			}
 			s.bytes += n
@@ -204,9 +213,10 @@ func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
 	}
 	vo, vn, err := s.allocValue(ctx, value)
 	if err != nil {
+		ctx.Free(node) // not linked yet
 		return err
 	}
-	hdr := make([]byte, nodeHdr)
+	hdr := s.scratch[:]
 	copy(hdr, k)
 	binary.LittleEndian.PutUint64(hdr[KeyLen:], vo)
 	binary.LittleEndian.PutUint32(hdr[KeyLen+8:], uint32(vn))
@@ -250,7 +260,8 @@ func (s *SkipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) 
 // Get returns (value, found, tombstone).
 func (s *SkipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 	s.Visits = 0
-	k := padKey(key)
+	var kbuf [KeyLen]byte
+	k := padKey(&kbuf, key)
 	var update [MaxLevel]uint64
 	cand, err := s.findPredecessors(ctx, k, &update)
 	if err != nil {
@@ -290,7 +301,7 @@ type Entry struct {
 // object, and resets the list (minor compaction hands the contents to
 // the compaction actor).
 func (s *SkipList) Drain(ctx actor.Ctx) ([]Entry, error) {
-	var out []Entry
+	out := make([]Entry, 0, s.count)
 	x, err := s.forward(ctx, s.head, 0)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package rkv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -243,9 +245,9 @@ func TestCmdCodec(t *testing.T) {
 
 func TestEntriesCodec(t *testing.T) {
 	in := []Entry{
-		{Key: padKey([]byte("a")), Value: []byte("va")},
-		{Key: padKey([]byte("b")), Tombstone: true},
-		{Key: padKey([]byte("c")), Value: make([]byte, 300)},
+		{Key: padded([]byte("a")), Value: []byte("va")},
+		{Key: padded([]byte("b")), Tombstone: true},
+		{Key: padded([]byte("c")), Value: make([]byte, 300)},
 	}
 	out := DecodeEntries(EncodeEntries(in))
 	if len(out) != 3 {
@@ -277,7 +279,7 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	// The freed object's bytes are scribbled over first, as a reused
 	// region would be; a view would show it.
 	var update [MaxLevel]uint64
-	node, _ := s.findPredecessors(ctx, padKey([]byte("k")), &update)
+	node, _ := s.findPredecessors(ctx, padded([]byte("k")), &update)
 	vo, _, _ := s.nodeVal(ctx, node)
 	if err := ctx.ObjMemset(vo, 0, len("first"), 0xEE); err != nil {
 		t.Fatal(err)
@@ -313,7 +315,7 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
-	k := padKey([]byte("key-0250"))
+	k := padded([]byte("key-0250"))
 	var update [MaxLevel]uint64
 	visits := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -336,4 +338,286 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a %d-node walk allocates %v, want 0", visits, allocs)
 	}
+}
+
+// tightCtx is a list in a region with exactly room bytes left after the
+// head sentinel and whatever setup puts in.
+func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *SkipList)) (*dmoCtx, *SkipList) {
+	t.Helper()
+	ctx := newDmoCtx()
+	s, err := NewSkipList(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(ctx, s)
+	}
+	used, _ := ctx.st.RegionUse(ctx.id)
+	ctx.st.Register(ctx.id, used+room)
+	return ctx, s
+}
+
+// TestPutOverwriteAllocFailureLeavesNoDanglingValue: an overwrite frees
+// the old value before it allocates the new one. When that allocation
+// fails the node must not go on naming the object just freed: the key
+// reads as deleted, nothing else is lost, and the next Put repairs it.
+func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
+	ctx, s := tightCtx(t, 32, func(ctx *dmoCtx, s *SkipList) {
+		s.Put(ctx, []byte("k"), []byte("old-value"))
+		s.Put(ctx, []byte("other"), []byte("stays"))
+	})
+	before, _ := ctx.st.RegionUse(ctx.id)
+	objects, bytesBefore := ctx.st.Objects(), s.Bytes()
+
+	err := s.Put(ctx, []byte("k"), make([]byte, 64)) // 9 B freed + 32 B of room < 64 B
+	if err != dmo.ErrRegionExhausted {
+		t.Fatalf("Put = %v, want ErrRegionExhausted", err)
+	}
+	v, found, tomb, err := s.Get(ctx, []byte("k"))
+	if err != nil || !found || !tomb || v != nil {
+		t.Fatalf("Get after the failed overwrite = %q found=%v tomb=%v err=%v; want a tombstone and no error", v, found, tomb, err)
+	}
+	if used, _ := ctx.st.RegionUse(ctx.id); used != before-len("old-value") {
+		t.Fatalf("region use %d → %d, want the old value's %d bytes back and nothing else", before, used, len("old-value"))
+	}
+	if ctx.st.Objects() != objects-1 || s.Bytes() != bytesBefore-len("old-value") || s.Count() != 2 {
+		t.Fatalf("objects %d → %d, bytes %d → %d, count %d", objects, ctx.st.Objects(), bytesBefore, s.Bytes(), s.Count())
+	}
+	if v, found, _, _ := s.Get(ctx, []byte("other")); !found || string(v) != "stays" {
+		t.Fatalf("neighbouring key = %q, %v", v, found)
+	}
+	if err := s.Put(ctx, []byte("k"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, tomb, err := s.Get(ctx, []byte("k")); err != nil || !found || tomb || string(v) != "new" {
+		t.Fatalf("Get after the repair = %q found=%v tomb=%v err=%v", v, found, tomb, err)
+	}
+	entries, err := s.Drain(ctx)
+	if err != nil || len(entries) != 2 || ctx.st.Objects() != 1 {
+		t.Fatalf("Drain = %d entries, %v; %d objects left", len(entries), err, ctx.st.Objects())
+	}
+}
+
+// TestPutInsertAllocFailureFreesNode: an insert allocates the node, then
+// the value. When the value does not fit, the node — not linked yet —
+// goes back: the region and the table are as they were before the call.
+func TestPutInsertAllocFailureFreesNode(t *testing.T) {
+	ctx, s := tightCtx(t, nodeSize(MaxLevel)+8, func(ctx *dmoCtx, s *SkipList) {
+		s.Put(ctx, []byte("a"), []byte("va"))
+	})
+	before, _ := ctx.st.RegionUse(ctx.id)
+	objects := ctx.st.Objects()
+	for i := 0; i < 20; i++ { // whatever tower height the coin flips pick
+		key := []byte(fmt.Sprintf("new-%02d", i))
+		if err := s.Put(ctx, key, make([]byte, 200)); err != dmo.ErrRegionExhausted {
+			t.Fatalf("Put = %v, want ErrRegionExhausted", err)
+		}
+		if used, _ := ctx.st.RegionUse(ctx.id); used != before || ctx.st.Objects() != objects {
+			t.Fatalf("failed insert %d: region use %d → %d, objects %d → %d: the node leaked", i, before, used, objects, ctx.st.Objects())
+		}
+		if _, found, _, err := s.Get(ctx, key); found || err != nil {
+			t.Fatalf("failed insert is visible: found=%v err=%v", found, err)
+		}
+	}
+	if s.Count() != 1 || s.Bytes() != KeyLen+2 {
+		t.Fatalf("count %d, bytes %d after failed inserts", s.Count(), s.Bytes())
+	}
+	if err := s.Put(ctx, []byte("b"), []byte("fits")); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, _, _ := s.Get(ctx, []byte("b")); !found || string(v) != "fits" {
+		t.Fatalf("insert after the failures = %q, %v", v, found)
+	}
+}
+
+// TestMemtableCountsPutErrors: the memtable actor has no one to return
+// Put's error to (the write was acknowledged at commit); it counts it.
+func TestMemtableCountsPutErrors(t *testing.T) {
+	ctx := newDmoCtx()
+	mt := NewMemtable(1, 1<<20, 2, 3)
+	mt.Actor.OnInit(ctx)
+	used, _ := ctx.st.RegionUse(ctx.id)
+	ctx.st.Register(ctx.id, used+nodeSize(MaxLevel)+8)
+	apply := func(v []byte) {
+		mt.Actor.OnMessage(ctx, actor.Msg{Kind: KindApply, Data: EncodeCmd(Cmd{Op: OpPut, Key: []byte("k"), Value: v})})
+	}
+	apply([]byte("fits"))
+	if mt.PutErrors != 0 {
+		t.Fatalf("PutErrors = %d after a write that fits", mt.PutErrors)
+	}
+	apply(make([]byte, 500))
+	if mt.PutErrors != 1 {
+		t.Fatalf("PutErrors = %d after a write the region refused, want 1", mt.PutErrors)
+	}
+}
+
+// TestSkipListWritesAllocFree: the list's own code allocates nothing on
+// the write and read paths — a Put over an existing key allocates what
+// ctx.Alloc does (the new value's bytes: the store keeps no per-object
+// record) and a Get hit allocates the caller's copy of the value. Node
+// headers, value references, links and padded keys are encoded in the
+// list's scratch and on the stack.
+func TestSkipListWritesAllocFree(t *testing.T) {
+	ctx := newDmoCtx()
+	s, err := NewSkipList(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
+	}
+	key, val := []byte("key-0250"), make([]byte, 64)
+	var a actor.Ctx = ctx // the handler's view: every call through the interface
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Put(a, key, val); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("Put over an existing key allocates %v, want 1 (the value object's bytes)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Put(a, key, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a tombstone over an existing key allocates %v, want 0", allocs)
+	}
+	s.Put(a, key, val)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if v, found, _, err := s.Get(a, key); err != nil || !found || len(v) != len(val) {
+			t.Fatal("Get missed")
+		}
+	}); allocs != 1 {
+		t.Fatalf("a Get hit allocates %v, want 1 (the reply's copy of the value)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { s.Get(a, []byte("absent")) }); allocs != 0 {
+		t.Fatalf("a Get miss allocates %v, want 0", allocs)
+	}
+}
+
+// encodeEntriesRef is EncodeEntries as it was before it sized its buffer
+// up front: the byte-for-byte reference.
+func encodeEntriesRef(es []Entry) []byte {
+	var b bytes.Buffer
+	for _, e := range es {
+		b.WriteByte(byte(len(e.Key)))
+		b.Write(e.Key)
+		if e.Tombstone {
+			b.WriteByte(1)
+			continue
+		}
+		b.WriteByte(0)
+		var vl [4]byte
+		binary.LittleEndian.PutUint32(vl[:], uint32(len(e.Value)))
+		b.Write(vl[:])
+		b.Write(e.Value)
+	}
+	return b.Bytes()
+}
+
+// TestEncodeEntriesBytesUnchanged: sizing the buffer once changes how
+// often EncodeEntries allocates (once) and not one byte of what it
+// returns, for drained lists of any shape.
+func TestEncodeEntriesBytesUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		ctx := newDmoCtx()
+		s, _ := NewSkipList(ctx)
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			key := []byte(fmt.Sprintf("k%03d", rng.Intn(200)))
+			switch rng.Intn(4) {
+			case 0:
+				s.Put(ctx, key, nil)
+			case 1:
+				s.Put(ctx, key, []byte{})
+			default:
+				s.Put(ctx, key, make([]byte, rng.Intn(400)))
+			}
+		}
+		entries, err := s.Drain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := EncodeEntries(entries), encodeEntriesRef(entries)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: %d entries encode to %d bytes, the reference encoder's %d differ", round, len(entries), len(got), len(want))
+		}
+		if len(entries) > 0 && cap(got) != len(got) {
+			t.Fatalf("round %d: buffer of %d for %d bytes: not sized from the entries", round, cap(got), len(got))
+		}
+		if len(entries) > 0 && cap(entries) != len(entries) {
+			t.Fatalf("round %d: Drain returned %d entries in room for %d: not sized from the count", round, len(entries), cap(entries))
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		EncodeEntries([]Entry{{Key: []byte("a"), Value: make([]byte, 0, 1)}, {Key: []byte("b"), Tombstone: true}})
+	}); allocs != 1 {
+		t.Fatalf("EncodeEntries allocates %v times, want 1", allocs)
+	}
+}
+
+// TestDecodeCmdBorrows: DecodeCmd's Key and Value are views of the
+// buffer it was given — no copies — bounded so that appending to one
+// cannot run into the bytes after it; empty fields are nil.
+func TestDecodeCmdBorrows(t *testing.T) {
+	buf := EncodeCmd(Cmd{Op: OpPut, Key: []byte("key"), Value: []byte("value")})
+	c, ok := DecodeCmd(buf)
+	if !ok || string(c.Key) != "key" || string(c.Value) != "value" {
+		t.Fatalf("DecodeCmd = %+v, %v", c, ok)
+	}
+	if &c.Key[0] != &buf[2] || &c.Value[0] != &buf[2+3+2] {
+		t.Fatal("Key and Value are copies, not views of the buffer")
+	}
+	if cap(c.Key) != len(c.Key) || cap(c.Value) != len(c.Value) {
+		t.Fatalf("views can be grown: key %d/%d, value %d/%d", len(c.Key), cap(c.Key), len(c.Value), cap(c.Value))
+	}
+	_ = append(c.Key, "XX"...)
+	if again, _ := DecodeCmd(buf); string(again.Value) != "value" || len(again.Value) != 5 {
+		t.Fatalf("appending to Key rewrote the buffer: %+v", again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { DecodeCmd(buf) }); allocs != 0 {
+		t.Fatalf("DecodeCmd allocates %v, want 0", allocs)
+	}
+	if c, ok := DecodeCmd(EncodeCmd(Cmd{Op: OpDel})); !ok || c.Key != nil || c.Value != nil {
+		t.Fatalf("empty fields decode as %+v, %v; want nil", c, ok)
+	}
+}
+
+// FuzzDecodeCmd: no input panics the decoder; whatever it accepts lies
+// inside the input, cannot be grown, and survives a round trip through
+// EncodeCmd.
+func FuzzDecodeCmd(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeCmd(Cmd{Op: OpGet, Key: []byte("key-0001")}))
+	f.Add(EncodeCmd(Cmd{Op: OpPut, Key: []byte("k"), Value: []byte("value")}))
+	f.Add([]byte{OpPut, 200, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		c, ok := DecodeCmd(p)
+		if !ok {
+			if c.Op != 0 || c.Key != nil || c.Value != nil {
+				t.Fatalf("rejected input decoded to %+v", c)
+			}
+			return
+		}
+		inside := func(name string, v []byte, off int) {
+			if len(v) == 0 {
+				if v != nil {
+					t.Fatalf("%s is empty but not nil", name)
+				}
+				return
+			}
+			if cap(v) != len(v) {
+				t.Fatalf("%s has len %d cap %d", name, len(v), cap(v))
+			}
+			if off+len(v) > len(p) || &v[0] != &p[off] {
+				t.Fatalf("%s is not input[%d:%d]", name, off, off+len(v))
+			}
+		}
+		inside("Key", c.Key, 2)
+		inside("Value", c.Value, 2+len(c.Key)+2)
+		again, ok := DecodeCmd(EncodeCmd(c))
+		if !ok || again.Op != c.Op || !bytes.Equal(again.Key, c.Key) || !bytes.Equal(again.Value, c.Value) {
+			t.Fatalf("round trip of %+v = %+v, %v", c, again, ok)
+		}
+	})
 }

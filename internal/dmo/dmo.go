@@ -12,6 +12,19 @@
 //     is ~10x slower): the runtime moves objects with the actor instead;
 //   - each registered actor draws from a fixed-size memory region; when
 //     it consumes more than the framework provisioned, allocation fails.
+//
+// The object table is indexed by object ID, as §3.3's is (ID → address,
+// size, owner). A directory, one pointer per pageSize IDs, names pages
+// of pageSize inline object slots: resolving an ID is two index
+// operations and a flag test, and creating an object allocates its bytes
+// and nothing else (a page once per pageSize IDs, a directory word with
+// it). IDs run from 1 and are never reused, so a page only ever fills
+// once; when the last object of a filled page dies the page is unlinked
+// from the directory — its word stays, nil — and kept on a short spare
+// list for the next page the ID counter opens. The page the counter is
+// still filling is never unlinked. Walks over the whole table
+// (MigrateActor, ActorBytes, DestroyActor) go in ascending ID order, so
+// anything they sum or emit is the same on every run.
 package dmo
 
 import (
@@ -51,10 +64,32 @@ var (
 	ErrNoRegion        = errors.New("dmo: actor has no registered region")
 )
 
+// object is one slot of the table. A slot whose ID was never handed out,
+// or whose object was freed, is the zero value.
 type object struct {
+	data  []byte
 	owner uint32
 	side  Side
-	data  []byte
+	live  bool
+}
+
+// The table's geometry: object id lives in slot id&pageMask of page
+// id>>pageBits.
+const (
+	pageBits = 9
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+
+	// maxSpare bounds the emptied pages kept for reuse; more than that
+	// go back to the garbage collector.
+	maxSpare = 4
+)
+
+// page holds the slots of pageSize consecutive IDs and how many of them
+// are live.
+type page struct {
+	objs [pageSize]object
+	live int
 }
 
 type region struct {
@@ -67,7 +102,13 @@ type region struct {
 // distinguished by each object's Side; this mirrors the paper's paired
 // iPipe-host / iPipe-NIC object tables while keeping migration atomic.
 type Store struct {
-	objects map[ObjID]*object
+	// dir[i] is the page of IDs [i<<pageBits, (i+1)<<pageBits): nil once
+	// every one of them has been handed out and freed. It grows by one
+	// word per page opened and never shrinks.
+	dir []*page
+	// spare holds unlinked pages, every slot zero, at most maxSpare.
+	spare   []*page
+	live    int // objects in the table
 	regions map[uint32]*region
 	nextID  ObjID
 
@@ -85,7 +126,7 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{objects: map[ObjID]*object{}, regions: map[uint32]*region{}, nextID: 1}
+	return &Store{regions: map[uint32]*region{}, nextID: 1}
 }
 
 // EnableInvariants attaches the byte-accounting checker; label names
@@ -134,17 +175,77 @@ func (s *Store) Alloc(actor uint32, size int, side Side) (ObjID, error) {
 	r.used += size
 	id := s.nextID
 	s.nextID++
-	s.objects[id] = &object{owner: actor, side: side, data: make([]byte, size)}
+	pi := int(id >> pageBits)
+	if pi == len(s.dir) {
+		s.dir = append(s.dir, s.openPage())
+	}
+	p := s.dir[pi] // the page being filled is never unlinked
+	p.objs[id&pageMask] = object{data: make([]byte, size), owner: actor, side: side, live: true}
+	p.live++
+	s.live++
 	s.chk.DMOAlloc(s.chkLabel, actor, size, r.used, r.limit)
 	return id, nil
+}
+
+// openPage returns an all-zero page: a spare one if there is one.
+func (s *Store) openPage() *page {
+	if n := len(s.spare); n > 0 {
+		p := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return p
+	}
+	return new(page)
+}
+
+// release zeroes the slot of a live object, dropping its bytes, and
+// unlinks the page if that was its last object and the ID counter has
+// moved past it.
+func (s *Store) release(id ObjID, o *object) {
+	*o = object{}
+	s.live--
+	pi := id >> pageBits
+	p := s.dir[pi]
+	p.live--
+	if p.live > 0 || pi == s.nextID>>pageBits {
+		return
+	}
+	s.dir[pi] = nil
+	if len(s.spare) < maxSpare {
+		s.spare = append(s.spare, p)
+	}
+}
+
+// each calls fn for every live object in ascending ID order. fn may
+// release the object it is handed and no other.
+func (s *Store) each(fn func(id ObjID, o *object)) {
+	for pi, p := range s.dir {
+		if p == nil {
+			continue
+		}
+		for i, left := 0, p.live; left > 0; i++ {
+			if o := &p.objs[i]; o.live {
+				left--
+				fn(ObjID(pi)<<pageBits|ObjID(i), o)
+			}
+		}
+	}
 }
 
 // lookup fetches an object enforcing ownership. The ownership check is
 // the software analogue of the TLB trap of §3.4: an actor touching
 // another actor's region gets an error, never the data.
 func (s *Store) lookup(actor uint32, id ObjID) (*object, error) {
-	o, ok := s.objects[id]
-	if !ok {
+	pi := id >> pageBits
+	if pi >= uint64(len(s.dir)) {
+		return nil, ErrNoSuchObject
+	}
+	p := s.dir[pi]
+	if p == nil {
+		return nil, ErrNoSuchObject
+	}
+	o := &p.objs[id&pageMask]
+	if !o.live {
 		return nil, ErrNoSuchObject
 	}
 	if o.owner != actor {
@@ -159,9 +260,11 @@ func (s *Store) Free(actor uint32, id ObjID) error {
 	if err != nil {
 		return err
 	}
-	s.regions[actor].used -= len(o.data)
-	delete(s.objects, id)
-	s.chk.DMOFree(s.chkLabel, actor, len(o.data), s.regions[actor].used)
+	n := len(o.data)
+	r := s.regions[actor]
+	r.used -= n
+	s.release(id, o)
+	s.chk.DMOFree(s.chkLabel, actor, n, r.used)
 	return nil
 }
 
@@ -269,13 +372,13 @@ func (s *Store) Memmove(actor uint32, id ObjID, dstOff, srcOff, n int) error {
 // returns the total bytes moved (the dominant cost of migration phase 3,
 // Figure 18). Objects already on the target side are untouched.
 func (s *Store) MigrateActor(actor uint32, to Side) (bytes int) {
-	for _, o := range s.objects {
+	s.each(func(_ ObjID, o *object) {
 		if o.owner != actor || o.side == to {
-			continue
+			return
 		}
 		o.side = to
 		bytes += len(o.data)
-	}
+	})
 	if bytes > 0 {
 		s.Migrations++
 		s.BytesMigrated += uint64(bytes)
@@ -300,16 +403,16 @@ func (s *Store) MigrateObject(actor uint32, id ObjID, to Side) (int, error) {
 
 // ActorBytes returns the total object bytes an actor holds on each side.
 func (s *Store) ActorBytes(actor uint32) (nic, host int) {
-	for _, o := range s.objects {
+	s.each(func(_ ObjID, o *object) {
 		if o.owner != actor {
-			continue
+			return
 		}
 		if o.side == NIC {
 			nic += len(o.data)
 		} else {
 			host += len(o.data)
 		}
-	}
+	})
 	return nic, host
 }
 
@@ -317,15 +420,15 @@ func (s *Store) ActorBytes(actor uint32) (nic, host int) {
 // actor (the DoS watchdog uses this, §3.4).
 func (s *Store) DestroyActor(actor uint32) {
 	freed := 0
-	for id, o := range s.objects {
+	s.each(func(id ObjID, o *object) {
 		if o.owner == actor {
 			freed += len(o.data)
-			delete(s.objects, id)
+			s.release(id, o)
 		}
-	}
+	})
 	delete(s.regions, actor)
 	s.chk.DMODestroy(s.chkLabel, actor, freed)
 }
 
 // Objects reports the live object count (tests and leak checks).
-func (s *Store) Objects() int { return len(s.objects) }
+func (s *Store) Objects() int { return s.live }
