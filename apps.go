@@ -1,13 +1,12 @@
 package ipipe
 
 import (
-	"repro/internal/actor"
 	"repro/internal/apps/dt"
 	"repro/internal/apps/nf"
 	"repro/internal/apps/rkv"
 	"repro/internal/apps/rta"
-	"repro/internal/core"
 	"repro/internal/deploy"
+	"repro/internal/fault"
 	"repro/internal/nstack"
 	"repro/internal/qos"
 )
@@ -33,46 +32,21 @@ type (
 	DeployCommon = deploy.Common
 	// DeploySpec is the generic spec surface (Validate + DeployApp).
 	DeploySpec = deploy.Spec
-	// DeployedApp is the surface every deployed application shares.
+	// DeployedApp is what DeployApp returns: the concrete deployment
+	// (*RKVApp, *RTAApp, ...) behind an interface.
 	DeployedApp = deploy.App
-	// DeployValidationError is the typed spec-validation failure.
-	DeployValidationError = deploy.ValidationError
-	// TrafficClass tags requests and tenants (data/control/telemetry).
-	TrafficClass = deploy.Class
-)
-
-// Traffic classes for multi-tenant QoS (see internal/qos).
-const (
-	TrafficData      = deploy.ClassData
-	TrafficControl   = deploy.ClassControl
-	TrafficTelemetry = deploy.ClassTelemetry
-)
-
-// Multi-tenant QoS vocabulary (see internal/qos and DESIGN.md §10).
-type (
+	// Fault is one scheduled failure (see internal/fault).
+	Fault = fault.Fault
+	// FaultSchedule is a declarative set of faults; a spec installs its
+	// Faults schedule as first-class simulator events.
+	FaultSchedule = fault.Schedule
 	// Tenancy is the QoS block a DeployCommon carries: tenant table,
 	// lane bounds, SLO controller. A nil *Tenancy disables QoS entirely.
 	Tenancy = qos.Tenancy
 	// Tenant configures one tenant's admission budget and latency SLO.
 	Tenant = qos.Tenant
-	// LaneConfig bounds the per-lane queues and prices the lane pump.
-	LaneConfig = qos.LaneConfig
 	// SLOControllerConfig tunes the closed-loop SLO controller.
 	SLOControllerConfig = qos.ControllerConfig
-	// QoSRuntime is a deployment's installed QoS machinery (lane
-	// schedulers, admission gates, controller, aggregated counters).
-	QoSRuntime = qos.Runtime
-	// QoSLane is a strict-priority lane (control > data > telemetry).
-	QoSLane = qos.Lane
-	// QoSConfigError is the typed Tenancy validation failure.
-	QoSConfigError = qos.ConfigError
-)
-
-// Lanes in strict priority order (see QoSLane).
-const (
-	LaneControl   = qos.LaneControl
-	LaneData      = qos.LaneData
-	LaneTelemetry = qos.LaneTelemetry
 )
 
 // OnNIC / OnHost are the two common placements.
@@ -86,20 +60,18 @@ var (
 // 4ms cap.
 func DefaultRetry() RetryPolicy { return deploy.DefaultRetry() }
 
+// FaultCrash builds a node crash/restart fault.
+func FaultCrash(node string, at, dur Duration) Fault { return fault.Crash(node, at, dur) }
+
 // --- Replicated key-value store (Multi-Paxos + LSM) -------------------
 
 // RKV aliases for the replicated key-value store.
 type (
-	// RKVSpec deploys a replica group: Spec.Deploy() replaces the old
-	// positional DeployRKV.
+	// RKVSpec deploys a replica group (or, with Shards > 1, several).
 	RKVSpec = deploy.RKVSpec
 	// RKVApp is a deployed replica group plus its recovery machinery
 	// (failover monitor, fault injector).
 	RKVApp = deploy.RKV
-	// RKVDeployment is the raw replica group.
-	RKVDeployment = rkv.Deployment
-	// RKVReplica is one replica's actor set.
-	RKVReplica = rkv.Replica
 	// RKVStatus is the typed status byte of RKV responses.
 	RKVStatus = rkv.Status
 )
@@ -120,29 +92,18 @@ const (
 // RKVStatusOf reads the typed status byte of a response payload.
 func RKVStatusOf(p []byte) RKVStatus { return rkv.StatusOf(p) }
 
-// RKVPut / RKVGet / RKVDel build client request payloads.
+// RKVPut builds a write request payload.
 func RKVPut(key, value []byte) []byte { return rkv.PutReq(key, value) }
 
 // RKVGet builds a read request payload.
 func RKVGet(key []byte) []byte { return rkv.GetReq(key) }
 
-// RKVDel builds a delete request payload.
-func RKVDel(key []byte) []byte { return rkv.DelReq(key) }
-
 // --- Distributed transactions (OCC + 2PC) ------------------------------
 
 // DT aliases for the transaction system.
 type (
-	// DTSpec deploys the transaction system: Spec.Deploy() replaces the
-	// old positional DeployDT.
+	// DTSpec deploys the transaction system.
 	DTSpec = deploy.DTSpec
-	// DTApp is a deployed transaction system (coordinator, stores,
-	// fault injector).
-	DTApp = deploy.DT
-	// DTCoordinator drives the four-phase protocol.
-	DTCoordinator = dt.Coordinator
-	// DTStore is a participant's extensible hash table.
-	DTStore = dt.Store
 	// DTTxn is a client transaction.
 	DTTxn = dt.Txn
 	// DTOp is one read or write operation.
@@ -163,8 +124,7 @@ const (
 // DTOutcomeOf reads the typed outcome byte of a response payload.
 func DTOutcomeOf(p []byte) DTOutcome { return dt.OutcomeOf(p) }
 
-// DTEncodeTxn / DTDecodeOutcome translate between transactions and wire
-// payloads.
+// DTEncodeTxn translates a transaction into a request payload.
 func DTEncodeTxn(t DTTxn) []byte { return dt.EncodeTxn(t) }
 
 // DTDecodeOutcome splits a client response into typed outcome and read
@@ -175,13 +135,10 @@ func DTDecodeOutcome(p []byte) (DTOutcome, map[string][]byte) { return dt.Decode
 
 // RTA aliases.
 type (
-	// RTASpec deploys the analytics pipeline: Spec.Deploy() replaces
-	// the old positional DeployRTA.
+	// RTASpec deploys the analytics pipeline.
 	RTASpec = deploy.RTASpec
 	// RTAApp is a deployed pipeline.
 	RTAApp = deploy.RTA
-	// RTATopology wires filter → counter → ranker → aggregator.
-	RTATopology = rta.Topology
 	// RTAEntry is one ranked token.
 	RTAEntry = rta.Entry
 )
@@ -191,9 +148,6 @@ const RTAKindTuples = rta.KindTuples
 
 // RTAEncodeTuples packs tuples for a client request.
 func RTAEncodeTuples(tuples []string) []byte { return rta.EncodeTuples(tuples) }
-
-// RTADecodeCounts unpacks an aggregator/ranker payload.
-func RTADecodeCounts(p []byte) map[string]uint32 { return rta.DecodeCounts(p) }
 
 // --- Network functions ---------------------------------------------------
 
@@ -238,9 +192,3 @@ type (
 func Encap(src, dst NetAddr, payload []byte, ttl uint8) []byte {
 	return nstack.Encap(src, dst, payload, ttl)
 }
-
-// unexported compile-time checks that the facade stays wired.
-var (
-	_ = core.DefaultRegionBytes
-	_ = actor.Stable
-)

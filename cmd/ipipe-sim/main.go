@@ -34,7 +34,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -369,7 +368,6 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	_ = spec.WireOverheadBytes
 }
 
 // runMesh drives the PDES scale-out topology and reports.

@@ -66,6 +66,60 @@ func ExampleRKVSpec_Deploy() {
 	// value=teal replicas-committed=1
 }
 
+// Example_deploymentSpec is the README's spec-API v2 example: a replica
+// group deployed with every policy field of the shared DeployCommon
+// block set, whose leader node then crashes under client load.
+func Example_deploymentSpec() {
+	cl := ipipe.NewCluster(1)
+	var nodes []*ipipe.Node
+	for i := 0; i < 3; i++ {
+		nodes = append(nodes, cl.AddNode(ipipe.NodeConfig{
+			Name: fmt.Sprintf("kv%d", i), NIC: ipipe.LiquidIOII_CN2350(),
+		}))
+	}
+
+	d, err := ipipe.RKVSpec{
+		Common: ipipe.DeployCommon{ // shared policy block
+			Placement: ipipe.OnNIC,            // or ipipe.OnHost
+			Retry:     ipipe.DefaultRetry(),   // client timeout/backoff policy
+			Failover:  ipipe.FailoverPolicy{}, // leader re-election on crash
+			Faults: ipipe.FaultSchedule{Faults: []ipipe.Fault{ // optional failures
+				ipipe.FaultCrash("kv0", 2*ipipe.Millisecond, 3*ipipe.Millisecond),
+			}},
+			Tenancy: &ipipe.Tenancy{ // optional multi-tenant QoS
+				Tenants: []ipipe.Tenant{
+					{Name: "prod", RatePerSec: 150_000, SLOp99Us: 250},
+					{Name: "batch", RatePerSec: 60_000},
+				},
+				Controller: ipipe.SLOControllerConfig{Enabled: true},
+			},
+		},
+		Nodes:    nodes, // one replica each; first starts as leader
+		BaseID:   100,
+		MemLimit: 16 << 10,
+	}.Deploy()
+	if err != nil {
+		panic(err)
+	}
+
+	client := ipipe.NewClient(cl, "cli", 10)
+	d.QoS.Bind(client)
+	retry := d.Spec.Retry
+	client.ClosedLoop(4, 10*ipipe.Millisecond, func(i uint64) ipipe.Request {
+		node, leader := d.LeaderFor(nil)
+		return ipipe.Request{
+			Node: node, Dst: leader, Kind: ipipe.RKVKindReq, Size: 256, FlowID: i,
+			Data:    ipipe.RKVPut([]byte(fmt.Sprintf("k%d", i%64)), []byte("v")),
+			Timeout: retry.Timeout, Retries: retry.Retries,
+			Backoff: retry.Backoff, MaxTimeout: retry.MaxTimeout,
+		}
+	})
+	cl.Eng.Run()
+	fmt.Printf("answered=%d elections=%d\n", client.Received, d.Elections)
+	// Output:
+	// answered=213 elections=1
+}
+
 // ExampleExperiment regenerates one of the paper's tables.
 func ExampleExperiment() {
 	r, err := ipipe.Experiment("table2", true, 1)

@@ -86,8 +86,6 @@ const (
 type Ctx interface {
 	// Now returns current virtual time.
 	Now() sim.Time
-	// Self returns the running actor's ID.
-	Self() ID
 	// Send delivers a message asynchronously to another actor, wherever
 	// it lives (same core, other side of PCIe, or across the network).
 	Send(dst ID, m Msg)
@@ -225,10 +223,6 @@ func (s MigState) String() string {
 // so bulk placement changes (crash re-homing, forced migrations) must
 // skip it and let the in-flight protocol's commit finish the hand-off.
 func (s MigState) InFlight() bool { return s != Stable }
-
-// Dispersion returns the scheduler's dispersion measure for the actor:
-// µ+3σ of its request execution latency (§3.2.3).
-func (a *Actor) Dispersion() float64 { return a.ExecStats.Tail() }
 
 // Load returns average execution latency scaled by invocation frequency,
 // the quantity the migration policy ranks actors by (§3.2.5).

@@ -112,7 +112,7 @@ func TestObserveUpdatesStats(t *testing.T) {
 	if s := a.SizeStats.Mean(); s < 511 || s > 513 {
 		t.Fatalf("mean size = %v, want 512", s)
 	}
-	if a.Dispersion() < a.ExecStats.Mean() {
+	if a.ExecStats.Tail() < a.ExecStats.Mean() {
 		t.Fatal("dispersion below mean")
 	}
 }
@@ -127,9 +127,9 @@ func TestDispersionSeparatesWorkloads(t *testing.T) {
 			high.Observe(38*sim.Microsecond, 38*sim.Microsecond, 0)
 		}
 	}
-	if high.Dispersion() <= low.Dispersion() {
+	if high.ExecStats.Tail() <= low.ExecStats.Tail() {
 		t.Fatalf("bimodal actor dispersion %v should exceed constant %v",
-			high.Dispersion(), low.Dispersion())
+			high.ExecStats.Tail(), low.ExecStats.Tail())
 	}
 }
 

@@ -13,24 +13,24 @@ import (
 const (
 	// KindTxn is the client request (EncodeTxn payload).
 	KindTxn actor.Kind = iota + 16
-	// KindPhase1 asks a participant to read the read-set keys it holds
+	// kindPhase1 asks a participant to read the read-set keys it holds
 	// and lock the write-set keys it holds.
-	KindPhase1
-	// KindPhase1Resp returns read values+versions and lock outcomes.
-	KindPhase1Resp
-	// KindValidate asks a participant to re-check read-set versions.
-	KindValidate
-	// KindValidateResp returns the validation verdict.
-	KindValidateResp
-	// KindCommit installs the write set and unlocks.
-	KindCommit
-	// KindCommitAck acknowledges installation.
-	KindCommitAck
-	// KindAbort unlocks the write-set keys of an aborted transaction.
-	KindAbort
-	// KindCheckpoint carries a full coordinator-log object to the
+	kindPhase1
+	// kindPhase1Resp returns read values+versions and lock outcomes.
+	kindPhase1Resp
+	// kindValidate asks a participant to re-check read-set versions.
+	kindValidate
+	// kindValidateResp returns the validation verdict.
+	kindValidateResp
+	// kindCommit installs the write set and unlocks.
+	kindCommit
+	// kindCommitAck acknowledges installation.
+	kindCommitAck
+	// kindAbort unlocks the write-set keys of an aborted transaction.
+	kindAbort
+	// kindCheckpoint carries a full coordinator-log object to the
 	// host logging actor (§4: issued when the log reaches its limit).
-	KindCheckpoint
+	kindCheckpoint
 	// KindSweep asks the coordinator to abort in-flight transactions
 	// older than its TxnTimeout (injected periodically by the deployment
 	// layer; a recovery path, not part of the client protocol).
@@ -161,7 +161,7 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 		r := rbuf{m.Data}
 		var cost sim.Time = 400 * sim.Nanosecond
 		switch m.Kind {
-		case KindPhase1:
+		case kindPhase1:
 			txn := r.u64()
 			var w wbuf
 			w.u64(txn)
@@ -208,8 +208,8 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				w.blob16(val)
 				w.u64(ver)
 			}
-			ctx.Send(m.Src, actor.Msg{Kind: KindPhase1Resp, Data: w.Bytes()})
-		case KindValidate:
+			ctx.Send(m.Src, actor.Msg{Kind: kindPhase1Resp, Data: w.Bytes()})
+		case kindValidate:
 			txn := r.u64()
 			ok := byte(1)
 			for r.more() {
@@ -228,8 +228,8 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 			var w wbuf
 			w.u64(txn)
 			w.u8(ok)
-			ctx.Send(m.Src, actor.Msg{Kind: KindValidateResp, Data: w.Bytes()})
-		case KindCommit:
+			ctx.Send(m.Src, actor.Msg{Kind: kindValidateResp, Data: w.Bytes()})
+		case kindCommit:
 			txn := r.u64()
 			for r.more() {
 				k := r.blob()
@@ -246,8 +246,8 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 			}
 			var w wbuf
 			w.u64(txn)
-			ctx.Send(m.Src, actor.Msg{Kind: KindCommitAck, Data: w.Bytes()})
-		case KindAbort:
+			ctx.Send(m.Src, actor.Msg{Kind: kindCommitAck, Data: w.Bytes()})
+		case kindAbort:
 			_ = r.u64()
 			for r.more() {
 				k := r.blob()
@@ -276,7 +276,7 @@ func NewLogger(id actor.ID, onCheckpoint func(bytes int)) *actor.Actor {
 		MemBound: 0.6,
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		if m.Kind == KindCheckpoint {
+		if m.Kind == kindCheckpoint {
 			if onCheckpoint != nil {
 				onCheckpoint(len(m.Data))
 			}
@@ -364,11 +364,11 @@ func (c *Coordinator) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 	switch m.Kind {
 	case KindTxn:
 		return c.startTxn(ctx, m)
-	case KindPhase1Resp:
+	case kindPhase1Resp:
 		return c.phase1Resp(ctx, m)
-	case KindValidateResp:
+	case kindValidateResp:
 		return c.validateResp(ctx, m)
-	case KindCommitAck:
+	case kindCommitAck:
 		return c.commitAck(ctx, m)
 	case KindSweep:
 		return c.sweep(ctx)
@@ -411,7 +411,7 @@ func (c *Coordinator) sweep(ctx actor.Ctx) sim.Time {
 }
 
 func (c *Coordinator) startTxn(ctx actor.Ctx, m actor.Msg) sim.Time {
-	txn, ok := DecodeTxn(m.Data)
+	txn, ok := decodeTxn(m.Data)
 	if !ok {
 		c.Aborted++
 		resp := m
@@ -461,7 +461,7 @@ func (c *Coordinator) startTxn(ctx actor.Ctx, m actor.Msg) sim.Time {
 			w.blob(op.Key)
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: KindPhase1, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindPhase1, Data: w.Bytes()})
 	}
 	return 800 * sim.Nanosecond
 }
@@ -510,7 +510,7 @@ func (c *Coordinator) phase1Resp(ctx actor.Ctx, m actor.Msg) sim.Time {
 			w.u64(st.readVers[string(op.Key)])
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: KindValidate, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindValidate, Data: w.Bytes()})
 	}
 	return 700 * sim.Nanosecond
 }
@@ -551,7 +551,7 @@ func (c *Coordinator) logAndCommit(ctx actor.Ctx, st *txnState) sim.Time {
 		// (§4), then start a fresh log object.
 		if _, err := ctx.ObjMigrate(c.logObj); err == nil {
 			c.Checkpoints++
-			ctx.Send(c.logger, actor.Msg{Kind: KindCheckpoint, Data: make([]byte, c.logOffset)})
+			ctx.Send(c.logger, actor.Msg{Kind: kindCheckpoint, Data: make([]byte, c.logOffset)})
 		}
 		c.logObj, _ = ctx.Alloc(logLimitBytes)
 		c.logOffset = 0
@@ -579,7 +579,7 @@ func (c *Coordinator) logAndCommit(ctx actor.Ctx, st *txnState) sim.Time {
 			w.blob16(op.Value)
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: KindCommit, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindCommit, Data: w.Bytes()})
 	}
 	return 900 * sim.Nanosecond
 }
@@ -609,7 +609,7 @@ func (c *Coordinator) abort(ctx actor.Ctx, st *txnState) {
 		for _, op := range st.lockedAt[p] {
 			w.blob(op.Key)
 		}
-		ctx.Send(p, actor.Msg{Kind: KindAbort, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindAbort, Data: w.Bytes()})
 	}
 	c.finish(ctx, st, OutcomeAborted)
 }

@@ -82,7 +82,7 @@ func TestTxnCodecRoundTrip(t *testing.T) {
 		Reads:  []Op{{Key: []byte("r1")}, {Key: []byte("r2")}},
 		Writes: []Op{{Key: []byte("w1"), Value: []byte("value-1")}},
 	}
-	out, ok := DecodeTxn(EncodeTxn(in))
+	out, ok := decodeTxn(EncodeTxn(in))
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -103,7 +103,7 @@ func TestTxnCodecMalformedInput(t *testing.T) {
 		EncodeTxn(Txn{Reads: []Op{{Key: []byte("x")}}})[:2],
 	}
 	for i, p := range cases {
-		if _, ok := DecodeTxn(p); ok && p != nil && len(p) < 4 {
+		if _, ok := decodeTxn(p); ok && p != nil && len(p) < 4 {
 			t.Errorf("case %d: malformed input accepted", i)
 		}
 	}
@@ -113,7 +113,7 @@ func TestTxnCodecMalformedInput(t *testing.T) {
 			t.Fatal("decoder panicked on malformed input")
 		}
 	}()
-	DecodeTxn([]byte{255, 255, 1, 2, 3})
+	decodeTxn([]byte{255, 255, 1, 2, 3})
 }
 
 func TestPartitionStable(t *testing.T) {

@@ -12,8 +12,7 @@ type sinkCtx struct {
 	sent []actor.Msg
 }
 
-func (c *sinkCtx) Now() sim.Time  { return 0 }
-func (c *sinkCtx) Self() actor.ID { return 999 }
+func (c *sinkCtx) Now() sim.Time { return 0 }
 func (c *sinkCtx) Send(dst actor.ID, m actor.Msg) {
 	m.Dst = dst
 	c.sent = append(c.sent, m)
@@ -30,7 +29,7 @@ func (c *sinkCtx) ObjMemmove(o uint64, do, so, n int) error              { retur
 func (c *sinkCtx) Accel(string, int, int) (sim.Time, bool)               { return 0, false }
 func (c *sinkCtx) OnNIC() bool                                           { return true }
 
-// phase1Msg builds a KindPhase1 message for one read and one lock key.
+// phase1Msg builds a kindPhase1 message for one read and one lock key.
 func phase1Msg(txn uint64, reads, locks [][]byte) actor.Msg {
 	var w wbuf
 	w.u64(txn)
@@ -42,12 +41,12 @@ func phase1Msg(txn uint64, reads, locks [][]byte) actor.Msg {
 	for _, k := range locks {
 		w.blob(k)
 	}
-	return actor.Msg{Kind: KindPhase1, Src: 999, Data: w.Bytes()}
+	return actor.Msg{Kind: kindPhase1, Src: 999, Data: w.Bytes()}
 }
 
 func parsePhase1Resp(t *testing.T, m actor.Msg) (txn uint64, ok bool, vals map[string][]byte, vers map[string]uint64) {
 	t.Helper()
-	if m.Kind != KindPhase1Resp {
+	if m.Kind != kindPhase1Resp {
 		t.Fatalf("kind %d", m.Kind)
 	}
 	r := rbuf{m.Data}
@@ -104,7 +103,7 @@ func TestParticipantValidateDetectsVersionChange(t *testing.T) {
 		w.u64(9)
 		w.blob([]byte("k"))
 		w.u64(ver)
-		p.OnMessage(ctx, actor.Msg{Kind: KindValidate, Src: 999, Data: w.Bytes()})
+		p.OnMessage(ctx, actor.Msg{Kind: kindValidate, Src: 999, Data: w.Bytes()})
 		r := rbuf{ctx.sent[0].Data}
 		r.u64()
 		return r.u8() == 1
@@ -131,12 +130,12 @@ func TestParticipantCommitInstallsAndUnlocks(t *testing.T) {
 	w.u64(10)
 	w.blob([]byte("w"))
 	w.blob16([]byte("new"))
-	p.OnMessage(ctx, actor.Msg{Kind: KindCommit, Src: 999, Data: w.Bytes()})
+	p.OnMessage(ctx, actor.Msg{Kind: kindCommit, Src: 999, Data: w.Bytes()})
 	rec := st.Get([]byte("w"))
 	if string(rec.Value) != "new" || rec.Version != 3 || rec.Locked {
 		t.Fatalf("post-commit record: %q v%d locked=%v", rec.Value, rec.Version, rec.Locked)
 	}
-	if ctx.sent[0].Kind != KindCommitAck {
+	if ctx.sent[0].Kind != kindCommitAck {
 		t.Fatal("no commit ack")
 	}
 }
@@ -149,7 +148,7 @@ func TestParticipantAbortUnlocksOnly(t *testing.T) {
 	var w wbuf
 	w.u64(11)
 	w.blob([]byte("w"))
-	p.OnMessage(ctx, actor.Msg{Kind: KindAbort, Src: 999, Data: w.Bytes()})
+	p.OnMessage(ctx, actor.Msg{Kind: kindAbort, Src: 999, Data: w.Bytes()})
 	rec := st.Get([]byte("w"))
 	if rec.Locked {
 		t.Fatal("abort did not unlock")

@@ -214,9 +214,9 @@ func EncodeTxn(t Txn) []byte {
 	return b.Bytes()
 }
 
-// DecodeTxn parses a transaction payload; ok is false on malformed
+// decodeTxn parses a transaction payload; ok is false on malformed
 // input (a hostile client must not crash the coordinator).
-func DecodeTxn(p []byte) (Txn, bool) {
+func decodeTxn(p []byte) (Txn, bool) {
 	var t Txn
 	readOps := func(withVal bool) ([]Op, bool) {
 		if len(p) < 2 {

@@ -71,10 +71,10 @@ func (t FiveTuple) Encode() []byte {
 	return out
 }
 
-// TupleFromFrame classifies a real Ethernet/IPv4/UDP frame through the
+// tupleFromFrame classifies a real Ethernet/IPv4/UDP frame through the
 // shim networking stack (nstack): the firewall's production ingress
 // path, as opposed to the pre-parsed 13-byte test vector format.
-func TupleFromFrame(frame []byte) (FiveTuple, bool) {
+func tupleFromFrame(frame []byte) (FiveTuple, bool) {
 	w := nstack.NewWQE(frame, 0)
 	if err := w.Decap(); err != nil {
 		return FiveTuple{}, false
@@ -88,8 +88,8 @@ func TupleFromFrame(frame []byte) (FiveTuple, bool) {
 	}, true
 }
 
-// DecodeFiveTuple unpacks a tuple; ok is false on short input.
-func DecodeFiveTuple(p []byte) (FiveTuple, bool) {
+// decodeFiveTuple unpacks a tuple; ok is false on short input.
+func decodeFiveTuple(p []byte) (FiveTuple, bool) {
 	if len(p) < 13 {
 		return FiveTuple{}, false
 	}
@@ -173,9 +173,9 @@ func NewFirewall(id actor.ID, tcam *TCAM) *actor.Actor {
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
 		// Accept either a full frame (real deployments, parsed by the
 		// shim nstack) or the compact 13-byte tuple encoding.
-		tuple, ok := TupleFromFrame(m.Data)
+		tuple, ok := tupleFromFrame(m.Data)
 		if !ok {
-			tuple, ok = DecodeFiveTuple(m.Data)
+			tuple, ok = decodeFiveTuple(m.Data)
 		}
 		if !ok {
 			return 300 * sim.Nanosecond

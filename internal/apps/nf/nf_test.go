@@ -16,7 +16,6 @@ type fakeCtx struct {
 }
 
 func (f *fakeCtx) Now() sim.Time                                          { return 0 }
-func (f *fakeCtx) Self() actor.ID                                         { return 0 }
 func (f *fakeCtx) Send(dst actor.ID, m actor.Msg)                         {}
 func (f *fakeCtx) Reply(m actor.Msg)                                      { f.replies = append(f.replies, m) }
 func (f *fakeCtx) Alloc(size int) (uint64, error)                         { return 1, nil }
@@ -38,11 +37,11 @@ func (f *fakeCtx) Accel(name string, b, bs int) (sim.Time, bool) {
 
 func TestFiveTupleCodec(t *testing.T) {
 	in := FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1234, DstPort: 80, Proto: 6}
-	out, ok := DecodeFiveTuple(in.Encode())
+	out, ok := decodeFiveTuple(in.Encode())
 	if !ok || out != in {
 		t.Fatalf("round trip: %+v", out)
 	}
-	if _, ok := DecodeFiveTuple([]byte{1, 2}); ok {
+	if _, ok := decodeFiveTuple([]byte{1, 2}); ok {
 		t.Fatal("short input accepted")
 	}
 }
@@ -224,7 +223,7 @@ func TestFirewallParsesRealFrames(t *testing.T) {
 	// A corrupted frame (bad checksum) fails nstack parsing and — being
 	// 13+ bytes — falls back to the tuple decoder, classifying garbage
 	// as deny-by-default rather than crashing.
-	frame[nstack.EthHeaderLen+13] ^= 0xff
+	frame[14+13] ^= 0xff // behind the 14-byte Ethernet header
 	a.OnMessage(ctx, actor.Msg{Data: frame})
 	if len(ctx.replies) != 2 {
 		t.Fatal("corrupted frame not answered")
@@ -232,7 +231,7 @@ func TestFirewallParsesRealFrames(t *testing.T) {
 }
 
 func TestTupleFromFrameRejectsGarbage(t *testing.T) {
-	if _, ok := TupleFromFrame([]byte("short")); ok {
+	if _, ok := tupleFromFrame([]byte("short")); ok {
 		t.Fatal("garbage frame parsed")
 	}
 }

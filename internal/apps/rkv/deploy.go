@@ -97,11 +97,11 @@ func (d *Deployment) TagShard(s int) {
 	}
 }
 
-// PutReq / GetReq / DelReq build client request payloads.
-func PutReq(key, value []byte) []byte { return EncodeCmd(Cmd{Op: OpPut, Key: key, Value: value}) }
+// PutReq / GetReq / delReq build client request payloads.
+func PutReq(key, value []byte) []byte { return encodeCmd(command{Op: opPut, Key: key, Value: value}) }
 
 // GetReq builds a read request payload.
-func GetReq(key []byte) []byte { return EncodeCmd(Cmd{Op: OpGet, Key: key}) }
+func GetReq(key []byte) []byte { return encodeCmd(command{Op: opGet, Key: key}) }
 
-// DelReq builds a delete request payload.
-func DelReq(key []byte) []byte { return EncodeCmd(Cmd{Op: OpDel, Key: key}) }
+// delReq builds a delete request payload.
+func delReq(key []byte) []byte { return encodeCmd(command{Op: opDel, Key: key}) }

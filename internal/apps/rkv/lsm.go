@@ -11,21 +11,21 @@ import (
 
 // Message kinds of the RKV application.
 const (
-	// KindReq is the client request (EncodeCmd payload).
+	// KindReq is the client request (encodeCmd payload).
 	KindReq actor.Kind = iota + 32
-	// KindGet asks the Memtable (or SSTable reader) for a key.
-	KindGet
-	// KindApply installs a committed write into the Memtable.
-	KindApply
-	// KindMinorCompact ships a drained Memtable to the compaction actor.
-	KindMinorCompact
-	// KindAccept / KindAccepted / KindLearn are Multi-Paxos phase-2/3
-	// messages; KindPrepare / KindPromise drive leader election.
-	KindAccept
-	KindAccepted
-	KindLearn
-	KindPrepare
-	KindPromise
+	// kindGet asks the Memtable (or SSTable reader) for a key.
+	kindGet
+	// kindApply installs a committed write into the Memtable.
+	kindApply
+	// kindMinorCompact ships a drained Memtable to the compaction actor.
+	kindMinorCompact
+	// kindAccept / kindAccepted / kindLearn are Multi-Paxos phase-2/3
+	// messages; kindPrepare / kindPromise drive leader election.
+	kindAccept
+	kindAccepted
+	kindLearn
+	kindPrepare
+	kindPromise
 	// KindElect tells a replica to run for leader (sent by an operator
 	// or failure detector when the old leader dies).
 	KindElect
@@ -33,9 +33,9 @@ const (
 
 // Op codes inside commands.
 const (
-	OpGet byte = iota + 1
-	OpPut
-	OpDel
+	opGet byte = iota + 1
+	opPut
+	opDel
 )
 
 // Status is the response status code (first byte of the client
@@ -71,16 +71,16 @@ func StatusOf(p []byte) Status {
 	return Status(p[0])
 }
 
-// Cmd is one key-value command. A Cmd that DecodeCmd returned borrows
+// command is one key-value command. A command that decodeCmd returned borrows
 // its Key and Value from the decoded buffer.
-type Cmd struct {
+type command struct {
 	Op    byte
 	Key   []byte
 	Value []byte
 }
 
-// EncodeCmd serializes a command.
-func EncodeCmd(c Cmd) []byte {
+// encodeCmd serializes a command.
+func encodeCmd(c command) []byte {
 	out := make([]byte, 0, 1+1+len(c.Key)+2+len(c.Value))
 	out = append(out, c.Op, byte(len(c.Key)))
 	out = append(out, c.Key...)
@@ -91,20 +91,20 @@ func EncodeCmd(c Cmd) []byte {
 	return out
 }
 
-// DecodeCmd parses a command; ok is false on malformed input. Key and
+// decodeCmd parses a command; ok is false on malformed input. Key and
 // Value are views into p, not copies — a borrow like ObjRead's: they are
 // good for as long as p is (a handler decoding m.Data: until it returns),
 // their capacity ends where they do, and a caller that keeps either
 // copies it. An empty field decodes as nil.
-func DecodeCmd(p []byte) (Cmd, bool) {
+func decodeCmd(p []byte) (command, bool) {
 	if len(p) < 4 {
-		return Cmd{}, false
+		return command{}, false
 	}
-	c := Cmd{Op: p[0]}
+	c := command{Op: p[0]}
 	kl := int(p[1])
 	p = p[2:]
 	if len(p) < kl+2 {
-		return Cmd{}, false
+		return command{}, false
 	}
 	if kl > 0 {
 		c.Key = p[:kl:kl]
@@ -113,7 +113,7 @@ func DecodeCmd(p []byte) (Cmd, bool) {
 	vl := int(binary.LittleEndian.Uint16(p))
 	p = p[2:]
 	if len(p) < vl {
-		return Cmd{}, false
+		return command{}, false
 	}
 	if vl > 0 {
 		c.Value = p[:vl:vl]
@@ -121,9 +121,9 @@ func DecodeCmd(p []byte) (Cmd, bool) {
 	return c, true
 }
 
-// EncodeEntries / DecodeEntries serialize Memtable drains for the
+// encodeEntries / decodeEntries serialize Memtable drains for the
 // minor-compaction message.
-func EncodeEntries(es []Entry) []byte {
+func encodeEntries(es []Entry) []byte {
 	n := 0
 	for _, e := range es {
 		n += 1 + len(e.Key) + 1
@@ -146,8 +146,8 @@ func EncodeEntries(es []Entry) []byte {
 	return out
 }
 
-// DecodeEntries parses a minor-compaction payload.
-func DecodeEntries(p []byte) []Entry {
+// decodeEntries parses a minor-compaction payload.
+func decodeEntries(p []byte) []Entry {
 	var out []Entry
 	for len(p) >= 2 {
 		kl := int(p[0])
@@ -329,7 +329,7 @@ func mergeRuns(runs []Run, bottom bool) Run {
 
 // Lookup searches the levels newest-first.
 func (s *SSTStore) Lookup(key []byte) ([]byte, bool) {
-	var kbuf [KeyLen]byte
+	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
 	for _, runs := range s.Levels {
 		for _, r := range runs {
@@ -347,22 +347,13 @@ func (s *SSTStore) Lookup(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// TotalBytes sums all levels.
-func (s *SSTStore) TotalBytes() int {
-	n := 0
-	for _, runs := range s.Levels {
-		n += levelBytes(runs)
-	}
-	return n
-}
-
 // --- Memtable actor -----------------------------------------------------
 
 // Memtable is the LSM Memtable actor state.
 type Memtable struct {
 	Actor *actor.Actor
 
-	list  *SkipList
+	list  *skipList
 	limit int
 	// sstReader / compactor are the host-pinned actors.
 	sstReader actor.ID
@@ -388,19 +379,19 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 		MemBound:  0.4, // skip-list pointer chasing
 	}
 	a.OnInit = func(ctx actor.Ctx) {
-		mt.list, _ = NewSkipList(ctx)
+		mt.list, _ = newSkipList(ctx)
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
 		switch m.Kind {
-		case KindApply:
-			cmd, ok := DecodeCmd(m.Data)
+		case kindApply:
+			cmd, ok := decodeCmd(m.Data)
 			if !ok {
 				return 300 * sim.Nanosecond
 			}
 			var val []byte
-			if cmd.Op == OpPut {
+			if cmd.Op == opPut {
 				val = cmd.Value
-			} // OpDel: nil value = tombstone
+			} // opDel: nil value = tombstone
 			if err := mt.list.Put(ctx, cmd.Key, val); err != nil {
 				mt.PutErrors++
 			}
@@ -411,8 +402,8 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			// Writes are acknowledged by the consensus actor at the
 			// commit point, not here.
 			return cost
-		case KindGet:
-			cmd, ok := DecodeCmd(m.Data)
+		case kindGet:
+			cmd, ok := decodeCmd(m.Data)
 			if !ok {
 				return 300 * sim.Nanosecond
 			}
@@ -452,15 +443,12 @@ func (mt *Memtable) minorCompact(ctx actor.Ctx) sim.Time {
 		return 0
 	}
 	mt.Compactions++
-	payload := EncodeEntries(entries)
-	ctx.Send(mt.compactor, actor.Msg{Kind: KindMinorCompact, Data: payload})
+	payload := encodeEntries(entries)
+	ctx.Send(mt.compactor, actor.Msg{Kind: kindMinorCompact, Data: payload})
 	// Serializing the drained table costs ≈2ns/byte on the reference
 	// core; the PCIe transfer is charged by the messaging layer.
 	return sim.Time(2 * len(payload))
 }
-
-// List exposes the skip list for white-box tests.
-func (mt *Memtable) List() *SkipList { return mt.list }
 
 // --- SSTable read actor ---------------------------------------------------
 
@@ -473,7 +461,7 @@ func NewSSTReader(id actor.ID, store *SSTStore) *actor.Actor {
 		MemBound: 0.6,
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		cmd, ok := DecodeCmd(m.Data)
+		cmd, ok := decodeCmd(m.Data)
 		if !ok {
 			return 300 * sim.Nanosecond
 		}
@@ -506,10 +494,10 @@ func NewCompactor(id actor.ID, store *SSTStore) *actor.Actor {
 		MemBound: 0.7,
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		if m.Kind != KindMinorCompact {
+		if m.Kind != kindMinorCompact {
 			return 200 * sim.Nanosecond
 		}
-		entries := DecodeEntries(m.Data)
+		entries := decodeEntries(m.Data)
 		rewritten := store.AddL0(entries)
 		// Sequential merge I/O: ≈5ns/byte reference charge.
 		return 2*sim.Microsecond + sim.Time(5*(len(m.Data)+rewritten))

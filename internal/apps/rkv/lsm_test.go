@@ -191,12 +191,12 @@ func TestMemtableActorGetHitMissAndApply(t *testing.T) {
 	reply := func(m []byte) { lastReply = m }
 
 	// Apply a committed write.
-	mt.Actor.OnMessage(ctx, msgWith(KindApply, EncodeCmd(Cmd{Op: OpPut, Key: []byte("k"), Value: []byte("v")}), nil))
+	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{Op: opPut, Key: []byte("k"), Value: []byte("v")}), nil))
 	if mt.List().Count() != 1 {
 		t.Fatalf("memtable count %d", mt.List().Count())
 	}
 	// Hit.
-	mt.Actor.OnMessage(ctx, msgWith(KindGet, EncodeCmd(Cmd{Op: OpGet, Key: []byte("k")}), reply))
+	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{Op: opGet, Key: []byte("k")}), reply))
 	if len(lastReply) == 0 || StatusOf(lastReply) != StatusOK || string(lastReply[1:]) != "v" {
 		t.Fatalf("get hit reply %q", lastReply)
 	}
@@ -204,8 +204,8 @@ func TestMemtableActorGetHitMissAndApply(t *testing.T) {
 		t.Fatalf("hits %d", mt.Hits)
 	}
 	// Tombstone.
-	mt.Actor.OnMessage(ctx, msgWith(KindApply, EncodeCmd(Cmd{Op: OpDel, Key: []byte("k")}), nil))
-	mt.Actor.OnMessage(ctx, msgWith(KindGet, EncodeCmd(Cmd{Op: OpGet, Key: []byte("k")}), reply))
+	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{Op: opDel, Key: []byte("k")}), nil))
+	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{Op: opGet, Key: []byte("k")}), reply))
 	if StatusOf(lastReply) != StatusNotFound {
 		t.Fatalf("get after delete reply %q", lastReply)
 	}
@@ -223,4 +223,4 @@ func msgWith(kind actor.Kind, data []byte, reply func([]byte)) actor.Msg {
 }
 
 // padded is padKey into a fresh array, for keys the tests keep.
-func padded(k []byte) []byte { return padKey(new([KeyLen]byte), k) }
+func padded(k []byte) []byte { return padKey(new([keyLen]byte), k) }

@@ -118,15 +118,15 @@ func (c *Consensus) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 	switch m.Kind {
 	case KindReq:
 		return c.clientReq(ctx, m)
-	case KindAccept:
+	case kindAccept:
 		return c.accept(ctx, m)
-	case KindAccepted:
+	case kindAccepted:
 		return c.accepted(ctx, m)
-	case KindLearn:
+	case kindLearn:
 		return c.learn(ctx, m)
-	case KindPrepare:
+	case kindPrepare:
 		return c.prepare(ctx, m)
-	case KindPromise:
+	case kindPromise:
 		return c.promise(ctx, m)
 	case KindElect:
 		c.StartElection(ctx, nil)
@@ -136,18 +136,18 @@ func (c *Consensus) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 }
 
 func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
-	cmd, ok := DecodeCmd(m.Data)
+	cmd, ok := decodeCmd(m.Data)
 	if !ok {
 		resp := m
 		resp.Data = []byte{byte(StatusNotFound)}
 		ctx.Reply(resp)
 		return 300 * sim.Nanosecond
 	}
-	if cmd.Op == OpGet {
+	if cmd.Op == opGet {
 		// Reads are served by the local store path (leader leases make
 		// this safe in the common case); forward with Reply intact.
 		ctx.Send(c.memtable, actor.Msg{
-			Kind: KindGet, Data: m.Data,
+			Kind: kindGet, Data: m.Data,
 			Origin: m.Origin, Reply: m.Reply, WireSize: m.WireSize, FlowID: m.FlowID,
 		})
 		return 500 * sim.Nanosecond
@@ -165,7 +165,7 @@ func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
 	c.log[inst] = st
 	payload := encPaxos(inst, c.ballot, m.Data)
 	for _, p := range c.peers {
-		ctx.Send(p, actor.Msg{Kind: KindAccept, Data: payload})
+		ctx.Send(p, actor.Msg{Kind: kindAccept, Data: payload})
 	}
 	if st.acks >= c.majority() {
 		c.commit(ctx, inst, st)
@@ -188,7 +188,7 @@ func (c *Consensus) accept(ctx actor.Ctx, m actor.Msg) sim.Time {
 	st.ballot = ballot
 	st.cmd = append([]byte(nil), cmd...)
 	st.accepted = true
-	ctx.Send(m.Src, actor.Msg{Kind: KindAccepted, Data: encPaxos(inst, ballot, nil)})
+	ctx.Send(m.Src, actor.Msg{Kind: kindAccepted, Data: encPaxos(inst, ballot, nil)})
 	return 700 * sim.Nanosecond
 }
 
@@ -218,10 +218,10 @@ func (c *Consensus) commit(ctx actor.Ctx, inst uint64, st *instState) {
 	}
 	st.committed = true
 	c.Commits++
-	ctx.Send(c.memtable, actor.Msg{Kind: KindApply, Data: st.cmd})
+	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: st.cmd})
 	payload := encPaxos(inst, st.ballot, st.cmd)
 	for _, p := range c.peers {
-		ctx.Send(p, actor.Msg{Kind: KindLearn, Data: payload})
+		ctx.Send(p, actor.Msg{Kind: kindLearn, Data: payload})
 	}
 	if st.client.Reply != nil {
 		resp := st.client
@@ -253,7 +253,7 @@ func (c *Consensus) learn(ctx actor.Ctx, m actor.Msg) sim.Time {
 	if inst >= c.next {
 		c.next = inst + 1
 	}
-	ctx.Send(c.memtable, actor.Msg{Kind: KindApply, Data: st.cmd})
+	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: st.cmd})
 	return 600 * sim.Nanosecond
 }
 
@@ -296,7 +296,7 @@ func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
 	}
 	payload := encPaxos(0, c.ballot, nil)
 	for _, p := range c.peers {
-		ctx.Send(p, actor.Msg{Kind: KindPrepare, Data: payload})
+		ctx.Send(p, actor.Msg{Kind: kindPrepare, Data: payload})
 	}
 	c.checkElected(ctx)
 }
@@ -325,7 +325,7 @@ func (c *Consensus) prepare(ctx actor.Ctx, m actor.Msg) sim.Time {
 		}
 	}
 	hdr := encPaxos(0, ballot, nil)
-	ctx.Send(m.Src, actor.Msg{Kind: KindPromise, Data: append(hdr, out...)})
+	ctx.Send(m.Src, actor.Msg{Kind: kindPromise, Data: append(hdr, out...)})
 	return 800 * sim.Nanosecond
 }
 
@@ -386,7 +386,7 @@ func (c *Consensus) checkElected(ctx actor.Ctx) {
 		c.log[inst] = ns
 		payload := encPaxos(inst, c.ballot, st.cmd)
 		for _, p := range c.peers {
-			ctx.Send(p, actor.Msg{Kind: KindAccept, Data: payload})
+			ctx.Send(p, actor.Msg{Kind: kindAccept, Data: payload})
 		}
 	}
 	if c.onElected != nil {

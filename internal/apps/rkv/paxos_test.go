@@ -50,8 +50,7 @@ func (b *bus) pump() {
 	}
 }
 
-func (c *busCtx) Now() sim.Time  { return 0 }
-func (c *busCtx) Self() actor.ID { return c.self }
+func (c *busCtx) Now() sim.Time { return 0 }
 func (c *busCtx) Send(dst actor.ID, m actor.Msg) {
 	m.Src = c.self
 	m.Dst = dst
@@ -93,7 +92,7 @@ func threeReplicas(t *testing.T) (*bus, *Consensus, *Consensus, *Consensus) {
 func clientWrite(b *bus, dst actor.ID, key, val string, onResp func(actor.Msg)) {
 	b.send(actor.Msg{
 		Kind: KindReq, Dst: dst, Origin: "cli",
-		Data:  EncodeCmd(Cmd{Op: OpPut, Key: []byte(key), Value: []byte(val)}),
+		Data:  encodeCmd(command{Op: opPut, Key: []byte(key), Value: []byte(val)}),
 		Reply: onResp,
 	})
 }
@@ -122,7 +121,7 @@ func TestPaxosDuplicateAcksCommitOnce(t *testing.T) {
 		t.Fatalf("commits = %d", leader.Commits)
 	}
 	// Replay a stale Accepted ack: must not double-commit or panic.
-	b.send(actor.Msg{Kind: KindAccepted, Dst: 1, Src: 2, Data: encPaxos(0, 1, nil)})
+	b.send(actor.Msg{Kind: kindAccepted, Dst: 1, Src: 2, Data: encPaxos(0, 1, nil)})
 	b.pump()
 	if leader.Commits != 1 {
 		t.Fatalf("duplicate ack changed commits to %d", leader.Commits)
@@ -147,9 +146,9 @@ func TestPaxosStaleBallotRejected(t *testing.T) {
 	b, _, f1, _ := threeReplicas(t)
 	// Promise the follower to a high ballot, then send an old-ballot
 	// accept: it must be ignored.
-	b.send(actor.Msg{Kind: KindPrepare, Dst: 2, Src: 3, Data: encPaxos(0, 100, nil)})
+	b.send(actor.Msg{Kind: kindPrepare, Dst: 2, Src: 3, Data: encPaxos(0, 100, nil)})
 	b.pump()
-	b.send(actor.Msg{Kind: KindAccept, Dst: 2, Src: 1, Data: encPaxos(5, 1, []byte("cmd"))})
+	b.send(actor.Msg{Kind: kindAccept, Dst: 2, Src: 1, Data: encPaxos(5, 1, []byte("cmd"))})
 	b.pump()
 	if st := f1.log[5]; st != nil && st.accepted {
 		t.Fatal("stale-ballot accept was taken")
@@ -167,7 +166,7 @@ func TestElectionAdoptsUncommittedEntries(t *testing.T) {
 	// value accepted only by replicas outside the promise quorum need
 	// not be recovered — classic Paxos — so the deterministic case is
 	// the candidate's own log.
-	f2.log[2] = &instState{ballot: 1, cmd: EncodeCmd(Cmd{Op: OpPut, Key: []byte("c"), Value: []byte("3")}), accepted: true}
+	f2.log[2] = &instState{ballot: 1, cmd: encodeCmd(command{Op: opPut, Key: []byte("c"), Value: []byte("3")}), accepted: true}
 	leader.IsLeader = false
 
 	// Follower 2 runs for leader.
@@ -220,7 +219,7 @@ func TestElectionDeposesOldLeader(t *testing.T) {
 
 func TestPaxosMalformedInputsSafe(t *testing.T) {
 	b, leader, _, _ := threeReplicas(t)
-	for _, kind := range []actor.Kind{KindReq, KindAccept, KindAccepted, KindLearn, KindPrepare, KindPromise} {
+	for _, kind := range []actor.Kind{KindReq, kindAccept, kindAccepted, kindLearn, kindPrepare, kindPromise} {
 		b.send(actor.Msg{Kind: kind, Dst: 1, Data: []byte{1, 2}})
 	}
 	b.pump() // must not panic

@@ -14,29 +14,29 @@ import (
 	"repro/internal/sim"
 )
 
-// KeyLen is the fixed key size (16B keys, §5.1).
-const KeyLen = 16
+// keyLen is the fixed key size (16B keys, §5.1).
+const keyLen = 16
 
-// MaxLevel bounds skip-list towers.
-const MaxLevel = 12
+// maxLevel bounds skip-list towers.
+const maxLevel = 12
 
 // Skip-list node layout inside a DMO (Figure 12-b: "the key field is
 // the same, but value and forwarding pointers are replaced by object
 // IDs"):
 //
-//	key     [KeyLen]byte
+//	key     [keyLen]byte
 //	valObj  uint64   // object ID of the value object; 0 = tombstone
 //	valLen  uint32   // value size in bytes
 //	level   uint8
 //	forward [level]uint64 // object IDs of successor nodes; 0 = nil
-const nodeHdr = KeyLen + 8 + 4 + 1
+const nodeHdr = keyLen + 8 + 4 + 1
 
 func nodeSize(level int) int { return nodeHdr + 8*level }
 
-// SkipList is an LSM Memtable index whose nodes live in DMOs and are
+// skipList is an LSM Memtable index whose nodes live in DMOs and are
 // linked by object IDs, so the runtime can migrate the whole structure
 // between NIC and host without rewriting a single link.
-type SkipList struct {
+type skipList struct {
 	head  uint64 // object ID of the head sentinel
 	level int    // current max level in use
 	count int
@@ -53,15 +53,15 @@ type SkipList struct {
 	scratch [nodeHdr]byte
 }
 
-// NewSkipList allocates the head sentinel through the context.
-func NewSkipList(ctx actor.Ctx) (*SkipList, error) {
-	s := &SkipList{level: 1, rng: 0x9e3779b97f4a7c15}
-	head, err := ctx.Alloc(nodeSize(MaxLevel))
+// newSkipList allocates the head sentinel through the context.
+func newSkipList(ctx actor.Ctx) (*skipList, error) {
+	s := &skipList{level: 1, rng: 0x9e3779b97f4a7c15}
+	head, err := ctx.Alloc(nodeSize(maxLevel))
 	if err != nil {
 		return nil, err
 	}
 	s.head = head
-	s.scratch[KeyLen+12] = MaxLevel
+	s.scratch[keyLen+12] = maxLevel
 	if err := ctx.ObjWrite(head, 0, s.scratch[:]); err != nil {
 		return nil, err
 	}
@@ -69,16 +69,16 @@ func NewSkipList(ctx actor.Ctx) (*SkipList, error) {
 }
 
 // Count returns live entries (including tombstones).
-func (s *SkipList) Count() int { return s.count }
+func (s *skipList) Count() int { return s.count }
 
 // Bytes returns resident application bytes, the Memtable size that
 // triggers minor compaction.
-func (s *SkipList) Bytes() int { return s.bytes }
+func (s *skipList) Bytes() int { return s.bytes }
 
-func (s *SkipList) randLevel() int {
+func (s *skipList) randLevel() int {
 	// xorshift64*; each coin flip promotes with p=1/4 as in LevelDB.
 	lvl := 1
-	for lvl < MaxLevel {
+	for lvl < maxLevel {
 		s.rng ^= s.rng >> 12
 		s.rng ^= s.rng << 25
 		s.rng ^= s.rng >> 27
@@ -92,29 +92,29 @@ func (s *SkipList) randLevel() int {
 
 // nodeKey reads a node's key: an ObjRead view, for comparing on the
 // spot.
-func (s *SkipList) nodeKey(ctx actor.Ctx, obj uint64) ([]byte, error) {
+func (s *skipList) nodeKey(ctx actor.Ctx, obj uint64) ([]byte, error) {
 	s.Visits++
-	return ctx.ObjRead(obj, 0, KeyLen)
+	return ctx.ObjRead(obj, 0, keyLen)
 }
 
 // nodeVal reads a node's (value object ID, value length).
-func (s *SkipList) nodeVal(ctx actor.Ctx, obj uint64) (uint64, int, error) {
-	p, err := ctx.ObjRead(obj, KeyLen, 12)
+func (s *skipList) nodeVal(ctx actor.Ctx, obj uint64) (uint64, int, error) {
+	p, err := ctx.ObjRead(obj, keyLen, 12)
 	if err != nil {
 		return 0, 0, err
 	}
 	return binary.LittleEndian.Uint64(p), int(binary.LittleEndian.Uint32(p[8:])), nil
 }
 
-func (s *SkipList) setVal(ctx actor.Ctx, obj, val uint64, n int) error {
+func (s *skipList) setVal(ctx actor.Ctx, obj, val uint64, n int) error {
 	b := s.scratch[:12]
 	binary.LittleEndian.PutUint64(b, val)
 	binary.LittleEndian.PutUint32(b[8:], uint32(n))
-	return ctx.ObjWrite(obj, KeyLen, b)
+	return ctx.ObjWrite(obj, keyLen, b)
 }
 
 // forward reads node.forward[i].
-func (s *SkipList) forward(ctx actor.Ctx, obj uint64, i int) (uint64, error) {
+func (s *skipList) forward(ctx actor.Ctx, obj uint64, i int) (uint64, error) {
 	p, err := ctx.ObjRead(obj, nodeHdr+8*i, 8)
 	if err != nil {
 		return 0, err
@@ -122,22 +122,22 @@ func (s *SkipList) forward(ctx actor.Ctx, obj uint64, i int) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-func (s *SkipList) setForward(ctx actor.Ctx, obj uint64, i int, v uint64) error {
+func (s *skipList) setForward(ctx actor.Ctx, obj uint64, i int, v uint64) error {
 	b := s.scratch[:8]
 	binary.LittleEndian.PutUint64(b, v)
 	return ctx.ObjWrite(obj, nodeHdr+8*i, b)
 }
 
-// padKey zero-pads (or truncates) k to KeyLen in the caller's array.
-func padKey(dst *[KeyLen]byte, k []byte) []byte {
-	*dst = [KeyLen]byte{}
+// padKey zero-pads (or truncates) k to keyLen in the caller's array.
+func padKey(dst *[keyLen]byte, k []byte) []byte {
+	*dst = [keyLen]byte{}
 	copy(dst[:], k)
 	return dst[:]
 }
 
 // findPredecessors walks the list, filling update[] with the last node
 // at each level whose key < k.
-func (s *SkipList) findPredecessors(ctx actor.Ctx, k []byte, update *[MaxLevel]uint64) (uint64, error) {
+func (s *skipList) findPredecessors(ctx actor.Ctx, k []byte, update *[maxLevel]uint64) (uint64, error) {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for {
@@ -165,11 +165,11 @@ func (s *SkipList) findPredecessors(ctx actor.Ctx, k []byte, update *[MaxLevel]u
 
 // Put inserts or overwrites a key. A nil value writes a tombstone
 // (deletions are insertions with a deletion marker, §4).
-func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
+func (s *skipList) Put(ctx actor.Ctx, key, value []byte) error {
 	s.Visits = 0
-	var kbuf [KeyLen]byte
+	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
-	var update [MaxLevel]uint64
+	var update [maxLevel]uint64
 	cand, err := s.findPredecessors(ctx, k, &update)
 	if err != nil {
 		return err
@@ -218,9 +218,9 @@ func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
 	}
 	hdr := s.scratch[:]
 	copy(hdr, k)
-	binary.LittleEndian.PutUint64(hdr[KeyLen:], vo)
-	binary.LittleEndian.PutUint32(hdr[KeyLen+8:], uint32(vn))
-	hdr[KeyLen+12] = byte(lvl)
+	binary.LittleEndian.PutUint64(hdr[keyLen:], vo)
+	binary.LittleEndian.PutUint32(hdr[keyLen+8:], uint32(vn))
+	hdr[keyLen+12] = byte(lvl)
 	if err := ctx.ObjWrite(node, 0, hdr); err != nil {
 		return err
 	}
@@ -237,13 +237,13 @@ func (s *SkipList) Put(ctx actor.Ctx, key, value []byte) error {
 		}
 	}
 	s.count++
-	s.bytes += KeyLen + vn
+	s.bytes += keyLen + vn
 	return nil
 }
 
 // allocValue stores a value in its own object; nil values (tombstones)
 // use object ID 0.
-func (s *SkipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) {
+func (s *skipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) {
 	if value == nil {
 		return 0, 0, nil
 	}
@@ -258,11 +258,11 @@ func (s *SkipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) 
 }
 
 // Get returns (value, found, tombstone).
-func (s *SkipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
+func (s *skipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 	s.Visits = 0
-	var kbuf [KeyLen]byte
+	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
-	var update [MaxLevel]uint64
+	var update [maxLevel]uint64
 	cand, err := s.findPredecessors(ctx, k, &update)
 	if err != nil {
 		return nil, false, false, err
@@ -300,7 +300,7 @@ type Entry struct {
 // Drain iterates all entries in key order, frees every node and value
 // object, and resets the list (minor compaction hands the contents to
 // the compaction actor).
-func (s *SkipList) Drain(ctx actor.Ctx) ([]Entry, error) {
+func (s *skipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 	out := make([]Entry, 0, s.count)
 	x, err := s.forward(ctx, s.head, 0)
 	if err != nil {
@@ -335,7 +335,7 @@ func (s *SkipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 		x = nxt
 	}
 	// Reset head forwards.
-	for i := 0; i < MaxLevel; i++ {
+	for i := 0; i < maxLevel; i++ {
 		if err := s.setForward(ctx, s.head, i, 0); err != nil {
 			return nil, err
 		}
@@ -348,6 +348,6 @@ func (s *SkipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 
 // visitCost converts the last operation's node hops into reference-core
 // time: each hop is an object-table lookup plus an L2/DRAM touch.
-func (s *SkipList) visitCost() sim.Time {
+func (s *skipList) visitCost() sim.Time {
 	return sim.Time(300 + 220*s.Visits)
 }

@@ -27,8 +27,13 @@ func newDmoCtx() *dmoCtx {
 	return &dmoCtx{st: st, id: 1}
 }
 
+// used is the bytes the actor's objects hold — what its region charges.
+func (d *dmoCtx) used() int {
+	nic, host := d.st.ActorBytes(d.id)
+	return nic + host
+}
+
 func (d *dmoCtx) Now() sim.Time            { return 0 }
-func (d *dmoCtx) Self() actor.ID           { return actor.ID(d.id) }
 func (d *dmoCtx) Send(actor.ID, actor.Msg) {}
 func (d *dmoCtx) Reply(m actor.Msg) {
 	if m.Reply != nil {
@@ -60,7 +65,7 @@ func (d *dmoCtx) OnNIC() bool                             { return true }
 
 func TestSkipListPutGet(t *testing.T) {
 	ctx := newDmoCtx()
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +96,7 @@ func TestSkipListPutGet(t *testing.T) {
 
 func TestSkipListOverwrite(t *testing.T) {
 	ctx := newDmoCtx()
-	s, _ := NewSkipList(ctx)
+	s, _ := newSkipList(ctx)
 	s.Put(ctx, []byte("k"), []byte("v1"))
 	before := s.Bytes()
 	s.Put(ctx, []byte("k"), []byte("v2-longer"))
@@ -109,7 +114,7 @@ func TestSkipListOverwrite(t *testing.T) {
 
 func TestSkipListTombstone(t *testing.T) {
 	ctx := newDmoCtx()
-	s, _ := NewSkipList(ctx)
+	s, _ := newSkipList(ctx)
 	s.Put(ctx, []byte("k"), []byte("v"))
 	s.Put(ctx, []byte("k"), nil) // deletion marker
 	_, found, tomb, _ := s.Get(ctx, []byte("k"))
@@ -120,7 +125,7 @@ func TestSkipListTombstone(t *testing.T) {
 
 func TestSkipListDrainSortedAndResets(t *testing.T) {
 	ctx := newDmoCtx()
-	s, _ := NewSkipList(ctx)
+	s, _ := newSkipList(ctx)
 	keys := []string{"delta", "alpha", "charlie", "bravo"}
 	for _, k := range keys {
 		s.Put(ctx, []byte(k), []byte("v-"+k))
@@ -156,7 +161,7 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 
 func TestSkipListVisitsGrowLogarithmically(t *testing.T) {
 	ctx := newDmoCtx()
-	s, _ := NewSkipList(ctx)
+	s, _ := newSkipList(ctx)
 	for i := 0; i < 2000; i++ {
 		s.Put(ctx, []byte(fmt.Sprintf("%08d", i)), []byte("v"))
 	}
@@ -173,7 +178,7 @@ func TestSkipListRegionExhaustion(t *testing.T) {
 	st := dmo.NewStore()
 	st.Register(1, 2048) // tiny region
 	ctx := &dmoCtx{st: st, id: 1}
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestSkipListRegionExhaustion(t *testing.T) {
 func TestSkipListMatchesMap(t *testing.T) {
 	f := func(ops []uint16) bool {
 		ctx := newDmoCtx()
-		s, _ := NewSkipList(ctx)
+		s, _ := newSkipList(ctx)
 		ref := map[string]string{}
 		for i, op := range ops {
 			k := fmt.Sprintf("key-%02d", op%40)
@@ -230,15 +235,15 @@ func TestSkipListMatchesMap(t *testing.T) {
 }
 
 func TestCmdCodec(t *testing.T) {
-	c := Cmd{Op: OpPut, Key: []byte("k"), Value: []byte("value")}
-	out, ok := DecodeCmd(EncodeCmd(c))
-	if !ok || out.Op != OpPut || string(out.Key) != "k" || string(out.Value) != "value" {
+	c := command{Op: opPut, Key: []byte("k"), Value: []byte("value")}
+	out, ok := decodeCmd(encodeCmd(c))
+	if !ok || out.Op != opPut || string(out.Key) != "k" || string(out.Value) != "value" {
 		t.Fatalf("round trip: %+v %v", out, ok)
 	}
-	if _, ok := DecodeCmd([]byte{1}); ok {
+	if _, ok := decodeCmd([]byte{1}); ok {
 		t.Fatal("short input accepted")
 	}
-	if _, ok := DecodeCmd(nil); ok {
+	if _, ok := decodeCmd(nil); ok {
 		t.Fatal("nil input accepted")
 	}
 }
@@ -249,7 +254,7 @@ func TestEntriesCodec(t *testing.T) {
 		{Key: padded([]byte("b")), Tombstone: true},
 		{Key: padded([]byte("c")), Value: make([]byte, 300)},
 	}
-	out := DecodeEntries(EncodeEntries(in))
+	out := decodeEntries(encodeEntries(in))
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -267,7 +272,7 @@ func TestEntriesCodec(t *testing.T) {
 // returns, are the caller's own copies.
 func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	ctx := newDmoCtx()
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +283,7 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	}
 	// The freed object's bytes are scribbled over first, as a reused
 	// region would be; a view would show it.
-	var update [MaxLevel]uint64
+	var update [maxLevel]uint64
 	node, _ := s.findPredecessors(ctx, padded([]byte("k")), &update)
 	vo, _, _ := s.nodeVal(ctx, node)
 	if err := ctx.ObjMemset(vo, 0, len("first"), 0xEE); err != nil {
@@ -308,7 +313,7 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 // ObjRead, many per operation; none of them allocates.
 func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 	ctx := newDmoCtx()
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +321,7 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
 	k := padded([]byte("key-0250"))
-	var update [MaxLevel]uint64
+	var update [maxLevel]uint64
 	visits := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Visits = 0
@@ -342,17 +347,17 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 
 // tightCtx is a list in a region with exactly room bytes left after the
 // head sentinel and whatever setup puts in.
-func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *SkipList)) (*dmoCtx, *SkipList) {
+func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *skipList)) (*dmoCtx, *skipList) {
 	t.Helper()
 	ctx := newDmoCtx()
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if setup != nil {
 		setup(ctx, s)
 	}
-	used, _ := ctx.st.RegionUse(ctx.id)
+	used := ctx.used()
 	ctx.st.Register(ctx.id, used+room)
 	return ctx, s
 }
@@ -362,11 +367,11 @@ func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *SkipList)) (*dmoCtx, 
 // fails the node must not go on naming the object just freed: the key
 // reads as deleted, nothing else is lost, and the next Put repairs it.
 func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
-	ctx, s := tightCtx(t, 32, func(ctx *dmoCtx, s *SkipList) {
+	ctx, s := tightCtx(t, 32, func(ctx *dmoCtx, s *skipList) {
 		s.Put(ctx, []byte("k"), []byte("old-value"))
 		s.Put(ctx, []byte("other"), []byte("stays"))
 	})
-	before, _ := ctx.st.RegionUse(ctx.id)
+	before := ctx.used()
 	objects, bytesBefore := ctx.st.Objects(), s.Bytes()
 
 	err := s.Put(ctx, []byte("k"), make([]byte, 64)) // 9 B freed + 32 B of room < 64 B
@@ -377,7 +382,7 @@ func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 	if err != nil || !found || !tomb || v != nil {
 		t.Fatalf("Get after the failed overwrite = %q found=%v tomb=%v err=%v; want a tombstone and no error", v, found, tomb, err)
 	}
-	if used, _ := ctx.st.RegionUse(ctx.id); used != before-len("old-value") {
+	if used := ctx.used(); used != before-len("old-value") {
 		t.Fatalf("region use %d → %d, want the old value's %d bytes back and nothing else", before, used, len("old-value"))
 	}
 	if ctx.st.Objects() != objects-1 || s.Bytes() != bytesBefore-len("old-value") || s.Count() != 2 {
@@ -402,24 +407,24 @@ func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 // the value. When the value does not fit, the node — not linked yet —
 // goes back: the region and the table are as they were before the call.
 func TestPutInsertAllocFailureFreesNode(t *testing.T) {
-	ctx, s := tightCtx(t, nodeSize(MaxLevel)+8, func(ctx *dmoCtx, s *SkipList) {
+	ctx, s := tightCtx(t, nodeSize(maxLevel)+8, func(ctx *dmoCtx, s *skipList) {
 		s.Put(ctx, []byte("a"), []byte("va"))
 	})
-	before, _ := ctx.st.RegionUse(ctx.id)
+	before := ctx.used()
 	objects := ctx.st.Objects()
 	for i := 0; i < 20; i++ { // whatever tower height the coin flips pick
 		key := []byte(fmt.Sprintf("new-%02d", i))
 		if err := s.Put(ctx, key, make([]byte, 200)); err != dmo.ErrRegionExhausted {
 			t.Fatalf("Put = %v, want ErrRegionExhausted", err)
 		}
-		if used, _ := ctx.st.RegionUse(ctx.id); used != before || ctx.st.Objects() != objects {
+		if used := ctx.used(); used != before || ctx.st.Objects() != objects {
 			t.Fatalf("failed insert %d: region use %d → %d, objects %d → %d: the node leaked", i, before, used, objects, ctx.st.Objects())
 		}
 		if _, found, _, err := s.Get(ctx, key); found || err != nil {
 			t.Fatalf("failed insert is visible: found=%v err=%v", found, err)
 		}
 	}
-	if s.Count() != 1 || s.Bytes() != KeyLen+2 {
+	if s.Count() != 1 || s.Bytes() != keyLen+2 {
 		t.Fatalf("count %d, bytes %d after failed inserts", s.Count(), s.Bytes())
 	}
 	if err := s.Put(ctx, []byte("b"), []byte("fits")); err != nil {
@@ -436,10 +441,10 @@ func TestMemtableCountsPutErrors(t *testing.T) {
 	ctx := newDmoCtx()
 	mt := NewMemtable(1, 1<<20, 2, 3)
 	mt.Actor.OnInit(ctx)
-	used, _ := ctx.st.RegionUse(ctx.id)
-	ctx.st.Register(ctx.id, used+nodeSize(MaxLevel)+8)
+	used := ctx.used()
+	ctx.st.Register(ctx.id, used+nodeSize(maxLevel)+8)
 	apply := func(v []byte) {
-		mt.Actor.OnMessage(ctx, actor.Msg{Kind: KindApply, Data: EncodeCmd(Cmd{Op: OpPut, Key: []byte("k"), Value: v})})
+		mt.Actor.OnMessage(ctx, actor.Msg{Kind: kindApply, Data: encodeCmd(command{Op: opPut, Key: []byte("k"), Value: v})})
 	}
 	apply([]byte("fits"))
 	if mt.PutErrors != 0 {
@@ -459,7 +464,7 @@ func TestMemtableCountsPutErrors(t *testing.T) {
 // list's scratch and on the stack.
 func TestSkipListWritesAllocFree(t *testing.T) {
 	ctx := newDmoCtx()
-	s, err := NewSkipList(ctx)
+	s, err := newSkipList(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +500,7 @@ func TestSkipListWritesAllocFree(t *testing.T) {
 	}
 }
 
-// encodeEntriesRef is EncodeEntries as it was before it sized its buffer
+// encodeEntriesRef is encodeEntries as it was before it sized its buffer
 // up front: the byte-for-byte reference.
 func encodeEntriesRef(es []Entry) []byte {
 	var b bytes.Buffer
@@ -516,13 +521,13 @@ func encodeEntriesRef(es []Entry) []byte {
 }
 
 // TestEncodeEntriesBytesUnchanged: sizing the buffer once changes how
-// often EncodeEntries allocates (once) and not one byte of what it
+// often encodeEntries allocates (once) and not one byte of what it
 // returns, for drained lists of any shape.
 func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
 		ctx := newDmoCtx()
-		s, _ := NewSkipList(ctx)
+		s, _ := newSkipList(ctx)
 		for i, n := 0, rng.Intn(300); i < n; i++ {
 			key := []byte(fmt.Sprintf("k%03d", rng.Intn(200)))
 			switch rng.Intn(4) {
@@ -538,7 +543,7 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := EncodeEntries(entries), encodeEntriesRef(entries)
+		got, want := encodeEntries(entries), encodeEntriesRef(entries)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: %d entries encode to %d bytes, the reference encoder's %d differ", round, len(entries), len(got), len(want))
 		}
@@ -550,20 +555,20 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		EncodeEntries([]Entry{{Key: []byte("a"), Value: make([]byte, 0, 1)}, {Key: []byte("b"), Tombstone: true}})
+		encodeEntries([]Entry{{Key: []byte("a"), Value: make([]byte, 0, 1)}, {Key: []byte("b"), Tombstone: true}})
 	}); allocs != 1 {
-		t.Fatalf("EncodeEntries allocates %v times, want 1", allocs)
+		t.Fatalf("encodeEntries allocates %v times, want 1", allocs)
 	}
 }
 
-// TestDecodeCmdBorrows: DecodeCmd's Key and Value are views of the
+// TestDecodeCmdBorrows: decodeCmd's Key and Value are views of the
 // buffer it was given — no copies — bounded so that appending to one
 // cannot run into the bytes after it; empty fields are nil.
 func TestDecodeCmdBorrows(t *testing.T) {
-	buf := EncodeCmd(Cmd{Op: OpPut, Key: []byte("key"), Value: []byte("value")})
-	c, ok := DecodeCmd(buf)
+	buf := encodeCmd(command{Op: opPut, Key: []byte("key"), Value: []byte("value")})
+	c, ok := decodeCmd(buf)
 	if !ok || string(c.Key) != "key" || string(c.Value) != "value" {
-		t.Fatalf("DecodeCmd = %+v, %v", c, ok)
+		t.Fatalf("decodeCmd = %+v, %v", c, ok)
 	}
 	if &c.Key[0] != &buf[2] || &c.Value[0] != &buf[2+3+2] {
 		t.Fatal("Key and Value are copies, not views of the buffer")
@@ -572,27 +577,27 @@ func TestDecodeCmdBorrows(t *testing.T) {
 		t.Fatalf("views can be grown: key %d/%d, value %d/%d", len(c.Key), cap(c.Key), len(c.Value), cap(c.Value))
 	}
 	_ = append(c.Key, "XX"...)
-	if again, _ := DecodeCmd(buf); string(again.Value) != "value" || len(again.Value) != 5 {
+	if again, _ := decodeCmd(buf); string(again.Value) != "value" || len(again.Value) != 5 {
 		t.Fatalf("appending to Key rewrote the buffer: %+v", again)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { DecodeCmd(buf) }); allocs != 0 {
-		t.Fatalf("DecodeCmd allocates %v, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { decodeCmd(buf) }); allocs != 0 {
+		t.Fatalf("decodeCmd allocates %v, want 0", allocs)
 	}
-	if c, ok := DecodeCmd(EncodeCmd(Cmd{Op: OpDel})); !ok || c.Key != nil || c.Value != nil {
+	if c, ok := decodeCmd(encodeCmd(command{Op: opDel})); !ok || c.Key != nil || c.Value != nil {
 		t.Fatalf("empty fields decode as %+v, %v; want nil", c, ok)
 	}
 }
 
 // FuzzDecodeCmd: no input panics the decoder; whatever it accepts lies
 // inside the input, cannot be grown, and survives a round trip through
-// EncodeCmd.
+// encodeCmd.
 func FuzzDecodeCmd(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeCmd(Cmd{Op: OpGet, Key: []byte("key-0001")}))
-	f.Add(EncodeCmd(Cmd{Op: OpPut, Key: []byte("k"), Value: []byte("value")}))
-	f.Add([]byte{OpPut, 200, 1, 2, 3})
+	f.Add(encodeCmd(command{Op: opGet, Key: []byte("key-0001")}))
+	f.Add(encodeCmd(command{Op: opPut, Key: []byte("k"), Value: []byte("value")}))
+	f.Add([]byte{opPut, 200, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		c, ok := DecodeCmd(p)
+		c, ok := decodeCmd(p)
 		if !ok {
 			if c.Op != 0 || c.Key != nil || c.Value != nil {
 				t.Fatalf("rejected input decoded to %+v", c)
@@ -615,7 +620,7 @@ func FuzzDecodeCmd(f *testing.F) {
 		}
 		inside("Key", c.Key, 2)
 		inside("Value", c.Value, 2+len(c.Key)+2)
-		again, ok := DecodeCmd(EncodeCmd(c))
+		again, ok := decodeCmd(encodeCmd(c))
 		if !ok || again.Op != c.Op || !bytes.Equal(again.Key, c.Key) || !bytes.Equal(again.Value, c.Value) {
 			t.Fatalf("round trip of %+v = %+v, %v", c, again, ok)
 		}

@@ -12,8 +12,8 @@ type Matcher struct {
 	Patterns []string
 }
 
-// NewMatcher compiles the dictionary. Empty patterns are ignored.
-func NewMatcher(patterns []string) *Matcher {
+// newMatcher compiles the dictionary. Empty patterns are ignored.
+func newMatcher(patterns []string) *Matcher {
 	m := &Matcher{}
 	m.next = append(m.next, map[byte]int32{}) // root
 	m.fail = append(m.fail, 0)
@@ -95,6 +95,3 @@ func (m *Matcher) Match(text string) bool {
 	}
 	return false
 }
-
-// States reports the automaton size (tests and cost sanity checks).
-func (m *Matcher) States() int { return len(m.next) }

@@ -26,10 +26,10 @@ const (
 	// KindTuples carries a batch of raw tuples (client → filter, or
 	// filter → counter after filtering).
 	KindTuples actor.Kind = iota + 1
-	// KindEmit is the counter's periodic window emission to the ranker.
-	KindEmit
-	// KindTopN is the ranker's output to the aggregated ranker.
-	KindTopN
+	// kindEmit is the counter's periodic window emission to the ranker.
+	kindEmit
+	// kindTopN is the ranker's output to the aggregated ranker.
+	kindTopN
 )
 
 // Topology is the mapping table each worker consults for its successor
@@ -46,8 +46,8 @@ func EncodeTuples(tuples []string) []byte {
 	return []byte(joinSpace(tuples))
 }
 
-// DecodeTuples unpacks a payload into tuples.
-func DecodeTuples(p []byte) []string {
+// decodeTuples unpacks a payload into tuples.
+func decodeTuples(p []byte) []string {
 	if len(p) == 0 {
 		return nil
 	}
@@ -79,7 +79,7 @@ func joinSpace(ss []string) string {
 // stateless (§4: "Filter actor is a stateless one"), so it can run on
 // multiple cores concurrently.
 func NewFilter(id actor.ID, topo Topology, discard []string) (*actor.Actor, *Matcher) {
-	m := NewMatcher(discard)
+	m := newMatcher(discard)
 	a := &actor.Actor{
 		ID:        id,
 		Name:      "rta-filter",
@@ -87,7 +87,7 @@ func NewFilter(id actor.ID, topo Topology, discard []string) (*actor.Actor, *Mat
 		MemBound:  0.1,
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
-		tuples := DecodeTuples(msg.Data)
+		tuples := decodeTuples(msg.Data)
 		kept := tuples[:0]
 		var scanned int
 		for _, t := range tuples {
@@ -133,8 +133,8 @@ type Counter struct {
 	since int
 }
 
-// NewCounterState builds counter state.
-func NewCounterState(cfg CounterConfig) *Counter {
+// newCounterState builds counter state.
+func newCounterState(cfg CounterConfig) *Counter {
 	if cfg.WindowSlots <= 0 {
 		cfg.WindowSlots = 4
 	}
@@ -169,8 +169,8 @@ func (c *Counter) Totals() map[string]uint32 {
 	return out
 }
 
-// EncodeCounts packs token counts for the emit message.
-func EncodeCounts(m map[string]uint32) []byte {
+// encodeCounts packs token counts for the emit message.
+func encodeCounts(m map[string]uint32) []byte {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -187,8 +187,8 @@ func EncodeCounts(m map[string]uint32) []byte {
 	return b.Bytes()
 }
 
-// DecodeCounts unpacks an emit payload.
-func DecodeCounts(p []byte) map[string]uint32 {
+// decodeCounts unpacks an emit payload.
+func decodeCounts(p []byte) map[string]uint32 {
 	out := map[string]uint32{}
 	for len(p) >= 1 {
 		n := int(p[0])
@@ -206,7 +206,7 @@ func DecodeCounts(p []byte) map[string]uint32 {
 // cache for statistics (§4) — modeled by the MemBound fraction — and
 // periodically emits a window snapshot to the ranker.
 func NewCounter(id actor.ID, topo Topology, cfg CounterConfig) (*actor.Actor, *Counter) {
-	st := NewCounterState(cfg)
+	st := newCounterState(cfg)
 	a := &actor.Actor{
 		ID:        id,
 		Name:      "rta-counter",
@@ -214,7 +214,7 @@ func NewCounter(id actor.ID, topo Topology, cfg CounterConfig) (*actor.Actor, *C
 		MemBound:  0.3,
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
-		tuples := DecodeTuples(msg.Data)
+		tuples := decodeTuples(msg.Data)
 		for _, t := range tuples {
 			st.Add(t)
 		}
@@ -224,8 +224,8 @@ func NewCounter(id actor.ID, topo Topology, cfg CounterConfig) (*actor.Actor, *C
 			st.since = 0
 			totals := st.Totals()
 			st.Advance()
-			payload := EncodeCounts(totals)
-			ctx.Send(topo.Ranker, actor.Msg{Kind: KindEmit, Data: payload, FlowID: msg.FlowID})
+			payload := encodeCounts(totals)
+			ctx.Send(topo.Ranker, actor.Msg{Kind: kindEmit, Data: payload, FlowID: msg.FlowID})
 			cost += sim.Time(len(totals)) * 80 * sim.Nanosecond
 		}
 		if msg.Reply != nil {
@@ -252,8 +252,8 @@ type Ranker struct {
 	best map[string]uint32
 }
 
-// NewRankerState builds ranker state.
-func NewRankerState(topN int) *Ranker {
+// newRankerState builds ranker state.
+func newRankerState(topN int) *Ranker {
 	if topN <= 0 {
 		topN = 10
 	}
@@ -293,13 +293,13 @@ func (r *Ranker) Merge(counts map[string]uint32) []Entry {
 	return all
 }
 
-// EncodeTopN packs ranked entries.
-func EncodeTopN(es []Entry) []byte {
+// encodeTopN packs ranked entries.
+func encodeTopN(es []Entry) []byte {
 	m := make(map[string]uint32, len(es))
 	for _, e := range es {
 		m[e.Token] = e.Count
 	}
-	return EncodeCounts(m)
+	return encodeCounts(m)
 }
 
 // sortCost models quicksort on n elements against Table 3's Top-ranker
@@ -320,7 +320,7 @@ func sortCost(n int) sim.Time {
 // topology's high-dispersion member — the one iPipe migrates to the
 // host when network load is high (§4).
 func NewRanker(id actor.ID, topo Topology, topN int) (*actor.Actor, *Ranker) {
-	st := NewRankerState(topN)
+	st := newRankerState(topN)
 	a := &actor.Actor{
 		ID:        id,
 		Name:      "rta-ranker",
@@ -328,10 +328,10 @@ func NewRanker(id actor.ID, topo Topology, topN int) (*actor.Actor, *Ranker) {
 		MemBound:  0.05, // compute-bound (Table 3: IPC 1.7, MPKI 0.1)
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
-		counts := DecodeCounts(msg.Data)
+		counts := decodeCounts(msg.Data)
 		top := st.Merge(counts)
 		if topo.Aggregator != 0 {
-			ctx.Send(topo.Aggregator, actor.Msg{Kind: KindTopN, Data: EncodeTopN(top)})
+			ctx.Send(topo.Aggregator, actor.Msg{Kind: kindTopN, Data: encodeTopN(top)})
 		}
 		return sortCost(len(st.best))
 	}
@@ -342,7 +342,7 @@ func NewRanker(id actor.ID, topo Topology, topN int) (*actor.Actor, *Ranker) {
 // streams from all workers; onUpdate observes each consolidated view
 // (the experiment harness uses it).
 func NewAggregator(id actor.ID, topN int, onUpdate func([]Entry)) (*actor.Actor, *Ranker) {
-	st := NewRankerState(topN)
+	st := newRankerState(topN)
 	a := &actor.Actor{
 		ID:        id,
 		Name:      "rta-aggregator",
@@ -350,7 +350,7 @@ func NewAggregator(id actor.ID, topN int, onUpdate func([]Entry)) (*actor.Actor,
 		MemBound:  0.05,
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
-		top := st.Merge(DecodeCounts(msg.Data))
+		top := st.Merge(decodeCounts(msg.Data))
 		if onUpdate != nil {
 			onUpdate(top)
 		}

@@ -16,7 +16,6 @@ type fakeCtx struct {
 }
 
 func (f *fakeCtx) Now() sim.Time                                          { return 0 }
-func (f *fakeCtx) Self() actor.ID                                         { return 0 }
 func (f *fakeCtx) Send(dst actor.ID, m actor.Msg)                         { m.Dst = dst; f.sent = append(f.sent, m) }
 func (f *fakeCtx) Reply(m actor.Msg)                                      { f.replies = append(f.replies, m) }
 func (f *fakeCtx) Alloc(size int) (uint64, error)                         { return 1, nil }
@@ -32,7 +31,7 @@ func (f *fakeCtx) Accel(name string, b, bs int) (sim.Time, bool) { return 0, fal
 func (f *fakeCtx) OnNIC() bool                                   { return true }
 
 func TestMatcherBasics(t *testing.T) {
-	m := NewMatcher([]string{"spam", "junk"})
+	m := newMatcher([]string{"spam", "junk"})
 	cases := map[string]bool{
 		"this is spam": true,
 		"junkmail":     true,
@@ -50,7 +49,7 @@ func TestMatcherBasics(t *testing.T) {
 }
 
 func TestMatcherOverlappingPatterns(t *testing.T) {
-	m := NewMatcher([]string{"he", "she", "hers"})
+	m := newMatcher([]string{"he", "she", "hers"})
 	for _, text := range []string{"she", "hers", "ushers", "xhey"} {
 		if !m.Match(text) {
 			t.Errorf("Match(%q) = false", text)
@@ -62,11 +61,11 @@ func TestMatcherOverlappingPatterns(t *testing.T) {
 }
 
 func TestMatcherEmptyDictionary(t *testing.T) {
-	m := NewMatcher(nil)
+	m := newMatcher(nil)
 	if m.Match("anything") {
 		t.Fatal("empty dictionary matched")
 	}
-	m2 := NewMatcher([]string{""})
+	m2 := newMatcher([]string{""})
 	if m2.Match("x") {
 		t.Fatal("empty pattern matched")
 	}
@@ -90,7 +89,7 @@ func TestMatcherAgreesWithContains(t *testing.T) {
 		if len(p) > 6 {
 			p = p[:6]
 		}
-		m := NewMatcher([]string{p})
+		m := newMatcher([]string{p})
 		return m.Match(x) == strings.Contains(x, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -100,18 +99,18 @@ func TestMatcherAgreesWithContains(t *testing.T) {
 
 func TestTupleCodecRoundTrip(t *testing.T) {
 	in := []string{"alpha", "beta", "gamma"}
-	out := DecodeTuples(EncodeTuples(in))
+	out := decodeTuples(EncodeTuples(in))
 	if len(out) != 3 || out[0] != "alpha" || out[2] != "gamma" {
 		t.Fatalf("round trip = %v", out)
 	}
-	if DecodeTuples(nil) != nil {
+	if decodeTuples(nil) != nil {
 		t.Fatal("nil decode should be nil")
 	}
 }
 
 func TestCountsCodecRoundTrip(t *testing.T) {
 	in := map[string]uint32{"a": 1, "bb": 70000, "ccc": 3}
-	out := DecodeCounts(EncodeCounts(in))
+	out := decodeCounts(encodeCounts(in))
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -130,7 +129,7 @@ func TestFilterDropsMatching(t *testing.T) {
 	if len(ctx.sent) != 1 {
 		t.Fatalf("forwarded %d messages", len(ctx.sent))
 	}
-	kept := DecodeTuples(ctx.sent[0].Data)
+	kept := decodeTuples(ctx.sent[0].Data)
 	if len(kept) != 2 || kept[0] != "good" || kept[1] != "fine" {
 		t.Fatalf("kept %v", kept)
 	}
@@ -176,10 +175,10 @@ func TestCounterWindowAndEmit(t *testing.T) {
 		t.Fatal("emitted before EmitEvery batches")
 	}
 	a.OnMessage(ctx, actor.Msg{Data: EncodeTuples([]string{"x"})})
-	if len(ctx.sent) != 1 || ctx.sent[0].Kind != KindEmit {
+	if len(ctx.sent) != 1 || ctx.sent[0].Kind != kindEmit {
 		t.Fatalf("emit not sent: %v", ctx.sent)
 	}
-	counts := DecodeCounts(ctx.sent[0].Data)
+	counts := decodeCounts(ctx.sent[0].Data)
 	if counts["x"] != 3 || counts["y"] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -187,7 +186,7 @@ func TestCounterWindowAndEmit(t *testing.T) {
 }
 
 func TestCounterSlidingWindowExpiry(t *testing.T) {
-	st := NewCounterState(CounterConfig{WindowSlots: 2, EmitEvery: 100})
+	st := newCounterState(CounterConfig{WindowSlots: 2, EmitEvery: 100})
 	st.Add("k")
 	st.Advance()
 	st.Add("k")
@@ -203,13 +202,13 @@ func TestCounterSlidingWindowExpiry(t *testing.T) {
 func TestRankerTopNOrdering(t *testing.T) {
 	a, st := NewRanker(3, Topology{Aggregator: 4}, 3)
 	ctx := &fakeCtx{}
-	a.OnMessage(ctx, actor.Msg{Kind: KindEmit, Data: EncodeCounts(map[string]uint32{
+	a.OnMessage(ctx, actor.Msg{Kind: kindEmit, Data: encodeCounts(map[string]uint32{
 		"a": 5, "b": 9, "c": 1, "d": 7, "e": 3,
 	})})
-	if len(ctx.sent) != 1 || ctx.sent[0].Kind != KindTopN {
+	if len(ctx.sent) != 1 || ctx.sent[0].Kind != kindTopN {
 		t.Fatalf("topn not forwarded: %v", ctx.sent)
 	}
-	top := DecodeCounts(ctx.sent[0].Data)
+	top := decodeCounts(ctx.sent[0].Data)
 	if len(top) != 3 {
 		t.Fatalf("topN size = %d", len(top))
 	}
@@ -222,7 +221,7 @@ func TestRankerTopNOrdering(t *testing.T) {
 }
 
 func TestRankerMergeKeepsMaxima(t *testing.T) {
-	st := NewRankerState(2)
+	st := newRankerState(2)
 	st.Merge(map[string]uint32{"a": 5})
 	top := st.Merge(map[string]uint32{"a": 3, "b": 4})
 	if top[0].Token != "a" || top[0].Count != 5 {
@@ -245,7 +244,7 @@ func TestAggregatorObservesUpdates(t *testing.T) {
 	var last []Entry
 	a, _ := NewAggregator(4, 2, func(top []Entry) { last = top })
 	ctx := &fakeCtx{}
-	a.OnMessage(ctx, actor.Msg{Data: EncodeCounts(map[string]uint32{"z": 10, "y": 20})})
+	a.OnMessage(ctx, actor.Msg{Data: encodeCounts(map[string]uint32{"z": 10, "y": 20})})
 	if len(last) != 2 || last[0].Token != "y" {
 		t.Fatalf("aggregated view = %v", last)
 	}

@@ -1,9 +1,9 @@
 // Package baseline provides the comparators the paper evaluates iPipe
 // against:
 //
-//   - the DPDK host-only baseline (§5.1): a node without a SmartNIC,
-//     where the full application runs on host cores behind a
-//     kernel-bypass stack — built by DPDKNode;
+//   - the DPDK host-only baseline (§5.1) is a core.Config without a
+//     NIC: the full application runs on host cores behind a
+//     kernel-bypass stack;
 //   - Floem-style static offloading (§5.6): computations placed on the
 //     SmartNIC at configuration time and never moved, with the
 //     language runtime's queue-multiplexing overhead — FloemConfig;
@@ -18,19 +18,12 @@ import (
 	"repro/internal/spec"
 )
 
-// DPDKNode returns a node config for the DPDK baseline: no SmartNIC,
-// everything on the host. The link speed matches what the iPipe node
-// under comparison would use.
-func DPDKNode(name string, linkGbps float64) core.Config {
-	return core.Config{Name: name, LinkGbps: linkGbps, RawState: false}
-}
-
-// FloemMultiplexOverhead is the per-message queue-multiplexing cost of
+// floemMultiplexOverhead is the per-message queue-multiplexing cost of
 // Floem's language runtime on NIC cores. Floem routes every element
 // input through logical queues with per-packet state management; the
 // paper attributes its lower per-core throughput partly to this
 // multiplexing, which iPipe avoids with direct dispatch (§5.6).
-const FloemMultiplexOverhead = 650 * sim.Nanosecond
+const floemMultiplexOverhead = 650 * sim.Nanosecond
 
 // FloemConfig returns a node config modeling a Floem deployment on the
 // given SmartNIC: offloaded elements are stationary (no migration), and
@@ -40,7 +33,7 @@ func FloemConfig(name string, nic *spec.NICModel) core.Config {
 	scfg.TailThresh = 0 // no adaptive downgrade: elements are static
 	scfg.MeanThresh = 0
 	scfg.Shuffle = !nic.HasTrafficManager
-	scfg.ExtraDispatch = FloemMultiplexOverhead
+	scfg.ExtraDispatch = floemMultiplexOverhead
 	return core.Config{
 		Name:             name,
 		NIC:              nic,

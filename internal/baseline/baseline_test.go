@@ -37,18 +37,11 @@ func TestFloemConfigIsStatic(t *testing.T) {
 	if !cfg.DisableMigration {
 		t.Fatal("Floem elements must be stationary")
 	}
-	if cfg.SchedOverride == nil || cfg.SchedOverride.ExtraDispatch != FloemMultiplexOverhead {
+	if cfg.SchedOverride == nil || cfg.SchedOverride.ExtraDispatch != floemMultiplexOverhead {
 		t.Fatal("Floem multiplexing overhead missing")
 	}
 	if cfg.SchedOverride.TailThresh != 0 {
 		t.Fatal("Floem has no adaptive downgrade")
-	}
-}
-
-func TestDPDKNodeHasNoNIC(t *testing.T) {
-	cfg := DPDKNode("srv", 25)
-	if cfg.NIC != nil || cfg.LinkGbps != 25 {
-		t.Fatalf("DPDK node misconfigured: %+v", cfg)
 	}
 }
 

@@ -76,7 +76,7 @@ func runRTA(opts Options, linkGbps float64, offload bool, size, depth int, windo
 		node string
 		id   actor.ID
 	}
-	for ni, n := range nodes {
+	for _, n := range nodes {
 		for s := 0; s < appShards; s++ {
 			topo := rta.Topology{Filter: id, Counter: id + 1, Ranker: id + 2, Aggregator: aggID}
 			f, _ := rta.NewFilter(topo.Filter, topo, []string{"xanadu", "qzx"})
@@ -90,7 +90,6 @@ func runRTA(opts Options, linkGbps float64, offload bool, size, depth int, windo
 				id   actor.ID
 			}{n.Name, topo.Filter})
 			id += 3
-			_ = ni
 		}
 	}
 	client := workload.NewClient(cl, "cli", linkGbps)

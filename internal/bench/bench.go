@@ -71,6 +71,16 @@ func (o Options) meshConfig(nodes, parts int) mesh.Config {
 		Seed: o.seed(), Observe: o.Observe}
 }
 
+// parts is the partition count of a partitioned mesh of n nodes: -pdes
+// when given, else the experiment's default, clamped to n.
+func (o Options) parts(def, n int) int {
+	p := o.PDESParts
+	if p <= 0 {
+		p = def
+	}
+	return min(p, n)
+}
+
 // Result is one experiment's output.
 type Result struct {
 	ID     string
@@ -156,13 +166,13 @@ func (r *Result) Fprint(w io.Writer) {
 	}
 }
 
-// Runner produces one experiment's result.
-type Runner func(opts Options) *Result
+// runner produces one experiment's result.
+type runner func(opts Options) *Result
 
 type entry struct {
 	id    string
 	title string
-	run   Runner
+	run   runner
 	order int
 }
 
@@ -170,7 +180,7 @@ var registry = map[string]*entry{}
 var nextOrder int
 
 // register wires a runner under an id; called from init functions.
-func register(id, title string, run Runner) {
+func register(id, title string, run runner) {
 	if _, dup := registry[id]; dup {
 		panic("bench: duplicate experiment " + id)
 	}

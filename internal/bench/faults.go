@@ -82,7 +82,7 @@ func (p *rkvProbe) attempt(i uint64, data []byte, isWrite bool, target, attempt 
 			return
 		}
 		*kind++
-		p.attempt(i, data, isWrite, (target+1)%len(p.nodes), attempt+1, p.grow(timeout), done)
+		p.attempt(i, data, isWrite, (target+1)%len(p.nodes), attempt+1, workload.GrowTimeout(timeout, p.retry.Backoff, p.retry.MaxTimeout), done)
 	}
 	p.c.Send(workload.Request{
 		Node: p.nodes[target], Dst: p.cons[target], Kind: rkv.KindReq,
@@ -107,23 +107,6 @@ func (p *rkvProbe) attempt(i uint64, data []byte, isWrite bool, target, attempt 
 		return
 	}
 	p.eng.After(timeout, func() { rotate(&p.retries) })
-}
-
-// grow applies the policy's backoff to a timeout, clamped like
-// workload.Client: an uncapped policy still saturates at the sane
-// ceiling rather than overflowing sim.Time into a negative wait.
-func (p *rkvProbe) grow(t sim.Time) sim.Time {
-	if p.retry.Backoff <= 1 {
-		return t
-	}
-	ceil := p.retry.MaxTimeout
-	if ceil <= 0 {
-		ceil = workload.MaxUncappedTimeout
-	}
-	if f := float64(t) * p.retry.Backoff; f < float64(ceil) {
-		return sim.Time(f)
-	}
-	return ceil
 }
 
 // availability returns the completed fraction in percent.

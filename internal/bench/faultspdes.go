@@ -28,21 +28,13 @@ func init() {
 }
 
 // pdesMeshSize resolves the mesh geometry shared by the PDES fault
-// experiments: node count from quick mode, partition count from -pdes
-// (default 4), clamped to the node count.
+// experiments: node count from quick mode, 4 partitions by default.
 func pdesMeshSize(opts Options) (nodes, parts int, window sim.Time) {
 	nodes, window = 12, 6*sim.Millisecond
 	if opts.Quick {
 		nodes, window = 8, 3*sim.Millisecond
 	}
-	parts = opts.PDESParts
-	if parts <= 0 {
-		parts = 4
-	}
-	if parts > nodes {
-		parts = nodes
-	}
-	return nodes, parts, window
+	return nodes, opts.parts(4, nodes), window
 }
 
 // pdesMesh builds the partitioned echo mesh every PDES fault, migration
@@ -61,6 +53,8 @@ func pdesMesh(opts Options, nodes, parts int, migratable bool) (*core.Cluster, [
 func pdesFaultSchedule(window sim.Time) fault.Schedule {
 	w := float64(window)
 	at := func(f float64) sim.Time { return sim.Time(w * f) }
+	jittered := fault.Crash("n006", at(0.70), at(0.10))
+	jittered.Jitter = at(0.05)
 	return fault.Schedule{Faults: []fault.Fault{
 		fault.Crash("n000", at(0.15), at(0.12)),
 		fault.Loss("n003", at(0.20), at(0.15), 0.5),
@@ -69,8 +63,7 @@ func pdesFaultSchedule(window sim.Time) fault.Schedule {
 		fault.Overload("n002", at(0.25), at(0.15), 4),
 		fault.Stall("n005", "CRC", at(0.30), at(0.10)),
 		fault.NICFail("n001", at(0.15), at(0.15)),
-		{Kind: fault.NodeCrash, Node: "n006", At: at(0.70), Dur: at(0.10),
-			Jitter: at(0.05)},
+		jittered,
 	}}
 }
 

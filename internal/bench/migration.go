@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps/dt"
 	"repro/internal/apps/rkv"
 	"repro/internal/apps/rta"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -241,17 +242,10 @@ func floem(opts Options) *Result {
 func runRTAVariant(opts Options, mode string, size int, window sim.Time) appRun {
 	cl := opts.cluster()
 	nicModel := spec.LiquidIOII_CN2350()
-	var cfg core.Config
-	switch mode {
-	case "Floem":
-		cfg = core.Config{Name: "w0", NIC: nicModel, DisableMigration: true}
-		fc := *nicModel // Floem's runtime multiplexing overhead on dispatch
-		_ = fc
-		cfg = floemNodeConfig(nicModel)
-	default:
-		cfg = core.Config{Name: "w0", NIC: nicModel}
+	cfg := core.Config{Name: "w0", NIC: nicModel}
+	if mode == "Floem" {
+		cfg = baseline.FloemConfig("w0", nicModel)
 	}
-	cfg.Name = "w0"
 	n := cl.AddNode(cfg)
 	var filters []actor.ID
 	id := actor.ID(1000)
@@ -284,13 +278,6 @@ func runRTAVariant(opts Options, mode string, size int, window sim.Time) appRun 
 	})
 	cl.Eng.RunUntil(window)
 	return collect(cl, client, window, map[string]string{"RTA Worker": "w0"})
-}
-
-// floemNodeConfig builds the Floem node config (kept here to avoid an
-// import cycle with internal/baseline in earlier revisions; it simply
-// delegates).
-func floemNodeConfig(nic *spec.NICModel) core.Config {
-	return floemCfg(nic)
 }
 
 // nfExp reproduces §5.7: the firewall's packet latency under load with

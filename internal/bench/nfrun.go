@@ -3,17 +3,11 @@ package bench
 import (
 	"repro/internal/actor"
 	"repro/internal/apps/nf"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
-
-// floemCfg delegates to the baseline package's Floem configuration.
-func floemCfg(nic *spec.NICModel) core.Config {
-	return baseline.FloemConfig("w0", nic)
-}
 
 // runFirewall deploys the 8K-rule TCAM firewall on the NIC and drives
 // 1KB packets at the given fraction of line rate.

@@ -60,11 +60,11 @@ func (ob *Observer) WriteMetrics(w io.Writer) error {
 	return nil
 }
 
-// DefaultReportIDs is the experiment set an unqualified -report runs:
+// defaultReportIDs is the experiment set an unqualified -report runs:
 // one classic multi-cluster sweep (fig17 exercises the host/NIC split)
 // and the partitioned mesh sweep (scale-nodes exercises sharded sinks,
 // window-mode metrics and cross-partition handoffs).
-func DefaultReportIDs() []string { return []string{"fig17", "scale-nodes"} }
+func defaultReportIDs() []string { return []string{"fig17", "scale-nodes"} }
 
 // ObsReport runs each experiment with observability attached and builds
 // the run-summary artifact. Sweep parallelism is forced to 1 (see
@@ -72,7 +72,7 @@ func DefaultReportIDs() []string { return []string{"fig17", "scale-nodes"} }
 // artifact.
 func ObsReport(opts Options, ids []string) (*obs.Report, error) {
 	if len(ids) == 0 {
-		ids = DefaultReportIDs()
+		ids = defaultReportIDs()
 	}
 	opts.Parallel = 1
 	rep := &obs.Report{Version: obs.ReportVersion, Seed: opts.seed(), Quick: opts.Quick}

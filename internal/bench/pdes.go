@@ -28,20 +28,6 @@ func scaleNodeSizes(opts Options) []int {
 	return []int{16, 64, 128, 256}
 }
 
-// scaleParts resolves the partition count for a mesh of n nodes under
-// the run's options: an explicit -pdes value wins, otherwise the mesh
-// default (min(8, n)).
-func scaleParts(opts Options, n int) int {
-	p := opts.PDESParts
-	if p <= 0 {
-		p = 8
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
 func scaleWindow(opts Options) sim.Time {
 	if opts.Quick {
 		return 300 * sim.Microsecond
@@ -53,7 +39,7 @@ func runScaleNodes(opts Options) *Result {
 	r := &Result{Header: []string{"nodes", "partitions", "ops", "tput_kops", "p50_us", "p99_us", "events", "crossed", "rounds"}}
 	sizes := scaleNodeSizes(opts)
 	runs := sweepMap(opts, len(sizes), func(i int) mesh.Stats {
-		cfg := opts.meshConfig(sizes[i], scaleParts(opts, sizes[i]))
+		cfg := opts.meshConfig(sizes[i], opts.parts(8, sizes[i]))
 		cfg.Window = scaleWindow(opts)
 		return mesh.Run(cfg)
 	})

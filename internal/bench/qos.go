@@ -451,13 +451,7 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 		nodes = 8
 		window = 400 * sim.Microsecond
 	}
-	parts := opts.PDESParts
-	if parts <= 0 {
-		parts = 4
-	}
-	if parts > nodes {
-		parts = nodes
-	}
+	parts := opts.parts(4, nodes)
 
 	outs := sweepMap(opts, 1, func(int) qosLanesOutcome {
 		cl, nn, clients := pdesMesh(opts, nodes, parts, false)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -175,5 +174,3 @@ func (s shiftedExp) Mean() sim.Time { return s.base + s.jit.M }
 
 // Name implements workload.ServiceDist.
 func (s shiftedExp) Name() string { return "shifted-exp" }
-
-var _ = stats.NewSample // keep stats import if assertions change

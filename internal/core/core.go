@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/actor"
@@ -30,10 +29,10 @@ import (
 	"repro/internal/spec"
 )
 
-// DefaultRegionBytes is the per-actor DMO region carved at registration
+// defaultRegionBytes is the per-actor DMO region carved at registration
 // when the caller does not specify one (64MB, comfortably above every
 // app actor's working set).
-const DefaultRegionBytes = 64 << 20
+const defaultRegionBytes = 64 << 20
 
 // RespEnvelope wraps a response traveling back to an external client
 // (the workload generator): Fn is the client's reply continuation, Msg
@@ -419,7 +418,7 @@ func (n *Node) arriveNIC(m actor.Msg) {
 
 // Register deploys an actor on this node. onNIC selects initial
 // placement (ignored and forced to host on baseline nodes or when the
-// actor is PinHost). regionBytes ≤ 0 uses DefaultRegionBytes.
+// actor is PinHost). regionBytes ≤ 0 uses 64 MB.
 func (n *Node) Register(a *actor.Actor, onNIC bool, regionBytes int) error {
 	if _, dup := n.actors[a.ID]; dup {
 		return fmt.Errorf("core: actor %d already registered on %s", a.ID, n.Name)
@@ -428,7 +427,7 @@ func (n *Node) Register(a *actor.Actor, onNIC bool, regionBytes int) error {
 		return fmt.Errorf("core: actor %d already deployed", a.ID)
 	}
 	if regionBytes <= 0 {
-		regionBytes = DefaultRegionBytes
+		regionBytes = defaultRegionBytes
 	}
 	if a.PinHost || n.Sched == nil {
 		onNIC = false
@@ -448,18 +447,6 @@ func (n *Node) Register(a *actor.Actor, onNIC bool, regionBytes int) error {
 	}
 	n.c.Table.Set(a.ID, actor.Ref{Node: n.Name, OnNIC: onNIC})
 	return nil
-}
-
-// ActorSide reports where an actor currently runs on this node.
-func (n *Node) ActorSide(id actor.ID) (dmo.Side, error) {
-	ref, ok := n.c.Table.Lookup(id)
-	if !ok || ref.Node != n.Name {
-		return 0, errors.New("core: actor not on this node")
-	}
-	if ref.OnNIC {
-		return dmo.NIC, nil
-	}
-	return dmo.Host, nil
 }
 
 // Deliver implements netsim.Handler: traffic from the wire.

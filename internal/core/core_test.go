@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/core"
-	"repro/internal/dmo"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -226,10 +225,9 @@ func TestPushMigrationUnderOverload(t *testing.T) {
 	// The actor must still be deployed somewhere on this node (it may
 	// have been pulled back to the NIC once the open loop ended and
 	// load dropped — that is the adaptive behavior working).
-	if _, err := n.ActorSide(40); err != nil {
+	if _, err := actorSide(cl, n, 40); err != nil {
 		t.Fatalf("actor lost after migration: %v", err)
 	}
-	_ = dmo.Host
 	if client.Received < client.Sent/2 {
 		t.Fatalf("too many lost responses across migration: %d/%d", client.Received, client.Sent)
 	}

@@ -147,9 +147,6 @@ func (n *Node) perform(e *effect) {
 // Now implements actor.Ctx.
 func (c *execCtx) Now() sim.Time { return c.node.eng.Now() }
 
-// Self implements actor.Ctx.
-func (c *execCtx) Self() actor.ID { return c.a.ID }
-
 // OnNIC implements actor.Ctx.
 func (c *execCtx) OnNIC() bool { return c.onNIC }
 

@@ -49,9 +49,6 @@ func (n *Node) Cluster() *Cluster { return n.c }
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
 
-// NICDown reports whether the node's SmartNIC complex is failed.
-func (n *Node) NICDown() bool { return n.nicDown }
-
 // Fail crashes the node: all traffic addressed to it drops, queued work
 // drains without executing, and in-flight responses it already emitted
 // still propagate (they left the wire before the crash). Idempotent.

@@ -73,7 +73,7 @@ func TestBlueFieldNode(t *testing.T) {
 }
 
 // TestTinyRingBackpressure forces the host↔NIC rings to fill so the
-// retry path (ErrRingFull → backoff) is exercised without losing
+// retry path (ring full → backoff) is exercised without losing
 // messages.
 func TestTinyRingBackpressure(t *testing.T) {
 	cl := core.NewCluster(8)

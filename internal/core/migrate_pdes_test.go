@@ -90,7 +90,7 @@ func TestMigrateNowDeadHardware(t *testing.T) {
 		t.Fatal("PullNow refused after RecoverNIC")
 	}
 	cl.Eng.Run()
-	if side, err := n.ActorSide(1); err != nil || side != dmo.NIC {
+	if side, err := actorSide(cl, n, 1); err != nil || side != dmo.NIC {
 		t.Fatalf("actor side after pull = %v/%v, want NIC", side, err)
 	}
 }
@@ -219,7 +219,7 @@ func runMigrationMeshPDES(t *testing.T, seed uint64, workers int) string {
 	// node, whatever side it ended on.
 	var digest strings.Builder
 	for i := 0; i < nodes; i++ {
-		side, err := nn[i].ActorSide(actor.ID(1 + i))
+		side, err := actorSide(cl, nn[i], actor.ID(1+i))
 		if err != nil {
 			t.Fatalf("actor %d lost after migrations+faults: %v", 1+i, err)
 		}
@@ -280,7 +280,7 @@ func TestPartitionedClusterAllowsMigration(t *testing.T) {
 	if !ok {
 		t.Fatal("MigrateNow refused on a partitioned cluster")
 	}
-	side, err := n1.ActorSide(2)
+	side, err := actorSide(cl, n1, 2)
 	if err != nil || side != dmo.Host {
 		t.Fatalf("actor side = %v/%v, want Host after the deferred commit", side, err)
 	}
@@ -290,4 +290,17 @@ func TestPartitionedClusterAllowsMigration(t *testing.T) {
 	if c.Received == 0 {
 		t.Fatal("no traffic answered across the migration")
 	}
+}
+
+// actorSide is where an actor runs on n, read from the cluster's actor
+// table.
+func actorSide(cl *core.Cluster, n *core.Node, id actor.ID) (dmo.Side, error) {
+	ref, ok := cl.Table.Lookup(id)
+	if !ok || ref.Node != n.Name {
+		return 0, fmt.Errorf("actor %d not on %s", id, n.Name)
+	}
+	if ref.OnNIC {
+		return dmo.NIC, nil
+	}
+	return dmo.Host, nil
 }

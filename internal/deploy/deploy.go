@@ -35,7 +35,6 @@ import (
 	"repro/internal/qos"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Placement says where an application's offloadable actors run.
@@ -79,26 +78,17 @@ func DefaultRetry() RetryPolicy {
 	}
 }
 
-// Apply copies the policy onto a request (leaving destination and
-// payload fields alone).
-func (p RetryPolicy) Apply(r *workload.Request) {
-	r.Timeout = p.Timeout
-	r.Retries = p.Retries
-	r.Backoff = p.Backoff
-	r.MaxTimeout = p.MaxTimeout
-}
-
 // FailoverPolicy controls the RKV leader-failover monitor.
 type FailoverPolicy struct {
 	// Detect models the failure detector's timeout: how long after a
-	// leader-node death the election is triggered (0 = DefaultDetect).
+	// leader-node death the election is triggered (0 = 200µs).
 	Detect sim.Time
 	// Disabled turns the monitor off entirely.
 	Disabled bool
 }
 
-// DefaultDetect is the default failure-detection delay.
-const DefaultDetect = 200 * sim.Microsecond
+// defaultDetect is the default failure-detection delay.
+const defaultDetect = 200 * sim.Microsecond
 
 // installFaults installs a spec's fault schedule (nil injector when the
 // schedule is empty).
@@ -163,26 +153,17 @@ type RKV struct {
 	Elections uint64
 }
 
-// AppName implements App.
-func (r *RKV) AppName() string { return "rkv" }
-
-// FaultInjector implements App.
-func (r *RKV) FaultInjector() *fault.Injector { return r.Injector }
-
-// QoSRuntime implements App.
-func (r *RKV) QoSRuntime() *qos.Runtime { return r.QoS }
-
 // Validate implements Spec.
 func (s RKVSpec) Validate() error {
 	if len(s.Nodes) == 0 {
-		return &ValidationError{Spec: "RKVSpec", Field: "Nodes", Reason: "needs at least one node"}
+		return &validationError{Spec: "RKVSpec", Field: "Nodes", Reason: "needs at least one node"}
 	}
 	if s.Replicas > len(s.Nodes) {
-		return &ValidationError{Spec: "RKVSpec", Field: "Replicas",
+		return &validationError{Spec: "RKVSpec", Field: "Replicas",
 			Reason: fmt.Sprintf("wants %d replicas from %d nodes", s.Replicas, len(s.Nodes))}
 	}
 	if s.Shards < 0 {
-		return &ValidationError{Spec: "RKVSpec", Field: "Shards", Reason: "must be >= 0"}
+		return &validationError{Spec: "RKVSpec", Field: "Shards", Reason: "must be >= 0"}
 	}
 	return s.Common.validate("RKVSpec")
 }
@@ -326,7 +307,7 @@ func (r *RKV) Reshard(g int) { r.Router.Remove(g) }
 func (r *RKV) installFailover(cl *core.Cluster) {
 	detect := r.Spec.Failover.Detect
 	if detect <= 0 {
-		detect = DefaultDetect
+		detect = defaultDetect
 	}
 	cl.OnMembership(func(node string, down bool) {
 		if !down {
@@ -439,24 +420,15 @@ type DT struct {
 	QoS *qos.Runtime
 }
 
-// AppName implements App.
-func (d *DT) AppName() string { return "dt" }
-
-// FaultInjector implements App.
-func (d *DT) FaultInjector() *fault.Injector { return d.Injector }
-
-// QoSRuntime implements App.
-func (d *DT) QoSRuntime() *qos.Runtime { return d.QoS }
-
 // Validate implements Spec. It rejects an empty participant set — the
 // legacy helper silently accepted one and produced a coordinator that
 // aborted every transaction.
 func (s DTSpec) Validate() error {
 	if s.Coordinator == nil {
-		return &ValidationError{Spec: "DTSpec", Field: "Coordinator", Reason: "needs a coordinator node"}
+		return &validationError{Spec: "DTSpec", Field: "Coordinator", Reason: "needs a coordinator node"}
 	}
 	if len(s.Participants) == 0 {
-		return &ValidationError{Spec: "DTSpec", Field: "Participants",
+		return &validationError{Spec: "DTSpec", Field: "Participants",
 			Reason: "needs at least one participant node (a coordinator without participants cannot commit transactions)"}
 	}
 	return s.Common.validate("DTSpec")
@@ -567,19 +539,10 @@ type RTA struct {
 	QoS *qos.Runtime
 }
 
-// AppName implements App.
-func (r *RTA) AppName() string { return "rta" }
-
-// FaultInjector implements App.
-func (r *RTA) FaultInjector() *fault.Injector { return r.Injector }
-
-// QoSRuntime implements App.
-func (r *RTA) QoSRuntime() *qos.Runtime { return r.QoS }
-
 // Validate implements Spec.
 func (s RTASpec) Validate() error {
 	if s.Node == nil || s.Aggregator == nil {
-		return &ValidationError{Spec: "RTASpec", Field: "Node",
+		return &validationError{Spec: "RTASpec", Field: "Node",
 			Reason: "needs pipeline and aggregator nodes"}
 	}
 	return s.Common.validate("RTASpec")
@@ -645,19 +608,10 @@ type Firewall struct {
 	QoS *qos.Runtime
 }
 
-// AppName implements App.
-func (f *Firewall) AppName() string { return "firewall" }
-
-// FaultInjector implements App.
-func (f *Firewall) FaultInjector() *fault.Injector { return f.Injector }
-
-// QoSRuntime implements App.
-func (f *Firewall) QoSRuntime() *qos.Runtime { return f.QoS }
-
 // Validate implements Spec.
 func (s FirewallSpec) Validate() error {
 	if s.Node == nil {
-		return &ValidationError{Spec: "FirewallSpec", Field: "Node", Reason: "needs a node"}
+		return &validationError{Spec: "FirewallSpec", Field: "Node", Reason: "needs a node"}
 	}
 	return s.Common.validate("FirewallSpec")
 }
@@ -704,23 +658,14 @@ type IPSec struct {
 	QoS *qos.Runtime
 }
 
-// AppName implements App.
-func (i *IPSec) AppName() string { return "ipsec" }
-
-// FaultInjector implements App.
-func (i *IPSec) FaultInjector() *fault.Injector { return i.Injector }
-
-// QoSRuntime implements App.
-func (i *IPSec) QoSRuntime() *qos.Runtime { return i.QoS }
-
 // Validate implements Spec. Key material is checked here (not at first
 // packet) so a bad spec fails before deployment.
 func (s IPSecSpec) Validate() error {
 	if s.Node == nil {
-		return &ValidationError{Spec: "IPSecSpec", Field: "Node", Reason: "needs a node"}
+		return &validationError{Spec: "IPSecSpec", Field: "Node", Reason: "needs a node"}
 	}
 	if _, err := nf.NewIPSecState(s.Key, s.MACKey); err != nil {
-		return &ValidationError{Spec: "IPSecSpec", Field: "Key", Reason: err.Error(), Err: err}
+		return &validationError{Spec: "IPSecSpec", Field: "Key", Reason: err.Error(), Err: err}
 	}
 	return s.Common.validate("IPSecSpec")
 }

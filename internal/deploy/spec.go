@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/qos"
-	"repro/internal/workload"
 )
 
 // This file is the spec-API v2 surface: the policy fields every
@@ -15,18 +14,6 @@ import (
 // implements App — so harnesses (ipipe-sim, ipipe-bench, golden replay)
 // iterate specs generically instead of switching over five concrete
 // types.
-
-// Class re-exports the traffic-class vocabulary so spec authors tag
-// tenants and requests without importing internal/qos directly.
-type Class = qos.Class
-
-// Traffic classes (see qos.Class): data is the zero value, control is
-// never dropped, telemetry is shed first.
-const (
-	ClassData      = qos.ClassData
-	ClassControl   = qos.ClassControl
-	ClassTelemetry = qos.ClassTelemetry
-)
 
 // Common is the policy block shared by every application spec,
 // embedded by value: placement, client retry, leader failover, fault
@@ -58,7 +45,7 @@ type Common struct {
 // spec type for the error).
 func (c *Common) validate(spec string) error {
 	if err := c.Tenancy.Validate(); err != nil {
-		return &ValidationError{Spec: spec, Field: "Tenancy", Reason: err.Error(), Err: err}
+		return &validationError{Spec: spec, Field: "Tenancy", Reason: err.Error(), Err: err}
 	}
 	return nil
 }
@@ -70,7 +57,7 @@ func (c *Common) validate(spec string) error {
 // deployment.
 type Spec interface {
 	// Validate checks the spec without deploying anything. Errors are
-	// *ValidationError (never a panic), so harnesses can report the
+	// *validationError (never a panic), so harnesses can report the
 	// offending spec and field.
 	Validate() error
 	// DeployApp validates and stands the spec up, returning the common
@@ -78,21 +65,12 @@ type Spec interface {
 	DeployApp() (App, error)
 }
 
-// App is the surface every deployed application shares.
-type App interface {
-	// AppName identifies the application kind ("rkv", "dt", "rta",
-	// "firewall", "ipsec").
-	AppName() string
-	// FaultInjector returns the installed fault injector (nil when the
-	// spec had no fault schedule).
-	FaultInjector() *fault.Injector
-	// QoSRuntime returns the installed tenancy runtime (nil when the
-	// spec had no Tenancy block).
-	QoSRuntime() *qos.Runtime
-}
+// App is a deployed application: *RKV, *DT, *RTA, *Firewall or
+// *IPSec. Assert to the concrete type for its fields.
+type App any
 
-// ValidationError is a typed spec-validation failure.
-type ValidationError struct {
+// validationError is a typed spec-validation failure.
+type validationError struct {
 	// Spec is the spec type ("RKVSpec", ...), Field the offending field.
 	Spec   string
 	Field  string
@@ -103,20 +81,15 @@ type ValidationError struct {
 }
 
 // Error implements error.
-func (e *ValidationError) Error() string {
+func (e *validationError) Error() string {
 	return fmt.Sprintf("deploy: invalid %s.%s: %s", e.Spec, e.Field, e.Reason)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
-func (e *ValidationError) Unwrap() error { return e.Err }
+func (e *validationError) Unwrap() error { return e.Err }
 
 // installTenancy wires a spec's Tenancy block over the app's node set
 // (no-op returning nil on a nil Tenancy).
 func installTenancy(cl *core.Cluster, nodes []*core.Node, t *qos.Tenancy) (*qos.Runtime, error) {
 	return qos.Install(cl, nodes, t)
 }
-
-// BindClient attaches an app's QoS admission to a workload client; a
-// nil runtime (QoS disabled) binds nothing, so callers can wire
-// unconditionally.
-func BindClient(rt *qos.Runtime, cl *workload.Client) { rt.Bind(cl) }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/apps/rkv"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -30,8 +31,8 @@ func specNodes(seed uint64, n int) (*core.Cluster, []*core.Node) {
 
 // TestSpecValidationTable walks the unified Spec surface: every concrete
 // spec validates generically through the interface, structural errors
-// and Tenancy errors come back as typed *ValidationError naming the
-// spec and field (wrapping *qos.ConfigError where qos raised it), and
+// and Tenancy errors come back as typed *validationError naming the
+// spec and field (wrapping qos's typed error where qos raised it), and
 // nothing panics on garbage input.
 func TestSpecValidationTable(t *testing.T) {
 	_, nodes := specNodes(1, 3)
@@ -41,9 +42,9 @@ func TestSpecValidationTable(t *testing.T) {
 	cases := []struct {
 		name     string
 		s        Spec
-		spec     string // expected ValidationError.Spec ("" = valid)
-		field    string // expected ValidationError.Field
-		qosField string // expected wrapped qos.ConfigError.Field ("" = none)
+		spec     string // expected validationError.Spec ("" = valid)
+		field    string // expected validationError.Field
+		qosField string // expected field of the wrapped qos error ("" = none)
 	}{
 		{"rkv valid", RKVSpec{Nodes: nodes, BaseID: 100, MemLimit: 8 << 20}, "", "", ""},
 		{"rkv no nodes", RKVSpec{BaseID: 100}, "RKVSpec", "Nodes", ""},
@@ -85,20 +86,17 @@ func TestSpecValidationTable(t *testing.T) {
 				}
 				return
 			}
-			var ve *ValidationError
+			var ve *validationError
 			if !errors.As(err, &ve) {
-				t.Fatalf("Validate() = %v (%T), want *ValidationError", err, err)
+				t.Fatalf("Validate() = %v (%T), want *validationError", err, err)
 			}
 			if ve.Spec != tc.spec || ve.Field != tc.field {
-				t.Fatalf("ValidationError = %s.%s, want %s.%s", ve.Spec, ve.Field, tc.spec, tc.field)
+				t.Fatalf("validationError = %s.%s, want %s.%s", ve.Spec, ve.Field, tc.spec, tc.field)
 			}
 			if tc.qosField != "" {
-				var ce *qos.ConfigError
-				if !errors.As(err, &ce) {
-					t.Fatalf("error chain %v does not unwrap to *qos.ConfigError", err)
-				}
-				if ce.Field != tc.qosField {
-					t.Fatalf("wrapped ConfigError.Field = %q, want %q", ce.Field, tc.qosField)
+				inner := errors.Unwrap(ve)
+				if inner == nil || !strings.Contains(inner.Error(), "Tenancy."+tc.qosField+":") {
+					t.Fatalf("error chain %v does not wrap qos's error on %s", err, tc.qosField)
 				}
 			}
 		})
@@ -131,21 +129,36 @@ func TestSpecDeployAppSurface(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DeployApp: %v", tc.name, err)
 		}
-		if app.AppName() != tc.name {
-			t.Errorf("AppName = %q, want %q", app.AppName(), tc.name)
+		var name string
+		var rt *qos.Runtime
+		var inj *fault.Injector
+		switch a := app.(type) {
+		case *RKV:
+			name, rt, inj = "rkv", a.QoS, a.Injector
+		case *DT:
+			name, rt, inj = "dt", a.QoS, a.Injector
+		case *RTA:
+			name, rt, inj = "rta", a.QoS, a.Injector
+		case *Firewall:
+			name, rt, inj = "firewall", a.QoS, a.Injector
+		case *IPSec:
+			name, rt, inj = "ipsec", a.QoS, a.Injector
 		}
-		if got := app.QoSRuntime() != nil; got != tc.wantQoS {
-			t.Errorf("%s: QoSRuntime != nil is %v, want %v", tc.name, got, tc.wantQoS)
+		if name != tc.name {
+			t.Errorf("%s: DeployApp returned %T", tc.name, app)
 		}
-		if app.FaultInjector() != nil {
-			t.Errorf("%s: FaultInjector non-nil without a schedule", tc.name)
+		if got := rt != nil; got != tc.wantQoS {
+			t.Errorf("%s: QoS != nil is %v, want %v", tc.name, got, tc.wantQoS)
+		}
+		if inj != nil {
+			t.Errorf("%s: Injector non-nil without a schedule", tc.name)
 		}
 	}
 }
 
 // TestSpecTenancyControllerRequiresClassicCluster pins the PDES
 // restriction at deploy time: a partitioned cluster rejects an
-// SLO-controller Tenancy with a typed qos.ConfigError instead of
+// SLO-controller Tenancy with qos's typed error instead of
 // deploying a racy loop.
 func TestSpecTenancyControllerRequiresClassicCluster(t *testing.T) {
 	cl := core.NewPartitionedCluster(1, 2)
@@ -158,9 +171,8 @@ func TestSpecTenancyControllerRequiresClassicCluster(t *testing.T) {
 		}},
 		Node: n, ID: 100,
 	}.Deploy()
-	var ce *qos.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "Controller.Enabled" {
-		t.Fatalf("partitioned deploy with controller: err = %v, want ConfigError on Controller.Enabled", err)
+	if err == nil || !strings.Contains(err.Error(), "qos: invalid Tenancy.Controller.Enabled:") {
+		t.Fatalf("partitioned deploy with controller: err = %v, want qos's error on Controller.Enabled", err)
 	}
 }
 

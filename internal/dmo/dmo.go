@@ -151,15 +151,6 @@ func (s *Store) Register(actor uint32, limit int) {
 	s.regions[actor] = &region{limit: limit}
 }
 
-// RegionUse reports an actor's (used, limit) bytes.
-func (s *Store) RegionUse(actor uint32) (used, limit int) {
-	r, ok := s.regions[actor]
-	if !ok {
-		return 0, 0
-	}
-	return r.used, r.limit
-}
-
 // Alloc creates an object of size bytes for the actor on the given side.
 func (s *Store) Alloc(actor uint32, size int, side Side) (ObjID, error) {
 	if size < 0 {
@@ -275,15 +266,6 @@ func (s *Store) Size(actor uint32, id ObjID) (int, error) {
 		return 0, err
 	}
 	return len(o.data), nil
-}
-
-// SideOf returns which memory currently holds the object.
-func (s *Store) SideOf(actor uint32, id ObjID) (Side, error) {
-	o, err := s.lookup(actor, id)
-	if err != nil {
-		return 0, err
-	}
-	return o.side, nil
 }
 
 // Read returns the n bytes at offset off as a view into the object —

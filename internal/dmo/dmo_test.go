@@ -33,7 +33,7 @@ func TestAllocReadWrite(t *testing.T) {
 	if n, _ := s.Size(1, id); n != 100 {
 		t.Fatalf("Size = %d", n)
 	}
-	if side, _ := s.SideOf(1, id); side != NIC {
+	if side, _ := sideOf(s, 1, id); side != NIC {
 		t.Fatalf("SideOf = %v", side)
 	}
 }
@@ -54,9 +54,9 @@ func TestRegionExhaustion(t *testing.T) {
 	if _, err := s.Alloc(1, 40, NIC); err != nil {
 		t.Fatalf("alloc after free: %v", err)
 	}
-	used, limit := s.RegionUse(1)
+	used, limit := regionUse(s, 1)
 	if used != 100 || limit != 100 {
-		t.Fatalf("RegionUse = %d/%d", used, limit)
+		t.Fatalf("region use = %d/%d", used, limit)
 	}
 }
 
@@ -170,11 +170,11 @@ func TestMigrateActorMovesAllObjects(t *testing.T) {
 		t.Fatalf("moved %d bytes, want 300", moved)
 	}
 	for _, id := range []ObjID{a, bID} {
-		if side, _ := s.SideOf(1, id); side != Host {
+		if side, _ := sideOf(s, 1, id); side != Host {
 			t.Fatalf("object %d not migrated", id)
 		}
 	}
-	if side, _ := s.SideOf(2, other); side != NIC {
+	if side, _ := sideOf(s, 2, other); side != NIC {
 		t.Fatal("other actor's object moved")
 	}
 	// Data survives migration.
@@ -254,7 +254,7 @@ func TestRegionAccountingProperty(t *testing.T) {
 					live = append(live, id)
 				}
 			}
-			used, limit := s.RegionUse(1)
+			used, limit := regionUse(s, 1)
 			if used < 0 || used > limit {
 				return false
 			}
@@ -301,4 +301,21 @@ func TestReadViewBoundedAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.Read(1, id, 8, 32) }); allocs != 0 {
 		t.Fatalf("Read allocates %v, want 0", allocs)
 	}
+}
+
+// regionUse reports an actor's (used, limit) region bytes.
+func regionUse(s *Store, actor uint32) (used, limit int) {
+	if r := s.regions[actor]; r != nil {
+		return r.used, r.limit
+	}
+	return 0, 0
+}
+
+// sideOf reports which memory holds the object.
+func sideOf(s *Store, actor uint32, id ObjID) (Side, error) {
+	o, err := s.lookup(actor, id)
+	if err != nil {
+		return 0, err
+	}
+	return o.side, nil
 }

@@ -375,7 +375,7 @@ func compareTables(t testing.TB, st *Store, m *model) {
 		if err != nil || !bytes.Equal(got, o.data) {
 			t.Fatalf("object %d: Read = %x, %v; model %x", id, got, err, o.data)
 		}
-		if side, err := st.SideOf(o.owner, id); err != nil || side != o.side {
+		if side, err := sideOf(st, o.owner, id); err != nil || side != o.side {
 			t.Fatalf("object %d: SideOf = %v, %v; model %v", id, side, err, o.side)
 		}
 		if _, err := st.Size(o.owner+1, id); err != ErrWrongActor {
@@ -383,7 +383,7 @@ func compareTables(t testing.TB, st *Store, m *model) {
 		}
 	}
 	for a := uint32(1); a <= modelActors+1; a++ {
-		used, limit := st.RegionUse(a)
+		used, limit := regionUse(st, a)
 		if used != m.used[a] || limit != m.limit[a] {
 			t.Fatalf("actor %d region = %d/%d; model %d/%d", a, used, limit, m.used[a], m.limit[a])
 		}
@@ -580,7 +580,7 @@ func TestPagesReclaimed(t *testing.T) {
 	if want := total>>pageBits + 1; len(s.dir) != want {
 		t.Fatalf("directory has %d words after %d allocations, want %d", len(s.dir), total, want)
 	}
-	if used, _ := s.RegionUse(1); used != 8*window {
+	if used, _ := regionUse(s, 1); used != 8*window {
 		t.Fatalf("region use = %d, want %d", used, 8*window)
 	}
 }
@@ -606,7 +606,7 @@ func TestZeroSizeObjects(t *testing.T) {
 	if _, err := s.Size(2, id); err != ErrWrongActor {
 		t.Fatalf("Size as another actor = %v, want ErrWrongActor", err)
 	}
-	if side, _ := s.SideOf(1, id); side != Host || s.Objects() != 1 {
+	if side, _ := sideOf(s, 1, id); side != Host || s.Objects() != 1 {
 		t.Fatalf("side %v, %d objects", side, s.Objects())
 	}
 	if err := s.Free(1, id); err != nil {
@@ -635,7 +635,7 @@ func TestLookupAllocFree(t *testing.T) {
 		s.Read(1, a, 8, 16)
 		s.Write(1, a, 8, p)
 		s.Size(1, a)
-		s.SideOf(1, a)
+		sideOf(s, 1, a)
 		s.Memset(1, a, 0, 8, 1)
 		s.Memmove(1, a, 0, 4, 8)
 		s.Memcpy(1, a, 0, b, 0, 8)

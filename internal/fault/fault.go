@@ -30,43 +30,43 @@ import (
 type Kind uint8
 
 const (
-	// NodeCrash fail-stops the whole node for Dur, then restarts it.
-	NodeCrash Kind = iota + 1
-	// NICDown kills only the SmartNIC processing complex: its actors
+	// nodeCrash fail-stops the whole node for Dur, then restarts it.
+	nodeCrash Kind = iota + 1
+	// nicDown kills only the SmartNIC processing complex: its actors
 	// re-home to the host and ingress takes the host path.
-	NICDown
-	// NICOverload dilates NIC-core service times by Factor for Dur.
-	NICOverload
-	// LinkLoss drops the node's traffic (both directions) with
+	nicDown
+	// nicOverload dilates NIC-core service times by Factor for Dur.
+	nicOverload
+	// linkLoss drops the node's traffic (both directions) with
 	// probability Rate for Dur.
-	LinkLoss
-	// LinkFlap repeatedly severs and heals the node's connectivity:
+	linkLoss
+	// linkFlap repeatedly severs and heals the node's connectivity:
 	// down Period/2, up Period/2, for the whole Dur window.
-	LinkFlap
-	// Partition severs the Nodes group from every other attached node
+	linkFlap
+	// partitionCut severs the Nodes group from every other attached node
 	// (including clients) for Dur; the group stays internally connected.
-	Partition
-	// AccelStall occupies the named accelerator Unit for Dur; invocations
+	partitionCut
+	// accelStall occupies the named accelerator Unit for Dur; invocations
 	// queue behind the blockage.
-	AccelStall
+	accelStall
 )
 
 // String names the fault kind for logs and trace spans.
 func (k Kind) String() string {
 	switch k {
-	case NodeCrash:
+	case nodeCrash:
 		return "crash"
-	case NICDown:
+	case nicDown:
 		return "nic-down"
-	case NICOverload:
+	case nicOverload:
 		return "overload"
-	case LinkLoss:
+	case linkLoss:
 		return "loss"
-	case LinkFlap:
+	case linkFlap:
 		return "flap"
-	case Partition:
+	case partitionCut:
 		return "partition"
-	case AccelStall:
+	case accelStall:
 		return "stall"
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
@@ -79,29 +79,29 @@ func (k Kind) String() string {
 // offset in [0, Jitter), drawn from the engine's PRNG at install time.
 type Fault struct {
 	Kind  Kind
-	Node  string   // target node (all kinds except Partition)
-	Nodes []string // Partition: the group to cut off
+	Node  string   // target node (all kinds except Cut)
+	Nodes []string // Cut: the group to cut off
 
 	At  sim.Time
 	Dur sim.Time
 
-	Rate   float64  // LinkLoss drop probability (0, 1]
-	Factor float64  // NICOverload service-time multiplier (> 1)
-	Period sim.Time // LinkFlap cycle (default Dur/4)
-	Unit   string   // AccelStall accelerator name
+	Rate   float64  // linkLoss drop probability (0, 1]
+	Factor float64  // nicOverload service-time multiplier (> 1)
+	Period sim.Time // linkFlap cycle (default Dur/4)
+	Unit   string   // accelStall accelerator name
 	Jitter sim.Time // optional seed-derived start offset
 }
 
 // label renders the fault for the deterministic log and trace spans.
 func (f Fault) label() string {
 	switch f.Kind {
-	case NICOverload:
+	case nicOverload:
 		return fmt.Sprintf("%s %s x%.3g", f.Kind, f.Node, f.Factor)
-	case LinkLoss:
+	case linkLoss:
 		return fmt.Sprintf("%s %s %.3g", f.Kind, f.Node, f.Rate)
-	case Partition:
+	case partitionCut:
 		return fmt.Sprintf("%s [%s]", f.Kind, strings.Join(f.Nodes, " "))
-	case AccelStall:
+	case accelStall:
 		return fmt.Sprintf("%s %s %s", f.Kind, f.Node, f.Unit)
 	}
 	return fmt.Sprintf("%s %s", f.Kind, f.Node)
@@ -109,37 +109,37 @@ func (f Fault) label() string {
 
 // Crash builds a node crash/restart fault.
 func Crash(node string, at, dur sim.Time) Fault {
-	return Fault{Kind: NodeCrash, Node: node, At: at, Dur: dur}
+	return Fault{Kind: nodeCrash, Node: node, At: at, Dur: dur}
 }
 
 // NICFail builds a SmartNIC-complex failure.
 func NICFail(node string, at, dur sim.Time) Fault {
-	return Fault{Kind: NICDown, Node: node, At: at, Dur: dur}
+	return Fault{Kind: nicDown, Node: node, At: at, Dur: dur}
 }
 
 // Overload builds a NIC overload burst (service times × factor).
 func Overload(node string, at, dur sim.Time, factor float64) Fault {
-	return Fault{Kind: NICOverload, Node: node, At: at, Dur: dur, Factor: factor}
+	return Fault{Kind: nicOverload, Node: node, At: at, Dur: dur, Factor: factor}
 }
 
 // Loss builds a lossy-link window on the node's traffic.
 func Loss(node string, at, dur sim.Time, rate float64) Fault {
-	return Fault{Kind: LinkLoss, Node: node, At: at, Dur: dur, Rate: rate}
+	return Fault{Kind: linkLoss, Node: node, At: at, Dur: dur, Rate: rate}
 }
 
 // Flap builds a flapping-link window (down Period/2, up Period/2).
 func Flap(node string, at, dur, period sim.Time) Fault {
-	return Fault{Kind: LinkFlap, Node: node, At: at, Dur: dur, Period: period}
+	return Fault{Kind: linkFlap, Node: node, At: at, Dur: dur, Period: period}
 }
 
 // Cut builds a partition isolating the given group from everyone else.
 func Cut(at, dur sim.Time, nodes ...string) Fault {
-	return Fault{Kind: Partition, Nodes: nodes, At: at, Dur: dur}
+	return Fault{Kind: partitionCut, Nodes: nodes, At: at, Dur: dur}
 }
 
 // Stall builds an accelerator stall on the node's named unit.
 func Stall(node, unit string, at, dur sim.Time) Fault {
-	return Fault{Kind: AccelStall, Node: node, Unit: unit, At: at, Dur: dur}
+	return Fault{Kind: accelStall, Node: node, Unit: unit, At: at, Dur: dur}
 }
 
 // Schedule is a declarative set of faults, the Faults field of the
@@ -148,31 +148,31 @@ type Schedule struct {
 	Faults []Fault
 }
 
-// ScheduleError is the typed validation failure for one fault in a
+// scheduleError is the typed validation failure for one fault in a
 // Schedule, returned by Validate (and therefore Install): it identifies
 // the offending fault by index and rendered label so a mis-built
 // schedule fails loudly before any event reaches the engine.
-type ScheduleError struct {
+type scheduleError struct {
 	Index  int    // position in Schedule.Faults
 	Label  string // the offending Fault's label
 	Reason string
 }
 
 // Error implements error with the stable "fault N (label): reason" form.
-func (e *ScheduleError) Error() string {
+func (e *scheduleError) Error() string {
 	return fmt.Sprintf("fault %d (%s): %s", e.Index, e.Label, e.Reason)
 }
 
 // Validate checks the schedule against a cluster: known target nodes,
 // positive windows that do not start before the engine's current time,
-// sane parameters. Partition/LinkLoss/LinkFlap targets may name client
+// sane parameters. Cut/Loss/Flap targets may name client
 // endpoints (attached to the network but not cluster nodes), so only
 // node-runtime faults require a cluster node. Every failure is a
-// *ScheduleError.
+// *scheduleError.
 func (s Schedule) Validate(cl *core.Cluster) error {
 	for i, f := range s.Faults {
 		where := func(msg string, args ...any) error {
-			return &ScheduleError{Index: i, Label: f.label(), Reason: fmt.Sprintf(msg, args...)}
+			return &scheduleError{Index: i, Label: f.label(), Reason: fmt.Sprintf(msg, args...)}
 		}
 		if f.At < 0 {
 			return where("negative start time %v", f.At)
@@ -184,15 +184,15 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 			return where("fault window must be positive, got %v", f.Dur)
 		}
 		switch f.Kind {
-		case NodeCrash, NICDown, NICOverload, AccelStall:
+		case nodeCrash, nicDown, nicOverload, accelStall:
 			if cl.Node(f.Node) == nil {
 				return where("unknown node %q", f.Node)
 			}
-		case LinkLoss, LinkFlap:
+		case linkLoss, linkFlap:
 			if f.Node == "" {
 				return where("needs a target node")
 			}
-		case Partition:
+		case partitionCut:
 			if len(f.Nodes) == 0 {
 				return where("needs a non-empty group")
 			}
@@ -200,15 +200,15 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 			return where("unknown fault kind")
 		}
 		switch f.Kind {
-		case NICOverload:
+		case nicOverload:
 			if f.Factor <= 1 {
 				return where("overload factor must exceed 1, got %g", f.Factor)
 			}
-		case LinkLoss:
+		case linkLoss:
 			if f.Rate <= 0 || f.Rate > 1 {
 				return where("loss rate must be in (0, 1], got %g", f.Rate)
 			}
-		case AccelStall:
+		case accelStall:
 			if f.Unit == "" {
 				return where("needs an accelerator unit name")
 			}
@@ -268,7 +268,7 @@ type logEntry struct {
 // engine.
 func (f Fault) barrierArm() bool {
 	switch f.Kind {
-	case NodeCrash, LinkLoss, LinkFlap, Partition:
+	case nodeCrash, linkLoss, linkFlap, partitionCut:
 		return true
 	}
 	return false
@@ -316,7 +316,7 @@ func (in *Injector) epoch(s *injSrc, f Fault, label string, t sim.Time) {
 // arms). On a classic cluster both classes are events on the one
 // engine. A mis-built schedule (unknown node, non-positive window,
 // start before the engine's current time) is rejected with a
-// *ScheduleError before anything reaches the engine. Installing an
+// *scheduleError before anything reaches the engine. Installing an
 // empty schedule is allowed and yields an injector that never fires.
 func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	if err := s.Validate(cl); err != nil {
@@ -462,22 +462,22 @@ func (in *Injector) activate(s *injSrc, f Fault, start sim.Time) {
 func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start sim.Time) func() {
 	net := in.cl.Net
 	switch f.Kind {
-	case NodeCrash:
+	case nodeCrash:
 		n := in.cl.Node(f.Node)
 		n.Fail()
 		return n.Recover
-	case NICDown:
+	case nicDown:
 		n := in.cl.Node(f.Node)
 		n.FailNIC()
 		return n.RecoverNIC
-	case NICOverload:
+	case nicOverload:
 		n := in.cl.Node(f.Node)
 		n.SetNICSlowdown(f.Factor)
 		return func() { n.SetNICSlowdown(1) }
-	case LinkLoss:
+	case linkLoss:
 		net.SetNodeLoss(f.Node, f.Rate)
 		return func() { net.SetNodeLoss(f.Node, 0) }
-	case LinkFlap:
+	case linkFlap:
 		others := in.peersOf(f.Node)
 		cut := func(on bool) {
 			for _, o := range others {
@@ -504,9 +504,9 @@ func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start s
 		}
 		at(start+half, func() { toggle(start + half) })
 		return func() { cut(false) }
-	case Partition:
+	case partitionCut:
 		return in.applyCut(f)
-	case AccelStall:
+	case accelStall:
 		n := in.cl.Node(f.Node)
 		if n.Accels == nil || !n.Accels.Stall(f.Unit, f.Dur) {
 			s.logAt(start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))

@@ -101,7 +101,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 			Loss("n1", 500*sim.Microsecond, sim.Millisecond, 0.3),
 			Flap("n2", 2*sim.Millisecond, sim.Millisecond, 200*sim.Microsecond),
 			Cut(3*sim.Millisecond, sim.Millisecond, "n0", "n1"),
-			{Kind: NodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
+			{Kind: nodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
 				Jitter: 300 * sim.Microsecond},
 		}}
 	}
@@ -205,7 +205,7 @@ func TestPartitionSeversOnlyAcrossGroups(t *testing.T) {
 // TestInstallRejectsPastStart pins the past-start contract: scheduling a
 // fault behind the engine clock used to reach sim.At and panic with the
 // engine's "event in the past" failure; Validate now catches it and
-// Install returns a typed *ScheduleError identifying the fault.
+// Install returns a typed *scheduleError identifying the fault.
 func TestInstallRejectsPastStart(t *testing.T) {
 	cl, _ := testCluster(9, 2)
 	cl.Eng.At(2*sim.Millisecond, func() {})
@@ -217,12 +217,12 @@ func TestInstallRejectsPastStart(t *testing.T) {
 	if err == nil {
 		t.Fatal("past-start schedule installed without error")
 	}
-	var se *ScheduleError
+	var se *scheduleError
 	if !errors.As(err, &se) {
-		t.Fatalf("err = %T %v, want *ScheduleError", err, err)
+		t.Fatalf("err = %T %v, want *scheduleError", err, err)
 	}
 	if se.Index != 0 || !strings.Contains(se.Reason, "past") {
-		t.Fatalf("ScheduleError = %+v, want Index 0 with a past-start reason", se)
+		t.Fatalf("scheduleError = %+v, want Index 0 with a past-start reason", se)
 	}
 	// A schedule entirely at/after the clock is fine.
 	if _, err := Install(cl, Schedule{Faults: []Fault{
@@ -285,7 +285,7 @@ func fullSchedule() Schedule {
 		Overload("n2", 500*sim.Microsecond, sim.Millisecond, 2.5),
 		Stall("n5", "CRC", sim.Millisecond, sim.Millisecond),
 		NICFail("n1", sim.Millisecond, sim.Millisecond),
-		{Kind: NodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
+		{Kind: nodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
 			Jitter: 300 * sim.Microsecond},
 	}}
 }

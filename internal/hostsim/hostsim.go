@@ -129,9 +129,6 @@ func (h *Host) Actor(id actor.ID) (*actor.Actor, bool) {
 	return a, ok
 }
 
-// Actors returns the number of host-resident actors.
-func (h *Host) Actors() int { return len(h.actors) }
-
 // LeastLoadedActor returns the host actor with the smallest load, the
 // pull-migration candidate (§3.2.5); nil when none is eligible. Ties
 // break by actor ID: the selection must not depend on map iteration

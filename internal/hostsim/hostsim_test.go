@@ -172,7 +172,7 @@ func TestRemoveActor(t *testing.T) {
 	x := newHH(1, false)
 	x.add(1, sim.Microsecond)
 	x.h.RemoveActor(1)
-	if x.h.Actors() != 0 {
+	if len(x.h.actors) != 0 {
 		t.Fatal("actor not removed")
 	}
 	x.h.Arrive(actor.Msg{Dst: 1})

@@ -626,20 +626,13 @@ func (c *Checker) leaderCount() int {
 	return n
 }
 
-// Epoch snapshots the counters under a label — the fault injector calls
-// it at every fault activation and restoration, so the fingerprint
-// carries per-fault-epoch conservation state, not just run totals.
-func (c *Checker) Epoch(label string) {
-	if c == nil {
-		return
-	}
-	c.EpochAt(label, c.now())
-}
-
-// EpochAt is Epoch with an explicit timestamp — the barrier-time form
-// for coordinator-side fault actions under PDES, where the partition
-// clocks are normalized to one tick before the barrier and c.now()
-// would stamp t-1 for a mutation that semantically happens at t.
+// EpochAt snapshots the counters under a label at time t — the fault
+// injector calls it at every fault activation and restoration, so the
+// fingerprint carries per-fault-epoch conservation state, not just run
+// totals. The timestamp is explicit for coordinator-side fault actions
+// under PDES, where the partition clocks are normalized to one tick
+// before the barrier and c.now() would stamp t-1 for a mutation that
+// semantically happens at t.
 func (c *Checker) EpochAt(label string, t sim.Time) {
 	if c == nil {
 		return

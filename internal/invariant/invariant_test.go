@@ -40,7 +40,7 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	c.DRRAdd("n", 1)
 	c.DRRVisit("n", 0, 1)
 	c.DRRRemove("n", 1)
-	c.Epoch("+crash")
+	c.EpochAt("+crash", 0)
 	c.Finish()
 	if c.Err() != nil || c.Checks() != 0 || len(c.Violations()) != 0 {
 		t.Fatal("nil checker accumulated state")
@@ -53,9 +53,6 @@ func TestNilCheckerIsSafe(t *testing.T) {
 		t.Fatalf("nil audit Push = %d, want 0", seq)
 	}
 	a.Pop(1, 1)
-	if a.Queued() != 0 {
-		t.Fatal("nil audit queued state")
-	}
 }
 
 func TestNilCheckerYieldsNilAudit(t *testing.T) {
@@ -186,8 +183,8 @@ func TestQueueAuditFIFO(t *testing.T) {
 	s1 := a.Push(5)
 	s2 := a.Push(5)
 	s3 := a.Push(9)
-	if a.Queued() != 3 {
-		t.Fatalf("queued = %d", a.Queued())
+	if a.queued != 3 {
+		t.Fatalf("queued = %d", a.queued)
 	}
 	a.Pop(9, s3) // other flow first: per-flow FIFO doesn't order across flows
 	a.Pop(5, s1)
@@ -195,8 +192,8 @@ func TestQueueAuditFIFO(t *testing.T) {
 	if len(c.Violations()) != 0 {
 		t.Fatalf("in-order pops flagged: %v", c.Violations())
 	}
-	if a.Queued() != 0 {
-		t.Fatalf("queued = %d after drain", a.Queued())
+	if a.queued != 0 {
+		t.Fatalf("queued = %d after drain", a.queued)
 	}
 }
 
@@ -323,10 +320,10 @@ func TestFingerprintDeterminism(t *testing.T) {
 		c := New(nil)
 		c.NetInject()
 		c.NetDeliver()
-		c.Epoch("+crash kv0")
+		c.EpochAt("+crash kv0", c.now())
 		c.GateAdmit()
 		c.GateDeliver()
-		c.Epoch("-crash kv0")
+		c.EpochAt("-crash kv0", c.now())
 		c.Finish()
 		return c
 	}

@@ -83,15 +83,6 @@ func (a *QueueAudit) Pop(flow, seq uint64) {
 	a.queued--
 }
 
-// Queued reports messages pushed but not yet popped (the audit's view;
-// must equal the queue's own len()).
-func (a *QueueAudit) Queued() int {
-	if a == nil {
-		return 0
-	}
-	return a.queued
-}
-
 // --- DRR round fairness --------------------------------------------------
 
 // drrSched tracks one scheduler's runnable set and per-core rounds.

@@ -13,14 +13,9 @@
 package isolation
 
 import (
-	"errors"
-
 	"repro/internal/actor"
 	"repro/internal/sim"
 )
-
-// ErrActorKilled is reported when the watchdog deregisters an actor.
-var ErrActorKilled = errors.New("isolation: actor killed by watchdog")
 
 // Mechanism names the enforcement substrate, which depends on the card.
 type Mechanism uint8

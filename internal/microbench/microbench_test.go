@@ -140,9 +140,9 @@ func TestLeakyBucket(t *testing.T) {
 
 func TestLPMTrieLongestMatch(t *testing.T) {
 	tr := NewLPMTrie()
-	tr.Insert(0x0a000000, 8, 1)  // 10/8 → 1
-	tr.Insert(0x0a010000, 16, 2) // 10.1/16 → 2
-	tr.Insert(0x0a010100, 24, 3) // 10.1.1/24 → 3
+	tr.insert(0x0a000000, 8, 1)  // 10/8 → 1
+	tr.insert(0x0a010000, 16, 2) // 10.1/16 → 2
+	tr.insert(0x0a010100, 24, 3) // 10.1.1/24 → 3
 	cases := map[uint32]uint32{
 		0x0a000001: 1,
 		0x0a010001: 2,
@@ -165,7 +165,7 @@ func TestLPMTrieLongestMatch(t *testing.T) {
 
 func TestLPMDefaultRoute(t *testing.T) {
 	tr := NewLPMTrie()
-	tr.Insert(0, 0, 99) // default route
+	tr.insert(0, 0, 99) // default route
 	hop, ok := tr.Lookup(0xdeadbeef)
 	if !ok || hop != 99 {
 		t.Fatal("default route broken")
@@ -175,7 +175,7 @@ func TestLPMDefaultRoute(t *testing.T) {
 func TestMaglevBalanceAndConsistency(t *testing.T) {
 	backends := []string{"b0", "b1", "b2", "b3", "b4"}
 	m := NewMaglev(backends, 1021)
-	spread := m.Spread()
+	spread := m.spread()
 	if len(spread) != 5 {
 		t.Fatalf("backends used: %d", len(spread))
 	}
@@ -264,8 +264,8 @@ func TestBayesLearnsSeparableClasses(t *testing.T) {
 	b := NewBayes(2, 4, 16)
 	// Class 0: low feature values; class 1: high.
 	for i := 0; i < 500; i++ {
-		b.Train(0, []int{i % 4, i % 3, i % 5, i % 2})
-		b.Train(1, []int{10 + i%4, 11 + i%3, 12 + i%2, 13 + i%3})
+		b.train(0, []int{i % 4, i % 3, i % 5, i % 2})
+		b.train(1, []int{10 + i%4, 11 + i%3, 12 + i%2, 13 + i%3})
 	}
 	if got := b.Classify([]int{1, 2, 3, 1}); got != 0 {
 		t.Fatalf("low features classified as %d", got)
@@ -335,7 +335,6 @@ func (bogusWorkload) Process(pkt []byte) uint64 { return 0 }
 type nopCtx struct{}
 
 func (nopCtx) Now() sim.Time                                         { return 0 }
-func (nopCtx) Self() actor.ID                                        { return 0 }
 func (nopCtx) Send(dst actor.ID, m actor.Msg)                        {}
 func (nopCtx) Reply(m actor.Msg)                                     {}
 func (nopCtx) Alloc(size int) (uint64, error)                        { return 1, nil }

@@ -23,8 +23,8 @@ type trieNode struct {
 // NewLPMTrie returns an empty routing table.
 func NewLPMTrie() *LPMTrie { return &LPMTrie{root: &trieNode{}} }
 
-// Insert installs a prefix of the given length with a next hop.
-func (t *LPMTrie) Insert(prefix uint32, length int, nextHop uint32) {
+// insert installs a prefix of the given length with a next hop.
+func (t *LPMTrie) insert(prefix uint32, length int, nextHop uint32) {
 	n := t.root
 	for i := 0; i < length; i++ {
 		b := (prefix >> (31 - i)) & 1
@@ -142,8 +142,8 @@ func (m *Maglev) Pick(flow uint64) (string, bool) {
 	return m.backends[i], true
 }
 
-// Spread returns per-backend shares of the table (for balance checks).
-func (m *Maglev) Spread() map[string]int {
+// spread returns per-backend shares of the table (for balance checks).
+func (m *Maglev) spread() map[string]int {
 	out := map[string]int{}
 	for _, i := range m.table {
 		if i >= 0 {
@@ -268,8 +268,8 @@ func NewBayes(classes, features, bins int) *Bayes {
 	return b
 }
 
-// Train adds one observation.
-func (b *Bayes) Train(class int, features []int) {
+// train adds one observation.
+func (b *Bayes) train(class int, features []int) {
 	b.prior[class]++
 	b.total++
 	for f, v := range features {

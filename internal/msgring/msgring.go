@@ -28,9 +28,9 @@ import (
 // destination actor IDs, length, and the 4B checksum.
 const HeaderBytes = 16
 
-// ErrRingFull is returned when the producer has no free slot; callers
+// errRingFull is returned when the producer has no free slot; callers
 // back off and retry, which is the backpressure mechanism.
-var ErrRingFull = errors.New("msgring: ring full")
+var errRingFull = errors.New("msgring: ring full")
 
 // Message is one entry in a ring.
 type Message struct {
@@ -81,16 +81,13 @@ type Ring struct {
 	chkLabel string
 }
 
-// NewRing creates a ring with the given power-of-two capacity.
-func NewRing(capacity int) *Ring {
+// newRing creates a ring with the given power-of-two capacity.
+func newRing(capacity int) *Ring {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("msgring: capacity must be a positive power of two")
 	}
 	return &Ring{slots: make([]Message, capacity), mask: capacity - 1}
 }
-
-// Cap returns the ring capacity in slots.
-func (r *Ring) Cap() int { return len(r.slots) }
 
 // EnableInvariants attaches the credit-conservation checker under the
 // given label.
@@ -120,7 +117,7 @@ func (r *Ring) Len() int { return r.tail - r.head }
 // consumer once markReady runs (when the modeled DMA write completes).
 func (r *Ring) push(m Message) (int, error) {
 	if r.freeFromProducer() <= 0 {
-		return 0, ErrRingFull
+		return 0, errRingFull
 	}
 	idx := r.tail & r.mask
 	m.seal()
@@ -180,17 +177,6 @@ func (r *Ring) syncCredits() {
 	r.check()
 }
 
-// Corrupt flips a byte in the queued message at logical offset i from
-// the consumer head, simulating a non-monotonic DMA write. Test hook.
-func (r *Ring) Corrupt(i int) {
-	idx := (r.head + i) & r.mask
-	if len(r.slots[idx].Data) > 0 {
-		r.slots[idx].Data[0] ^= 0xff
-	} else {
-		r.slots[idx].checksum ^= 0xff
-	}
-}
-
 // Channel is a bidirectional host↔NIC I/O channel: a NIC→host ring and
 // a host→NIC ring sharing one DMA engine, as in the prototype (§3.5).
 type Channel struct {
@@ -227,8 +213,8 @@ func NewChannel(eng *sim.Engine, dma *pcie.Engine, slots, batch int) *Channel {
 	}
 	return &Channel{
 		eng: eng, dma: dma,
-		toHost:    NewRing(slots),
-		toNIC:     NewRing(slots),
+		toHost:    newRing(slots),
+		toNIC:     newRing(slots),
 		BatchSize: batch,
 	}
 }
@@ -248,7 +234,7 @@ func (c *Channel) ToNIC() *Ring { return c.toNIC }
 
 // NICPush queues a message from the NIC to the host. It returns the
 // NIC-core occupancy charged (command build + possibly a flush) or
-// ErrRingFull when the producer is out of credits.
+// an error when the producer is out of credits (ring full).
 func (c *Channel) NICPush(m Message) (sim.Time, error) {
 	m.EnqueuedAt = c.eng.Now()
 	idx, err := c.toHost.push(m)

@@ -85,8 +85,8 @@ func TestRingFullBackpressure(t *testing.T) {
 			t.Fatalf("push %d failed: %v", i, err)
 		}
 	}
-	if _, err := ch.NICPush(Message{}); err != ErrRingFull {
-		t.Fatalf("9th push err = %v, want ErrRingFull", err)
+	if _, err := ch.NICPush(Message{}); err != errRingFull {
+		t.Fatalf("9th push err = %v, want errRingFull", err)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestChecksumGuardsPartialWrites(t *testing.T) {
 	eng, ch := newChannel(16, 1)
 	ch.NICPush(Message{Data: []byte("payload")})
 	eng.Run()
-	ch.ToHost().Corrupt(0)
+	corrupt(ch.ToHost(), 0)
 	msgs, _ := ch.HostPoll(10)
 	if len(msgs) != 0 {
 		t.Fatal("corrupted message was delivered")
@@ -189,7 +189,7 @@ func TestRingCapacityValidation(t *testing.T) {
 					t.Errorf("capacity %d did not panic", capn)
 				}
 			}()
-			NewRing(capn)
+			newRing(capn)
 		}()
 	}
 }
@@ -360,5 +360,16 @@ func TestAppHandleSurvivesRing(t *testing.T) {
 	p, ok := msgs[0].App.(*payload)
 	if !ok || p.v != 42 {
 		t.Fatalf("App handle lost: %v", msgs[0].App)
+	}
+}
+
+// corrupt flips a byte in the queued message at logical offset i from
+// the consumer head, simulating a non-monotonic DMA write.
+func corrupt(r *Ring, i int) {
+	idx := (r.head + i) & r.mask
+	if len(r.slots[idx].Data) > 0 {
+		r.slots[idx].Data[0] ^= 0xff
+	} else {
+		r.slots[idx].checksum ^= 0xff
 	}
 }

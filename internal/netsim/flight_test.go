@@ -136,7 +136,7 @@ func TestCrossPartitionFlightsChangePools(t *testing.T) {
 
 		// One way only: every record ends up on partition 1.
 		before := net.pools[1].Len()
-		net.SetHandler("b", HandlerFunc(func(*Packet) {}))
+		net.setHandler("b", HandlerFunc(func(*Packet) {}))
 		const oneWay = 100
 		g.Engine(0).Defer(func() {
 			for i := 0; i < oneWay; i++ {

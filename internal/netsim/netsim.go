@@ -132,13 +132,13 @@ type port struct {
 	sink    *obs.Sink
 }
 
-// DefaultSwitchLatency is a typical ToR port-to-port latency.
-const DefaultSwitchLatency = 600 * sim.Nanosecond
+// defaultSwitchLatency is a typical ToR port-to-port latency.
+const defaultSwitchLatency = 600 * sim.Nanosecond
 
 // New creates an empty single-partition network on a bare engine, for
 // users that have no sim.Group.
 func New(eng *sim.Engine) *Network {
-	return &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{},
+	return &Network{eng: eng, SwitchLatency: defaultSwitchLatency, nodes: map[string]*port{},
 		pools: make([]flightPool, 1)}
 }
 
@@ -318,9 +318,8 @@ func (n *Network) tracePort(p *port) {
 	}
 }
 
-// SetHandler replaces the receive handler for a node (used when a
-// runtime boots after topology construction).
-func (n *Network) SetHandler(name string, h Handler) {
+// setHandler replaces the receive handler for a node.
+func (n *Network) setHandler(name string, h Handler) {
 	p, ok := n.nodes[name]
 	if !ok {
 		panic(fmt.Sprintf("netsim: unknown node %q", name))
@@ -377,9 +376,6 @@ func (n *Network) SetBlocked(a, b string, cut bool) {
 	delete(n.blocked, [2]string{a, b})
 	delete(n.blocked, [2]string{b, a})
 }
-
-// Blocked reports whether the a→b direction is currently severed.
-func (n *Network) Blocked(a, b string) bool { return n.blocked[[2]string{a, b}] }
 
 // effectiveLoss returns the drop probability for a src→dst packet.
 func (n *Network) effectiveLoss(src, dst string) float64 {
@@ -565,16 +561,4 @@ func (f *flight) deliver() {
 	if dst.handler != nil {
 		dst.handler.Deliver(pkt)
 	}
-}
-
-// OneWayBaseLatency returns the unloaded one-way latency for a frame
-// size between two nodes, useful for analytical checks in tests.
-func (n *Network) OneWayBaseLatency(src, dst string, size int) sim.Time {
-	s, d := n.nodes[src], n.nodes[dst]
-	if s == nil || d == nil {
-		return 0
-	}
-	return spec.SerializationDelay(s.up.gbps, size) + s.up.propagation +
-		n.SwitchLatency +
-		spec.SerializationDelay(d.down.gbps, size) + d.down.propagation
 }

@@ -24,7 +24,7 @@ func TestDeliveryLatencyUnloaded(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("delivered %d packets, want 1", len(*got))
 	}
-	want := net.OneWayBaseLatency("a", "b", 1500)
+	want := oneWayBaseLatency(net, "a", "b", 1500)
 	if eng.Now() != want {
 		t.Fatalf("delivery at %v, want %v", eng.Now(), want)
 	}
@@ -45,7 +45,7 @@ func TestSerializationQueueing(t *testing.T) {
 	if len(*got) != 2 {
 		t.Fatalf("delivered %d, want 2", len(*got))
 	}
-	gap := eng.Now() - net.OneWayBaseLatency("a", "b", 1500)
+	gap := eng.Now() - oneWayBaseLatency(net, "a", "b", 1500)
 	wire := spec.SerializationDelay(10, 1500)
 	if gap != wire {
 		t.Fatalf("second packet delayed by %v, want one wire time %v", gap, wire)
@@ -106,7 +106,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 func TestSetHandler(t *testing.T) {
 	eng, net, _ := twoNodeNet(t, 25)
 	n := 0
-	net.SetHandler("a", HandlerFunc(func(p *Packet) { n++ }))
+	net.setHandler("a", HandlerFunc(func(p *Packet) { n++ }))
 	net.Send(&Packet{Src: "b", Dst: "a", Size: 64})
 	eng.Run()
 	if n != 1 {
@@ -122,7 +122,7 @@ func TestMixedLinkSpeeds(t *testing.T) {
 	net.Attach("slow", 10, HandlerFunc(func(p *Packet) { at = eng.Now() }))
 	net.Send(&Packet{Src: "fast", Dst: "slow", Size: 1024})
 	eng.Run()
-	want := net.OneWayBaseLatency("fast", "slow", 1024)
+	want := oneWayBaseLatency(net, "fast", "slow", 1024)
 	if at != want {
 		t.Fatalf("arrival %v, want %v", at, want)
 	}
@@ -168,4 +168,13 @@ func TestLossInjection(t *testing.T) {
 	if net.Lost() < 120 || net.Lost() > 280 {
 		t.Fatalf("lost %d of 400 at 50%% rate", net.Lost())
 	}
+}
+
+// oneWayBaseLatency is the unloaded one-way latency for a frame size
+// between two nodes, for analytical checks.
+func oneWayBaseLatency(n *Network, src, dst string, size int) sim.Time {
+	s, d := n.nodes[src], n.nodes[dst]
+	return spec.SerializationDelay(s.up.gbps, size) + s.up.propagation +
+		n.SwitchLatency +
+		spec.SerializationDelay(d.down.gbps, size) + d.down.propagation
 }

@@ -24,7 +24,7 @@ func buildPair(seed uint64) (*sim.Group, *Network, *[]sim.Time) {
 // arrive after exactly the same unloaded latency as on one engine.
 func TestCrossPartitionDeliveryLatency(t *testing.T) {
 	g, n, arrivals := buildPair(1)
-	want := n.OneWayBaseLatency("a", "b", 256)
+	want := oneWayBaseLatency(n, "a", "b", 256)
 	g.Engine(0).Defer(func() {
 		n.Send(&Packet{Src: "a", Dst: "b", Size: 256})
 	})

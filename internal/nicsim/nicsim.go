@@ -127,12 +127,6 @@ func (b *AccelBank) EnableTracing(sk *obs.Sink, group obs.GroupID) {
 	}
 }
 
-// Has reports whether the bank has a unit by that name.
-func (b *AccelBank) Has(name string) bool {
-	_, ok := b.units[name]
-	return ok
-}
-
 // Cost returns the modeled core-side wait for processing n bytes at the
 // given batch size, without submitting work (for planning/what-if).
 // Table 3's latencies are per-request at 1KB; cost scales linearly in

@@ -7,9 +7,7 @@
 // objects the LiquidIOII exposes.
 //
 // The wire formats are real: Ethernet II framing, IPv4 headers with a
-// correct internet checksum, and UDP. When building a packet whose
-// header and payload are not colocated, SerializeGather returns the
-// segment list a DMA scatter-gather transfer would use (§2.2.5, I6).
+// correct internet checksum, and UDP.
 package nstack
 
 import (
@@ -20,27 +18,27 @@ import (
 
 // Header sizes.
 const (
-	EthHeaderLen  = 14
-	IPv4HeaderLen = 20
-	UDPHeaderLen  = 8
-	// HeaderOverhead is the full encapsulation cost of a UDP datagram.
-	HeaderOverhead = EthHeaderLen + IPv4HeaderLen + UDPHeaderLen
+	ethHeaderLen  = 14
+	ipv4HeaderLen = 20
+	udpHeaderLen  = 8
+	// headerOverhead is the full encapsulation cost of a UDP datagram.
+	headerOverhead = ethHeaderLen + ipv4HeaderLen + udpHeaderLen
 )
 
-// EtherTypeIPv4 is the only EtherType the shim stack speaks.
-const EtherTypeIPv4 = 0x0800
+// etherTypeIPv4 is the only EtherType the shim stack speaks.
+const etherTypeIPv4 = 0x0800
 
 // ProtoUDP is the IPv4 protocol number for UDP.
 const ProtoUDP = 17
 
 // Errors surfaced by decapsulation.
 var (
-	ErrTruncated   = errors.New("nstack: truncated packet")
-	ErrEtherType   = errors.New("nstack: not IPv4")
-	ErrBadVersion  = errors.New("nstack: bad IP version/IHL")
-	ErrBadChecksum = errors.New("nstack: IPv4 header checksum mismatch")
-	ErrNotUDP      = errors.New("nstack: not UDP")
-	ErrBadLength   = errors.New("nstack: inconsistent lengths")
+	errTruncated   = errors.New("nstack: truncated packet")
+	errEtherType   = errors.New("nstack: not IPv4")
+	errBadVersion  = errors.New("nstack: bad IP version/IHL")
+	errBadChecksum = errors.New("nstack: IPv4 header checksum mismatch")
+	errNotUDP      = errors.New("nstack: not UDP")
+	errBadLength   = errors.New("nstack: inconsistent lengths")
 )
 
 // MAC is an Ethernet address.
@@ -104,15 +102,15 @@ func ipv4Checksum(h []byte) uint16 {
 // UDP checksum is zero (legal for IPv4, and what the firmware's
 // hardware checksum offload produces when disabled).
 func Encap(src, dst Addr, payload []byte, ttl uint8) []byte {
-	frame := make([]byte, HeaderOverhead+len(payload))
+	frame := make([]byte, headerOverhead+len(payload))
 	// Ethernet.
 	copy(frame[0:6], dst.MAC[:])
 	copy(frame[6:12], src.MAC[:])
-	binary.BigEndian.PutUint16(frame[12:14], EtherTypeIPv4)
+	binary.BigEndian.PutUint16(frame[12:14], etherTypeIPv4)
 	// IPv4.
-	ip := frame[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
+	ip := frame[ethHeaderLen : ethHeaderLen+ipv4HeaderLen]
 	ip[0] = 0x45 // version 4, IHL 5
-	binary.BigEndian.PutUint16(ip[2:4], uint16(IPv4HeaderLen+UDPHeaderLen+len(payload)))
+	binary.BigEndian.PutUint16(ip[2:4], uint16(ipv4HeaderLen+udpHeaderLen+len(payload)))
 	ip[8] = ttl
 	ip[9] = ProtoUDP
 	binary.BigEndian.PutUint32(ip[12:16], src.IP)
@@ -120,11 +118,11 @@ func Encap(src, dst Addr, payload []byte, ttl uint8) []byte {
 	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint16(ip[10:12], ipv4Checksum(ip))
 	// UDP.
-	udp := frame[EthHeaderLen+IPv4HeaderLen : EthHeaderLen+IPv4HeaderLen+UDPHeaderLen]
+	udp := frame[ethHeaderLen+ipv4HeaderLen : ethHeaderLen+ipv4HeaderLen+udpHeaderLen]
 	binary.BigEndian.PutUint16(udp[0:2], src.Port)
 	binary.BigEndian.PutUint16(udp[2:4], dst.Port)
-	binary.BigEndian.PutUint16(udp[4:6], uint16(UDPHeaderLen+len(payload)))
-	copy(frame[HeaderOverhead:], payload)
+	binary.BigEndian.PutUint16(udp[4:6], uint16(udpHeaderLen+len(payload)))
+	copy(frame[headerOverhead:], payload)
 	return frame
 }
 
@@ -132,30 +130,30 @@ func Encap(src, dst Addr, payload []byte, ttl uint8) []byte {
 // and Payload (nstack_recv's parsing half).
 func (w *WQE) Decap() error {
 	f := w.Packet
-	if len(f) < HeaderOverhead {
-		return ErrTruncated
+	if len(f) < headerOverhead {
+		return errTruncated
 	}
-	if binary.BigEndian.Uint16(f[12:14]) != EtherTypeIPv4 {
-		return ErrEtherType
+	if binary.BigEndian.Uint16(f[12:14]) != etherTypeIPv4 {
+		return errEtherType
 	}
-	ip := f[EthHeaderLen:]
+	ip := f[ethHeaderLen:]
 	if ip[0] != 0x45 {
-		return ErrBadVersion
+		return errBadVersion
 	}
-	if ipv4Checksum(ip[:IPv4HeaderLen]) != 0 {
-		return ErrBadChecksum
+	if ipv4Checksum(ip[:ipv4HeaderLen]) != 0 {
+		return errBadChecksum
 	}
 	if ip[9] != ProtoUDP {
-		return ErrNotUDP
+		return errNotUDP
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	if totalLen < IPv4HeaderLen+UDPHeaderLen || EthHeaderLen+totalLen > len(f) {
-		return ErrBadLength
+	if totalLen < ipv4HeaderLen+udpHeaderLen || ethHeaderLen+totalLen > len(f) {
+		return errBadLength
 	}
-	udp := ip[IPv4HeaderLen:]
+	udp := ip[ipv4HeaderLen:]
 	udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
-	if udpLen < UDPHeaderLen || IPv4HeaderLen+udpLen > totalLen {
-		return ErrBadLength
+	if udpLen < udpHeaderLen || ipv4HeaderLen+udpLen > totalLen {
+		return errBadLength
 	}
 	copy(w.Headers.DstMAC[:], f[0:6])
 	copy(w.Headers.SrcMAC[:], f[6:12])
@@ -164,65 +162,29 @@ func (w *WQE) Decap() error {
 	w.Headers.TTL = ip[8]
 	w.Headers.SrcPort = binary.BigEndian.Uint16(udp[0:2])
 	w.Headers.DstPort = binary.BigEndian.Uint16(udp[2:4])
-	w.Payload = udp[UDPHeaderLen:udpLen][:udpLen-UDPHeaderLen]
+	w.Payload = udp[udpHeaderLen:udpLen][:udpLen-udpHeaderLen]
 	return nil
 }
 
-// Reverse swaps the frame's source and destination at every layer and
+// reverse swaps the frame's source and destination at every layer and
 // recomputes the IPv4 checksum — the echo server's retransmit path.
-func (w *WQE) Reverse() error {
+func (w *WQE) reverse() error {
 	f := w.Packet
-	if len(f) < HeaderOverhead {
-		return ErrTruncated
+	if len(f) < headerOverhead {
+		return errTruncated
 	}
 	for i := 0; i < 6; i++ {
 		f[i], f[6+i] = f[6+i], f[i]
 	}
-	ip := f[EthHeaderLen:]
+	ip := f[ethHeaderLen:]
 	for i := 0; i < 4; i++ {
 		ip[12+i], ip[16+i] = ip[16+i], ip[12+i]
 	}
 	binary.BigEndian.PutUint16(ip[10:12], 0)
-	binary.BigEndian.PutUint16(ip[10:12], ipv4Checksum(ip[:IPv4HeaderLen]))
-	udp := ip[IPv4HeaderLen:]
+	binary.BigEndian.PutUint16(ip[10:12], ipv4Checksum(ip[:ipv4HeaderLen]))
+	udp := ip[ipv4HeaderLen:]
 	for i := 0; i < 2; i++ {
 		udp[i], udp[2+i] = udp[2+i], udp[i]
 	}
 	return nil
-}
-
-// Segment is one piece of a scatter-gather transfer.
-type Segment struct {
-	Data []byte
-}
-
-// SerializeGather produces the DMA scatter-gather segment list for a
-// packet whose header block and payload live at different addresses
-// (§3.5: "when building a packet, it uses the DMA scatter-gather
-// technique to combine the header and payload if they are not
-// colocated"). The returned segments reference the inputs; no copy.
-func SerializeGather(src, dst Addr, payload []byte, ttl uint8) []Segment {
-	hdr := Encap(src, dst, nil, ttl)
-	// Patch lengths for the detached payload.
-	ip := hdr[EthHeaderLen:]
-	binary.BigEndian.PutUint16(ip[2:4], uint16(IPv4HeaderLen+UDPHeaderLen+len(payload)))
-	binary.BigEndian.PutUint16(ip[10:12], 0)
-	binary.BigEndian.PutUint16(ip[10:12], ipv4Checksum(ip[:IPv4HeaderLen]))
-	udp := ip[IPv4HeaderLen:]
-	binary.BigEndian.PutUint16(udp[4:6], uint16(UDPHeaderLen+len(payload)))
-	return []Segment{{Data: hdr}, {Data: payload}}
-}
-
-// Coalesce joins segments into one frame (what the DMA engine's gather
-// does on the wire side).
-func Coalesce(segs []Segment) []byte {
-	n := 0
-	for _, s := range segs {
-		n += len(s.Data)
-	}
-	out := make([]byte, 0, n)
-	for _, s := range segs {
-		out = append(out, s.Data...)
-	}
-	return out
 }

@@ -15,7 +15,7 @@ var (
 func TestEncapDecapRoundTrip(t *testing.T) {
 	payload := []byte("hello smartnic")
 	frame := Encap(srcAddr, dstAddr, payload, 64)
-	if len(frame) != HeaderOverhead+len(payload) {
+	if len(frame) != headerOverhead+len(payload) {
 		t.Fatalf("frame len %d", len(frame))
 	}
 	w := NewWQE(frame, 0)
@@ -42,9 +42,9 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	frame := Encap(srcAddr, dstAddr, []byte("x"), 64)
-	frame[EthHeaderLen+15] ^= 0x40 // flip a bit in the source IP
+	frame[ethHeaderLen+15] ^= 0x40 // flip a bit in the source IP
 	w := NewWQE(frame, 0)
-	if err := w.Decap(); !errors.Is(err, ErrBadChecksum) {
+	if err := w.Decap(); !errors.Is(err, errBadChecksum) {
 		t.Fatalf("err = %v, want checksum mismatch", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestDecapRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
 		"short":     make([]byte, 10),
-		"not-ipv4":  make([]byte, HeaderOverhead+4),
+		"not-ipv4":  make([]byte, headerOverhead+4),
 		"truncated": Encap(srcAddr, dstAddr, make([]byte, 100), 64)[:30],
 	}
 	for name, frame := range cases {
@@ -65,31 +65,31 @@ func TestDecapRejectsGarbage(t *testing.T) {
 	// Wrong EtherType specifically.
 	f := Encap(srcAddr, dstAddr, []byte("x"), 64)
 	f[12], f[13] = 0x86, 0xdd // IPv6
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, ErrEtherType) {
+	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errEtherType) {
 		t.Errorf("ethertype err = %v", err)
 	}
 	// Non-UDP protocol.
 	f = Encap(srcAddr, dstAddr, []byte("x"), 64)
-	ip := f[EthHeaderLen:]
+	ip := f[ethHeaderLen:]
 	ip[9] = 6 // TCP
 	// Fix the checksum for the modified header so the proto check fires.
 	ip[10], ip[11] = 0, 0
-	c := ipv4Checksum(ip[:IPv4HeaderLen])
+	c := ipv4Checksum(ip[:ipv4HeaderLen])
 	ip[10], ip[11] = byte(c>>8), byte(c)
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, ErrNotUDP) {
+	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errNotUDP) {
 		t.Errorf("proto err = %v", err)
 	}
 }
 
 func TestInconsistentLengthsRejected(t *testing.T) {
 	f := Encap(srcAddr, dstAddr, []byte("abcdef"), 64)
-	ip := f[EthHeaderLen:]
+	ip := f[ethHeaderLen:]
 	// Claim a total length beyond the frame.
 	ip[2], ip[3] = 0x40, 0x00
 	ip[10], ip[11] = 0, 0
-	c := ipv4Checksum(ip[:IPv4HeaderLen])
+	c := ipv4Checksum(ip[:ipv4HeaderLen])
 	ip[10], ip[11] = byte(c>>8), byte(c)
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, ErrBadLength) {
+	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errBadLength) {
 		t.Fatalf("err = %v, want bad length", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestInconsistentLengthsRejected(t *testing.T) {
 func TestReverseEchoPath(t *testing.T) {
 	frame := Encap(srcAddr, dstAddr, []byte("ping"), 64)
 	w := NewWQE(frame, 0)
-	if err := w.Reverse(); err != nil {
+	if err := w.reverse(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Decap(); err != nil {
@@ -115,24 +115,6 @@ func TestReverseEchoPath(t *testing.T) {
 	}
 	if string(w.Payload) != "ping" {
 		t.Fatal("payload damaged by reverse")
-	}
-}
-
-func TestScatterGatherEquivalence(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xab}, 300)
-	segs := SerializeGather(srcAddr, dstAddr, payload, 32)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %d", len(segs))
-	}
-	// Coalescing the gather list must equal a colocated Encap.
-	joined := Coalesce(segs)
-	direct := Encap(srcAddr, dstAddr, payload, 32)
-	if !bytes.Equal(joined, direct) {
-		t.Fatal("gathered frame differs from colocated encapsulation")
-	}
-	// No copy: the payload segment aliases the input.
-	if &segs[1].Data[0] != &payload[0] {
-		t.Fatal("gather copied the payload")
 	}
 }
 
@@ -162,12 +144,12 @@ func TestEncapDecapProperty(t *testing.T) {
 func TestChecksumCatchesHeaderBitflips(t *testing.T) {
 	f := func(bit uint16) bool {
 		frame := Encap(srcAddr, dstAddr, []byte("payload"), 64)
-		idx := EthHeaderLen + int(bit)%IPv4HeaderLen
+		idx := ethHeaderLen + int(bit)%ipv4HeaderLen
 		mask := byte(1 << (bit % 8))
 		frame[idx] ^= mask
 		w := NewWQE(frame, 0)
 		err := w.Decap()
-		// Flips in version/IHL trip ErrBadVersion; everything else must
+		// Flips in version/IHL trip errBadVersion; everything else must
 		// trip the checksum (or length consistency).
 		return err != nil
 	}

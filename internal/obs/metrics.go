@@ -35,12 +35,6 @@ type Registry struct {
 	seen  map[string]bool
 }
 
-// NewRegistry creates an empty registry. Prefer Collector.Registry,
-// which also enrolls it for periodic snapshotting.
-func NewRegistry(name string) *Registry {
-	return &Registry{name: name, seen: map[string]bool{}}
-}
-
 // Name returns the registry's name (the "reg" field of NDJSON records).
 func (r *Registry) Name() string { return r.name }
 
@@ -241,13 +235,10 @@ func (c *Collector) Interval() sim.Time { return c.interval }
 // be unique; duplicate names produce distinguishable NDJSON records only
 // by order, so don't.
 func (c *Collector) Registry(name string) *Registry {
-	r := NewRegistry(name)
+	r := &Registry{name: name, seen: map[string]bool{}}
 	c.regs = append(c.regs, r)
 	return r
 }
-
-// Enroll adds an externally-created registry.
-func (c *Collector) Enroll(r *Registry) { c.regs = append(c.regs, r) }
 
 // AttachGroup switches the collector to window mode for a partitioned
 // simulation: sampling is driven by the group's round coordinator at

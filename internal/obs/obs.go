@@ -42,10 +42,10 @@ type GroupID int32
 // "thread": one core, one link direction, one DMA engine...).
 type TrackID int32
 
-// NoGroup/NoTrack are returned by registration on a nil tracer; emitting
+// noGroup/NoTrack are returned by registration on a nil tracer; emitting
 // against them is a no-op.
 const (
-	NoGroup GroupID = -1
+	noGroup GroupID = -1
 	NoTrack TrackID = -1
 )
 
@@ -171,7 +171,7 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // processes in chrome://tracing / Perfetto; use one per node.
 func (t *Tracer) Group(name string) GroupID {
 	if t == nil {
-		return NoGroup
+		return noGroup
 	}
 	if g, ok := t.gindex[name]; ok {
 		return g
@@ -230,7 +230,7 @@ func (t *Tracer) Spans() int {
 // Coordinator-only, like Tracer.Group.
 func (s *Sink) Group(name string) GroupID {
 	if s == nil {
-		return NoGroup
+		return noGroup
 	}
 	return s.t.Group(name)
 }

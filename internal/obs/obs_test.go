@@ -91,7 +91,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	g := tr.Group("n")
 	track := tr.NewTrack(g, "t")
-	if g != NoGroup || track != NoTrack {
+	if g != noGroup || track != NoTrack {
 		t.Fatalf("nil tracer registration: got %d/%d", g, track)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

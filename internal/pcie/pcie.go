@@ -1,8 +1,9 @@
 // Package pcie models the SmartNIC↔host communication path of §2.2.5:
 // DMA engines issuing blocking and non-blocking reads/writes over PCIe
-// Gen3 x8, scatter-gather aggregation, and the RDMA-verb interface that
-// off-path cards expose instead of native DMA. Latency and throughput
-// follow the curves of Figures 7–10 via the spec.DMAProfile parameters.
+// Gen3 x8 and scatter-gather aggregation. Off-path cards' one-sided
+// RDMA verbs are blocking operations on an engine built with their RDMA
+// profile. Latency and throughput follow the curves of Figures 7–10 via
+// the spec.DMAProfile parameters.
 //
 // Two costs matter per operation and are deliberately separate:
 //
@@ -59,9 +60,6 @@ func (e *Engine) EnableTracing(sk *obs.Sink, group obs.GroupID) {
 	e.sink = sk
 	e.track = sk.NewTrack(group, "dma")
 }
-
-// Profile returns the engine's cost profile.
-func (e *Engine) Profile() spec.DMAProfile { return e.prof }
 
 // op submits a transfer and fires done when the completion word would be
 // observed. latency is the unloaded completion latency for this op; the
@@ -140,23 +138,3 @@ func (e *Engine) WriteGather(segments []int, done func()) sim.Time {
 // InFlight reports queued-plus-active transfers, used by backpressure
 // logic in the message rings.
 func (e *Engine) InFlight() int { return e.station.QueueLen() + e.station.InService() }
-
-// RDMA wraps an Engine with verb-flavoured naming for off-path cards.
-// One-sided verbs behave like blocking DMA ops with the RDMA profile's
-// higher software overheads (Figures 9–10).
-type RDMA struct{ *Engine }
-
-// NewRDMA creates an RDMA interface; the profile should have RDMA set.
-func NewRDMA(eng *sim.Engine, prof spec.DMAProfile) RDMA {
-	return RDMA{New(eng, prof)}
-}
-
-// ReadOneSided performs a one-sided RDMA read.
-func (r RDMA) ReadOneSided(bytes int, done func()) sim.Time {
-	return r.ReadBlocking(bytes, done)
-}
-
-// WriteOneSided performs a one-sided RDMA write.
-func (r RDMA) WriteOneSided(bytes int, done func()) sim.Time {
-	return r.WriteBlocking(bytes, done)
-}

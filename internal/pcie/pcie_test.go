@@ -28,8 +28,8 @@ func TestBlockingReadLatencyUnloaded(t *testing.T) {
 
 func TestBlockingLatencyGrowsWithPayload(t *testing.T) {
 	_, dma := liquidEngine()
-	small := dma.Profile().ReadLatency(4)
-	big := dma.Profile().ReadLatency(2048)
+	small := dma.prof.ReadLatency(4)
+	big := dma.prof.ReadLatency(2048)
 	if big <= small {
 		t.Fatal("blocking latency must grow with payload")
 	}
@@ -59,7 +59,7 @@ func TestEngineContentionQueues(t *testing.T) {
 	}
 	// The second waits one engine transfer time behind the first.
 	gap := second - first
-	want := dma.Profile().TransferTime(2048)
+	want := dma.prof.TransferTime(2048)
 	if gap != want {
 		t.Fatalf("queueing gap %v, want %v", gap, want)
 	}
@@ -71,8 +71,8 @@ func TestEngineContentionQueues(t *testing.T) {
 func TestFig8ThroughputShape(t *testing.T) {
 	_, dma := liquidEngine()
 	smallAsync := 1.0 / IssueOccupancy.Seconds()
-	largeAsync := 1.0 / dma.Profile().TransferTime(2048).Seconds()
-	blocking64 := 1.0 / dma.Profile().WriteLatency(64).Seconds()
+	largeAsync := 1.0 / dma.prof.TransferTime(2048).Seconds()
+	blocking64 := 1.0 / dma.prof.WriteLatency(64).Seconds()
 	if smallAsync < 8e6 {
 		t.Fatalf("small async rate %.2e, want ≈1e7", smallAsync)
 	}
@@ -91,7 +91,7 @@ func TestWriteGatherAggregates(t *testing.T) {
 	dma.WriteGather(segs, func() { gathered = eng.Now() })
 	eng.Run()
 	// One transfer of 448B, not three fixed costs.
-	want := dma.Profile().WriteLatency(448)
+	want := dma.prof.WriteLatency(448)
 	if gathered != want {
 		t.Fatalf("gather completion %v, want %v", gathered, want)
 	}
@@ -99,7 +99,7 @@ func TestWriteGatherAggregates(t *testing.T) {
 		t.Fatalf("gather should count as one write: %d/%d", dma.GatherTransfers, dma.Writes)
 	}
 	// Aggregation beats three separate blocking writes.
-	separate := dma.Profile().WriteLatency(64) + dma.Profile().WriteLatency(128) + dma.Profile().WriteLatency(256)
+	separate := dma.prof.WriteLatency(64) + dma.prof.WriteLatency(128) + dma.prof.WriteLatency(256)
 	if want >= separate {
 		t.Fatal("scatter-gather should beat separate transfers")
 	}
@@ -107,10 +107,10 @@ func TestWriteGatherAggregates(t *testing.T) {
 
 func TestRDMALatencyDoubling(t *testing.T) {
 	eng := sim.NewEngine(1)
-	rdma := NewRDMA(eng, spec.BlueField_1M332A().DMA)
+	rdma := New(eng, spec.BlueField_1M332A().DMA) // one-sided verbs are blocking ops
 	dma := New(eng, spec.LiquidIOII_CN2350().DMA)
 	for _, size := range []int{4, 64, 256} {
-		r := float64(rdma.Profile().ReadLatency(size)) / float64(dma.Profile().ReadLatency(size))
+		r := float64(rdma.prof.ReadLatency(size)) / float64(dma.prof.ReadLatency(size))
 		if r < 1.5 || r > 2.6 {
 			t.Fatalf("RDMA/DMA latency ratio at %dB = %.2f, want ≈2 (Fig 9)", size, r)
 		}
@@ -119,11 +119,11 @@ func TestRDMALatencyDoubling(t *testing.T) {
 
 func TestRDMAOneSidedCompletes(t *testing.T) {
 	eng := sim.NewEngine(1)
-	rdma := NewRDMA(eng, spec.BlueField_1M332A().DMA)
+	rdma := New(eng, spec.BlueField_1M332A().DMA) // one-sided verbs are blocking ops
 	var rAt, wAt sim.Time
-	rdma.ReadOneSided(512, func() { rAt = eng.Now() })
+	rdma.ReadBlocking(512, func() { rAt = eng.Now() })
 	eng.Run()
-	rdma.WriteOneSided(512, func() { wAt = eng.Now() })
+	rdma.WriteBlocking(512, func() { wAt = eng.Now() })
 	eng.Run()
 	if rAt == 0 || wAt == 0 {
 		t.Fatal("one-sided verbs did not complete")

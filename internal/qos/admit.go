@@ -88,7 +88,7 @@ func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller) *Gate {
 	for i, t := range tenants {
 		burst := t.Burst
 		if burst <= 0 {
-			burst = DefaultBurst
+			burst = defaultBurst
 		}
 		g.buckets[i] = newBucket(t.RatePerSec, burst)
 	}

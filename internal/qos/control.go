@@ -48,20 +48,20 @@ type Controller struct {
 	Ticks          uint64
 }
 
-// NewController builds the loop; call the Bind* methods to hand it
+// newController builds the loop; call the Bind* methods to hand it
 // knobs, then Start.
-func NewController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant) *Controller {
+func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant) *Controller {
 	if cfg.Period <= 0 {
-		cfg.Period = DefaultPeriod
+		cfg.Period = defaultPeriod
 	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 0.3
 	}
 	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = DefaultCooldown
+		cfg.Cooldown = defaultCooldown
 	}
 	if cfg.MinBatchWindow <= 0 {
-		cfg.MinBatchWindow = DefaultMinBatchWindow
+		cfg.MinBatchWindow = defaultMinBatchWindow
 	}
 	if cfg.ThreshFactor <= 0 {
 		cfg.ThreshFactor = 0.6
@@ -109,15 +109,6 @@ func (c *Controller) Observe(tenant uint16, us float64) {
 		return
 	}
 	c.ewma[tenant] = c.cfg.Alpha*us + (1-c.cfg.Alpha)*c.ewma[tenant]
-}
-
-// TenantEWMA returns the tenant's smoothed latency (0 before the first
-// response).
-func (c *Controller) TenantEWMA(tenant int) float64 {
-	if tenant < 0 || tenant >= len(c.ewma) {
-		return 0
-	}
-	return c.ewma[tenant]
 }
 
 // Start arms the periodic tick. The ticker stops re-arming once it is

@@ -62,9 +62,9 @@ type LaneSched struct {
 	Backpressured uint64
 }
 
-// NewLaneSched builds a lane scheduler delivering into the node's actor
+// newLaneSched builds a lane scheduler delivering into the node's actor
 // scheduler. label names the node in invariant reports and metrics.
-func NewLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(actor.Msg)) *LaneSched {
+func newLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(actor.Msg)) *LaneSched {
 	return &LaneSched{
 		eng:     eng,
 		cfg:     cfg.withDefaults(),
@@ -131,7 +131,7 @@ func (ls *LaneSched) backlog(limit Lane) int {
 // Offer implements core.LaneDispatcher: route one admitted wire message
 // through its class's lane. Called on the node's engine.
 func (ls *LaneSched) Offer(m actor.Msg) {
-	lane := LaneOf(Class(m.Class))
+	lane := laneOf(Class(m.Class))
 	if c := ls.cap(lane); c > 0 && ls.queues[lane].depth() >= c {
 		switch lane {
 		case LaneTelemetry:

@@ -26,13 +26,13 @@ import (
 )
 
 // Class tags a request's traffic class at the workload edge. The zero
-// value is ClassData, so untagged legacy traffic rides the data lane.
+// value is classData, so untagged legacy traffic rides the data lane.
 type Class uint8
 
 // Traffic classes, in the order clients tag them.
 const (
-	// ClassData is ordinary application traffic (the zero value).
-	ClassData Class = iota
+	// classData is ordinary application traffic (the zero value).
+	classData Class = iota
 	// ClassControl is cluster-control traffic (elections, membership,
 	// sweeps): highest priority, never shed.
 	ClassControl
@@ -47,16 +47,13 @@ func (c Class) String() string {
 	switch c {
 	case ClassControl:
 		return "control"
-	case ClassData:
+	case classData:
 		return "data"
 	case ClassTelemetry:
 		return "telemetry"
 	}
 	return fmt.Sprintf("class-%d", uint8(c))
 }
-
-// Valid reports whether c names a defined class.
-func (c Class) Valid() bool { return c < numClasses }
 
 // Lane is a priority lane of the node-front scheduler. Lower values
 // dispatch first: LaneControl preempts LaneData preempts LaneTelemetry.
@@ -85,8 +82,8 @@ func (l Lane) String() string {
 	return fmt.Sprintf("lane-%d", uint8(l))
 }
 
-// LaneOf maps a traffic class onto its lane.
-func LaneOf(c Class) Lane {
+// laneOf maps a traffic class onto its lane.
+func laneOf(c Class) Lane {
 	switch c {
 	case ClassControl:
 		return LaneControl
@@ -104,7 +101,7 @@ type Tenant struct {
 	// invalid — an unlimited tenant simply omits admission by leaving
 	// Tenancy.Tenants empty.
 	RatePerSec float64
-	// Burst is the bucket depth in requests (0 = DefaultBurst).
+	// Burst is the bucket depth in requests (0 = 16).
 	Burst float64
 	// SLOp99Us is the tenant's p99 latency objective in microseconds
 	// observed by the SLO controller (0 = no objective; the tenant is
@@ -112,9 +109,9 @@ type Tenant struct {
 	SLOp99Us float64
 }
 
-// DefaultBurst is the token-bucket depth used when a tenant leaves
+// defaultBurst is the token-bucket depth used when a tenant leaves
 // Burst zero.
-const DefaultBurst = 16
+const defaultBurst = 16
 
 // LaneConfig bounds the per-lane queues and prices the lane pump.
 type LaneConfig struct {
@@ -131,25 +128,25 @@ type LaneConfig struct {
 
 // Lane defaults.
 const (
-	DefaultDataCap           = 256
-	DefaultTelemetryCap      = 64
-	DefaultDispatchCost      = 40 * sim.Nanosecond
-	DefaultBackpressureDelay = 2 * sim.Microsecond
+	defaultDataCap           = 256
+	defaultTelemetryCap      = 64
+	defaultDispatchCost      = 40 * sim.Nanosecond
+	defaultBackpressureDelay = 2 * sim.Microsecond
 )
 
 // withDefaults resolves zero fields.
 func (c LaneConfig) withDefaults() LaneConfig {
 	if c.DataCap <= 0 {
-		c.DataCap = DefaultDataCap
+		c.DataCap = defaultDataCap
 	}
 	if c.TelemetryCap <= 0 {
-		c.TelemetryCap = DefaultTelemetryCap
+		c.TelemetryCap = defaultTelemetryCap
 	}
 	if c.DispatchCost <= 0 {
-		c.DispatchCost = DefaultDispatchCost
+		c.DispatchCost = defaultDispatchCost
 	}
 	if c.BackpressureDelay <= 0 {
-		c.BackpressureDelay = DefaultBackpressureDelay
+		c.BackpressureDelay = defaultBackpressureDelay
 	}
 	return c
 }
@@ -160,15 +157,15 @@ type ControllerConfig struct {
 	// cluster: the loop reads cross-node state, which a partitioned
 	// cluster forbids.
 	Enabled bool
-	// Period is the control-loop tick (0 = DefaultPeriod).
+	// Period is the control-loop tick (0 = 500µs).
 	Period sim.Time
 	// Alpha is the per-tenant latency EWMA smoothing (0 = 0.3).
 	Alpha float64
 	// Cooldown is the minimum spacing between corrective actions
-	// (0 = DefaultCooldown).
+	// (0 = 2ms).
 	Cooldown sim.Time
 	// MinBatchWindow floors the batching-window shrink knob
-	// (0 = DefaultMinBatchWindow).
+	// (0 = 500ns).
 	MinBatchWindow sim.Time
 	// ThreshFactor multiplies the scheduler MeanThresh when tightening
 	// the migration signal; must be in (0, 1) when set (0 = 0.6).
@@ -177,9 +174,9 @@ type ControllerConfig struct {
 
 // Controller defaults.
 const (
-	DefaultPeriod         = 500 * sim.Microsecond
-	DefaultCooldown       = 2 * sim.Millisecond
-	DefaultMinBatchWindow = 500 * sim.Nanosecond
+	defaultPeriod         = 500 * sim.Microsecond
+	defaultCooldown       = 2 * sim.Millisecond
+	defaultMinBatchWindow = 500 * sim.Nanosecond
 )
 
 // Tenancy is the multi-tenant QoS block a deploy spec carries: the
@@ -192,7 +189,7 @@ type Tenancy struct {
 }
 
 // Validate checks the block without deploying anything. It returns
-// *ConfigError (never panics) so spec validation can surface precise
+// *configError (never panics) so spec validation can surface precise
 // field diagnostics.
 func (t *Tenancy) Validate() error {
 	if t == nil {
@@ -200,54 +197,54 @@ func (t *Tenancy) Validate() error {
 	}
 	for i, tn := range t.Tenants {
 		if tn.RatePerSec <= 0 {
-			return &ConfigError{Field: fmt.Sprintf("Tenants[%d].RatePerSec", i),
+			return &configError{Field: fmt.Sprintf("Tenants[%d].RatePerSec", i),
 				Reason: fmt.Sprintf("must be > 0 (got %g); omit the tenant table to disable admission", tn.RatePerSec)}
 		}
 		if tn.Burst < 0 {
-			return &ConfigError{Field: fmt.Sprintf("Tenants[%d].Burst", i),
+			return &configError{Field: fmt.Sprintf("Tenants[%d].Burst", i),
 				Reason: fmt.Sprintf("must be >= 0 (got %g)", tn.Burst)}
 		}
 		if tn.SLOp99Us < 0 {
-			return &ConfigError{Field: fmt.Sprintf("Tenants[%d].SLOp99Us", i),
+			return &configError{Field: fmt.Sprintf("Tenants[%d].SLOp99Us", i),
 				Reason: fmt.Sprintf("must be >= 0 (got %g)", tn.SLOp99Us)}
 		}
 	}
 	if t.Lanes.DataCap < 0 {
-		return &ConfigError{Field: "Lanes.DataCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.DataCap)}
+		return &configError{Field: "Lanes.DataCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.DataCap)}
 	}
 	if t.Lanes.TelemetryCap < 0 {
-		return &ConfigError{Field: "Lanes.TelemetryCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.TelemetryCap)}
+		return &configError{Field: "Lanes.TelemetryCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.TelemetryCap)}
 	}
 	if t.Lanes.DispatchCost < 0 {
-		return &ConfigError{Field: "Lanes.DispatchCost", Reason: "must be >= 0"}
+		return &configError{Field: "Lanes.DispatchCost", Reason: "must be >= 0"}
 	}
 	if t.Lanes.BackpressureDelay < 0 {
-		return &ConfigError{Field: "Lanes.BackpressureDelay", Reason: "must be >= 0"}
+		return &configError{Field: "Lanes.BackpressureDelay", Reason: "must be >= 0"}
 	}
 	c := t.Controller
 	if c.Period < 0 {
-		return &ConfigError{Field: "Controller.Period", Reason: "must be >= 0"}
+		return &configError{Field: "Controller.Period", Reason: "must be >= 0"}
 	}
 	if c.Alpha < 0 || c.Alpha > 1 {
-		return &ConfigError{Field: "Controller.Alpha", Reason: fmt.Sprintf("must be in [0, 1] (got %g)", c.Alpha)}
+		return &configError{Field: "Controller.Alpha", Reason: fmt.Sprintf("must be in [0, 1] (got %g)", c.Alpha)}
 	}
 	if c.ThreshFactor < 0 || c.ThreshFactor >= 1 {
-		return &ConfigError{Field: "Controller.ThreshFactor", Reason: fmt.Sprintf("must be in [0, 1) (got %g)", c.ThreshFactor)}
+		return &configError{Field: "Controller.ThreshFactor", Reason: fmt.Sprintf("must be in [0, 1) (got %g)", c.ThreshFactor)}
 	}
 	if c.Enabled && len(t.Tenants) == 0 {
-		return &ConfigError{Field: "Controller.Enabled",
+		return &configError{Field: "Controller.Enabled",
 			Reason: "the SLO controller needs a tenant table to steer"}
 	}
 	return nil
 }
 
-// ConfigError is a typed Tenancy validation failure.
-type ConfigError struct {
+// configError is a typed Tenancy validation failure.
+type configError struct {
 	Field  string
 	Reason string
 }
 
 // Error implements error.
-func (e *ConfigError) Error() string {
+func (e *configError) Error() string {
 	return fmt.Sprintf("qos: invalid Tenancy.%s: %s", e.Field, e.Reason)
 }

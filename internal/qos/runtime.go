@@ -39,19 +39,19 @@ func Install(cl *core.Cluster, nodes []*core.Node, t *Tenancy) (*Runtime, error)
 		return nil, err
 	}
 	if t.Controller.Enabled && cl.Partitions() > 1 {
-		return nil, &ConfigError{Field: "Controller.Enabled",
+		return nil, &configError{Field: "Controller.Enabled",
 			Reason: "the SLO controller reads cross-node state and requires a classic (single-partition) cluster"}
 	}
 	rt := &Runtime{Tenancy: t, cl: cl}
 	if t.Controller.Enabled {
-		rt.Controller = NewController(cl.Eng, t.Controller, t.Tenants)
+		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants)
 	}
 	for _, n := range nodes {
 		if n == nil || !n.Offloaded() {
 			continue
 		}
 		sched := n.Sched
-		ls := NewLaneSched(n.Eng(), t.Lanes, n.Name, sched.Arrive)
+		ls := newLaneSched(n.Eng(), t.Lanes, n.Name, sched.Arrive)
 		ls.EnableInvariants(cl.CheckerAt(n.Part))
 		if tr := cl.Tracer(); tr != nil {
 			g := tr.Group(cl.ObsPrefix() + n.Name)

@@ -193,7 +193,7 @@ func (c *core) step() {
 		c.stepFCFS()
 	case DRR:
 		c.stepDRR()
-	case Dispatch:
+	case dispatch:
 		c.stepDispatch()
 	}
 }

@@ -49,8 +49,8 @@ type Mode uint8
 const (
 	FCFS Mode = iota
 	DRR
-	// Dispatch marks the IOKernel dispatcher core (§3.2.6).
-	Dispatch
+	// dispatch marks the IOKernel dispatcher core (§3.2.6).
+	dispatch
 )
 
 // String renders the mode.
@@ -241,7 +241,7 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
 	for i := 0; i < cfg.Cores; i++ {
 		c := newCore(s, i)
 		if cfg.IOKernel && i == cfg.Cores-1 {
-			c.mode = Dispatch
+			c.mode = dispatch
 		}
 		s.cores = append(s.cores, c)
 	}
@@ -402,9 +402,6 @@ func (s *Scheduler) Actor(id actor.ID) (*actor.Actor, bool) {
 	return a, ok
 }
 
-// Actors returns the number of NIC-resident actors.
-func (s *Scheduler) Actors() int { return len(s.actors) }
-
 // Arrive injects an incoming request (from the wire or from the host
 // rings) into the ingress queue and wakes an FCFS core.
 func (s *Scheduler) Arrive(m actor.Msg) {
@@ -414,14 +411,6 @@ func (s *Scheduler) Arrive(m actor.Msg) {
 	// If the target actor sits in DRR, a DRR core may also be able to
 	// make progress once the FCFS side moves the message to the mailbox;
 	// nothing to do here.
-}
-
-// EnqueueMailbox places a message directly into a DRR actor's mailbox
-// (used by the runtime when forwarding host→NIC actor messages).
-func (s *Scheduler) EnqueueMailbox(a *actor.Actor, m actor.Msg) {
-	m.ArrivedAt = s.eng.Now()
-	a.Mailbox.Push(m)
-	s.wakeDRR()
 }
 
 // FCFSTail returns the FCFS group's current µ+3σ sojourn estimate (µs).
@@ -443,33 +432,6 @@ func (s *Scheduler) CoreModes() (fcfs, drr int) {
 		case DRR:
 			drr++
 		}
-	}
-	return
-}
-
-// Utilization returns mean busy fraction per group since start.
-func (s *Scheduler) Utilization() (fcfs, drr float64) {
-	var fb, db sim.Time
-	var fn, dn int
-	for _, c := range s.cores {
-		c.settle()
-		if c.mode == FCFS {
-			fb += c.busyAccum
-			fn++
-		} else {
-			db += c.busyAccum
-			dn++
-		}
-	}
-	now := s.eng.Now()
-	if now == 0 {
-		return 0, 0
-	}
-	if fn > 0 {
-		fcfs = float64(fb) / float64(int64(now)*int64(fn))
-	}
-	if dn > 0 {
-		drr = float64(db) / float64(int64(now)*int64(dn))
 	}
 	return
 }
@@ -795,9 +757,6 @@ func (s *Scheduler) TryLatchMigration() bool {
 	s.lastMigration = s.eng.Now()
 	return true
 }
-
-// MigrationInFlight reports whether the single-migration latch is held.
-func (s *Scheduler) MigrationInFlight() bool { return s.migrationInFlight }
 
 // MigrationDone releases the single-migration latch (called by the
 // runtime when the 4-phase protocol finishes).

@@ -346,9 +346,14 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	}
 	h.eng.Run()
 	// 10×~10.2µs over 2 cores in ~51µs: both cores ≈100% busy while
-	// running. After Run, engine time == makespan so util ≈ 1.
-	f, _ := h.s.Utilization()
-	if f < 0.8 {
+	// running. After Run, engine time == makespan, so the busy time the
+	// cores account (what autoscaling reads) is ≈ 2 × makespan.
+	var busy sim.Time
+	for _, c := range h.s.cores {
+		c.settle()
+		busy += c.busyAccum
+	}
+	if f := float64(busy) / float64(int64(len(h.s.cores))*int64(h.eng.Now())); f < 0.8 {
 		t.Fatalf("FCFS utilization = %v, want ≈1 under saturation", f)
 	}
 }
@@ -393,7 +398,7 @@ func TestIOKernelDispatcherServes(t *testing.T) {
 		t.Fatalf("FCFS workers = %d, want 3 (one core is the dispatcher)", f)
 	}
 	for _, c := range h.s.cores {
-		if c.mode == Dispatch && c.Executed != 0 {
+		if c.mode == dispatch && c.Executed != 0 {
 			t.Fatal("dispatcher executed actor work")
 		}
 	}

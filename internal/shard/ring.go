@@ -84,7 +84,7 @@ func (r *Ring) Live(s int) bool { return s >= 0 && s < r.shards && r.live[s] }
 
 // Lookup returns the shard owning key: the first point clockwise from
 // the key's hash.
-func (r *Ring) Lookup(key []byte) int { return r.LookupHash(Hash(key)) }
+func (r *Ring) Lookup(key []byte) int { return r.LookupHash(hash(key)) }
 
 // LookupHash routes a pre-computed key hash.
 func (r *Ring) LookupHash(h uint64) int {
@@ -121,9 +121,9 @@ func (r *Ring) Remove(s int) {
 	r.nLive--
 }
 
-// Hash is the key hash: FNV-1a 64 with a splitmix finalizer so short
+// hash is the key hash: FNV-1a 64 with a splitmix finalizer so short
 // sequential keys still spread across the whole ring.
-func Hash(key []byte) uint64 {
+func hash(key []byte) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211

@@ -49,9 +49,6 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // String formats the time as a duration for readability.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// FromDuration converts a real duration to virtual time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Micros builds a virtual time from floating-point microseconds.
 func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
@@ -79,7 +76,10 @@ type event struct {
 
 // Timer is a handle to a scheduled event that can be cancelled. It is a
 // small value (no allocation): At/After/Defer return it by value, and
-// callers that ignore it pay nothing.
+// callers that ignore it pay nothing. No model cancels an event today;
+// Stop and Pending stay because the engine's lazy discard, compaction
+// and generation-guarded reuse exist for them, and removing them would
+// reshape At, the hottest call in the simulator.
 type Timer struct {
 	eng *Engine
 	e   *event
@@ -271,9 +271,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.flushExecuted()
 }
-
-// RunFor executes events for a span of virtual time from now.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // nextTime returns the time of the earliest pending event, or MaxTime
 // when none remain. Cancelled events at the top are discarded on the

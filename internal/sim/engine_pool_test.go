@@ -95,7 +95,7 @@ func TestTimerStaleHandleAfterReuse(t *testing.T) {
 	}
 }
 
-// --- RunUntil / RunFor edge cases ---------------------------------------
+// --- RunUntil edge cases ---------------------------------------
 
 func TestRunUntilDeadlineExactlyOnEvent(t *testing.T) {
 	e := NewEngine(1)
@@ -116,7 +116,7 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	if e.Now() != 250 {
 		t.Fatalf("Now = %v, want 250", e.Now())
 	}
-	e.RunFor(50)
+	e.RunUntil(e.Now() + 50)
 	if e.Now() != 300 {
 		t.Fatalf("Now = %v, want 300", e.Now())
 	}

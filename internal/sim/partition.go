@@ -161,9 +161,6 @@ func (g *Group) Partitions() int { return len(g.engs) }
 // Engine returns partition i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engs[i] }
 
-// Lookahead returns the current synchronization lookahead.
-func (g *Group) Lookahead() Time { return g.lookahead }
-
 // TightenLookahead lowers the group lookahead to l if it is currently
 // larger (or unset). Every layer that can carry a cross-partition
 // interaction calls this with its guaranteed minimum latency; the group

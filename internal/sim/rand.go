@@ -60,16 +60,8 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
+// perm returns a random permutation of [0, n).
+func (r *Rand) perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		j := r.Intn(i + 1)
@@ -88,8 +80,8 @@ func (r *Rand) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normally distributed value (Box-Muller).
-func (r *Rand) Normal(mean, stddev float64) float64 {
+// normal returns a normally distributed value (Box-Muller).
+func (r *Rand) normal(mean, stddev float64) float64 {
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()

@@ -29,14 +29,7 @@ type Station struct {
 	busy    int
 	queue   FIFO[*Job]
 
-	// Busy time accounting for utilization measurements.
-	busyAccum  Time
-	lastChange Time
-	createdAt  Time
-
-	// Stats.
 	completed uint64
-	maxQueue  int
 }
 
 // NewStation creates a station with the given number of parallel servers.
@@ -44,11 +37,8 @@ func NewStation(eng *Engine, servers int) *Station {
 	if servers <= 0 {
 		panic("sim: station needs at least one server")
 	}
-	return &Station{eng: eng, servers: servers, lastChange: eng.Now(), createdAt: eng.Now()}
+	return &Station{eng: eng, servers: servers}
 }
-
-// Servers returns the number of parallel servers.
-func (s *Station) Servers() int { return s.servers }
 
 // QueueLen returns the number of jobs waiting (not in service).
 func (s *Station) QueueLen() int { return s.queue.Len() }
@@ -59,9 +49,6 @@ func (s *Station) InService() int { return s.busy }
 // Completed returns the number of jobs that finished service.
 func (s *Station) Completed() uint64 { return s.completed }
 
-// MaxQueue returns the high-water mark of the wait queue.
-func (s *Station) MaxQueue() int { return s.maxQueue }
-
 // Submit enqueues a job; it starts immediately if a server is idle.
 func (s *Station) Submit(j *Job) {
 	j.enqueued = s.eng.Now()
@@ -70,13 +57,9 @@ func (s *Station) Submit(j *Job) {
 		return
 	}
 	s.queue.Push(j)
-	if n := s.queue.Len(); n > s.maxQueue {
-		s.maxQueue = n
-	}
 }
 
 func (s *Station) start(j *Job) {
-	s.account()
 	s.busy++
 	j.started = s.eng.Now()
 	j.st = s
@@ -90,7 +73,6 @@ func (s *Station) start(j *Job) {
 // recycle the job, so nothing reads it afterwards.
 func (j *Job) complete() {
 	s := j.st
-	s.account()
 	s.busy--
 	s.completed++
 	if j.Done != nil {
@@ -107,21 +89,4 @@ func (s *Station) dispatch() {
 		}
 		s.start(j)
 	}
-}
-
-func (s *Station) account() {
-	now := s.eng.Now()
-	s.busyAccum += Time(s.busy) * (now - s.lastChange)
-	s.lastChange = now
-}
-
-// Utilization returns the mean fraction of server capacity used since the
-// station was created (1.0 means all servers always busy).
-func (s *Station) Utilization() float64 {
-	s.account()
-	elapsed := s.eng.Now() - s.createdAt
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.busyAccum) / float64(int64(elapsed)*int64(s.servers))
 }

@@ -83,8 +83,8 @@ func TestStationQueueDrainsFIFOAndReleasesSlots(t *testing.T) {
 				}
 			}})
 		}
-		if st.QueueLen() != jobs-servers || st.MaxQueue() != jobs-servers {
-			t.Fatalf("servers=%d: QueueLen=%d MaxQueue=%d, want %d", servers, st.QueueLen(), st.MaxQueue(), jobs-servers)
+		if st.QueueLen() != jobs-servers {
+			t.Fatalf("servers=%d: QueueLen=%d, want %d", servers, st.QueueLen(), jobs-servers)
 		}
 		e.Run()
 		if len(order) != jobs || st.Completed() != jobs {

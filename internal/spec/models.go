@@ -194,16 +194,6 @@ func AllNICs() []*NICModel {
 	}
 }
 
-// NICByName looks a model up by its Table 1 name.
-func NICByName(name string) (*NICModel, bool) {
-	for _, m := range AllNICs() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // IntelHost is the 12-core E5-2680v3 @2.5GHz server of the 10/25GbE
 // LiquidIO testbeds (§2.2.1), with Table 2's host memory latencies and
 // Figure 6's DPDK/RDMA host messaging costs.
@@ -227,16 +217,6 @@ func IntelHost() *HostModel {
 		ComputeSpeedup: 3.5,
 		MemorySpeedup:  1.3,
 	}
-}
-
-// XeonE5_2620v4Host is the 2U server used with BlueField and Stingray.
-func XeonE5_2620v4Host() *HostModel {
-	h := IntelHost()
-	h.Name = "Intel E5-2620 v4"
-	h.Cores = 16 // 2 sockets x 8 cores
-	h.FreqGHz = 2.1
-	h.ComputeSpeedup = 3.0
-	return h
 }
 
 // Workloads is Table 3's left half: representative in-network offloaded

@@ -24,9 +24,9 @@ package spec
 
 import "repro/internal/sim"
 
-// WireOverheadBytes is the per-frame Ethernet overhead on the wire that
+// wireOverheadBytes is the per-frame Ethernet overhead on the wire that
 // does not appear in the quoted packet size: 8B preamble + 12B IFG.
-const WireOverheadBytes = 20
+const wireOverheadBytes = 20
 
 // MemoryProfile holds load-to-use latencies for each level of a memory
 // hierarchy (Table 2). Levels that do not exist are zero.
@@ -264,15 +264,9 @@ func (h *HostModel) WorkloadCost(w WorkloadProfile) sim.Time {
 	return sim.Time(float64(w.ExecLat1KB) / speedup)
 }
 
-// NICWorkloadCost returns a NIC-core execution time for a Table 3
-// workload profile on the given NIC model.
-func NICWorkloadCost(m *NICModel, w WorkloadProfile) sim.Time {
-	return sim.Time(float64(w.ExecLat1KB) * m.CyclesScale())
-}
-
 // LineRatePPS returns the packets/sec a link sustains at a frame size.
 func LineRatePPS(linkGbps float64, frameBytes int) float64 {
-	bitsPerFrame := float64(frameBytes+WireOverheadBytes) * 8
+	bitsPerFrame := float64(frameBytes+wireOverheadBytes) * 8
 	return linkGbps * 1e9 / bitsPerFrame
 }
 
@@ -284,7 +278,7 @@ func GoodputGbps(pps float64, frameBytes int) float64 {
 
 // SerializationDelay is the wire time of one frame at a link speed.
 func SerializationDelay(linkGbps float64, frameBytes int) sim.Time {
-	bits := float64(frameBytes+WireOverheadBytes) * 8
+	bits := float64(frameBytes+wireOverheadBytes) * 8
 	return sim.Time(bits / linkGbps) // ns = bits / (Gbps) since Gbps = bits/ns
 }
 
@@ -305,9 +299,9 @@ func (m *NICModel) CoresForLineRate(frameBytes int) (int, bool) {
 	return 0, false
 }
 
-// MaxBandwidthGbps returns achievable bandwidth with n cores at a frame
+// maxBandwidthGbps returns achievable bandwidth with n cores at a frame
 // size given an extra per-packet processing latency on each core.
-func (m *NICModel) MaxBandwidthGbps(n, frameBytes int, extra sim.Time) float64 {
+func (m *NICModel) maxBandwidthGbps(n, frameBytes int, extra sim.Time) float64 {
 	perPkt := m.EchoCost.Cost(frameBytes) + extra
 	pps := float64(n) / perPkt.Seconds()
 	if m.PPSCap > 0 && pps > m.PPSCap {

@@ -115,14 +115,14 @@ func TestGoodputMonotonicInPPS(t *testing.T) {
 
 func TestMaxBandwidthSaturatesAtLineRate(t *testing.T) {
 	m := Stingray_PS225()
-	bw := m.MaxBandwidthGbps(8, 1500, 0)
+	bw := m.maxBandwidthGbps(8, 1500, 0)
 	line := GoodputGbps(LineRatePPS(25, 1500), 1500)
 	if bw != line {
 		t.Fatalf("bandwidth %v exceeds/misses line rate %v", bw, line)
 	}
 	// Adding processing latency beyond headroom must lower bandwidth.
 	h := m.ComputeHeadroom(1500)
-	low := m.MaxBandwidthGbps(8, 1500, h*4)
+	low := m.maxBandwidthGbps(8, 1500, h*4)
 	if low >= bw {
 		t.Fatalf("extra processing did not reduce bandwidth: %v >= %v", low, bw)
 	}
@@ -199,31 +199,22 @@ func TestHostSpeedupDependsOnMemoryBoundness(t *testing.T) {
 	}
 }
 
+// TestNICWorkloadCostScalesWithCores pins CyclesScale, which is how
+// the runtime prices a CN2350-calibrated cost on another NIC's cores.
 func TestNICWorkloadCostScalesWithCores(t *testing.T) {
 	w, _ := WorkloadByName("KV cache")
-	c2350 := NICWorkloadCost(LiquidIOII_CN2350(), w)
+	cost := func(m *NICModel) sim.Time { return sim.Time(float64(w.ExecLat1KB) * m.CyclesScale()) }
+	c2350 := cost(LiquidIOII_CN2350())
 	if c2350 != w.ExecLat1KB {
 		t.Fatalf("reference NIC should charge the measured latency, got %v", c2350)
 	}
-	sr := NICWorkloadCost(Stingray_PS225(), w)
+	sr := cost(Stingray_PS225())
 	if sr >= c2350 {
 		t.Error("Stingray should run workloads faster than CN2350")
 	}
-	bf := NICWorkloadCost(BlueField_1M332A(), w)
+	bf := cost(BlueField_1M332A())
 	if bf <= sr {
 		t.Error("0.8GHz BlueField should be slower than 3GHz Stingray")
-	}
-}
-
-func TestNICByName(t *testing.T) {
-	for _, m := range AllNICs() {
-		got, ok := NICByName(m.Name)
-		if !ok || got.Name != m.Name {
-			t.Errorf("NICByName(%q) failed", m.Name)
-		}
-	}
-	if _, ok := NICByName("nope"); ok {
-		t.Error("NICByName should miss unknown names")
 	}
 }
 

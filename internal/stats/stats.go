@@ -20,14 +20,6 @@ type EWMA struct {
 	n     uint64
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{Alpha: alpha}
-}
-
 // Observe folds a new sample into the average.
 func (e *EWMA) Observe(x float64) {
 	e.n++
@@ -68,13 +60,13 @@ func (e *EWMA) Ready() bool { return e.n >= 2 }
 // Count returns the number of samples observed.
 func (e *EWMA) Count() uint64 { return e.n }
 
-// Reset clears all state, keeping Alpha.
-func (e *EWMA) Reset() { e.mean, e.vari, e.n = 0, 0, 0 }
+// reset clears all state, keeping Alpha.
+func (e *EWMA) reset() { e.mean, e.vari, e.n = 0, 0, 0 }
 
-// Welford computes exact running mean and variance (Welford's algorithm).
-// It is used by the experiment harness where exactness matters more than
-// forgetting old samples.
-type Welford struct {
+// welford computes exact running mean and variance (Welford's
+// algorithm), for where exactness matters more than forgetting old
+// samples.
+type welford struct {
 	n    uint64
 	mean float64
 	m2   float64
@@ -83,7 +75,7 @@ type Welford struct {
 }
 
 // Observe folds in a sample.
-func (w *Welford) Observe(x float64) {
+func (w *welford) Observe(x float64) {
 	w.n++
 	if w.n == 1 {
 		w.min, w.max = x, x
@@ -101,13 +93,13 @@ func (w *Welford) Observe(x float64) {
 }
 
 // Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
+func (w *welford) Count() uint64 { return w.n }
 
 // Mean returns the exact mean (0 before any samples).
-func (w *Welford) Mean() float64 { return w.mean }
+func (w *welford) Mean() float64 { return w.mean }
 
 // Var returns the population variance.
-func (w *Welford) Var() float64 {
+func (w *welford) Var() float64 {
 	if w.n == 0 {
 		return 0
 	}
@@ -115,61 +107,38 @@ func (w *Welford) Var() float64 {
 }
 
 // Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+func (w *welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Min returns the smallest sample (0 before any samples).
-func (w *Welford) Min() float64 { return w.min }
+func (w *welford) Min() float64 { return w.min }
 
 // Max returns the largest sample (0 before any samples).
-func (w *Welford) Max() float64 { return w.max }
+func (w *welford) Max() float64 { return w.max }
 
 // Sample collects individual values for exact percentile reporting. The
-// experiment harness uses it for P50/P99 latency series; runs are bounded
-// so unbounded growth is acceptable, but Cap provides an optional limit
-// with uniform reservoir sampling beyond it.
+// experiment harness uses it for P50/P99 latency series; runs are
+// bounded, so it keeps every value.
 type Sample struct {
-	// Cap bounds memory; 0 means unlimited.
-	Cap    int
 	values []float64
 	seen   uint64
 	sorted bool
-	// rnd is the reservoir-sampling source; injected so the simulation
-	// stays deterministic.
-	rnd func(n uint64) uint64
 }
 
 // NewSample returns an unbounded sample collector.
 func NewSample() *Sample { return &Sample{} }
 
-// NewReservoir returns a bounded collector keeping a uniform sample of at
-// most capn values; rnd(n) must return a uniform value in [0, n).
-func NewReservoir(capn int, rnd func(n uint64) uint64) *Sample {
-	return &Sample{Cap: capn, rnd: rnd}
-}
-
 // Observe records a value.
 func (s *Sample) Observe(x float64) {
 	s.seen++
 	s.sorted = false
-	if s.Cap <= 0 || len(s.values) < s.Cap {
-		s.values = append(s.values, x)
-		return
-	}
-	// Reservoir replacement.
-	j := s.rnd(s.seen)
-	if j < uint64(s.Cap) {
-		s.values[j] = x
-	}
+	s.values = append(s.values, x)
 }
 
-// Count returns the number of values observed (not necessarily retained).
+// Count returns the number of values observed.
 func (s *Sample) Count() uint64 { return s.seen }
 
-// Merge folds another sample's retained values into s. It is intended
-// for unbounded samples (per-partition latency series aggregated in a
-// fixed order after a parallel run); merging reservoirs would need
-// weighted resampling, so a capped receiver panics instead of silently
-// biasing.
+// Merge folds another sample's values into s (per-partition latency
+// series aggregated in a fixed order after a parallel run).
 func (s *Sample) Merge(o *Sample) {
 	if o == nil {
 		return
@@ -177,9 +146,6 @@ func (s *Sample) Merge(o *Sample) {
 	if len(o.values) == 0 {
 		s.seen += o.seen
 		return
-	}
-	if s.Cap > 0 {
-		panic("stats: Merge into a capped reservoir sample")
 	}
 	s.values = append(s.values, o.values...)
 	s.seen += o.seen
@@ -238,5 +204,5 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Reset discards all values.
-func (s *Sample) Reset() { s.values = s.values[:0]; s.seen = 0; s.sorted = false }
+// reset discards all values.
+func (s *Sample) reset() { s.values = s.values[:0]; s.seen = 0; s.sorted = false }

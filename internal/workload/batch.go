@@ -7,9 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultBatchWindow is how long the first request of a train waits for
+// defaultBatchWindow is how long the first request of a train waits for
 // companions before the train is flushed.
-const DefaultBatchWindow = 2 * sim.Microsecond
+const defaultBatchWindow = 2 * sim.Microsecond
 
 // Train framing on the wire: one packet header per train plus a small
 // per-message subheader, versus a full max(64, data+48) packet per
@@ -55,11 +55,11 @@ type Batcher struct {
 	Coalesced uint64
 }
 
-// NewBatcher attaches a batcher to a client. window ≤ 0 uses
-// DefaultBatchWindow.
+// NewBatcher attaches a batcher to a client. window ≤ 0 uses the
+// default, 2µs.
 func NewBatcher(cl *Client, window sim.Time, maxBatch int) *Batcher {
 	if window <= 0 {
-		window = DefaultBatchWindow
+		window = defaultBatchWindow
 	}
 	return &Batcher{
 		cl:       cl,

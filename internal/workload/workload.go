@@ -148,6 +148,24 @@ type Request struct {
 // "effectively unbounded" intent without the overflow.
 const MaxUncappedTimeout = 10 * sim.Second
 
+// GrowTimeout applies one unanswered attempt's backoff to a timeout:
+// t × backoff, saturating at maxTimeout (MaxUncappedTimeout when
+// maxTimeout ≤ 0); backoff ≤ 1 keeps t. The product is compared in
+// float space: converting an out-of-range float to sim.Time is
+// implementation-defined, so the clamp comes before the conversion.
+func GrowTimeout(t sim.Time, backoff float64, maxTimeout sim.Time) sim.Time {
+	if backoff <= 1 {
+		return t
+	}
+	if maxTimeout <= 0 {
+		maxTimeout = MaxUncappedTimeout
+	}
+	if next := float64(t) * backoff; next < float64(maxTimeout) {
+		return sim.Time(next)
+	}
+	return maxTimeout
+}
+
 // Send issues one request now. The response latency is recorded in Lat
 // when the reply lands. With Timeout set, lost requests are re-sent up
 // to Retries times; duplicate responses (a late original racing a
@@ -316,20 +334,7 @@ func (c *call) fire(stage func(m actor.Msg, size int)) {
 		return
 	}
 	wait := c.timeout
-	if r.Backoff > 1 {
-		ceil := r.MaxTimeout
-		if ceil <= 0 {
-			ceil = MaxUncappedTimeout
-		}
-		// Compare in float space: converting an out-of-range float
-		// to sim.Time is implementation-defined, so clamp before
-		// the conversion, not after.
-		if next := float64(c.timeout) * r.Backoff; next < float64(ceil) {
-			c.timeout = sim.Time(next)
-		} else {
-			c.timeout = ceil
-		}
-	}
+	c.timeout = GrowTimeout(c.timeout, r.Backoff, r.MaxTimeout)
 	if c.attempt < r.Retries {
 		c.attempt++
 		cl.eng.After(wait, c.retryFn)
@@ -519,16 +524,16 @@ func (e Exponential) Mean() sim.Time { return e.M }
 // Name implements ServiceDist.
 func (e Exponential) Name() string { return "exponential" }
 
-// Bimodal draws B1 with probability P1, else B2 (the paper's bimodal-2:
+// bimodal draws B1 with probability P1, else B2 (the paper's bimodal-2:
 // e.g. 35µs/60µs on the LiquidIOII, 25µs/55µs on the Stingray).
-type Bimodal struct {
+type bimodal struct {
 	R      *sim.Rand
 	B1, B2 sim.Time
 	P1     float64
 }
 
 // Draw implements ServiceDist.
-func (b Bimodal) Draw() sim.Time {
+func (b bimodal) Draw() sim.Time {
 	if b.R.Float64() < b.P1 {
 		return b.B1
 	}
@@ -536,9 +541,9 @@ func (b Bimodal) Draw() sim.Time {
 }
 
 // Mean implements ServiceDist.
-func (b Bimodal) Mean() sim.Time {
+func (b bimodal) Mean() sim.Time {
 	return sim.Time(b.P1*float64(b.B1) + (1-b.P1)*float64(b.B2))
 }
 
 // Name implements ServiceDist.
-func (b Bimodal) Name() string { return "bimodal-2" }
+func (b bimodal) Name() string { return "bimodal-2" }

@@ -138,7 +138,7 @@ func TestExponentialDist(t *testing.T) {
 }
 
 func TestBimodalDist(t *testing.T) {
-	d := Bimodal{R: sim.NewRand(5), B1: 35 * sim.Microsecond, B2: 60 * sim.Microsecond, P1: 0.5}
+	d := bimodal{R: sim.NewRand(5), B1: 35 * sim.Microsecond, B2: 60 * sim.Microsecond, P1: 0.5}
 	seen := map[sim.Time]int{}
 	for i := 0; i < 10000; i++ {
 		seen[d.Draw()]++
@@ -161,7 +161,7 @@ func TestBimodalHigherDispersionThanExponentialTail(t *testing.T) {
 	// zero but the *per-actor separation* the scheduler sees is the
 	// bimodal's distinct modes.
 	exp := Exponential{R: sim.NewRand(9), M: 47500 * sim.Nanosecond}
-	bi := Bimodal{R: sim.NewRand(9), B1: 35 * sim.Microsecond, B2: 60 * sim.Microsecond, P1: 0.5}
+	bi := bimodal{R: sim.NewRand(9), B1: 35 * sim.Microsecond, B2: 60 * sim.Microsecond, P1: 0.5}
 	if bi.Mean() != exp.Mean() {
 		t.Fatalf("means differ: %v vs %v", bi.Mean(), exp.Mean())
 	}

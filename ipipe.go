@@ -56,12 +56,8 @@ type (
 	NodeConfig = core.Config
 	// Actor is the unit of offloading.
 	Actor = actor.Actor
-	// ActorID identifies an actor.
-	ActorID = actor.ID
 	// Msg is an asynchronous actor message.
 	Msg = actor.Msg
-	// Kind tags message types.
-	Kind = actor.Kind
 	// Ctx is the capability surface handed to actor handlers. It is
 	// valid only for the handler call it is passed to, and so is what
 	// ObjRead returns: a view of the object, not a copy — copy whatever
@@ -80,10 +76,6 @@ type (
 	Batcher = workload.Batcher
 	// NICModel is a SmartNIC hardware profile.
 	NICModel = spec.NICModel
-	// HostModel is a host server profile.
-	HostModel = spec.HostModel
-	// MigrationRecord reports a push migration's phase timings.
-	MigrationRecord = core.MigrationRecord
 	// Tracer records cross-layer request spans; export with
 	// WriteChromeTrace and open in chrome://tracing or Perfetto.
 	Tracer = obs.Tracer
@@ -153,9 +145,6 @@ var (
 	BlueField_1M332A  = spec.BlueField_1M332A
 	Stingray_PS225    = spec.Stingray_PS225
 )
-
-// IntelHost returns the testbed host model (E5-2680 v3).
-func IntelHost() *HostModel { return spec.IntelHost() }
 
 // Experiment runs one of the paper's tables/figures by id (see
 // ExperimentIDs) and returns its rendered result.
