@@ -232,14 +232,22 @@ type Node struct {
 	flushFn    func()
 	// fwdRetry holds the messages a full NIC→host ring turned away, in
 	// the order their retry timers fire; fwdRetryFn is n.retryForward,
-	// bound on the first retry.
-	fwdRetry   actor.MsgFIFO
-	fwdRetryFn func()
+	// bound on the first retry. hostRetry and hostRetryFn (n.retryHost)
+	// do the same for the host→NIC ring.
+	fwdRetry    actor.MsgFIFO
+	fwdRetryFn  func()
+	hostRetry   actor.MsgFIFO
+	hostRetryFn func()
+	// nicBatchFn is n.arriveFromRing, the NICPoll callback, bound on the
+	// first poll.
+	nicBatchFn func([]msgring.Message)
 	// The node's free lists of per-message records: handler contexts
-	// (takeCtx), wire arrivals and node→node wire records (wire.go).
+	// (takeCtx), wire arrivals and node→node wire records (wire.go), and
+	// the handles messages cross the rings in (takeRing).
 	freeCtx      sim.FreeList[execCtx]
 	freeArrivals sim.FreeList[arrival]
 	freeWires    sim.FreeList[wireMsg]
+	freeRings    sim.FreeList[ringMsg]
 	// chk is the partition's invariant checker (nil when disabled):
 	// under it released records are poisoned instead of recycled.
 	chk *invariant.Checker
@@ -572,23 +580,25 @@ func (n *Node) scaleHost(ref sim.Time, a *actor.Actor) sim.Time {
 	return sim.Time(float64(ref) / speed)
 }
 
-// fwdRetryDelay is how long the NIC waits before it offers a message to
-// a full NIC→host ring again.
-const fwdRetryDelay = 2 * sim.Microsecond
+// ringRetryDelay is how long a producer waits before it offers a message
+// to a full ring again, in either direction.
+const ringRetryDelay = 2 * sim.Microsecond
 
 // forwardToHost is the scheduler's Forward hook: NIC-received traffic
 // owned by a host actor (or nobody) crosses the rings.
 func (n *Node) forwardToHost(m actor.Msg) {
 	m.Via = actor.ViaRing
-	if _, err := n.Chan.NICPush(toRingMsg(m)); err != nil {
+	r := n.takeRing(m)
+	if _, err := n.Chan.NICPush(r.slot()); err != nil {
 		// Ring full: in hardware the NIC retries; bounded retry here.
 		// Every retry waits the same delay, so the timers fire in the
 		// order the messages were queued.
+		n.putRing(r)
 		if n.fwdRetryFn == nil {
 			n.fwdRetryFn = n.retryForward
 		}
 		n.fwdRetry.Push(m)
-		n.eng.After(fwdRetryDelay, n.fwdRetryFn)
+		n.eng.After(ringRetryDelay, n.fwdRetryFn)
 		return
 	}
 	n.armFlush()
@@ -624,10 +634,10 @@ func (n *Node) pumpToHost() {
 		if len(msgs) == 0 {
 			return
 		}
-		for _, rm := range msgs {
-			m := fromRingMsg(rm)
-			m.Via = actor.ViaRing
-			n.Host.Arrive(m)
+		for i := range msgs {
+			if m, ok := n.fromRing(&msgs[i]); ok {
+				n.Host.Arrive(m)
+			}
 		}
 	}
 }
@@ -635,13 +645,43 @@ func (n *Node) pumpToHost() {
 // pumpToNIC fetches host→NIC messages and injects them into the NIC
 // scheduler.
 func (n *Node) pumpToNIC() {
-	n.Chan.NICPoll(64, func(msgs []msgring.Message) {
-		for _, rm := range msgs {
-			m := fromRingMsg(rm)
-			m.Via = actor.ViaRing
+	if n.nicBatchFn == nil {
+		n.nicBatchFn = n.arriveFromRing
+	}
+	n.Chan.NICPoll(64, n.nicBatchFn)
+}
+
+// arriveFromRing is the NICPoll callback: a landed host→NIC batch enters
+// the NIC scheduler.
+func (n *Node) arriveFromRing(msgs []msgring.Message) {
+	for i := range msgs {
+		if m, ok := n.fromRing(&msgs[i]); ok {
 			n.Sched.Arrive(m)
 		}
-	})
+	}
+}
+
+// hostToNIC stages a host-side message for a NIC-resident actor of this
+// node in the host→NIC ring. A message a full ring turns away is routed
+// again from the top after ringRetryDelay, by one bound continuation, in
+// the order the messages were turned away.
+func (n *Node) hostToNIC(m actor.Msg) {
+	m.Via = actor.ViaRing
+	r := n.takeRing(m)
+	if _, err := n.Chan.HostPush(r.slot()); err != nil {
+		n.putRing(r)
+		if n.hostRetryFn == nil {
+			n.hostRetryFn = n.retryHost
+		}
+		n.hostRetry.Push(m)
+		n.eng.After(ringRetryDelay, n.hostRetryFn)
+	}
+}
+
+func (n *Node) retryHost() {
+	if m, ok := n.hostRetry.Pop(); ok {
+		n.hostUnowned(m)
+	}
 }
 
 // hostUnowned routes host-side messages whose actor is not (or no
@@ -653,10 +693,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 		return
 	}
 	if ref.Node == n.Name && ref.OnNIC && n.Sched != nil {
-		m.Via = actor.ViaRing
-		if _, err := n.Chan.HostPush(toRingMsg(m)); err != nil {
-			n.eng.After(2*sim.Microsecond, func() { n.hostUnowned(m) })
-		}
+		n.hostToNIC(m)
 		return
 	}
 	if ref.Node != n.Name {
@@ -726,28 +763,61 @@ func (n *Node) HostCoresAllocated() float64 {
 	return used
 }
 
-// toRingMsg / fromRingMsg adapt actor messages to ring slots. The full
-// message rides in the ring entry's App handle (the real system passes
-// a packet-buffer pointer alongside); Data is what crosses PCIe and is
-// checksummed.
-func toRingMsg(m actor.Msg) msgring.Message {
+// ringMsg is the handle an actor message crosses the host↔NIC rings in.
+// The ring slot's App field points at it (the real system passes a
+// packet-buffer pointer alongside the entry), so the message is not
+// boxed; Data is what crosses PCIe and is checksummed. A handle is a
+// per-message record (DESIGN.md §4), taken by the node that pushes and
+// released where the message is copied out of the ring — or at once when
+// the ring is full. Under the invariant checker a released handle is
+// poisoned, and a message landing on it is a use-after-release violation.
+type ringMsg struct {
+	m        actor.Msg
+	poisoned bool
+}
+
+// maxFreeRings bounds a node's free list of ring handles: both rings'
+// worth of default-sized slots in flight.
+const maxFreeRings = 2 * msgring.DefaultRingSlots
+
+func (n *Node) takeRing(m actor.Msg) *ringMsg {
+	r := n.freeRings.Take()
+	if r == nil {
+		r = &ringMsg{}
+	}
+	r.m = m
+	return r
+}
+
+func (n *Node) putRing(r *ringMsg) {
+	r.m = actor.Msg{} // do not pin the message's payload
+	if n.chk != nil {
+		r.poisoned = true
+		return
+	}
+	n.freeRings.Put(r, maxFreeRings)
+}
+
+// slot is the ring entry the handle travels in.
+func (r *ringMsg) slot() msgring.Message {
 	return msgring.Message{
-		Kind:     uint16(m.Kind),
-		SrcActor: uint32(m.Src),
-		DstActor: uint32(m.Dst),
-		Data:     m.Data,
-		App:      m,
+		Kind:     uint16(r.m.Kind),
+		SrcActor: uint32(r.m.Src),
+		DstActor: uint32(r.m.Dst),
+		Data:     r.m.Data,
+		App:      r,
 	}
 }
 
-func fromRingMsg(rm msgring.Message) actor.Msg {
-	if m, ok := rm.App.(actor.Msg); ok {
-		return m
+// fromRing copies the message out of a polled entry's handle and releases
+// the handle; ok is false for a handle that was already released.
+func (n *Node) fromRing(e *msgring.Message) (m actor.Msg, ok bool) {
+	r := e.App.(*ringMsg)
+	if r.poisoned {
+		n.chk.UseAfterRelease("ring handle", n.Name)
+		return m, false
 	}
-	return actor.Msg{
-		Kind: actor.Kind(rm.Kind),
-		Src:  actor.ID(rm.SrcActor),
-		Dst:  actor.ID(rm.DstActor),
-		Data: rm.Data,
-	}
+	m = r.m
+	n.putRing(r)
+	return m, true
 }

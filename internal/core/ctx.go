@@ -225,11 +225,7 @@ func (n *Node) deliverLocalFromHost(m actor.Msg) {
 	case ref.Node != n.Name:
 		n.sendRemote(m, ref.Node)
 	case ref.OnNIC:
-		m.Via = actor.ViaRing
-		if _, err := n.Chan.HostPush(toRingMsg(m)); err != nil {
-			mm := m
-			n.eng.After(2*sim.Microsecond, func() { n.hostUnowned(mm) })
-		}
+		n.hostToNIC(m)
 	default:
 		m.Via = actor.ViaLocal
 		n.Host.Arrive(m)

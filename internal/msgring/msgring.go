@@ -201,6 +201,117 @@ type Channel struct {
 	OnHostReady func()
 	// OnNICReady fires when the host pushes a message for the NIC.
 	OnNICReady func()
+
+	// hostBatch is the array HostPoll returns its messages in, reused by
+	// every poll.
+	hostBatch []Message
+	// The channel's free lists of in-flight DMA records: scatter-gather
+	// writes (Flush) and batched reads (NICPoll).
+	freeFlushes sim.FreeList[flush]
+	freeReads   sim.FreeList[nicRead]
+	// chk is the invariant checker (nil when disabled): under it released
+	// records are poisoned instead of recycled. label names the channel
+	// in its reports.
+	chk   *invariant.Checker
+	label string
+}
+
+// The channel's two per-DMA records follow the idiom of DESIGN.md §4:
+// made on first use, the completion bound once, recycled through a capped
+// single-writer sim.FreeList. Several of each can be queued on the DMA
+// engine at once. Under the invariant checker a released record is
+// poisoned instead of recycled, and a completion landing on it afterwards
+// is a use-after-release violation.
+
+// flush is one scatter-gather write of NIC→host messages: the ring slots
+// it makes visible when it lands.
+type flush struct {
+	c        *Channel
+	idxs     []int
+	landFn   func() // f.land
+	poisoned bool
+}
+
+// nicRead is one batched DMA read of the host→NIC ring. It owns the batch
+// its callback receives when the read lands.
+type nicRead struct {
+	c        *Channel
+	msgs     []Message
+	done     func([]Message)
+	landFn   func() // r.land
+	poisoned bool
+}
+
+// maxFreeFlushes and maxFreeReads bound a channel's two free lists: the
+// DMA records a channel has in flight at once in steady state, with room
+// to spare.
+const (
+	maxFreeFlushes = 16
+	maxFreeReads   = 16
+)
+
+func (c *Channel) takeFlush() *flush {
+	if f := c.freeFlushes.Take(); f != nil {
+		return f
+	}
+	f := &flush{c: c}
+	f.landFn = f.land
+	return f
+}
+
+// land marks the flushed slots ready and tells the host.
+func (f *flush) land() {
+	c := f.c
+	if f.poisoned {
+		c.chk.UseAfterRelease("flush record", c.label)
+		return
+	}
+	for _, i := range f.idxs {
+		c.toHost.markReady(i)
+	}
+	f.idxs = f.idxs[:0]
+	if c.chk != nil {
+		f.poisoned = true
+	} else {
+		c.freeFlushes.Put(f, maxFreeFlushes)
+	}
+	if c.OnHostReady != nil {
+		c.OnHostReady()
+	}
+}
+
+func (c *Channel) takeRead() *nicRead {
+	if r := c.freeReads.Take(); r != nil {
+		return r
+	}
+	r := &nicRead{c: c}
+	r.landFn = r.land
+	return r
+}
+
+// land delivers the read's batch, then releases the record: the batch is
+// borrowed for the callback only.
+func (r *nicRead) land() {
+	c := r.c
+	if r.poisoned {
+		c.chk.UseAfterRelease("NIC read record", c.label)
+		return
+	}
+	if r.done != nil {
+		r.done(r.msgs)
+	}
+	r.release()
+}
+
+func (r *nicRead) release() {
+	clear(r.msgs) // do not pin the messages' payloads
+	r.msgs = r.msgs[:0]
+	r.done = nil
+	if r.c.chk != nil {
+		r.poisoned = true
+		return
+	}
+	r.c.freeReads.Put(r, maxFreeReads)
 }
 
 // DefaultRingSlots matches the prototype's modest per-channel rings.
@@ -219,9 +330,14 @@ func NewChannel(eng *sim.Engine, dma *pcie.Engine, slots, batch int) *Channel {
 	}
 }
 
-// EnableInvariants attaches the checker to both rings; label prefixes
-// the per-direction ring labels (typically the node name).
+// EnableInvariants attaches the checker to both rings and to the
+// channel's DMA records; label (typically the node name) names the
+// channel and prefixes the per-direction ring labels.
 func (c *Channel) EnableInvariants(chk *invariant.Checker, label string) {
+	if chk == nil || c.chk != nil {
+		return
+	}
+	c.chk, c.label = chk, label
 	c.toHost.EnableInvariants(chk, label+"/toHost")
 	c.toNIC.EnableInvariants(chk, label+"/toNIC")
 }
@@ -256,15 +372,9 @@ func (c *Channel) Flush() sim.Time {
 	if len(c.pending) == 0 {
 		return 0
 	}
-	idxs := append([]int(nil), c.pending...)
-	cost := c.dma.WriteGather(c.pendingSz, func() {
-		for _, i := range idxs {
-			c.toHost.markReady(i)
-		}
-		if c.OnHostReady != nil {
-			c.OnHostReady()
-		}
-	})
+	f := c.takeFlush()
+	f.idxs = append(f.idxs, c.pending...)
+	cost := c.dma.WriteGather(c.pendingSz, f.landFn)
 	c.pending = c.pending[:0]
 	c.pendingSz = c.pendingSz[:0]
 	return cost
@@ -274,8 +384,13 @@ func (c *Channel) Flush() sim.Time {
 // core cost is small (local DRAM reads); returned with the messages.
 // Consuming past the half-ring mark triggers the lazy credit sync, a
 // single 8B DMA-visible doorbell.
+//
+// The batch is a borrow: the channel returns every poll's messages in
+// one array it owns, so the slice is valid until the next HostPoll.
+// Copy out what must outlive that.
 func (c *Channel) HostPoll(max int) ([]Message, sim.Time) {
-	var out []Message
+	clear(c.hostBatch) // do not pin the last batch's payloads
+	out := c.hostBatch[:0]
 	var cost sim.Time
 	for len(out) < max {
 		m, ok := c.toHost.pop()
@@ -285,6 +400,7 @@ func (c *Channel) HostPoll(max int) ([]Message, sim.Time) {
 		cost += 80 * sim.Nanosecond // header check + pointer chase
 		out = append(out, m)
 	}
+	c.hostBatch = out
 	if c.toHost.needsCreditSync() {
 		c.toHost.syncCredits()
 		c.CreditMessages++
@@ -312,31 +428,34 @@ func (c *Channel) HostPush(m Message) (sim.Time, error) {
 // NICPoll fetches up to max messages from the host→NIC ring with one
 // batched DMA read; done delivers them when the read lands. The return
 // value is the NIC-core occupancy (non-blocking issue).
+//
+// The batch done receives is a borrow: it belongs to the read, which is
+// recycled when done returns, so the slice is valid only during the
+// call. Several reads may be in flight, each with a batch of its own.
 func (c *Channel) NICPoll(max int, done func([]Message)) sim.Time {
-	var msgs []Message
+	r := c.takeRead()
+	r.done = done
 	total := 0
-	for len(msgs) < max {
+	for len(r.msgs) < max {
 		m, ok := c.toNIC.pop()
 		if !ok {
 			break
 		}
 		total += m.WireSize()
-		msgs = append(msgs, m)
+		r.msgs = append(r.msgs, m)
 	}
 	if c.toNIC.needsCreditSync() {
 		c.toNIC.syncCredits()
 		c.CreditMessages++
 	}
-	if len(msgs) == 0 {
+	if len(r.msgs) == 0 {
 		// An empty poll still costs a peek at the ring header.
 		if done != nil {
-			c.eng.Defer(func() { done(nil) })
+			c.eng.Defer(r.landFn)
+		} else {
+			r.release()
 		}
 		return 30 * sim.Nanosecond
 	}
-	return c.dma.ReadAsync(total, func() {
-		if done != nil {
-			done(msgs)
-		}
-	})
+	return c.dma.ReadAsync(total, r.landFn)
 }

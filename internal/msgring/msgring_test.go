@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/invariant"
 	"repro/internal/pcie"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -145,7 +146,7 @@ func TestHostToNICRoundTrip(t *testing.T) {
 		}
 	}
 	var got []Message
-	ch.NICPoll(10, func(ms []Message) { got = ms })
+	ch.NICPoll(10, func(ms []Message) { got = append(got, ms...) })
 	eng.Run()
 	if len(got) != 5 {
 		t.Fatalf("NIC polled %d, want 5", len(got))
@@ -162,8 +163,8 @@ func TestNICPollEmptyStillCallsBack(t *testing.T) {
 	called := false
 	ch.NICPoll(4, func(ms []Message) {
 		called = true
-		if ms != nil {
-			t.Errorf("expected nil batch, got %v", ms)
+		if len(ms) != 0 {
+			t.Errorf("expected an empty batch, got %v", ms)
 		}
 	})
 	eng.Run()
@@ -360,6 +361,117 @@ func TestAppHandleSurvivesRing(t *testing.T) {
 	p, ok := msgs[0].App.(*payload)
 	if !ok || p.v != 42 {
 		t.Fatalf("App handle lost: %v", msgs[0].App)
+	}
+}
+
+// TestRingPathAllocFree: once the channel has made its records, a message
+// crossing in either direction — push, flush or read, DMA transfer, poll
+// — allocates nothing, with two NIC reads in flight at once, each
+// delivering its own batch. (The second, smaller read lands first: a
+// read's latency beyond its byte time grows with its size.)
+func TestRingPathAllocFree(t *testing.T) {
+	eng, ch := newChannel(64, 4)
+	data := make([]byte, 32)
+	var toHost, toNIC, hostGot, nicGot uint32
+	ch.OnHostReady = func() {
+		for {
+			ms, _ := ch.HostPoll(64)
+			if len(ms) == 0 {
+				return
+			}
+			for i := range ms {
+				if ms[i].SrcActor != hostGot {
+					t.Fatalf("host polled message %d, want %d", ms[i].SrcActor, hostGot)
+				}
+				hostGot++
+			}
+		}
+	}
+	var batches [][2]int // each batch of a round: its first message, relative to the round's end, and its length
+	deliver := func(ms []Message) {
+		batches = append(batches, [2]int{int(ms[0].SrcActor) - int(toNIC), len(ms)})
+		for i := range ms {
+			if ms[i].SrcActor != ms[0].SrcActor+uint32(i) {
+				t.Fatalf("NIC read batch %v is not consecutive", ms)
+			}
+		}
+		nicGot += uint32(len(ms))
+	}
+	round := func() {
+		batches = batches[:0]
+		for i := 0; i < 6; i++ {
+			if _, err := ch.NICPush(Message{SrcActor: toHost, Data: data}); err != nil {
+				t.Fatal(err)
+			}
+			toHost++
+			if _, err := ch.HostPush(Message{SrcActor: toNIC, Data: data}); err != nil {
+				t.Fatal(err)
+			}
+			toNIC++
+		}
+		ch.Flush()
+		ch.NICPoll(4, deliver)
+		ch.NICPoll(4, deliver) // issued while the first read is in flight
+		eng.Run()
+	}
+	round() // make the records, grow the batches
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("a round of 12 ring crossings allocates %.2f, want 0", got)
+	}
+	if hostGot != toHost || nicGot != toNIC {
+		t.Fatalf("delivered %d/%d to the host and %d/%d to the NIC", hostGot, toHost, nicGot, toNIC)
+	}
+	// Relative to the round's end: the first read took the oldest four
+	// messages, the second the last two.
+	first, second := [2]int{-6, 4}, [2]int{-2, 2}
+	if len(batches) != 2 || batches[0] != second || batches[1] != first {
+		t.Fatalf("the two overlapping reads delivered %v, want %v then %v", batches, second, first)
+	}
+}
+
+// TestRingRecordsPoisonedUnderChecker: with the invariant checker attached
+// no flush or NIC read record is recycled, the traffic is the same, and a
+// completion landing on a released record is reported and does nothing.
+func TestRingRecordsPoisonedUnderChecker(t *testing.T) {
+	eng, ch := newChannel(16, 2)
+	chk := invariant.New(eng)
+	ch.EnableInvariants(chk, "n")
+	hostReady, delivered := 0, 0
+	ch.OnHostReady = func() { hostReady++ }
+	deliver := func(ms []Message) { delivered += len(ms) }
+	for round := 0; round < 3; round++ {
+		ch.NICPush(Message{Kind: 1})
+		ch.NICPush(Message{Kind: 2}) // the batch flushes
+		ch.HostPush(Message{Kind: 3})
+		ch.NICPoll(4, deliver)
+		ch.NICPoll(4, deliver) // empty
+		eng.Run()
+		if ms, _ := ch.HostPoll(4); len(ms) != 2 {
+			t.Fatalf("round %d: host polled %d, want 2", round, len(ms))
+		}
+	}
+	if hostReady != 3 || delivered != 3 {
+		t.Fatalf("%d flushes landed and %d messages read, want 3 and 3", hostReady, delivered)
+	}
+	if ch.freeFlushes.Len()+ch.freeReads.Len() != 0 {
+		t.Fatal("records were recycled under the checker")
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatalf("clean run reported %v", err)
+	}
+
+	f, r := ch.takeFlush(), ch.takeRead()
+	r.done = deliver
+	f.land() // each record's one completion releases it
+	r.land()
+	f.land() // and a second one lands on a released record
+	r.land()
+	if hostReady != 4 {
+		t.Fatalf("OnHostReady fired %d times, want 4: a stale flush must not signal", hostReady)
+	}
+	vs := chk.Violations()
+	if len(vs) != 2 || vs[0].Rule != "use-after-release" || vs[1].Rule != "use-after-release" {
+		t.Fatalf("violations %v, want two use-after-release", vs)
 	}
 }
 

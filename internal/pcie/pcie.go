@@ -43,7 +43,26 @@ type Engine struct {
 
 	sink  *obs.Sink
 	track obs.TrackID
+
+	freeOps sim.FreeList[dmaOp]
 }
+
+// dmaOp is one transfer in the engine's station: its Job, with Done bound
+// to complete when the record is made, and what the completion needs. The
+// record goes back to the engine's free list inside its own completion
+// (DESIGN.md §4); past maxFreeOps in flight it is left to the GC.
+type dmaOp struct {
+	job      sim.Job
+	e        *Engine
+	name     string
+	bytes    int
+	overhead sim.Time
+	done     func()
+}
+
+// maxFreeOps bounds an engine's free list of transfer records: the
+// message rings keep a handful in flight.
+const maxFreeOps = 64
 
 // New creates a DMA engine with the given profile.
 func New(eng *sim.Engine, prof spec.DMAProfile) *Engine {
@@ -71,17 +90,27 @@ func (e *Engine) op(name string, bytes int, latency sim.Time, done func()) {
 	if overhead < 0 {
 		overhead = 0
 	}
-	e.station.Submit(&sim.Job{
-		Service: transfer,
-		Done: func(enq, started, fin sim.Time) {
-			e.sink.Span(e.track, name, started, fin,
-				obs.Args{Bytes: bytes, Wait: started - enq})
-			if done == nil {
-				return
-			}
-			e.eng.After(overhead, done)
-		},
-	})
+	o := e.freeOps.Take()
+	if o == nil {
+		o = &dmaOp{e: e}
+		o.job.Done = o.complete
+	}
+	o.job.Service = transfer
+	o.name, o.bytes, o.overhead, o.done = name, bytes, overhead, done
+	e.station.Submit(&o.job)
+}
+
+// complete is the transfer's Done: it releases the record — the station
+// reads nothing of a job after its Done — and schedules the completion
+// word.
+func (o *dmaOp) complete(enq, started, fin sim.Time) {
+	e, done, overhead := o.e, o.done, o.overhead
+	e.sink.Span(e.track, o.name, started, fin, obs.Args{Bytes: o.bytes, Wait: started - enq})
+	o.done = nil
+	e.freeOps.Put(o, maxFreeOps)
+	if done != nil {
+		e.eng.After(overhead, done)
+	}
 }
 
 // ReadBlocking starts a host-memory read. done fires when the completion

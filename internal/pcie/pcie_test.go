@@ -146,6 +146,37 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestAsyncDMAAllocFree: once an engine has made the transfer records a
+// burst needs, issuing and completing non-blocking reads and writes —
+// including one issued from another's completion — allocates nothing.
+func TestAsyncDMAAllocFree(t *testing.T) {
+	eng, dma := liquidEngine()
+	const burst = 8
+	done := 0
+	chained := func() { done++ }
+	reissue := func() {
+		done++
+		dma.ReadAsync(64, chained)
+	}
+	round := func() {
+		for i := 0; i < burst; i++ {
+			dma.WriteAsync(256, reissue)
+		}
+		dma.ReadAsync(2048, nil)
+		eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("a burst of %d async transfers allocates %.2f, want 0", 2*burst+1, got)
+	}
+	if done != 2*burst*102 {
+		t.Fatalf("%d completions, want %d", done, 2*burst*102)
+	}
+	if n := dma.freeOps.Len(); n == 0 || n > burst+1 {
+		t.Fatalf("%d transfer records pooled after bursts of %d", n, burst+1)
+	}
+}
+
 func TestInFlightBackpressureSignal(t *testing.T) {
 	eng, dma := liquidEngine()
 	for i := 0; i < 5; i++ {
