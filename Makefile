@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-compare race alloc-budget fuzz-smoke vet fmt-check trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
+.PHONY: build test check bench bench-compare race alloc-budget fuzz-smoke vet fmt-check trace-smoke fault-smoke replay-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -43,11 +43,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 5s ./internal/dmo
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelOps$$' -fuzztime 5s ./internal/msgring
 
-# trace-smoke: run a traced simulation and validate the emitted Chrome
-# trace (well-formed trace_event JSON, named lanes, monotonic per-track
-# timestamps) and the NDJSON metric snapshots.
+# trace-smoke: run a traced, invariant-checked simulation (exit 1 on
+# any violation) and validate the emitted Chrome trace (well-formed
+# trace_event JSON, named lanes, monotonic per-track timestamps) and the
+# NDJSON metric snapshots.
 trace-smoke:
-	$(GO) run ./cmd/ipipe-sim -app rkv -nic cn2350 -duration 5ms \
+	$(GO) run ./cmd/ipipe-sim -app rkv -nic cn2350 -duration 5ms -check \
 		-trace /tmp/ipipe-trace-smoke.json -metrics /tmp/ipipe-metrics-smoke.ndjson >/dev/null
 	$(GO) run ./cmd/ipipe-trace check /tmp/ipipe-trace-smoke.json
 	$(GO) run ./cmd/ipipe-trace check-metrics /tmp/ipipe-metrics-smoke.ndjson
@@ -62,17 +63,6 @@ fault-smoke:
 	@grep -q '"crash kv0"' /tmp/ipipe-fault-smoke.json || \
 		{ echo "fault-smoke: no fault span in trace" >&2; exit 1; }
 	@echo "fault-smoke: fault spans present"
-
-# scale-smoke: run the sharded scale-out sweeps end to end (router,
-# multi-group deployment, client batching) in quick mode.
-scale-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick scale-shards scale-batch >/dev/null
-	@echo "scale-smoke: ok"
-
-# invariant-smoke: audit runtime invariants on a live simulation.
-invariant-smoke:
-	$(GO) run ./cmd/ipipe-sim -app rkv -nic cn2350 -duration 5ms -check >/dev/null
-	@echo "invariant-smoke: ok"
 
 # replay-smoke: golden-replay a registry subset with the invariant
 # checker attached to every cluster, along every determinism axis that
@@ -91,12 +81,12 @@ replay-smoke:
 	$(GO) run ./cmd/ipipe-bench -quick -check -qos
 	@echo "replay-smoke: ok"
 
-# obs-smoke: trace a partitioned mesh run with window-parallel
-# execution and validate the merged artifacts — including the
-# cross-partition handoff span pairing.
+# obs-smoke: trace and invariant-check a partitioned mesh run with
+# window-parallel execution, and validate the merged artifacts —
+# including the cross-partition handoff span pairing.
 obs-smoke:
 	$(GO) run ./cmd/ipipe-sim -app mesh -nodes 8 -partitions 4 -pdes 4 \
-		-duration 300us -trace /tmp/ipipe-obs-smoke.json \
+		-duration 300us -check -trace /tmp/ipipe-obs-smoke.json \
 		-metrics /tmp/ipipe-obs-smoke.ndjson >/dev/null
 	$(GO) run ./cmd/ipipe-trace check /tmp/ipipe-obs-smoke.json
 	$(GO) run ./cmd/ipipe-trace check-metrics /tmp/ipipe-obs-smoke.ndjson
@@ -105,9 +95,9 @@ obs-smoke:
 	@echo "obs-smoke: ok"
 
 # check: the CI step — formatting, static analysis, the race suite, the
-# allocation budgets, the fuzz targets, and the observability, invariant
-# and replay smoke tests.
-check: fmt-check vet race alloc-budget fuzz-smoke trace-smoke fault-smoke scale-smoke invariant-smoke replay-smoke obs-smoke
+# allocation budgets, the fuzz targets, and the observability and
+# replay smoke tests (the two ipipe-sim smokes run under -check).
+check: fmt-check vet race alloc-budget fuzz-smoke trace-smoke fault-smoke replay-smoke obs-smoke
 
 # bench: the repository's one performance benchmark (benchmark/README.md)
 # — the full ledger at seed 1, ~85s. Judge a change with two ledgers:

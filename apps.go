@@ -17,24 +17,16 @@ import (
 // few lines. Each application deploys from a spec struct — RKVSpec,
 // DTSpec, RTASpec, FirewallSpec, IPSecSpec — embedding the shared
 // DeployCommon policy block (placement, retry, failover, faults,
-// tenancy) and implementing the DeploySpec interface, so harnesses can
-// validate and deploy heterogeneous specs generically.
+// tenancy); Validate checks a spec and Deploy stands it up.
 
 // Shared deployment-policy vocabulary.
 type (
-	// Placement says where an application's offloadable actors run.
-	Placement = deploy.Placement
 	// RetryPolicy is the client-side timeout/retry/backoff policy.
 	RetryPolicy = deploy.RetryPolicy
 	// FailoverPolicy configures the RKV leader-failover monitor.
 	FailoverPolicy = deploy.FailoverPolicy
 	// DeployCommon is the policy block embedded by every spec.
 	DeployCommon = deploy.Common
-	// DeploySpec is the generic spec surface (Validate + DeployApp).
-	DeploySpec = deploy.Spec
-	// DeployedApp is what DeployApp returns: the concrete deployment
-	// (*RKVApp, *RTAApp, ...) behind an interface.
-	DeployedApp = deploy.App
 	// Fault is one scheduled failure (see internal/fault).
 	Fault = fault.Fault
 	// FaultSchedule is a declarative set of faults; a spec installs its
@@ -49,7 +41,8 @@ type (
 	SLOControllerConfig = qos.ControllerConfig
 )
 
-// OnNIC / OnHost are the two common placements.
+// OnNIC / OnHost are the two placements: where an application's
+// offloadable actors run.
 var (
 	OnNIC  = deploy.NIC
 	OnHost = deploy.Host
@@ -69,9 +62,6 @@ func FaultCrash(node string, at, dur Duration) Fault { return fault.Crash(node, 
 type (
 	// RKVSpec deploys a replica group (or, with Shards > 1, several).
 	RKVSpec = deploy.RKVSpec
-	// RKVApp is a deployed replica group plus its recovery machinery
-	// (failover monitor, fault injector).
-	RKVApp = deploy.RKV
 	// RKVStatus is the typed status byte of RKV responses.
 	RKVStatus = rkv.Status
 )
@@ -137,8 +127,6 @@ func DTDecodeOutcome(p []byte) (DTOutcome, map[string][]byte) { return dt.Decode
 type (
 	// RTASpec deploys the analytics pipeline.
 	RTASpec = deploy.RTASpec
-	// RTAApp is a deployed pipeline.
-	RTAApp = deploy.RTA
 	// RTAEntry is one ranked token.
 	RTAEntry = rta.Entry
 )

@@ -102,12 +102,14 @@ var contracts = []contract{
 			"internal/workload"}},
 	{"", "the public facade (package ipipe): what the examples and the README program against",
 		[]string{"internal/actor", "internal/apps/dt", "internal/apps/nf", "internal/apps/rkv", "internal/apps/rta",
-			"internal/bench", "internal/core", "internal/deploy", "internal/fault", "internal/invariant",
-			"internal/nstack", "internal/obs", "internal/qos", "internal/sim", "internal/spec", "internal/workload"}},
+			"internal/bench", "internal/core", "internal/deploy", "internal/fault",
+			"internal/nstack", "internal/qos", "internal/sim", "internal/spec", "internal/workload"}},
 	{"cmd/ipipe-bench", "runs any experiment by id",
 		[]string{"internal/bench", "internal/obs", "internal/sim"}},
-	{"cmd/ipipe-sim", "runs one ad-hoc cluster simulation",
-		[]string{"", "internal/baseline", "internal/core", "internal/mesh", "internal/obs", "internal/sim", "internal/workload"}},
+	{"cmd/ipipe-sim", "runs one ad-hoc cluster simulation: any application, or the echo mesh",
+		[]string{"internal/actor", "internal/apps/dt", "internal/apps/nf", "internal/apps/rkv", "internal/apps/rta",
+			"internal/baseline", "internal/core", "internal/deploy", "internal/invariant", "internal/mesh",
+			"internal/obs", "internal/sim", "internal/spec", "internal/workload"}},
 	{"cmd/ipipe-trace", "validates trace and metrics artifacts",
 		[]string{"internal/obs"}},
 	{"examples/quickstart", "one node, one echo actor", []string{""}},

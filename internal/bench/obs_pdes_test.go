@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -24,12 +25,35 @@ import (
 
 var obsMeshCfg = mesh.Config{
 	Nodes: 8, Partitions: 4, Seed: 7,
-	Window: 200 * sim.Microsecond, Check: true,
+	Window: 200 * sim.Microsecond,
 }
 
-// observedMesh runs the mesh with observability attached and returns
-// its stats plus the rendered artifacts.
-func observedMesh(t *testing.T, workers int) (mesh.Stats, []byte, []byte) {
+// checkedMesh runs cfg with one invariant checker per partition attached
+// after whatever cfg.Observe attaches, and returns the stats, the
+// per-partition fingerprints concatenated, and the violation count.
+func checkedMesh(cfg mesh.Config) (mesh.Stats, string, int) {
+	var chks []*invariant.Checker
+	observe := cfg.Observe
+	cfg.Observe = func(c *core.Cluster) {
+		if observe != nil {
+			observe(c)
+		}
+		chks = c.AttachCheckers()
+	}
+	s := mesh.Run(cfg)
+	var fp string
+	violations := 0
+	for _, chk := range chks {
+		chk.Finish()
+		violations += len(chk.Violations())
+		fp += chk.Fingerprint()
+	}
+	return s, fp, violations
+}
+
+// observedMesh runs the checked mesh with tracing and metrics attached
+// and returns its stats and fingerprint plus the rendered artifacts.
+func observedMesh(t *testing.T, workers int) (mesh.Stats, string, int, []byte, []byte) {
 	t.Helper()
 	tracer := obs.NewTracer()
 	var col *obs.Collector
@@ -41,7 +65,7 @@ func observedMesh(t *testing.T, workers int) (mesh.Stats, []byte, []byte) {
 		c.EnableMetrics(col)
 		col.Start()
 	}
-	s := mesh.Run(cfg)
+	s, fp, violations := checkedMesh(cfg)
 	var trace, metrics bytes.Buffer
 	if err := tracer.WriteChromeTrace(&trace); err != nil {
 		t.Fatal(err)
@@ -50,22 +74,22 @@ func observedMesh(t *testing.T, workers int) (mesh.Stats, []byte, []byte) {
 	if err := col.WriteNDJSON(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	return s, trace.Bytes(), metrics.Bytes()
+	return s, fp, violations, trace.Bytes(), metrics.Bytes()
 }
 
 func TestPDESObservabilityNonPerturbing(t *testing.T) {
-	bare := mesh.Run(obsMeshCfg)
-	if bare.Fingerprint == "" {
+	bare, bareFP, _ := checkedMesh(obsMeshCfg)
+	if bareFP == "" {
 		t.Fatal("bare run produced no fingerprint")
 	}
 
 	var firstTrace, firstMetrics []byte
 	for _, w := range []int{1, 2, 4} {
-		s, trace, metrics := observedMesh(t, w)
-		if s.Violations != 0 {
-			t.Fatalf("workers=%d: %d invariant violations with observability on", w, s.Violations)
+		s, fp, violations, trace, metrics := observedMesh(t, w)
+		if violations != 0 {
+			t.Fatalf("workers=%d: %d invariant violations with observability on", w, violations)
 		}
-		if s.Fingerprint != bare.Fingerprint {
+		if fp != bareFP {
 			t.Fatalf("workers=%d: observability perturbed the invariant fingerprint", w)
 		}
 		if s.Ops != bare.Ops || s.P50us != bare.P50us || s.P99us != bare.P99us ||

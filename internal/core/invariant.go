@@ -9,53 +9,30 @@ import (
 // the network fabric and into every current and future node's
 // scheduler, message rings, traffic gate, and DMO store.
 
-// EnableInvariants attaches a caller-built invariant checker to a
-// classic cluster. Call at most once, before the engine runs (the FIFO
-// and byte-shadow audits must see every push/alloc from the start); a
-// nil checker is ignored. The fault injector picks the checker up at
-// Install time and stamps a fingerprint epoch at every fault
-// activation/restoration.
-func (c *Cluster) EnableInvariants(chk *invariant.Checker) {
-	if chk == nil {
-		return
-	}
-	if c.Partitions() > 1 {
-		panic("core: partitioned clusters take one checker per partition (AttachCheckers)")
-	}
-	c.wireCheckers([]*invariant.Checker{chk})
-}
-
 // AttachCheckers creates and wires one invariant checker per engine
 // partition — the granularity conservation must be checked at under
 // PDES, since each partition's ledger only sees its own events (cross-
-// partition packets are reconciled by the handoff counters). Returns
-// the checkers, in partition order; idempotent.
+// partition packets are reconciled by the handoff counters) — into the
+// network fabric and every current node; AddNode covers future ones.
+// Call before the engine runs (the FIFO and byte-shadow audits must see
+// every push/alloc from the start). The fault injector picks the
+// checkers up at Install time and stamps a fingerprint epoch at every
+// fault activation/restoration. Returns the checkers, in partition
+// order; idempotent.
 func (c *Cluster) AttachCheckers() []*invariant.Checker {
-	if len(c.checkers) == 0 {
-		chks := make([]*invariant.Checker, c.Partitions())
-		for p := range chks {
-			chks[p] = invariant.New(c.Group.Engine(p))
-		}
-		c.wireCheckers(chks)
-	}
-	return c.checkers
-}
-
-// wireCheckers threads chks (one per partition) into the network fabric
-// and every current node; AddNode covers future ones. No-op once
-// checkers are attached.
-func (c *Cluster) wireCheckers(chks []*invariant.Checker) {
 	if len(c.checkers) > 0 {
-		return
+		return c.checkers
 	}
-	c.checkers = chks
-	for p, chk := range chks {
-		c.Net.EnableInvariantsAt(p, chk)
+	c.checkers = make([]*invariant.Checker, c.Partitions())
+	for p := range c.checkers {
+		c.checkers[p] = invariant.New(c.Group.Engine(p))
+		c.Net.EnableInvariantsAt(p, c.checkers[p])
 	}
 	for _, name := range c.nodeNames() {
 		n := c.nodes[name]
-		n.enableInvariants(chks[n.Part])
+		n.enableInvariants(c.checkers[n.Part])
 	}
+	return c.checkers
 }
 
 // Checker returns the cluster's (partition 0's) invariant checker; nil

@@ -26,8 +26,7 @@ import (
 // protocols ran concurrently on one node.)
 func TestMigrateNowHoldsLatch(t *testing.T) {
 	cl := core.NewCluster(1)
-	chk := invariant.New(cl.Eng)
-	cl.EnableInvariants(chk)
+	chk := cl.AttachCheckers()[0]
 	n := cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	a1, a2 := echoActor(1, sim.Microsecond), echoActor(2, sim.Microsecond)
 	a2.Name = "echo2"

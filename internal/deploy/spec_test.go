@@ -10,7 +10,6 @@ import (
 	"repro/internal/apps/rkv"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/invariant"
 	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -184,8 +183,7 @@ func TestSpecTenancyControllerRequiresClassicCluster(t *testing.T) {
 func TestDefaultCommonMatchesPreQoSFingerprint(t *testing.T) {
 	run := func(useSpec bool) (string, string) {
 		cl, nodes := specNodes(11, 3)
-		chk := invariant.New(cl.Eng)
-		cl.EnableInvariants(chk)
+		chk := cl.AttachCheckers()[0]
 		var dep *rkv.Deployment
 		if useSpec {
 			d, err := RKVSpec{Nodes: nodes, BaseID: 100, MemLimit: 8 << 20}.Deploy()

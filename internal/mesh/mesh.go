@@ -12,13 +12,14 @@
 // Results are deterministic for a fixed (seed, nodes, partitions)
 // triple regardless of worker count.
 //
-// Observability: set Config.Observe; it sees the cluster right after
-// construction, before any node exists, and attaches the tracer, the
-// collector or the checkers there. The partitioned cluster shards the
-// tracer per partition and samples metrics at window boundaries, so
-// enabling observability changes neither the results nor their
-// worker-count independence (the exported artifacts are themselves
-// byte-identical at any worker count).
+// Observability and checking: set Config.Observe; it sees the cluster
+// right after construction, before any node exists, and attaches the
+// tracer, the collector or the checkers (core.Cluster.AttachCheckers)
+// there; the caller keeps what it attached and reads it after the run.
+// The partitioned cluster shards the tracer per partition and samples
+// metrics at window boundaries, so enabling observability changes
+// neither the results nor their worker-count independence (the exported
+// artifacts are themselves byte-identical at any worker count).
 package mesh
 
 import (
@@ -57,8 +58,6 @@ type Config struct {
 	ServiceNs int
 	// Window is the measured run length (default 2ms).
 	Window sim.Time
-	// Check attaches per-partition invariant checkers.
-	Check bool
 	// Observe, when set, is applied to the cluster right after it is
 	// constructed, before any node is added.
 	Observe func(*core.Cluster)
@@ -85,11 +84,6 @@ type Stats struct {
 	Crossed    uint64 // cross-partition handoffs
 	Rounds     uint64 // synchronization windows (0 when Partitions == 1)
 	Wall       time.Duration
-	Violations int // ledgers with violations; -1 when Check is off
-	// Fingerprint concatenates the per-partition invariant fingerprints
-	// (empty when Check is off) — the byte-comparison artifact for the
-	// serial-vs-parallel replay axis.
-	Fingerprint string
 }
 
 // defaults fills the unset fields.
@@ -137,9 +131,6 @@ func Build(cfg Config) (*core.Cluster, []*core.Node, []*workload.Client) {
 		cfg.Observe(cl)
 	}
 	cl.SetPDESWorkers(cfg.Workers)
-	if cfg.Check {
-		cl.AttachCheckers()
-	}
 
 	serviceCost := sim.Time(cfg.ServiceNs)
 	nodes := make([]*core.Node, cfg.Nodes)
@@ -211,7 +202,6 @@ func Run(cfg Config) Stats {
 		Partitions: cfg.Partitions,
 		Workers:    cfg.Workers,
 		Wall:       wall,
-		Violations: -1,
 	}
 	lat := stats.NewSample()
 	for _, c := range clients { // fixed order: deterministic percentiles
@@ -225,17 +215,5 @@ func Run(cfg Config) Stats {
 	out.Events = cl.Group.ExecutedEvents()
 	out.Crossed = cl.Group.Crossed()
 	out.Rounds = cl.Group.Rounds()
-	if cfg.Check {
-		out.Violations = 0
-		var fp string
-		for _, chk := range cl.Checkers() {
-			chk.Finish()
-			if err := chk.Err(); err != nil {
-				out.Violations++
-			}
-			fp += chk.Fingerprint()
-		}
-		out.Fingerprint = fp
-	}
 	return out
 }

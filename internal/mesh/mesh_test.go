@@ -5,7 +5,30 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/invariant"
 )
+
+// checkedRun runs cfg with one invariant checker per partition attached
+// through Observe. It returns the stats, the per-partition fingerprints
+// concatenated in partition order, and how many ledgers reported
+// violations.
+func checkedRun(cfg Config) (Stats, string, int) {
+	var chks []*invariant.Checker
+	cfg.Observe = func(c *core.Cluster) { chks = c.AttachCheckers() }
+	s := Run(cfg)
+	var fp string
+	bad := 0
+	for _, chk := range chks {
+		chk.Finish()
+		if chk.Err() != nil {
+			bad++
+		}
+		fp += chk.Fingerprint()
+	}
+	return s, fp, bad
+}
 
 // TestMeshParallelMatchesSerialMerge is the end-to-end determinism
 // property of the PDES engine: a partitioned mesh run in parallel must
@@ -13,28 +36,28 @@ import (
 // invariant fingerprints — from the same partitioned mesh executed one
 // window at a time on a single goroutine.
 func TestMeshParallelMatchesSerialMerge(t *testing.T) {
-	base := Config{Nodes: 12, Partitions: 4, Seed: 7, Check: true}
+	base := Config{Nodes: 12, Partitions: 4, Seed: 7}
 	for _, seed := range []uint64{7, 1234} {
 		cfg := base
 		cfg.Seed = seed
 		cfg.Workers = 1
-		serial := Run(cfg)
+		serial, serialFP, bad := checkedRun(cfg)
 		cfg.Workers = 4
-		parallel := Run(cfg)
+		parallel, parallelFP, _ := checkedRun(cfg)
 
 		// Wall varies run to run and Workers is the knob under test;
 		// every other field must match bit for bit.
 		serial.Wall, parallel.Wall = 0, 0
 		serial.Workers, parallel.Workers = 0, 0
-		if serial != parallel {
+		if serial != parallel || serialFP != parallelFP {
 			t.Fatalf("seed %d: parallel diverged from serial merge:\n  serial:   %+v\n  parallel: %+v",
 				seed, serial, parallel)
 		}
 		if serial.Ops == 0 || serial.Crossed == 0 {
 			t.Fatalf("seed %d: degenerate run: %+v", seed, serial)
 		}
-		if serial.Violations != 0 {
-			t.Fatalf("seed %d: %d ledgers reported violations", seed, serial.Violations)
+		if bad != 0 {
+			t.Fatalf("seed %d: %d ledgers reported violations", seed, bad)
 		}
 	}
 }
@@ -43,8 +66,8 @@ func TestMeshParallelMatchesSerialMerge(t *testing.T) {
 // works and produces traffic — the degenerate case every classic
 // experiment relies on under -pdes.
 func TestMeshSinglePartitionRuns(t *testing.T) {
-	s := Run(Config{Nodes: 4, Partitions: 1, Seed: 3, Check: true})
-	if s.Ops == 0 || s.Violations != 0 {
+	s, _, bad := checkedRun(Config{Nodes: 4, Partitions: 1, Seed: 3})
+	if s.Ops == 0 || bad != 0 {
 		t.Fatalf("classic mesh degenerate: %+v", s)
 	}
 	if s.Rounds != 0 || s.Crossed != 0 {
@@ -79,7 +102,7 @@ func TestMeshAllocBudget(t *testing.T) {
 		parts       int
 		budget      float64
 		ops, events uint64
-		fingerprint string // sha256 of Stats.Fingerprint
+		fingerprint string // sha256 of the concatenated checker fingerprints
 		countAt     []int  // worker counts whose allocations are counted
 		workers     []int  // worker counts whose fingerprints are checked
 	}{
@@ -112,14 +135,13 @@ func TestMeshAllocBudget(t *testing.T) {
 			}
 		}
 
-		cfg.Check = true
 		for _, w := range tc.workers {
 			cfg.Workers = w
-			s := Run(cfg)
-			fp := fmt.Sprintf("%x", sha256.Sum256([]byte(s.Fingerprint)))
-			if s.Ops != tc.ops || s.Events != tc.events || s.Violations != 0 || fp != tc.fingerprint {
+			s, fp, bad := checkedRun(cfg)
+			fp = fmt.Sprintf("%x", sha256.Sum256([]byte(fp)))
+			if s.Ops != tc.ops || s.Events != tc.events || bad != 0 || fp != tc.fingerprint {
 				t.Errorf("%d partitions, %d workers: ops=%d events=%d violations=%d fingerprint=%s\nwant ops=%d events=%d violations=0 fingerprint=%s",
-					tc.parts, w, s.Ops, s.Events, s.Violations, fp, tc.ops, tc.events, tc.fingerprint)
+					tc.parts, w, s.Ops, s.Events, bad, fp, tc.ops, tc.events, tc.fingerprint)
 			}
 		}
 	}

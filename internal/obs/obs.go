@@ -103,13 +103,13 @@ type trackInfo struct {
 // by design — traces are an offline debugging artifact, bounded by the
 // (finite) simulated window, exactly like Chrome's own tracing.
 //
-// Under the parallel engine the tracer is sharded: each PDES partition
-// emits into its own Sink (a private buffer — no cross-partition locks
-// on the emit path), and export merges the shards deterministically
-// (see WriteChromeTrace). Registration (Group/NewTrack/Sink/NewDomain)
-// is coordinator-only: call it while building the topology, never from
-// concurrent window execution. Classic single-engine runs use the
-// tracer's own Span/Instant, which delegate to sink 0.
+// The tracer is sharded: each engine partition emits into its own Sink
+// (a private buffer — no cross-partition locks on the emit path; a
+// classic cluster is the 1-partition case and emits into sink 0), and
+// export merges the shards deterministically (see WriteChromeTrace).
+// Registration (Group/NewTrack/Sink/NewDomain) is coordinator-only:
+// call it while building the topology, never from concurrent window
+// execution.
 //
 // The zero value is not useful; construct with NewTracer. A nil *Tracer
 // is the disabled tracer: every method no-ops.
@@ -191,25 +191,6 @@ func (t *Tracer) NewTrack(g GroupID, name string) TrackID {
 	id := TrackID(len(t.tracks))
 	t.tracks = append(t.tracks, trackInfo{group: g, name: name})
 	return id
-}
-
-// Span records a completed occupancy [start, end] on a track, through
-// sink 0 (the classic single-engine path). Calls on a nil tracer or
-// against NoTrack are free.
-func (t *Tracer) Span(tr TrackID, name string, start, end sim.Time, a Args) {
-	if t == nil {
-		return
-	}
-	t.Sink(0).Span(tr, name, start, end, a)
-}
-
-// Instant records a point event on a track (a scheduler decision, a
-// migration phase boundary), through sink 0.
-func (t *Tracer) Instant(tr TrackID, name string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	t.Sink(0).Instant(tr, name, at)
 }
 
 // Spans reports the number of buffered spans across all sinks

@@ -12,6 +12,7 @@ import (
 // buildSampleTrace fills a tracer the way the runtime does: groups per
 // node, tracks per substrate, spans and instants in simulation order.
 func buildSampleTrace(t *Tracer) {
+	sk := t.Sink(0)
 	g := t.Group("kv0")
 	link := t.NewTrack(g, "link rx")
 	core0 := t.NewTrack(g, "nic core 0")
@@ -19,11 +20,11 @@ func buildSampleTrace(t *Tracer) {
 	g1 := t.Group("cli")
 	tx := t.NewTrack(g1, "link tx")
 
-	t.Span(tx, "frame", 0, 410, Args{Req: 7, HasReq: true, Bytes: 512})
-	t.Span(link, "frame", 1300, 1710, Args{Req: 7, HasReq: true, Bytes: 512})
-	t.Span(core0, "kv-leader", 1800, 4200, Args{Req: 7, HasReq: true, Wait: 90})
-	t.Span(core0, "kv-leader", 4200, 6100, Args{Req: 8, HasReq: true})
-	t.Instant(sched, "downgrade kv-leader", 5000)
+	sk.Span(tx, "frame", 0, 410, Args{Req: 7, HasReq: true, Bytes: 512})
+	sk.Span(link, "frame", 1300, 1710, Args{Req: 7, HasReq: true, Bytes: 512})
+	sk.Span(core0, "kv-leader", 1800, 4200, Args{Req: 7, HasReq: true, Wait: 90})
+	sk.Span(core0, "kv-leader", 4200, 6100, Args{Req: 8, HasReq: true})
+	sk.Instant(sched, "downgrade kv-leader", 5000)
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
@@ -94,9 +95,10 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	if g != noGroup || track != NoTrack {
 		t.Fatalf("nil tracer registration: got %d/%d", g, track)
 	}
+	sk := tr.Sink(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Span(track, "x", 0, 10, Args{Req: 1, HasReq: true, Bytes: 64, Wait: 2})
-		tr.Instant(track, "y", 5)
+		sk.Span(track, "x", 0, 10, Args{Req: 1, HasReq: true, Bytes: 64, Wait: 2})
+		sk.Instant(track, "y", 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f allocs/op, want 0", allocs)
@@ -117,19 +119,19 @@ func TestDisabledCollectorSafe(t *testing.T) {
 
 func BenchmarkDisabledSpan(b *testing.B) {
 	var tr *Tracer
-	track := tr.NewTrack(tr.Group("n"), "t")
+	track, sk := tr.NewTrack(tr.Group("n"), "t"), tr.Sink(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(track, "x", sim.Time(i), sim.Time(i+10), Args{Req: uint64(i), HasReq: true})
+		sk.Span(track, "x", sim.Time(i), sim.Time(i+10), Args{Req: uint64(i), HasReq: true})
 	}
 }
 
 func BenchmarkEnabledSpan(b *testing.B) {
 	tr := NewTracer()
-	track := tr.NewTrack(tr.Group("n"), "t")
+	track, sk := tr.NewTrack(tr.Group("n"), "t"), tr.Sink(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span(track, "x", sim.Time(i), sim.Time(i+10), Args{Req: uint64(i), HasReq: true})
+		sk.Span(track, "x", sim.Time(i), sim.Time(i+10), Args{Req: uint64(i), HasReq: true})
 	}
 }
 

@@ -38,8 +38,6 @@ import (
 	"repro/internal/actor"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/invariant"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -74,18 +72,6 @@ type (
 	// (the paper's I6 insight); drive it via Client.ClosedLoopVia /
 	// OpenLoopVia with Batcher.Add as the send path.
 	Batcher = workload.Batcher
-	// NICModel is a SmartNIC hardware profile.
-	NICModel = spec.NICModel
-	// Tracer records cross-layer request spans; export with
-	// WriteChromeTrace and open in chrome://tracing or Perfetto.
-	Tracer = obs.Tracer
-	// Collector snapshots cluster metrics on a virtual-time interval;
-	// export with WriteNDJSON.
-	Collector = obs.Collector
-	// InvariantChecker audits runtime invariants (message conservation,
-	// per-flow FIFO, DRR fairness, ring credits, byte accounting) as the
-	// simulation runs; a nil checker is the zero-cost disabled state.
-	InvariantChecker = invariant.Checker
 )
 
 // Virtual-time units.
@@ -110,32 +96,6 @@ func NewClient(c *Cluster, name string, gbps float64) *Client {
 // coalescing (Add degenerates to Client.Send).
 func NewBatcher(c *Client, window Duration, maxBatch int) *Batcher {
 	return workload.NewBatcher(c, window, maxBatch)
-}
-
-// NewTracer creates a request tracer; attach it with Cluster.EnableTracing
-// before registering workload traffic.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// NewMetricsCollector creates a metrics collector sampling the cluster
-// every interval of virtual time (0 uses the default, 100µs). Attach it
-// with Cluster.EnableMetrics and call Start before Eng.Run.
-func NewMetricsCollector(c *Cluster, interval Duration) *Collector {
-	if interval <= 0 {
-		interval = obs.DefaultMetricsInterval
-	}
-	return obs.NewCollector(c.Eng, interval)
-}
-
-// NewInvariantChecker attaches a runtime invariant checker to the
-// cluster and returns it. Call before deploying applications and
-// running the engine (the FIFO and byte-accounting audits must observe
-// every push/alloc from the start); after Eng.Run, call Finish to
-// evaluate the end-of-run conservation equalities, then inspect Err,
-// Violations, or Summary.
-func NewInvariantChecker(c *Cluster) *InvariantChecker {
-	chk := invariant.New(c.Eng)
-	c.EnableInvariants(chk)
-	return chk
 }
 
 // The four characterized SmartNIC models (Table 1).
