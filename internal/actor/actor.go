@@ -29,7 +29,9 @@ type Msg struct {
 	Kind Kind
 	Src  ID
 	Dst  ID
-	// Data is the application payload.
+	// Data is the application payload. No one rewrites a payload after
+	// Send, neither the sender nor the runtime, so a receiver may keep
+	// views of it for as long as it keeps the message (DESIGN.md §4).
 	Data []byte
 	// WireSize is the packet size this message occupied on the network
 	// (0 for NIC/host-internal messages); the scheduler tracks request

@@ -76,23 +76,46 @@ func Partition(key []byte, n int) int {
 
 // --- wire helpers ----------------------------------------------------
 
-type wbuf struct{ bytes.Buffer }
+// wbuf appends the little-endian wire encoding to a byte slice. Every
+// sender sizes its payload first (blobLen, keysLen, pairsLen) and makes
+// the slice once at that capacity, so a message costs one exact-size
+// allocation.
+type wbuf []byte
 
-func (w *wbuf) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-func (w *wbuf) u8(v byte) { w.WriteByte(v) }
+func (w *wbuf) u64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
+func (w *wbuf) u16(v int)    { *w = binary.LittleEndian.AppendUint16(*w, uint16(v)) }
+func (w *wbuf) u8(v byte)    { *w = append(*w, v) }
 func (w *wbuf) blob(p []byte) {
 	w.u8(byte(len(p)))
-	w.Write(p)
+	*w = append(*w, p...)
 }
 func (w *wbuf) blob16(p []byte) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(len(p)))
-	w.Write(b[:])
-	w.Write(p)
+	w.u16(len(p))
+	*w = append(*w, p...)
+}
+
+// Encoded sizes: a blob is a length byte and the bytes, a blob16 a
+// two-byte length and the bytes.
+func blobLen(p []byte) int   { return 1 + len(p) }
+func blob16Len(p []byte) int { return 2 + len(p) }
+
+// keysLen is the encoded size of ops' keys as blobs.
+func keysLen(ops []Op) int {
+	n := 0
+	for _, op := range ops {
+		n += blobLen(op.Key)
+	}
+	return n
+}
+
+// pairsLen is the encoded size of ops' keys as blobs, each followed by
+// its value as a blob16.
+func pairsLen(ops []Op) int {
+	n := 0
+	for _, op := range ops {
+		n += blobLen(op.Key) + blob16Len(op.Value)
+	}
+	return n
 }
 
 type rbuf struct{ p []byte }
@@ -107,16 +130,18 @@ func (r *rbuf) u8() byte {
 	r.p = r.p[1:]
 	return v
 }
+
+// blob and blob16 return views of the buffer, capacity equal to length.
 func (r *rbuf) blob() []byte {
 	n := int(r.u8())
-	v := r.p[:n]
+	v := r.p[:n:n]
 	r.p = r.p[n:]
 	return v
 }
 func (r *rbuf) blob16() []byte {
 	n := int(binary.LittleEndian.Uint16(r.p))
 	r.p = r.p[2:]
-	v := r.p[:n]
+	v := r.p[:n:n]
 	r.p = r.p[n:]
 	return v
 }
@@ -157,28 +182,29 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 		Exclusive: true, // mutates the shared table
 		MemBound:  0.35, // hashtable walks
 	}
+	// keys is phase 1's parse scratch: views of the message's read keys,
+	// then its lock keys. Store.Put copies a key it keeps, and the views
+	// are cleared before the handler returns.
+	var keys [][]byte
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
 		r := rbuf{m.Data}
 		var cost sim.Time = 400 * sim.Nanosecond
 		switch m.Kind {
 		case kindPhase1:
 			txn := r.u64()
-			var w wbuf
-			w.u64(txn)
 			ok := byte(1)
 			nRead := int(r.u8())
-			reads := make([][]byte, 0, nRead)
 			for i := 0; i < nRead; i++ {
-				reads = append(reads, append([]byte(nil), r.blob()...))
+				keys = append(keys, r.blob())
 			}
 			nLock := int(r.u8())
-			locks := make([][]byte, 0, nLock)
 			for i := 0; i < nLock; i++ {
-				locks = append(locks, append([]byte(nil), r.blob()...))
+				keys = append(keys, r.blob())
 			}
+			reads, locks := keys[:nRead], keys[nRead:]
 			// Abort fast if anything in R or W is already locked (expired
 			// leases do not count: their owner is presumed dead).
-			for _, k := range append(append([][]byte{}, reads...), locks...) {
+			for _, k := range keys {
 				cost += opCost
 				if lockHeld(st.Get(k), ctx.Now(), lease) {
 					ok = 0
@@ -196,8 +222,18 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 					rec.LockedAt = ctx.Now()
 				}
 			}
+			size := 8 + 1 + 1
+			for _, k := range reads {
+				var val []byte
+				if rec := st.Get(k); rec != nil {
+					val = rec.Value
+				}
+				size += blobLen(k) + blob16Len(val) + 8
+			}
+			w := make(wbuf, 0, size)
+			w.u64(txn)
 			w.u8(ok)
-			w.u8(byte(len(reads)))
+			w.u8(byte(nRead))
 			for _, k := range reads {
 				var val []byte
 				var ver uint64
@@ -208,7 +244,9 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				w.blob16(val)
 				w.u64(ver)
 			}
-			ctx.Send(m.Src, actor.Msg{Kind: kindPhase1Resp, Data: w.Bytes()})
+			clear(keys)
+			keys = keys[:0]
+			ctx.Send(m.Src, actor.Msg{Kind: kindPhase1Resp, Data: w})
 		case kindValidate:
 			txn := r.u64()
 			ok := byte(1)
@@ -225,10 +263,10 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 					ok = 0
 				}
 			}
-			var w wbuf
+			w := make(wbuf, 0, 8+1)
 			w.u64(txn)
 			w.u8(ok)
-			ctx.Send(m.Src, actor.Msg{Kind: kindValidateResp, Data: w.Bytes()})
+			ctx.Send(m.Src, actor.Msg{Kind: kindValidateResp, Data: w})
 		case kindCommit:
 			txn := r.u64()
 			for r.more() {
@@ -240,13 +278,13 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 					rec = &Record{}
 					st.Put(k, rec)
 				}
-				rec.Value = append([]byte(nil), val...)
+				rec.Value = append(rec.Value[:0], val...)
 				rec.Version++
 				rec.Locked = false
 			}
-			var w wbuf
+			w := make(wbuf, 0, 8)
 			w.u64(txn)
-			ctx.Send(m.Src, actor.Msg{Kind: kindCommitAck, Data: w.Bytes()})
+			ctx.Send(m.Src, actor.Msg{Kind: kindCommitAck, Data: w})
 		case kindAbort:
 			_ = r.u64()
 			for r.more() {
@@ -291,8 +329,23 @@ func NewLogger(id actor.ID, onCheckpoint func(bytes int)) *actor.Actor {
 
 // --- coordinator -------------------------------------------------------
 
+// maxFreeTxns caps the coordinator's list of recycled transaction
+// records (sim.FreeList): a burst past it leaves its extras to the GC.
+const maxFreeTxns = 64
+
+// readResult is one read key's phase-1 answer; key and val are views of
+// the phase1Resp payload.
+type readResult struct {
+	key, val []byte
+	ver      uint64
+}
+
+// txnState is one in-flight transaction. The coordinator recycles it
+// (takeTxn, release); a message finds it only through inflight, by a
+// transaction ID that is never reused.
 type txnState struct {
-	id      uint64
+	id uint64
+	// txn's keys and values are views of client.Data (decodeTxnInto).
 	txn     Txn
 	client  actor.Msg
 	pending int
@@ -302,12 +355,33 @@ type txnState struct {
 	// committed flips once the log append (the commit point) happens;
 	// the sweep must never abort such a transaction.
 	committed bool
-	readVers  map[string]uint64
-	readVals  map[string][]byte
-	// lockedAt are participants that hold our locks.
-	lockedAt map[actor.ID][]Op
-	// readAt are participants holding our read keys.
-	readAt map[actor.ID][]Op
+	// reads holds one answer per distinct read key; a key answered twice
+	// keeps the later answer.
+	reads []readResult
+	// readAt[i] and lockedAt[i] are the read and write ops participant i
+	// (c.participants[i]) holds.
+	readAt, lockedAt [][]Op
+}
+
+// setRead records a phase-1 answer for key, replacing an earlier one.
+func (st *txnState) setRead(key, val []byte, ver uint64) {
+	for i := range st.reads {
+		if bytes.Equal(st.reads[i].key, key) {
+			st.reads[i].val, st.reads[i].ver = val, ver
+			return
+		}
+	}
+	st.reads = append(st.reads, readResult{key, val, ver})
+}
+
+// readOf returns key's phase-1 answer (nil, 0 before one arrives).
+func (st *txnState) readOf(key []byte) ([]byte, uint64) {
+	for _, r := range st.reads {
+		if bytes.Equal(r.key, key) {
+			return r.val, r.ver
+		}
+	}
+	return nil, 0
 }
 
 // Coordinator drives the OCC/2PC protocol. Exported state supports the
@@ -320,9 +394,12 @@ type Coordinator struct {
 
 	nextTxn  uint64
 	inflight map[uint64]*txnState
+	free     sim.FreeList[txnState]
 
 	logObj    uint64
 	logOffset int
+	// entry is the log-entry scratch; ObjWrite copies it.
+	entry wbuf
 
 	// TxnTimeout, when > 0, lets a KindSweep message abort in-flight
 	// transactions older than this (stuck because a participant died
@@ -339,7 +416,8 @@ type Coordinator struct {
 	Checkpoints uint64
 }
 
-// NewCoordinator builds the coordinator actor.
+// NewCoordinator builds the coordinator actor over distinct participant
+// IDs.
 func NewCoordinator(id actor.ID, participants []actor.ID, logger actor.ID) *Coordinator {
 	c := &Coordinator{
 		participants: participants,
@@ -349,7 +427,7 @@ func NewCoordinator(id actor.ID, participants []actor.ID, logger actor.ID) *Coor
 	a := &actor.Actor{
 		ID:        id,
 		Name:      "dt-coordinator",
-		Exclusive: true,
+		Exclusive: true, // one writer for inflight and the free list
 		MemBound:  0.2,
 	}
 	a.OnInit = func(ctx actor.Ctx) {
@@ -358,6 +436,38 @@ func NewCoordinator(id actor.ID, participants []actor.ID, logger actor.ID) *Coor
 	a.OnMessage = c.onMessage
 	c.Actor = a
 	return c
+}
+
+// takeTxn returns a zeroed transaction record, recycled when one is free.
+func (c *Coordinator) takeTxn() *txnState {
+	if st := c.free.Take(); st != nil {
+		return st
+	}
+	n := len(c.participants)
+	return &txnState{readAt: make([][]Op, n), lockedAt: make([][]Op, n)}
+}
+
+// release zeroes st and returns it to the free list. Its slices keep
+// their capacity, but every view in them is cleared up to that capacity,
+// so a free record pins no payload.
+func (c *Coordinator) release(st *txnState) {
+	for i := range st.readAt {
+		st.readAt[i] = emptied(st.readAt[i])
+		st.lockedAt[i] = emptied(st.lockedAt[i])
+	}
+	*st = txnState{
+		txn:    Txn{Reads: emptied(st.txn.Reads), Writes: emptied(st.txn.Writes)},
+		reads:  emptied(st.reads),
+		readAt: st.readAt, lockedAt: st.lockedAt,
+	}
+	c.free.Put(st, maxFreeTxns)
+}
+
+// emptied returns s with length zero, every element up to its capacity
+// cleared.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 func (c *Coordinator) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
@@ -411,57 +521,46 @@ func (c *Coordinator) sweep(ctx actor.Ctx) sim.Time {
 }
 
 func (c *Coordinator) startTxn(ctx actor.Ctx, m actor.Msg) sim.Time {
-	txn, ok := decodeTxn(m.Data)
-	if !ok {
+	st := c.takeTxn()
+	if !decodeTxnInto(m.Data, &st.txn) {
+		c.release(st)
 		c.Aborted++
 		resp := m
 		resp.Data = []byte{byte(OutcomeAborted)}
 		ctx.Reply(resp)
 		return 400 * sim.Nanosecond
 	}
-	id := c.nextTxn
+	st.id, st.client, st.startedAt = c.nextTxn, m, ctx.Now()
 	c.nextTxn++
-	st := &txnState{
-		id: id, txn: txn, client: m,
-		startedAt: ctx.Now(),
-		readVers:  map[string]uint64{},
-		readVals:  map[string][]byte{},
-		lockedAt:  map[actor.ID][]Op{},
-		readAt:    map[actor.ID][]Op{},
+	for _, op := range st.txn.Reads {
+		i := Partition(op.Key, len(c.participants))
+		st.readAt[i] = append(st.readAt[i], op)
 	}
-	for _, op := range txn.Reads {
-		p := c.participants[Partition(op.Key, len(c.participants))]
-		st.readAt[p] = append(st.readAt[p], op)
+	for _, op := range st.txn.Writes {
+		i := Partition(op.Key, len(c.participants))
+		st.lockedAt[i] = append(st.lockedAt[i], op)
 	}
-	for _, op := range txn.Writes {
-		p := c.participants[Partition(op.Key, len(c.participants))]
-		st.lockedAt[p] = append(st.lockedAt[p], op)
-	}
-	c.inflight[id] = st
-	// Phase 1: read + lock, one message per involved participant.
-	parts := map[actor.ID]bool{}
-	for p := range st.readAt {
-		parts[p] = true
-	}
-	for p := range st.lockedAt {
-		parts[p] = true
-	}
-	for _, p := range c.participants {
-		if !parts[p] {
+	c.inflight[st.id] = st
+	// Phase 1: read + lock, one message per involved participant, in
+	// ring order: the send order fixes the message sequence, which
+	// determinism depends on.
+	for i, p := range c.participants {
+		reads, locks := st.readAt[i], st.lockedAt[i]
+		if len(reads)+len(locks) == 0 {
 			continue
 		}
-		var w wbuf
-		w.u64(id)
-		w.u8(byte(len(st.readAt[p])))
-		for _, op := range st.readAt[p] {
+		w := make(wbuf, 0, 8+1+keysLen(reads)+1+keysLen(locks))
+		w.u64(st.id)
+		w.u8(byte(len(reads)))
+		for _, op := range reads {
 			w.blob(op.Key)
 		}
-		w.u8(byte(len(st.lockedAt[p])))
-		for _, op := range st.lockedAt[p] {
+		w.u8(byte(len(locks)))
+		for _, op := range locks {
 			w.blob(op.Key)
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: kindPhase1, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindPhase1, Data: w})
 	}
 	return 800 * sim.Nanosecond
 }
@@ -478,11 +577,9 @@ func (c *Coordinator) phase1Resp(ctx actor.Ctx, m actor.Msg) sim.Time {
 	}
 	nReads := int(r.u8())
 	for i := 0; i < nReads; i++ {
-		k := string(r.blob())
-		v := append([]byte(nil), r.blob16()...)
-		ver := r.u64()
-		st.readVals[k] = v
-		st.readVers[k] = ver
+		k := r.blob()
+		v := r.blob16()
+		st.setRead(k, v, r.u64())
 	}
 	st.pending--
 	if st.pending > 0 {
@@ -493,24 +590,23 @@ func (c *Coordinator) phase1Resp(ctx actor.Ctx, m actor.Msg) sim.Time {
 		return 600 * sim.Nanosecond
 	}
 	// Phase 2: validate read versions.
-	if len(st.readAt) == 0 {
+	if len(st.txn.Reads) == 0 {
 		return c.logAndCommit(ctx, st) + 500*sim.Nanosecond
 	}
-	// Iterate participants in ring order, not map order: the send order
-	// fixes the message sequence, which determinism depends on.
-	for _, p := range c.participants {
-		ops, ok := st.readAt[p]
-		if !ok {
+	for i, p := range c.participants {
+		ops := st.readAt[i]
+		if len(ops) == 0 {
 			continue
 		}
-		var w wbuf
+		w := make(wbuf, 0, 8+keysLen(ops)+8*len(ops))
 		w.u64(id)
 		for _, op := range ops {
+			_, ver := st.readOf(op.Key)
 			w.blob(op.Key)
-			w.u64(st.readVers[string(op.Key)])
+			w.u64(ver)
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: kindValidate, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindValidate, Data: w})
 	}
 	return 700 * sim.Nanosecond
 }
@@ -539,13 +635,13 @@ func (c *Coordinator) validateResp(ctx actor.Ctx, m actor.Msg) sim.Time {
 // logAndCommit performs phases 3 and 4: append to the coordinator log
 // (the commit point) and send commit messages.
 func (c *Coordinator) logAndCommit(ctx actor.Ctx, st *txnState) sim.Time {
-	var entry wbuf
-	entry.u64(st.id)
+	c.entry = c.entry[:0]
+	c.entry.u64(st.id)
 	for _, op := range st.txn.Writes {
-		entry.blob(op.Key)
-		entry.blob16(op.Value)
+		c.entry.blob(op.Key)
+		c.entry.blob16(op.Value)
 	}
-	e := entry.Bytes()
+	e := c.entry
 	if c.logOffset+len(e) > logLimitBytes {
 		// Log full: migrate the log object to the host and checkpoint
 		// (§4), then start a fresh log object.
@@ -560,26 +656,24 @@ func (c *Coordinator) logAndCommit(ctx actor.Ctx, st *txnState) sim.Time {
 	c.logOffset += len(e)
 	st.committed = true // commit point: the log entry decides the txn
 
-	// Phase 4: commit to write-set participants.
-	if len(st.lockedAt) == 0 {
+	// Phase 4: commit to write-set participants, in ring order.
+	if len(st.txn.Writes) == 0 {
 		c.finish(ctx, st, OutcomeCommitted)
 		return 900 * sim.Nanosecond
 	}
-	// Ring order, not map order (see phase1/phase2): keeps the commit
-	// fan-out sequence deterministic.
-	for _, p := range c.participants {
-		ops, ok := st.lockedAt[p]
-		if !ok {
+	for i, p := range c.participants {
+		ops := st.lockedAt[i]
+		if len(ops) == 0 {
 			continue
 		}
-		var w wbuf
+		w := make(wbuf, 0, 8+pairsLen(ops))
 		w.u64(st.id)
 		for _, op := range ops {
 			w.blob(op.Key)
 			w.blob16(op.Value)
 		}
 		st.pending++
-		ctx.Send(p, actor.Msg{Kind: kindCommit, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindCommit, Data: w})
 	}
 	return 900 * sim.Nanosecond
 }
@@ -600,20 +694,23 @@ func (c *Coordinator) commitAck(ctx actor.Ctx, m actor.Msg) sim.Time {
 
 func (c *Coordinator) abort(ctx actor.Ctx, st *txnState) {
 	// Ring order for the same determinism reason as the other phases.
-	for _, p := range c.participants {
-		if _, ok := st.lockedAt[p]; !ok {
+	for i, p := range c.participants {
+		ops := st.lockedAt[i]
+		if len(ops) == 0 {
 			continue
 		}
-		var w wbuf
+		w := make(wbuf, 0, 8+keysLen(ops))
 		w.u64(st.id)
-		for _, op := range st.lockedAt[p] {
+		for _, op := range ops {
 			w.blob(op.Key)
 		}
-		ctx.Send(p, actor.Msg{Kind: kindAbort, Data: w.Bytes()})
+		ctx.Send(p, actor.Msg{Kind: kindAbort, Data: w})
 	}
 	c.finish(ctx, st, OutcomeAborted)
 }
 
+// finish replies to the client — the outcome byte, then each read key
+// with its value — and releases the transaction record.
 func (c *Coordinator) finish(ctx actor.Ctx, st *txnState, outcome Outcome) {
 	delete(c.inflight, st.id)
 	if outcome == OutcomeCommitted {
@@ -621,19 +718,22 @@ func (c *Coordinator) finish(ctx actor.Ctx, st *txnState, outcome Outcome) {
 	} else {
 		c.Aborted++
 	}
-	resp := st.client
-	resp.Data = append([]byte{byte(outcome)}, encodeReadResults(st)...)
-	ctx.Reply(resp)
-}
-
-// encodeReadResults packs the read-set values for the client.
-func encodeReadResults(st *txnState) []byte {
-	var w wbuf
+	size := 1
 	for _, op := range st.txn.Reads {
-		w.blob(op.Key)
-		w.blob16(st.readVals[string(op.Key)])
+		val, _ := st.readOf(op.Key)
+		size += blobLen(op.Key) + blob16Len(val)
 	}
-	return w.Bytes()
+	w := make(wbuf, 0, size)
+	w.u8(byte(outcome))
+	for _, op := range st.txn.Reads {
+		val, _ := st.readOf(op.Key)
+		w.blob(op.Key)
+		w.blob16(val)
+	}
+	resp := st.client
+	resp.Data = w
+	ctx.Reply(resp)
+	c.release(st)
 }
 
 // DecodeOutcome splits a client response into outcome and read values.

@@ -77,6 +77,13 @@ func TestStoreMatchesMapProperty(t *testing.T) {
 	}
 }
 
+// decodeTxn is decodeTxnInto into a fresh Txn.
+func decodeTxn(p []byte) (Txn, bool) {
+	var t Txn
+	ok := decodeTxnInto(p, &t)
+	return t, ok
+}
+
 func TestTxnCodecRoundTrip(t *testing.T) {
 	in := Txn{
 		Reads:  []Op{{Key: []byte("r1")}, {Key: []byte("r2")}},
@@ -114,6 +121,78 @@ func TestTxnCodecMalformedInput(t *testing.T) {
 		}
 	}()
 	decodeTxn([]byte{255, 255, 1, 2, 3})
+}
+
+// FuzzTxnCodec: no input panics decodeTxnInto, even into a Txn still
+// holding an earlier decode; a rejected input leaves it empty; every key
+// and value it accepts lies inside the input and cannot be grown; and
+// EncodeTxn gives back exactly the bytes it consumed, so the decode of
+// EncodeTxn(t) is t for every transaction with keys of at most 255
+// bytes (reads carry no value).
+func FuzzTxnCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeTxn(Txn{}))
+	f.Add(EncodeTxn(Txn{
+		Reads:  []Op{{Key: []byte("r12")}, {Key: []byte("r23")}},
+		Writes: []Op{{Key: []byte("w12"), Value: make([]byte, 128)}},
+	}))
+	f.Add([]byte{255, 255, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var tx Txn
+		decodeTxnInto(EncodeTxn(Txn{
+			Reads:  []Op{{Key: []byte("stale-r")}, {Key: []byte("stale-r2")}},
+			Writes: []Op{{Key: []byte("stale-w"), Value: []byte("stale-v")}},
+		}), &tx)
+		if !decodeTxnInto(p, &tx) {
+			if len(tx.Reads) != 0 || len(tx.Writes) != 0 {
+				t.Fatalf("rejected input decoded to %+v", tx)
+			}
+			return
+		}
+		off := 0
+		inside := func(name string, v []byte, lenBytes int) {
+			off += lenBytes
+			if cap(v) != len(v) {
+				t.Fatalf("%s has len %d cap %d", name, len(v), cap(v))
+			}
+			if len(v) > 0 && &v[0] != &p[off] {
+				t.Fatalf("%s is not input[%d:%d]", name, off, off+len(v))
+			}
+			off += len(v)
+		}
+		off += 2
+		for _, op := range tx.Reads {
+			inside("read key", op.Key, 1)
+			if op.Value != nil {
+				t.Fatalf("read %q carries a value", op.Key)
+			}
+		}
+		off += 2
+		for _, op := range tx.Writes {
+			inside("write key", op.Key, 1)
+			inside("write value", op.Value, 2)
+		}
+		enc := EncodeTxn(tx)
+		if !bytes.Equal(enc, p[:off]) {
+			t.Fatalf("EncodeTxn = %x, want the consumed input %x", enc, p[:off])
+		}
+		again, ok := decodeTxn(enc)
+		if !ok || !sameOps(again.Reads, tx.Reads) || !sameOps(again.Writes, tx.Writes) {
+			t.Fatalf("round trip of %+v = %+v, %v", tx, again, ok)
+		}
+	})
+}
+
+func sameOps(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestPartitionStable(t *testing.T) {

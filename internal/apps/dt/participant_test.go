@@ -1,6 +1,7 @@
 package dt
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/actor"
@@ -41,7 +42,7 @@ func phase1Msg(txn uint64, reads, locks [][]byte) actor.Msg {
 	for _, k := range locks {
 		w.blob(k)
 	}
-	return actor.Msg{Kind: kindPhase1, Src: 999, Data: w.Bytes()}
+	return actor.Msg{Kind: kindPhase1, Src: 999, Data: w}
 }
 
 func parsePhase1Resp(t *testing.T, m actor.Msg) (txn uint64, ok bool, vals map[string][]byte, vers map[string]uint64) {
@@ -103,7 +104,7 @@ func TestParticipantValidateDetectsVersionChange(t *testing.T) {
 		w.u64(9)
 		w.blob([]byte("k"))
 		w.u64(ver)
-		p.OnMessage(ctx, actor.Msg{Kind: kindValidate, Src: 999, Data: w.Bytes()})
+		p.OnMessage(ctx, actor.Msg{Kind: kindValidate, Src: 999, Data: w})
 		r := rbuf{ctx.sent[0].Data}
 		r.u64()
 		return r.u8() == 1
@@ -130,13 +131,90 @@ func TestParticipantCommitInstallsAndUnlocks(t *testing.T) {
 	w.u64(10)
 	w.blob([]byte("w"))
 	w.blob16([]byte("new"))
-	p.OnMessage(ctx, actor.Msg{Kind: kindCommit, Src: 999, Data: w.Bytes()})
+	p.OnMessage(ctx, actor.Msg{Kind: kindCommit, Src: 999, Data: w})
 	rec := st.Get([]byte("w"))
 	if string(rec.Value) != "new" || rec.Version != 3 || rec.Locked {
 		t.Fatalf("post-commit record: %q v%d locked=%v", rec.Value, rec.Version, rec.Locked)
 	}
 	if ctx.sent[0].Kind != kindCommitAck {
 		t.Fatal("no commit ack")
+	}
+}
+
+// TestProtocolAllocBudget: once warm, a DT handler allocates exactly one
+// payload per message it sends and nothing else — each participant
+// handler, and a whole transaction through the coordinator and both
+// participants, reply included.
+func TestProtocolAllocBudget(t *testing.T) {
+	st := NewStore()
+	st.Put([]byte("r"), &Record{Value: []byte("value-r"), Version: 3})
+	p := NewParticipant(1, st)
+	ctx := &sinkCtx{}
+	build := func(kind actor.Kind, keys ...string) actor.Msg {
+		var w wbuf
+		w.u64(7)
+		for _, k := range keys {
+			w.blob([]byte(k))
+			switch kind {
+			case kindValidate:
+				w.u64(3)
+			case kindCommit:
+				w.blob16([]byte("new-value"))
+			}
+		}
+		return actor.Msg{Kind: kind, Src: 999, Data: w}
+	}
+	phase1 := phase1Msg(7, [][]byte{[]byte("r"), []byte("r2")}, [][]byte{[]byte("w"), []byte("r")})
+	validate := build(kindValidate, "r")
+	commit := build(kindCommit, "w")
+	abort := build(kindAbort, "w", "r")
+	for _, tc := range []struct {
+		name string
+		msgs []actor.Msg
+		sent int
+	}{
+		// phase 1 locks w and r; the abort releases them for the next run.
+		{"phase1+abort", []actor.Msg{phase1, abort}, 1},
+		{"validate", []actor.Msg{validate}, 1},
+		{"commit", []actor.Msg{commit}, 1},
+		{"abort", []actor.Msg{abort}, 0},
+	} {
+		run := func() {
+			ctx.sent = ctx.sent[:0]
+			for _, m := range tc.msgs {
+				p.OnMessage(ctx, m)
+			}
+		}
+		run()
+		if len(ctx.sent) != tc.sent {
+			t.Fatalf("%s sent %d messages, want %d", tc.name, len(ctx.sent), tc.sent)
+		}
+		if got := testing.AllocsPerRun(100, run); got != float64(tc.sent) {
+			t.Errorf("%s: %v allocations, want %d (one per message sent)", tc.name, got, tc.sent)
+		}
+	}
+	if !bytes.Equal(st.Get([]byte("w")).Value, []byte("new-value")) {
+		t.Fatal("commit did not install")
+	}
+
+	l, _ := newLoop(NewStore(), NewStore())
+	txn := txnMsg(Txn{
+		Reads:  []Op{{Key: keyOn("r", 0)}, {Key: keyOn("r", 1)}},
+		Writes: []Op{{Key: keyOn("w", 1), Value: make([]byte, 128)}},
+	})
+	cycle := func() {
+		l.sent, l.replies = 0, l.replies[:0]
+		l.run(txn)
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	msgs := l.sent + len(l.replies)
+	if msgs != 11 || !bytes.Equal(l.replies[0][:1], []byte{byte(OutcomeCommitted)}) {
+		t.Fatalf("cycle: %d messages, reply %q", msgs, l.replies)
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != float64(msgs) {
+		t.Errorf("transaction: %v allocations, want %d (one per message sent)", got, msgs)
 	}
 }
 
@@ -148,7 +226,7 @@ func TestParticipantAbortUnlocksOnly(t *testing.T) {
 	var w wbuf
 	w.u64(11)
 	w.blob([]byte("w"))
-	p.OnMessage(ctx, actor.Msg{Kind: kindAbort, Src: 999, Data: w.Bytes()})
+	p.OnMessage(ctx, actor.Msg{Kind: kindAbort, Src: 999, Data: w})
 	rec := st.Get([]byte("w"))
 	if rec.Locked {
 		t.Fatal("abort did not unlock")

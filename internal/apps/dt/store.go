@@ -16,7 +16,8 @@ import (
 
 // Record is a versioned, lockable value. LockedAt stamps lock
 // acquisition so participants can expire locks whose owning coordinator
-// died mid-2PC (see DefaultLockLease).
+// died mid-2PC (see DefaultLockLease). Value belongs to the store: a
+// commit rewrites it in place.
 type Record struct {
 	Value    []byte
 	Version  uint64
@@ -192,60 +193,54 @@ type Txn struct {
 }
 
 // EncodeTxn serializes a transaction for the client request payload.
+// A key is at most 255 bytes; a read's Value is not sent.
 func EncodeTxn(t Txn) []byte {
-	var b bytes.Buffer
-	writeOps := func(ops []Op, withVal bool) {
-		var n [2]byte
-		binary.LittleEndian.PutUint16(n[:], uint16(len(ops)))
-		b.Write(n[:])
-		for _, op := range ops {
-			b.WriteByte(byte(len(op.Key)))
-			b.Write(op.Key)
-			if withVal {
-				var vl [2]byte
-				binary.LittleEndian.PutUint16(vl[:], uint16(len(op.Value)))
-				b.Write(vl[:])
-				b.Write(op.Value)
-			}
-		}
+	w := make(wbuf, 0, 2+keysLen(t.Reads)+2+pairsLen(t.Writes))
+	w.u16(len(t.Reads))
+	for _, op := range t.Reads {
+		w.blob(op.Key)
 	}
-	writeOps(t.Reads, false)
-	writeOps(t.Writes, true)
-	return b.Bytes()
+	w.u16(len(t.Writes))
+	for _, op := range t.Writes {
+		w.blob(op.Key)
+		w.blob16(op.Value)
+	}
+	return w
 }
 
-// decodeTxn parses a transaction payload; ok is false on malformed
-// input (a hostile client must not crash the coordinator).
-func decodeTxn(p []byte) (Txn, bool) {
-	var t Txn
-	readOps := func(withVal bool) ([]Op, bool) {
+// decodeTxnInto parses a transaction payload into t, reusing t's
+// slices. It borrows p: every key and value is a view of p, capacity
+// equal to length, so t is valid for as long as p is never rewritten
+// (actor.Msg.Data). ok is false on malformed input — a hostile client
+// must not crash the coordinator — and t is then empty.
+func decodeTxnInto(p []byte, t *Txn) bool {
+	readOps := func(ops []Op, withVal bool) ([]Op, bool) {
 		if len(p) < 2 {
-			return nil, false
+			return ops, false
 		}
 		n := int(binary.LittleEndian.Uint16(p))
 		p = p[2:]
-		ops := make([]Op, 0, n)
 		for i := 0; i < n; i++ {
 			if len(p) < 1 {
-				return nil, false
+				return ops, false
 			}
 			kl := int(p[0])
 			p = p[1:]
 			if len(p) < kl {
-				return nil, false
+				return ops, false
 			}
-			op := Op{Key: append([]byte(nil), p[:kl]...)}
+			op := Op{Key: p[:kl:kl]}
 			p = p[kl:]
 			if withVal {
 				if len(p) < 2 {
-					return nil, false
+					return ops, false
 				}
 				vl := int(binary.LittleEndian.Uint16(p))
 				p = p[2:]
 				if len(p) < vl {
-					return nil, false
+					return ops, false
 				}
-				op.Value = append([]byte(nil), p[:vl]...)
+				op.Value = p[:vl:vl]
 				p = p[vl:]
 			}
 			ops = append(ops, op)
@@ -253,11 +248,11 @@ func decodeTxn(p []byte) (Txn, bool) {
 		return ops, true
 	}
 	var ok bool
-	if t.Reads, ok = readOps(false); !ok {
-		return Txn{}, false
+	if t.Reads, ok = readOps(t.Reads[:0], false); ok {
+		t.Writes, ok = readOps(t.Writes[:0], true)
 	}
-	if t.Writes, ok = readOps(true); !ok {
-		return Txn{}, false
+	if !ok {
+		t.Reads, t.Writes = t.Reads[:0], t.Writes[:0]
 	}
-	return t, true
+	return ok
 }
