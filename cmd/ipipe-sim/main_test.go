@@ -2,16 +2,22 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var cleanLine = regexp.MustCompile(`(?m)^invariants: [1-9][0-9]* checks, 0 violations$`)
 
 // TestEveryAppChecksClean runs every application, and the mesh on one
-// and on four partitions, under -check through the one run path: each
-// must finish without error and report one clean invariants line.
+// and on four partitions, under -check, -trace and -metrics through the
+// one run path: each must finish without error, report one clean
+// invariants line, and write a valid Chrome trace and metrics file. The
+// four-partition mesh's trace must pair cross-partition handoffs.
 func TestEveryAppChecksClean(t *testing.T) {
 	for _, args := range [][]string{
 		{"-app", "rkv"},
@@ -24,8 +30,11 @@ func TestEveryAppChecksClean(t *testing.T) {
 	} {
 		name := strings.Join(args, " ")
 		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.ndjson")
 			var stdout, stderr bytes.Buffer
-			err := run(append(args, "-duration", "500us", "-check"), &stdout, &stderr)
+			err := run(append(args, "-duration", "500us", "-check",
+				"-trace", tracePath, "-metrics", metricsPath), &stdout, &stderr)
 			if err != nil {
 				t.Fatalf("%s: %v\nstderr:\n%s", name, err, stderr.String())
 			}
@@ -35,8 +44,35 @@ func TestEveryAppChecksClean(t *testing.T) {
 			if !strings.HasPrefix(stdout.String(), "app="+args[1]+" ") {
 				t.Fatalf("%s: no report on stdout:\n%s", name, stdout.String())
 			}
+			trace := readArtifact(t, tracePath)
+			st, err := obs.ValidateChromeTrace(bytes.NewReader(trace))
+			if err != nil {
+				t.Fatalf("%s: invalid trace: %v", name, err)
+			}
+			if st.Spans == 0 {
+				t.Fatalf("%s: empty trace", name)
+			}
+			if strings.Contains(name, "-partitions 4") && st.Handoffs == 0 {
+				t.Fatalf("%s: no paired cross-partition handoffs in the trace", name)
+			}
+			ms, err := obs.ValidateMetricsNDJSON(bytes.NewReader(readArtifact(t, metricsPath)))
+			if err != nil {
+				t.Fatalf("%s: invalid metrics: %v", name, err)
+			}
+			if ms.Records == 0 {
+				t.Fatalf("%s: no metric records", name)
+			}
 		})
 	}
+}
+
+func readArtifact(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestBadFlagsAreErrors: a bad flag is an error returned before anything

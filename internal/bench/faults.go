@@ -328,48 +328,42 @@ func faultsPartition(opts Options) *Result {
 		phases [3]phaseStat
 		probe  *rkvProbe
 	}
-	// One sweep point: the partition experiment is a single timeline;
-	// sweepMap still routes it through the worker pool for parity.
-	outs := sweepMap(opts, 1, func(int) outcome {
-		sched := fault.Schedule{Faults: []fault.Fault{
-			// Isolate the leader from replicas AND the client; Paxos
-			// keeps its lease semantics simple here — no failover policy,
-			// so writes stall until the partition heals.
-			fault.Cut(cutAt, healAt-cutAt, "kv0"),
-		}}
-		cl, d := rkvFaultCluster(opts, true, sched, deploy.FailoverPolicy{Disabled: true})
-		p := newRKVProbe(cl, d, faultRetry(), 10)
-		o := outcome{}
-		phaseOf := func(t sim.Time) int {
-			switch {
-			case t < cutAt:
-				return 0
-			case t < healAt:
-				return 1
-			default:
-				return 2
-			}
+	sched := fault.Schedule{Faults: []fault.Fault{
+		// Isolate the leader from replicas AND the client; Paxos
+		// keeps its lease semantics simple here — no failover policy,
+		// so writes stall until the partition heals.
+		fault.Cut(cutAt, healAt-cutAt, "kv0"),
+	}}
+	cl, d := rkvFaultCluster(opts, true, sched, deploy.FailoverPolicy{Disabled: true})
+	p := newRKVProbe(cl, d, faultRetry(), 10)
+	o := outcome{}
+	phaseOf := func(t sim.Time) int {
+		switch {
+		case t < cutAt:
+			return 0
+		case t < healAt:
+			return 1
+		default:
+			return 2
 		}
-		p.onDone = func(i uint64, isWrite bool) {
-			ph := phaseOf(cl.Eng.Now())
-			o.phases[ph].completed++
-			if isWrite {
-				o.phases[ph].writes++
-			}
+	}
+	p.onDone = func(i uint64, isWrite bool) {
+		ph := phaseOf(cl.Eng.Now())
+		o.phases[ph].completed++
+		if isWrite {
+			o.phases[ph].writes++
 		}
-		n := int(window / every)
-		for i := 0; i < n; i++ {
-			i := uint64(i)
-			cl.Eng.At(sim.Time(i)*every, func() {
-				data, isW := mixedData(i)
-				p.issue(i, data, isW, int(i)%len(p.nodes))
-			})
-		}
-		cl.Eng.Run()
-		o.probe = p
-		return o
-	})
-	o := outs[0]
+	}
+	n := int(window / every)
+	for i := 0; i < n; i++ {
+		i := uint64(i)
+		cl.Eng.At(sim.Time(i)*every, func() {
+			data, isW := mixedData(i)
+			p.issue(i, data, isW, int(i)%len(p.nodes))
+		})
+	}
+	cl.Eng.Run()
+	o.probe = p
 
 	durs := [3]sim.Time{cutAt, healAt - cutAt, window - healAt}
 	names := [3]string{"pre-cut", "partitioned", "healed"}
@@ -403,65 +397,61 @@ func faultsDT(opts Options) *Result {
 		liveLocks, flaggedLocks                 int
 		checkpoints                             uint64
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl := opts.cluster()
-		mk := func(name string) *core.Node {
-			return cl.AddNode(core.Config{Name: name, NIC: spec.LiquidIOII_CN2350(), LinkGbps: 10})
-		}
-		coord := mk("coord")
-		parts := []*core.Node{mk("part1"), mk("part2"), mk("part3")}
-		d, err := deploy.DTSpec{
-			Common: deploy.Common{
-				Placement: deploy.NIC,
-				Faults: fault.Schedule{Faults: []fault.Fault{
-					fault.Crash("part1", crashAt, crashDur),
-				}},
-			},
-			Coordinator:  coord,
-			Participants: parts,
-			BaseID:       100,
-			TxnTimeout:   txnTimeout,
-			LockLease:    lockLease,
-		}.Deploy()
-		if err != nil {
-			panic(err)
-		}
-		client := workload.NewClient(cl, "cli", 10)
-		var sent uint64
-		n := int(window / every)
-		for i := 0; i < n; i++ {
-			i := uint64(i)
-			cl.Eng.At(sim.Time(i)*every, func() {
-				sent++
-				txn := dt.Txn{
-					Reads: []dt.Op{
-						{Key: []byte(fmt.Sprintf("r%d", i%256))},
-						{Key: []byte(fmt.Sprintf("r%d", (i+11)%256))},
-					},
-					Writes: []dt.Op{{Key: []byte(fmt.Sprintf("w%d", i%128)), Value: make([]byte, 64)}},
-				}
-				client.Send(workload.Request{
-					Node: "coord", Dst: 100, Kind: dt.KindTxn,
-					Data: dt.EncodeTxn(txn), Size: 512, FlowID: i,
-				})
+	cl := opts.cluster()
+	mk := func(name string) *core.Node {
+		return cl.AddNode(core.Config{Name: name, NIC: spec.LiquidIOII_CN2350(), LinkGbps: 10})
+	}
+	coord := mk("coord")
+	parts := []*core.Node{mk("part1"), mk("part2"), mk("part3")}
+	d, err := deploy.DTSpec{
+		Common: deploy.Common{
+			Placement: deploy.NIC,
+			Faults: fault.Schedule{Faults: []fault.Fault{
+				fault.Crash("part1", crashAt, crashDur),
+			}},
+		},
+		Coordinator:  coord,
+		Participants: parts,
+		BaseID:       100,
+		TxnTimeout:   txnTimeout,
+		LockLease:    lockLease,
+	}.Deploy()
+	if err != nil {
+		panic(err)
+	}
+	client := workload.NewClient(cl, "cli", 10)
+	var sent uint64
+	n := int(window / every)
+	for i := 0; i < n; i++ {
+		i := uint64(i)
+		cl.Eng.At(sim.Time(i)*every, func() {
+			sent++
+			txn := dt.Txn{
+				Reads: []dt.Op{
+					{Key: []byte(fmt.Sprintf("r%d", i%256))},
+					{Key: []byte(fmt.Sprintf("r%d", (i+11)%256))},
+				},
+				Writes: []dt.Op{{Key: []byte(fmt.Sprintf("w%d", i%128)), Value: make([]byte, 64)}},
+			}
+			client.Send(workload.Request{
+				Node: "coord", Dst: 100, Kind: dt.KindTxn,
+				Data: dt.EncodeTxn(txn), Size: 512, FlowID: i,
 			})
-		}
-		cl.Eng.Run()
-		o := outcome{
-			sent:          sent,
-			committed:     d.Coord.Committed,
-			aborted:       d.Coord.Aborted,
-			timeoutAborts: d.Coord.TimeoutAborts,
-			checkpoints:   d.Coord.Checkpoints,
-		}
-		now := cl.Eng.Now()
-		for _, st := range d.Stores {
-			o.liveLocks += st.Locks(now, lockLease)
-			o.flaggedLocks += st.Locks(0, -1)
-		}
-		return o
-	})
-	o := outs[0]
+		})
+	}
+	cl.Eng.Run()
+	o := outcome{
+		sent:          sent,
+		committed:     d.Coord.Committed,
+		aborted:       d.Coord.Aborted,
+		timeoutAborts: d.Coord.TimeoutAborts,
+		checkpoints:   d.Coord.Checkpoints,
+	}
+	now := cl.Eng.Now()
+	for _, st := range d.Stores {
+		o.liveLocks += st.Locks(now, lockLease)
+		o.flaggedLocks += st.Locks(0, -1)
+	}
 
 	r := &Result{Header: []string{"metric", "value"}}
 	r.Add("txns sent", o.sent)

@@ -79,49 +79,45 @@ func faultsPDES(opts Options) *Result {
 		logLines                 int
 		rounds, crossed          uint64
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, _, clients := pdesMesh(opts, nodes, parts, false)
-		in, err := fault.Install(cl, pdesFaultSchedule(window))
-		if err != nil {
-			panic(err)
-		}
+	cl, _, clients := pdesMesh(opts, nodes, parts, false)
+	in, err := fault.Install(cl, pdesFaultSchedule(window))
+	if err != nil {
+		panic(err)
+	}
 
-		// gaveUp[i] is written only by client i's partition engine.
-		gaveUp := make([]uint64, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			dst := (i + 1) % nodes
-			every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
-				gi := i
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k,
-					// Retry rides out the fault windows; MaxTimeout 0
-					// exercises the uncapped-backoff clamp.
-					Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
-					OnGiveUp: func() { gaveUp[gi]++ },
-				})
+	// gaveUp[i] is written only by client i's partition engine.
+	gaveUp := make([]uint64, nodes)
+	for i := 0; i < nodes; i++ {
+		i := i
+		c := clients[i]
+		dst := (i + 1) % nodes
+		every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
+			gi := i
+			c.Send(workload.Request{
+				Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
+				Size: 256, FlowID: uint64(i)<<32 | k,
+				// Retry rides out the fault windows; MaxTimeout 0
+				// exercises the uncapped-backoff clamp.
+				Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
+				OnGiveUp: func() { gaveUp[gi]++ },
 			})
-		}
-		cl.RunUntil(window + sim.Millisecond) // drain room for late retries
+		})
+	}
+	cl.RunUntil(window + sim.Millisecond) // drain room for late retries
 
-		o := outcome{nodes: nodes, parts: parts,
-			injected: in.Injected(), activeEnd: in.Active(), logLines: len(in.Log())}
-		lat := stats.NewSample()
-		for i, c := range clients { // fixed order: deterministic merge
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.rejected += c.Rejected
-			o.retried += c.Retried
-			o.gaveUp += gaveUp[i]
-			lat.Merge(c.Lat)
-		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		return o
-	})
-	o := outs[0]
+	o := outcome{nodes: nodes, parts: parts,
+		injected: in.Injected(), activeEnd: in.Active(), logLines: len(in.Log())}
+	lat := stats.NewSample()
+	for i, c := range clients { // fixed order: deterministic merge
+		o.sent += c.Sent
+		o.answered += c.Received
+		o.rejected += c.Rejected
+		o.retried += c.Retried
+		o.gaveUp += gaveUp[i]
+		lat.Merge(c.Lat)
+	}
+	o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
+	o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 
 	r := &Result{Header: []string{"metric", "value"}}
 	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))
@@ -156,62 +152,58 @@ func qosStormPDES(opts Options) *Result {
 		logLines                    int
 		rounds                      uint64
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := pdesMesh(opts, nodes, parts, false)
-		rt, err := qos.Install(cl, nn, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "even", RatePerSec: 250_000, Burst: 64},
-				{Name: "odd", RatePerSec: 100_000, Burst: 64},
-			},
-			Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
-		})
-		if err != nil {
-			panic(err)
-		}
-		in, err := fault.Install(cl, pdesFaultSchedule(window))
-		if err != nil {
-			panic(err)
-		}
-
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			rt.Bind(c)
-			tenant := uint16(i % 2)
-			dst := (i + 1) % nodes
-			// Even clients stay under budget; odd clients offer ~2.7x
-			// theirs, so their gates shed at the edge while faults churn
-			// the mesh underneath.
-			interval := 5 * sim.Microsecond
-			if tenant == 1 {
-				interval = 3700 * sim.Nanosecond
-			}
-			every(c.Eng(), 0, window, interval, func(k uint64) {
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k, Tenant: tenant,
-				})
-			})
-		}
-		cl.RunUntil(window)
-
-		o := outcome{nodes: nodes, parts: parts,
-			injected: in.Injected(), logLines: len(in.Log())}
-		for _, c := range clients {
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.cliRejected += c.Rejected
-		}
-		for t := 0; t < 2; t++ {
-			o.offered[t] = rt.OfferedTo(t)
-			o.admitted[t] = rt.AdmittedTo(t)
-			o.rejected[t] = rt.RejectedTo(t)
-		}
-		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		o.rounds = cl.Group.Rounds()
-		return o
+	cl, nn, clients := pdesMesh(opts, nodes, parts, false)
+	rt, err := qos.Install(cl, nn, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "even", RatePerSec: 250_000, Burst: 64},
+			{Name: "odd", RatePerSec: 100_000, Burst: 64},
+		},
+		Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
 	})
-	o := outs[0]
+	if err != nil {
+		panic(err)
+	}
+	in, err := fault.Install(cl, pdesFaultSchedule(window))
+	if err != nil {
+		panic(err)
+	}
+
+	for i := 0; i < nodes; i++ {
+		i := i
+		c := clients[i]
+		rt.Bind(c)
+		tenant := uint16(i % 2)
+		dst := (i + 1) % nodes
+		// Even clients stay under budget; odd clients offer ~2.7x
+		// theirs, so their gates shed at the edge while faults churn
+		// the mesh underneath.
+		interval := 5 * sim.Microsecond
+		if tenant == 1 {
+			interval = 3700 * sim.Nanosecond
+		}
+		every(c.Eng(), 0, window, interval, func(k uint64) {
+			c.Send(workload.Request{
+				Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
+				Size: 256, FlowID: uint64(i)<<32 | k, Tenant: tenant,
+			})
+		})
+	}
+	cl.RunUntil(window)
+
+	o := outcome{nodes: nodes, parts: parts,
+		injected: in.Injected(), logLines: len(in.Log())}
+	for _, c := range clients {
+		o.sent += c.Sent
+		o.answered += c.Received
+		o.cliRejected += c.Rejected
+	}
+	for t := 0; t < 2; t++ {
+		o.offered[t] = rt.OfferedTo(t)
+		o.admitted[t] = rt.AdmittedTo(t)
+		o.rejected[t] = rt.RejectedTo(t)
+	}
+	o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
+	o.rounds = cl.Group.Rounds()
 
 	r := &Result{Header: []string{"metric", "value"}}
 	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))

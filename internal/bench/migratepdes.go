@@ -47,80 +47,76 @@ func migratePDES(opts Options) *Result {
 		injected             int
 		rounds, crossed      uint64
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := pdesMesh(opts, nodes, parts, true)
-		in, err := fault.Install(cl, fault.Schedule{Faults: []fault.Fault{
-			// Crash n000 mid phase-3 of its push (object move in flight);
-			// the commit still lands — placement survives the crash like
-			// durable state — and the node recovers before the pulls.
-			fault.Crash("n000", pushAt+320*sim.Microsecond, at(0.10)),
-			// Kill n001's NIC complex mid phase-1; re-homing skips the
-			// in-flight actor and the push finishes onto the host.
-			fault.NICFail("n001", pushAt+100*sim.Microsecond, at(0.10)),
-		}})
-		if err != nil {
-			panic(err)
-		}
+	cl, nn, clients := pdesMesh(opts, nodes, parts, true)
+	in, err := fault.Install(cl, fault.Schedule{Faults: []fault.Fault{
+		// Crash n000 mid phase-3 of its push (object move in flight);
+		// the commit still lands — placement survives the crash like
+		// durable state — and the node recovers before the pulls.
+		fault.Crash("n000", pushAt+320*sim.Microsecond, at(0.10)),
+		// Kill n001's NIC complex mid phase-1; re-homing skips the
+		// in-flight actor and the push finishes onto the host.
+		fault.NICFail("n001", pushAt+100*sim.Microsecond, at(0.10)),
+	}})
+	if err != nil {
+		panic(err)
+	}
 
-		gaveUp := make([]uint64, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			dst := (i + 1) % nodes
-			every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
-				gi := i
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k,
-					Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
-					OnGiveUp: func() { gaveUp[gi]++ },
-				})
+	gaveUp := make([]uint64, nodes)
+	for i := 0; i < nodes; i++ {
+		i := i
+		c := clients[i]
+		dst := (i + 1) % nodes
+		every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
+			gi := i
+			c.Send(workload.Request{
+				Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
+				Size: 256, FlowID: uint64(i)<<32 | k,
+				Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
+				OnGiveUp: func() { gaveUp[gi]++ },
 			})
-		}
+		})
+	}
 
-		// pushOK[i]/pullOK[i] are written only by node i's partition
-		// engine (same single-writer discipline as gaveUp).
-		pushOK := make([]bool, nodes)
-		pullOK := make([]bool, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			nn[i].Eng().At(pushAt, func() { pushOK[i] = nn[i].MigrateNow(actor.ID(1 + i)) })
-			nn[i].Eng().At(pullAt, func() { pullOK[i] = nn[i].PullNow() })
-		}
-		cl.RunUntil(window + sim.Millisecond) // drain room for late retries
+	// pushOK[i]/pullOK[i] are written only by node i's partition
+	// engine (same single-writer discipline as gaveUp).
+	pushOK := make([]bool, nodes)
+	pullOK := make([]bool, nodes)
+	for i := 0; i < nodes; i++ {
+		i := i
+		nn[i].Eng().At(pushAt, func() { pushOK[i] = nn[i].MigrateNow(actor.ID(1 + i)) })
+		nn[i].Eng().At(pullAt, func() { pullOK[i] = nn[i].PullNow() })
+	}
+	cl.RunUntil(window + sim.Millisecond) // drain room for late retries
 
-		o := outcome{nodes: nodes, parts: parts, injected: in.Injected()}
-		lat := stats.NewSample()
-		for i, c := range clients { // fixed order: deterministic merge
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.retried += c.Retried
-			o.gaveUp += gaveUp[i]
-			lat.Merge(c.Lat)
+	o := outcome{nodes: nodes, parts: parts, injected: in.Injected()}
+	lat := stats.NewSample()
+	for i, c := range clients { // fixed order: deterministic merge
+		o.sent += c.Sent
+		o.answered += c.Received
+		o.retried += c.Retried
+		o.gaveUp += gaveUp[i]
+		lat.Merge(c.Lat)
+	}
+	for i, n := range nn {
+		if pushOK[i] {
+			o.pushOK++
 		}
-		for i, n := range nn {
-			if pushOK[i] {
-				o.pushOK++
-			}
-			if pullOK[i] {
-				o.pullOK++
-			}
-			for _, rec := range n.Migrations {
-				if rec.Pull {
-					o.pullRecs++
-					o.pullBytes += rec.BytesMoved
-				} else {
-					o.pushRecs++
-					o.pushBytes += rec.BytesMoved
-				}
-				o.buffered += rec.Buffered
-			}
+		if pullOK[i] {
+			o.pullOK++
 		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		return o
-	})
-	o := outs[0]
+		for _, rec := range n.Migrations {
+			if rec.Pull {
+				o.pullRecs++
+				o.pullBytes += rec.BytesMoved
+			} else {
+				o.pushRecs++
+				o.pushBytes += rec.BytesMoved
+			}
+			o.buffered += rec.Buffered
+		}
+	}
+	o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
+	o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 
 	r := &Result{Header: []string{"metric", "value"}}
 	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))

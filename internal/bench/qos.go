@@ -143,146 +143,143 @@ func qosStormRun(opts Options) qosStormOutcome {
 	stormStart, stormEnd := at(0.35), at(0.80)
 	const sloUs = 250.0
 
-	outs := sweepMap(opts, 1, func(int) qosStormOutcome {
-		// The fault storm: the shard-3 leader crashes (forcing a
-		// failover), a loss window hits kv1, and every surviving node
-		// takes a 6x overload burst — the window where the controller
-		// must react.
-		odur := at(0.25)
-		if opts.Quick {
-			// The compressed window leaves less drain room before the
-			// post phase; keep the saturation burst proportionally shorter.
-			odur = at(0.20)
-		}
-		sched := fault.Schedule{Faults: []fault.Fault{
-			fault.Crash("kv3", at(0.35), at(0.20)),
-			fault.Loss("kv1", at(0.40), at(0.10), 0.25),
-			fault.Overload("kv0", at(0.45), odur, 16),
-			fault.Overload("kv1", at(0.45), odur, 16),
-			fault.Overload("kv2", at(0.45), odur, 16),
-		}}
-		cl, d := qosRKVCluster(opts, sched, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "prod", RatePerSec: 150_000, SLOp99Us: sloUs},
-				{Name: "batch", RatePerSec: 60_000},
-				{Name: "noisy", RatePerSec: 25_000},
-			},
-			Lanes:      qos.LaneConfig{DataCap: 128, TelemetryCap: 16, DispatchCost: 200 * sim.Nanosecond},
-			Controller: qos.ControllerConfig{Enabled: true},
-		})
-
-		o := qosStormOutcome{
-			calm: stats.NewSample(), storm: stats.NewSample(), post: stats.NewSample(),
-			sloUs: sloUs, stormStart: stormStart, stormEnd: stormEnd,
-		}
-		phase := func(t sim.Time) *stats.Sample {
-			switch {
-			case t < stormStart:
-				return o.calm
-			case t < stormEnd:
-				return o.storm
-			default:
-				return o.post
-			}
-		}
-
-		prod := workload.NewClient(cl, "prod", 10)
-		batch := workload.NewClient(cl, "batch", 10)
-		noisy := workload.NewClient(cl, "noisy", 10)
-		infra := workload.NewClient(cl, "infra", 10)
-		for _, c := range []*workload.Client{prod, batch, noisy, infra} {
-			d.QoS.Bind(c)
-		}
-		// The controller's cheapest knob: prod's train-coalescing window.
-		batcher := workload.NewBatcher(prod, 0, 8)
-		d.QoS.BindBatcher(batcher)
-
-		// prod: 125K/s of 90/10 read/write spread over all shards, under
-		// its 150K/s budget — the well-behaved tenant whose SLO must hold.
-		every(cl.Eng, 0, window, 8*sim.Microsecond, func(i uint64) {
-			key := []byte(fmt.Sprintf("p%05d", i%4096))
-			data := rkv.GetReq(key)
-			if i%10 == 0 {
-				data = rkv.PutReq(key, make([]byte, 64))
-			}
-			node, leader := d.LeaderFor(key)
-			sentAt := cl.Eng.Now()
-			batcher.Add(workload.Request{
-				Node: node, Dst: leader, Kind: rkv.KindReq,
-				Data: data, Size: 512, FlowID: i,
-				Tenant: qosTenantProd,
-				OnResp: func(actor.Msg) {
-					phase(sentAt).Observe((cl.Eng.Now() - sentAt).Seconds() * 1e6)
-				},
-			})
-		})
-		// batch: 50K/s of reads, no SLO — admission-controlled ballast.
-		every(cl.Eng, 0, window, 20*sim.Microsecond, func(i uint64) {
-			key := []byte(fmt.Sprintf("b%05d", i%2048))
-			node, leader := d.LeaderFor(key)
-			batch.Send(workload.Request{
-				Node: node, Dst: leader, Kind: rkv.KindReq,
-				Data: rkv.GetReq(key), Size: 512, FlowID: 1 << 20 & i, Tenant: qosTenantBatch,
-			})
-		})
-		// noisy: offered at 100K/s against a 25K/s budget — 4x its
-		// admitted rate — all of it hammering shard 0's hot keys.
-		hot := keysOnShard(d, 0, 64)
-		every(cl.Eng, 0, window, 10*sim.Microsecond, func(i uint64) {
-			key := hot[i%uint64(len(hot))]
-			node, leader := d.LeaderFor(key)
-			noisy.Send(workload.Request{
-				Node: node, Dst: leader, Kind: rkv.KindReq,
-				Data: rkv.PutReq(key, make([]byte, 64)), Size: 512,
-				FlowID: 2 << 20 & i, Tenant: qosTenantNoisy,
-			})
-		})
-		// control probes: one read per 50µs rotating over the shards,
-		// tagged ClassControl — admission always passes them and the lane
-		// scheduler must never shed one.
-		every(cl.Eng, 0, window, 50*sim.Microsecond, func(i uint64) {
-			key := []byte(fmt.Sprintf("c%02d", i%64))
-			node, leader := d.LeaderFor(key)
-			o.ctlSent++
-			prod.Send(workload.Request{
-				Node: node, Dst: leader, Kind: rkv.KindReq,
-				Data: rkv.GetReq(key), Size: 256, FlowID: 3 << 20 & i,
-				Tenant: qosTenantProd, Class: uint8(qos.ClassControl),
-				OnResp: func(actor.Msg) { o.ctlAnswered++ },
-			})
-		})
-		// telemetry flood: 64-packet bursts every 250µs from an untabled
-		// infrastructure tenant into the node's telemetry sink — the lane
-		// watermark sheds the excess.
-		every(cl.Eng, 0, window, 250*sim.Microsecond, func(i uint64) {
-			t := int(i % 4)
-			for j := 0; j < 64; j++ {
-				infra.Send(workload.Request{
-					Node: fmt.Sprintf("kv%d", t), Dst: actor.ID(qosTelemetryBase + t),
-					Size: 128, FlowID: 4 << 20 & i,
-					Tenant: qosTenantInfra, Class: uint8(qos.ClassTelemetry),
-				})
-			}
-		})
-
-		cl.Eng.Run()
-
-		for t := 0; t < 3; t++ {
-			o.offered[t] = d.QoS.OfferedTo(t)
-			o.admitted[t] = d.QoS.AdmittedTo(t)
-			o.rejected[t] = d.QoS.RejectedTo(t)
-		}
-		for _, c := range []*workload.Client{prod, batch, noisy, infra} {
-			o.cliSent += c.Sent
-			o.cliRejected += c.Rejected
-		}
-		o.enq, o.del, o.shed, o.backpressured = d.QoS.LaneTotals()
-		ctl := d.QoS.Controller
-		o.ticks, o.shrinks, o.tightens, o.reshards = ctl.Ticks, ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards
-		o.elections = d.Elections
-		return o
+	// The fault storm: the shard-3 leader crashes (forcing a
+	// failover), a loss window hits kv1, and every surviving node
+	// takes a 6x overload burst — the window where the controller
+	// must react.
+	odur := at(0.25)
+	if opts.Quick {
+		// The compressed window leaves less drain room before the
+		// post phase; keep the saturation burst proportionally shorter.
+		odur = at(0.20)
+	}
+	sched := fault.Schedule{Faults: []fault.Fault{
+		fault.Crash("kv3", at(0.35), at(0.20)),
+		fault.Loss("kv1", at(0.40), at(0.10), 0.25),
+		fault.Overload("kv0", at(0.45), odur, 16),
+		fault.Overload("kv1", at(0.45), odur, 16),
+		fault.Overload("kv2", at(0.45), odur, 16),
+	}}
+	cl, d := qosRKVCluster(opts, sched, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "prod", RatePerSec: 150_000, SLOp99Us: sloUs},
+			{Name: "batch", RatePerSec: 60_000},
+			{Name: "noisy", RatePerSec: 25_000},
+		},
+		Lanes:      qos.LaneConfig{DataCap: 128, TelemetryCap: 16, DispatchCost: 200 * sim.Nanosecond},
+		Controller: qos.ControllerConfig{Enabled: true},
 	})
-	return outs[0]
+
+	o := qosStormOutcome{
+		calm: stats.NewSample(), storm: stats.NewSample(), post: stats.NewSample(),
+		sloUs: sloUs, stormStart: stormStart, stormEnd: stormEnd,
+	}
+	phase := func(t sim.Time) *stats.Sample {
+		switch {
+		case t < stormStart:
+			return o.calm
+		case t < stormEnd:
+			return o.storm
+		default:
+			return o.post
+		}
+	}
+
+	prod := workload.NewClient(cl, "prod", 10)
+	batch := workload.NewClient(cl, "batch", 10)
+	noisy := workload.NewClient(cl, "noisy", 10)
+	infra := workload.NewClient(cl, "infra", 10)
+	for _, c := range []*workload.Client{prod, batch, noisy, infra} {
+		d.QoS.Bind(c)
+	}
+	// The controller's cheapest knob: prod's train-coalescing window.
+	batcher := workload.NewBatcher(prod, 0, 8)
+	d.QoS.BindBatcher(batcher)
+
+	// prod: 125K/s of 90/10 read/write spread over all shards, under
+	// its 150K/s budget — the well-behaved tenant whose SLO must hold.
+	every(cl.Eng, 0, window, 8*sim.Microsecond, func(i uint64) {
+		key := []byte(fmt.Sprintf("p%05d", i%4096))
+		data := rkv.GetReq(key)
+		if i%10 == 0 {
+			data = rkv.PutReq(key, make([]byte, 64))
+		}
+		node, leader := d.LeaderFor(key)
+		sentAt := cl.Eng.Now()
+		batcher.Add(workload.Request{
+			Node: node, Dst: leader, Kind: rkv.KindReq,
+			Data: data, Size: 512, FlowID: i,
+			Tenant: qosTenantProd,
+			OnResp: func(actor.Msg) {
+				phase(sentAt).Observe((cl.Eng.Now() - sentAt).Seconds() * 1e6)
+			},
+		})
+	})
+	// batch: 50K/s of reads, no SLO — admission-controlled ballast.
+	every(cl.Eng, 0, window, 20*sim.Microsecond, func(i uint64) {
+		key := []byte(fmt.Sprintf("b%05d", i%2048))
+		node, leader := d.LeaderFor(key)
+		batch.Send(workload.Request{
+			Node: node, Dst: leader, Kind: rkv.KindReq,
+			Data: rkv.GetReq(key), Size: 512, FlowID: 1 << 20 & i, Tenant: qosTenantBatch,
+		})
+	})
+	// noisy: offered at 100K/s against a 25K/s budget — 4x its
+	// admitted rate — all of it hammering shard 0's hot keys.
+	hot := keysOnShard(d, 0, 64)
+	every(cl.Eng, 0, window, 10*sim.Microsecond, func(i uint64) {
+		key := hot[i%uint64(len(hot))]
+		node, leader := d.LeaderFor(key)
+		noisy.Send(workload.Request{
+			Node: node, Dst: leader, Kind: rkv.KindReq,
+			Data: rkv.PutReq(key, make([]byte, 64)), Size: 512,
+			FlowID: 2 << 20 & i, Tenant: qosTenantNoisy,
+		})
+	})
+	// control probes: one read per 50µs rotating over the shards,
+	// tagged ClassControl — admission always passes them and the lane
+	// scheduler must never shed one.
+	every(cl.Eng, 0, window, 50*sim.Microsecond, func(i uint64) {
+		key := []byte(fmt.Sprintf("c%02d", i%64))
+		node, leader := d.LeaderFor(key)
+		o.ctlSent++
+		prod.Send(workload.Request{
+			Node: node, Dst: leader, Kind: rkv.KindReq,
+			Data: rkv.GetReq(key), Size: 256, FlowID: 3 << 20 & i,
+			Tenant: qosTenantProd, Class: uint8(qos.ClassControl),
+			OnResp: func(actor.Msg) { o.ctlAnswered++ },
+		})
+	})
+	// telemetry flood: 64-packet bursts every 250µs from an untabled
+	// infrastructure tenant into the node's telemetry sink — the lane
+	// watermark sheds the excess.
+	every(cl.Eng, 0, window, 250*sim.Microsecond, func(i uint64) {
+		t := int(i % 4)
+		for j := 0; j < 64; j++ {
+			infra.Send(workload.Request{
+				Node: fmt.Sprintf("kv%d", t), Dst: actor.ID(qosTelemetryBase + t),
+				Size: 128, FlowID: 4 << 20 & i,
+				Tenant: qosTenantInfra, Class: uint8(qos.ClassTelemetry),
+			})
+		}
+	})
+
+	cl.Eng.Run()
+
+	for t := 0; t < 3; t++ {
+		o.offered[t] = d.QoS.OfferedTo(t)
+		o.admitted[t] = d.QoS.AdmittedTo(t)
+		o.rejected[t] = d.QoS.RejectedTo(t)
+	}
+	for _, c := range []*workload.Client{prod, batch, noisy, infra} {
+		o.cliSent += c.Sent
+		o.cliRejected += c.Rejected
+	}
+	o.enq, o.del, o.shed, o.backpressured = d.QoS.LaneTotals()
+	ctl := d.QoS.Controller
+	o.ticks, o.shrinks, o.tightens, o.reshards = ctl.Ticks, ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards
+	o.elections = d.Elections
+	return o
 }
 
 func qosStorm(opts Options) *Result {
@@ -338,82 +335,79 @@ func qosSkewRun(opts Options) qosSkewOutcome {
 	lateAt := sim.Time(w * 0.85)
 	const sloUs = 120.0
 
-	outs := sweepMap(opts, 1, func(int) qosSkewOutcome {
-		cl, d := qosRKVCluster(opts, fault.Schedule{}, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "prod", RatePerSec: 500_000, SLOp99Us: sloUs},
-			},
-			Lanes: qos.LaneConfig{DispatchCost: 100 * sim.Nanosecond},
-			// A snappier loop than the storm run, scaled to the window so
-			// the escalation chain — batch window, migration thresholds,
-			// reshard — completes inside the hot phase even in -quick runs.
-			Controller: qos.ControllerConfig{
-				Enabled:      true,
-				Period:       window / 32,
-				Cooldown:     window / 32,
-				ThreshFactor: 0.1,
-			},
-		})
-
-		o := qosSkewOutcome{
-			spread: stats.NewSample(), hot: stats.NewSample(), recovered: stats.NewSample(),
-			sloUs: sloUs,
-		}
-		phase := func(t sim.Time) *stats.Sample {
-			switch {
-			case t < shiftAt:
-				return o.spread
-			case t < lateAt:
-				return o.hot
-			default:
-				return o.recovered
-			}
-		}
-
-		prod := workload.NewClient(cl, "prod", 10)
-		d.QoS.Bind(prod)
-		batcher := workload.NewBatcher(prod, 0, 8)
-		d.QoS.BindBatcher(batcher)
-
-		// Phase A: Zipf(0.85) over 16K keys — load spreads over all four
-		// shards. Phase B: the skew jumps to Zipf(1.25) over a key list
-		// that lives entirely on shard 0 — the mid-run hot-shard shift the
-		// controller exists for. Requests route by key at send time, so
-		// the controller's reshard redirects the hot range mid-run.
-		zipfA := workload.NewZipf(cl.Eng.Rand(), 16384, 0.85)
-		zipfB := workload.NewZipf(cl.Eng.Rand(), 512, 0.99)
-		hot := keysOnShard(d, 0, 512)
-		every(cl.Eng, 0, window, 2500*sim.Nanosecond, func(i uint64) {
-			var key []byte
-			if cl.Eng.Now() < shiftAt {
-				key = []byte(fmt.Sprintf("s%05d", zipfA.Next()))
-			} else {
-				key = hot[zipfB.Next()]
-			}
-			data := rkv.GetReq(key)
-			if i%5 == 0 {
-				data = rkv.PutReq(key, make([]byte, 64))
-			}
-			node, leader := d.LeaderFor(key)
-			sentAt := cl.Eng.Now()
-			batcher.Add(workload.Request{
-				Node: node, Dst: leader, Kind: rkv.KindReq,
-				Data: data, Size: 512, FlowID: i, Tenant: qosTenantProd,
-				OnResp: func(actor.Msg) {
-					phase(sentAt).Observe((cl.Eng.Now() - sentAt).Seconds() * 1e6)
-				},
-			})
-		})
-
-		cl.Eng.Run()
-
-		ctl := d.QoS.Controller
-		o.shrinks, o.tightens, o.reshards, o.ticks = ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards, ctl.Ticks
-		o.rejected = d.QoS.RejectedTo(qosTenantProd)
-		o.liveShards = d.Router.Shards()
-		return o
+	cl, d := qosRKVCluster(opts, fault.Schedule{}, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "prod", RatePerSec: 500_000, SLOp99Us: sloUs},
+		},
+		Lanes: qos.LaneConfig{DispatchCost: 100 * sim.Nanosecond},
+		// A snappier loop than the storm run, scaled to the window so
+		// the escalation chain — batch window, migration thresholds,
+		// reshard — completes inside the hot phase even in -quick runs.
+		Controller: qos.ControllerConfig{
+			Enabled:      true,
+			Period:       window / 32,
+			Cooldown:     window / 32,
+			ThreshFactor: 0.1,
+		},
 	})
-	return outs[0]
+
+	o := qosSkewOutcome{
+		spread: stats.NewSample(), hot: stats.NewSample(), recovered: stats.NewSample(),
+		sloUs: sloUs,
+	}
+	phase := func(t sim.Time) *stats.Sample {
+		switch {
+		case t < shiftAt:
+			return o.spread
+		case t < lateAt:
+			return o.hot
+		default:
+			return o.recovered
+		}
+	}
+
+	prod := workload.NewClient(cl, "prod", 10)
+	d.QoS.Bind(prod)
+	batcher := workload.NewBatcher(prod, 0, 8)
+	d.QoS.BindBatcher(batcher)
+
+	// Phase A: Zipf(0.85) over 16K keys — load spreads over all four
+	// shards. Phase B: the skew jumps to Zipf(1.25) over a key list
+	// that lives entirely on shard 0 — the mid-run hot-shard shift the
+	// controller exists for. Requests route by key at send time, so
+	// the controller's reshard redirects the hot range mid-run.
+	zipfA := workload.NewZipf(cl.Eng.Rand(), 16384, 0.85)
+	zipfB := workload.NewZipf(cl.Eng.Rand(), 512, 0.99)
+	hot := keysOnShard(d, 0, 512)
+	every(cl.Eng, 0, window, 2500*sim.Nanosecond, func(i uint64) {
+		var key []byte
+		if cl.Eng.Now() < shiftAt {
+			key = []byte(fmt.Sprintf("s%05d", zipfA.Next()))
+		} else {
+			key = hot[zipfB.Next()]
+		}
+		data := rkv.GetReq(key)
+		if i%5 == 0 {
+			data = rkv.PutReq(key, make([]byte, 64))
+		}
+		node, leader := d.LeaderFor(key)
+		sentAt := cl.Eng.Now()
+		batcher.Add(workload.Request{
+			Node: node, Dst: leader, Kind: rkv.KindReq,
+			Data: data, Size: 512, FlowID: i, Tenant: qosTenantProd,
+			OnResp: func(actor.Msg) {
+				phase(sentAt).Observe((cl.Eng.Now() - sentAt).Seconds() * 1e6)
+			},
+		})
+	})
+
+	cl.Eng.Run()
+
+	ctl := d.QoS.Controller
+	o.shrinks, o.tightens, o.reshards, o.ticks = ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards, ctl.Ticks
+	o.rejected = d.QoS.RejectedTo(qosTenantProd)
+	o.liveShards = d.Router.Shards()
+	return o
 }
 
 func qosSkew(opts Options) *Result {
@@ -453,111 +447,108 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 	}
 	parts := opts.parts(4, nodes)
 
-	outs := sweepMap(opts, 1, func(int) qosLanesOutcome {
-		cl, nn, clients := pdesMesh(opts, nodes, parts, false)
+	cl, nn, clients := pdesMesh(opts, nodes, parts, false)
 
-		// Lanes + admission only: the controller reads cross-node state
-		// and is classic-only, so the partitioned run leaves it off — and
-		// every remaining piece of QoS state (one gate per client, one
-		// lane scheduler per node) lives on its owner's partition engine.
-		rt, err := qos.Install(cl, nn, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "even", RatePerSec: 300_000, Burst: 64},
-				{Name: "odd", RatePerSec: 150_000, Burst: 64},
-			},
-			Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
-		})
-		if err != nil {
-			panic(err)
-		}
+	// Lanes + admission only: the controller reads cross-node state
+	// and is classic-only, so the partitioned run leaves it off — and
+	// every remaining piece of QoS state (one gate per client, one
+	// lane scheduler per node) lives on its owner's partition engine.
+	rt, err := qos.Install(cl, nn, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "even", RatePerSec: 300_000, Burst: 64},
+			{Name: "odd", RatePerSec: 150_000, Burst: 64},
+		},
+		Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
+	})
+	if err != nil {
+		panic(err)
+	}
 
-		for _, c := range clients {
-			rt.Bind(c)
+	for _, c := range clients {
+		rt.Bind(c)
+	}
+	for i := 0; i < nodes; i++ {
+		i := i
+		c := clients[i]
+		tenant := uint16(i % 2)
+		dest := func(k uint64) (string, actor.ID) {
+			d := int(k) % nodes
+			if d == i {
+				d = (d + 1) % nodes
+			}
+			return fmt.Sprintf("n%03d", d), actor.ID(1 + d)
 		}
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			tenant := uint16(i % 2)
-			dest := func(k uint64) (string, actor.ID) {
-				d := int(k) % nodes
-				if d == i {
-					d = (d + 1) % nodes
-				}
-				return fmt.Sprintf("n%03d", d), actor.ID(1 + d)
-			}
-			// Data plane: even clients pace at 250K/s, under their 300K/s
-			// budget — the well-behaved tenant is never rejected. Odd
-			// clients pace at 400K/s against a 150K/s budget, so their
-			// gates reject most of the excess at the edge.
-			interval := 4 * sim.Microsecond
-			if tenant == 1 {
-				interval = 2500 * sim.Nanosecond
-			}
-			every(c.Eng(), 0, window, interval, func(k uint64) {
-				node, id := dest(k*7 + uint64(i))
-				c.Send(workload.Request{
-					Node: node, Dst: id, Size: 256,
-					FlowID: uint64(i)<<32 | k, Tenant: tenant,
-				})
+		// Data plane: even clients pace at 250K/s, under their 300K/s
+		// budget — the well-behaved tenant is never rejected. Odd
+		// clients pace at 400K/s against a 150K/s budget, so their
+		// gates reject most of the excess at the edge.
+		interval := 4 * sim.Microsecond
+		if tenant == 1 {
+			interval = 2500 * sim.Nanosecond
+		}
+		every(c.Eng(), 0, window, interval, func(k uint64) {
+			node, id := dest(k*7 + uint64(i))
+			c.Send(workload.Request{
+				Node: node, Dst: id, Size: 256,
+				FlowID: uint64(i)<<32 | k, Tenant: tenant,
 			})
-			// Control probes ride the top lane: never shed, never rejected.
-			every(c.Eng(), 0, window, 25*sim.Microsecond, func(k uint64) {
-				node, id := dest(k + uint64(i)*3)
+		})
+		// Control probes ride the top lane: never shed, never rejected.
+		every(c.Eng(), 0, window, 25*sim.Microsecond, func(k uint64) {
+			node, id := dest(k + uint64(i)*3)
+			c.Send(workload.Request{
+				Node: node, Dst: id, Size: 128,
+				FlowID: 1<<48 | uint64(i)<<32 | k,
+				Tenant: tenant, Class: uint8(qos.ClassControl),
+			})
+		})
+		// Telemetry bursts from the untabled infrastructure tenant:
+		// 24 back-to-back packets at one destination overrun the
+		// 8-deep telemetry lane and shed the excess without touching
+		// the tabled tenants' budgets.
+		every(c.Eng(), 0, window, 100*sim.Microsecond, func(k uint64) {
+			node, id := dest(k + uint64(i))
+			for j := 0; j < 24; j++ {
 				c.Send(workload.Request{
 					Node: node, Dst: id, Size: 128,
-					FlowID: 1<<48 | uint64(i)<<32 | k,
-					Tenant: tenant, Class: uint8(qos.ClassControl),
-				})
-			})
-			// Telemetry bursts from the untabled infrastructure tenant:
-			// 24 back-to-back packets at one destination overrun the
-			// 8-deep telemetry lane and shed the excess without touching
-			// the tabled tenants' budgets.
-			every(c.Eng(), 0, window, 100*sim.Microsecond, func(k uint64) {
-				node, id := dest(k + uint64(i))
-				for j := 0; j < 24; j++ {
-					c.Send(workload.Request{
-						Node: node, Dst: id, Size: 128,
-						FlowID: 2<<48 | uint64(i)<<32 | k,
-						Tenant: 99, Class: uint8(qos.ClassTelemetry),
-					})
-				}
-			})
-		}
-		// One untabled bulk stream slams 96-deep data trains into the far
-		// node: the 32-deep data watermark defers the overflow
-		// (backpressure) but, unlike telemetry, never drops it.
-		bulkDst := nodes - 1
-		every(clients[0].Eng(), 0, window, 50*sim.Microsecond, func(k uint64) {
-			for j := 0; j < 96; j++ {
-				clients[0].Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", bulkDst), Dst: actor.ID(1 + bulkDst),
-					Size: 128, FlowID: 3<<48 | k, Tenant: 98,
+					FlowID: 2<<48 | uint64(i)<<32 | k,
+					Tenant: 99, Class: uint8(qos.ClassTelemetry),
 				})
 			}
 		})
-
-		cl.RunUntil(window)
-
-		o := qosLanesOutcome{nodes: nodes, parts: parts}
-		lat := stats.NewSample()
-		for _, c := range clients { // fixed order: deterministic percentiles
-			o.ops += c.Received
-			o.sent += c.Sent
-			lat.Merge(c.Lat)
+	}
+	// One untabled bulk stream slams 96-deep data trains into the far
+	// node: the 32-deep data watermark defers the overflow
+	// (backpressure) but, unlike telemetry, never drops it.
+	bulkDst := nodes - 1
+	every(clients[0].Eng(), 0, window, 50*sim.Microsecond, func(k uint64) {
+		for j := 0; j < 96; j++ {
+			clients[0].Send(workload.Request{
+				Node: fmt.Sprintf("n%03d", bulkDst), Dst: actor.ID(1 + bulkDst),
+				Size: 128, FlowID: 3<<48 | k, Tenant: 98,
+			})
 		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		for t := 0; t < 2; t++ {
-			o.offered[t] = rt.OfferedTo(t)
-			o.admitted[t] = rt.AdmittedTo(t)
-			o.rejected[t] = rt.RejectedTo(t)
-		}
-		o.crossed = cl.Group.Crossed()
-		o.rounds = cl.Group.Rounds()
-		return o
 	})
-	return outs[0]
+
+	cl.RunUntil(window)
+
+	o := qosLanesOutcome{nodes: nodes, parts: parts}
+	lat := stats.NewSample()
+	for _, c := range clients { // fixed order: deterministic percentiles
+		o.ops += c.Received
+		o.sent += c.Sent
+		lat.Merge(c.Lat)
+	}
+	o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
+	o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
+	for t := 0; t < 2; t++ {
+		o.offered[t] = rt.OfferedTo(t)
+		o.admitted[t] = rt.AdmittedTo(t)
+		o.rejected[t] = rt.RejectedTo(t)
+	}
+	o.crossed = cl.Group.Crossed()
+	o.rounds = cl.Group.Rounds()
+	return o
 }
 
 func qosLanes(opts Options) *Result {

@@ -67,7 +67,7 @@ func fig16(opts Options) *Result {
 		rnd := sim.NewRand(opts.seed() * 7)
 		var meanService float64
 		for i := 0; i < actors; i++ {
-			var dist workload.ServiceDist
+			var dist shiftedExp
 			switch {
 			case highDisp && i == actors-1:
 				// The heavy actor: long-tailed around heavyScale·b2.
@@ -166,11 +166,5 @@ type shiftedExp struct {
 	jit  workload.Exponential
 }
 
-// Draw implements workload.ServiceDist.
+// Draw returns one service time.
 func (s shiftedExp) Draw() sim.Time { return s.base + s.jit.Draw() }
-
-// Mean implements workload.ServiceDist.
-func (s shiftedExp) Mean() sim.Time { return s.base + s.jit.M }
-
-// Name implements workload.ServiceDist.
-func (s shiftedExp) Name() string { return "shifted-exp" }

@@ -486,8 +486,9 @@ func (s DTSpec) Deploy() (*DT, error) {
 
 // installSweep injects a KindSweep message into the coordinator every
 // TxnTimeout/2 so stranded transactions abort within ~1.5× the timeout.
-// The ticker stops re-arming once it is the only pending event, letting
-// Engine.Run terminate (the same guard obs.Collector uses).
+// It sweeps only while the engine is Busy, and as an Engine.Every ticker
+// it ends once the simulation's own work has drained, so Engine.Run
+// terminates.
 func (d *DT) installSweep() {
 	eng := d.Spec.Coordinator.Cluster().Eng
 	interval := d.Spec.TxnTimeout / 2
@@ -496,15 +497,11 @@ func (d *DT) installSweep() {
 	}
 	coordID := d.Coord.Actor.ID
 	node := d.Spec.Coordinator
-	var tick func()
-	tick = func() {
-		if eng.Pending() == 0 {
-			return // simulation drained; a sweep would keep it alive forever
+	eng.Every(interval, func() {
+		if eng.Busy() {
+			node.Inject(actor.Msg{Kind: dt.KindSweep, Dst: coordID})
 		}
-		node.Inject(actor.Msg{Kind: dt.KindSweep, Dst: coordID})
-		eng.After(interval, tick)
-	}
-	eng.After(interval, tick)
+	})
 }
 
 // --- RTA ---------------------------------------------------------------

@@ -5,7 +5,7 @@
 // byte-deterministic: field order is fixed, numbers are formatted through
 // one code path, and events are stably sorted by (track, start time)
 // before writing — which also guarantees monotonically ordered `ts`
-// within every (pid, tid) lane, a property `make trace-smoke` checks.
+// within every (pid, tid) lane, a property ValidateChromeTrace checks.
 package obs
 
 import (

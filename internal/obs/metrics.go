@@ -189,9 +189,10 @@ type snapshot struct {
 // Collector schedules periodic snapshots of its registries on a
 // simulation engine and buffers the records for NDJSON export.
 //
-// The tick is self-limiting: after sampling, it reschedules only while
-// the engine still has other pending events, so an Engine.Run() drains
-// normally once the simulation itself goes quiet. Sampling is read-only
+// The tick is an Engine.Every ticker: after sampling, it reschedules
+// only while the engine is Busy — other tickers (a DT sweep, an SLO
+// controller) do not count — so an Engine.Run() drains normally once
+// the simulation itself goes quiet. Sampling is read-only
 // — it never mutates simulation state or consumes randomness — so
 // enabling metrics cannot change simulation results.
 //
@@ -266,7 +267,7 @@ func (c *Collector) Start() {
 		c.next = c.interval
 		return
 	}
-	c.eng.After(c.interval, c.tick)
+	c.eng.Every(c.interval, c.Snapshot)
 }
 
 // windowFlush is the window-mode sampler, invoked by the round
@@ -284,16 +285,6 @@ func (c *Collector) windowFlush(limit sim.Time) {
 	at := c.next + ((limit-1-c.next)/c.interval)*c.interval
 	c.snapshotAt(at)
 	c.next = at + c.interval
-}
-
-func (c *Collector) tick() {
-	c.Snapshot()
-	// Reschedule only while the simulation itself still has work; the
-	// collector must not keep an otherwise-drained engine alive forever.
-	if c.eng.Pending() == 0 {
-		return
-	}
-	c.eng.After(c.interval, c.tick)
 }
 
 // Snapshot samples every registry once, immediately, stamped with the

@@ -1,7 +1,7 @@
-// Validation of emitted artifacts, used by `make trace-smoke` (via
-// cmd/ipipe-trace) and by tests: a trace file must be well-formed
-// trace_event JSON with monotonically ordered timestamps per track, and
-// a metrics file must be well-formed NDJSON.
+// Validation of emitted artifacts, used by cmd/ipipe-trace and by the
+// tests that run the CLIs under -trace/-metrics: a trace file must be
+// well-formed trace_event JSON with monotonically ordered timestamps
+// per track, and a metrics file must be well-formed NDJSON.
 package obs
 
 import (

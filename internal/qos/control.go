@@ -20,8 +20,8 @@ import (
 //     range remaps to the surviving groups (at most once per run).
 //
 // Actions are spaced by a cooldown so the loop observes each knob's
-// effect before escalating. Ticks ride engine timers with the
-// drained-engine guard, so an idle simulation still terminates.
+// effect before escalating. Ticks ride an Engine.Every ticker, so an
+// idle simulation still terminates.
 // The controller requires a classic (single-engine) cluster: it reads
 // cross-node scheduler state, which partitioned clusters forbid.
 type Controller struct {
@@ -111,23 +111,19 @@ func (c *Controller) Observe(tenant uint16, us float64) {
 	c.ewma[tenant] = c.cfg.Alpha*us + (1-c.cfg.Alpha)*c.ewma[tenant]
 }
 
-// Start arms the periodic tick. The ticker stops re-arming once it is
-// the only pending event, so a drained simulation terminates (the same
-// guard the DT sweep and obs.Collector use).
+// Start arms the periodic tick. A tick decides only while the engine is
+// Busy, and the ticker ends once the simulation's own work has drained
+// (Engine.Every), so a drained simulation terminates.
 func (c *Controller) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
-	var tick func()
-	tick = func() {
-		if c.eng.Pending() == 0 {
-			return
+	c.eng.Every(c.cfg.Period, func() {
+		if c.eng.Busy() {
+			c.step()
 		}
-		c.step()
-		c.eng.After(c.cfg.Period, tick)
-	}
-	c.eng.After(c.cfg.Period, tick)
+	})
 }
 
 // worstBreach returns the largest ewma/SLO ratio across tenants with an

@@ -39,7 +39,6 @@ const (
 	// ClassTelemetry is observability traffic: lowest priority, shed
 	// first under pressure.
 	ClassTelemetry
-	numClasses
 )
 
 // String names the class for metrics and span labels.

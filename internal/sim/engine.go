@@ -52,57 +52,15 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Micros builds a virtual time from floating-point microseconds.
 func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
-// Event lifecycle states. An event is pending from At until it either
-// fires (stateFired) or is cancelled via Timer.Stop (stateStopped).
-// Stopped events stay in the heap and are discarded lazily when they
-// reach the top, or in bulk when too many accumulate (see compact).
-const (
-	statePending uint8 = iota
-	stateFired
-	stateStopped
-)
-
-// event is a scheduled callback. Events are pooled: after firing or
-// being discarded they return to the engine's free list and are reused
-// by later At/After/Defer calls. gen increments on every recycle so
-// stale Timer handles can detect that "their" event is gone.
+// event is a scheduled callback. Events are pooled: after firing they
+// return to the engine's free list and are reused by later
+// At/After/Defer calls. A scheduled event always fires; nothing in the
+// simulator revokes work, matching iPipe's run-to-completion runtime
+// (§3.2) — timeouts check a done flag when they fire instead.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break: FIFO among events at the same instant
-	gen   uint64 // incremented on recycle; guards Timer handles
-	fn    func()
-	state uint8
-}
-
-// Timer is a handle to a scheduled event that can be cancelled. It is a
-// small value (no allocation): At/After/Defer return it by value, and
-// callers that ignore it pay nothing. No model cancels an event today;
-// Stop and Pending stay because the engine's lazy discard, compaction
-// and generation-guarded reuse exist for them, and removing them would
-// reshape At, the hottest call in the simulator.
-type Timer struct {
-	eng *Engine
-	e   *event
-	gen uint64
-}
-
-// Stop cancels the timer. It reports whether the cancellation took
-// effect, i.e. the event was still pending: false if the event already
-// fired, was already stopped (double-stop), or the handle is zero.
-func (t Timer) Stop() bool {
-	if t.e == nil || t.gen != t.e.gen || t.e.state != statePending {
-		return false
-	}
-	t.e.state = stateStopped
-	t.e.fn = nil // release the closure now; the shell stays heaped
-	t.eng.dead++
-	t.eng.maybeCompact()
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been stopped.
-func (t Timer) Pending() bool {
-	return t.e != nil && t.gen == t.e.gen && t.e.state == statePending
+	at  Time
+	seq uint64 // tie-break: FIFO among events at the same instant
+	fn  func()
 }
 
 // executedTotal counts events executed across all engines in the
@@ -122,8 +80,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	q       eventQueue
-	dead    int      // stopped events still occupying heap slots
 	free    []*event // recycled event shells for reuse
+	tickers int      // pending events that are Every ticks
 	rng     *Rand
 	ran     uint64 // events executed
 	flushed uint64 // portion of ran already added to executedTotal
@@ -144,9 +102,12 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // Executed reports the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 
-// Pending reports the number of scheduled (not yet fired) events,
-// excluding cancelled ones awaiting cleanup.
-func (e *Engine) Pending() int { return len(e.q) - e.dead }
+// Pending reports the number of scheduled (not yet fired) events.
+func (e *Engine) Pending() int { return len(e.q) }
+
+// Busy reports whether any event other than an Every tick is pending:
+// the simulation still has foreground work.
+func (e *Engine) Busy() bool { return len(e.q) > e.tickers }
 
 // alloc takes an event shell from the free list, or makes one.
 func (e *Engine) alloc() *event {
@@ -167,10 +128,9 @@ func (e *Engine) alloc() *event {
 // far below the cap still allocates nothing (see BenchmarkEnginePool*).
 const maxFreeEvents = 4096
 
-// recycle invalidates outstanding Timer handles for ev and returns it to
-// the free list (or drops it once the list is full).
+// recycle returns ev to the free list (or drops it once the list is
+// full).
 func (e *Engine) recycle(ev *event) {
-	ev.gen++
 	ev.fn = nil
 	if len(e.free) >= maxFreeEvents {
 		return
@@ -180,7 +140,7 @@ func (e *Engine) recycle(ev *event) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug.
-func (e *Engine) At(t Time, fn func()) Timer {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -188,54 +148,60 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic("sim: nil event function")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.state = t, e.seq, fn, statePending
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.q.push(ev)
-	return Timer{eng: e, e: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Time, fn func()) Timer {
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Defer schedules fn to run at the current instant, after all callbacks
 // already queued for this instant. It is the simulation analogue of
 // yielding to the scheduler.
-func (e *Engine) Defer(fn func()) Timer { return e.At(e.now, fn) }
+func (e *Engine) Defer(fn func()) { e.At(e.now, fn) }
+
+// Every runs fn every d, starting d from now: background work — metric
+// sampling, sweeps, control loops — that lives only as long as the
+// simulation does. After each tick the ticker re-arms only while the
+// engine is Busy, so a run whose foreground work has drained
+// terminates however many tickers are attached: each one sees the
+// others' ticks as background, not as work. fn may schedule events;
+// those are foreground and keep the ticker alive.
+func (e *Engine) Every(d Time, fn func()) {
+	var tick func()
+	tick = func() {
+		e.tickers--
+		fn()
+		if e.Busy() {
+			e.tickers++
+			e.After(d, tick)
+		}
+	}
+	e.tickers++
+	e.After(d, tick)
+}
 
 // Step executes the next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.q) > 0 {
-		ev := e.q.pop()
-		if ev.state == stateStopped {
-			e.dead--
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		fn := ev.fn
-		ev.state = stateFired
-		e.recycle(ev) // recycled before fn so chains reuse the shell
-		e.ran++
-		fn()
-		return true
+	if len(e.q) == 0 {
+		return false
 	}
-	return false
+	ev := e.q.pop()
+	e.now = ev.at
+	fn := ev.fn
+	e.recycle(ev) // recycled before fn so chains reuse the shell
+	e.ran++
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for len(e.q) > 0 {
 		ev := e.q.pop()
-		if ev.state == stateStopped {
-			e.dead--
-			e.recycle(ev)
-			continue
-		}
 		e.now = ev.at
 		fn := ev.fn
-		ev.state = stateFired
 		e.recycle(ev)
 		e.ran++
 		fn()
@@ -247,22 +213,11 @@ func (e *Engine) Run() {
 // callbacks schedule at or before the deadline while it runs), then
 // advances the clock to deadline. Events beyond it remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.q) > 0 {
-		top := e.q[0]
-		if top.state == stateStopped {
-			e.q.pop()
-			e.dead--
-			e.recycle(top)
-			continue
-		}
-		if top.at > deadline {
-			break
-		}
-		e.q.pop()
-		e.now = top.at
-		fn := top.fn
-		top.state = stateFired
-		e.recycle(top)
+	for len(e.q) > 0 && e.q[0].at <= deadline {
+		ev := e.q.pop()
+		e.now = ev.at
+		fn := ev.fn
+		e.recycle(ev)
 		e.ran++
 		fn()
 	}
@@ -273,20 +228,13 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // nextTime returns the time of the earliest pending event, or MaxTime
-// when none remain. Cancelled events at the top are discarded on the
-// way, so the bound is exact. The partitioned run loop (Group) uses it
-// to compute the global safe horizon.
+// when none remain. The partitioned run loop (Group) uses it to compute
+// the global safe horizon.
 func (e *Engine) nextTime() Time {
-	for len(e.q) > 0 {
-		top := e.q[0]
-		if top.state != stateStopped {
-			return top.at
-		}
-		e.q.pop()
-		e.dead--
-		e.recycle(top)
+	if len(e.q) == 0 {
+		return MaxTime
 	}
-	return MaxTime
+	return e.q[0].at
 }
 
 // runWindow executes every event strictly before limit, including
@@ -298,22 +246,11 @@ func (e *Engine) nextTime() Time {
 // round (Group.flushExecuted), so progress reporting stays live during
 // long partitioned runs without every worker hitting the shared counter.
 func (e *Engine) runWindow(limit Time) {
-	for len(e.q) > 0 {
-		top := e.q[0]
-		if top.state == stateStopped {
-			e.q.pop()
-			e.dead--
-			e.recycle(top)
-			continue
-		}
-		if top.at >= limit {
-			break
-		}
-		e.q.pop()
-		e.now = top.at
-		fn := top.fn
-		top.state = stateFired
-		e.recycle(top)
+	for len(e.q) > 0 && e.q[0].at < limit {
+		ev := e.q.pop()
+		e.now = ev.at
+		fn := ev.fn
+		e.recycle(ev)
 		e.ran++
 		fn()
 	}
@@ -326,32 +263,4 @@ func (e *Engine) flushExecuted() {
 		executedTotal.Add(d)
 		e.flushed = e.ran
 	}
-}
-
-// maybeCompact bounds the garbage cancelled events can pin in the heap:
-// cleanup is lazy (discard at pop) until stopped events are both
-// numerous (>64) and the majority of the heap, then one O(n) sweep
-// removes them all. Amortized cost per Stop stays O(1); the heap never
-// holds more than ~2× the live events.
-func (e *Engine) maybeCompact() {
-	if e.dead > 64 && e.dead*2 > len(e.q) {
-		e.compact()
-	}
-}
-
-func (e *Engine) compact() {
-	live := e.q[:0]
-	for _, ev := range e.q {
-		if ev.state == stateStopped {
-			e.recycle(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(e.q); i++ {
-		e.q[i] = nil
-	}
-	e.q = live
-	e.q.reheap()
-	e.dead = 0
 }

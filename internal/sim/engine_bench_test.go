@@ -44,28 +44,3 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
-
-// BenchmarkEngineTimerStop measures the cancel path: half the scheduled
-// timers are stopped before firing, as retransmit/watchdog timers are in
-// the protocol models.
-func BenchmarkEngineTimerStop(b *testing.B) {
-	e := NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	const batch = 1024
-	for n := 0; n < b.N; n += batch {
-		timers := make([]Timer, 0, batch/2)
-		for i := 0; i < batch; i++ {
-			tm := e.At(e.Now()+Time(i), fn)
-			if i%2 == 0 {
-				timers = append(timers, tm)
-			}
-		}
-		for i := range timers {
-			timers[i].Stop()
-		}
-		e.Run()
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine(1)
@@ -84,31 +81,30 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
+// TestEveryEndsWithForegroundWork runs two tickers beside a finite
+// stretch of foreground work under a far deadline. Each must tick while
+// the work lasts and end at its first tick after the work drains: a
+// ticker that counted the other's pending tick as work would keep both
+// alive until the deadline.
+func TestEveryEndsWithForegroundWork(t *testing.T) {
 	e := NewEngine(1)
-	fired := false
-	tm := e.At(10, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop before firing should report true")
+	for at := Time(100); at <= 1000; at += 100 {
+		e.At(at, func() {})
 	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	var a, b []Time
+	e.Every(30, func() { a = append(a, e.Now()) })
+	e.Every(70, func() { b = append(b, e.Now()) })
+	e.RunUntil(Millisecond)
+	if e.Pending() != 0 || e.Busy() {
+		t.Fatalf("tickers outlived the work: %d events pending at the deadline, last ticks %v and %v",
+			e.Pending(), a[len(a)-1], b[len(b)-1])
 	}
-	fired2 := false
-	e.At(20, func() { fired2 = true })
-	e.Run()
-	if !fired2 {
-		t.Fatal("subsequent event did not fire")
+	// The first tick of each after the last foreground event (t=1000).
+	if got := a[len(a)-1]; got != 1020 || len(a) != 34 {
+		t.Fatalf("30ns ticker: %d ticks, last at %v; want 34, last at 1020", len(a), got)
 	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	e := NewEngine(1)
-	tm := e.At(10, func() {})
-	e.Run()
-	if tm.Stop() {
-		t.Fatal("Stop after firing should report false")
+	if got := b[len(b)-1]; got != 1050 || len(b) != 15 {
+		t.Fatalf("70ns ticker: %d ticks, last at %v; want 15, last at 1050", len(b), got)
 	}
 }
 
@@ -157,40 +153,6 @@ func TestRandDistributions(t *testing.T) {
 	mean := sum / n
 	if mean < 9.8 || mean > 10.2 {
 		t.Fatalf("Exp mean = %v, want ≈10", mean)
-	}
-	sum = 0
-	var sq float64
-	for i := 0; i < n; i++ {
-		v := r.normal(5, 2)
-		sum += v
-		sq += v * v
-	}
-	mean = sum / n
-	variance := sq/n - mean*mean
-	if mean < 4.9 || mean > 5.1 {
-		t.Fatalf("Normal mean = %v, want ≈5", mean)
-	}
-	if variance < 3.8 || variance > 4.2 {
-		t.Fatalf("Normal variance = %v, want ≈4", variance)
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	r := NewRand(3)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

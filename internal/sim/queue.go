@@ -79,11 +79,3 @@ func (q eventQueue) down(i int) {
 	}
 	q[i] = ev
 }
-
-// reheap restores the heap invariant over arbitrary contents (used after
-// compaction filters out cancelled events in place).
-func (q eventQueue) reheap() {
-	for i := (len(q) - 2) >> 2; i >= 0; i-- {
-		q.down(i)
-	}
-}

@@ -60,17 +60,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// perm returns a random permutation of [0, n).
-func (r *Rand) perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Exp returns an exponentially distributed value with the given mean.
 func (r *Rand) Exp(mean float64) float64 {
 	u := r.Float64()
@@ -78,15 +67,4 @@ func (r *Rand) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// normal returns a normally distributed value (Box-Muller).
-func (r *Rand) normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
 }

@@ -3,8 +3,7 @@
 // requests to actors in open loop (Poisson arrivals, as in §5.4) or
 // closed loop (as the DPDK workload generator of §5.1), plus the key
 // and service-time distributions the paper uses: Zipfian keys with skew
-// 0.99 over 1M keys, exponential (low dispersion) and bimodal-2 (high
-// dispersion) execution-cost distributions.
+// 0.99 over 1M keys and exponentially distributed execution costs.
 package workload
 
 import (
@@ -495,55 +494,14 @@ func (z *Zipf) Next() uint64 {
 	return v
 }
 
-// ServiceDist draws per-request execution costs; the Figure 16
-// experiments contrast a low-dispersion exponential distribution with a
-// high-dispersion bimodal-2.
-type ServiceDist interface {
-	// Draw returns one service time.
-	Draw() sim.Time
-	// Mean returns the distribution mean.
-	Mean() sim.Time
-	// Name identifies the distribution in experiment output.
-	Name() string
-}
-
-// Exponential is the low-dispersion case.
+// Exponential draws exponentially distributed service times with mean
+// M; Figure 16 jitters per-request execution costs with it.
 type Exponential struct {
 	R *sim.Rand
 	M sim.Time
 }
 
-// Draw implements ServiceDist.
+// Draw returns one service time.
 func (e Exponential) Draw() sim.Time {
 	return sim.Time(e.R.Exp(float64(e.M)))
 }
-
-// Mean implements ServiceDist.
-func (e Exponential) Mean() sim.Time { return e.M }
-
-// Name implements ServiceDist.
-func (e Exponential) Name() string { return "exponential" }
-
-// bimodal draws B1 with probability P1, else B2 (the paper's bimodal-2:
-// e.g. 35µs/60µs on the LiquidIOII, 25µs/55µs on the Stingray).
-type bimodal struct {
-	R      *sim.Rand
-	B1, B2 sim.Time
-	P1     float64
-}
-
-// Draw implements ServiceDist.
-func (b bimodal) Draw() sim.Time {
-	if b.R.Float64() < b.P1 {
-		return b.B1
-	}
-	return b.B2
-}
-
-// Mean implements ServiceDist.
-func (b bimodal) Mean() sim.Time {
-	return sim.Time(b.P1*float64(b.B1) + (1-b.P1)*float64(b.B2))
-}
-
-// Name implements ServiceDist.
-func (b bimodal) Name() string { return "bimodal-2" }
