@@ -35,11 +35,13 @@ alloc-budget:
 
 # fuzz-smoke: five seconds of each native fuzz target on top of its
 # committed seed corpus (testdata/fuzz) — the RKV command decoder, the
-# DT transaction codec, the DMO page table against a map model, and the
-# host↔NIC channel against a slice model. A failing input is written
-# under the package's testdata/fuzz: commit it with the fix.
+# RKV consensus handlers under forged messages, the DT transaction codec,
+# the DMO page table against a map model, and the host↔NIC channel
+# against a slice model. A failing input is written under the package's
+# testdata/fuzz: commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCmd$$' -fuzztime 5s ./internal/apps/rkv
+	$(GO) test -run '^$$' -fuzz '^FuzzPaxosMessages$$' -fuzztime 5s ./internal/apps/rkv
 	$(GO) test -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime 5s ./internal/apps/dt
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 5s ./internal/dmo
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelOps$$' -fuzztime 5s ./internal/msgring

@@ -16,15 +16,82 @@ import (
 // two-phase prepare/promise election, picks the next available log
 // instance, and fills gaps from the promises.
 
-// instState is one log instance on a replica.
-type instState struct {
-	ballot    uint64
-	cmd       []byte
+// slot is one log instance on a replica, stored by value in its page.
+// payload is the instance's encoded (inst, ballot, cmd): the one the
+// leader made, or a view of the accept or learn a follower received —
+// a payload is never rewritten after Send (actor.Msg.Data) — and it is
+// byte-identical to encPaxos(inst, ballot, cmd), so commit sends it
+// again as the learn and prepare copies it into the promise. The zero
+// slot is an absent instance: every slot the protocol writes is
+// accepted, committed or both.
+type slot struct {
+	payload   []byte
+	acks      int // leader: phase-2 acks counted, self included
 	accepted  bool
 	committed bool
-	// Leader-side bookkeeping:
-	acks   int
-	client actor.Msg
+}
+
+func (s *slot) present() bool  { return s.accepted || s.committed }
+func (s *slot) ballot() uint64 { return binary.LittleEndian.Uint64(s.payload[8:]) }
+func (s *slot) cmd() []byte    { return s.payload[16:] }
+
+// logPageSlots is the number of instances one log page holds (the dmo
+// object table's page size).
+const logPageSlots = 512
+
+type logPage struct {
+	key   uint64 // inst / logPageSlots
+	slots [logPageSlots]slot
+}
+
+// paxosLog is a replica's log: fixed pages of slots, keyed by
+// inst/logPageSlots in a map rather than a directory indexed by
+// instance, so an instance number — forged ones included — costs at
+// most one fixed-size page and never sizes an allocation. order lists
+// the pages by ascending key: the walks that build payloads visit
+// instances in ascending order without sorting, so their bytes never
+// depend on map iteration order.
+type paxosLog struct {
+	pages map[uint64]*logPage
+	order []*logPage
+}
+
+// find returns inst's slot, or nil when its page was never made. A
+// non-nil slot may still be absent.
+func (l *paxosLog) find(inst uint64) *slot {
+	if p := l.pages[inst/logPageSlots]; p != nil {
+		return &p.slots[inst%logPageSlots]
+	}
+	return nil
+}
+
+// at returns inst's slot, making its page on first use.
+func (l *paxosLog) at(inst uint64) *slot {
+	k := inst / logPageSlots
+	p := l.pages[k]
+	if p == nil {
+		if l.pages == nil {
+			l.pages = map[uint64]*logPage{}
+		}
+		p = &logPage{key: k}
+		l.pages[k] = p
+		i := sort.Search(len(l.order), func(i int) bool { return l.order[i].key > k })
+		l.order = append(l.order, nil)
+		copy(l.order[i+1:], l.order[i:])
+		l.order[i] = p
+	}
+	return &p.slots[inst%logPageSlots]
+}
+
+// each calls fn on every present slot in ascending instance order.
+func (l *paxosLog) each(fn func(inst uint64, s *slot)) {
+	for _, p := range l.order {
+		for i := range p.slots {
+			if s := &p.slots[i]; s.present() {
+				fn(p.key*logPageSlots+uint64(i), s)
+			}
+		}
+	}
 }
 
 // Consensus is a replica's consensus actor.
@@ -43,14 +110,20 @@ type Consensus struct {
 	BallotOffset uint64
 	ballot       uint64
 	promised     uint64
-	log          map[uint64]*instState
-	next         uint64 // next instance to allocate (leader)
-	applied      uint64 // low-water mark of applied instances
+	log          paxosLog
+	// inflight holds the leader's client request per instance proposed
+	// and not yet committed: commit takes it to reply, and an election
+	// that re-proposes the instance drops it.
+	inflight map[uint64]actor.Msg
+	next     uint64 // next instance to allocate (leader)
+	applied  uint64 // low-water mark of applied instances
 
-	// Election bookkeeping.
+	// Election bookkeeping: merged holds, per instance, the
+	// highest-ballot entry among the candidate's own log and the
+	// promises so far (payload views, accepted set).
 	electing  bool
 	promises  int
-	merged    map[uint64]*instState
+	merged    paxosLog
 	onElected func()
 
 	// OnLead, if set, observes every leadership claim with the winning
@@ -88,7 +161,7 @@ func NewConsensus(id actor.ID, peers []actor.ID, memtable actor.ID, leader bool)
 		memtable: memtable,
 		IsLeader: leader,
 		ballot:   1,
-		log:      map[uint64]*instState{},
+		inflight: map[uint64]actor.Msg{},
 	}
 	a := &actor.Actor{
 		ID:        id,
@@ -102,17 +175,6 @@ func NewConsensus(id actor.ID, peers []actor.ID, memtable actor.ID, leader bool)
 }
 
 func (c *Consensus) majority() int { return (len(c.peers)+1)/2 + 1 }
-
-// sortedLog returns the log's instance numbers in ascending order, so
-// payloads built by iterating the log are byte-deterministic.
-func (c *Consensus) sortedLog() []uint64 {
-	insts := make([]uint64, 0, len(c.log))
-	for inst := range c.log {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	return insts
-}
 
 func (c *Consensus) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 	switch m.Kind {
@@ -161,34 +223,31 @@ func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
 	}
 	inst := c.next
 	c.next++
-	st := &instState{ballot: c.ballot, cmd: m.Data, accepted: true, acks: 1, client: m}
-	c.log[inst] = st
-	payload := encPaxos(inst, c.ballot, m.Data)
+	s := c.log.at(inst)
+	*s = slot{payload: encPaxos(inst, c.ballot, m.Data), acks: 1, accepted: true}
+	c.inflight[inst] = m
 	for _, p := range c.peers {
-		ctx.Send(p, actor.Msg{Kind: kindAccept, Data: payload})
+		ctx.Send(p, actor.Msg{Kind: kindAccept, Data: s.payload})
 	}
-	if st.acks >= c.majority() {
-		c.commit(ctx, inst, st)
+	if s.acks >= c.majority() {
+		c.commit(ctx, inst, s)
 	}
 	return 900 * sim.Nanosecond
 }
 
-// accept is the follower's phase-2 handler.
+// accept is the follower's phase-2 handler. The slot keeps the accept
+// itself, and the reply is its 16-byte header — the bytes
+// encPaxos(inst, ballot, nil) would make.
 func (c *Consensus) accept(ctx actor.Ctx, m actor.Msg) sim.Time {
-	inst, ballot, cmd, ok := decPaxos(m.Data)
+	inst, ballot, _, ok := decPaxos(m.Data)
 	if !ok || ballot < c.promised {
 		return 300 * sim.Nanosecond
 	}
 	c.stepDown(ballot)
-	st := c.log[inst]
-	if st == nil {
-		st = &instState{}
-		c.log[inst] = st
-	}
-	st.ballot = ballot
-	st.cmd = append([]byte(nil), cmd...)
-	st.accepted = true
-	ctx.Send(m.Src, actor.Msg{Kind: kindAccepted, Data: encPaxos(inst, ballot, nil)})
+	s := c.log.at(inst)
+	s.payload = m.Data
+	s.accepted = true
+	ctx.Send(m.Src, actor.Msg{Kind: kindAccepted, Data: m.Data[:16:16]})
 	return 700 * sim.Nanosecond
 }
 
@@ -198,62 +257,61 @@ func (c *Consensus) accepted(ctx actor.Ctx, m actor.Msg) sim.Time {
 	if !ok || !c.IsLeader || ballot != c.ballot {
 		return 200 * sim.Nanosecond
 	}
-	st := c.log[inst]
-	if st == nil || st.committed {
+	s := c.log.find(inst)
+	if s == nil || !s.present() || s.committed {
 		return 200 * sim.Nanosecond
 	}
-	st.acks++
-	if st.acks >= c.majority() {
-		c.commit(ctx, inst, st)
+	s.acks++
+	if s.acks >= c.majority() {
+		c.commit(ctx, inst, s)
 	}
 	return 400 * sim.Nanosecond
 }
 
 // commit fires once per instance: apply locally, learn to peers, and
 // acknowledge the client — the consensus actor "sends a message to the
-// LSM Memtable once during the commit phase" (§4).
-func (c *Consensus) commit(ctx actor.Ctx, inst uint64, st *instState) {
-	if st.committed {
+// LSM Memtable once during the commit phase" (§4). The learn is the
+// slot's payload, the accept sent again.
+func (c *Consensus) commit(ctx actor.Ctx, inst uint64, s *slot) {
+	if s.committed {
 		return
 	}
-	st.committed = true
+	s.committed = true
 	c.Commits++
-	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: st.cmd})
-	payload := encPaxos(inst, st.ballot, st.cmd)
+	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: s.cmd()})
 	for _, p := range c.peers {
-		ctx.Send(p, actor.Msg{Kind: kindLearn, Data: payload})
+		ctx.Send(p, actor.Msg{Kind: kindLearn, Data: s.payload})
 	}
-	if st.client.Reply != nil {
-		resp := st.client
-		resp.Data = []byte{byte(StatusOK)}
-		ctx.Reply(resp)
-		st.client = actor.Msg{}
+	if client, ok := c.inflight[inst]; ok {
+		delete(c.inflight, inst)
+		if client.Reply != nil {
+			client.Data = []byte{byte(StatusOK)}
+			ctx.Reply(client)
+		}
 	}
 }
 
 // learn is the follower's phase-3 handler: mark committed and apply.
 func (c *Consensus) learn(ctx actor.Ctx, m actor.Msg) sim.Time {
-	inst, ballot, cmd, ok := decPaxos(m.Data)
+	inst, ballot, _, ok := decPaxos(m.Data)
 	if !ok {
 		return 200 * sim.Nanosecond
 	}
 	c.stepDown(ballot)
-	st := c.log[inst]
-	if st == nil {
-		st = &instState{}
-		c.log[inst] = st
-	}
-	if st.committed {
+	s := c.log.at(inst)
+	if s.committed {
 		return 200 * sim.Nanosecond
 	}
-	st.ballot = ballot
-	st.cmd = append([]byte(nil), cmd...)
-	st.committed = true
+	s.payload = m.Data
+	s.committed = true
 	c.Commits++
+	// A deposed leader's client for this instance can no longer be
+	// answered: commit skips committed slots, and so does an election.
+	delete(c.inflight, inst)
 	if inst >= c.next {
 		c.next = inst + 1
 	}
-	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: st.cmd})
+	ctx.Send(c.memtable, actor.Msg{Kind: kindApply, Data: s.cmd()})
 	return 600 * sim.Nanosecond
 }
 
@@ -280,7 +338,7 @@ func (c *Consensus) stepDown(ballot uint64) {
 func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
 	c.electing = true
 	c.promises = 1 // self
-	c.merged = map[uint64]*instState{}
+	c.merged = paxosLog{}
 	c.onElected = onElected
 	// Climb to the next ballot congruent to this replica's offset modulo
 	// the group size: concurrent candidates can never pick the same
@@ -289,11 +347,9 @@ func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
 	next := c.ballot + 1
 	c.ballot = next + (n+c.BallotOffset%n-next%n)%n
 	c.promised = c.ballot
-	for inst, st := range c.log {
-		if st.accepted || st.committed {
-			c.merged[inst] = &instState{ballot: st.ballot, cmd: st.cmd, committed: st.committed}
-		}
-	}
+	c.log.each(func(inst uint64, s *slot) {
+		*c.merged.at(inst) = slot{payload: s.payload, accepted: true}
+	})
 	payload := encPaxos(0, c.ballot, nil)
 	for _, p := range c.peers {
 		ctx.Send(p, actor.Msg{Kind: kindPrepare, Data: payload})
@@ -301,7 +357,9 @@ func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
 	c.checkElected(ctx)
 }
 
-// prepare is the acceptor side of the election phase 1.
+// prepare is the acceptor side of the election phase 1. The promise
+// returns every accepted entry, length-prefixed in ascending instance
+// order, so the new leader can fill gaps.
 func (c *Consensus) prepare(ctx actor.Ctx, m actor.Msg) sim.Time {
 	_, ballot, _, ok := decPaxos(m.Data)
 	if !ok || ballot <= c.promised {
@@ -310,22 +368,15 @@ func (c *Consensus) prepare(ctx actor.Ctx, m actor.Msg) sim.Time {
 	c.promised = ballot
 	c.IsLeader = false
 	c.electing = false
-	// Return every accepted entry so the new leader can fill gaps. Sorted
-	// instance order: the promise payload bytes must not depend on map
-	// iteration order (determinism invariant).
-	var out []byte
-	for _, inst := range c.sortedLog() {
-		st := c.log[inst]
-		if st.accepted || st.committed {
-			entry := encPaxos(inst, st.ballot, st.cmd)
-			var el [4]byte
-			binary.LittleEndian.PutUint32(el[:], uint32(len(entry)))
-			out = append(out, el[:]...)
-			out = append(out, entry...)
-		}
-	}
-	hdr := encPaxos(0, ballot, nil)
-	ctx.Send(m.Src, actor.Msg{Kind: kindPromise, Data: append(hdr, out...)})
+	size := 16
+	c.log.each(func(_ uint64, s *slot) { size += 4 + len(s.payload) })
+	out := make([]byte, 16, size)
+	binary.LittleEndian.PutUint64(out[8:], ballot)
+	c.log.each(func(_ uint64, s *slot) {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(s.payload)))
+		out = append(out, s.payload...)
+	})
+	ctx.Send(m.Src, actor.Msg{Kind: kindPromise, Data: out})
 	return 800 * sim.Nanosecond
 }
 
@@ -342,14 +393,14 @@ func (c *Consensus) promise(ctx actor.Ctx, m actor.Msg) sim.Time {
 		if len(rest) < el {
 			break
 		}
-		inst, b, cmd, ok2 := decPaxos(rest[:el])
+		entry := rest[:el:el]
 		rest = rest[el:]
+		inst, b, _, ok2 := decPaxos(entry)
 		if !ok2 {
 			continue
 		}
-		cur := c.merged[inst]
-		if cur == nil || b > cur.ballot {
-			c.merged[inst] = &instState{ballot: b, cmd: append([]byte(nil), cmd...)}
+		if s := c.merged.at(inst); !s.present() || b > s.ballot() {
+			*s = slot{payload: entry, accepted: true}
 		}
 	}
 	c.checkElected(ctx)
@@ -366,29 +417,24 @@ func (c *Consensus) checkElected(ctx actor.Ctx) {
 		c.OnLead(c.ballot)
 	}
 	// Choose the next available instance and re-propose every merged
-	// entry that is not yet committed locally, in sorted instance order
-	// so the re-proposal message sequence is deterministic.
-	insts := make([]uint64, 0, len(c.merged))
-	for inst := range c.merged {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		st := c.merged[inst]
+	// entry that is not yet committed locally, in ascending instance
+	// order so the re-proposal message sequence is deterministic. A
+	// re-proposed instance drops the client it was proposed for.
+	c.merged.each(func(inst uint64, e *slot) {
 		if inst >= c.next {
 			c.next = inst + 1
 		}
-		local := c.log[inst]
-		if local != nil && local.committed {
-			continue
+		s := c.log.at(inst)
+		if s.committed {
+			return
 		}
-		ns := &instState{ballot: c.ballot, cmd: st.cmd, accepted: true, acks: 1}
-		c.log[inst] = ns
-		payload := encPaxos(inst, c.ballot, st.cmd)
+		delete(c.inflight, inst)
+		*s = slot{payload: encPaxos(inst, c.ballot, e.cmd()), acks: 1, accepted: true}
 		for _, p := range c.peers {
-			ctx.Send(p, actor.Msg{Kind: kindAccept, Data: payload})
+			ctx.Send(p, actor.Msg{Kind: kindAccept, Data: s.payload})
 		}
-	}
+	})
+	c.merged = paxosLog{}
 	if c.onElected != nil {
 		c.onElected()
 		c.onElected = nil
@@ -398,10 +444,10 @@ func (c *Consensus) checkElected(ctx actor.Ctx) {
 // LogLen reports committed instances (tests).
 func (c *Consensus) LogLen() int {
 	n := 0
-	for _, st := range c.log {
-		if st.committed {
+	c.log.each(func(_ uint64, s *slot) {
+		if s.committed {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -9,11 +9,13 @@ import (
 
 // bus is a synchronous in-memory message router for unit-testing the
 // consensus state machines without the full runtime: Send enqueues, and
-// Pump drains until quiescent.
+// pump drains until quiescent. The queue is reused once drained, so a
+// steady state of rounds through the bus allocates nothing of its own.
 type bus struct {
 	actors  map[actor.ID]*actor.Actor
 	ctxs    map[actor.ID]*busCtx
 	queue   []actor.Msg
+	head    int // queue[head:] is pending
 	replies []actor.Msg
 }
 
@@ -38,15 +40,34 @@ func (b *bus) add(a *actor.Actor) {
 
 func (b *bus) send(m actor.Msg) { b.queue = append(b.queue, m) }
 
-func (b *bus) pump() {
-	for len(b.queue) > 0 {
-		m := b.queue[0]
-		b.queue = b.queue[1:]
-		a, ok := b.actors[m.Dst]
-		if !ok {
-			continue // e.g. the memtable, absent in pure-Paxos tests
-		}
+// pending returns the queued messages, oldest first.
+func (b *bus) pending() []actor.Msg { return b.queue[b.head:] }
+
+// next removes and returns the oldest queued message.
+func (b *bus) next() actor.Msg {
+	m := b.queue[b.head]
+	b.queue[b.head] = actor.Msg{}
+	if b.head++; b.head == len(b.queue) {
+		b.queue, b.head = b.queue[:0], 0
+	}
+	return m
+}
+
+func (b *bus) deliver(m actor.Msg) {
+	if a, ok := b.actors[m.Dst]; ok { // absent: e.g. the memtable in pure-Paxos tests
 		a.OnMessage(b.ctxs[m.Dst], m)
+	}
+}
+
+func (b *bus) pump() { b.pumpExcept(nil) }
+
+// pumpExcept drains the queue like pump, dropping the messages drop
+// selects instead of delivering them.
+func (b *bus) pumpExcept(drop func(actor.Msg) bool) {
+	for len(b.pending()) > 0 {
+		if m := b.next(); drop == nil || !drop(m) {
+			b.deliver(m)
+		}
 	}
 }
 
@@ -150,7 +171,7 @@ func TestPaxosStaleBallotRejected(t *testing.T) {
 	b.pump()
 	b.send(actor.Msg{Kind: kindAccept, Dst: 2, Src: 1, Data: encPaxos(5, 1, []byte("cmd"))})
 	b.pump()
-	if st := f1.log[5]; st != nil && st.accepted {
+	if s := f1.log.find(5); s != nil && s.accepted {
 		t.Fatal("stale-ballot accept was taken")
 	}
 }
@@ -166,7 +187,7 @@ func TestElectionAdoptsUncommittedEntries(t *testing.T) {
 	// value accepted only by replicas outside the promise quorum need
 	// not be recovered — classic Paxos — so the deterministic case is
 	// the candidate's own log.
-	f2.log[2] = &instState{ballot: 1, cmd: encodeCmd(command{Op: opPut, Key: []byte("c"), Value: []byte("3")}), accepted: true}
+	*f2.log.at(2) = slot{payload: encPaxos(2, 1, encodeCmd(command{Op: opPut, Key: []byte("c"), Value: []byte("3")})), accepted: true}
 	leader.IsLeader = false
 
 	// Follower 2 runs for leader.

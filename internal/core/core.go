@@ -78,6 +78,8 @@ type Cluster struct {
 	// checkers holds one invariant checker per partition; empty when
 	// checking is disabled. See AttachCheckers.
 	checkers []*invariant.Checker
+	// wires holds one free list of wire records per partition (wire.go).
+	wires []wirePool
 
 	// onMembership listeners observe node crash/recovery transitions
 	// (see OnMembership in fault.go).
@@ -113,6 +115,7 @@ func NewPartitionedCluster(seed uint64, parts int) *Cluster {
 		Net:   netsim.NewPartitioned(g),
 		Table: actor.NewTable(),
 		nodes: map[string]*Node{},
+		wires: make([]wirePool, g.Partitions()),
 	}
 }
 
@@ -242,12 +245,13 @@ type Node struct {
 	// first poll.
 	nicBatchFn func([]msgring.Message)
 	// The node's free lists of per-message records: handler contexts
-	// (takeCtx), wire arrivals and node→node wire records (wire.go), and
-	// the handles messages cross the rings in (takeRing).
+	// (takeCtx), wire arrivals (wire.go), and the handles messages cross
+	// the rings in (takeRing). wires is its partition's list of
+	// node→node wire records (wire.go).
 	freeCtx      sim.FreeList[execCtx]
 	freeArrivals sim.FreeList[arrival]
-	freeWires    sim.FreeList[wireMsg]
 	freeRings    sim.FreeList[ringMsg]
+	wires        *wirePool
 	// chk is the partition's invariant checker (nil when disabled):
 	// under it released records are poisoned instead of recycled.
 	chk *invariant.Checker
@@ -318,6 +322,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		Objects:    dmo.NewStore(),
 		Violations: isolation.NewViolationLog(),
 		actors:     map[actor.ID]*actor.Actor{},
+		wires:      &c.wires[part],
 	}
 
 	n.Host = hostsim.New(eng, hostsim.Config{

@@ -3,14 +3,16 @@ package core
 import (
 	"repro/internal/actor"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // The two per-message records of the wire path. Both follow the idiom of
 // netsim's flights and this package's contexts (DESIGN.md §4): made on
 // first use, continuations bound once, recycled through a capped
-// single-writer sim.FreeList on the node. Under the invariant checker a
-// released record is poisoned instead of recycled, and anything landing
-// on it afterwards is a use-after-release violation.
+// single-writer sim.FreeList — an arrival on its node's, a wire record on
+// its partition's. Under the invariant checker a released record is
+// poisoned instead of recycled, and anything landing on it afterwards is
+// a use-after-release violation.
 
 // arrival carries the messages of one wire packet from Deliver to the
 // moment they enter the runtime: past the traffic gate on an offloaded
@@ -25,13 +27,13 @@ type arrival struct {
 	toNICFn, toHostFn func()
 }
 
-// maxFreeArrivals and maxFreeWires bound a node's two free lists: what a
-// node has between its port and its cores, and on the wire to its peers,
-// in steady state with room to spare; a burst past the cap is left to
-// the GC.
+// maxFreeArrivals bounds a node's arrival list: what a node has between
+// its port and its cores in steady state with room to spare; a burst past
+// the cap is left to the GC. maxFreeWires bounds a partition's wire list
+// the way maxFreeFlights bounds its flights.
 const (
 	maxFreeArrivals = 64
-	maxFreeWires    = 128
+	maxFreeWires    = 512
 )
 
 func (n *Node) takeArrival() *arrival {
@@ -96,21 +98,31 @@ func (a *arrival) release() {
 
 // wireMsg is one node→node message on the wire: the packet and the
 // message it carries in one record, travelling as the packet's pointer
-// payload so that nothing is boxed. The sender takes it from its own
-// list; the receiving node's Deliver copies the message out and puts the
-// record on *its* list, so a record changes nodes — and partitions — with
-// the packet, exactly as a flight does: two-way traffic recycles one set
-// of records, a one-way stream drains the sender's list. A packet the
-// network drops takes its record to the GC.
+// payload so that nothing is boxed. The sender takes it from its
+// partition's list; the receiving node's Deliver copies the message out
+// and puts the record on *its* partition's list, so a record changes
+// partitions with the packet, exactly as a flight does. On one partition
+// any traffic recycles one set of records, a one-way node pair included;
+// a one-way stream between partitions drains the source's list and
+// strands records on the far side, up to the cap. A packet the network
+// drops takes its record to the GC.
 type wireMsg struct {
 	pkt      netsim.Packet
 	m        actor.Msg
 	poisoned bool
 }
 
+// wirePool is one partition's list of wire records, touched only from
+// that partition's events. Padded to a cache line: the neighbouring
+// entries belong to partitions that other window workers are running.
+type wirePool struct {
+	sim.FreeList[wireMsg]
+	_ [40]byte
+}
+
 // sendWire puts m on the wire to node as a packet of size bytes.
 func (n *Node) sendWire(m actor.Msg, node string, size int) {
-	w := n.freeWires.Take()
+	w := n.wires.Take()
 	if w == nil {
 		w = &wireMsg{}
 	}
@@ -120,8 +132,8 @@ func (n *Node) sendWire(m actor.Msg, node string, size int) {
 }
 
 // takeWire is the receiving half: it returns the record's message and
-// releases the record to this node. ok is false for a record that was
-// already released (a packet delivered twice).
+// releases the record to this node's partition. ok is false for a record
+// that was already released (a packet delivered twice).
 func (n *Node) takeWire(w *wireMsg) (m actor.Msg, ok bool) {
 	if w.poisoned {
 		n.chk.UseAfterRelease("wire record", n.Name)
@@ -132,7 +144,7 @@ func (n *Node) takeWire(w *wireMsg) (m actor.Msg, ok bool) {
 	if n.chk != nil {
 		w.poisoned = true
 	} else {
-		n.freeWires.Put(w, maxFreeWires)
+		n.wires.Put(w, maxFreeWires)
 	}
 	return m, true
 }

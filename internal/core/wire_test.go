@@ -9,10 +9,10 @@ import (
 	"repro/internal/spec"
 )
 
-// The wire path's two pooled records — arrivals (Deliver → runtime) and
-// node→node wire records — counted exactly: free-list lengths and
-// testing.AllocsPerRun, no wall clock. The flight tests of
-// internal/netsim are the model.
+// The wire path's two pooled records — arrivals (Deliver → runtime), on
+// their node's list, and node→node wire records, on their partition's —
+// counted exactly: free-list lengths and testing.AllocsPerRun, no wall
+// clock. The flight tests of internal/netsim are the model.
 
 // pingPong builds two offloaded nodes a and b on a cluster of parts
 // partitions. Actor 1 on a and actor 2 on b bounce a message between
@@ -42,13 +42,18 @@ func pingPong(parts int) (cl *Cluster, a, b *Node, hops func() int) {
 	return cl, a, b, func() int { return *counts[0] + *counts[1] }
 }
 
-func wiresPooled(nodes ...*Node) int {
+// wiresPooled counts the wire records on all of the cluster's partition
+// lists.
+func wiresPooled(cl *Cluster) int {
 	total := 0
-	for _, n := range nodes {
-		total += n.freeWires.Len()
+	for i := range cl.wires {
+		total += cl.wires[i].Len()
 	}
 	return total
 }
+
+// wiresOn counts the wire records on node n's partition list.
+func wiresOn(n *Node) int { return n.wires.Len() }
 
 // TestWireAllocBudget: in steady state a node→node message — handler,
 // effect, wire record, flight, arrival, gate, scheduler — allocates
@@ -69,8 +74,8 @@ func TestWireAllocBudget(t *testing.T) {
 	if want := 102 * depth * (bounces + 1); hops() != want {
 		t.Fatalf("%d handler executions, want %d", hops(), want)
 	}
-	if got := wiresPooled(a, b); got != depth {
-		t.Fatalf("%d wire records pooled after rounds of %d in flight: two-way traffic must recycle one set", got, depth)
+	if got := wiresPooled(cl); got != depth {
+		t.Fatalf("%d wire records pooled after rounds of %d in flight: the partition must recycle one set", got, depth)
 	}
 	if got := a.freeArrivals.Len() + b.freeArrivals.Len(); got == 0 || got > 2*depth {
 		t.Fatalf("%d arrival records pooled, want between 1 and %d", got, 2*depth)
@@ -124,28 +129,29 @@ func TestDeliverAllocBudget(t *testing.T) {
 }
 
 // TestWireRecordCrashedReceiver: a crashed node still takes delivery of
-// the record — it is the message that is dropped.
+// the record and releases it to its partition — it is the message that
+// is dropped.
 func TestWireRecordCrashedReceiver(t *testing.T) {
-	cl, a, b, hops := pingPong(1)
+	cl, a, b, hops := pingPong(2)
 	b.Fail()
-	a.Inject(actor.Msg{Dst: 1, FlowID: 5})
-	cl.Eng.Run()
+	a.Eng().Defer(func() { a.Inject(actor.Msg{Dst: 1, FlowID: 5}) })
+	cl.RunUntil(10 * sim.Millisecond)
 	if hops() != 1 || b.DownDrops != 1 {
 		t.Fatalf("hops=%d DownDrops=%d, want the first hop executed and the second dropped at b", hops(), b.DownDrops)
 	}
-	if a.freeWires.Len() != 0 || b.freeWires.Len() != 1 {
-		t.Fatalf("wire records a=%d b=%d, want 0 and 1: the crashed receiver keeps the record", a.freeWires.Len(), b.freeWires.Len())
+	if wiresOn(a) != 0 || wiresOn(b) != 1 {
+		t.Fatalf("wire records on a's partition %d, on b's %d, want 0 and 1: the crashed receiver releases the record", wiresOn(a), wiresOn(b))
 	}
 	if b.freeArrivals.Len() != 0 {
 		t.Fatal("a crashed node admitted the message")
 	}
-	// Recovered, b sends with the record it was left.
+	// Recovered, b sends with the record its partition was left.
 	b.Recover()
-	b.Inject(actor.Msg{Dst: 2, FlowID: 1})
-	cl.Eng.Run()
-	if hops() != 3 || wiresPooled(a, b) != 1 || a.freeWires.Len() != 1 {
-		t.Fatalf("after recovery: hops=%d, records a=%d b=%d; want 3 hops and the one record now on a",
-			hops(), a.freeWires.Len(), b.freeWires.Len())
+	b.Eng().Defer(func() { b.Inject(actor.Msg{Dst: 2, FlowID: 1}) })
+	cl.RunUntil(20 * sim.Millisecond)
+	if hops() != 3 || wiresOn(b) != 0 || wiresOn(a) != 1 {
+		t.Fatalf("after recovery: hops=%d, records on a's partition %d, on b's %d; want 3 hops and the one record back on a's",
+			hops(), wiresOn(a), wiresOn(b))
 	}
 }
 
@@ -163,11 +169,11 @@ func TestWireRecordLostOnLink(t *testing.T) {
 		{"blocked", func(cl *Cluster) { cl.Net.SetBlocked("a", "b", true) }, func(cl *Cluster) { cl.Net.SetBlocked("a", "b", false) },
 			func(cl *Cluster) uint64 { return cl.Net.PartitionDrops() }},
 	} {
-		cl, a, b, hops := pingPong(1)
+		cl, a, _, hops := pingPong(1)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
-		cl.Eng.Run() // a→b→a: one record, now on a
-		if wiresPooled(a, b) != 1 {
-			t.Fatalf("%s: %d records after a warm-up round trip, want 1", tc.name, wiresPooled(a, b))
+		cl.Eng.Run() // a→b→a: one record, back on the partition
+		if wiresPooled(cl) != 1 {
+			t.Fatalf("%s: %d records after a warm-up round trip, want 1", tc.name, wiresPooled(cl))
 		}
 		tc.cut(cl)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
@@ -175,36 +181,79 @@ func TestWireRecordLostOnLink(t *testing.T) {
 		if tc.dropped(cl) != 1 || hops() != 3+1 {
 			t.Fatalf("%s: dropped=%d hops=%d, want the one packet dropped", tc.name, tc.dropped(cl), hops())
 		}
-		if wiresPooled(a, b) != 0 {
-			t.Fatalf("%s: %d records pooled: the dropped packet's record must be gone", tc.name, wiresPooled(a, b))
+		if wiresPooled(cl) != 0 {
+			t.Fatalf("%s: %d records pooled: the dropped packet's record must be gone", tc.name, wiresPooled(cl))
 		}
 		tc.heal(cl)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
 		cl.Eng.Run()
-		if hops() != 4+3 || wiresPooled(a, b) != 1 {
-			t.Fatalf("%s: after healing hops=%d records=%d, want 7 and 1", tc.name, hops(), wiresPooled(a, b))
+		if hops() != 4+3 || wiresPooled(cl) != 1 {
+			t.Fatalf("%s: after healing hops=%d records=%d, want 7 and 1", tc.name, hops(), wiresPooled(cl))
 		}
 	}
 }
 
 // TestWireAndArrivalListsBounded: a burst larger than the caps leaves at
-// most the caps pinned.
+// most the caps pinned. Only a one-way stream between partitions strands
+// records, so that is the burst.
 func TestWireAndArrivalListsBounded(t *testing.T) {
-	cl, a, b, hops := pingPong(1)
+	cl, a, b, hops := pingPong(2)
 	const burst = maxFreeWires + 100
-	for i := 0; i < burst; i++ {
-		a.Inject(actor.Msg{Dst: 1, FlowID: 1}) // one hop a→b each, none back
-	}
-	cl.Eng.Run()
+	a.Eng().Defer(func() {
+		for i := 0; i < burst; i++ {
+			a.Inject(actor.Msg{Dst: 1, FlowID: 1}) // one hop a→b each, none back
+		}
+	})
+	cl.RunUntil(100 * sim.Millisecond)
 	if hops() != 2*burst {
 		t.Fatalf("%d hops, want %d", hops(), 2*burst)
 	}
-	if a.freeWires.Len() != 0 || b.freeWires.Len() != maxFreeWires {
-		t.Fatalf("wire records a=%d b=%d after a one-way burst of %d, want 0 and the cap %d",
-			a.freeWires.Len(), b.freeWires.Len(), burst, maxFreeWires)
+	if wiresOn(a) != 0 || wiresOn(b) != maxFreeWires {
+		t.Fatalf("wire records on a's partition %d, on b's %d after a one-way burst of %d, want 0 and the cap %d",
+			wiresOn(a), wiresOn(b), burst, maxFreeWires)
 	}
 	if got := b.freeArrivals.Len(); got == 0 || got > maxFreeArrivals {
 		t.Fatalf("%d arrival records pooled, cap %d", got, maxFreeArrivals)
+	}
+}
+
+// TestOneWayPairRecyclesOnPartition: a one-way stream between two nodes
+// of one partition allocates no wire record in steady state — the
+// receiver releases each record to the list the sender takes from. A
+// one-way stream between partitions still strands its records on the
+// far side until that list is full, and keeps making new ones.
+func TestOneWayPairRecyclesOnPartition(t *testing.T) {
+	cl, a, _, hops := pingPong(1)
+	const burst = 64
+	round := func() {
+		for i := 0; i < burst; i++ {
+			a.Inject(actor.Msg{Dst: 1, FlowID: 1})
+		}
+		cl.Eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("a one-way burst of %d on one partition allocates %.2f: the sender's records must come back", burst, got)
+	}
+	if hops() != 2*burst*102 {
+		t.Fatalf("%d hops, want %d", hops(), 2*burst*102)
+	}
+	if got := wiresPooled(cl); got == 0 || got > burst {
+		t.Fatalf("%d wire records pooled after one-way bursts of %d", got, burst)
+	}
+
+	cl, a, b, _ := pingPong(2)
+	for k := 1; k <= 3; k++ {
+		a.Eng().Defer(func() {
+			for i := 0; i < maxFreeWires/2; i++ {
+				a.Inject(actor.Msg{Dst: 1, FlowID: 1})
+			}
+		})
+		cl.RunUntil(sim.Time(k) * 100 * sim.Millisecond)
+		if want := min(k*maxFreeWires/2, maxFreeWires); wiresOn(a) != 0 || wiresOn(b) != want {
+			t.Fatalf("after %d one-way bursts across partitions: records on a's partition %d, on b's %d; want 0 and %d",
+				k, wiresOn(a), wiresOn(b), want)
+		}
 	}
 }
 
@@ -229,10 +278,10 @@ func TestWireRecordsChangePartitions(t *testing.T) {
 		if hops() != depth*(bounces+1) {
 			t.Fatalf("workers=%d: %d hops, want %d", workers, hops(), depth*(bounces+1))
 		}
-		if got := wiresPooled(a, b); got != depth {
+		if got := wiresPooled(cl); got != depth {
 			t.Fatalf("workers=%d: %d records after %d crossings at depth %d: two-way traffic must recycle", workers, got, hops(), depth)
 		}
-		before := b.freeWires.Len()
+		before := wiresOn(b)
 		const oneWay = 50
 		a.Eng().Defer(func() {
 			for i := 0; i < oneWay; i++ {
@@ -240,8 +289,8 @@ func TestWireRecordsChangePartitions(t *testing.T) {
 			}
 		})
 		cl.RunUntil(200 * sim.Millisecond)
-		if a.freeWires.Len() != 0 || b.freeWires.Len() != before+oneWay {
-			t.Fatalf("workers=%d: one-way burst of %d left a=%d b=%d (b had %d)", workers, oneWay, a.freeWires.Len(), b.freeWires.Len(), before)
+		if wiresOn(a) != 0 || wiresOn(b) != before+oneWay {
+			t.Fatalf("workers=%d: one-way burst of %d left a's partition %d, b's %d (b's had %d)", workers, oneWay, wiresOn(a), wiresOn(b), before)
 		}
 	}
 }
@@ -258,7 +307,7 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 	if hops() != 11 {
 		t.Fatalf("%d hops under the checker, want 11", hops())
 	}
-	if wiresPooled(a, b) != 0 || a.freeArrivals.Len()+b.freeArrivals.Len() != 0 {
+	if wiresPooled(cl) != 0 || a.freeArrivals.Len()+b.freeArrivals.Len() != 0 {
 		t.Fatal("records were recycled under the checker")
 	}
 	if err := chk.Err(); err != nil {
