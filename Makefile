@@ -36,8 +36,9 @@ alloc-budget:
 # fuzz-smoke: five seconds of each native fuzz target on top of its
 # committed seed corpus (testdata/fuzz) — the RKV command decoder, the
 # RKV consensus handlers under forged messages, the DT transaction codec,
-# the DMO page table against a map model, and the host↔NIC channel
-# against a slice model. A failing input is written under the package's
+# the DMO page table against a map model, the host↔NIC channel against a
+# slice model, and the engine's two-tier event queue against a flat
+# reference scheduler. A failing input is written under the package's
 # testdata/fuzz: commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCmd$$' -fuzztime 5s ./internal/apps/rkv
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime 5s ./internal/apps/dt
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 5s ./internal/dmo
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelOps$$' -fuzztime 5s ./internal/msgring
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime 5s ./internal/sim
 
 # fault-smoke: run the availability experiment under the default fault
 # schedule with tracing on, validate the trace artifact, and confirm the

@@ -37,7 +37,7 @@ type contract struct {
 }
 
 var contracts = []contract{
-	{"internal/sim", "deterministic discrete-event engine: event heap, virtual clock, stations, FIFOs, seeded RNG, partitioned groups", nil},
+	{"internal/sim", "deterministic discrete-event engine: two-tier event queue, virtual clock, stations, FIFOs, seeded RNG, partitioned groups", nil},
 	{"internal/stats", "EWMA, streaming samples and exact percentiles", nil},
 	{"internal/shard", "consistent-hash ring for sharded deployments", nil},
 	{"internal/nstack", "Table 4's Nstack: real Ethernet/IPv4/UDP framing", nil},

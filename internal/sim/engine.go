@@ -52,17 +52,6 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Micros builds a virtual time from floating-point microseconds.
 func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
-// event is a scheduled callback. Events are pooled: after firing they
-// return to the engine's free list and are reused by later
-// At/After/Defer calls. A scheduled event always fires; nothing in the
-// simulator revokes work, matching iPipe's run-to-completion runtime
-// (§3.2) — timeouts check a done flag when they fire instead.
-type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among events at the same instant
-	fn  func()
-}
-
 // executedTotal counts events executed across all engines in the
 // process. Engines flush into it at the end of Run/RunUntil, groups
 // after every round (not per event — this must not touch the hot
@@ -75,22 +64,26 @@ var executedTotal atomic.Uint64
 func TotalExecuted() uint64 { return executedTotal.Load() }
 
 // Engine is a discrete-event simulation engine. The zero value is not
-// usable; construct with NewEngine.
+// usable; construct with NewEngine. A scheduled event always fires, as
+// in iPipe's run-to-completion runtime (§3.2): timeouts check a done
+// flag when they fire instead of being revoked.
 type Engine struct {
 	now     Time
-	seq     uint64
-	q       eventQueue
-	free    []*event // recycled event shells for reuse
-	tickers int      // pending events that are Every ticks
+	seq     uint64     // stamps far events
+	far     eventQueue // events at or beyond now+wheelSpan
+	tickers int        // pending events that are Every ticks
 	rng     *Rand
 	ran     uint64 // events executed
 	flushed uint64 // portion of ran already added to executedTotal
+	near    wheel  // events before now+wheelSpan
 }
 
 // NewEngine returns an engine at time zero with a deterministic PRNG
 // seeded by seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	e := &Engine{rng: NewRand(seed)}
+	e.near.nodes = make([]wnode, 1, 64) // node 0 is the wheel's nil
+	return e
 }
 
 // Now returns the current virtual time.
@@ -103,40 +96,11 @@ func (e *Engine) Rand() *Rand { return e.rng }
 func (e *Engine) Executed() uint64 { return e.ran }
 
 // Pending reports the number of scheduled (not yet fired) events.
-func (e *Engine) Pending() int { return len(e.q) }
+func (e *Engine) Pending() int { return e.near.n + len(e.far) }
 
 // Busy reports whether any event other than an Every tick is pending:
 // the simulation still has foreground work.
-func (e *Engine) Busy() bool { return len(e.q) > e.tickers }
-
-// alloc takes an event shell from the free list, or makes one.
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// maxFreeEvents bounds the free list. A burst of short-lived events
-// (message trains, retry storms) can momentarily inflate the heap to
-// hundreds of thousands of shells; without a cap every one of them
-// would stay pinned on the free list for the rest of the run. Beyond
-// the cap, shells are released to the GC instead. Steady-state churn
-// far below the cap still allocates nothing (see BenchmarkEnginePool*).
-const maxFreeEvents = 4096
-
-// recycle returns ev to the free list (or drops it once the list is
-// full).
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	if len(e.free) >= maxFreeEvents {
-		return
-	}
-	e.free = append(e.free, ev)
-}
+func (e *Engine) Busy() bool { return e.Pending() > e.tickers }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug.
@@ -147,10 +111,12 @@ func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	if t-e.now < wheelSpan {
+		e.near.push(t, fn)
+		return
+	}
+	e.far.push(event{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	e.q.push(ev)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -182,27 +148,47 @@ func (e *Engine) Every(d Time, fn func()) {
 	e.After(d, tick)
 }
 
+// migrate moves the far events the clock has brought within the wheel's
+// span onto their slots, in (at, seq) order. It runs whenever the clock
+// advances.
+func (e *Engine) migrate() {
+	for len(e.far) > 0 && e.far[0].at-e.now < wheelSpan {
+		ev := e.far.pop()
+		e.near.push(ev.at, ev.fn)
+	}
+}
+
+// take removes the earliest pending event if it is due at or before
+// deadline, advances the clock to it and returns its callback; it
+// returns nil, leaving the clock alone, otherwise.
+func (e *Engine) take(deadline Time) func() {
+	if e.Pending() == 0 {
+		return nil
+	}
+	at := e.nextTime()
+	if at > deadline {
+		return nil
+	}
+	if at != e.now { // the wheel is empty, or its first slot is ahead
+		e.now = at
+		e.migrate()
+	}
+	return e.near.pop(at)
+}
+
 // Step executes the next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if len(e.q) == 0 {
-		return false
+	fn := e.take(MaxTime)
+	if fn != nil {
+		e.ran++
+		fn()
 	}
-	ev := e.q.pop()
-	e.now = ev.at
-	fn := ev.fn
-	e.recycle(ev) // recycled before fn so chains reuse the shell
-	e.ran++
-	fn()
-	return true
+	return fn != nil
 }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	for len(e.q) > 0 {
-		ev := e.q.pop()
-		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
+	for fn := e.take(MaxTime); fn != nil; fn = e.take(MaxTime) {
 		e.ran++
 		fn()
 	}
@@ -213,16 +199,13 @@ func (e *Engine) Run() {
 // callbacks schedule at or before the deadline while it runs), then
 // advances the clock to deadline. Events beyond it remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.q) > 0 && e.q[0].at <= deadline {
-		ev := e.q.pop()
-		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
+	for fn := e.take(deadline); fn != nil; fn = e.take(deadline) {
 		e.ran++
 		fn()
 	}
 	if e.now < deadline {
 		e.now = deadline
+		e.migrate()
 	}
 	e.flushExecuted()
 }
@@ -231,10 +214,13 @@ func (e *Engine) RunUntil(deadline Time) {
 // when none remain. The partitioned run loop (Group) uses it to compute
 // the global safe horizon.
 func (e *Engine) nextTime() Time {
-	if len(e.q) == 0 {
-		return MaxTime
+	if e.near.n > 0 {
+		return e.near.next(e.now)
 	}
-	return e.q[0].at
+	if len(e.far) > 0 {
+		return e.far[0].at
+	}
+	return MaxTime
 }
 
 // runWindow executes every event strictly before limit, including
@@ -246,11 +232,7 @@ func (e *Engine) nextTime() Time {
 // round (Group.flushExecuted), so progress reporting stays live during
 // long partitioned runs without every worker hitting the shared counter.
 func (e *Engine) runWindow(limit Time) {
-	for len(e.q) > 0 && e.q[0].at < limit {
-		ev := e.q.pop()
-		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
+	for fn := e.take(limit - 1); fn != nil; fn = e.take(limit - 1) {
 		e.ran++
 		fn()
 	}

@@ -5,26 +5,39 @@ import "testing"
 // BenchmarkEngineEventsPerSec measures raw event throughput on the hot
 // path every substrate shares: schedule → pop → fire. A fixed fan of
 // self-rescheduling callbacks keeps the queue at a realistic depth
-// (hundreds of pending events) so heap reshuffling cost is included.
+// (hundreds of pending events). "near" draws delays the way the
+// substrates do, all inside the wheel's span; "straddle" draws them
+// from twice the span, so half the events wait in the far heap and
+// migrate onto the wheel.
 func BenchmarkEngineEventsPerSec(b *testing.B) {
-	const fan = 256 // concurrent timer chains ≈ pending-queue depth
-	e := NewEngine(1)
-	remaining := b.N
-	var tick func()
-	tick = func() {
-		remaining--
-		if remaining > 0 {
-			e.After(Time(1+e.rng.Intn(1000)), tick)
-		}
+	for _, bc := range []struct {
+		name    string
+		horizon int
+	}{
+		{"near", 1000},
+		{"straddle", 2 * wheelSpan},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const fan = 256 // concurrent timer chains ≈ pending-queue depth
+			e := NewEngine(1)
+			remaining := b.N
+			var tick func()
+			tick = func() {
+				remaining--
+				if remaining > 0 {
+					e.After(Time(1+e.rng.Intn(bc.horizon)), tick)
+				}
+			}
+			for i := 0; i < fan && i < b.N; i++ {
+				e.After(Time(1+e.rng.Intn(bc.horizon)), tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
-	for i := 0; i < fan && i < b.N; i++ {
-		e.After(Time(1+e.rng.Intn(1000)), tick)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkEngineScheduleFire exercises the one-shot pattern (At with an

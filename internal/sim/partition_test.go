@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"testing"
@@ -740,6 +741,90 @@ func TestInboxTieOrder(t *testing.T) {
 		g.RunUntil(10*Microsecond, workers)
 		if got := fmt.Sprint(*order); got != "[inbox caller]" {
 			t.Errorf("workers=%d: inbox event vs caller-scheduled event ran %v, want inbox first", workers, got)
+		}
+	}
+}
+
+// TestGroupInjectsStraddleWheel runs cross-partition traffic whose
+// injects land both inside and beyond the wheel's span of the
+// destination's clock, beside local events at the same instants, and
+// advances the group in RunUntil steps and through barrier actions,
+// each a clock normalization that must migrate far events. Every event
+// must fire at its time, and at 1, 2 and 4 workers each partition's
+// history must be the one a single (at, seq) heap produces, pinned by
+// its digest.
+func TestGroupInjectsStraddleWheel(t *testing.T) {
+	const (
+		parts     = 4
+		lookahead = 900 * Nanosecond
+		want      = "0076b0a778c8cfb5c7a64604709f048eb0190323f6484d5215309f0c24d32380"
+	)
+	delays := []Time{lookahead, lookahead + 100, wheelSpan - 1, wheelSpan, wheelSpan + 1, 9000, 20000}
+	run := func(workers int) string {
+		g := NewGroup(7, parts)
+		g.TightenLookahead(lookahead)
+		logs := make([][]string, parts)
+		for i := 0; i < parts; i++ {
+			i, e := i, g.Engine(i)
+			var tick func(n int)
+			tick = func(n int) {
+				draw := e.Rand().Uint64()
+				dst := int(draw % parts)
+				at := e.Now() + delays[draw/parts%uint64(len(delays))]
+				mark := func(p int, what string) func() {
+					return func() {
+						if now := g.Engine(p).Now(); now != at {
+							t.Errorf("%s from partition %d fired at %v, scheduled for %v", what, i, now, at)
+						}
+						logs[p] = append(logs[p], fmt.Sprintf("%d %s %d.%d", at, what, i, n))
+					}
+				}
+				if dst != i {
+					g.Inject(i, dst, at, mark(dst, "inject"))
+				}
+				e.At(at, mark(i, "local")) // ties with injects landing at at
+				if n < 400 {
+					e.At(e.Now()+Time(50+draw%200), func() { tick(n + 1) })
+				}
+			}
+			e.Defer(func() { tick(0) })
+		}
+		// Events scheduled right after a clock normalization — by barrier
+		// actions (clocks at B-1) and by the caller between RunUntil calls
+		// (clocks at the deadline) — land beside far events the
+		// normalization brought into range.
+		outside := func(what string, n int) {
+			for p := 0; p < parts; p++ {
+				p, e := p, g.Engine(p)
+				for k, d := range delays {
+					at, tag := e.Now()+d, fmt.Sprintf("%s %d.%d", what, n, k)
+					e.At(at, func() {
+						if e.Now() != at {
+							t.Errorf("%s fired at %v, scheduled for %v", tag, e.Now(), at)
+						}
+						logs[p] = append(logs[p], fmt.Sprintf("%d %s", at, tag))
+					})
+				}
+			}
+		}
+		for k, at := range []Time{10 * Microsecond, 30*Microsecond + 3} {
+			g.AtBarrier(at, func() { outside("barrier", k) })
+		}
+		for k, deadline := range []Time{20 * Microsecond, 20*Microsecond + 1, 45 * Microsecond, MaxTime} {
+			g.RunUntil(deadline, workers)
+			if deadline < MaxTime {
+				outside("caller", k)
+			}
+		}
+		sum := sha256.New()
+		for p := range logs {
+			fmt.Fprintln(sum, p, logs[p])
+		}
+		return fmt.Sprintf("%x", sum.Sum(nil))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if got := run(workers); got != want {
+			t.Errorf("workers=%d: history digest %s, want %s", workers, got, want)
 		}
 	}
 }

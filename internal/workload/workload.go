@@ -433,6 +433,7 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	head2 float64 // 1 + 0.5^θ: uz below it draws key 1
 }
 
 // eulerGamma is the Euler–Mascheroni constant, used by the harmonic
@@ -451,7 +452,7 @@ func NewZipf(rnd *sim.Rand, n uint64, theta float64) *Zipf {
 	if theta < 0 || theta > 1 {
 		panic("workload: Zipf skew must be in [0, 1]")
 	}
-	z := &Zipf{rnd: rnd, n: n, theta: theta}
+	z := &Zipf{rnd: rnd, n: n, theta: theta, head2: 1 + math.Pow(0.5, theta)}
 	z.zetan = zeta(n, theta)
 	if theta == 1 {
 		return z // alpha/eta unused on the harmonic branch
@@ -477,7 +478,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.head2 {
 		return 1
 	}
 	var v uint64

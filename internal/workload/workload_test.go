@@ -99,6 +99,44 @@ func TestZipfHarmonicHead(t *testing.T) {
 	}
 }
 
+// TestZipfDrawsUnchangedByHoistedHead: Next compares against 1 + 0.5^θ
+// computed once in NewZipf; 10⁵ draws per skew must equal, key for key,
+// the formula that computed it on every draw.
+func TestZipfDrawsUnchangedByHoistedHead(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.85, 0.99, 1} {
+		z := NewZipf(sim.NewRand(23), 1000, theta)
+		ref := *z
+		ref.rnd = sim.NewRand(23)
+		for i := 0; i < 100000; i++ {
+			if got, want := z.Next(), perDrawPowNext(&ref); got != want {
+				t.Fatalf("θ=%v draw %d: %d, want %d", theta, i, got, want)
+			}
+		}
+	}
+}
+
+// perDrawPowNext is Zipf.Next with 1 + 0.5^θ recomputed on every draw.
+func perDrawPowNext(z *Zipf) uint64 {
+	u := z.rnd.Float64()
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	var v uint64
+	if z.theta == 1 {
+		v = uint64(math.Exp(uz - eulerGamma))
+	} else {
+		v = uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	}
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
 func TestZipfRejectsDegenerateParams(t *testing.T) {
 	cases := []struct {
 		n     uint64
