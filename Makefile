@@ -59,21 +59,17 @@ fault-smoke:
 		{ echo "fault-smoke: no fault span in trace" >&2; exit 1; }
 	@echo "fault-smoke: fault spans present"
 
-# replay-smoke: golden-replay a registry subset with the invariant
-# checker attached to every cluster, along every determinism axis that
-# applies — serial vs parallel sweep for all of them, 1 vs 2 and 1 vs 4
-# window workers for those that build partitioned clusters; fingerprints
-# must match byte-for-byte. Covers faults, queue-model ablation, sharded
-# scale-out, a multi-cluster sweep, the partitioned scale sweep, the
-# faulted and the migrating mesh (at their default partition counts and
-# at 2), and the qos family. The full registry runs with `ipipe-bench
-# -quick -check all` (~25s).
+# replay-smoke: golden-replay the whole quick registry, an invariant
+# checker on every cluster, along every determinism axis that applies
+# (sweep 1 vs N; 1 vs 2 and 1 vs 4 window workers for partitioned runs),
+# then the -pdes 2 entries: every digest must equal its line of
+# internal/bench/testdata/replay_golden.txt (the obs: lines are go test's).
 replay-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check faults-availability fig17 \
-		ablate-queue scale-shards scale-nodes faults-pdes migrate-pdes
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 \
-		scale-nodes faults-pdes migrate-pdes
-	$(GO) run ./cmd/ipipe-bench -quick -check -qos
+	$(GO) run ./cmd/ipipe-bench -quick -check all >/tmp/ipipe-replay-smoke.txt
+	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 fig17 scale-nodes \
+		faults-pdes migrate-pdes >>/tmp/ipipe-replay-smoke.txt
+	sed -n 's/^  digest //p' /tmp/ipipe-replay-smoke.txt | LC_ALL=C sort >/tmp/ipipe-replay-smoke.digests
+	grep -v '^#\|^obs:' internal/bench/testdata/replay_golden.txt | diff - /tmp/ipipe-replay-smoke.digests
 	@echo "replay-smoke: ok"
 
 # check: the CI step — formatting, static analysis, the race suite, the

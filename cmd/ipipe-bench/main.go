@@ -19,10 +19,8 @@
 // multi-partition cluster, window execution at 2 and at 4 workers. The
 // invariant fingerprints must match the baseline byte-for-byte and no
 // invariant may be violated; exits nonzero otherwise. A sha256 digest of
-// every (id, seed) fingerprint is printed for cross-commit comparison.
-//
-// -qos selects the qos-* experiment family (multi-tenant lanes,
-// admission, SLO controller) when no ids are given.
+// every (id, seed) fingerprint is printed for cross-commit comparison,
+// keyed as in internal/bench/testdata/replay_golden.txt.
 //
 // -pdes N shards partition-aware experiments (the scale-nodes family)
 // across N engine partitions, executed by -parallel window workers.
@@ -64,7 +62,6 @@ func main() {
 	metricsFile := flag.String("metrics", "", "write NDJSON metric snapshots to `file` (forces -parallel 1)")
 	metricsInterval := flag.Duration("metrics-interval", 100*time.Microsecond, "metric snapshot interval (virtual time)")
 	check := flag.Bool("check", false, "golden replay: run with invariant checking at two seeds and compare fingerprints along every determinism axis (sweep 1-vs-N, PDES 1-vs-2 and 1-vs-4 window workers)")
-	qosFamily := flag.Bool("qos", false, "run the qos-* experiment family when no ids are given")
 	pdes := flag.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults)")
 	reportFile := flag.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
 	flag.Parse()
@@ -87,9 +84,6 @@ func main() {
 	}
 
 	ids := flag.Args()
-	if *qosFamily && len(ids) == 0 {
-		ids = bench.QoSExperimentIDs()
-	}
 	if *list || len(ids) == 0 {
 		fmt.Println("experiments (run with: ipipe-bench [ids...] or 'all'):")
 		width := 0

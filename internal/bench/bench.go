@@ -92,7 +92,7 @@ type Result struct {
 	// Wall is the real time Run spent producing this result; Events is
 	// the number of simulation events executed while doing so. Both are
 	// filled by Run for bench-trajectory tracking (-json); they are not
-	// part of the table output and not compared by parity tests.
+	// part of the table output and not in the golden rendering.
 	Wall   time.Duration
 	Events uint64
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -160,8 +158,7 @@ func TestObsReportDeterministic(t *testing.T) {
 		if err := one.WriteReport(&buf); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, []string{fmt.Sprintf("obs:%s seed=%d %x", es.ID, rep.Seed, sha256.Sum256(buf.Bytes()))},
-			opts, buf.String())
+		checkGolden(t, []string{digestLine("obs:"+es.ID, opts.PDESParts, rep.Seed, buf.String())}, buf.String())
 	}
 	if es := rep.Experiments[1]; es.Handoffs == 0 || es.Rounds == 0 {
 		t.Errorf("%s reports no PDES activity: %+v", es.ID, es)

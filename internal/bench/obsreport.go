@@ -1,14 +1,15 @@
 package bench
 
 // Observing a harness run. Observer is the Options.Observe that
-// ipipe-bench -trace/-metrics, the observed-run report and the parity
-// tests share; ObsReport (ipipe-bench -report) re-runs a small set of
-// experiments under it and condenses what the observability layer saw —
-// merged sojourn histograms, gauge watermarks, scheduler timelines,
-// counter totals, event and PDES handoff/round counts — into the
-// obs.Report artifact. Every field is a pure function of (seed, code),
-// so the rendered bytes are reproducible and each experiment's sha256
-// is pinned in testdata/replay_golden.txt.
+// ipipe-bench -trace/-metrics, the observed-run report and
+// TestObservedRunParity share; ObsReport (ipipe-bench -report) re-runs
+// a small set of experiments under it and condenses what the
+// observability layer saw — merged sojourn histograms, gauge
+// watermarks, scheduler timelines, counter totals, event and PDES
+// handoff/round counts — into the obs.Report artifact. Every field is a
+// pure function of (seed, code), so the rendered bytes are reproducible
+// and each experiment's sha256 is pinned as an "obs:" line of
+// testdata/replay_golden.txt, beside every -check digest.
 
 import (
 	"fmt"

@@ -7,31 +7,29 @@ import (
 
 // TestScaleNodesQuick: the sweep produces one row per size with live
 // traffic and cross-partition handoffs, and the table is byte-identical
-// between the serial window merge and parallel window execution — the
-// registry-level statement of the PDES determinism contract.
+// at 2 and at 4 window workers — beside the one pass's serial ≡ 2
+// workers, the registry-level statement of the PDES determinism
+// contract.
 func TestScaleNodesQuick(t *testing.T) {
-	serial, err := Run("scale-nodes", Options{Quick: true, PDESWorkers: 1})
+	two := runQuick(t, "scale-nodes")
+	if len(two.Rows) != len(scaleNodeSizes(Options{Quick: true})) {
+		t.Fatalf("expected one row per size, got %d", len(two.Rows))
+	}
+	for i := range two.Rows {
+		if cell(t, two, i, 2) == 0 {
+			t.Fatalf("row %v: no ops completed", two.Rows[i])
+		}
+		if cell(t, two, i, 7) == 0 {
+			t.Fatalf("row %v: no cross-partition traffic", two.Rows[i])
+		}
+	}
+	four, err := Run("scale-nodes", Options{Quick: true, PDESWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Rows) != len(scaleNodeSizes(Options{Quick: true})) {
-		t.Fatalf("expected one row per size, got %d", len(serial.Rows))
-	}
-	for i := range serial.Rows {
-		if cell(t, serial, i, 2) == 0 {
-			t.Fatalf("row %v: no ops completed", serial.Rows[i])
-		}
-		if cell(t, serial, i, 7) == 0 {
-			t.Fatalf("row %v: no cross-partition traffic", serial.Rows[i])
-		}
-	}
-	parallel, err := Run("scale-nodes", Options{Quick: true, PDESWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rowsEqual(serial.Rows, parallel.Rows) {
-		t.Fatalf("scale-nodes diverged across window workers:\n  serial:   %v\n  parallel: %v",
-			serial.Rows, parallel.Rows)
+	if !rowsEqual(two.Rows, four.Rows) {
+		t.Fatalf("scale-nodes diverged across window workers:\n  2 workers: %v\n  4 workers: %v",
+			two.Rows, four.Rows)
 	}
 }
 
@@ -58,16 +56,4 @@ func TestScaleNodesPartsOverride(t *testing.T) {
 			t.Fatalf("row %d: partitions = %v, want 2", i, got)
 		}
 	}
-}
-
-// TestGoldenReplayPDESSubset: the PDES replay axis holds on a quick
-// subset — the partitioned scale sweep, a classic experiment (which the
-// axis skips: it builds no multi-partition cluster), the faulted mesh
-// (barrier-arm fault injection at window boundaries), and the migrating
-// mesh (window-boundary migration commits with fault arms landing
-// mid-phase) — with per-partition invariant ledgers attached and
-// fingerprints byte-compared between 1 and 2 window workers.
-func TestGoldenReplayPDESSubset(t *testing.T) {
-	replaySubset(t, []string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"},
-		Options{Quick: true, PDESParts: 2}, replayAxes(4)[1:2])
 }

@@ -32,12 +32,6 @@ func init() {
 	register("qos-lanes", "Priority lanes and admission on the partitioned echo mesh (PDES determinism coverage)", qosLanes)
 }
 
-// QoSExperimentIDs is the qos experiment family, for the -qos CLI axis
-// and the QoS golden replay.
-func QoSExperimentIDs() []string {
-	return []string{"qos-storm", "qos-skew", "qos-lanes", "qos-storm-pdes"}
-}
-
 // qosTenantNames index the storm/skew tenant tables.
 const (
 	qosTenantProd  = 0

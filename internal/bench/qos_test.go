@@ -122,10 +122,3 @@ func TestQoSLanesPDESDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenReplayQoSSubset replays the whole qos family along both
-// determinism axes (sweep serial-vs-parallel, PDES 1-vs-2 workers) with
-// the invariant checker attached to every cluster.
-func TestGoldenReplayQoSSubset(t *testing.T) {
-	replaySubset(t, QoSExperimentIDs(), Options{Quick: true}, replayAxes(4)[:2])
-}

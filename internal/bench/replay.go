@@ -67,8 +67,9 @@ type ReplayReport struct {
 	// Mismatches lists runs whose fingerprint differs byte-for-byte
 	// from their baseline's.
 	Mismatches []string
-	// Digests holds "id seed=N sha256" for every (id, seed) baseline
-	// fingerprint, in replay order — the cross-commit oracle: a refactor
+	// Digests holds "id pdes=N seed=N sha256" for every (id, seed)
+	// baseline fingerprint, in replay order — the lines of
+	// testdata/replay_golden.txt, the cross-commit oracle: a refactor
 	// that claims identical simulated behavior must reproduce every one.
 	Digests []string
 
@@ -128,6 +129,7 @@ type checked struct {
 	// partitioned reports that the run built a multi-partition cluster:
 	// observed from the clusters themselves, not declared per experiment.
 	partitioned bool
+	result      *Result // the same rows and notes as an unchecked run's
 }
 
 // checkedRun executes one experiment with an invariant checker attached
@@ -144,10 +146,11 @@ func checkedRun(id, tag string, opts Options) (checked, error) {
 		byCluster = append(byCluster, cchks)
 		mu.Unlock()
 	}
-	if _, err := Run(id, opts); err != nil {
+	r, err := Run(id, opts)
+	if err != nil {
 		return checked{}, err
 	}
-	var out checked
+	out := checked{result: r}
 	var fps []string
 	for _, cchks := range byCluster {
 		// Cross-partition handoff reconciliation: after a drained run,
@@ -199,8 +202,7 @@ func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error
 				return nil, err
 			}
 			rep.add(0, base)
-			rep.Digests = append(rep.Digests,
-				fmt.Sprintf("%s seed=%d %x", id, seed, sha256.Sum256([]byte(base.fingerprint))))
+			rep.Digests = append(rep.Digests, digestLine(id, opts.PDESParts, seed, base.fingerprint))
 			for i, a := range axes {
 				if a.pdesWorkers > 1 && !base.partitioned {
 					continue // window workers cannot matter without windows
@@ -219,4 +221,9 @@ func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error
 		}
 	}
 	return rep, nil
+}
+
+// digestLine keys data's sha256 by what produced it, as a digest line.
+func digestLine(name string, pdes int, seed uint64, data string) string {
+	return fmt.Sprintf("%s pdes=%d seed=%d %x", name, pdes, seed, sha256.Sum256([]byte(data)))
 }

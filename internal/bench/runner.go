@@ -6,9 +6,10 @@
 // OS threads. The helpers here fan points out across a bounded worker
 // pool and collect results in deterministic sweep order: a parallel run
 // produces byte-identical Result tables to a serial one (enforced by
-// TestParallelParity), because parallelism only reorders wall-clock
-// execution, never the per-point virtual-time simulation or the order
-// results are assembled in.
+// the one pass over the quick registry against its serial rendering,
+// testdata/quick_seed1.txt), because parallelism only reorders
+// wall-clock execution, never the per-point virtual-time simulation or
+// the order results are assembled in.
 package bench
 
 import (

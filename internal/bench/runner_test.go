@@ -1,37 +1,9 @@
 package bench
 
 import (
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
-
-// TestParallelParity is the determinism contract of the sweep runner:
-// for every registered experiment, the parallel path must produce
-// byte-identical Result rows and notes to the serial path. Parallelism
-// may only change wall-clock interleaving, never simulation outcomes.
-func TestParallelParity(t *testing.T) {
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			serial, err := Run(id, Options{Quick: true, Parallel: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := Run(id, Options{Quick: true, Parallel: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
-				t.Fatalf("rows diverge between serial and parallel runs:\nserial:   %v\nparallel: %v",
-					serial.Rows, parallel.Rows)
-			}
-			if !reflect.DeepEqual(serial.Notes, parallel.Notes) {
-				t.Fatalf("notes diverge:\nserial:   %v\nparallel: %v", serial.Notes, parallel.Notes)
-			}
-		})
-	}
-}
 
 func TestSweepCoversAllPointsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 32} {
@@ -106,10 +78,7 @@ func TestGridRoundTrip(t *testing.T) {
 // Run must stamp wall time and a nonzero simulation event count on
 // results that actually simulate.
 func TestRunRecordsWallAndEvents(t *testing.T) {
-	r, err := Run("fig2", Options{Quick: true, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runQuick(t, "fig2")
 	if r.Wall <= 0 {
 		t.Fatalf("Wall = %v, want > 0", r.Wall)
 	}
