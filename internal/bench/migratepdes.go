@@ -129,7 +129,7 @@ func migratePDES(opts Options) *Result {
 	r.Add("buffered requests forwarded", o.buffered)
 	r.Add("faults injected", o.injected)
 	r.Add("windows/crossed", fmt.Sprintf("%d/%d", o.rounds, o.crossed))
-	r.Note("node-local migration phases run on the owning partition engine; the table/registration commit defers to the next window boundary (DESIGN.md §13)")
+	r.Note("node-local migration phases run on the owning partition engine; the table/registration commit defers to the next window boundary (DESIGN.md §9)")
 	r.Note("arms: crash n000 mid phase-3 (commit lands anyway), NIC-down n001 mid phase-1 (re-homing skips the in-flight actor); a pull whose NIC dies in flight bounces back to the host and records nothing")
 	r.Note("pull records carry the direction tag, so both directions are accounted (a pull may be refused while a policy migration holds the latch)")
 	return r

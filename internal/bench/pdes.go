@@ -47,6 +47,6 @@ func runScaleNodes(opts Options) *Result {
 		r.Add(s.Nodes, s.Partitions, s.Ops, s.TputKops, s.P50us, s.P99us, s.Events, s.Crossed, s.Rounds)
 	}
 	r.Note("closed-loop echo-RPC mesh: one NIC-pinned actor + one depth-2 client per node, Zipf(0.99) destinations")
-	r.Note("deterministic columns only — wall-clock speedup is reported by the separate PDES bench artifact")
+	r.Note("deterministic columns only — wall-clock cost is measured by the mesh_pdes vs mesh_classic workloads of benchmark/")
 	return r
 }
