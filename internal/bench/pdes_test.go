@@ -57,3 +57,13 @@ func TestScaleNodesPartsOverride(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenReplayPDESSubset: the PDES replay axis holds on a quick
+// subset at both seeds — the partitioned scale sweep, a classic
+// experiment (which the axis skips: it builds no multi-partition
+// cluster), the faulted mesh and the migrating mesh — with per-partition
+// invariant ledgers attached and fingerprints byte-compared between 1
+// and 2 window workers and against their pdes=2 lines of the golden file.
+func TestGoldenReplayPDESSubset(t *testing.T) {
+	replaySubset(t, pdes2IDs, Options{Quick: true, PDESParts: 2}, replayAxes(4)[1:2])
+}

@@ -122,3 +122,11 @@ func TestQoSLanesPDESDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenReplayQoSSubset replays the whole qos family at both seeds
+// along both determinism axes (sweep serial-vs-parallel, PDES 1-vs-2
+// workers) with the invariant checker attached to every cluster.
+func TestGoldenReplayQoSSubset(t *testing.T) {
+	replaySubset(t, []string{"qos-storm", "qos-skew", "qos-lanes", "qos-storm-pdes"},
+		Options{Quick: true}, replayAxes(4)[:2])
+}

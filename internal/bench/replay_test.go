@@ -253,6 +253,36 @@ func checkGolden(t *testing.T, lines []string, detail string) {
 	}
 }
 
+// replaySubset runs the golden replay over ids along the given axes and
+// requires a clean report whose digests match the committed ones.
+func replaySubset(t *testing.T, ids []string, opts Options, axes []axis) *ReplayReport {
+	t.Helper()
+	rep, err := goldenReplay(ids, opts, axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clusters == 0 || rep.Checks == 0 {
+		t.Fatalf("replay checked nothing: %+v", rep)
+	}
+	if !rep.OK() {
+		var buf strings.Builder
+		rep.Fprint(&buf)
+		t.Fatal(buf.String())
+	}
+	checkGolden(t, rep.Digests, "")
+	return rep
+}
+
+// TestGoldenReplaySubset is the tier-1 slice of the golden replay along
+// the sweep axis at both seeds (the one pass checks seed 1 only): a
+// fault-schedule experiment (epoch fingerprints), a multi-cluster sweep,
+// and the faulted-PDES mesh, quick mode, serial vs parallel sweep.
+// `make replay-smoke` / `ipipe-bench -check` run every axis.
+func TestGoldenReplaySubset(t *testing.T) {
+	replaySubset(t, []string{"faults-availability", "fig17", "faults-pdes"},
+		Options{Quick: true}, replayAxes(4)[:1])
+}
+
 // TestGoldenReplayAxesFollowTheClusters: whether the PDES axes apply is
 // observed from the clusters a run builds — a classic experiment gets
 // the baseline and the sweep run only, a partitioned one all four, and
