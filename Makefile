@@ -64,12 +64,16 @@ fault-smoke:
 # (sweep 1 vs N; 1 vs 2 and 1 vs 4 window workers for partitioned runs),
 # then the -pdes 2 entries: every digest must equal its line of
 # internal/bench/testdata/replay_golden.txt (the obs: lines are go test's).
+# Last, the full-resolution registry at 2 workers must equal
+# internal/bench/testdata/full_seed1.txt; each hunk of a difference is
+# headed by the "== id" line of its experiment.
 replay-smoke:
 	$(GO) run ./cmd/ipipe-bench -quick -check all >/tmp/ipipe-replay-smoke.txt
 	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 fig17 scale-nodes \
 		faults-pdes migrate-pdes >>/tmp/ipipe-replay-smoke.txt
 	sed -n 's/^  digest //p' /tmp/ipipe-replay-smoke.txt | LC_ALL=C sort >/tmp/ipipe-replay-smoke.digests
 	grep -v '^#\|^obs:' internal/bench/testdata/replay_golden.txt | diff - /tmp/ipipe-replay-smoke.digests
+	$(GO) run ./cmd/ipipe-bench -seed 1 -parallel 2 all | diff -u -F '^== ' internal/bench/testdata/full_seed1.txt -
 	@echo "replay-smoke: ok"
 
 # check: the CI step — formatting, static analysis, the race suite, the

@@ -55,7 +55,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one NDJSON record per experiment")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep-point worker count (1 = serial)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file`")
 	traceFile := flag.String("trace", "", "write a Chrome trace of every simulated cluster to `file` (forces -parallel 1)")
@@ -84,7 +83,7 @@ func main() {
 	}
 
 	ids := flag.Args()
-	if *list || len(ids) == 0 {
+	if len(ids) == 0 {
 		fmt.Println("experiments (run with: ipipe-bench [ids...] or 'all'):")
 		width := 0
 		for _, id := range bench.IDs() {

@@ -4,20 +4,29 @@ package ipipe_test
 //
 //   - TestImportContracts: which package may import which (the
 //     contracts table below is the dependency graph);
-//   - TestExportedSurface: what an internal package may export;
+//   - TestExportedSurface: what non-test code may declare — nothing no
+//     program reaches, and no export only its own package uses;
 //   - TestFacadeSurface: what the root facade may export;
+//   - TestFreeListOwnership: who may recycle a pooled record;
 //   - TestViewsDoNotEscape: where a borrowed view may not be stored.
 //
-// Each reads the source with go/parser and nothing else, so each rule is
-// a syntactic approximation; its limits are stated where it is defined.
+// All of them read one load of the module: every package's non-test
+// files, type-checked with go/types against the standard library's
+// export data, and the root package's tests. TestViewsDoNotEscape
+// still matches syntax only; its limits are stated where it is defined.
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -125,9 +134,11 @@ var contracts = []contract{
 			"internal/workload"}},
 }
 
-// surfaceAllowed lists exported internal identifiers that pass the
-// surface audit although no other package's non-test code names them,
-// each with the reason it is API all the same.
+// surfaceAllowed lists the identifiers TestExportedSurface passes
+// although it would fail them, each with its reason. Most are test
+// seams: no program reaches them, and the test the reason names is
+// their subject, so they stay as long as it does. The rest are exported
+// with no user in another package, and are API all the same.
 var surfaceAllowed = map[string]string{
 	"internal/dmo.ErrNoSuchObject":    dmoErrors,
 	"internal/dmo.ErrRegionExhausted": dmoErrors,
@@ -140,12 +151,72 @@ var surfaceAllowed = map[string]string{
 		"MaxTimeout: how long an uncapped retry can wait",
 	"internal/apps/dt.Partition": "the key-to-participant rule is how a client makes a transaction " +
 		"span one store or several; deploy's crash-atomicity test relies on it",
+
+	"benchmark.metricDef.driver":      benchFrozen,
+	"benchmark.metricDef.driverBound": benchFrozen,
+	"benchmark.wlSpec.why":            benchFrozen,
+	"internal/msgring.Message.DstActor": "benchmark/layers.go addresses its ring messages with it; " +
+		"benchmark/ is frozen",
+
+	"internal/spec.NICModel.Vendor": table1,
+	"internal/spec.NICModel.OnPath": table1,
+	"internal/spec.NICModel.FullOS": table1,
+
+	"internal/actor.Table.Len":                "TestTable counts the table's entries",
+	"internal/apps/nf.TCAM.Size":              "TestTCAMScanDepth sizes the rule table",
+	"internal/apps/nf.IPSec.Open":             "TestIPSecSealOpenRoundTrip opens what the gateway sealed",
+	"internal/apps/rkv.Replica.SST":           "TestMinorCompactionAndSSTableRead reads the leader's SSTable store",
+	"internal/apps/rkv.delReq":                rkvDelete,
+	"internal/apps/rkv.opDel":                 rkvDelete,
+	"internal/apps/rkv.skipList.Count":        "TestSkipListDrainSortedAndResets",
+	"internal/bench.checked.result":           "TestParallelParity compares each checked rendering with quick_seed1.txt",
+	"internal/deploy.Common.Retry":            "Example_deploymentSpec, which the README quotes, reads the policy back",
+	"internal/deploy.Spec.Validate":           "TestSpecValidationTable validates every spec through the interface",
+	"internal/dmo.Store.Size":                 "TestStoreMatchesMapModel",
+	"internal/dmo.Store.Memset":               "TestMemset: Table 4's dmo_mmset, which no application calls",
+	"internal/dmo.Store.Memcpy":               "TestMemcpyBetweenObjects: Table 4's dmo_mmcpy, which no application calls",
+	"internal/dmo.Store.Memmove":              "TestMemmoveOverlap: Table 4's dmo_mmmove, which no application calls",
+	"internal/fault.Injector.Fingerprint":     "TestFingerprintDeterminism",
+	"internal/isolation.Mechanism":            isolationMechanism,
+	"internal/isolation.FirmwareTimer":        isolationMechanism,
+	"internal/isolation.OSSignals":            isolationMechanism,
+	"internal/isolation.ViolationLog.Total":   "TestViolationLog",
+	"internal/microbench.KVCache.Len":         "TestKVCacheEviction",
+	"internal/microbench.LPMTrie.n":           lpmRoutes,
+	"internal/microbench.LPMTrie.insert":      lpmRoutes,
+	"internal/microbench.LPMTrie.Len":         lpmRoutes,
+	"internal/microbench.Maglev.spread":       "TestMaglevBalanceAndConsistency",
+	"internal/microbench.PFabric.Len":         "TestPFabricLen",
+	"internal/microbench.Bayes.train":         "TestBayesLearnsSeparableClasses",
+	"internal/msgring.Message.Kind":           "TestHostToNICRoundTrip",
+	"internal/msgring.Message.SrcActor":       "TestChannelMatchesModel numbers its messages with it",
+	"internal/netsim.Network.setHandler":      "TestSetHandler",
+	"internal/nstack.WQE.reverse":             "TestReverseEchoPath",
+	"internal/pcie.Engine.InFlight":           "TestInFlightBackpressureSignal",
+	"internal/sim.FreeList.Len":               "TestCallListBounded and the other pool tests bound free lists with it",
+	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
+	"internal/sim.Group.Run":                  "TestPartitionedMatchesSerialWindows: programs run a Group through its engines",
+	"internal/sim.Station.QueueLen":           "TestStationQueueDrainsFIFOAndReleasesSlots",
+	"internal/sim.Station.InService":          "TestStationQueueDrainsFIFOAndReleasesSlots",
+	"internal/sim.Station.Completed":          "TestStationFIFOSingleServer",
+	"internal/spec.NICModel.maxBandwidthGbps": "TestMaxBandwidthSaturatesAtLineRate",
+	"internal/stats.EWMA.reset":               "TestEWMAReset",
+	"internal/stats.welford":                  "TestWelfordExact",
+	"internal/stats.Sample.Quantile":          "TestHistogramQuantileMatchesExact",
+	"internal/stats.Sample.reset":             "TestSampleReset",
+	"internal/workload.Client.Offered":        "TestQoSRejectAccounting",
 }
 
 const (
 	dmoErrors = "actor.Ctx's DMO calls return these to application handlers, " +
 		"which tell them apart with errors.Is"
-	qosLanes = "name the indices of the [NumLanes] counter arrays LaneSched and Runtime.LaneTotals export"
+	qosLanes           = "name the indices of the [NumLanes] counter arrays LaneSched and Runtime.LaneTotals export"
+	benchFrozen        = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
+	table1             = "Table 1 description; ROADMAP item 3 decides"
+	rkvDelete          = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
+	isolationMechanism = "TestMechanismString: §3.4's two enforcement substrates, which no run " +
+		"distinguishes"
+	lpmRoutes = "TestLPMTrieLongestMatch installs routes; the Table 3 Router runs on an empty table"
 )
 
 // viewEscapeAllowed lists "file.go:function" pairs allowed to store a
@@ -153,24 +224,34 @@ const (
 // keeps a view.
 var viewEscapeAllowed = map[string]string{}
 
-// pkg is one parsed package: its non-test files only.
+// pkg is one type-checked package: its non-test files only, except for
+// the root package's tests, which load as a package of their own.
 type pkg struct {
 	path  string // module-relative
 	name  string
 	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 type module struct {
 	fset *token.FileSet
 	pkgs map[string]*pkg
-	// rootTests are the root package's test files.
-	rootTests []*ast.File
+	// rootTests is the root package's tests (package ipipe_test).
+	rootTests *pkg
+	// tests names every Test, Fuzz, Example and Benchmark function in
+	// the module.
+	tests map[string]bool
 }
 
-// loadModule parses the module once: every package's non-test files,
-// and the root package's tests.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
+
+// loadModule parses the module once and type-checks every package's
+// non-test files, then the root package's tests. Other packages' test
+// files are only scanned for the names of their test functions.
 var loadModule = sync.OnceValues(func() (*module, error) {
-	m := &module{fset: token.NewFileSet(), pkgs: map[string]*pkg{}}
+	m := &module{fset: token.NewFileSet(), pkgs: map[string]*pkg{}, tests: map[string]bool{}}
+	var rootTests []*ast.File
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -190,15 +271,24 @@ var loadModule = sync.OnceValues(func() (*module, error) {
 			dir = ""
 		}
 		test := strings.HasSuffix(p, "_test.go")
-		if test && dir != "" {
-			return nil
+		if test {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			for _, sm := range testFunc.FindAllSubmatch(src, -1) {
+				m.tests[string(sm[1])] = true
+			}
+			if dir != "" {
+				return nil
+			}
 		}
 		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		if test {
-			m.rootTests = append(m.rootTests, f)
+			rootTests = append(rootTests, f)
 			return nil
 		}
 		if m.pkgs[dir] == nil {
@@ -207,8 +297,89 @@ var loadModule = sync.OnceValues(func() (*module, error) {
 		m.pkgs[dir].files = append(m.pkgs[dir].files, f)
 		return nil
 	})
-	return m, err
+	if err != nil {
+		return nil, err
+	}
+	m.rootTests = &pkg{path: "_test", name: "ipipe_test", files: rootTests}
+	return m, m.check()
 })
+
+// check type-checks every package in import order. Module imports come
+// from the packages checked before; the standard library comes from the
+// export data the go command lists for it.
+func (m *module) check() error {
+	all := append(sortedValues(m.pkgs), m.rootTests)
+	std := map[string]bool{}
+	for _, p := range all {
+		for _, f := range p.files {
+			for _, spec := range f.Imports {
+				if path := strings.Trim(spec.Path.Value, `"`); !isModule(path) {
+					std[path] = true
+				}
+			}
+		}
+	}
+	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"},
+		sortedKeys(std)...)...).Output()
+	if err != nil {
+		return err
+	}
+	export := map[string]string{}
+	for _, line := range strings.Fields(string(out)) {
+		path, file, _ := strings.Cut(line, "=")
+		export[path] = file
+	}
+	imp := moduleImporter{
+		std: importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(export[path])
+		}),
+		pkgs: map[string]*types.Package{},
+	}
+	var check func(p *pkg) error
+	check = func(p *pkg) error {
+		for _, f := range p.files {
+			for _, spec := range f.Imports {
+				rel, ok := modRel(strings.Trim(spec.Path.Value, `"`))
+				if dep := m.pkgs[rel]; ok && dep != nil && dep.types == nil {
+					if err := check(dep); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		p.info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		conf := types.Config{Importer: imp}
+		var err error
+		p.types, err = conf.Check(importPath(p.path), m.fset, p.files, p.info)
+		imp.pkgs[importPath(p.path)] = p.types
+		return err
+	}
+	for _, p := range all {
+		if p.types == nil {
+			if err := check(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+type moduleImporter struct {
+	std  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (imp moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := imp.pkgs[path]; ok {
+		return p, nil
+	}
+	return imp.std.Import(path)
+}
 
 func mustLoad(t *testing.T) *module {
 	t.Helper()
@@ -217,6 +388,24 @@ func mustLoad(t *testing.T) *module {
 		t.Fatal(err)
 	}
 	return m
+}
+
+func isModule(importPath string) bool {
+	_, ok := modRel(importPath)
+	return ok
+}
+
+func importPath(rel string) string {
+	if rel == "" {
+		return modulePath
+	}
+	return modulePath + "/" + rel
+}
+
+// relPath is the module-relative path of a module package.
+func relPath(p *types.Package) string {
+	rel, _ := modRel(p.Path())
+	return rel
 }
 
 // modRel maps an import path to a module-relative package path; ok is
@@ -282,92 +471,396 @@ func TestImportContracts(t *testing.T) {
 	}
 }
 
-// decl is one exported top-level identifier.
-type decl struct {
-	pkg, name string
-	pos       token.Pos
-	node      ast.Node     // *ast.FuncDecl, *ast.TypeSpec or *ast.ValueSpec
-	typ       ast.Expr     // a value's declared type, implicit in a const group
-	group     *ast.GenDecl // nil for a function
+// finding is one identifier an audit rejects, keyed as in surfaceAllowed.
+type finding struct {
+	pos      token.Pos
+	key, why string
 }
 
-func (d *decl) key() string { return d.pkg + "." + d.name }
-
-// surface is the exported top-level identifiers of some packages, keyed
-// "path.Name", the exported methods of their types, and which of them
-// pass so far.
-type surface struct {
-	m       *module
-	decls   map[string]*decl
-	methods map[string][]*ast.FuncDecl // "path.Type" → exported methods
-	pass    map[string]bool
-	work    []string
-}
-
-func newSurface(m *module, paths ...string) *surface {
-	s := &surface{m: m, decls: map[string]*decl{}, methods: map[string][]*ast.FuncDecl{}, pass: map[string]bool{}}
-	for _, path := range paths {
-		for _, f := range m.pkgs[path].files {
-			s.collect(path, f)
+// TestExportedSurface is the reachability audit. Non-test code is
+// reached from the programs: the main functions of cmd/, benchmark and
+// examples/, every init function, every package-level initializer, and
+// the facade's exported names (TestFacadeSurface holds those to their
+// users). Reached code reaches every function, method, type, field and
+// constant it names; a method also when a value of its receiver type
+// exists in reached code and an interface method of the same name and
+// signature is called (a standard-library parameter of interface type
+// counts as called, and so do String, Error and Unwrap); a field also
+// through == or a map key, or when encoding/json sees its struct. A
+// struct literal's key writes a field but does not use it.
+//
+// It fails on every declared identifier that nothing reaches (a member
+// of an unreached type is covered by its type), and on every exported
+// top-level identifier under internal/ that no other package's non-test
+// code uses, unless it is a type the exported API of one that passes
+// names. surfaceAllowed lists the exceptions; an entry that silences
+// nothing fails, and so does one whose reason names a test that does
+// not exist.
+func TestExportedSurface(t *testing.T) {
+	m := mustLoad(t)
+	r := newReach(m)
+	r.run()
+	findings := append(r.unreached(), exportedOwnUse(m)...)
+	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
+	silenced := map[string]bool{}
+	for _, f := range findings {
+		if _, ok := surfaceAllowed[f.key]; ok {
+			silenced[f.key] = true
+			continue
+		}
+		t.Errorf("%s: %s %s", m.fset.Position(f.pos), f.key, f.why)
+	}
+	for _, key := range sortedKeys(surfaceAllowed) {
+		if !silenced[key] {
+			t.Errorf("surfaceAllowed: %s silences nothing: it is reached, used by another package, or gone; drop the entry", key)
+		}
+		for _, name := range testName.FindAllString(surfaceAllowed[key], -1) {
+			if !m.tests[name] {
+				t.Errorf("surfaceAllowed: %s names %s, which is no test of the module; drop or fix the entry", key, name)
+			}
 		}
 	}
-	return s
+	t.Logf("%d identifiers reached, %d allow-list entries", len(r.reached), len(surfaceAllowed))
 }
 
-func (s *surface) collect(path string, f *ast.File) {
-	add := func(d *decl) { s.decls[d.key()] = d }
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if !d.Name.IsExported() {
-				continue
+var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
+
+// exportedOwnUse lists the exported top-level identifiers under
+// internal/ that no other package's non-test code uses and that are not
+// types the exported API of one that does names.
+func exportedOwnUse(m *module) []finding {
+	pass := map[types.Object]bool{}
+	var work []types.Object
+	mark := func(o types.Object) {
+		if o.Pkg() != nil && isModule(o.Pkg().Path()) && !pass[o] {
+			pass[o] = true
+			work = append(work, o)
+		}
+	}
+	for _, p := range sortedValues(m.pkgs) {
+		for _, o := range p.info.Uses {
+			if o.Pkg() != nil && o.Pkg() != p.types && o.Parent() == o.Pkg().Scope() {
+				mark(origin(o))
 			}
-			if d.Recv == nil {
-				add(&decl{pkg: path, name: d.Name.Name, pos: d.Name.Pos(), node: d})
-			} else if recv := recvType(d); recv != "" {
-				s.methods[path+"."+recv] = append(s.methods[path+"."+recv], d)
+		}
+	}
+	var api func(t types.Type)
+	api = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			mark(t.Origin().Obj())
+			for i := range t.TypeArgs().Len() {
+				api(t.TypeArgs().At(i))
 			}
-		case *ast.GenDecl:
-			var typ ast.Expr // a const spec without values repeats the previous type
-			for _, sp := range d.Specs {
-				switch sp := sp.(type) {
-				case *ast.TypeSpec:
-					if sp.Name.IsExported() {
-						add(&decl{pkg: path, name: sp.Name.Name, pos: sp.Name.Pos(), node: sp, group: d})
-					}
-				case *ast.ValueSpec:
-					if sp.Type != nil || len(sp.Values) > 0 || d.Tok == token.VAR {
-						typ = sp.Type
-					}
-					for _, n := range sp.Names {
-						if n.IsExported() {
-							add(&decl{pkg: path, name: n.Name, pos: n.Pos(), node: sp, typ: typ, group: d})
+		case *types.Pointer:
+			api(t.Elem())
+		case *types.Slice:
+			api(t.Elem())
+		case *types.Array:
+			api(t.Elem())
+		case *types.Chan:
+			api(t.Elem())
+		case *types.Map:
+			api(t.Key())
+			api(t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := range tup.Len() {
+					api(tup.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := range t.NumFields() {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					api(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := range t.NumEmbeddeds() {
+				api(t.EmbeddedType(i))
+			}
+			for i := range t.NumExplicitMethods() {
+				api(t.ExplicitMethod(i).Type())
+			}
+		}
+	}
+	for len(work) > 0 {
+		o := work[len(work)-1]
+		work = work[:len(work)-1]
+		api(o.Type())
+		if _, ok := o.(*types.TypeName); !ok {
+			continue
+		}
+		if n, ok := o.Type().(*types.Named); ok {
+			api(n.Underlying())
+			for i := range n.TypeParams().Len() {
+				api(n.TypeParams().At(i).Constraint())
+			}
+			for i := range n.NumMethods() {
+				if meth := n.Method(i); meth.Exported() {
+					api(meth.Type())
+				}
+			}
+		}
+	}
+	var out []finding
+	for _, p := range sortedValues(m.pkgs) {
+		if !strings.HasPrefix(p.path, "internal/") {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			if o := p.types.Scope().Lookup(name); o.Exported() && !pass[o] {
+				out = append(out, finding{o.Pos(), p.path + "." + name,
+					"is exported but no other package's non-test code uses it; unexport or delete it"})
+			}
+		}
+	}
+	return out
+}
+
+// TestFacadeSurface holds the root facade to what its users use. A name
+// it exports passes if examples/, cmd/ or the root package's tests use
+// it (the README quotes one of those tests, see
+// TestReadmeQuotesExample); if its declaration is named in the
+// declaration of one that passes; or if it shares a const or var group
+// with one that passes, so a family such as the time units or the NIC
+// models stays whole.
+func TestFacadeSurface(t *testing.T) {
+	m := mustLoad(t)
+	root := m.pkgs[""]
+	decls := map[types.Object]ast.Node{}
+	groups := map[types.Object]*ast.GenDecl{}
+	for _, f := range root.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decls[root.info.Defs[d.Name]] = d.Type
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						decls[root.info.Defs[sp.Name]] = sp
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							decls[root.info.Defs[n]] = sp
+							groups[root.info.Defs[n]] = d
 						}
 					}
 				}
 			}
 		}
 	}
-}
-
-// mark passes key, if it is one of the surface's identifiers, and
-// queues it for close.
-func (s *surface) mark(key string) {
-	if _, ok := s.decls[key]; ok && !s.pass[key] {
-		s.pass[key] = true
-		s.work = append(s.work, key)
+	pass := map[types.Object]bool{}
+	var work []types.Object
+	mark := func(o types.Object) {
+		if o.Pkg() == root.types && o.Exported() && o.Parent() == root.types.Scope() && !pass[o] {
+			pass[o] = true
+			work = append(work, o)
+		}
+	}
+	for _, p := range append(sortedValues(m.pkgs), m.rootTests) {
+		if strings.HasPrefix(p.path, "examples/") || strings.HasPrefix(p.path, "cmd/") || p == m.rootTests {
+			for _, o := range p.info.Uses {
+				mark(o)
+			}
+		}
+	}
+	families := map[*ast.GenDecl]bool{}
+	for o := range pass {
+		if g := groups[o]; g != nil {
+			families[g] = true
+		}
+	}
+	for member, g := range groups {
+		if families[g] {
+			mark(member)
+		}
+	}
+	for len(work) > 0 {
+		o := work[len(work)-1]
+		work = work[:len(work)-1]
+		if d := decls[o]; d != nil {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && root.info.Uses[id] != nil {
+					mark(root.info.Uses[id])
+				}
+				return true
+			})
+		}
+	}
+	for _, name := range root.types.Scope().Names() {
+		if o := root.types.Scope().Lookup(name); o.Exported() && !pass[o] {
+			t.Errorf("%s: the facade exports %s, which no example, command or root test uses; delete it",
+				m.fset.Position(o.Pos()), name)
+		}
 	}
 }
 
-// markUses passes every identifier f names as pkg.Name, except those
-// of f's own package.
-func (s *surface) markUses(f *ast.File, own string) {
-	imports := importNames(f, s.m.pkgs)
+// TestFreeListOwnership is the ownership guard for pooled records:
+// every use of (*sim.FreeList[T]).Put sits in the package that declares
+// T, so only the owner recycles its records, and so only the owner has
+// to poison them on release.
+func TestFreeListOwnership(t *testing.T) {
+	m := mustLoad(t)
+	fl := m.pkgs["internal/sim"].types.Scope().Lookup("FreeList").Type().(*types.Named)
+	var put *types.Func
+	for i := range fl.NumMethods() {
+		if fl.Method(i).Name() == "Put" {
+			put = fl.Method(i)
+		}
+	}
+	if put == nil {
+		t.Fatal("sim.FreeList has no Put method")
+	}
+	var errs []finding
+	uses := 0
+	for _, p := range sortedValues(m.pkgs) {
+		for id, o := range p.info.Uses {
+			f, ok := o.(*types.Func)
+			if !ok || f.Origin() != put {
+				continue
+			}
+			uses++
+			recv := f.Type().(*types.Signature).Recv().Type().(*types.Pointer).Elem().(*types.Named)
+			rec := recv.TypeArgs().At(0)
+			owner := p.types
+			if n, ok := rec.(*types.Named); ok {
+				owner = n.Obj().Pkg()
+			}
+			if owner != p.types {
+				errs = append(errs, finding{id.Pos(), strings.TrimPrefix(rec.String(), modulePath+"/"), "is recycled by " + display(p.path) +
+					", which does not declare it; only the owning package may Put its records"})
+			}
+		}
+	}
+	sort.Slice(errs, func(i, j int) bool { return errs[i].pos < errs[j].pos })
+	for _, e := range errs {
+		t.Errorf("%s: %s %s", m.fset.Position(e.pos), e.key, e.why)
+	}
+	if uses == 0 {
+		t.Error("nothing calls sim.FreeList.Put; the guard checks nothing")
+	}
+}
+
+// reach is the reachability audit's state.
+type reach struct {
+	// decls maps every declared function, method, type, package-level
+	// value, field and interface method to what reaching it uses of its
+	// declaration.
+	decls map[types.Object]site
+	// owner maps a method, field or interface method to its named type.
+	owner   map[types.Object]types.Object
+	reached map[types.Object]bool
+	work    []site
+	// built holds the named types reached code has a value of; called,
+	// the signatures of the interface methods it calls, by name.
+	built    map[*types.TypeName]bool
+	called   map[string][]*types.Signature
+	jsonSeen map[types.Type]bool
+}
+
+// site is a syntax tree to walk and the package that declares it.
+type site struct {
+	p *pkg
+	n ast.Node
+}
+
+// newReach indexes the module's declarations and queues the roots,
+// the facade's exported names among them.
+func newReach(m *module) *reach {
+	r := &reach{decls: map[types.Object]site{}, owner: map[types.Object]types.Object{},
+		reached: map[types.Object]bool{}, built: map[*types.TypeName]bool{},
+		called: map[string][]*types.Signature{}, jsonSeen: map[types.Type]bool{}}
+	for _, p := range sortedValues(m.pkgs) {
+		for _, f := range p.files {
+			r.index(p, f)
+		}
+	}
+	root := m.pkgs[""].types.Scope()
+	for _, name := range root.Names() {
+		if o := root.Lookup(name); o.Exported() {
+			r.mark(o)
+		}
+	}
+	return r
+}
+
+// index records the declarations of one file and queues its roots:
+// init, main and the package-level initializers.
+func (r *reach) index(p *pkg, f *ast.File) {
+	for _, d := range f.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.VAR {
+			for _, sp := range g.Specs {
+				for _, v := range sp.(*ast.ValueSpec).Values {
+					r.work = append(r.work, site{p, v})
+				}
+			}
+		}
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			if fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && p.name == "main") {
+				r.work = append(r.work, site{p, fd})
+			}
+			o := p.info.Defs[fd.Name]
+			r.decls[o] = site{p, fd}
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				t := recv.Type()
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				r.owner[o] = t.(*types.Named).Obj()
+			}
+		}
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok && path != own {
-					s.mark(path + "." + sel.Sel.Name)
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			tn := p.info.Defs[n.Name]
+			r.decls[tn] = site{p, typeUses(n)}
+			ast.Inspect(n.Type, func(n ast.Node) bool {
+				var fields *ast.FieldList
+				switch n := n.(type) {
+				case *ast.StructType:
+					fields = n.Fields
+				case *ast.InterfaceType:
+					fields = n.Methods
+				default:
+					return true
+				}
+				for _, fd := range fields.List {
+					names := fd.Names
+					if len(names) == 0 {
+						if _, ok := n.(*ast.StructType); !ok {
+							continue // an embedded interface comes with its interface
+						}
+						names = []*ast.Ident{embeddedName(fd.Type)}
+					}
+					for _, name := range names {
+						if o := p.info.Defs[name]; o != nil {
+							r.decls[o] = site{p, fd.Type}
+							r.owner[o] = tn
+						}
+					}
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			if n.Tok == token.CONST || n.Tok == token.VAR {
+				for _, sp := range n.Specs {
+					vs := sp.(*ast.ValueSpec)
+					uses := &ast.FieldList{}
+					if vs.Type != nil {
+						uses.List = append(uses.List, &ast.Field{Type: vs.Type})
+					}
+					if n.Tok == token.CONST {
+						for _, v := range vs.Values {
+							uses.List = append(uses.List, &ast.Field{Type: v})
+						}
+					}
+					for _, name := range vs.Names {
+						r.decls[p.info.Defs[name]] = site{p, uses}
+					}
 				}
 			}
 		}
@@ -375,121 +868,326 @@ func (s *surface) markUses(f *ast.File, own string) {
 	})
 }
 
-// close passes the types named in the exported signature or exported
-// fields of every passing identifier, and in the signatures of a passing
-// type's exported methods, until nothing new passes.
-func (s *surface) close() {
-	for len(s.work) > 0 {
-		key := s.work[len(s.work)-1]
-		s.work = s.work[:len(s.work)-1]
-		d := s.decls[key]
-		visit := func(n ast.Node) {
-			imports := importNames(fileOf(s.m.pkgs[d.pkg], n.Pos()), s.m.pkgs)
-			namedTypes(n, d.pkg, imports, s.mark)
+// typeUses is what reaching a type uses of its declaration: its type
+// parameters and, unless it is a struct or an interface, its whole
+// definition. Fields and interface methods are reached one by one;
+// embedded interfaces come with the interface.
+func typeUses(sp *ast.TypeSpec) ast.Node {
+	uses := &ast.FieldList{}
+	if sp.TypeParams != nil {
+		uses.List = append(uses.List, sp.TypeParams.List...)
+	}
+	switch t := sp.Type.(type) {
+	case *ast.StructType:
+	case *ast.InterfaceType:
+		for _, f := range t.Methods.List {
+			if len(f.Names) == 0 {
+				uses.List = append(uses.List, f)
+			}
 		}
-		switch n := d.node.(type) {
-		case *ast.FuncDecl:
-			visit(n.Type)
-		case *ast.ValueSpec:
-			if d.typ != nil {
-				visit(d.typ)
+	default:
+		uses.List = append(uses.List, &ast.Field{Type: t})
+	}
+	return uses
+}
+
+// embeddedName is the identifier that names an embedded field.
+func embeddedName(x ast.Expr) *ast.Ident {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			return e.Sel
+		case *ast.Ident:
+			return e
+		default:
+			panic("unexpected embedded field")
+		}
+	}
+}
+
+// origin maps an instantiated object to its declaration.
+func origin(o types.Object) types.Object {
+	switch o := o.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	case *types.TypeName:
+		if n, ok := o.Type().(*types.Named); ok && !o.IsAlias() {
+			return n.Origin().Obj()
+		}
+	}
+	return o
+}
+
+func (r *reach) mark(o types.Object) {
+	if o == nil || o.Pkg() == nil || !isModule(o.Pkg().Path()) {
+		return
+	}
+	o = origin(o)
+	if r.reached[o] {
+		return
+	}
+	r.reached[o] = true
+	if s, ok := r.decls[o]; ok {
+		r.work = append(r.work, s)
+	}
+	switch o := o.(type) {
+	case *types.Const:
+		r.markNamed(o.Type())
+	case *types.Var:
+		if !o.IsField() {
+			r.markNamed(o.Type())
+		}
+	case *types.TypeName:
+		if o.IsAlias() {
+			r.markNamed(o.Type())
+		}
+	}
+}
+
+// markNamed reaches the named type t is or points to.
+func (r *reach) markNamed(t types.Type) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		r.mark(n.Obj())
+	}
+}
+
+// build records that reached code has a value of type t.
+func (r *reach) build(t types.Type) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil && isModule(n.Obj().Pkg().Path()) {
+		r.built[n.Origin().Obj()] = true
+		r.mark(n.Obj())
+	}
+}
+
+// embedded reaches the embedded fields a selection of index on t steps
+// through.
+func (r *reach) embedded(t types.Type, index []int) {
+	for _, i := range index[:len(index)-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		r.mark(st.Field(i))
+		t = st.Field(i).Type()
+	}
+}
+
+// compared reaches the fields == reads.
+func (r *reach) compared(t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			r.mark(u.Field(i))
+			r.compared(u.Field(i).Type())
+		}
+	case *types.Array:
+		r.compared(u.Elem())
+	}
+}
+
+// encoded reaches every field encoding/json sees through t.
+func (r *reach) encoded(t types.Type) {
+	if r.jsonSeen[t] {
+		return
+	}
+	r.jsonSeen[t] = true
+	switch u := t.(type) {
+	case *types.Named:
+		r.mark(u.Obj())
+		r.encoded(u.Underlying())
+	case *types.Pointer:
+		r.encoded(u.Elem())
+	case *types.Slice:
+		r.encoded(u.Elem())
+	case *types.Array:
+		r.encoded(u.Elem())
+	case *types.Map:
+		r.encoded(u.Key())
+		r.encoded(u.Elem())
+	case *types.Struct:
+		for i := range u.NumFields() {
+			r.mark(u.Field(i))
+			r.encoded(u.Field(i).Type())
+		}
+	}
+}
+
+func (r *reach) callIface(f *types.Func) {
+	r.called[f.Name()] = append(r.called[f.Name()], f.Type().(*types.Signature))
+}
+
+// walk marks what one reached syntax tree uses.
+func (r *reach) walk(s site) {
+	info := s.p.info
+	keys := map[*ast.Ident]bool{}
+	ast.Inspect(s.n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if o := info.Uses[n]; o != nil && !keys[n] {
+				if f, ok := o.(*types.Func); ok {
+					if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						r.callIface(f)
+					}
+				}
+				r.mark(o)
 			}
-		case *ast.TypeSpec:
-			if n.TypeParams != nil {
-				visit(n.TypeParams)
+			if o, ok := info.Defs[n].(*types.Var); ok {
+				r.build(o.Type())
 			}
-			if part := exportedPart(n.Type); part != nil {
-				visit(part)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil {
+				r.embedded(sel.Recv(), sel.Index())
 			}
-			for _, m := range s.methods[key] {
-				visit(m.Type)
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						keys[kv.Key.(*ast.Ident)] = true
+					} else {
+						r.mark(st.Field(i))
+					}
+				}
+			}
+		case *ast.CallExpr:
+			r.call(info, n)
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				r.compared(info.TypeOf(n.X))
+			}
+		case *ast.MapType:
+			r.compared(info.TypeOf(n.Key))
+		}
+		if e, ok := n.(ast.Expr); ok {
+			if tv, ok := info.Types[e]; ok && !tv.IsType() {
+				r.build(tv.Type)
+			}
+		}
+		return true
+	})
+}
+
+// call handles a call into the standard library: it may call the
+// methods of an interface parameter, and encoding/json reads every field
+// of what it is handed.
+func (r *reach) call(info *types.Info, c *ast.CallExpr) {
+	var id *ast.Ident
+	switch f := ast.Unparen(c.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || isModule(fn.Pkg().Path()) {
+		return
+	}
+	if fn.Pkg().Path() == "encoding/json" {
+		for _, a := range c.Args {
+			r.encoded(info.TypeOf(a))
+		}
+	}
+	params := fn.Type().(*types.Signature).Params()
+	for i := range params.Len() {
+		if it, ok := params.At(i).Type().Underlying().(*types.Interface); ok {
+			for j := range it.NumMethods() {
+				r.callIface(it.Method(j))
 			}
 		}
 	}
 }
 
-// failing lists the identifiers that do not pass, in source order.
-func (s *surface) failing() []*decl {
-	var out []*decl
-	for key, d := range s.decls {
-		if !s.pass[key] {
-			out = append(out, d)
+// implicitMethods are called by the standard library on any value it
+// formats or unwraps.
+var implicitMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true}
+
+// dispatched reports whether a call through an interface can reach f.
+func (r *reach) dispatched(f *types.Func) bool {
+	if implicitMethods[f.Name()] {
+		return true
+	}
+	sig := f.Type().(*types.Signature)
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	n, ok := recv.(*types.Named)
+	generic := ok && n.TypeParams().Len() > 0
+	for _, s := range r.called[f.Name()] {
+		if generic || types.Identical(sig, s) {
+			return true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return false
+}
+
+// run walks until nothing new is reached.
+func (r *reach) run() {
+	for {
+		for len(r.work) > 0 {
+			s := r.work[len(r.work)-1]
+			r.work = r.work[:len(r.work)-1]
+			r.walk(s)
+		}
+		for tn := range r.built {
+			for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+				ms := types.NewMethodSet(t)
+				for i := range ms.Len() {
+					f := origin(ms.At(i).Obj()).(*types.Func)
+					if !r.reached[f] && isModule(f.Pkg().Path()) && r.dispatched(f) {
+						r.embedded(t, ms.At(i).Index())
+						r.mark(f)
+					}
+				}
+			}
+		}
+		if len(r.work) == 0 {
+			return
+		}
+	}
+}
+
+// unreached lists the declared identifiers nothing reaches, leaving out
+// the members of an unreached type and anything declared in a function.
+func (r *reach) unreached() []finding {
+	var out []finding
+	for o := range r.decls {
+		if r.reached[o] || o.Name() == "_" || o.Name() == "init" || o.Name() == "main" {
+			continue
+		}
+		key, top := relPath(o.Pkg())+"."+o.Name(), o
+		if tn := r.owner[o]; tn != nil {
+			if !r.reached[tn] {
+				continue
+			}
+			key, top = relPath(o.Pkg())+"."+tn.Name()+"."+o.Name(), tn
+		}
+		if top.Parent() != top.Pkg().Scope() {
+			continue
+		}
+		out = append(out, finding{o.Pos(), key, "is reached by no program; delete it"})
+	}
 	return out
-}
-
-// TestExportedSurface is the surface audit. An exported top-level
-// identifier under internal/ passes if non-test code of another package
-// (benchmark/, cmd/, examples/ and the root facade included) names it
-// as pkg.Name; if it is a type named in the exported signature or
-// exported fields of an identifier that passes; or if surfaceAllowed
-// lists it with a reason. Methods are not audited.
-func TestExportedSurface(t *testing.T) {
-	m := mustLoad(t)
-	var internal []string
-	for path := range m.pkgs {
-		if strings.HasPrefix(path, "internal/") {
-			internal = append(internal, path)
-		}
-	}
-	s := newSurface(m, internal...)
-	for _, p := range m.pkgs {
-		for _, f := range p.files {
-			s.markUses(f, p.path)
-		}
-	}
-	for _, key := range sortedKeys(surfaceAllowed) {
-		if _, ok := s.decls[key]; !ok {
-			t.Errorf("surfaceAllowed: %s is not an exported internal identifier; drop the entry", key)
-		}
-		s.mark(key)
-	}
-	s.close()
-	for _, d := range s.failing() {
-		t.Errorf("%s: %s is exported but no other package's non-test code uses it; unexport or delete it",
-			m.fset.Position(d.pos), d.key())
-	}
-	t.Logf("%d exported top-level identifiers under internal/", len(s.decls))
-}
-
-// TestFacadeSurface holds the root facade to what its users use. A name
-// it exports passes if examples/, cmd/ or the root package's tests use
-// it as ipipe.Name (the README quotes one of those tests, see
-// TestReadmeQuotesExample); if it is a type named in the signature of
-// one that passes; or if it shares a const or var group with one that
-// passes, so a family such as the time units or the NIC models stays
-// whole.
-func TestFacadeSurface(t *testing.T) {
-	m := mustLoad(t)
-	s := newSurface(m, "")
-	for _, p := range m.pkgs {
-		if strings.HasPrefix(p.path, "examples/") || strings.HasPrefix(p.path, "cmd/") {
-			for _, f := range p.files {
-				s.markUses(f, p.path)
-			}
-		}
-	}
-	for _, f := range m.rootTests {
-		s.markUses(f, "ipipe_test")
-	}
-	families := map[*ast.GenDecl]bool{}
-	for key := range s.pass {
-		if g := s.decls[key].group; g != nil && g.Tok != token.TYPE {
-			families[g] = true
-		}
-	}
-	for _, d := range s.decls {
-		if families[d.group] {
-			s.mark(d.key())
-		}
-	}
-	s.close()
-	for _, d := range s.failing() {
-		t.Errorf("%s: the facade exports %s, which no example, command or root test uses; delete it",
-			m.fset.Position(d.pos), d.name)
-	}
 }
 
 // TestReadmeQuotesExample keeps the README's deployment-spec block a
@@ -774,98 +1472,6 @@ func exprString(e ast.Expr) string {
 	return "(…)"
 }
 
-// recvType is the receiver's type name, without pointer or type
-// arguments.
-func recvType(f *ast.FuncDecl) string {
-	x := f.Recv.List[0].Type
-	if s, ok := x.(*ast.StarExpr); ok {
-		x = s.X
-	}
-	switch g := x.(type) {
-	case *ast.IndexExpr:
-		x = g.X
-	case *ast.IndexListExpr:
-		x = g.X
-	}
-	if id, ok := x.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// importNames maps the file's local names for module imports to their
-// module-relative paths.
-func importNames(f *ast.File, pkgs map[string]*pkg) map[string]string {
-	m := map[string]string{}
-	for _, spec := range f.Imports {
-		rel, ok := modRel(strings.Trim(spec.Path.Value, `"`))
-		if !ok || pkgs[rel] == nil {
-			continue
-		}
-		name := pkgs[rel].name
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		m[name] = rel
-	}
-	return m
-}
-
-func fileOf(p *pkg, pos token.Pos) *ast.File {
-	for _, f := range p.files {
-		if f.Pos() <= pos && pos < f.End() {
-			return f
-		}
-	}
-	panic("position outside its package")
-}
-
-// exportedPart is what a caller outside the package can name through a
-// type: a struct's exported and embedded fields, anything else whole;
-// nil for a struct with neither.
-func exportedPart(x ast.Expr) ast.Node {
-	st, ok := x.(*ast.StructType)
-	if !ok {
-		return x
-	}
-	out := &ast.FieldList{}
-	for _, f := range st.Fields.List {
-		keep := len(f.Names) == 0 // embedded: promoted either way
-		for _, n := range f.Names {
-			keep = keep || n.IsExported()
-		}
-		if keep {
-			out.List = append(out.List, f)
-		}
-	}
-	if len(out.List) == 0 {
-		return nil
-	}
-	return out
-}
-
-// namedTypes calls mark for every package-qualified name n mentions:
-// same-package identifiers as pkgPath.Name, imported ones through the
-// file's import names.
-func namedTypes(n ast.Node, pkgPath string, imports map[string]string, mark func(string)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok {
-					mark(path + "." + n.Sel.Name)
-				}
-			}
-			return false
-		case *ast.Ident:
-			if n.IsExported() {
-				mark(pkgPath + "." + n.Name)
-			}
-		}
-		return true
-	})
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -873,4 +1479,12 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+func sortedValues[V any](m map[string]V) []V {
+	out := make([]V, 0, len(m))
+	for _, k := range sortedKeys(m) {
+		out = append(out, m[k])
+	}
+	return out
 }

@@ -55,11 +55,6 @@ type Msg struct {
 	// Origin is the network node the request entered from; Reply routes
 	// the response back there.
 	Origin string
-	// Tenant indexes the deployment's tenant table for multi-tenant
-	// admission and SLO accounting (entries past the table — including
-	// the zero value on untagged legacy traffic with an empty table —
-	// are unconstrained).
-	Tenant uint16
 	// Class is the traffic class (qos.Class: data/control/telemetry)
 	// steering the message through the node-front priority lanes. The
 	// zero value is the data class, so untagged traffic is unchanged.
@@ -115,21 +110,12 @@ type Ctx interface {
 	// moved. Accessing the object afterwards from this side fails until
 	// it migrates back.
 	ObjMigrate(obj uint64) (int, error)
-	// ObjMemset / ObjMemcpy / ObjMemmove are Table 4's dmo_mmset,
-	// dmo_mmcpy and dmo_mmmove: glibc-style bulk operations addressed by
-	// object ID instead of pointer.
-	ObjMemset(obj uint64, off, n int, b byte) error
-	ObjMemcpy(dst uint64, dstOff int, src uint64, srcOff, n int) error
-	ObjMemmove(obj uint64, dstOff, srcOff, n int) error
 
 	// Accel invokes a named hardware accelerator over n bytes at the
 	// given batch size and returns its modeled latency; ok is false when
 	// this execution zone has no such unit (host cores compute inline
 	// instead).
 	Accel(name string, bytes, batch int) (sim.Time, bool)
-
-	// OnNIC reports whether the handler is executing on the SmartNIC.
-	OnNIC() bool
 }
 
 // Handler executes one message. It performs the actor's real work and

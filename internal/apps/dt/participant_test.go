@@ -18,17 +18,13 @@ func (c *sinkCtx) Send(dst actor.ID, m actor.Msg) {
 	m.Dst = dst
 	c.sent = append(c.sent, m)
 }
-func (c *sinkCtx) Reply(m actor.Msg)                                     {}
-func (c *sinkCtx) Alloc(size int) (uint64, error)                        { return 1, nil }
-func (c *sinkCtx) Free(obj uint64) error                                 { return nil }
-func (c *sinkCtx) ObjRead(o uint64, off, n int) ([]byte, error)          { return make([]byte, n), nil }
-func (c *sinkCtx) ObjWrite(o uint64, off int, p []byte) error            { return nil }
-func (c *sinkCtx) ObjMigrate(o uint64) (int, error)                      { return 0, nil }
-func (c *sinkCtx) ObjMemset(o uint64, off, n int, b byte) error          { return nil }
-func (c *sinkCtx) ObjMemcpy(d uint64, do int, s uint64, so, n int) error { return nil }
-func (c *sinkCtx) ObjMemmove(o uint64, do, so, n int) error              { return nil }
-func (c *sinkCtx) Accel(string, int, int) (sim.Time, bool)               { return 0, false }
-func (c *sinkCtx) OnNIC() bool                                           { return true }
+func (c *sinkCtx) Reply(m actor.Msg)                            {}
+func (c *sinkCtx) Alloc(size int) (uint64, error)               { return 1, nil }
+func (c *sinkCtx) Free(obj uint64) error                        { return nil }
+func (c *sinkCtx) ObjRead(o uint64, off, n int) ([]byte, error) { return make([]byte, n), nil }
+func (c *sinkCtx) ObjWrite(o uint64, off int, p []byte) error   { return nil }
+func (c *sinkCtx) ObjMigrate(o uint64) (int, error)             { return 0, nil }
+func (c *sinkCtx) Accel(string, int, int) (sim.Time, bool)      { return 0, false }
 
 // phase1Msg builds a kindPhase1 message for one read and one lock key.
 func phase1Msg(txn uint64, reads, locks [][]byte) actor.Msg {

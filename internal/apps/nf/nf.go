@@ -75,7 +75,7 @@ func (t FiveTuple) Encode() []byte {
 // shim networking stack (nstack): the firewall's production ingress
 // path, as opposed to the pre-parsed 13-byte test vector format.
 func tupleFromFrame(frame []byte) (FiveTuple, bool) {
-	w := nstack.NewWQE(frame, 0)
+	w := nstack.NewWQE(frame)
 	if err := w.Decap(); err != nil {
 		return FiveTuple{}, false
 	}

@@ -116,7 +116,6 @@ type Consensus struct {
 	// that re-proposes the instance drops it.
 	inflight map[uint64]actor.Msg
 	next     uint64 // next instance to allocate (leader)
-	applied  uint64 // low-water mark of applied instances
 
 	// Election bookkeeping: merged holds, per instance, the
 	// highest-ballot entry among the candidate's own log and the

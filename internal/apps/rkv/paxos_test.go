@@ -88,13 +88,7 @@ func (c *busCtx) Free(obj uint64) error                        { return c.dmo.Fr
 func (c *busCtx) ObjRead(o uint64, off, n int) ([]byte, error) { return c.dmo.ObjRead(o, off, n) }
 func (c *busCtx) ObjWrite(o uint64, off int, p []byte) error   { return c.dmo.ObjWrite(o, off, p) }
 func (c *busCtx) ObjMigrate(o uint64) (int, error)             { return c.dmo.ObjMigrate(o) }
-func (c *busCtx) ObjMemset(o uint64, off, n int, b byte) error { return c.dmo.ObjMemset(o, off, n, b) }
-func (c *busCtx) ObjMemcpy(d uint64, do int, s uint64, so, n int) error {
-	return c.dmo.ObjMemcpy(d, do, s, so, n)
-}
-func (c *busCtx) ObjMemmove(o uint64, do, so, n int) error { return c.dmo.ObjMemmove(o, do, so, n) }
-func (c *busCtx) Accel(string, int, int) (sim.Time, bool)  { return 0, false }
-func (c *busCtx) OnNIC() bool                              { return true }
+func (c *busCtx) Accel(string, int, int) (sim.Time, bool)      { return 0, false }
 
 // threeReplicas wires leader + two followers (no memtables: apply
 // messages fall on the floor, which pure-protocol tests ignore).

@@ -54,14 +54,7 @@ func (d *dmoCtx) ObjMigrate(obj uint64) (int, error) {
 func (d *dmoCtx) ObjMemset(o uint64, off, n int, b byte) error {
 	return d.st.Memset(d.id, o, off, n, b)
 }
-func (d *dmoCtx) ObjMemcpy(dst uint64, do int, src uint64, so, n int) error {
-	return d.st.Memcpy(d.id, dst, do, src, so, n)
-}
-func (d *dmoCtx) ObjMemmove(o uint64, do, so, n int) error {
-	return d.st.Memmove(d.id, o, do, so, n)
-}
 func (d *dmoCtx) Accel(string, int, int) (sim.Time, bool) { return 0, false }
-func (d *dmoCtx) OnNIC() bool                             { return true }
 
 func TestSkipListPutGet(t *testing.T) {
 	ctx := newDmoCtx()

@@ -15,20 +15,16 @@ type fakeCtx struct {
 	replies []actor.Msg
 }
 
-func (f *fakeCtx) Now() sim.Time                                          { return 0 }
-func (f *fakeCtx) Send(dst actor.ID, m actor.Msg)                         { m.Dst = dst; f.sent = append(f.sent, m) }
-func (f *fakeCtx) Reply(m actor.Msg)                                      { f.replies = append(f.replies, m) }
-func (f *fakeCtx) Alloc(size int) (uint64, error)                         { return 1, nil }
-func (f *fakeCtx) Free(obj uint64) error                                  { return nil }
-func (f *fakeCtx) ObjRead(o uint64, off, n int) ([]byte, error)           { return make([]byte, n), nil }
-func (f *fakeCtx) ObjWrite(o uint64, off int, p []byte) error             { return nil }
-func (f *fakeCtx) ObjMigrate(o uint64) (int, error)                       { return 0, nil }
-func (f *fakeCtx) ObjMemset(o uint64, off, n int, b byte) error           { return nil }
-func (f *fakeCtx) ObjMemcpy(d uint64, do int, s2 uint64, so, n int) error { return nil }
-func (f *fakeCtx) ObjMemmove(o uint64, do, so, n int) error               { return nil }
+func (f *fakeCtx) Now() sim.Time                                { return 0 }
+func (f *fakeCtx) Send(dst actor.ID, m actor.Msg)               { m.Dst = dst; f.sent = append(f.sent, m) }
+func (f *fakeCtx) Reply(m actor.Msg)                            { f.replies = append(f.replies, m) }
+func (f *fakeCtx) Alloc(size int) (uint64, error)               { return 1, nil }
+func (f *fakeCtx) Free(obj uint64) error                        { return nil }
+func (f *fakeCtx) ObjRead(o uint64, off, n int) ([]byte, error) { return make([]byte, n), nil }
+func (f *fakeCtx) ObjWrite(o uint64, off int, p []byte) error   { return nil }
+func (f *fakeCtx) ObjMigrate(o uint64) (int, error)             { return 0, nil }
 
 func (f *fakeCtx) Accel(name string, b, bs int) (sim.Time, bool) { return 0, false }
-func (f *fakeCtx) OnNIC() bool                                   { return true }
 
 func TestMatcherBasics(t *testing.T) {
 	m := newMatcher([]string{"spam", "junk"})

@@ -13,13 +13,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from a serial, unchecked run")
 
-// The two golden files. quick_seed1.txt is byte-for-byte the stdout of
-// `ipipe-bench -quick -seed 1 all`; replay_golden.txt holds every
-// `-check` digest — each experiment at seeds 1 and 2, the pdes2IDs at
-// -pdes 2 as well — plus the observed-run report's "obs:" digests.
-// `go test ./internal/bench -update` rewrites both.
+// The golden files. quick_seed1.txt is byte-for-byte the stdout of
+// `ipipe-bench -quick -seed 1 all`, and full_seed1.txt that of
+// `ipipe-bench -seed 1 all`, the resolution EXPERIMENTS.md quotes; it
+// takes ≈ 30 s to render, so `make replay-smoke` checks it, not a test.
+// replay_golden.txt holds every `-check` digest — each experiment at
+// seeds 1 and 2, the pdes2IDs at -pdes 2 as well — plus the
+// observed-run report's "obs:" digests. `go test ./internal/bench
+// -update` rewrites all three.
 const (
 	renderingPath = "testdata/quick_seed1.txt"
+	fullPath      = "testdata/full_seed1.txt"
 	goldenPath    = "testdata/replay_golden.txt"
 )
 
@@ -140,19 +144,24 @@ func TestParallelParity(t *testing.T) {
 }
 
 // updateGolden renders the registry serially and unchecked into
-// quick_seed1.txt, and rewrites every digest the serial replay
-// baselines produce.
+// quick_seed1.txt and, at full resolution, into full_seed1.txt, and
+// rewrites every digest the serial replay baselines produce.
 func updateGolden(t *testing.T) {
-	var b strings.Builder
-	for _, id := range IDs() {
-		r, err := Run(id, Options{Quick: true, Seed: 1, Parallel: 1})
-		if err != nil {
+	for _, g := range []struct {
+		path  string
+		quick bool
+	}{{renderingPath, true}, {fullPath, false}} {
+		var b strings.Builder
+		for _, id := range IDs() {
+			r, err := Run(id, Options{Quick: g.quick, Seed: 1, Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(render(r))
+		}
+		if err := os.WriteFile(g.path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(render(r))
-	}
-	if err := os.WriteFile(renderingPath, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	var lines []string
 	for _, set := range []struct {

@@ -25,9 +25,8 @@ func init() {
 // scaleRun is one sharded deployment measurement.
 type scaleRun struct {
 	appRun
-	// PerShard counts completions per shard; Balance is max/mean.
-	PerShard []uint64
-	Balance  float64
+	// Balance is max/mean of the per-shard completions.
+	Balance float64
 	// Trains/Coalesced mirror the batcher counters.
 	Trains    uint64
 	Coalesced uint64
@@ -155,7 +154,7 @@ func runScale(opts Options, shards, batch, depth int, theta float64, window sim.
 	}
 	cl.Eng.RunUntil(warmupBudget + window)
 
-	out := scaleRun{PerShard: perShard, Trains: b.Trains, Coalesced: b.Coalesced}
+	out := scaleRun{Trains: b.Trains, Coalesced: b.Coalesced}
 	var max, total uint64
 	for _, c := range perShard {
 		total += c

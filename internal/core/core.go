@@ -145,11 +145,6 @@ type Config struct {
 	Name string
 	// NIC is the SmartNIC model; nil means a dumb NIC (baseline node).
 	NIC *spec.NICModel
-	// Host is the host server model. Defaults to spec.IntelHost().
-	Host *spec.HostModel
-	// HostCores limits how many host cores the runtime may use
-	// (default: all of Host.Cores).
-	HostCores int
 	// LinkGbps overrides the node's link speed (default: NIC link, or
 	// 10 for baseline nodes).
 	LinkGbps float64
@@ -280,12 +275,6 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	if _, dup := c.nodes[cfg.Name]; dup {
 		panic(fmt.Sprintf("core: duplicate node %q", cfg.Name))
 	}
-	if cfg.Host == nil {
-		cfg.Host = spec.IntelHost()
-	}
-	if cfg.HostCores <= 0 {
-		cfg.HostCores = cfg.Host.Cores
-	}
 	if cfg.RingSlots == 0 {
 		cfg.RingSlots = msgring.DefaultRingSlots
 	}
@@ -318,7 +307,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		cfg:        cfg,
 		Name:       cfg.Name,
 		NICModel:   cfg.NIC,
-		HostModel:  cfg.Host,
+		HostModel:  spec.IntelHost(),
 		Objects:    dmo.NewStore(),
 		Violations: isolation.NewViolationLog(),
 		actors:     map[actor.ID]*actor.Actor{},
@@ -326,7 +315,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	}
 
 	n.Host = hostsim.New(eng, hostsim.Config{
-		Cores:    cfg.HostCores,
+		Cores:    n.HostModel.Cores,
 		Steal:    true,
 		PollCost: 50 * sim.Nanosecond,
 	}, hostsim.Hooks{
@@ -343,12 +332,8 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		n.Chan.OnHostReady = n.pumpToHost
 		n.Chan.OnNICReady = n.pumpToNIC
 
-		mech := isolation.FirmwareTimer
-		if cfg.NIC.FullOS {
-			mech = isolation.OSSignals
-		}
 		if cfg.WatchdogTimeout > 0 {
-			n.Watchdog = isolation.NewWatchdog(cfg.WatchdogTimeout, mech, n.killActor)
+			n.Watchdog = isolation.NewWatchdog(cfg.WatchdogTimeout, n.killActor)
 		}
 
 		scfg := sched.DefaultConfig(cfg.NIC.Cores)

@@ -147,9 +147,6 @@ func (n *Node) perform(e *effect) {
 // Now implements actor.Ctx.
 func (c *execCtx) Now() sim.Time { return c.node.eng.Now() }
 
-// OnNIC implements actor.Ctx.
-func (c *execCtx) OnNIC() bool { return c.onNIC }
-
 // Send implements actor.Ctx: asynchronous message to another actor,
 // wherever it lives.
 func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
@@ -326,30 +323,6 @@ func (c *execCtx) ObjMigrate(obj uint64) (int, error) {
 	}
 	c.charge(300 * sim.Nanosecond) // descriptor staging
 	return n, nil
-}
-
-// ObjMemset implements actor.Ctx (dmo_mmset).
-func (c *execCtx) ObjMemset(obj uint64, off, n int, b byte) error {
-	c.charge(c.dmoOverhead(n))
-	err := c.node.Objects.Memset(uint32(c.a.ID), obj, off, n, b)
-	c.note(err)
-	return err
-}
-
-// ObjMemcpy implements actor.Ctx (dmo_mmcpy).
-func (c *execCtx) ObjMemcpy(dst uint64, dstOff int, src uint64, srcOff, n int) error {
-	c.charge(c.dmoOverhead(n))
-	err := c.node.Objects.Memcpy(uint32(c.a.ID), dst, dstOff, src, srcOff, n)
-	c.note(err)
-	return err
-}
-
-// ObjMemmove implements actor.Ctx (dmo_mmmove).
-func (c *execCtx) ObjMemmove(obj uint64, dstOff, srcOff, n int) error {
-	c.charge(c.dmoOverhead(n))
-	err := c.node.Objects.Memmove(uint32(c.a.ID), obj, dstOff, srcOff, n)
-	c.note(err)
-	return err
 }
 
 // note records isolation violations (wrong-actor accesses).

@@ -31,7 +31,6 @@ import (
 // a span buffer.
 type nodeObs struct {
 	sink       *obs.Sink
-	group      obs.GroupID
 	nicTracks  []obs.TrackID
 	hostTracks []obs.TrackID
 	schedTrack obs.TrackID
@@ -108,7 +107,7 @@ func (c *Cluster) nodeNames() []string {
 func (n *Node) enableTracing(tr *obs.Tracer) {
 	g := tr.Group(n.c.obsPrefix + n.Name)
 	sink := tr.Sink(n.Part)
-	o := &nodeObs{sink: sink, group: g, schedTrack: obs.NoTrack}
+	o := &nodeObs{sink: sink, schedTrack: obs.NoTrack}
 	if n.Sched != nil {
 		for i := 0; i < n.Sched.NumCores(); i++ {
 			o.nicTracks = append(o.nicTracks, tr.NewTrack(g, fmt.Sprintf("nic core %d", i)))
@@ -118,7 +117,7 @@ func (n *Node) enableTracing(tr *obs.Tracer) {
 		n.Accels.EnableTracing(sink, g)
 		n.DMA.EnableTracing(sink, g)
 	}
-	for i := 0; i < n.cfg.HostCores; i++ {
+	for i := 0; i < n.HostModel.Cores; i++ {
 		o.hostTracks = append(o.hostTracks, tr.NewTrack(g, fmt.Sprintf("host core %d", i)))
 	}
 	n.obs = o

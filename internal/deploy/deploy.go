@@ -530,7 +530,6 @@ type RTASpec struct {
 // RTA is a deployed analytics pipeline.
 type RTA struct {
 	Topology rta.Topology
-	Spec     RTASpec
 	Injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
 	QoS *qos.Runtime
@@ -571,7 +570,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 			return nil, err
 		}
 	}
-	out := &RTA{Topology: topo, Spec: s}
+	out := &RTA{Topology: topo}
 	var err error
 	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
 		return nil, err
@@ -599,7 +598,6 @@ type FirewallSpec struct {
 
 // Firewall is a deployed firewall actor.
 type Firewall struct {
-	Spec     FirewallSpec
 	Injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
 	QoS *qos.Runtime
@@ -625,7 +623,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 	if err := s.Node.Register(fw, s.Placement.OnNIC, 0); err != nil {
 		return nil, err
 	}
-	out := &Firewall{Spec: s}
+	out := &Firewall{}
 	var err error
 	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
 		return nil, err
@@ -649,7 +647,6 @@ type IPSecSpec struct {
 
 // IPSec is a deployed gateway actor.
 type IPSec struct {
-	Spec     IPSecSpec
 	Injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
 	QoS *qos.Runtime
@@ -682,7 +679,7 @@ func (s IPSecSpec) Deploy() (*IPSec, error) {
 	if err := s.Node.Register(nf.NewIPSecGateway(s.ID, st), s.Placement.OnNIC, 0); err != nil {
 		return nil, err
 	}
-	out := &IPSec{Spec: s}
+	out := &IPSec{}
 	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
 		return nil, err
 	}

@@ -123,12 +123,6 @@ func (h *Host) AddActor(a *actor.Actor) {
 // RemoveActor deregisters an actor (e.g. pulled back to the NIC).
 func (h *Host) RemoveActor(id actor.ID) { delete(h.actors, id) }
 
-// Actor looks up a host-resident actor.
-func (h *Host) Actor(id actor.ID) (*actor.Actor, bool) {
-	a, ok := h.actors[id]
-	return a, ok
-}
-
 // LeastLoadedActor returns the host actor with the smallest load, the
 // pull-migration candidate (§3.2.5); nil when none is eligible. Ties
 // break by actor ID: the selection must not depend on map iteration

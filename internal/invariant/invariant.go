@@ -694,14 +694,6 @@ func (c *Checker) Fingerprint() string {
 	return strings.Join(lines, "\n")
 }
 
-// Summary is a one-line human-readable digest for CLI output.
-func (c *Checker) Summary() string {
-	if c == nil {
-		return "invariants: disabled"
-	}
-	return fmt.Sprintf("invariants: %d checks, %d violations", c.checks, len(c.violations))
-}
-
 // CrossCheckHandoffs reconciles one cluster's per-partition handoff
 // ledgers: every packet some partition handed off (NetHandoffOut) must
 // have been claimed by another (NetHandoffIn), so the totals must agree

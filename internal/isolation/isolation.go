@@ -45,8 +45,6 @@ func (m Mechanism) String() string {
 type Watchdog struct {
 	// Timeout is the per-invocation budget. Zero disables the watchdog.
 	Timeout sim.Time
-	// Mechanism is informational (selected from the NIC model).
-	Mechanism Mechanism
 	// OnKill is invoked when an actor is condemned; the runtime
 	// deregisters it, removes it from dispatch/runnable queues, and
 	// frees its resources.
@@ -57,8 +55,8 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog with the given budget.
-func NewWatchdog(timeout sim.Time, mech Mechanism, onKill func(*actor.Actor)) *Watchdog {
-	return &Watchdog{Timeout: timeout, Mechanism: mech, OnKill: onKill}
+func NewWatchdog(timeout sim.Time, onKill func(*actor.Actor)) *Watchdog {
+	return &Watchdog{Timeout: timeout, OnKill: onKill}
 }
 
 // Check inspects one handler invocation's service time. If it exceeds

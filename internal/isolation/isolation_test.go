@@ -8,7 +8,7 @@ import (
 )
 
 func TestWatchdogPassesGoodActors(t *testing.T) {
-	w := NewWatchdog(100*sim.Microsecond, FirmwareTimer, nil)
+	w := NewWatchdog(100*sim.Microsecond, nil)
 	a := &actor.Actor{ID: 1}
 	svc, killed := w.Check(a, 50*sim.Microsecond)
 	if killed || svc != 50*sim.Microsecond {
@@ -21,7 +21,7 @@ func TestWatchdogPassesGoodActors(t *testing.T) {
 
 func TestWatchdogKillsRunaway(t *testing.T) {
 	var killed *actor.Actor
-	w := NewWatchdog(100*sim.Microsecond, FirmwareTimer, func(a *actor.Actor) { killed = a })
+	w := NewWatchdog(100*sim.Microsecond, func(a *actor.Actor) { killed = a })
 	a := &actor.Actor{ID: 7}
 	svc, dead := w.Check(a, sim.Second) // effectively an infinite loop
 	if !dead {
@@ -36,7 +36,7 @@ func TestWatchdogKillsRunaway(t *testing.T) {
 }
 
 func TestWatchdogDisabled(t *testing.T) {
-	w := NewWatchdog(0, OSSignals, nil)
+	w := NewWatchdog(0, nil)
 	if _, dead := w.Check(&actor.Actor{}, sim.Second); dead {
 		t.Fatal("disabled watchdog killed an actor")
 	}
@@ -47,7 +47,7 @@ func TestWatchdogDisabled(t *testing.T) {
 }
 
 func TestWatchdogBoundaryExact(t *testing.T) {
-	w := NewWatchdog(10*sim.Microsecond, OSSignals, nil)
+	w := NewWatchdog(10*sim.Microsecond, nil)
 	if _, dead := w.Check(&actor.Actor{}, 10*sim.Microsecond); dead {
 		t.Fatal("service exactly at budget should survive")
 	}

@@ -34,6 +34,10 @@ import (
 	"repro/internal/workload"
 )
 
+// theta is the Zipf skew over destination servers: the paper's RKV
+// skew.
+const theta = 0.99
+
 // Config sizes one mesh run.
 type Config struct {
 	// Nodes is the server count (≥ 2).
@@ -48,9 +52,6 @@ type Config struct {
 	// Depth is each client's closed-loop outstanding-request window
 	// (default 2).
 	Depth int
-	// Theta is the Zipf skew over destination servers (default 0.99,
-	// the paper's RKV skew).
-	Theta float64
 	// ReqSize is the request wire size in bytes (default 256).
 	ReqSize int
 	// ServiceNs is the actor's modeled execution cost per request on
@@ -102,9 +103,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 2
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = 0.99
 	}
 	if cfg.ReqSize <= 0 {
 		cfg.ReqSize = 256
@@ -170,7 +168,7 @@ func arm(cfg Config) (*core.Cluster, []*workload.Client) {
 	cfg.defaults()
 	cl, nodes, clients := Build(cfg)
 	for i, c := range clients {
-		zipf := workload.NewZipf(c.Eng().Rand(), uint64(cfg.Nodes), cfg.Theta)
+		zipf := workload.NewZipf(c.Eng().Rand(), uint64(cfg.Nodes), theta)
 		c.ClosedLoop(cfg.Depth, cfg.Window, func(k uint64) workload.Request {
 			dst := int(zipf.Next())
 			if dst == i {

@@ -334,19 +334,15 @@ func (bogusWorkload) Process(pkt []byte) uint64 { return 0 }
 
 type nopCtx struct{}
 
-func (nopCtx) Now() sim.Time                                         { return 0 }
-func (nopCtx) Send(dst actor.ID, m actor.Msg)                        {}
-func (nopCtx) Reply(m actor.Msg)                                     {}
-func (nopCtx) Alloc(size int) (uint64, error)                        { return 1, nil }
-func (nopCtx) Free(obj uint64) error                                 { return nil }
-func (nopCtx) ObjRead(o uint64, off, n int) ([]byte, error)          { return make([]byte, n), nil }
-func (nopCtx) ObjWrite(o uint64, off int, p []byte) error            { return nil }
-func (nopCtx) ObjMigrate(o uint64) (int, error)                      { return 0, nil }
-func (nopCtx) ObjMemset(o uint64, off, n int, b byte) error          { return nil }
-func (nopCtx) ObjMemcpy(d uint64, do int, s uint64, so, n int) error { return nil }
-func (nopCtx) ObjMemmove(o uint64, do, so, n int) error              { return nil }
-func (nopCtx) Accel(name string, b, bs int) (sim.Time, bool)         { return 0, false }
-func (nopCtx) OnNIC() bool                                           { return true }
+func (nopCtx) Now() sim.Time                                 { return 0 }
+func (nopCtx) Send(dst actor.ID, m actor.Msg)                {}
+func (nopCtx) Reply(m actor.Msg)                             {}
+func (nopCtx) Alloc(size int) (uint64, error)                { return 1, nil }
+func (nopCtx) Free(obj uint64) error                         { return nil }
+func (nopCtx) ObjRead(o uint64, off, n int) ([]byte, error)  { return make([]byte, n), nil }
+func (nopCtx) ObjWrite(o uint64, off int, p []byte) error    { return nil }
+func (nopCtx) ObjMigrate(o uint64) (int, error)              { return 0, nil }
+func (nopCtx) Accel(name string, b, bs int) (sim.Time, bool) { return 0, false }
 
 func binaryPut(v uint32) []byte {
 	var b [4]byte

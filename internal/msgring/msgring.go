@@ -110,9 +110,6 @@ func (r *Ring) freeFromProducer() int {
 	return len(r.slots) - used
 }
 
-// Len returns the number of occupied slots (true view).
-func (r *Ring) Len() int { return r.tail - r.head }
-
 // push reserves a slot. The message only becomes visible to the
 // consumer once markReady runs (when the modeled DMA write completes).
 func (r *Ring) push(m Message) (int, error) {

@@ -151,9 +151,6 @@ func NewPartitioned(g *sim.Group) *Network {
 	return n
 }
 
-// Engine returns partition 0's simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // Partitions returns the number of engine partitions ports can attach
 // to.
 func (n *Network) Partitions() int {

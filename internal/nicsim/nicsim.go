@@ -20,7 +20,6 @@ import (
 // single pipeline stage admitting at most PPSCap packets per second.
 // With PPSCap == 0 the gate is transparent.
 type TrafficGate struct {
-	eng     *sim.Engine
 	station *sim.Station
 	perPkt  sim.Time
 
@@ -33,7 +32,7 @@ type TrafficGate struct {
 
 // NewTrafficGate builds a gate for the model's PPSCap.
 func NewTrafficGate(eng *sim.Engine, m *spec.NICModel) *TrafficGate {
-	g := &TrafficGate{eng: eng, track: obs.NoTrack}
+	g := &TrafficGate{track: obs.NoTrack}
 	if m.PPSCap > 0 {
 		g.perPkt = sim.Time(1e9 / m.PPSCap)
 		g.station = sim.NewStation(eng, 1)
@@ -86,7 +85,6 @@ func (g *TrafficGate) Admit(flow uint64, bytes int, deliver func()) {
 // invoking core waits for completion, as the paper observes (§2.2.3:
 // "invoking an accelerator is not free since the NIC core has to wait").
 type AccelBank struct {
-	eng   *sim.Engine
 	units map[string]*accelUnit
 	sink  *obs.Sink
 }
@@ -101,7 +99,7 @@ type accelUnit struct {
 
 // NewAccelBank instantiates the model's accelerators.
 func NewAccelBank(eng *sim.Engine, m *spec.NICModel) *AccelBank {
-	b := &AccelBank{eng: eng, units: map[string]*accelUnit{}}
+	b := &AccelBank{units: map[string]*accelUnit{}}
 	for name, prof := range m.Accels {
 		b.units[name] = &accelUnit{prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
 	}
@@ -183,14 +181,6 @@ func (b *AccelBank) Stall(name string, d sim.Time) bool {
 	return true
 }
 
-// Stalls reports a unit's injected-stall count.
-func (b *AccelBank) Stalls(name string) uint64 {
-	if u, ok := b.units[name]; ok {
-		return u.Stalls
-	}
-	return 0
-}
-
 // Invokes reports a unit's invocation count.
 func (b *AccelBank) Invokes(name string) uint64 {
 	if u, ok := b.units[name]; ok {
@@ -244,6 +234,3 @@ func (e *EchoServer) Receive(size int) {
 		}})
 	})
 }
-
-// Backlog returns queued packets at the cores.
-func (e *EchoServer) Backlog() int { return e.cores.QueueLen() }

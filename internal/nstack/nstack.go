@@ -73,13 +73,11 @@ type WQE struct {
 	Headers Headers
 	// Payload aliases the UDP payload inside Packet after Decap.
 	Payload []byte
-	// Port is the ingress port index.
-	Port int
 }
 
 // NewWQE wraps a frame (nstack_new_wqe).
-func NewWQE(frame []byte, port int) *WQE {
-	return &WQE{Packet: frame, Port: port}
+func NewWQE(frame []byte) *WQE {
+	return &WQE{Packet: frame}
 }
 
 // ipv4Checksum computes the internet checksum over a header.

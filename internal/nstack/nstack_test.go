@@ -18,7 +18,7 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	if len(frame) != headerOverhead+len(payload) {
 		t.Fatalf("frame len %d", len(frame))
 	}
-	w := NewWQE(frame, 0)
+	w := NewWQE(frame)
 	if err := w.Decap(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 func TestChecksumDetectsCorruption(t *testing.T) {
 	frame := Encap(srcAddr, dstAddr, []byte("x"), 64)
 	frame[ethHeaderLen+15] ^= 0x40 // flip a bit in the source IP
-	w := NewWQE(frame, 0)
+	w := NewWQE(frame)
 	if err := w.Decap(); !errors.Is(err, errBadChecksum) {
 		t.Fatalf("err = %v, want checksum mismatch", err)
 	}
@@ -57,7 +57,7 @@ func TestDecapRejectsGarbage(t *testing.T) {
 		"truncated": Encap(srcAddr, dstAddr, make([]byte, 100), 64)[:30],
 	}
 	for name, frame := range cases {
-		w := NewWQE(frame, 0)
+		w := NewWQE(frame)
 		if err := w.Decap(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -65,7 +65,7 @@ func TestDecapRejectsGarbage(t *testing.T) {
 	// Wrong EtherType specifically.
 	f := Encap(srcAddr, dstAddr, []byte("x"), 64)
 	f[12], f[13] = 0x86, 0xdd // IPv6
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errEtherType) {
+	if err := NewWQE(f).Decap(); !errors.Is(err, errEtherType) {
 		t.Errorf("ethertype err = %v", err)
 	}
 	// Non-UDP protocol.
@@ -76,7 +76,7 @@ func TestDecapRejectsGarbage(t *testing.T) {
 	ip[10], ip[11] = 0, 0
 	c := ipv4Checksum(ip[:ipv4HeaderLen])
 	ip[10], ip[11] = byte(c>>8), byte(c)
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errNotUDP) {
+	if err := NewWQE(f).Decap(); !errors.Is(err, errNotUDP) {
 		t.Errorf("proto err = %v", err)
 	}
 }
@@ -89,14 +89,14 @@ func TestInconsistentLengthsRejected(t *testing.T) {
 	ip[10], ip[11] = 0, 0
 	c := ipv4Checksum(ip[:ipv4HeaderLen])
 	ip[10], ip[11] = byte(c>>8), byte(c)
-	if err := NewWQE(f, 0).Decap(); !errors.Is(err, errBadLength) {
+	if err := NewWQE(f).Decap(); !errors.Is(err, errBadLength) {
 		t.Fatalf("err = %v, want bad length", err)
 	}
 }
 
 func TestReverseEchoPath(t *testing.T) {
 	frame := Encap(srcAddr, dstAddr, []byte("ping"), 64)
-	w := NewWQE(frame, 0)
+	w := NewWQE(frame)
 	if err := w.reverse(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEncapDecapProperty(t *testing.T) {
 		}
 		src := Addr{MAC: MAC{1, 2, 3, 4, 5, 6}, IP: sip, Port: sp}
 		dst := Addr{MAC: MAC{6, 5, 4, 3, 2, 1}, IP: dip, Port: dp}
-		w := NewWQE(Encap(src, dst, payload, ttl), 0)
+		w := NewWQE(Encap(src, dst, payload, ttl))
 		if err := w.Decap(); err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestChecksumCatchesHeaderBitflips(t *testing.T) {
 		idx := ethHeaderLen + int(bit)%ipv4HeaderLen
 		mask := byte(1 << (bit % 8))
 		frame[idx] ^= mask
-		w := NewWQE(frame, 0)
+		w := NewWQE(frame)
 		err := w.Decap()
 		// Flips in version/IHL trip errBadVersion; everything else must
 		// trip the checksum (or length consistency).

@@ -229,9 +229,6 @@ func NewCollector(eng *sim.Engine, interval sim.Time) *Collector {
 	return &Collector{eng: eng, interval: interval}
 }
 
-// Interval returns the snapshot spacing.
-func (c *Collector) Interval() sim.Time { return c.interval }
-
 // Registry creates a registry enrolled with this collector. Names should
 // be unique; duplicate names produce distinguishable NDJSON records only
 // by order, so don't.

@@ -206,16 +206,6 @@ func (t *Tracer) Spans() int {
 	return n
 }
 
-// Group delegates track-group registration to the parent tracer, so a
-// substrate holding only a Sink can still name its lanes.
-// Coordinator-only, like Tracer.Group.
-func (s *Sink) Group(name string) GroupID {
-	if s == nil {
-		return noGroup
-	}
-	return s.t.Group(name)
-}
-
 // NewTrack delegates lane registration to the parent tracer.
 // Coordinator-only, like Tracer.NewTrack.
 func (s *Sink) NewTrack(g GroupID, name string) TrackID {

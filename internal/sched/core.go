@@ -200,7 +200,7 @@ func (c *core) step() {
 
 // stepDispatch is the IOKernel dispatcher loop (§3.2.6): drain the
 // central ingress buffer into per-worker queues, one routing decision
-// per DispatcherCost.
+// per dispatcherCost.
 func (c *core) stepDispatch() {
 	s := c.s
 	q, ok := s.queue.(*iokQueue)
@@ -214,7 +214,7 @@ func (c *core) stepDispatch() {
 		c.endBusy()
 		return
 	}
-	c.occupy(s.cfg.DispatcherCost, coreOp{kind: opDispatch, worker: worker})
+	c.occupy(dispatcherCost, coreOp{kind: opDispatch, worker: worker})
 }
 
 // stepFCFS implements ALG 1: fetch from the shared queue, dispatch to
@@ -235,15 +235,15 @@ func (c *core) stepFCFS() {
 		// Host-bound traffic (or an actor that just left): forward.
 		c.occupy(tax, coreOp{kind: opForward, m: m, start: s.eng.Now()})
 	case a.State == actor.Prepare || a.State == actor.Ready:
-		c.occupy(s.cfg.DispatchCost, coreOp{kind: opBuffer, a: a, m: m})
+		c.occupy(dispatchCost, coreOp{kind: opBuffer, a: a, m: m})
 	case a.InDRR:
-		c.occupy(tax+s.cfg.DispatchCost, coreOp{kind: opToDRR, a: a, m: m})
+		c.occupy(tax+dispatchCost, coreOp{kind: opToDRR, a: a, m: m})
 	default:
 		if !a.TryAcquire() {
 			// Exclusive actor busy on another core: park the message on
 			// the actor; the releasing core drains it. (A naive requeue
 			// would busy-spin the shared queue.)
-			c.occupy(s.cfg.DispatchCost, coreOp{kind: opPark, a: a, m: m})
+			c.occupy(dispatchCost, coreOp{kind: opPark, a: a, m: m})
 			return
 		}
 		c.execFCFS(a, m, tax)
@@ -339,7 +339,7 @@ func (c *core) stepDRR() {
 		est := sim.Micros(a.ServiceStats.Mean())
 		if a.Deficit <= est {
 			// Not enough credit yet; the scan itself costs time.
-			c.occupy(s.cfg.ScanCost, coreOp{kind: opStep})
+			c.occupy(scanCost, coreOp{kind: opStep})
 			return
 		}
 		if !a.TryAcquire() {
@@ -349,7 +349,7 @@ func (c *core) stepDRR() {
 		a.Deficit -= est
 		start := s.eng.Now()
 		service := s.hooks.Run(a, m)
-		c.occupy(s.cfg.ScanCost+service, coreOp{kind: opExecDRR, a: a, m: m, start: start, service: service})
+		c.occupy(scanCost+service, coreOp{kind: opExecDRR, a: a, m: m, start: start, service: service})
 		return
 	}
 	// Every runnable actor had an empty mailbox (or was busy elsewhere).
@@ -375,7 +375,7 @@ func (c *core) execDRRDone(op coreOp) {
 	// until the estimate is Ready().
 	if !s.cfg.AllDRR && s.cfg.TailThresh > 0 &&
 		(s.fcfsStats.Count() == 0 || s.fcfsStats.Ready()) &&
-		s.fcfsStats.Tail() < (1-s.cfg.Alpha)*s.cfg.TailThresh {
+		s.fcfsStats.Tail() < (1-alpha)*s.cfg.TailThresh {
 		s.upgrade()
 	}
 	c.s.maybeMonitor()

@@ -116,8 +116,6 @@ type Config struct {
 	// TailThresh/MeanThresh are sojourn-time thresholds in microseconds.
 	TailThresh float64
 	MeanThresh float64
-	// Alpha is the hysteresis factor α.
-	Alpha float64
 	// QThresh is the DRR mailbox length that triggers direct migration.
 	QThresh int
 	// Shuffle selects the software shuffle layer (off-path NICs without
@@ -127,43 +125,44 @@ type Config struct {
 	// dispatcher core (Shenango-IOKernel style) feeding per-worker
 	// queues. It takes precedence over Shuffle and costs one core.
 	IOKernel bool
-	// DispatcherCost is the IOKernel per-message routing cost.
-	DispatcherCost sim.Time
 	// AllDRR places every actor in the DRR runnable queue at
 	// registration and keeps it there — the standalone DRR discipline
 	// the paper compares against in §5.4. (The standalone FCFS
 	// comparator is TailThresh = 0, which never downgrades.)
 	AllDRR bool
-	// ScanCost is the DRR per-actor visit cost (pointer chase + deficit
-	// update); a small constant keeps virtual time advancing.
-	ScanCost sim.Time
-	// DispatchCost is the FCFS cost to push a DRR actor's message into
-	// its mailbox.
-	DispatchCost sim.Time
 	// ExtraDispatch is charged on every FCFS execution in addition to
 	// the forwarding tax; it models heavier per-message runtimes (the
 	// Floem comparator's logical-queue multiplexing, §5.6).
 	ExtraDispatch sim.Time
-	// StatsAlpha is the EWMA smoothing for group latency statistics.
-	StatsAlpha float64
-	// MigrationCooldown is the minimum spacing between migrations. A
+}
+
+// The scheduler's fixed structural parameters.
+const (
+	// alpha is the hysteresis factor α.
+	alpha = 0.2
+	// scanCost is the DRR per-actor visit cost (pointer chase + deficit
+	// update); a small constant keeps virtual time advancing.
+	scanCost = 50 * sim.Nanosecond
+	// dispatchCost is the FCFS cost to push a DRR actor's message into
+	// its mailbox.
+	dispatchCost = 100 * sim.Nanosecond
+	// dispatcherCost is the IOKernel per-message routing cost.
+	dispatcherCost = 250 * sim.Nanosecond
+	// statsAlpha is the EWMA smoothing for group latency statistics.
+	statsAlpha = 0.02
+	// migrationCooldown is the minimum spacing between migrations. A
 	// migration stalls the moving actor for up to tens of milliseconds
 	// (Figure 18), and right after one the FCFS statistics reflect only
 	// cheap forwarding work, so deciding again immediately thrashes.
-	MigrationCooldown sim.Time
-}
+	migrationCooldown = 5 * sim.Millisecond
+)
 
 // DefaultConfig returns reasonable structural defaults; thresholds must
 // still be set per NIC.
 func DefaultConfig(cores int) Config {
 	return Config{
-		Cores:             cores,
-		Alpha:             0.2,
-		QThresh:           64,
-		ScanCost:          50 * sim.Nanosecond,
-		DispatchCost:      100 * sim.Nanosecond,
-		StatsAlpha:        0.02,
-		MigrationCooldown: 5 * sim.Millisecond,
+		Cores:   cores,
+		QThresh: 64,
 	}
 }
 
@@ -214,23 +213,17 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
 	if hooks.Run == nil || hooks.FwdTax == nil {
 		panic("sched: Run and FwdTax hooks are required")
 	}
-	if cfg.StatsAlpha == 0 {
-		cfg.StatsAlpha = 0.02
-	}
 	s := &Scheduler{
 		eng:    eng,
 		cfg:    cfg,
 		hooks:  hooks,
 		actors: map[actor.ID]*actor.Actor{},
 	}
-	s.fcfsStats.Alpha = cfg.StatsAlpha
+	s.fcfsStats.Alpha = statsAlpha
 	switch {
 	case cfg.IOKernel:
 		if cfg.Cores < 2 {
 			panic("sched: IOKernel mode needs at least two cores")
-		}
-		if s.cfg.DispatcherCost == 0 {
-			s.cfg.DispatcherCost = 250 * sim.Nanosecond
 		}
 		s.queue = newIOKQueue(cfg.Cores - 1)
 	case cfg.Shuffle:
@@ -707,7 +700,7 @@ func (s *Scheduler) maybeMigrate() {
 	if s.migrationInFlight {
 		return
 	}
-	if s.lastMigration != 0 && s.eng.Now()-s.lastMigration < s.cfg.MigrationCooldown {
+	if s.lastMigration != 0 && s.eng.Now()-s.lastMigration < migrationCooldown {
 		return
 	}
 	if s.hooks.PushToHost != nil && s.cfg.MeanThresh > 0 && s.fcfsStats.Mean() > s.cfg.MeanThresh {
@@ -724,7 +717,7 @@ func (s *Scheduler) maybeMigrate() {
 		}
 	}
 	if s.hooks.PullFromHost != nil && s.cfg.MeanThresh > 0 &&
-		s.fcfsStats.Mean() < (1-s.cfg.Alpha)*s.cfg.MeanThresh {
+		s.fcfsStats.Mean() < (1-alpha)*s.cfg.MeanThresh {
 		fcfsU, _ := s.groupWindowUtil()
 		if fcfsU < 0.8 { // sufficient CPU headroom
 			s.migrationInFlight = true

@@ -25,7 +25,6 @@ type point struct {
 // Ring is a consistent-hash ring over integer shard IDs [0, shards).
 type Ring struct {
 	points []point
-	vnodes int
 	shards int // original shard count (IDs), not live count
 	live   []bool
 	nLive  int
@@ -42,7 +41,6 @@ func New(shards, vnodes int) *Ring {
 	}
 	r := &Ring{
 		points: make([]point, 0, shards*vnodes),
-		vnodes: vnodes,
 		shards: shards,
 		live:   make([]bool, shards),
 		nLive:  shards,
@@ -74,10 +72,6 @@ func sortPoints(pts []point) {
 
 // Shards returns the number of shards still on the ring.
 func (r *Ring) Shards() int { return r.nLive }
-
-// Size returns the original shard count the ring was built with
-// (removed shards keep their IDs; they just own no points).
-func (r *Ring) Size() int { return r.shards }
 
 // Live reports whether shard s still owns points on the ring.
 func (r *Ring) Live(s int) bool { return s >= 0 && s < r.shards && r.live[s] }

@@ -37,9 +37,6 @@ const (
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// Duration converts a virtual time span to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

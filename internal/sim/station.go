@@ -6,8 +6,6 @@ type Job struct {
 	Service Time
 	// Done, if non-nil, runs when the job completes service.
 	Done func(enqueued, started, finished Time)
-	// Payload carries arbitrary caller context through the station.
-	Payload any
 
 	// In-service state lives on the job itself, so starting a job
 	// allocates nothing once fire is bound: a caller that embeds its Jobs

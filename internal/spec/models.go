@@ -12,7 +12,7 @@ func us(v float64) sim.Time { return sim.Micros(v) }
 // cards, straight from Table 3 (per-request latency for 1KB requests at
 // batch sizes 1/8/32).
 func liquidAccels() map[string]AccelProfile {
-	mk := func(name string, ipc, mpki float64, b1, b8, b32 float64, hostX float64) AccelProfile {
+	mk := func(name string, ipc, mpki float64, b1, b8, b32 float64) AccelProfile {
 		lat := map[int]sim.Time{1: us(b1)}
 		if b8 > 0 {
 			lat[8] = us(b8)
@@ -20,20 +20,20 @@ func liquidAccels() map[string]AccelProfile {
 		if b32 > 0 {
 			lat[32] = us(b32)
 		}
-		return AccelProfile{Name: name, IPC: ipc, MPKI: mpki, LatencyByBatch: lat, HostSpeedup: hostX}
+		return AccelProfile{Name: name, IPC: ipc, MPKI: mpki, LatencyByBatch: lat}
 	}
 	return map[string]AccelProfile{
-		"CRC":    mk("CRC", 1.2, 2.8, 2.6, 0.7, 0.3, 1),
-		"MD5":    mk("MD5", 0.7, 2.6, 5.0, 3.1, 3.0, 7.0),
-		"SHA-1":  mk("SHA-1", 0.9, 2.6, 3.5, 1.2, 0.9, 1),
-		"3DES":   mk("3DES", 0.8, 0.9, 3.4, 1.3, 1.1, 1),
-		"AES":    mk("AES", 1.1, 0.9, 2.7, 1.0, 0.8, 2.5),
-		"KASUMI": mk("KASUMI", 1.0, 0.9, 2.7, 1.1, 0.9, 1),
-		"SMS4":   mk("SMS4", 0.8, 0.9, 3.5, 1.4, 1.2, 1),
-		"SNOW3G": mk("SNOW3G", 1.4, 0.5, 2.3, 0.9, 0.8, 1),
-		"FAU":    mk("FAU", 1.4, 0.6, 1.9, 1.4, 1.0, 1),
-		"ZIP":    mk("ZIP", 1.0, 0.2, 190.9, 0, 0, 1),
-		"DFA":    mk("DFA", 1.3, 0.2, 9.2, 7.5, 7.3, 1),
+		"CRC":    mk("CRC", 1.2, 2.8, 2.6, 0.7, 0.3),
+		"MD5":    mk("MD5", 0.7, 2.6, 5.0, 3.1, 3.0),
+		"SHA-1":  mk("SHA-1", 0.9, 2.6, 3.5, 1.2, 0.9),
+		"3DES":   mk("3DES", 0.8, 0.9, 3.4, 1.3, 1.1),
+		"AES":    mk("AES", 1.1, 0.9, 2.7, 1.0, 0.8),
+		"KASUMI": mk("KASUMI", 1.0, 0.9, 2.7, 1.1, 0.9),
+		"SMS4":   mk("SMS4", 0.8, 0.9, 3.5, 1.4, 1.2),
+		"SNOW3G": mk("SNOW3G", 1.4, 0.5, 2.3, 0.9, 0.8),
+		"FAU":    mk("FAU", 1.4, 0.6, 1.9, 1.4, 1.0),
+		"ZIP":    mk("ZIP", 1.0, 0.2, 190.9, 0, 0),
+		"DFA":    mk("DFA", 1.3, 0.2, 9.2, 7.5, 7.3),
 	}
 }
 
@@ -67,7 +67,7 @@ func LiquidIOII_CN2350() *NICModel {
 		FullOS:   false,
 		Memory: MemoryProfile{
 			L1: ns(8.3), L2: ns(55.8), DRAM: ns(115.0),
-			CacheLineBytes: 128, ScratchpadLines: 54,
+			CacheLineBytes: 128,
 			LastLevelBytes: 4 << 20,
 		},
 		DMA: DMAProfile{
@@ -130,7 +130,6 @@ func BlueField_1M332A() *NICModel {
 			BlockingWrite:      LinearCost{Fixed: us(1.60), PerByte: 0.90},
 			NonBlockingIssue:   us(0.45),
 			EngineBandwidthGBs: 2.0,
-			RDMA:               true,
 		},
 		// Echo cost scaled from the Stingray calibration by the 3.0/0.8
 		// frequency ratio (same core microarchitecture).
@@ -170,7 +169,6 @@ func Stingray_PS225() *NICModel {
 			BlockingWrite:      LinearCost{Fixed: us(1.50), PerByte: 0.85},
 			NonBlockingIssue:   us(0.40),
 			EngineBandwidthGBs: 2.1,
-			RDMA:               true,
 		},
 		EchoCost:          LinearCost{Fixed: us(0.18), PerByte: 0.08},
 		FwdTax:            LinearCost{Fixed: 0, PerByte: 0.07},
@@ -199,9 +197,8 @@ func AllNICs() []*NICModel {
 // Figure 6's DPDK/RDMA host messaging costs.
 func IntelHost() *HostModel {
 	return &HostModel{
-		Name:    "Intel E5-2680 v3",
-		Cores:   12,
-		FreqGHz: 2.5,
+		Name:  "Intel E5-2680 v3",
+		Cores: 12,
 		Memory: MemoryProfile{
 			L1: ns(1.2), L2: ns(6.0), L3: ns(22.4), DRAM: ns(62.2),
 			CacheLineBytes: 64, LastLevelBytes: 30 << 20,

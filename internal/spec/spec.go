@@ -37,9 +37,6 @@ type MemoryProfile struct {
 	DRAM sim.Time
 	// CacheLineBytes is the line size (128B on LiquidIOII, 64B elsewhere).
 	CacheLineBytes int
-	// ScratchpadLines is the per-core scratchpad size in cache lines
-	// (LiquidIO exposes 54 lines; zero when absent).
-	ScratchpadLines int
 	// LastLevelBytes is the capacity of the last cache level before
 	// DRAM (L2 on the NICs, L3 on the host); it gates the stateful-
 	// offloading working-set effect of I5.
@@ -85,11 +82,6 @@ type DMAProfile struct {
 	// EngineBandwidthGBs bounds sustained transfer (PCIe Gen3 x8 shares
 	// 7.87GB/s across engines; per-core observed ≈2.1GB/s write).
 	EngineBandwidthGBs float64
-	// RDMA reports whether this profile models RDMA verbs (BlueField,
-	// Stingray) rather than native DMA primitives (LiquidIOII). RDMA
-	// roughly doubles small-message latency and cuts small-message
-	// throughput to a third (§2.2.5, I6).
-	RDMA bool
 }
 
 // ReadLatency returns the blocking read completion latency for a payload.
@@ -119,10 +111,6 @@ type AccelProfile struct {
 	// LatencyByBatch maps batch size → per-request latency. Missing batch
 	// sizes (ZIP supports only bsz=1) are absent.
 	LatencyByBatch map[int]sim.Time
-	// HostSpeedup is how much faster the accelerator is than running the
-	// same function on a host core (the paper reports MD5 7.0X and AES
-	// 2.5X; others default to 1 meaning not compared).
-	HostSpeedup float64
 }
 
 // Latency returns the per-request latency at the given batch size,
@@ -179,8 +167,8 @@ type NICModel struct {
 	LinkGbps float64
 	OnPath   bool // on-path (LiquidIOII) vs off-path (BlueField, Stingray)
 	// FullOS reports whether the card runs Linux (BlueField, Stingray)
-	// rather than lightweight firmware (LiquidIOII). It selects the
-	// isolation mechanism (§3.4) and the scheduler queue model (§3.2.6).
+	// rather than lightweight firmware (LiquidIOII). Like Vendor and
+	// OnPath it describes the card (Table 1); no cost model reads it.
 	FullOS bool
 
 	Memory MemoryProfile
@@ -228,10 +216,9 @@ func (m *NICModel) CyclesScale() float64 {
 
 // HostModel describes the host server used alongside a NIC.
 type HostModel struct {
-	Name    string
-	Cores   int
-	FreqGHz float64
-	Memory  MemoryProfile
+	Name   string
+	Cores  int
+	Memory MemoryProfile
 	// DPDKSendCost / DPDKRecvCost model the kernel-bypass stack of the
 	// DPDK baseline (Figure 6).
 	DPDKSendCost LinearCost

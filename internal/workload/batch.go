@@ -106,13 +106,6 @@ func (b *Batcher) park(node string, dst actor.ID, m actor.Msg, size int) {
 	}
 }
 
-// Flush emits every parked train now, in group-creation order.
-func (b *Batcher) Flush() {
-	for _, g := range b.groups {
-		b.flushGroup(g)
-	}
-}
-
 func (b *Batcher) flushGroup(g *batchGroup) {
 	n := len(g.msgs)
 	if n == 0 {

@@ -317,7 +317,6 @@ func (c *call) fire(stage func(m actor.Msg, size int)) {
 		FlowID: r.FlowID,
 		Origin: cl.Name,
 		Reply:  c.replyFn,
-		Tenant: r.Tenant,
 		Class:  r.Class,
 	}
 	switch {
