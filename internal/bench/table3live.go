@@ -41,18 +41,15 @@ func table3Live(opts Options) *Result {
 			panic(err)
 		}
 		client := workload.NewClient(cl, "cli", 10)
-		const reqs = 200
-		for i := 0; i < reqs; i++ {
-			i := i
-			// Space arrivals so queueing is ≈0 and measured service is
-			// pure execution.
-			cl.Eng.At(sim.Time(i)*200*sim.Microsecond, func() {
-				client.Send(workload.Request{
-					Node: "srv", Dst: 1, Data: make([]byte, 1000),
-					Size: 1024, FlowID: uint64(i),
-				})
+		// 200 requests, spaced so queueing is ≈0 and measured service
+		// is pure execution.
+		const interval = 200 * sim.Microsecond
+		every(cl.Eng, 0, 200*interval, interval, func(i uint64) {
+			client.Send(workload.Request{
+				Node: "srv", Dst: 1, Data: make([]byte, 1000),
+				Size: 1024, FlowID: i,
 			})
-		}
+		})
 		cl.Eng.Run()
 		measured := a.ServiceStats.Mean()
 		want := prof.ExecLat1KB.Micros()
