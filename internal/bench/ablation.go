@@ -84,15 +84,10 @@ func ablateQueue(opts Options) *Result {
 		window = 5 * sim.Millisecond
 	}
 	r := &Result{Header: []string{"queue", "flows", "load", "p50(us)", "p99(us)", "served"}}
-	run := func(mode string, flows int, load float64) (p50, p99 float64, served uint64) {
+	run := func(ingress sched.Ingress, flows int, load float64) (p50, p99 float64, served uint64) {
 		model := spec.LiquidIOII_CN2350()
 		cfg := sched.DefaultConfig(model.Cores)
-		switch mode {
-		case "software-shuffle":
-			cfg.Shuffle = true
-		case "iokernel":
-			cfg.IOKernel = true
-		}
+		cfg.Ingress = ingress
 		cl := opts.cluster()
 		n := cl.AddNode(core.Config{Name: "srv", NIC: model, SchedOverride: &cfg, DisableMigration: true})
 		a := &actor.Actor{
@@ -111,23 +106,27 @@ func ablateQueue(opts Options) *Result {
 		cl.Eng.Run()
 		return client.Lat.Percentile(50), client.Lat.Percentile(99), client.Received
 	}
+	type mode struct {
+		name    string
+		ingress sched.Ingress
+	}
 	type point struct {
 		flows int
 		load  float64
-		mode  string
+		mode  mode
 	}
 	var pts []point
 	for _, flows := range []int{2, 64} {
 		for _, load := range []float64{0.5, 0.9} {
-			for _, mode := range []string{"hardware-shared", "software-shuffle", "iokernel"} {
-				pts = append(pts, point{flows, load, mode})
+			for _, m := range []mode{{"hardware-shared", sched.SharedQueue}, {"software-shuffle", sched.ShuffleLayer}, {"iokernel", sched.IOKernel}} {
+				pts = append(pts, point{flows, load, m})
 			}
 		}
 	}
 	rows := sweepMap(opts, len(pts), func(i int) []any {
 		p := pts[i]
-		p50, p99, served := run(p.mode, p.flows, p.load)
-		return []any{p.mode, p.flows, fmt.Sprintf("%.1f", p.load), p50, p99, served}
+		p50, p99, served := run(p.mode.ingress, p.flows, p.load)
+		return []any{p.mode.name, p.flows, fmt.Sprintf("%.1f", p.load), p50, p99, served}
 	})
 	for _, row := range rows {
 		r.Add(row...)

@@ -267,6 +267,20 @@ type Node struct {
 // it; calibrated so a 32MB Memtable takes ≈35ms as in Appendix B.3).
 const migrationBandwidthGBs = 0.9
 
+// SchedConfig is the scheduler a NIC model gets unless
+// Config.SchedOverride replaces it: the hybrid discipline with the
+// card's §3.2.3 thresholds, behind the software shuffle layer where the
+// card has no hardware traffic manager (§3.2.6).
+func SchedConfig(nic *spec.NICModel) sched.Config {
+	cfg := sched.DefaultConfig(nic.Cores)
+	cfg.TailThresh = nic.TailThreshUs
+	cfg.MeanThresh = nic.MeanThreshUs
+	if !nic.HasTrafficManager {
+		cfg.Ingress = sched.ShuffleLayer
+	}
+	return cfg
+}
+
 // AddNode creates, wires, and attaches a node.
 func (c *Cluster) AddNode(cfg Config) *Node {
 	if cfg.Name == "" {
@@ -336,10 +350,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 			n.Watchdog = isolation.NewWatchdog(cfg.WatchdogTimeout, n.killActor)
 		}
 
-		scfg := sched.DefaultConfig(cfg.NIC.Cores)
-		scfg.TailThresh = cfg.NIC.TailThreshUs
-		scfg.MeanThresh = cfg.NIC.MeanThreshUs
-		scfg.Shuffle = !cfg.NIC.HasTrafficManager
+		scfg := SchedConfig(cfg.NIC)
 		if cfg.SchedOverride != nil {
 			scfg = *cfg.SchedOverride
 		}

@@ -203,9 +203,9 @@ func TestSchedulerInvariantsCleanAcrossQueues(t *testing.T) {
 			cfg := baseConfig(4)
 			switch mode {
 			case "shuffle":
-				cfg.Shuffle = true
+				cfg.Ingress = ShuffleLayer
 			case "iokernel":
-				cfg.IOKernel = true
+				cfg.Ingress = IOKernel
 			}
 			h := newHarness(t, cfg)
 			chk := invariant.New(h.eng)

@@ -118,13 +118,8 @@ type Config struct {
 	MeanThresh float64
 	// QThresh is the DRR mailbox length that triggers direct migration.
 	QThresh int
-	// Shuffle selects the software shuffle layer (off-path NICs without
-	// a hardware traffic manager) instead of the shared queue.
-	Shuffle bool
-	// IOKernel selects §3.2.6's other software alternative: a dedicated
-	// dispatcher core (Shenango-IOKernel style) feeding per-worker
-	// queues. It takes precedence over Shuffle and costs one core.
-	IOKernel bool
+	// Ingress is the FCFS ingress model (default SharedQueue).
+	Ingress Ingress
 	// AllDRR places every actor in the DRR runnable queue at
 	// registration and keeps it there — the standalone DRR discipline
 	// the paper compares against in §5.4. (The standalone FCFS
@@ -135,6 +130,22 @@ type Config struct {
 	// Floem comparator's logical-queue multiplexing, §5.6).
 	ExtraDispatch sim.Time
 }
+
+// Ingress is how arrivals reach the FCFS cores (§3.2.6).
+type Ingress uint8
+
+const (
+	// SharedQueue is the hardware traffic manager's shared queue of
+	// on-path NICs.
+	SharedQueue Ingress = iota
+	// ShuffleLayer is the software shuffle layer with work stealing,
+	// for off-path NICs without a hardware traffic manager.
+	ShuffleLayer
+	// IOKernel is §3.2.6's other software alternative: a dedicated
+	// dispatcher core (Shenango-IOKernel style) feeding per-worker
+	// queues. It costs one core.
+	IOKernel
+)
 
 // The scheduler's fixed structural parameters.
 const (
@@ -220,20 +231,20 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
 		actors: map[actor.ID]*actor.Actor{},
 	}
 	s.fcfsStats.Alpha = statsAlpha
-	switch {
-	case cfg.IOKernel:
+	switch cfg.Ingress {
+	case IOKernel:
 		if cfg.Cores < 2 {
 			panic("sched: IOKernel mode needs at least two cores")
 		}
 		s.queue = newIOKQueue(cfg.Cores - 1)
-	case cfg.Shuffle:
+	case ShuffleLayer:
 		s.queue = newShuffleQueue(cfg.Cores)
 	default:
 		s.queue = newSharedQueue()
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := newCore(s, i)
-		if cfg.IOKernel && i == cfg.Cores-1 {
+		if cfg.Ingress == IOKernel && i == cfg.Cores-1 {
 			c.mode = dispatch
 		}
 		s.cores = append(s.cores, c)
@@ -442,7 +453,7 @@ func (s *Scheduler) DRRBacklog() int {
 }
 
 func (s *Scheduler) wakeFCFS() {
-	if s.cfg.IOKernel {
+	if s.cfg.Ingress == IOKernel {
 		// Arrivals land in the central buffer: wake the dispatcher; it
 		// wakes workers as it routes.
 		s.cores[len(s.cores)-1].kick()

@@ -326,7 +326,7 @@ func TestShuffleQueueSteeringAndStealing(t *testing.T) {
 
 func TestShuffleSchedulerDrainsEverything(t *testing.T) {
 	cfg := baseConfig(4)
-	cfg.Shuffle = true
+	cfg.Ingress = ShuffleLayer
 	h := newHarness(t, cfg)
 	a := h.addActor(1, sim.Microsecond)
 	for i := 0; i < 50; i++ {
@@ -382,7 +382,7 @@ func TestStringSummary(t *testing.T) {
 
 func TestIOKernelDispatcherServes(t *testing.T) {
 	cfg := baseConfig(4)
-	cfg.IOKernel = true
+	cfg.Ingress = IOKernel
 	h := newHarness(t, cfg)
 	a := h.addActor(1, 2*sim.Microsecond)
 	for i := 0; i < 40; i++ {
@@ -406,7 +406,7 @@ func TestIOKernelDispatcherServes(t *testing.T) {
 
 func TestIOKernelBalancesWorkers(t *testing.T) {
 	cfg := baseConfig(4)
-	cfg.IOKernel = true
+	cfg.Ingress = IOKernel
 	h := newHarness(t, cfg)
 	h.addActor(1, 5*sim.Microsecond)
 	// Several flows: the dispatcher spreads them across workers by queue
@@ -429,7 +429,7 @@ func TestIOKernelBalancesWorkers(t *testing.T) {
 
 func TestIOKernelPinsFlowWhilePending(t *testing.T) {
 	cfg := baseConfig(4)
-	cfg.IOKernel = true
+	cfg.Ingress = IOKernel
 	h := newHarness(t, cfg)
 	h.addActor(1, 5*sim.Microsecond)
 	// One flow only: while it has messages pending at a worker, every
@@ -457,6 +457,6 @@ func TestIOKernelNeedsTwoCores(t *testing.T) {
 		}
 	}()
 	cfg := baseConfig(1)
-	cfg.IOKernel = true
+	cfg.Ingress = IOKernel
 	newHarness(t, cfg)
 }
