@@ -153,16 +153,12 @@ func checkedRun(id, tag string, opts Options) (checked, error) {
 	out := checked{result: r}
 	var fps []string
 	for _, cchks := range byCluster {
-		// Cross-partition handoff reconciliation: after a drained run,
-		// one cluster's outbound and inbound handoff ledgers must agree
-		// (skipped automatically when events are still pending).
-		invariant.CrossCheckHandoffs(cchks)
+		checks, vs, _ := invariant.Close(cchks)
+		out.checks += checks
+		for _, v := range vs {
+			out.violations = append(out.violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
+		}
 		for _, chk := range cchks {
-			chk.Finish()
-			out.checks += chk.Checks()
-			for _, v := range chk.Violations() {
-				out.violations = append(out.violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
-			}
 			fps = append(fps, chk.Fingerprint())
 		}
 		out.clusters += len(cchks)

@@ -23,6 +23,7 @@
 package invariant
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -704,8 +705,8 @@ func (c *Checker) Fingerprint() string {
 // as received-then-dropped on the destination ledger, never as lost
 // between ledgers. Skipped when any engine still has pending work
 // (cutoff runs legitimately strand packets mid-handoff); a mismatch is
-// recorded as a violation on the first enabled checker. Call once,
-// after the run, alongside Finish.
+// recorded as a violation on the first enabled checker. Close calls it
+// once, after the run, before Finish.
 func CrossCheckHandoffs(chks []*Checker) {
 	var first *Checker
 	var out, in uint64
@@ -730,6 +731,22 @@ func CrossCheckHandoffs(chks []*Checker) {
 		first.violate("net-handoff-reconcile",
 			"cross-partition handoffs do not reconcile: out %d, in %d", out, in)
 	}
+}
+
+// Close closes out one cluster's checkers once its run is over:
+// CrossCheckHandoffs, then Finish on each. It returns the checks they
+// made, their violations in checker order, and their Errs joined (nil
+// when clean).
+func Close(chks []*Checker) (checks uint64, violations []Violation, err error) {
+	CrossCheckHandoffs(chks)
+	var errs []error
+	for _, c := range chks {
+		c.Finish()
+		checks += c.Checks()
+		violations = append(violations, c.Violations()...)
+		errs = append(errs, c.Err())
+	}
+	return checks, violations, errors.Join(errs...)
 }
 
 // SortFingerprints canonicalizes a set of per-cluster fingerprints: the
