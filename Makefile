@@ -17,13 +17,14 @@ fmt-check:
 		echo "fmt-check: gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 	@echo "fmt-check: ok"
 
-# race: every library package under the race detector. sim.Group's window
-# workers poll, steal and park rather than block on a channel, so which
-# of those paths a test takes depends on how many Ps there are: the
-# engine package runs a second time at -cpu 1,2,4 — fewer Ps than
-# workers, as many, and more.
+# race: every library package and both commands under the race detector
+# (ipipe-sim's test drives every app with tracing, metrics and checkers
+# on). sim.Group's window workers poll, steal and park rather than block
+# on a channel, so which of those paths a test takes depends on how many
+# Ps there are: the engine package runs a second time at -cpu 1,2,4 —
+# fewer Ps than workers, as many, and more.
 race:
-	$(GO) test -race ./internal/... .
+	$(GO) test -race ./internal/... ./cmd/... .
 	$(GO) test -race -cpu 1,2,4 ./internal/sim/...
 
 # alloc-budget: the exact allocation budgets of the per-message path —
