@@ -11,11 +11,30 @@ package obs
 import (
 	"bufio"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 
 	"repro/internal/sim"
 )
+
+// WriteArtifact writes an exporter's output to the file at path, or to
+// stdout when path is "-": the commands' convention for -trace,
+// -metrics and -report.
+func WriteArtifact(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // writeMicros appends a sim.Time as decimal microseconds with exact
 // nanosecond precision ("12.345"); trace_event timestamps are in µs.
