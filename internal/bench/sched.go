@@ -141,7 +141,7 @@ func fig16(opts Options) *Result {
 		case 1:
 			cfg = baseline.DRROnly(p.nc.model)
 		default:
-			cfg = baseline.Hybrid(p.nc.model)
+			cfg = core.SchedConfig(p.nc.model)
 		}
 		return run(p.nc, p.highDisp, cfg, p.load)
 	})
