@@ -94,8 +94,6 @@ var contracts = []contract{
 		[]string{"internal/actor", "internal/sim"}},
 	{"internal/apps/nf", "network functions: TCAM firewall and IPSec gateway (§5.7)",
 		[]string{"internal/actor", "internal/nstack", "internal/sim"}},
-	{"internal/microbench", "Table 3's offloaded workload suite",
-		[]string{"internal/actor", "internal/sim", "internal/spec"}},
 	{"internal/baseline", "Floem-style static offload and the standalone FCFS/DRR disciplines",
 		[]string{"internal/core", "internal/sched", "internal/sim", "internal/spec"}},
 	{"internal/mesh", "the echo mesh: many NIC nodes forwarding RPCs, classic or partitioned",
@@ -106,7 +104,7 @@ var contracts = []contract{
 	{"internal/bench", "the experiment registry: one runner per table and figure, golden replay, reports",
 		[]string{"internal/actor", "internal/apps/dt", "internal/apps/nf", "internal/apps/rkv", "internal/apps/rta",
 			"internal/baseline", "internal/core", "internal/deploy", "internal/fault", "internal/invariant",
-			"internal/mesh", "internal/microbench", "internal/msgring", "internal/nicsim", "internal/obs",
+			"internal/mesh", "internal/msgring", "internal/nicsim", "internal/obs",
 			"internal/pcie", "internal/qos", "internal/sched", "internal/sim", "internal/spec", "internal/stats",
 			"internal/workload"}},
 	{"", "the public facade (package ipipe): what the examples and the README program against",
@@ -180,13 +178,6 @@ var surfaceAllowed = map[string]string{
 	"internal/isolation.FirmwareTimer":        isolationMechanism,
 	"internal/isolation.OSSignals":            isolationMechanism,
 	"internal/isolation.ViolationLog.Total":   "TestViolationLog",
-	"internal/microbench.KVCache.Len":         "TestKVCacheEviction",
-	"internal/microbench.LPMTrie.n":           lpmRoutes,
-	"internal/microbench.LPMTrie.insert":      lpmRoutes,
-	"internal/microbench.LPMTrie.Len":         lpmRoutes,
-	"internal/microbench.Maglev.spread":       "TestMaglevBalanceAndConsistency",
-	"internal/microbench.PFabric.Len":         "TestPFabricLen",
-	"internal/microbench.Bayes.train":         "TestBayesLearnsSeparableClasses",
 	"internal/msgring.Message.Kind":           "TestHostToNICRoundTrip",
 	"internal/msgring.Message.SrcActor":       "TestChannelMatchesModel numbers its messages with it",
 	"internal/netsim.Network.setHandler":      "TestSetHandler",
@@ -215,7 +206,6 @@ const (
 	rkvDelete          = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
 	isolationMechanism = "TestMechanismString: §3.4's two enforcement substrates, which no run " +
 		"distinguishes"
-	lpmRoutes = "TestLPMTrieLongestMatch installs routes; the Table 3 Router runs on an empty table"
 )
 
 // viewEscapeAllowed lists "file.go:function" pairs allowed to store a

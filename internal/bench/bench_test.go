@@ -269,19 +269,6 @@ func TestAblationWorkingSetCrossover(t *testing.T) {
 	}
 }
 
-func TestTable3LiveMatchesProfiles(t *testing.T) {
-	r := runQuick(t, "table3-live")
-	for row := range r.Rows {
-		want, got := cell(t, r, row, 1), cell(t, r, row, 2)
-		// The runtime adds ≈0.8µs of forwarding tax + reply send per
-		// request; anything beyond ~1.5µs absolute drift means the cost
-		// model and the runtime disagree.
-		if diff := got - want; diff < -1.0 || diff > 1.5 {
-			t.Errorf("%s: measured %.2fµs vs Table 3 %.2fµs", r.Rows[row][0], got, want)
-		}
-	}
-}
-
 func TestCSVOutput(t *testing.T) {
 	r := runQuick(t, "table2")
 	var buf bytes.Buffer

@@ -35,9 +35,6 @@ type Registry struct {
 	seen  map[string]bool
 }
 
-// Name returns the registry's name (the "reg" field of NDJSON records).
-func (r *Registry) Name() string { return r.name }
-
 func (r *Registry) add(it regItem) {
 	if r.seen[it.name] {
 		panic(fmt.Sprintf("obs: duplicate metric %q in registry %q", it.name, r.name))
