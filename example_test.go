@@ -81,7 +81,6 @@ func Example_deploymentSpec() {
 	d, err := ipipe.RKVSpec{
 		Common: ipipe.DeployCommon{ // shared policy block
 			Placement: ipipe.OnNIC,            // or ipipe.OnHost
-			Retry:     ipipe.DefaultRetry(),   // client timeout/backoff policy
 			Failover:  ipipe.FailoverPolicy{}, // leader re-election on crash
 			Faults: ipipe.FaultSchedule{Faults: []ipipe.Fault{ // optional failures
 				ipipe.FaultCrash("kv0", 2*ipipe.Millisecond, 3*ipipe.Millisecond),
@@ -104,14 +103,14 @@ func Example_deploymentSpec() {
 
 	client := ipipe.NewClient(cl, "cli", 10)
 	d.QoS.Bind(client)
-	retry := d.Spec.Retry
 	client.ClosedLoop(4, 10*ipipe.Millisecond, func(i uint64) ipipe.Request {
 		node, leader := d.LeaderFor(nil)
 		return ipipe.Request{
 			Node: node, Dst: leader, Kind: ipipe.RKVKindReq, Size: 256, FlowID: i,
-			Data:    ipipe.RKVPut([]byte(fmt.Sprintf("k%d", i%64)), []byte("v")),
-			Timeout: retry.Timeout, Retries: retry.Retries,
-			Backoff: retry.Backoff, MaxTimeout: retry.MaxTimeout,
+			Data: ipipe.RKVPut([]byte(fmt.Sprintf("k%d", i%64)), []byte("v")),
+			// client timeout/backoff: rides out the leader election
+			Timeout: 500 * ipipe.Microsecond, Retries: 8,
+			Backoff: 2, MaxTimeout: 4 * ipipe.Millisecond,
 		}
 	})
 	cl.Eng.Run()

@@ -28,10 +28,7 @@ func main() {
 	// 16KB Memtable so minor compactions happen during the short demo;
 	// the paper sized Memtables to NIC DRAM (≈32MB).
 	d, err := ipipe.RKVSpec{
-		Common: ipipe.DeployCommon{
-			Placement: ipipe.OnNIC,
-			Retry:     ipipe.DefaultRetry(),
-		},
+		Common:   ipipe.DeployCommon{Placement: ipipe.OnNIC},
 		Nodes:    nodes,
 		BaseID:   100,
 		MemLimit: 16 << 10,

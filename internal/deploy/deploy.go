@@ -2,11 +2,11 @@
 // stood up from a declarative spec struct (RKVSpec, DTSpec, RTASpec,
 // FirewallSpec, IPSecSpec) that bundles what the old positional helpers
 // took as bare arguments — nodes, actor IDs, placement — with the
-// shared policy vocabulary (Placement, RetryPolicy, FailoverPolicy) and
-// an optional fault.Schedule installed at deploy time.
+// shared policy vocabulary (Placement, FailoverPolicy) and an optional
+// fault.Schedule installed at deploy time.
 //
 // Spec-API v2 factors the policy fields every spec duplicated into one
-// embedded Common block — Placement, Retry, Failover, Faults, and the
+// embedded Common block — Placement, Failover, Faults, and the
 // multi-tenant qos.Tenancy — and gives harnesses a generic surface:
 // every spec implements Spec (Validate + DeployApp) and every deployed
 // app implements App, so ipipe-sim, ipipe-bench, and the golden-replay
@@ -50,33 +50,6 @@ var (
 	NIC  = Placement{OnNIC: true}
 	Host = Placement{OnNIC: false}
 )
-
-// RetryPolicy is the client-side recovery vocabulary shared by every
-// spec: requests time out and re-send with capped exponential backoff.
-// Apply copies it onto a workload.Request.
-type RetryPolicy struct {
-	// Timeout is the first re-send interval (0 disables retries).
-	Timeout sim.Time
-	// Retries bounds re-sends.
-	Retries int
-	// Backoff multiplies the interval after every unanswered attempt
-	// (values ≤ 1 keep it fixed).
-	Backoff float64
-	// MaxTimeout caps the grown interval (0 = uncapped).
-	MaxTimeout sim.Time
-}
-
-// DefaultRetry tolerates a leader election or a lossy-link window:
-// 500µs initial timeout, 8 retries, doubling to a 4ms cap (≈20ms of
-// total patience).
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    500 * sim.Microsecond,
-		Retries:    8,
-		Backoff:    2,
-		MaxTimeout: 4 * sim.Millisecond,
-	}
-}
 
 // FailoverPolicy controls the RKV leader-failover monitor.
 type FailoverPolicy struct {
@@ -509,8 +482,8 @@ func (d *DT) installSweep() {
 // RTASpec deploys the real-time analytics pipeline.
 type RTASpec struct {
 	// Common is the shared policy block; Placement offloads the pipeline
-	// when OnNIC (the aggregator stays host-pinned). Retry and Failover
-	// are unused (the pipeline is one-way).
+	// when OnNIC (the aggregator stays host-pinned). Failover is unused
+	// (the pipeline is one-way).
 	Common
 	// Node hosts the filter → counter → ranker pipeline.
 	Node *core.Node
@@ -589,7 +562,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 
 // FirewallSpec deploys a software-TCAM firewall actor.
 type FirewallSpec struct {
-	// Common is the shared policy block (Retry and Failover unused).
+	// Common is the shared policy block (Failover unused).
 	Common
 	Node  *core.Node
 	ID    actor.ID
@@ -637,7 +610,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 // IPSecSpec deploys an IPSec gateway actor (AES-256-CTR + SHA-1,
 // accelerator-assisted on the NIC).
 type IPSecSpec struct {
-	// Common is the shared policy block (Retry and Failover unused).
+	// Common is the shared policy block (Failover unused).
 	Common
 	Node   *core.Node
 	ID     actor.ID

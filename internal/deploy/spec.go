@@ -16,18 +16,15 @@ import (
 // types.
 
 // Common is the policy block shared by every application spec,
-// embedded by value: placement, client retry, leader failover, fault
-// schedule, and the multi-tenant QoS tenancy. Zero value = the legacy
-// defaults (host placement, no retries, failover enabled with default
-// detection where the app has a failover monitor, no faults, no QoS) —
-// a spec with a zero Common deploys byte-for-byte like before the
-// block existed.
+// embedded by value: placement, leader failover, fault schedule, and
+// the multi-tenant QoS tenancy. Zero value = the legacy defaults (host
+// placement, failover enabled with default detection where the app has
+// a failover monitor, no faults, no QoS) — a spec with a zero Common
+// deploys byte-for-byte like before the block existed. Client retries
+// are not a deployment policy: each workload.Request carries its own.
 type Common struct {
 	// Placement offloads the app's offloadable actors when OnNIC.
 	Placement Placement
-	// Retry is the suggested client policy (exposed via the deployed
-	// app; the deployment itself sends nothing).
-	Retry RetryPolicy
 	// Failover configures the leader-failover monitor on apps that have
 	// one (RKV; ignored elsewhere).
 	Failover FailoverPolicy
