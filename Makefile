@@ -51,12 +51,15 @@ fuzz-smoke:
 
 # fault-smoke: run the availability experiment under the default fault
 # schedule with tracing on, validate the trace artifact, and confirm the
-# injected faults appear as spans on the dedicated faults lanes.
+# injected faults appear as spans on the dedicated faults lanes. The
+# artifact goes to a fresh temporary directory, removed on exit, so two
+# checkouts can run the smoke at once.
 fault-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -trace /tmp/ipipe-fault-smoke.json \
-		faults-availability >/dev/null
-	$(GO) run ./cmd/ipipe-trace check /tmp/ipipe-fault-smoke.json
-	@grep -q '"crash kv0"' /tmp/ipipe-fault-smoke.json || \
+	dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && set -e; \
+	$(GO) run ./cmd/ipipe-bench -quick -trace "$$dir/trace.json" \
+		faults-availability >/dev/null; \
+	$(GO) run ./cmd/ipipe-trace check "$$dir/trace.json"; \
+	grep -q '"crash kv0"' "$$dir/trace.json" || \
 		{ echo "fault-smoke: no fault span in trace" >&2; exit 1; }
 	@echo "fault-smoke: fault spans present"
 
@@ -67,13 +70,15 @@ fault-smoke:
 # internal/bench/testdata/replay_golden.txt (the obs: lines are go test's).
 # Last, the full-resolution registry at 2 workers must equal
 # internal/bench/testdata/full_seed1.txt; each hunk of a difference is
-# headed by the "== id" line of its experiment.
+# headed by the "== id" line of its experiment. The report and its
+# digests go to a fresh temporary directory, removed on exit.
 replay-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check all >/tmp/ipipe-replay-smoke.txt
+	dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && set -e; \
+	$(GO) run ./cmd/ipipe-bench -quick -check all >"$$dir/replay.txt"; \
 	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 fig17 scale-nodes \
-		faults-pdes migrate-pdes >>/tmp/ipipe-replay-smoke.txt
-	sed -n 's/^  digest //p' /tmp/ipipe-replay-smoke.txt | LC_ALL=C sort >/tmp/ipipe-replay-smoke.digests
-	grep -v '^#\|^obs:' internal/bench/testdata/replay_golden.txt | diff - /tmp/ipipe-replay-smoke.digests
+		faults-pdes migrate-pdes >>"$$dir/replay.txt"; \
+	sed -n 's/^  digest //p' "$$dir/replay.txt" | LC_ALL=C sort >"$$dir/replay.digests"; \
+	grep -v '^#\|^obs:' internal/bench/testdata/replay_golden.txt | diff - "$$dir/replay.digests"
 	$(GO) run ./cmd/ipipe-bench -seed 1 -parallel 2 all | diff -u -F '^== ' internal/bench/testdata/full_seed1.txt -
 	@echo "replay-smoke: ok"
 
