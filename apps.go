@@ -16,14 +16,16 @@ import (
 // examples and downstream users can stand up the paper's workloads in a
 // few lines. Each application deploys from a spec struct — RKVSpec,
 // DTSpec, RTASpec, FirewallSpec, IPSecSpec — embedding the shared
-// DeployCommon policy block (placement, failover, faults, tenancy);
-// Validate checks a spec and Deploy stands it up.
+// DeployCommon policy block (placement, faults, tenancy); RKVSpec also
+// carries its leader-failover policy. Validate checks a spec and Deploy
+// stands it up.
 
 // Shared deployment-policy vocabulary.
 type (
 	// FailoverPolicy configures the RKV leader-failover monitor.
 	FailoverPolicy = deploy.FailoverPolicy
-	// DeployCommon is the policy block embedded by every spec.
+	// DeployCommon is the placement, fault and tenancy block every spec
+	// embeds.
 	DeployCommon = deploy.Common
 	// Fault is one scheduled failure (see internal/fault).
 	Fault = fault.Fault

@@ -113,8 +113,21 @@ func (o *options) validate() error {
 	if o.dur <= 0 {
 		return fmt.Errorf("-duration must be positive, got %v", o.dur)
 	}
-	if o.partitions > 1 && o.app != "mesh" {
-		return fmt.Errorf("-partitions applies only to -app mesh (app %q runs on one engine)", o.app)
+	if o.size < 0 || o.depth < 0 || o.rate < 0 {
+		return fmt.Errorf("-size, -depth and -rate must not be negative, got %d, %d and %g", o.size, o.depth, o.rate)
+	}
+	if o.loss < 0 || o.loss >= 1 {
+		return fmt.Errorf("-loss must be in [0,1), got %g", o.loss)
+	}
+	if o.app != "mesh" {
+		if o.partitions > 1 {
+			return fmt.Errorf("-partitions applies only to -app mesh (app %q runs on one engine)", o.app)
+		}
+		return nil
+	}
+	if o.nodes < 1 || o.partitions < 0 || o.pdes < 1 {
+		return fmt.Errorf("mesh needs -nodes >= 1, -partitions >= 0 and -pdes >= 1, got %d, %d and %d",
+			o.nodes, o.partitions, o.pdes)
 	}
 	return nil
 }
@@ -219,16 +232,11 @@ func runApp(o *options, observe func(*core.Cluster), stdout io.Writer) error {
 
 	b := &builder{o: o, cl: cl, nic: nic,
 		common: deploy.Common{Placement: deploy.Placement{OnNIC: nic != nil}}}
-	nodes, spc, newGen := apps[o.app](b)
-	var d deploy.App
-	if spc != nil { // nil for the raw echo actor, which deploys no spec
-		var err error
-		if d, err = spc.DeployApp(); err != nil {
-			return err
-		}
+	nodes, gen, err := apps[o.app](b)
+	if err != nil {
+		return err
 	}
 	c := workload.NewClient(cl, "cli", linkOf(nic))
-	gen := newGen(d)
 	send := c.Send
 	if o.batch > 1 {
 		send = workload.NewBatcher(c, 0, o.batch).Add
@@ -293,14 +301,13 @@ func (b *builder) node(name string) *core.Node {
 	return b.cl.AddNode(cfg)
 }
 
-// newGen builds an app's request generator from its deployment.
-type newGen func(deploy.App) func(uint64) workload.Request
+// generator makes the i-th request of a run.
+type generator func(uint64) workload.Request
 
-// apps is one entry per application on the generic spec path: each adds
-// its nodes and returns them, the spec that deploys it (nil for the raw
-// echo actor), and its generator factory. Validation and deployment are
-// app-agnostic (runApp).
-var apps = map[string]func(*builder) ([]*core.Node, deploy.Spec, newGen){
+// apps is one entry per application: each adds its nodes, deploys its
+// spec (the echo app registers a raw actor), and returns the nodes and
+// its request generator.
+var apps = map[string]func(*builder) ([]*core.Node, generator, error){
 	"rkv":  (*builder).rkv,
 	"dt":   (*builder).dt,
 	"rta":  (*builder).rta,
@@ -308,75 +315,78 @@ var apps = map[string]func(*builder) ([]*core.Node, deploy.Spec, newGen){
 	"echo": (*builder).echo,
 }
 
-func (b *builder) rkv() ([]*core.Node, deploy.Spec, newGen) {
+func (b *builder) rkv() ([]*core.Node, generator, error) {
 	var nodes []*core.Node
 	for i := 0; i < max(3, b.o.shards); i++ {
 		nodes = append(nodes, b.node(fmt.Sprintf("kv%d", i)))
 	}
-	s := deploy.RKVSpec{Common: b.common, Nodes: nodes, BaseID: 100, MemLimit: 4 << 20, Shards: b.o.shards}
-	return nodes, s, func(app deploy.App) func(uint64) workload.Request {
-		d := app.(*deploy.RKV)
-		z := workload.NewZipf(b.cl.Eng.Rand(), 1_000_000, 0.99)
-		return func(i uint64) workload.Request {
-			key := []byte(fmt.Sprintf("k%07d", z.Next()))
-			data := rkv.GetReq(key)
-			if i%20 == 0 {
-				data = rkv.PutReq(key, make([]byte, b.o.size/4))
-			}
-			node, leader := d.LeaderFor(key)
-			return workload.Request{Node: node, Dst: leader, Kind: rkv.KindReq, Data: data, Size: b.o.size, FlowID: i}
-		}
+	d, err := deploy.RKVSpec{Common: b.common, Nodes: nodes, BaseID: 100, MemLimit: 4 << 20, Shards: b.o.shards}.Deploy()
+	if err != nil {
+		return nil, nil, err
 	}
+	z := workload.NewZipf(b.cl.Eng.Rand(), 1_000_000, 0.99)
+	return nodes, func(i uint64) workload.Request {
+		key := []byte(fmt.Sprintf("k%07d", z.Next()))
+		data := rkv.GetReq(key)
+		if i%20 == 0 {
+			data = rkv.PutReq(key, make([]byte, b.o.size/4))
+		}
+		node, leader := d.LeaderFor(key)
+		return workload.Request{Node: node, Dst: leader, Kind: rkv.KindReq, Data: data, Size: b.o.size, FlowID: i}
+	}, nil
 }
 
-func (b *builder) dt() ([]*core.Node, deploy.Spec, newGen) {
+func (b *builder) dt() ([]*core.Node, generator, error) {
 	coord, p1, p2 := b.node("coord"), b.node("part1"), b.node("part2")
 	s := deploy.DTSpec{Common: b.common, Coordinator: coord, Participants: []*core.Node{p1, p2}, BaseID: 100}
-	return []*core.Node{coord, p1, p2}, s, func(deploy.App) func(uint64) workload.Request {
-		return func(i uint64) workload.Request {
-			txn := dt.Txn{
-				Reads: []dt.Op{
-					{Key: []byte(fmt.Sprintf("r%d", i%512))},
-					{Key: []byte(fmt.Sprintf("r%d", (i+7)%512))},
-				},
-				Writes: []dt.Op{{Key: []byte(fmt.Sprintf("w%d", i%256)), Value: make([]byte, b.o.size/4)}},
-			}
-			return workload.Request{Node: "coord", Dst: 100, Kind: dt.KindTxn,
-				Data: dt.EncodeTxn(txn), Size: b.o.size, FlowID: i}
-		}
+	if _, err := s.Deploy(); err != nil {
+		return nil, nil, err
 	}
+	return []*core.Node{coord, p1, p2}, func(i uint64) workload.Request {
+		txn := dt.Txn{
+			Reads: []dt.Op{
+				{Key: []byte(fmt.Sprintf("r%d", i%512))},
+				{Key: []byte(fmt.Sprintf("r%d", (i+7)%512))},
+			},
+			Writes: []dt.Op{{Key: []byte(fmt.Sprintf("w%d", i%256)), Value: make([]byte, b.o.size/4)}},
+		}
+		return workload.Request{Node: "coord", Dst: 100, Kind: dt.KindTxn,
+			Data: dt.EncodeTxn(txn), Size: b.o.size, FlowID: i}
+	}, nil
 }
 
-func (b *builder) rta() ([]*core.Node, deploy.Spec, newGen) {
+func (b *builder) rta() ([]*core.Node, generator, error) {
 	n := b.node("worker")
-	s := deploy.RTASpec{Common: b.common, Node: n, Aggregator: n, BaseID: 100,
-		Discard: []string{"spam"}, TopN: 10}
-	return []*core.Node{n}, s, func(app deploy.App) func(uint64) workload.Request {
-		filter := app.(*deploy.RTA).Topology.Filter
-		words := []string{"alpha", "beta", "gamma", "delta", "spam", "zeta"}
-		return func(i uint64) workload.Request {
-			tuples := make([]string, max(1, b.o.size/32))
-			for j := range tuples {
-				tuples[j] = words[(int(i)+j)%len(words)]
-			}
-			return workload.Request{Node: "worker", Dst: filter, Kind: rta.KindTuples,
-				Data: rta.EncodeTuples(tuples), Size: b.o.size, FlowID: i}
-		}
+	d, err := deploy.RTASpec{Common: b.common, Node: n, Aggregator: n, BaseID: 100,
+		Discard: []string{"spam"}, TopN: 10}.Deploy()
+	if err != nil {
+		return nil, nil, err
 	}
+	filter := d.Topology.Filter
+	words := []string{"alpha", "beta", "gamma", "delta", "spam", "zeta"}
+	return []*core.Node{n}, func(i uint64) workload.Request {
+		tuples := make([]string, max(1, b.o.size/32))
+		for j := range tuples {
+			tuples[j] = words[(int(i)+j)%len(words)]
+		}
+		return workload.Request{Node: "worker", Dst: filter, Kind: rta.KindTuples,
+			Data: rta.EncodeTuples(tuples), Size: b.o.size, FlowID: i}
+	}, nil
 }
 
-func (b *builder) nf() ([]*core.Node, deploy.Spec, newGen) {
+func (b *builder) nf() ([]*core.Node, generator, error) {
 	n := b.node("gw")
 	s := deploy.FirewallSpec{Common: b.common, Node: n, ID: 100, Rules: nf.UniformRules(8192)}
-	return []*core.Node{n}, s, func(deploy.App) func(uint64) workload.Request {
-		return func(i uint64) workload.Request {
-			t := nf.FiveTuple{SrcIP: uint32(i) << 13, DstPort: 80, Proto: 6}
-			return workload.Request{Node: "gw", Dst: 100, Data: t.Encode(), Size: b.o.size, FlowID: i}
-		}
+	if _, err := s.Deploy(); err != nil {
+		return nil, nil, err
 	}
+	return []*core.Node{n}, func(i uint64) workload.Request {
+		t := nf.FiveTuple{SrcIP: uint32(i) << 13, DstPort: 80, Proto: 6}
+		return workload.Request{Node: "gw", Dst: 100, Data: t.Encode(), Size: b.o.size, FlowID: i}
+	}, nil
 }
 
-func (b *builder) echo() ([]*core.Node, deploy.Spec, newGen) {
+func (b *builder) echo() ([]*core.Node, generator, error) {
 	n := b.node("srv")
 	echo := &actor.Actor{ID: 100, Name: "echo",
 		OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
@@ -384,13 +394,11 @@ func (b *builder) echo() ([]*core.Node, deploy.Spec, newGen) {
 			return 2 * sim.Microsecond
 		}}
 	if err := n.Register(echo, b.nic != nil, 0); err != nil {
-		panic(err) // only a duplicate actor ID fails, and this node is fresh
+		return nil, nil, err
 	}
-	return []*core.Node{n}, nil, func(deploy.App) func(uint64) workload.Request {
-		return func(i uint64) workload.Request {
-			return workload.Request{Node: "srv", Dst: 100, Size: b.o.size, FlowID: i}
-		}
-	}
+	return []*core.Node{n}, func(i uint64) workload.Request {
+		return workload.Request{Node: "srv", Dst: 100, Size: b.o.size, FlowID: i}
+	}, nil
 }
 
 func nicByFlag(name string) (*spec.NICModel, bool) {

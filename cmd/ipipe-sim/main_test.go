@@ -91,6 +91,17 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{"-app", "echo", "-duration", "-1ms"},
 		{"-app", "mesh", "-duration", "0s"},
 		{"-depth", "many"},
+		{"-size", "-10"},
+		{"-depth", "-1"},
+		{"-depth", "0", "-rate", "-5"},
+		{"-loss", "1.5"},
+		{"-loss", "1"},
+		{"-loss", "-0.1"},
+		{"-app", "mesh", "-nodes", "-4"},
+		{"-app", "mesh", "-nodes", "0"},
+		{"-app", "mesh", "-partitions", "-1"},
+		{"-app", "mesh", "-pdes", "-3"},
+		{"-app", "mesh", "-pdes", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {

@@ -168,7 +168,6 @@ var surfaceAllowed = map[string]string{
 	"internal/apps/rkv.opDel":                 rkvDelete,
 	"internal/apps/rkv.skipList.Count":        "TestSkipListDrainSortedAndResets",
 	"internal/bench.checked.result":           "TestParallelParity compares each checked rendering with quick_seed1.txt",
-	"internal/deploy.Spec.Validate":           "TestSpecValidationTable validates every spec through the interface",
 	"internal/dmo.Store.Size":                 "TestStoreMatchesMapModel",
 	"internal/dmo.Store.Memset":               "TestMemset: Table 4's dmo_mmset, which no application calls",
 	"internal/dmo.Store.Memcpy":               "TestMemcpyBetweenObjects: Table 4's dmo_mmcpy, which no application calls",
@@ -472,9 +471,10 @@ type finding struct {
 // the facade's exported names (TestFacadeSurface holds those to their
 // users). Reached code reaches every function, method, type, field and
 // constant it names; a method also when a value of its receiver type
-// exists in reached code and an interface method of the same name and
-// signature is called (a standard-library parameter of interface type
-// counts as called, and so do String, Error and Unwrap); a field also
+// exists in reached code and a method of the same name is called
+// through an interface that type implements (a standard-library
+// parameter of interface type counts as called, and so do String, Error
+// and Unwrap); a field also
 // through == or a map key, or when encoding/json sees its struct. A
 // struct literal's key writes a field but does not use it.
 //
@@ -744,9 +744,9 @@ type reach struct {
 	reached map[types.Object]bool
 	work    []site
 	// built holds the named types reached code has a value of; called,
-	// the signatures of the interface methods it calls, by name.
+	// the interfaces it calls a method of, by method name.
 	built    map[*types.TypeName]bool
-	called   map[string][]*types.Signature
+	called   map[string]map[*types.Interface]bool
 	jsonSeen map[types.Type]bool
 }
 
@@ -761,7 +761,7 @@ type site struct {
 func newReach(m *module) *reach {
 	r := &reach{decls: map[types.Object]site{}, owner: map[types.Object]types.Object{},
 		reached: map[types.Object]bool{}, built: map[*types.TypeName]bool{},
-		called: map[string][]*types.Signature{}, jsonSeen: map[types.Type]bool{}}
+		called: map[string]map[*types.Interface]bool{}, jsonSeen: map[types.Type]bool{}}
 	for _, p := range sortedValues(m.pkgs) {
 		for _, f := range p.files {
 			r.index(p, f)
@@ -1018,8 +1018,13 @@ func (r *reach) encoded(t types.Type) {
 	}
 }
 
+// callIface records a call of interface method f.
 func (r *reach) callIface(f *types.Func) {
-	r.called[f.Name()] = append(r.called[f.Name()], f.Type().(*types.Signature))
+	iface := f.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if r.called[f.Name()] == nil {
+		r.called[f.Name()] = map[*types.Interface]bool{}
+	}
+	r.called[f.Name()][iface] = true
 }
 
 // walk marks what one reached syntax tree uses.
@@ -1110,20 +1115,22 @@ func (r *reach) call(info *types.Info, c *ast.CallExpr) {
 // formats or unwraps.
 var implicitMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true}
 
-// dispatched reports whether a call through an interface can reach f.
+// dispatched reports whether a call through an interface can reach f:
+// some called interface has a method of f's name, and f's receiver type
+// implements it. A generic receiver matches on the name alone.
 func (r *reach) dispatched(f *types.Func) bool {
 	if implicitMethods[f.Name()] {
 		return true
 	}
-	sig := f.Type().(*types.Signature)
-	recv := sig.Recv().Type()
+	recv := f.Type().(*types.Signature).Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
 	n, ok := recv.(*types.Named)
 	generic := ok && n.TypeParams().Len() > 0
-	for _, s := range r.called[f.Name()] {
-		if generic || types.Identical(sig, s) {
+	for iface := range r.called[f.Name()] {
+		// *T's method set holds T's, so *T implements whatever T does.
+		if generic || types.Implements(types.NewPointer(recv), iface) {
 			return true
 		}
 	}
@@ -1210,6 +1217,41 @@ func TestReadmeQuotesExample(t *testing.T) {
 		t.Error("README.md's Deployment specs block is not a quote of Example_deploymentSpec in example_test.go; copy it from there")
 	}
 }
+
+// TestDocsNameMakeTargets checks that every backticked make invocation
+// in the docs names a Makefile target, so a deleted or renamed target
+// leaves no stale instruction behind. It reports file:line.
+func TestDocsNameMakeTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(mk), -1) {
+		for _, name := range strings.Fields(m[1]) {
+			targets[name] = true
+		}
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeCite.FindAllSubmatchIndex(text, -1) {
+			if target := string(text[m[2]:m[3]]); !targets[target] {
+				line := 1 + strings.Count(string(text[:m[0]]), "\n")
+				t.Errorf("%s:%d: `make %s` names no target of Makefile", doc, line, target)
+			}
+		}
+	}
+}
+
+var (
+	// makeRule matches a Makefile rule's targets, not a := or ?= assignment.
+	makeRule = regexp.MustCompile(`(?m)^([\w.-]+(?:[ \t]+[\w.-]+)*)[ \t]*:(?:[^=]|$)`)
+	// makeCite matches a backticked make invocation, which may wrap.
+	makeCite = regexp.MustCompile("`make\\s+([^`\\s]+)")
+)
 
 // TestViewsDoNotEscape is the view-escape guard. A view is a result of
 // ObjRead, of dmo.Store.Read (a Read call with four arguments), of

@@ -66,9 +66,10 @@ func ExampleRKVSpec_Deploy() {
 	// value=teal replicas-committed=1
 }
 
-// Example_deploymentSpec is the README's spec-API v2 example: a replica
-// group deployed with every policy field of the shared DeployCommon
-// block set, whose leader node then crashes under client load.
+// Example_deploymentSpec is the README's deployment example: a replica
+// group deployed with every field of the shared DeployCommon block and
+// its failover policy set, whose leader node then crashes under client
+// load.
 func Example_deploymentSpec() {
 	cl := ipipe.NewCluster(1)
 	var nodes []*ipipe.Node
@@ -80,8 +81,7 @@ func Example_deploymentSpec() {
 
 	d, err := ipipe.RKVSpec{
 		Common: ipipe.DeployCommon{ // shared policy block
-			Placement: ipipe.OnNIC,            // or ipipe.OnHost
-			Failover:  ipipe.FailoverPolicy{}, // leader re-election on crash
+			Placement: ipipe.OnNIC, // or ipipe.OnHost
 			Faults: ipipe.FaultSchedule{Faults: []ipipe.Fault{ // optional failures
 				ipipe.FaultCrash("kv0", 2*ipipe.Millisecond, 3*ipipe.Millisecond),
 			}},
@@ -93,7 +93,8 @@ func Example_deploymentSpec() {
 				Controller: ipipe.SLOControllerConfig{Enabled: true},
 			},
 		},
-		Nodes:    nodes, // one replica each; first starts as leader
+		Failover: ipipe.FailoverPolicy{}, // leader re-election on crash
+		Nodes:    nodes,                  // one replica each; first starts as leader
 		BaseID:   100,
 		MemLimit: 16 << 10,
 	}.Deploy()

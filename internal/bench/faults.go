@@ -132,9 +132,9 @@ func rkvFaultCluster(opts Options, onNIC bool, sched fault.Schedule, failover de
 	d, err := deploy.RKVSpec{
 		Common: deploy.Common{
 			Placement: deploy.Placement{OnNIC: onNIC},
-			Failover:  failover,
 			Faults:    sched,
 		},
+		Failover: failover,
 		Nodes:    nodes,
 		BaseID:   100,
 		MemLimit: 8 << 20,

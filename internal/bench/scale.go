@@ -69,11 +69,9 @@ func runScale(opts Options, shards, batch, depth int, theta float64, window sim.
 		placement = deploy.NIC
 	}
 	d, err := deploy.RKVSpec{
-		Common: deploy.Common{
-			Placement: placement,
-			Failover:  deploy.FailoverPolicy{Disabled: true},
-		},
-		Nodes: nodes, BaseID: 1000, MemLimit: 8 << 20,
+		Common:   deploy.Common{Placement: placement},
+		Failover: deploy.FailoverPolicy{Disabled: true},
+		Nodes:    nodes, BaseID: 1000, MemLimit: 8 << 20,
 		Shards: shards, Replicas: 3,
 		// 512 vnodes keep ring imbalance ≈3%, so the sweep measures the
 		// workload's skew, not the router's.

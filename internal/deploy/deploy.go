@@ -1,25 +1,16 @@
-// Package deploy is the spec-based deployment API: each application is
-// stood up from a declarative spec struct (RKVSpec, DTSpec, RTASpec,
-// FirewallSpec, IPSecSpec) that bundles what the old positional helpers
-// took as bare arguments — nodes, actor IDs, placement — with the
-// shared policy vocabulary (Placement, FailoverPolicy) and an optional
-// fault.Schedule installed at deploy time.
+// Package deploy stands each application up from a declarative spec
+// struct (RKVSpec, DTSpec, RTASpec, FirewallSpec, IPSecSpec) that
+// bundles its nodes, actor IDs and placement with the embedded Common
+// policy block: Placement, an optional fault.Schedule and an optional
+// qos.Tenancy. Each spec's Validate checks it without deploying
+// anything, and its Deploy stands it up and returns the typed
+// deployment.
 //
-// Spec-API v2 factors the policy fields every spec duplicated into one
-// embedded Common block — Placement, Failover, Faults, and the
-// multi-tenant qos.Tenancy — and gives harnesses a generic surface:
-// every spec implements Spec (Validate + DeployApp) and every deployed
-// app implements App, so ipipe-sim, ipipe-bench, and the golden-replay
-// harness iterate specs without per-app switch arms. A zero Common is
-// the legacy behavior, byte-for-byte.
-//
-// The specs also wire the recovery machinery that positional deployment
-// never could: an RKVSpec installs a leader-failover monitor that
-// triggers a Paxos election when the leader's node dies, and a DTSpec
-// with a TxnTimeout arms the coordinator's sweep that aborts
-// transactions stranded by a participant death. Both are passive until
-// a failure actually occurs, so fault-free runs are bit-identical to
-// the legacy helpers' output.
+// The specs also wire the recovery machinery: an RKVSpec installs a
+// leader-failover monitor that triggers a Paxos election when the
+// leader's node dies, and a DTSpec with a TxnTimeout arms the
+// coordinator's sweep that aborts transactions stranded by a
+// participant death. Both are passive until a failure actually occurs.
 package deploy
 
 import (
@@ -63,15 +54,6 @@ type FailoverPolicy struct {
 // defaultDetect is the default failure-detection delay.
 const defaultDetect = 200 * sim.Microsecond
 
-// installFaults installs a spec's fault schedule (nil injector when the
-// schedule is empty).
-func installFaults(cl *core.Cluster, s fault.Schedule) (*fault.Injector, error) {
-	if len(s.Faults) == 0 {
-		return nil, nil
-	}
-	return fault.Install(cl, s)
-}
-
 // --- RKV --------------------------------------------------------------
 
 // RKVSpec deploys the replicated key-value store (Multi-Paxos + LSM),
@@ -80,11 +62,12 @@ func installFaults(cl *core.Cluster, s fault.Schedule) (*fault.Injector, error) 
 // per shard, leaders rotated across the node pool, with a
 // consistent-hash router directing keys to groups.
 type RKVSpec struct {
-	// Common is the shared policy block (placement, retry, failover,
-	// faults, tenancy). Placement offloads consensus and Memtable actors
-	// when OnNIC (SSTable reader and compactor stay host-pinned);
-	// Failover configures the leader-failover monitor per group.
+	// Common is the shared policy block. Placement offloads consensus
+	// and Memtable actors when OnNIC (SSTable reader and compactor stay
+	// host-pinned).
 	Common
+	// Failover configures the leader-failover monitor of every group.
+	Failover FailoverPolicy
 	// Nodes is the node pool. A single-group deployment replicates on
 	// every node (the first starts as Paxos leader); a sharded one
 	// spreads each group's Replicas over the pool, shard s leading on
@@ -98,9 +81,9 @@ type RKVSpec struct {
 	// Shards splits the key space over that many independent replica
 	// groups (0 or 1 = the classic single group).
 	Shards int
-	// Replicas bounds each group's replication factor. 0 keeps the
-	// legacy behavior for a single group (replicate on every node) and
-	// defaults to min(3, len(Nodes)) when sharded.
+	// Replicas bounds each group's replication factor. 0 replicates a
+	// single group on every node and defaults to min(3, len(Nodes)) when
+	// sharded.
 	Replicas int
 	// ShardVNodes sets the router's virtual nodes per shard
 	// (0 = shard.DefaultVNodes).
@@ -126,7 +109,8 @@ type RKV struct {
 	Elections uint64
 }
 
-// Validate implements Spec.
+// Validate checks the spec without deploying anything. Its errors name
+// the spec and the offending field; it never panics.
 func (s RKVSpec) Validate() error {
 	if len(s.Nodes) == 0 {
 		return &validationError{Spec: "RKVSpec", Field: "Nodes", Reason: "needs at least one node"}
@@ -140,9 +124,6 @@ func (s RKVSpec) Validate() error {
 	}
 	return s.Common.validate("RKVSpec")
 }
-
-// DeployApp implements Spec.
-func (s RKVSpec) DeployApp() (App, error) { return s.Deploy() }
 
 // Deploy stands up the spec.
 func (s RKVSpec) Deploy() (*RKV, error) {
@@ -161,7 +142,7 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 				reps = len(s.Nodes)
 			}
 		} else {
-			reps = len(s.Nodes) // legacy: one group over every node
+			reps = len(s.Nodes) // one group over every node
 		}
 	}
 	cl := s.Nodes[0].Cluster()
@@ -213,10 +194,7 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 		out.registerShardMetrics(cl)
 	}
 	var err error
-	if out.Injector, err = installFaults(cl, s.Faults); err != nil {
-		return nil, err
-	}
-	if out.QoS, err = installTenancy(cl, s.Nodes, s.Tenancy); err != nil {
+	if out.Injector, out.QoS, err = s.install(s.Nodes); err != nil {
 		return nil, err
 	}
 	if out.QoS != nil && shards > 1 {
@@ -364,8 +342,7 @@ func liveLeader(g *rkv.Deployment) *rkv.Replica {
 // DTSpec deploys the distributed transaction system (OCC + 2PC).
 type DTSpec struct {
 	// Common is the shared policy block. Placement offloads coordinator
-	// and participants when OnNIC (the logger stays host-pinned);
-	// Failover is unused (the coordinator's sweep is the recovery path).
+	// and participants when OnNIC (the logger stays host-pinned).
 	Common
 	// Coordinator hosts the coordinator actor and the host-pinned logger.
 	Coordinator *core.Node
@@ -393,9 +370,9 @@ type DT struct {
 	QoS *qos.Runtime
 }
 
-// Validate implements Spec. It rejects an empty participant set — the
-// legacy helper silently accepted one and produced a coordinator that
-// aborted every transaction.
+// Validate checks the spec without deploying anything. It rejects an
+// empty participant set: such a coordinator would abort every
+// transaction.
 func (s DTSpec) Validate() error {
 	if s.Coordinator == nil {
 		return &validationError{Spec: "DTSpec", Field: "Coordinator", Reason: "needs a coordinator node"}
@@ -406,9 +383,6 @@ func (s DTSpec) Validate() error {
 	}
 	return s.Common.validate("DTSpec")
 }
-
-// DeployApp implements Spec.
-func (s DTSpec) DeployApp() (App, error) { return s.Deploy() }
 
 // Deploy stands up the spec.
 func (s DTSpec) Deploy() (*DT, error) {
@@ -447,11 +421,8 @@ func (s DTSpec) Deploy() (*DT, error) {
 		out.installSweep()
 	}
 	var err error
-	if out.Injector, err = installFaults(s.Coordinator.Cluster(), s.Faults); err != nil {
-		return nil, err
-	}
 	nodes := append([]*core.Node{s.Coordinator}, s.Participants...)
-	if out.QoS, err = installTenancy(s.Coordinator.Cluster(), nodes, s.Tenancy); err != nil {
+	if out.Injector, out.QoS, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -482,8 +453,7 @@ func (d *DT) installSweep() {
 // RTASpec deploys the real-time analytics pipeline.
 type RTASpec struct {
 	// Common is the shared policy block; Placement offloads the pipeline
-	// when OnNIC (the aggregator stays host-pinned). Failover is unused
-	// (the pipeline is one-way).
+	// when OnNIC (the aggregator stays host-pinned).
 	Common
 	// Node hosts the filter → counter → ranker pipeline.
 	Node *core.Node
@@ -508,7 +478,7 @@ type RTA struct {
 	QoS *qos.Runtime
 }
 
-// Validate implements Spec.
+// Validate checks the spec without deploying anything.
 func (s RTASpec) Validate() error {
 	if s.Node == nil || s.Aggregator == nil {
 		return &validationError{Spec: "RTASpec", Field: "Node",
@@ -516,9 +486,6 @@ func (s RTASpec) Validate() error {
 	}
 	return s.Common.validate("RTASpec")
 }
-
-// DeployApp implements Spec.
-func (s RTASpec) DeployApp() (App, error) { return s.Deploy() }
 
 // Deploy stands up the spec.
 func (s RTASpec) Deploy() (*RTA, error) {
@@ -544,15 +511,12 @@ func (s RTASpec) Deploy() (*RTA, error) {
 		}
 	}
 	out := &RTA{Topology: topo}
-	var err error
-	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
-		return nil, err
-	}
 	nodes := []*core.Node{s.Node, s.Aggregator}
 	if s.Aggregator == s.Node {
 		nodes = nodes[:1]
 	}
-	if out.QoS, err = installTenancy(s.Node.Cluster(), nodes, s.Tenancy); err != nil {
+	var err error
+	if out.Injector, out.QoS, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -562,7 +526,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 
 // FirewallSpec deploys a software-TCAM firewall actor.
 type FirewallSpec struct {
-	// Common is the shared policy block (Failover unused).
+	// Common is the shared policy block.
 	Common
 	Node  *core.Node
 	ID    actor.ID
@@ -576,16 +540,13 @@ type Firewall struct {
 	QoS *qos.Runtime
 }
 
-// Validate implements Spec.
+// Validate checks the spec without deploying anything.
 func (s FirewallSpec) Validate() error {
 	if s.Node == nil {
 		return &validationError{Spec: "FirewallSpec", Field: "Node", Reason: "needs a node"}
 	}
 	return s.Common.validate("FirewallSpec")
 }
-
-// DeployApp implements Spec.
-func (s FirewallSpec) DeployApp() (App, error) { return s.Deploy() }
 
 // Deploy stands up the spec.
 func (s FirewallSpec) Deploy() (*Firewall, error) {
@@ -598,10 +559,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 	}
 	out := &Firewall{}
 	var err error
-	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
-		return nil, err
-	}
-	if out.QoS, err = installTenancy(s.Node.Cluster(), []*core.Node{s.Node}, s.Tenancy); err != nil {
+	if out.Injector, out.QoS, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -610,7 +568,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 // IPSecSpec deploys an IPSec gateway actor (AES-256-CTR + SHA-1,
 // accelerator-assisted on the NIC).
 type IPSecSpec struct {
-	// Common is the shared policy block (Failover unused).
+	// Common is the shared policy block.
 	Common
 	Node   *core.Node
 	ID     actor.ID
@@ -625,8 +583,9 @@ type IPSec struct {
 	QoS *qos.Runtime
 }
 
-// Validate implements Spec. Key material is checked here (not at first
-// packet) so a bad spec fails before deployment.
+// Validate checks the spec without deploying anything. Key material is
+// checked here (not at first packet) so a bad spec fails before
+// deployment.
 func (s IPSecSpec) Validate() error {
 	if s.Node == nil {
 		return &validationError{Spec: "IPSecSpec", Field: "Node", Reason: "needs a node"}
@@ -636,9 +595,6 @@ func (s IPSecSpec) Validate() error {
 	}
 	return s.Common.validate("IPSecSpec")
 }
-
-// DeployApp implements Spec.
-func (s IPSecSpec) DeployApp() (App, error) { return s.Deploy() }
 
 // Deploy stands up the spec.
 func (s IPSecSpec) Deploy() (*IPSec, error) {
@@ -653,10 +609,7 @@ func (s IPSecSpec) Deploy() (*IPSec, error) {
 		return nil, err
 	}
 	out := &IPSec{}
-	if out.Injector, err = installFaults(s.Node.Cluster(), s.Faults); err != nil {
-		return nil, err
-	}
-	if out.QoS, err = installTenancy(s.Node.Cluster(), []*core.Node{s.Node}, s.Tenancy); err != nil {
+	if out.Injector, out.QoS, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -25,8 +25,9 @@ func rkvTestCluster(t *testing.T, seed uint64, sched fault.Schedule, fo Failover
 		}))
 	}
 	d, err := RKVSpec{
-		Common: Common{Placement: NIC, Failover: fo, Faults: sched},
-		Nodes:  nodes, BaseID: 100, MemLimit: 8 << 20,
+		Common:   Common{Placement: NIC, Faults: sched},
+		Failover: fo,
+		Nodes:    nodes, BaseID: 100, MemLimit: 8 << 20,
 	}.Deploy()
 	if err != nil {
 		t.Fatal(err)

@@ -8,26 +8,14 @@ import (
 	"repro/internal/qos"
 )
 
-// This file is the spec-API v2 surface: the policy fields every
-// application spec used to duplicate live in one embedded Common block,
-// every spec implements the Spec interface, and every deployment
-// implements App — so harnesses (ipipe-sim, ipipe-bench, golden replay)
-// iterate specs generically instead of switching over five concrete
-// types.
-
 // Common is the policy block shared by every application spec,
-// embedded by value: placement, leader failover, fault schedule, and
-// the multi-tenant QoS tenancy. Zero value = the legacy defaults (host
-// placement, failover enabled with default detection where the app has
-// a failover monitor, no faults, no QoS) — a spec with a zero Common
-// deploys byte-for-byte like before the block existed. Client retries
-// are not a deployment policy: each workload.Request carries its own.
+// embedded by value: placement, fault schedule, and the multi-tenant
+// QoS tenancy. Its zero value keeps everything on the host and installs
+// neither faults nor QoS. Client retries are not a deployment policy:
+// each workload.Request carries its own.
 type Common struct {
 	// Placement offloads the app's offloadable actors when OnNIC.
 	Placement Placement
-	// Failover configures the leader-failover monitor on apps that have
-	// one (RKV; ignored elsewhere).
-	Failover FailoverPolicy
 	// Faults is an optional failure schedule installed at deploy time.
 	// Schedules install on classic and partitioned (PDES) clusters
 	// alike; cluster-wide arms run at window boundaries (DESIGN.md §9).
@@ -47,24 +35,24 @@ func (c *Common) validate(spec string) error {
 	return nil
 }
 
-// Spec is a deployable application spec. All five concrete specs
-// (RKVSpec, DTSpec, RTASpec, FirewallSpec, IPSecSpec) implement it by
-// value, so harnesses hold []deploy.Spec and validate/deploy uniformly;
-// the typed Deploy methods remain for callers that need the concrete
-// deployment.
-type Spec interface {
-	// Validate checks the spec without deploying anything. Errors are
-	// *validationError (never a panic), so harnesses can report the
-	// offending spec and field.
-	Validate() error
-	// DeployApp validates and stands the spec up, returning the common
-	// App surface.
-	DeployApp() (App, error)
+// install installs the block's fault schedule (a nil injector when the
+// schedule is empty), then its tenancy over the app's nodes (a nil
+// runtime without a Tenancy block).
+func (c *Common) install(nodes []*core.Node) (*fault.Injector, *qos.Runtime, error) {
+	cl := nodes[0].Cluster()
+	var inj *fault.Injector
+	if len(c.Faults.Faults) > 0 {
+		var err error
+		if inj, err = fault.Install(cl, c.Faults); err != nil {
+			return nil, nil, err
+		}
+	}
+	rt, err := qos.Install(cl, nodes, c.Tenancy)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inj, rt, nil
 }
-
-// App is a deployed application: *RKV, *DT, *RTA, *Firewall or
-// *IPSec. Assert to the concrete type for its fields.
-type App any
 
 // validationError is a typed spec-validation failure.
 type validationError struct {
@@ -73,7 +61,7 @@ type validationError struct {
 	Field  string
 	Reason string
 	// Err is the underlying cause when validation wrapped another typed
-	// error (e.g. *qos.ConfigError).
+	// error (qos's Tenancy error).
 	Err error
 }
 
@@ -84,9 +72,3 @@ func (e *validationError) Error() string {
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *validationError) Unwrap() error { return e.Err }
-
-// installTenancy wires a spec's Tenancy block over the app's node set
-// (no-op returning nil on a nil Tenancy).
-func installTenancy(cl *core.Cluster, nodes []*core.Node, t *qos.Tenancy) (*qos.Runtime, error) {
-	return qos.Install(cl, nodes, t)
-}

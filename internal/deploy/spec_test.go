@@ -28,8 +28,7 @@ func specNodes(seed uint64, n int) (*core.Cluster, []*core.Node) {
 	return cl, nodes
 }
 
-// TestSpecValidationTable walks the unified Spec surface: every concrete
-// spec validates generically through the interface, structural errors
+// TestSpecValidationTable validates every spec kind: structural errors
 // and Tenancy errors come back as typed *validationError naming the
 // spec and field (wrapping qos's typed error where qos raised it), and
 // nothing panics on garbage input.
@@ -40,7 +39,7 @@ func TestSpecValidationTable(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		s        Spec
+		s        interface{ Validate() error }
 		spec     string // expected validationError.Spec ("" = valid)
 		field    string // expected validationError.Field
 		qosField string // expected field of the wrapped qos error ("" = none)
@@ -67,8 +66,8 @@ func TestSpecValidationTable(t *testing.T) {
 		{"firewall valid", FirewallSpec{Node: nodes[0], ID: 400}, "", "", ""},
 		{"firewall no node", FirewallSpec{ID: 400}, "FirewallSpec", "Node", ""},
 		{"firewall bad tenancy", FirewallSpec{Common: Common{Tenancy: &qos.Tenancy{
-			Controller: qos.ControllerConfig{Alpha: 2},
-		}}, Node: nodes[0]}, "FirewallSpec", "Tenancy", "Controller.Alpha"},
+			Controller: qos.ControllerConfig{ThreshFactor: 2},
+		}}, Node: nodes[0]}, "FirewallSpec", "Tenancy", "Controller.ThreshFactor"},
 		{"ipsec valid", IPSecSpec{Node: nodes[0], ID: 500, Key: key}, "", "", ""},
 		{"ipsec no node", IPSecSpec{ID: 500, Key: key}, "IPSecSpec", "Node", ""},
 		{"ipsec short key", IPSecSpec{Node: nodes[0], ID: 500, Key: key[:5]}, "IPSecSpec", "Key", ""},
@@ -102,57 +101,46 @@ func TestSpecValidationTable(t *testing.T) {
 	}
 }
 
-// TestSpecDeployAppSurface deploys every application kind through the
-// generic Spec/App interfaces in one cluster: names are the shared
-// vocabulary, and QoSRuntime is nil exactly when the spec had no
-// Tenancy block.
+// TestSpecDeployAppSurface deploys every application kind through its
+// typed Deploy in one cluster: QoS is nil exactly when the spec had no
+// Tenancy block, and Injector is nil without a fault schedule.
 func TestSpecDeployAppSurface(t *testing.T) {
 	_, nodes := specNodes(1, 6)
 	tenancy := &qos.Tenancy{Tenants: []qos.Tenant{{Name: "a", RatePerSec: 1e6}}}
-	specs := []struct {
-		s       Spec
-		name    string
-		wantQoS bool
-	}{
-		{RKVSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
-			Nodes: nodes[:3], BaseID: 100, MemLimit: 8 << 20}, "rkv", true},
-		{DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}, "dt", false},
-		{RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
-			BaseID: 400, TopN: 4}, "rta", false},
-		{FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
-			Node: nodes[5], ID: 500}, "firewall", true},
-		{IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}, "ipsec", false},
-	}
-	for _, tc := range specs {
-		app, err := tc.s.DeployApp()
+	deployed := func(name string, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s: DeployApp: %v", tc.name, err)
+			t.Fatalf("%s: Deploy: %v", name, err)
 		}
-		var name string
-		var rt *qos.Runtime
-		var inj *fault.Injector
-		switch a := app.(type) {
-		case *RKV:
-			name, rt, inj = "rkv", a.QoS, a.Injector
-		case *DT:
-			name, rt, inj = "dt", a.QoS, a.Injector
-		case *RTA:
-			name, rt, inj = "rta", a.QoS, a.Injector
-		case *Firewall:
-			name, rt, inj = "firewall", a.QoS, a.Injector
-		case *IPSec:
-			name, rt, inj = "ipsec", a.QoS, a.Injector
-		}
-		if name != tc.name {
-			t.Errorf("%s: DeployApp returned %T", tc.name, app)
-		}
-		if got := rt != nil; got != tc.wantQoS {
-			t.Errorf("%s: QoS != nil is %v, want %v", tc.name, got, tc.wantQoS)
+	}
+	check := func(name string, rt *qos.Runtime, inj *fault.Injector, wantQoS bool) {
+		t.Helper()
+		if got := rt != nil; got != wantQoS {
+			t.Errorf("%s: QoS != nil is %v, want %v", name, got, wantQoS)
 		}
 		if inj != nil {
-			t.Errorf("%s: Injector non-nil without a schedule", tc.name)
+			t.Errorf("%s: Injector non-nil without a schedule", name)
 		}
 	}
+
+	r, err := RKVSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
+		Nodes: nodes[:3], BaseID: 100, MemLimit: 8 << 20}.Deploy()
+	deployed("rkv", err)
+	check("rkv", r.QoS, r.Injector, true)
+	d, err := DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}.Deploy()
+	deployed("dt", err)
+	check("dt", d.QoS, d.Injector, false)
+	a, err := RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
+		BaseID: 400, TopN: 4}.Deploy()
+	deployed("rta", err)
+	check("rta", a.QoS, a.Injector, false)
+	f, err := FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
+		Node: nodes[5], ID: 500}.Deploy()
+	deployed("firewall", err)
+	check("firewall", f.QoS, f.Injector, true)
+	i, err := IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}.Deploy()
+	deployed("ipsec", err)
+	check("ipsec", i.QoS, i.Injector, false)
 }
 
 // TestSpecTenancyControllerRequiresClassicCluster pins the PDES
@@ -175,11 +163,10 @@ func TestSpecTenancyControllerRequiresClassicCluster(t *testing.T) {
 	}
 }
 
-// TestDefaultCommonMatchesPreQoSFingerprint is the legacy-parity gate
-// for the spec-API v2 + QoS PR: a deployment with the zero Common block
-// (no Tenancy) must reproduce the pre-QoS runtime byte-for-byte — same
-// response log, same invariant fingerprint — as the plain apps-layer
-// deployment with no QoS code anywhere near the message path.
+// TestDefaultCommonMatchesPreQoSFingerprint pins the zero Common block
+// (no Tenancy) as invisible: a spec deployment reproduces the plain
+// apps-layer deployment byte-for-byte — same response log, same
+// invariant fingerprint.
 func TestDefaultCommonMatchesPreQoSFingerprint(t *testing.T) {
 	run := func(useSpec bool) (string, string) {
 		cl, nodes := specNodes(11, 3)

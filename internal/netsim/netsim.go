@@ -71,8 +71,6 @@ type Network struct {
 	// group owns the partition engines; nil only on an engine-only
 	// network built with New, which has the one partition eng.
 	group *sim.Group
-	// SwitchLatency models store-and-forward plus fabric latency.
-	SwitchLatency sim.Time
 
 	nodes map[string]*port
 	// orphanDrops counts packets sent from unknown nodes (no port to
@@ -132,14 +130,14 @@ type port struct {
 	sink    *obs.Sink
 }
 
-// defaultSwitchLatency is a typical ToR port-to-port latency.
-const defaultSwitchLatency = 600 * sim.Nanosecond
+// switchLatency models store-and-forward plus fabric latency: a typical
+// ToR port-to-port latency.
+const switchLatency = 600 * sim.Nanosecond
 
 // New creates an empty single-partition network on a bare engine, for
 // users that have no sim.Group.
 func New(eng *sim.Engine) *Network {
-	return &Network{eng: eng, SwitchLatency: defaultSwitchLatency, nodes: map[string]*port{},
-		pools: make([]flightPool, 1)}
+	return &Network{eng: eng, nodes: map[string]*port{}, pools: make([]flightPool, 1)}
 }
 
 // NewPartitioned creates an empty network whose ports attach to the
@@ -231,7 +229,7 @@ func (n *Network) AttachOn(name string, gbps float64, h Handler, part int) {
 		// The switch hop is the minimum cross-partition latency: a
 		// handoff happens after uplink serialization, and covers
 		// propagation to the switch plus the fabric delay.
-		n.group.TightenLookahead(prop + n.SwitchLatency)
+		n.group.TightenLookahead(prop + switchLatency)
 	}
 	if n.tracer != nil {
 		n.tracePort(p)
@@ -508,7 +506,7 @@ func (f *flight) upDone(enq, started, fin sim.Time) {
 	n, src, dst, pkt := f.n, f.src, f.dst, f.pkt
 	src.sink.Span(src.txTrack, "frame", started, fin,
 		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
-	hop := src.up.propagation + n.SwitchLatency
+	hop := src.up.propagation + switchLatency
 	if src.part == dst.part {
 		src.eng.After(hop, f.arriveFn)
 		return

@@ -175,6 +175,6 @@ func TestLossInjection(t *testing.T) {
 func oneWayBaseLatency(n *Network, src, dst string, size int) sim.Time {
 	s, d := n.nodes[src], n.nodes[dst]
 	return spec.SerializationDelay(s.up.gbps, size) + s.up.propagation +
-		n.SwitchLatency +
+		switchLatency +
 		spec.SerializationDelay(d.down.gbps, size) + d.down.propagation
 }

@@ -54,14 +54,8 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant) *Con
 	if cfg.Period <= 0 {
 		cfg.Period = defaultPeriod
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 0.3
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = defaultCooldown
-	}
-	if cfg.MinBatchWindow <= 0 {
-		cfg.MinBatchWindow = defaultMinBatchWindow
 	}
 	if cfg.ThreshFactor <= 0 {
 		cfg.ThreshFactor = 0.6
@@ -108,7 +102,7 @@ func (c *Controller) Observe(tenant uint16, us float64) {
 		c.ewma[tenant] = us
 		return
 	}
-	c.ewma[tenant] = c.cfg.Alpha*us + (1-c.cfg.Alpha)*c.ewma[tenant]
+	c.ewma[tenant] = ewmaAlpha*us + (1-ewmaAlpha)*c.ewma[tenant]
 }
 
 // Start arms the periodic tick. A tick decides only while the engine is
@@ -160,10 +154,10 @@ func (c *Controller) step() {
 func (c *Controller) shrinkBatch() bool {
 	acted := false
 	for _, b := range c.batchers {
-		if b.Window > c.cfg.MinBatchWindow {
+		if b.Window > minBatchWindow {
 			b.Window = b.Window / 2
-			if b.Window < c.cfg.MinBatchWindow {
-				b.Window = c.cfg.MinBatchWindow
+			if b.Window < minBatchWindow {
+				b.Window = minBatchWindow
 			}
 			acted = true
 		}

@@ -58,7 +58,7 @@ type LaneSched struct {
 	Delivered [NumLanes]uint64
 	Shed      [NumLanes]uint64
 	// Backpressured counts data-lane deferrals (the message is offered
-	// again after BackpressureDelay; it is never dropped).
+	// again after backpressureDelay; it is never dropped).
 	Backpressured uint64
 }
 
@@ -149,7 +149,7 @@ func (ls *LaneSched) Offer(m actor.Msg) {
 			if ls.sink != nil {
 				ls.sink.Instant(ls.tracks[lane], "backpressure", ls.eng.Now())
 			}
-			ls.eng.After(ls.cfg.BackpressureDelay, func() { ls.Offer(m) })
+			ls.eng.After(backpressureDelay, func() { ls.Offer(m) })
 			return
 		}
 	}

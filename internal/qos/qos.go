@@ -120,17 +120,16 @@ type LaneConfig struct {
 	TelemetryCap int
 	// DispatchCost spaces successive lane deliveries (0 = default).
 	DispatchCost sim.Time
-	// BackpressureDelay is how long an over-watermark data message is
-	// deferred before re-offering (0 = default).
-	BackpressureDelay sim.Time
 }
 
 // Lane defaults.
 const (
-	defaultDataCap           = 256
-	defaultTelemetryCap      = 64
-	defaultDispatchCost      = 40 * sim.Nanosecond
-	defaultBackpressureDelay = 2 * sim.Microsecond
+	defaultDataCap      = 256
+	defaultTelemetryCap = 64
+	defaultDispatchCost = 40 * sim.Nanosecond
+	// backpressureDelay is how long an over-watermark data message is
+	// deferred before it is offered again.
+	backpressureDelay = 2 * sim.Microsecond
 )
 
 // withDefaults resolves zero fields.
@@ -144,9 +143,6 @@ func (c LaneConfig) withDefaults() LaneConfig {
 	if c.DispatchCost <= 0 {
 		c.DispatchCost = defaultDispatchCost
 	}
-	if c.BackpressureDelay <= 0 {
-		c.BackpressureDelay = defaultBackpressureDelay
-	}
 	return c
 }
 
@@ -158,14 +154,9 @@ type ControllerConfig struct {
 	Enabled bool
 	// Period is the control-loop tick (0 = 500µs).
 	Period sim.Time
-	// Alpha is the per-tenant latency EWMA smoothing (0 = 0.3).
-	Alpha float64
 	// Cooldown is the minimum spacing between corrective actions
 	// (0 = 2ms).
 	Cooldown sim.Time
-	// MinBatchWindow floors the batching-window shrink knob
-	// (0 = 500ns).
-	MinBatchWindow sim.Time
 	// ThreshFactor multiplies the scheduler MeanThresh when tightening
 	// the migration signal; must be in (0, 1) when set (0 = 0.6).
 	ThreshFactor float64
@@ -173,9 +164,12 @@ type ControllerConfig struct {
 
 // Controller defaults.
 const (
-	defaultPeriod         = 500 * sim.Microsecond
-	defaultCooldown       = 2 * sim.Millisecond
-	defaultMinBatchWindow = 500 * sim.Nanosecond
+	defaultPeriod   = 500 * sim.Microsecond
+	defaultCooldown = 2 * sim.Millisecond
+	// ewmaAlpha is the weight of a new sample in a tenant's latency EWMA.
+	ewmaAlpha = 0.3
+	// minBatchWindow floors the batching-window shrink knob.
+	minBatchWindow = 500 * sim.Nanosecond
 )
 
 // Tenancy is the multi-tenant QoS block a deploy spec carries: the
@@ -217,15 +211,9 @@ func (t *Tenancy) Validate() error {
 	if t.Lanes.DispatchCost < 0 {
 		return &configError{Field: "Lanes.DispatchCost", Reason: "must be >= 0"}
 	}
-	if t.Lanes.BackpressureDelay < 0 {
-		return &configError{Field: "Lanes.BackpressureDelay", Reason: "must be >= 0"}
-	}
 	c := t.Controller
 	if c.Period < 0 {
 		return &configError{Field: "Controller.Period", Reason: "must be >= 0"}
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return &configError{Field: "Controller.Alpha", Reason: fmt.Sprintf("must be in [0, 1] (got %g)", c.Alpha)}
 	}
 	if c.ThreshFactor < 0 || c.ThreshFactor >= 1 {
 		return &configError{Field: "Controller.ThreshFactor", Reason: fmt.Sprintf("must be in [0, 1) (got %g)", c.ThreshFactor)}

@@ -24,10 +24,9 @@ func TestValidateTable(t *testing.T) {
 		{"nil block", nil, ""},
 		{"empty block", &Tenancy{}, ""},
 		{"valid full", &Tenancy{
-			Tenants: []Tenant{{Name: "a", RatePerSec: 1e5, Burst: 32, SLOp99Us: 100}},
-			Lanes:   LaneConfig{DataCap: 64, TelemetryCap: 8, DispatchCost: 100, BackpressureDelay: 1000},
-			Controller: ControllerConfig{Enabled: true, Period: 1000, Alpha: 0.5,
-				ThreshFactor: 0.5},
+			Tenants:    []Tenant{{Name: "a", RatePerSec: 1e5, Burst: 32, SLOp99Us: 100}},
+			Lanes:      LaneConfig{DataCap: 64, TelemetryCap: 8, DispatchCost: 100},
+			Controller: ControllerConfig{Enabled: true, Period: 1000, ThreshFactor: 0.5},
 		}, ""},
 		{"zero rate", &Tenancy{Tenants: []Tenant{{Name: "a"}}}, "Tenants[0].RatePerSec"},
 		{"negative rate", &Tenancy{Tenants: []Tenant{{RatePerSec: -1}}}, "Tenants[0].RatePerSec"},
@@ -40,10 +39,7 @@ func TestValidateTable(t *testing.T) {
 		{"negative data cap", &Tenancy{Lanes: LaneConfig{DataCap: -1}}, "Lanes.DataCap"},
 		{"negative telemetry cap", &Tenancy{Lanes: LaneConfig{TelemetryCap: -1}}, "Lanes.TelemetryCap"},
 		{"negative dispatch cost", &Tenancy{Lanes: LaneConfig{DispatchCost: -1}}, "Lanes.DispatchCost"},
-		{"negative backpressure", &Tenancy{Lanes: LaneConfig{BackpressureDelay: -1}}, "Lanes.BackpressureDelay"},
 		{"negative period", &Tenancy{Controller: ControllerConfig{Period: -1}}, "Controller.Period"},
-		{"alpha too big", &Tenancy{Controller: ControllerConfig{Alpha: 1.5}}, "Controller.Alpha"},
-		{"alpha negative", &Tenancy{Controller: ControllerConfig{Alpha: -0.1}}, "Controller.Alpha"},
 		{"thresh factor one", &Tenancy{Controller: ControllerConfig{ThreshFactor: 1}}, "Controller.ThreshFactor"},
 		{"thresh factor negative", &Tenancy{Controller: ControllerConfig{ThreshFactor: -0.5}}, "Controller.ThreshFactor"},
 		{"controller without tenants", &Tenancy{Tenants: oneTenant[:0],
@@ -174,11 +170,11 @@ func TestLaneTelemetryShed(t *testing.T) {
 }
 
 // TestLaneDataBackpressure floods data past its cap: overflow is
-// deferred by BackpressureDelay and re-offered — every message is
+// deferred by backpressureDelay and re-offered — every message is
 // eventually delivered, none shed.
 func TestLaneDataBackpressure(t *testing.T) {
 	eng, ls, order := laneHarness(t, LaneConfig{
-		DataCap: 1, DispatchCost: 100 * sim.Nanosecond, BackpressureDelay: 2 * sim.Microsecond})
+		DataCap: 1, DispatchCost: 100 * sim.Nanosecond})
 	const n = 5
 	eng.At(0, func() {
 		for i := 0; i < n; i++ {
@@ -277,17 +273,15 @@ func TestGateAdmission(t *testing.T) {
 
 // TestControllerEscalation drives a sustained SLO breach through the
 // loop and checks the escalation ladder: batch shrink first (repeated,
-// cooldown-spaced, floored at MinBatchWindow), then threshold tighten,
+// cooldown-spaced, floored at minBatchWindow), then threshold tighten,
 // then exactly one reshard.
 func TestControllerEscalation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := ControllerConfig{
-		Enabled:        true,
-		Period:         100 * sim.Microsecond,
-		Cooldown:       100 * sim.Microsecond,
-		MinBatchWindow: 500 * sim.Nanosecond,
-		Alpha:          0.3,
-		ThreshFactor:   0.5,
+		Enabled:      true,
+		Period:       100 * sim.Microsecond,
+		Cooldown:     100 * sim.Microsecond,
+		ThreshFactor: 0.5,
 	}
 	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}})
 
@@ -321,8 +315,8 @@ func TestControllerEscalation(t *testing.T) {
 	if ctl.BatchShrinks != 2 {
 		t.Fatalf("BatchShrinks = %d, want 2 (2µs → 1µs → 500ns floor)", ctl.BatchShrinks)
 	}
-	if b.Window != cfg.MinBatchWindow {
-		t.Fatalf("batch window %v, want the %v floor", b.Window, cfg.MinBatchWindow)
+	if b.Window != minBatchWindow {
+		t.Fatalf("batch window %v, want the %v floor", b.Window, minBatchWindow)
 	}
 	if ctl.ThreshTightens == 0 {
 		t.Fatal("controller never tightened the migration threshold after exhausting batch shrink")
@@ -385,18 +379,18 @@ func TestControllerCooldown(t *testing.T) {
 }
 
 // TestObserveEWMA pins the EWMA update rule: first sample seeds, later
-// samples blend by Alpha, out-of-table tenants are ignored.
+// samples blend by ewmaAlpha, out-of-table tenants are ignored.
 func TestObserveEWMA(t *testing.T) {
 	eng := sim.NewEngine(1)
-	ctl := newController(eng, ControllerConfig{Alpha: 0.5},
+	ctl := newController(eng, ControllerConfig{},
 		[]Tenant{{Name: "a", RatePerSec: 1}})
 	ctl.Observe(0, 100)
 	if got := ctl.ewma[0]; got != 100 {
 		t.Fatalf("first sample EWMA = %g, want 100 (seed)", got)
 	}
 	ctl.Observe(0, 200)
-	if got := ctl.ewma[0]; got != 150 {
-		t.Fatalf("EWMA after 0.5-blend = %g, want 150", got)
+	if got := ctl.ewma[0]; got != 130 {
+		t.Fatalf("EWMA after 0.3-blend = %g, want 130", got)
 	}
 	ctl.Observe(9, 1e9) // untabled: ignored
 	if len(ctl.ewma) != 1 {
