@@ -30,9 +30,11 @@ race:
 # alloc-budget: the exact allocation budgets of the per-message path —
 # what one message costs each layer and what one request costs a whole
 # mesh, DT and RKV run — counted with testing.AllocsPerRun /
-# MemStats.Mallocs, no wall clock.
+# MemStats.Mallocs, no wall clock; and the byte budgets: the bytes one
+# mesh request allocates (MemStats.TotalAlloc) and the sizes of
+# actor.Msg and core.RespEnvelope (TestMsgLayout).
 alloc-budget:
-	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)' ./internal/... .
+	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)|MsgLayout' ./internal/... .
 
 # fuzz-smoke: five seconds of each native fuzz target on top of its
 # committed seed corpus (testdata/fuzz) — the RKV command decoder, the

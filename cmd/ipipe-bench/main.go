@@ -93,6 +93,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("unknown experiment %q (have %v)", id, bench.IDs())
 		}
 	}
+	if *pdes < 0 {
+		return fmt.Errorf("-pdes must not be negative, got %d", *pdes)
+	}
+	if *metricsFile != "" && *metricsInterval <= 0 {
+		return fmt.Errorf("-metrics-interval must be positive, got %v", *metricsInterval)
+	}
 	if *check && (*traceFile != "" || *metricsFile != "") {
 		return errors.New("-check cannot be combined with -trace/-metrics (the replay runs each experiment several times; trace one run without -check)")
 	}

@@ -17,6 +17,8 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{"-check", "-metrics", "-", "fig18"},
 		{"-seed", "one", "fig18"},
 		{"-nosuchflag"},
+		{"-quick", "-pdes", "-3", "scale-nodes"},
+		{"-quick", "-metrics", "-", "-metrics-interval", "0s", "fig18"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {

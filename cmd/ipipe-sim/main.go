@@ -119,6 +119,12 @@ func (o *options) validate() error {
 	if o.loss < 0 || o.loss >= 1 {
 		return fmt.Errorf("-loss must be in [0,1), got %g", o.loss)
 	}
+	if o.batch < 0 || o.shards < 0 {
+		return fmt.Errorf("-batch and -shards must not be negative, got %d and %d", o.batch, o.shards)
+	}
+	if o.metricsFile != "" && o.metricsInterval <= 0 {
+		return fmt.Errorf("-metrics-interval must be positive, got %v", o.metricsInterval)
+	}
 	if o.app != "mesh" {
 		if o.partitions > 1 {
 			return fmt.Errorf("-partitions applies only to -app mesh (app %q runs on one engine)", o.app)

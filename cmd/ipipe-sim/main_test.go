@@ -102,6 +102,10 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{"-app", "mesh", "-partitions", "-1"},
 		{"-app", "mesh", "-pdes", "-3"},
 		{"-app", "mesh", "-pdes", "0"},
+		{"-batch", "-4"},
+		{"-app", "echo", "-metrics", "-", "-metrics-interval", "0s"},
+		{"-app", "mesh", "-metrics", "-", "-metrics-interval", "-1ms"},
+		{"-shards", "-2"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {

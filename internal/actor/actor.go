@@ -24,19 +24,30 @@ type ID uint32
 // Kind tags message types; applications define their own kinds.
 type Kind uint16
 
-// Msg is an asynchronous message between actors.
+// Msg is an asynchronous message between actors. Every hop copies it
+// and every queue slot holds one, so its fields are ordered to pack into
+// 80 bytes with no padding (TestMsgLayout pins the size): the small
+// scalars share the first word with Src, Dst and WireSize, and the
+// pointer-bearing fields follow (DESIGN.md §4).
 type Msg struct {
 	Kind Kind
-	Src  ID
-	Dst  ID
+	// Via records how the message reached the current runtime, which
+	// determines the I/O cost charged on delivery.
+	Via Via
+	// Class is the traffic class (qos.Class: data/control/telemetry)
+	// steering the message through the node-front priority lanes. The
+	// zero value is the data class, so untagged traffic is unchanged.
+	Class uint8
+	Src   ID
+	Dst   ID
+	// WireSize is the packet size this message occupied on the network
+	// (0 for NIC/host-internal messages); the scheduler tracks request
+	// sizes per actor from it (§3.2.3).
+	WireSize int32
 	// Data is the application payload. No one rewrites a payload after
 	// Send, neither the sender nor the runtime, so a receiver may keep
 	// views of it for as long as it keeps the message (DESIGN.md §4).
 	Data []byte
-	// WireSize is the packet size this message occupied on the network
-	// (0 for NIC/host-internal messages); the scheduler tracks request
-	// sizes per actor from it (§3.2.3).
-	WireSize int
 	// FlowID steers dispatching.
 	FlowID uint64
 	// ArrivedAt is when the message entered the runtime (for sojourn
@@ -45,20 +56,9 @@ type Msg struct {
 	// Reply, when non-nil, lets infrastructure route a response to an
 	// external client (e.g. the workload generator) without an actor ID.
 	Reply func(resp Msg)
-	// Via records how the message reached the current runtime, which
-	// determines the I/O cost charged on delivery.
-	Via Via
-	// AuditSeq is the ingress-queue FIFO-audit sequence stamped on push
-	// when invariant checking is enabled (0 otherwise); it lets the
-	// checker match each pop to its push without a side table.
-	AuditSeq uint64
 	// Origin is the network node the request entered from; Reply routes
 	// the response back there.
 	Origin string
-	// Class is the traffic class (qos.Class: data/control/telemetry)
-	// steering the message through the node-front priority lanes. The
-	// zero value is the data class, so untagged traffic is unchanged.
-	Class uint8
 }
 
 // MsgFIFO is the message queue of the per-message path — scheduler

@@ -1,0 +1,23 @@
+package actor_test
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/actor"
+	"repro/internal/core"
+)
+
+// TestMsgLayout pins the message's size. Every hop copies a Msg, every
+// queue slot holds one, and a client request boxes one in an interface
+// and its reply boxes one in a core.RespEnvelope, so a field that breaks
+// the packing costs bytes on every event (DESIGN.md §4).
+func TestMsgLayout(t *testing.T) {
+	const msgBudget, envBudget = 80, 96
+	if got := unsafe.Sizeof(actor.Msg{}); got != msgBudget {
+		t.Errorf("actor.Msg is %d B, budget %d B: order its fields so the small scalars share words", got, msgBudget)
+	}
+	if got := unsafe.Sizeof(core.RespEnvelope{}); got > envBudget {
+		t.Errorf("core.RespEnvelope is %d B, budget %d B (the 96-B size class)", got, envBudget)
+	}
+}

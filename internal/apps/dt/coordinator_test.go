@@ -355,3 +355,33 @@ func TestReleasedTxnPinsNothing(t *testing.T) {
 		t.Fatalf("released record not zeroed: %+v", st)
 	}
 }
+
+// TestCheckpointCarriesLogOffset drives the coordinator log through two
+// checkpoints, the second after an entry larger than the whole log: a
+// blob16 value of 65 535 bytes leaves the offset past logLimitBytes, and
+// that checkpoint must still carry a payload of exactly the offset.
+func TestCheckpointCarriesLogOffset(t *testing.T) {
+	l, c := newLoop(NewStore(), NewStore())
+	var got []int
+	l.actors[loopLogger] = NewLogger(loopLogger, func(n int) { got = append(got, n) })
+	write := func(value []byte) {
+		l.run(txnMsg(Txn{Writes: []Op{{Key: keyOn("k", 0), Value: value}}}))
+	}
+
+	var want []int
+	write([]byte("v"))
+	want = append(want, c.logOffset)
+	write(make([]byte, 1<<16-1))
+	if c.logOffset <= logLimitBytes {
+		t.Fatalf("oversize entry left the log offset at %d, want past %d", c.logOffset, logLimitBytes)
+	}
+	want = append(want, c.logOffset)
+	write([]byte("v"))
+
+	if c.Checkpoints != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d checkpoints of %v bytes, want 2 of %v", c.Checkpoints, got, want)
+	}
+	if l.loose != 0 {
+		t.Fatalf("%d payloads have spare capacity", l.loose)
+	}
+}

@@ -69,6 +69,21 @@ func OutcomeOf(p []byte) Outcome {
 // logLimitBytes is the coordinator log capacity before checkpointing.
 const logLimitBytes = 1 << 16
 
+// checkpointZeros backs checkpoint payloads. The logger reads only a
+// payload's length, so checkpoints share this one array, read-only.
+var checkpointZeros [logLimitBytes]byte
+
+// checkpointPayload is an n-byte checkpoint payload. Its capacity is its
+// length, so no one can append into the shared zeros. A log entry larger
+// than the whole log leaves the offset past logLimitBytes; that
+// checkpoint gets a payload of its own.
+func checkpointPayload(n int) []byte {
+	if n > len(checkpointZeros) {
+		return make([]byte, n)
+	}
+	return checkpointZeros[:n:n]
+}
+
 // Partition maps a key to one of n participants.
 func Partition(key []byte, n int) int {
 	return int(hashKey(key) % uint64(n))
@@ -647,7 +662,7 @@ func (c *Coordinator) logAndCommit(ctx actor.Ctx, st *txnState) sim.Time {
 		// (§4), then start a fresh log object.
 		if _, err := ctx.ObjMigrate(c.logObj); err == nil {
 			c.Checkpoints++
-			ctx.Send(c.logger, actor.Msg{Kind: kindCheckpoint, Data: make([]byte, c.logOffset)})
+			ctx.Send(c.logger, actor.Msg{Kind: kindCheckpoint, Data: checkpointPayload(c.logOffset)})
 		}
 		c.logObj, _ = ctx.Alloc(logLimitBytes)
 		c.logOffset = 0

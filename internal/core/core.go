@@ -494,7 +494,7 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 		// sees the individual messages.
 		a := n.takeArrival()
 		for i, m := range p.Msgs {
-			m.WireSize = p.Sizes[i]
+			m.WireSize = int32(p.Sizes[i])
 			a.msgs = append(a.msgs, fromWire(m, pkt.Src))
 		}
 		n.admit(a, pkt.FlowID, pkt.Size)
@@ -505,7 +505,7 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 
 // receive admits one message that arrived in a packet of its own.
 func (n *Node) receive(m actor.Msg, src string, size int, flow uint64) {
-	m.WireSize = size
+	m.WireSize = int32(size)
 	m.FlowID = flow
 	a := n.takeArrival()
 	a.msgs = append(a.msgs, fromWire(m, src))
@@ -713,10 +713,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 
 // sendRemote serializes a message onto the network.
 func (n *Node) sendRemote(m actor.Msg, dstNode string) {
-	size := msgring.HeaderBytes + len(m.Data)
-	if m.WireSize > size {
-		size = m.WireSize
-	}
+	size := max(msgring.HeaderBytes+len(m.Data), int(m.WireSize))
 	if size < 64 {
 		size = 64
 	}

@@ -174,7 +174,7 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 			c.charge(n.HostModel.DPDKTxOcc)
 		}
 		m.Via = actor.ViaWire
-		m.WireSize = size
+		m.WireSize = int32(size)
 		c.emit(effect{kind: effWire, m: m, node: ref.Node, size: size})
 		return
 	}
@@ -237,7 +237,7 @@ func (c *execCtx) Reply(m actor.Msg) {
 		n.Dropped++
 		return
 	}
-	size := m.WireSize
+	size := int(m.WireSize)
 	if size < 64 {
 		size = 64
 	}

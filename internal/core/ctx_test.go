@@ -39,7 +39,7 @@ func TestRecycledCtxSameEffects(t *testing.T) {
 		return sim.Microsecond
 	}}
 	local := &actor.Actor{ID: 3, Name: "local", OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		m.ArrivedAt, m.AuditSeq = 0, 0
+		m.ArrivedAt = 0
 		log = append(log, observed{what: "local exec", at: rel(), flow: m.FlowID, msg: m})
 		return sim.Microsecond
 	}}
@@ -110,7 +110,7 @@ func TestRecycledCtxSameEffects(t *testing.T) {
 		}
 	}
 	if m := first[1].msg; m.Src != 1 || m.Dst != 2 || m.Kind != 7 || string(m.Data) != "remote" ||
-		m.Via != actor.ViaWire || m.WireSize != first[1].size {
+		m.Via != actor.ViaWire || int(m.WireSize) != first[1].size {
 		t.Fatalf("remote send arrived as %+v (packet size %d)", m, first[1].size)
 	}
 	if m := first[0].msg; m.Src != 1 || m.Dst != 3 || m.Kind != 8 || string(m.Data) != "local" || m.Via != actor.ViaLocal {

@@ -181,7 +181,7 @@ func (n *Node) obsSchedExec(coreID int, mode sched.Mode, a *actor.Actor, m actor
 // execArgs assembles span annotations for one executed message,
 // including the actor's shard tag when it carries one.
 func execArgs(a *actor.Actor, m actor.Msg, wait sim.Time) obs.Args {
-	args := obs.Args{Req: m.FlowID, HasReq: m.FlowID != 0, Bytes: m.WireSize, Wait: wait}
+	args := obs.Args{Req: m.FlowID, HasReq: m.FlowID != 0, Bytes: int(m.WireSize), Wait: wait}
 	if a != nil && a.Sharded {
 		args.Shard, args.HasShard = a.Shard, true
 	}

@@ -303,7 +303,7 @@ func (c *hcore) occupyDone() {
 	case opExec:
 		c.Executed++
 		h.Completed++
-		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, m.WireSize)
+		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, int(m.WireSize))
 		if h.hooks.OnExec != nil {
 			h.hooks.OnExec(c.id, a, m, op.start, h.eng.Now())
 		}

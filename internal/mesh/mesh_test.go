@@ -91,7 +91,11 @@ func TestMeshZipfSkew(t *testing.T) {
 // heap allocations, counted exactly (MemStats.Mallocs around RunUntil,
 // no wall clock) on a 64-node, 2 ms mesh: every record the runtime makes
 // per message is recycled, so what is left is the three allocations the
-// reply contract pins (DESIGN.md §4) plus the run's warm-up. The
+// reply contract pins (DESIGN.md §4) plus the run's warm-up. It also
+// pins the bytes those allocations take (MemStats.TotalAlloc): 274 B
+// per request were measured with the boxed request in the 80-B size
+// class and the reply's envelope in the 96-B class, and the budget adds
+// 8 B of slack, half of what one size class more on either costs. The
 // partitioned run shares the classic budget at any worker count: its
 // rounds, inbox batches and window workers allocate nothing per round
 // (DESIGN.md §9), so all that separates 8 partitions from 1 is the
@@ -100,15 +104,16 @@ func TestMeshZipfSkew(t *testing.T) {
 func TestMeshAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		parts       int
-		budget      float64
+		budget      float64 // allocations per completed request
+		bytes       float64 // bytes allocated per completed request
 		ops, events uint64
 		fingerprint string // sha256 of the concatenated checker fingerprints
 		countAt     []int  // worker counts whose allocations are counted
 		workers     []int  // worker counts whose fingerprints are checked
 	}{
-		{parts: 1, budget: 4, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
+		{parts: 1, budget: 4, bytes: 282, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
 			fingerprint: "fb597bba29ed4603be55faac5617ff3b7accc390320686b79537d01dcdbbfd7e"},
-		{parts: 8, budget: 4, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
+		{parts: 8, budget: 4, bytes: 282, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
 			fingerprint: "ad35fea62562b8c74d8dbcf91837d36aca9acc5b83dd5690b518fd1077f51919"},
 	} {
 		cfg := Config{Nodes: 64, Partitions: tc.parts, Seed: 1}
@@ -128,10 +133,15 @@ func TestMeshAllocBudget(t *testing.T) {
 				t.Fatalf("%d partitions, %d workers: %d requests completed, want %d", tc.parts, w, ops, tc.ops)
 			}
 			perReq := float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-			t.Logf("%d partitions, %d workers: %.2f allocations per completed request", tc.parts, w, perReq)
+			bytesPerReq := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
+			t.Logf("%d partitions, %d workers: %.2f allocations, %.1f B per completed request", tc.parts, w, perReq, bytesPerReq)
 			if perReq > tc.budget {
 				t.Errorf("%d partitions, %d workers: %.2f allocations per completed request, budget %v",
 					tc.parts, w, perReq, tc.budget)
+			}
+			if bytesPerReq > tc.bytes {
+				t.Errorf("%d partitions, %d workers: %.1f B allocated per completed request, budget %v B",
+					tc.parts, w, bytesPerReq, tc.bytes)
 			}
 		}
 

@@ -228,7 +228,7 @@ func (c *core) stepFCFS() {
 		c.endBusy()
 		return
 	}
-	tax := s.hooks.FwdTax(m.WireSize)
+	tax := s.hooks.FwdTax(int(m.WireSize))
 	a, resident := s.actors[m.Dst]
 	switch {
 	case !resident || a.State == actor.Gone || a.State == actor.Clean:
@@ -265,7 +265,7 @@ func (c *core) execDone(op coreOp) {
 	s.Completed++
 	s.chk.Exec()
 	sojourn := s.eng.Now() - m.ArrivedAt
-	a.Observe(sojourn, op.service, m.WireSize)
+	a.Observe(sojourn, op.service, int(m.WireSize))
 	s.observeFCFS(m)
 	if s.hooks.OnExec != nil {
 		s.hooks.OnExec(c.id, FCFS, a, m, op.start, s.eng.Now())
@@ -280,7 +280,7 @@ func (c *core) execDone(op coreOp) {
 	if a.State == actor.Stable && !a.InDRR {
 		if next, ok := a.Mailbox.Pop(); ok {
 			// Keep the lock; run the parked message immediately.
-			c.execFCFS(a, next, s.hooks.FwdTax(next.WireSize))
+			c.execFCFS(a, next, s.hooks.FwdTax(int(next.WireSize)))
 			return
 		}
 	}
@@ -364,7 +364,7 @@ func (c *core) execDRRDone(op coreOp) {
 	s.Completed++
 	s.chk.Exec()
 	sojourn := s.eng.Now() - m.ArrivedAt
-	a.Observe(sojourn, op.service, m.WireSize)
+	a.Observe(sojourn, op.service, int(m.WireSize))
 	if s.hooks.OnExec != nil {
 		s.hooks.OnExec(c.id, DRR, a, m, op.start, s.eng.Now())
 	}

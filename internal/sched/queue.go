@@ -3,6 +3,7 @@ package sched
 import (
 	"repro/internal/actor"
 	"repro/internal/invariant"
+	"repro/internal/sim"
 )
 
 // inQueue abstracts the ingress path feeding FCFS cores. On-path NICs
@@ -19,28 +20,57 @@ type inQueue interface {
 	setAudit(a *invariant.QueueAudit)
 }
 
+// stampedFIFO is a message FIFO with the audit stamps of its messages
+// kept beside it rather than in them. While a QueueAudit is attached,
+// every put records the stamp its Push returned (real stamps start at 1)
+// and every take returns it, in lockstep with the messages; with none
+// attached the stamps are 0, the stamp FIFO stays empty, and take finds
+// it so. The audit is attached before the first push
+// (Scheduler.EnableInvariants), so the two FIFOs never fall out of step.
+type stampedFIFO struct {
+	msgs   actor.MsgFIFO
+	stamps sim.FIFO[uint64]
+}
+
+func (f *stampedFIFO) put(m actor.Msg, stamp uint64) {
+	if stamp != 0 {
+		f.stamps.Push(stamp)
+	}
+	f.msgs.Push(m)
+}
+
+func (f *stampedFIFO) take() (actor.Msg, uint64, bool) {
+	m, ok := f.msgs.Pop()
+	var stamp uint64
+	if ok {
+		stamp, _ = f.stamps.Pop()
+	}
+	return m, stamp, ok
+}
+
+func (f *stampedFIFO) len() int { return f.msgs.Len() }
+
 // sharedQueue is the hardware traffic manager model: one FIFO, any core.
 type sharedQueue struct {
-	q     actor.MsgFIFO
+	q     stampedFIFO
 	audit *invariant.QueueAudit
 }
 
 func newSharedQueue() *sharedQueue { return &sharedQueue{} }
 
 func (s *sharedQueue) push(m actor.Msg) {
-	m.AuditSeq = s.audit.Push(m.FlowID)
-	s.q.Push(m)
+	s.q.put(m, s.audit.Push(m.FlowID))
 }
 
 func (s *sharedQueue) pop(int) (actor.Msg, bool) {
-	m, ok := s.q.Pop()
+	m, stamp, ok := s.q.take()
 	if ok {
-		s.audit.Pop(m.FlowID, m.AuditSeq)
+		s.audit.Pop(m.FlowID, stamp)
 	}
 	return m, ok
 }
 
-func (s *sharedQueue) len() int { return s.q.Len() }
+func (s *sharedQueue) len() int { return s.q.len() }
 
 func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 
@@ -48,7 +78,7 @@ func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 // multi-consumer shuffle layer steering flows to per-core queues, with
 // work stealing to repair the load imbalance flow steering causes.
 type shuffleQueue struct {
-	perCore []actor.MsgFIFO
+	perCore []stampedFIFO
 	audit   *invariant.QueueAudit
 	// Steals counts stolen messages, exposing the imbalance repair rate.
 	Steals uint64
@@ -61,13 +91,12 @@ func newShuffleQueue(cores int) *shuffleQueue {
 		// modulus divides by zero.
 		cores = 1
 	}
-	return &shuffleQueue{perCore: make([]actor.MsgFIFO, cores)}
+	return &shuffleQueue{perCore: make([]stampedFIFO, cores)}
 }
 
 func (s *shuffleQueue) push(m actor.Msg) {
-	m.AuditSeq = s.audit.Push(m.FlowID)
 	i := int(m.FlowID % uint64(len(s.perCore)))
-	s.perCore[i].Push(m)
+	s.perCore[i].put(m, s.audit.Push(m.FlowID))
 }
 
 func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
@@ -75,8 +104,8 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 	if coreID >= n {
 		coreID = coreID % n
 	}
-	if m, ok := s.perCore[coreID].Pop(); ok {
-		s.audit.Pop(m.FlowID, m.AuditSeq)
+	if m, stamp, ok := s.perCore[coreID].take(); ok {
+		s.audit.Pop(m.FlowID, stamp)
 		return m, true
 	}
 	// Steal from the longest victim queue. Take the victim's *oldest*
@@ -87,23 +116,23 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 	// them ordered).
 	victim, best := -1, 0
 	for i := range s.perCore {
-		if i != coreID && s.perCore[i].Len() > best {
-			victim, best = i, s.perCore[i].Len()
+		if i != coreID && s.perCore[i].len() > best {
+			victim, best = i, s.perCore[i].len()
 		}
 	}
 	if victim == -1 {
 		return actor.Msg{}, false
 	}
-	m, _ := s.perCore[victim].Pop()
+	m, stamp, _ := s.perCore[victim].take()
 	s.Steals++
-	s.audit.Pop(m.FlowID, m.AuditSeq)
+	s.audit.Pop(m.FlowID, stamp)
 	return m, true
 }
 
 func (s *shuffleQueue) len() int {
 	n := 0
 	for i := range s.perCore {
-		n += s.perCore[i].Len()
+		n += s.perCore[i].len()
 	}
 	return n
 }
@@ -117,8 +146,8 @@ func (s *shuffleQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 // workers read only their own queue (no stealing — the dispatcher is
 // responsible for balance).
 type iokQueue struct {
-	central actor.MsgFIFO
-	perCore []actor.MsgFIFO
+	central stampedFIFO
+	perCore []stampedFIFO
 	audit   *invariant.QueueAudit
 	// flows pins a flow with queued messages to its worker: routing by
 	// queue depth alone would scatter one flow across workers draining
@@ -135,12 +164,11 @@ type iokFlow struct {
 }
 
 func newIOKQueue(workers int) *iokQueue {
-	return &iokQueue{perCore: make([]actor.MsgFIFO, workers), flows: map[uint64]*iokFlow{}}
+	return &iokQueue{perCore: make([]stampedFIFO, workers), flows: map[uint64]*iokFlow{}}
 }
 
 func (q *iokQueue) push(m actor.Msg) {
-	m.AuditSeq = q.audit.Push(m.FlowID)
-	q.central.Push(m)
+	q.central.put(m, q.audit.Push(m.FlowID))
 }
 
 // pop serves a worker core from its own queue only.
@@ -148,7 +176,7 @@ func (q *iokQueue) pop(coreID int) (actor.Msg, bool) {
 	if coreID >= len(q.perCore) {
 		return actor.Msg{}, false // the dispatcher core never executes
 	}
-	m, ok := q.perCore[coreID].Pop()
+	m, stamp, ok := q.perCore[coreID].take()
 	if !ok {
 		return actor.Msg{}, false
 	}
@@ -158,7 +186,7 @@ func (q *iokQueue) pop(coreID int) (actor.Msg, bool) {
 			delete(q.flows, m.FlowID)
 		}
 	}
-	q.audit.Pop(m.FlowID, m.AuditSeq)
+	q.audit.Pop(m.FlowID, stamp)
 	return m, true
 }
 
@@ -167,7 +195,7 @@ func (q *iokQueue) pop(coreID int) (actor.Msg, bool) {
 // the least-loaded worker (lowest index on ties, keeping routing
 // deterministic).
 func (q *iokQueue) dispatchOne() (int, bool) {
-	m, ok := q.central.Pop()
+	m, stamp, ok := q.central.take()
 	if !ok {
 		return 0, false
 	}
@@ -175,7 +203,7 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 	if fl == nil {
 		best := 0
 		for i := 1; i < len(q.perCore); i++ {
-			if q.perCore[i].Len() < q.perCore[best].Len() {
+			if q.perCore[i].len() < q.perCore[best].len() {
 				best = i
 			}
 		}
@@ -183,15 +211,15 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 		q.flows[m.FlowID] = fl
 	}
 	fl.pending++
-	q.perCore[fl.worker].Push(m)
+	q.perCore[fl.worker].put(m, stamp)
 	q.Dispatched++
 	return fl.worker, true
 }
 
 func (q *iokQueue) len() int {
-	n := q.central.Len()
+	n := q.central.len()
 	for i := range q.perCore {
-		n += q.perCore[i].Len()
+		n += q.perCore[i].len()
 	}
 	return n
 }

@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -118,11 +119,25 @@ func (w *welford) Max() float64 { return w.max }
 // Sample collects individual values for exact percentile reporting. The
 // experiment harness uses it for P50/P99 latency series; runs are
 // bounded, so it keeps every value.
+//
+// Observe appends into blocks that grow geometrically up to
+// sampleBlockCap values rather than re-growing one slice, which would
+// allocate several times the kept bytes over a run (and leave a short
+// sample holding a large array). Percentile, Mean and Merge fold the
+// blocks into the flat slice in observation order, so their results and
+// Mean's summation order are those of one appended slice.
 type Sample struct {
-	values []float64
+	values []float64   // folded values, sorted while sorted is set
+	blocks [][]float64 // values observed since the last fold, in order
 	seen   uint64
 	sorted bool
 }
+
+// Block sizes of Sample.Observe: the first block's and the largest.
+const (
+	sampleFirstBlock = 8
+	sampleBlockCap   = 1024
+)
 
 // NewSample returns an unbounded sample collector.
 func NewSample() *Sample { return &Sample{} }
@@ -130,8 +145,34 @@ func NewSample() *Sample { return &Sample{} }
 // Observe records a value.
 func (s *Sample) Observe(x float64) {
 	s.seen++
+	n := len(s.blocks)
+	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
+		size := sampleFirstBlock
+		if n > 0 {
+			size = min(2*cap(s.blocks[n-1]), sampleBlockCap)
+		}
+		s.blocks = append(s.blocks, make([]float64, 0, size))
+		n++
+	}
+	s.blocks[n-1] = append(s.blocks[n-1], x)
+}
+
+// fold moves the blocks' values onto the end of the flat slice.
+func (s *Sample) fold() {
+	if len(s.blocks) == 0 {
+		return
+	}
+	n := 0
+	for _, b := range s.blocks {
+		n += len(b)
+	}
+	s.values = slices.Grow(s.values, n)
+	for _, b := range s.blocks {
+		s.values = append(s.values, b...)
+	}
+	clear(s.blocks)
+	s.blocks = s.blocks[:0]
 	s.sorted = false
-	s.values = append(s.values, x)
 }
 
 // Count returns the number of values observed.
@@ -143,12 +184,15 @@ func (s *Sample) Merge(o *Sample) {
 	if o == nil {
 		return
 	}
-	if len(o.values) == 0 {
-		s.seen += o.seen
+	s.seen += o.seen
+	if len(o.values) == 0 && len(o.blocks) == 0 {
 		return
 	}
+	s.fold()
 	s.values = append(s.values, o.values...)
-	s.seen += o.seen
+	for _, b := range o.blocks {
+		s.values = append(s.values, b...)
+	}
 	s.sorted = false
 }
 
@@ -164,6 +208,7 @@ func (s *Sample) Percentile(p float64) float64 {
 // PercentileOK is Percentile with an explicit emptiness signal: ok is
 // false (and the value 0) when no values were retained.
 func (s *Sample) PercentileOK(p float64) (float64, bool) {
+	s.fold()
 	if len(s.values) == 0 {
 		return 0, false
 	}
@@ -194,6 +239,7 @@ func (s *Sample) Quantile(q float64) float64 {
 
 // Mean returns the mean of retained values.
 func (s *Sample) Mean() float64 {
+	s.fold()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -205,4 +251,10 @@ func (s *Sample) Mean() float64 {
 }
 
 // reset discards all values.
-func (s *Sample) reset() { s.values = s.values[:0]; s.seen = 0; s.sorted = false }
+func (s *Sample) reset() {
+	s.values = s.values[:0]
+	clear(s.blocks)
+	s.blocks = s.blocks[:0]
+	s.seen = 0
+	s.sorted = false
+}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +236,91 @@ func TestPercentileOKMatchesPercentile(t *testing.T) {
 		}
 		if got := s.Percentile(p); got != v {
 			t.Fatalf("p%v: Percentile %v != PercentileOK %v", p, got, v)
+		}
+	}
+}
+
+// flatSample is the single-slice reference Sample's blocks must match:
+// values appended in observation order, sorted in place on demand.
+type flatSample struct {
+	values []float64
+	sorted bool
+}
+
+func (f *flatSample) percentile(p float64) float64 {
+	if !f.sorted {
+		sort.Float64s(f.values)
+		f.sorted = true
+	}
+	rank := max(int(math.Ceil(p/100*float64(len(f.values)))), 1)
+	return f.values[min(rank, len(f.values))-1]
+}
+
+func (f *flatSample) mean() float64 {
+	var sum float64
+	for _, v := range f.values {
+		sum += v
+	}
+	return sum / float64(len(f.values))
+}
+
+// TestSampleBlocksMatchFlatSlice checks that block storage changes no
+// result: percentiles and Mean (whose float sum depends on the order it
+// visits values) equal the flat reference bit for bit, through
+// interleaved observes, reads and merges of unfolded samples.
+func TestSampleBlocksMatchFlatSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	s, ref := NewSample(), &flatSample{}
+	for round := 0; round < 6; round++ {
+		for i := rng.IntN(3000); i >= 0; i-- {
+			x := rng.ExpFloat64() * 1e3
+			s.Observe(x)
+			ref.values = append(ref.values, x)
+			ref.sorted = false
+		}
+		if round%2 == 1 {
+			o := NewSample()
+			for i := rng.IntN(2000); i >= 0; i-- {
+				x := rng.NormFloat64()
+				o.Observe(x)
+				ref.values = append(ref.values, x)
+				ref.sorted = false
+			}
+			s.Merge(o)
+		}
+		if got, want := s.Mean(), ref.mean(); got != want {
+			t.Fatalf("round %d: Mean %v, flat slice %v", round, got, want)
+		}
+		for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
+			if got, want := s.Percentile(p), ref.percentile(p); got != want {
+				t.Fatalf("round %d: P%v %v, flat slice %v", round, p, got, want)
+			}
+		}
+		if got, want := s.Mean(), ref.mean(); got != want {
+			t.Fatalf("round %d: Mean after sort %v, flat slice %v", round, got, want)
+		}
+	}
+	if s.Count() != uint64(len(ref.values)) {
+		t.Fatalf("Count %d, want %d", s.Count(), len(ref.values))
+	}
+}
+
+// TestSampleBlocksStaySmall pins the block growth: a few values hold
+// one small block, and no block exceeds the cap.
+func TestSampleBlocksStaySmall(t *testing.T) {
+	s := NewSample()
+	for i := 0; i < 3; i++ {
+		s.Observe(float64(i))
+	}
+	if len(s.blocks) != 1 || cap(s.blocks[0]) != sampleFirstBlock {
+		t.Fatalf("3 values: %d blocks, first of cap %d; want 1 of %d", len(s.blocks), cap(s.blocks[0]), sampleFirstBlock)
+	}
+	for i := 0; i < 10000; i++ {
+		s.Observe(float64(i))
+	}
+	for i, b := range s.blocks {
+		if cap(b) > sampleBlockCap {
+			t.Fatalf("block %d has cap %d, above %d", i, cap(b), sampleBlockCap)
 		}
 	}
 }
