@@ -29,6 +29,22 @@ func observedRun(t *testing.T, id string) (*Result, []byte, []byte) {
 	return r, trace.Bytes(), metrics.Bytes()
 }
 
+// TestObservedArtifactsGolden pins the bytes `ipipe-bench -quick -trace
+// -metrics` writes across commits: each experiment's trace and metrics
+// hash to the "obs:trace:" and "obs:metrics:" lines of
+// testdata/replay_golden.txt (-update rewrites them). Together the three
+// cover push and pull migrations, DRR spans and downgrades, host lanes
+// and partitioned sinks.
+func TestObservedArtifactsGolden(t *testing.T) {
+	for _, id := range []string{"ablate-migration", "floem", "scale-nodes"} {
+		_, trace, metrics := observedRun(t, id)
+		checkGolden(t, []string{
+			digestLine("obs:trace:"+id, 0, 1, string(trace)),
+			digestLine("obs:metrics:"+id, 0, 1, string(metrics)),
+		}, "")
+	}
+}
+
 // TestObservedRunParity extends the determinism contract to the
 // observability path: running an experiment with tracing and metrics
 // enabled must (a) leave the experiment's rows and notes byte-identical
