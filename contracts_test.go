@@ -69,11 +69,11 @@ var contracts = []contract{
 	{"internal/nicsim", "SmartNIC model: traffic gate, packet buffer, memory hierarchy, accelerators",
 		[]string{"internal/invariant", "internal/obs", "internal/sim", "internal/spec"}},
 	{"internal/hostsim", "host cores and the DPDK-style poll-mode runtime",
-		[]string{"internal/actor", "internal/sim"}},
+		[]string{"internal/actor", "internal/obs", "internal/sim"}},
 	{"internal/isolation", "§3.4 isolation: DMO region guard and DoS watchdog",
 		[]string{"internal/actor", "internal/sim"}},
 	{"internal/sched", "the hybrid FCFS+DRR scheduler with migration and autoscaling (§3.2)",
-		[]string{"internal/actor", "internal/invariant", "internal/sim", "internal/stats"}},
+		[]string{"internal/actor", "internal/invariant", "internal/obs", "internal/sim", "internal/stats"}},
 	{"internal/core", "the per-node iPipe runtime: dispatch, actor lifecycle, migration, Table 4 API",
 		[]string{"internal/actor", "internal/dmo", "internal/hostsim", "internal/invariant", "internal/isolation",
 			"internal/msgring", "internal/netsim", "internal/nicsim", "internal/obs", "internal/pcie",

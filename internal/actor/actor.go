@@ -212,6 +212,14 @@ func (s MigState) String() string {
 // skip it and let the in-flight protocol's commit finish the hand-off.
 func (s MigState) InFlight() bool { return s != Stable }
 
+// Label names the actor in traces: its Name, else "actor <ID>".
+func (a *Actor) Label() string {
+	if a.Name != "" {
+		return a.Name
+	}
+	return fmt.Sprintf("actor %d", a.ID)
+}
+
 // Load returns average execution latency scaled by invocation frequency,
 // the quantity the migration policy ranks actors by (§3.2.5).
 func (a *Actor) Load() float64 { return a.ExecStats.Mean() * float64(a.Invoked) }

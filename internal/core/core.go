@@ -215,10 +215,10 @@ type Node struct {
 
 	actors map[actor.ID]*actor.Actor
 
-	// obs holds the node's trace tracks; latHist the per-node request
-	// sojourn histogram. Both nil unless observability is enabled.
-	obs     *nodeObs
-	latHist *obs.Histogram
+	// sink is the node's partition trace sink (nil unless tracing is
+	// enabled) and schedLane the scheduler's lane, where migrations land.
+	sink      *obs.Sink
+	schedLane obs.TrackID
 
 	// Migrations records completed push migrations for Figure 18.
 	Migrations []MigrationRecord
@@ -335,7 +335,6 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	}, hostsim.Hooks{
 		Run:     n.runOnHost,
 		Unowned: n.hostUnowned,
-		OnExec:  n.obsHostExec,
 	})
 
 	if cfg.NIC != nil {
@@ -355,13 +354,9 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 			scfg = *cfg.SchedOverride
 		}
 		hooks := sched.Hooks{
-			Run:          n.runOnNIC,
-			FwdTax:       func(b int) sim.Time { return cfg.NIC.FwdTax.Cost(b) },
-			Forward:      n.forwardToHost,
-			OnExec:       n.obsSchedExec,
-			OnModeSwitch: n.obsModeSwitch,
-			OnMigrate:    n.obsMigrate,
-			OnAutoscale:  n.obsAutoscale,
+			Run:     n.runOnNIC,
+			FwdTax:  func(b int) sim.Time { return cfg.NIC.FwdTax.Cost(b) },
+			Forward: n.forwardToHost,
 			Quantum: func(avg int) sim.Time {
 				if avg <= 0 {
 					avg = 512

@@ -1,40 +1,29 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/actor"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// This file wires internal/obs into the node runtime. The substrate
-// packages (netsim, nicsim, pcie) carry their own tracer hooks; the
-// scheduler and host engine stay observability-free and report through
-// their Hooks callbacks, which the runtime translates into spans here.
+// This file wires internal/obs into the node runtime. Every layer emits
+// its own spans through the node's partition sink (sink 0 on classic
+// clusters), so nodes on different PDES partitions never share a span
+// buffer; the runtime only registers each node's group and its metrics,
+// and adds the migration spans.
 //
-// Track layout per node (one trace group = one Chrome-trace process):
+// Track layout per node (one trace group = one Chrome-trace process),
+// in registration order:
 //
-//	nic core 0..N   one lane per NIC core (actor executions, forwards)
-//	sched           instantaneous scheduler decisions
-//	traffic mgr     the PPS gate's pipeline occupancy
-//	accel <name>    one lane per accelerator unit
-//	dma             the DMA engine's transfer occupancy
-//	host core 0..M  one lane per host core
-//	link tx/rx      the node's two link directions (netsim)
-
-// nodeObs holds a node's trace tracks; nil when tracing is disabled.
-// All emission goes through the node's partition sink (sink 0 on
-// classic clusters), so nodes on different PDES partitions never share
-// a span buffer.
-type nodeObs struct {
-	sink       *obs.Sink
-	nicTracks  []obs.TrackID
-	hostTracks []obs.TrackID
-	schedTrack obs.TrackID
-}
+//	nic core 0..N   sched: one lane per NIC core (actor executions, forwards)
+//	sched           sched: instantaneous decisions; core: migration spans
+//	traffic mgr     nicsim: the PPS gate's pipeline occupancy
+//	accel <name>    nicsim: one lane per accelerator unit
+//	dma             pcie: the DMA engine's transfer occupancy
+//	host core 0..M  hostsim: one lane per host core
+//	link tx/rx      netsim: the node's two link directions
 
 // EnableTracing attaches a tracer to the cluster: every current and
 // future node gets a trace group with lanes for its NIC cores, host
@@ -106,21 +95,14 @@ func (c *Cluster) nodeNames() []string {
 
 func (n *Node) enableTracing(tr *obs.Tracer) {
 	g := tr.Group(n.c.obsPrefix + n.Name)
-	sink := tr.Sink(n.Part)
-	o := &nodeObs{sink: sink, schedTrack: obs.NoTrack}
+	n.sink = tr.Sink(n.Part)
 	if n.Sched != nil {
-		for i := 0; i < n.Sched.NumCores(); i++ {
-			o.nicTracks = append(o.nicTracks, tr.NewTrack(g, fmt.Sprintf("nic core %d", i)))
-		}
-		o.schedTrack = tr.NewTrack(g, "sched")
-		n.Gate.EnableTracing(sink, g)
-		n.Accels.EnableTracing(sink, g)
-		n.DMA.EnableTracing(sink, g)
+		n.schedLane = n.Sched.EnableTracing(n.sink, g)
+		n.Gate.EnableTracing(n.sink, g)
+		n.Accels.EnableTracing(n.sink, g)
+		n.DMA.EnableTracing(n.sink, g)
 	}
-	for i := 0; i < n.HostModel.Cores; i++ {
-		o.hostTracks = append(o.hostTracks, tr.NewTrack(g, fmt.Sprintf("host core %d", i)))
-	}
-	n.obs = o
+	n.Host.EnableTracing(n.sink, g)
 }
 
 func (n *Node) enableMetrics(col *obs.Collector) {
@@ -143,91 +125,11 @@ func (n *Node) enableMetrics(col *obs.Collector) {
 	reg.Counter("host_completed", func() uint64 { return n.Host.Completed })
 	reg.Gauge("host_cores_used", n.Host.CoresUsed)
 	reg.Gauge("host_backlog", func() float64 { return float64(n.Host.Backlog()) })
-	n.latHist = reg.Histogram("sojourn_us")
-}
-
-// actorLabel names a span after its actor.
-func actorLabel(a *actor.Actor) string {
-	if a == nil {
-		return "forward"
+	h := reg.Histogram("sojourn_us")
+	if n.Sched != nil {
+		n.Sched.Sojourn = h
 	}
-	if a.Name != "" {
-		return a.Name
-	}
-	return fmt.Sprintf("actor %d", a.ID)
-}
-
-// obsSchedExec is the scheduler's OnExec hook: one span per completed
-// NIC-core operation.
-func (n *Node) obsSchedExec(coreID int, mode sched.Mode, a *actor.Actor, m actor.Msg, start, end sim.Time) {
-	if n.latHist != nil && a != nil {
-		n.latHist.Observe((end - m.ArrivedAt).Micros())
-	}
-	o := n.obs
-	if o == nil || coreID >= len(o.nicTracks) {
-		return
-	}
-	wait := start - m.ArrivedAt
-	if wait < 0 {
-		wait = 0
-	}
-	name := actorLabel(a)
-	if mode == sched.DRR {
-		name += " [drr]"
-	}
-	o.sink.Span(o.nicTracks[coreID], name, start, end, execArgs(a, m, wait))
-}
-
-// execArgs assembles span annotations for one executed message,
-// including the actor's shard tag when it carries one.
-func execArgs(a *actor.Actor, m actor.Msg, wait sim.Time) obs.Args {
-	args := obs.Args{Req: m.FlowID, HasReq: m.FlowID != 0, Bytes: int(m.WireSize), Wait: wait}
-	if a != nil && a.Sharded {
-		args.Shard, args.HasShard = a.Shard, true
-	}
-	return args
-}
-
-// obsHostExec is the host engine's OnExec hook.
-func (n *Node) obsHostExec(coreID int, a *actor.Actor, m actor.Msg, start, end sim.Time) {
-	if n.latHist != nil {
-		n.latHist.Observe((end - m.ArrivedAt).Micros())
-	}
-	o := n.obs
-	if o == nil || coreID >= len(o.hostTracks) {
-		return
-	}
-	wait := start - m.ArrivedAt
-	if wait < 0 {
-		wait = 0
-	}
-	o.sink.Span(o.hostTracks[coreID], actorLabel(a), start, end, execArgs(a, m, wait))
-}
-
-// obsModeSwitch marks an actor's FCFS↔DRR transition on the sched lane.
-func (n *Node) obsModeSwitch(a *actor.Actor, to sched.Mode) {
-	o := n.obs
-	if o == nil {
-		return
-	}
-	verb := "downgrade "
-	if to == sched.FCFS {
-		verb = "upgrade "
-	}
-	o.sink.Instant(o.schedTrack, verb+actorLabel(a), n.eng.Now())
-}
-
-// obsMigrate marks a migration decision on the sched lane.
-func (n *Node) obsMigrate(a *actor.Actor, push bool) {
-	o := n.obs
-	if o == nil {
-		return
-	}
-	if push {
-		o.sink.Instant(o.schedTrack, "push "+actorLabel(a), n.eng.Now())
-		return
-	}
-	o.sink.Instant(o.schedTrack, "pull from host", n.eng.Now())
+	n.Host.Sojourn = h
 }
 
 // obsMigrateCommit emits the migration's hand-off span on the sched
@@ -237,22 +139,12 @@ func (n *Node) obsMigrate(a *actor.Actor, push bool) {
 // own partition sink, so partitioned traces stay race-free and merge
 // byte-identically at any worker count.
 func (n *Node) obsMigrateCommit(a *actor.Actor, push bool, start sim.Time, bytes int) {
-	o := n.obs
-	if o == nil {
+	if n.sink == nil {
 		return
 	}
 	dir := "migrate→host "
 	if !push {
 		dir = "migrate→nic "
 	}
-	o.sink.Span(o.schedTrack, dir+actorLabel(a), start, n.eng.Now(), obs.Args{Bytes: bytes})
-}
-
-// obsAutoscale marks a core changing scheduling group.
-func (n *Node) obsAutoscale(coreID int, from, to sched.Mode) {
-	o := n.obs
-	if o == nil {
-		return
-	}
-	o.sink.Instant(o.schedTrack, fmt.Sprintf("core %d %s→%s", coreID, from, to), n.eng.Now())
+	n.sink.Span(n.schedLane, dir+a.Label(), start, n.eng.Now(), obs.Args{Bytes: bytes})
 }

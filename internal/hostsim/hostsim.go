@@ -9,7 +9,10 @@
 package hostsim
 
 import (
+	"fmt"
+
 	"repro/internal/actor"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -21,9 +24,6 @@ type Hooks struct {
 	// Unowned handles a message whose target actor is not host-resident
 	// (e.g. it migrated back to the NIC mid-flight). Optional.
 	Unowned func(m actor.Msg)
-	// OnExec observes each completed execution (tracing/metrics).
-	// Optional; must be passive — it may not mutate scheduler state.
-	OnExec func(coreID int, a *actor.Actor, m actor.Msg, start, end sim.Time)
 }
 
 // Config sizes the host.
@@ -46,6 +46,12 @@ type Host struct {
 	cores  []*hcore
 	actors map[actor.ID]*actor.Actor
 
+	// sink traces the cores' executions (nil: tracing off).
+	sink *obs.Sink
+	// Sojourn, when set, receives each completed execution's sojourn
+	// (arrival to completion) in microseconds.
+	Sojourn *obs.Histogram
+
 	// Completed counts executed messages; Steals counts stolen ones.
 	Completed uint64
 	Steals    uint64
@@ -55,6 +61,8 @@ type hcore struct {
 	h    *Host
 	id   int
 	idle bool
+	// lane is the core's trace lane (unused while tracing is off).
+	lane obs.TrackID
 
 	busyAccum sim.Time
 	busyStart sim.Time
@@ -112,6 +120,18 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Host {
 		h.cores = append(h.cores, &hcore{h: h, id: i, idle: true})
 	}
 	return h
+}
+
+// EnableTracing records every execution as a span on its core's "host
+// core i" lane in group g, through sk; a nil sink leaves tracing off.
+func (h *Host) EnableTracing(sk *obs.Sink, g obs.GroupID) {
+	if sk == nil {
+		return
+	}
+	h.sink = sk
+	for _, c := range h.cores {
+		c.lane = sk.NewTrack(g, fmt.Sprintf("host core %d", c.id))
+	}
 }
 
 // AddActor registers a host-resident actor.
@@ -304,9 +324,7 @@ func (c *hcore) occupyDone() {
 		c.Executed++
 		h.Completed++
 		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, int(m.WireSize))
-		if h.hooks.OnExec != nil {
-			h.hooks.OnExec(c.id, a, m, op.start, h.eng.Now())
-		}
+		c.trace(a, m, op.start)
 		if next, ok := a.Mailbox.Pop(); ok {
 			c.exec(a, next)
 			return
@@ -314,6 +332,21 @@ func (c *hcore) occupyDone() {
 		a.Release()
 		c.step()
 	}
+}
+
+// trace records m's execution on a, begun at start and ending now: its
+// sojourn and a span on c's lane.
+func (c *hcore) trace(a *actor.Actor, m actor.Msg, start sim.Time) {
+	h := c.h
+	now := h.eng.Now()
+	if h.Sojourn != nil {
+		h.Sojourn.Observe((now - m.ArrivedAt).Micros())
+	}
+	if h.sink == nil {
+		return
+	}
+	h.sink.Span(c.lane, a.Label(), start, now, obs.Args{Req: m.FlowID, HasReq: m.FlowID != 0,
+		Bytes: int(m.WireSize), Wait: max(start-m.ArrivedAt, 0), Shard: a.Shard, HasShard: a.Sharded})
 }
 
 func (c *hcore) endBusy() {

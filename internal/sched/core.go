@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
+
 	"repro/internal/actor"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -12,8 +15,10 @@ import (
 type core struct {
 	s    *Scheduler
 	id   int
-	mode Mode
+	mode coreMode
 	idle bool
+	// lane is the core's trace lane (unused while tracing is off).
+	lane obs.TrackID
 
 	// drrPos is this core's round-robin cursor into the runnable queue.
 	drrPos int
@@ -65,15 +70,15 @@ type coreOp struct {
 }
 
 func newCore(s *Scheduler, id int) *core {
-	return &core{s: s, id: id, mode: FCFS, idle: true}
+	return &core{s: s, id: id, mode: modeFCFS, idle: true}
 }
 
-func (c *core) setMode(m Mode) {
-	from := c.mode
-	c.mode = m
-	if from != m && c.s.hooks.OnAutoscale != nil {
-		c.s.hooks.OnAutoscale(c.id, from, m)
+func (c *core) setMode(m coreMode) {
+	s := c.s
+	if c.mode != m && s.sink != nil {
+		s.sink.Instant(s.lane, fmt.Sprintf("core %d %s→%s", c.id, c.mode, m), s.eng.Now())
 	}
+	c.mode = m
 	c.kick()
 }
 
@@ -121,9 +126,7 @@ func (c *core) occupyDone() {
 	case opForward:
 		s.Forwarded++
 		s.observeFCFS(m)
-		if s.hooks.OnExec != nil {
-			s.hooks.OnExec(c.id, FCFS, nil, m, op.start, s.eng.Now())
-		}
+		c.traceOp(nil, m, op.start, "forward")
 		if s.hooks.Forward != nil {
 			s.hooks.Forward(m)
 		}
@@ -189,11 +192,11 @@ func (c *core) settle() {
 // step is the core's main loop body.
 func (c *core) step() {
 	switch c.mode {
-	case FCFS:
+	case modeFCFS:
 		c.stepFCFS()
-	case DRR:
+	case modeDRR:
 		c.stepDRR()
-	case dispatch:
+	case modeDispatch:
 		c.stepDispatch()
 	}
 }
@@ -267,9 +270,7 @@ func (c *core) execDone(op coreOp) {
 	sojourn := s.eng.Now() - m.ArrivedAt
 	a.Observe(sojourn, op.service, int(m.WireSize))
 	s.observeFCFS(m)
-	if s.hooks.OnExec != nil {
-		s.hooks.OnExec(c.id, FCFS, a, m, op.start, s.eng.Now())
-	}
+	c.traceOp(a, m, op.start, "")
 	// ALG 1 lines 13–16: downgrade on tail breach. The group tail is
 	// degenerate below two samples (stats.EWMA.Ready) — without the
 	// guard the very first completion, whose "tail" is just its own
@@ -297,6 +298,26 @@ func (c *core) afterOp() {
 // observeFCFS records the sojourn time of one FCFS operation.
 func (s *Scheduler) observeFCFS(m actor.Msg) {
 	s.fcfsStats.Observe((s.eng.Now() - m.ArrivedAt).Micros())
+}
+
+// traceOp records an operation of c that began at start and ends now: a
+// span on c's lane and, for an execution (a non-nil), the sojourn.
+func (c *core) traceOp(a *actor.Actor, m actor.Msg, start sim.Time, suffix string) {
+	s := c.s
+	now := s.eng.Now()
+	if a != nil && s.Sojourn != nil {
+		s.Sojourn.Observe((now - m.ArrivedAt).Micros())
+	}
+	if s.sink == nil {
+		return
+	}
+	args := obs.Args{Req: m.FlowID, HasReq: m.FlowID != 0, Bytes: int(m.WireSize), Wait: max(start-m.ArrivedAt, 0)}
+	name := "forward"
+	if a != nil {
+		name = a.Label() + suffix
+		args.Shard, args.HasShard = a.Shard, a.Sharded
+	}
+	s.sink.Span(c.lane, name, start, now, args)
 }
 
 // stepDRR implements ALG 2: scan runnable actors round-robin, crediting
@@ -365,9 +386,7 @@ func (c *core) execDRRDone(op coreOp) {
 	s.chk.Exec()
 	sojourn := s.eng.Now() - m.ArrivedAt
 	a.Observe(sojourn, op.service, int(m.WireSize))
-	if s.hooks.OnExec != nil {
-		s.hooks.OnExec(c.id, DRR, a, m, op.start, s.eng.Now())
-	}
+	c.traceOp(a, m, op.start, " [drr]")
 	// ALG 2 lines 10–12: upgrade on tail recovery. A truly empty
 	// FCFS group (zero samples) has no tail problem and may accept
 	// the actor back; but with exactly one sample Tail collapses to
@@ -380,17 +399,9 @@ func (c *core) execDRRDone(op coreOp) {
 	}
 	c.s.maybeMonitor()
 	// ALG 2 lines 18–20: mailbox overflow forces migration.
-	if s.hooks.PushToHost != nil && s.cfg.QThresh > 0 &&
-		a.Mailbox.Len() > s.cfg.QThresh && !s.migrationInFlight &&
-		a.State == actor.Stable && !a.PinNIC {
-		s.migrationInFlight = true
-		s.lastMigration = s.eng.Now()
-		s.PushMigrations++
-		a.State = actor.Prepare
-		if s.hooks.OnMigrate != nil {
-			s.hooks.OnMigrate(a, true)
-		}
-		s.hooks.PushToHost(a)
+	if s.hooks.PushToHost != nil && a.Mailbox.Len() > qThresh &&
+		!s.migrationInFlight && a.State == actor.Stable && !a.PinNIC {
+		s.push(a)
 	}
 	c.step()
 }

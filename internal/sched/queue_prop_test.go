@@ -139,7 +139,7 @@ func TestDRRDequeueAdjustsCursors(t *testing.T) {
 	a3 := h.addActor(3, sim.Microsecond)
 	var dc *core
 	for _, c := range h.s.cores {
-		if c.mode == DRR {
+		if c.mode == modeDRR {
 			dc = c
 		}
 	}

@@ -25,7 +25,7 @@
 //     (core 0) pushes the highest-load actor to the host; when it falls
 //     below (1−α)·MeanThresh with CPU headroom, it pulls the
 //     least-load host actor back. A DRR actor whose mailbox exceeds
-//     QThresh is pushed to the host directly.
+//     qThresh is pushed to the host directly.
 package sched
 
 import (
@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -42,23 +43,23 @@ import (
 // and evaluates migration/autoscaling conditions.
 const monitorPeriod = 100 * sim.Microsecond
 
-// Mode is a core's scheduling mode.
-type Mode uint8
+// coreMode is a core's scheduling mode.
+type coreMode uint8
 
 // Core modes.
 const (
-	FCFS Mode = iota
-	DRR
-	// dispatch marks the IOKernel dispatcher core (§3.2.6).
-	dispatch
+	modeFCFS coreMode = iota
+	modeDRR
+	// modeDispatch marks the IOKernel dispatcher core (§3.2.6).
+	modeDispatch
 )
 
 // String renders the mode.
-func (m Mode) String() string {
+func (m coreMode) String() string {
 	switch m {
-	case FCFS:
+	case modeFCFS:
 		return "FCFS"
-	case DRR:
+	case modeDRR:
 		return "DRR"
 	default:
 		return "Dispatch"
@@ -87,26 +88,6 @@ type Hooks struct {
 	// PullFromHost asks the runtime to bring the least-loaded host actor
 	// back; it reports whether a pull was initiated. Optional.
 	PullFromHost func() bool
-
-	// Observability callbacks, consumed by internal/obs through the node
-	// runtime. All are optional (nil-safe) and must be passive: they may
-	// record what happened but must not mutate scheduler state, or runs
-	// stop being reproducible with observation off.
-
-	// OnExec observes every completed core operation: an actor execution
-	// (a non-nil) or the forwarding of host-bound traffic (a nil).
-	// start/end bound the core occupancy; m.ArrivedAt gives queueing.
-	OnExec func(coreID int, mode Mode, a *actor.Actor, m actor.Msg, start, end sim.Time)
-	// OnModeSwitch observes an actor moving between scheduling
-	// disciplines: a downgrade (to == DRR) or an upgrade (to == FCFS).
-	OnModeSwitch func(a *actor.Actor, to Mode)
-	// OnMigrate observes a migration decision: push == true when an
-	// actor is pushed NIC→host (a is the victim), false when a pull
-	// host→NIC was initiated (a nil: the runtime picks the actor).
-	OnMigrate func(a *actor.Actor, push bool)
-	// OnAutoscale observes a core changing group (FCFS↔DRR), whether by
-	// the autoscaler, DRR-core spawning, or collapse.
-	OnAutoscale func(coreID int, from, to Mode)
 }
 
 // Config carries the scheduler thresholds (§3.2.3: set from the NIC's
@@ -116,8 +97,6 @@ type Config struct {
 	// TailThresh/MeanThresh are sojourn-time thresholds in microseconds.
 	TailThresh float64
 	MeanThresh float64
-	// QThresh is the DRR mailbox length that triggers direct migration.
-	QThresh int
 	// Ingress is the FCFS ingress model (default SharedQueue).
 	Ingress Ingress
 	// AllDRR places every actor in the DRR runnable queue at
@@ -161,6 +140,8 @@ const (
 	dispatcherCost = 250 * sim.Nanosecond
 	// statsAlpha is the EWMA smoothing for group latency statistics.
 	statsAlpha = 0.02
+	// qThresh is the DRR mailbox length that triggers direct migration.
+	qThresh = 64
 	// migrationCooldown is the minimum spacing between migrations. A
 	// migration stalls the moving actor for up to tens of milliseconds
 	// (Figure 18), and right after one the FCFS statistics reflect only
@@ -171,10 +152,7 @@ const (
 // DefaultConfig returns reasonable structural defaults; thresholds must
 // still be set per NIC.
 func DefaultConfig(cores int) Config {
-	return Config{
-		Cores:   cores,
-		QThresh: 64,
-	}
+	return Config{Cores: cores}
 }
 
 // Scheduler is the NIC-side scheduler instance.
@@ -202,6 +180,14 @@ type Scheduler struct {
 	// this scheduler's label in its reports (the node name).
 	chk      *invariant.Checker
 	chkLabel string
+
+	// sink/lane trace the scheduler's decisions (nil sink: tracing off);
+	// each core carries its own lane.
+	sink *obs.Sink
+	lane obs.TrackID
+	// Sojourn, when set, receives each completed execution's sojourn
+	// (arrival to completion) in microseconds.
+	Sojourn *obs.Histogram
 
 	// Counters for experiments.
 	Completed         uint64
@@ -245,7 +231,7 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
 	for i := 0; i < cfg.Cores; i++ {
 		c := newCore(s, i)
 		if cfg.Ingress == IOKernel && i == cfg.Cores-1 {
-			c.mode = dispatch
+			c.mode = modeDispatch
 		}
 		s.cores = append(s.cores, c)
 	}
@@ -287,6 +273,22 @@ func (s *Scheduler) EnableInvariants(chk *invariant.Checker, label string) {
 	for _, a := range s.drrRunnable {
 		chk.DRRAdd(label, uint32(a.ID))
 	}
+}
+
+// EnableTracing records every core operation as a span on its core's
+// "nic core i" lane and every decision — mode switch, migration, core
+// move — as an instant on a "sched" lane, all in group g through sk. It
+// returns the sched lane, for the runtime's migration spans; a nil sink
+// leaves tracing off.
+func (s *Scheduler) EnableTracing(sk *obs.Sink, g obs.GroupID) obs.TrackID {
+	if sk == nil {
+		return obs.NoTrack
+	}
+	for _, c := range s.cores {
+		c.lane = sk.NewTrack(g, fmt.Sprintf("nic core %d", c.id))
+	}
+	s.sink, s.lane = sk, sk.NewTrack(g, "sched")
+	return s.lane
 }
 
 // maybeMonitor runs the management core's periodic duties — sample
@@ -333,19 +335,7 @@ func (s *Scheduler) maybeUpgrade() {
 			continue
 		}
 		if a.ServiceStats.Tail() <= 1.25*median {
-			s.drrDequeue(a)
-			a.InDRR = false
-			s.Upgrades++
-			if s.hooks.OnModeSwitch != nil {
-				s.hooks.OnModeSwitch(a, FCFS)
-			}
-			for _, m := range a.Mailbox.Drain() {
-				s.queue.push(m)
-			}
-			s.wakeFCFS()
-			if len(s.drrRunnable) == 0 {
-				s.collapseDRRCores()
-			}
+			s.upgradeActor(a)
 			return // at most one per tick
 		}
 	}
@@ -423,17 +413,14 @@ func (s *Scheduler) FCFSTail() float64 { return s.fcfsStats.Tail() }
 // FCFSMean returns the FCFS group's mean sojourn estimate (µs).
 func (s *Scheduler) FCFSMean() float64 { return s.fcfsStats.Mean() }
 
-// NumCores returns the total number of NIC cores (including a dispatcher).
-func (s *Scheduler) NumCores() int { return len(s.cores) }
-
 // CoreModes returns the number of cores in the FCFS and DRR groups
 // (an IOKernel dispatcher core belongs to neither).
 func (s *Scheduler) CoreModes() (fcfs, drr int) {
 	for _, c := range s.cores {
 		switch c.mode {
-		case FCFS:
+		case modeFCFS:
 			fcfs++
-		case DRR:
+		case modeDRR:
 			drr++
 		}
 	}
@@ -459,7 +446,7 @@ func (s *Scheduler) wakeFCFS() {
 		s.cores[len(s.cores)-1].kick()
 	}
 	for _, c := range s.cores {
-		if c.mode == FCFS && c.idle {
+		if c.mode == modeFCFS && c.idle {
 			c.kick()
 			return
 		}
@@ -468,7 +455,7 @@ func (s *Scheduler) wakeFCFS() {
 
 func (s *Scheduler) wakeDRR() {
 	for _, c := range s.cores {
-		if c.mode == DRR && c.idle {
+		if c.mode == modeDRR && c.idle {
 			c.kick()
 			return
 		}
@@ -517,8 +504,8 @@ func (s *Scheduler) downgrade() {
 	s.drrRunnable = append(s.drrRunnable, victim)
 	s.chk.DRRAdd(s.chkLabel, uint32(victim.ID))
 	s.Downgrades++
-	if s.hooks.OnModeSwitch != nil {
-		s.hooks.OnModeSwitch(victim, DRR)
+	if s.sink != nil {
+		s.sink.Instant(s.lane, "downgrade "+victim.Label(), s.eng.Now())
 	}
 	s.ensureDRRCore()
 }
@@ -552,14 +539,18 @@ func (s *Scheduler) upgrade() {
 	if a.ServiceStats.Tail() > 1.5*median {
 		return
 	}
+	s.upgradeActor(a)
+}
+
+// upgradeActor returns DRR actor a to FCFS and drains its mailbox back
+// through the shared queue, so FCFS cores serve the backlog.
+func (s *Scheduler) upgradeActor(a *actor.Actor) {
 	s.drrDequeue(a)
 	a.InDRR = false
 	s.Upgrades++
-	if s.hooks.OnModeSwitch != nil {
-		s.hooks.OnModeSwitch(a, FCFS)
+	if s.sink != nil {
+		s.sink.Instant(s.lane, "upgrade "+a.Label(), s.eng.Now())
 	}
-	// Drain its mailbox back through the shared queue so FCFS cores
-	// serve the backlog.
 	for _, m := range a.Mailbox.Drain() {
 		s.queue.push(m)
 	}
@@ -595,7 +586,7 @@ func (s *Scheduler) drrDequeue(a *actor.Actor) {
 // the scheduler spawns a core for DRR execution").
 func (s *Scheduler) ensureDRRCore() {
 	for _, c := range s.cores {
-		if c.mode == DRR {
+		if c.mode == modeDRR {
 			s.wakeDRR()
 			return
 		}
@@ -603,8 +594,8 @@ func (s *Scheduler) ensureDRRCore() {
 	// Convert the last FCFS core (never core 0, the management core,
 	// nor an IOKernel dispatcher).
 	for i := len(s.cores) - 1; i > 0; i-- {
-		if s.cores[i].mode == FCFS {
-			s.cores[i].setMode(DRR)
+		if s.cores[i].mode == modeFCFS {
+			s.cores[i].setMode(modeDRR)
 			s.CoreMoves++
 			s.wakeDRR()
 			return
@@ -616,8 +607,8 @@ func (s *Scheduler) ensureDRRCore() {
 // is empty.
 func (s *Scheduler) collapseDRRCores() {
 	for _, c := range s.cores {
-		if c.mode == DRR {
-			c.setMode(FCFS)
+		if c.mode == modeDRR {
+			c.setMode(modeFCFS)
 			s.CoreMoves++
 		}
 	}
@@ -657,8 +648,8 @@ func (s *Scheduler) autoscale() {
 	// Move a core FCFS→DRR when DRR is saturated and FCFS can spare one.
 	if drrN < maxDRR && drrU >= 0.95 && fcfsU < float64(fcfsN-1)/float64(fcfsN) {
 		for i := len(s.cores) - 1; i > 0; i-- {
-			if s.cores[i].mode == FCFS {
-				s.cores[i].setMode(DRR)
+			if s.cores[i].mode == modeFCFS {
+				s.cores[i].setMode(modeDRR)
 				s.CoreMoves++
 				s.wakeDRR()
 				return
@@ -673,8 +664,8 @@ func (s *Scheduler) autoscale() {
 		(!s.cfg.AllDRR && fcfsU >= 0.95)
 	if drrN > 1 && reclaim {
 		for i := len(s.cores) - 1; i > 0; i-- {
-			if s.cores[i].mode == DRR {
-				s.cores[i].setMode(FCFS)
+			if s.cores[i].mode == modeDRR {
+				s.cores[i].setMode(modeFCFS)
 				s.CoreMoves++
 				s.wakeFCFS()
 				return
@@ -689,10 +680,10 @@ func (s *Scheduler) groupWindowUtil() (fcfs, drr float64) {
 	var fn, dn int
 	for _, c := range s.cores {
 		switch c.mode {
-		case FCFS:
+		case modeFCFS:
 			fsum += c.winU
 			fn++
-		case DRR:
+		case modeDRR:
 			dsum += c.winU
 			dn++
 		}
@@ -716,14 +707,7 @@ func (s *Scheduler) maybeMigrate() {
 	}
 	if s.hooks.PushToHost != nil && s.cfg.MeanThresh > 0 && s.fcfsStats.Mean() > s.cfg.MeanThresh {
 		if a := s.highestLoadActor(); a != nil {
-			s.migrationInFlight = true
-			s.lastMigration = s.eng.Now()
-			s.PushMigrations++
-			a.State = actor.Prepare
-			if s.hooks.OnMigrate != nil {
-				s.hooks.OnMigrate(a, true)
-			}
-			s.hooks.PushToHost(a)
+			s.push(a)
 			return
 		}
 	}
@@ -735,14 +719,27 @@ func (s *Scheduler) maybeMigrate() {
 			if s.hooks.PullFromHost() {
 				s.lastMigration = s.eng.Now()
 				s.PullMigrations++
-				if s.hooks.OnMigrate != nil {
-					s.hooks.OnMigrate(nil, false)
+				if s.sink != nil {
+					s.sink.Instant(s.lane, "pull from host", s.eng.Now())
 				}
 			} else {
 				s.migrationInFlight = false
 			}
 		}
 	}
+}
+
+// push latches the migration and hands a to the runtime's 4-phase
+// push to the host.
+func (s *Scheduler) push(a *actor.Actor) {
+	s.migrationInFlight = true
+	s.lastMigration = s.eng.Now()
+	s.PushMigrations++
+	a.State = actor.Prepare
+	if s.sink != nil {
+		s.sink.Instant(s.lane, "push "+a.Label(), s.eng.Now())
+	}
+	s.hooks.PushToHost(a)
 }
 
 // TryLatchMigration acquires the single-migration latch from outside

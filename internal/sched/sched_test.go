@@ -268,14 +268,12 @@ func TestPullOnLowLoad(t *testing.T) {
 }
 
 func TestQThreshMailboxMigration(t *testing.T) {
-	cfg := baseConfig(2)
-	cfg.QThresh = 4
-	h := newHarness(t, cfg)
+	h := newHarness(t, baseConfig(2))
 	a := h.addActor(1, 20*sim.Microsecond)
 	a.InDRR = true
 	h.s.drrRunnable = append(h.s.drrRunnable, a)
 	h.s.ensureDRRCore()
-	for i := 0; i < 30; i++ {
+	for i := 0; i < qThresh+30; i++ {
 		h.s.Arrive(actor.Msg{Dst: 1})
 	}
 	h.eng.Run()
@@ -398,7 +396,7 @@ func TestIOKernelDispatcherServes(t *testing.T) {
 		t.Fatalf("FCFS workers = %d, want 3 (one core is the dispatcher)", f)
 	}
 	for _, c := range h.s.cores {
-		if c.mode == dispatch && c.Executed != 0 {
+		if c.mode == modeDispatch && c.Executed != 0 {
 			t.Fatal("dispatcher executed actor work")
 		}
 	}
@@ -418,7 +416,7 @@ func TestIOKernelBalancesWorkers(t *testing.T) {
 	h.eng.Run()
 	busyWorkers := 0
 	for _, c := range h.s.cores {
-		if c.mode == FCFS && c.Executed > 0 {
+		if c.mode == modeFCFS && c.Executed > 0 {
 			busyWorkers++
 		}
 	}
@@ -441,7 +439,7 @@ func TestIOKernelPinsFlowWhilePending(t *testing.T) {
 	h.eng.Run()
 	busyWorkers := 0
 	for _, c := range h.s.cores {
-		if c.mode == FCFS && c.Executed > 0 {
+		if c.mode == modeFCFS && c.Executed > 0 {
 			busyWorkers++
 		}
 	}
