@@ -7,7 +7,7 @@
 //
 //	ipipe-sim -app rkv -nic cn2350 -duration 50ms -depth 16
 //	ipipe-sim -app dt -nic none -size 1024
-//	ipipe-sim -app rta -nic stingray -rate 500000
+//	ipipe-sim -app rta -nic stingray -depth 0 -rate 500000
 //	ipipe-sim -app echo -nic cn2360
 //	ipipe-sim -app mesh -nodes 256 -partitions 8 -pdes 4
 //
@@ -18,6 +18,11 @@
 // -trace/-metrics artifacts: each partition traces into its own shard
 // and the export merges shards deterministically, so the emitted bytes
 // are identical at any -pdes worker count.
+//
+// A flag the chosen run does not read is an error: -rate without
+// -depth 0, -queue with -nic none, -shards on any app but rkv, the mesh
+// flags on an app, and -nic, -queue, -loss, -batch, -rate and -shards
+// on the mesh.
 //
 // Every app runs the same way: -trace, -metrics and -check attach to
 // the cluster right after it is constructed, and after the run one tail
@@ -79,7 +84,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.nic, "nic", "cn2350", "SmartNIC: cn2350 | cn2360 | bluefield | stingray | none (DPDK baseline)")
 	fs.DurationVar(&o.dur, "duration", 50*time.Millisecond, "virtual run duration")
 	fs.IntVar(&o.depth, "depth", 16, "closed-loop outstanding requests (0 = use -rate)")
-	fs.Float64Var(&o.rate, "rate", 0, "open-loop request rate (req/s) when -depth 0")
+	fs.Float64Var(&o.rate, "rate", 100000, "open-loop request rate (req/s) when -depth 0")
 	fs.IntVar(&o.size, "size", 512, "request packet size (B)")
 	fs.IntVar(&o.shards, "shards", 1, "RKV shard count: one Paxos group per shard over the node pool (rkv only)")
 	fs.IntVar(&o.batch, "batch", 1, "coalesce up to this many same-destination requests into one message train")
@@ -96,7 +101,56 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if why := o.unread(f.Name); why != "" && err == nil {
+			err = fmt.Errorf("-%s is not read by this run: %s", f.Name, why)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	return o, o.validate()
+}
+
+// unread says why the run o describes ignores flag name, or "" when it
+// reads it.
+func (o *options) unread(name string) string {
+	const meshFixed = "the mesh always runs CN2350 nodes on their own ingress, closed-loop, lossless and unbatched"
+	mesh := o.app == "mesh"
+	switch name {
+	case "nodes", "partitions", "pdes":
+		if !mesh {
+			return "only -app mesh reads it"
+		}
+	case "nic", "loss", "batch":
+		if mesh {
+			return meshFixed
+		}
+	case "shards":
+		if o.app != "rkv" {
+			return "only -app rkv reads it"
+		}
+	case "queue":
+		if mesh {
+			return meshFixed
+		}
+		if nic, ok := nicByFlag(o.nic); ok && nic == nil {
+			return "-nic none has no NIC scheduler"
+		}
+	case "rate":
+		if mesh {
+			return meshFixed
+		}
+		if o.depth != 0 {
+			return "only the open loop of -depth 0 reads it"
+		}
+	case "metrics-interval":
+		if o.metricsFile == "" {
+			return "only -metrics reads it"
+		}
+	}
+	return ""
 }
 
 // validate rejects every bad flag before anything is built.
@@ -113,8 +167,11 @@ func (o *options) validate() error {
 	if o.dur <= 0 {
 		return fmt.Errorf("-duration must be positive, got %v", o.dur)
 	}
-	if o.size < 0 || o.depth < 0 || o.rate < 0 {
-		return fmt.Errorf("-size, -depth and -rate must not be negative, got %d, %d and %g", o.size, o.depth, o.rate)
+	if o.size < 0 || o.depth < 0 {
+		return fmt.Errorf("-size and -depth must not be negative, got %d and %d", o.size, o.depth)
+	}
+	if o.rate <= 0 {
+		return fmt.Errorf("-rate must be positive, got %g", o.rate)
 	}
 	if o.loss < 0 || o.loss >= 1 {
 		return fmt.Errorf("-loss must be in [0,1), got %g", o.loss)
@@ -126,14 +183,11 @@ func (o *options) validate() error {
 		return fmt.Errorf("-metrics-interval must be positive, got %v", o.metricsInterval)
 	}
 	if o.app != "mesh" {
-		if o.partitions > 1 {
-			return fmt.Errorf("-partitions applies only to -app mesh (app %q runs on one engine)", o.app)
-		}
 		return nil
 	}
-	if o.nodes < 1 || o.partitions < 0 || o.pdes < 1 {
-		return fmt.Errorf("mesh needs -nodes >= 1, -partitions >= 0 and -pdes >= 1, got %d, %d and %d",
-			o.nodes, o.partitions, o.pdes)
+	if o.nodes < 2 || o.depth < 1 || o.partitions < 0 || o.pdes < 1 {
+		return fmt.Errorf("mesh needs -nodes >= 2, -depth >= 1, -partitions >= 0 and -pdes >= 1, got %d, %d, %d and %d",
+			o.nodes, o.depth, o.partitions, o.pdes)
 	}
 	return nil
 }
@@ -251,11 +305,7 @@ func runApp(o *options, observe func(*core.Cluster), stdout io.Writer) error {
 	if o.depth > 0 {
 		c.ClosedLoopVia(o.depth, window, gen, send)
 	} else {
-		r := o.rate
-		if r <= 0 {
-			r = 100000
-		}
-		c.OpenLoopVia(r, window, gen, send)
+		c.OpenLoopVia(o.rate, window, gen, send)
 	}
 	cl.Eng.Run()
 

@@ -106,6 +106,23 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{"-app", "echo", "-metrics", "-", "-metrics-interval", "0s"},
 		{"-app", "mesh", "-metrics", "-", "-metrics-interval", "-1ms"},
 		{"-shards", "-2"},
+		// A flag the run does not read is an error, whatever its value.
+		{"-app", "mesh", "-nic", "cn2360"},
+		{"-app", "mesh", "-queue", "shared"},
+		{"-app", "mesh", "-loss", "0.1"},
+		{"-app", "mesh", "-batch", "4"},
+		{"-app", "mesh", "-rate", "5000"},
+		{"-app", "mesh", "-shards", "2"},
+		{"-app", "mesh", "-depth", "0"},
+		{"-app", "mesh", "-nodes", "1"},
+		{"-app", "echo", "-shards", "2"},
+		{"-app", "echo", "-nodes", "8"},
+		{"-app", "echo", "-pdes", "2"},
+		{"-app", "dt", "-partitions", "1"},
+		{"-nic", "none", "-queue", "shared"},
+		{"-app", "rta", "-rate", "500000"},
+		{"-depth", "0", "-rate", "0"},
+		{"-metrics-interval", "1ms"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
