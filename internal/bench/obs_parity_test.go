@@ -2,9 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -88,4 +92,115 @@ func TestObservedRunParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTraceMatchesCounters holds every node's trace lanes to its layer
+// counters, on two traced runs that between them downgrade and upgrade
+// actors, move cores, run DRR and host executions, and push and pull
+// actors: the spans on the "nic core" lanes are the scheduler's
+// executions plus forwards, those on the "host core" lanes the host's
+// executions, and the instants on the "sched" lane its decisions.
+func TestTraceMatchesCounters(t *testing.T) {
+	covered := map[string]uint64{}
+	for _, id := range []string{"fig18", "ablate-migration"} {
+		var clusters []*core.Cluster
+		ob := &Observer{Tracer: obs.NewTracer()}
+		observe := func(c *core.Cluster) {
+			ob.Attach(c)
+			clusters = append(clusters, c)
+		}
+		if _, err := Run(id, Options{Quick: true, Parallel: 1, Observe: observe}); err != nil {
+			t.Fatal(err)
+		}
+		for group, lanes := range laneCounts(t, ob.Tracer) {
+			prefix, name, _ := strings.Cut(group, "/")
+			ci, err := strconv.Atoi(strings.TrimPrefix(prefix, "r"))
+			if err != nil || ci >= len(clusters) {
+				t.Fatalf("%s: trace group %q names no cluster", id, group)
+			}
+			n := clusters[ci].Node(name)
+			if n == nil {
+				continue // a group of no node (the fault injector's)
+			}
+			check := func(lane string, got int, want uint64, what string) {
+				if uint64(got) != want {
+					t.Errorf("%s %s: %d on its %q lanes, want %d (%s)", id, group, got, lane, want, what)
+				}
+			}
+			check("host core", lanes["host core"].spans, n.Host.Completed, "host executions")
+			covered["host executions"] += n.Host.Completed
+			s := n.Sched
+			if s == nil {
+				continue
+			}
+			check("nic core", lanes["nic core"].spans, s.Completed+s.Forwarded, "NIC executions and forwards")
+			check("sched", lanes["sched"].instants, s.Downgrades+s.Upgrades+s.PushMigrations+s.PullMigrations+s.CoreMoves,
+				"downgrades, upgrades, pushes, pulls and core moves")
+			covered["DRR spans"] += uint64(lanes["nic core"].drr)
+			covered["downgrades"] += s.Downgrades
+			covered["upgrades"] += s.Upgrades
+			covered["pushes"] += s.PushMigrations
+			covered["pulls"] += s.PullMigrations
+			covered["core moves"] += s.CoreMoves
+		}
+	}
+	for _, what := range []string{"host executions", "DRR spans", "downgrades", "upgrades", "pushes", "pulls", "core moves"} {
+		if covered[what] == 0 {
+			t.Errorf("no %s in the traced runs: the check does not cover them", what)
+		}
+	}
+}
+
+// laneCount is what one kind of lane of one trace group holds.
+type laneCount struct{ spans, instants, drr int }
+
+// laneCounts reads tr's Chrome trace back and counts, per group, the
+// spans and instants on each kind of lane ("nic core 3" counts as "nic
+// core").
+func laneCounts(t *testing.T, tr *obs.Tracer) map[string]map[string]laneCount {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Pid, Tid int
+			Args     struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	groups := map[int]string{}
+	lanes := map[int][2]string{} // tid → group, lane kind
+	out := map[string]map[string]laneCount{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			switch ev.Name {
+			case "process_name":
+				groups[ev.Pid] = ev.Args.Name
+				out[ev.Args.Name] = map[string]laneCount{}
+			case "thread_name":
+				lanes[ev.Tid] = [2]string{groups[ev.Pid], strings.TrimRight(ev.Args.Name, " 0123456789")}
+			}
+			continue
+		}
+		lane := lanes[ev.Tid]
+		c := out[lane[0]][lane[1]]
+		switch ev.Ph {
+		case "X":
+			c.spans++
+			if strings.HasSuffix(ev.Name, " [drr]") {
+				c.drr++
+			}
+		case "i":
+			c.instants++
+		default:
+			t.Fatalf("unexpected trace event phase %q", ev.Ph)
+		}
+		out[lane[0]][lane[1]] = c
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/actor"
@@ -66,19 +67,31 @@ func TestCoreCyclesAllocFree(t *testing.T) {
 // TestModeSwitchDecisionsAllocFree: downgrade, upgrade and the periodic
 // maybeUpgrade rank the actors' service tails on every call — hundreds of
 // thousands of times in a loaded run — in one scratch slice the
-// scheduler keeps.
+// scheduler keeps. A decision that does switch allocates nothing either
+// while tracing is off: its trace names are built only for a sink.
 func TestModeSwitchDecisionsAllocFree(t *testing.T) {
-	h := newHarness(t, baseConfig(4))
-	for id := actor.ID(1); id <= 8; id++ {
-		a := &actor.Actor{ID: id}
-		h.s.AddActor(a)
-		for i := 0; i < 8; i++ {
-			a.Observe(10*sim.Microsecond, sim.Time(id)*sim.Microsecond, 256)
+	// newActors registers eight named actors whose service tails are id
+	// µs, except actor 8's, which is heavy.
+	newActors := func(heavy sim.Time) *harness {
+		h := newHarness(t, baseConfig(4))
+		for id := actor.ID(1); id <= 8; id++ {
+			a := &actor.Actor{ID: id, Name: fmt.Sprintf("a%d", id)}
+			h.s.AddActor(a)
+			service := sim.Time(id) * sim.Microsecond
+			if id == 8 {
+				service = heavy
+			}
+			for i := 0; i < 8; i++ {
+				a.Observe(10*sim.Microsecond, service, 256)
+			}
 		}
+		return h
 	}
+
 	// Tails of 1..8 µs around a median of 4, the heaviest actor already
 	// in DRR: every decision computes its median and then declines to
 	// switch anybody, which is the common case.
+	h := newActors(8 * sim.Microsecond)
 	h.s.actors[8].InDRR = true
 	h.s.drrRunnable = append(h.s.drrRunnable, h.s.actors[8])
 	decide := func() {
@@ -92,6 +105,24 @@ func TestModeSwitchDecisionsAllocFree(t *testing.T) {
 	}
 	if h.s.Downgrades+h.s.Upgrades != 0 {
 		t.Fatalf("%d downgrades, %d upgrades: the decisions were meant to decline", h.s.Downgrades, h.s.Upgrades)
+	}
+
+	// A standout actor 8 is downgraded, spawning a DRR core, and then
+	// upgraded, collapsing it: two switches and two core moves a cycle.
+	h = newActors(40 * sim.Microsecond)
+	heavy := h.s.actors[8]
+	cycle := func() {
+		h.s.downgrade()
+		h.s.upgradeActor(heavy)
+		h.eng.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per downgrade-upgrade cycle, want 0", allocs)
+	}
+	if cycles := uint64(102); h.s.Downgrades != cycles || h.s.Upgrades != cycles || h.s.CoreMoves != 2*cycles {
+		t.Fatalf("%d downgrades, %d upgrades, %d core moves over %d cycles: each cycle was meant to switch twice and move two cores",
+			h.s.Downgrades, h.s.Upgrades, h.s.CoreMoves, cycles)
 	}
 }
 
