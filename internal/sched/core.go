@@ -126,7 +126,7 @@ func (c *core) occupyDone() {
 	case opForward:
 		s.Forwarded++
 		s.observeFCFS(m)
-		c.traceOp(nil, m, op.start, "forward")
+		c.traceOp(nil, m, op.start, "")
 		if s.hooks.Forward != nil {
 			s.hooks.Forward(m)
 		}
@@ -301,7 +301,8 @@ func (s *Scheduler) observeFCFS(m actor.Msg) {
 }
 
 // traceOp records an operation of c that began at start and ends now: a
-// span on c's lane and, for an execution (a non-nil), the sojourn.
+// span on c's lane, named after a plus suffix or "forward" for a
+// forward (a nil), and an execution's sojourn.
 func (c *core) traceOp(a *actor.Actor, m actor.Msg, start sim.Time, suffix string) {
 	s := c.s
 	now := s.eng.Now()

@@ -719,9 +719,7 @@ func (s *Scheduler) maybeMigrate() {
 			if s.hooks.PullFromHost() {
 				s.lastMigration = s.eng.Now()
 				s.PullMigrations++
-				if s.sink != nil {
-					s.sink.Instant(s.lane, "pull from host", s.eng.Now())
-				}
+				s.sink.Instant(s.lane, "pull from host", s.eng.Now())
 			} else {
 				s.migrationInFlight = false
 			}
