@@ -30,9 +30,11 @@ race:
 # alloc-budget: the exact allocation budgets of the per-message path —
 # what one message costs each layer and what one request costs a whole
 # mesh, DT and RKV run — counted with testing.AllocsPerRun /
-# MemStats.Mallocs, no wall clock; and the byte budgets: the bytes one
-# mesh request allocates (MemStats.TotalAlloc) and the sizes of
-# actor.Msg and core.RespEnvelope (TestMsgLayout).
+# MemStats.Mallocs, no wall clock; the set-up budget: what building and
+# arming a 64-node mesh allocates (TestMeshSetupAllocBudget, objects and
+# bytes); and the byte budgets: the bytes one mesh request allocates
+# (MemStats.TotalAlloc) and the sizes of actor.Msg and core.RespEnvelope
+# (TestMsgLayout).
 alloc-budget:
 	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)|MsgLayout' ./internal/... .
 

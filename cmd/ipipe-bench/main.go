@@ -33,6 +33,11 @@
 // histograms, gauge watermarks, scheduler timelines, counter totals,
 // event and PDES handoff/round counts. Its bytes depend only on the
 // seed and the code, so two commits compare with diff.
+//
+// A flag set explicitly that the chosen run does not read is an error
+// before anything runs: -metrics-interval without -metrics, -csv with
+// -json, any output, profile or -check flag with -report, and -csv,
+// -json, -trace, -metrics or a profile with -check.
 package main
 
 import (
@@ -99,8 +104,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *metricsFile != "" && *metricsInterval <= 0 {
 		return fmt.Errorf("-metrics-interval must be positive, got %v", *metricsInterval)
 	}
-	if *check && (*traceFile != "" || *metricsFile != "") {
-		return errors.New("-check cannot be combined with -trace/-metrics (the replay runs each experiment several times; trace one run without -check)")
+	// An explicitly set flag the chosen run does not read is an error.
+	m := mode{report: *reportFile != "", check: *check, json: *jsonOut, metrics: *metricsFile != ""}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if why := m.unread(f.Name); why != "" && err == nil {
+			err = fmt.Errorf("-%s is not read by this run: %s", f.Name, why)
+		}
+	})
+	if err != nil {
+		return err
 	}
 
 	if *reportFile != "" {
@@ -220,4 +233,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// mode is the run the flags choose: the -report summary, the -check
+// replay, or the experiments' tables, in JSON or metered.
+type mode struct{ report, check, json, metrics bool }
+
+// unread says why the run m describes ignores flag name, or "" when it
+// reads it.
+func (m mode) unread(name string) string {
+	switch name {
+	case "csv", "json", "trace", "metrics", "metrics-interval", "check", "cpuprofile", "memprofile":
+		if m.report {
+			return "-report writes only the observed-run summary"
+		}
+	}
+	switch name {
+	case "csv", "json", "cpuprofile", "memprofile":
+		if m.check {
+			return "-check prints only the replay report"
+		}
+	case "trace", "metrics":
+		if m.check {
+			return "the replay runs each experiment several times; trace one run without -check"
+		}
+	}
+	switch name {
+	case "csv":
+		if m.json {
+			return "-json replaces the CSV output"
+		}
+	case "metrics-interval":
+		if !m.metrics {
+			return "only -metrics reads it"
+		}
+	}
+	return ""
 }

@@ -81,12 +81,14 @@ type Ring struct {
 	chkLabel string
 }
 
-// newRing creates a ring with the given power-of-two capacity.
+// newRing creates a ring with the given power-of-two capacity. The
+// slots are allocated by the first push: a node whose actors never
+// cross PCIe (every mesh node) never pays for them.
 func newRing(capacity int) *Ring {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("msgring: capacity must be a positive power of two")
 	}
-	return &Ring{slots: make([]Message, capacity), mask: capacity - 1}
+	return &Ring{mask: capacity - 1}
 }
 
 // EnableInvariants attaches the credit-conservation checker under the
@@ -101,13 +103,13 @@ func (r *Ring) EnableInvariants(chk *invariant.Checker, label string) {
 
 // check re-validates the pointer/credit relations; nil-checker safe.
 func (r *Ring) check() {
-	r.chk.RingOp(r.chkLabel, r.head, r.tail, r.creditHead, r.consumed, len(r.slots))
+	r.chk.RingOp(r.chkLabel, r.head, r.tail, r.creditHead, r.consumed, r.mask+1)
 }
 
 // freeFromProducer is the producer's (possibly stale) view of free slots.
 func (r *Ring) freeFromProducer() int {
 	used := r.tail - r.creditHead
-	return len(r.slots) - used
+	return r.mask + 1 - used
 }
 
 // push reserves a slot. The message only becomes visible to the
@@ -115,6 +117,9 @@ func (r *Ring) freeFromProducer() int {
 func (r *Ring) push(m Message) (int, error) {
 	if r.freeFromProducer() <= 0 {
 		return 0, errRingFull
+	}
+	if r.slots == nil {
+		r.slots = make([]Message, r.mask+1)
 	}
 	idx := r.tail & r.mask
 	m.seal()
@@ -163,7 +168,7 @@ func (r *Ring) pop() (Message, bool) {
 // credit message (and its 40ns doorbell cost) on every poll, including
 // empty ones that consumed nothing.
 func (r *Ring) needsCreditSync() bool {
-	return r.consumed > 0 && r.consumed >= len(r.slots)/2
+	return r.consumed > 0 && r.consumed >= (r.mask+1)/2
 }
 
 // syncCredits publishes the consumer position to the producer.

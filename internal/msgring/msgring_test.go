@@ -195,6 +195,68 @@ func TestRingCapacityValidation(t *testing.T) {
 	}
 }
 
+// TestRingSlotsOneAllocation: a fresh channel holds no slot array in
+// either direction, yet its free space and credit threshold already read
+// the full capacity; the first push allocates one array of that capacity
+// and steady traffic after it allocates nothing.
+func TestRingSlotsOneAllocation(t *testing.T) {
+	const capn = 16
+	_, ch := newChannel(capn, 1)
+	for _, r := range []*Ring{ch.ToHost(), ch.ToNIC()} {
+		if r.slots != nil {
+			t.Fatalf("a fresh ring holds %d slots", len(r.slots))
+		}
+		if _, ok := r.pop(); ok {
+			t.Fatal("a fresh ring popped a message")
+		}
+		if f := r.freeFromProducer(); f != capn {
+			t.Fatalf("a fresh ring shows %d free slots, want %d", f, capn)
+		}
+		r.consumed = capn/2 - 1
+		below := r.needsCreditSync()
+		r.consumed = capn / 2
+		at := r.needsCreditSync()
+		r.consumed = 0
+		if below || !at {
+			t.Fatalf("credit sync below and at half a fresh ring: %v, %v; want false, true", below, at)
+		}
+	}
+
+	var r *Ring
+	fresh := testing.AllocsPerRun(100, func() { r = newRing(capn) })
+	pushed := testing.AllocsPerRun(100, func() {
+		r = newRing(capn)
+		r.push(Message{})
+	})
+	if pushed-fresh != 1 || len(r.slots) != capn || cap(r.slots) != capn {
+		t.Fatalf("the first push made %v allocations and %d/%d slots, want 1 and %d/%d",
+			pushed-fresh, len(r.slots), cap(r.slots), capn, capn)
+	}
+
+	r.markReady(0)
+	r.pop()
+	slots := &r.slots[0]
+	data := make([]byte, 32)
+	steady := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 3*capn; i++ {
+			idx, err := r.push(Message{Data: data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.markReady(idx)
+			if _, ok := r.pop(); !ok {
+				t.Fatal("a ready message did not pop")
+			}
+			if r.needsCreditSync() {
+				r.syncCredits()
+			}
+		}
+	})
+	if steady != 0 || &r.slots[0] != slots {
+		t.Fatalf("steady push/pop made %v allocations (slot array kept: %v), want 0 and kept", steady, &r.slots[0] == slots)
+	}
+}
+
 func TestWireSize(t *testing.T) {
 	m := Message{Data: make([]byte, 100)}
 	if m.WireSize() != HeaderBytes+100 {

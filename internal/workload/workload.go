@@ -8,6 +8,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/actor"
 	"repro/internal/core"
@@ -439,7 +440,8 @@ type Zipf struct {
 // (θ=1) inverse CDF: H_k ≈ ln k + γ.
 const eulerGamma = 0.5772156649015329
 
-// NewZipf builds a generator. It precomputes ζ(n, θ) once. n must be at
+// NewZipf builds a generator. It computes ζ(n, θ) once per process per
+// (n, θ); later generators read it from a memo. n must be at
 // least 2 and θ in [0, 1]: outside that range the Gray et al. rejection
 // constants are ±Inf/NaN and every draw silently collapses onto a
 // handful of keys, so the constructor panics instead. θ=1 — where
@@ -452,14 +454,45 @@ func NewZipf(rnd *sim.Rand, n uint64, theta float64) *Zipf {
 		panic("workload: Zipf skew must be in [0, 1]")
 	}
 	z := &Zipf{rnd: rnd, n: n, theta: theta, head2: 1 + math.Pow(0.5, theta)}
-	z.zetan = zeta(n, theta)
+	z.zetan = memoZeta(n, theta)
 	if theta == 1 {
 		return z // alpha/eta unused on the harmonic branch
 	}
-	z.zeta2 = zeta(2, theta)
+	z.zeta2 = memoZeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
+}
+
+// zetaKey names one ζ(n, θ) sum.
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zetas memoises ζ(n, θ) for the process: a cluster build redoes the
+// same few sums (ζ(10⁶, 0.99) alone is 10⁶ math.Pow calls).
+var zetas = struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}{m: make(map[zetaKey]float64)}
+
+// memoZeta returns ζ(n, θ), summing it on a miss. The sum runs outside
+// the lock with zeta's loop, so a memoised value is bit-identical to a
+// fresh one; two callers racing on one key store the same value.
+func memoZeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetas.Lock()
+	v, ok := zetas.m[k]
+	zetas.Unlock()
+	if ok {
+		return v
+	}
+	v = zeta(n, theta)
+	zetas.Lock()
+	zetas.m[k] = v
+	zetas.Unlock()
+	return v
 }
 
 func zeta(n uint64, theta float64) float64 {

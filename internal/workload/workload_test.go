@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -156,6 +157,90 @@ func TestZipfRejectsDegenerateParams(t *testing.T) {
 			}()
 			NewZipf(sim.NewRand(1), c.n, c.theta)
 		}()
+	}
+}
+
+// TestZipfMemoMatchesLoop: for every (n, θ) the registry and the
+// benchmark draw from, the memoised ζ(n, θ) and ζ(2, θ) a generator holds
+// are bit for bit the loop's, on its first and on a later build.
+func TestZipfMemoMatchesLoop(t *testing.T) {
+	for _, p := range []struct {
+		n     uint64
+		theta float64
+	}{
+		{8, 0.9}, {8, 0.99}, {16, 0.99}, {64, 0.99}, {128, 0.99}, {256, 0.99},
+		{512, 0.99}, {1000, 0.99}, {16384, 0.85}, {100_000, 0.99},
+		{1_000_000, 0.5}, {1_000_000, 0.99}, {1_000_000, 1}, {1000, 1},
+	} {
+		zetan, zeta2 := zeta(p.n, p.theta), zeta(2, p.theta)
+		for build := 0; build < 2; build++ {
+			z := NewZipf(sim.NewRand(1), p.n, p.theta)
+			if math.Float64bits(z.zetan) != math.Float64bits(zetan) {
+				t.Errorf("build %d of (%d, %v): zetan %v, the loop sums %v", build, p.n, p.theta, z.zetan, zetan)
+			}
+			if p.theta != 1 && math.Float64bits(z.zeta2) != math.Float64bits(zeta2) {
+				t.Errorf("build %d of (%d, %v): zeta2 %v, the loop sums %v", build, p.n, p.theta, z.zeta2, zeta2)
+			}
+		}
+	}
+}
+
+// forgetZeta drops k from the memo, so the next build of k sums it.
+func forgetZeta(k zetaKey) {
+	zetas.Lock()
+	delete(zetas.m, k)
+	zetas.Unlock()
+}
+
+// TestZipfMemoStoresOnce: the first build of a pair stores ζ(n, θ) in
+// the memo, and a later build reads it from there instead of summing.
+func TestZipfMemoStoresOnce(t *testing.T) {
+	k := zetaKey{4099, 0.61}
+	forgetZeta(k)
+
+	NewZipf(sim.NewRand(1), k.n, k.theta)
+	zetas.Lock()
+	v, ok := zetas.m[k]
+	zetas.m[k] = 42 // a value no sum yields: a later build must read it
+	zetas.Unlock()
+	if !ok || math.Float64bits(v) != math.Float64bits(zeta(k.n, k.theta)) {
+		t.Fatalf("after one build the memo holds %v (present %v), want ζ = %v", v, ok, zeta(k.n, k.theta))
+	}
+	z := NewZipf(sim.NewRand(1), k.n, k.theta)
+	forgetZeta(k)
+	if z.zetan != 42 {
+		t.Fatalf("second build summed ζ = %v instead of reading the memo", z.zetan)
+	}
+}
+
+// TestZipfMemoConcurrent: generators built at once on one fresh pair
+// all hold the same constants. Run under -race.
+func TestZipfMemoConcurrent(t *testing.T) {
+	k := zetaKey{20011, 0.73}
+	forgetZeta(k)
+
+	const builders = 8
+	zs := make([]*Zipf, builders)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			zs[i] = NewZipf(sim.NewRand(uint64(i)), k.n, k.theta)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	want := [4]float64{zeta(k.n, k.theta), zeta(2, k.theta), zs[0].alpha, zs[0].eta}
+	for i, z := range zs {
+		got := [4]float64{z.zetan, z.zeta2, z.alpha, z.eta}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("builder %d holds zetan, zeta2, alpha, eta = %v, want %v", i, got, want)
+			}
+		}
 	}
 }
 
