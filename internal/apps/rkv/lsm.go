@@ -63,6 +63,15 @@ func (s Status) String() string {
 	return "invalid"
 }
 
+// Status-only replies share one read-only payload per status. Nothing
+// writes into a reply's Data, and each has len == cap == 1, so a
+// receiver that appends to one copies it instead of writing into it.
+var (
+	statusOK       = []byte{byte(StatusOK)}
+	statusNotFound = []byte{byte(StatusNotFound)}
+	statusRedirect = []byte{byte(StatusRedirect)}
+)
+
 // StatusOf extracts the status from a client response payload.
 func StatusOf(p []byte) Status {
 	if len(p) == 0 {
@@ -413,7 +422,7 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			case found && tomb:
 				mt.Hits++
 				resp := m
-				resp.Data = []byte{byte(StatusNotFound)}
+				resp.Data = statusNotFound
 				ctx.Reply(resp)
 			case found:
 				mt.Hits++
@@ -470,7 +479,7 @@ func NewSSTReader(id actor.ID, store *SSTStore) *actor.Actor {
 		if found {
 			resp.Data = append([]byte{byte(StatusOK)}, v...)
 		} else {
-			resp.Data = []byte{byte(StatusNotFound)}
+			resp.Data = statusNotFound
 		}
 		ctx.Reply(resp)
 		// Each level probe costs a (cached) storage read.

@@ -200,7 +200,7 @@ func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
 	cmd, ok := decodeCmd(m.Data)
 	if !ok {
 		resp := m
-		resp.Data = []byte{byte(StatusNotFound)}
+		resp.Data = statusNotFound
 		ctx.Reply(resp)
 		return 300 * sim.Nanosecond
 	}
@@ -216,7 +216,7 @@ func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
 	if !c.IsLeader {
 		c.Redirects++
 		resp := m
-		resp.Data = []byte{byte(StatusRedirect)}
+		resp.Data = statusRedirect
 		ctx.Reply(resp)
 		return 400 * sim.Nanosecond
 	}
@@ -284,7 +284,7 @@ func (c *Consensus) commit(ctx actor.Ctx, inst uint64, s *slot) {
 	if client, ok := c.inflight[inst]; ok {
 		delete(c.inflight, inst)
 		if client.Reply != nil {
-			client.Data = []byte{byte(StatusOK)}
+			client.Data = statusOK
 			ctx.Reply(client)
 		}
 	}

@@ -401,10 +401,10 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 
 // TestReplicationAllocBudget: a committed PUT through a leader and two
 // followers — accepts, accepted replies, learns, three applies and the
-// client's reply — allocates two things: the accept payload the leader
+// client's reply — allocates one thing: the accept payload the leader
 // encodes, which the followers keep as views, acknowledge by its header
-// and receive again as the learn; and the client's one-byte status.
-// Every instance here lands on the log's first page, made in the
+// and receive again as the learn. The client's one-byte status is the
+// payload all OK replies share. Every instance here lands on the log's first page, made in the
 // warm-up, and a page serves 512 instances per replica after that.
 func TestReplicationAllocBudget(t *testing.T) {
 	b, leader, f1, f2 := threeReplicas(t)
@@ -420,8 +420,8 @@ func TestReplicationAllocBudget(t *testing.T) {
 	round()
 	// AllocsPerRun runs the round once more before it counts.
 	const runs, puts = 200, 200 + 2
-	if got := testing.AllocsPerRun(runs, round); got != 2 {
-		t.Fatalf("a replicated PUT allocates %v, want 2: the accept payload and the client's status", got)
+	if got := testing.AllocsPerRun(runs, round); got != 1 {
+		t.Fatalf("a replicated PUT allocates %v, want 1: the accept payload", got)
 	}
 	if oks != puts {
 		t.Fatalf("%d PUTs acknowledged, want %d", oks, puts)

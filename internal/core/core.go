@@ -456,11 +456,8 @@ func (n *Node) Register(a *actor.Actor, onNIC bool, regionBytes int) error {
 // Deliver implements netsim.Handler: traffic from the wire.
 func (n *Node) Deliver(pkt *netsim.Packet) {
 	if w, ok := pkt.Payload.(*wireMsg); ok {
-		// A node→node message: pkt is the record's own packet, so what
-		// is needed of it is copied out before the record is released.
-		// The record changes hands even when this node is down — it was
-		// delivered; only the message is dropped.
-		src, size, flow := pkt.Src, pkt.Size, pkt.FlowID
+		// A node→node message. The record changes hands even when this
+		// node is down — it was delivered; only the message is dropped.
 		m, ok := n.takeWire(w)
 		if !ok {
 			return
@@ -469,7 +466,7 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 			n.DownDrops++
 			return
 		}
-		n.receive(m, src, size, flow)
+		n.receive(m, pkt.Src, pkt.Size, pkt.FlowID)
 		return
 	}
 	if n.down {

@@ -96,18 +96,16 @@ func (a *arrival) release() {
 	a.n.freeArrivals.Put(a, maxFreeArrivals)
 }
 
-// wireMsg is one node→node message on the wire: the packet and the
-// message it carries in one record, travelling as the packet's pointer
-// payload so that nothing is boxed. The sender takes it from its
-// partition's list; the receiving node's Deliver copies the message out
-// and puts the record on *its* partition's list, so a record changes
-// partitions with the packet, exactly as a flight does. On one partition
-// any traffic recycles one set of records, a one-way node pair included;
-// a one-way stream between partitions drains the source's list and
-// strands records on the far side, up to the cap. A packet the network
-// drops takes its record to the GC.
+// wireMsg is one node→node message on the wire, travelling as its
+// packet's pointer payload so that nothing is boxed. The sender takes it
+// from its partition's list; the receiving node's Deliver copies the
+// message out and puts the record on *its* partition's list, so a record
+// changes partitions with the packet, exactly as a flight does. On one
+// partition any traffic recycles one set of records, a one-way node pair
+// included; a one-way stream between partitions drains the source's list
+// and strands records on the far side, up to the cap. A packet the
+// network drops takes its record to the GC.
 type wireMsg struct {
-	pkt      netsim.Packet
 	m        actor.Msg
 	poisoned bool
 }
@@ -127,8 +125,7 @@ func (n *Node) sendWire(m actor.Msg, node string, size int) {
 		w = &wireMsg{}
 	}
 	w.m = m
-	w.pkt = netsim.Packet{Src: n.Name, Dst: node, Size: size, FlowID: m.FlowID, Payload: w}
-	n.c.Net.Send(&w.pkt)
+	n.c.Net.Send(&netsim.Packet{Src: n.Name, Dst: node, Size: size, FlowID: m.FlowID, Payload: w})
 }
 
 // takeWire is the receiving half: it returns the record's message and

@@ -83,10 +83,11 @@ func TestWireAllocBudget(t *testing.T) {
 }
 
 // TestDeliverAllocBudget: a client request through Deliver to the reply
-// landing costs the runtime two allocations — the reply Packet and the
-// boxed RespEnvelope the reply contract pins — on top of the caller's
-// boxed Msg (its Packet never escapes a direct Deliver). The arrival
-// record and the handler context are recycled.
+// landing costs the runtime one allocation — the boxed RespEnvelope the
+// reply contract pins — on top of the caller's boxed Msg. Neither Packet
+// escapes: the caller's never leaves a direct Deliver, and the network
+// copies the reply's into its flight. The arrival record and the handler
+// context are recycled.
 func TestDeliverAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -116,8 +117,8 @@ func TestDeliverAllocBudget(t *testing.T) {
 			cl.Eng.Run()
 		}
 		round()
-		if got := testing.AllocsPerRun(100, round) / burst; got != 3 {
-			t.Errorf("%s: Deliver→reply allocates %.2f per request, want 3 (the caller's Msg, the reply's Packet and envelope)", tc.name, got)
+		if got := testing.AllocsPerRun(100, round) / burst; got != 2 {
+			t.Errorf("%s: Deliver→reply allocates %.2f per request, want 2 (the caller's Msg and the reply's envelope)", tc.name, got)
 		}
 		if replies != 102*burst {
 			t.Errorf("%s: %d replies, want %d", tc.name, replies, 102*burst)
@@ -315,9 +316,9 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 	}
 
 	w := &wireMsg{m: actor.Msg{Dst: 2}}
-	w.pkt = netsim.Packet{Src: "a", Dst: "b", Size: 64, Payload: w}
-	b.Deliver(&w.pkt)
-	b.Deliver(&w.pkt) // the same record again
+	pkt := netsim.Packet{Src: "a", Dst: "b", Size: 64, Payload: w}
+	b.Deliver(&pkt)
+	b.Deliver(&pkt) // the same record again
 	cl.Eng.Run()
 	if hops() != 12 {
 		t.Fatalf("%d hops, want 12: the stale delivery must not execute", hops())

@@ -90,12 +90,13 @@ func TestMeshZipfSkew(t *testing.T) {
 // TestMeshAllocBudget pins what one completed request costs the host in
 // heap allocations, counted exactly (MemStats.Mallocs around RunUntil,
 // no wall clock) on a 64-node, 2 ms mesh: every record the runtime makes
-// per message is recycled, so what is left is the three allocations the
-// reply contract pins (DESIGN.md §4) plus the run's warm-up. It also
-// pins the bytes those allocations take (MemStats.TotalAlloc): 274 B
-// per request were measured with the boxed request in the 80-B size
-// class and the reply's envelope in the 96-B class, and the budget adds
-// 8 B of slack, half of what one size class more on either costs. The
+// per message is recycled and the network carries both packets in its
+// flights, so what is left is the two allocations the reply contract
+// pins (DESIGN.md §4) plus the run's warm-up: 2.11 were measured. It
+// also pins the bytes those allocations take (MemStats.TotalAlloc):
+// 194 B per request were measured with the boxed request in the 80-B
+// size class and the reply's envelope in the 96-B class, and the budget
+// adds 8 B of slack, half of what one size class more on either costs. The
 // partitioned run shares the classic budget at any worker count: its
 // rounds, inbox batches and window workers allocate nothing per round
 // (DESIGN.md §9), so all that separates 8 partitions from 1 is the
@@ -111,9 +112,9 @@ func TestMeshAllocBudget(t *testing.T) {
 		countAt     []int  // worker counts whose allocations are counted
 		workers     []int  // worker counts whose fingerprints are checked
 	}{
-		{parts: 1, budget: 4, bytes: 282, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
+		{parts: 1, budget: 3, bytes: 202, ops: 44034, events: 485048, countAt: []int{1}, workers: []int{1},
 			fingerprint: "fb597bba29ed4603be55faac5617ff3b7accc390320686b79537d01dcdbbfd7e"},
-		{parts: 8, budget: 4, bytes: 282, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
+		{parts: 8, budget: 3, bytes: 202, ops: 44168, events: 486569, countAt: []int{1, 2}, workers: []int{1, 2, 4},
 			fingerprint: "ad35fea62562b8c74d8dbcf91837d36aca9acc5b83dd5690b518fd1077f51919"},
 	} {
 		cfg := Config{Nodes: 64, Partitions: tc.parts, Seed: 1}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/invariant"
 	"repro/internal/sim"
 )
 
@@ -21,7 +22,8 @@ func pooled(n *Network) int {
 }
 
 // TestSendAllocBudget: in steady state a same-partition send→deliver
-// allocates nothing but the caller's own Packet.
+// allocates nothing: the flight is recycled and carries the packet by
+// value, so the caller's Packet stays on its stack.
 func TestSendAllocBudget(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng)
@@ -35,9 +37,8 @@ func TestSendAllocBudget(t *testing.T) {
 		eng.Run()
 	}
 	round() // make the burst's records and grow the station queues
-	perPacket := testing.AllocsPerRun(200, round) / burst
-	if perPacket > 1 {
-		t.Fatalf("steady-state send→deliver allocates %.2f/packet, want ≤ 1 (the caller's Packet)", perPacket)
+	if perPacket := testing.AllocsPerRun(200, round) / burst; perPacket != 0 {
+		t.Fatalf("steady-state send→deliver allocates %.2f/packet, want 0", perPacket)
 	}
 	if got := pooled(net); got != burst {
 		t.Fatalf("%d records pooled after bursts of %d: balanced traffic must reuse them", got, burst)
@@ -64,37 +65,111 @@ func TestFlightPoolBounded(t *testing.T) {
 	}
 }
 
-// TestRetainedPacketStaysIntact: the Packet is caller-owned — a handler
-// that keeps the pointer it was given still sees the same packet, with
-// its fields intact, after the network has recycled the private record
-// that carried it ten thousand times over.
+// TestRetainedPacketStaysIntact: Send copies the packet. A caller that
+// re-sends one Packet variable, changing its fields after every Send,
+// has every delivery carry the fields it had at its own send, and Send
+// writes nothing into the caller's packet.
 func TestRetainedPacketStaysIntact(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng)
-	var kept *Packet
+	var got []Packet
 	net.Attach("a", 10, nil)
-	net.Attach("b", 10, HandlerFunc(func(p *Packet) {
-		if kept == nil {
-			kept = p
+	net.Attach("b", 10, HandlerFunc(func(p *Packet) { got = append(got, *p) }))
+	const sends = 10000
+	pkt := Packet{Src: "a", Dst: "b"}
+	for i := 0; i < sends; i++ {
+		pkt.Size, pkt.FlowID, pkt.Payload = 64+i%1000, uint64(i), i
+		sent := pkt
+		net.Send(&pkt)
+		if pkt != sent {
+			t.Fatalf("send %d: Send rewrote the caller's packet: %+v, want %+v", i, pkt, sent)
 		}
-	}))
-	first := &Packet{Src: "a", Dst: "b", Size: 777, FlowID: 42, Payload: "first"}
-	net.Send(first)
-	eng.Run()
-	sentAt := first.SentAt
-	for i := 0; i < 10000; i++ {
-		net.Send(&Packet{Src: "a", Dst: "b", Size: 64, FlowID: uint64(1000 + i), Payload: i})
+		pkt.Size, pkt.FlowID, pkt.Payload = -1, 0, "changed after Send"
 		if i%8 == 7 {
 			eng.Run()
 		}
 	}
 	eng.Run()
-	if kept != first {
-		t.Fatal("handler was given a different pointer than the one sent")
+	if len(got) != sends {
+		t.Fatalf("delivered %d packets, want %d", len(got), sends)
 	}
-	want := Packet{Src: "a", Dst: "b", Size: 777, FlowID: 42, Payload: "first", SentAt: sentAt}
-	if *kept != want {
-		t.Fatalf("retained packet changed under the handler: %+v, want %+v", *kept, want)
+	for i, p := range got {
+		want := Packet{Src: "a", Dst: "b", Size: 64 + i%1000, FlowID: uint64(i), Payload: i}
+		if p != want {
+			t.Fatalf("delivery %d carried %+v, want the fields at its send %+v", i, p, want)
+		}
+	}
+}
+
+// TestHandlerSendKeepsItsPacket: the packet a handler is given stays its
+// own for the whole call, even after the handler has sent one of its own
+// — the flight that carried it is released only once Deliver returns.
+func TestHandlerSendKeepsItsPacket(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := New(eng)
+	var seen []Packet
+	net.Attach("a", 10, HandlerFunc(func(*Packet) {}))
+	net.Attach("b", 10, HandlerFunc(func(p *Packet) {
+		net.Send(&Packet{Src: "b", Dst: "a", Size: 64, FlowID: p.FlowID + 1000, Payload: "echo"})
+		seen = append(seen, *p)
+	}))
+	for i := 0; i < 3; i++ { // the second round onward recycles records
+		net.Send(&Packet{Src: "a", Dst: "b", Size: 128, FlowID: uint64(i), Payload: "request"})
+		eng.Run()
+	}
+	for i, p := range seen {
+		if want := (Packet{Src: "a", Dst: "b", Size: 128, FlowID: uint64(i), Payload: "request"}); p != want {
+			t.Fatalf("delivery %d: after its own Send the handler read %+v, want %+v", i, p, want)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d deliveries at b, want 3", len(seen))
+	}
+}
+
+// TestDeliveredFlightPoisonedUnderChecker: with the invariant checker
+// attached a delivered flight is never reused, and its packet is
+// overwritten once the handler returns, so a handler that kept the
+// pointer reads the poison packet rather than a later packet's fields.
+func TestDeliveredFlightPoisonedUnderChecker(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := New(eng)
+	chk := invariant.New(eng)
+	net.EnableInvariantsAt(0, chk)
+	var kept []*Packet
+	net.Attach("a", 10, nil)
+	net.Attach("b", 10, HandlerFunc(func(p *Packet) {
+		if p.Src != "a" || p.FlowID != uint64(len(kept)) {
+			t.Errorf("handler was given %+v during Deliver", *p)
+		}
+		kept = append(kept, p)
+	}))
+	const sends = 16
+	for i := 0; i < sends; i++ {
+		net.Send(&Packet{Src: "a", Dst: "b", Size: 64, FlowID: uint64(i), Payload: i})
+		if i%4 == 3 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	if len(kept) != sends {
+		t.Fatalf("delivered %d packets, want %d", len(kept), sends)
+	}
+	for i, p := range kept {
+		if *p != poisonPacket {
+			t.Fatalf("kept pointer %d reads %+v after Deliver returned, want the poison packet", i, *p)
+		}
+		for _, q := range kept[:i] {
+			if p == q {
+				t.Fatal("a delivered flight was reused under the checker")
+			}
+		}
+	}
+	if got := pooled(net); got != 0 {
+		t.Fatalf("%d flights pooled under the checker, want 0", got)
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatalf("clean run reported %v", err)
 	}
 }
 

@@ -17,21 +17,21 @@ import (
 
 // Packet is a frame in flight. Payload carries the application message;
 // Size is the frame size on the wire (quoted packet size, excluding
-// preamble/IFG which the link model adds).
+// preamble/IFG which the link model adds). Send copies the packet, so
+// the caller's Packet is its own again once Send returns.
 type Packet struct {
 	Src, Dst string
 	Size     int
 	Payload  any
-	// SentAt records when the packet entered the source link, for
-	// end-to-end latency accounting.
-	SentAt sim.Time
 	// FlowID steers the packet at receivers that hash flows to cores.
 	FlowID uint64
 }
 
 // Handler consumes packets delivered to a node.
 type Handler interface {
-	// Deliver is invoked when the last bit of the packet arrives.
+	// Deliver is invoked when the last bit of the packet arrives. pkt is
+	// the network's copy and is valid only during the call: a handler
+	// that needs the packet afterwards copies it.
 	Deliver(pkt *Packet)
 }
 
@@ -390,7 +390,7 @@ func (n *Network) effectiveLoss(src, dst string) float64 {
 // source uplink, crosses the switch, serializes on the destination
 // downlink, and is then delivered. Sending from or to an unknown node
 // drops the packet (counted in Drops), mirroring a real switch flooding
-// to nowhere.
+// to nowhere. Send copies *pkt and keeps no pointer to it.
 //
 // Send must be called from the source node's partition. When the
 // destination lives on another partition the packet is injected across
@@ -427,32 +427,32 @@ func (n *Network) Send(pkt *Packet) {
 		chk.NetDrop("loss")
 		return
 	}
-	pkt.SentAt = src.eng.Now()
 	chk.NetInject()
 	f := n.takeFlight(src.part)
-	f.pkt, f.src, f.dst = pkt, src, dst
+	f.pkt, f.src, f.dst = *pkt, src, dst
 	f.up.Service = spec.SerializationDelay(src.up.gbps, pkt.Size)
 	src.up.station.Submit(&f.up)
 }
 
-// flight is the network's private record of one packet in transit: both
-// serializer jobs, the caller's packet, the two ports, and the hop
-// continuations, bound once when the record is made so that carrying a
-// packet schedules the same events a closure per hop would without
-// allocating any. The Packet stays caller-owned and reaches the handler
-// untouched; only the flight is recycled.
+// flight is the network's private record of one packet in transit: the
+// packet itself, copied in by Send, both serializer jobs, the two ports,
+// and the hop continuations, bound once when the record is made so that
+// carrying a packet schedules the same events a closure per hop would
+// without allocating any. The handler is given a pointer to the flight's
+// packet, valid until it returns.
 //
 // A flight lives on exactly one partition at a time. Send takes it from
 // the source partition's pool; a cross-partition packet carries it over
 // in the Group.Inject handoff (the source's last touch is in the event
 // that injects, the destination's first in a later window — the round
 // barrier orders the two, as it does for seq); deliver returns it to the
-// destination partition's pool. Balanced traffic therefore recycles
-// records indefinitely, while a one-way cross-partition stream drains
-// the source pool and falls back to making one record per packet.
+// destination partition's pool once the handler has returned. Balanced
+// traffic therefore recycles records indefinitely, while a one-way
+// cross-partition stream drains the source pool and falls back to making
+// one record per packet.
 type flight struct {
 	n        *Network
-	pkt      *Packet
+	pkt      Packet
 	src, dst *port
 	up, down sim.Job
 
@@ -495,7 +495,7 @@ func (n *Network) takeFlight(part int) *flight {
 }
 
 func (n *Network) releaseFlight(part int, f *flight) {
-	f.pkt, f.src, f.dst = nil, nil, nil
+	f.pkt, f.src, f.dst = Packet{}, nil, nil
 	n.pools[part].Put(f, maxFreeFlights)
 }
 
@@ -503,7 +503,7 @@ func (n *Network) releaseFlight(part int, f *flight) {
 // uplink: propagation to the switch, then the fabric delay, then the
 // destination's downlink queue — on the destination's engine.
 func (f *flight) upDone(enq, started, fin sim.Time) {
-	n, src, dst, pkt := f.n, f.src, f.dst, f.pkt
+	n, src, dst, pkt := f.n, f.src, f.dst, &f.pkt
 	src.sink.Span(src.txTrack, "frame", started, fin,
 		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
 	hop := src.up.propagation + switchLatency
@@ -523,7 +523,7 @@ func (f *flight) upDone(enq, started, fin sim.Time) {
 
 // handoffIn is the destination partition's half of a crossing.
 func (f *flight) handoffIn() {
-	n, dst, pkt := f.n, f.dst, f.pkt
+	n, dst, pkt := f.n, f.dst, &f.pkt
 	n.chkAt(dst.part).NetHandoffIn()
 	dst.sink.Span(dst.xTrack, "handoff in", f.arriveAt, f.arriveAt, obs.Args{
 		Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
@@ -540,20 +540,33 @@ func (f *flight) arrive() {
 }
 
 func (f *flight) downDone(enq, started, fin sim.Time) {
-	dst, pkt := f.dst, f.pkt
+	dst, pkt := f.dst, &f.pkt
 	dst.sink.Span(dst.rxTrack, "frame", started, fin,
 		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
 	dst.eng.After(dst.down.propagation, f.deliverFn)
 }
 
-// deliver hands the packet to the destination's handler. The flight is
-// released first: the handler may Send, and should find the record.
+// poisonPacket overwrites a delivered flight's packet under the
+// invariant checker, so a handler that kept its pointer past Deliver
+// reads fields no packet has instead of a later packet's.
+var poisonPacket = Packet{Src: "released", Dst: "released", Size: -1, FlowID: 0xDBDBDBDBDBDBDBDB}
+
+// deliver hands the flight's packet to the destination's handler and
+// releases the flight once the handler has returned: the packet is valid
+// for the whole call, and a handler that Sends takes another record.
+// Under the invariant checker the flight is never reused; its packet is
+// poisoned instead.
 func (f *flight) deliver() {
-	n, dst, pkt := f.n, f.dst, f.pkt
+	n, dst := f.n, f.dst
 	dst.delivered++
-	n.chkAt(dst.part).NetDeliver()
-	n.releaseFlight(dst.part, f)
+	chk := n.chkAt(dst.part)
+	chk.NetDeliver()
 	if dst.handler != nil {
-		dst.handler.Deliver(pkt)
+		dst.handler.Deliver(&f.pkt)
 	}
+	if chk != nil {
+		f.pkt = poisonPacket
+		return
+	}
+	n.releaseFlight(dst.part, f)
 }

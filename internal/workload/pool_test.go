@@ -32,11 +32,11 @@ func replyCluster(answers int) (*core.Cluster, *Client) {
 }
 
 // TestClientAllocBudget: in steady state a closed-loop request costs
-// three allocations end to end — the request Msg boxed into its packet's
-// payload, the reply Packet and the boxed RespEnvelope, all three pinned
-// by the reply contract (DESIGN.md §4) — and nothing in the client: the
-// call record, its bound reply continuation and the loop's continuation
-// are reused.
+// two allocations end to end — the request Msg boxed into its packet's
+// payload and the boxed RespEnvelope of its reply, both pinned by the
+// reply contract (DESIGN.md §4) — and nothing in the client: the call
+// record, its bound reply continuation and the loop's continuation are
+// reused, and the network copies both packets into its flights.
 func TestClientAllocBudget(t *testing.T) {
 	cl, client := replyCluster(1)
 	const depth = 4
@@ -56,8 +56,8 @@ func TestClientAllocBudget(t *testing.T) {
 	}
 	// What a round allocates beyond its requests is the loop itself: its
 	// closures and the variables they share, made once per ClosedLoop.
-	if loop := perRound - 3*reqs; loop < 0 || loop > 8 {
-		t.Fatalf("%.0f allocations per round of %.0f requests: 3 per request leaves %.0f, want the loop's own few", perRound, reqs, loop)
+	if loop := perRound - 2*reqs; loop < 0 || loop > 8 {
+		t.Fatalf("%.0f allocations per round of %.0f requests: 2 per request leaves %.0f, want the loop's own few", perRound, reqs, loop)
 	}
 	if n := client.free.Len(); n != depth {
 		t.Fatalf("%d call records on the free list after depth-%d loops", n, depth)

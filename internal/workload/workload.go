@@ -227,10 +227,6 @@ type call struct {
 	// retryFn and giveUpFn are bound only on records of requests with a
 	// timeout; nothing else arms a timer.
 	retryFn, giveUpFn func()
-	// first is the packet of the first transmission. A retry cannot
-	// reuse it — the original may still be queued on a link — and gets
-	// its own.
-	first netsim.Packet
 }
 
 // maxFreeCalls bounds a client's free list of call records: a closed
@@ -261,7 +257,6 @@ func (cl *Client) release(c *call) {
 		return
 	}
 	c.r = Request{}
-	c.first.Payload = nil
 	if cl.checker() != nil {
 		c.poisoned = true
 		return
@@ -320,13 +315,9 @@ func (c *call) fire(stage func(m actor.Msg, size int)) {
 		Reply:  c.replyFn,
 		Class:  r.Class,
 	}
-	switch {
-	case stage != nil:
+	if stage != nil {
 		stage(m, c.size)
-	case c.attempt == 0:
-		c.first = netsim.Packet{Src: cl.Name, Dst: r.Node, Size: c.size, FlowID: m.FlowID, Payload: m}
-		cl.net.Send(&c.first)
-	default:
+	} else {
 		cl.emit(r.Node, m, c.size)
 	}
 	if r.Timeout <= 0 {
