@@ -7,6 +7,7 @@ package ipipe_test
 //   - TestExportedSurface: what non-test code may declare — nothing no
 //     program reaches, and no export only its own package uses;
 //   - TestFacadeSurface: what the root facade may export;
+//   - TestAttachPointContracts: how many ways a layer may be observed;
 //   - TestFreeListOwnership: who may recycle a pooled record;
 //   - TestViewsDoNotEscape: where a borrowed view may not be stored.
 //
@@ -184,7 +185,6 @@ var surfaceAllowed = map[string]string{
 	"internal/pcie.Engine.InFlight":           "TestInFlightBackpressureSignal",
 	"internal/sim.FreeList.Len":               "TestCallListBounded and the other pool tests bound free lists with it",
 	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
-	"internal/sim.Group.Run":                  "TestPartitionedMatchesSerialWindows: programs run a Group through its engines",
 	"internal/sim.Station.QueueLen":           "TestStationQueueDrainsFIFOAndReleasesSlots",
 	"internal/sim.Station.InService":          "TestStationQueueDrainsFIFOAndReleasesSlots",
 	"internal/sim.Station.Completed":          "TestStationFIFOSingleServer",
@@ -685,6 +685,60 @@ func TestFacadeSurface(t *testing.T) {
 				m.fset.Position(o.Pos()), name)
 		}
 	}
+}
+
+// attachLayers are the layers core wires per node, and qos, whose
+// observers its own Install and Bind hand over at construction.
+var attachLayers = []string{"internal/netsim", "internal/nicsim", "internal/pcie", "internal/msgring",
+	"internal/dmo", "internal/sched", "internal/hostsim", "internal/qos"}
+
+// observerTypes are the types an attach method takes: a trace sink or
+// tracer, a metrics registry, an invariant checker.
+var observerTypes = map[string]bool{"internal/obs.Sink": true, "internal/obs.Tracer": true,
+	"internal/obs.Registry": true, "internal/invariant.Checker": true}
+
+// TestAttachPointContracts: each type of a layer exports at most one
+// method taking an observer, so AddNode wires a layer with one call and
+// a second hook family cannot grow back beside the first.
+func TestAttachPointContracts(t *testing.T) {
+	m := mustLoad(t)
+	for _, path := range attachLayers {
+		scope := m.pkgs[path].types.Scope()
+		for _, name := range scope.Names() {
+			named, ok := scope.Lookup(name).Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			var attach []string
+			for i := range named.NumMethods() {
+				if f := named.Method(i); f.Exported() && takesObserver(f.Type().(*types.Signature)) {
+					attach = append(attach, f.Name())
+				}
+			}
+			if len(attach) > 1 {
+				t.Errorf("%s.%s exports %d attach methods (%s): a layer has one attach point; merge them",
+					path, name, len(attach), strings.Join(attach, ", "))
+			}
+		}
+	}
+}
+
+// takesObserver reports whether a parameter is an observer type, by
+// pointer or in a slice.
+func takesObserver(sig *types.Signature) bool {
+	for i := range sig.Params().Len() {
+		typ := sig.Params().At(i).Type()
+		if sl, ok := typ.(*types.Slice); ok {
+			typ = sl.Elem()
+		}
+		if ptr, ok := typ.(*types.Pointer); ok {
+			if n, ok := ptr.Elem().(*types.Named); ok && n.Obj().Pkg() != nil &&
+				observerTypes[relPath(n.Obj().Pkg())+"."+n.Obj().Name()] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestFreeListOwnership is the ownership guard for pooled records:

@@ -8,9 +8,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/actor"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spec"
+	"repro/internal/workload"
 )
 
 // observedRun executes an experiment serially under an Observer (the
@@ -94,35 +97,50 @@ func TestObservedRunParity(t *testing.T) {
 	}
 }
 
-// TestTraceMatchesCounters holds every node's trace lanes to its layer
-// counters, on two traced runs that between them downgrade and upgrade
-// actors, move cores, run DRR and host executions, and push and pull
-// actors: the spans on the "nic core" lanes are the scheduler's
-// executions plus forwards, those on the "host core" lanes the host's
-// executions, and the instants on the "sched" lane its decisions.
+// TestTraceMatchesCounters holds every node's trace lanes to the
+// counters of the layer that emits them, on traced runs that between
+// them downgrade and upgrade actors, move cores, run DRR and host
+// executions, push and pull actors, cross the message rings, invoke
+// accelerators and pass a PPS-capped traffic gate:
+//   - the spans on the "nic core" lanes are the scheduler's executions
+//     plus forwards, those on the "host core" lanes the host's
+//     executions, and the instants on the "sched" lane its decisions;
+//   - the spans on the "dma" lane are the DMA engine's reads and writes;
+//   - the spans on each "accel <name>" lane, stalls aside, are the
+//     unit's invocations;
+//   - the spans on the "traffic mgr" lane are the gate's admissions on
+//     a PPS-capped card, and none on a transparent gate;
+//   - a cluster's "link tx" and "link rx" spans, over every port, are
+//     each the packets its network delivered (the runs drain).
 func TestTraceMatchesCounters(t *testing.T) {
 	covered := map[string]uint64{}
-	for _, id := range []string{"fig18", "ablate-migration"} {
+	for _, id := range []string{"fig18", "ablate-migration", "nf", "pps-capped"} {
 		var clusters []*core.Cluster
 		ob := &Observer{Tracer: obs.NewTracer()}
-		observe := func(c *core.Cluster) {
+		opts := Options{Quick: true, Parallel: 1, Observe: func(c *core.Cluster) {
 			ob.Attach(c)
 			clusters = append(clusters, c)
-		}
-		if _, err := Run(id, Options{Quick: true, Parallel: 1, Observe: observe}); err != nil {
+		}}
+		if id == "pps-capped" {
+			ppsCappedEcho(t, opts)
+		} else if _, err := Run(id, opts); err != nil {
 			t.Fatal(err)
 		}
+		frames := make([][2]int, len(clusters)) // link tx, link rx spans per cluster
 		for group, lanes := range laneCounts(t, ob.Tracer) {
 			prefix, name, _ := strings.Cut(group, "/")
 			ci, err := strconv.Atoi(strings.TrimPrefix(prefix, "r"))
 			if err != nil || ci >= len(clusters) {
 				t.Fatalf("%s: trace group %q names no cluster", id, group)
 			}
+			frames[ci][0] += lanes["link tx"].spans
+			frames[ci][1] += lanes["link rx"].spans
 			n := clusters[ci].Node(name)
 			if n == nil {
-				continue // a group of no node (the fault injector's)
+				continue // a client's group, or the fault injector's
 			}
 			check := func(lane string, got int, want uint64, what string) {
+				t.Helper()
 				if uint64(got) != want {
 					t.Errorf("%s %s: %d on its %q lanes, want %d (%s)", id, group, got, lane, want, what)
 				}
@@ -136,27 +154,71 @@ func TestTraceMatchesCounters(t *testing.T) {
 			check("nic core", lanes["nic core"].spans, s.Completed+s.Forwarded, "NIC executions and forwards")
 			check("sched", lanes["sched"].instants, s.Downgrades+s.Upgrades+s.PushMigrations+s.PullMigrations+s.CoreMoves,
 				"downgrades, upgrades, pushes, pulls and core moves")
+			check("dma", lanes["dma"].spans, n.DMA.Reads+n.DMA.Writes, "DMA reads and writes")
+			for unit := range n.NICModel.Accels {
+				lane := lanes["accel "+unit]
+				check("accel "+unit, lane.spans-lane.stalls, n.Accels.Invokes(unit), "invocations")
+				covered["accel invocations"] += n.Accels.Invokes(unit)
+			}
+			admits := n.Gate.Admitted
+			if n.NICModel.PPSCap == 0 {
+				admits = 0 // a transparent gate emits no span
+			}
+			check("traffic mgr", lanes["traffic mgr"].spans, admits, "admissions through a PPS-capped gate")
 			covered["DRR spans"] += uint64(lanes["nic core"].drr)
 			covered["downgrades"] += s.Downgrades
 			covered["upgrades"] += s.Upgrades
 			covered["pushes"] += s.PushMigrations
 			covered["pulls"] += s.PullMigrations
 			covered["core moves"] += s.CoreMoves
+			covered["DMA ops"] += n.DMA.Reads + n.DMA.Writes
+			covered["capped admissions"] += admits
+		}
+		for ci, cl := range clusters {
+			for i, lane := range []string{"link tx", "link rx"} {
+				if uint64(frames[ci][i]) != cl.Net.Delivered() {
+					t.Errorf("%s r%02d: %d spans on its %q lanes, want %d (packets delivered)",
+						id, ci, frames[ci][i], lane, cl.Net.Delivered())
+				}
+			}
+			covered["packets"] += cl.Net.Delivered()
 		}
 	}
-	for _, what := range []string{"host executions", "DRR spans", "downgrades", "upgrades", "pushes", "pulls", "core moves"} {
+	for _, what := range []string{"host executions", "DRR spans", "downgrades", "upgrades", "pushes", "pulls",
+		"core moves", "DMA ops", "accel invocations", "capped admissions", "packets"} {
 		if covered[what] == 0 {
 			t.Errorf("no %s in the traced runs: the check does not cover them", what)
 		}
 	}
 }
 
+// ppsCappedEcho runs closed-loop echo requests against a NIC-resident
+// actor on a Stingray, whose traffic gate admits at most PPSCap packets
+// per second, and drains the engine.
+func ppsCappedEcho(t *testing.T, opts Options) {
+	t.Helper()
+	cl := opts.cluster()
+	n := cl.AddNode(core.Config{Name: "srv", NIC: spec.Stingray_PS225(), DisableMigration: true})
+	echo := &actor.Actor{ID: 1, PinNIC: true, OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+		ctx.Reply(m)
+		return sim.Microsecond
+	}}
+	if err := n.Register(echo, true, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	client := workload.NewClient(cl, "cli", n.NICModel.LinkGbps)
+	client.ClosedLoop(8, 200*sim.Microsecond, func(i uint64) workload.Request {
+		return workload.Request{Node: "srv", Dst: 1, Size: 256, FlowID: i}
+	})
+	cl.Eng.Run()
+}
+
 // laneCount is what one kind of lane of one trace group holds.
-type laneCount struct{ spans, instants, drr int }
+type laneCount struct{ spans, instants, drr, stalls int }
 
 // laneCounts reads tr's Chrome trace back and counts, per group, the
-// spans and instants on each kind of lane ("nic core 3" counts as "nic
-// core").
+// spans and instants on each kind of lane (the per-core lanes fold:
+// "nic core 3" counts as "nic core").
 func laneCounts(t *testing.T, tr *obs.Tracer) map[string]map[string]laneCount {
 	t.Helper()
 	var buf bytes.Buffer
@@ -183,7 +245,11 @@ func laneCounts(t *testing.T, tr *obs.Tracer) map[string]map[string]laneCount {
 				groups[ev.Pid] = ev.Args.Name
 				out[ev.Args.Name] = map[string]laneCount{}
 			case "thread_name":
-				lanes[ev.Tid] = [2]string{groups[ev.Pid], strings.TrimRight(ev.Args.Name, " 0123456789")}
+				kind := ev.Args.Name
+				if strings.HasPrefix(kind, "nic core ") || strings.HasPrefix(kind, "host core ") {
+					kind = strings.TrimRight(kind, " 0123456789")
+				}
+				lanes[ev.Tid] = [2]string{groups[ev.Pid], kind}
 			}
 			continue
 		}
@@ -194,6 +260,9 @@ func laneCounts(t *testing.T, tr *obs.Tracer) map[string]map[string]laneCount {
 			c.spans++
 			if strings.HasSuffix(ev.Name, " [drr]") {
 				c.drr++
+			}
+			if strings.HasSuffix(ev.Name, " [stall]") {
+				c.stalls++
 			}
 		case "i":
 			c.instants++

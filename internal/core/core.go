@@ -375,17 +375,12 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		n.Sched = sched.New(eng, scfg, hooks)
 	}
 
+	if len(c.nodes) == 0 {
+		c.observeNet()
+	}
 	c.nodes[cfg.Name] = n
 	c.Net.AttachOn(cfg.Name, link, n, part)
-	if c.tracer != nil {
-		n.enableTracing(c.tracer)
-	}
-	if c.collector != nil {
-		n.enableMetrics(c.collector)
-	}
-	if len(c.checkers) > 0 {
-		n.enableInvariants(c.checkers[part])
-	}
+	n.observe()
 	return n
 }
 

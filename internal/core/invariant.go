@@ -5,32 +5,25 @@ import (
 )
 
 // This file wires internal/invariant into the node runtime, mirroring
-// the obs wiring in obs.go: one checker per partition, threaded into
-// the network fabric and into every current and future node's
-// scheduler, message rings, traffic gate, and DMO store.
+// the obs wiring in obs.go: one checker per partition, threaded by
+// AddNode into the network fabric and into every node's scheduler,
+// message rings, traffic gate, and DMO store.
 
-// AttachCheckers creates and wires one invariant checker per engine
-// partition — the granularity conservation must be checked at under
-// PDES, since each partition's ledger only sees its own events (cross-
-// partition packets are reconciled by the handoff counters) — into the
-// network fabric and every current node; AddNode covers future ones.
-// Call before the engine runs (the FIFO and byte-shadow audits must see
-// every push/alloc from the start). The fault injector picks the
+// AttachCheckers creates one invariant checker per engine partition —
+// the granularity conservation must be checked at under PDES, since
+// each partition's ledger only sees its own events (cross-partition
+// packets are reconciled by the handoff counters) — and AddNode wires
+// them into the network fabric and every node. Call before the first
+// AddNode (a later call panics): the FIFO and byte-shadow audits must
+// see every push/alloc from the start. The fault injector picks the
 // checkers up at Install time and stamps a fingerprint epoch at every
 // fault activation/restoration. Returns the checkers, in partition
-// order; idempotent.
+// order.
 func (c *Cluster) AttachCheckers() []*invariant.Checker {
-	if len(c.checkers) > 0 {
-		return c.checkers
-	}
+	c.beforeFirstNode("AttachCheckers")
 	c.checkers = make([]*invariant.Checker, c.Partitions())
 	for p := range c.checkers {
 		c.checkers[p] = invariant.New(c.Group.Engine(p))
-		c.Net.EnableInvariantsAt(p, c.checkers[p])
-	}
-	for _, name := range c.nodeNames() {
-		n := c.nodes[name]
-		n.enableInvariants(c.checkers[n.Part])
 	}
 	return c.checkers
 }
@@ -54,17 +47,3 @@ func (c *Cluster) CheckerAt(part int) *invariant.Checker {
 // the replay harness reconciles their handoff counters cross-partition
 // (invariant.CrossCheckHandoffs).
 func (c *Cluster) Checkers() []*invariant.Checker { return c.checkers }
-
-func (n *Node) enableInvariants(chk *invariant.Checker) {
-	n.chk = chk
-	if n.Sched != nil {
-		n.Sched.EnableInvariants(chk, n.Name)
-	}
-	if n.Chan != nil {
-		n.Chan.EnableInvariants(chk, n.Name)
-	}
-	if n.Gate != nil {
-		n.Gate.EnableInvariants(chk)
-	}
-	n.Objects.EnableInvariants(chk, n.Name)
-}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/actor"
 	"repro/internal/obs"
@@ -14,21 +14,28 @@ import (
 // buffer; the runtime only registers each node's group and its metrics,
 // and adds the migration spans.
 //
+// Observation is attached to the cluster before its first node, and
+// AddNode wires each node's layers with one attach call per layer
+// (Node.observe); the network is wired once, with the first node. So
+// no code walks existing nodes, and group and track numbering follow
+// AddNode order.
+//
 // Track layout per node (one trace group = one Chrome-trace process),
 // in registration order:
 //
+//	link tx/rx      netsim: the node's two link directions (and, on a
+//	                partitioned cluster, its xpart handoff lane)
 //	nic core 0..N   sched: one lane per NIC core (actor executions, forwards)
 //	sched           sched: instantaneous decisions; core: migration spans
 //	traffic mgr     nicsim: the PPS gate's pipeline occupancy
 //	accel <name>    nicsim: one lane per accelerator unit
 //	dma             pcie: the DMA engine's transfer occupancy
 //	host core 0..M  hostsim: one lane per host core
-//	link tx/rx      netsim: the node's two link directions
 
-// EnableTracing attaches a tracer to the cluster: every current and
-// future node gets a trace group with lanes for its NIC cores, host
-// cores, scheduler decisions, device units, and link directions. Call at
-// most once, with an enabled tracer; a nil tracer is ignored.
+// EnableTracing attaches a tracer to the cluster: every node gets a
+// trace group with lanes for its link directions, NIC cores, host
+// cores, scheduler decisions and device units. Call before the first
+// AddNode (a later call panics); a nil tracer leaves tracing off.
 func (c *Cluster) EnableTracing(tr *obs.Tracer) { c.EnableTracingPrefixed(tr, "") }
 
 // EnableTracingPrefixed is EnableTracing with a prefix prepended to
@@ -40,20 +47,16 @@ func (c *Cluster) EnableTracing(tr *obs.Tracer) { c.EnableTracingPrefixed(tr, ""
 // export — so tracing stays valid, race-free, and byte-identical at any
 // worker count.
 func (c *Cluster) EnableTracingPrefixed(tr *obs.Tracer, prefix string) {
-	if !tr.Enabled() || c.tracer != nil {
-		return
-	}
-	c.tracer = tr
-	c.obsPrefix = prefix
-	c.Net.EnableTracing(tr, func(node string) obs.GroupID { return tr.Group(prefix + node) })
-	for _, name := range c.nodeNames() {
-		c.nodes[name].enableTracing(tr)
+	c.beforeFirstNode("EnableTracing")
+	if tr.Enabled() {
+		c.tracer, c.obsPrefix = tr, prefix
 	}
 }
 
-// EnableMetrics enrolls every current and future node's runtime state
-// with the collector: scheduler counters, core-mode split, FCFS tail,
-// backlogs, host CPU, and a request-sojourn histogram per node.
+// EnableMetrics enrolls every node's runtime state with the collector:
+// scheduler counters, core-mode split, FCFS tail, backlogs, host CPU,
+// and a request-sojourn histogram per node. Call before the first
+// AddNode (a later call panics).
 func (c *Cluster) EnableMetrics(col *obs.Collector) { c.EnableMetricsPrefixed(col, "") }
 
 // EnableMetricsPrefixed is EnableMetrics with a prefix prepended to
@@ -65,14 +68,10 @@ func (c *Cluster) EnableMetrics(col *obs.Collector) { c.EnableMetricsPrefixed(co
 // so metrics cannot perturb the window structure or the deterministic
 // cross-partition merge.
 func (c *Cluster) EnableMetricsPrefixed(col *obs.Collector, prefix string) {
-	if col == nil || c.collector != nil {
-		return
-	}
-	c.collector = col
-	c.obsPrefix = prefix
-	col.AttachGroup(c.Group)
-	for _, name := range c.nodeNames() {
-		c.nodes[name].enableMetrics(col)
+	c.beforeFirstNode("EnableMetrics")
+	if col != nil {
+		c.collector, c.obsPrefix = col, prefix
+		col.AttachGroup(c.Group)
 	}
 }
 
@@ -82,27 +81,42 @@ func (c *Cluster) EnableMetricsPrefixed(col *obs.Collector, prefix string) {
 // stay consistent with the cluster's node groups.
 func (c *Cluster) ObsPrefix() string { return c.obsPrefix }
 
-// nodeNames returns node names sorted, so group and track registration
-// order — and hence exported trace bytes — never depend on map order.
-func (c *Cluster) nodeNames() []string {
-	names := make([]string, 0, len(c.nodes))
-	for name := range c.nodes {
-		names = append(names, name)
+// beforeFirstNode panics if a node exists: AddNode attaches the
+// cluster's observation to each node as it is built, so an attach call
+// after it would miss every node already there.
+func (c *Cluster) beforeFirstNode(call string) {
+	if len(c.nodes) > 0 {
+		panic(fmt.Sprintf("core: %s after AddNode: attach observation before the first node", call))
 	}
-	sort.Strings(names)
-	return names
 }
 
-func (n *Node) enableTracing(tr *obs.Tracer) {
-	g := tr.Group(n.c.obsPrefix + n.Name)
+// observeNet wires the network's observers, once, as the first node is
+// added: every port, this node's and any later one's, is then traced.
+func (c *Cluster) observeNet() {
+	tr, prefix := c.tracer, c.obsPrefix
+	c.Net.Observe(tr, func(node string) obs.GroupID { return tr.Group(prefix + node) }, c.checkers)
+}
+
+// observe attaches the cluster's tracer and checker to each of the
+// node's layers, one call per layer, and enrolls it with the collector.
+// Track registration order follows the layout above.
+func (n *Node) observe() {
+	tr := n.c.tracer
+	n.chk = n.c.CheckerAt(n.Part)
 	n.sink = tr.Sink(n.Part)
+	g := tr.Group(n.c.obsPrefix + n.Name)
 	if n.Sched != nil {
-		n.schedLane = n.Sched.EnableTracing(n.sink, g)
-		n.Gate.EnableTracing(n.sink, g)
-		n.Accels.EnableTracing(n.sink, g)
-		n.DMA.EnableTracing(n.sink, g)
+		n.schedLane = n.Sched.Observe(n.sink, g, n.chk, n.Name)
+		n.Gate.Observe(n.sink, g, n.chk)
+		n.Accels.Observe(n.sink, g)
+		n.DMA.Observe(n.sink, g)
+		n.Chan.Observe(n.chk, n.Name)
 	}
-	n.Host.EnableTracing(n.sink, g)
+	n.Objects.Observe(n.chk, n.Name)
+	n.Host.Observe(n.sink, g)
+	if n.c.collector != nil {
+		n.enableMetrics(n.c.collector)
+	}
 }
 
 func (n *Node) enableMetrics(col *obs.Collector) {

@@ -184,3 +184,31 @@ func TestTraceDeterministicBytes(t *testing.T) {
 		t.Fatal("same seed produced different metrics bytes")
 	}
 }
+
+// TestLateAttachPanics: AddNode wires the cluster's tracer, collector
+// and checkers into each node as it is built, so each attach call is
+// made before the first node. Made after one, it would miss the nodes
+// already there: it panics, naming the call.
+func TestLateAttachPanics(t *testing.T) {
+	for _, tc := range []struct {
+		call   string
+		attach func(*core.Cluster)
+	}{
+		{"EnableTracing", func(c *core.Cluster) { c.EnableTracing(obs.NewTracer()) }},
+		{"EnableMetrics", func(c *core.Cluster) { c.EnableMetrics(obs.NewCollector(c.Eng, 0)) }},
+		{"AttachCheckers", func(c *core.Cluster) { c.AttachCheckers() }},
+	} {
+		cl := core.NewCluster(1)
+		tc.attach(cl)
+		cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350()})
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.call+" after AddNode") {
+					t.Errorf("%s after AddNode: recovered %q, want a panic naming the call", tc.call, msg)
+				}
+			}()
+			tc.attach(cl)
+		}()
+	}
+}

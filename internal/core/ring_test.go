@@ -15,9 +15,13 @@ import (
 // ringPair builds one offloaded node with rings of the given size, a
 // NIC-resident actor 1 and a host-resident actor 2 that bounce a message
 // across the rings: a message with FlowID k > 0 goes to the other actor
-// with k-1. execs counts each actor's executions.
-func ringPair(slots int) (cl *Cluster, n *Node, execs *[2]int) {
+// with k-1. execs counts each actor's executions. checked attaches the
+// invariant checker before the node is built.
+func ringPair(slots int, checked bool) (cl *Cluster, n *Node, execs *[2]int) {
 	cl = NewCluster(1)
+	if checked {
+		cl.AttachCheckers()
+	}
 	n = cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), RingSlots: slots, DisableMigration: true})
 	execs = new([2]int)
 	for i, onNIC := range []bool{true, false} {
@@ -41,7 +45,7 @@ func ringPair(slots int) (cl *Cluster, n *Node, execs *[2]int) {
 // handle, ring slot, flush or read, DMA transfer, poll — allocates
 // nothing, and the handles are back on the node's list.
 func TestRingCrossingAllocFree(t *testing.T) {
-	cl, n, execs := ringPair(msgring.DefaultRingSlots)
+	cl, n, execs := ringPair(msgring.DefaultRingSlots, false)
 	const depth, bounces = 4, 10
 	round := func() {
 		for i := 0; i < depth; i++ {
@@ -108,8 +112,8 @@ func TestHostPushRetryKeepsOrder(t *testing.T) {
 // message landing on a released handle is reported in either direction
 // and not delivered.
 func TestRingRecordsPoisonedUnderChecker(t *testing.T) {
-	cl, n, execs := ringPair(16)
-	chk := cl.AttachCheckers()[0]
+	cl, n, execs := ringPair(16, true)
+	chk := cl.Checker()
 	n.Inject(actor.Msg{Dst: 1, FlowID: 10})
 	cl.Eng.Run()
 	if execs[0]+execs[1] != 11 {

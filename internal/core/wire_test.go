@@ -19,8 +19,12 @@ import (
 // them: a message with FlowID k > 0 is forwarded to the peer with k-1.
 // hops reports the messages the two handlers have executed; each handler
 // counts on its own, since the two may run on different window workers.
-func pingPong(parts int) (cl *Cluster, a, b *Node, hops func() int) {
+// checked attaches the invariant checkers before the nodes are built.
+func pingPong(parts int, checked bool) (cl *Cluster, a, b *Node, hops func() int) {
 	cl = NewPartitionedCluster(1, parts)
+	if checked {
+		cl.AttachCheckers()
+	}
 	a = cl.AddNode(Config{Name: "a", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	b = cl.AddNode(Config{Name: "b", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	var counts [2]*int
@@ -59,7 +63,7 @@ func wiresOn(n *Node) int { return n.wires.Len() }
 // effect, wire record, flight, arrival, gate, scheduler — allocates
 // nothing at all, and the records it used are back on the free lists.
 func TestWireAllocBudget(t *testing.T) {
-	cl, a, b, hops := pingPong(1)
+	cl, a, b, hops := pingPong(1, false)
 	const depth, bounces = 4, 10
 	round := func() {
 		for i := 0; i < depth; i++ {
@@ -133,7 +137,7 @@ func TestDeliverAllocBudget(t *testing.T) {
 // the record and releases it to its partition — it is the message that
 // is dropped.
 func TestWireRecordCrashedReceiver(t *testing.T) {
-	cl, a, b, hops := pingPong(2)
+	cl, a, b, hops := pingPong(2, false)
 	b.Fail()
 	a.Eng().Defer(func() { a.Inject(actor.Msg{Dst: 1, FlowID: 5}) })
 	cl.RunUntil(10 * sim.Millisecond)
@@ -170,7 +174,7 @@ func TestWireRecordLostOnLink(t *testing.T) {
 		{"blocked", func(cl *Cluster) { cl.Net.SetBlocked("a", "b", true) }, func(cl *Cluster) { cl.Net.SetBlocked("a", "b", false) },
 			func(cl *Cluster) uint64 { return cl.Net.PartitionDrops() }},
 	} {
-		cl, a, _, hops := pingPong(1)
+		cl, a, _, hops := pingPong(1, false)
 		a.Inject(actor.Msg{Dst: 1, FlowID: 2})
 		cl.Eng.Run() // a→b→a: one record, back on the partition
 		if wiresPooled(cl) != 1 {
@@ -198,7 +202,7 @@ func TestWireRecordLostOnLink(t *testing.T) {
 // most the caps pinned. Only a one-way stream between partitions strands
 // records, so that is the burst.
 func TestWireAndArrivalListsBounded(t *testing.T) {
-	cl, a, b, hops := pingPong(2)
+	cl, a, b, hops := pingPong(2, false)
 	const burst = maxFreeWires + 100
 	a.Eng().Defer(func() {
 		for i := 0; i < burst; i++ {
@@ -224,7 +228,7 @@ func TestWireAndArrivalListsBounded(t *testing.T) {
 // one-way stream between partitions still strands its records on the
 // far side until that list is full, and keeps making new ones.
 func TestOneWayPairRecyclesOnPartition(t *testing.T) {
-	cl, a, _, hops := pingPong(1)
+	cl, a, _, hops := pingPong(1, false)
 	const burst = 64
 	round := func() {
 		for i := 0; i < burst; i++ {
@@ -243,7 +247,7 @@ func TestOneWayPairRecyclesOnPartition(t *testing.T) {
 		t.Fatalf("%d wire records pooled after one-way bursts of %d", got, burst)
 	}
 
-	cl, a, b, _ := pingPong(2)
+	cl, a, b, _ := pingPong(2, false)
 	for k := 1; k <= 3; k++ {
 		a.Eng().Defer(func() {
 			for i := 0; i < maxFreeWires/2; i++ {
@@ -264,7 +268,7 @@ func TestOneWayPairRecyclesOnPartition(t *testing.T) {
 // fixed set of records; a one-way stream moves them all to the far side.
 func TestWireRecordsChangePartitions(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		cl, a, b, hops := pingPong(2)
+		cl, a, b, hops := pingPong(2, false)
 		cl.SetPDESWorkers(workers)
 		if a.Part == b.Part {
 			t.Fatal("the two nodes share a partition")
@@ -301,8 +305,8 @@ func TestWireRecordsChangePartitions(t *testing.T) {
 // delivery of a wire record or a second firing of an arrival's
 // continuation is reported where it lands.
 func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
-	cl, a, b, hops := pingPong(1)
-	chk := cl.AttachCheckers()[0]
+	cl, a, b, hops := pingPong(1, true)
+	chk := cl.Checker()
 	a.Inject(actor.Msg{Dst: 1, FlowID: 10})
 	cl.Eng.Run()
 	if hops() != 11 {

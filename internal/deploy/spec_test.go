@@ -16,9 +16,13 @@ import (
 	"repro/internal/workload"
 )
 
-// specNodes builds a classic cluster with n offload-capable nodes.
-func specNodes(seed uint64, n int) (*core.Cluster, []*core.Node) {
+// specNodes builds a classic cluster with n offload-capable nodes;
+// checked attaches the invariant checker before the first node.
+func specNodes(seed uint64, n int, checked bool) (*core.Cluster, []*core.Node) {
 	cl := core.NewCluster(seed)
+	if checked {
+		cl.AttachCheckers()
+	}
 	var nodes []*core.Node
 	for i := 0; i < n; i++ {
 		nodes = append(nodes, cl.AddNode(core.Config{
@@ -33,7 +37,7 @@ func specNodes(seed uint64, n int) (*core.Cluster, []*core.Node) {
 // spec and field (wrapping qos's typed error where qos raised it), and
 // nothing panics on garbage input.
 func TestSpecValidationTable(t *testing.T) {
-	_, nodes := specNodes(1, 3)
+	_, nodes := specNodes(1, 3, false)
 	badTenancy := &qos.Tenancy{Tenants: []qos.Tenant{{Name: "t"}}} // RatePerSec 0
 	key := make([]byte, 32)
 
@@ -105,7 +109,7 @@ func TestSpecValidationTable(t *testing.T) {
 // typed Deploy in one cluster: QoS is nil exactly when the spec had no
 // Tenancy block, and Injector is nil without a fault schedule.
 func TestSpecDeployAppSurface(t *testing.T) {
-	_, nodes := specNodes(1, 6)
+	_, nodes := specNodes(1, 6, false)
 	tenancy := &qos.Tenancy{Tenants: []qos.Tenant{{Name: "a", RatePerSec: 1e6}}}
 	deployed := func(name string, err error) {
 		t.Helper()
@@ -169,8 +173,8 @@ func TestSpecTenancyControllerRequiresClassicCluster(t *testing.T) {
 // invariant fingerprint.
 func TestDefaultCommonMatchesPreQoSFingerprint(t *testing.T) {
 	run := func(useSpec bool) (string, string) {
-		cl, nodes := specNodes(11, 3)
-		chk := cl.AttachCheckers()[0]
+		cl, nodes := specNodes(11, 3, true)
+		chk := cl.Checker()
 		var dep *rkv.Deployment
 		if useSpec {
 			d, err := RKVSpec{Nodes: nodes, BaseID: 100, MemLimit: 8 << 20}.Deploy()

@@ -129,15 +129,11 @@ func NewStore() *Store {
 	return &Store{regions: map[uint32]*region{}, nextID: 1}
 }
 
-// EnableInvariants attaches the byte-accounting checker; label names
-// this store (the node) in reports. Attach before the first Alloc or
-// the shadow counts start behind the real ones.
-func (s *Store) EnableInvariants(chk *invariant.Checker, label string) {
-	if chk == nil || s.chk != nil {
-		return
-	}
-	s.chk = chk
-	s.chkLabel = label
+// Observe attaches the byte-accounting checker (nil: checking off);
+// label names this store (the node) in reports. Attach before the first
+// Alloc or the shadow counts start behind the real ones.
+func (s *Store) Observe(chk *invariant.Checker, label string) {
+	s.chk, s.chkLabel = chk, label
 }
 
 // Register provisions an actor's memory region of limit bytes. On the

@@ -122,9 +122,9 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Host {
 	return h
 }
 
-// EnableTracing records every execution as a span on its core's "host
-// core i" lane in group g, through sk; a nil sink leaves tracing off.
-func (h *Host) EnableTracing(sk *obs.Sink, g obs.GroupID) {
+// Observe records every execution as a span on its core's "host core
+// i" lane in group g, through sk; a nil sink leaves tracing off.
+func (h *Host) Observe(sk *obs.Sink, g obs.GroupID) {
 	if sk == nil {
 		return
 	}

@@ -91,16 +91,6 @@ func newRing(capacity int) *Ring {
 	return &Ring{mask: capacity - 1}
 }
 
-// EnableInvariants attaches the credit-conservation checker under the
-// given label.
-func (r *Ring) EnableInvariants(chk *invariant.Checker, label string) {
-	if chk == nil || r.chk != nil {
-		return
-	}
-	r.chk = chk
-	r.chkLabel = label
-}
-
 // check re-validates the pointer/credit relations; nil-checker safe.
 func (r *Ring) check() {
 	r.chk.RingOp(r.chkLabel, r.head, r.tail, r.creditHead, r.consumed, r.mask+1)
@@ -332,16 +322,18 @@ func NewChannel(eng *sim.Engine, dma *pcie.Engine, slots, batch int) *Channel {
 	}
 }
 
-// EnableInvariants attaches the checker to both rings and to the
-// channel's DMA records; label (typically the node name) names the
-// channel and prefixes the per-direction ring labels.
-func (c *Channel) EnableInvariants(chk *invariant.Checker, label string) {
-	if chk == nil || c.chk != nil {
+// Observe attaches the checker to the channel's DMA records and to both
+// rings, which it re-validates for credit conservation after every
+// operation; label (typically the node name) names the channel and
+// prefixes the per-direction ring labels. A nil checker leaves checking
+// off.
+func (c *Channel) Observe(chk *invariant.Checker, label string) {
+	if chk == nil {
 		return
 	}
 	c.chk, c.label = chk, label
-	c.toHost.EnableInvariants(chk, label+"/toHost")
-	c.toNIC.EnableInvariants(chk, label+"/toNIC")
+	c.toHost.chk, c.toHost.chkLabel = chk, label+"/toHost"
+	c.toNIC.chk, c.toNIC.chkLabel = chk, label+"/toNIC"
 }
 
 // ToHost exposes the NIC→host ring for inspection.

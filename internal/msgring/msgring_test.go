@@ -497,7 +497,7 @@ func TestRingPathAllocFree(t *testing.T) {
 func TestRingRecordsPoisonedUnderChecker(t *testing.T) {
 	eng, ch := newChannel(16, 2)
 	chk := invariant.New(eng)
-	ch.EnableInvariants(chk, "n")
+	ch.Observe(chk, "n")
 	hostReady, delivered := 0, 0
 	ch.OnHostReady = func() { hostReady++ }
 	deliver := func(ms []Message) { delivered += len(ms) }

@@ -135,7 +135,7 @@ func TestDeliveredFlightPoisonedUnderChecker(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng)
 	chk := invariant.New(eng)
-	net.EnableInvariantsAt(0, chk)
+	net.Observe(nil, nil, []*invariant.Checker{chk})
 	var kept []*Packet
 	net.Attach("a", 10, nil)
 	net.Attach("b", 10, HandlerFunc(func(p *Packet) {

@@ -7,7 +7,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/invariant"
 	"repro/internal/obs"
@@ -90,11 +89,11 @@ type Network struct {
 	tracer  *obs.Tracer
 	groupOf func(node string) obs.GroupID
 	// domain is the tracing domain stamped into cross-partition handoff
-	// spans (obs.Tracer.NewDomain); -1 until tracing is enabled on a
-	// multi-partition network.
+	// spans (obs.Tracer.NewDomain); -1 unless a multi-partition network
+	// is traced.
 	domain int32
-	// chks holds one conservation checker per partition. Sparse: entries
-	// may be nil.
+	// chks holds one conservation checker per partition; nil when
+	// checking is off.
 	chks []*invariant.Checker
 
 	// pools holds one free list of flight records per partition.
@@ -169,21 +168,6 @@ func (n *Network) EngineAt(part int) *sim.Engine {
 		return n.eng
 	}
 	return n.group.Engine(part)
-}
-
-// EnableInvariantsAt attaches the conservation checker for one
-// partition's ledger. Cross-partition packets are reconciled between
-// ledgers with handoff counters at the switch boundary.
-func (n *Network) EnableInvariantsAt(part int, chk *invariant.Checker) {
-	if chk == nil {
-		return
-	}
-	for len(n.chks) <= part {
-		n.chks = append(n.chks, nil)
-	}
-	if n.chks[part] == nil {
-		n.chks[part] = chk
-	}
 }
 
 // chkAt returns partition part's checker; nil (the disabled checker)
@@ -272,34 +256,26 @@ func (n *Network) PartitionDrops() uint64 {
 	return total
 }
 
-// EnableTracing registers one trace track per link direction for every
-// attached node, and for every node attached afterwards. group maps a
-// node name to its trace group. Already-attached ports are visited in
-// sorted name order so track numbering — and hence the trace bytes —
-// does not depend on map iteration order; later Attach calls register in
-// program order, which is equally deterministic.
+// Observe attaches the network's observers: tr registers one trace
+// track per link direction for every port attached afterwards, in
+// group(node); chks holds one conservation checker per partition (nil
+// or empty: checking off). Cross-partition packets are reconciled
+// between the partitions' ledgers with handoff counters at the switch
+// boundary. Call once, before the first port is attached: a traced port
+// attached earlier would have no lanes, so that panics.
 //
 // Each port emits through its partition's obs.Sink (no shared span
 // buffer across partitions); on a multi-partition network it also gets
 // an "xpart" lane carrying cross-partition handoff spans stamped with
 // the (domain, src partition, Inject seq) merge identity.
-func (n *Network) EnableTracing(tr *obs.Tracer, group func(node string) obs.GroupID) {
-	if !tr.Enabled() {
-		return
+func (n *Network) Observe(tr *obs.Tracer, group func(node string) obs.GroupID, chks []*invariant.Checker) {
+	if tr.Enabled() && len(n.nodes) > 0 {
+		panic("netsim: Observe with a tracer after a port is attached")
 	}
-	n.tracer = tr
-	n.groupOf = group
+	n.tracer, n.groupOf, n.chks = tr, group, chks
 	n.domain = -1
 	if n.Partitions() > 1 {
 		n.domain = tr.NewDomain()
-	}
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		n.tracePort(n.nodes[name])
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -103,6 +104,22 @@ func TestDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	net.Attach("a", 10, nil)
+}
+
+// TestTracedObserveAfterAttachPanics: ports register their link lanes
+// as they attach, so a tracer attached after a port would leave that
+// port untraced; checking alone is per partition and may come later.
+func TestTracedObserveAfterAttachPanics(t *testing.T) {
+	net := New(sim.NewEngine(1))
+	net.Attach("a", 10, nil)
+	net.Observe(nil, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Observe with a tracer after Attach did not panic")
+		}
+	}()
+	tr := obs.NewTracer()
+	net.Observe(tr, func(node string) obs.GroupID { return tr.Group(node) }, nil)
 }
 
 func TestSetHandler(t *testing.T) {

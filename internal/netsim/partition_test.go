@@ -48,14 +48,13 @@ func TestCrossPartitionDeliveryLatency(t *testing.T) {
 func TestCrossPartitionLedgersBalance(t *testing.T) {
 	g, n, _ := buildPair(2)
 	chks := []*invariant.Checker{invariant.New(g.Engine(0)), invariant.New(g.Engine(1))}
-	n.EnableInvariantsAt(0, chks[0])
-	n.EnableInvariantsAt(1, chks[1])
+	n.Observe(nil, nil, chks)
 	g.Engine(0).Defer(func() {
 		for i := 0; i < 50; i++ {
 			n.Send(&Packet{Src: "a", Dst: "b", Size: 128})
 		}
 	})
-	g.Run(2)
+	g.RunUntil(sim.MaxTime, 2)
 	for i, chk := range chks {
 		chk.Finish()
 		if err := chk.Err(); err != nil {
@@ -90,7 +89,7 @@ func TestPartitionedMatchesSerialWindows(t *testing.T) {
 				n.Send(&Packet{Src: "a", Dst: "b", Size: 64})
 			}
 		})
-		g.Run(workers)
+		g.RunUntil(sim.MaxTime, workers)
 		return logs
 	}
 	serial, parallel := run(1), run(2)

@@ -40,25 +40,13 @@ func NewTrafficGate(eng *sim.Engine, m *spec.NICModel) *TrafficGate {
 	return g
 }
 
-// EnableTracing records the gate's pipeline occupancy as a "traffic mgr"
-// lane in the given trace group, emitting through the owning
-// partition's sink (sink 0 on classic clusters).
-func (g *TrafficGate) EnableTracing(sk *obs.Sink, group obs.GroupID) {
-	if sk == nil {
-		return
-	}
-	g.sink = sk
-	g.track = sk.NewTrack(group, "traffic mgr")
-}
-
-// EnableInvariants attaches the admission-conservation checker: every
-// admitted packet must clear the pipeline (the gate delays, it never
-// drops).
-func (g *TrafficGate) EnableInvariants(chk *invariant.Checker) {
-	if chk == nil || g.chk != nil {
-		return
-	}
-	g.chk = chk
+// Observe attaches the gate's observers: sk records the pipeline
+// occupancy as a "traffic mgr" lane in the given trace group, through
+// the owning partition's sink (sink 0 on classic clusters); chk checks
+// admission conservation — every admitted packet must clear the
+// pipeline (the gate delays, it never drops). Either may be nil.
+func (g *TrafficGate) Observe(sk *obs.Sink, group obs.GroupID, chk *invariant.Checker) {
+	g.sink, g.track, g.chk = sk, sk.NewTrack(group, "traffic mgr"), chk
 }
 
 // Admit passes a packet through the gate; deliver runs when the packet
@@ -106,11 +94,11 @@ func NewAccelBank(eng *sim.Engine, m *spec.NICModel) *AccelBank {
 	return b
 }
 
-// EnableTracing registers one lane per accelerator unit in the given
-// group, emitting through the owning partition's sink. Units are
-// registered in sorted name order so track numbering does not depend on
-// map iteration order.
-func (b *AccelBank) EnableTracing(sk *obs.Sink, group obs.GroupID) {
+// Observe registers one trace lane per accelerator unit in the given
+// group, emitting through the owning partition's sink; a nil sink
+// leaves tracing off. Units are registered in sorted name order so
+// track numbering does not depend on map iteration order.
+func (b *AccelBank) Observe(sk *obs.Sink, group obs.GroupID) {
 	if sk == nil {
 		return
 	}

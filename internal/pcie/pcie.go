@@ -69,15 +69,11 @@ func New(eng *sim.Engine, prof spec.DMAProfile) *Engine {
 	return &Engine{eng: eng, prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
 }
 
-// EnableTracing records the engine's byte-transfer occupancy as a "dma"
-// lane in the given trace group, emitting through the owning
-// partition's sink (sink 0 on classic clusters).
-func (e *Engine) EnableTracing(sk *obs.Sink, group obs.GroupID) {
-	if sk == nil {
-		return
-	}
-	e.sink = sk
-	e.track = sk.NewTrack(group, "dma")
+// Observe records the engine's byte-transfer occupancy as a "dma" lane
+// in the given trace group, emitting through the owning partition's
+// sink (sink 0 on classic clusters); a nil sink leaves tracing off.
+func (e *Engine) Observe(sk *obs.Sink, group obs.GroupID) {
+	e.sink, e.track = sk, sk.NewTrack(group, "dma")
 }
 
 // op submits a transfer and fires done when the completion word would be

@@ -62,7 +62,6 @@ func (b *bucket) take(now sim.Time) bool {
 // partitioned clusters race-freely run one gate per client; the Runtime
 // aggregates the per-gate counters after the run.
 type Gate struct {
-	tenants []Tenant
 	buckets []bucket
 	chk     *invariant.Checker
 	ctl     *Controller
@@ -73,11 +72,10 @@ type Gate struct {
 	Rejected []uint64
 }
 
-// newGate builds a gate from the resolved tenant table. chk and ctl may
-// be nil.
-func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller) *Gate {
+// newGate builds a gate from the resolved tenant table; reg exposes its
+// per-tenant admission counters. chk, ctl and reg may be nil.
+func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs.Registry) *Gate {
 	g := &Gate{
-		tenants:  tenants,
 		buckets:  make([]bucket, len(tenants)),
 		chk:      chk,
 		ctl:      ctl,
@@ -91,6 +89,11 @@ func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller) *Gate {
 			burst = defaultBurst
 		}
 		g.buckets[i] = newBucket(t.RatePerSec, burst)
+		if reg != nil {
+			reg.Counter(t.Name+"_offered", func() uint64 { return g.Offered[i] })
+			reg.Counter(t.Name+"_admitted", func() uint64 { return g.Admitted[i] })
+			reg.Counter(t.Name+"_rejected", func() uint64 { return g.Rejected[i] })
+		}
 	}
 	return g
 }
@@ -121,15 +124,4 @@ func (g *Gate) Latency(tenant uint16, class uint8, us float64) {
 		g.ctl.Observe(tenant, us)
 	}
 	_ = class
-}
-
-// RegisterMetrics exposes the gate's per-tenant admission counters.
-func (g *Gate) RegisterMetrics(reg *obs.Registry) {
-	for i := range g.tenants {
-		i := i
-		name := g.tenants[i].Name
-		reg.Counter(name+"_offered", func() uint64 { return g.Offered[i] })
-		reg.Counter(name+"_admitted", func() uint64 { return g.Admitted[i] })
-		reg.Counter(name+"_rejected", func() uint64 { return g.Rejected[i] })
-	}
 }

@@ -48,9 +48,9 @@ type Controller struct {
 	Ticks          uint64
 }
 
-// newController builds the loop; call the Bind* methods to hand it
-// knobs, then Start.
-func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant) *Controller {
+// newController builds the loop, its state exposed on reg (nil: no
+// metrics); call the Bind* methods to hand it knobs, then Start.
+func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, reg *obs.Registry) *Controller {
 	if cfg.Period <= 0 {
 		cfg.Period = defaultPeriod
 	}
@@ -60,13 +60,23 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant) *Con
 	if cfg.ThreshFactor <= 0 {
 		cfg.ThreshFactor = 0.6
 	}
-	return &Controller{
+	c := &Controller{
 		eng:     eng,
 		cfg:     cfg,
 		tenants: tenants,
 		ewma:    make([]float64, len(tenants)),
 		seen:    make([]bool, len(tenants)),
 	}
+	if reg != nil {
+		reg.Counter("ticks", func() uint64 { return c.Ticks })
+		reg.Counter("batch_shrinks", func() uint64 { return c.BatchShrinks })
+		reg.Counter("thresh_tightens", func() uint64 { return c.ThreshTightens })
+		reg.Counter("reshards", func() uint64 { return c.Reshards })
+		for i, t := range tenants {
+			reg.Gauge(t.Name+"_ewma_us", func() float64 { return c.ewma[i] })
+		}
+	}
+	return c
 }
 
 // BindScheduler hands the controller a node scheduler whose migration
@@ -203,16 +213,4 @@ func (c *Controller) doReshard() bool {
 	c.resharded = true
 	c.Reshards++
 	return true
-}
-
-// RegisterMetrics exposes the controller's state on a registry.
-func (c *Controller) RegisterMetrics(reg *obs.Registry) {
-	reg.Counter("ticks", func() uint64 { return c.Ticks })
-	reg.Counter("batch_shrinks", func() uint64 { return c.BatchShrinks })
-	reg.Counter("thresh_tightens", func() uint64 { return c.ThreshTightens })
-	reg.Counter("reshards", func() uint64 { return c.Reshards })
-	for i := range c.tenants {
-		i := i
-		reg.Gauge(c.tenants[i].Name+"_ewma_us", func() float64 { return c.ewma[i] })
-	}
 }

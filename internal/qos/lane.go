@@ -63,48 +63,37 @@ type LaneSched struct {
 }
 
 // newLaneSched builds a lane scheduler delivering into the node's actor
-// scheduler. label names the node in invariant reports and metrics.
-func newLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(actor.Msg)) *LaneSched {
-	return &LaneSched{
+// scheduler, with its observers attached; label names the node in
+// invariant reports. chk feeds every enqueue, delivery and shed into
+// the lane-conservation ledger, audits deliveries for strict priority,
+// and counts control sheds as violations. sink gets one trace track per
+// lane in group g (named by Lane.String, so trace lanes, metric
+// prefixes, and checker reports share the vocabulary); watermark
+// actions emit instants. reg exposes the per-lane counters. Each
+// observer may be nil.
+func newLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(actor.Msg),
+	chk *invariant.Checker, sink *obs.Sink, g obs.GroupID, reg *obs.Registry) *LaneSched {
+	ls := &LaneSched{
 		eng:     eng,
 		cfg:     cfg.withDefaults(),
 		label:   label,
 		deliver: deliver,
+		chk:     chk,
+		sink:    sink,
 	}
-}
-
-// EnableInvariants attaches the runtime checker: every enqueue,
-// delivery, and shed feeds the lane-conservation ledger, deliveries are
-// audited for strict priority, and control sheds are violations.
-func (ls *LaneSched) EnableInvariants(chk *invariant.Checker) {
-	if chk.Enabled() && ls.chk == nil {
-		ls.chk = chk
-	}
-}
-
-// EnableTracing adds one trace track per lane to the node's group
-// (named by Lane.String, so trace lanes, metric prefixes, and checker
-// reports share the vocabulary); watermark actions emit instants.
-func (ls *LaneSched) EnableTracing(sink *obs.Sink, g obs.GroupID) {
-	if sink == nil || ls.sink != nil {
-		return
-	}
-	ls.sink = sink
 	for l := Lane(0); l < NumLanes; l++ {
 		ls.tracks[l] = sink.NewTrack(g, l.String())
 	}
-}
-
-// RegisterMetrics exposes the per-lane counters on a registry.
-func (ls *LaneSched) RegisterMetrics(reg *obs.Registry) {
-	for l := Lane(0); l < NumLanes; l++ {
-		l := l
-		reg.Counter(l.String()+"_enqueued", func() uint64 { return ls.Enqueued[l] })
-		reg.Counter(l.String()+"_delivered", func() uint64 { return ls.Delivered[l] })
-		reg.Counter(l.String()+"_shed", func() uint64 { return ls.Shed[l] })
+	if reg != nil {
+		for l := Lane(0); l < NumLanes; l++ {
+			reg.Counter(l.String()+"_enqueued", func() uint64 { return ls.Enqueued[l] })
+			reg.Counter(l.String()+"_delivered", func() uint64 { return ls.Delivered[l] })
+			reg.Counter(l.String()+"_shed", func() uint64 { return ls.Shed[l] })
+		}
+		reg.Counter("backpressured", func() uint64 { return ls.Backpressured })
+		reg.Gauge("lane_backlog", func() float64 { return float64(ls.backlog(NumLanes)) })
 	}
-	reg.Counter("backpressured", func() uint64 { return ls.Backpressured })
-	reg.Gauge("lane_backlog", func() float64 { return float64(ls.backlog(NumLanes)) })
+	return ls
 }
 
 // cap returns the lane's queue bound (0 = unbounded).

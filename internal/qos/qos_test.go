@@ -94,7 +94,7 @@ func laneHarness(t *testing.T, cfg LaneConfig) (*sim.Engine, *LaneSched, *[]uint
 	var order []uint8
 	ls := newLaneSched(eng, cfg, "n0", func(m actor.Msg) {
 		order = append(order, m.Class)
-	})
+	}, nil, nil, 0, nil)
 	return eng, ls, &order
 }
 
@@ -241,7 +241,7 @@ func TestBucketRefill(t *testing.T) {
 // control-class bypass, and the untabled-tenant passthrough that keeps
 // legacy traffic unconstrained and uncounted.
 func TestGateAdmission(t *testing.T) {
-	g := newGate([]Tenant{{Name: "a", RatePerSec: 1e6, Burst: 2}}, nil, nil)
+	g := newGate([]Tenant{{Name: "a", RatePerSec: 1e6, Burst: 2}}, nil, nil, nil)
 
 	// Burst then reject.
 	if !g.Admit(0, uint8(classData), 0) || !g.Admit(0, uint8(classData), 0) {
@@ -283,7 +283,7 @@ func TestControllerEscalation(t *testing.T) {
 		Cooldown:     100 * sim.Microsecond,
 		ThreshFactor: 0.5,
 	}
-	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}})
+	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
 
 	b := &workload.Batcher{Window: 2 * sim.Microsecond, MaxBatch: 8}
 	ctl.BindBatcher(b)
@@ -334,7 +334,7 @@ func TestControllerEscalation(t *testing.T) {
 func TestControllerRequiresBreach(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{Enabled: true, Period: 100 * sim.Microsecond},
-		[]Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}})
+		[]Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
 	b := &workload.Batcher{Window: 2 * sim.Microsecond}
 	ctl.BindBatcher(b)
 	for i := sim.Time(0); i < sim.Millisecond; i += 20 * sim.Microsecond {
@@ -361,7 +361,7 @@ func TestControllerCooldown(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{
 		Enabled: true, Period: 100 * sim.Microsecond, Cooldown: sim.Millisecond,
-	}, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}})
+	}, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
 	// Deep window so shrink stays available the whole run.
 	b := &workload.Batcher{Window: 1 * sim.Second}
 	ctl.BindBatcher(b)
@@ -383,7 +383,7 @@ func TestControllerCooldown(t *testing.T) {
 func TestObserveEWMA(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{},
-		[]Tenant{{Name: "a", RatePerSec: 1}})
+		[]Tenant{{Name: "a", RatePerSec: 1}}, nil)
 	ctl.Observe(0, 100)
 	if got := ctl.ewma[0]; got != 100 {
 		t.Fatalf("first sample EWMA = %g, want 100 (seed)", got)

@@ -2,6 +2,8 @@ package qos
 
 import (
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -43,36 +45,36 @@ func Install(cl *core.Cluster, nodes []*core.Node, t *Tenancy) (*Runtime, error)
 			Reason: "the SLO controller reads cross-node state and requires a classic (single-partition) cluster"}
 	}
 	rt := &Runtime{Tenancy: t, cl: cl}
-	if t.Controller.Enabled {
-		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants)
-	}
+	tr := cl.Tracer()
+	var scheds []*sched.Scheduler
 	for _, n := range nodes {
 		if n == nil || !n.Offloaded() {
 			continue
 		}
-		sched := n.Sched
-		ls := newLaneSched(n.Eng(), t.Lanes, n.Name, sched.Arrive)
-		ls.EnableInvariants(cl.CheckerAt(n.Part))
-		if tr := cl.Tracer(); tr != nil {
-			g := tr.Group(cl.ObsPrefix() + n.Name)
-			ls.EnableTracing(tr.Sink(n.Part), g)
-		}
-		if col := cl.Collector(); col != nil {
-			ls.RegisterMetrics(col.Registry(cl.ObsPrefix() + n.Name + "-qos"))
-		}
+		ls := newLaneSched(n.Eng(), t.Lanes, n.Name, n.Sched.Arrive, cl.CheckerAt(n.Part),
+			tr.Sink(n.Part), tr.Group(cl.ObsPrefix()+n.Name), registry(cl, n.Name+"-qos"))
 		n.SetLaneDispatcher(ls)
 		rt.Lanes = append(rt.Lanes, ls)
-		if rt.Controller != nil {
-			rt.Controller.BindScheduler(sched)
-		}
+		scheds = append(scheds, n.Sched)
 	}
-	if rt.Controller != nil {
-		if col := cl.Collector(); col != nil {
-			rt.Controller.RegisterMetrics(col.Registry(cl.ObsPrefix() + "qos-controller"))
+	if t.Controller.Enabled {
+		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants, registry(cl, "qos-controller"))
+		for _, s := range scheds {
+			rt.Controller.BindScheduler(s)
 		}
 		rt.Controller.Start()
 	}
 	return rt, nil
+}
+
+// registry returns the cluster collector's registry for name, under the
+// cluster's group prefix; nil when metrics are off.
+func registry(cl *core.Cluster, name string) *obs.Registry {
+	col := cl.Collector()
+	if col == nil {
+		return nil
+	}
+	return col.Registry(cl.ObsPrefix() + name)
 }
 
 // Bind attaches per-tenant admission control to one client edge: the
@@ -83,10 +85,7 @@ func (rt *Runtime) Bind(c *workload.Client) *Gate {
 	if rt == nil || c == nil {
 		return nil
 	}
-	g := newGate(rt.Tenancy.Tenants, rt.cl.CheckerAt(c.Part()), rt.Controller)
-	if col := rt.cl.Collector(); col != nil {
-		g.RegisterMetrics(col.Registry(rt.cl.ObsPrefix() + c.Name + "-adm"))
-	}
+	g := newGate(rt.Tenancy.Tenants, rt.cl.CheckerAt(c.Part()), rt.Controller, registry(rt.cl, c.Name+"-adm"))
 	c.SetQoS(g)
 	rt.gates = append(rt.gates, g)
 	return g

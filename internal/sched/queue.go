@@ -26,7 +26,7 @@ type inQueue interface {
 // and every take returns it, in lockstep with the messages; with none
 // attached the stamps are 0, the stamp FIFO stays empty, and take finds
 // it so. The audit is attached before the first push
-// (Scheduler.EnableInvariants), so the two FIFOs never fall out of step.
+// (Scheduler.Observe), so the two FIFOs never fall out of step.
 type stampedFIFO struct {
 	msgs   actor.MsgFIFO
 	stamps sim.FIFO[uint64]

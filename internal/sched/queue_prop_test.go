@@ -169,7 +169,7 @@ func TestDRRFairnessUnderChurn(t *testing.T) {
 	cfg.AllDRR = true
 	h := newHarness(t, cfg)
 	chk := invariant.New(h.eng)
-	h.s.EnableInvariants(chk, "test")
+	h.s.Observe(nil, 0, chk, "test")
 	for id := actor.ID(1); id <= 4; id++ {
 		h.addActor(id, 2*sim.Microsecond)
 	}
@@ -209,7 +209,7 @@ func TestSchedulerInvariantsCleanAcrossQueues(t *testing.T) {
 			}
 			h := newHarness(t, cfg)
 			chk := invariant.New(h.eng)
-			h.s.EnableInvariants(chk, mode)
+			h.s.Observe(nil, 0, chk, mode)
 			h.addActor(1, 3*sim.Microsecond)
 			h.addActor(2, sim.Microsecond)
 			for i := 0; i < 300; i++ {

@@ -257,30 +257,21 @@ func (s *Scheduler) SetThresholds(tailUs, meanUs float64) {
 	}
 }
 
-// EnableInvariants attaches the runtime checker: the ingress queue gets
-// a per-flow FIFO audit, DRR runnable-queue membership and cursor
-// visits are tracked for round fairness, and each monitor tick
-// validates core busy-time against wall time. Call before the first
-// message arrives (a mid-run attach would see pops of unaudited
-// pushes); label names this scheduler in reports, typically the node.
-func (s *Scheduler) EnableInvariants(chk *invariant.Checker, label string) {
-	if chk == nil || s.chk != nil {
-		return
+// Observe attaches the scheduler's observers and returns the sched
+// lane, for the runtime's migration spans. sk records every core
+// operation as a span on its core's "nic core i" lane and every
+// decision — mode switch, migration, core move — as an instant on a
+// "sched" lane, all in group g; a nil sink leaves tracing off. chk
+// audits the ingress queue per flow (FIFO), tracks DRR runnable-queue
+// membership and cursor visits for round fairness, and validates core
+// busy-time against wall time at each monitor tick; label names this
+// scheduler in its reports, typically the node. Call before the first
+// actor is added: the audits must see every push from the start.
+func (s *Scheduler) Observe(sk *obs.Sink, g obs.GroupID, chk *invariant.Checker, label string) obs.TrackID {
+	s.chk, s.chkLabel = chk, label
+	if chk != nil {
+		s.queue.setAudit(chk.NewQueueAudit(label + "/ingress"))
 	}
-	s.chk = chk
-	s.chkLabel = label
-	s.queue.setAudit(chk.NewQueueAudit(label + "/ingress"))
-	for _, a := range s.drrRunnable {
-		chk.DRRAdd(label, uint32(a.ID))
-	}
-}
-
-// EnableTracing records every core operation as a span on its core's
-// "nic core i" lane and every decision — mode switch, migration, core
-// move — as an instant on a "sched" lane, all in group g through sk. It
-// returns the sched lane, for the runtime's migration spans; a nil sink
-// leaves tracing off.
-func (s *Scheduler) EnableTracing(sk *obs.Sink, g obs.GroupID) obs.TrackID {
 	if sk == nil {
 		return obs.NoTrack
 	}

@@ -447,9 +447,6 @@ func (g *Group) flushExecuted() {
 	}
 }
 
-// Run drives the group until every partition drains.
-func (g *Group) Run(workers int) { g.RunUntil(MaxTime, workers) }
-
 // RunUntil advances the whole group until no pending event (in any heap
 // or inbox) is at or before deadline, then normalizes every partition's
 // clock to the deadline — the partitioned analogue of Engine.RunUntil,

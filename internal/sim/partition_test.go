@@ -444,7 +444,7 @@ func TestAtBarrierDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAtBarrierUnderUnboundedRun: Group.Run (deadline = MaxTime) must
+// TestAtBarrierUnderUnboundedRun: RunUntil(MaxTime) must
 // terminate once the group drains — the empty action queue's MaxTime
 // sentinel is "no barrier pending", not a barrier at MaxTime — and
 // still run actions scheduled past the last event first.
@@ -456,9 +456,9 @@ func TestAtBarrierUnderUnboundedRun(t *testing.T) {
 		g.AtBarrier(8*Microsecond, func() { ran++ })
 		g.Engine(0).At(Microsecond, func() {})
 		g.Engine(parts-1).At(2*Microsecond, func() {})
-		g.Run(parts) // regression: looped forever on the drained group
+		g.RunUntil(MaxTime, parts) // regression: looped forever on the drained group
 		if ran != 1 {
-			t.Fatalf("parts=%d: action past the last event ran %d times under Run, want 1", parts, ran)
+			t.Fatalf("parts=%d: action past the last event ran %d times under RunUntil(MaxTime), want 1", parts, ran)
 		}
 	}
 }

@@ -15,9 +15,13 @@ import (
 // server answers one request twice.
 
 // replyCluster is one offloaded node whose actor 1 answers every request
-// `answers` times, plus a client.
-func replyCluster(answers int) (*core.Cluster, *Client) {
+// `answers` times, plus a client. checked attaches the invariant checker
+// before the node is built.
+func replyCluster(answers int, checked bool) (*core.Cluster, *Client) {
 	cl := core.NewCluster(1)
+	if checked {
+		cl.AttachCheckers()
+	}
 	n := cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
 	err := n.Register(&actor.Actor{ID: 1, PinNIC: true, OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
 		for i := 0; i < answers; i++ {
@@ -38,7 +42,7 @@ func replyCluster(answers int) (*core.Cluster, *Client) {
 // record, its bound reply continuation and the loop's continuation are
 // reused, and the network copies both packets into its flights.
 func TestClientAllocBudget(t *testing.T) {
-	cl, client := replyCluster(1)
+	cl, client := replyCluster(1, false)
 	const depth = 4
 	round := func() {
 		client.ClosedLoop(depth, 200*sim.Microsecond, func(i uint64) Request {
@@ -69,7 +73,7 @@ func TestClientAllocBudget(t *testing.T) {
 // nothing it used ever reaches the free list, and an untimed request
 // sent afterwards gets a record of its own.
 func TestTimedRequestNeverPooled(t *testing.T) {
-	cl, client := replyCluster(1)
+	cl, client := replyCluster(1, false)
 	for i := 0; i < 20; i++ {
 		client.Send(Request{Node: "srv", Dst: 1, Size: 256, FlowID: uint64(i),
 			Timeout: 50 * sim.Microsecond, Retries: 2, OnGiveUp: func() {}})
@@ -92,7 +96,7 @@ func TestTimedRequestNeverPooled(t *testing.T) {
 // OnResp runs, so the request OnResp sends reuses it — a chain of any
 // length needs one record.
 func TestCallReleasedBeforeOnResp(t *testing.T) {
-	cl, client := replyCluster(1)
+	cl, client := replyCluster(1, false)
 	left := 100
 	var onResp func(actor.Msg)
 	onResp = func(actor.Msg) {
@@ -109,7 +113,7 @@ func TestCallReleasedBeforeOnResp(t *testing.T) {
 
 // TestCallListBounded: a burst past the cap leaves the cap pinned.
 func TestCallListBounded(t *testing.T) {
-	cl, client := replyCluster(1)
+	cl, client := replyCluster(1, false)
 	const burst = maxFreeCalls + 50
 	for i := 0; i < burst; i++ {
 		client.Send(Request{Node: "srv", Dst: 1, Size: 64, FlowID: uint64(i)})
@@ -125,8 +129,8 @@ func TestCallListBounded(t *testing.T) {
 // invariant checker the record is poisoned, not recycled, and the second
 // answer is a use-after-release violation at the record it lands on.
 func TestDoubleReplyOnPooledCall(t *testing.T) {
-	cl, client := replyCluster(2)
-	chk := cl.AttachCheckers()[0]
+	cl, client := replyCluster(2, true)
+	chk := cl.Checker()
 	resps := 0
 	client.Send(Request{Node: "srv", Dst: 1, Size: 256, OnResp: func(actor.Msg) { resps++ }})
 	cl.Eng.Run()
@@ -142,8 +146,8 @@ func TestDoubleReplyOnPooledCall(t *testing.T) {
 	}
 
 	// With a timeout the second answer is an ordinary late duplicate.
-	cl, client = replyCluster(2)
-	chk = cl.AttachCheckers()[0]
+	cl, client = replyCluster(2, true)
+	chk = cl.Checker()
 	client.Send(Request{Node: "srv", Dst: 1, Size: 256, Timeout: sim.Millisecond})
 	cl.Eng.Run()
 	if client.Received != 1 || chk.Err() != nil {
@@ -155,7 +159,7 @@ func TestDoubleReplyOnPooledCall(t *testing.T) {
 // the Request, so a send path that passes the Request on — here one that
 // also rewrites an exported field — keeps the loop going.
 func TestClosedLoopViaCarriesContinuation(t *testing.T) {
-	cl, client := replyCluster(1)
+	cl, client := replyCluster(1, false)
 	sends := 0
 	client.ClosedLoopVia(2, 200*sim.Microsecond, func(i uint64) Request {
 		return Request{Node: "srv", Dst: 1, FlowID: i}
