@@ -120,12 +120,6 @@ var contracts = []contract{
 			"internal/obs", "internal/sched", "internal/sim", "internal/spec", "internal/workload"}},
 	{"cmd/ipipe-trace", "validates trace and metrics artifacts",
 		[]string{"internal/obs"}},
-	{"examples/quickstart", "one node, one echo actor", []string{""}},
-	{"examples/kvstore", "sharded, batched replicated KV under Zipf load", []string{"", "internal/workload"}},
-	{"examples/transactions", "OCC/2PC with contention", []string{""}},
-	{"examples/analytics", "the RTA pipeline with live migration", []string{""}},
-	{"examples/netfunc", "firewall and IPSec over real frames", []string{""}},
-	{"examples/isolation", "region guard and watchdog between tenants", []string{""}},
 	{"benchmark", "the repository benchmark; frozen, so its imports and every name it uses are fixed",
 		[]string{"internal/actor", "internal/apps/dt", "internal/apps/rkv", "internal/core", "internal/dmo",
 			"internal/hostsim", "internal/invariant", "internal/msgring", "internal/netsim", "internal/nicsim",
@@ -170,41 +164,29 @@ var surfaceAllowed = map[string]string{
 	"internal/apps/rkv.skipList.Count":        "TestSkipListDrainSortedAndResets",
 	"internal/bench.checked.result":           "TestParallelParity compares each checked rendering with quick_seed1.txt",
 	"internal/dmo.Store.Size":                 "TestStoreMatchesMapModel",
-	"internal/dmo.Store.Memset":               "TestMemset: Table 4's dmo_mmset, which no application calls",
-	"internal/dmo.Store.Memcpy":               "TestMemcpyBetweenObjects: Table 4's dmo_mmcpy, which no application calls",
-	"internal/dmo.Store.Memmove":              "TestMemmoveOverlap: Table 4's dmo_mmmove, which no application calls",
 	"internal/fault.Injector.Fingerprint":     "TestFingerprintDeterminism",
-	"internal/isolation.Mechanism":            isolationMechanism,
-	"internal/isolation.FirmwareTimer":        isolationMechanism,
-	"internal/isolation.OSSignals":            isolationMechanism,
 	"internal/isolation.ViolationLog.Total":   "TestViolationLog",
 	"internal/msgring.Message.Kind":           "TestHostToNICRoundTrip",
 	"internal/msgring.Message.SrcActor":       "TestChannelMatchesModel numbers its messages with it",
 	"internal/netsim.Network.setHandler":      "TestSetHandler",
 	"internal/nstack.WQE.reverse":             "TestReverseEchoPath",
-	"internal/pcie.Engine.InFlight":           "TestInFlightBackpressureSignal",
 	"internal/sim.FreeList.Len":               "TestCallListBounded and the other pool tests bound free lists with it",
 	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
 	"internal/sim.Station.QueueLen":           "TestStationQueueDrainsFIFOAndReleasesSlots",
 	"internal/sim.Station.InService":          "TestStationQueueDrainsFIFOAndReleasesSlots",
 	"internal/sim.Station.Completed":          "TestStationFIFOSingleServer",
 	"internal/spec.NICModel.maxBandwidthGbps": "TestMaxBandwidthSaturatesAtLineRate",
-	"internal/stats.EWMA.reset":               "TestEWMAReset",
-	"internal/stats.welford":                  "TestWelfordExact",
 	"internal/stats.Sample.Quantile":          "TestHistogramQuantileMatchesExact",
-	"internal/stats.Sample.reset":             "TestSampleReset",
 	"internal/workload.Client.Offered":        "TestQoSRejectAccounting",
 }
 
 const (
 	dmoErrors = "actor.Ctx's DMO calls return these to application handlers, " +
 		"which tell them apart with errors.Is"
-	qosLanes           = "name the indices of the [NumLanes] counter arrays LaneSched and Runtime.LaneTotals export"
-	benchFrozen        = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
-	table1             = "Table 1 description; ROADMAP item 3 decides"
-	rkvDelete          = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
-	isolationMechanism = "TestMechanismString: §3.4's two enforcement substrates, which no run " +
-		"distinguishes"
+	qosLanes    = "name the indices of the [NumLanes] counter arrays LaneSched and Runtime.LaneTotals export"
+	benchFrozen = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
+	table1      = "Table 1 description; ROADMAP item 3 decides"
+	rkvDelete   = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
 )
 
 // viewEscapeAllowed lists "file.go:function" pairs allowed to store a
@@ -489,7 +471,21 @@ func TestExportedSurface(t *testing.T) {
 	m := mustLoad(t)
 	r := newReach(m)
 	r.run()
+	local := exportedMembers(m, r)
 	findings := append(r.unreached(), exportedOwnUse(m)...)
+	methods, fields := 0, 0
+	for _, mb := range local {
+		if mb.kept {
+			if mb.method {
+				methods++
+			} else {
+				fields++
+			}
+			continue
+		}
+		findings = append(findings, finding{mb.pos, mb.key,
+			"is exported but no other package's code uses it; unexport it"})
+	}
 	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
 	silenced := map[string]bool{}
 	for _, f := range findings {
@@ -510,6 +506,8 @@ func TestExportedSurface(t *testing.T) {
 		}
 	}
 	t.Logf("%d identifiers reached, %d allow-list entries", len(r.reached), len(surfaceAllowed))
+	t.Logf("exported but used only in their own package: %d methods that satisfy an interface, "+
+		"%d fields encoding/json sees", methods, fields)
 }
 
 var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
@@ -605,6 +603,112 @@ func exportedOwnUse(m *module) []finding {
 		}
 	}
 	return out
+}
+
+// member is an exported method or field of a named type under
+// internal/ that no other package uses; kept when it satisfies an
+// interface (a method) or encoding/json sees it (a field).
+type member struct {
+	pos          token.Pos
+	key          string
+	method, kept bool
+}
+
+// exportedMembers lists the exported methods and fields of the named
+// types declared under internal/ that no other package uses: neither
+// another package's non-test code nor the root package's tests, which
+// program against the facade's aliases. An embedded field is left out,
+// and so is an interface's own method set.
+func exportedMembers(m *module, r *reach) []member {
+	used := map[types.Object]bool{}
+	for _, p := range append(sortedValues(m.pkgs), m.rootTests) {
+		for _, o := range p.info.Uses {
+			if o.Pkg() != nil && o.Pkg() != p.types {
+				used[origin(o)] = true
+			}
+		}
+	}
+	ifaces := interfaces(m)
+	var out []member
+	for _, p := range sortedValues(m.pkgs) {
+		if !strings.HasPrefix(p.path, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			for i := range n.NumMethods() {
+				if f := n.Method(i); f.Exported() && !used[f] {
+					out = append(out, member{f.Pos(), p.path + "." + name + "." + f.Name(), true,
+						satisfies(n, f, ifaces)})
+				}
+			}
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() && !f.Embedded() && !used[f] {
+					out = append(out, member{f.Pos(), p.path + "." + name + "." + f.Name(), false,
+						r.jsonSeen[n]})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// interfaces lists every interface type the module declares or names
+// from the standard library, error among them.
+func interfaces(m *module) []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var add func(p *types.Package)
+	add = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				out = append(out, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+		for _, imp := range p.Imports() {
+			add(imp)
+		}
+	}
+	for _, p := range sortedValues(m.pkgs) {
+		add(p.types)
+	}
+	return out
+}
+
+// satisfies reports whether method f of n is one of an interface's
+// methods that n or *n implements, or one the standard library calls on
+// any value (implicitMethods). A generic type matches on the method's
+// name alone.
+func satisfies(n *types.Named, f *types.Func, ifaces []*types.Interface) bool {
+	if implicitMethods[f.Name()] {
+		return true
+	}
+	for _, it := range ifaces {
+		if it.NumMethods() == 0 {
+			continue
+		}
+		named := false
+		for i := range it.NumMethods() {
+			named = named || it.Method(i).Name() == f.Name()
+		}
+		if named && (n.TypeParams().Len() > 0 || types.Implements(types.NewPointer(n), it)) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFacadeSurface holds the root facade to what its users use. A name
@@ -825,6 +929,13 @@ func newReach(m *module) *reach {
 	for _, name := range root.Names() {
 		if o := root.Lookup(name); o.Exported() {
 			r.mark(o)
+		}
+	}
+	for _, f := range m.rootTests.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Example") {
+				r.work = append(r.work, site{m.rootTests, fd})
+			}
 		}
 	}
 	return r

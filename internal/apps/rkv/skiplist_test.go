@@ -51,9 +51,6 @@ func (d *dmoCtx) ObjWrite(obj uint64, off int, p []byte) error {
 func (d *dmoCtx) ObjMigrate(obj uint64) (int, error) {
 	return d.st.MigrateObject(d.id, obj, dmo.Host)
 }
-func (d *dmoCtx) ObjMemset(o uint64, off, n int, b byte) error {
-	return d.st.Memset(d.id, o, off, n, b)
-}
 func (d *dmoCtx) Accel(string, int, int) (sim.Time, bool) { return 0, false }
 
 func TestSkipListPutGet(t *testing.T) {
@@ -279,7 +276,7 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	var update [maxLevel]uint64
 	node, _ := s.findPredecessors(ctx, padded([]byte("k")), &update)
 	vo, _, _ := s.nodeVal(ctx, node)
-	if err := ctx.ObjMemset(vo, 0, len("first"), 0xEE); err != nil {
+	if err := ctx.ObjWrite(vo, 0, bytes.Repeat([]byte{0xEE}, len("first"))); err != nil {
 		t.Fatal(err)
 	}
 	s.Put(ctx, []byte("k"), []byte("other")) // frees the first value's object

@@ -296,56 +296,6 @@ func (s *Store) Write(actor uint32, id ObjID, off int, p []byte) error {
 	return nil
 }
 
-// Memset fills [off, off+n) with b (dmo_mmset of Table 4).
-func (s *Store) Memset(actor uint32, id ObjID, off, n int, b byte) error {
-	o, err := s.lookup(actor, id)
-	if err != nil {
-		return err
-	}
-	if off < 0 || n < 0 || off+n > len(o.data) {
-		return ErrBounds
-	}
-	for i := off; i < off+n; i++ {
-		o.data[i] = b
-	}
-	return nil
-}
-
-// Memcpy copies n bytes between two objects of the same actor
-// (dmo_mmcpy). Source and destination ranges must not alias; both
-// objects must be local to the same side, per the no-cross-PCIe rule.
-func (s *Store) Memcpy(actor uint32, dst ObjID, dstOff int, src ObjID, srcOff, n int) error {
-	d, err := s.lookup(actor, dst)
-	if err != nil {
-		return err
-	}
-	sr, err := s.lookup(actor, src)
-	if err != nil {
-		return err
-	}
-	if d.side != sr.side {
-		return fmt.Errorf("dmo: memcpy across PCIe (src %v, dst %v)", sr.side, d.side)
-	}
-	if srcOff < 0 || n < 0 || srcOff+n > len(sr.data) || dstOff < 0 || dstOff+n > len(d.data) {
-		return ErrBounds
-	}
-	copy(d.data[dstOff:dstOff+n], sr.data[srcOff:srcOff+n])
-	return nil
-}
-
-// Memmove is Memcpy that tolerates overlap within a single object.
-func (s *Store) Memmove(actor uint32, id ObjID, dstOff, srcOff, n int) error {
-	o, err := s.lookup(actor, id)
-	if err != nil {
-		return err
-	}
-	if srcOff < 0 || dstOff < 0 || n < 0 || srcOff+n > len(o.data) || dstOff+n > len(o.data) {
-		return ErrBounds
-	}
-	copy(o.data[dstOff:dstOff+n], o.data[srcOff:srcOff+n])
-	return nil
-}
-
 // MigrateActor moves every object the actor owns to the target side and
 // returns the total bytes moved (the dominant cost of migration phase 3,
 // Figure 18). Objects already on the target side are untouched.

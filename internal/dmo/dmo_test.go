@@ -89,9 +89,6 @@ func TestBoundsChecks(t *testing.T) {
 	id, _ := s.Alloc(1, 10, NIC)
 	cases := []error{
 		s.Write(1, id, 8, []byte("toolong")),
-		s.Memset(1, id, -1, 5, 0),
-		s.Memset(1, id, 5, 6, 0),
-		s.Memmove(1, id, 5, 0, 6),
 	}
 	for i, err := range cases {
 		if !errors.Is(err, ErrBounds) {
@@ -107,53 +104,6 @@ func TestNoSuchObject(t *testing.T) {
 	s := newActorStore(t, 100)
 	if _, err := s.Read(1, 999, 0, 1); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMemset(t *testing.T) {
-	s := newActorStore(t, 100)
-	id, _ := s.Alloc(1, 8, NIC)
-	s.Memset(1, id, 2, 4, 0xAB)
-	got, _ := s.Read(1, id, 0, 8)
-	want := []byte{0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0, 0}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Memset result %x, want %x", got, want)
-	}
-}
-
-func TestMemcpyBetweenObjects(t *testing.T) {
-	s := newActorStore(t, 100)
-	a, _ := s.Alloc(1, 10, NIC)
-	b, _ := s.Alloc(1, 10, NIC)
-	s.Write(1, a, 0, []byte("abcdef"))
-	if err := s.Memcpy(1, b, 2, a, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Read(1, b, 2, 3)
-	if string(got) != "bcd" {
-		t.Fatalf("Memcpy result %q", got)
-	}
-}
-
-func TestMemcpyAcrossPCIeRejected(t *testing.T) {
-	s := newActorStore(t, 100)
-	a, _ := s.Alloc(1, 10, NIC)
-	b, _ := s.Alloc(1, 10, Host)
-	if err := s.Memcpy(1, b, 0, a, 0, 5); err == nil {
-		t.Fatal("memcpy across PCIe sides should fail (no remote access rule)")
-	}
-}
-
-func TestMemmoveOverlap(t *testing.T) {
-	s := newActorStore(t, 100)
-	id, _ := s.Alloc(1, 8, NIC)
-	s.Write(1, id, 0, []byte("abcdefgh"))
-	if err := s.Memmove(1, id, 2, 0, 6); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Read(1, id, 0, 8)
-	if string(got) != "ababcdef" {
-		t.Fatalf("Memmove overlap result %q", got)
 	}
 }
 

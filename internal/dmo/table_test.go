@@ -27,7 +27,7 @@ type model struct {
 }
 
 // errOther stands for any error that is not one of the package's
-// sentinels (negative size, memcpy across PCIe).
+// sentinels (a negative size).
 var errOther = errors.New("model: unnamed error")
 
 func newModel() *model {
@@ -95,25 +95,6 @@ func (m *model) write(actor uint32, id ObjID, off int, p []byte) error {
 		return ErrBounds
 	}
 	copy(o.data[off:], p)
-	return nil
-}
-
-func (m *model) memcpy(actor uint32, dst ObjID, dstOff int, src ObjID, srcOff, n int) error {
-	d, err := m.lookup(actor, dst)
-	if err != nil {
-		return err
-	}
-	s, err := m.lookup(actor, src)
-	if err != nil {
-		return err
-	}
-	if d.side != s.side {
-		return errOther
-	}
-	if srcOff < 0 || n < 0 || srcOff+n > len(s.data) || dstOff < 0 || dstOff+n > len(d.data) {
-		return ErrBounds
-	}
-	copy(d.data[dstOff:dstOff+n], s.data[srcOff:srcOff+n])
 	return nil
 }
 
@@ -288,7 +269,7 @@ func runOps(t testing.TB, data []byte) int {
 			if o, werr := m.lookup(actor, id); !sameErr(gerr, werr) || (werr == nil && gn != len(o.data)) {
 				t.Fatalf("step %d: Size(%d, %d) = %d, %v; model %v", steps, actor, id, gn, gerr, werr)
 			}
-		case 9, 10:
+		case 9, 10, 11:
 			id, actor := pick()
 			off := in.u8() - 2
 			p := make([]byte, in.u8()%48)
@@ -299,15 +280,6 @@ func runOps(t testing.TB, data []byte) int {
 			gerr, werr := st.Write(actor, id, off, p), m.write(actor, id, off, p)
 			if !sameErr(gerr, werr) {
 				t.Fatalf("step %d: Write(%d, %d, %d, %d bytes) = %v; model %v", steps, actor, id, off, len(p), gerr, werr)
-			}
-		case 11:
-			dst, actor := pick()
-			src, _ := pick()
-			dstOff, srcOff, n := in.u8()-2, in.u8()-2, in.u8()%64-1
-			gerr := st.Memcpy(actor, dst, dstOff, src, srcOff, n)
-			werr := m.memcpy(actor, dst, dstOff, src, srcOff, n)
-			if !sameErr(gerr, werr) {
-				t.Fatalf("step %d: Memcpy(%d, %d+%d, %d+%d, %d) = %v; model %v", steps, actor, dst, dstOff, src, srcOff, n, gerr, werr)
 			}
 		case 12:
 			id, actor := pick()
@@ -630,15 +602,12 @@ func TestLookupAllocFree(t *testing.T) {
 	p := make([]byte, 16)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		a, b := ids[i%len(ids)], ids[(i*7+1)%len(ids)]
+		a := ids[i%len(ids)]
 		i++
 		s.Read(1, a, 8, 16)
 		s.Write(1, a, 8, p)
 		s.Size(1, a)
 		sideOf(s, 1, a)
-		s.Memset(1, a, 0, 8, 1)
-		s.Memmove(1, a, 0, 4, 8)
-		s.Memcpy(1, a, 0, b, 0, 8)
 		s.Read(2, a, 0, 1)     // wrong owner
 		s.Read(1, 1<<30, 0, 1) // past the directory
 		s.Read(1, 0, 0, 1)     // never issued

@@ -17,27 +17,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Mechanism names the enforcement substrate, which depends on the card.
-type Mechanism uint8
-
-// The two enforcement substrates of §3.4.
-const (
-	// FirmwareTimer is the LiquidIOII hardware timer with 16 timer rings
-	// plus software-managed TLB traps.
-	FirmwareTimer Mechanism = iota
-	// OSSignals is per-process address spaces plus POSIX signal timers
-	// (BlueField, Stingray).
-	OSSignals
-)
-
-// String renders the mechanism.
-func (m Mechanism) String() string {
-	if m == FirmwareTimer {
-		return "firmware-timer"
-	}
-	return "os-signals"
-}
-
 // Watchdog bounds per-invocation core occupancy. Each core clears and
 // re-arms its dedicated timer around every handler execution; in the
 // simulation we compare the modeled service time against the budget,

@@ -56,12 +56,6 @@ func TestWatchdogBoundaryExact(t *testing.T) {
 	}
 }
 
-func TestMechanismString(t *testing.T) {
-	if FirmwareTimer.String() != "firmware-timer" || OSSignals.String() != "os-signals" {
-		t.Fatal("mechanism names wrong")
-	}
-}
-
 func TestViolationLog(t *testing.T) {
 	v := NewViolationLog()
 	v.Record(1)

@@ -159,7 +159,3 @@ func (e *Engine) WriteGather(segments []int, done func()) sim.Time {
 	e.GatherTransfers++
 	return e.WriteAsync(total, done)
 }
-
-// InFlight reports queued-plus-active transfers, used by backpressure
-// logic in the message rings.
-func (e *Engine) InFlight() int { return e.station.QueueLen() + e.station.InService() }

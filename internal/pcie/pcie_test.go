@@ -176,17 +176,3 @@ func TestAsyncDMAAllocFree(t *testing.T) {
 		t.Fatalf("%d transfer records pooled after bursts of %d", n, burst+1)
 	}
 }
-
-func TestInFlightBackpressureSignal(t *testing.T) {
-	eng, dma := liquidEngine()
-	for i := 0; i < 5; i++ {
-		dma.WriteAsync(2048, nil)
-	}
-	if got := dma.InFlight(); got != 5 {
-		t.Fatalf("InFlight = %d, want 5", got)
-	}
-	eng.Run()
-	if got := dma.InFlight(); got != 0 {
-		t.Fatalf("InFlight after drain = %d", got)
-	}
-}

@@ -48,9 +48,12 @@ type Controller struct {
 	Ticks          uint64
 }
 
-// newController builds the loop, its state exposed on reg (nil: no
-// metrics); call the Bind* methods to hand it knobs, then Start.
-func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, reg *obs.Registry) *Controller {
+// newController builds the loop over the node schedulers whose
+// migration thresholds it may tighten, its state exposed on reg (nil: no
+// metrics); call the Bind* methods to hand it the other knobs, then
+// Start.
+func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, scheds []*sched.Scheduler,
+	reg *obs.Registry) *Controller {
 	if cfg.Period <= 0 {
 		cfg.Period = defaultPeriod
 	}
@@ -66,6 +69,7 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, reg 
 		tenants: tenants,
 		ewma:    make([]float64, len(tenants)),
 		seen:    make([]bool, len(tenants)),
+		scheds:  scheds,
 	}
 	if reg != nil {
 		reg.Counter("ticks", func() uint64 { return c.Ticks })
@@ -77,14 +81,6 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, reg 
 		}
 	}
 	return c
-}
-
-// BindScheduler hands the controller a node scheduler whose migration
-// thresholds it may tighten.
-func (c *Controller) BindScheduler(s *sched.Scheduler) {
-	if s != nil {
-		c.scheds = append(c.scheds, s)
-	}
 }
 
 // BindBatcher hands the controller a client batcher whose window it may

@@ -283,16 +283,16 @@ func TestControllerEscalation(t *testing.T) {
 		Cooldown:     100 * sim.Microsecond,
 		ThreshFactor: 0.5,
 	}
-	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
-
-	b := &workload.Batcher{Window: 2 * sim.Microsecond, MaxBatch: 8}
-	ctl.BindBatcher(b)
 	s := sched.New(eng, sched.Config{Cores: 1, MeanThresh: 40},
 		sched.Hooks{
 			Run:    func(a *actor.Actor, m actor.Msg) sim.Time { return 0 },
 			FwdTax: func(bytes int) sim.Time { return 0 },
 		})
-	ctl.BindScheduler(s)
+	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}},
+		[]*sched.Scheduler{s}, nil)
+
+	b := &workload.Batcher{Window: 2 * sim.Microsecond, MaxBatch: 8}
+	ctl.BindBatcher(b)
 	var resharded []int
 	ctl.BindReshard(func() int { return 3 }, func(g int) { resharded = append(resharded, g) })
 
@@ -334,7 +334,7 @@ func TestControllerEscalation(t *testing.T) {
 func TestControllerRequiresBreach(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{Enabled: true, Period: 100 * sim.Microsecond},
-		[]Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
+		[]Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil, nil)
 	b := &workload.Batcher{Window: 2 * sim.Microsecond}
 	ctl.BindBatcher(b)
 	for i := sim.Time(0); i < sim.Millisecond; i += 20 * sim.Microsecond {
@@ -361,7 +361,7 @@ func TestControllerCooldown(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{
 		Enabled: true, Period: 100 * sim.Microsecond, Cooldown: sim.Millisecond,
-	}, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil)
+	}, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil, nil)
 	// Deep window so shrink stays available the whole run.
 	b := &workload.Batcher{Window: 1 * sim.Second}
 	ctl.BindBatcher(b)
@@ -383,7 +383,7 @@ func TestControllerCooldown(t *testing.T) {
 func TestObserveEWMA(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{},
-		[]Tenant{{Name: "a", RatePerSec: 1}}, nil)
+		[]Tenant{{Name: "a", RatePerSec: 1}}, nil, nil)
 	ctl.Observe(0, 100)
 	if got := ctl.ewma[0]; got != 100 {
 		t.Fatalf("first sample EWMA = %g, want 100 (seed)", got)

@@ -58,10 +58,7 @@ func Install(cl *core.Cluster, nodes []*core.Node, t *Tenancy) (*Runtime, error)
 		scheds = append(scheds, n.Sched)
 	}
 	if t.Controller.Enabled {
-		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants, registry(cl, "qos-controller"))
-		for _, s := range scheds {
-			rt.Controller.BindScheduler(s)
-		}
+		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants, scheds, registry(cl, "qos-controller"))
 		rt.Controller.Start()
 	}
 	return rt, nil

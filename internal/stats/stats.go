@@ -61,61 +61,6 @@ func (e *EWMA) Ready() bool { return e.n >= 2 }
 // Count returns the number of samples observed.
 func (e *EWMA) Count() uint64 { return e.n }
 
-// reset clears all state, keeping Alpha.
-func (e *EWMA) reset() { e.mean, e.vari, e.n = 0, 0, 0 }
-
-// welford computes exact running mean and variance (Welford's
-// algorithm), for where exactness matters more than forgetting old
-// samples.
-type welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Observe folds in a sample.
-func (w *welford) Observe(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *welford) Count() uint64 { return w.n }
-
-// Mean returns the exact mean (0 before any samples).
-func (w *welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance.
-func (w *welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest sample (0 before any samples).
-func (w *welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 before any samples).
-func (w *welford) Max() float64 { return w.max }
-
 // Sample collects individual values for exact percentile reporting. The
 // experiment harness uses it for P50/P99 latency series; runs are
 // bounded, so it keeps every value.
@@ -248,13 +193,4 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.values))
-}
-
-// reset discards all values.
-func (s *Sample) reset() {
-	s.values = s.values[:0]
-	clear(s.blocks)
-	s.blocks = s.blocks[:0]
-	s.seen = 0
-	s.sorted = false
 }
