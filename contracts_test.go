@@ -140,10 +140,15 @@ var surfaceAllowed = map[string]string{
 	"internal/qos.LaneControl":        qosLanes,
 	"internal/qos.LaneData":           qosLanes,
 	"internal/qos.LaneTelemetry":      qosLanes,
-	"internal/workload.MaxUncappedTimeout": "the ceiling GrowTimeout saturates at when a policy sets no " +
-		"MaxTimeout: how long an uncapped retry can wait",
-	"internal/apps/dt.Partition": "the key-to-participant rule is how a client makes a transaction " +
-		"span one store or several; deploy's crash-atomicity test relies on it",
+	"internal/workload.MaxUncappedTimeout": "TestBackoffUncappedSaturates bounds an uncapped retry's " +
+		"growth by it",
+	"internal/apps/dt.Partition": "TestPartitionStable; deploy's TestDTCoordinatorCrashAtomicity picks " +
+		"keys on two participants with it",
+	"internal/apps/dt.Store.Get":    dtInstalled,
+	"internal/apps/dt.Record.Value": dtInstalled,
+	"internal/core.Node.Host":       "TestTraceMatchesCounters holds the host core lanes to its Completed count",
+	"internal/core.Node.NICModel":   "TestTraceMatchesCounters reads the accelerators and PPS cap each node's lanes show",
+	"internal/core.Node.Dropped":    "TestManyActorsManyNodes checks that no message was dropped",
 
 	"benchmark.metricDef.driver":      benchFrozen,
 	"benchmark.metricDef.driverBound": benchFrozen,
@@ -155,8 +160,6 @@ var surfaceAllowed = map[string]string{
 	"internal/spec.NICModel.OnPath": table1,
 	"internal/spec.NICModel.FullOS": table1,
 
-	"internal/actor.Table.Len":                "TestTable counts the table's entries",
-	"internal/apps/nf.TCAM.Size":              "TestTCAMScanDepth sizes the rule table",
 	"internal/apps/nf.IPSec.Open":             "TestIPSecSealOpenRoundTrip opens what the gateway sealed",
 	"internal/apps/rkv.Replica.SST":           "TestMinorCompactionAndSSTableRead reads the leader's SSTable store",
 	"internal/apps/rkv.delReq":                rkvDelete,
@@ -165,19 +168,14 @@ var surfaceAllowed = map[string]string{
 	"internal/bench.checked.result":           "TestParallelParity compares each checked rendering with quick_seed1.txt",
 	"internal/dmo.Store.Size":                 "TestStoreMatchesMapModel",
 	"internal/fault.Injector.Fingerprint":     "TestFingerprintDeterminism",
-	"internal/isolation.ViolationLog.Total":   "TestViolationLog",
 	"internal/msgring.Message.Kind":           "TestHostToNICRoundTrip",
 	"internal/msgring.Message.SrcActor":       "TestChannelMatchesModel numbers its messages with it",
 	"internal/netsim.Network.setHandler":      "TestSetHandler",
 	"internal/nstack.WQE.reverse":             "TestReverseEchoPath",
 	"internal/sim.FreeList.Len":               "TestCallListBounded and the other pool tests bound free lists with it",
 	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
-	"internal/sim.Station.QueueLen":           "TestStationQueueDrainsFIFOAndReleasesSlots",
-	"internal/sim.Station.InService":          "TestStationQueueDrainsFIFOAndReleasesSlots",
-	"internal/sim.Station.Completed":          "TestStationFIFOSingleServer",
 	"internal/spec.NICModel.maxBandwidthGbps": "TestMaxBandwidthSaturatesAtLineRate",
 	"internal/stats.Sample.Quantile":          "TestHistogramQuantileMatchesExact",
-	"internal/workload.Client.Offered":        "TestQoSRejectAccounting",
 }
 
 const (
@@ -187,6 +185,7 @@ const (
 	benchFrozen = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
 	table1      = "Table 1 description; ROADMAP item 3 decides"
 	rkvDelete   = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
+	dtInstalled = "TestDTCoordinatorCrashAtomicity reads each write's installed value"
 )
 
 // viewEscapeAllowed lists "file.go:function" pairs allowed to store a

@@ -160,7 +160,6 @@ type Actor struct {
 	ExecStats    stats.EWMA
 	ServiceStats stats.EWMA
 	SizeStats    stats.EWMA
-	Invoked      uint64
 
 	// InDRR marks the actor as downgraded to the DRR runnable queue.
 	InDRR bool
@@ -222,7 +221,7 @@ func (a *Actor) Label() string {
 
 // Load returns average execution latency scaled by invocation frequency,
 // the quantity the migration policy ranks actors by (§3.2.5).
-func (a *Actor) Load() float64 { return a.ExecStats.Mean() * float64(a.Invoked) }
+func (a *Actor) Load() float64 { return a.ExecStats.Mean() * float64(a.ExecStats.Count()) }
 
 // TryAcquire attempts to start an execution, honoring the exec lock.
 func (a *Actor) TryAcquire() bool {
@@ -262,7 +261,6 @@ func (a *Actor) Observe(sojourn, service sim.Time, wireSize int) {
 	if wireSize > 0 {
 		a.SizeStats.Observe(float64(wireSize))
 	}
-	a.Invoked++
 }
 
 // Mailbox is the actor's FIFO of pending messages. The hardware traffic
@@ -272,14 +270,14 @@ type Mailbox struct {
 	q MsgFIFO
 	// HighWater records the maximum backlog, which the DRR migration
 	// trigger (mailbox length threshold) uses.
-	HighWater int
+	highWater int
 }
 
 // Push appends a message.
 func (mb *Mailbox) Push(m Msg) {
 	mb.q.Push(m)
-	if n := mb.q.Len(); n > mb.HighWater {
-		mb.HighWater = n
+	if n := mb.q.Len(); n > mb.highWater {
+		mb.highWater = n
 	}
 }
 
@@ -360,6 +358,3 @@ func (t *Table) Delete(id ID) {
 	t.refs.Store(&m)
 	t.mu.Unlock()
 }
-
-// Len reports the number of registered actors.
-func (t *Table) Len() int { return len(*t.refs.Load()) }

@@ -30,8 +30,8 @@ func TestMailboxHighWater(t *testing.T) {
 	}
 	mb.Pop()
 	mb.Push(Msg{})
-	if mb.HighWater != 7 {
-		t.Fatalf("HighWater = %d, want 7", mb.HighWater)
+	if mb.highWater != 7 {
+		t.Fatalf("HighWater = %d, want 7", mb.highWater)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestMailboxDrain(t *testing.T) {
 		t.Fatalf("Drain after a pop = %v, want kinds 4..6", got)
 	}
 	mb.Push(Msg{Kind: 7})
-	if m, ok := mb.Pop(); !ok || m.Kind != 7 || mb.HighWater != 4 {
-		t.Fatalf("after drain: pop = %v %v, HighWater = %d (want kind 7, 4)", m.Kind, ok, mb.HighWater)
+	if m, ok := mb.Pop(); !ok || m.Kind != 7 || mb.highWater != 4 {
+		t.Fatalf("after drain: pop = %v %v, HighWater = %d (want kind 7, 4)", m.Kind, ok, mb.highWater)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestObserveUpdatesStats(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Observe(10*sim.Microsecond, 8*sim.Microsecond, 512)
 	}
-	if a.Invoked != 100 {
-		t.Fatalf("Invoked = %d", a.Invoked)
+	if a.ExecStats.Count() != 100 {
+		t.Fatalf("invocations = %d", a.ExecStats.Count())
 	}
 	if m := a.ExecStats.Mean(); m < 9.9 || m > 10.1 {
 		t.Fatalf("mean exec = %v µs, want 10", m)
@@ -154,8 +154,8 @@ func TestTable(t *testing.T) {
 	if !ok || r.Node != "n0" || !r.OnNIC {
 		t.Fatalf("Lookup(1) = %v %v", r, ok)
 	}
-	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d", tbl.Len())
+	if n := len(*tbl.refs.Load()); n != 2 {
+		t.Fatalf("%d actors registered, want 2", n)
 	}
 	tbl.Delete(1)
 	if _, ok := tbl.Lookup(1); ok {

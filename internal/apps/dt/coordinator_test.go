@@ -135,9 +135,9 @@ func wantRecord(t *testing.T, s *Store, k []byte, want *Record) {
 	case want == nil && got == nil:
 	case want == nil || got == nil:
 		t.Errorf("record %q = %+v, want %+v", k, got, want)
-	case !bytes.Equal(got.Value, want.Value) || got.Version != want.Version || got.Locked != want.Locked:
+	case !bytes.Equal(got.Value, want.Value) || got.version != want.version || got.locked != want.locked:
 		t.Errorf("record %q = {%q v%d locked=%v}, want {%q v%d locked=%v}",
-			k, got.Value, got.Version, got.Locked, want.Value, want.Version, want.Locked)
+			k, got.Value, got.version, got.locked, want.Value, want.version, want.locked)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestTxnSemantics(t *testing.T) {
 			reply: clientReply(OutcomeCommitted, a0, []byte("A0"), a0, []byte("A0")),
 			sent:  8, // phase1 and resp ×2, validate and resp, commit and ack
 			check: func(t *testing.T, s0, s1 *Store) {
-				wantRecord(t, s0, a0, &Record{Value: []byte("A0"), Version: 4})
-				wantRecord(t, s1, w1, &Record{Value: []byte("x"), Version: 1})
+				wantRecord(t, s0, a0, &Record{Value: []byte("A0"), version: 4})
+				wantRecord(t, s1, w1, &Record{Value: []byte("x"), version: 1})
 			},
 		},
 		{
@@ -175,7 +175,7 @@ func TestTxnSemantics(t *testing.T) {
 			reply: clientReply(OutcomeAborted, a1, []byte("A1")),
 			sent:  5, // phase1, resp, validate, resp, abort
 			check: func(t *testing.T, s0, s1 *Store) {
-				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), Version: 7})
+				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), version: 7})
 			},
 		},
 		{
@@ -184,8 +184,8 @@ func TestTxnSemantics(t *testing.T) {
 			reply: clientReply(OutcomeCommitted, a1, []byte("A1"), a0, []byte("A0"), m0, nil),
 			sent:  8, // phase1, resp, validate, resp — ×2
 			check: func(t *testing.T, s0, s1 *Store) {
-				wantRecord(t, s0, a0, &Record{Value: []byte("A0"), Version: 4})
-				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), Version: 7})
+				wantRecord(t, s0, a0, &Record{Value: []byte("A0"), version: 4})
+				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), version: 7})
 				wantRecord(t, s0, m0, nil)
 			},
 		},
@@ -195,9 +195,9 @@ func TestTxnSemantics(t *testing.T) {
 			reply: clientReply(OutcomeCommitted),
 			sent:  8, // phase1, resp, commit, ack — ×2
 			check: func(t *testing.T, s0, s1 *Store) {
-				wantRecord(t, s0, w0, &Record{Value: []byte("p"), Version: 1})
-				wantRecord(t, s1, w1, &Record{Value: []byte("q"), Version: 1})
-				wantRecord(t, s0, a0, &Record{Value: []byte("A0'"), Version: 5})
+				wantRecord(t, s0, w0, &Record{Value: []byte("p"), version: 1})
+				wantRecord(t, s1, w1, &Record{Value: []byte("q"), version: 1})
+				wantRecord(t, s0, a0, &Record{Value: []byte("A0'"), version: 5})
 			},
 		},
 		{
@@ -209,17 +209,17 @@ func TestTxnSemantics(t *testing.T) {
 			reply: clientReply(OutcomeAborted, c0, []byte("C"), a1, []byte("A1")),
 			sent:  5, // phase1 and resp ×2, abort
 			check: func(t *testing.T, s0, s1 *Store) {
-				wantRecord(t, s0, c0, &Record{Value: []byte("C"), Version: 2, Locked: true})
+				wantRecord(t, s0, c0, &Record{Value: []byte("C"), version: 2, locked: true})
 				wantRecord(t, s1, w1, &Record{})
-				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), Version: 7})
+				wantRecord(t, s1, a1, &Record{Value: []byte("A1"), version: 7})
 			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s0, s1 := NewStore(), NewStore()
-			s0.Put(a0, &Record{Value: []byte("A0"), Version: 4})
-			s1.Put(a1, &Record{Value: []byte("A1"), Version: 7})
-			s0.Put(c0, &Record{Value: []byte("C"), Version: 2, Locked: true})
+			s0.put(a0, &Record{Value: []byte("A0"), version: 4})
+			s1.put(a1, &Record{Value: []byte("A1"), version: 7})
+			s0.put(c0, &Record{Value: []byte("C"), version: 2, locked: true})
 			l, c := newLoop(s0, s1)
 			l.run(txnMsg(tc.txn))
 			if len(l.replies) != 1 || !bytes.Equal(l.replies[0], tc.reply) {
@@ -247,7 +247,7 @@ func TestStaleMessagesMissRecycledTxn(t *testing.T) {
 	a0, a1 := keyOn("a", 0), keyOn("a", 1)
 	w0, w1 := keyOn("w", 0), keyOn("w", 1)
 	s0, s1 := NewStore(), NewStore()
-	s1.Put(a1, &Record{Value: []byte("A1"), Version: 3})
+	s1.put(a1, &Record{Value: []byte("A1"), version: 3})
 	l, c := newLoop(s0, s1)
 	c.TxnTimeout = sim.Millisecond
 	isPhase1Resp := func(m actor.Msg) bool { return m.Kind == kindPhase1Resp }
@@ -297,7 +297,7 @@ func TestStaleMessagesMissRecycledTxn(t *testing.T) {
 	if stB.pending != 2 || stB.failed || len(stB.reads) != 0 {
 		t.Fatalf("stale answers reached B: pending %d failed %v reads %d", stB.pending, stB.failed, len(stB.reads))
 	}
-	wantRecord(t, s0, w0, &Record{Locked: true})
+	wantRecord(t, s0, w0, &Record{locked: true})
 
 	// B completes as if A had never existed.
 	for _, m := range heldB {
@@ -306,7 +306,7 @@ func TestStaleMessagesMissRecycledTxn(t *testing.T) {
 	if len(l.replies) != 2 || !bytes.Equal(l.replies[1], clientReply(OutcomeCommitted, a1, []byte("A1"))) {
 		t.Fatalf("B replies %q", l.replies)
 	}
-	wantRecord(t, s0, w0, &Record{Value: []byte("B"), Version: 1})
+	wantRecord(t, s0, w0, &Record{Value: []byte("B"), version: 1})
 	wantRecord(t, s1, w1, &Record{})
 	if c.Committed != 1 || c.Aborted != 1 || len(c.inflight) != 0 {
 		t.Fatalf("committed %d aborted %d in flight %d", c.Committed, c.Aborted, len(c.inflight))

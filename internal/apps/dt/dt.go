@@ -173,10 +173,10 @@ const DefaultLockLease = 10 * sim.Millisecond
 // lockHeld reports whether a record's lock is still live: set, and (when
 // a lease is configured) younger than the lease.
 func lockHeld(rec *Record, now, lease sim.Time) bool {
-	if rec == nil || !rec.Locked {
+	if rec == nil || !rec.locked {
 		return false
 	}
-	return lease <= 0 || now-rec.LockedAt < lease
+	return lease <= 0 || now-rec.lockedAt < lease
 }
 
 // NewParticipant builds a participant actor over its own Store with the
@@ -230,11 +230,11 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 					rec := st.Get(k)
 					if rec == nil {
 						rec = &Record{}
-						st.Put(k, rec)
+						st.put(k, rec)
 						cost += opCost
 					}
-					rec.Locked = true
-					rec.LockedAt = ctx.Now()
+					rec.locked = true
+					rec.lockedAt = ctx.Now()
 				}
 			}
 			size := 8 + 1 + 1
@@ -253,7 +253,7 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				var val []byte
 				var ver uint64
 				if rec := st.Get(k); rec != nil {
-					val, ver = rec.Value, rec.Version
+					val, ver = rec.Value, rec.version
 				}
 				w.blob(k)
 				w.blob16(val)
@@ -272,7 +272,7 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				rec := st.Get(k)
 				cur := uint64(0)
 				if rec != nil {
-					cur = rec.Version
+					cur = rec.version
 				}
 				if lockHeld(rec, ctx.Now(), lease) || cur != ver {
 					ok = 0
@@ -291,11 +291,11 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				rec := st.Get(k)
 				if rec == nil {
 					rec = &Record{}
-					st.Put(k, rec)
+					st.put(k, rec)
 				}
 				rec.Value = append(rec.Value[:0], val...)
-				rec.Version++
-				rec.Locked = false
+				rec.version++
+				rec.locked = false
 			}
 			w := make(wbuf, 0, 8)
 			w.u64(txn)
@@ -306,7 +306,7 @@ func NewParticipantLease(id actor.ID, st *Store, lease sim.Time) *actor.Actor {
 				k := r.blob()
 				cost += opCost
 				if rec := st.Get(k); rec != nil {
-					rec.Locked = false
+					rec.locked = false
 				}
 			}
 		}

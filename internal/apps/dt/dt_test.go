@@ -9,8 +9,8 @@ import (
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore()
-	s.Put([]byte("k1"), &Record{Value: []byte("v1"), Version: 1})
-	s.Put([]byte("k2"), &Record{Value: []byte("v2"), Version: 2})
+	s.put([]byte("k1"), &Record{Value: []byte("v1"), version: 1})
+	s.put([]byte("k2"), &Record{Value: []byte("v2"), version: 2})
 	if r := s.Get([]byte("k1")); r == nil || string(r.Value) != "v1" {
 		t.Fatalf("Get(k1) = %v", r)
 	}
@@ -18,7 +18,7 @@ func TestStorePutGet(t *testing.T) {
 		t.Fatal("missing key returned a record")
 	}
 	// Overwrite replaces.
-	s.Put([]byte("k1"), &Record{Value: []byte("v1b"), Version: 3})
+	s.put([]byte("k1"), &Record{Value: []byte("v1b"), version: 3})
 	if r := s.Get([]byte("k1")); string(r.Value) != "v1b" || s.Len() != 2 {
 		t.Fatalf("overwrite broken: %v len=%d", r, s.Len())
 	}
@@ -28,13 +28,13 @@ func TestStoreSplitsAndDoubles(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 1000; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
-		s.Put(k, &Record{Value: k, Version: uint64(i)})
+		s.put(k, &Record{Value: k, version: uint64(i)})
 	}
 	if s.Len() != 1000 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Splits == 0 || s.Doublings == 0 {
-		t.Fatalf("no splits (%d) or doublings (%d) after 1000 inserts", s.Splits, s.Doublings)
+	if s.Splits == 0 || s.doublings == 0 {
+		t.Fatalf("no splits (%d) or doublings (%d) after 1000 inserts", s.Splits, s.doublings)
 	}
 	// All keys still retrievable after restructuring.
 	for i := 0; i < 1000; i++ {
@@ -58,7 +58,7 @@ func TestStoreMatchesMapProperty(t *testing.T) {
 		ref := map[string]uint64{}
 		for i, op := range ops {
 			k := []byte(fmt.Sprintf("k%d", op%300))
-			s.Put(k, &Record{Version: uint64(i)})
+			s.put(k, &Record{version: uint64(i)})
 			ref[string(k)] = uint64(i)
 		}
 		if s.Len() != len(ref) {
@@ -66,7 +66,7 @@ func TestStoreMatchesMapProperty(t *testing.T) {
 		}
 		for k, v := range ref {
 			r := s.Get([]byte(k))
-			if r == nil || r.Version != v {
+			if r == nil || r.version != v {
 				return false
 			}
 		}

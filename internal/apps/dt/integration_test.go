@@ -1,11 +1,10 @@
-package dt_test
+package dt
 
 import (
 	"fmt"
 	"testing"
 
 	"repro/internal/actor"
-	"repro/internal/apps/dt"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -14,7 +13,7 @@ import (
 
 // deployDT builds the paper's DT topology: coordinator on one node,
 // participants on two others, logging actor on the coordinator's host.
-func deployDT(t *testing.T, offload bool) (*core.Cluster, *workload.Client, *dt.Coordinator, []*dt.Store) {
+func deployDT(t *testing.T, offload bool) (*core.Cluster, *workload.Client, *Coordinator, []*Store) {
 	t.Helper()
 	cl := core.NewCluster(7)
 	mk := func(name string) *core.Node {
@@ -28,11 +27,11 @@ func deployDT(t *testing.T, offload bool) (*core.Cluster, *workload.Client, *dt.
 	n1 := mk("part1")
 	n2 := mk("part2")
 
-	st1, st2 := dt.NewStore(), dt.NewStore()
-	p1 := dt.NewParticipant(101, st1)
-	p2 := dt.NewParticipant(102, st2)
-	logger := dt.NewLogger(103, nil)
-	coord := dt.NewCoordinator(100, []actor.ID{101, 102}, 103)
+	st1, st2 := NewStore(), NewStore()
+	p1 := NewParticipant(101, st1)
+	p2 := NewParticipant(102, st2)
+	logger := NewLogger(103, nil)
+	coord := NewCoordinator(100, []actor.ID{101, 102}, 103)
 
 	if err := n1.Register(p1, offload, 0); err != nil {
 		t.Fatal(err)
@@ -47,25 +46,25 @@ func deployDT(t *testing.T, offload bool) (*core.Cluster, *workload.Client, *dt.
 		t.Fatal(err)
 	}
 	client := workload.NewClient(cl, "cli", 10)
-	return cl, client, coord, []*dt.Store{st1, st2}
+	return cl, client, coord, []*Store{st1, st2}
 }
 
 func txnReq(i uint64, withWrite bool) workload.Request {
-	txn := dt.Txn{
-		Reads: []dt.Op{
+	txn := Txn{
+		Reads: []Op{
 			{Key: []byte(fmt.Sprintf("r-%d", i%50))},
 			{Key: []byte(fmt.Sprintf("r-%d", (i+7)%50))},
 		},
 	}
 	if withWrite {
-		txn.Writes = []dt.Op{{
+		txn.Writes = []Op{{
 			Key:   []byte(fmt.Sprintf("w-%d", i%20)),
 			Value: []byte(fmt.Sprintf("val-%d", i)),
 		}}
 	}
 	return workload.Request{
-		Node: "coord", Dst: 100, Kind: dt.KindTxn,
-		Data: dt.EncodeTxn(txn), Size: 512, FlowID: i,
+		Node: "coord", Dst: 100, Kind: KindTxn,
+		Data: EncodeTxn(txn), Size: 512, FlowID: i,
 	}
 }
 
@@ -95,10 +94,10 @@ func TestTransactionsCommitOnNIC(t *testing.T) {
 	for _, s := range stores {
 		for i := 0; i < 20; i++ {
 			if r := s.Get([]byte(fmt.Sprintf("w-%d", i))); r != nil {
-				if r.Locked {
+				if r.locked {
 					t.Fatalf("key w-%d left locked", i)
 				}
-				if r.Version == 0 {
+				if r.version == 0 {
 					t.Fatalf("key w-%d version not bumped", i)
 				}
 			}
@@ -109,16 +108,16 @@ func TestTransactionsCommitOnNIC(t *testing.T) {
 func TestTransactionsReadYourWrites(t *testing.T) {
 	cl, client, _, _ := deployDT(t, true)
 	var got map[string][]byte
-	write := dt.Txn{Writes: []dt.Op{{Key: []byte("k"), Value: []byte("hello")}}}
-	read := dt.Txn{Reads: []dt.Op{{Key: []byte("k")}}}
+	write := Txn{Writes: []Op{{Key: []byte("k"), Value: []byte("hello")}}}
+	read := Txn{Reads: []Op{{Key: []byte("k")}}}
 	client.Send(workload.Request{
-		Node: "coord", Dst: 100, Kind: dt.KindTxn, Data: dt.EncodeTxn(write), Size: 256,
+		Node: "coord", Dst: 100, Kind: KindTxn, Data: EncodeTxn(write), Size: 256,
 		OnResp: func(resp actor.Msg) {
 			client.Send(workload.Request{
-				Node: "coord", Dst: 100, Kind: dt.KindTxn, Data: dt.EncodeTxn(read), Size: 256,
+				Node: "coord", Dst: 100, Kind: KindTxn, Data: EncodeTxn(read), Size: 256,
 				OnResp: func(resp actor.Msg) {
-					out, vals := dt.DecodeOutcome(resp.Data)
-					if out != dt.OutcomeCommitted {
+					out, vals := DecodeOutcome(resp.Data)
+					if out != OutcomeCommitted {
 						t.Errorf("read txn outcome %d", out)
 					}
 					got = vals
@@ -140,13 +139,13 @@ func TestContendedTransactionsAbort(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		i := i
 		cl.Eng.At(sim.Time(i)*2*sim.Microsecond, func() {
-			txn := dt.Txn{
-				Reads:  []dt.Op{{Key: []byte("hot-r")}},
-				Writes: []dt.Op{{Key: []byte("hot-w"), Value: []byte(fmt.Sprintf("%d", i))}},
+			txn := Txn{
+				Reads:  []Op{{Key: []byte("hot-r")}},
+				Writes: []Op{{Key: []byte("hot-w"), Value: []byte(fmt.Sprintf("%d", i))}},
 			}
 			client.Send(workload.Request{
-				Node: "coord", Dst: 100, Kind: dt.KindTxn,
-				Data: dt.EncodeTxn(txn), Size: 256, FlowID: i,
+				Node: "coord", Dst: 100, Kind: KindTxn,
+				Data: EncodeTxn(txn), Size: 256, FlowID: i,
 			})
 		})
 	}
@@ -175,13 +174,13 @@ func TestCoordinatorLogCheckpoints(t *testing.T) {
 		if i >= n {
 			return
 		}
-		txn := dt.Txn{Writes: []dt.Op{{
+		txn := Txn{Writes: []Op{{
 			Key:   []byte(fmt.Sprintf("k-%d", i%500)),
 			Value: make([]byte, 16),
 		}}}
 		client.Send(workload.Request{
-			Node: "coord", Dst: 100, Kind: dt.KindTxn,
-			Data: dt.EncodeTxn(txn), Size: 128, FlowID: i,
+			Node: "coord", Dst: 100, Kind: KindTxn,
+			Data: EncodeTxn(txn), Size: 128, FlowID: i,
 			OnResp: func(actor.Msg) { done++; issue(i + 1) },
 		})
 	}

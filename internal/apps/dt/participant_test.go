@@ -62,7 +62,7 @@ func parsePhase1Resp(t *testing.T, m actor.Msg) (txn uint64, ok bool, vals map[s
 
 func TestParticipantPhase1LocksAndReads(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("r1"), &Record{Value: []byte("v1"), Version: 3})
+	st.put([]byte("r1"), &Record{Value: []byte("v1"), version: 3})
 	p := NewParticipant(1, st)
 	ctx := &sinkCtx{}
 	p.OnMessage(ctx, phase1Msg(7, [][]byte{[]byte("r1")}, [][]byte{[]byte("w1")}))
@@ -73,14 +73,14 @@ func TestParticipantPhase1LocksAndReads(t *testing.T) {
 	if string(vals["r1"]) != "v1" || vers["r1"] != 3 {
 		t.Fatalf("read result %q v%d", vals["r1"], vers["r1"])
 	}
-	if rec := st.Get([]byte("w1")); rec == nil || !rec.Locked {
+	if rec := st.Get([]byte("w1")); rec == nil || !rec.locked {
 		t.Fatal("write key not locked")
 	}
 }
 
 func TestParticipantPhase1FailsOnLockedKey(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("w1"), &Record{Locked: true})
+	st.put([]byte("w1"), &Record{locked: true})
 	p := NewParticipant(1, st)
 	ctx := &sinkCtx{}
 	p.OnMessage(ctx, phase1Msg(8, nil, [][]byte{[]byte("w1")}))
@@ -92,7 +92,7 @@ func TestParticipantPhase1FailsOnLockedKey(t *testing.T) {
 
 func TestParticipantValidateDetectsVersionChange(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("k"), &Record{Version: 5})
+	st.put([]byte("k"), &Record{version: 5})
 	p := NewParticipant(1, st)
 	validate := func(ver uint64) bool {
 		ctx := &sinkCtx{}
@@ -112,7 +112,7 @@ func TestParticipantValidateDetectsVersionChange(t *testing.T) {
 		t.Fatal("stale version passed validation")
 	}
 	// A locked key fails validation regardless of version.
-	st.Get([]byte("k")).Locked = true
+	st.Get([]byte("k")).locked = true
 	if validate(5) {
 		t.Fatal("locked key passed validation")
 	}
@@ -120,7 +120,7 @@ func TestParticipantValidateDetectsVersionChange(t *testing.T) {
 
 func TestParticipantCommitInstallsAndUnlocks(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("w"), &Record{Value: []byte("old"), Version: 2, Locked: true})
+	st.put([]byte("w"), &Record{Value: []byte("old"), version: 2, locked: true})
 	p := NewParticipant(1, st)
 	ctx := &sinkCtx{}
 	var w wbuf
@@ -129,8 +129,8 @@ func TestParticipantCommitInstallsAndUnlocks(t *testing.T) {
 	w.blob16([]byte("new"))
 	p.OnMessage(ctx, actor.Msg{Kind: kindCommit, Src: 999, Data: w})
 	rec := st.Get([]byte("w"))
-	if string(rec.Value) != "new" || rec.Version != 3 || rec.Locked {
-		t.Fatalf("post-commit record: %q v%d locked=%v", rec.Value, rec.Version, rec.Locked)
+	if string(rec.Value) != "new" || rec.version != 3 || rec.locked {
+		t.Fatalf("post-commit record: %q v%d locked=%v", rec.Value, rec.version, rec.locked)
 	}
 	if ctx.sent[0].Kind != kindCommitAck {
 		t.Fatal("no commit ack")
@@ -143,7 +143,7 @@ func TestParticipantCommitInstallsAndUnlocks(t *testing.T) {
 // participants, reply included.
 func TestProtocolAllocBudget(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("r"), &Record{Value: []byte("value-r"), Version: 3})
+	st.put([]byte("r"), &Record{Value: []byte("value-r"), version: 3})
 	p := NewParticipant(1, st)
 	ctx := &sinkCtx{}
 	build := func(kind actor.Kind, keys ...string) actor.Msg {
@@ -216,7 +216,7 @@ func TestProtocolAllocBudget(t *testing.T) {
 
 func TestParticipantAbortUnlocksOnly(t *testing.T) {
 	st := NewStore()
-	st.Put([]byte("w"), &Record{Value: []byte("keep"), Version: 2, Locked: true})
+	st.put([]byte("w"), &Record{Value: []byte("keep"), version: 2, locked: true})
 	p := NewParticipant(1, st)
 	ctx := &sinkCtx{}
 	var w wbuf
@@ -224,10 +224,10 @@ func TestParticipantAbortUnlocksOnly(t *testing.T) {
 	w.blob([]byte("w"))
 	p.OnMessage(ctx, actor.Msg{Kind: kindAbort, Src: 999, Data: w})
 	rec := st.Get([]byte("w"))
-	if rec.Locked {
+	if rec.locked {
 		t.Fatal("abort did not unlock")
 	}
-	if string(rec.Value) != "keep" || rec.Version != 2 {
+	if string(rec.Value) != "keep" || rec.version != 2 {
 		t.Fatal("abort modified the record")
 	}
 	if len(ctx.sent) != 0 {

@@ -20,9 +20,9 @@ import (
 // commit rewrites it in place.
 type Record struct {
 	Value    []byte
-	Version  uint64
-	Locked   bool
-	LockedAt sim.Time
+	version  uint64
+	locked   bool
+	lockedAt sim.Time
 }
 
 // bucketCap is the extensible hash table's bucket capacity; overflowing
@@ -44,7 +44,7 @@ type Store struct {
 
 	// Splits counts bucket splits; Doublings directory doublings.
 	Splits    uint64
-	Doublings uint64
+	doublings uint64
 }
 
 // NewStore returns an empty table with a depth-1 directory.
@@ -76,7 +76,7 @@ func (s *Store) Get(k []byte) *Record {
 }
 
 // Put inserts or replaces a record (splitting buckets as needed).
-func (s *Store) Put(k []byte, r *Record) {
+func (s *Store) put(k []byte, r *Record) {
 	for {
 		b := s.bucketFor(k)
 		for i, bk := range b.keys {
@@ -104,7 +104,7 @@ func (s *Store) split(b *bucket) {
 		copy(nd[len(s.dir):], s.dir)
 		s.dir = nd
 		s.globalDepth++
-		s.Doublings++
+		s.doublings++
 	}
 	b.localDepth++
 	nb := &bucket{localDepth: b.localDepth}

@@ -118,8 +118,8 @@ type TCAM struct {
 	rules []Rule // sorted by priority
 	// Lookups counts match operations, ScanDepth the total rules
 	// scanned (drives the cost model).
-	Lookups   uint64
-	ScanDepth uint64
+	lookups   uint64
+	scanDepth uint64
 }
 
 // NewTCAM builds a TCAM from rules (sorted by priority, stable).
@@ -134,9 +134,6 @@ func NewTCAM(rules []Rule) *TCAM {
 	return &TCAM{rules: sorted}
 }
 
-// Size returns the rule count.
-func (t *TCAM) Size() int { return len(t.rules) }
-
 func ruleMatches(r *Rule, p FiveTuple) bool {
 	return p.SrcIP&r.Mask.SrcIP == r.Value.SrcIP&r.Mask.SrcIP &&
 		p.DstIP&r.Mask.DstIP == r.Value.DstIP&r.Mask.DstIP &&
@@ -147,10 +144,10 @@ func ruleMatches(r *Rule, p FiveTuple) bool {
 
 // Match returns the verdict of the highest-priority matching rule and
 // how many rules were scanned. No match defaults to deny.
-func (t *TCAM) Match(p FiveTuple) (bool, int) {
-	t.Lookups++
+func (t *TCAM) match(p FiveTuple) (bool, int) {
+	t.lookups++
 	for i := range t.rules {
-		t.ScanDepth++
+		t.scanDepth++
 		if ruleMatches(&t.rules[i], p) {
 			return t.rules[i].Allow, i + 1
 		}
@@ -180,7 +177,7 @@ func NewFirewall(id actor.ID, tcam *TCAM) *actor.Actor {
 		if !ok {
 			return 300 * sim.Nanosecond
 		}
-		allow, scanned := tcam.Match(tuple)
+		allow, scanned := tcam.match(tuple)
 		resp := m
 		if allow {
 			resp.Data = []byte{byte(VerdictAllow)}
@@ -199,8 +196,8 @@ type IPSec struct {
 	macKey []byte
 	// Processed counts packets, Accelerated those that used the NIC
 	// crypto engines.
-	Processed   uint64
-	Accelerated uint64
+	processed   uint64
+	accelerated uint64
 }
 
 // NewIPSecState derives the cipher and MAC keys.
@@ -214,7 +211,7 @@ func NewIPSecState(key, macKey []byte) (*IPSec, error) {
 
 // Seal encrypts the payload with AES-256-CTR and appends an
 // HMAC-SHA1 tag; iv is derived from the sequence number.
-func (s *IPSec) Seal(seq uint64, payload []byte) []byte {
+func (s *IPSec) seal(seq uint64, payload []byte) []byte {
 	iv := make([]byte, aes.BlockSize)
 	binary.LittleEndian.PutUint64(iv, seq)
 	out := make([]byte, len(payload))
@@ -256,9 +253,9 @@ func NewIPSecGateway(id actor.ID, st *IPSec) *actor.Actor {
 		MemBound:  0.2,
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		st.Processed++
+		st.processed++
 		seq := m.FlowID
-		sealed := st.Seal(seq, m.Data)
+		sealed := st.seal(seq, m.Data)
 		resp := m
 		resp.Data = append([]byte{byte(VerdictAllow)}, sealed...)
 		ctx.Reply(resp)
@@ -270,7 +267,7 @@ func NewIPSecGateway(id actor.ID, st *IPSec) *actor.Actor {
 		aesCost, aesOK := ctx.Accel("AES", n, 8)
 		shaCost, shaOK := ctx.Accel("SHA-1", n, 8)
 		if aesOK && shaOK {
-			st.Accelerated++
+			st.accelerated++
 			// Engine waits already charged via ctx; only framing here.
 			_ = aesCost
 			_ = shaCost

@@ -61,19 +61,19 @@ func TestTCAMPriorityAndWildcards(t *testing.T) {
 		},
 	}
 	tc := NewTCAM(rules)
-	allow, _ := tc.Match(FiveTuple{SrcIP: 0x0a000005})
+	allow, _ := tc.match(FiveTuple{SrcIP: 0x0a000005})
 	if allow {
 		t.Fatal("specific deny shadowed by broader allow")
 	}
-	allow, _ = tc.Match(FiveTuple{SrcIP: 0x0a00ffff})
+	allow, _ = tc.match(FiveTuple{SrcIP: 0x0a00ffff})
 	if !allow {
 		t.Fatal("/16 allow failed")
 	}
-	allow, _ = tc.Match(FiveTuple{SrcIP: 0xc0a80001, DstPort: 80, Proto: 6})
+	allow, _ = tc.match(FiveTuple{SrcIP: 0xc0a80001, DstPort: 80, Proto: 6})
 	if !allow {
 		t.Fatal("port-80 allow failed")
 	}
-	allow, _ = tc.Match(FiveTuple{SrcIP: 0xc0a80001, DstPort: 22, Proto: 6})
+	allow, _ = tc.match(FiveTuple{SrcIP: 0xc0a80001, DstPort: 22, Proto: 6})
 	if allow {
 		t.Fatal("default should deny")
 	}
@@ -81,11 +81,11 @@ func TestTCAMPriorityAndWildcards(t *testing.T) {
 
 func TestTCAMScanDepth(t *testing.T) {
 	tc := NewTCAM(UniformRules(8192))
-	if tc.Size() != 8192 {
-		t.Fatalf("Size = %d", tc.Size())
+	if len(tc.rules) != 8192 {
+		t.Fatalf("%d rules, want 8192", len(tc.rules))
 	}
-	_, depth1 := tc.Match(FiveTuple{SrcIP: 0 << 16})        // rule 0
-	_, depthN := tc.Match(FiveTuple{SrcIP: 0xdead0000 + 1}) // no match
+	_, depth1 := tc.match(FiveTuple{SrcIP: 0 << 16})        // rule 0
+	_, depthN := tc.match(FiveTuple{SrcIP: 0xdead0000 + 1}) // no match
 	if depth1 != 1 {
 		t.Fatalf("first-rule match scanned %d", depth1)
 	}
@@ -102,8 +102,8 @@ func TestTCAMPriorityOrderIndependentOfInput(t *testing.T) {
 		rotated := append(append([]Rule(nil), base[rot:]...), base[:rot]...)
 		a, b := NewTCAM(base), NewTCAM(rotated)
 		probe := FiveTuple{SrcIP: uint32(seed) << 16}
-		ra, _ := a.Match(probe)
-		rb, _ := b.Match(probe)
+		ra, _ := a.match(probe)
+		rb, _ := b.match(probe)
 		return ra == rb
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -146,7 +146,7 @@ func TestIPSecSealOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("the quick brown fox")
-	sealed := st.Seal(7, payload)
+	sealed := st.seal(7, payload)
 	if bytes.Contains(sealed, payload) {
 		t.Fatal("ciphertext contains plaintext")
 	}
@@ -177,13 +177,13 @@ func TestIPSecGatewayUsesAccelerators(t *testing.T) {
 
 	nic := &fakeCtx{accel: true}
 	nicCost := a.OnMessage(nic, actor.Msg{FlowID: 1, Data: make([]byte, 1024)})
-	if st.Accelerated != 1 {
+	if st.accelerated != 1 {
 		t.Fatal("NIC path did not use engines")
 	}
 	host := &fakeCtx{accel: false}
 	hostCost := a.OnMessage(host, actor.Msg{FlowID: 2, Data: make([]byte, 1024)})
-	if st.Processed != 2 {
-		t.Fatalf("processed %d", st.Processed)
+	if st.processed != 2 {
+		t.Fatalf("processed %d", st.processed)
 	}
 	// The handler-returned cost excludes engine waits (charged via ctx),
 	// so the host inline path must be the more expensive handler.

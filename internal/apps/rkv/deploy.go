@@ -67,7 +67,7 @@ func Deploy(nodes []*core.Node, baseID actor.ID, memLimit int, onNIC bool) (*Dep
 		sst := NewSSTStore(0)
 		mt := NewMemtable(memID, memLimit, sstID, cmpID)
 		cons := NewConsensus(consID[k], peers, memID, k == 0)
-		cons.BallotOffset = uint64(k)
+		cons.ballotOffset = uint64(k)
 		if err := n.Register(NewSSTReader(sstID, sst), false, 0); err != nil {
 			return nil, err
 		}
@@ -98,10 +98,10 @@ func (d *Deployment) TagShard(s int) {
 }
 
 // PutReq / GetReq / delReq build client request payloads.
-func PutReq(key, value []byte) []byte { return encodeCmd(command{Op: opPut, Key: key, Value: value}) }
+func PutReq(key, value []byte) []byte { return encodeCmd(command{op: opPut, key: key, value: value}) }
 
 // GetReq builds a read request payload.
-func GetReq(key []byte) []byte { return encodeCmd(command{Op: opGet, Key: key}) }
+func GetReq(key []byte) []byte { return encodeCmd(command{op: opGet, key: key}) }
 
 // delReq builds a delete request payload.
-func delReq(key []byte) []byte { return encodeCmd(command{Op: opDel, Key: key}) }
+func delReq(key []byte) []byte { return encodeCmd(command{op: opDel, key: key}) }

@@ -143,7 +143,7 @@ func TestMinorCompactionAndSSTableRead(t *testing.T) {
 	if len(got) == 0 || rkv.StatusOf(got) != rkv.StatusOK || string(got[1:]) != "value-0000" {
 		t.Fatalf("SSTable read returned %q", got)
 	}
-	if lead.Memtable.Misses == 0 {
+	if lead.Memtable.Misses() == 0 {
 		t.Fatal("read did not miss the Memtable")
 	}
 }

@@ -83,20 +83,20 @@ func StatusOf(p []byte) Status {
 // command is one key-value command. A command that decodeCmd returned borrows
 // its Key and Value from the decoded buffer.
 type command struct {
-	Op    byte
-	Key   []byte
-	Value []byte
+	op    byte
+	key   []byte
+	value []byte
 }
 
 // encodeCmd serializes a command.
 func encodeCmd(c command) []byte {
-	out := make([]byte, 0, 1+1+len(c.Key)+2+len(c.Value))
-	out = append(out, c.Op, byte(len(c.Key)))
-	out = append(out, c.Key...)
+	out := make([]byte, 0, 1+1+len(c.key)+2+len(c.value))
+	out = append(out, c.op, byte(len(c.key)))
+	out = append(out, c.key...)
 	var vl [2]byte
-	binary.LittleEndian.PutUint16(vl[:], uint16(len(c.Value)))
+	binary.LittleEndian.PutUint16(vl[:], uint16(len(c.value)))
 	out = append(out, vl[:]...)
-	out = append(out, c.Value...)
+	out = append(out, c.value...)
 	return out
 }
 
@@ -109,14 +109,14 @@ func decodeCmd(p []byte) (command, bool) {
 	if len(p) < 4 {
 		return command{}, false
 	}
-	c := command{Op: p[0]}
+	c := command{op: p[0]}
 	kl := int(p[1])
 	p = p[2:]
 	if len(p) < kl+2 {
 		return command{}, false
 	}
 	if kl > 0 {
-		c.Key = p[:kl:kl]
+		c.key = p[:kl:kl]
 	}
 	p = p[kl:]
 	vl := int(binary.LittleEndian.Uint16(p))
@@ -125,51 +125,51 @@ func decodeCmd(p []byte) (command, bool) {
 		return command{}, false
 	}
 	if vl > 0 {
-		c.Value = p[:vl:vl]
+		c.value = p[:vl:vl]
 	}
 	return c, true
 }
 
 // encodeEntries / decodeEntries serialize Memtable drains for the
 // minor-compaction message.
-func encodeEntries(es []Entry) []byte {
+func encodeEntries(es []entry) []byte {
 	n := 0
 	for _, e := range es {
-		n += 1 + len(e.Key) + 1
-		if !e.Tombstone {
-			n += 4 + len(e.Value)
+		n += 1 + len(e.key) + 1
+		if !e.tombstone {
+			n += 4 + len(e.value)
 		}
 	}
 	out := make([]byte, 0, n)
 	for _, e := range es {
-		out = append(out, byte(len(e.Key)))
-		out = append(out, e.Key...)
-		if e.Tombstone {
+		out = append(out, byte(len(e.key)))
+		out = append(out, e.key...)
+		if e.tombstone {
 			out = append(out, 1)
 			continue
 		}
 		out = append(out, 0)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Value)))
-		out = append(out, e.Value...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.value)))
+		out = append(out, e.value...)
 	}
 	return out
 }
 
 // decodeEntries parses a minor-compaction payload.
-func decodeEntries(p []byte) []Entry {
-	var out []Entry
+func decodeEntries(p []byte) []entry {
+	var out []entry
 	for len(p) >= 2 {
 		kl := int(p[0])
 		p = p[1:]
 		if len(p) < kl+1 {
 			break
 		}
-		e := Entry{Key: append([]byte(nil), p[:kl]...)}
+		e := entry{key: append([]byte(nil), p[:kl]...)}
 		p = p[kl:]
 		tomb := p[0]
 		p = p[1:]
 		if tomb == 1 {
-			e.Tombstone = true
+			e.tombstone = true
 			out = append(out, e)
 			continue
 		}
@@ -181,7 +181,7 @@ func decodeEntries(p []byte) []Entry {
 		if len(p) < vl {
 			break
 		}
-		e.Value = append([]byte(nil), p[:vl]...)
+		e.value = append([]byte(nil), p[:vl]...)
 		p = p[vl:]
 		out = append(out, e)
 	}
@@ -191,7 +191,7 @@ func decodeEntries(p []byte) []Entry {
 // --- SSTables ---------------------------------------------------------
 
 // Run is a sorted, deduplicated sequence of entries.
-type Run []Entry
+type run []entry
 
 // SSTStore is the on-disk level structure shared by the SSTable read
 // actor and the compaction actor. In the paper both actors live on the
@@ -201,15 +201,15 @@ type Run []Entry
 type SSTStore struct {
 	// Levels[i] holds the runs of level i, newest first. Level limits
 	// grow exponentially (×10 per level, as in LevelDB).
-	Levels [][]Run
+	levels [][]run
 	// BaseLimit is level 1's byte limit; level i allows BaseLimit·10^(i-1).
-	BaseLimit int
+	baseLimit int
 	// L0Runs bounds level 0 by run count.
-	L0Runs int
+	l0Runs int
 
 	// MinorCompactions/MajorCompactions count events.
-	MinorCompactions uint64
-	MajorCompactions uint64
+	minorCompactions uint64
+	majorCompactions uint64
 }
 
 // NewSSTStore builds an empty store.
@@ -217,18 +217,18 @@ func NewSSTStore(baseLimit int) *SSTStore {
 	if baseLimit <= 0 {
 		baseLimit = 4 << 20
 	}
-	return &SSTStore{BaseLimit: baseLimit, L0Runs: 4}
+	return &SSTStore{baseLimit: baseLimit, l0Runs: 4}
 }
 
-func runBytes(r Run) int {
+func runBytes(r run) int {
 	n := 0
 	for _, e := range r {
-		n += len(e.Key) + len(e.Value)
+		n += len(e.key) + len(e.value)
 	}
 	return n
 }
 
-func levelBytes(runs []Run) int {
+func levelBytes(runs []run) int {
 	n := 0
 	for _, r := range runs {
 		n += runBytes(r)
@@ -239,67 +239,67 @@ func levelBytes(runs []Run) int {
 // AddL0 installs a new level-0 run (a drained Memtable) and performs
 // any cascading major compactions. It returns the bytes rewritten,
 // which the compaction actor charges as work.
-func (s *SSTStore) AddL0(entries []Entry) int {
-	run := normalizeRun(entries)
-	if len(s.Levels) == 0 {
-		s.Levels = append(s.Levels, nil)
+func (s *SSTStore) addL0(entries []entry) int {
+	r := normalizeRun(entries)
+	if len(s.levels) == 0 {
+		s.levels = append(s.levels, nil)
 	}
-	s.Levels[0] = append([]Run{run}, s.Levels[0]...)
-	s.MinorCompactions++
+	s.levels[0] = append([]run{r}, s.levels[0]...)
+	s.minorCompactions++
 	rewritten := 0
 	// Cascade: compact level i into i+1 while over limit.
-	for i := 0; i < len(s.Levels); i++ {
+	for i := 0; i < len(s.levels); i++ {
 		over := false
 		if i == 0 {
-			over = len(s.Levels[0]) > s.L0Runs
+			over = len(s.levels[0]) > s.l0Runs
 		} else {
-			limit := s.BaseLimit
+			limit := s.baseLimit
 			for k := 1; k < i; k++ {
 				limit *= 10
 			}
-			over = levelBytes(s.Levels[i]) > limit
+			over = levelBytes(s.levels[i]) > limit
 		}
 		if !over {
 			continue
 		}
-		if i+1 >= len(s.Levels) {
-			s.Levels = append(s.Levels, nil)
+		if i+1 >= len(s.levels) {
+			s.levels = append(s.levels, nil)
 		}
 		// Merge all runs of level i and i+1 into one run at i+1.
-		var all []Run
-		all = append(all, s.Levels[i]...)
-		all = append(all, s.Levels[i+1]...)
-		merged := mergeRuns(all, i+2 == len(s.Levels))
+		var all []run
+		all = append(all, s.levels[i]...)
+		all = append(all, s.levels[i+1]...)
+		merged := mergeRuns(all, i+2 == len(s.levels))
 		rewritten += runBytes(merged)
-		s.Levels[i] = nil
-		s.Levels[i+1] = []Run{merged}
-		s.MajorCompactions++
+		s.levels[i] = nil
+		s.levels[i+1] = []run{merged}
+		s.majorCompactions++
 	}
 	return rewritten
 }
 
 // normalizeRun sorts entries and keeps the last occurrence of each key.
-func normalizeRun(entries []Entry) Run {
+func normalizeRun(entries []entry) run {
 	sort.SliceStable(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].Key, entries[j].Key) < 0
+		return bytes.Compare(entries[i].key, entries[j].key) < 0
 	})
 	out := entries[:0]
 	for i := 0; i < len(entries); i++ {
-		if i+1 < len(entries) && bytes.Equal(entries[i].Key, entries[i+1].Key) {
+		if i+1 < len(entries) && bytes.Equal(entries[i].key, entries[i+1].key) {
 			continue // a newer duplicate follows
 		}
 		out = append(out, entries[i])
 	}
-	return Run(append([]Entry(nil), out...))
+	return run(append([]entry(nil), out...))
 }
 
 // mergeRuns k-way merges runs (earlier runs are newer and win ties).
 // When bottom is true, tombstones are dropped.
-func mergeRuns(runs []Run, bottom bool) Run {
-	var out Run
+func mergeRuns(runs []run, bottom bool) run {
+	var out run
 	seen := map[string]bool{}
 	type cursor struct {
-		run Run
+		run run
 		pos int
 	}
 	cursors := make([]cursor, len(runs))
@@ -314,7 +314,7 @@ func mergeRuns(runs []Run, bottom bool) Run {
 			if c.pos >= len(c.run) {
 				continue
 			}
-			k := c.run[c.pos].Key
+			k := c.run[c.pos].key
 			if best == -1 || bytes.Compare(k, bestKey) < 0 {
 				best, bestKey = i, k
 			}
@@ -324,11 +324,11 @@ func mergeRuns(runs []Run, bottom bool) Run {
 		}
 		e := cursors[best].run[cursors[best].pos]
 		cursors[best].pos++
-		if seen[string(e.Key)] {
+		if seen[string(e.key)] {
 			continue
 		}
-		seen[string(e.Key)] = true
-		if bottom && e.Tombstone {
+		seen[string(e.key)] = true
+		if bottom && e.tombstone {
 			continue
 		}
 		out = append(out, e)
@@ -337,19 +337,19 @@ func mergeRuns(runs []Run, bottom bool) Run {
 }
 
 // Lookup searches the levels newest-first.
-func (s *SSTStore) Lookup(key []byte) ([]byte, bool) {
+func (s *SSTStore) lookup(key []byte) ([]byte, bool) {
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
-	for _, runs := range s.Levels {
+	for _, runs := range s.levels {
 		for _, r := range runs {
 			i := sort.Search(len(r), func(i int) bool {
-				return bytes.Compare(r[i].Key, k) >= 0
+				return bytes.Compare(r[i].key, k) >= 0
 			})
-			if i < len(r) && bytes.Equal(r[i].Key, k) {
-				if r[i].Tombstone {
+			if i < len(r) && bytes.Equal(r[i].key, k) {
+				if r[i].tombstone {
 					return nil, false
 				}
-				return r[i].Value, true
+				return r[i].value, true
 			}
 		}
 	}
@@ -371,10 +371,10 @@ type Memtable struct {
 	// Compactions counts minor compactions issued.
 	Compactions uint64
 	// Hits/Misses count read outcomes served from the Memtable.
-	Hits, Misses uint64
+	hits, misses uint64
 	// PutErrors counts committed writes the skip list refused (the
 	// actor's DMO region was exhausted): the write is lost here.
-	PutErrors uint64
+	putErrors uint64
 }
 
 // NewMemtable builds the Memtable actor. limitBytes triggers minor
@@ -398,14 +398,14 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 				return 300 * sim.Nanosecond
 			}
 			var val []byte
-			if cmd.Op == opPut {
-				val = cmd.Value
+			if cmd.op == opPut {
+				val = cmd.value
 			} // opDel: nil value = tombstone
-			if err := mt.list.Put(ctx, cmd.Key, val); err != nil {
-				mt.PutErrors++
+			if err := mt.list.put(ctx, cmd.key, val); err != nil {
+				mt.putErrors++
 			}
 			cost := mt.list.visitCost()
-			if mt.list.Bytes() >= mt.limit {
+			if mt.list.bytes >= mt.limit {
 				cost += mt.minorCompact(ctx)
 			}
 			// Writes are acknowledged by the consensus actor at the
@@ -416,22 +416,22 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			if !ok {
 				return 300 * sim.Nanosecond
 			}
-			v, found, tomb, _ := mt.list.Get(ctx, cmd.Key)
+			v, found, tomb, _ := mt.list.get(ctx, cmd.key)
 			cost := mt.list.visitCost()
 			switch {
 			case found && tomb:
-				mt.Hits++
+				mt.hits++
 				resp := m
 				resp.Data = statusNotFound
 				ctx.Reply(resp)
 			case found:
-				mt.Hits++
+				mt.hits++
 				resp := m
 				resp.Data = append([]byte{byte(StatusOK)}, v...)
 				ctx.Reply(resp)
 			default:
 				// Miss: forward to the SSTable read actor, Reply intact.
-				mt.Misses++
+				mt.misses++
 				ctx.Send(mt.sstReader, m)
 			}
 			return cost
@@ -447,7 +447,7 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 // the Memtable actor migrates its Memtable object to the host and
 // issues a message to the compaction actor").
 func (mt *Memtable) minorCompact(ctx actor.Ctx) sim.Time {
-	entries, err := mt.list.Drain(ctx)
+	entries, err := mt.list.drain(ctx)
 	if err != nil || len(entries) == 0 {
 		return 0
 	}
@@ -474,7 +474,7 @@ func NewSSTReader(id actor.ID, store *SSTStore) *actor.Actor {
 		if !ok {
 			return 300 * sim.Nanosecond
 		}
-		v, found := store.Lookup(cmd.Key)
+		v, found := store.lookup(cmd.key)
 		resp := m
 		if found {
 			resp.Data = append([]byte{byte(StatusOK)}, v...)
@@ -483,7 +483,7 @@ func NewSSTReader(id actor.ID, store *SSTStore) *actor.Actor {
 		}
 		ctx.Reply(resp)
 		// Each level probe costs a (cached) storage read.
-		levels := len(store.Levels)
+		levels := len(store.levels)
 		if levels == 0 {
 			levels = 1
 		}
@@ -507,7 +507,7 @@ func NewCompactor(id actor.ID, store *SSTStore) *actor.Actor {
 			return 200 * sim.Nanosecond
 		}
 		entries := decodeEntries(m.Data)
-		rewritten := store.AddL0(entries)
+		rewritten := store.addL0(entries)
 		// Sequential merge I/O: ≈5ns/byte reference charge.
 		return 2*sim.Microsecond + sim.Time(5*(len(m.Data)+rewritten))
 	}

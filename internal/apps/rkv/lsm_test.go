@@ -9,54 +9,54 @@ import (
 	"repro/internal/actor"
 )
 
-func e(k, v string) Entry {
-	return Entry{Key: padded([]byte(k)), Value: []byte(v)}
+func e(k, v string) entry {
+	return entry{key: padded([]byte(k)), value: []byte(v)}
 }
 
-func tomb(k string) Entry {
-	return Entry{Key: padded([]byte(k)), Tombstone: true}
+func tomb(k string) entry {
+	return entry{key: padded([]byte(k)), tombstone: true}
 }
 
 func TestSSTStoreLookupNewestWins(t *testing.T) {
 	s := NewSSTStore(1 << 20)
-	s.AddL0([]Entry{e("a", "old"), e("b", "b1")})
-	s.AddL0([]Entry{e("a", "new")})
-	v, ok := s.Lookup([]byte("a"))
+	s.addL0([]entry{e("a", "old"), e("b", "b1")})
+	s.addL0([]entry{e("a", "new")})
+	v, ok := s.lookup([]byte("a"))
 	if !ok || string(v) != "new" {
 		t.Fatalf("Lookup(a) = %q %v", v, ok)
 	}
-	v, ok = s.Lookup([]byte("b"))
+	v, ok = s.lookup([]byte("b"))
 	if !ok || string(v) != "b1" {
 		t.Fatalf("Lookup(b) = %q %v", v, ok)
 	}
-	if _, ok := s.Lookup([]byte("zz")); ok {
+	if _, ok := s.lookup([]byte("zz")); ok {
 		t.Fatal("phantom key")
 	}
 }
 
 func TestSSTStoreTombstoneHidesOlder(t *testing.T) {
 	s := NewSSTStore(1 << 20)
-	s.AddL0([]Entry{e("k", "v1")})
-	s.AddL0([]Entry{tomb("k")})
-	if _, ok := s.Lookup([]byte("k")); ok {
+	s.addL0([]entry{e("k", "v1")})
+	s.addL0([]entry{tomb("k")})
+	if _, ok := s.lookup([]byte("k")); ok {
 		t.Fatal("tombstone did not hide older value")
 	}
 }
 
 func TestSSTStoreL0CascadeOnRunCount(t *testing.T) {
 	s := NewSSTStore(1 << 30) // byte limits never bind; run count does
-	for i := 0; i < s.L0Runs+1; i++ {
-		s.AddL0([]Entry{e(fmt.Sprintf("k%d", i), "v")})
+	for i := 0; i < s.l0Runs+1; i++ {
+		s.addL0([]entry{e(fmt.Sprintf("k%d", i), "v")})
 	}
-	if s.MajorCompactions == 0 {
+	if s.majorCompactions == 0 {
 		t.Fatal("L0 run-count overflow did not trigger a major compaction")
 	}
-	if len(s.Levels) < 2 {
+	if len(s.levels) < 2 {
 		t.Fatal("no level 1 created")
 	}
 	// All keys still visible after the merge.
-	for i := 0; i < s.L0Runs+1; i++ {
-		if _, ok := s.Lookup([]byte(fmt.Sprintf("k%d", i))); !ok {
+	for i := 0; i < s.l0Runs+1; i++ {
+		if _, ok := s.lookup([]byte(fmt.Sprintf("k%d", i))); !ok {
 			t.Fatalf("key k%d lost in compaction", i)
 		}
 	}
@@ -66,13 +66,13 @@ func TestSSTStoreByteLimitCascade(t *testing.T) {
 	s := NewSSTStore(256) // tiny level-1 limit
 	big := make([]byte, 200)
 	for i := 0; i < 12; i++ {
-		s.AddL0([]Entry{{Key: padded([]byte(fmt.Sprintf("b%02d", i))), Value: big}})
+		s.addL0([]entry{{key: padded([]byte(fmt.Sprintf("b%02d", i))), value: big}})
 	}
-	if len(s.Levels) < 3 {
-		t.Fatalf("cascade depth %d; byte limits never pushed to level 2", len(s.Levels))
+	if len(s.levels) < 3 {
+		t.Fatalf("cascade depth %d; byte limits never pushed to level 2", len(s.levels))
 	}
 	for i := 0; i < 12; i++ {
-		if _, ok := s.Lookup([]byte(fmt.Sprintf("b%02d", i))); !ok {
+		if _, ok := s.lookup([]byte(fmt.Sprintf("b%02d", i))); !ok {
 			t.Fatalf("key b%02d lost across cascades", i)
 		}
 	}
@@ -80,17 +80,17 @@ func TestSSTStoreByteLimitCascade(t *testing.T) {
 
 func TestSSTStoreBottomLevelDropsTombstones(t *testing.T) {
 	s := NewSSTStore(1 << 30)
-	s.AddL0([]Entry{e("dead", "v")})
-	s.AddL0([]Entry{tomb("dead")})
+	s.addL0([]entry{e("dead", "v")})
+	s.addL0([]entry{tomb("dead")})
 	// Force merges until the tombstone reaches the bottom.
-	for i := 0; i < s.L0Runs+2; i++ {
-		s.AddL0([]Entry{e(fmt.Sprintf("pad%d", i), "v")})
+	for i := 0; i < s.l0Runs+2; i++ {
+		s.addL0([]entry{e(fmt.Sprintf("pad%d", i), "v")})
 	}
 	total := 0
-	for _, runs := range s.Levels {
+	for _, runs := range s.levels {
 		for _, r := range runs {
 			for _, en := range r {
-				if en.Tombstone {
+				if en.tombstone {
 					total++
 				}
 			}
@@ -98,36 +98,36 @@ func TestSSTStoreBottomLevelDropsTombstones(t *testing.T) {
 	}
 	// After the full merge into the bottom level, the tombstone is gone
 	// (it may linger only if some runs were not merged yet).
-	if _, ok := s.Lookup([]byte("dead")); ok {
+	if _, ok := s.lookup([]byte("dead")); ok {
 		t.Fatal("deleted key resurfaced")
 	}
 	_ = total
 }
 
 func TestNormalizeRunDedupsKeepingNewest(t *testing.T) {
-	run := normalizeRun([]Entry{e("k", "v1"), e("a", "x"), e("k", "v2")})
+	run := normalizeRun([]entry{e("k", "v1"), e("a", "x"), e("k", "v2")})
 	if len(run) != 2 {
 		t.Fatalf("len = %d", len(run))
 	}
 	for _, en := range run {
-		if bytes.Equal(en.Key, padded([]byte("k"))) && string(en.Value) != "v2" {
-			t.Fatalf("dedup kept %q, want newest v2", en.Value)
+		if bytes.Equal(en.key, padded([]byte("k"))) && string(en.value) != "v2" {
+			t.Fatalf("dedup kept %q, want newest v2", en.value)
 		}
 	}
 }
 
 func TestMergeRunsOrderAndPrecedence(t *testing.T) {
-	newer := Run{e("a", "new"), e("c", "c")}
-	older := Run{e("a", "old"), e("b", "b")}
-	out := mergeRuns([]Run{newer, older}, false)
+	newer := run{e("a", "new"), e("c", "c")}
+	older := run{e("a", "old"), e("b", "b")}
+	out := mergeRuns([]run{newer, older}, false)
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
-	if string(out[0].Value) != "new" {
+	if string(out[0].value) != "new" {
 		t.Fatal("newer run should win ties")
 	}
 	for i := 1; i < len(out); i++ {
-		if bytes.Compare(out[i-1].Key, out[i].Key) >= 0 {
+		if bytes.Compare(out[i-1].key, out[i].key) >= 0 {
 			t.Fatal("merge output not sorted")
 		}
 	}
@@ -139,10 +139,10 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewSSTStore(512)
 		ref := map[string][]byte{}
-		batch := []Entry{}
+		batch := []entry{}
 		flush := func() {
 			if len(batch) > 0 {
-				s.AddL0(batch)
+				s.addL0(batch)
 				batch = nil
 			}
 		}
@@ -153,7 +153,7 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 				delete(ref, k)
 			} else {
 				v := []byte(fmt.Sprintf("v%d", i))
-				batch = append(batch, Entry{Key: padded([]byte(k)), Value: v})
+				batch = append(batch, entry{key: padded([]byte(k)), value: v})
 				ref[k] = v
 			}
 			if op%3 == 0 {
@@ -162,7 +162,7 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 		}
 		flush()
 		for k, want := range ref {
-			got, ok := s.Lookup([]byte(k))
+			got, ok := s.lookup([]byte(k))
 			if !ok || !bytes.Equal(got, want) {
 				return false
 			}
@@ -170,7 +170,7 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			k := fmt.Sprintf("key-%02d", i)
 			if _, inRef := ref[k]; !inRef {
-				if _, ok := s.Lookup([]byte(k)); ok {
+				if _, ok := s.lookup([]byte(k)); ok {
 					return false
 				}
 			}
@@ -191,21 +191,21 @@ func TestMemtableActorGetHitMissAndApply(t *testing.T) {
 	reply := func(m []byte) { lastReply = m }
 
 	// Apply a committed write.
-	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{Op: opPut, Key: []byte("k"), Value: []byte("v")}), nil))
+	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opPut, key: []byte("k"), value: []byte("v")}), nil))
 	if mt.List().Count() != 1 {
 		t.Fatalf("memtable count %d", mt.List().Count())
 	}
 	// Hit.
-	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{Op: opGet, Key: []byte("k")}), reply))
+	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}), reply))
 	if len(lastReply) == 0 || StatusOf(lastReply) != StatusOK || string(lastReply[1:]) != "v" {
 		t.Fatalf("get hit reply %q", lastReply)
 	}
-	if mt.Hits != 1 {
-		t.Fatalf("hits %d", mt.Hits)
+	if mt.hits != 1 {
+		t.Fatalf("hits %d", mt.hits)
 	}
 	// Tombstone.
-	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{Op: opDel, Key: []byte("k")}), nil))
-	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{Op: opGet, Key: []byte("k")}), reply))
+	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opDel, key: []byte("k")}), nil))
+	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}), reply))
 	if StatusOf(lastReply) != StatusNotFound {
 		t.Fatalf("get after delete reply %q", lastReply)
 	}

@@ -107,7 +107,7 @@ type Consensus struct {
 	// k of an n-replica group elects only with ballots ≡ k (mod n), so
 	// concurrent candidates can never collide on a ballot number. Deploy
 	// sets it to the replica index.
-	BallotOffset uint64
+	ballotOffset uint64
 	ballot       uint64
 	promised     uint64
 	log          paxosLog
@@ -190,7 +190,7 @@ func (c *Consensus) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 	case kindPromise:
 		return c.promise(ctx, m)
 	case KindElect:
-		c.StartElection(ctx, nil)
+		c.startElection(ctx, nil)
 		return 1500 * sim.Nanosecond
 	}
 	return 200 * sim.Nanosecond
@@ -204,7 +204,7 @@ func (c *Consensus) clientReq(ctx actor.Ctx, m actor.Msg) sim.Time {
 		ctx.Reply(resp)
 		return 300 * sim.Nanosecond
 	}
-	if cmd.Op == opGet {
+	if cmd.op == opGet {
 		// Reads are served by the local store path (leader leases make
 		// this safe in the common case); forward with Reply intact.
 		ctx.Send(c.memtable, actor.Msg{
@@ -334,7 +334,7 @@ func (c *Consensus) stepDown(ballot uint64) {
 
 // StartElection begins the two-phase leader election on this replica
 // (invoked when the old leader fails). onElected fires on success.
-func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
+func (c *Consensus) startElection(ctx actor.Ctx, onElected func()) {
 	c.electing = true
 	c.promises = 1 // self
 	c.merged = paxosLog{}
@@ -344,7 +344,7 @@ func (c *Consensus) StartElection(ctx actor.Ctx, onElected func()) {
 	// number, even after stepDown synchronized their ballot views.
 	n := uint64(len(c.peers)) + 1
 	next := c.ballot + 1
-	c.ballot = next + (n+c.BallotOffset%n-next%n)%n
+	c.ballot = next + (n+c.ballotOffset%n-next%n)%n
 	c.promised = c.ballot
 	c.log.each(func(inst uint64, s *slot) {
 		*c.merged.at(inst) = slot{payload: s.payload, accepted: true}

@@ -107,7 +107,7 @@ func threeReplicas(t *testing.T) (*bus, *Consensus, *Consensus, *Consensus) {
 func clientWrite(b *bus, dst actor.ID, key, val string, onResp func(actor.Msg)) {
 	b.send(actor.Msg{
 		Kind: KindReq, Dst: dst, Origin: "cli",
-		Data:  encodeCmd(command{Op: opPut, Key: []byte(key), Value: []byte(val)}),
+		Data:  encodeCmd(command{op: opPut, key: []byte(key), value: []byte(val)}),
 		Reply: onResp,
 	})
 }
@@ -181,7 +181,7 @@ func TestElectionAdoptsUncommittedEntries(t *testing.T) {
 	// value accepted only by replicas outside the promise quorum need
 	// not be recovered — classic Paxos — so the deterministic case is
 	// the candidate's own log.
-	*f2.log.at(2) = slot{payload: encPaxos(2, 1, encodeCmd(command{Op: opPut, Key: []byte("c"), Value: []byte("3")})), accepted: true}
+	*f2.log.at(2) = slot{payload: encPaxos(2, 1, encodeCmd(command{op: opPut, key: []byte("c"), value: []byte("3")})), accepted: true}
 	leader.IsLeader = false
 
 	// Follower 2 runs for leader.

@@ -76,7 +76,7 @@ func (c *mapConsensus) onMessage(ctx actor.Ctx, m actor.Msg) sim.Time {
 			resp := m
 			resp.Data = []byte{byte(StatusNotFound)}
 			ctx.Reply(resp)
-		case cmd.Op == opGet:
+		case cmd.op == opGet:
 			ctx.Send(c.memtable, actor.Msg{Kind: kindGet, Data: m.Data, Origin: m.Origin, Reply: m.Reply, WireSize: m.WireSize, FlowID: m.FlowID})
 		case !c.IsLeader:
 			c.Redirects++
@@ -308,7 +308,7 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 			}
 			cs[i] = NewConsensus(id, peers, 99, i == 0)
 			ms[i] = newMapConsensus(id, peers, 99, i == 0)
-			cs[i].BallotOffset, ms[i].BallotOffset = uint64(i), uint64(i)
+			cs[i].ballotOffset, ms[i].BallotOffset = uint64(i), uint64(i)
 			paged.add(cs[i].Actor)
 			model.add(ms[i].Actor)
 		}
@@ -337,7 +337,7 @@ func TestPagedLogMatchesMapModel(t *testing.T) {
 			case r < 6:
 				key := fmt.Sprintf("k%d", rng.Intn(10))
 				both(actor.Msg{Kind: KindReq, Dst: dst, FlowID: uint64(step), Reply: reply,
-					Data: encodeCmd(command{Op: opPut, Key: []byte(key), Value: []byte{byte(step)}})})
+					Data: encodeCmd(command{op: opPut, key: []byte(key), value: []byte{byte(step)}})})
 			case r < 7:
 				both(actor.Msg{Kind: KindElect, Dst: dst})
 			case r < 9:
@@ -410,7 +410,7 @@ func TestReplicationAllocBudget(t *testing.T) {
 	b, leader, f1, f2 := threeReplicas(t)
 	oks := 0
 	req := actor.Msg{Kind: KindReq, Dst: 1, Origin: "cli",
-		Data:  encodeCmd(command{Op: opPut, Key: []byte("key"), Value: []byte("value")}),
+		Data:  encodeCmd(command{op: opPut, key: []byte("key"), value: []byte("value")}),
 		Reply: func(m actor.Msg) { oks += btoi(StatusOf(m.Data) == StatusOK) }}
 	round := func() {
 		b.send(req)
@@ -459,7 +459,7 @@ func btoi(b bool) int {
 // instance 0 and commits it too.
 func TestReelectionDropsReplacedClient(t *testing.T) {
 	b, leader, f1, f2 := threeReplicas(t)
-	f1.BallotOffset, f2.BallotOffset = 1, 2
+	f1.ballotOffset, f2.ballotOffset = 1, 2
 	answered := 0
 	clientWrite(b, 1, "k", "v", func(actor.Msg) { answered++ })
 	b.pumpExcept(func(m actor.Msg) bool { return m.Kind == kindAccept })
@@ -502,7 +502,7 @@ var fuzzKinds = []actor.Kind{KindReq, kindAccept, kindAccepted, kindLearn, kindP
 // one fixed-size page per distinct inst/512, never an allocation an
 // instance number sizes.
 func FuzzPaxosMessages(f *testing.F) {
-	put := encodeCmd(command{Op: opPut, Key: []byte("k"), Value: []byte("v")})
+	put := encodeCmd(command{op: opPut, key: []byte("k"), value: []byte("v")})
 	rec := func(sel byte, p []byte) []byte { return append([]byte{sel, byte(len(p))}, p...) }
 	f.Add(rec(0, put))
 	f.Add(append(rec(0, put), rec(6|0x80, nil)...))
@@ -512,7 +512,7 @@ func FuzzPaxosMessages(f *testing.F) {
 	f.Add(append(rec(6, nil), rec(5, append(encPaxos(0, 3, nil), 200, 0, 0, 0, 1))...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b, leader, f1, f2 := threeReplicas(t)
-		f1.BallotOffset, f2.BallotOffset = 1, 2
+		f1.ballotOffset, f2.ballotOffset = 1, 2
 		var named []uint64
 		name := func(p []byte, promise bool) {
 			inst, _, rest, ok := decPaxos(p)

@@ -45,7 +45,7 @@ type skipList struct {
 
 	// Visits counts node hops of the last operation (drives the cost
 	// model: each hop is an object-table lookup plus a cache miss).
-	Visits int
+	visits int
 
 	// scratch is where a node header, value reference or forward link is
 	// encoded on its way into ObjWrite, which copies it: a stack array
@@ -71,10 +71,6 @@ func newSkipList(ctx actor.Ctx) (*skipList, error) {
 // Count returns live entries (including tombstones).
 func (s *skipList) Count() int { return s.count }
 
-// Bytes returns resident application bytes, the Memtable size that
-// triggers minor compaction.
-func (s *skipList) Bytes() int { return s.bytes }
-
 func (s *skipList) randLevel() int {
 	// xorshift64*; each coin flip promotes with p=1/4 as in LevelDB.
 	lvl := 1
@@ -93,7 +89,7 @@ func (s *skipList) randLevel() int {
 // nodeKey reads a node's key: an ObjRead view, for comparing on the
 // spot.
 func (s *skipList) nodeKey(ctx actor.Ctx, obj uint64) ([]byte, error) {
-	s.Visits++
+	s.visits++
 	return ctx.ObjRead(obj, 0, keyLen)
 }
 
@@ -165,8 +161,8 @@ func (s *skipList) findPredecessors(ctx actor.Ctx, k []byte, update *[maxLevel]u
 
 // Put inserts or overwrites a key. A nil value writes a tombstone
 // (deletions are insertions with a deletion marker, §4).
-func (s *skipList) Put(ctx actor.Ctx, key, value []byte) error {
-	s.Visits = 0
+func (s *skipList) put(ctx actor.Ctx, key, value []byte) error {
+	s.visits = 0
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
 	var update [maxLevel]uint64
@@ -258,8 +254,8 @@ func (s *skipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) 
 }
 
 // Get returns (value, found, tombstone).
-func (s *skipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
-	s.Visits = 0
+func (s *skipList) get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
+	s.visits = 0
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
 	var update [maxLevel]uint64
@@ -291,17 +287,17 @@ func (s *skipList) Get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 }
 
 // Entry is one key/value pair; Tombstone marks deletion.
-type Entry struct {
-	Key       []byte
-	Value     []byte
-	Tombstone bool
+type entry struct {
+	key       []byte
+	value     []byte
+	tombstone bool
 }
 
 // Drain iterates all entries in key order, frees every node and value
 // object, and resets the list (minor compaction hands the contents to
 // the compaction actor).
-func (s *skipList) Drain(ctx actor.Ctx) ([]Entry, error) {
-	out := make([]Entry, 0, s.count)
+func (s *skipList) drain(ctx actor.Ctx) ([]entry, error) {
+	out := make([]entry, 0, s.count)
 	x, err := s.forward(ctx, s.head, 0)
 	if err != nil {
 		return nil, err
@@ -315,15 +311,15 @@ func (s *skipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := Entry{Key: append([]byte(nil), k...)}
+		e := entry{key: append([]byte(nil), k...)}
 		if vo == 0 {
-			e.Tombstone = true
+			e.tombstone = true
 		} else {
 			v, err := ctx.ObjRead(vo, 0, n)
 			if err != nil {
 				return nil, err
 			}
-			e.Value = bytes.Clone(v) // the view dies with the object
+			e.value = bytes.Clone(v) // the view dies with the object
 			ctx.Free(vo)
 		}
 		out = append(out, e)
@@ -349,5 +345,5 @@ func (s *skipList) Drain(ctx actor.Ctx) ([]Entry, error) {
 // visitCost converts the last operation's node hops into reference-core
 // time: each hop is an object-table lookup plus an L2/DRAM touch.
 func (s *skipList) visitCost() sim.Time {
-	return sim.Time(300 + 220*s.Visits)
+	return sim.Time(300 + 220*s.visits)
 }

@@ -62,7 +62,7 @@ func TestSkipListPutGet(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key-%03d", i))
 		v := []byte(fmt.Sprintf("val-%d", i))
-		if err := s.Put(ctx, k, v); err != nil {
+		if err := s.put(ctx, k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestSkipListPutGet(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key-%03d", i))
-		v, found, tomb, err := s.Get(ctx, k)
+		v, found, tomb, err := s.get(ctx, k)
 		if err != nil || !found || tomb {
 			t.Fatalf("Get(%s): %v %v %v", k, found, tomb, err)
 		}
@@ -79,7 +79,7 @@ func TestSkipListPutGet(t *testing.T) {
 			t.Fatalf("Get(%s) = %q", k, v)
 		}
 	}
-	if _, found, _, _ := s.Get(ctx, []byte("nope")); found {
+	if _, found, _, _ := s.get(ctx, []byte("nope")); found {
 		t.Fatal("phantom key")
 	}
 }
@@ -87,16 +87,16 @@ func TestSkipListPutGet(t *testing.T) {
 func TestSkipListOverwrite(t *testing.T) {
 	ctx := newDmoCtx()
 	s, _ := newSkipList(ctx)
-	s.Put(ctx, []byte("k"), []byte("v1"))
-	before := s.Bytes()
-	s.Put(ctx, []byte("k"), []byte("v2-longer"))
+	s.put(ctx, []byte("k"), []byte("v1"))
+	before := s.bytes
+	s.put(ctx, []byte("k"), []byte("v2-longer"))
 	if s.Count() != 1 {
 		t.Fatalf("Count after overwrite = %d", s.Count())
 	}
-	if s.Bytes() <= before {
-		t.Fatalf("bytes should grow with longer value: %d → %d", before, s.Bytes())
+	if s.bytes <= before {
+		t.Fatalf("bytes should grow with longer value: %d → %d", before, s.bytes)
 	}
-	v, found, _, _ := s.Get(ctx, []byte("k"))
+	v, found, _, _ := s.get(ctx, []byte("k"))
 	if !found || string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
@@ -105,9 +105,9 @@ func TestSkipListOverwrite(t *testing.T) {
 func TestSkipListTombstone(t *testing.T) {
 	ctx := newDmoCtx()
 	s, _ := newSkipList(ctx)
-	s.Put(ctx, []byte("k"), []byte("v"))
-	s.Put(ctx, []byte("k"), nil) // deletion marker
-	_, found, tomb, _ := s.Get(ctx, []byte("k"))
+	s.put(ctx, []byte("k"), []byte("v"))
+	s.put(ctx, []byte("k"), nil) // deletion marker
+	_, found, tomb, _ := s.get(ctx, []byte("k"))
 	if !found || !tomb {
 		t.Fatalf("tombstone: found=%v tomb=%v", found, tomb)
 	}
@@ -118,10 +118,10 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 	s, _ := newSkipList(ctx)
 	keys := []string{"delta", "alpha", "charlie", "bravo"}
 	for _, k := range keys {
-		s.Put(ctx, []byte(k), []byte("v-"+k))
+		s.put(ctx, []byte(k), []byte("v-"+k))
 	}
 	objsBefore := ctx.st.Objects()
-	entries, err := s.Drain(ctx)
+	entries, err := s.drain(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 		t.Fatalf("drained %d", len(entries))
 	}
 	if !sort.SliceIsSorted(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].Key, entries[j].Key) < 0
+		return bytes.Compare(entries[i].key, entries[j].key) < 0
 	}) {
 		t.Fatal("drain not sorted")
 	}
-	if s.Count() != 0 || s.Bytes() != 0 {
+	if s.Count() != 0 || s.bytes != 0 {
 		t.Fatal("not reset after drain")
 	}
 	// Node and value objects were freed (only head remains of the list).
@@ -141,10 +141,10 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 		t.Fatalf("objects not freed: %d → %d", objsBefore, ctx.st.Objects())
 	}
 	// List usable after drain.
-	if err := s.Put(ctx, []byte("new"), []byte("x")); err != nil {
+	if err := s.put(ctx, []byte("new"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, _, _ := s.Get(ctx, []byte("new")); !found || string(v) != "x" {
+	if v, found, _, _ := s.get(ctx, []byte("new")); !found || string(v) != "x" {
 		t.Fatal("list broken after drain")
 	}
 }
@@ -153,11 +153,11 @@ func TestSkipListVisitsGrowLogarithmically(t *testing.T) {
 	ctx := newDmoCtx()
 	s, _ := newSkipList(ctx)
 	for i := 0; i < 2000; i++ {
-		s.Put(ctx, []byte(fmt.Sprintf("%08d", i)), []byte("v"))
+		s.put(ctx, []byte(fmt.Sprintf("%08d", i)), []byte("v"))
 	}
-	s.Get(ctx, []byte("00001000"))
-	if s.Visits > 200 {
-		t.Fatalf("lookup visited %d nodes in a 2000-entry list; tower broken", s.Visits)
+	s.get(ctx, []byte("00001000"))
+	if s.visits > 200 {
+		t.Fatalf("lookup visited %d nodes in a 2000-entry list; tower broken", s.visits)
 	}
 	if s.visitCost() <= 0 {
 		t.Fatal("no cost")
@@ -174,7 +174,7 @@ func TestSkipListRegionExhaustion(t *testing.T) {
 	}
 	var firstErr error
 	for i := 0; i < 100 && firstErr == nil; i++ {
-		firstErr = s.Put(ctx, []byte(fmt.Sprintf("k%02d", i)), make([]byte, 64))
+		firstErr = s.put(ctx, []byte(fmt.Sprintf("k%02d", i)), make([]byte, 64))
 	}
 	if firstErr == nil {
 		t.Fatal("tiny region never exhausted")
@@ -193,18 +193,18 @@ func TestSkipListMatchesMap(t *testing.T) {
 			switch op % 3 {
 			case 0, 1:
 				v := fmt.Sprintf("v%d", i)
-				if err := s.Put(ctx, []byte(k), []byte(v)); err != nil {
+				if err := s.put(ctx, []byte(k), []byte(v)); err != nil {
 					return false
 				}
 				ref[k] = v
 			case 2:
-				s.Put(ctx, []byte(k), nil)
+				s.put(ctx, []byte(k), nil)
 				delete(ref, k)
 			}
 		}
 		for op := 0; op < 40; op++ {
 			k := fmt.Sprintf("key-%02d", op)
-			v, found, tomb, err := s.Get(ctx, []byte(k))
+			v, found, tomb, err := s.get(ctx, []byte(k))
 			if err != nil {
 				return false
 			}
@@ -225,9 +225,9 @@ func TestSkipListMatchesMap(t *testing.T) {
 }
 
 func TestCmdCodec(t *testing.T) {
-	c := command{Op: opPut, Key: []byte("k"), Value: []byte("value")}
+	c := command{op: opPut, key: []byte("k"), value: []byte("value")}
 	out, ok := decodeCmd(encodeCmd(c))
-	if !ok || out.Op != opPut || string(out.Key) != "k" || string(out.Value) != "value" {
+	if !ok || out.op != opPut || string(out.key) != "k" || string(out.value) != "value" {
 		t.Fatalf("round trip: %+v %v", out, ok)
 	}
 	if _, ok := decodeCmd([]byte{1}); ok {
@@ -239,19 +239,19 @@ func TestCmdCodec(t *testing.T) {
 }
 
 func TestEntriesCodec(t *testing.T) {
-	in := []Entry{
-		{Key: padded([]byte("a")), Value: []byte("va")},
-		{Key: padded([]byte("b")), Tombstone: true},
-		{Key: padded([]byte("c")), Value: make([]byte, 300)},
+	in := []entry{
+		{key: padded([]byte("a")), value: []byte("va")},
+		{key: padded([]byte("b")), tombstone: true},
+		{key: padded([]byte("c")), value: make([]byte, 300)},
 	}
 	out := decodeEntries(encodeEntries(in))
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
-	if !out[1].Tombstone || out[1].Value != nil {
+	if !out[1].tombstone || out[1].value != nil {
 		t.Fatal("tombstone lost")
 	}
-	if len(out[2].Value) != 300 {
+	if len(out[2].value) != 300 {
 		t.Fatal("long value truncated")
 	}
 }
@@ -266,8 +266,8 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(ctx, []byte("k"), []byte("first"))
-	got, found, _, err := s.Get(ctx, []byte("k"))
+	s.put(ctx, []byte("k"), []byte("first"))
+	got, found, _, err := s.get(ctx, []byte("k"))
 	if err != nil || !found || string(got) != "first" {
 		t.Fatalf("Get = %q %v %v", got, found, err)
 	}
@@ -279,22 +279,22 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 	if err := ctx.ObjWrite(vo, 0, bytes.Repeat([]byte{0xEE}, len("first"))); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(ctx, []byte("k"), []byte("other")) // frees the first value's object
+	s.put(ctx, []byte("k"), []byte("other")) // frees the first value's object
 	if string(got) != "first" {
 		t.Fatalf("value from Get reads %q after its key was overwritten", got)
 	}
-	s.Put(ctx, []byte("j"), []byte("second"))
-	entries, err := s.Drain(ctx) // frees every node and value object
+	s.put(ctx, []byte("j"), []byte("second"))
+	entries, err := s.drain(ctx) // frees every node and value object
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("Drain = %v, %v", entries, err)
 	}
 	if ctx.st.Objects() != 1 {
 		t.Fatalf("%d objects left after Drain, want the head sentinel", ctx.st.Objects())
 	}
-	s.Put(ctx, []byte("j"), []byte("SECOND")) // reuse the store after the drain
-	if string(entries[0].Key[:1]) != "j" || string(entries[0].Value) != "second" || string(entries[1].Value) != "other" {
+	s.put(ctx, []byte("j"), []byte("SECOND")) // reuse the store after the drain
+	if string(entries[0].key[:1]) != "j" || string(entries[0].value) != "second" || string(entries[1].value) != "other" {
 		t.Fatalf("drained entries changed after their objects were freed: %q=%q %q=%q",
-			entries[0].Key, entries[0].Value, entries[1].Key, entries[1].Value)
+			entries[0].key, entries[0].value, entries[1].key, entries[1].value)
 	}
 }
 
@@ -308,13 +308,13 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
+		s.put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
 	k := padded([]byte("key-0250"))
 	var update [maxLevel]uint64
 	visits := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Visits = 0
+		s.visits = 0
 		node, err := s.findPredecessors(ctx, k, &update)
 		if err != nil || node == 0 {
 			t.Fatal("key not found")
@@ -325,7 +325,7 @@ func TestSkipListHeaderReadsAllocFree(t *testing.T) {
 		if _, _, err := s.nodeVal(ctx, node); err != nil {
 			t.Fatal(err)
 		}
-		visits = s.Visits
+		visits = s.visits
 	})
 	if visits < 5 {
 		t.Fatalf("the walk visited %d nodes: not a walk", visits)
@@ -358,36 +358,36 @@ func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *skipList)) (*dmoCtx, 
 // reads as deleted, nothing else is lost, and the next Put repairs it.
 func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 	ctx, s := tightCtx(t, 32, func(ctx *dmoCtx, s *skipList) {
-		s.Put(ctx, []byte("k"), []byte("old-value"))
-		s.Put(ctx, []byte("other"), []byte("stays"))
+		s.put(ctx, []byte("k"), []byte("old-value"))
+		s.put(ctx, []byte("other"), []byte("stays"))
 	})
 	before := ctx.used()
-	objects, bytesBefore := ctx.st.Objects(), s.Bytes()
+	objects, bytesBefore := ctx.st.Objects(), s.bytes
 
-	err := s.Put(ctx, []byte("k"), make([]byte, 64)) // 9 B freed + 32 B of room < 64 B
+	err := s.put(ctx, []byte("k"), make([]byte, 64)) // 9 B freed + 32 B of room < 64 B
 	if err != dmo.ErrRegionExhausted {
 		t.Fatalf("Put = %v, want ErrRegionExhausted", err)
 	}
-	v, found, tomb, err := s.Get(ctx, []byte("k"))
+	v, found, tomb, err := s.get(ctx, []byte("k"))
 	if err != nil || !found || !tomb || v != nil {
 		t.Fatalf("Get after the failed overwrite = %q found=%v tomb=%v err=%v; want a tombstone and no error", v, found, tomb, err)
 	}
 	if used := ctx.used(); used != before-len("old-value") {
 		t.Fatalf("region use %d → %d, want the old value's %d bytes back and nothing else", before, used, len("old-value"))
 	}
-	if ctx.st.Objects() != objects-1 || s.Bytes() != bytesBefore-len("old-value") || s.Count() != 2 {
-		t.Fatalf("objects %d → %d, bytes %d → %d, count %d", objects, ctx.st.Objects(), bytesBefore, s.Bytes(), s.Count())
+	if ctx.st.Objects() != objects-1 || s.bytes != bytesBefore-len("old-value") || s.Count() != 2 {
+		t.Fatalf("objects %d → %d, bytes %d → %d, count %d", objects, ctx.st.Objects(), bytesBefore, s.bytes, s.Count())
 	}
-	if v, found, _, _ := s.Get(ctx, []byte("other")); !found || string(v) != "stays" {
+	if v, found, _, _ := s.get(ctx, []byte("other")); !found || string(v) != "stays" {
 		t.Fatalf("neighbouring key = %q, %v", v, found)
 	}
-	if err := s.Put(ctx, []byte("k"), []byte("new")); err != nil {
+	if err := s.put(ctx, []byte("k"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, tomb, err := s.Get(ctx, []byte("k")); err != nil || !found || tomb || string(v) != "new" {
+	if v, found, tomb, err := s.get(ctx, []byte("k")); err != nil || !found || tomb || string(v) != "new" {
 		t.Fatalf("Get after the repair = %q found=%v tomb=%v err=%v", v, found, tomb, err)
 	}
-	entries, err := s.Drain(ctx)
+	entries, err := s.drain(ctx)
 	if err != nil || len(entries) != 2 || ctx.st.Objects() != 1 {
 		t.Fatalf("Drain = %d entries, %v; %d objects left", len(entries), err, ctx.st.Objects())
 	}
@@ -398,29 +398,29 @@ func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 // goes back: the region and the table are as they were before the call.
 func TestPutInsertAllocFailureFreesNode(t *testing.T) {
 	ctx, s := tightCtx(t, nodeSize(maxLevel)+8, func(ctx *dmoCtx, s *skipList) {
-		s.Put(ctx, []byte("a"), []byte("va"))
+		s.put(ctx, []byte("a"), []byte("va"))
 	})
 	before := ctx.used()
 	objects := ctx.st.Objects()
 	for i := 0; i < 20; i++ { // whatever tower height the coin flips pick
 		key := []byte(fmt.Sprintf("new-%02d", i))
-		if err := s.Put(ctx, key, make([]byte, 200)); err != dmo.ErrRegionExhausted {
+		if err := s.put(ctx, key, make([]byte, 200)); err != dmo.ErrRegionExhausted {
 			t.Fatalf("Put = %v, want ErrRegionExhausted", err)
 		}
 		if used := ctx.used(); used != before || ctx.st.Objects() != objects {
 			t.Fatalf("failed insert %d: region use %d → %d, objects %d → %d: the node leaked", i, before, used, objects, ctx.st.Objects())
 		}
-		if _, found, _, err := s.Get(ctx, key); found || err != nil {
+		if _, found, _, err := s.get(ctx, key); found || err != nil {
 			t.Fatalf("failed insert is visible: found=%v err=%v", found, err)
 		}
 	}
-	if s.Count() != 1 || s.Bytes() != keyLen+2 {
-		t.Fatalf("count %d, bytes %d after failed inserts", s.Count(), s.Bytes())
+	if s.Count() != 1 || s.bytes != keyLen+2 {
+		t.Fatalf("count %d, bytes %d after failed inserts", s.Count(), s.bytes)
 	}
-	if err := s.Put(ctx, []byte("b"), []byte("fits")); err != nil {
+	if err := s.put(ctx, []byte("b"), []byte("fits")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, _, _ := s.Get(ctx, []byte("b")); !found || string(v) != "fits" {
+	if v, found, _, _ := s.get(ctx, []byte("b")); !found || string(v) != "fits" {
 		t.Fatalf("insert after the failures = %q, %v", v, found)
 	}
 }
@@ -434,15 +434,15 @@ func TestMemtableCountsPutErrors(t *testing.T) {
 	used := ctx.used()
 	ctx.st.Register(ctx.id, used+nodeSize(maxLevel)+8)
 	apply := func(v []byte) {
-		mt.Actor.OnMessage(ctx, actor.Msg{Kind: kindApply, Data: encodeCmd(command{Op: opPut, Key: []byte("k"), Value: v})})
+		mt.Actor.OnMessage(ctx, actor.Msg{Kind: kindApply, Data: encodeCmd(command{op: opPut, key: []byte("k"), value: v})})
 	}
 	apply([]byte("fits"))
-	if mt.PutErrors != 0 {
-		t.Fatalf("PutErrors = %d after a write that fits", mt.PutErrors)
+	if mt.putErrors != 0 {
+		t.Fatalf("PutErrors = %d after a write that fits", mt.putErrors)
 	}
 	apply(make([]byte, 500))
-	if mt.PutErrors != 1 {
-		t.Fatalf("PutErrors = %d after a write the region refused, want 1", mt.PutErrors)
+	if mt.putErrors != 1 {
+		t.Fatalf("PutErrors = %d after a write the region refused, want 1", mt.putErrors)
 	}
 }
 
@@ -459,53 +459,53 @@ func TestSkipListWritesAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		s.Put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
+		s.put(ctx, []byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
 	key, val := []byte("key-0250"), make([]byte, 64)
 	var a actor.Ctx = ctx // the handler's view: every call through the interface
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := s.Put(a, key, val); err != nil {
+		if err := s.put(a, key, val); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 1 {
 		t.Fatalf("Put over an existing key allocates %v, want 1 (the value object's bytes)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := s.Put(a, key, nil); err != nil {
+		if err := s.put(a, key, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("a tombstone over an existing key allocates %v, want 0", allocs)
 	}
-	s.Put(a, key, val)
+	s.put(a, key, val)
 	if allocs := testing.AllocsPerRun(200, func() {
-		if v, found, _, err := s.Get(a, key); err != nil || !found || len(v) != len(val) {
+		if v, found, _, err := s.get(a, key); err != nil || !found || len(v) != len(val) {
 			t.Fatal("Get missed")
 		}
 	}); allocs != 1 {
 		t.Fatalf("a Get hit allocates %v, want 1 (the reply's copy of the value)", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { s.Get(a, []byte("absent")) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { s.get(a, []byte("absent")) }); allocs != 0 {
 		t.Fatalf("a Get miss allocates %v, want 0", allocs)
 	}
 }
 
 // encodeEntriesRef is encodeEntries as it was before it sized its buffer
 // up front: the byte-for-byte reference.
-func encodeEntriesRef(es []Entry) []byte {
+func encodeEntriesRef(es []entry) []byte {
 	var b bytes.Buffer
 	for _, e := range es {
-		b.WriteByte(byte(len(e.Key)))
-		b.Write(e.Key)
-		if e.Tombstone {
+		b.WriteByte(byte(len(e.key)))
+		b.Write(e.key)
+		if e.tombstone {
 			b.WriteByte(1)
 			continue
 		}
 		b.WriteByte(0)
 		var vl [4]byte
-		binary.LittleEndian.PutUint32(vl[:], uint32(len(e.Value)))
+		binary.LittleEndian.PutUint32(vl[:], uint32(len(e.value)))
 		b.Write(vl[:])
-		b.Write(e.Value)
+		b.Write(e.value)
 	}
 	return b.Bytes()
 }
@@ -522,14 +522,14 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 			key := []byte(fmt.Sprintf("k%03d", rng.Intn(200)))
 			switch rng.Intn(4) {
 			case 0:
-				s.Put(ctx, key, nil)
+				s.put(ctx, key, nil)
 			case 1:
-				s.Put(ctx, key, []byte{})
+				s.put(ctx, key, []byte{})
 			default:
-				s.Put(ctx, key, make([]byte, rng.Intn(400)))
+				s.put(ctx, key, make([]byte, rng.Intn(400)))
 			}
 		}
-		entries, err := s.Drain(ctx)
+		entries, err := s.drain(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		encodeEntries([]Entry{{Key: []byte("a"), Value: make([]byte, 0, 1)}, {Key: []byte("b"), Tombstone: true}})
+		encodeEntries([]entry{{key: []byte("a"), value: make([]byte, 0, 1)}, {key: []byte("b"), tombstone: true}})
 	}); allocs != 1 {
 		t.Fatalf("encodeEntries allocates %v times, want 1", allocs)
 	}
@@ -555,25 +555,25 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 // buffer it was given — no copies — bounded so that appending to one
 // cannot run into the bytes after it; empty fields are nil.
 func TestDecodeCmdBorrows(t *testing.T) {
-	buf := encodeCmd(command{Op: opPut, Key: []byte("key"), Value: []byte("value")})
+	buf := encodeCmd(command{op: opPut, key: []byte("key"), value: []byte("value")})
 	c, ok := decodeCmd(buf)
-	if !ok || string(c.Key) != "key" || string(c.Value) != "value" {
+	if !ok || string(c.key) != "key" || string(c.value) != "value" {
 		t.Fatalf("decodeCmd = %+v, %v", c, ok)
 	}
-	if &c.Key[0] != &buf[2] || &c.Value[0] != &buf[2+3+2] {
+	if &c.key[0] != &buf[2] || &c.value[0] != &buf[2+3+2] {
 		t.Fatal("Key and Value are copies, not views of the buffer")
 	}
-	if cap(c.Key) != len(c.Key) || cap(c.Value) != len(c.Value) {
-		t.Fatalf("views can be grown: key %d/%d, value %d/%d", len(c.Key), cap(c.Key), len(c.Value), cap(c.Value))
+	if cap(c.key) != len(c.key) || cap(c.value) != len(c.value) {
+		t.Fatalf("views can be grown: key %d/%d, value %d/%d", len(c.key), cap(c.key), len(c.value), cap(c.value))
 	}
-	_ = append(c.Key, "XX"...)
-	if again, _ := decodeCmd(buf); string(again.Value) != "value" || len(again.Value) != 5 {
+	_ = append(c.key, "XX"...)
+	if again, _ := decodeCmd(buf); string(again.value) != "value" || len(again.value) != 5 {
 		t.Fatalf("appending to Key rewrote the buffer: %+v", again)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { decodeCmd(buf) }); allocs != 0 {
 		t.Fatalf("decodeCmd allocates %v, want 0", allocs)
 	}
-	if c, ok := decodeCmd(encodeCmd(command{Op: opDel})); !ok || c.Key != nil || c.Value != nil {
+	if c, ok := decodeCmd(encodeCmd(command{op: opDel})); !ok || c.key != nil || c.value != nil {
 		t.Fatalf("empty fields decode as %+v, %v; want nil", c, ok)
 	}
 }
@@ -583,13 +583,13 @@ func TestDecodeCmdBorrows(t *testing.T) {
 // encodeCmd.
 func FuzzDecodeCmd(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeCmd(command{Op: opGet, Key: []byte("key-0001")}))
-	f.Add(encodeCmd(command{Op: opPut, Key: []byte("k"), Value: []byte("value")}))
+	f.Add(encodeCmd(command{op: opGet, key: []byte("key-0001")}))
+	f.Add(encodeCmd(command{op: opPut, key: []byte("k"), value: []byte("value")}))
 	f.Add([]byte{opPut, 200, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		c, ok := decodeCmd(p)
 		if !ok {
-			if c.Op != 0 || c.Key != nil || c.Value != nil {
+			if c.op != 0 || c.key != nil || c.value != nil {
 				t.Fatalf("rejected input decoded to %+v", c)
 			}
 			return
@@ -608,10 +608,10 @@ func FuzzDecodeCmd(f *testing.F) {
 				t.Fatalf("%s is not input[%d:%d]", name, off, off+len(v))
 			}
 		}
-		inside("Key", c.Key, 2)
-		inside("Value", c.Value, 2+len(c.Key)+2)
+		inside("Key", c.key, 2)
+		inside("Value", c.value, 2+len(c.key)+2)
 		again, ok := decodeCmd(encodeCmd(c))
-		if !ok || again.Op != c.Op || !bytes.Equal(again.Key, c.Key) || !bytes.Equal(again.Value, c.Value) {
+		if !ok || again.op != c.op || !bytes.Equal(again.key, c.key) || !bytes.Equal(again.value, c.value) {
 			t.Fatalf("round trip of %+v = %+v, %v", c, again, ok)
 		}
 	})

@@ -9,7 +9,7 @@ type Matcher struct {
 	fail []int32
 	out  []bool
 	// Patterns echoes the compiled dictionary.
-	Patterns []string
+	patterns []string
 }
 
 // newMatcher compiles the dictionary. Empty patterns are ignored.
@@ -22,7 +22,7 @@ func newMatcher(patterns []string) *Matcher {
 		if p == "" {
 			continue
 		}
-		m.Patterns = append(m.Patterns, p)
+		m.patterns = append(m.patterns, p)
 		s := int32(0)
 		for i := 0; i < len(p); i++ {
 			c := p[i]
@@ -82,8 +82,8 @@ func (m *Matcher) step(s int32, c byte) int32 {
 }
 
 // Match reports whether any pattern occurs in text.
-func (m *Matcher) Match(text string) bool {
-	if len(m.Patterns) == 0 {
+func (m *Matcher) match(text string) bool {
+	if len(m.patterns) == 0 {
 		return false
 	}
 	s := int32(0)

@@ -92,7 +92,7 @@ func NewFilter(id actor.ID, topo Topology, discard []string) (*actor.Actor, *Mat
 		var scanned int
 		for _, t := range tuples {
 			scanned += len(t)
-			if !m.Match(t) {
+			if !m.match(t) {
 				kept = append(kept, t)
 			}
 		}
@@ -150,16 +150,16 @@ func newCounterState(cfg CounterConfig) *Counter {
 }
 
 // Add counts one tuple in the current slot.
-func (c *Counter) Add(t string) { c.slots[c.cur][t]++ }
+func (c *Counter) add(t string) { c.slots[c.cur][t]++ }
 
 // Advance rotates to the next slot, expiring its previous contents.
-func (c *Counter) Advance() {
+func (c *Counter) advance() {
 	c.cur = (c.cur + 1) % len(c.slots)
 	c.slots[c.cur] = map[string]uint32{}
 }
 
 // Totals sums counts across the window.
-func (c *Counter) Totals() map[string]uint32 {
+func (c *Counter) totals() map[string]uint32 {
 	out := map[string]uint32{}
 	for _, s := range c.slots {
 		for k, v := range s {
@@ -216,14 +216,14 @@ func NewCounter(id actor.ID, topo Topology, cfg CounterConfig) (*actor.Actor, *C
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
 		tuples := decodeTuples(msg.Data)
 		for _, t := range tuples {
-			st.Add(t)
+			st.add(t)
 		}
 		st.since++
 		cost := 200*sim.Nanosecond + sim.Time(len(tuples))*120*sim.Nanosecond
 		if st.since >= st.cfg.EmitEvery {
 			st.since = 0
-			totals := st.Totals()
-			st.Advance()
+			totals := st.totals()
+			st.advance()
 			payload := encodeCounts(totals)
 			ctx.Send(topo.Ranker, actor.Msg{Kind: kindEmit, Data: payload, FlowID: msg.FlowID})
 			cost += sim.Time(len(totals)) * 80 * sim.Nanosecond
@@ -248,7 +248,7 @@ type Entry struct {
 // Ranker holds the ranker's consolidated top-n object (§4: "we
 // consolidate all top-n data tuples into one object").
 type Ranker struct {
-	TopN int
+	topN int
 	best map[string]uint32
 }
 
@@ -257,12 +257,12 @@ func newRankerState(topN int) *Ranker {
 	if topN <= 0 {
 		topN = 10
 	}
-	return &Ranker{TopN: topN, best: map[string]uint32{}}
+	return &Ranker{topN: topN, best: map[string]uint32{}}
 }
 
 // Merge folds an emitted window in and returns the current top-n using
 // a real sort (the paper's ranker performs quicksort).
-func (r *Ranker) Merge(counts map[string]uint32) []Entry {
+func (r *Ranker) merge(counts map[string]uint32) []Entry {
 	for k, v := range counts {
 		if v > r.best[k] {
 			r.best[k] = v
@@ -278,12 +278,12 @@ func (r *Ranker) Merge(counts map[string]uint32) []Entry {
 		}
 		return all[i].Token < all[j].Token
 	})
-	if len(all) > r.TopN {
-		all = all[:r.TopN]
+	if len(all) > r.topN {
+		all = all[:r.topN]
 	}
 	// Bound retained state to a multiple of top-n so the object stays
 	// small but stable.
-	if len(r.best) > 64*r.TopN {
+	if len(r.best) > 64*r.topN {
 		keep := map[string]uint32{}
 		for _, e := range all {
 			keep[e.Token] = e.Count
@@ -329,7 +329,7 @@ func NewRanker(id actor.ID, topo Topology, topN int) (*actor.Actor, *Ranker) {
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
 		counts := decodeCounts(msg.Data)
-		top := st.Merge(counts)
+		top := st.merge(counts)
 		if topo.Aggregator != 0 {
 			ctx.Send(topo.Aggregator, actor.Msg{Kind: kindTopN, Data: encodeTopN(top)})
 		}
@@ -350,7 +350,7 @@ func NewAggregator(id actor.ID, topN int, onUpdate func([]Entry)) (*actor.Actor,
 		MemBound:  0.05,
 	}
 	a.OnMessage = func(ctx actor.Ctx, msg actor.Msg) sim.Time {
-		top := st.Merge(decodeCounts(msg.Data))
+		top := st.merge(decodeCounts(msg.Data))
 		if onUpdate != nil {
 			onUpdate(top)
 		}

@@ -38,7 +38,7 @@ func TestMatcherBasics(t *testing.T) {
 		"sspam":        true,
 	}
 	for text, want := range cases {
-		if got := m.Match(text); got != want {
+		if got := m.match(text); got != want {
 			t.Errorf("Match(%q) = %v, want %v", text, got, want)
 		}
 	}
@@ -47,22 +47,22 @@ func TestMatcherBasics(t *testing.T) {
 func TestMatcherOverlappingPatterns(t *testing.T) {
 	m := newMatcher([]string{"he", "she", "hers"})
 	for _, text := range []string{"she", "hers", "ushers", "xhey"} {
-		if !m.Match(text) {
+		if !m.match(text) {
 			t.Errorf("Match(%q) = false", text)
 		}
 	}
-	if m.Match("hr") || m.Match("es") {
+	if m.match("hr") || m.match("es") {
 		t.Error("false positives")
 	}
 }
 
 func TestMatcherEmptyDictionary(t *testing.T) {
 	m := newMatcher(nil)
-	if m.Match("anything") {
+	if m.match("anything") {
 		t.Fatal("empty dictionary matched")
 	}
 	m2 := newMatcher([]string{""})
-	if m2.Match("x") {
+	if m2.match("x") {
 		t.Fatal("empty pattern matched")
 	}
 }
@@ -86,7 +86,7 @@ func TestMatcherAgreesWithContains(t *testing.T) {
 			p = p[:6]
 		}
 		m := newMatcher([]string{p})
-		return m.Match(x) == strings.Contains(x, p)
+		return m.match(x) == strings.Contains(x, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -183,15 +183,15 @@ func TestCounterWindowAndEmit(t *testing.T) {
 
 func TestCounterSlidingWindowExpiry(t *testing.T) {
 	st := newCounterState(CounterConfig{WindowSlots: 2, EmitEvery: 100})
-	st.Add("k")
-	st.Advance()
-	st.Add("k")
-	if st.Totals()["k"] != 2 {
-		t.Fatalf("window should hold both slots: %v", st.Totals())
+	st.add("k")
+	st.advance()
+	st.add("k")
+	if st.totals()["k"] != 2 {
+		t.Fatalf("window should hold both slots: %v", st.totals())
 	}
-	st.Advance() // wraps: expires the first slot
-	if st.Totals()["k"] != 1 {
-		t.Fatalf("expired slot still counted: %v", st.Totals())
+	st.advance() // wraps: expires the first slot
+	if st.totals()["k"] != 1 {
+		t.Fatalf("expired slot still counted: %v", st.totals())
 	}
 }
 
@@ -218,8 +218,8 @@ func TestRankerTopNOrdering(t *testing.T) {
 
 func TestRankerMergeKeepsMaxima(t *testing.T) {
 	st := newRankerState(2)
-	st.Merge(map[string]uint32{"a": 5})
-	top := st.Merge(map[string]uint32{"a": 3, "b": 4})
+	st.merge(map[string]uint32{"a": 5})
+	top := st.merge(map[string]uint32{"a": 3, "b": 4})
 	if top[0].Token != "a" || top[0].Count != 5 {
 		t.Fatalf("merge lost maximum: %v", top)
 	}

@@ -25,7 +25,7 @@ func init() {
 // (§3.5): NIC→host message throughput and per-message core cost at
 // batch sizes 1/4/16.
 func ablateRing(opts Options) *Result {
-	r := &Result{Header: []string{"batch", "msgs/s(M)", "core-cost/msg(ns)", "DMA-writes", "credit-syncs"}}
+	r := &Result{header: []string{"batch", "msgs/s(M)", "core-cost/msg(ns)", "DMA-writes", "credit-syncs"}}
 	const n = 20000
 	batches := []int{1, 2, 4, 8, 16}
 	rows := sweepMap(opts, len(batches), func(bi int) []any {
@@ -68,9 +68,9 @@ func ablateRing(opts Options) *Result {
 			dma.Writes, ch.ToHost().CreditSyncs}
 	})
 	for _, row := range rows {
-		r.Add(row...)
+		r.add(row...)
 	}
-	r.Note("aggregating messages into one scatter-gather PCIe write amortizes the per-transfer cost (I6)")
+	r.note("aggregating messages into one scatter-gather PCIe write amortizes the per-transfer cost (I6)")
 	return r
 }
 
@@ -83,7 +83,7 @@ func ablateQueue(opts Options) *Result {
 	if opts.Quick {
 		window = 5 * sim.Millisecond
 	}
-	r := &Result{Header: []string{"queue", "flows", "load", "p50(us)", "p99(us)", "served"}}
+	r := &Result{header: []string{"queue", "flows", "load", "p50(us)", "p99(us)", "served"}}
 	run := func(ingress sched.Ingress, flows int, load float64) (p50, p99 float64, served uint64) {
 		model := spec.LiquidIOII_CN2350()
 		cfg := sched.DefaultConfig(model.Cores)
@@ -129,16 +129,16 @@ func ablateQueue(opts Options) *Result {
 		return []any{p.mode.name, p.flows, fmt.Sprintf("%.1f", p.load), p50, p99, served}
 	})
 	for _, row := range rows {
-		r.Add(row...)
+		r.add(row...)
 	}
-	r.Note("work stealing repairs the shuffle layer's flow-steering imbalance (ZygOS-style); the IOKernel dispatcher loses a core, adds a routing hop, and pins each flow to one worker to keep it ordered — so few-flow workloads can use only as many workers as flows; the hardware queue needs neither (I2)")
+	r.note("work stealing repairs the shuffle layer's flow-steering imbalance (ZygOS-style); the IOKernel dispatcher loses a core, adds a routing hop, and pins each flow to one worker to keep it ordered — so few-flow workloads can use only as many workers as flows; the hardware queue needs neither (I2)")
 	return r
 }
 
 // ablateAccel sweeps the accelerator batch size on the IPSec datapath:
 // batching amortizes invocation cost but ties up NIC cores (I4).
 func ablateAccel(opts Options) *Result {
-	r := &Result{Header: []string{"unit", "bsz", "per-req(us,1KB)", "throughput(Kops/unit)"}}
+	r := &Result{header: []string{"unit", "bsz", "per-req(us,1KB)", "throughput(Kops/unit)"}}
 	m := spec.LiquidIOII_CN2350()
 	for _, name := range []string{"AES", "SHA-1", "MD5", "CRC"} {
 		a := m.Accels[name]
@@ -147,12 +147,12 @@ func ablateAccel(opts Options) *Result {
 			if !ok {
 				continue
 			}
-			r.Add(name, bsz, lat.Micros(), 1e-3/lat.Seconds())
+			r.add(name, bsz, lat.Micros(), 1e-3/lat.Seconds())
 		}
 	}
-	r.Note("batch 32 vs 1: AES %.1fX, MD5 %.1fX, CRC %.1fX per-request speedup (Table 3)",
+	r.note("batch 32 vs 1: AES %.1fX, MD5 %.1fX, CRC %.1fX per-request speedup (Table 3)",
 		ratioAccel(m, "AES"), ratioAccel(m, "MD5"), ratioAccel(m, "CRC"))
-	r.Note("the cost: a batching core holds requests back, adding queueing for incoming traffic (§2.2.3)")
+	r.note("the cost: a batching core holds requests back, adding queueing for incoming traffic (§2.2.3)")
 	return r
 }
 
@@ -175,7 +175,7 @@ func ablateMigration(opts Options) *Result {
 	if opts.Quick {
 		window = 12 * sim.Millisecond
 	}
-	r := &Result{Header: []string{"placement", "served", "p50(us)", "p99(us)", "migrations"}}
+	r := &Result{header: []string{"placement", "served", "p50(us)", "p99(us)", "migrations"}}
 	run := func(dynamic bool) []any {
 		cl := opts.cluster()
 		n := cl.AddNode(core.Config{
@@ -219,9 +219,9 @@ func ablateMigration(opts Options) *Result {
 	}
 	rows := sweepMap(opts, 2, func(i int) []any { return run(i == 1) })
 	for _, row := range rows {
-		r.Add(row...)
+		r.add(row...)
 	}
-	r.Note("the burst exceeds the NIC processor's aggregate capacity for this actor; dynamic placement sheds it to the host mid-run (§5.6's argument against static offloading)")
+	r.note("the burst exceeds the NIC processor's aggregate capacity for this actor; dynamic placement sheds it to the host mid-run (§5.6's argument against static offloading)")
 	return r
 }
 
@@ -233,14 +233,14 @@ func ablateMigration(opts Options) *Result {
 func ablateWorkingSet(opts Options) *Result {
 	m := spec.LiquidIOII_CN2350()
 	h := spec.IntelHost()
-	r := &Result{Header: []string{"working-set", "accesses/req", "NIC-exec(us)", "host-exec(us)", "NIC/host"}}
+	r := &Result{header: []string{"working-set", "accesses/req", "NIC-exec(us)", "host-exec(us)", "NIC/host"}}
 	const accesses = 64
 	for _, ws := range []int{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
 		nic := float64(m.Memory.AccessCost(ws, accesses)) / 1e3
 		host := float64(h.Memory.AccessCost(ws, accesses)) / 1e3
-		r.Add(byteSize(ws), accesses, nic, host, nic/host)
+		r.add(byteSize(ws), accesses, nic, host, nic/host)
 	}
-	r.Note("crossover at the NIC L2 capacity (4MB): beyond it the NIC pays DRAM on every miss (Table 2: 115ns vs host 22–62ns) — I5's rule for stateful offloading")
+	r.note("crossover at the NIC L2 capacity (4MB): beyond it the NIC pays DRAM on every miss (Table 2: 115ns vs host 22–62ns) — I5's rule for stateful offloading")
 	return r
 }
 

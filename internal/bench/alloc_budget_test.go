@@ -93,11 +93,11 @@ func TestAppAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		r := tc.run()
 		runtime.ReadMemStats(&m1)
-		if r.Received < 1000 {
-			t.Fatalf("%s: only %d requests completed", tc.name, r.Received)
+		if r.received < 1000 {
+			t.Fatalf("%s: only %d requests completed", tc.name, r.received)
 		}
-		perReq := float64(m1.Mallocs-m0.Mallocs) / float64(r.Received)
-		t.Logf("%s: %.2f allocations per completed request (%d requests)", tc.name, perReq, r.Received)
+		perReq := float64(m1.Mallocs-m0.Mallocs) / float64(r.received)
+		t.Logf("%s: %.2f allocations per completed request (%d requests)", tc.name, perReq, r.received)
 		if perReq > tc.budget {
 			t.Errorf("%s: %.2f allocations per completed request, budget %v", tc.name, perReq, tc.budget)
 		}

@@ -24,15 +24,15 @@ func init() {
 // appRun is one measured deployment run.
 type appRun struct {
 	// CoresUsed per measured role node.
-	CoresUsed map[string]float64
+	coresUsed map[string]float64
 	// Tput is achieved ops/sec; P50/P99 are latency percentiles (µs),
 	// valid only when LatOK (a window that completed nothing has no
 	// latency — reporters print "-" rather than a fake 0).
-	Tput     float64
-	P50, P99 float64
-	LatOK    bool
-	Received uint64
-	Sent     uint64
+	tput     float64
+	p50, p99 float64
+	latOK    bool
+	received uint64
+	sent     uint64
 }
 
 // latCell formats a latency percentile, "-" when the sample was empty.
@@ -214,17 +214,17 @@ func runRKV(opts Options, linkGbps float64, offload bool, size, depth int, windo
 }
 
 func collect(cl *core.Cluster, client *workload.Client, window sim.Time, roles map[string]string) appRun {
-	out := appRun{CoresUsed: map[string]float64{}}
+	out := appRun{coresUsed: map[string]float64{}}
 	for role, node := range roles {
 		// Allocated cores: measured busy cores plus the pinned polling
 		// thread every kernel-bypass runtime dedicates (§5.1).
-		out.CoresUsed[role] = cl.Node(node).HostCoresAllocated()
+		out.coresUsed[role] = cl.Node(node).HostCoresAllocated()
 	}
-	out.Tput = float64(client.Received) / window.Seconds()
-	out.P50, out.LatOK = client.Lat.PercentileOK(50)
-	out.P99, _ = client.Lat.PercentileOK(99)
-	out.Received = client.Received
-	out.Sent = client.Sent
+	out.tput = float64(client.Received) / window.Seconds()
+	out.p50, out.latOK = client.Lat.PercentileOK(50)
+	out.p99, _ = client.Lat.PercentileOK(99)
+	out.received = client.Received
+	out.sent = client.Sent
 	return out
 }
 
@@ -247,7 +247,7 @@ func fig13(opts Options) *Result {
 		window = 2 * sim.Millisecond
 		sizes = []int{256, 1024}
 	}
-	r := &Result{Header: []string{"link", "role", "size(B)", "DPDK-cores", "iPipe-cores", "saved"}}
+	r := &Result{header: []string{"link", "role", "size(B)", "DPDK-cores", "iPipe-cores", "saved"}}
 	// One sweep point per (link, app, size): each runs the DPDK baseline
 	// and the iPipe deployment on its own pair of clusters.
 	type point struct {
@@ -275,9 +275,9 @@ func fig13(opts Options) *Result {
 	var n10, n25 int
 	for i, p := range pts {
 		for _, role := range p.rr.roles {
-			saved := outs[i].base.CoresUsed[role] - outs[i].off.CoresUsed[role]
-			r.Add(fmt.Sprintf("%.0fGbE", p.link), role, p.size,
-				outs[i].base.CoresUsed[role], outs[i].off.CoresUsed[role], saved)
+			saved := outs[i].base.coresUsed[role] - outs[i].off.coresUsed[role]
+			r.add(fmt.Sprintf("%.0fGbE", p.link), role, p.size,
+				outs[i].base.coresUsed[role], outs[i].off.coresUsed[role], saved)
 			if p.size >= 256 {
 				if p.link == 10 {
 					totalSaved10 += saved
@@ -290,10 +290,10 @@ func fig13(opts Options) *Result {
 		}
 	}
 	if n10 > 0 && n25 > 0 {
-		r.Note("mean cores saved (256B+): %.2f at 10GbE, %.2f at 25GbE (paper: up to 2.2 / 3.1; avg 1.8-2.2 / 2.5-3.1)",
+		r.note("mean cores saved (256B+): %.2f at 10GbE, %.2f at 25GbE (paper: up to 2.2 / 3.1; avg 1.8-2.2 / 2.5-3.1)",
 			totalSaved10/float64(n10), totalSaved25/float64(n25))
 	}
-	r.Note("64B: NIC cores are consumed by packet forwarding, so savings shrink (paper: no room for actor execution)")
+	r.note("64B: NIC cores are consumed by packet forwarding, so savings shrink (paper: no room for actor execution)")
 	return r
 }
 
@@ -304,7 +304,7 @@ func latVsTput(opts Options, link float64) *Result {
 		window = 2 * sim.Millisecond
 		depths = []int{2, 8, 32}
 	}
-	r := &Result{Header: []string{"app", "mode", "depth", "tput(Kops)", "per-core(Kops)", "p50(us)", "p99(us)"}}
+	r := &Result{header: []string{"app", "mode", "depth", "tput(Kops)", "per-core(Kops)", "p50(us)", "p99(us)"}}
 	type point struct {
 		rr      roleRunner
 		offload bool
@@ -337,10 +337,10 @@ func latVsTput(opts Options, link float64) *Result {
 		}
 		// Per-core throughput normalizes by the measured primary
 		// role's host usage (fractional cores, §5.3).
-		cores := run.CoresUsed[p.rr.roles[0]]
-		perCore := run.Tput / cores / 1e3
-		r.Add(p.rr.app, mode, depths[p.di], run.Tput/1e3, perCore,
-			latCell(run.P50, run.LatOK), latCell(run.P99, run.LatOK))
+		cores := run.coresUsed[p.rr.roles[0]]
+		perCore := run.tput / cores / 1e3
+		r.add(p.rr.app, mode, depths[p.di], run.tput/1e3, perCore,
+			latCell(run.p50, run.latOK), latCell(run.p99, run.latOK))
 		b := perCoreBest[p.rr.app]
 		if p.offload && perCore > b.ipipe {
 			b.ipipe = perCore
@@ -350,16 +350,16 @@ func latVsTput(opts Options, link float64) *Result {
 		}
 		if p.di == 0 {
 			if p.offload {
-				latAtLow[p.rr.app].ipipe = run.P50
+				latAtLow[p.rr.app].ipipe = run.p50
 			} else {
-				latAtLow[p.rr.app].dpdk = run.P50
+				latAtLow[p.rr.app].dpdk = run.p50
 			}
 		}
 	}
 	for _, rr := range roleRunners {
 		b := perCoreBest[rr.app]
 		l := latAtLow[rr.app]
-		r.Note("%s: per-core throughput iPipe/DPDK = %.1fX; low-load p50 saving = %.1fus (paper: 2.2-4.3X; 5.4-28.0us)",
+		r.note("%s: per-core throughput iPipe/DPDK = %.1fX; low-load p50 saving = %.1fus (paper: 2.2-4.3X; 5.4-28.0us)",
 			rr.app, b.ipipe/b.dpdk, l.dpdk-l.ipipe)
 	}
 	return r
@@ -386,7 +386,7 @@ func fig17(opts Options) *Result {
 	// Reference max rate: what 90% load means (from line rate at 512B,
 	// as the paper drives network load).
 	maxRate := spec.LineRatePPS(10, 512) * 0.30 // app-level ceiling
-	r := &Result{Header: []string{"load(%)", "leader-no-ipipe", "leader-ipipe", "follower-no-ipipe", "follower-ipipe", "overhead(%)"}}
+	r := &Result{header: []string{"load(%)", "leader-no-ipipe", "leader-ipipe", "follower-no-ipipe", "follower-ipipe", "overhead(%)"}}
 	// Points: loads × {raw, iPipe}; inner index 0 is the raw (no-iPipe)
 	// deployment, 1 the instrumented one.
 	type usage struct{ leader, follower float64 }
@@ -405,13 +405,13 @@ func fig17(opts Options) *Result {
 			ovh = (inst.leader - raw.leader) / raw.leader * 100
 		}
 		overheads = append(overheads, ovh)
-		r.Add(load, raw.leader, inst.leader, raw.follower, inst.follower, ovh)
+		r.add(load, raw.leader, inst.leader, raw.follower, inst.follower, ovh)
 	}
 	var sum float64
 	for _, o := range overheads {
 		sum += o
 	}
-	r.Note("mean iPipe framework overhead on the leader: %.1f%% (paper: 12.3%% leader, 10.8%% follower)", sum/float64(len(overheads)))
-	r.Note("sources: message handling, DMO address translation, scheduler statistics (§5.5)")
+	r.note("mean iPipe framework overhead on the leader: %.1f%% (paper: 12.3%% leader, 10.8%% follower)", sum/float64(len(overheads)))
+	r.note("sources: message handling, DMO address translation, scheduler statistics (§5.5)")
 	return r
 }

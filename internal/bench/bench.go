@@ -83,22 +83,22 @@ func (o Options) parts(def, n int) int {
 
 // Result is one experiment's output.
 type Result struct {
-	ID     string
+	id     string
 	Title  string
-	Header []string
+	header []string
 	Rows   [][]string
 	// Notes carry the paper-vs-measured commentary.
-	Notes []string
+	notes []string
 	// Wall is the real time Run spent producing this result; Events is
 	// the number of simulation events executed while doing so. Both are
 	// filled by Run for bench-trajectory tracking (-json); they are not
 	// part of the table output and not in the golden rendering.
-	Wall   time.Duration
-	Events uint64
+	wall   time.Duration
+	events uint64
 }
 
 // Add appends a row of cells (fmt.Sprint applied to each).
-func (r *Result) Add(cells ...any) {
+func (r *Result) add(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -112,29 +112,29 @@ func (r *Result) Add(cells ...any) {
 }
 
 // Note appends commentary.
-func (r *Result) Note(format string, args ...any) {
-	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+func (r *Result) note(format string, args ...any) {
+	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }
 
 // FprintCSV renders the result as CSV (header row first, notes as
 // trailing comment lines), for piping into plotting tools.
 func (r *Result) FprintCSV(w io.Writer) {
 	cw := csv.NewWriter(w)
-	cw.Write(r.Header)
+	cw.Write(r.header)
 	for _, row := range r.Rows {
 		cw.Write(row)
 	}
 	cw.Flush()
-	for _, n := range r.Notes {
+	for _, n := range r.notes {
 		fmt.Fprintf(w, "# %s\n", n)
 	}
 }
 
 // Fprint renders the result as an aligned text table.
 func (r *Result) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title)
-	widths := make([]int, len(r.Header))
-	for i, h := range r.Header {
+	fmt.Fprintf(w, "== %s: %s ==\n", r.id, r.Title)
+	widths := make([]int, len(r.header))
+	for i, h := range r.header {
 		widths[i] = len(h)
 	}
 	for _, row := range r.Rows {
@@ -157,11 +157,11 @@ func (r *Result) Fprint(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 	}
-	line(r.Header)
+	line(r.header)
 	for _, row := range r.Rows {
 		line(row)
 	}
-	for _, n := range r.Notes {
+	for _, n := range r.notes {
 		fmt.Fprintf(w, "# %s\n", n)
 	}
 }
@@ -219,9 +219,9 @@ func Run(id string, opts Options) (*Result, error) {
 	start := time.Now()
 	ev0 := sim.TotalExecuted()
 	r := e.run(opts)
-	r.Wall = time.Since(start)
-	r.Events = sim.TotalExecuted() - ev0
-	r.ID = e.id
+	r.wall = time.Since(start)
+	r.events = sim.TotalExecuted() - ev0
+	r.id = e.id
 	r.Title = e.title
 	return r, nil
 }
@@ -249,21 +249,21 @@ type jsonRecord struct {
 // recorded trajectory is self-describing.
 func (r *Result) FprintJSON(w io.Writer, opts Options) error {
 	rec := jsonRecord{
-		ID:          r.ID,
+		ID:          r.id,
 		Title:       r.Title,
-		Header:      r.Header,
+		Header:      r.header,
 		Rows:        r.Rows,
-		Notes:       r.Notes,
-		WallMS:      float64(r.Wall.Microseconds()) / 1e3,
-		Events:      r.Events,
+		Notes:       r.notes,
+		WallMS:      float64(r.wall.Microseconds()) / 1e3,
+		Events:      r.events,
 		Seed:        opts.seed(),
 		Quick:       opts.Quick,
 		Parallel:    opts.workers(),
 		PDESParts:   opts.PDESParts,
 		PDESWorkers: opts.PDESWorkers,
 	}
-	if s := r.Wall.Seconds(); s > 0 {
-		rec.EventsPerSec = float64(r.Events) / s
+	if s := r.wall.Seconds(); s > 0 {
+		rec.EventsPerSec = float64(r.events) / s
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(rec)

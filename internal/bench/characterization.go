@@ -45,9 +45,9 @@ func bwVsCores(opts Options, m *spec.NICModel) *Result {
 	if opts.Quick {
 		window = sim.Millisecond
 	}
-	r := &Result{Header: []string{"cores"}}
+	r := &Result{header: []string{"cores"}}
 	for _, s := range pktSizes {
-		r.Header = append(r.Header, fmt.Sprintf("%dB(Gbps)", s))
+		r.header = append(r.header, fmt.Sprintf("%dB(Gbps)", s))
 	}
 	// Every (cores, size) cell is an independent simulation point.
 	g := grid{outer: m.Cores, inner: len(pktSizes)}
@@ -60,14 +60,14 @@ func bwVsCores(opts Options, m *spec.NICModel) *Result {
 		for si := range pktSizes {
 			row = append(row, cells[(c-1)*len(pktSizes)+si])
 		}
-		r.Add(row...)
+		r.add(row...)
 	}
 	for _, s := range []int{256, 512, 1024, 1500} {
 		if n, ok := m.CoresForLineRate(s); ok {
-			r.Note("%dB reaches line rate at %d cores", s, n)
+			r.note("%dB reaches line rate at %d cores", s, n)
 		}
 	}
-	r.Note("paper (CN2350): 10/6/4/3 cores for 256/512/1024/1500B; Stingray: 3/2/1/1; 64/128B never reach line rate")
+	r.note("paper (CN2350): 10/6/4/3 cores for 256/512/1024/1500B; Stingray: 3/2/1/1; 64/128B never reach line rate")
 	return r
 }
 
@@ -82,7 +82,7 @@ func fig4(opts Options) *Result {
 	lio := spec.LiquidIOII_CN2350()
 	sr := spec.Stingray_PS225()
 	lats := []float64{0, 0.125, 0.25, 0.5, 1, 2, 4, 8, 16}
-	r := &Result{Header: []string{"proc-lat(us)", "256B-10GbE", "1024B-10GbE", "256B-25GbE", "1024B-25GbE"}}
+	r := &Result{header: []string{"proc-lat(us)", "256B-10GbE", "1024B-10GbE", "256B-25GbE", "1024B-25GbE"}}
 	cols := []struct {
 		m    *spec.NICModel
 		size int
@@ -94,12 +94,12 @@ func fig4(opts Options) *Result {
 		return echoGbps(opts.seed(), c.m, c.m.Cores, c.size, sim.Micros(lats[li]), window)
 	})
 	for li, l := range lats {
-		r.Add(l, cells[li*len(cols)], cells[li*len(cols)+1], cells[li*len(cols)+2], cells[li*len(cols)+3])
+		r.add(l, cells[li*len(cols)], cells[li*len(cols)+1], cells[li*len(cols)+2], cells[li*len(cols)+3])
 	}
-	r.Note("computing headroom (model): 10GbE 256B=%.2fus 1024B=%.2fus; 25GbE 256B=%.2fus 1024B=%.2fus",
+	r.note("computing headroom (model): 10GbE 256B=%.2fus 1024B=%.2fus; 25GbE 256B=%.2fus 1024B=%.2fus",
 		lio.ComputeHeadroom(256).Micros(), lio.ComputeHeadroom(1024).Micros(),
 		sr.ComputeHeadroom(256).Micros(), sr.ComputeHeadroom(1024).Micros())
-	r.Note("paper: 2.5/9.8us (10GbE) and 0.7/2.6us (25GbE)")
+	r.note("paper: 2.5/9.8us (10GbE) and 0.7/2.6us (25GbE)")
 	return r
 }
 
@@ -128,7 +128,7 @@ func fig5(opts Options) *Result {
 		eng.Run()
 		return lat.Mean(), lat.Percentile(99)
 	}
-	r := &Result{Header: []string{"size(B)", "6core-avg(us)", "12core-avg(us)", "6core-p99(us)", "12core-p99(us)"}}
+	r := &Result{header: []string{"size(B)", "6core-avg(us)", "12core-avg(us)", "6core-p99(us)", "12core-p99(us)"}}
 	sizes := []int{64, 512, 1024, 1500}
 	type latPair struct{ avg, p99 float64 }
 	g := grid{outer: len(sizes), inner: 2}
@@ -140,28 +140,28 @@ func fig5(opts Options) *Result {
 	})
 	for si, s := range sizes {
 		c6, c12 := cells[si*2], cells[si*2+1]
-		r.Add(s, c6.avg, c12.avg, c6.p99, c12.p99)
+		r.add(s, c6.avg, c12.avg, c6.p99, c12.p99)
 	}
-	r.Note("paper: 12-core adds only ~4.1%%/3.4%% avg/p99 over 6-core — the hardware traffic manager gives a cheap shared queue (I2)")
+	r.note("paper: 12-core adds only ~4.1%%/3.4%% avg/p99 over 6-core — the hardware traffic manager gives a cheap shared queue (I2)")
 	return r
 }
 
 func fig6(opts Options) *Result {
 	m := spec.LiquidIOII_CN2350()
 	h := spec.IntelHost()
-	r := &Result{Header: []string{"size(B)", "NIC-send", "NIC-recv", "DPDK-send", "DPDK-recv", "RDMA-send", "RDMA-recv"}}
+	r := &Result{header: []string{"size(B)", "NIC-send", "NIC-recv", "DPDK-send", "DPDK-recv", "RDMA-send", "RDMA-recv"}}
 	sizes := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	var nicSum, dpdkSum, rdmaSum float64
 	for _, s := range sizes {
 		ns, nr := m.NICSendCost.Cost(s).Micros(), m.NICRecvCost.Cost(s).Micros()
 		ds, dr := h.DPDKSendCost.Cost(s).Micros(), h.DPDKRecvCost.Cost(s).Micros()
 		rs, rr := h.RDMASendCost.Cost(s).Micros(), h.RDMARecvCost.Cost(s).Micros()
-		r.Add(s, ns, nr, ds, dr, rs, rr)
+		r.add(s, ns, nr, ds, dr, rs, rr)
 		nicSum += ns
 		dpdkSum += ds
 		rdmaSum += rs
 	}
-	r.Note("measured speedup of NIC hardware messaging (send, avg across sizes): %.1fX vs DPDK, %.1fX vs RDMA (paper: 4.6X / 4.2X)",
+	r.note("measured speedup of NIC hardware messaging (send, avg across sizes): %.1fX vs DPDK, %.1fX vs RDMA (paper: 4.6X / 4.2X)",
 		dpdkSum/nicSum, rdmaSum/nicSum)
 	return r
 }
@@ -209,12 +209,12 @@ func dmaThroughput(seed uint64, prof spec.DMAProfile, size int, blocking, write 
 
 func fig7(opts Options) *Result {
 	prof := spec.LiquidIOII_CN2350().DMA
-	r := &Result{Header: []string{"payload(B)", "blk-read(us)", "nonblk-read(us)", "blk-write(us)", "nonblk-write(us)"}}
+	r := &Result{header: []string{"payload(B)", "blk-read(us)", "nonblk-read(us)", "blk-write(us)", "nonblk-write(us)"}}
 	for _, s := range dmaSizes {
-		r.Add(s, prof.ReadLatency(s).Micros(), prof.NonBlockingIssue.Micros(),
+		r.add(s, prof.ReadLatency(s).Micros(), prof.NonBlockingIssue.Micros(),
 			prof.WriteLatency(s).Micros(), prof.NonBlockingIssue.Micros())
 	}
-	r.Note("non-blocking latency is payload-independent (command insertion only); blocking grows with payload — I6")
+	r.note("non-blocking latency is payload-independent (command insertion only); blocking grows with payload — I6")
 	return r
 }
 
@@ -226,7 +226,7 @@ var dmaCombos = [4]struct{ blocking, write bool }{
 
 func fig8(opts Options) *Result {
 	prof := spec.LiquidIOII_CN2350().DMA
-	r := &Result{Header: []string{"payload(B)", "blk-read(Mops)", "nonblk-read(Mops)", "blk-write(Mops)", "nonblk-write(Mops)"}}
+	r := &Result{header: []string{"payload(B)", "blk-read(Mops)", "nonblk-read(Mops)", "blk-write(Mops)", "nonblk-write(Mops)"}}
 	g := grid{outer: len(dmaSizes), inner: len(dmaCombos)}
 	cells := sweepMap(opts, g.size(), func(i int) float64 {
 		si, ci := g.split(i)
@@ -234,31 +234,31 @@ func fig8(opts Options) *Result {
 		return dmaThroughput(opts.seed(), prof, dmaSizes[si], c.blocking, c.write)
 	})
 	for si, s := range dmaSizes {
-		r.Add(s, cells[si*4], cells[si*4+1], cells[si*4+2], cells[si*4+3])
+		r.add(s, cells[si*4], cells[si*4+1], cells[si*4+2], cells[si*4+3])
 	}
 	// The 2KB non-blocking write is the last row's last column; the same
 	// deterministic point the serial code recomputed.
 	nb2k := cells[(len(dmaSizes)-1)*4+3]
-	r.Note("2KB non-blocking write sustains ≈%.1f GB/s per core (paper: 2.1 GB/s)", nb2k*1e6*2048/1e9)
+	r.note("2KB non-blocking write sustains ≈%.1f GB/s per core (paper: 2.1 GB/s)", nb2k*1e6*2048/1e9)
 	return r
 }
 
 func fig9(opts Options) *Result {
 	bf := spec.BlueField_1M332A().DMA
 	lio := spec.LiquidIOII_CN2350().DMA
-	r := &Result{Header: []string{"payload(B)", "rdma-read(us)", "rdma-write(us)", "dma-blk-read(us)", "dma-blk-write(us)"}}
+	r := &Result{header: []string{"payload(B)", "rdma-read(us)", "rdma-write(us)", "dma-blk-read(us)", "dma-blk-write(us)"}}
 	for _, s := range dmaSizes {
-		r.Add(s, bf.ReadLatency(s).Micros(), bf.WriteLatency(s).Micros(),
+		r.add(s, bf.ReadLatency(s).Micros(), bf.WriteLatency(s).Micros(),
 			lio.ReadLatency(s).Micros(), lio.WriteLatency(s).Micros())
 	}
-	r.Note("RDMA verbs ≈2X native blocking DMA latency for small messages (paper, I6)")
+	r.note("RDMA verbs ≈2X native blocking DMA latency for small messages (paper, I6)")
 	return r
 }
 
 func fig10(opts Options) *Result {
 	bf := spec.BlueField_1M332A().DMA
 	lio := spec.LiquidIOII_CN2350().DMA
-	r := &Result{Header: []string{"payload(B)", "rdma-read(Mops)", "rdma-write(Mops)", "dma-blk-read(Mops)", "dma-blk-write(Mops)"}}
+	r := &Result{header: []string{"payload(B)", "rdma-read(Mops)", "rdma-write(Mops)", "dma-blk-read(Mops)", "dma-blk-write(Mops)"}}
 	cols := [4]struct {
 		prof  spec.DMAProfile
 		write bool
@@ -269,38 +269,38 @@ func fig10(opts Options) *Result {
 		return dmaThroughput(opts.seed(), cols[ci].prof, dmaSizes[si], true, cols[ci].write)
 	})
 	for si, s := range dmaSizes {
-		r.Add(s, cells[si*4], cells[si*4+1], cells[si*4+2], cells[si*4+3])
+		r.add(s, cells[si*4], cells[si*4+1], cells[si*4+2], cells[si*4+3])
 	}
-	r.Note("small-message RDMA throughput trails native DMA; ≥512B they converge (paper: 1/3 below 256B)")
+	r.note("small-message RDMA throughput trails native DMA; ≥512B they converge (paper: 1/3 below 256B)")
 	return r
 }
 
 func table2(opts Options) *Result {
-	r := &Result{Header: []string{"device", "L1(ns)", "L2(ns)", "L3(ns)", "DRAM(ns)", "line(B)"}}
+	r := &Result{header: []string{"device", "L1(ns)", "L2(ns)", "L3(ns)", "DRAM(ns)", "line(B)"}}
 	row := func(name string, m spec.MemoryProfile) {
 		l3 := "N/A"
 		if m.L3 != 0 {
 			l3 = fmt.Sprintf("%.1f", float64(m.L3))
 		}
-		r.Add(name, float64(m.L1), float64(m.L2), l3, float64(m.DRAM), m.CacheLineBytes)
+		r.add(name, float64(m.L1), float64(m.L2), l3, float64(m.DRAM), m.CacheLineBytes)
 	}
 	for _, m := range spec.AllNICs() {
 		row(m.Name, m.Memory)
 	}
 	row("Host "+spec.IntelHost().Name, spec.IntelHost().Memory)
-	r.Note("SmartNIC L2 ≈ host L3 latency; only the Stingray approaches host memory performance (I5)")
+	r.note("SmartNIC L2 ≈ host L3 latency; only the Stingray approaches host memory performance (I5)")
 	return r
 }
 
 func table3(opts Options) *Result {
 	m := spec.LiquidIOII_CN2350()
-	r := &Result{Header: []string{"workload", "DS", "exec(us,1KB)", "IPC", "MPKI", "host-exec(us)"}}
+	r := &Result{header: []string{"workload", "DS", "exec(us,1KB)", "IPC", "MPKI", "host-exec(us)"}}
 	h := spec.IntelHost()
 	for _, w := range spec.Workloads() {
-		r.Add(w.Name, w.DataStruct, w.ExecLat1KB.Micros(), w.IPC, w.MPKI,
+		r.add(w.Name, w.DataStruct, w.ExecLat1KB.Micros(), w.IPC, w.MPKI,
 			h.WorkloadCost(w).Micros())
 	}
-	r.Add("---accelerators---", "", "", "", "", "")
+	r.add("---accelerators---", "", "", "", "", "")
 	accNames := []string{"CRC", "MD5", "SHA-1", "3DES", "AES", "KASUMI", "SMS4", "SNOW3G", "FAU", "ZIP", "DFA"}
 	for _, name := range accNames {
 		a, ok := m.Accels[name]
@@ -317,10 +317,10 @@ func table3(opts Options) *Result {
 		if ok32 {
 			s32 = fmt.Sprintf("%.1f", b32.Micros())
 		}
-		r.Add(a.Name, fmt.Sprintf("bsz1=%.1f bsz8=%s bsz32=%s", b1.Micros(), s8, s32),
+		r.add(a.Name, fmt.Sprintf("bsz1=%.1f bsz8=%s bsz32=%s", b1.Micros(), s8, s32),
 			"", a.IPC, a.MPKI, "")
 	}
-	r.Note("host-exec shows I3: memory-bound tasks (high MPKI) gain little from the beefy host core")
-	r.Note("MD5/AES engines are 7.0X/2.5X faster than host equivalents (§2.2.3); batching amortizes invocation cost")
+	r.note("host-exec shows I3: memory-bound tasks (high MPKI) gain little from the beefy host core")
+	r.note("MD5/AES engines are 7.0X/2.5X faster than host equivalents (§2.2.3); batching amortizes invocation cost")
 	return r
 }

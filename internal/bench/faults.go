@@ -195,20 +195,20 @@ func faultsAvailability(opts Options) *Result {
 		return outcome{probe: p, elections: d.Elections, injected: d.Injector.Injected(), logLines: len(d.Injector.Log())}
 	})
 
-	r := &Result{Header: []string{"placement", "issued", "completed", "avail(%)", "rejected", "gave-up", "retries", "redirects", "elections", "faults"}}
+	r := &Result{header: []string{"placement", "issued", "completed", "avail(%)", "rejected", "gave-up", "retries", "redirects", "elections", "faults"}}
 	for mi, onNIC := range modes {
 		o := outs[mi]
 		placement := "host"
 		if onNIC {
 			placement = "nic"
 		}
-		r.Add(placement, o.probe.issued, o.probe.completed,
+		r.add(placement, o.probe.issued, o.probe.completed,
 			fmt.Sprintf("%.2f", o.probe.availability()),
 			o.probe.c.Rejected, o.probe.gaveUp, o.probe.retries, o.probe.redirects, o.elections, o.injected)
 	}
-	r.Note("schedule: follower crash, leader crash (failover), 25%% loss window, 3x overload burst; %d log lines per run", outs[0].logLines)
-	r.Note("accounting: avail(%%) = completed/issued; rejected counts edge-shed (admission-denied) requests, which are never in issued — this family runs without admission gates, so it is structurally 0 (see workload.Client accounting contract)")
-	r.Note("target: >=99%% completion — client-side rotation + backoff must ride out every window")
+	r.note("schedule: follower crash, leader crash (failover), 25%% loss window, 3x overload burst; %d log lines per run", outs[0].logLines)
+	r.note("accounting: avail(%%) = completed/issued; rejected counts edge-shed (admission-denied) requests, which are never in issued — this family runs without admission gates, so it is structurally 0 (see workload.Client accounting contract)")
+	r.note("target: >=99%% completion — client-side rotation + backoff must ride out every window")
 	return r
 }
 
@@ -258,7 +258,7 @@ func faultsRecovery(opts Options) *Result {
 		return o
 	})
 
-	r := &Result{Header: []string{"detect(us)", "first-ok(us)", "first-write-ok(us)", "elections", "avail(%)", "gave-up"}}
+	r := &Result{header: []string{"detect(us)", "first-ok(us)", "first-write-ok(us)", "elections", "avail(%)", "gave-up"}}
 	for di, detect := range detects {
 		o := outs[di]
 		fw := "-"
@@ -269,10 +269,10 @@ func faultsRecovery(opts Options) *Result {
 		if o.firstOKN {
 			fo = fmt.Sprintf("%.1f", o.firstOK.Micros())
 		}
-		r.Add(fmt.Sprintf("%.0f", detect.Micros()), fo, fw, o.elections,
+		r.add(fmt.Sprintf("%.0f", detect.Micros()), fo, fw, o.elections,
 			fmt.Sprintf("%.2f", o.probe.availability()), o.probe.gaveUp)
 	}
-	r.Note("leader kv0 crashes at %.1fms for %.1fms; write recovery tracks detect delay + election round",
+	r.note("leader kv0 crashes at %.1fms for %.1fms; write recovery tracks detect delay + election round",
 		crashAt.Seconds()*1e3, crashDur.Seconds()*1e3)
 	return r
 }
@@ -328,14 +328,14 @@ func faultsPartition(opts Options) *Result {
 
 	durs := [3]sim.Time{cutAt, healAt - cutAt, window - healAt}
 	names := [3]string{"pre-cut", "partitioned", "healed"}
-	r := &Result{Header: []string{"phase", "window(ms)", "completed", "goodput(Kops)", "writes-ok"}}
+	r := &Result{header: []string{"phase", "window(ms)", "completed", "goodput(Kops)", "writes-ok"}}
 	for ph := range names {
 		gp := float64(o.phases[ph].completed) / durs[ph].Seconds() / 1e3
-		r.Add(names[ph], fmt.Sprintf("%.1f", durs[ph].Seconds()*1e3),
+		r.add(names[ph], fmt.Sprintf("%.1f", durs[ph].Seconds()*1e3),
 			o.phases[ph].completed, gp, o.phases[ph].writes)
 	}
-	r.Note("leader kv0 cut from replicas and client; reads keep flowing via follower memtables, writes stall until heal")
-	r.Note("overall availability %.2f%% (gave-up %d of %d)", o.probe.availability(), o.probe.gaveUp, o.probe.issued)
+	r.note("leader kv0 cut from replicas and client; reads keep flowing via follower memtables, writes stall until heal")
+	r.note("overall availability %.2f%% (gave-up %d of %d)", o.probe.availability(), o.probe.gaveUp, o.probe.issued)
 	return r
 }
 
@@ -409,17 +409,17 @@ func faultsDT(opts Options) *Result {
 		o.flaggedLocks += st.Locks(0, -1)
 	}
 
-	r := &Result{Header: []string{"metric", "value"}}
-	r.Add("txns sent", o.sent)
-	r.Add("committed", o.committed)
-	r.Add("aborted", o.aborted)
-	r.Add("  of which timeout-aborts", o.timeoutAborts)
-	r.Add("resolved (committed+aborted)", o.committed+o.aborted)
-	r.Add("live locks at end (lease-aware)", o.liveLocks)
-	r.Add("stale lock flags at end", o.flaggedLocks)
-	r.Add("log checkpoints", o.checkpoints)
-	r.Note("part1 crashes at %.1fms for %.1fms; the coordinator sweep (txn timeout %v) aborts stranded txns, lock leases (%v) expire orphaned locks",
+	r := &Result{header: []string{"metric", "value"}}
+	r.add("txns sent", o.sent)
+	r.add("committed", o.committed)
+	r.add("aborted", o.aborted)
+	r.add("  of which timeout-aborts", o.timeoutAborts)
+	r.add("resolved (committed+aborted)", o.committed+o.aborted)
+	r.add("live locks at end (lease-aware)", o.liveLocks)
+	r.add("stale lock flags at end", o.flaggedLocks)
+	r.add("log checkpoints", o.checkpoints)
+	r.note("part1 crashes at %.1fms for %.1fms; the coordinator sweep (txn timeout %v) aborts stranded txns, lock leases (%v) expire orphaned locks",
 		crashAt.Seconds()*1e3, crashDur.Seconds()*1e3, txnTimeout, lockLease)
-	r.Note("invariants: every txn resolves, live locks reach zero")
+	r.note("invariants: every txn resolves, live locks reach zero")
 	return r
 }

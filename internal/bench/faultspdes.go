@@ -100,19 +100,19 @@ func sumOf(xs []uint64) (t uint64) {
 // meshRows adds the rows every partitioned-mesh experiment opens with:
 // its geometry and its clients' sent/answered totals.
 func meshRows(r *Result, nodes, parts int, sent, answered uint64) {
-	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", nodes, parts))
-	r.Add("requests sent/answered", fmt.Sprintf("%d/%d", sent, answered))
+	r.add("nodes x partitions", fmt.Sprintf("%dx%d", nodes, parts))
+	r.add("requests sent/answered", fmt.Sprintf("%d/%d", sent, answered))
 }
 
 // latencyRow adds the clients' merged latency percentiles.
 func latencyRow(r *Result, p50, p99 float64) {
-	r.Add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", p50, p99))
+	r.add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", p50, p99))
 }
 
 // windowsRow adds the partitioned run's synchronization windows and
 // cross-partition handoffs.
 func windowsRow(r *Result, cl *core.Cluster) {
-	r.Add("windows/crossed", fmt.Sprintf("%d/%d", cl.Group.Rounds(), cl.Group.Crossed()))
+	r.add("windows/crossed", fmt.Sprintf("%d/%d", cl.Group.Rounds(), cl.Group.Crossed()))
 }
 
 func faultsPDES(opts Options) *Result {
@@ -126,17 +126,17 @@ func faultsPDES(opts Options) *Result {
 	cl.RunUntil(window + sim.Millisecond) // drain room for late retries
 	s := mesh.Summarize(clients)
 
-	r := &Result{Header: []string{"metric", "value"}}
+	r := &Result{header: []string{"metric", "value"}}
 	meshRows(r, nodes, parts, s.Sent, s.Received)
-	r.Add("rejected (edge-shed)", s.Rejected)
-	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", s.Retried, sumOf(gaveUp)))
+	r.add("rejected (edge-shed)", s.Rejected)
+	r.add("retried/gave-up", fmt.Sprintf("%d/%d", s.Retried, sumOf(gaveUp)))
 	latencyRow(r, s.P50us, s.P99us)
-	r.Add("faults injected/active-at-end", fmt.Sprintf("%d/%d", in.Injected(), in.Active()))
-	r.Add("fault log lines", len(in.Log()))
+	r.add("faults injected/active-at-end", fmt.Sprintf("%d/%d", in.Injected(), in.Active()))
+	r.add("fault log lines", len(in.Log()))
 	windowsRow(r, cl)
-	r.Note("schedule: crash n000+n006(jittered), nic-down n001, 4x overload n002, 50%% loss n003, flap n004, CRC stall n005, cut [n000 n001]")
-	r.Note("barrier arms mutate shared state between conservative windows (sim.Group.AtBarrier); local arms run on the owning partition engine")
-	r.Note("accounting: rejected counts admission-denied requests (never sent); this mesh has no gates, so it is structurally 0")
+	r.note("schedule: crash n000+n006(jittered), nic-down n001, 4x overload n002, 50%% loss n003, flap n004, CRC stall n005, cut [n000 n001]")
+	r.note("barrier arms mutate shared state between conservative windows (sim.Group.AtBarrier); local arms run on the owning partition engine")
+	r.note("accounting: rejected counts admission-denied requests (never sent); this mesh has no gates, so it is structurally 0")
 	return r
 }
 
@@ -183,16 +183,16 @@ func qosStormPDES(opts Options) *Result {
 	cl.RunUntil(window)
 	s := mesh.Summarize(clients)
 
-	r := &Result{Header: []string{"metric", "value"}}
-	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", nodes, parts))
+	r := &Result{header: []string{"metric", "value"}}
+	r.add("nodes x partitions", fmt.Sprintf("%dx%d", nodes, parts))
 	edgeRow(r, s.Sent, s.Rejected)
-	r.Add("requests answered", s.Received)
+	r.add("requests answered", s.Received)
 	tenantTotals(rt, 2).addRows(r, "even", "odd")
 	laneTotals(rt).addRows(r)
-	r.Add("faults injected", in.Injected())
-	r.Add("fault log lines", len(in.Log()))
-	r.Add("windows", cl.Group.Rounds())
-	r.Note("accounting: edge sent excludes admission-denied requests; offered = sent + rejected (workload.Client contract), and the gate ledger's rejected matches the client edge")
-	r.Note("fault storm: the full faults-pdes arm matrix on the same mesh; the SLO controller stays off (classic-only)")
+	r.add("faults injected", in.Injected())
+	r.add("fault log lines", len(in.Log()))
+	r.add("windows", cl.Group.Rounds())
+	r.note("accounting: edge sent excludes admission-denied requests; offered = sent + rejected (workload.Client contract), and the gate ledger's rejected matches the client edge")
+	r.note("fault storm: the full faults-pdes arm matrix on the same mesh; the SLO controller stays off (classic-only)")
 	return r
 }

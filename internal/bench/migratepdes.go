@@ -80,18 +80,18 @@ func migratePDES(opts Options) *Result {
 		}
 	}
 
-	r := &Result{Header: []string{"metric", "value"}}
+	r := &Result{header: []string{"metric", "value"}}
 	meshRows(r, nodes, parts, s.Sent, s.Received)
-	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", s.Retried, sumOf(gaveUp)))
+	r.add("retried/gave-up", fmt.Sprintf("%d/%d", s.Retried, sumOf(gaveUp)))
 	latencyRow(r, s.P50us, s.P99us)
-	r.Add("forced push/pull accepted", fmt.Sprintf("%d/%d", pushes, pulls))
-	r.Add("push records (count/bytes)", fmt.Sprintf("%d/%d", pushRecs, pushBytes))
-	r.Add("pull records (count/bytes)", fmt.Sprintf("%d/%d", pullRecs, pullBytes))
-	r.Add("buffered requests forwarded", buffered)
-	r.Add("faults injected", in.Injected())
+	r.add("forced push/pull accepted", fmt.Sprintf("%d/%d", pushes, pulls))
+	r.add("push records (count/bytes)", fmt.Sprintf("%d/%d", pushRecs, pushBytes))
+	r.add("pull records (count/bytes)", fmt.Sprintf("%d/%d", pullRecs, pullBytes))
+	r.add("buffered requests forwarded", buffered)
+	r.add("faults injected", in.Injected())
 	windowsRow(r, cl)
-	r.Note("node-local migration phases run on the owning partition engine; the table/registration commit defers to the next window boundary (DESIGN.md §9)")
-	r.Note("arms: crash n000 mid phase-3 (commit lands anyway), NIC-down n001 mid phase-1 (re-homing skips the in-flight actor); a pull whose NIC dies in flight bounces back to the host and records nothing")
-	r.Note("pull records carry the direction tag, so both directions are accounted (a pull may be refused while a policy migration holds the latch)")
+	r.note("node-local migration phases run on the owning partition engine; the table/registration commit defers to the next window boundary (DESIGN.md §9)")
+	r.note("arms: crash n000 mid phase-3 (commit lands anyway), NIC-down n001 mid phase-1 (re-homing skips the in-flight actor); a pull whose NIC dies in flight bounces back to the host and records nothing")
+	r.note("pull records carry the direction tag, so both directions are accounted (a pull may be refused while a policy migration holds the latch)")
 	return r
 }

@@ -127,7 +127,7 @@ func fig18(opts Options) *Result {
 	}
 	cl.Eng.Run()
 
-	r := &Result{Header: []string{"actor", "phase1(ms)", "phase2(ms)", "phase3(ms)", "phase4(ms)", "total(ms)", "bytes"}}
+	r := &Result{header: []string{"actor", "phase1(ms)", "phase2(ms)", "phase3(ms)", "phase4(ms)", "total(ms)", "bytes"}}
 	recs := append(append([]core.MigrationRecord(nil), n.Migrations...), peer.Migrations...)
 	used := make([]bool, len(recs))
 	ms := func(t sim.Time) float64 { return t.Micros() / 1000 }
@@ -154,7 +154,7 @@ func fig18(opts Options) *Result {
 		if !found {
 			continue
 		}
-		r.Add(tgt.name, ms(rec.Phase[0]), ms(rec.Phase[1]), ms(rec.Phase[2]), ms(rec.Phase[3]),
+		r.add(tgt.name, ms(rec.Phase[0]), ms(rec.Phase[1]), ms(rec.Phase[2]), ms(rec.Phase[3]),
 			ms(rec.Total()), rec.BytesMoved)
 		p3share += float64(rec.Phase[2])
 		p4share += float64(rec.Phase[3])
@@ -165,7 +165,7 @@ func fig18(opts Options) *Result {
 			if rec.Pull {
 				continue
 			}
-			r.Add(rec.Actor, ms(rec.Phase[0]), ms(rec.Phase[1]), ms(rec.Phase[2]), ms(rec.Phase[3]),
+			r.add(rec.Actor, ms(rec.Phase[0]), ms(rec.Phase[1]), ms(rec.Phase[2]), ms(rec.Phase[3]),
 				ms(rec.Total()), rec.BytesMoved)
 			p3share += float64(rec.Phase[2])
 			p4share += float64(rec.Phase[3])
@@ -173,10 +173,10 @@ func fig18(opts Options) *Result {
 		}
 	}
 	if total > 0 {
-		r.Note("phase 3 (object move) = %.0f%% of total, phase 4 (buffered forwarding) = %.0f%% (paper: 67.8%% / 27.2%%)",
+		r.note("phase 3 (object move) = %.0f%% of total, phase 4 (buffered forwarding) = %.0f%% (paper: 67.8%% / 27.2%%)",
 			p3share/total*100, p4share/total*100)
 	}
-	r.Note("paper: the 32MB LSM Memtable takes ≈35.8ms in phase 3")
+	r.note("paper: the 32MB LSM Memtable takes ≈35.8ms in phase 3")
 	return r
 }
 
@@ -209,7 +209,7 @@ func floem(opts Options) *Result {
 	if opts.Quick {
 		window = 2 * sim.Millisecond
 	}
-	r := &Result{Header: []string{"size(B)", "runtime", "goodput(Gbps)", "host-cores", "Gbps/core"}}
+	r := &Result{header: []string{"size(B)", "runtime", "goodput(Gbps)", "host-cores", "Gbps/core"}}
 	sizes := []int{512, 64}
 	modes := []string{"Floem", "iPipe"}
 	g := grid{outer: len(sizes), inner: len(modes)}
@@ -223,18 +223,18 @@ func floem(opts Options) *Result {
 		si, mi := g.split(i)
 		size, mode := sizes[si], modes[mi]
 		run := runs[i]
-		gbps := run.Tput * float64(size) * 8 / 1e9
-		cores := run.CoresUsed["RTA Worker"]
+		gbps := run.tput * float64(size) * 8 / 1e9
+		cores := run.coresUsed["RTA Worker"]
 		perCore := gbps / cores
-		r.Add(size, mode, gbps, cores, perCore)
+		r.add(size, mode, gbps, cores, perCore)
 		if size == 512 {
 			per512[mode] = perCore
 		} else {
 			per64[mode] = perCore
 		}
 	}
-	r.Note("512B: iPipe/Floem per-core = %.2fX (paper: 2.9 vs 1.6 Gbps/core = 1.8X)", per512["iPipe"]/per512["Floem"])
-	r.Note("64B: iPipe/Floem per-core = %.2fX (paper: +88.3%%; iPipe moves actors to the host and forwards)", per64["iPipe"]/per64["Floem"])
+	r.note("512B: iPipe/Floem per-core = %.2fX (paper: 2.9 vs 1.6 Gbps/core = 1.8X)", per512["iPipe"]/per512["Floem"])
+	r.note("64B: iPipe/Floem per-core = %.2fX (paper: +88.3%%; iPipe moves actors to the host and forwards)", per64["iPipe"]/per64["Floem"])
 	return r
 }
 
@@ -288,7 +288,7 @@ func nfExp(opts Options) *Result {
 	if opts.Quick {
 		window = 2 * sim.Millisecond
 	}
-	r := &Result{Header: []string{"function", "config", "metric", "value"}}
+	r := &Result{header: []string{"function", "config", "metric", "value"}}
 
 	// Four independent points: two firewall load levels (paper:
 	// 3.65–19.41µs from low to high load, 8K rules, 1KB packets) and the
@@ -297,15 +297,15 @@ func nfExp(opts Options) *Result {
 	nics := []*spec.NICModel{spec.LiquidIOII_CN2350(), spec.LiquidIOII_CN2360()}
 	vals := sweepMap(opts, len(fwLoads)+len(nics), func(i int) float64 {
 		if i < len(fwLoads) {
-			return runFirewall(opts, fwLoads[i], window).P50
+			return runFirewall(opts, fwLoads[i], window).p50
 		}
 		return runIPSec(opts, nics[i-len(fwLoads)], window)
 	})
-	r.Add("Firewall", "8K rules, 1KB, 10GbE", "p50 low-load (us)", vals[0])
-	r.Add("Firewall", "8K rules, 1KB, 10GbE", "p50 high-load (us)", vals[1])
+	r.add("Firewall", "8K rules, 1KB, 10GbE", "p50 low-load (us)", vals[0])
+	r.add("Firewall", "8K rules, 1KB, 10GbE", "p50 high-load (us)", vals[1])
 	for ni, nic := range nics {
-		r.Add("IPSec", fmt.Sprintf("1KB, %s", nic.Name), "goodput (Gbps)", vals[len(fwLoads)+ni])
+		r.add("IPSec", fmt.Sprintf("1KB, %s", nic.Name), "goodput (Gbps)", vals[len(fwLoads)+ni])
 	}
-	r.Note("paper: firewall 3.65–19.41us across load; IPSec 8.6 Gbps (10GbE) / 22.9 Gbps (25GbE)")
+	r.note("paper: firewall 3.65–19.41us across load; IPSec 8.6 Gbps (10GbE) / 22.9 Gbps (25GbE)")
 	return r
 }

@@ -36,8 +36,8 @@ func runFirewall(opts Options, load float64, window sim.Time) appRun {
 			Data: t.Encode(), Size: 1024, FlowID: i}
 	})
 	cl.Eng.Run()
-	return appRun{P50: client.Lat.Percentile(50), P99: client.Lat.Percentile(99),
-		Tput: float64(client.Received) / window.Seconds(), CoresUsed: map[string]float64{}}
+	return appRun{p50: client.Lat.Percentile(50), p99: client.Lat.Percentile(99),
+		tput: float64(client.Received) / window.Seconds(), coresUsed: map[string]float64{}}
 }
 
 // runIPSec deploys the IPSec gateway on a LiquidIO card and measures

@@ -72,9 +72,9 @@ func TestObservedRunParity(t *testing.T) {
 				t.Fatalf("observation perturbed experiment rows:\nbare:     %v\nobserved: %v",
 					bare.Rows, observed.Rows)
 			}
-			if !reflect.DeepEqual(bare.Notes, observed.Notes) {
+			if !reflect.DeepEqual(bare.notes, observed.notes) {
 				t.Fatalf("observation perturbed notes:\nbare:     %v\nobserved: %v",
-					bare.Notes, observed.Notes)
+					bare.notes, observed.notes)
 			}
 			if st, err := obs.ValidateChromeTrace(bytes.NewReader(trace1)); err != nil {
 				t.Fatalf("invalid trace: %v", err)

@@ -36,7 +36,7 @@ func scaleWindow(opts Options) sim.Time {
 }
 
 func runScaleNodes(opts Options) *Result {
-	r := &Result{Header: []string{"nodes", "partitions", "ops", "tput_kops", "p50_us", "p99_us", "events", "crossed", "rounds"}}
+	r := &Result{header: []string{"nodes", "partitions", "ops", "tput_kops", "p50_us", "p99_us", "events", "crossed", "rounds"}}
 	sizes := scaleNodeSizes(opts)
 	runs := sweepMap(opts, len(sizes), func(i int) mesh.Stats {
 		cfg := opts.meshConfig(sizes[i], opts.parts(8, sizes[i]))
@@ -44,9 +44,9 @@ func runScaleNodes(opts Options) *Result {
 		return mesh.Run(cfg)
 	})
 	for _, s := range runs {
-		r.Add(s.Nodes, s.Partitions, s.Ops, s.TputKops, s.P50us, s.P99us, s.Events, s.Crossed, s.Rounds)
+		r.add(s.Nodes, s.Partitions, s.Ops, s.TputKops, s.P50us, s.P99us, s.Events, s.Crossed, s.Rounds)
 	}
-	r.Note("closed-loop echo-RPC mesh: one NIC-pinned actor + one depth-2 client per node, Zipf(0.99) destinations")
-	r.Note("deterministic columns only — wall-clock cost is measured by the mesh_pdes vs mesh_classic workloads of benchmark/")
+	r.note("closed-loop echo-RPC mesh: one NIC-pinned actor + one depth-2 client per node, Zipf(0.99) destinations")
+	r.note("deterministic columns only — wall-clock cost is measured by the mesh_pdes vs mesh_classic workloads of benchmark/")
 	return r
 }

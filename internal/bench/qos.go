@@ -68,10 +68,10 @@ func laneTotals(rt *qos.Runtime) (l laneLedger) {
 // addRows adds one enq/del/shed row per lane, then the backpressure row.
 func (l laneLedger) addRows(r *Result) {
 	for lane := qos.Lane(0); lane < qos.NumLanes; lane++ {
-		r.Add(lane.String()+" enq/del/shed",
+		r.add(lane.String()+" enq/del/shed",
 			fmt.Sprintf("%d/%d/%d", l.enq[lane], l.del[lane], l.shed[lane]))
 	}
-	r.Add("data backpressured", l.backpressured)
+	r.add("data backpressured", l.backpressured)
 }
 
 // tenantLedger is the admission gates' per-tenant totals in tenant-table
@@ -91,7 +91,7 @@ func tenantTotals(rt *qos.Runtime, n int) (l tenantLedger) {
 // addRows adds one offered/admitted/rejected row per named tenant.
 func (l tenantLedger) addRows(r *Result, names ...string) {
 	for t, name := range names {
-		r.Add(name+" offered/admitted/rejected",
+		r.add(name+" offered/admitted/rejected",
 			fmt.Sprintf("%d/%d/%d", l.offered[t], l.admitted[t], l.rejected[t]))
 	}
 }
@@ -100,7 +100,7 @@ func (l tenantLedger) addRows(r *Result, names ...string) {
 // contract): sent excludes admission-denied requests, so offered is
 // sent + rejected.
 func edgeRow(r *Result, sent, rejected uint64) {
-	r.Add("client edge sent/rejected/offered", fmt.Sprintf("%d/%d/%d", sent, rejected, sent+rejected))
+	r.add("client edge sent/rejected/offered", fmt.Sprintf("%d/%d/%d", sent, rejected, sent+rejected))
 }
 
 // phases splits a run at t1 and t2: the returned function maps a send
@@ -323,24 +323,24 @@ func qosStormRun(opts Options) qosStormOutcome {
 func qosStorm(opts Options) *Result {
 	o := qosStormRun(opts)
 
-	r := &Result{Header: []string{"metric", "value"}}
+	r := &Result{header: []string{"metric", "value"}}
 	o.tenantLedger.addRows(r, "prod", "batch", "noisy")
-	r.Add("prod p50 calm/storm/post (us)", fmt.Sprintf("%.1f/%.1f/%.1f",
+	r.add("prod p50 calm/storm/post (us)", fmt.Sprintf("%.1f/%.1f/%.1f",
 		o.calm.Percentile(50), o.storm.Percentile(50), o.post.Percentile(50)))
-	r.Add("prod p99 calm/storm/post (us)", fmt.Sprintf("%.1f/%.1f/%.1f",
+	r.add("prod p99 calm/storm/post (us)", fmt.Sprintf("%.1f/%.1f/%.1f",
 		o.calm.Percentile(99), o.storm.Percentile(99), o.post.Percentile(99)))
-	r.Add("prod SLO p99 (us)", fmt.Sprintf("%.0f", o.sloUs))
+	r.add("prod SLO p99 (us)", fmt.Sprintf("%.0f", o.sloUs))
 	o.laneLedger.addRows(r)
 	edgeRow(r, o.cliSent, o.cliRejected)
-	r.Add("control probes sent/answered", fmt.Sprintf("%d/%d", o.ctlSent, o.ctlAnswered))
-	r.Add("controller ticks", o.ticks)
-	r.Add("controller actions (shrink/tighten/reshard)",
+	r.add("control probes sent/answered", fmt.Sprintf("%d/%d", o.ctlSent, o.ctlAnswered))
+	r.add("controller ticks", o.ticks)
+	r.add("controller actions (shrink/tighten/reshard)",
 		fmt.Sprintf("%d/%d/%d", o.shrinks, o.tightens, o.reshards))
-	r.Add("elections", o.elections)
-	r.Note("storm %.1f-%.1fms: shard-3 leader crash, 25%% loss on kv1, 16x overload on every survivor; noisy tenant offers 4x its budget at shard 0",
+	r.add("elections", o.elections)
+	r.note("storm %.1f-%.1fms: shard-3 leader crash, 25%% loss on kv1, 16x overload on every survivor; noisy tenant offers 4x its budget at shard 0",
 		o.stormStart.Seconds()*1e3, o.stormEnd.Seconds()*1e3)
-	r.Note("contract: prod p99 holds its SLO outside the storm, control is never shed, telemetry sheds absorb the flood")
-	r.Note("accounting: edge sent excludes admission-denied requests (Rejected, never Sent); offered = sent + rejected, matching the gates' per-tenant ledger")
+	r.note("contract: prod p99 holds its SLO outside the storm, control is never shed, telemetry sheds absorb the flood")
+	r.note("accounting: edge sent excludes admission-denied requests (Rejected, never Sent); offered = sent + rejected, matching the gates' per-tenant ledger")
 	return r
 }
 
@@ -434,16 +434,16 @@ func qosSkewRun(opts Options) qosSkewOutcome {
 func qosSkew(opts Options) *Result {
 	o := qosSkewRun(opts)
 
-	r := &Result{Header: []string{"phase", "p50(us)", "p99(us)", "samples"}}
+	r := &Result{header: []string{"phase", "p50(us)", "p99(us)", "samples"}}
 	row := func(name string, s *stats.Sample) {
-		r.Add(name, fmt.Sprintf("%.1f", s.Percentile(50)), fmt.Sprintf("%.1f", s.Percentile(99)), s.Count())
+		r.add(name, fmt.Sprintf("%.1f", s.Percentile(50)), fmt.Sprintf("%.1f", s.Percentile(99)), s.Count())
 	}
 	row("spread (Zipf 0.85, all shards)", o.spread)
 	row("hot (Zipf 0.99, shard 0)", o.hot)
 	row("recovered (post-escalation)", o.recovered)
-	r.Note("SLO p99 %.0fus; controller escalation: %d batch shrinks, %d threshold tightens, %d reshard(s); %d/4 shards live at end",
+	r.note("SLO p99 %.0fus; controller escalation: %d batch shrinks, %d threshold tightens, %d reshard(s); %d/4 shards live at end",
 		o.sloUs, o.shrinks, o.tightens, o.reshards, o.liveShards)
-	r.Note("admission rejected %d prod requests at the edge while the hot shard drained", o.rejected)
+	r.note("admission rejected %d prod requests at the edge while the hot shard drained", o.rejected)
 	return r
 }
 
@@ -562,13 +562,13 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 func qosLanes(opts Options) *Result {
 	o := qosLanesRun(opts)
 
-	r := &Result{Header: []string{"metric", "value"}}
+	r := &Result{header: []string{"metric", "value"}}
 	meshRows(r, o.nodes, o.parts, o.sent, o.ops)
 	latencyRow(r, o.p50, o.p99)
 	o.laneLedger.addRows(r)
 	o.tenantLedger.addRows(r, "even", "odd")
-	r.Add("handoffs/rounds", fmt.Sprintf("%d/%d", o.crossed, o.rounds))
-	r.Note("partitioned echo mesh with tagged traffic; rows are byte-identical at any PDES worker count")
-	r.Note("contract: control is never shed, telemetry bursts shed at the watermark, bulk data is deferred but never dropped, and the odd tenant's excess is rejected at the edge")
+	r.add("handoffs/rounds", fmt.Sprintf("%d/%d", o.crossed, o.rounds))
+	r.note("partitioned echo mesh with tagged traffic; rows are byte-identical at any PDES worker count")
+	r.note("contract: control is never shed, telemetry bursts shed at the watermark, bulk data is deferred but never dropped, and the odd tenant's excess is rejected at the edge")
 	return r
 }

@@ -55,23 +55,23 @@ type ReplayReport struct {
 	// Experiments counts experiment ids; Runs the individual checked
 	// runs (each id runs at two seeds: one baseline plus one run per
 	// axis that applies to it).
-	Experiments int
-	Runs        int
+	experiments int
+	runs        int
 	// Clusters counts clusters that had a checker attached; Checks the
 	// individual invariant evaluations across all of them.
-	Clusters int
-	Checks   uint64
+	clusters int
+	checks   uint64
 	// Violations holds every invariant violation observed, annotated
 	// with the run that produced it.
-	Violations []string
+	violations []string
 	// Mismatches lists runs whose fingerprint differs byte-for-byte
 	// from their baseline's.
-	Mismatches []string
+	mismatches []string
 	// Digests holds "id pdes=N seed=N sha256" for every (id, seed)
 	// baseline fingerprint, in replay order — the lines of
 	// testdata/replay_golden.txt, the cross-commit oracle: a refactor
 	// that claims identical simulated behavior must reproduce every one.
-	Digests []string
+	digests []string
 
 	// tallies splits Runs/Clusters/Checks by run set: the baseline
 	// first, then one entry per axis.
@@ -80,24 +80,24 @@ type ReplayReport struct {
 
 // OK reports whether the replay saw no violations and no mismatches.
 func (r *ReplayReport) OK() bool {
-	return len(r.Violations) == 0 && len(r.Mismatches) == 0
+	return len(r.violations) == 0 && len(r.mismatches) == 0
 }
 
 // Fprint renders the report.
 func (r *ReplayReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "golden replay: %d experiments, %d runs, %d checked clusters, %d invariant checks\n",
-		r.Experiments, r.Runs, r.Clusters, r.Checks)
+		r.experiments, r.runs, r.clusters, r.checks)
 	for _, t := range r.tallies {
 		fmt.Fprintf(w, "  %-13s %d runs, %d checked clusters, %d invariant checks\n",
 			t.name, t.runs, t.clusters, t.checks)
 	}
-	for _, d := range r.Digests {
+	for _, d := range r.digests {
 		fmt.Fprintf(w, "  digest %s\n", d)
 	}
-	for _, v := range r.Violations {
+	for _, v := range r.violations {
 		fmt.Fprintf(w, "  VIOLATION %s\n", v)
 	}
-	for _, m := range r.Mismatches {
+	for _, m := range r.mismatches {
 		fmt.Fprintf(w, "  MISMATCH  %s\n", m)
 	}
 	if r.OK() {
@@ -107,10 +107,10 @@ func (r *ReplayReport) Fprint(w io.Writer) {
 
 // add books one checked run under tally i.
 func (r *ReplayReport) add(i int, run checked) {
-	r.Runs++
-	r.Clusters += run.clusters
-	r.Checks += run.checks
-	r.Violations = append(r.Violations, run.violations...)
+	r.runs++
+	r.clusters += run.clusters
+	r.checks += run.checks
+	r.violations = append(r.violations, run.violations...)
 	t := &r.tallies[i]
 	t.runs++
 	t.clusters += run.clusters
@@ -189,7 +189,7 @@ func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error
 		rep.tallies[1+i].name = a.name
 	}
 	for _, id := range ids {
-		rep.Experiments++
+		rep.experiments++
 		for _, seed := range []uint64{opts.seed(), opts.seed() + 1} {
 			runOpts := opts
 			runOpts.Seed, runOpts.Parallel, runOpts.PDESWorkers = seed, 1, 1
@@ -198,7 +198,7 @@ func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error
 				return nil, err
 			}
 			rep.add(0, base)
-			rep.Digests = append(rep.Digests, digestLine(id, opts.PDESParts, seed, base.fingerprint))
+			rep.digests = append(rep.digests, digestLine(id, opts.PDESParts, seed, base.fingerprint))
 			for i, a := range axes {
 				if a.pdesWorkers > 1 && !base.partitioned {
 					continue // window workers cannot matter without windows
@@ -210,7 +210,7 @@ func goldenReplay(ids []string, opts Options, axes []axis) (*ReplayReport, error
 				}
 				rep.add(1+i, varied)
 				if varied.fingerprint != base.fingerprint {
-					rep.Mismatches = append(rep.Mismatches,
+					rep.mismatches = append(rep.mismatches,
 						fmt.Sprintf("%s seed=%d: %s fingerprint differs from the baseline", id, seed, a.name))
 				}
 			}

@@ -173,9 +173,9 @@ func updateGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !rep.OK() {
-			t.Fatalf("violations: %v", rep.Violations)
+			t.Fatalf("violations: %v", rep.violations)
 		}
-		lines = append(lines, rep.Digests...)
+		lines = append(lines, rep.digests...)
 	}
 	checkGolden(t, lines, "")
 }
@@ -270,7 +270,7 @@ func replaySubset(t *testing.T, ids []string, opts Options, axes []axis) *Replay
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Clusters == 0 || rep.Checks == 0 {
+	if rep.clusters == 0 || rep.checks == 0 {
 		t.Fatalf("replay checked nothing: %+v", rep)
 	}
 	if !rep.OK() {
@@ -278,7 +278,7 @@ func replaySubset(t *testing.T, ids []string, opts Options, axes []axis) *Replay
 		rep.Fprint(&buf)
 		t.Fatal(buf.String())
 	}
-	checkGolden(t, rep.Digests, "")
+	checkGolden(t, rep.digests, "")
 	return rep
 }
 
@@ -304,9 +304,9 @@ func TestGoldenReplayAxesFollowTheClusters(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !rep.OK() {
-			t.Fatalf("%s -pdes %d: %v %v", id, parts, rep.Violations, rep.Mismatches)
+			t.Fatalf("%s -pdes %d: %v %v", id, parts, rep.violations, rep.mismatches)
 		}
-		return rep.Runs / 2
+		return rep.runs / 2
 	}
 	if got := runsPerSeed("faults-pdes", 0); got != 4 {
 		t.Errorf("partitioned experiment: %d runs per seed, want baseline + 3 axes", got)

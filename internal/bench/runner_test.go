@@ -79,10 +79,10 @@ func TestGridRoundTrip(t *testing.T) {
 // results that actually simulate.
 func TestRunRecordsWallAndEvents(t *testing.T) {
 	r := runQuick(t, "fig2")
-	if r.Wall <= 0 {
-		t.Fatalf("Wall = %v, want > 0", r.Wall)
+	if r.wall <= 0 {
+		t.Fatalf("Wall = %v, want > 0", r.wall)
 	}
-	if r.Events == 0 {
+	if r.events == 0 {
 		t.Fatal("Events = 0 for a simulation-backed experiment")
 	}
 }

@@ -26,10 +26,10 @@ func init() {
 type scaleRun struct {
 	appRun
 	// Balance is max/mean of the per-shard completions.
-	Balance float64
+	balance float64
 	// Trains/Coalesced mirror the batcher counters.
-	Trains    uint64
-	Coalesced uint64
+	trains    uint64
+	coalesced uint64
 }
 
 // warmKeys hot Zipf ranks are written before the measurement window, so
@@ -152,7 +152,7 @@ func runScale(opts Options, shards, batch, depth int, theta float64, window sim.
 	}
 	cl.Eng.RunUntil(warmupBudget + window)
 
-	out := scaleRun{Trains: b.Trains, Coalesced: b.Coalesced}
+	out := scaleRun{trains: b.Trains, coalesced: b.Coalesced}
 	var max, total uint64
 	for _, c := range perShard {
 		total += c
@@ -160,13 +160,13 @@ func runScale(opts Options, shards, batch, depth int, theta float64, window sim.
 			max = c
 		}
 	}
-	out.Tput = float64(total) / window.Seconds()
-	out.P50, out.LatOK = client.Lat.PercentileOK(50)
-	out.P99, _ = client.Lat.PercentileOK(99)
-	out.Received = total
-	out.Sent = client.Sent
+	out.tput = float64(total) / window.Seconds()
+	out.p50, out.latOK = client.Lat.PercentileOK(50)
+	out.p99, _ = client.Lat.PercentileOK(99)
+	out.received = total
+	out.sent = client.Sent
 	if total > 0 {
-		out.Balance = float64(max) * float64(shards) / float64(total)
+		out.balance = float64(max) * float64(shards) / float64(total)
 	}
 	return out
 }
@@ -181,31 +181,31 @@ func scaleShards(opts Options) *Result {
 		thetas = []float64{0.99}
 	}
 	const depth = 48
-	r := &Result{Header: []string{"theta", "shards", "tput(Kops)", "scale(x)", "linear(%)", "p50(us)", "p99(us)", "balance"}}
+	r := &Result{header: []string{"theta", "shards", "tput(Kops)", "scale(x)", "linear(%)", "p50(us)", "p99(us)", "balance"}}
 	g := grid{outer: len(thetas), inner: len(shardCounts)}
 	runs := sweepMap(opts, g.size(), func(i int) scaleRun {
 		ti, si := g.split(i)
 		return runScale(opts, shardCounts[si], 1, depth, thetas[ti], window, true)
 	})
 	for ti, theta := range thetas {
-		base := runs[ti*len(shardCounts)].Tput // shardCounts[0] == 1
+		base := runs[ti*len(shardCounts)].tput // shardCounts[0] == 1
 		for si, shards := range shardCounts {
 			run := runs[ti*len(shardCounts)+si]
 			scale := 0.0
 			if base > 0 {
-				scale = run.Tput / base
+				scale = run.tput / base
 			}
 			linear := scale / float64(shards) * 100
-			r.Add(theta, shards, run.Tput/1e3, scale, linear,
-				latCell(run.P50, run.LatOK), latCell(run.P99, run.LatOK), run.Balance)
+			r.add(theta, shards, run.tput/1e3, scale, linear,
+				latCell(run.p50, run.latOK), latCell(run.p99, run.latOK), run.balance)
 			if theta == 0.99 && shards == shardCounts[len(shardCounts)-1] {
-				r.Note("θ=0.99, %d shards: %.1fx aggregate over 1 shard (%.0f%% of linear; target ≥80%%)",
+				r.note("θ=0.99, %d shards: %.1fx aggregate over 1 shard (%.0f%% of linear; target ≥80%%)",
 					shards, scale, linear)
 			}
 		}
 	}
-	r.Note("one Paxos group per shard, 3 replicas rotated over 8 nodes; consistent-hash router (512 vnodes/shard)")
-	r.Note("balance = hottest shard's completion share vs fair (1.0 = even); skew concentrates keys, not shards")
+	r.note("one Paxos group per shard, 3 replicas rotated over 8 nodes; consistent-hash router (512 vnodes/shard)")
+	r.note("balance = hottest shard's completion share vs fair (1.0 = even); skew concentrates keys, not shards")
 	return r
 }
 
@@ -221,7 +221,7 @@ func scaleBatch(opts Options) *Result {
 		name  string
 		onNIC bool
 	}{{"dpdk", false}, {"nic", true}}
-	r := &Result{Header: []string{"path", "batch", "tput(Kops)", "p50(us)", "p99(us)", "trains", "avg-train"}}
+	r := &Result{header: []string{"path", "batch", "tput(Kops)", "p50(us)", "p99(us)", "trains", "avg-train"}}
 	g := grid{outer: len(paths), inner: len(batches)}
 	runs := sweepMap(opts, g.size(), func(i int) scaleRun {
 		pi, bi := g.split(i)
@@ -232,18 +232,18 @@ func scaleBatch(opts Options) *Result {
 		for bi, batch := range batches {
 			run := runs[pi*len(batches)+bi]
 			avg := 0.0
-			if run.Trains > 0 {
-				avg = float64(run.Coalesced) / float64(run.Trains)
+			if run.trains > 0 {
+				avg = float64(run.coalesced) / float64(run.trains)
 			}
-			r.Add(path.name, batch, run.Tput/1e3, latCell(run.P50, run.LatOK), latCell(run.P99, run.LatOK),
-				run.Trains, avg)
-			if bi == len(batches)-1 && base.Tput > 0 && run.LatOK && base.LatOK {
-				r.Note("%s batch=%d vs unbatched: %.2fx throughput, p50 %+.1fus",
-					path.name, batch, run.Tput/base.Tput, run.P50-base.P50)
+			r.add(path.name, batch, run.tput/1e3, latCell(run.p50, run.latOK), latCell(run.p99, run.latOK),
+				run.trains, avg)
+			if bi == len(batches)-1 && base.tput > 0 && run.latOK && base.latOK {
+				r.note("%s batch=%d vs unbatched: %.2fx throughput, p50 %+.1fus",
+					path.name, batch, run.tput/base.tput, run.p50-base.p50)
 			}
 		}
 	}
-	r.Note("%d shards, θ=0.99; trains coalesce same-leader requests issued within a 2us window (I6)", shards)
-	r.Note("both paths hold throughput parity while trains cut client request packets ~2.3x: the replicas are compute-bound, DPDK receive latency hides under queueing, and the on-path card's traffic manager admits packets in hardware")
+	r.note("%d shards, θ=0.99; trains coalesce same-leader requests issued within a 2us window (I6)", shards)
+	r.note("both paths hold throughput parity while trains cut client request packets ~2.3x: the replicas are compute-bound, DPDK receive latency hides under queueing, and the on-path card's traffic manager admits packets in hardware")
 	return r
 }

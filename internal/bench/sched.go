@@ -30,7 +30,7 @@ func fig16(opts Options) *Result {
 		window = 30 * sim.Millisecond
 		loads = []float64{0.3, 0.7, 0.9}
 	}
-	r := &Result{Header: []string{"nic", "dispersion", "load", "FCFS-p99(us)", "DRR-p99(us)", "iPipe-p99(us)"}}
+	r := &Result{header: []string{"nic", "dispersion", "load", "FCFS-p99(us)", "DRR-p99(us)", "iPipe-p99(us)"}}
 
 	type nicCase struct {
 		model   *spec.NICModel
@@ -86,7 +86,7 @@ func fig16(opts Options) *Result {
 				// out the runtime's scaling to reference-core units.
 				OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
 					ctx.Reply(m)
-					return sim.Time(float64(d.Draw()) / nc.model.CyclesScale())
+					return sim.Time(float64(d.draw()) / nc.model.CyclesScale())
 				},
 			}
 			if err := n.Register(a, true, 0); err != nil {
@@ -151,10 +151,10 @@ func fig16(opts Options) *Result {
 		if p.highDisp {
 			disp = "high(bimodal2)"
 		}
-		r.Add(p.nc.model.Name, disp, fmt.Sprintf("%.1f", p.load), p99s[i], p99s[i+1], p99s[i+2])
+		r.add(p.nc.model.Name, disp, fmt.Sprintf("%.1f", p.load), p99s[i], p99s[i+1], p99s[i+2])
 	}
-	r.Note("paper at 0.9 load: low dispersion — hybrid ≈ FCFS, beats DRR by 9.6%%/21.7%% (LiquidIO/Stingray)")
-	r.Note("paper at 0.9 load: high dispersion — hybrid cuts FCFS tail by 68.7%%/61.4%% and DRR by 10.9%%/12.9%%")
+	r.note("paper at 0.9 load: low dispersion — hybrid ≈ FCFS, beats DRR by 9.6%%/21.7%% (LiquidIO/Stingray)")
+	r.note("paper at 0.9 load: high dispersion — hybrid cuts FCFS tail by 68.7%%/61.4%% and DRR by 10.9%%/12.9%%")
 	return r
 }
 
@@ -167,4 +167,4 @@ type shiftedExp struct {
 }
 
 // Draw returns one service time.
-func (s shiftedExp) Draw() sim.Time { return s.base + s.jit.Draw() }
+func (s shiftedExp) draw() sim.Time { return s.base + s.jit.Draw() }

@@ -52,7 +52,7 @@ func profileActor(id actor.ID, name string) *actor.Actor {
 // was parameterized with. Divergence would mean the runtime adds
 // unaccounted charges.
 func table3Live(opts Options) *Result {
-	r := &Result{Header: []string{"workload", "table3(us)", "measured(us)", "delta(%)"}}
+	r := &Result{header: []string{"workload", "table3(us)", "measured(us)", "delta(%)"}}
 	rows := sweepMap(opts, len(table3Rows), func(bi int) []any {
 		name := table3Rows[bi]
 		prof, _ := spec.WorkloadByName(name)
@@ -79,8 +79,8 @@ func table3Live(opts Options) *Result {
 		return []any{name, want, measured, delta}
 	})
 	for _, row := range rows {
-		r.Add(row...)
+		r.add(row...)
 	}
-	r.Note("measured = ServiceStats EWMA through the full runtime (includes forwarding tax and reply send); small positive deltas are those runtime charges")
+	r.note("measured = ServiceStats EWMA through the full runtime (includes forwarding tax and reply send); small positive deltas are those runtime charges")
 	return r
 }

@@ -149,8 +149,8 @@ type Config struct {
 	// 10 for baseline nodes).
 	LinkGbps float64
 	// RingSlots/RingBatch size the host↔NIC channels.
-	RingSlots int
-	RingBatch int
+	ringSlots int
+	ringBatch int
 	// WatchdogTimeout bounds per-invocation NIC core occupancy (§3.4);
 	// 0 uses 1ms; negative disables.
 	WatchdogTimeout sim.Time
@@ -172,7 +172,7 @@ type Config struct {
 // Phase[2] with Pull set, so Node.Migrations accounts both directions.
 type MigrationRecord struct {
 	Actor      string
-	Start      sim.Time
+	start      sim.Time
 	Phase      [4]sim.Time // elapsed per phase
 	BytesMoved int
 	Buffered   int // requests forwarded at commit (phase 4 on pushes)
@@ -196,7 +196,7 @@ type Node struct {
 	// Part is the node's engine partition (0 on classic clusters).
 	Part      int
 	NICModel  *spec.NICModel
-	HostModel *spec.HostModel
+	hostModel *spec.HostModel
 
 	Sched   *sched.Scheduler // nil on baseline nodes
 	Host    *hostsim.Host
@@ -259,7 +259,7 @@ type Node struct {
 	nicSlowdown float64
 	// DownDrops counts messages discarded because the node (or its NIC
 	// complex) was down when they arrived or would have executed.
-	DownDrops uint64
+	downDrops uint64
 }
 
 // migrationBandwidthGBs is the effective object-migration bandwidth
@@ -289,11 +289,11 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	if _, dup := c.nodes[cfg.Name]; dup {
 		panic(fmt.Sprintf("core: duplicate node %q", cfg.Name))
 	}
-	if cfg.RingSlots == 0 {
-		cfg.RingSlots = msgring.DefaultRingSlots
+	if cfg.ringSlots == 0 {
+		cfg.ringSlots = msgring.DefaultRingSlots
 	}
-	if cfg.RingBatch == 0 {
-		cfg.RingBatch = 4
+	if cfg.ringBatch == 0 {
+		cfg.ringBatch = 4
 	}
 	if cfg.WatchdogTimeout == 0 {
 		// Generous default: legitimate heavy handlers (compaction,
@@ -321,7 +321,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		cfg:        cfg,
 		Name:       cfg.Name,
 		NICModel:   cfg.NIC,
-		HostModel:  spec.IntelHost(),
+		hostModel:  spec.IntelHost(),
 		Objects:    dmo.NewStore(),
 		Violations: isolation.NewViolationLog(),
 		actors:     map[actor.ID]*actor.Actor{},
@@ -329,7 +329,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	}
 
 	n.Host = hostsim.New(eng, hostsim.Config{
-		Cores:    n.HostModel.Cores,
+		Cores:    n.hostModel.Cores,
 		Steal:    true,
 		PollCost: 50 * sim.Nanosecond,
 	}, hostsim.Hooks{
@@ -341,7 +341,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		n.Gate = nicsim.NewTrafficGate(eng, cfg.NIC)
 		n.Accels = nicsim.NewAccelBank(eng, cfg.NIC)
 		n.DMA = pcie.New(eng, cfg.NIC.DMA)
-		n.Chan = msgring.NewChannel(eng, n.DMA, cfg.RingSlots, cfg.RingBatch)
+		n.Chan = msgring.NewChannel(eng, n.DMA, cfg.ringSlots, cfg.ringBatch)
 		n.Chan.OnHostReady = n.pumpToHost
 		n.Chan.OnNICReady = n.pumpToNIC
 
@@ -458,7 +458,7 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 			return
 		}
 		if n.down {
-			n.DownDrops++
+			n.downDrops++
 			return
 		}
 		n.receive(m, pkt.Src, pkt.Size, pkt.FlowID)
@@ -467,7 +467,7 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 	if n.down {
 		// Crashed nodes drop everything on the floor: the client's retry
 		// path is what recovers the request.
-		n.DownDrops++
+		n.downDrops++
 		return
 	}
 	switch p := pkt.Payload.(type) {
@@ -514,7 +514,7 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 	if n.down || n.nicDown {
 		// The cores are dead: queued work drains as drops — no handler
 		// runs, no state mutates, no reply leaves.
-		n.DownDrops++
+		n.downDrops++
 		return 100 * sim.Nanosecond
 	}
 	ctx := n.takeCtx(a, true)
@@ -529,7 +529,7 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 // runOnHost is the host engine's Run hook.
 func (n *Node) runOnHost(a *actor.Actor, m actor.Msg) sim.Time {
 	if n.down {
-		n.DownDrops++
+		n.downDrops++
 		return 100 * sim.Nanosecond
 	}
 	ctx := n.takeCtx(a, false)
@@ -537,9 +537,9 @@ func (n *Node) runOnHost(a *actor.Actor, m actor.Msg) sim.Time {
 	service := n.scaleHost(ref, a) + ctx.extra
 	switch m.Via {
 	case actor.ViaWire:
-		service += n.HostModel.DPDKRxOcc
+		service += n.hostModel.DPDKRxOcc
 	case actor.ViaRing:
-		service += n.HostModel.RingRxOcc
+		service += n.hostModel.RingRxOcc
 	}
 	if !n.cfg.RawState {
 		// iPipe bookkeeping (EWMA updates, dispatch table) — part of the
@@ -562,7 +562,7 @@ func (n *Node) scaleNIC(ref sim.Time) sim.Time {
 // scaleHost converts a reference-core cost to a host core, crediting
 // less speedup to memory-bound actors (I3).
 func (n *Node) scaleHost(ref sim.Time, a *actor.Actor) sim.Time {
-	h := n.HostModel
+	h := n.hostModel
 	mb := a.MemBound
 	speed := h.ComputeSpeedup*(1-mb) + h.MemorySpeedup*mb
 	return sim.Time(float64(ref) / speed)

@@ -169,9 +169,9 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 			c.charge(n.NICModel.NICSendCost.Cost(size))
 		} else if n.Offloaded() {
 			// Host egress via the NIC: stage into the ring.
-			c.charge(n.HostModel.RingTxOcc)
+			c.charge(n.hostModel.RingTxOcc)
 		} else {
-			c.charge(n.HostModel.DPDKTxOcc)
+			c.charge(n.hostModel.DPDKTxOcc)
 		}
 		m.Via = actor.ViaWire
 		m.WireSize = int32(size)
@@ -188,7 +188,7 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 		c.charge(150 * sim.Nanosecond)
 		c.emit(effect{kind: effLocalNIC, m: m})
 	case !c.onNIC && ref.OnNIC:
-		c.charge(60*sim.Nanosecond + n.HostModel.RingTxOcc)
+		c.charge(60*sim.Nanosecond + n.hostModel.RingTxOcc)
 		c.emit(effect{kind: effLocalHost, m: m})
 	default:
 		c.charge(80 * sim.Nanosecond)
@@ -244,9 +244,9 @@ func (c *execCtx) Reply(m actor.Msg) {
 	if c.onNIC {
 		c.charge(n.NICModel.NICSendCost.Cost(size))
 	} else if n.Offloaded() {
-		c.charge(n.HostModel.RingTxOcc)
+		c.charge(n.hostModel.RingTxOcc)
 	} else {
-		c.charge(n.HostModel.DPDKTxOcc)
+		c.charge(n.hostModel.DPDKTxOcc)
 	}
 	c.emit(effect{kind: effReply, m: m, size: size})
 }

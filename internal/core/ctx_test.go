@@ -209,8 +209,8 @@ func TestObjReadViewBorrowedUntilHandlerReturns(t *testing.T) {
 		if string(kept) != want {
 			t.Fatalf("checked=%v: the kept view reads %q after the handler returned, want %q", checked, kept, want)
 		}
-		if err := cl.Checker().Err(); err != nil {
-			t.Fatalf("checked=%v: %v", checked, err)
+		if vs := cl.Checker().Violations(); len(vs) != 0 {
+			t.Fatalf("checked=%v: %v", checked, vs)
 		}
 	}
 }

@@ -72,41 +72,6 @@ func TestBlueFieldNode(t *testing.T) {
 	}
 }
 
-// TestTinyRingBackpressure forces the host↔NIC rings to fill so the
-// retry path (ring full → backoff) is exercised without losing
-// messages.
-func TestTinyRingBackpressure(t *testing.T) {
-	cl := core.NewCluster(8)
-	n := cl.AddNode(core.Config{
-		Name: "srv", NIC: spec.LiquidIOII_CN2350(),
-		RingSlots: 8, RingBatch: 1,
-	})
-	served := 0
-	sink := &actor.Actor{
-		ID: 2, Name: "sink", PinHost: true,
-		OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-			served++
-			return 20 * sim.Microsecond // slow consumer: the ring backs up
-		},
-	}
-	n.Register(sink, false, 0)
-	client := workload.NewClient(cl, "cli", 10)
-	// A burst far larger than the 8-slot ring.
-	for i := 0; i < 100; i++ {
-		i := i
-		cl.Eng.At(sim.Time(i)*sim.Microsecond, func() {
-			client.Send(workload.Request{Node: "srv", Dst: 2, Size: 256, FlowID: uint64(i)})
-		})
-	}
-	cl.Eng.Run()
-	if served != 100 {
-		t.Fatalf("served %d of 100 through an 8-slot ring (backpressure lost messages)", served)
-	}
-	if n.Chan.ToHost().CreditSyncs == 0 {
-		t.Fatal("no credit syncs despite ring pressure")
-	}
-}
-
 // TestHostToNICRingDirection drives the host→NIC direction hard: a
 // host-pinned producer fans messages to a NIC-resident consumer.
 func TestHostToNICRingDirection(t *testing.T) {

@@ -37,7 +37,7 @@ import (
 func (n *Node) pushToHost(a *actor.Actor) {
 	chk := n.c.CheckerAt(n.Part)
 	chk.MigrateBegin(n.Name, a.Name, true)
-	rec := MigrationRecord{Actor: a.Name, Start: n.eng.Now()}
+	rec := MigrationRecord{Actor: a.Name, start: n.eng.Now()}
 	start := n.eng.Now()
 
 	// Phase 1: state transition, dispatcher and runnable-queue removal,
@@ -92,7 +92,7 @@ func (n *Node) pushToHost(a *actor.Actor) {
 					buffered := a.Mailbox.Drain()
 					rec.Buffered = len(buffered)
 					chk.MigrateCommit(n.Name, a.Name, true, bytes, len(buffered))
-					n.obsMigrateCommit(a, true, rec.Start, bytes)
+					n.obsMigrateCommit(a, true, rec.start, bytes)
 					p4 := sim.Time(len(buffered)) * 2 * sim.Microsecond
 					n.eng.After(p4, func() {
 						rec.Phase[3] = n.eng.Now() - phase4Start
@@ -126,7 +126,7 @@ func (n *Node) pullFromHost() bool {
 	}
 	chk := n.c.CheckerAt(n.Part)
 	chk.MigrateBegin(n.Name, a.Name, false)
-	rec := MigrationRecord{Actor: a.Name, Start: n.eng.Now(), Pull: true}
+	rec := MigrationRecord{Actor: a.Name, start: n.eng.Now(), Pull: true}
 	a.State = actor.Prepare
 	n.Host.RemoveActor(a.ID)
 	// Host actors run shared-nothing; in-flight messages route through
@@ -162,14 +162,14 @@ func (n *Node) pullFromHost() bool {
 			}
 			n.Sched.AddActor(a)
 			n.c.Table.Set(a.ID, actor.Ref{Node: n.Name, OnNIC: true})
-			rec.Phase[2] = n.eng.Now() - rec.Start // object move + commit wait
+			rec.Phase[2] = n.eng.Now() - rec.start // object move + commit wait
 			a.State = actor.Stable
 			// Requests buffered while the actor was in flight resume on the
 			// NIC side.
 			buffered := a.Mailbox.Drain()
 			rec.Buffered = len(buffered)
 			chk.MigrateCommit(n.Name, a.Name, false, bytes, len(buffered))
-			n.obsMigrateCommit(a, false, rec.Start, bytes)
+			n.obsMigrateCommit(a, false, rec.start, bytes)
 			for _, m := range buffered {
 				n.Sched.Arrive(m)
 			}

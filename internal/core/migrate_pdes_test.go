@@ -52,8 +52,8 @@ func TestMigrateNowHoldsLatch(t *testing.T) {
 	if len(n.Migrations) != 2 {
 		t.Fatalf("migrations recorded = %d after retry, want 2", len(n.Migrations))
 	}
-	if err := chk.Err(); err != nil {
-		t.Fatal(err)
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatal(vs)
 	}
 }
 
@@ -229,8 +229,8 @@ func runMigrationMeshPDES(t *testing.T, seed uint64, workers int) string {
 	fps := make([]string, 0, len(chks))
 	for _, chk := range chks {
 		chk.Finish()
-		if err := chk.Err(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if vs := chk.Violations(); len(vs) != 0 {
+			t.Fatalf("workers=%d: %v", workers, vs)
 		}
 		fps = append(fps, chk.Fingerprint())
 	}

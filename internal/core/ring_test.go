@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/actor"
@@ -22,7 +23,7 @@ func ringPair(slots int, checked bool) (cl *Cluster, n *Node, execs *[2]int) {
 	if checked {
 		cl.AttachCheckers()
 	}
-	n = cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), RingSlots: slots, DisableMigration: true})
+	n = cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), ringSlots: slots, DisableMigration: true})
 	execs = new([2]int)
 	for i, onNIC := range []bool{true, false} {
 		id := actor.ID(i + 1)
@@ -65,13 +66,50 @@ func TestRingCrossingAllocFree(t *testing.T) {
 	}
 }
 
+// TestTinyRingBackpressure forces the host↔NIC rings to fill so the
+// retry path (ring full → backoff) is exercised without losing
+// messages: a NIC actor on another node sends a burst over the wire to a
+// slow host actor behind 8-slot rings.
+func TestTinyRingBackpressure(t *testing.T) {
+	cl := NewCluster(8)
+	n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), ringSlots: 8, ringBatch: 1})
+	src := cl.AddNode(Config{Name: "cli", NIC: spec.LiquidIOII_CN2350()})
+	served := 0
+	sink := &actor.Actor{
+		ID: 2, Name: "sink", PinHost: true,
+		OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+			served++
+			return 20 * sim.Microsecond // slow consumer: the ring backs up
+		},
+	}
+	n.Register(sink, false, 0)
+	sender := &actor.Actor{ID: 1, PinNIC: true, OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+		ctx.Send(2, actor.Msg{FlowID: m.FlowID, WireSize: 256})
+		return 0
+	}}
+	src.Register(sender, true, 0)
+	// A burst far larger than the 8-slot ring.
+	for i := 0; i < 100; i++ {
+		cl.Eng.At(sim.Time(i)*sim.Microsecond, func() {
+			src.Inject(actor.Msg{Dst: 1, FlowID: uint64(i)})
+		})
+	}
+	cl.Eng.Run()
+	if served != 100 {
+		t.Fatalf("served %d of 100 through an 8-slot ring (backpressure lost messages)", served)
+	}
+	if n.Chan.ToHost().CreditSyncs == 0 {
+		t.Fatal("no credit syncs despite ring pressure")
+	}
+}
+
 // TestHostPushRetryKeepsOrder: messages a full host→NIC ring turns away
 // are offered again in the order they came, from one bound continuation,
 // and every ring handle they used comes back. The twin of
 // TestForwardRetryKeepsOrder.
 func TestHostPushRetryKeepsOrder(t *testing.T) {
 	cl := NewCluster(1)
-	n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), RingSlots: 4, RingBatch: 1, DisableMigration: true})
+	n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), ringSlots: 4, ringBatch: 1, DisableMigration: true})
 	var got []actor.Kind
 	sink := &actor.Actor{ID: 1, PinNIC: true, OnMessage: func(_ actor.Ctx, m actor.Msg) sim.Time {
 		got = append(got, m.Kind)
@@ -122,8 +160,8 @@ func TestRingRecordsPoisonedUnderChecker(t *testing.T) {
 	if n.freeRings.Len() != 0 {
 		t.Fatal("ring handles were recycled under the checker")
 	}
-	if err := chk.Err(); err != nil {
-		t.Fatalf("clean run reported %v", err)
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatalf("clean run reported %v", vs)
 	}
 
 	for _, push := range []func(msgring.Message){
@@ -140,7 +178,7 @@ func TestRingRecordsPoisonedUnderChecker(t *testing.T) {
 		t.Fatalf("%d executions, want 11: a stale handle must not deliver", execs[0]+execs[1])
 	}
 	vs := chk.Violations()
-	if len(vs) != 2 || vs[0].Rule != "use-after-release" || vs[1].Rule != "use-after-release" {
+	if len(vs) != 2 || !strings.Contains(vs[0].String(), " use-after-release: ") || !strings.Contains(vs[1].String(), " use-after-release: ") {
 		t.Fatalf("violations %v, want two use-after-release", vs)
 	}
 }

@@ -54,7 +54,7 @@ func (n *Node) admit(a *arrival, flow uint64, size int) {
 	}
 	// Baseline node: DPDK delivers straight to host cores after the
 	// stack's receive latency.
-	n.eng.After(n.HostModel.DPDKRecvCost.Cost(size)-n.HostModel.DPDKRxOcc, a.toHostFn)
+	n.eng.After(n.hostModel.DPDKRecvCost.Cost(size)-n.hostModel.DPDKRxOcc, a.toHostFn)
 }
 
 func (a *arrival) toNIC() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/actor"
@@ -141,8 +142,8 @@ func TestWireRecordCrashedReceiver(t *testing.T) {
 	b.Fail()
 	a.Eng().Defer(func() { a.Inject(actor.Msg{Dst: 1, FlowID: 5}) })
 	cl.RunUntil(10 * sim.Millisecond)
-	if hops() != 1 || b.DownDrops != 1 {
-		t.Fatalf("hops=%d DownDrops=%d, want the first hop executed and the second dropped at b", hops(), b.DownDrops)
+	if hops() != 1 || b.downDrops != 1 {
+		t.Fatalf("hops=%d DownDrops=%d, want the first hop executed and the second dropped at b", hops(), b.downDrops)
 	}
 	if wiresOn(a) != 0 || wiresOn(b) != 1 {
 		t.Fatalf("wire records on a's partition %d, on b's %d, want 0 and 1: the crashed receiver releases the record", wiresOn(a), wiresOn(b))
@@ -315,8 +316,8 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 	if wiresPooled(cl) != 0 || a.freeArrivals.Len()+b.freeArrivals.Len() != 0 {
 		t.Fatal("records were recycled under the checker")
 	}
-	if err := chk.Err(); err != nil {
-		t.Fatalf("clean run reported %v", err)
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatalf("clean run reported %v", vs)
 	}
 
 	w := &wireMsg{m: actor.Msg{Dst: 2}}
@@ -336,7 +337,7 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 		t.Fatalf("%d hops, want 13: the stale continuation must not execute", hops())
 	}
 	vs := chk.Violations()
-	if len(vs) != 2 || vs[0].Rule != "use-after-release" || vs[1].Rule != "use-after-release" {
+	if len(vs) != 2 || !strings.Contains(vs[0].String(), " use-after-release: ") || !strings.Contains(vs[1].String(), " use-after-release: ") {
 		t.Fatalf("violations %v, want two use-after-release", vs)
 	}
 }
@@ -345,7 +346,7 @@ func TestReleasedRecordsPoisonedUnderChecker(t *testing.T) {
 // are offered again in the order they came, from one bound continuation.
 func TestForwardRetryKeepsOrder(t *testing.T) {
 	cl := NewCluster(1)
-	n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), RingSlots: 4, RingBatch: 1, DisableMigration: true})
+	n := cl.AddNode(Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), ringSlots: 4, ringBatch: 1, DisableMigration: true})
 	var got []uint64
 	sink := &actor.Actor{ID: 1, PinHost: true, OnMessage: func(_ actor.Ctx, m actor.Msg) sim.Time {
 		got = append(got, m.FlowID)

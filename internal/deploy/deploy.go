@@ -96,11 +96,11 @@ type RKVSpec struct {
 type RKV struct {
 	*rkv.Deployment
 	// Groups holds one replica group per shard.
-	Groups []*rkv.Deployment
+	groups []*rkv.Deployment
 	// Router maps keys to shards (nil is never returned; a single-group
 	// deployment gets a one-shard ring).
 	Router   *shard.Ring
-	Spec     RKVSpec
+	spec     RKVSpec
 	Injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil when the spec had no
 	// Tenancy block).
@@ -111,23 +111,23 @@ type RKV struct {
 
 // Validate checks the spec without deploying anything. Its errors name
 // the spec and the offending field; it never panics.
-func (s RKVSpec) Validate() error {
+func (s RKVSpec) validate() error {
 	if len(s.Nodes) == 0 {
-		return &validationError{Spec: "RKVSpec", Field: "Nodes", Reason: "needs at least one node"}
+		return &validationError{spec: "RKVSpec", field: "Nodes", reason: "needs at least one node"}
 	}
 	if s.Replicas > len(s.Nodes) {
-		return &validationError{Spec: "RKVSpec", Field: "Replicas",
-			Reason: fmt.Sprintf("wants %d replicas from %d nodes", s.Replicas, len(s.Nodes))}
+		return &validationError{spec: "RKVSpec", field: "Replicas",
+			reason: fmt.Sprintf("wants %d replicas from %d nodes", s.Replicas, len(s.Nodes))}
 	}
 	if s.Shards < 0 {
-		return &validationError{Spec: "RKVSpec", Field: "Shards", Reason: "must be >= 0"}
+		return &validationError{spec: "RKVSpec", field: "Shards", reason: "must be >= 0"}
 	}
 	return s.Common.validate("RKVSpec")
 }
 
 // Deploy stands up the spec.
 func (s RKVSpec) Deploy() (*RKV, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	shards := s.Shards
@@ -146,7 +146,7 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 		}
 	}
 	cl := s.Nodes[0].Cluster()
-	out := &RKV{Spec: s}
+	out := &RKV{spec: s}
 	for g := 0; g < shards; g++ {
 		// Rotate each group's replica set so leaders (replica 0) land on
 		// distinct nodes and follower load spreads evenly.
@@ -162,14 +162,14 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 		if shards > 1 {
 			d.TagShard(g)
 		}
-		out.Groups = append(out.Groups, d)
+		out.groups = append(out.groups, d)
 	}
-	out.Deployment = out.Groups[0]
+	out.Deployment = out.groups[0]
 	if chk := cl.Checker(); chk.Enabled() {
 		// Report every leadership claim (initial leaders and election
 		// winners) so the checker can enforce single-leader-per-ballot
 		// within each replica group.
-		for g, d := range out.Groups {
+		for g, d := range out.groups {
 			label := fmt.Sprintf("rkv-g%02d", g)
 			for k, rep := range d.Replicas {
 				k := k
@@ -203,7 +203,7 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 		// but never below one live shard.
 		out.QoS.BindReshard(out.hottestShard, func(g int) {
 			if out.Router.Shards() > 1 && out.Router.Live(g) {
-				out.Reshard(g)
+				out.reshard(g)
 			}
 		})
 	}
@@ -213,7 +213,7 @@ func (s RKVSpec) Deploy() (*RKV, error) {
 // hottestShard returns the live group with the most consensus commits.
 func (r *RKV) hottestShard() int {
 	best, bestCommits := 0, uint64(0)
-	for g, d := range r.Groups {
+	for g, d := range r.groups {
 		var commits uint64
 		for _, rep := range d.Replicas {
 			commits += rep.Consensus.Commits
@@ -229,14 +229,14 @@ func (r *RKV) hottestShard() int {
 func (r *RKV) ShardFor(key []byte) int { return r.Router.Lookup(key) }
 
 // Group returns shard g's replica group.
-func (r *RKV) Group(g int) *rkv.Deployment { return r.Groups[g] }
+func (r *RKV) Group(g int) *rkv.Deployment { return r.groups[g] }
 
 // LeaderFor routes a key: the node name and consensus actor ID of the
 // owning group's current leader (falling back to the group's first
 // replica while an election is in flight, whose redirect machinery
 // then points the client at the winner).
 func (r *RKV) LeaderFor(key []byte) (string, actor.ID) {
-	g := r.Groups[r.Router.Lookup(key)]
+	g := r.groups[r.Router.Lookup(key)]
 	rep := g.Leader()
 	if rep == nil {
 		rep = g.Replicas[0]
@@ -248,7 +248,7 @@ func (r *RKV) LeaderFor(key []byte) (string, actor.ID) {
 // beyond recovery: only that shard's ≈1/N of the key space remaps (to
 // the surviving groups); every other key keeps its owner. The group's
 // actors are not torn down — they simply stop receiving routed keys.
-func (r *RKV) Reshard(g int) { r.Router.Remove(g) }
+func (r *RKV) reshard(g int) { r.Router.Remove(g) }
 
 // installFailover registers a membership listener modeling each replica
 // group's failure detector: when the node hosting a group's current
@@ -256,7 +256,7 @@ func (r *RKV) Reshard(g int) { r.Router.Remove(g) }
 // (in replica order) is told to run an election. Passive until a node
 // actually fails.
 func (r *RKV) installFailover(cl *core.Cluster) {
-	detect := r.Spec.Failover.Detect
+	detect := r.spec.Failover.Detect
 	if detect <= 0 {
 		detect = defaultDetect
 	}
@@ -264,7 +264,7 @@ func (r *RKV) installFailover(cl *core.Cluster) {
 		if !down {
 			return
 		}
-		for _, g := range r.Groups {
+		for _, g := range r.groups {
 			if !groupHostsLeader(g, node) {
 				continue
 			}
@@ -296,7 +296,7 @@ func (r *RKV) registerShardMetrics(cl *core.Cluster) {
 	if col == nil {
 		return
 	}
-	for g, d := range r.Groups {
+	for g, d := range r.groups {
 		d := d
 		reg := col.Registry(fmt.Sprintf("%srkv-shard%02d", cl.ObsPrefix(), g))
 		reg.Counter("commits", func() uint64 {
@@ -364,29 +364,29 @@ type DTSpec struct {
 type DT struct {
 	Coord    *dt.Coordinator
 	Stores   []*dt.Store
-	Spec     DTSpec
-	Injector *fault.Injector
+	spec     DTSpec
+	injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	QoS *qos.Runtime
+	qoS *qos.Runtime
 }
 
 // Validate checks the spec without deploying anything. It rejects an
 // empty participant set: such a coordinator would abort every
 // transaction.
-func (s DTSpec) Validate() error {
+func (s DTSpec) validate() error {
 	if s.Coordinator == nil {
-		return &validationError{Spec: "DTSpec", Field: "Coordinator", Reason: "needs a coordinator node"}
+		return &validationError{spec: "DTSpec", field: "Coordinator", reason: "needs a coordinator node"}
 	}
 	if len(s.Participants) == 0 {
-		return &validationError{Spec: "DTSpec", Field: "Participants",
-			Reason: "needs at least one participant node (a coordinator without participants cannot commit transactions)"}
+		return &validationError{spec: "DTSpec", field: "Participants",
+			reason: "needs at least one participant node (a coordinator without participants cannot commit transactions)"}
 	}
 	return s.Common.validate("DTSpec")
 }
 
 // Deploy stands up the spec.
 func (s DTSpec) Deploy() (*DT, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	lease := s.LockLease
@@ -416,13 +416,13 @@ func (s DTSpec) Deploy() (*DT, error) {
 	if err := s.Coordinator.Register(coord.Actor, s.Placement.OnNIC, 0); err != nil {
 		return nil, err
 	}
-	out := &DT{Coord: coord, Stores: stores, Spec: s}
+	out := &DT{Coord: coord, Stores: stores, spec: s}
 	if s.TxnTimeout > 0 {
 		out.installSweep()
 	}
 	var err error
 	nodes := append([]*core.Node{s.Coordinator}, s.Participants...)
-	if out.Injector, out.QoS, err = s.install(nodes); err != nil {
+	if out.injector, out.qoS, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -434,13 +434,13 @@ func (s DTSpec) Deploy() (*DT, error) {
 // it ends once the simulation's own work has drained, so Engine.Run
 // terminates.
 func (d *DT) installSweep() {
-	eng := d.Spec.Coordinator.Cluster().Eng
-	interval := d.Spec.TxnTimeout / 2
+	eng := d.spec.Coordinator.Cluster().Eng
+	interval := d.spec.TxnTimeout / 2
 	if interval < 1 {
 		interval = 1
 	}
 	coordID := d.Coord.Actor.ID
-	node := d.Spec.Coordinator
+	node := d.spec.Coordinator
 	eng.Every(interval, func() {
 		if eng.Busy() {
 			node.Inject(actor.Msg{Kind: dt.KindSweep, Dst: coordID})
@@ -473,23 +473,23 @@ type RTASpec struct {
 // RTA is a deployed analytics pipeline.
 type RTA struct {
 	Topology rta.Topology
-	Injector *fault.Injector
+	injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	QoS *qos.Runtime
+	qoS *qos.Runtime
 }
 
 // Validate checks the spec without deploying anything.
-func (s RTASpec) Validate() error {
+func (s RTASpec) validate() error {
 	if s.Node == nil || s.Aggregator == nil {
-		return &validationError{Spec: "RTASpec", Field: "Node",
-			Reason: "needs pipeline and aggregator nodes"}
+		return &validationError{spec: "RTASpec", field: "Node",
+			reason: "needs pipeline and aggregator nodes"}
 	}
 	return s.Common.validate("RTASpec")
 }
 
 // Deploy stands up the spec.
 func (s RTASpec) Deploy() (*RTA, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	topo := rta.Topology{
@@ -516,7 +516,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 		nodes = nodes[:1]
 	}
 	var err error
-	if out.Injector, out.QoS, err = s.install(nodes); err != nil {
+	if out.injector, out.qoS, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -535,22 +535,22 @@ type FirewallSpec struct {
 
 // Firewall is a deployed firewall actor.
 type Firewall struct {
-	Injector *fault.Injector
+	injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	QoS *qos.Runtime
+	qoS *qos.Runtime
 }
 
 // Validate checks the spec without deploying anything.
-func (s FirewallSpec) Validate() error {
+func (s FirewallSpec) validate() error {
 	if s.Node == nil {
-		return &validationError{Spec: "FirewallSpec", Field: "Node", Reason: "needs a node"}
+		return &validationError{spec: "FirewallSpec", field: "Node", reason: "needs a node"}
 	}
 	return s.Common.validate("FirewallSpec")
 }
 
 // Deploy stands up the spec.
 func (s FirewallSpec) Deploy() (*Firewall, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	fw := nf.NewFirewall(s.ID, nf.NewTCAM(s.Rules))
@@ -559,7 +559,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 	}
 	out := &Firewall{}
 	var err error
-	if out.Injector, out.QoS, err = s.install([]*core.Node{s.Node}); err != nil {
+	if out.injector, out.qoS, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -578,27 +578,27 @@ type IPSecSpec struct {
 
 // IPSec is a deployed gateway actor.
 type IPSec struct {
-	Injector *fault.Injector
+	injector *fault.Injector
 	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	QoS *qos.Runtime
+	qoS *qos.Runtime
 }
 
 // Validate checks the spec without deploying anything. Key material is
 // checked here (not at first packet) so a bad spec fails before
 // deployment.
-func (s IPSecSpec) Validate() error {
+func (s IPSecSpec) validate() error {
 	if s.Node == nil {
-		return &validationError{Spec: "IPSecSpec", Field: "Node", Reason: "needs a node"}
+		return &validationError{spec: "IPSecSpec", field: "Node", reason: "needs a node"}
 	}
 	if _, err := nf.NewIPSecState(s.Key, s.MACKey); err != nil {
-		return &validationError{Spec: "IPSecSpec", Field: "Key", Reason: err.Error(), Err: err}
+		return &validationError{spec: "IPSecSpec", field: "Key", reason: err.Error(), err: err}
 	}
 	return s.Common.validate("IPSecSpec")
 }
 
 // Deploy stands up the spec.
 func (s IPSecSpec) Deploy() (*IPSec, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	st, err := nf.NewIPSecState(s.Key, s.MACKey)
@@ -609,7 +609,7 @@ func (s IPSecSpec) Deploy() (*IPSec, error) {
 		return nil, err
 	}
 	out := &IPSec{}
-	if out.Injector, out.QoS, err = s.install([]*core.Node{s.Node}); err != nil {
+	if out.injector, out.qoS, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -327,12 +327,12 @@ func shardedCluster(t *testing.T, seed uint64, nNodes, shards, reps int) (*core.
 // and the compatibility surface (embedded Deployment = shard 0).
 func TestRKVShardedLayout(t *testing.T) {
 	_, d := shardedCluster(t, 1, 8, 4, 3)
-	if len(d.Groups) != 4 || d.Deployment != d.Groups[0] {
-		t.Fatalf("got %d groups, embedded=%v", len(d.Groups), d.Deployment == d.Groups[0])
+	if len(d.groups) != 4 || d.Deployment != d.groups[0] {
+		t.Fatalf("got %d groups, embedded=%v", len(d.groups), d.Deployment == d.groups[0])
 	}
 	seenLeader := map[string]bool{}
 	seenID := map[actor.ID]bool{}
-	for g, grp := range d.Groups {
+	for g, grp := range d.groups {
 		if len(grp.Replicas) != 3 {
 			t.Fatalf("shard %d has %d replicas", g, len(grp.Replicas))
 		}
@@ -433,11 +433,11 @@ func TestRKVShardedFailoverIsolated(t *testing.T) {
 	// kv0 keeps a stale IsLeader flag while down (it never observes the
 	// higher ballot); what matters is that shard 0's surviving replica
 	// took over.
-	if !d.Groups[0].Replicas[1].Consensus.IsLeader {
+	if !d.groups[0].Replicas[1].Consensus.IsLeader {
 		t.Fatal("shard 0's surviving replica (kv1) did not take over")
 	}
 	for g := 1; g < 4; g++ {
-		l := d.Groups[g].Leader()
+		l := d.groups[g].Leader()
 		if l == nil || l.Node.Name != fmt.Sprintf("kv%d", g) {
 			t.Fatalf("shard %d leader disturbed by kv0's crash: %v", g, l)
 		}
@@ -456,7 +456,7 @@ func TestRKVReshardMovesOneShare(t *testing.T) {
 		before[i] = d.ShardFor([]byte(fmt.Sprintf("key-%d", i)))
 	}
 	const victim = 5
-	d.Reshard(victim)
+	d.reshard(victim)
 	moved := 0
 	for i := range before {
 		after := d.ShardFor([]byte(fmt.Sprintf("key-%d", i)))

@@ -30,7 +30,7 @@ type Common struct {
 // spec type for the error).
 func (c *Common) validate(spec string) error {
 	if err := c.Tenancy.Validate(); err != nil {
-		return &validationError{Spec: spec, Field: "Tenancy", Reason: err.Error(), Err: err}
+		return &validationError{spec: spec, field: "Tenancy", reason: err.Error(), err: err}
 	}
 	return nil
 }
@@ -57,18 +57,18 @@ func (c *Common) install(nodes []*core.Node) (*fault.Injector, *qos.Runtime, err
 // validationError is a typed spec-validation failure.
 type validationError struct {
 	// Spec is the spec type ("RKVSpec", ...), Field the offending field.
-	Spec   string
-	Field  string
-	Reason string
+	spec   string
+	field  string
+	reason string
 	// Err is the underlying cause when validation wrapped another typed
 	// error (qos's Tenancy error).
-	Err error
+	err error
 }
 
 // Error implements error.
 func (e *validationError) Error() string {
-	return fmt.Sprintf("deploy: invalid %s.%s: %s", e.Spec, e.Field, e.Reason)
+	return fmt.Sprintf("deploy: invalid %s.%s: %s", e.spec, e.field, e.reason)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
-func (e *validationError) Unwrap() error { return e.Err }
+func (e *validationError) Unwrap() error { return e.err }

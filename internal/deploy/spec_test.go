@@ -43,7 +43,7 @@ func TestSpecValidationTable(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		s        interface{ Validate() error }
+		s        interface{ validate() error }
 		spec     string // expected validationError.Spec ("" = valid)
 		field    string // expected validationError.Field
 		qosField string // expected field of the wrapped qos error ("" = none)
@@ -81,19 +81,19 @@ func TestSpecValidationTable(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.s.Validate()
+			err := tc.s.validate()
 			if tc.spec == "" {
 				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+					t.Fatalf("validate() = %v, want nil", err)
 				}
 				return
 			}
 			var ve *validationError
 			if !errors.As(err, &ve) {
-				t.Fatalf("Validate() = %v (%T), want *validationError", err, err)
+				t.Fatalf("validate() = %v (%T), want *validationError", err, err)
 			}
-			if ve.Spec != tc.spec || ve.Field != tc.field {
-				t.Fatalf("validationError = %s.%s, want %s.%s", ve.Spec, ve.Field, tc.spec, tc.field)
+			if ve.spec != tc.spec || ve.field != tc.field {
+				t.Fatalf("validationError = %s.%s, want %s.%s", ve.spec, ve.field, tc.spec, tc.field)
 			}
 			if tc.qosField != "" {
 				inner := errors.Unwrap(ve)
@@ -133,18 +133,18 @@ func TestSpecDeployAppSurface(t *testing.T) {
 	check("rkv", r.QoS, r.Injector, true)
 	d, err := DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}.Deploy()
 	deployed("dt", err)
-	check("dt", d.QoS, d.Injector, false)
+	check("dt", d.qoS, d.injector, false)
 	a, err := RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
 		BaseID: 400, TopN: 4}.Deploy()
 	deployed("rta", err)
-	check("rta", a.QoS, a.Injector, false)
+	check("rta", a.qoS, a.injector, false)
 	f, err := FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
 		Node: nodes[5], ID: 500}.Deploy()
 	deployed("firewall", err)
-	check("firewall", f.QoS, f.Injector, true)
+	check("firewall", f.qoS, f.injector, true)
 	i, err := IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}.Deploy()
 	deployed("ipsec", err)
-	check("ipsec", i.QoS, i.Injector, false)
+	check("ipsec", i.qoS, i.injector, false)
 }
 
 // TestSpecTenancyControllerRequiresClassicCluster pins the PDES

@@ -113,10 +113,10 @@ type Store struct {
 	nextID  ObjID
 
 	// Migrations counts object moves for experiment accounting.
-	Migrations uint64
+	migrations uint64
 	// BytesMigrated accumulates migration volume (drives Figure 18's
 	// phase-3 cost).
-	BytesMigrated uint64
+	bytesMigrated uint64
 
 	// chk/chkLabel: the invariant checker shadows region byte accounting
 	// (alloc = free + live, never over limit); nil = disabled.
@@ -308,8 +308,8 @@ func (s *Store) MigrateActor(actor uint32, to Side) (bytes int) {
 		bytes += len(o.data)
 	})
 	if bytes > 0 {
-		s.Migrations++
-		s.BytesMigrated += uint64(bytes)
+		s.migrations++
+		s.bytesMigrated += uint64(bytes)
 	}
 	return bytes
 }
@@ -324,8 +324,8 @@ func (s *Store) MigrateObject(actor uint32, id ObjID, to Side) (int, error) {
 		return 0, nil
 	}
 	o.side = to
-	s.Migrations++
-	s.BytesMigrated += uint64(len(o.data))
+	s.migrations++
+	s.bytesMigrated += uint64(len(o.data))
 	return len(o.data), nil
 }
 

@@ -360,8 +360,8 @@ func compareTables(t testing.TB, st *Store, m *model) {
 			t.Fatalf("actor %d region = %d/%d; model %d/%d", a, used, limit, m.used[a], m.limit[a])
 		}
 	}
-	if st.Migrations != m.migrations || st.BytesMigrated != m.migrated {
-		t.Fatalf("migrations = %d (%d B); model %d (%d B)", st.Migrations, st.BytesMigrated, m.migrations, m.migrated)
+	if st.migrations != m.migrations || st.bytesMigrated != m.migrated {
+		t.Fatalf("migrations = %d (%d B); model %d (%d B)", st.migrations, st.bytesMigrated, m.migrations, m.migrated)
 	}
 
 	live, prev := 0, ObjID(0)

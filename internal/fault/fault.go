@@ -27,11 +27,11 @@ import (
 )
 
 // Kind enumerates the injectable fault classes.
-type Kind uint8
+type kind uint8
 
 const (
 	// nodeCrash fail-stops the whole node for Dur, then restarts it.
-	nodeCrash Kind = iota + 1
+	nodeCrash kind = iota + 1
 	// nicDown kills only the SmartNIC processing complex: its actors
 	// re-home to the host and ingress takes the host path.
 	nicDown
@@ -52,7 +52,7 @@ const (
 )
 
 // String names the fault kind for logs and trace spans.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
 	case nodeCrash:
 		return "crash"
@@ -78,68 +78,68 @@ func (k Kind) String() string {
 // comparisons). Jitter, when set, shifts the start by a seed-derived
 // offset in [0, Jitter), drawn from the engine's PRNG at install time.
 type Fault struct {
-	Kind  Kind
-	Node  string   // target node (all kinds except Cut)
-	Nodes []string // Cut: the group to cut off
+	kind  kind
+	node  string   // target node (all kinds except Cut)
+	nodes []string // Cut: the group to cut off
 
-	At  sim.Time
-	Dur sim.Time
+	at  sim.Time
+	dur sim.Time
 
-	Rate   float64  // linkLoss drop probability (0, 1]
-	Factor float64  // nicOverload service-time multiplier (> 1)
-	Period sim.Time // linkFlap cycle (default Dur/4)
-	Unit   string   // accelStall accelerator name
+	rate   float64  // linkLoss drop probability (0, 1]
+	factor float64  // nicOverload service-time multiplier (> 1)
+	period sim.Time // linkFlap cycle (default Dur/4)
+	unit   string   // accelStall accelerator name
 	Jitter sim.Time // optional seed-derived start offset
 }
 
 // label renders the fault for the deterministic log and trace spans.
 func (f Fault) label() string {
-	switch f.Kind {
+	switch f.kind {
 	case nicOverload:
-		return fmt.Sprintf("%s %s x%.3g", f.Kind, f.Node, f.Factor)
+		return fmt.Sprintf("%s %s x%.3g", f.kind, f.node, f.factor)
 	case linkLoss:
-		return fmt.Sprintf("%s %s %.3g", f.Kind, f.Node, f.Rate)
+		return fmt.Sprintf("%s %s %.3g", f.kind, f.node, f.rate)
 	case partitionCut:
-		return fmt.Sprintf("%s [%s]", f.Kind, strings.Join(f.Nodes, " "))
+		return fmt.Sprintf("%s [%s]", f.kind, strings.Join(f.nodes, " "))
 	case accelStall:
-		return fmt.Sprintf("%s %s %s", f.Kind, f.Node, f.Unit)
+		return fmt.Sprintf("%s %s %s", f.kind, f.node, f.unit)
 	}
-	return fmt.Sprintf("%s %s", f.Kind, f.Node)
+	return fmt.Sprintf("%s %s", f.kind, f.node)
 }
 
 // Crash builds a node crash/restart fault.
 func Crash(node string, at, dur sim.Time) Fault {
-	return Fault{Kind: nodeCrash, Node: node, At: at, Dur: dur}
+	return Fault{kind: nodeCrash, node: node, at: at, dur: dur}
 }
 
 // NICFail builds a SmartNIC-complex failure.
 func NICFail(node string, at, dur sim.Time) Fault {
-	return Fault{Kind: nicDown, Node: node, At: at, Dur: dur}
+	return Fault{kind: nicDown, node: node, at: at, dur: dur}
 }
 
 // Overload builds a NIC overload burst (service times × factor).
 func Overload(node string, at, dur sim.Time, factor float64) Fault {
-	return Fault{Kind: nicOverload, Node: node, At: at, Dur: dur, Factor: factor}
+	return Fault{kind: nicOverload, node: node, at: at, dur: dur, factor: factor}
 }
 
 // Loss builds a lossy-link window on the node's traffic.
 func Loss(node string, at, dur sim.Time, rate float64) Fault {
-	return Fault{Kind: linkLoss, Node: node, At: at, Dur: dur, Rate: rate}
+	return Fault{kind: linkLoss, node: node, at: at, dur: dur, rate: rate}
 }
 
 // Flap builds a flapping-link window (down Period/2, up Period/2).
 func Flap(node string, at, dur, period sim.Time) Fault {
-	return Fault{Kind: linkFlap, Node: node, At: at, Dur: dur, Period: period}
+	return Fault{kind: linkFlap, node: node, at: at, dur: dur, period: period}
 }
 
 // Cut builds a partition isolating the given group from everyone else.
 func Cut(at, dur sim.Time, nodes ...string) Fault {
-	return Fault{Kind: partitionCut, Nodes: nodes, At: at, Dur: dur}
+	return Fault{kind: partitionCut, nodes: nodes, at: at, dur: dur}
 }
 
 // Stall builds an accelerator stall on the node's named unit.
 func Stall(node, unit string, at, dur sim.Time) Fault {
-	return Fault{Kind: accelStall, Node: node, Unit: unit, At: at, Dur: dur}
+	return Fault{kind: accelStall, node: node, unit: unit, at: at, dur: dur}
 }
 
 // Schedule is a declarative set of faults, the Faults field of the
@@ -153,14 +153,14 @@ type Schedule struct {
 // the offending fault by index and rendered label so a mis-built
 // schedule fails loudly before any event reaches the engine.
 type scheduleError struct {
-	Index  int    // position in Schedule.Faults
-	Label  string // the offending Fault's label
-	Reason string
+	index  int    // position in Schedule.Faults
+	label  string // the offending Fault's label
+	reason string
 }
 
 // Error implements error with the stable "fault N (label): reason" form.
 func (e *scheduleError) Error() string {
-	return fmt.Sprintf("fault %d (%s): %s", e.Index, e.Label, e.Reason)
+	return fmt.Sprintf("fault %d (%s): %s", e.index, e.label, e.reason)
 }
 
 // Validate checks the schedule against a cluster: known target nodes,
@@ -169,47 +169,47 @@ func (e *scheduleError) Error() string {
 // endpoints (attached to the network but not cluster nodes), so only
 // node-runtime faults require a cluster node. Every failure is a
 // *scheduleError.
-func (s Schedule) Validate(cl *core.Cluster) error {
+func (s Schedule) validate(cl *core.Cluster) error {
 	for i, f := range s.Faults {
 		where := func(msg string, args ...any) error {
-			return &scheduleError{Index: i, Label: f.label(), Reason: fmt.Sprintf(msg, args...)}
+			return &scheduleError{index: i, label: f.label(), reason: fmt.Sprintf(msg, args...)}
 		}
-		if f.At < 0 {
-			return where("negative start time %v", f.At)
+		if f.at < 0 {
+			return where("negative start time %v", f.at)
 		}
-		if now := cl.Eng.Now(); f.At < now {
-			return where("window starts in the past (start %v, engine now %v)", f.At, now)
+		if now := cl.Eng.Now(); f.at < now {
+			return where("window starts in the past (start %v, engine now %v)", f.at, now)
 		}
-		if f.Dur <= 0 {
-			return where("fault window must be positive, got %v", f.Dur)
+		if f.dur <= 0 {
+			return where("fault window must be positive, got %v", f.dur)
 		}
-		switch f.Kind {
+		switch f.kind {
 		case nodeCrash, nicDown, nicOverload, accelStall:
-			if cl.Node(f.Node) == nil {
-				return where("unknown node %q", f.Node)
+			if cl.Node(f.node) == nil {
+				return where("unknown node %q", f.node)
 			}
 		case linkLoss, linkFlap:
-			if f.Node == "" {
+			if f.node == "" {
 				return where("needs a target node")
 			}
 		case partitionCut:
-			if len(f.Nodes) == 0 {
+			if len(f.nodes) == 0 {
 				return where("needs a non-empty group")
 			}
 		default:
 			return where("unknown fault kind")
 		}
-		switch f.Kind {
+		switch f.kind {
 		case nicOverload:
-			if f.Factor <= 1 {
-				return where("overload factor must exceed 1, got %g", f.Factor)
+			if f.factor <= 1 {
+				return where("overload factor must exceed 1, got %g", f.factor)
 			}
 		case linkLoss:
-			if f.Rate <= 0 || f.Rate > 1 {
-				return where("loss rate must be in (0, 1], got %g", f.Rate)
+			if f.rate <= 0 || f.rate > 1 {
+				return where("loss rate must be in (0, 1], got %g", f.rate)
 			}
 		case accelStall:
-			if f.Unit == "" {
+			if f.unit == "" {
 				return where("needs an accelerator unit name")
 			}
 		}
@@ -267,7 +267,7 @@ type logEntry struct {
 // the owning node's partition-local state and run on its partition
 // engine.
 func (f Fault) barrierArm() bool {
-	switch f.Kind {
+	switch f.kind {
 	case nodeCrash, linkLoss, linkFlap, partitionCut:
 		return true
 	}
@@ -279,7 +279,7 @@ func (in *Injector) srcOf(f Fault) int {
 	if f.barrierArm() || len(in.srcs) == 1 {
 		return 0
 	}
-	return 1 + in.cl.Node(f.Node).Part
+	return 1 + in.cl.Node(f.node).Part
 }
 
 // at returns the scheduler for the fault's arm class: cluster-wide arms
@@ -319,7 +319,7 @@ func (in *Injector) epoch(s *injSrc, f Fault, label string, t sim.Time) {
 // *scheduleError before anything reaches the engine. Installing an
 // empty schedule is allowed and yields an injector that never fires.
 func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
-	if err := s.Validate(cl); err != nil {
+	if err := s.validate(cl); err != nil {
 		return nil, err
 	}
 	in := &Injector{cl: cl, tr: cl.Tracer()}
@@ -343,7 +343,7 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	// ties, so jitter draws and log lines never depend on input order
 	// quirks.
 	faults := append([]Fault(nil), s.Faults...)
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At < faults[j].At })
+	sort.SliceStable(faults, func(i, j int) bool { return faults[i].at < faults[j].at })
 
 	// Trace lanes (coordinator-only registration, at install): one per
 	// source that owns an arm, the coordinator's first.
@@ -367,7 +367,7 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 
 	for _, f := range faults {
 		src := &in.srcs[in.srcOf(f)]
-		start := f.At
+		start := f.at
 		if f.Jitter > 0 {
 			// Deterministic because install order is the stable sort.
 			start += sim.Time(src.eng.Rand().Float64() * float64(f.Jitter))
@@ -442,7 +442,7 @@ func (in *Injector) activate(s *injSrc, f Fault, start sim.Time) {
 	s.active++
 	s.logAt(start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
 	in.epoch(s, f, "+"+f.label(), start)
-	end := start + f.Dur
+	end := start + f.dur
 	// The span is emitted at activation (the window is known up front):
 	// per-lane timestamps then stay monotonic even when windows overlap.
 	s.sink.Span(s.track, f.label(), start, end, obs.Args{})
@@ -461,31 +461,31 @@ func (in *Injector) activate(s *injSrc, f Fault, start sim.Time) {
 // toggles chain through it at explicit times.
 func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start sim.Time) func() {
 	net := in.cl.Net
-	switch f.Kind {
+	switch f.kind {
 	case nodeCrash:
-		n := in.cl.Node(f.Node)
+		n := in.cl.Node(f.node)
 		n.Fail()
 		return n.Recover
 	case nicDown:
-		n := in.cl.Node(f.Node)
+		n := in.cl.Node(f.node)
 		n.FailNIC()
 		return n.RecoverNIC
 	case nicOverload:
-		n := in.cl.Node(f.Node)
-		n.SetNICSlowdown(f.Factor)
+		n := in.cl.Node(f.node)
+		n.SetNICSlowdown(f.factor)
 		return func() { n.SetNICSlowdown(1) }
 	case linkLoss:
-		net.SetNodeLoss(f.Node, f.Rate)
-		return func() { net.SetNodeLoss(f.Node, 0) }
+		net.SetNodeLoss(f.node, f.rate)
+		return func() { net.SetNodeLoss(f.node, 0) }
 	case linkFlap:
-		others := in.peersOf(f.Node)
+		others := in.peersOf(f.node)
 		cut := func(on bool) {
 			for _, o := range others {
-				net.SetBlocked(f.Node, o, on)
+				net.SetBlocked(f.node, o, on)
 			}
 		}
 		half := flapHalf(f)
-		end := start + f.Dur
+		end := start + f.dur
 		down := true
 		cut(true)
 		var toggle func(t sim.Time)
@@ -496,9 +496,9 @@ func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start s
 			down = !down
 			cut(down)
 			if down {
-				s.sink.Instant(s.track, "flap down "+f.Node, t)
+				s.sink.Instant(s.track, "flap down "+f.node, t)
 			} else {
-				s.sink.Instant(s.track, "flap up "+f.Node, t)
+				s.sink.Instant(s.track, "flap up "+f.node, t)
 			}
 			at(t+half, func() { toggle(t + half) })
 		}
@@ -507,8 +507,8 @@ func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start s
 	case partitionCut:
 		return in.applyCut(f)
 	case accelStall:
-		n := in.cl.Node(f.Node)
-		if n.Accels == nil || !n.Accels.Stall(f.Unit, f.Dur) {
+		n := in.cl.Node(f.node)
+		if n.Accels == nil || !n.Accels.Stall(f.unit, f.dur) {
 			s.logAt(start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))
 		}
 		return nil // the station drains the stall by itself
@@ -518,9 +518,9 @@ func (in *Injector) apply(s *injSrc, at func(sim.Time, func()), f Fault, start s
 
 // flapHalf derives a flap's half-period with the documented defaults.
 func flapHalf(f Fault) sim.Time {
-	half := f.Period / 2
+	half := f.period / 2
 	if half <= 0 {
-		half = f.Dur / 8
+		half = f.dur / 8
 	}
 	if half <= 0 {
 		half = 1
@@ -533,7 +533,7 @@ func flapHalf(f Fault) sim.Time {
 func (in *Injector) applyCut(f Fault) func() {
 	net := in.cl.Net
 	group := map[string]bool{}
-	for _, a := range f.Nodes {
+	for _, a := range f.nodes {
 		group[a] = true
 	}
 	var others []string
@@ -542,12 +542,12 @@ func (in *Injector) applyCut(f Fault) func() {
 			others = append(others, name)
 		}
 	}
-	for _, a := range f.Nodes {
+	for _, a := range f.nodes {
 		for _, b := range others {
 			net.SetBlocked(a, b, true)
 		}
 	}
-	a := append([]string(nil), f.Nodes...)
+	a := append([]string(nil), f.nodes...)
 	return func() {
 		for _, x := range a {
 			for _, b := range others {

@@ -40,7 +40,7 @@ func TestValidateRejectsBadFaults(t *testing.T) {
 		{"stall without unit", Stall("n0", "", 0, sim.Millisecond), "unit"},
 	}
 	for _, c := range cases {
-		err := Schedule{Faults: []Fault{c.f}}.Validate(cl)
+		err := Schedule{Faults: []Fault{c.f}}.validate(cl)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
@@ -50,7 +50,7 @@ func TestValidateRejectsBadFaults(t *testing.T) {
 		Loss("n0", 0, sim.Millisecond, 0.5),
 		Cut(0, sim.Millisecond, "n0"),
 	}}
-	if err := ok.Validate(cl); err != nil {
+	if err := ok.validate(cl); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 			Loss("n1", 500*sim.Microsecond, sim.Millisecond, 0.3),
 			Flap("n2", 2*sim.Millisecond, sim.Millisecond, 200*sim.Microsecond),
 			Cut(3*sim.Millisecond, sim.Millisecond, "n0", "n1"),
-			{Kind: nodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
+			{kind: nodeCrash, node: "n2", at: 4 * sim.Millisecond, dur: sim.Millisecond,
 				Jitter: 300 * sim.Microsecond},
 		}}
 	}
@@ -221,7 +221,7 @@ func TestInstallRejectsPastStart(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %T %v, want *scheduleError", err, err)
 	}
-	if se.Index != 0 || !strings.Contains(se.Reason, "past") {
+	if se.index != 0 || !strings.Contains(se.reason, "past") {
 		t.Fatalf("scheduleError = %+v, want Index 0 with a past-start reason", se)
 	}
 	// A schedule entirely at/after the clock is fine.
@@ -285,7 +285,7 @@ func fullSchedule() Schedule {
 		Overload("n2", 500*sim.Microsecond, sim.Millisecond, 2.5),
 		Stall("n5", "CRC", sim.Millisecond, sim.Millisecond),
 		NICFail("n1", sim.Millisecond, sim.Millisecond),
-		{Kind: nodeCrash, Node: "n2", At: 4 * sim.Millisecond, Dur: sim.Millisecond,
+		{kind: nodeCrash, node: "n2", at: 4 * sim.Millisecond, dur: sim.Millisecond,
 			Jitter: 300 * sim.Microsecond},
 	}}
 }

@@ -54,7 +54,7 @@ type Host struct {
 
 	// Completed counts executed messages; Steals counts stolen ones.
 	Completed uint64
-	Steals    uint64
+	steals    uint64
 }
 
 type hcore struct {
@@ -68,7 +68,7 @@ type hcore struct {
 	busyStart sim.Time
 	busy      bool
 
-	Executed uint64
+	executed uint64
 
 	// op is the operation occupying the core: one at a time, so its state
 	// lives here instead of in a closure per occupy. The record and the
@@ -190,7 +190,7 @@ func (h *Host) Backlog() int {
 
 // BusyCoreSeconds returns the integral of busy cores over virtual time,
 // in core-seconds. Divide by elapsed seconds for "cores used".
-func (h *Host) BusyCoreSeconds() float64 {
+func (h *Host) busyCoreSeconds() float64 {
 	var total sim.Time
 	now := h.eng.Now()
 	for _, c := range h.cores {
@@ -208,7 +208,7 @@ func (h *Host) CoresUsed() float64 {
 	if el <= 0 {
 		return 0
 	}
-	return h.BusyCoreSeconds() / el
+	return h.busyCoreSeconds() / el
 }
 
 func (c *hcore) kick() {
@@ -245,7 +245,7 @@ func (c *hcore) pop() (actor.Msg, bool) {
 	// the head. Left as is here because fixing it reorders host
 	// executions, which moves every fingerprint with a busy host.
 	m, _ := h.queues[victim].PopTail()
-	h.Steals++
+	h.steals++
 	return m, true
 }
 
@@ -321,7 +321,7 @@ func (c *hcore) occupyDone() {
 		}
 		c.step()
 	case opExec:
-		c.Executed++
+		c.executed++
 		h.Completed++
 		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, int(m.WireSize))
 		c.trace(a, m, op.start)

@@ -42,8 +42,8 @@ func TestHostExecutes(t *testing.T) {
 		x.h.Arrive(actor.Msg{Dst: 1, FlowID: uint64(i)})
 	}
 	x.eng.Run()
-	if x.h.Completed != 10 || a.Invoked != 10 {
-		t.Fatalf("completed %d, invoked %d", x.h.Completed, a.Invoked)
+	if x.h.Completed != 10 || a.ExecStats.Count() != 10 {
+		t.Fatalf("completed %d, invoked %d", x.h.Completed, a.ExecStats.Count())
 	}
 	if x.h.Backlog() != 0 {
 		t.Fatal("backlog left")
@@ -58,12 +58,12 @@ func TestFlowSteeringWithoutStealingImbalances(t *testing.T) {
 		x.h.Arrive(actor.Msg{Dst: 1, FlowID: 8}) // 8 % 4 = core 0
 	}
 	x.eng.Run()
-	if x.h.cores[0].Executed != 20 {
-		t.Fatalf("core 0 executed %d, want all 20", x.h.cores[0].Executed)
+	if x.h.cores[0].executed != 20 {
+		t.Fatalf("core 0 executed %d, want all 20", x.h.cores[0].executed)
 	}
 	for i := 1; i < 4; i++ {
-		if x.h.cores[i].Executed != 0 {
-			t.Fatalf("core %d executed %d without stealing", i, x.h.cores[i].Executed)
+		if x.h.cores[i].executed != 0 {
+			t.Fatalf("core %d executed %d without stealing", i, x.h.cores[i].executed)
 		}
 	}
 }
@@ -75,12 +75,12 @@ func TestWorkStealingRepairsImbalance(t *testing.T) {
 		x.h.Arrive(actor.Msg{Dst: 1, FlowID: 8})
 	}
 	x.eng.Run()
-	if x.h.Steals == 0 {
+	if x.h.steals == 0 {
 		t.Fatal("no steals despite one hot queue")
 	}
 	others := 0
 	for i := 1; i < 4; i++ {
-		others += int(x.h.cores[i].Executed)
+		others += int(x.h.cores[i].executed)
 	}
 	if others == 0 {
 		t.Fatal("stealing cores executed nothing")
@@ -145,8 +145,8 @@ func TestExclusiveHostActor(t *testing.T) {
 	if maxRun > 1 {
 		t.Fatalf("exclusive actor concurrency %d", maxRun)
 	}
-	if a.Invoked != 12 {
-		t.Fatalf("invoked %d of 12", a.Invoked)
+	if a.ExecStats.Count() != 12 {
+		t.Fatalf("invoked %d of 12", a.ExecStats.Count())
 	}
 }
 
@@ -222,7 +222,7 @@ func TestStealTakesVictimsNewestMessage(t *testing.T) {
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Fatalf("execution order %v, want %v (core 1 steals the newest)", order, want)
 	}
-	if h.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1", h.Steals)
+	if h.steals != 1 {
+		t.Fatalf("Steals = %d, want 1", h.steals)
 	}
 }

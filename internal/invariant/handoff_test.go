@@ -23,10 +23,10 @@ func TestNetHandoffBalancesLedgers(t *testing.T) {
 	dstEng.Run()
 	src.Finish()
 	dst.Finish()
-	if err := src.Err(); err != nil {
+	if err := src.err(); err != nil {
 		t.Fatalf("source ledger: %v", err)
 	}
-	if err := dst.Err(); err != nil {
+	if err := dst.err(); err != nil {
 		t.Fatalf("destination ledger: %v", err)
 	}
 	if !strings.Contains(src.Fingerprint(), "xfer=1/0") {
@@ -41,7 +41,7 @@ func TestNetHandoffOverdraw(t *testing.T) {
 	chk.NetHandoffIn()
 	chk.NetDeliver()
 	chk.NetDeliver() // one more than the ledger is responsible for
-	if chk.Err() == nil {
+	if chk.err() == nil {
 		t.Fatalf("over-delivery past the handed-in count not flagged")
 	}
 }

@@ -33,14 +33,14 @@ import (
 
 // Violation is one detected invariant breach at a virtual time.
 type Violation struct {
-	At     sim.Time
-	Rule   string
-	Detail string
+	at     sim.Time
+	rule   string
+	detail string
 }
 
 // String renders the violation as a stable log line.
 func (v Violation) String() string {
-	return fmt.Sprintf("violation t=%d %s: %s", int64(v.At), v.Rule, v.Detail)
+	return fmt.Sprintf("violation t=%d %s: %s", int64(v.at), v.rule, v.detail)
 }
 
 // Checker accumulates conservation counters and violations for one
@@ -156,9 +156,9 @@ func (c *Checker) now() sim.Time {
 
 func (c *Checker) violate(rule, format string, args ...any) {
 	c.violations = append(c.violations, Violation{
-		At:     c.now(),
-		Rule:   rule,
-		Detail: fmt.Sprintf(format, args...),
+		at:     c.now(),
+		rule:   rule,
+		detail: fmt.Sprintf(format, args...),
 	})
 }
 
@@ -170,17 +170,8 @@ func (c *Checker) Violations() []Violation {
 	return c.violations
 }
 
-// Checks returns how many predicate evaluations ran (a liveness signal:
-// a wired checker on an active cluster must count into the thousands).
-func (c *Checker) Checks() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.checks
-}
-
 // Err folds violations into a single error, nil when clean.
-func (c *Checker) Err() error {
+func (c *Checker) err() error {
 	if c == nil || len(c.violations) == 0 {
 		return nil
 	}
@@ -742,9 +733,11 @@ func Close(chks []*Checker) (checks uint64, violations []Violation, err error) {
 	var errs []error
 	for _, c := range chks {
 		c.Finish()
-		checks += c.Checks()
+		if c != nil {
+			checks += c.checks
+		}
 		violations = append(violations, c.Violations()...)
-		errs = append(errs, c.Err())
+		errs = append(errs, c.err())
 	}
 	return checks, violations, errors.Join(errs...)
 }

@@ -11,7 +11,7 @@ import (
 func countRule(c *Checker, rule string) int {
 	n := 0
 	for _, v := range c.Violations() {
-		if v.Rule == rule {
+		if v.rule == rule {
 			n++
 		}
 	}
@@ -42,7 +42,7 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	c.DRRRemove("n", 1)
 	c.EpochAt("+crash", 0)
 	c.Finish()
-	if c.Err() != nil || c.Checks() != 0 || len(c.Violations()) != 0 {
+	if checks, vs, err := Close([]*Checker{c}); c.err() != nil || checks != 0 || len(vs) != 0 || err != nil {
 		t.Fatal("nil checker accumulated state")
 	}
 	if c.Fingerprint() != "" {
@@ -345,11 +345,11 @@ func TestFingerprintDeterminism(t *testing.T) {
 
 func TestErr(t *testing.T) {
 	c := New(nil)
-	if c.Err() != nil {
+	if c.err() != nil {
 		t.Fatal("clean checker errors")
 	}
 	c.GateDeliver()
-	err := c.Err()
+	err := c.err()
 	if err == nil || !strings.Contains(err.Error(), "gate-conservation") {
 		t.Fatalf("Err() = %v", err)
 	}

@@ -23,11 +23,11 @@ import (
 // which is equivalent to the timer firing mid-execution.
 type Watchdog struct {
 	// Timeout is the per-invocation budget. Zero disables the watchdog.
-	Timeout sim.Time
+	timeout sim.Time
 	// OnKill is invoked when an actor is condemned; the runtime
 	// deregisters it, removes it from dispatch/runnable queues, and
 	// frees its resources.
-	OnKill func(a *actor.Actor)
+	onKill func(a *actor.Actor)
 
 	// Kills counts condemned actors.
 	Kills uint64
@@ -35,28 +35,27 @@ type Watchdog struct {
 
 // NewWatchdog builds a watchdog with the given budget.
 func NewWatchdog(timeout sim.Time, onKill func(*actor.Actor)) *Watchdog {
-	return &Watchdog{Timeout: timeout, OnKill: onKill}
+	return &Watchdog{timeout: timeout, onKill: onKill}
 }
 
 // Check inspects one handler invocation's service time. If it exceeds
 // the budget the actor is killed and Check reports (clamped, true): the
 // core is released after Timeout, not after the runaway service time.
 func (w *Watchdog) Check(a *actor.Actor, service sim.Time) (sim.Time, bool) {
-	if w == nil || w.Timeout <= 0 || service <= w.Timeout {
+	if w == nil || w.timeout <= 0 || service <= w.timeout {
 		return service, false
 	}
 	w.Kills++
-	if w.OnKill != nil {
-		w.OnKill(a)
+	if w.onKill != nil {
+		w.onKill(a)
 	}
-	return w.Timeout, true
+	return w.timeout, true
 }
 
 // ViolationLog aggregates DMO access violations per actor so the
 // runtime (or an operator) can evict repeat offenders.
 type ViolationLog struct {
 	byActor map[actor.ID]uint64
-	total   uint64
 }
 
 // NewViolationLog returns an empty log.
@@ -67,11 +66,7 @@ func NewViolationLog() *ViolationLog {
 // Record notes one rejected access by an actor.
 func (v *ViolationLog) Record(id actor.ID) {
 	v.byActor[id]++
-	v.total++
 }
 
 // Count returns an actor's violation count.
 func (v *ViolationLog) Count(id actor.ID) uint64 { return v.byActor[id] }
-
-// Total returns all recorded violations.
-func (v *ViolationLog) Total() uint64 { return v.total }

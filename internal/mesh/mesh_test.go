@@ -22,7 +22,7 @@ func checkedRun(cfg Config) (Stats, string, int) {
 	bad := 0
 	for _, chk := range chks {
 		chk.Finish()
-		if chk.Err() != nil {
+		if len(chk.Violations()) != 0 {
 			bad++
 		}
 		fp += chk.Fingerprint()

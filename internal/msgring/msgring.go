@@ -44,14 +44,14 @@ type Message struct {
 	// wire size and checksum.
 	App any
 	// EnqueuedAt is stamped by Push for latency accounting.
-	EnqueuedAt sim.Time
+	enqueuedAt sim.Time
 
 	checksum uint32
 	ready    bool
 }
 
 // WireSize is the message's size on PCIe.
-func (m *Message) WireSize() int { return HeaderBytes + len(m.Data) }
+func (m *Message) wireSize() int { return HeaderBytes + len(m.Data) }
 
 func (m *Message) seal()        { m.checksum = crc32.ChecksumIEEE(m.Data) }
 func (m *Message) intact() bool { return m.checksum == crc32.ChecksumIEEE(m.Data) }
@@ -71,9 +71,9 @@ type Ring struct {
 	// Pushed/Popped/CreditSyncs/ChecksumDrops count events for tests and
 	// the framework-overhead experiment (Figure 17).
 	Pushed        uint64
-	Popped        uint64
+	popped        uint64
 	CreditSyncs   uint64
-	ChecksumDrops uint64
+	checksumDrops uint64
 
 	// chk/chkLabel: the invariant checker re-validates the pointer and
 	// credit relations after every operation (nil = disabled).
@@ -138,7 +138,7 @@ func (r *Ring) pop() (Message, bool) {
 		// Partial DMA write detected: leave the slot for the engine to
 		// finish; the consumer polls again later. Counted so tests can
 		// observe the defense firing.
-		r.ChecksumDrops++
+		r.checksumDrops++
 		return Message{}, false
 	}
 	m := *s
@@ -146,7 +146,7 @@ func (r *Ring) pop() (Message, bool) {
 	s.Data = nil
 	s.App = nil
 	r.head++
-	r.Popped++
+	r.popped++
 	r.consumed++
 	r.check()
 	return m, true
@@ -180,7 +180,7 @@ type Channel struct {
 
 	// BatchSize is how many NIC-side messages are aggregated into one
 	// scatter-gather DMA write before flushing. 1 disables batching.
-	BatchSize int
+	batchSize int
 	pending   []int // slot indices awaiting flush
 	pendingSz []int
 
@@ -318,7 +318,7 @@ func NewChannel(eng *sim.Engine, dma *pcie.Engine, slots, batch int) *Channel {
 		eng: eng, dma: dma,
 		toHost:    newRing(slots),
 		toNIC:     newRing(slots),
-		BatchSize: batch,
+		batchSize: batch,
 	}
 }
 
@@ -346,15 +346,15 @@ func (c *Channel) ToNIC() *Ring { return c.toNIC }
 // NIC-core occupancy charged (command build + possibly a flush) or
 // an error when the producer is out of credits (ring full).
 func (c *Channel) NICPush(m Message) (sim.Time, error) {
-	m.EnqueuedAt = c.eng.Now()
+	m.enqueuedAt = c.eng.Now()
 	idx, err := c.toHost.push(m)
 	if err != nil {
 		return 0, err
 	}
 	c.pending = append(c.pending, idx)
-	c.pendingSz = append(c.pendingSz, m.WireSize())
+	c.pendingSz = append(c.pendingSz, m.wireSize())
 	cost := 50 * sim.Nanosecond // build header, stage descriptor
-	if len(c.pending) >= c.BatchSize {
+	if len(c.pending) >= c.batchSize {
 		cost += c.Flush()
 	}
 	return cost, nil
@@ -407,7 +407,7 @@ func (c *Channel) HostPoll(max int) ([]Message, sim.Time) {
 // stores into the host-resident ring, so the message is immediately
 // fetchable; the cost is a local copy.
 func (c *Channel) HostPush(m Message) (sim.Time, error) {
-	m.EnqueuedAt = c.eng.Now()
+	m.enqueuedAt = c.eng.Now()
 	idx, err := c.toNIC.push(m)
 	if err != nil {
 		return 0, err
@@ -435,7 +435,7 @@ func (c *Channel) NICPoll(max int, done func([]Message)) sim.Time {
 		if !ok {
 			break
 		}
-		total += m.WireSize()
+		total += m.wireSize()
 		r.msgs = append(r.msgs, m)
 	}
 	if c.toNIC.needsCreditSync() {

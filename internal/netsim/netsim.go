@@ -150,7 +150,7 @@ func NewPartitioned(g *sim.Group) *Network {
 
 // Partitions returns the number of engine partitions ports can attach
 // to.
-func (n *Network) Partitions() int {
+func (n *Network) partitions() int {
 	if n.group == nil {
 		return 1
 	}
@@ -161,8 +161,8 @@ func (n *Network) Partitions() int {
 // workload.NewClientAt) resolves its engine here, so an out-of-range
 // partition — a topology construction bug — panics with one message.
 func (n *Network) EngineAt(part int) *sim.Engine {
-	if part < 0 || part >= n.Partitions() {
-		panic(fmt.Sprintf("netsim: partition %d out of range (network has %d)", part, n.Partitions()))
+	if part < 0 || part >= n.partitions() {
+		panic(fmt.Sprintf("netsim: partition %d out of range (network has %d)", part, n.partitions()))
 	}
 	if n.group == nil {
 		return n.eng
@@ -209,7 +209,7 @@ func (n *Network) AttachOn(name string, gbps float64, h Handler, part int) {
 		xTrack:  obs.NoTrack,
 	}
 	n.nodes[name] = p
-	if n.Partitions() > 1 {
+	if n.partitions() > 1 {
 		// The switch hop is the minimum cross-partition latency: a
 		// handoff happens after uplink serialization, and covers
 		// propagation to the switch plus the fabric delay.
@@ -274,7 +274,7 @@ func (n *Network) Observe(tr *obs.Tracer, group func(node string) obs.GroupID, c
 	}
 	n.tracer, n.groupOf, n.chks = tr, group, chks
 	n.domain = -1
-	if n.Partitions() > 1 {
+	if n.partitions() > 1 {
 		n.domain = tr.NewDomain()
 	}
 }
@@ -284,7 +284,7 @@ func (n *Network) tracePort(p *port) {
 	p.sink = n.tracer.Sink(p.part)
 	p.txTrack = n.tracer.NewTrack(g, "link tx")
 	p.rxTrack = n.tracer.NewTrack(g, "link rx")
-	if n.Partitions() > 1 {
+	if n.partitions() > 1 {
 		p.xTrack = n.tracer.NewTrack(g, "xpart")
 	}
 }

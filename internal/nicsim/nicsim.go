@@ -80,8 +80,8 @@ type AccelBank struct {
 type accelUnit struct {
 	prof    spec.AccelProfile
 	station *sim.Station
-	Invokes uint64
-	Stalls  uint64
+	invokes uint64
+	stalls  uint64
 	track   obs.TrackID
 }
 
@@ -117,7 +117,7 @@ func (b *AccelBank) Observe(sk *obs.Sink, group obs.GroupID) {
 // given batch size, without submitting work (for planning/what-if).
 // Table 3's latencies are per-request at 1KB; cost scales linearly in
 // payload with a floor of the fixed invocation overhead.
-func (b *AccelBank) Cost(name string, bytes, batch int) (sim.Time, bool) {
+func (b *AccelBank) cost(name string, bytes, batch int) (sim.Time, bool) {
 	u, ok := b.units[name]
 	if !ok {
 		return 0, false
@@ -137,12 +137,12 @@ func (b *AccelBank) Cost(name string, bytes, batch int) (sim.Time, bool) {
 // core model should stay busy for that long. Contention on the unit is
 // reflected through the station (done fires when the unit finishes).
 func (b *AccelBank) Invoke(name string, bytes, batch int, done func()) (sim.Time, bool) {
-	cost, ok := b.Cost(name, bytes, batch)
+	cost, ok := b.cost(name, bytes, batch)
 	if !ok {
 		return 0, false
 	}
 	u := b.units[name]
-	u.Invokes++
+	u.invokes++
 	u.station.Submit(&sim.Job{Service: cost, Done: func(enq, started, fin sim.Time) {
 		b.sink.Span(u.track, name, started, fin,
 			obs.Args{Bytes: bytes, Wait: started - enq})
@@ -161,7 +161,7 @@ func (b *AccelBank) Stall(name string, d sim.Time) bool {
 	if !ok {
 		return false
 	}
-	u.Stalls++
+	u.stalls++
 	u.station.Submit(&sim.Job{Service: d, Done: func(enq, started, fin sim.Time) {
 		b.sink.Span(u.track, name+" [stall]", started, fin,
 			obs.Args{Wait: started - enq})
@@ -172,7 +172,7 @@ func (b *AccelBank) Stall(name string, d sim.Time) bool {
 // Invokes reports a unit's invocation count.
 func (b *AccelBank) Invokes(name string) uint64 {
 	if u, ok := b.units[name]; ok {
-		return u.Invokes
+		return u.invokes
 	}
 	return 0
 }

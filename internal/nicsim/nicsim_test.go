@@ -127,23 +127,23 @@ func TestAccelBankCosts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := spec.LiquidIOII_CN2350()
 	b := NewAccelBank(eng, m)
-	if _, ok := b.Cost("WARP", 1024, 1); ok {
+	if _, ok := b.cost("WARP", 1024, 1); ok {
 		t.Fatal("bank contents wrong")
 	}
-	c1, ok := b.Cost("MD5", 1024, 1)
+	c1, ok := b.cost("MD5", 1024, 1)
 	if !ok || c1 != sim.Micros(5.0) {
 		t.Fatalf("MD5 1KB bsz1 = %v, want 5µs (Table 3)", c1)
 	}
-	c32, _ := b.Cost("MD5", 1024, 32)
+	c32, _ := b.cost("MD5", 1024, 32)
 	if c32 >= c1 {
 		t.Fatal("batching should amortize")
 	}
 	// Payload scaling with an invocation floor.
-	cSmall, _ := b.Cost("MD5", 16, 1)
+	cSmall, _ := b.cost("MD5", 16, 1)
 	if cSmall != sim.Time(float64(sim.Micros(5.0))*0.25) {
 		t.Fatalf("small payload should hit the floor: %v", cSmall)
 	}
-	cBig, _ := b.Cost("MD5", 4096, 1)
+	cBig, _ := b.cost("MD5", 4096, 1)
 	if cBig != 4*c1 {
 		t.Fatalf("4KB cost %v, want 4x 1KB %v", cBig, c1)
 	}
@@ -167,7 +167,7 @@ func TestAccelInvokeSerializes(t *testing.T) {
 func TestAccelMissingUnit(t *testing.T) {
 	eng := sim.NewEngine(1)
 	b := NewAccelBank(eng, spec.Stingray_PS225()) // no ZIP/DFA on ARM bank
-	if _, ok := b.Cost("ZIP", 1024, 1); ok {
+	if _, ok := b.cost("ZIP", 1024, 1); ok {
 		t.Fatal("Stingray bank should lack ZIP")
 	}
 	if _, ok := b.Invoke("ZIP", 1024, 1, nil); ok {

@@ -58,26 +58,26 @@ type Addr struct {
 
 // Headers describes a decapsulated packet.
 type Headers struct {
-	SrcMAC, DstMAC   MAC
+	srcMAC, dstMAC   MAC
 	SrcIP, DstIP     uint32
 	SrcPort, DstPort uint16
-	TTL              uint8
+	ttl              uint8
 }
 
 // WQE is a work queue entry: the unit the PKI hands to NIC cores
 // (nstack_new_wqe / nstack_get_wqe in Table 4).
 type WQE struct {
 	// Packet is the full frame.
-	Packet []byte
+	packet []byte
 	// Headers are filled by Decap.
 	Headers Headers
 	// Payload aliases the UDP payload inside Packet after Decap.
-	Payload []byte
+	payload []byte
 }
 
 // NewWQE wraps a frame (nstack_new_wqe).
 func NewWQE(frame []byte) *WQE {
-	return &WQE{Packet: frame}
+	return &WQE{packet: frame}
 }
 
 // ipv4Checksum computes the internet checksum over a header.
@@ -127,7 +127,7 @@ func Encap(src, dst Addr, payload []byte, ttl uint8) []byte {
 // Decap parses and verifies a frame in place, filling the WQE's Headers
 // and Payload (nstack_recv's parsing half).
 func (w *WQE) Decap() error {
-	f := w.Packet
+	f := w.packet
 	if len(f) < headerOverhead {
 		return errTruncated
 	}
@@ -153,21 +153,21 @@ func (w *WQE) Decap() error {
 	if udpLen < udpHeaderLen || ipv4HeaderLen+udpLen > totalLen {
 		return errBadLength
 	}
-	copy(w.Headers.DstMAC[:], f[0:6])
-	copy(w.Headers.SrcMAC[:], f[6:12])
+	copy(w.Headers.dstMAC[:], f[0:6])
+	copy(w.Headers.srcMAC[:], f[6:12])
 	w.Headers.SrcIP = binary.BigEndian.Uint32(ip[12:16])
 	w.Headers.DstIP = binary.BigEndian.Uint32(ip[16:20])
-	w.Headers.TTL = ip[8]
+	w.Headers.ttl = ip[8]
 	w.Headers.SrcPort = binary.BigEndian.Uint16(udp[0:2])
 	w.Headers.DstPort = binary.BigEndian.Uint16(udp[2:4])
-	w.Payload = udp[udpHeaderLen:udpLen][:udpLen-udpHeaderLen]
+	w.payload = udp[udpHeaderLen:udpLen][:udpLen-udpHeaderLen]
 	return nil
 }
 
 // reverse swaps the frame's source and destination at every layer and
 // recomputes the IPv4 checksum — the echo server's retransmit path.
 func (w *WQE) reverse() error {
-	f := w.Packet
+	f := w.packet
 	if len(f) < headerOverhead {
 		return errTruncated
 	}

@@ -29,14 +29,14 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	if h.SrcPort != 7000 || h.DstPort != 9000 {
 		t.Fatalf("ports: %d → %d", h.SrcPort, h.DstPort)
 	}
-	if h.SrcMAC != srcAddr.MAC || h.DstMAC != dstAddr.MAC {
-		t.Fatalf("MACs: %v → %v", h.SrcMAC, h.DstMAC)
+	if h.srcMAC != srcAddr.MAC || h.dstMAC != dstAddr.MAC {
+		t.Fatalf("MACs: %v → %v", h.srcMAC, h.dstMAC)
 	}
-	if h.TTL != 64 {
-		t.Fatalf("TTL %d", h.TTL)
+	if h.ttl != 64 {
+		t.Fatalf("TTL %d", h.ttl)
 	}
-	if !bytes.Equal(w.Payload, payload) {
-		t.Fatalf("payload %q", w.Payload)
+	if !bytes.Equal(w.payload, payload) {
+		t.Fatalf("payload %q", w.payload)
 	}
 }
 
@@ -110,10 +110,10 @@ func TestReverseEchoPath(t *testing.T) {
 	if h.SrcPort != 9000 || h.DstPort != 7000 {
 		t.Fatal("ports not swapped")
 	}
-	if h.SrcMAC != dstAddr.MAC || h.DstMAC != srcAddr.MAC {
+	if h.srcMAC != dstAddr.MAC || h.dstMAC != srcAddr.MAC {
 		t.Fatal("MACs not swapped")
 	}
-	if string(w.Payload) != "ping" {
+	if string(w.payload) != "ping" {
 		t.Fatal("payload damaged by reverse")
 	}
 }
@@ -133,7 +133,7 @@ func TestEncapDecapProperty(t *testing.T) {
 		}
 		return w.Headers.SrcIP == sip && w.Headers.DstIP == dip &&
 			w.Headers.SrcPort == sp && w.Headers.DstPort == dp &&
-			w.Headers.TTL == ttl && bytes.Equal(w.Payload, payload)
+			w.Headers.ttl == ttl && bytes.Equal(w.payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

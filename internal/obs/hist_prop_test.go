@@ -41,7 +41,7 @@ func TestHistogramQuantileMatchesExact(t *testing.T) {
 		}
 		for _, q := range qs {
 			exact := s.Quantile(q)
-			got := h.Quantile(q)
+			got := h.quantile(q)
 			if got < exact*(1-1e-12) || got > exact*quantileBound*(1+1e-12) {
 				t.Fatalf("seed %d n %d q %.2f: hist quantile %.9g outside [%.9g, %.9g]",
 					seed, n, q, got, exact, exact*quantileBound)
@@ -50,7 +50,7 @@ func TestHistogramQuantileMatchesExact(t *testing.T) {
 		// Monotonic in q, like any quantile function.
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := h.Quantile(q)
+			v := h.quantile(q)
 			if v < prev {
 				t.Fatalf("seed %d: quantile not monotone: q=%.2f gives %.9g after %.9g", seed, q, v, prev)
 			}
@@ -87,7 +87,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestHistogramEdgeCases(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.quantile(0.5) != 0 || h.count() != 0 || h.mean() != 0 || h.max != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(4)
@@ -95,7 +95,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 	// stays 1 at q=1; the reported value is the bucket bound capped at
 	// the exact max.
 	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got < 4 || got > 4*quantileBound {
+		if got := h.quantile(q); got < 4 || got > 4*quantileBound {
 			t.Fatalf("single-sample quantile(%.1f) = %.9g, want within [4, %.9g]", q, got, 4*quantileBound)
 		}
 	}
@@ -106,7 +106,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 	b.Observe(8)
 	a.Merge(b)
 	a.Merge(nil)
-	if a.Count() != 3 || a.Max() != 8 || math.Abs(a.Mean()-11.0/3) > 1e-12 {
-		t.Fatalf("merge lost exact fields: count %d max %g mean %g", a.Count(), a.Max(), a.Mean())
+	if a.count() != 3 || a.max != 8 || math.Abs(a.mean()-11.0/3) > 1e-12 {
+		t.Fatalf("merge lost exact fields: count %d max %g mean %g", a.count(), a.max, a.mean())
 	}
 }

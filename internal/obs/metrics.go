@@ -104,18 +104,15 @@ func histBucket(v float64) int {
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.n }
+func (h *Histogram) count() uint64 { return h.n }
 
 // Mean returns the exact mean (0 before any samples).
-func (h *Histogram) Mean() float64 {
+func (h *Histogram) mean() float64 {
 	if h.n == 0 {
 		return 0
 	}
 	return h.sum / float64(h.n)
 }
-
-// Max returns the largest sample (0 before any samples).
-func (h *Histogram) Max() float64 { return h.max }
 
 // Merge folds other's samples into h at bucket granularity: count, sum
 // and max stay exact; quantiles keep bucket resolution. Used by the
@@ -137,7 +134,7 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Quantile returns the q-th quantile (q in [0,1]) as the upper bound of
 // the bucket holding the q·n-th sample; 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -302,11 +299,11 @@ func (c *Collector) snapshotAt(now sim.Time) {
 				vals[i].f = it.g()
 			case kindHist:
 				vals[i].h = histSnap{
-					count: it.h.Count(),
-					mean:  it.h.Mean(),
-					p50:   it.h.Quantile(0.50),
-					p99:   it.h.Quantile(0.99),
-					max:   it.h.Max(),
+					count: it.h.count(),
+					mean:  it.h.mean(),
+					p50:   it.h.quantile(0.50),
+					p99:   it.h.quantile(0.99),
+					max:   it.h.max,
 				}
 			}
 		}

@@ -137,26 +137,26 @@ func BenchmarkEnabledSpan(b *testing.B) {
 
 func TestHistogram(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.quantile(0.5) != 0 || h.mean() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
+	if h.count() != 100 {
+		t.Fatalf("count %d", h.count())
 	}
-	if m := h.Mean(); m != 50.5 {
+	if m := h.mean(); m != 50.5 {
 		t.Fatalf("mean %v, want 50.5", m)
 	}
-	if h.Max() != 100 {
-		t.Fatalf("max %v", h.Max())
+	if h.max != 100 {
+		t.Fatalf("max %v", h.max)
 	}
-	p50 := h.Quantile(0.5)
+	p50 := h.quantile(0.5)
 	if p50 < 40 || p50 > 70 {
 		t.Fatalf("p50 %v implausible for uniform 1..100", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := h.quantile(0.99)
 	if p99 < 90 || p99 > 100 {
 		t.Fatalf("p99 %v implausible for uniform 1..100", p99)
 	}
@@ -166,7 +166,7 @@ func TestHistogram(t *testing.T) {
 	// Non-positive samples must not panic and land in the lowest bucket.
 	h.Observe(0)
 	h.Observe(-3)
-	if h.Count() != 102 {
+	if h.count() != 102 {
 		t.Fatal("non-positive samples dropped")
 	}
 }

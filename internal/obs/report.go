@@ -40,11 +40,11 @@ func SummarizeHistogram(h *Histogram) HistSummary {
 		return HistSummary{}
 	}
 	return HistSummary{
-		Count:  h.Count(),
-		MeanUs: h.Mean(),
-		P50Us:  h.Quantile(0.50),
-		P99Us:  h.Quantile(0.99),
-		MaxUs:  h.Max(),
+		Count:  h.count(),
+		MeanUs: h.mean(),
+		P50Us:  h.quantile(0.50),
+		P99Us:  h.quantile(0.99),
+		MaxUs:  h.max,
 	}
 }
 

@@ -39,7 +39,7 @@ type Engine struct {
 	Reads, Writes   uint64
 	BytesRead       uint64
 	BytesWritten    uint64
-	GatherTransfers uint64
+	gatherTransfers uint64
 
 	sink  *obs.Sink
 	track obs.TrackID
@@ -156,6 +156,6 @@ func (e *Engine) WriteGather(segments []int, done func()) sim.Time {
 	for _, s := range segments {
 		total += s
 	}
-	e.GatherTransfers++
+	e.gatherTransfers++
 	return e.WriteAsync(total, done)
 }

@@ -67,9 +67,9 @@ type Gate struct {
 	ctl     *Controller
 
 	// Per-tenant counters, indexed like Tenancy.Tenants.
-	Offered  []uint64
-	Admitted []uint64
-	Rejected []uint64
+	offered  []uint64
+	admitted []uint64
+	rejected []uint64
 }
 
 // newGate builds a gate from the resolved tenant table; reg exposes its
@@ -79,9 +79,9 @@ func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs
 		buckets:  make([]bucket, len(tenants)),
 		chk:      chk,
 		ctl:      ctl,
-		Offered:  make([]uint64, len(tenants)),
-		Admitted: make([]uint64, len(tenants)),
-		Rejected: make([]uint64, len(tenants)),
+		offered:  make([]uint64, len(tenants)),
+		admitted: make([]uint64, len(tenants)),
+		rejected: make([]uint64, len(tenants)),
 	}
 	for i, t := range tenants {
 		burst := t.Burst
@@ -90,9 +90,9 @@ func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs
 		}
 		g.buckets[i] = newBucket(t.RatePerSec, burst)
 		if reg != nil {
-			reg.Counter(t.Name+"_offered", func() uint64 { return g.Offered[i] })
-			reg.Counter(t.Name+"_admitted", func() uint64 { return g.Admitted[i] })
-			reg.Counter(t.Name+"_rejected", func() uint64 { return g.Rejected[i] })
+			reg.Counter(t.Name+"_offered", func() uint64 { return g.offered[i] })
+			reg.Counter(t.Name+"_admitted", func() uint64 { return g.admitted[i] })
+			reg.Counter(t.Name+"_rejected", func() uint64 { return g.rejected[i] })
 		}
 	}
 	return g
@@ -105,14 +105,14 @@ func (g *Gate) Admit(tenant uint16, class uint8, now sim.Time) bool {
 	if int(tenant) >= len(g.buckets) {
 		return true
 	}
-	g.Offered[tenant]++
+	g.offered[tenant]++
 	g.chk.AdmissionOffer()
 	if Class(class) == ClassControl || g.buckets[tenant].take(now) {
-		g.Admitted[tenant]++
+		g.admitted[tenant]++
 		g.chk.AdmissionAdmit()
 		return true
 	}
-	g.Rejected[tenant]++
+	g.rejected[tenant]++
 	g.chk.AdmissionReject()
 	return false
 }
@@ -121,7 +121,7 @@ func (g *Gate) Admit(tenant uint16, class uint8, now sim.Time) bool {
 // the SLO controller's per-tenant EWMA.
 func (g *Gate) Latency(tenant uint16, class uint8, us float64) {
 	if g.ctl != nil {
-		g.ctl.Observe(tenant, us)
+		g.ctl.observe(tenant, us)
 	}
 	_ = class
 }

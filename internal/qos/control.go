@@ -85,7 +85,7 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, sche
 
 // BindBatcher hands the controller a client batcher whose window it may
 // shrink.
-func (c *Controller) BindBatcher(b *workload.Batcher) {
+func (c *Controller) bindBatcher(b *workload.Batcher) {
 	if b != nil {
 		c.batchers = append(c.batchers, b)
 	}
@@ -94,12 +94,12 @@ func (c *Controller) BindBatcher(b *workload.Batcher) {
 // BindReshard hands the controller the scale-out knob: hottest names
 // the shard to drop, reshard removes it from the router ring. Used at
 // most once per run.
-func (c *Controller) BindReshard(hottest func() int, reshard func(int)) {
+func (c *Controller) bindReshard(hottest func() int, reshard func(int)) {
 	c.hottest, c.reshard = hottest, reshard
 }
 
 // Observe feeds one response latency (µs) into the tenant's EWMA.
-func (c *Controller) Observe(tenant uint16, us float64) {
+func (c *Controller) observe(tenant uint16, us float64) {
 	if int(tenant) >= len(c.ewma) {
 		return
 	}
@@ -114,7 +114,7 @@ func (c *Controller) Observe(tenant uint16, us float64) {
 // Start arms the periodic tick. A tick decides only while the engine is
 // Busy, and the ticker ends once the simulation's own work has drained
 // (Engine.Every), so a drained simulation terminates.
-func (c *Controller) Start() {
+func (c *Controller) start() {
 	if c.started {
 		return
 	}

@@ -39,7 +39,7 @@ func (q *laneQueue) pop() actor.Msg {
 // All state changes happen on the owning node's engine, so a
 // partitioned cluster runs one LaneSched per node with no shared state
 // and byte-identical results at any worker count.
-type LaneSched struct {
+type laneSched struct {
 	eng     *sim.Engine
 	cfg     LaneConfig
 	deliver func(actor.Msg)
@@ -54,12 +54,12 @@ type LaneSched struct {
 	tracks [NumLanes]obs.TrackID
 
 	// Per-lane counters (indexed by Lane).
-	Enqueued  [NumLanes]uint64
-	Delivered [NumLanes]uint64
-	Shed      [NumLanes]uint64
+	enqueued  [NumLanes]uint64
+	delivered [NumLanes]uint64
+	shed      [NumLanes]uint64
 	// Backpressured counts data-lane deferrals (the message is offered
 	// again after backpressureDelay; it is never dropped).
-	Backpressured uint64
+	backpressured uint64
 }
 
 // newLaneSched builds a lane scheduler delivering into the node's actor
@@ -72,8 +72,8 @@ type LaneSched struct {
 // actions emit instants. reg exposes the per-lane counters. Each
 // observer may be nil.
 func newLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(actor.Msg),
-	chk *invariant.Checker, sink *obs.Sink, g obs.GroupID, reg *obs.Registry) *LaneSched {
-	ls := &LaneSched{
+	chk *invariant.Checker, sink *obs.Sink, g obs.GroupID, reg *obs.Registry) *laneSched {
+	ls := &laneSched{
 		eng:     eng,
 		cfg:     cfg.withDefaults(),
 		label:   label,
@@ -86,18 +86,18 @@ func newLaneSched(eng *sim.Engine, cfg LaneConfig, label string, deliver func(ac
 	}
 	if reg != nil {
 		for l := Lane(0); l < NumLanes; l++ {
-			reg.Counter(l.String()+"_enqueued", func() uint64 { return ls.Enqueued[l] })
-			reg.Counter(l.String()+"_delivered", func() uint64 { return ls.Delivered[l] })
-			reg.Counter(l.String()+"_shed", func() uint64 { return ls.Shed[l] })
+			reg.Counter(l.String()+"_enqueued", func() uint64 { return ls.enqueued[l] })
+			reg.Counter(l.String()+"_delivered", func() uint64 { return ls.delivered[l] })
+			reg.Counter(l.String()+"_shed", func() uint64 { return ls.shed[l] })
 		}
-		reg.Counter("backpressured", func() uint64 { return ls.Backpressured })
+		reg.Counter("backpressured", func() uint64 { return ls.backpressured })
 		reg.Gauge("lane_backlog", func() float64 { return float64(ls.backlog(NumLanes)) })
 	}
 	return ls
 }
 
 // cap returns the lane's queue bound (0 = unbounded).
-func (ls *LaneSched) cap(l Lane) int {
+func (ls *laneSched) cap(l Lane) int {
 	switch l {
 	case LaneData:
 		return ls.cfg.DataCap
@@ -109,7 +109,7 @@ func (ls *LaneSched) cap(l Lane) int {
 
 // backlog sums queue depths of lanes strictly above limit priority
 // (pass NumLanes for the total backlog).
-func (ls *LaneSched) backlog(limit Lane) int {
+func (ls *laneSched) backlog(limit Lane) int {
 	n := 0
 	for l := Lane(0); l < limit; l++ {
 		n += ls.queues[l].depth()
@@ -119,13 +119,13 @@ func (ls *LaneSched) backlog(limit Lane) int {
 
 // Offer implements core.LaneDispatcher: route one admitted wire message
 // through its class's lane. Called on the node's engine.
-func (ls *LaneSched) Offer(m actor.Msg) {
+func (ls *laneSched) Offer(m actor.Msg) {
 	lane := laneOf(Class(m.Class))
 	if c := ls.cap(lane); c > 0 && ls.queues[lane].depth() >= c {
 		switch lane {
 		case LaneTelemetry:
 			// Watermark action: shed. Telemetry is lossy by contract.
-			ls.Shed[lane]++
+			ls.shed[lane]++
 			ls.chk.LaneShed(ls.label, uint8(lane), lane == LaneControl)
 			if ls.sink != nil {
 				ls.sink.Instant(ls.tracks[lane], "shed", ls.eng.Now())
@@ -134,7 +134,7 @@ func (ls *LaneSched) Offer(m actor.Msg) {
 		default:
 			// Watermark action: backpressure. The message is deferred and
 			// re-offered; data is never dropped.
-			ls.Backpressured++
+			ls.backpressured++
 			if ls.sink != nil {
 				ls.sink.Instant(ls.tracks[lane], "backpressure", ls.eng.Now())
 			}
@@ -143,7 +143,7 @@ func (ls *LaneSched) Offer(m actor.Msg) {
 		}
 	}
 	ls.queues[lane].push(m)
-	ls.Enqueued[lane]++
+	ls.enqueued[lane]++
 	ls.chk.LaneEnqueue(ls.label, uint8(lane))
 	if !ls.pumping {
 		ls.pumping = true
@@ -156,7 +156,7 @@ func (ls *LaneSched) Offer(m actor.Msg) {
 // is held even when the delivery empties the queues — a message arriving
 // inside it queues behind the in-flight dispatch, which is what lets
 // sub-DispatchCost arrival bursts build backlog and trip the watermarks.
-func (ls *LaneSched) pump() {
+func (ls *laneSched) pump() {
 	var lane Lane
 	for lane = 0; lane < NumLanes; lane++ {
 		if ls.queues[lane].depth() > 0 {
@@ -168,7 +168,7 @@ func (ls *LaneSched) pump() {
 		return
 	}
 	m := ls.queues[lane].pop()
-	ls.Delivered[lane]++
+	ls.delivered[lane]++
 	// Strict priority: when this delivery happens, every higher lane
 	// must already be empty.
 	ls.chk.LaneDeliver(ls.label, uint8(lane), ls.backlog(lane))

@@ -190,48 +190,48 @@ func (t *Tenancy) Validate() error {
 	}
 	for i, tn := range t.Tenants {
 		if tn.RatePerSec <= 0 {
-			return &configError{Field: fmt.Sprintf("Tenants[%d].RatePerSec", i),
-				Reason: fmt.Sprintf("must be > 0 (got %g); omit the tenant table to disable admission", tn.RatePerSec)}
+			return &configError{field: fmt.Sprintf("Tenants[%d].RatePerSec", i),
+				reason: fmt.Sprintf("must be > 0 (got %g); omit the tenant table to disable admission", tn.RatePerSec)}
 		}
 		if tn.Burst < 0 {
-			return &configError{Field: fmt.Sprintf("Tenants[%d].Burst", i),
-				Reason: fmt.Sprintf("must be >= 0 (got %g)", tn.Burst)}
+			return &configError{field: fmt.Sprintf("Tenants[%d].Burst", i),
+				reason: fmt.Sprintf("must be >= 0 (got %g)", tn.Burst)}
 		}
 		if tn.SLOp99Us < 0 {
-			return &configError{Field: fmt.Sprintf("Tenants[%d].SLOp99Us", i),
-				Reason: fmt.Sprintf("must be >= 0 (got %g)", tn.SLOp99Us)}
+			return &configError{field: fmt.Sprintf("Tenants[%d].SLOp99Us", i),
+				reason: fmt.Sprintf("must be >= 0 (got %g)", tn.SLOp99Us)}
 		}
 	}
 	if t.Lanes.DataCap < 0 {
-		return &configError{Field: "Lanes.DataCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.DataCap)}
+		return &configError{field: "Lanes.DataCap", reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.DataCap)}
 	}
 	if t.Lanes.TelemetryCap < 0 {
-		return &configError{Field: "Lanes.TelemetryCap", Reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.TelemetryCap)}
+		return &configError{field: "Lanes.TelemetryCap", reason: fmt.Sprintf("must be >= 0 (got %d)", t.Lanes.TelemetryCap)}
 	}
 	if t.Lanes.DispatchCost < 0 {
-		return &configError{Field: "Lanes.DispatchCost", Reason: "must be >= 0"}
+		return &configError{field: "Lanes.DispatchCost", reason: "must be >= 0"}
 	}
 	c := t.Controller
 	if c.Period < 0 {
-		return &configError{Field: "Controller.Period", Reason: "must be >= 0"}
+		return &configError{field: "Controller.Period", reason: "must be >= 0"}
 	}
 	if c.ThreshFactor < 0 || c.ThreshFactor >= 1 {
-		return &configError{Field: "Controller.ThreshFactor", Reason: fmt.Sprintf("must be in [0, 1) (got %g)", c.ThreshFactor)}
+		return &configError{field: "Controller.ThreshFactor", reason: fmt.Sprintf("must be in [0, 1) (got %g)", c.ThreshFactor)}
 	}
 	if c.Enabled && len(t.Tenants) == 0 {
-		return &configError{Field: "Controller.Enabled",
-			Reason: "the SLO controller needs a tenant table to steer"}
+		return &configError{field: "Controller.Enabled",
+			reason: "the SLO controller needs a tenant table to steer"}
 	}
 	return nil
 }
 
 // configError is a typed Tenancy validation failure.
 type configError struct {
-	Field  string
-	Reason string
+	field  string
+	reason string
 }
 
 // Error implements error.
 func (e *configError) Error() string {
-	return fmt.Sprintf("qos: invalid Tenancy.%s: %s", e.Field, e.Reason)
+	return fmt.Sprintf("qos: invalid Tenancy.%s: %s", e.field, e.reason)
 }

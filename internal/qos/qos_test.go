@@ -58,8 +58,8 @@ func TestValidateTable(t *testing.T) {
 			if !errors.As(err, &ce) {
 				t.Fatalf("Validate() = %v (%T), want *configError", err, err)
 			}
-			if ce.Field != tc.field {
-				t.Fatalf("configError.Field = %q, want %q", ce.Field, tc.field)
+			if ce.field != tc.field {
+				t.Fatalf("configError.Field = %q, want %q", ce.field, tc.field)
 			}
 			if !strings.Contains(ce.Error(), "Tenancy."+tc.field) {
 				t.Fatalf("Error() = %q does not name the field", ce.Error())
@@ -88,7 +88,7 @@ func TestClassLaneVocabulary(t *testing.T) {
 }
 
 // laneHarness builds a LaneSched recording delivery order.
-func laneHarness(t *testing.T, cfg LaneConfig) (*sim.Engine, *LaneSched, *[]uint8) {
+func laneHarness(t *testing.T, cfg LaneConfig) (*sim.Engine, *laneSched, *[]uint8) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	var order []uint8
@@ -142,11 +142,11 @@ func TestLaneBusyWindow(t *testing.T) {
 	if depthAt500 != 1 {
 		t.Fatalf("telemetry depth inside the busy window = %d, want 1 (pump released the lane too early)", depthAt500)
 	}
-	if ls.Shed[LaneTelemetry] != 1 {
-		t.Fatalf("Shed[telemetry] = %d, want 1", ls.Shed[LaneTelemetry])
+	if ls.shed[LaneTelemetry] != 1 {
+		t.Fatalf("Shed[telemetry] = %d, want 1", ls.shed[LaneTelemetry])
 	}
-	if ls.Delivered[LaneTelemetry] != 2 {
-		t.Fatalf("Delivered[telemetry] = %d, want 2", ls.Delivered[LaneTelemetry])
+	if ls.delivered[LaneTelemetry] != 2 {
+		t.Fatalf("Delivered[telemetry] = %d, want 2", ls.delivered[LaneTelemetry])
 	}
 }
 
@@ -161,11 +161,11 @@ func TestLaneTelemetryShed(t *testing.T) {
 	})
 	eng.Run()
 	// First delivers immediately, two queue at the cap, three shed.
-	if ls.Shed[LaneTelemetry] != 3 {
-		t.Fatalf("Shed = %d, want 3", ls.Shed[LaneTelemetry])
+	if ls.shed[LaneTelemetry] != 3 {
+		t.Fatalf("Shed = %d, want 3", ls.shed[LaneTelemetry])
 	}
-	if ls.Enqueued[LaneTelemetry] != 3 || ls.Delivered[LaneTelemetry] != 3 {
-		t.Fatalf("enq/del = %d/%d, want 3/3", ls.Enqueued[LaneTelemetry], ls.Delivered[LaneTelemetry])
+	if ls.enqueued[LaneTelemetry] != 3 || ls.delivered[LaneTelemetry] != 3 {
+		t.Fatalf("enq/del = %d/%d, want 3/3", ls.enqueued[LaneTelemetry], ls.delivered[LaneTelemetry])
 	}
 }
 
@@ -182,11 +182,11 @@ func TestLaneDataBackpressure(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if ls.Backpressured == 0 {
+	if ls.backpressured == 0 {
 		t.Fatal("burst past DataCap never backpressured")
 	}
-	if ls.Shed[LaneData] != 0 {
-		t.Fatalf("data lane shed %d messages; data is deferred, never dropped", ls.Shed[LaneData])
+	if ls.shed[LaneData] != 0 {
+		t.Fatalf("data lane shed %d messages; data is deferred, never dropped", ls.shed[LaneData])
 	}
 	if len(*order) != n {
 		t.Fatalf("delivered %d of %d data messages", len(*order), n)
@@ -205,9 +205,9 @@ func TestLaneControlUnbounded(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if ls.Shed[LaneControl] != 0 || ls.Backpressured != 0 {
+	if ls.shed[LaneControl] != 0 || ls.backpressured != 0 {
 		t.Fatalf("control burst: shed=%d backpressured=%d, want 0/0",
-			ls.Shed[LaneControl], ls.Backpressured)
+			ls.shed[LaneControl], ls.backpressured)
 	}
 	if len(*order) != n {
 		t.Fatalf("delivered %d of %d control messages", len(*order), n)
@@ -254,15 +254,15 @@ func TestGateAdmission(t *testing.T) {
 	if !g.Admit(0, uint8(ClassControl), 0) {
 		t.Fatal("control request rejected; admission must never starve the control plane")
 	}
-	if g.Offered[0] != 4 || g.Admitted[0] != 3 || g.Rejected[0] != 1 {
+	if g.offered[0] != 4 || g.admitted[0] != 3 || g.rejected[0] != 1 {
 		t.Fatalf("counters offered/admitted/rejected = %d/%d/%d, want 4/3/1",
-			g.Offered[0], g.Admitted[0], g.Rejected[0])
+			g.offered[0], g.admitted[0], g.rejected[0])
 	}
 	// Untabled tenant: admitted unconditionally, no counters.
 	if !g.Admit(7, uint8(classData), 0) {
 		t.Fatal("untabled tenant rejected")
 	}
-	if g.Offered[0] != 4 {
+	if g.offered[0] != 4 {
 		t.Fatal("untabled tenant charged a tabled tenant's counters")
 	}
 	// Virtual-time refill admits again.
@@ -283,7 +283,9 @@ func TestControllerEscalation(t *testing.T) {
 		Cooldown:     100 * sim.Microsecond,
 		ThreshFactor: 0.5,
 	}
-	s := sched.New(eng, sched.Config{Cores: 1, MeanThresh: 40},
+	scfg := sched.DefaultConfig(1)
+	scfg.MeanThresh = 40
+	s := sched.New(eng, scfg,
 		sched.Hooks{
 			Run:    func(a *actor.Actor, m actor.Msg) sim.Time { return 0 },
 			FwdTax: func(bytes int) sim.Time { return 0 },
@@ -291,17 +293,17 @@ func TestControllerEscalation(t *testing.T) {
 	ctl := newController(eng, cfg, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}},
 		[]*sched.Scheduler{s}, nil)
 
-	b := &workload.Batcher{Window: 2 * sim.Microsecond, MaxBatch: 8}
-	ctl.BindBatcher(b)
+	b := workload.NewBatcher(nil, 2*sim.Microsecond, 8)
+	ctl.bindBatcher(b)
 	var resharded []int
-	ctl.BindReshard(func() int { return 3 }, func(g int) { resharded = append(resharded, g) })
+	ctl.bindReshard(func() int { return 3 }, func(g int) { resharded = append(resharded, g) })
 
 	// Sustained breach: feed latencies far above the 100µs objective,
 	// and keep the engine non-drained so the ticker keeps re-arming.
 	for i := sim.Time(0); i < 3*sim.Millisecond; i += 20 * sim.Microsecond {
-		eng.At(i, func() { ctl.Observe(0, 1000) })
+		eng.At(i, func() { ctl.observe(0, 1000) })
 	}
-	ctl.Start()
+	ctl.start()
 	eng.Run()
 
 	if ctl.Ticks == 0 {
@@ -336,11 +338,11 @@ func TestControllerRequiresBreach(t *testing.T) {
 	ctl := newController(eng, ControllerConfig{Enabled: true, Period: 100 * sim.Microsecond},
 		[]Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil, nil)
 	b := &workload.Batcher{Window: 2 * sim.Microsecond}
-	ctl.BindBatcher(b)
+	ctl.bindBatcher(b)
 	for i := sim.Time(0); i < sim.Millisecond; i += 20 * sim.Microsecond {
-		eng.At(i, func() { ctl.Observe(0, 50) })
+		eng.At(i, func() { ctl.observe(0, 50) })
 	}
-	ctl.Start()
+	ctl.start()
 	eng.Run()
 	if ctl.Ticks == 0 {
 		t.Fatal("controller never ticked")
@@ -364,12 +366,12 @@ func TestControllerCooldown(t *testing.T) {
 	}, []Tenant{{Name: "a", RatePerSec: 1e5, SLOp99Us: 100}}, nil, nil)
 	// Deep window so shrink stays available the whole run.
 	b := &workload.Batcher{Window: 1 * sim.Second}
-	ctl.BindBatcher(b)
+	ctl.bindBatcher(b)
 	const horizon = 2*sim.Millisecond + 50*sim.Microsecond
 	for i := sim.Time(0); i < horizon; i += 20 * sim.Microsecond {
-		eng.At(i, func() { ctl.Observe(0, 1000) })
+		eng.At(i, func() { ctl.observe(0, 1000) })
 	}
-	ctl.Start()
+	ctl.start()
 	eng.Run()
 	// ~2ms of breach at 1ms cooldown: first action at the first tick,
 	// then at most one per cooldown → ≤ 3 total.
@@ -384,15 +386,15 @@ func TestObserveEWMA(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ctl := newController(eng, ControllerConfig{},
 		[]Tenant{{Name: "a", RatePerSec: 1}}, nil, nil)
-	ctl.Observe(0, 100)
+	ctl.observe(0, 100)
 	if got := ctl.ewma[0]; got != 100 {
 		t.Fatalf("first sample EWMA = %g, want 100 (seed)", got)
 	}
-	ctl.Observe(0, 200)
+	ctl.observe(0, 200)
 	if got := ctl.ewma[0]; got != 130 {
 		t.Fatalf("EWMA after 0.3-blend = %g, want 130", got)
 	}
-	ctl.Observe(9, 1e9) // untabled: ignored
+	ctl.observe(9, 1e9) // untabled: ignored
 	if len(ctl.ewma) != 1 {
 		t.Fatalf("untabled tenant grew the EWMA table to %d", len(ctl.ewma))
 	}

@@ -12,10 +12,10 @@ import (
 // the SLO controller. Deploy specs install it via deploy.Common; tests
 // and benches can also call Install directly.
 type Runtime struct {
-	Tenancy *Tenancy
+	tenancy *Tenancy
 	// Lanes holds one lane scheduler per offloaded node, in install
 	// order.
-	Lanes []*LaneSched
+	lanes []*laneSched
 	// Controller is the SLO loop (nil unless Tenancy.Controller.Enabled).
 	Controller *Controller
 
@@ -41,10 +41,10 @@ func Install(cl *core.Cluster, nodes []*core.Node, t *Tenancy) (*Runtime, error)
 		return nil, err
 	}
 	if t.Controller.Enabled && cl.Partitions() > 1 {
-		return nil, &configError{Field: "Controller.Enabled",
-			Reason: "the SLO controller reads cross-node state and requires a classic (single-partition) cluster"}
+		return nil, &configError{field: "Controller.Enabled",
+			reason: "the SLO controller reads cross-node state and requires a classic (single-partition) cluster"}
 	}
-	rt := &Runtime{Tenancy: t, cl: cl}
+	rt := &Runtime{tenancy: t, cl: cl}
 	tr := cl.Tracer()
 	var scheds []*sched.Scheduler
 	for _, n := range nodes {
@@ -54,12 +54,12 @@ func Install(cl *core.Cluster, nodes []*core.Node, t *Tenancy) (*Runtime, error)
 		ls := newLaneSched(n.Eng(), t.Lanes, n.Name, n.Sched.Arrive, cl.CheckerAt(n.Part),
 			tr.Sink(n.Part), tr.Group(cl.ObsPrefix()+n.Name), registry(cl, n.Name+"-qos"))
 		n.SetLaneDispatcher(ls)
-		rt.Lanes = append(rt.Lanes, ls)
+		rt.lanes = append(rt.lanes, ls)
 		scheds = append(scheds, n.Sched)
 	}
 	if t.Controller.Enabled {
 		rt.Controller = newController(cl.Eng, t.Controller, t.Tenants, scheds, registry(cl, "qos-controller"))
-		rt.Controller.Start()
+		rt.Controller.start()
 	}
 	return rt, nil
 }
@@ -82,7 +82,7 @@ func (rt *Runtime) Bind(c *workload.Client) *Gate {
 	if rt == nil || c == nil {
 		return nil
 	}
-	g := newGate(rt.Tenancy.Tenants, rt.cl.CheckerAt(c.Part()), rt.Controller, registry(rt.cl, c.Name+"-adm"))
+	g := newGate(rt.tenancy.Tenants, rt.cl.CheckerAt(c.Part()), rt.Controller, registry(rt.cl, c.Name+"-adm"))
 	c.SetQoS(g)
 	rt.gates = append(rt.gates, g)
 	return g
@@ -92,7 +92,7 @@ func (rt *Runtime) Bind(c *workload.Client) *Gate {
 // a controller).
 func (rt *Runtime) BindBatcher(b *workload.Batcher) {
 	if rt != nil && rt.Controller != nil {
-		rt.Controller.BindBatcher(b)
+		rt.Controller.bindBatcher(b)
 	}
 }
 
@@ -100,7 +100,7 @@ func (rt *Runtime) BindBatcher(b *workload.Batcher) {
 // without a controller).
 func (rt *Runtime) BindReshard(hottest func() int, reshard func(int)) {
 	if rt != nil && rt.Controller != nil {
-		rt.Controller.BindReshard(hottest, reshard)
+		rt.Controller.bindReshard(hottest, reshard)
 	}
 }
 
@@ -122,17 +122,17 @@ func (rt *Runtime) tenantCount(pick func(*Gate) []uint64, tenant int) uint64 {
 // OfferedTo returns total requests offered by the tenant across all
 // bound clients.
 func (rt *Runtime) OfferedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.Offered }, tenant)
+	return rt.tenantCount(func(g *Gate) []uint64 { return g.offered }, tenant)
 }
 
 // AdmittedTo returns total requests admitted for the tenant.
 func (rt *Runtime) AdmittedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.Admitted }, tenant)
+	return rt.tenantCount(func(g *Gate) []uint64 { return g.admitted }, tenant)
 }
 
 // RejectedTo returns total requests rejected for the tenant.
 func (rt *Runtime) RejectedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.Rejected }, tenant)
+	return rt.tenantCount(func(g *Gate) []uint64 { return g.rejected }, tenant)
 }
 
 // LaneTotals sums the per-lane enqueue/deliver/shed counters across all
@@ -141,13 +141,13 @@ func (rt *Runtime) LaneTotals() (enq, del, shed [NumLanes]uint64, backpressured 
 	if rt == nil {
 		return
 	}
-	for _, ls := range rt.Lanes {
+	for _, ls := range rt.lanes {
 		for l := Lane(0); l < NumLanes; l++ {
-			enq[l] += ls.Enqueued[l]
-			del[l] += ls.Delivered[l]
-			shed[l] += ls.Shed[l]
+			enq[l] += ls.enqueued[l]
+			del[l] += ls.delivered[l]
+			shed[l] += ls.shed[l]
 		}
-		backpressured += ls.Backpressured
+		backpressured += ls.backpressured
 	}
 	return
 }

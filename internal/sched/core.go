@@ -33,7 +33,7 @@ type core struct {
 	winPrev sim.Time
 
 	// Executed counts completed actor invocations on this core.
-	Executed uint64
+	executed uint64
 
 	// op is the operation occupying the core. A core runs one operation
 	// at a time, so its state lives here instead of in a closure per
@@ -264,7 +264,7 @@ func (c *core) execFCFS(a *actor.Actor, m actor.Msg, tax sim.Time) {
 
 func (c *core) execDone(op coreOp) {
 	s, a, m := c.s, op.a, op.m
-	c.Executed++
+	c.executed++
 	s.Completed++
 	s.chk.Exec()
 	sojourn := s.eng.Now() - m.ArrivedAt
@@ -382,7 +382,7 @@ func (c *core) stepDRR() {
 func (c *core) execDRRDone(op coreOp) {
 	s, a, m := c.s, op.a, op.m
 	a.Release()
-	c.Executed++
+	c.executed++
 	s.Completed++
 	s.chk.Exec()
 	sojourn := s.eng.Now() - m.ArrivedAt

@@ -81,7 +81,7 @@ type shuffleQueue struct {
 	perCore []stampedFIFO
 	audit   *invariant.QueueAudit
 	// Steals counts stolen messages, exposing the imbalance repair rate.
-	Steals uint64
+	steals uint64
 }
 
 func newShuffleQueue(cores int) *shuffleQueue {
@@ -124,7 +124,7 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 		return actor.Msg{}, false
 	}
 	m, stamp, _ := s.perCore[victim].take()
-	s.Steals++
+	s.steals++
 	s.audit.Pop(m.FlowID, stamp)
 	return m, true
 }
@@ -155,7 +155,7 @@ type iokQueue struct {
 	// only once its queued messages have drained.
 	flows map[uint64]*iokFlow
 	// Dispatched counts messages routed by the dispatcher core.
-	Dispatched uint64
+	dispatched uint64
 }
 
 type iokFlow struct {
@@ -212,7 +212,7 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 	}
 	fl.pending++
 	q.perCore[fl.worker].put(m, stamp)
-	q.Dispatched++
+	q.dispatched++
 	return fl.worker, true
 }
 

@@ -105,10 +105,11 @@ func TestInQueueProperties(t *testing.T) {
 						t.Fatalf("seed %d: flow %d lost %d messages", seed, flow, len(e))
 					}
 				}
-				if err := chk.Err(); err != nil {
+				checks, _, err := invariant.Close([]*invariant.Checker{chk})
+				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if chk.Checks() == 0 {
+				if checks == 0 {
 					t.Fatalf("seed %d: audit never ran", seed)
 				}
 			}
@@ -184,11 +185,11 @@ func TestDRRFairnessUnderChurn(t *testing.T) {
 	h.eng.After(151*sim.Microsecond, func() { h.s.RemoveActor(1) })
 	h.eng.After(287*sim.Microsecond, func() { h.s.RemoveActor(3) })
 	h.eng.Run()
-	chk.Finish()
-	if err := chk.Err(); err != nil {
+	checks, _, err := invariant.Close([]*invariant.Checker{chk})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if chk.Checks() == 0 {
+	if checks == 0 {
 		t.Fatal("checker never ran")
 	}
 }
@@ -219,11 +220,11 @@ func TestSchedulerInvariantsCleanAcrossQueues(t *testing.T) {
 				})
 			}
 			h.eng.Run()
-			chk.Finish()
-			if err := chk.Err(); err != nil {
+			checks, _, err := invariant.Close([]*invariant.Checker{chk})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if chk.Checks() == 0 {
+			if checks == 0 {
 				t.Fatal("checker never ran")
 			}
 		})

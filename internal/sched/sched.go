@@ -93,7 +93,7 @@ type Hooks struct {
 // Config carries the scheduler thresholds (§3.2.3: set from the NIC's
 // own MTU line-rate characterization) and structural parameters.
 type Config struct {
-	Cores int
+	cores int
 	// TailThresh/MeanThresh are sojourn-time thresholds in microseconds.
 	TailThresh float64
 	MeanThresh float64
@@ -152,7 +152,7 @@ const (
 // DefaultConfig returns reasonable structural defaults; thresholds must
 // still be set per NIC.
 func DefaultConfig(cores int) Config {
-	return Config{Cores: cores}
+	return Config{cores: cores}
 }
 
 // Scheduler is the NIC-side scheduler instance.
@@ -204,7 +204,7 @@ type Scheduler struct {
 
 // New creates a scheduler with the given configuration and hooks.
 func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
-	if cfg.Cores <= 0 {
+	if cfg.cores <= 0 {
 		panic("sched: need at least one core")
 	}
 	if hooks.Run == nil || hooks.FwdTax == nil {
@@ -219,18 +219,18 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Scheduler {
 	s.fcfsStats.Alpha = statsAlpha
 	switch cfg.Ingress {
 	case IOKernel:
-		if cfg.Cores < 2 {
+		if cfg.cores < 2 {
 			panic("sched: IOKernel mode needs at least two cores")
 		}
-		s.queue = newIOKQueue(cfg.Cores - 1)
+		s.queue = newIOKQueue(cfg.cores - 1)
 	case ShuffleLayer:
-		s.queue = newShuffleQueue(cfg.Cores)
+		s.queue = newShuffleQueue(cfg.cores)
 	default:
 		s.queue = newSharedQueue()
 	}
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < cfg.cores; i++ {
 		c := newCore(s, i)
-		if cfg.Ingress == IOKernel && i == cfg.Cores-1 {
+		if cfg.Ingress == IOKernel && i == cfg.cores-1 {
 			c.mode = modeDispatch
 		}
 		s.cores = append(s.cores, c)
@@ -626,14 +626,14 @@ func (s *Scheduler) autoscale() {
 		if a.Exclusive {
 			maxDRR++
 		} else {
-			maxDRR += s.cfg.Cores
+			maxDRR += s.cfg.cores
 		}
 	}
 	if maxDRR < 1 {
 		maxDRR = 1
 	}
-	if maxDRR > s.cfg.Cores-1 {
-		maxDRR = s.cfg.Cores - 1
+	if maxDRR > s.cfg.cores-1 {
+		maxDRR = s.cfg.cores - 1
 	}
 	fcfsU, drrU := s.groupWindowUtil()
 	// Move a core FCFS→DRR when DRR is saturated and FCFS can spare one.

@@ -67,8 +67,8 @@ func TestFCFSExecutesAndCounts(t *testing.T) {
 	if h.s.Completed != 10 {
 		t.Fatalf("Completed = %d", h.s.Completed)
 	}
-	if a.Invoked != 10 {
-		t.Fatalf("actor invoked %d times", a.Invoked)
+	if a.ExecStats.Count() != 10 {
+		t.Fatalf("actor invoked %d times", a.ExecStats.Count())
 	}
 	if a.ExecStats.Mean() <= 0 {
 		t.Fatal("no sojourn stats recorded")
@@ -193,8 +193,8 @@ func TestDRRServesMailboxed(t *testing.T) {
 		h.s.Arrive(actor.Msg{Dst: 1})
 	}
 	h.eng.Run()
-	if a.Invoked != 8 {
-		t.Fatalf("DRR actor served %d of 8", a.Invoked)
+	if a.ExecStats.Count() != 8 {
+		t.Fatalf("DRR actor served %d of 8", a.ExecStats.Count())
 	}
 	if h.s.DRRBacklog() != 0 {
 		t.Fatal("mailbox not drained")
@@ -224,8 +224,8 @@ func TestUpgradeRestoresFCFS(t *testing.T) {
 		t.Fatalf("cores after collapse: fcfs=%d drr=%d", f, d)
 	}
 	// All messages eventually served.
-	if a.Invoked != 5 {
-		t.Fatalf("served %d of 5", a.Invoked)
+	if a.ExecStats.Count() != 5 {
+		t.Fatalf("served %d of 5", a.ExecStats.Count())
 	}
 }
 
@@ -314,8 +314,8 @@ func TestShuffleQueueSteeringAndStealing(t *testing.T) {
 	if !ok || m.Kind != 1 {
 		t.Fatalf("steal = %v %v, want kind 1 (victim's head)", m.Kind, ok)
 	}
-	if q.Steals != 1 {
-		t.Fatalf("Steals = %d", q.Steals)
+	if q.steals != 1 {
+		t.Fatalf("Steals = %d", q.steals)
 	}
 	if q.len() != 6 {
 		t.Fatalf("len = %d", q.len())
@@ -331,8 +331,8 @@ func TestShuffleSchedulerDrainsEverything(t *testing.T) {
 		h.s.Arrive(actor.Msg{Dst: 1, FlowID: uint64(i % 2)}) // only 2 flows: imbalance
 	}
 	h.eng.Run()
-	if a.Invoked != 50 {
-		t.Fatalf("served %d of 50", a.Invoked)
+	if a.ExecStats.Count() != 50 {
+		t.Fatalf("served %d of 50", a.ExecStats.Count())
 	}
 }
 
@@ -363,10 +363,10 @@ func TestSchedulerValidation(t *testing.T) {
 		f()
 		return
 	}
-	if !ok(func() { New(eng, Config{Cores: 0}, Hooks{}) }) {
+	if !ok(func() { New(eng, Config{cores: 0}, Hooks{}) }) {
 		t.Error("zero cores accepted")
 	}
-	if !ok(func() { New(eng, Config{Cores: 1}, Hooks{}) }) {
+	if !ok(func() { New(eng, Config{cores: 1}, Hooks{}) }) {
 		t.Error("missing hooks accepted")
 	}
 }
@@ -387,8 +387,8 @@ func TestIOKernelDispatcherServes(t *testing.T) {
 		h.s.Arrive(actor.Msg{Dst: 1, FlowID: uint64(i)})
 	}
 	h.eng.Run()
-	if a.Invoked != 40 {
-		t.Fatalf("served %d of 40 via IOKernel dispatcher", a.Invoked)
+	if a.ExecStats.Count() != 40 {
+		t.Fatalf("served %d of 40 via IOKernel dispatcher", a.ExecStats.Count())
 	}
 	// The dispatcher core never executes actors.
 	f, _ := h.s.CoreModes()
@@ -396,7 +396,7 @@ func TestIOKernelDispatcherServes(t *testing.T) {
 		t.Fatalf("FCFS workers = %d, want 3 (one core is the dispatcher)", f)
 	}
 	for _, c := range h.s.cores {
-		if c.mode == modeDispatch && c.Executed != 0 {
+		if c.mode == modeDispatch && c.executed != 0 {
 			t.Fatal("dispatcher executed actor work")
 		}
 	}
@@ -416,7 +416,7 @@ func TestIOKernelBalancesWorkers(t *testing.T) {
 	h.eng.Run()
 	busyWorkers := 0
 	for _, c := range h.s.cores {
-		if c.mode == modeFCFS && c.Executed > 0 {
+		if c.mode == modeFCFS && c.executed > 0 {
 			busyWorkers++
 		}
 	}
@@ -439,7 +439,7 @@ func TestIOKernelPinsFlowWhilePending(t *testing.T) {
 	h.eng.Run()
 	busyWorkers := 0
 	for _, c := range h.s.cores {
-		if c.mode == modeFCFS && c.Executed > 0 {
+		if c.mode == modeFCFS && c.executed > 0 {
 			busyWorkers++
 		}
 	}

@@ -78,10 +78,10 @@ func (r *Ring) Live(s int) bool { return s >= 0 && s < r.shards && r.live[s] }
 
 // Lookup returns the shard owning key: the first point clockwise from
 // the key's hash.
-func (r *Ring) Lookup(key []byte) int { return r.LookupHash(hash(key)) }
+func (r *Ring) Lookup(key []byte) int { return r.lookupHash(hash(key)) }
 
 // LookupHash routes a pre-computed key hash.
-func (r *Ring) LookupHash(h uint64) int {
+func (r *Ring) lookupHash(h uint64) int {
 	if len(r.points) == 0 {
 		panic("shard: lookup on empty ring")
 	}

@@ -183,8 +183,8 @@ func TestStationFIFOSingleServer(t *testing.T) {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
 	}
-	if st.Completed() != 3 {
-		t.Fatalf("Completed = %d", st.Completed())
+	if st.completed != 3 {
+		t.Fatalf("Completed = %d", st.completed)
 	}
 }
 
@@ -223,11 +223,11 @@ func TestStationMaxQueue(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Submit(&Job{Service: 1})
 	}
-	if st.QueueLen() != 4 {
-		t.Fatalf("QueueLen = %d, want 4", st.QueueLen())
+	if st.queue.Len() != 4 {
+		t.Fatalf("QueueLen = %d, want 4", st.queue.Len())
 	}
 	e.Run()
-	if st.QueueLen() != 0 || st.InService() != 0 {
+	if st.queue.Len() != 0 || st.busy != 0 {
 		t.Fatal("station not drained")
 	}
 }

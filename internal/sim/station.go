@@ -38,15 +38,6 @@ func NewStation(eng *Engine, servers int) *Station {
 	return &Station{eng: eng, servers: servers}
 }
 
-// QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return s.queue.Len() }
-
-// InService returns the number of jobs currently being served.
-func (s *Station) InService() int { return s.busy }
-
-// Completed returns the number of jobs that finished service.
-func (s *Station) Completed() uint64 { return s.completed }
-
 // Submit enqueues a job; it starts immediately if a server is idle.
 func (s *Station) Submit(j *Job) {
 	j.enqueued = s.eng.Now()

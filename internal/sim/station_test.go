@@ -46,8 +46,8 @@ func TestStationJobMovesBetweenStations(t *testing.T) {
 	if len(finished) != 2 || finished[0] != 10 || finished[1] != 20 {
 		t.Fatalf("finished at %v, want [10 20]", finished)
 	}
-	if first.Completed() != 1 || second.Completed() != 1 {
-		t.Fatalf("completed %d and %d, want 1 and 1", first.Completed(), second.Completed())
+	if first.completed != 1 || second.completed != 1 {
+		t.Fatalf("completed %d and %d, want 1 and 1", first.completed, second.completed)
 	}
 }
 
@@ -83,11 +83,11 @@ func TestStationQueueDrainsFIFOAndReleasesSlots(t *testing.T) {
 				}
 			}})
 		}
-		if st.QueueLen() != jobs-servers {
-			t.Fatalf("servers=%d: QueueLen=%d, want %d", servers, st.QueueLen(), jobs-servers)
+		if st.queue.Len() != jobs-servers {
+			t.Fatalf("servers=%d: QueueLen=%d, want %d", servers, st.queue.Len(), jobs-servers)
 		}
 		e.Run()
-		if len(order) != jobs || st.Completed() != jobs {
+		if len(order) != jobs || st.completed != jobs {
 			t.Fatalf("servers=%d: %d completions, want %d", servers, len(order), jobs)
 		}
 		if servers == 1 {
@@ -97,7 +97,7 @@ func TestStationQueueDrainsFIFOAndReleasesSlots(t *testing.T) {
 				}
 			}
 		}
-		if st.QueueLen() != 0 || st.InService() != 0 {
+		if st.queue.Len() != 0 || st.busy != 0 {
 			t.Fatalf("servers=%d: station not drained", servers)
 		}
 		for i, j := range st.queue.buf[:cap(st.queue.buf)] {

@@ -59,32 +59,32 @@ func LiquidIOII_CN2350() *NICModel {
 	return &NICModel{
 		Name:     "LiquidIOII CN2350",
 		Vendor:   "Marvell",
-		ISA:      "cnMIPS",
+		isa:      "cnMIPS",
 		Cores:    12,
-		FreqGHz:  1.2,
+		freqGHz:  1.2,
 		LinkGbps: 10,
 		OnPath:   true,
 		FullOS:   false,
 		Memory: MemoryProfile{
 			L1: ns(8.3), L2: ns(55.8), DRAM: ns(115.0),
 			CacheLineBytes: 128,
-			LastLevelBytes: 4 << 20,
+			lastLevelBytes: 4 << 20,
 		},
 		DMA: DMAProfile{
 			// Figure 7: blocking read ≈1.1µs at 4B → ≈3.6µs at 2KB;
 			// blocking write ≈0.8µs → ≈2.2µs; non-blocking flat ≈0.3µs.
-			BlockingRead:       LinearCost{Fixed: us(1.05), PerByte: 1.25},
-			BlockingWrite:      LinearCost{Fixed: us(0.78), PerByte: 0.70},
+			blockingRead:       LinearCost{fixed: us(1.05), perByte: 1.25},
+			blockingWrite:      LinearCost{fixed: us(0.78), perByte: 0.70},
 			NonBlockingIssue:   us(0.30),
-			EngineBandwidthGBs: 2.1,
+			engineBandwidthGBs: 2.1,
 		},
-		EchoCost:          LinearCost{Fixed: us(1.90), PerByte: 1.16},
-		FwdTax:            LinearCost{Fixed: us(0.125), PerByte: 0.10},
+		EchoCost:          LinearCost{fixed: us(1.90), perByte: 1.16},
+		FwdTax:            LinearCost{fixed: us(0.125), perByte: 0.10},
 		HasTrafficManager: true,
 		// Figure 6: hardware-assisted messaging, ≈4.6X/4.2X faster than
 		// host DPDK/RDMA send averaged across 4B–1024B.
-		NICSendCost:  LinearCost{Fixed: us(0.35), PerByte: 0.30},
-		NICRecvCost:  LinearCost{Fixed: us(0.40), PerByte: 0.30},
+		NICSendCost:  LinearCost{fixed: us(0.35), perByte: 0.30},
+		NICRecvCost:  LinearCost{fixed: us(0.40), perByte: 0.30},
 		TailThreshUs: 52.8,
 		MeanThreshUs: 21.0,
 		Accels:       liquidAccels(),
@@ -97,11 +97,11 @@ func LiquidIOII_CN2360() *NICModel {
 	m := LiquidIOII_CN2350()
 	m.Name = "LiquidIOII CN2360"
 	m.Cores = 16
-	m.FreqGHz = 1.5
+	m.freqGHz = 1.5
 	m.LinkGbps = 25
 	scale := 1.2 / 1.5
-	m.EchoCost = LinearCost{Fixed: sim.Time(float64(us(1.90)) * scale), PerByte: 1.16 * scale}
-	m.FwdTax = LinearCost{Fixed: sim.Time(float64(us(0.125)) * scale), PerByte: 0.10 * scale}
+	m.EchoCost = LinearCost{fixed: sim.Time(float64(us(1.90)) * scale), perByte: 1.16 * scale}
+	m.FwdTax = LinearCost{fixed: sim.Time(float64(us(0.125)) * scale), perByte: 0.10 * scale}
 	m.TailThreshUs = 48.0
 	m.MeanThreshUs = 19.0
 	return m
@@ -113,32 +113,32 @@ func BlueField_1M332A() *NICModel {
 	return &NICModel{
 		Name:     "BlueField 1M332A",
 		Vendor:   "Mellanox",
-		ISA:      "ARM A72",
+		isa:      "ARM A72",
 		Cores:    8,
-		FreqGHz:  0.8,
+		freqGHz:  0.8,
 		LinkGbps: 25,
 		OnPath:   false,
 		FullOS:   true,
 		Memory: MemoryProfile{
 			L1: ns(5.0), L2: ns(25.6), DRAM: ns(132.0),
-			CacheLineBytes: 64, LastLevelBytes: 1 << 20,
+			CacheLineBytes: 64, lastLevelBytes: 1 << 20,
 		},
 		DMA: DMAProfile{
 			// Figures 9/10: RDMA verbs ≈2x blocking-DMA latency; small-
 			// message throughput one third of native DMA.
-			BlockingRead:       LinearCost{Fixed: us(2.05), PerByte: 1.45},
-			BlockingWrite:      LinearCost{Fixed: us(1.60), PerByte: 0.90},
+			blockingRead:       LinearCost{fixed: us(2.05), perByte: 1.45},
+			blockingWrite:      LinearCost{fixed: us(1.60), perByte: 0.90},
 			NonBlockingIssue:   us(0.45),
-			EngineBandwidthGBs: 2.0,
+			engineBandwidthGBs: 2.0,
 		},
 		// Echo cost scaled from the Stingray calibration by the 3.0/0.8
 		// frequency ratio (same core microarchitecture).
-		EchoCost:          LinearCost{Fixed: us(0.675), PerByte: 0.30},
-		FwdTax:            LinearCost{Fixed: 0, PerByte: 0.26},
+		EchoCost:          LinearCost{fixed: us(0.675), perByte: 0.30},
+		FwdTax:            LinearCost{fixed: 0, perByte: 0.26},
 		PPSCap:            18e6,
 		HasTrafficManager: false,
-		NICSendCost:       LinearCost{Fixed: us(0.80), PerByte: 0.35},
-		NICRecvCost:       LinearCost{Fixed: us(0.85), PerByte: 0.35},
+		NICSendCost:       LinearCost{fixed: us(0.80), perByte: 0.35},
+		NICRecvCost:       LinearCost{fixed: us(0.85), perByte: 0.35},
 		TailThreshUs:      60.0,
 		MeanThreshUs:      24.0,
 		Accels:            armAccels(),
@@ -154,28 +154,28 @@ func Stingray_PS225() *NICModel {
 	return &NICModel{
 		Name:     "Stingray PS225",
 		Vendor:   "Broadcom",
-		ISA:      "ARM A72",
+		isa:      "ARM A72",
 		Cores:    8,
-		FreqGHz:  3.0,
+		freqGHz:  3.0,
 		LinkGbps: 25,
 		OnPath:   false,
 		FullOS:   true,
 		Memory: MemoryProfile{
 			L1: ns(1.3), L2: ns(25.1), DRAM: ns(85.3),
-			CacheLineBytes: 64, LastLevelBytes: 16 << 20,
+			CacheLineBytes: 64, lastLevelBytes: 16 << 20,
 		},
 		DMA: DMAProfile{
-			BlockingRead:       LinearCost{Fixed: us(1.95), PerByte: 1.40},
-			BlockingWrite:      LinearCost{Fixed: us(1.50), PerByte: 0.85},
+			blockingRead:       LinearCost{fixed: us(1.95), perByte: 1.40},
+			blockingWrite:      LinearCost{fixed: us(1.50), perByte: 0.85},
 			NonBlockingIssue:   us(0.40),
-			EngineBandwidthGBs: 2.1,
+			engineBandwidthGBs: 2.1,
 		},
-		EchoCost:          LinearCost{Fixed: us(0.18), PerByte: 0.08},
-		FwdTax:            LinearCost{Fixed: 0, PerByte: 0.07},
+		EchoCost:          LinearCost{fixed: us(0.18), perByte: 0.08},
+		FwdTax:            LinearCost{fixed: 0, perByte: 0.07},
 		PPSCap:            18e6,
 		HasTrafficManager: false,
-		NICSendCost:       LinearCost{Fixed: us(0.45), PerByte: 0.20},
-		NICRecvCost:       LinearCost{Fixed: us(0.50), PerByte: 0.20},
+		NICSendCost:       LinearCost{fixed: us(0.45), perByte: 0.20},
+		NICRecvCost:       LinearCost{fixed: us(0.50), perByte: 0.20},
 		TailThreshUs:      44.6,
 		MeanThreshUs:      18.0,
 		Accels:            armAccels(),
@@ -201,12 +201,12 @@ func IntelHost() *HostModel {
 		Cores: 12,
 		Memory: MemoryProfile{
 			L1: ns(1.2), L2: ns(6.0), L3: ns(22.4), DRAM: ns(62.2),
-			CacheLineBytes: 64, LastLevelBytes: 30 << 20,
+			CacheLineBytes: 64, lastLevelBytes: 30 << 20,
 		},
-		DPDKSendCost:   LinearCost{Fixed: us(1.80), PerByte: 0.90},
-		DPDKRecvCost:   LinearCost{Fixed: us(1.90), PerByte: 0.90},
-		RDMASendCost:   LinearCost{Fixed: us(1.60), PerByte: 0.80},
-		RDMARecvCost:   LinearCost{Fixed: us(1.70), PerByte: 0.80},
+		DPDKSendCost:   LinearCost{fixed: us(1.80), perByte: 0.90},
+		DPDKRecvCost:   LinearCost{fixed: us(1.90), perByte: 0.90},
+		RDMASendCost:   LinearCost{fixed: us(1.60), perByte: 0.80},
+		RDMARecvCost:   LinearCost{fixed: us(1.70), perByte: 0.80},
 		DPDKRxOcc:      us(0.45),
 		DPDKTxOcc:      us(0.35),
 		RingRxOcc:      us(0.10),

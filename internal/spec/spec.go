@@ -40,7 +40,7 @@ type MemoryProfile struct {
 	// LastLevelBytes is the capacity of the last cache level before
 	// DRAM (L2 on the NICs, L3 on the host); it gates the stateful-
 	// offloading working-set effect of I5.
-	LastLevelBytes int
+	lastLevelBytes int
 }
 
 // AccessCost estimates the cost of n dependent random accesses over a
@@ -52,7 +52,7 @@ func (m MemoryProfile) AccessCost(ws, n int) sim.Time {
 	if m.L3 != 0 {
 		per = m.L3
 	}
-	if m.LastLevelBytes > 0 && ws > m.LastLevelBytes {
+	if m.lastLevelBytes > 0 && ws > m.lastLevelBytes {
 		per = m.DRAM
 	}
 	return sim.Time(n) * per
@@ -60,13 +60,13 @@ func (m MemoryProfile) AccessCost(ws, n int) sim.Time {
 
 // LinearCost is a fixed+per-byte cost model: Cost(s) = Fixed + PerByte·s.
 type LinearCost struct {
-	Fixed   sim.Time
-	PerByte float64 // nanoseconds per byte
+	fixed   sim.Time
+	perByte float64 // nanoseconds per byte
 }
 
 // Cost evaluates the model for a payload of the given size.
 func (c LinearCost) Cost(bytes int) sim.Time {
-	return c.Fixed + sim.Time(c.PerByte*float64(bytes))
+	return c.fixed + sim.Time(c.perByte*float64(bytes))
 }
 
 // DMAProfile models a SmartNIC's PCIe DMA engine (Figures 7 and 8), or
@@ -75,29 +75,29 @@ func (c LinearCost) Cost(bytes int) sim.Time {
 // ones only pay the command-insertion cost at the issuing core while the
 // transfer itself occupies the engine for the transfer time.
 type DMAProfile struct {
-	BlockingRead  LinearCost
-	BlockingWrite LinearCost
+	blockingRead  LinearCost
+	blockingWrite LinearCost
 	// NonBlockingIssue is the core-side cost to enqueue a command.
 	NonBlockingIssue sim.Time
 	// EngineBandwidthGBs bounds sustained transfer (PCIe Gen3 x8 shares
 	// 7.87GB/s across engines; per-core observed ≈2.1GB/s write).
-	EngineBandwidthGBs float64
+	engineBandwidthGBs float64
 }
 
 // ReadLatency returns the blocking read completion latency for a payload.
-func (d DMAProfile) ReadLatency(bytes int) sim.Time { return d.BlockingRead.Cost(bytes) }
+func (d DMAProfile) ReadLatency(bytes int) sim.Time { return d.blockingRead.Cost(bytes) }
 
 // WriteLatency returns the blocking write completion latency for a payload.
-func (d DMAProfile) WriteLatency(bytes int) sim.Time { return d.BlockingWrite.Cost(bytes) }
+func (d DMAProfile) WriteLatency(bytes int) sim.Time { return d.blockingWrite.Cost(bytes) }
 
 // TransferTime returns the engine occupancy for a payload: the time the
 // DMA engine itself is busy moving bytes (used for non-blocking ops and
 // for engine-throughput limits).
 func (d DMAProfile) TransferTime(bytes int) sim.Time {
-	if d.EngineBandwidthGBs <= 0 {
+	if d.engineBandwidthGBs <= 0 {
 		return 0
 	}
-	return sim.Time(float64(bytes) / d.EngineBandwidthGBs)
+	return sim.Time(float64(bytes) / d.engineBandwidthGBs)
 }
 
 // AccelProfile describes a hardware accelerator unit (Table 3, right
@@ -159,9 +159,9 @@ func (w WorkloadProfile) MemBoundFraction() float64 {
 type NICModel struct {
 	Name    string
 	Vendor  string
-	ISA     string // "cnMIPS" or "ARM A72"
+	isa     string // "cnMIPS" or "ARM A72"
 	Cores   int
-	FreqGHz float64
+	freqGHz float64
 	// LinkGbps is the per-port link speed; ports is 2 on all four cards
 	// but experiments use one port.
 	LinkGbps float64
@@ -208,10 +208,10 @@ type NICModel struct {
 func (m *NICModel) CyclesScale() float64 {
 	base := 1.2 // CN2350 GHz
 	arch := 1.0
-	if m.ISA == "ARM A72" {
+	if m.isa == "ARM A72" {
 		arch = 2.0
 	}
-	return base / (m.FreqGHz * arch)
+	return base / (m.freqGHz * arch)
 }
 
 // HostModel describes the host server used alongside a NIC.

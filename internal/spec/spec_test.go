@@ -75,7 +75,7 @@ func TestEchoBaselineMatchesTable3(t *testing.T) {
 	}
 	// The Figure 2 fit's intercept should match Table 3's echo latency
 	// within 5%.
-	fit := m.EchoCost.Fixed.Micros()
+	fit := m.EchoCost.fixed.Micros()
 	meas := echo.ExecLat1KB.Micros()
 	if fit/meas < 0.95 || fit/meas > 1.07 {
 		t.Errorf("echo intercept %.2fµs vs Table 3 %.2fµs diverge", fit, meas)

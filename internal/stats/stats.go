@@ -46,13 +46,13 @@ func (e *EWMA) Mean() float64 { return e.mean }
 // gating decisions on dispersion (the scheduler's tail thresholds) must
 // check Ready() first or they will act on a tail estimate that collapses
 // to the bare mean — or to 0 — on the first monitor tick.
-func (e *EWMA) Std() float64 { return math.Sqrt(e.vari) }
+func (e *EWMA) std() float64 { return math.Sqrt(e.vari) }
 
 // Tail returns µ+3σ, the paper's running approximation of P99. Like
 // Std, it is degenerate below two samples: 0 with no samples, the bare
 // first sample with one. Gate on Ready() before comparing Tail against
 // a threshold.
-func (e *EWMA) Tail() float64 { return e.mean + 3*e.Std() }
+func (e *EWMA) Tail() float64 { return e.mean + 3*e.std() }
 
 // Ready reports whether enough samples (≥ 2) have been observed for
 // Std/Tail to carry any dispersion information at all.

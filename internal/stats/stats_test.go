@@ -15,8 +15,8 @@ func TestEWMAConstantInput(t *testing.T) {
 	if e.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", e.Mean())
 	}
-	if e.Std() != 0 {
-		t.Fatalf("Std = %v, want 0", e.Std())
+	if e.std() != 0 {
+		t.Fatalf("Std = %v, want 0", e.std())
 	}
 	if e.Tail() != 5 {
 		t.Fatalf("Tail = %v, want 5", e.Tail())
@@ -32,15 +32,15 @@ func TestEWMADegenerateBeforeTwoSamples(t *testing.T) {
 	if e.Ready() {
 		t.Fatal("Ready with 0 samples")
 	}
-	if e.Std() != 0 || e.Tail() != 0 || e.Mean() != 0 {
-		t.Fatalf("zero-sample estimates not zero: std=%v tail=%v mean=%v", e.Std(), e.Tail(), e.Mean())
+	if e.std() != 0 || e.Tail() != 0 || e.Mean() != 0 {
+		t.Fatalf("zero-sample estimates not zero: std=%v tail=%v mean=%v", e.std(), e.Tail(), e.Mean())
 	}
 	e.Observe(42)
 	if e.Ready() {
 		t.Fatal("Ready with 1 sample")
 	}
-	if e.Std() != 0 {
-		t.Fatalf("one-sample Std = %v, want 0", e.Std())
+	if e.std() != 0 {
+		t.Fatalf("one-sample Std = %v, want 0", e.std())
 	}
 	if e.Tail() != e.Mean() || e.Tail() != 42 {
 		t.Fatalf("one-sample Tail = %v, want bare mean 42", e.Tail())
@@ -49,8 +49,8 @@ func TestEWMADegenerateBeforeTwoSamples(t *testing.T) {
 	if !e.Ready() {
 		t.Fatal("not Ready with 2 samples")
 	}
-	if e.Std() <= 0 {
-		t.Fatalf("two distinct samples but Std = %v", e.Std())
+	if e.std() <= 0 {
+		t.Fatalf("two distinct samples but Std = %v", e.std())
 	}
 	if e.Tail() <= e.Mean() {
 		t.Fatalf("Tail %v not above mean %v with dispersion present", e.Tail(), e.Mean())
@@ -78,8 +78,8 @@ func TestEWMATracksDispersion(t *testing.T) {
 			hi.Observe(19)
 		}
 	}
-	if hi.Std() <= lo.Std() {
-		t.Fatalf("high-dispersion Std %v should exceed low-dispersion %v", hi.Std(), lo.Std())
+	if hi.std() <= lo.std() {
+		t.Fatalf("high-dispersion Std %v should exceed low-dispersion %v", hi.std(), lo.std())
 	}
 	if hi.Tail() <= hi.Mean() {
 		t.Fatal("Tail should exceed Mean for dispersed input")

@@ -43,7 +43,7 @@ type Batcher struct {
 	Window sim.Time
 	// MaxBatch flushes a train once it holds this many requests; values
 	// ≤ 1 disable coalescing entirely (Add degenerates to Send).
-	MaxBatch int
+	maxBatch int
 
 	groups []*batchGroup
 	index  map[batchKey]*batchGroup
@@ -64,7 +64,7 @@ func NewBatcher(cl *Client, window sim.Time, maxBatch int) *Batcher {
 	return &Batcher{
 		cl:       cl,
 		Window:   window,
-		MaxBatch: maxBatch,
+		maxBatch: maxBatch,
 		index:    map[batchKey]*batchGroup{},
 	}
 }
@@ -74,7 +74,7 @@ func NewBatcher(cl *Client, window sim.Time, maxBatch int) *Batcher {
 // MaxBatch ≤ 1) bypass batching. Latency is measured from Add, so the
 // batching wait is part of the reported response time.
 func (b *Batcher) Add(r Request) {
-	if b.MaxBatch <= 1 {
+	if b.maxBatch <= 1 {
 		b.cl.Send(r)
 		return
 	}
@@ -93,7 +93,7 @@ func (b *Batcher) park(node string, dst actor.ID, m actor.Msg, size int) {
 	}
 	g.msgs = append(g.msgs, m)
 	g.sizes = append(g.sizes, size)
-	if len(g.msgs) >= b.MaxBatch {
+	if len(g.msgs) >= b.maxBatch {
 		b.flushGroup(g)
 		return
 	}

@@ -181,7 +181,7 @@ func (q *rejectAllQoS) Latency(tenant uint16, class uint8, us float64) { q.laten
 // TestQoSRejectAccounting pins the edge-shed accounting contract (see
 // the Client counter docs): an admission-denied request is Rejected,
 // never Sent, fires OnGiveUp exactly once, records no latency, and
-// still counts toward Offered().
+// still counts toward the offered total, Sent + Rejected.
 func TestQoSRejectAccounting(t *testing.T) {
 	cl, client := echoCluster(t, 8, sim.Microsecond)
 	q := &rejectAllQoS{}
@@ -205,8 +205,8 @@ func TestQoSRejectAccounting(t *testing.T) {
 	if client.Lat.Count() != 0 {
 		t.Fatalf("latency samples %d, want 0 for a request that never left the edge", client.Lat.Count())
 	}
-	if client.Offered() != 1 {
-		t.Fatalf("Offered() = %d, want 1 (= Sent + Rejected)", client.Offered())
+	if offered := client.Sent + client.Rejected; offered != 1 {
+		t.Fatalf("Sent + Rejected = %d, want 1", offered)
 	}
 	if client.Retried != 0 || q.latencies != 0 {
 		t.Fatalf("Retried=%d qosLatencies=%d, want 0/0", client.Retried, q.latencies)

@@ -42,7 +42,7 @@ type Client struct {
 	// retry count) and then either lands (Received, Lat) or is lost in
 	// flight (OnGiveUp after the final timeout). Completion-style
 	// ratios must therefore use Received/Sent for in-flight loss and
-	// report Rejected separately as edge shed; Offered() is the
+	// report Rejected separately as edge shed; Sent + Rejected is the
 	// everything-attempted denominator.
 	Sent     uint64
 	Received uint64
@@ -51,10 +51,6 @@ type Client struct {
 	// reaching the wire (they are not counted in Sent).
 	Rejected uint64
 }
-
-// Offered returns every request the workload attempted: admitted sends
-// plus edge-rejected ones.
-func (cl *Client) Offered() uint64 { return cl.Sent + cl.Rejected }
 
 // QoSHook lets a multi-tenant QoS layer (internal/qos) gate and observe
 // client traffic without this package importing it. Both methods run on
