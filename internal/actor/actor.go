@@ -268,7 +268,7 @@ func (a *Actor) Observe(sojourn, service sim.Time, wireSize int) {
 // safe in the real system; in simulation ordering is the engine's.
 type Mailbox struct {
 	q MsgFIFO
-	// HighWater records the maximum backlog, which the DRR migration
+	// highWater records the maximum backlog, which the DRR migration
 	// trigger (mailbox length threshold) uses.
 	highWater int
 }

@@ -75,7 +75,7 @@ func (s *Store) Get(k []byte) *Record {
 	return nil
 }
 
-// Put inserts or replaces a record (splitting buckets as needed).
+// put inserts or replaces a record (splitting buckets as needed).
 func (s *Store) put(k []byte, r *Record) {
 	for {
 		b := s.bucketFor(k)

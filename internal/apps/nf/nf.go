@@ -116,7 +116,7 @@ type Rule struct {
 // masked rules, exactly what the paper's firewall uses.
 type TCAM struct {
 	rules []Rule // sorted by priority
-	// Lookups counts match operations, ScanDepth the total rules
+	// lookups counts match operations, scanDepth the total rules
 	// scanned (drives the cost model).
 	lookups   uint64
 	scanDepth uint64
@@ -142,7 +142,7 @@ func ruleMatches(r *Rule, p FiveTuple) bool {
 		p.Proto&r.Mask.Proto == r.Value.Proto&r.Mask.Proto
 }
 
-// Match returns the verdict of the highest-priority matching rule and
+// match returns the verdict of the highest-priority matching rule and
 // how many rules were scanned. No match defaults to deny.
 func (t *TCAM) match(p FiveTuple) (bool, int) {
 	t.lookups++
@@ -194,7 +194,7 @@ func NewFirewall(id actor.ID, tcam *TCAM) *actor.Actor {
 type IPSec struct {
 	block  cipher.Block
 	macKey []byte
-	// Processed counts packets, Accelerated those that used the NIC
+	// processed counts packets, accelerated those that used the NIC
 	// crypto engines.
 	processed   uint64
 	accelerated uint64
@@ -209,7 +209,7 @@ func NewIPSecState(key, macKey []byte) (*IPSec, error) {
 	return &IPSec{block: block, macKey: macKey}, nil
 }
 
-// Seal encrypts the payload with AES-256-CTR and appends an
+// seal encrypts the payload with AES-256-CTR and appends an
 // HMAC-SHA1 tag; iv is derived from the sequence number.
 func (s *IPSec) seal(seq uint64, payload []byte) []byte {
 	iv := make([]byte, aes.BlockSize)

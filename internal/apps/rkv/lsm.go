@@ -190,7 +190,7 @@ func decodeEntries(p []byte) []entry {
 
 // --- SSTables ---------------------------------------------------------
 
-// Run is a sorted, deduplicated sequence of entries.
+// run is a sorted, deduplicated sequence of entries.
 type run []entry
 
 // SSTStore is the on-disk level structure shared by the SSTable read
@@ -199,15 +199,15 @@ type run []entry
 // is the shared substrate, so sharing this struct between exactly those
 // two actors preserves the no-shared-memory actor rule in spirit.
 type SSTStore struct {
-	// Levels[i] holds the runs of level i, newest first. Level limits
+	// levels[i] holds the runs of level i, newest first. Level limits
 	// grow exponentially (×10 per level, as in LevelDB).
 	levels [][]run
-	// BaseLimit is level 1's byte limit; level i allows BaseLimit·10^(i-1).
+	// baseLimit is level 1's byte limit; level i allows baseLimit·10^(i-1).
 	baseLimit int
-	// L0Runs bounds level 0 by run count.
+	// l0Runs bounds level 0 by run count.
 	l0Runs int
 
-	// MinorCompactions/MajorCompactions count events.
+	// minorCompactions/majorCompactions count events.
 	minorCompactions uint64
 	majorCompactions uint64
 }
@@ -236,7 +236,7 @@ func levelBytes(runs []run) int {
 	return n
 }
 
-// AddL0 installs a new level-0 run (a drained Memtable) and performs
+// addL0 installs a new level-0 run (a drained Memtable) and performs
 // any cascading major compactions. It returns the bytes rewritten,
 // which the compaction actor charges as work.
 func (s *SSTStore) addL0(entries []entry) int {
@@ -336,7 +336,7 @@ func mergeRuns(runs []run, bottom bool) run {
 	return out
 }
 
-// Lookup searches the levels newest-first.
+// lookup searches the levels newest-first.
 func (s *SSTStore) lookup(key []byte) ([]byte, bool) {
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
@@ -370,9 +370,9 @@ type Memtable struct {
 
 	// Compactions counts minor compactions issued.
 	Compactions uint64
-	// Hits/Misses count read outcomes served from the Memtable.
+	// hits/misses count read outcomes served from the Memtable.
 	hits, misses uint64
-	// PutErrors counts committed writes the skip list refused (the
+	// putErrors counts committed writes the skip list refused (the
 	// actor's DMO region was exhausted): the write is lost here.
 	putErrors uint64
 }

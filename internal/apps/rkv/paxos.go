@@ -103,7 +103,7 @@ type Consensus struct {
 
 	// IsLeader marks the distinguished proposer.
 	IsLeader bool
-	// BallotOffset is this replica's residue in the ballot space: replica
+	// ballotOffset is this replica's residue in the ballot space: replica
 	// k of an n-replica group elects only with ballots ≡ k (mod n), so
 	// concurrent candidates can never collide on a ballot number. Deploy
 	// sets it to the replica index.
@@ -332,7 +332,7 @@ func (c *Consensus) stepDown(ballot uint64) {
 	}
 }
 
-// StartElection begins the two-phase leader election on this replica
+// startElection begins the two-phase leader election on this replica
 // (invoked when the old leader fails). onElected fires on success.
 func (c *Consensus) startElection(ctx actor.Ctx, onElected func()) {
 	c.electing = true

@@ -43,7 +43,7 @@ type skipList struct {
 	bytes int // application bytes (keys + values) resident
 	rng   uint64
 
-	// Visits counts node hops of the last operation (drives the cost
+	// visits counts node hops of the last operation (drives the cost
 	// model: each hop is an object-table lookup plus a cache miss).
 	visits int
 
@@ -159,7 +159,7 @@ func (s *skipList) findPredecessors(ctx actor.Ctx, k []byte, update *[maxLevel]u
 	return s.forward(ctx, x, 0)
 }
 
-// Put inserts or overwrites a key. A nil value writes a tombstone
+// put inserts or overwrites a key. A nil value writes a tombstone
 // (deletions are insertions with a deletion marker, §4).
 func (s *skipList) put(ctx actor.Ctx, key, value []byte) error {
 	s.visits = 0
@@ -253,7 +253,7 @@ func (s *skipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) 
 	return vo, len(value), nil
 }
 
-// Get returns (value, found, tombstone).
+// get returns (value, found, tombstone).
 func (s *skipList) get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 	s.visits = 0
 	var kbuf [keyLen]byte
@@ -286,14 +286,14 @@ func (s *skipList) get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
 	return bytes.Clone(v), true, false, err
 }
 
-// Entry is one key/value pair; Tombstone marks deletion.
+// entry is one key/value pair; tombstone marks deletion.
 type entry struct {
 	key       []byte
 	value     []byte
 	tombstone bool
 }
 
-// Drain iterates all entries in key order, frees every node and value
+// drain iterates all entries in key order, frees every node and value
 // object, and resets the list (minor compaction hands the contents to
 // the compaction actor).
 func (s *skipList) drain(ctx actor.Ctx) ([]entry, error) {

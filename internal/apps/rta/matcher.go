@@ -8,7 +8,7 @@ type Matcher struct {
 	next []map[byte]int32 // goto function per state
 	fail []int32
 	out  []bool
-	// Patterns echoes the compiled dictionary.
+	// patterns echoes the compiled dictionary.
 	patterns []string
 }
 
@@ -81,7 +81,7 @@ func (m *Matcher) step(s int32, c byte) int32 {
 	}
 }
 
-// Match reports whether any pattern occurs in text.
+// match reports whether any pattern occurs in text.
 func (m *Matcher) match(text string) bool {
 	if len(m.patterns) == 0 {
 		return false

@@ -149,16 +149,16 @@ func newCounterState(cfg CounterConfig) *Counter {
 	return c
 }
 
-// Add counts one tuple in the current slot.
+// add counts one tuple in the current slot.
 func (c *Counter) add(t string) { c.slots[c.cur][t]++ }
 
-// Advance rotates to the next slot, expiring its previous contents.
+// advance rotates to the next slot, expiring its previous contents.
 func (c *Counter) advance() {
 	c.cur = (c.cur + 1) % len(c.slots)
 	c.slots[c.cur] = map[string]uint32{}
 }
 
-// Totals sums counts across the window.
+// totals sums counts across the window.
 func (c *Counter) totals() map[string]uint32 {
 	out := map[string]uint32{}
 	for _, s := range c.slots {
@@ -260,7 +260,7 @@ func newRankerState(topN int) *Ranker {
 	return &Ranker{topN: topN, best: map[string]uint32{}}
 }
 
-// Merge folds an emitted window in and returns the current top-n using
+// merge folds an emitted window in and returns the current top-n using
 // a real sort (the paper's ranker performs quicksort).
 func (r *Ranker) merge(counts map[string]uint32) []Entry {
 	for k, v := range counts {

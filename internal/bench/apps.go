@@ -23,9 +23,9 @@ func init() {
 
 // appRun is one measured deployment run.
 type appRun struct {
-	// CoresUsed per measured role node.
+	// coresUsed per measured role node.
 	coresUsed map[string]float64
-	// Tput is achieved ops/sec; P50/P99 are latency percentiles (µs),
+	// tput is achieved ops/sec; p50/p99 are latency percentiles (µs),
 	// valid only when LatOK (a window that completed nothing has no
 	// latency — reporters print "-" rather than a fake 0).
 	tput     float64

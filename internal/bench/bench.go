@@ -87,9 +87,9 @@ type Result struct {
 	Title  string
 	header []string
 	Rows   [][]string
-	// Notes carry the paper-vs-measured commentary.
+	// notes carry the paper-vs-measured commentary.
 	notes []string
-	// Wall is the real time Run spent producing this result; Events is
+	// wall is the real time Run spent producing this result; events is
 	// the number of simulation events executed while doing so. Both are
 	// filled by Run for bench-trajectory tracking (-json); they are not
 	// part of the table output and not in the golden rendering.
@@ -97,7 +97,7 @@ type Result struct {
 	events uint64
 }
 
-// Add appends a row of cells (fmt.Sprint applied to each).
+// add appends a row of cells (fmt.Sprint applied to each).
 func (r *Result) add(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
@@ -111,7 +111,7 @@ func (r *Result) add(cells ...any) {
 	r.Rows = append(r.Rows, row)
 }
 
-// Note appends commentary.
+// note appends commentary.
 func (r *Result) note(format string, args ...any) {
 	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }

@@ -52,22 +52,22 @@ type tally struct {
 
 // ReplayReport summarizes a GoldenReplay.
 type ReplayReport struct {
-	// Experiments counts experiment ids; Runs the individual checked
+	// experiments counts experiment ids; runs the individual checked
 	// runs (each id runs at two seeds: one baseline plus one run per
 	// axis that applies to it).
 	experiments int
 	runs        int
-	// Clusters counts clusters that had a checker attached; Checks the
+	// clusters counts clusters that had a checker attached; checks the
 	// individual invariant evaluations across all of them.
 	clusters int
 	checks   uint64
-	// Violations holds every invariant violation observed, annotated
+	// violations holds every invariant violation observed, annotated
 	// with the run that produced it.
 	violations []string
-	// Mismatches lists runs whose fingerprint differs byte-for-byte
+	// mismatches lists runs whose fingerprint differs byte-for-byte
 	// from their baseline's.
 	mismatches []string
-	// Digests holds "id pdes=N seed=N sha256" for every (id, seed)
+	// digests holds "id pdes=N seed=N sha256" for every (id, seed)
 	// baseline fingerprint, in replay order — the lines of
 	// testdata/replay_golden.txt, the cross-commit oracle: a refactor
 	// that claims identical simulated behavior must reproduce every one.

@@ -25,9 +25,9 @@ func init() {
 // scaleRun is one sharded deployment measurement.
 type scaleRun struct {
 	appRun
-	// Balance is max/mean of the per-shard completions.
+	// balance is max/mean of the per-shard completions.
 	balance float64
-	// Trains/Coalesced mirror the batcher counters.
+	// trains/coalesced mirror the batcher counters.
 	trains    uint64
 	coalesced uint64
 }

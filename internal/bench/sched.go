@@ -166,5 +166,5 @@ type shiftedExp struct {
 	jit  workload.Exponential
 }
 
-// Draw returns one service time.
+// draw returns one service time.
 func (s shiftedExp) draw() sim.Time { return s.base + s.jit.Draw() }

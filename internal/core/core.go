@@ -148,7 +148,7 @@ type Config struct {
 	// LinkGbps overrides the node's link speed (default: NIC link, or
 	// 10 for baseline nodes).
 	LinkGbps float64
-	// RingSlots/RingBatch size the host↔NIC channels.
+	// ringSlots/ringBatch size the host↔NIC channels.
 	ringSlots int
 	ringBatch int
 	// WatchdogTimeout bounds per-invocation NIC core occupancy (§3.4);
@@ -257,7 +257,7 @@ type Node struct {
 	down        bool
 	nicDown     bool
 	nicSlowdown float64
-	// DownDrops counts messages discarded because the node (or its NIC
+	// downDrops counts messages discarded because the node (or its NIC
 	// complex) was down when they arrived or would have executed.
 	downDrops uint64
 }

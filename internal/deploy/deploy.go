@@ -95,7 +95,7 @@ type RKVSpec struct {
 // old surface; sharded callers route through ShardFor/LeaderFor.
 type RKV struct {
 	*rkv.Deployment
-	// Groups holds one replica group per shard.
+	// groups holds one replica group per shard.
 	groups []*rkv.Deployment
 	// Router maps keys to shards (nil is never returned; a single-group
 	// deployment gets a one-shard ring).
@@ -109,7 +109,7 @@ type RKV struct {
 	Elections uint64
 }
 
-// Validate checks the spec without deploying anything. Its errors name
+// validate checks the spec without deploying anything. Its errors name
 // the spec and the offending field; it never panics.
 func (s RKVSpec) validate() error {
 	if len(s.Nodes) == 0 {
@@ -244,7 +244,7 @@ func (r *RKV) LeaderFor(key []byte) (string, actor.ID) {
 	return rep.Node.Name, rep.Consensus.Actor.ID
 }
 
-// Reshard removes shard g from the router after its group is lost
+// reshard removes shard g from the router after its group is lost
 // beyond recovery: only that shard's ≈1/N of the key space remaps (to
 // the surviving groups); every other key keeps its owner. The group's
 // actors are not torn down — they simply stop receiving routed keys.
@@ -366,11 +366,11 @@ type DT struct {
 	Stores   []*dt.Store
 	spec     DTSpec
 	injector *fault.Injector
-	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	qoS *qos.Runtime
+	// qos is the installed tenancy runtime (nil without a Tenancy block).
+	qos *qos.Runtime
 }
 
-// Validate checks the spec without deploying anything. It rejects an
+// validate checks the spec without deploying anything. It rejects an
 // empty participant set: such a coordinator would abort every
 // transaction.
 func (s DTSpec) validate() error {
@@ -422,7 +422,7 @@ func (s DTSpec) Deploy() (*DT, error) {
 	}
 	var err error
 	nodes := append([]*core.Node{s.Coordinator}, s.Participants...)
-	if out.injector, out.qoS, err = s.install(nodes); err != nil {
+	if out.injector, out.qos, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -474,11 +474,11 @@ type RTASpec struct {
 type RTA struct {
 	Topology rta.Topology
 	injector *fault.Injector
-	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	qoS *qos.Runtime
+	// qos is the installed tenancy runtime (nil without a Tenancy block).
+	qos *qos.Runtime
 }
 
-// Validate checks the spec without deploying anything.
+// validate checks the spec without deploying anything.
 func (s RTASpec) validate() error {
 	if s.Node == nil || s.Aggregator == nil {
 		return &validationError{spec: "RTASpec", field: "Node",
@@ -516,7 +516,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 		nodes = nodes[:1]
 	}
 	var err error
-	if out.injector, out.qoS, err = s.install(nodes); err != nil {
+	if out.injector, out.qos, err = s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -536,11 +536,11 @@ type FirewallSpec struct {
 // Firewall is a deployed firewall actor.
 type Firewall struct {
 	injector *fault.Injector
-	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	qoS *qos.Runtime
+	// qos is the installed tenancy runtime (nil without a Tenancy block).
+	qos *qos.Runtime
 }
 
-// Validate checks the spec without deploying anything.
+// validate checks the spec without deploying anything.
 func (s FirewallSpec) validate() error {
 	if s.Node == nil {
 		return &validationError{spec: "FirewallSpec", field: "Node", reason: "needs a node"}
@@ -559,7 +559,7 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 	}
 	out := &Firewall{}
 	var err error
-	if out.injector, out.qoS, err = s.install([]*core.Node{s.Node}); err != nil {
+	if out.injector, out.qos, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -579,11 +579,11 @@ type IPSecSpec struct {
 // IPSec is a deployed gateway actor.
 type IPSec struct {
 	injector *fault.Injector
-	// QoS is the installed tenancy runtime (nil without a Tenancy block).
-	qoS *qos.Runtime
+	// qos is the installed tenancy runtime (nil without a Tenancy block).
+	qos *qos.Runtime
 }
 
-// Validate checks the spec without deploying anything. Key material is
+// validate checks the spec without deploying anything. Key material is
 // checked here (not at first packet) so a bad spec fails before
 // deployment.
 func (s IPSecSpec) validate() error {
@@ -609,7 +609,7 @@ func (s IPSecSpec) Deploy() (*IPSec, error) {
 		return nil, err
 	}
 	out := &IPSec{}
-	if out.injector, out.qoS, err = s.install([]*core.Node{s.Node}); err != nil {
+	if out.injector, out.qos, err = s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -56,11 +56,11 @@ func (c *Common) install(nodes []*core.Node) (*fault.Injector, *qos.Runtime, err
 
 // validationError is a typed spec-validation failure.
 type validationError struct {
-	// Spec is the spec type ("RKVSpec", ...), Field the offending field.
+	// spec is the spec type ("RKVSpec", ...), field the offending field.
 	spec   string
 	field  string
 	reason string
-	// Err is the underlying cause when validation wrapped another typed
+	// err is the underlying cause when validation wrapped another typed
 	// error (qos's Tenancy error).
 	err error
 }

@@ -133,18 +133,18 @@ func TestSpecDeployAppSurface(t *testing.T) {
 	check("rkv", r.QoS, r.Injector, true)
 	d, err := DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}.Deploy()
 	deployed("dt", err)
-	check("dt", d.qoS, d.injector, false)
+	check("dt", d.qos, d.injector, false)
 	a, err := RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
 		BaseID: 400, TopN: 4}.Deploy()
 	deployed("rta", err)
-	check("rta", a.qoS, a.injector, false)
+	check("rta", a.qos, a.injector, false)
 	f, err := FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
 		Node: nodes[5], ID: 500}.Deploy()
 	deployed("firewall", err)
-	check("firewall", f.qoS, f.injector, true)
+	check("firewall", f.qos, f.injector, true)
 	i, err := IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}.Deploy()
 	deployed("ipsec", err)
-	check("ipsec", i.qoS, i.injector, false)
+	check("ipsec", i.qos, i.injector, false)
 }
 
 // TestSpecTenancyControllerRequiresClassicCluster pins the PDES

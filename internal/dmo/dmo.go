@@ -112,9 +112,9 @@ type Store struct {
 	regions map[uint32]*region
 	nextID  ObjID
 
-	// Migrations counts object moves for experiment accounting.
+	// migrations counts object moves for experiment accounting.
 	migrations uint64
-	// BytesMigrated accumulates migration volume (drives Figure 18's
+	// bytesMigrated accumulates migration volume (drives Figure 18's
 	// phase-3 cost).
 	bytesMigrated uint64
 

@@ -26,7 +26,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind enumerates the injectable fault classes.
+// kind enumerates the injectable fault classes.
 type kind uint8
 
 const (
@@ -163,7 +163,7 @@ func (e *scheduleError) Error() string {
 	return fmt.Sprintf("fault %d (%s): %s", e.index, e.label, e.reason)
 }
 
-// Validate checks the schedule against a cluster: known target nodes,
+// validate checks the schedule against a cluster: known target nodes,
 // positive windows that do not start before the engine's current time,
 // sane parameters. Cut/Loss/Flap targets may name client
 // endpoints (attached to the network but not cluster nodes), so only

@@ -188,7 +188,7 @@ func (h *Host) Backlog() int {
 	return n
 }
 
-// BusyCoreSeconds returns the integral of busy cores over virtual time,
+// busyCoreSeconds returns the integral of busy cores over virtual time,
 // in core-seconds. Divide by elapsed seconds for "cores used".
 func (h *Host) busyCoreSeconds() float64 {
 	var total sim.Time

@@ -170,7 +170,7 @@ func (c *Checker) Violations() []Violation {
 	return c.violations
 }
 
-// Err folds violations into a single error, nil when clean.
+// err folds violations into a single error, nil when clean.
 func (c *Checker) err() error {
 	if c == nil || len(c.violations) == 0 {
 		return nil

@@ -22,9 +22,9 @@ import (
 // simulation we compare the modeled service time against the budget,
 // which is equivalent to the timer firing mid-execution.
 type Watchdog struct {
-	// Timeout is the per-invocation budget. Zero disables the watchdog.
+	// timeout is the per-invocation budget. Zero disables the watchdog.
 	timeout sim.Time
-	// OnKill is invoked when an actor is condemned; the runtime
+	// onKill is invoked when an actor is condemned; the runtime
 	// deregisters it, removes it from dispatch/runnable queues, and
 	// frees its resources.
 	onKill func(a *actor.Actor)

@@ -43,14 +43,14 @@ type Message struct {
 	// pointer alongside the ring entry), so only Data counts toward the
 	// wire size and checksum.
 	App any
-	// EnqueuedAt is stamped by Push for latency accounting.
+	// enqueuedAt is stamped by Push for latency accounting.
 	enqueuedAt sim.Time
 
 	checksum uint32
 	ready    bool
 }
 
-// WireSize is the message's size on PCIe.
+// wireSize is the message's size on PCIe.
 func (m *Message) wireSize() int { return HeaderBytes + len(m.Data) }
 
 func (m *Message) seal()        { m.checksum = crc32.ChecksumIEEE(m.Data) }
@@ -178,7 +178,7 @@ type Channel struct {
 	toHost *Ring
 	toNIC  *Ring
 
-	// BatchSize is how many NIC-side messages are aggregated into one
+	// batchSize is how many NIC-side messages are aggregated into one
 	// scatter-gather DMA write before flushing. 1 disables batching.
 	batchSize int
 	pending   []int // slot indices awaiting flush

@@ -148,7 +148,7 @@ func NewPartitioned(g *sim.Group) *Network {
 	return n
 }
 
-// Partitions returns the number of engine partitions ports can attach
+// partitions returns the number of engine partitions ports can attach
 // to.
 func (n *Network) partitions() int {
 	if n.group == nil {

@@ -113,7 +113,7 @@ func (b *AccelBank) Observe(sk *obs.Sink, group obs.GroupID) {
 	}
 }
 
-// Cost returns the modeled core-side wait for processing n bytes at the
+// cost returns the modeled core-side wait for processing n bytes at the
 // given batch size, without submitting work (for planning/what-if).
 // Table 3's latencies are per-request at 1KB; cost scales linearly in
 // payload with a floor of the fixed invocation overhead.

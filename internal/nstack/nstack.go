@@ -67,11 +67,11 @@ type Headers struct {
 // WQE is a work queue entry: the unit the PKI hands to NIC cores
 // (nstack_new_wqe / nstack_get_wqe in Table 4).
 type WQE struct {
-	// Packet is the full frame.
+	// packet is the full frame.
 	packet []byte
 	// Headers are filled by Decap.
 	Headers Headers
-	// Payload aliases the UDP payload inside Packet after Decap.
+	// payload aliases the UDP payload inside packet after Decap.
 	payload []byte
 }
 

@@ -103,10 +103,10 @@ func histBucket(v float64) int {
 	return b
 }
 
-// Count returns the number of samples.
+// count returns the number of samples.
 func (h *Histogram) count() uint64 { return h.n }
 
-// Mean returns the exact mean (0 before any samples).
+// mean returns the exact mean (0 before any samples).
 func (h *Histogram) mean() float64 {
 	if h.n == 0 {
 		return 0
@@ -132,7 +132,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Quantile returns the q-th quantile (q in [0,1]) as the upper bound of
+// quantile returns the q-th quantile (q in [0,1]) as the upper bound of
 // the bucket holding the q·n-th sample; 0 when empty.
 func (h *Histogram) quantile(q float64) float64 {
 	if h.n == 0 {

@@ -83,7 +83,7 @@ func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, sche
 	return c
 }
 
-// BindBatcher hands the controller a client batcher whose window it may
+// bindBatcher hands the controller a client batcher whose window it may
 // shrink.
 func (c *Controller) bindBatcher(b *workload.Batcher) {
 	if b != nil {
@@ -91,14 +91,14 @@ func (c *Controller) bindBatcher(b *workload.Batcher) {
 	}
 }
 
-// BindReshard hands the controller the scale-out knob: hottest names
+// bindReshard hands the controller the scale-out knob: hottest names
 // the shard to drop, reshard removes it from the router ring. Used at
 // most once per run.
 func (c *Controller) bindReshard(hottest func() int, reshard func(int)) {
 	c.hottest, c.reshard = hottest, reshard
 }
 
-// Observe feeds one response latency (µs) into the tenant's EWMA.
+// observe feeds one response latency (µs) into the tenant's EWMA.
 func (c *Controller) observe(tenant uint16, us float64) {
 	if int(tenant) >= len(c.ewma) {
 		return
@@ -111,7 +111,7 @@ func (c *Controller) observe(tenant uint16, us float64) {
 	c.ewma[tenant] = ewmaAlpha*us + (1-ewmaAlpha)*c.ewma[tenant]
 }
 
-// Start arms the periodic tick. A tick decides only while the engine is
+// start arms the periodic tick. A tick decides only while the engine is
 // Busy, and the ticker ends once the simulation's own work has drained
 // (Engine.Every), so a drained simulation terminates.
 func (c *Controller) start() {

@@ -29,7 +29,7 @@ func (q *laneQueue) pop() actor.Msg {
 	return m
 }
 
-// LaneSched is one node's strict-priority lane front: wire messages are
+// laneSched is one node's strict-priority lane front: wire messages are
 // offered here after traffic-gate admission and before the FCFS/DRR
 // actor scheduler. Lanes dispatch in priority order (control > data >
 // telemetry), spaced by a fixed dispatch cost; per-lane watermarks
@@ -57,7 +57,7 @@ type laneSched struct {
 	enqueued  [NumLanes]uint64
 	delivered [NumLanes]uint64
 	shed      [NumLanes]uint64
-	// Backpressured counts data-lane deferrals (the message is offered
+	// backpressured counts data-lane deferrals (the message is offered
 	// again after backpressureDelay; it is never dropped).
 	backpressured uint64
 }

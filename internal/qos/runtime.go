@@ -13,7 +13,7 @@ import (
 // and benches can also call Install directly.
 type Runtime struct {
 	tenancy *Tenancy
-	// Lanes holds one lane scheduler per offloaded node, in install
+	// lanes holds one lane scheduler per offloaded node, in install
 	// order.
 	lanes []*laneSched
 	// Controller is the SLO loop (nil unless Tenancy.Controller.Enabled).

@@ -32,7 +32,7 @@ type core struct {
 	winU    float64
 	winPrev sim.Time
 
-	// Executed counts completed actor invocations on this core.
+	// executed counts completed actor invocations on this core.
 	executed uint64
 
 	// op is the operation occupying the core. A core runs one operation

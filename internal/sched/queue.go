@@ -80,7 +80,7 @@ func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 type shuffleQueue struct {
 	perCore []stampedFIFO
 	audit   *invariant.QueueAudit
-	// Steals counts stolen messages, exposing the imbalance repair rate.
+	// steals counts stolen messages, exposing the imbalance repair rate.
 	steals uint64
 }
 
@@ -154,7 +154,7 @@ type iokQueue struct {
 	// at different rates, reordering it. A flow re-routes (rebalances)
 	// only once its queued messages have drained.
 	flows map[uint64]*iokFlow
-	// Dispatched counts messages routed by the dispatcher core.
+	// dispatched counts messages routed by the dispatcher core.
 	dispatched uint64
 }
 

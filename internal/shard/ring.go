@@ -80,7 +80,7 @@ func (r *Ring) Live(s int) bool { return s >= 0 && s < r.shards && r.live[s] }
 // the key's hash.
 func (r *Ring) Lookup(key []byte) int { return r.lookupHash(hash(key)) }
 
-// LookupHash routes a pre-computed key hash.
+// lookupHash routes a pre-computed key hash.
 func (r *Ring) lookupHash(h uint64) int {
 	if len(r.points) == 0 {
 		panic("shard: lookup on empty ring")

@@ -37,7 +37,7 @@ type MemoryProfile struct {
 	DRAM sim.Time
 	// CacheLineBytes is the line size (128B on LiquidIOII, 64B elsewhere).
 	CacheLineBytes int
-	// LastLevelBytes is the capacity of the last cache level before
+	// lastLevelBytes is the capacity of the last cache level before
 	// DRAM (L2 on the NICs, L3 on the host); it gates the stateful-
 	// offloading working-set effect of I5.
 	lastLevelBytes int
@@ -79,7 +79,7 @@ type DMAProfile struct {
 	blockingWrite LinearCost
 	// NonBlockingIssue is the core-side cost to enqueue a command.
 	NonBlockingIssue sim.Time
-	// EngineBandwidthGBs bounds sustained transfer (PCIe Gen3 x8 shares
+	// engineBandwidthGBs bounds sustained transfer (PCIe Gen3 x8 shares
 	// 7.87GB/s across engines; per-core observed ≈2.1GB/s write).
 	engineBandwidthGBs float64
 }

@@ -176,7 +176,7 @@ func TestAcceleratorBatchingAmortizes(t *testing.T) {
 	if !ok || l16 != l8 {
 		t.Errorf("batch fallback: got %v ok=%v, want %v", l16, ok, l8)
 	}
-	// ZIP only supports bsz=1; larger batches fall back to it.
+	// Zip only supports bsz=1; larger batches fall back to it.
 	zip := liquidAccels()["ZIP"]
 	lz, ok := zip.Latency(8)
 	l1, _ := zip.Latency(1)

@@ -38,7 +38,7 @@ func (e *EWMA) Observe(x float64) {
 // Mean returns the current estimate of the mean (0 before any samples).
 func (e *EWMA) Mean() float64 { return e.mean }
 
-// Std returns the current estimate of the standard deviation.
+// std returns the current estimate of the standard deviation.
 //
 // The estimate is degenerate below two samples: with zero samples it is
 // 0 by construction, and with one sample the variance recurrence has not

@@ -41,7 +41,7 @@ type Batcher struct {
 	cl *Client
 	// Window bounds how long a train's first request waits.
 	Window sim.Time
-	// MaxBatch flushes a train once it holds this many requests; values
+	// maxBatch flushes a train once it holds this many requests; values
 	// ≤ 1 disable coalescing entirely (Add degenerates to Send).
 	maxBatch int
 
