@@ -128,10 +128,14 @@ var contracts = []contract{
 }
 
 // surfaceAllowed lists the identifiers TestExportedSurface passes
-// although it would fail them, each with its reason. Most are test
-// seams: no program reaches them, and the test the reason names is
-// their subject, so they stay as long as it does. The rest are exported
-// with no user in another package, and are API all the same.
+// although it would fail them, each with its reason. Each is one of
+// three kinds:
+//   - a test seam: no program reaches it, or only a test in another
+//     package uses it, and the test its reason names relies on it, so it
+//     stays as long as that test does;
+//   - a name the frozen benchmark declares or uses;
+//   - a member of a named family (dmoErrors, qosLanes, table1) that
+//     stays whole although not every member has a reader.
 var surfaceAllowed = map[string]string{
 	"internal/dmo.ErrNoSuchObject":    dmoErrors,
 	"internal/dmo.ErrRegionExhausted": dmoErrors,
@@ -447,10 +451,11 @@ type finding struct {
 }
 
 // TestExportedSurface is the reachability audit. Non-test code is
-// reached from the programs: the main functions of cmd/, benchmark and
-// examples/, every init function, every package-level initializer, and
-// the facade's exported names (TestFacadeSurface holds those to their
-// users). Reached code reaches every function, method, type, field and
+// reached from the programs: the main functions of cmd/ and benchmark,
+// the root package's Example functions (go test runs each and checks
+// what it prints), every init function, every package-level
+// initializer, and the facade's exported names (TestFacadeSurface holds
+// those to their users). Reached code reaches every function, method, type, field and
 // constant it names; a method also when a value of its receiver type
 // exists in reached code and a method of the same name is called
 // through an interface that type implements (a standard-library
@@ -460,12 +465,15 @@ type finding struct {
 // struct literal's key writes a field but does not use it.
 //
 // It fails on every declared identifier that nothing reaches (a member
-// of an unreached type is covered by its type), and on every exported
+// of an unreached type is covered by its type); on every exported
 // top-level identifier under internal/ that no other package's non-test
 // code uses, unless it is a type the exported API of one that passes
-// names. surfaceAllowed lists the exceptions; an entry that silences
-// nothing fails, and so does one whose reason names a test that does
-// not exist.
+// names; and on every exported method or field of a type under
+// internal/ that no other package uses, unless the method satisfies an
+// interface or encoding/json sees the field (exportedMembers). It logs
+// how many of those two kinds stay. surfaceAllowed lists the
+// exceptions; an entry that silences nothing fails, and so does one
+// whose reason names a test that does not exist.
 func TestExportedSurface(t *testing.T) {
 	m := mustLoad(t)
 	r := newReach(m)
@@ -711,9 +719,9 @@ func satisfies(n *types.Named, f *types.Func, ifaces []*types.Interface) bool {
 }
 
 // TestFacadeSurface holds the root facade to what its users use. A name
-// it exports passes if examples/, cmd/ or the root package's tests use
-// it (the README quotes one of those tests, see
-// TestReadmeQuotesExample); if its declaration is named in the
+// it exports passes if cmd/ or the root package's tests and examples
+// use it (the README quotes one example, see TestReadmeQuotesExample);
+// if its declaration is named in the
 // declaration of one that passes; or if it shares a const or var group
 // with one that passes, so a family such as the time units or the NIC
 // models stays whole.
@@ -753,7 +761,7 @@ func TestFacadeSurface(t *testing.T) {
 		}
 	}
 	for _, p := range append(sortedValues(m.pkgs), m.rootTests) {
-		if strings.HasPrefix(p.path, "examples/") || strings.HasPrefix(p.path, "cmd/") || p == m.rootTests {
+		if strings.HasPrefix(p.path, "cmd/") || p == m.rootTests {
 			for _, o := range p.info.Uses {
 				mark(o)
 			}
@@ -1381,6 +1389,50 @@ func TestReadmeQuotesExample(t *testing.T) {
 		t.Error("README.md's Deployment specs block is not a quote of Example_deploymentSpec in example_test.go; copy it from there")
 	}
 }
+
+// TestReadmeNamesExamples keeps the README's list of examples in step
+// with example_test.go: a README line that names, in backticks, an
+// Example function the file does not declare fails with its line, and
+// so does a line naming an examples/ path, which no longer exists; an
+// Example function the README does not name fails too.
+func TestReadmeNamesExamples(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustLoad(t)
+	declared := map[string]bool{}
+	for _, f := range m.rootTests.files {
+		if filepath.Base(m.fset.Position(f.Pos()).Filename) != "example_test.go" {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Example") {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	named := map[string]bool{}
+	for i, line := range strings.Split(string(readme), "\n") {
+		if strings.Contains(line, "examples/") {
+			t.Errorf("README.md:%d: names an examples/ path; the examples are Example functions in example_test.go", i+1)
+		}
+		for _, sm := range exampleCite.FindAllStringSubmatch(line, -1) {
+			named[sm[1]] = true
+			if !declared[sm[1]] {
+				t.Errorf("README.md:%d: names %s, which example_test.go does not declare", i+1, sm[1])
+			}
+		}
+	}
+	for _, name := range sortedKeys(declared) {
+		if !named[name] {
+			t.Errorf("README.md does not name %s; list it with the bundled examples", name)
+		}
+	}
+}
+
+// exampleCite matches an Example function named in backticks.
+var exampleCite = regexp.MustCompile("`(Example\\w*)`")
 
 // TestDocsNameMakeTargets checks that every backticked make invocation
 // in the docs names a Makefile target, so a deleted or renamed target

@@ -7,8 +7,9 @@ import (
 	ipipe "repro"
 )
 
-// TestFacadeQuickstart exercises the public API end to end, mirroring
-// examples/quickstart.
+// TestFacadeQuickstart exercises the public API end to end with the
+// quickstart program that Example prints from, asserting on what it
+// measures.
 func TestFacadeQuickstart(t *testing.T) {
 	cl := ipipe.NewCluster(1)
 	node := cl.AddNode(ipipe.NodeConfig{Name: "srv", NIC: ipipe.LiquidIOII_CN2350()})
