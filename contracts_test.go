@@ -185,7 +185,7 @@ var surfaceAllowed = map[string]string{
 const (
 	dmoErrors = "actor.Ctx's DMO calls return these to application handlers, " +
 		"which tell them apart with errors.Is"
-	qosLanes    = "name the indices of the [NumLanes] counter arrays LaneSched and Runtime.LaneTotals export"
+	qosLanes    = "name the indices of the [NumLanes] counter arrays Runtime.LaneTotals returns"
 	benchFrozen = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
 	table1      = "Table 1 description; ROADMAP item 3 decides"
 	rkvDelete   = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
@@ -455,14 +455,14 @@ type finding struct {
 // the root package's Example functions (go test runs each and checks
 // what it prints), every init function, every package-level
 // initializer, and the facade's exported names (TestFacadeSurface holds
-// those to their users). Reached code reaches every function, method, type, field and
-// constant it names; a method also when a value of its receiver type
-// exists in reached code and a method of the same name is called
-// through an interface that type implements (a standard-library
+// those to their users). Reached code reaches every function, method,
+// type, field and constant it names; a method also when a value of its
+// receiver type exists in reached code and a method of the same name is
+// called through an interface that type implements (a standard-library
 // parameter of interface type counts as called, and so do String, Error
-// and Unwrap); a field also
-// through == or a map key, or when encoding/json sees its struct. A
-// struct literal's key writes a field but does not use it.
+// and Unwrap); a field also through == or a map key, or when
+// encoding/json sees its struct. A struct literal's key writes a field
+// but does not use it.
 //
 // It fails on every declared identifier that nothing reaches (a member
 // of an unreached type is covered by its type); on every exported

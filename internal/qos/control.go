@@ -50,8 +50,8 @@ type Controller struct {
 
 // newController builds the loop over the node schedulers whose
 // migration thresholds it may tighten, its state exposed on reg (nil: no
-// metrics); call the Bind* methods to hand it the other knobs, then
-// Start.
+// metrics); bindBatcher and bindReshard hand it the other knobs, then
+// start arms it.
 func newController(eng *sim.Engine, cfg ControllerConfig, tenants []Tenant, scheds []*sched.Scheduler,
 	reg *obs.Registry) *Controller {
 	if cfg.Period <= 0 {

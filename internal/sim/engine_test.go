@@ -224,7 +224,7 @@ func TestStationMaxQueue(t *testing.T) {
 		st.Submit(&Job{Service: 1})
 	}
 	if st.queue.Len() != 4 {
-		t.Fatalf("QueueLen = %d, want 4", st.queue.Len())
+		t.Fatalf("%d queued, want 4", st.queue.Len())
 	}
 	e.Run()
 	if st.queue.Len() != 0 || st.busy != 0 {

@@ -84,7 +84,7 @@ func TestStationQueueDrainsFIFOAndReleasesSlots(t *testing.T) {
 			}})
 		}
 		if st.queue.Len() != jobs-servers {
-			t.Fatalf("servers=%d: QueueLen=%d, want %d", servers, st.queue.Len(), jobs-servers)
+			t.Fatalf("servers=%d: %d queued, want %d", servers, st.queue.Len(), jobs-servers)
 		}
 		e.Run()
 		if len(order) != jobs || st.completed != jobs {
