@@ -33,8 +33,8 @@ race:
 # MemStats.Mallocs, no wall clock; the set-up budget: what building and
 # arming a 64-node mesh allocates (TestMeshSetupAllocBudget, objects and
 # bytes); and the byte budgets: the bytes one mesh request allocates
-# (MemStats.TotalAlloc) and the sizes of actor.Msg, core.RespEnvelope and
-# netsim.Packet (TestMsgLayout).
+# (MemStats.TotalAlloc) and the sizes of actor.Msg, core.RespEnvelope,
+# netsim.Packet and msgring.Message (TestMsgLayout).
 alloc-budget:
 	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)|MsgLayout' ./internal/... .
 

@@ -180,6 +180,12 @@ var surfaceAllowed = map[string]string{
 	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
 	"internal/spec.NICModel.maxBandwidthGbps": "TestMaxBandwidthSaturatesAtLineRate",
 	"internal/stats.Sample.Quantile":          "TestHistogramQuantileMatchesExact",
+
+	// Counters only tests read, where no fact a program reads tells the same.
+	"internal/apps/rkv.Memtable.misses": "TestMinorCompactionAndSSTableRead checks that a flushed key's read " +
+		"missed the Memtable",
+	"internal/sched.core.executed": "TestIOKernelDispatcherServes checks the dispatcher core runs no actor; " +
+		"TestIOKernelBalancesWorkers and TestIOKernelPinsFlowWhilePending count the workers that ran one",
 }
 
 const (
@@ -461,8 +467,12 @@ type finding struct {
 // called through an interface that type implements (a standard-library
 // parameter of interface type counts as called, and so do String, Error
 // and Unwrap); a field also through == or a map key, or when
-// encoding/json sees its struct. A struct literal's key writes a field
-// but does not use it.
+// encoding/json sees its struct. Only a read reaches a field: a struct
+// literal's key, the target of = or op= (x.f[i] = v included), ++ and --,
+// and an update that reads a field only to write it back (x.f =
+// max(x.f, n), if n > x.f { x.f = n }, x.f = append(x.f, v)) do not.
+// A blank assignment _ = x fails wherever non-test code has one: it
+// silences a name nothing reads, which should go instead.
 //
 // It fails on every declared identifier that nothing reaches (a member
 // of an unreached type is covered by its type); on every exported
@@ -480,6 +490,9 @@ func TestExportedSurface(t *testing.T) {
 	r.run()
 	local := exportedMembers(m, r)
 	findings := append(r.unreached(), exportedOwnUse(m)...)
+	for _, pos := range blankReads(m) {
+		t.Errorf("%s: _ = %s reads a name only to silence it; delete the name", m.fset.Position(pos.Pos()), pos.Name)
+	}
 	methods, fields := 0, 0
 	for _, mb := range local {
 		if mb.kept {
@@ -515,6 +528,30 @@ func TestExportedSurface(t *testing.T) {
 	t.Logf("%d identifiers reached, %d allow-list entries", len(r.reached), len(surfaceAllowed))
 	t.Logf("exported but used only in their own package: %d methods that satisfy an interface, "+
 		"%d fields encoding/json sees", methods, fields)
+}
+
+// blankReads lists the identifiers non-test code assigns to _.
+func blankReads(m *module) []*ast.Ident {
+	var out []*ast.Ident
+	for _, p := range sortedValues(m.pkgs) {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				a, ok := n.(*ast.AssignStmt)
+				if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != len(a.Rhs) {
+					return true
+				}
+				for i, lhs := range a.Lhs {
+					if l, ok := lhs.(*ast.Ident); ok && l.Name == "_" {
+						if id, ok := ast.Unparen(a.Rhs[i]).(*ast.Ident); ok {
+							out = append(out, id)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
@@ -1199,14 +1236,27 @@ func (r *reach) callIface(f *types.Func) {
 	r.called[f.Name()][iface] = true
 }
 
-// walk marks what one reached syntax tree uses.
+// walk marks what one reached syntax tree uses. The identifiers in skip
+// do not reach what they name: a struct literal's keys, and the fields
+// an assignment, ++, -- or a write-back (writeBack, raise) writes.
 func (r *reach) walk(s site) {
 	info := s.p.info
-	keys := map[*ast.Ident]bool{}
+	skip := map[*ast.Ident]bool{}
 	ast.Inspect(s.n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					written(info, lhs, skip)
+				}
+				writeBack(info, n, skip)
+			}
+		case *ast.IncDecStmt:
+			written(info, n.X, skip)
+		case *ast.IfStmt:
+			raise(info, n, skip)
 		case *ast.Ident:
-			if o := info.Uses[n]; o != nil && !keys[n] {
+			if o := info.Uses[n]; o != nil && !skip[n] {
 				if f, ok := o.(*types.Func); ok {
 					if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 						r.callIface(f)
@@ -1229,7 +1279,7 @@ func (r *reach) walk(s site) {
 			if st, ok := t.Underlying().(*types.Struct); ok {
 				for i, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						keys[kv.Key.(*ast.Ident)] = true
+						skip[kv.Key.(*ast.Ident)] = true
 					} else {
 						r.mark(st.Field(i))
 					}
@@ -1251,6 +1301,84 @@ func (r *reach) walk(s site) {
 		}
 		return true
 	})
+}
+
+// written adds to skip the fields an assignment to lhs writes: the
+// field it selects and, while the target is stored inside it, the field
+// that holds it. x.f = v, x.f[i] = v and x.f.g = v (f a struct value)
+// write f; x.p.g = v reads p to find g.
+func written(info *types.Info, lhs ast.Expr, skip map[*ast.Ident]bool) {
+	for {
+		switch e := ast.Unparen(lhs).(type) {
+		case *ast.IndexExpr:
+			lhs = e.X
+			continue
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				skip[e.Sel] = true
+				if _, ok := info.TypeOf(e.X).Underlying().(*types.Struct); ok {
+					lhs = e.X
+					continue
+				}
+			}
+		}
+		return
+	}
+}
+
+// writeBack adds to skip the reads of an assignment's target that only
+// feed the value written back to it: x.f = max(x.f, n), min likewise,
+// and x.f = append(x.f, v).
+func writeBack(info *types.Info, a *ast.AssignStmt, skip map[*ast.Ident]bool) {
+	if a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 {
+		return
+	}
+	c, ok := ast.Unparen(a.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	id, ok := ast.Unparen(c.Fun).(*ast.Ident)
+	if !ok {
+		return
+	}
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
+		return
+	}
+	args := c.Args
+	switch id.Name {
+	case "append":
+		args = args[:1]
+	case "max", "min":
+	default:
+		return
+	}
+	target := types.ExprString(a.Lhs[0])
+	for _, arg := range args {
+		if types.ExprString(arg) == target {
+			written(info, arg, skip)
+		}
+	}
+}
+
+// raise adds to skip the read in the condition of if n > x.f { x.f = n }
+// (any order comparison, either operand order, an init allowed): it
+// only decides whether to write the field back.
+func raise(info *types.Info, s *ast.IfStmt, skip map[*ast.Ident]bool) {
+	c, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
+	if !ok || s.Else != nil || len(s.Body.List) != 1 ||
+		c.Op != token.LSS && c.Op != token.GTR && c.Op != token.LEQ && c.Op != token.GEQ {
+		return
+	}
+	a, ok := s.Body.List[0].(*ast.AssignStmt)
+	if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 {
+		return
+	}
+	lhs, rhs := types.ExprString(a.Lhs[0]), types.ExprString(a.Rhs[0])
+	for _, pair := range [][2]ast.Expr{{c.X, c.Y}, {c.Y, c.X}} {
+		if types.ExprString(pair[0]) == lhs && types.ExprString(pair[1]) == rhs {
+			written(info, pair[0], skip)
+		}
+	}
 }
 
 // call handles a call into the standard library: it may call the

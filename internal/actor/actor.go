@@ -268,18 +268,10 @@ func (a *Actor) Observe(sojourn, service sim.Time, wireSize int) {
 // safe in the real system; in simulation ordering is the engine's.
 type Mailbox struct {
 	q MsgFIFO
-	// highWater records the maximum backlog, which the DRR migration
-	// trigger (mailbox length threshold) uses.
-	highWater int
 }
 
 // Push appends a message.
-func (mb *Mailbox) Push(m Msg) {
-	mb.q.Push(m)
-	if n := mb.q.Len(); n > mb.highWater {
-		mb.highWater = n
-	}
-}
+func (mb *Mailbox) Push(m Msg) { mb.q.Push(m) }
 
 // Pop removes the oldest message.
 func (mb *Mailbox) Pop() (Msg, bool) { return mb.q.Pop() }

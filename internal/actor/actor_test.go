@@ -23,18 +23,6 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxHighWater(t *testing.T) {
-	var mb Mailbox
-	for i := 0; i < 7; i++ {
-		mb.Push(Msg{})
-	}
-	mb.Pop()
-	mb.Push(Msg{})
-	if mb.highWater != 7 {
-		t.Fatalf("HighWater = %d, want 7", mb.highWater)
-	}
-}
-
 func TestMailboxDrain(t *testing.T) {
 	var mb Mailbox
 	mb.Push(Msg{Kind: 1})
@@ -47,7 +35,7 @@ func TestMailboxDrain(t *testing.T) {
 		t.Fatal("mailbox not empty after drain")
 	}
 	// Drain hands over only what is still queued — not what was popped —
-	// and leaves a mailbox that keeps working and keeps its high-water mark.
+	// and leaves a mailbox that keeps working.
 	for k := 3; k <= 6; k++ {
 		mb.Push(Msg{Kind: Kind(k)})
 	}
@@ -57,8 +45,8 @@ func TestMailboxDrain(t *testing.T) {
 		t.Fatalf("Drain after a pop = %v, want kinds 4..6", got)
 	}
 	mb.Push(Msg{Kind: 7})
-	if m, ok := mb.Pop(); !ok || m.Kind != 7 || mb.highWater != 4 {
-		t.Fatalf("after drain: pop = %v %v, HighWater = %d (want kind 7, 4)", m.Kind, ok, mb.highWater)
+	if m, ok := mb.Pop(); !ok || m.Kind != 7 {
+		t.Fatalf("after drain: pop = %v %v, want kind 7", m.Kind, ok)
 	}
 }
 

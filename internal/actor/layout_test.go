@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/core"
+	"repro/internal/msgring"
 	"repro/internal/netsim"
 )
 
@@ -14,9 +15,10 @@ import (
 // and its reply boxes one in a core.RespEnvelope, so a field that breaks
 // the packing costs bytes on every event (DESIGN.md §4). It pins the
 // packet's size too: every Send copies a netsim.Packet into the flight
-// that carries it, so its bytes are paid per packet the same way.
+// that carries it, so its bytes are paid per packet the same way; and the
+// host↔NIC ring's message, so that each ring slot is one cache line.
 func TestMsgLayout(t *testing.T) {
-	const msgBudget, envBudget, pktBudget = 80, 96, 64
+	const msgBudget, envBudget, pktBudget, ringBudget = 80, 96, 64, 64
 	if got := unsafe.Sizeof(actor.Msg{}); got != msgBudget {
 		t.Errorf("actor.Msg is %d B, budget %d B: order its fields so the small scalars share words", got, msgBudget)
 	}
@@ -25,5 +27,8 @@ func TestMsgLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(netsim.Packet{}); got != pktBudget {
 		t.Errorf("netsim.Packet is %d B, budget %d B", got, pktBudget)
+	}
+	if got := unsafe.Sizeof(msgring.Message{}); got != ringBudget {
+		t.Errorf("msgring.Message is %d B, budget %d B: one ring slot per cache line", got, ringBudget)
 	}
 }

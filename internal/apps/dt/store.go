@@ -42,9 +42,8 @@ type Store struct {
 	globalDepth uint8
 	dir         []*bucket
 
-	// Splits counts bucket splits; Doublings directory doublings.
-	Splits    uint64
-	doublings uint64
+	// Splits counts bucket splits.
+	Splits uint64
 }
 
 // NewStore returns an empty table with a depth-1 directory.
@@ -104,7 +103,6 @@ func (s *Store) split(b *bucket) {
 		copy(nd[len(s.dir):], s.dir)
 		s.dir = nd
 		s.globalDepth++
-		s.doublings++
 	}
 	b.localDepth++
 	nb := &bucket{localDepth: b.localDepth}

@@ -116,10 +116,6 @@ type Rule struct {
 // masked rules, exactly what the paper's firewall uses.
 type TCAM struct {
 	rules []Rule // sorted by priority
-	// lookups counts match operations, scanDepth the total rules
-	// scanned (drives the cost model).
-	lookups   uint64
-	scanDepth uint64
 }
 
 // NewTCAM builds a TCAM from rules (sorted by priority, stable).
@@ -145,9 +141,7 @@ func ruleMatches(r *Rule, p FiveTuple) bool {
 // match returns the verdict of the highest-priority matching rule and
 // how many rules were scanned. No match defaults to deny.
 func (t *TCAM) match(p FiveTuple) (bool, int) {
-	t.lookups++
 	for i := range t.rules {
-		t.scanDepth++
 		if ruleMatches(&t.rules[i], p) {
 			return t.rules[i].Allow, i + 1
 		}
@@ -194,10 +188,6 @@ func NewFirewall(id actor.ID, tcam *TCAM) *actor.Actor {
 type IPSec struct {
 	block  cipher.Block
 	macKey []byte
-	// processed counts packets, accelerated those that used the NIC
-	// crypto engines.
-	processed   uint64
-	accelerated uint64
 }
 
 // NewIPSecState derives the cipher and MAC keys.
@@ -253,7 +243,6 @@ func NewIPSecGateway(id actor.ID, st *IPSec) *actor.Actor {
 		MemBound:  0.2,
 	}
 	a.OnMessage = func(ctx actor.Ctx, m actor.Msg) sim.Time {
-		st.processed++
 		seq := m.FlowID
 		sealed := st.seal(seq, m.Data)
 		resp := m
@@ -264,13 +253,10 @@ func NewIPSecGateway(id actor.ID, st *IPSec) *actor.Actor {
 			n = 64
 		}
 		// Prefer the hardware engines; ctx.Accel charges their latency.
-		aesCost, aesOK := ctx.Accel("AES", n, 8)
-		shaCost, shaOK := ctx.Accel("SHA-1", n, 8)
+		_, aesOK := ctx.Accel("AES", n, 8)
+		_, shaOK := ctx.Accel("SHA-1", n, 8)
 		if aesOK && shaOK {
-			st.accelerated++
 			// Engine waits already charged via ctx; only framing here.
-			_ = aesCost
-			_ = shaCost
 			return 600 * sim.Nanosecond
 		}
 		// Host fallback: AES-NI ≈0.75ns/B plus SHA1 ≈1.9ns/B on the

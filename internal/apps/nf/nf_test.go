@@ -177,13 +177,13 @@ func TestIPSecGatewayUsesAccelerators(t *testing.T) {
 
 	nic := &fakeCtx{accel: true}
 	nicCost := a.OnMessage(nic, actor.Msg{FlowID: 1, Data: make([]byte, 1024)})
-	if st.accelerated != 1 {
-		t.Fatal("NIC path did not use engines")
+	if nicCost != 600*sim.Nanosecond {
+		t.Fatalf("NIC path cost %v, not the engines' framing cost: it did not use them", nicCost)
 	}
 	host := &fakeCtx{accel: false}
 	hostCost := a.OnMessage(host, actor.Msg{FlowID: 2, Data: make([]byte, 1024)})
-	if st.processed != 2 {
-		t.Fatalf("processed %d", st.processed)
+	if n := len(nic.replies) + len(host.replies); n != 2 {
+		t.Fatalf("%d replies to 2 packets", n)
 	}
 	// The handler-returned cost excludes engine waits (charged via ctx),
 	// so the host inline path must be the more expensive handler.

@@ -206,10 +206,6 @@ type SSTStore struct {
 	baseLimit int
 	// l0Runs bounds level 0 by run count.
 	l0Runs int
-
-	// minorCompactions/majorCompactions count events.
-	minorCompactions uint64
-	majorCompactions uint64
 }
 
 // NewSSTStore builds an empty store.
@@ -245,7 +241,6 @@ func (s *SSTStore) addL0(entries []entry) int {
 		s.levels = append(s.levels, nil)
 	}
 	s.levels[0] = append([]run{r}, s.levels[0]...)
-	s.minorCompactions++
 	rewritten := 0
 	// Cascade: compact level i into i+1 while over limit.
 	for i := 0; i < len(s.levels); i++ {
@@ -273,7 +268,6 @@ func (s *SSTStore) addL0(entries []entry) int {
 		rewritten += runBytes(merged)
 		s.levels[i] = nil
 		s.levels[i+1] = []run{merged}
-		s.majorCompactions++
 	}
 	return rewritten
 }
@@ -370,11 +364,8 @@ type Memtable struct {
 
 	// Compactions counts minor compactions issued.
 	Compactions uint64
-	// hits/misses count read outcomes served from the Memtable.
-	hits, misses uint64
-	// putErrors counts committed writes the skip list refused (the
-	// actor's DMO region was exhausted): the write is lost here.
-	putErrors uint64
+	// misses counts the reads the Memtable forwarded to the SSTables.
+	misses uint64
 }
 
 // NewMemtable builds the Memtable actor. limitBytes triggers minor
@@ -401,9 +392,9 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			if cmd.op == opPut {
 				val = cmd.value
 			} // opDel: nil value = tombstone
-			if err := mt.list.put(ctx, cmd.key, val); err != nil {
-				mt.putErrors++
-			}
+			// A write the skip list refuses (the actor's DMO region is
+			// exhausted) is lost here: it was acknowledged at commit.
+			_ = mt.list.put(ctx, cmd.key, val)
 			cost := mt.list.visitCost()
 			if mt.list.bytes >= mt.limit {
 				cost += mt.minorCompact(ctx)
@@ -420,12 +411,10 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			cost := mt.list.visitCost()
 			switch {
 			case found && tomb:
-				mt.hits++
 				resp := m
 				resp.Data = statusNotFound
 				ctx.Reply(resp)
 			case found:
-				mt.hits++
 				resp := m
 				resp.Data = append([]byte{byte(StatusOK)}, v...)
 				ctx.Reply(resp)

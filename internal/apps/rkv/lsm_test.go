@@ -45,10 +45,11 @@ func TestSSTStoreTombstoneHidesOlder(t *testing.T) {
 
 func TestSSTStoreL0CascadeOnRunCount(t *testing.T) {
 	s := NewSSTStore(1 << 30) // byte limits never bind; run count does
+	rewritten := 0
 	for i := 0; i < s.l0Runs+1; i++ {
-		s.addL0([]entry{e(fmt.Sprintf("k%d", i), "v")})
+		rewritten += s.addL0([]entry{e(fmt.Sprintf("k%d", i), "v")})
 	}
-	if s.majorCompactions == 0 {
+	if rewritten == 0 {
 		t.Fatal("L0 run-count overflow did not trigger a major compaction")
 	}
 	if len(s.levels) < 2 {
@@ -199,9 +200,6 @@ func TestMemtableActorGetHitMissAndApply(t *testing.T) {
 	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}), reply))
 	if len(lastReply) == 0 || StatusOf(lastReply) != StatusOK || string(lastReply[1:]) != "v" {
 		t.Fatalf("get hit reply %q", lastReply)
-	}
-	if mt.hits != 1 {
-		t.Fatalf("hits %d", mt.hits)
 	}
 	// Tombstone.
 	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opDel, key: []byte("k")}), nil))

@@ -426,7 +426,8 @@ func TestPutInsertAllocFailureFreesNode(t *testing.T) {
 }
 
 // TestMemtableCountsPutErrors: the memtable actor has no one to return
-// Put's error to (the write was acknowledged at commit); it counts it.
+// Put's error to (the write was acknowledged at commit), so an overwrite
+// the region refuses is lost and the key reads as deleted.
 func TestMemtableCountsPutErrors(t *testing.T) {
 	ctx := newDmoCtx()
 	mt := NewMemtable(1, 1<<20, 2, 3)
@@ -436,13 +437,18 @@ func TestMemtableCountsPutErrors(t *testing.T) {
 	apply := func(v []byte) {
 		mt.Actor.OnMessage(ctx, actor.Msg{Kind: kindApply, Data: encodeCmd(command{op: opPut, key: []byte("k"), value: v})})
 	}
+	var reply []byte
+	get := func() {
+		mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}),
+			func(m []byte) { reply = m }))
+	}
 	apply([]byte("fits"))
-	if mt.putErrors != 0 {
-		t.Fatalf("PutErrors = %d after a write that fits", mt.putErrors)
+	if get(); StatusOf(reply) != StatusOK || string(reply[1:]) != "fits" {
+		t.Fatalf("get = %q after a write that fits", reply)
 	}
 	apply(make([]byte, 500))
-	if mt.putErrors != 1 {
-		t.Fatalf("PutErrors = %d after a write the region refused, want 1", mt.putErrors)
+	if get(); StatusOf(reply) != StatusNotFound {
+		t.Fatalf("get = %q after an overwrite the region refused, want NotFound", reply)
 	}
 }
 

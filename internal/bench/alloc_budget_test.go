@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -93,11 +94,12 @@ func TestAppAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		r := tc.run()
 		runtime.ReadMemStats(&m1)
-		if r.received < 1000 {
-			t.Fatalf("%s: only %d requests completed", tc.name, r.received)
+		received := math.Round(r.tput * window.Seconds())
+		if received < 1000 {
+			t.Fatalf("%s: only %.0f requests completed", tc.name, received)
 		}
-		perReq := float64(m1.Mallocs-m0.Mallocs) / float64(r.received)
-		t.Logf("%s: %.2f allocations per completed request (%d requests)", tc.name, perReq, r.received)
+		perReq := float64(m1.Mallocs-m0.Mallocs) / received
+		t.Logf("%s: %.2f allocations per completed request (%.0f requests)", tc.name, perReq, received)
 		if perReq > tc.budget {
 			t.Errorf("%s: %.2f allocations per completed request, budget %v", tc.name, perReq, tc.budget)
 		}

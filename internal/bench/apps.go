@@ -31,8 +31,6 @@ type appRun struct {
 	tput     float64
 	p50, p99 float64
 	latOK    bool
-	received uint64
-	sent     uint64
 }
 
 // latCell formats a latency percentile, "-" when the sample was empty.
@@ -223,8 +221,6 @@ func collect(cl *core.Cluster, client *workload.Client, window sim.Time, roles m
 	out.tput = float64(client.Received) / window.Seconds()
 	out.p50, out.latOK = client.Lat.PercentileOK(50)
 	out.p99, _ = client.Lat.PercentileOK(99)
-	out.received = client.Received
-	out.sent = client.Sent
 	return out
 }
 

@@ -350,7 +350,7 @@ type qosSkewOutcome struct {
 	spread, hot, recovered *stats.Sample
 	sloUs                  float64
 	shrinks, tightens      uint64
-	reshards, ticks        uint64
+	reshards               uint64
 	rejected               uint64
 	liveShards             int
 }
@@ -425,7 +425,7 @@ func qosSkewRun(opts Options) qosSkewOutcome {
 	cl.Eng.Run()
 
 	ctl := d.QoS.Controller
-	o.shrinks, o.tightens, o.reshards, o.ticks = ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards, ctl.Ticks
+	o.shrinks, o.tightens, o.reshards = ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards
 	o.rejected = d.QoS.RejectedTo(qosTenantProd)
 	o.liveShards = d.Router.Shards()
 	return o

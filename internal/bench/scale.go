@@ -163,8 +163,6 @@ func runScale(opts Options, shards, batch, depth int, theta float64, window sim.
 	out.tput = float64(total) / window.Seconds()
 	out.p50, out.latOK = client.Lat.PercentileOK(50)
 	out.p99, _ = client.Lat.PercentileOK(99)
-	out.received = total
-	out.sent = client.Sent
 	if total > 0 {
 		out.balance = float64(max) * float64(shards) / float64(total)
 	}

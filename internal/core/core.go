@@ -257,9 +257,6 @@ type Node struct {
 	down        bool
 	nicDown     bool
 	nicSlowdown float64
-	// downDrops counts messages discarded because the node (or its NIC
-	// complex) was down when they arrived or would have executed.
-	downDrops uint64
 }
 
 // migrationBandwidthGBs is the effective object-migration bandwidth
@@ -458,7 +455,6 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 			return
 		}
 		if n.down {
-			n.downDrops++
 			return
 		}
 		n.receive(m, pkt.Src, pkt.Size, pkt.FlowID)
@@ -467,7 +463,6 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 	if n.down {
 		// Crashed nodes drop everything on the floor: the client's retry
 		// path is what recovers the request.
-		n.downDrops++
 		return
 	}
 	switch p := pkt.Payload.(type) {
@@ -514,7 +509,6 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 	if n.down || n.nicDown {
 		// The cores are dead: queued work drains as drops — no handler
 		// runs, no state mutates, no reply leaves.
-		n.downDrops++
 		return 100 * sim.Nanosecond
 	}
 	ctx := n.takeCtx(a, true)
@@ -529,7 +523,6 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 // runOnHost is the host engine's Run hook.
 func (n *Node) runOnHost(a *actor.Actor, m actor.Msg) sim.Time {
 	if n.down {
-		n.downDrops++
 		return 100 * sim.Nanosecond
 	}
 	ctx := n.takeCtx(a, false)

@@ -139,7 +139,6 @@ func (n *Node) RecoverNIC() {
 // destination actor; a crashed node drops it.
 func (n *Node) Inject(m actor.Msg) {
 	if n.down {
-		n.downDrops++
 		return
 	}
 	ref, ok := n.c.Table.Lookup(m.Dst)

@@ -79,7 +79,7 @@ func (n *Node) pushToHost(a *actor.Actor) {
 						// Killed (watchdog/crash drain) while in flight:
 						// don't resurrect it on the host — just release
 						// the latch so the node can migrate again.
-						chk.MigrateAbort(n.Name, a.Name, true)
+						chk.MigrateAbort(n.Name, a.Name)
 						n.Sched.MigrationDone()
 						return
 					}
@@ -138,7 +138,7 @@ func (n *Node) pullFromHost() bool {
 	n.eng.After(d, func() {
 		n.c.Group.DeferBarrier(n.Part, func() {
 			if _, live := n.actors[a.ID]; !live {
-				chk.MigrateAbort(n.Name, a.Name, false)
+				chk.MigrateAbort(n.Name, a.Name)
 				n.Sched.MigrationDone()
 				return
 			}
@@ -156,7 +156,7 @@ func (n *Node) pullFromHost() bool {
 					m.Via = actor.ViaRing
 					n.Host.Arrive(m)
 				}
-				chk.MigrateAbort(n.Name, a.Name, false)
+				chk.MigrateAbort(n.Name, a.Name)
 				n.Sched.MigrationDone()
 				return
 			}

@@ -362,12 +362,9 @@ type DTSpec struct {
 
 // DT is a deployed transaction system.
 type DT struct {
-	Coord    *dt.Coordinator
-	Stores   []*dt.Store
-	spec     DTSpec
-	injector *fault.Injector
-	// qos is the installed tenancy runtime (nil without a Tenancy block).
-	qos *qos.Runtime
+	Coord  *dt.Coordinator
+	Stores []*dt.Store
+	spec   DTSpec
 }
 
 // validate checks the spec without deploying anything. It rejects an
@@ -420,9 +417,8 @@ func (s DTSpec) Deploy() (*DT, error) {
 	if s.TxnTimeout > 0 {
 		out.installSweep()
 	}
-	var err error
 	nodes := append([]*core.Node{s.Coordinator}, s.Participants...)
-	if out.injector, out.qos, err = s.install(nodes); err != nil {
+	if _, _, err := s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -473,9 +469,6 @@ type RTASpec struct {
 // RTA is a deployed analytics pipeline.
 type RTA struct {
 	Topology rta.Topology
-	injector *fault.Injector
-	// qos is the installed tenancy runtime (nil without a Tenancy block).
-	qos *qos.Runtime
 }
 
 // validate checks the spec without deploying anything.
@@ -515,8 +508,7 @@ func (s RTASpec) Deploy() (*RTA, error) {
 	if s.Aggregator == s.Node {
 		nodes = nodes[:1]
 	}
-	var err error
-	if out.injector, out.qos, err = s.install(nodes); err != nil {
+	if _, _, err := s.install(nodes); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -534,11 +526,7 @@ type FirewallSpec struct {
 }
 
 // Firewall is a deployed firewall actor.
-type Firewall struct {
-	injector *fault.Injector
-	// qos is the installed tenancy runtime (nil without a Tenancy block).
-	qos *qos.Runtime
-}
+type Firewall struct{}
 
 // validate checks the spec without deploying anything.
 func (s FirewallSpec) validate() error {
@@ -557,12 +545,10 @@ func (s FirewallSpec) Deploy() (*Firewall, error) {
 	if err := s.Node.Register(fw, s.Placement.OnNIC, 0); err != nil {
 		return nil, err
 	}
-	out := &Firewall{}
-	var err error
-	if out.injector, out.qos, err = s.install([]*core.Node{s.Node}); err != nil {
+	if _, _, err := s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Firewall{}, nil
 }
 
 // IPSecSpec deploys an IPSec gateway actor (AES-256-CTR + SHA-1,
@@ -577,11 +563,7 @@ type IPSecSpec struct {
 }
 
 // IPSec is a deployed gateway actor.
-type IPSec struct {
-	injector *fault.Injector
-	// qos is the installed tenancy runtime (nil without a Tenancy block).
-	qos *qos.Runtime
-}
+type IPSec struct{}
 
 // validate checks the spec without deploying anything. Key material is
 // checked here (not at first packet) so a bad spec fails before
@@ -608,9 +590,8 @@ func (s IPSecSpec) Deploy() (*IPSec, error) {
 	if err := s.Node.Register(nf.NewIPSecGateway(s.ID, st), s.Placement.OnNIC, 0); err != nil {
 		return nil, err
 	}
-	out := &IPSec{}
-	if out.injector, out.qos, err = s.install([]*core.Node{s.Node}); err != nil {
+	if _, _, err := s.install([]*core.Node{s.Node}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &IPSec{}, nil
 }

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/apps/rkv"
 	"repro/internal/core"
-	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -106,10 +107,19 @@ func TestSpecValidationTable(t *testing.T) {
 }
 
 // TestSpecDeployAppSurface deploys every application kind through its
-// typed Deploy in one cluster: QoS is nil exactly when the spec had no
-// Tenancy block, and Injector is nil without a fault schedule.
+// typed Deploy in one metered cluster: RKV's QoS is set and its Injector
+// nil without a fault schedule, and the metrics show QoS lanes on exactly
+// the nodes whose spec had a Tenancy block.
 func TestSpecDeployAppSurface(t *testing.T) {
-	_, nodes := specNodes(1, 6, false)
+	cl := core.NewCluster(1)
+	col := obs.NewCollector(cl.Eng, 0)
+	cl.EnableMetrics(col)
+	var nodes []*core.Node
+	for i := 0; i < 6; i++ {
+		nodes = append(nodes, cl.AddNode(core.Config{
+			Name: fmt.Sprintf("n%d", i), NIC: spec.LiquidIOII_CN2350(), LinkGbps: 10,
+		}))
+	}
 	tenancy := &qos.Tenancy{Tenants: []qos.Tenant{{Name: "a", RatePerSec: 1e6}}}
 	deployed := func(name string, err error) {
 		t.Helper()
@@ -117,34 +127,34 @@ func TestSpecDeployAppSurface(t *testing.T) {
 			t.Fatalf("%s: Deploy: %v", name, err)
 		}
 	}
-	check := func(name string, rt *qos.Runtime, inj *fault.Injector, wantQoS bool) {
-		t.Helper()
-		if got := rt != nil; got != wantQoS {
-			t.Errorf("%s: QoS != nil is %v, want %v", name, got, wantQoS)
-		}
-		if inj != nil {
-			t.Errorf("%s: Injector non-nil without a schedule", name)
-		}
-	}
 
 	r, err := RKVSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
 		Nodes: nodes[:3], BaseID: 100, MemLimit: 8 << 20}.Deploy()
 	deployed("rkv", err)
-	check("rkv", r.QoS, r.Injector, true)
-	d, err := DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}.Deploy()
+	if r.QoS == nil || r.Injector != nil {
+		t.Errorf("rkv: QoS %v and Injector %v, want a runtime and nil", r.QoS, r.Injector)
+	}
+	_, err = DTSpec{Coordinator: nodes[3], Participants: nodes[4:], BaseID: 300}.Deploy()
 	deployed("dt", err)
-	check("dt", d.qos, d.injector, false)
-	a, err := RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
+	_, err = RTASpec{Common: Common{Placement: NIC}, Node: nodes[4], Aggregator: nodes[5],
 		BaseID: 400, TopN: 4}.Deploy()
 	deployed("rta", err)
-	check("rta", a.qos, a.injector, false)
-	f, err := FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
+	_, err = FirewallSpec{Common: Common{Placement: NIC, Tenancy: tenancy},
 		Node: nodes[5], ID: 500}.Deploy()
 	deployed("firewall", err)
-	check("firewall", f.qos, f.injector, true)
-	i, err := IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}.Deploy()
+	_, err = IPSecSpec{Node: nodes[3], ID: 600, Key: make([]byte, 32)}.Deploy()
 	deployed("ipsec", err)
-	check("ipsec", i.qos, i.injector, false)
+
+	col.Snapshot()
+	var out bytes.Buffer
+	if err := col.WriteNDJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, true, true, false, false, true} {
+		if got := strings.Contains(out.String(), fmt.Sprintf(`"reg":"n%d-qos"`, i)); got != want {
+			t.Errorf("n%d: QoS lanes installed is %v, want %v", i, got, want)
+		}
+	}
 }
 
 // TestSpecTenancyControllerRequiresClassicCluster pins the PDES

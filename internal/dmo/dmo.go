@@ -112,12 +112,6 @@ type Store struct {
 	regions map[uint32]*region
 	nextID  ObjID
 
-	// migrations counts object moves for experiment accounting.
-	migrations uint64
-	// bytesMigrated accumulates migration volume (drives Figure 18's
-	// phase-3 cost).
-	bytesMigrated uint64
-
 	// chk/chkLabel: the invariant checker shadows region byte accounting
 	// (alloc = free + live, never over limit); nil = disabled.
 	chk      *invariant.Checker
@@ -307,10 +301,6 @@ func (s *Store) MigrateActor(actor uint32, to Side) (bytes int) {
 		o.side = to
 		bytes += len(o.data)
 	})
-	if bytes > 0 {
-		s.migrations++
-		s.bytesMigrated += uint64(bytes)
-	}
 	return bytes
 }
 
@@ -324,8 +314,6 @@ func (s *Store) MigrateObject(actor uint32, id ObjID, to Side) (int, error) {
 		return 0, nil
 	}
 	o.side = to
-	s.migrations++
-	s.bytesMigrated += uint64(len(o.data))
 	return len(o.data), nil
 }
 

@@ -18,12 +18,10 @@ type modelObj struct {
 }
 
 type model struct {
-	objs       map[ObjID]*modelObj
-	used       map[uint32]int
-	limit      map[uint32]int
-	next       ObjID
-	migrations uint64
-	migrated   uint64
+	objs  map[ObjID]*modelObj
+	used  map[uint32]int
+	limit map[uint32]int
+	next  ObjID
 }
 
 // errOther stands for any error that is not one of the package's
@@ -106,10 +104,6 @@ func (m *model) migrateActor(actor uint32, to Side) int {
 			total += len(o.data)
 		}
 	}
-	if total > 0 {
-		m.migrations++
-		m.migrated += uint64(total)
-	}
 	return total
 }
 
@@ -122,8 +116,6 @@ func (m *model) migrateObject(actor uint32, id ObjID, to Side) (int, error) {
 		return 0, nil
 	}
 	o.side = to
-	m.migrations++
-	m.migrated += uint64(len(o.data))
 	return len(o.data), nil
 }
 
@@ -359,9 +351,6 @@ func compareTables(t testing.TB, st *Store, m *model) {
 		if used != m.used[a] || limit != m.limit[a] {
 			t.Fatalf("actor %d region = %d/%d; model %d/%d", a, used, limit, m.used[a], m.limit[a])
 		}
-	}
-	if st.migrations != m.migrations || st.bytesMigrated != m.migrated {
-		t.Fatalf("migrations = %d (%d B); model %d (%d B)", st.migrations, st.bytesMigrated, m.migrations, m.migrated)
 	}
 
 	live, prev := 0, ObjID(0)

@@ -52,9 +52,8 @@ type Host struct {
 	// (arrival to completion) in microseconds.
 	Sojourn *obs.Histogram
 
-	// Completed counts executed messages; Steals counts stolen ones.
+	// Completed counts executed messages.
 	Completed uint64
-	steals    uint64
 }
 
 type hcore struct {
@@ -67,8 +66,6 @@ type hcore struct {
 	busyAccum sim.Time
 	busyStart sim.Time
 	busy      bool
-
-	executed uint64
 
 	// op is the operation occupying the core: one at a time, so its state
 	// lives here instead of in a closure per occupy. The record and the
@@ -245,7 +242,6 @@ func (c *hcore) pop() (actor.Msg, bool) {
 	// the head. Left as is here because fixing it reorders host
 	// executions, which moves every fingerprint with a busy host.
 	m, _ := h.queues[victim].PopTail()
-	h.steals++
 	return m, true
 }
 
@@ -321,7 +317,6 @@ func (c *hcore) occupyDone() {
 		}
 		c.step()
 	case opExec:
-		c.executed++
 		h.Completed++
 		a.Observe(h.eng.Now()-m.ArrivedAt, op.service, int(m.WireSize))
 		c.trace(a, m, op.start)

@@ -236,11 +236,10 @@ func (c *Checker) netBalance() {
 // NetDrop records a packet dropped inside the network (unknown node,
 // partition, injected loss). Drops at the source gates happen before
 // injection and are not counted here.
-func (c *Checker) NetDrop(reason string) {
+func (c *Checker) NetDrop() {
 	if c == nil {
 		return
 	}
-	_ = reason
 	c.netDropped++
 	c.netBalance()
 }
@@ -383,11 +382,10 @@ func (c *Checker) DMODestroy(label string, owner uint32, bytes int) {
 // --- QoS lanes & admission ----------------------------------------------
 
 // LaneEnqueue records a message entering a node's priority-lane queue.
-func (c *Checker) LaneEnqueue(label string, lane uint8) {
+func (c *Checker) LaneEnqueue() {
 	if c == nil {
 		return
 	}
-	_, _ = label, lane
 	c.laneEnqueued++
 }
 
@@ -509,11 +507,10 @@ func (c *Checker) MigrateCommit(node, actor string, push bool, bytes, buffered i
 
 // MigrateAbort records a migration resolved without a placement change
 // (actor killed in flight, or bounced off dead hardware).
-func (c *Checker) MigrateAbort(node, actor string, push bool) {
+func (c *Checker) MigrateAbort(node, actor string) {
 	if c == nil {
 		return
 	}
-	_ = push
 	c.migAborted++
 	c.migrationBalance(node, actor)
 }

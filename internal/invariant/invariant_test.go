@@ -27,7 +27,7 @@ func TestNilCheckerIsSafe(t *testing.T) {
 	// zero-cost disabled contract the substrate packages rely on.
 	c.NetInject()
 	c.NetDeliver()
-	c.NetDrop("loss")
+	c.NetDrop()
 	c.GateAdmit()
 	c.GateDeliver()
 	c.Exec()
@@ -74,7 +74,7 @@ func TestNetConservation(t *testing.T) {
 		t.Fatal("over-delivery not flagged")
 	}
 	c2 := New(nil)
-	c2.NetDrop("loss") // dropped 1 > injected 0
+	c2.NetDrop() // dropped 1 > injected 0
 	if countRule(c2, "net-conservation") != 1 {
 		t.Fatal("drop without inject not flagged")
 	}
@@ -183,8 +183,8 @@ func TestQueueAuditFIFO(t *testing.T) {
 	s1 := a.Push(5)
 	s2 := a.Push(5)
 	s3 := a.Push(9)
-	if a.queued != 3 {
-		t.Fatalf("queued = %d", a.queued)
+	if n := len(a.pending[5]) + len(a.pending[9]); n != 3 {
+		t.Fatalf("queued = %d", n)
 	}
 	a.Pop(9, s3) // other flow first: per-flow FIFO doesn't order across flows
 	a.Pop(5, s1)
@@ -192,8 +192,8 @@ func TestQueueAuditFIFO(t *testing.T) {
 	if len(c.Violations()) != 0 {
 		t.Fatalf("in-order pops flagged: %v", c.Violations())
 	}
-	if a.queued != 0 {
-		t.Fatalf("queued = %d after drain", a.queued)
+	if len(a.pending) != 0 {
+		t.Fatalf("flows %v still queued after drain", a.pending)
 	}
 }
 

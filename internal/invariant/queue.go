@@ -20,7 +20,6 @@ type QueueAudit struct {
 	nextSeq uint64
 	// pending maps a flow to the queued sequence numbers in push order.
 	pending map[uint64][]uint64
-	queued  int
 }
 
 // NewQueueAudit creates an audit reporting into the checker. A nil
@@ -40,7 +39,6 @@ func (a *QueueAudit) Push(flow uint64) uint64 {
 	}
 	a.nextSeq++
 	a.pending[flow] = append(a.pending[flow], a.nextSeq)
-	a.queued++
 	a.chk.queuePushes++
 	return a.nextSeq
 }
@@ -68,7 +66,6 @@ func (a *QueueAudit) Pop(flow, seq uint64) {
 		for i, s := range q {
 			if s == seq {
 				a.pending[flow] = append(q[:i], q[i+1:]...)
-				a.queued--
 				return
 			}
 		}
@@ -80,7 +77,6 @@ func (a *QueueAudit) Pop(flow, seq uint64) {
 	if len(a.pending[flow]) == 0 {
 		delete(a.pending, flow)
 	}
-	a.queued--
 }
 
 // --- DRR round fairness --------------------------------------------------

@@ -167,9 +167,9 @@ func runChannelOps(t testing.TB, data []byte) int {
 			r    *Ring
 			m    *dirModel
 		}{{"toHost", ch.ToHost(), toHost}, {"toNIC", ch.ToNIC(), toNIC}} {
-			if d.r.Pushed != uint64(len(d.m.msgs)) || d.r.popped != uint64(d.m.taken) || d.r.CreditSyncs != d.m.syncs {
-				t.Fatalf("step %d: %s Pushed/Popped/CreditSyncs = %d/%d/%d; model %d/%d/%d", step, d.name,
-					d.r.Pushed, d.r.popped, d.r.CreditSyncs, len(d.m.msgs), d.m.taken, d.m.syncs)
+			if d.r.Pushed != uint64(len(d.m.msgs)) || d.r.head != d.m.taken || d.r.CreditSyncs != d.m.syncs {
+				t.Fatalf("step %d: %s Pushed/head/CreditSyncs = %d/%d/%d; model %d/%d/%d", step, d.name,
+					d.r.Pushed, d.r.head, d.r.CreditSyncs, len(d.m.msgs), d.m.taken, d.m.syncs)
 			}
 			if free := d.r.freeFromProducer(); free < 0 || free != d.m.free() {
 				t.Fatalf("step %d: %s free credit %d; model %d", step, d.name, free, d.m.free())

@@ -43,8 +43,6 @@ type Message struct {
 	// pointer alongside the ring entry), so only Data counts toward the
 	// wire size and checksum.
 	App any
-	// enqueuedAt is stamped by Push for latency accounting.
-	enqueuedAt sim.Time
 
 	checksum uint32
 	ready    bool
@@ -68,12 +66,10 @@ type Ring struct {
 	creditHead int
 	consumed   int // messages consumed since last credit sync
 
-	// Pushed/Popped/CreditSyncs/ChecksumDrops count events for tests and
-	// the framework-overhead experiment (Figure 17).
-	Pushed        uint64
-	popped        uint64
-	CreditSyncs   uint64
-	checksumDrops uint64
+	// Pushed/CreditSyncs count events for the framework-overhead
+	// experiment (Figure 17).
+	Pushed      uint64
+	CreditSyncs uint64
 
 	// chk/chkLabel: the invariant checker re-validates the pointer and
 	// credit relations after every operation (nil = disabled).
@@ -136,9 +132,7 @@ func (r *Ring) pop() (Message, bool) {
 	}
 	if !s.intact() {
 		// Partial DMA write detected: leave the slot for the engine to
-		// finish; the consumer polls again later. Counted so tests can
-		// observe the defense firing.
-		r.checksumDrops++
+		// finish; the consumer polls again later.
 		return Message{}, false
 	}
 	m := *s
@@ -146,7 +140,6 @@ func (r *Ring) pop() (Message, bool) {
 	s.Data = nil
 	s.App = nil
 	r.head++
-	r.popped++
 	r.consumed++
 	r.check()
 	return m, true
@@ -346,7 +339,6 @@ func (c *Channel) ToNIC() *Ring { return c.toNIC }
 // NIC-core occupancy charged (command build + possibly a flush) or
 // an error when the producer is out of credits (ring full).
 func (c *Channel) NICPush(m Message) (sim.Time, error) {
-	m.enqueuedAt = c.eng.Now()
 	idx, err := c.toHost.push(m)
 	if err != nil {
 		return 0, err
@@ -407,7 +399,6 @@ func (c *Channel) HostPoll(max int) ([]Message, sim.Time) {
 // stores into the host-resident ring, so the message is immediately
 // fetchable; the cost is a local copy.
 func (c *Channel) HostPush(m Message) (sim.Time, error) {
-	m.enqueuedAt = c.eng.Now()
 	idx, err := c.toNIC.push(m)
 	if err != nil {
 		return 0, err

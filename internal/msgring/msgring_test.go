@@ -134,7 +134,8 @@ func TestChecksumGuardsPartialWrites(t *testing.T) {
 	if len(msgs) != 0 {
 		t.Fatal("corrupted message was delivered")
 	}
-	if ch.ToHost().checksumDrops == 0 {
+	// The slot was ready, so the checksum is what held it at the head.
+	if r := ch.ToHost(); r.head != 0 || !r.slots[0].ready {
 		t.Fatal("checksum defense did not fire")
 	}
 }
@@ -369,8 +370,8 @@ func TestWrapBoundaryCreditAccounting(t *testing.T) {
 		t.Fatalf("drained %d of %d pushed", want, next)
 	}
 	r := ch.ToHost()
-	if r.Pushed != uint64(next) || r.popped != uint64(want) {
-		t.Fatalf("counters Pushed=%d Popped=%d, want %d", r.Pushed, r.popped, next)
+	if r.Pushed != uint64(next) || r.head != want {
+		t.Fatalf("Pushed=%d head=%d, want %d", r.Pushed, r.head, next)
 	}
 	// Lazy sync economics: a sync needs at least half a ring consumed, so
 	// the count is bounded by consumed/(slots/2) and must be well below

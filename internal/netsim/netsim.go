@@ -380,7 +380,7 @@ func (n *Network) Send(pkt *Packet) {
 		n.orphanDrops++
 		chk := n.chkAt(0)
 		chk.NetInject()
-		chk.NetDrop("unknown-src")
+		chk.NetDrop()
 		return
 	}
 	chk := n.chkAt(src.part)
@@ -388,19 +388,19 @@ func (n *Network) Send(pkt *Packet) {
 	if !ok {
 		src.drops++
 		chk.NetInject()
-		chk.NetDrop("unknown-dst")
+		chk.NetDrop()
 		return
 	}
 	if len(n.blocked) > 0 && n.blocked[[2]string{pkt.Src, pkt.Dst}] {
 		src.partitionDrops++
 		chk.NetInject()
-		chk.NetDrop("partition")
+		chk.NetDrop()
 		return
 	}
 	if loss := n.effectiveLoss(pkt.Src, pkt.Dst); loss > 0 && src.eng.Rand().Float64() < loss {
 		src.lost++
 		chk.NetInject()
-		chk.NetDrop("loss")
+		chk.NetDrop()
 		return
 	}
 	chk.NetInject()

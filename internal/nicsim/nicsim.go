@@ -81,7 +81,6 @@ type accelUnit struct {
 	prof    spec.AccelProfile
 	station *sim.Station
 	invokes uint64
-	stalls  uint64
 	track   obs.TrackID
 }
 
@@ -161,7 +160,6 @@ func (b *AccelBank) Stall(name string, d sim.Time) bool {
 	if !ok {
 		return false
 	}
-	u.stalls++
 	u.station.Submit(&sim.Job{Service: d, Done: func(enq, started, fin sim.Time) {
 		b.sink.Span(u.track, name+" [stall]", started, fin,
 			obs.Args{Wait: started - enq})

@@ -61,7 +61,6 @@ type Headers struct {
 	srcMAC, dstMAC   MAC
 	SrcIP, DstIP     uint32
 	SrcPort, DstPort uint16
-	ttl              uint8
 }
 
 // WQE is a work queue entry: the unit the PKI hands to NIC cores
@@ -71,8 +70,6 @@ type WQE struct {
 	packet []byte
 	// Headers are filled by Decap.
 	Headers Headers
-	// payload aliases the UDP payload inside packet after Decap.
-	payload []byte
 }
 
 // NewWQE wraps a frame (nstack_new_wqe).
@@ -125,7 +122,7 @@ func Encap(src, dst Addr, payload []byte, ttl uint8) []byte {
 }
 
 // Decap parses and verifies a frame in place, filling the WQE's Headers
-// and Payload (nstack_recv's parsing half).
+// (nstack_recv's parsing half).
 func (w *WQE) Decap() error {
 	f := w.packet
 	if len(f) < headerOverhead {
@@ -157,10 +154,8 @@ func (w *WQE) Decap() error {
 	copy(w.Headers.srcMAC[:], f[6:12])
 	w.Headers.SrcIP = binary.BigEndian.Uint32(ip[12:16])
 	w.Headers.DstIP = binary.BigEndian.Uint32(ip[16:20])
-	w.Headers.ttl = ip[8]
 	w.Headers.SrcPort = binary.BigEndian.Uint16(udp[0:2])
 	w.Headers.DstPort = binary.BigEndian.Uint16(udp[2:4])
-	w.payload = udp[udpHeaderLen:udpLen][:udpLen-udpHeaderLen]
 	return nil
 }
 

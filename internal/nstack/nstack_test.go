@@ -32,11 +32,11 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	if h.srcMAC != srcAddr.MAC || h.dstMAC != dstAddr.MAC {
 		t.Fatalf("MACs: %v → %v", h.srcMAC, h.dstMAC)
 	}
-	if h.ttl != 64 {
-		t.Fatalf("TTL %d", h.ttl)
+	if ttl := w.packet[ethHeaderLen+8]; ttl != 64 {
+		t.Fatalf("TTL %d", ttl)
 	}
-	if !bytes.Equal(w.payload, payload) {
-		t.Fatalf("payload %q", w.payload)
+	if !bytes.Equal(w.packet[headerOverhead:], payload) {
+		t.Fatalf("payload %q", w.packet[headerOverhead:])
 	}
 }
 
@@ -113,13 +113,13 @@ func TestReverseEchoPath(t *testing.T) {
 	if h.srcMAC != dstAddr.MAC || h.dstMAC != srcAddr.MAC {
 		t.Fatal("MACs not swapped")
 	}
-	if string(w.payload) != "ping" {
+	if string(w.packet[headerOverhead:]) != "ping" {
 		t.Fatal("payload damaged by reverse")
 	}
 }
 
-// Property: Encap→Decap is the identity on (addresses, payload) for
-// arbitrary payloads and TTLs.
+// Property: Encap→Decap is the identity on the addresses, and the frame
+// carries the payload and TTL, for arbitrary payloads and TTLs.
 func TestEncapDecapProperty(t *testing.T) {
 	f := func(payload []byte, ttl uint8, sp, dp uint16, sip, dip uint32) bool {
 		if len(payload) > 60000 {
@@ -133,7 +133,7 @@ func TestEncapDecapProperty(t *testing.T) {
 		}
 		return w.Headers.SrcIP == sip && w.Headers.DstIP == dip &&
 			w.Headers.SrcPort == sp && w.Headers.DstPort == dp &&
-			w.Headers.ttl == ttl && bytes.Equal(w.payload, payload)
+			w.packet[ethHeaderLen+8] == ttl && bytes.Equal(w.packet[headerOverhead:], payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

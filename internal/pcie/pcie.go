@@ -36,10 +36,9 @@ type Engine struct {
 	station *sim.Station
 
 	// Counters for experiment reporting.
-	Reads, Writes   uint64
-	BytesRead       uint64
-	BytesWritten    uint64
-	gatherTransfers uint64
+	Reads, Writes uint64
+	BytesRead     uint64
+	BytesWritten  uint64
 
 	sink  *obs.Sink
 	track obs.TrackID
@@ -156,6 +155,5 @@ func (e *Engine) WriteGather(segments []int, done func()) sim.Time {
 	for _, s := range segments {
 		total += s
 	}
-	e.gatherTransfers++
 	return e.WriteAsync(total, done)
 }

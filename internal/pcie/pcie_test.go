@@ -95,8 +95,8 @@ func TestWriteGatherAggregates(t *testing.T) {
 	if gathered != want {
 		t.Fatalf("gather completion %v, want %v", gathered, want)
 	}
-	if dma.gatherTransfers != 1 || dma.Writes != 1 {
-		t.Fatalf("gather should count as one write: %d/%d", dma.gatherTransfers, dma.Writes)
+	if dma.Writes != 1 || dma.BytesWritten != 448 {
+		t.Fatalf("gather should count as one write of 448B: %d writes, %dB", dma.Writes, dma.BytesWritten)
 	}
 	// Aggregation beats three separate blocking writes.
 	separate := dma.prof.WriteLatency(64) + dma.prof.WriteLatency(128) + dma.prof.WriteLatency(256)

@@ -55,13 +55,13 @@ func (b *bucket) take(now sim.Time) bool {
 	return true
 }
 
-// Gate is one client edge's admission controller: a token bucket per
+// gate is one client edge's admission controller: a token bucket per
 // tenant, consulted by workload.Client before a request is sent.
 // Control-class requests always pass (admission must never starve the
-// control plane). Each Gate lives on one client's engine partition, so
+// control plane). Each gate lives on one client's engine partition, so
 // partitioned clusters race-freely run one gate per client; the Runtime
 // aggregates the per-gate counters after the run.
-type Gate struct {
+type gate struct {
 	buckets []bucket
 	chk     *invariant.Checker
 	ctl     *Controller
@@ -74,8 +74,8 @@ type Gate struct {
 
 // newGate builds a gate from the resolved tenant table; reg exposes its
 // per-tenant admission counters. chk, ctl and reg may be nil.
-func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs.Registry) *Gate {
-	g := &Gate{
+func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs.Registry) *gate {
+	g := &gate{
 		buckets:  make([]bucket, len(tenants)),
 		chk:      chk,
 		ctl:      ctl,
@@ -101,7 +101,7 @@ func newGate(tenants []Tenant, chk *invariant.Checker, ctl *Controller, reg *obs
 // Admit implements workload.QoSHook: charge one request against the
 // tenant's bucket. Unknown tenants (beyond the table) are admitted —
 // untagged legacy traffic is unconstrained.
-func (g *Gate) Admit(tenant uint16, class uint8, now sim.Time) bool {
+func (g *gate) Admit(tenant uint16, class uint8, now sim.Time) bool {
 	if int(tenant) >= len(g.buckets) {
 		return true
 	}
@@ -119,9 +119,8 @@ func (g *Gate) Admit(tenant uint16, class uint8, now sim.Time) bool {
 
 // Latency implements workload.QoSHook: feed one response latency into
 // the SLO controller's per-tenant EWMA.
-func (g *Gate) Latency(tenant uint16, class uint8, us float64) {
+func (g *gate) Latency(tenant uint16, us float64) {
 	if g.ctl != nil {
 		g.ctl.observe(tenant, us)
 	}
-	_ = class
 }

@@ -144,7 +144,7 @@ func (ls *laneSched) Offer(m actor.Msg) {
 	}
 	ls.queues[lane].push(m)
 	ls.enqueued[lane]++
-	ls.chk.LaneEnqueue(ls.label, uint8(lane))
+	ls.chk.LaneEnqueue()
 	if !ls.pumping {
 		ls.pumping = true
 		ls.pump()

@@ -8,7 +8,7 @@ import (
 )
 
 // Runtime is an installed Tenancy: one LaneSched per offloaded node,
-// one admission Gate per bound client edge, and (on classic clusters)
+// one admission gate per bound client edge, and (on classic clusters)
 // the SLO controller. Deploy specs install it via deploy.Common; tests
 // and benches can also call Install directly.
 type Runtime struct {
@@ -20,7 +20,7 @@ type Runtime struct {
 	Controller *Controller
 
 	cl    *core.Cluster
-	gates []*Gate
+	gates []*gate
 }
 
 // Install validates t and wires it into the cluster: every offloaded
@@ -75,17 +75,18 @@ func registry(cl *core.Cluster, name string) *obs.Registry {
 }
 
 // Bind attaches per-tenant admission control to one client edge: the
-// client consults a fresh Gate (living on the client's partition, so
+// client consults a fresh gate (living on the client's partition, so
 // PDES runs race-freely) before sending, and feeds response latencies
-// back into the SLO controller. Nil-safe: a nil Runtime binds nothing.
-func (rt *Runtime) Bind(c *workload.Client) *Gate {
+// back into the SLO controller. The Runtime keeps the gate: OfferedTo
+// and its siblings sum every gate's counters. Nil-safe: a nil Runtime
+// binds nothing.
+func (rt *Runtime) Bind(c *workload.Client) {
 	if rt == nil || c == nil {
-		return nil
+		return
 	}
 	g := newGate(rt.tenancy.Tenants, rt.cl.CheckerAt(c.Part()), rt.Controller, registry(rt.cl, c.Name+"-adm"))
 	c.SetQoS(g)
 	rt.gates = append(rt.gates, g)
-	return g
 }
 
 // BindBatcher hands a batching window to the controller (no-op without
@@ -105,7 +106,7 @@ func (rt *Runtime) BindReshard(hottest func() int, reshard func(int)) {
 }
 
 // tenantCount sums one per-gate counter slice across all bound gates.
-func (rt *Runtime) tenantCount(pick func(*Gate) []uint64, tenant int) uint64 {
+func (rt *Runtime) tenantCount(pick func(*gate) []uint64, tenant int) uint64 {
 	if rt == nil {
 		return 0
 	}
@@ -122,17 +123,17 @@ func (rt *Runtime) tenantCount(pick func(*Gate) []uint64, tenant int) uint64 {
 // OfferedTo returns total requests offered by the tenant across all
 // bound clients.
 func (rt *Runtime) OfferedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.offered }, tenant)
+	return rt.tenantCount(func(g *gate) []uint64 { return g.offered }, tenant)
 }
 
 // AdmittedTo returns total requests admitted for the tenant.
 func (rt *Runtime) AdmittedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.admitted }, tenant)
+	return rt.tenantCount(func(g *gate) []uint64 { return g.admitted }, tenant)
 }
 
 // RejectedTo returns total requests rejected for the tenant.
 func (rt *Runtime) RejectedTo(tenant int) uint64 {
-	return rt.tenantCount(func(g *Gate) []uint64 { return g.rejected }, tenant)
+	return rt.tenantCount(func(g *gate) []uint64 { return g.rejected }, tenant)
 }
 
 // LaneTotals sums the per-lane enqueue/deliver/shed counters across all

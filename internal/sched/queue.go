@@ -80,8 +80,6 @@ func (s *sharedQueue) setAudit(a *invariant.QueueAudit) { s.audit = a }
 type shuffleQueue struct {
 	perCore []stampedFIFO
 	audit   *invariant.QueueAudit
-	// steals counts stolen messages, exposing the imbalance repair rate.
-	steals uint64
 }
 
 func newShuffleQueue(cores int) *shuffleQueue {
@@ -124,7 +122,6 @@ func (s *shuffleQueue) pop(coreID int) (actor.Msg, bool) {
 		return actor.Msg{}, false
 	}
 	m, stamp, _ := s.perCore[victim].take()
-	s.steals++
 	s.audit.Pop(m.FlowID, stamp)
 	return m, true
 }
@@ -154,8 +151,6 @@ type iokQueue struct {
 	// at different rates, reordering it. A flow re-routes (rebalances)
 	// only once its queued messages have drained.
 	flows map[uint64]*iokFlow
-	// dispatched counts messages routed by the dispatcher core.
-	dispatched uint64
 }
 
 type iokFlow struct {
@@ -212,7 +207,6 @@ func (q *iokQueue) dispatchOne() (int, bool) {
 	}
 	fl.pending++
 	q.perCore[fl.worker].put(m, stamp)
-	q.dispatched++
 	return fl.worker, true
 }
 

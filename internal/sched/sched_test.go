@@ -314,9 +314,6 @@ func TestShuffleQueueSteeringAndStealing(t *testing.T) {
 	if !ok || m.Kind != 1 {
 		t.Fatalf("steal = %v %v, want kind 1 (victim's head)", m.Kind, ok)
 	}
-	if q.steals != 1 {
-		t.Fatalf("Steals = %d", q.steals)
-	}
 	if q.len() != 6 {
 		t.Fatalf("len = %d", q.len())
 	}

@@ -178,13 +178,13 @@ func TestStationFIFOSingleServer(t *testing.T) {
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
+	if len(finish) != len(want) {
+		t.Fatalf("Completed = %d", len(finish))
+	}
 	for i := range want {
 		if finish[i] != want[i] {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
-	}
-	if st.completed != 3 {
-		t.Fatalf("Completed = %d", st.completed)
 	}
 }
 

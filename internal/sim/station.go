@@ -26,8 +26,6 @@ type Station struct {
 	servers int
 	busy    int
 	queue   FIFO[*Job]
-
-	completed uint64
 }
 
 // NewStation creates a station with the given number of parallel servers.
@@ -63,7 +61,6 @@ func (s *Station) start(j *Job) {
 func (j *Job) complete() {
 	s := j.st
 	s.busy--
-	s.completed++
 	if j.Done != nil {
 		j.Done(j.enqueued, j.started, s.eng.Now())
 	}

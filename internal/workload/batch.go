@@ -34,9 +34,10 @@ type batchGroup struct {
 
 // Batcher coalesces requests issued in the same virtual-time window and
 // bound for the same destination (in the sharded RKV deployment: the
-// same shard leader) into one core.BatchEnvelope message train. The
-// group table is a slice in first-use order — the map below is only a
-// lookup index, never iterated — so flush order is deterministic.
+// same shard leader) into one core.BatchEnvelope message train. Each
+// group flushes on its own window timer or when full, and the group map
+// is only a lookup index, never iterated, so flush order is
+// deterministic.
 type Batcher struct {
 	cl *Client
 	// Window bounds how long a train's first request waits.
@@ -45,8 +46,7 @@ type Batcher struct {
 	// ≤ 1 disable coalescing entirely (Add degenerates to Send).
 	maxBatch int
 
-	groups []*batchGroup
-	index  map[batchKey]*batchGroup
+	index map[batchKey]*batchGroup
 
 	// Trains counts multi-message packets emitted; Coalesced counts the
 	// requests that rode in them. Singleton flushes go out as ordinary
@@ -89,7 +89,6 @@ func (b *Batcher) park(node string, dst actor.ID, m actor.Msg, size int) {
 	if g == nil {
 		g = &batchGroup{key: k}
 		b.index[k] = g
-		b.groups = append(b.groups, g)
 	}
 	g.msgs = append(g.msgs, m)
 	g.sizes = append(g.sizes, size)

@@ -176,7 +176,7 @@ func (q *rejectAllQoS) Admit(tenant uint16, class uint8, now sim.Time) bool {
 	q.offered++
 	return false
 }
-func (q *rejectAllQoS) Latency(tenant uint16, class uint8, us float64) { q.latencies++ }
+func (q *rejectAllQoS) Latency(tenant uint16, us float64) { q.latencies++ }
 
 // TestQoSRejectAccounting pins the edge-shed accounting contract (see
 // the Client counter docs): an admission-denied request is Rejected,

@@ -60,7 +60,7 @@ type QoSHook interface {
 	// time now; returning false rejects the send.
 	Admit(tenant uint16, class uint8, now sim.Time) bool
 	// Latency observes one end-to-end response latency in microseconds.
-	Latency(tenant uint16, class uint8, us float64)
+	Latency(tenant uint16, us float64)
 }
 
 // NewClient attaches a client node with the given link speed.
@@ -283,7 +283,7 @@ func (c *call) reply(resp actor.Msg) {
 	us := (cl.eng.Now() - c.sentAt).Micros()
 	cl.Lat.Observe(us)
 	if cl.qos != nil {
-		cl.qos.Latency(c.r.Tenant, c.r.Class, us)
+		cl.qos.Latency(c.r.Tenant, us)
 	}
 	// Release before the callbacks: the next request they issue finds the
 	// record on the list.
