@@ -144,8 +144,6 @@ var surfaceAllowed = map[string]string{
 	"internal/qos.LaneControl":        qosLanes,
 	"internal/qos.LaneData":           qosLanes,
 	"internal/qos.LaneTelemetry":      qosLanes,
-	"internal/workload.MaxUncappedTimeout": "TestBackoffUncappedSaturates bounds an uncapped retry's " +
-		"growth by it",
 	"internal/apps/dt.Partition": "TestPartitionStable; deploy's TestDTCoordinatorCrashAtomicity picks " +
 		"keys on two participants with it",
 	"internal/apps/dt.Store.Get":    dtInstalled,
@@ -159,27 +157,19 @@ var surfaceAllowed = map[string]string{
 	"benchmark.wlSpec.why":            benchFrozen,
 	"internal/msgring.Message.DstActor": "benchmark/layers.go addresses its ring messages with it; " +
 		"benchmark/ is frozen",
+	"internal/msgring.Message.Kind": "benchmark/layers.go writes it into its ring messages; " +
+		"benchmark/ is frozen",
 
 	"internal/spec.NICModel.Vendor": table1,
 	"internal/spec.NICModel.OnPath": table1,
 	"internal/spec.NICModel.FullOS": table1,
 
 	"internal/apps/nf.IPSec.Open":             "TestIPSecSealOpenRoundTrip opens what the gateway sealed",
-	"internal/apps/rkv.Replica.SST":           "TestMinorCompactionAndSSTableRead reads the leader's SSTable store",
-	"internal/apps/rkv.delReq":                rkvDelete,
-	"internal/apps/rkv.opDel":                 rkvDelete,
-	"internal/apps/rkv.skipList.Count":        "TestSkipListDrainSortedAndResets",
 	"internal/bench.checked.result":           "TestParallelParity compares each checked rendering with quick_seed1.txt",
 	"internal/dmo.Store.Size":                 "TestStoreMatchesMapModel",
-	"internal/fault.Injector.Fingerprint":     "TestFingerprintDeterminism",
-	"internal/msgring.Message.Kind":           "TestHostToNICRoundTrip",
-	"internal/msgring.Message.SrcActor":       "TestChannelMatchesModel numbers its messages with it",
-	"internal/netsim.Network.setHandler":      "TestSetHandler",
-	"internal/nstack.WQE.reverse":             "TestReverseEchoPath",
 	"internal/sim.FreeList.Len":               "TestCallListBounded and the other pool tests bound free lists with it",
 	"internal/sim.cacheLine":                  "TestPartitionRecordLayout",
 	"internal/spec.NICModel.maxBandwidthGbps": "TestMaxBandwidthSaturatesAtLineRate",
-	"internal/stats.Sample.Quantile":          "TestHistogramQuantileMatchesExact",
 
 	// Counters only tests read, where no fact a program reads tells the same.
 	"internal/apps/rkv.Memtable.misses": "TestMinorCompactionAndSSTableRead checks that a flushed key's read " +
@@ -194,7 +184,6 @@ const (
 	qosLanes    = "name the indices of the [NumLanes] counter arrays Runtime.LaneTotals returns"
 	benchFrozen = "benchmark/ is frozen; TestBenchmarkJSONMatchesProgram holds it equal to BENCHMARK.json"
 	table1      = "Table 1 description; ROADMAP item 3 decides"
-	rkvDelete   = "TestDeleteReturnsNotFound deletes a key; no client sends a delete"
 	dtInstalled = "TestDTCoordinatorCrashAtomicity reads each write's installed value"
 )
 

@@ -7,12 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// Replica bundles one node's four RKV actors.
+// Replica bundles one node's offloadable RKV actors.
 type Replica struct {
 	Node      *core.Node
 	Consensus *Consensus
 	Memtable  *Memtable
-	SST       *SSTStore
 }
 
 // Deployment is a replicated key-value store over a set of nodes; the
@@ -80,7 +79,7 @@ func Deploy(nodes []*core.Node, baseID actor.ID, memLimit int, onNIC bool) (*Dep
 		if err := n.Register(cons.Actor, onNIC, 0); err != nil {
 			return nil, err
 		}
-		d.Replicas = append(d.Replicas, &Replica{Node: n, Consensus: cons, Memtable: mt, SST: sst})
+		d.Replicas = append(d.Replicas, &Replica{Node: n, Consensus: cons, Memtable: mt})
 	}
 	return d, nil
 }
@@ -97,11 +96,9 @@ func (d *Deployment) TagShard(s int) {
 	}
 }
 
-// PutReq / GetReq / delReq build client request payloads.
+// PutReq builds a write request payload. An empty value is stored and
+// read back as an empty value.
 func PutReq(key, value []byte) []byte { return encodeCmd(command{op: opPut, key: key, value: value}) }
 
 // GetReq builds a read request payload.
 func GetReq(key []byte) []byte { return encodeCmd(command{op: opGet, key: key}) }
-
-// delReq builds a delete request payload.
-func delReq(key []byte) []byte { return encodeCmd(command{op: opDel, key: key}) }

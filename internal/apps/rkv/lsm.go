@@ -31,11 +31,10 @@ const (
 	KindElect
 )
 
-// Op codes inside commands.
+// Op codes inside commands: RKV serves reads and writes only.
 const (
 	opGet byte = iota + 1
 	opPut
-	opDel
 )
 
 // Status is the response status code (first byte of the client
@@ -100,13 +99,14 @@ func encodeCmd(c command) []byte {
 	return out
 }
 
-// decodeCmd parses a command; ok is false on malformed input. Key and
-// Value are views into p, not copies — a borrow like ObjRead's: they are
-// good for as long as p is (a handler decoding m.Data: until it returns),
-// their capacity ends where they do, and a caller that keeps either
-// copies it. An empty field decodes as nil.
+// decodeCmd parses a command; ok is false on malformed input, and an op
+// other than opGet or opPut is malformed. Key and Value are views into
+// p, not copies — a borrow like ObjRead's: they are good for as long as
+// p is (a handler decoding m.Data: until it returns), their capacity
+// ends where they do, and a caller that keeps either copies it. An
+// empty field decodes as nil; an empty value is still a value.
 func decodeCmd(p []byte) (command, bool) {
-	if len(p) < 4 {
+	if len(p) < 4 || (p[0] != opGet && p[0] != opPut) {
 		return command{}, false
 	}
 	c := command{op: p[0]}
@@ -131,23 +131,19 @@ func decodeCmd(p []byte) (command, bool) {
 }
 
 // encodeEntries / decodeEntries serialize Memtable drains for the
-// minor-compaction message.
+// minor-compaction message: per entry the key length, the key, a flag
+// byte that is always 0, the value length and the value. The payload
+// crosses the NIC→host ring and its bytes are charged as DMA time, so
+// the flag stays: dropping it would move every compaction's cost.
 func encodeEntries(es []entry) []byte {
 	n := 0
 	for _, e := range es {
-		n += 1 + len(e.key) + 1
-		if !e.tombstone {
-			n += 4 + len(e.value)
-		}
+		n += 1 + len(e.key) + 1 + 4 + len(e.value)
 	}
 	out := make([]byte, 0, n)
 	for _, e := range es {
 		out = append(out, byte(len(e.key)))
 		out = append(out, e.key...)
-		if e.tombstone {
-			out = append(out, 1)
-			continue
-		}
 		out = append(out, 0)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.value)))
 		out = append(out, e.value...)
@@ -165,14 +161,7 @@ func decodeEntries(p []byte) []entry {
 			break
 		}
 		e := entry{key: append([]byte(nil), p[:kl]...)}
-		p = p[kl:]
-		tomb := p[0]
-		p = p[1:]
-		if tomb == 1 {
-			e.tombstone = true
-			out = append(out, e)
-			continue
-		}
+		p = p[kl+1:] // the flag byte
 		if len(p) < 4 {
 			break
 		}
@@ -264,7 +253,7 @@ func (s *SSTStore) addL0(entries []entry) int {
 		var all []run
 		all = append(all, s.levels[i]...)
 		all = append(all, s.levels[i+1]...)
-		merged := mergeRuns(all, i+2 == len(s.levels))
+		merged := mergeRuns(all)
 		rewritten += runBytes(merged)
 		s.levels[i] = nil
 		s.levels[i+1] = []run{merged}
@@ -288,8 +277,7 @@ func normalizeRun(entries []entry) run {
 }
 
 // mergeRuns k-way merges runs (earlier runs are newer and win ties).
-// When bottom is true, tombstones are dropped.
-func mergeRuns(runs []run, bottom bool) run {
+func mergeRuns(runs []run) run {
 	var out run
 	seen := map[string]bool{}
 	type cursor struct {
@@ -322,9 +310,6 @@ func mergeRuns(runs []run, bottom bool) run {
 			continue
 		}
 		seen[string(e.key)] = true
-		if bottom && e.tombstone {
-			continue
-		}
 		out = append(out, e)
 	}
 	return out
@@ -340,9 +325,6 @@ func (s *SSTStore) lookup(key []byte) ([]byte, bool) {
 				return bytes.Compare(r[i].key, k) >= 0
 			})
 			if i < len(r) && bytes.Equal(r[i].key, k) {
-				if r[i].tombstone {
-					return nil, false
-				}
 				return r[i].value, true
 			}
 		}
@@ -388,13 +370,10 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			if !ok {
 				return 300 * sim.Nanosecond
 			}
-			var val []byte
-			if cmd.op == opPut {
-				val = cmd.value
-			} // opDel: nil value = tombstone
 			// A write the skip list refuses (the actor's DMO region is
-			// exhausted) is lost here: it was acknowledged at commit.
-			_ = mt.list.put(ctx, cmd.key, val)
+			// exhausted) is lost here although it was acknowledged at
+			// commit; the key keeps its last applied value.
+			_ = mt.list.put(ctx, cmd.key, cmd.value)
 			cost := mt.list.visitCost()
 			if mt.list.bytes >= mt.limit {
 				cost += mt.minorCompact(ctx)
@@ -407,18 +386,13 @@ func NewMemtable(id actor.ID, limitBytes int, sstReader, compactor actor.ID) *Me
 			if !ok {
 				return 300 * sim.Nanosecond
 			}
-			v, found, tomb, _ := mt.list.get(ctx, cmd.key)
+			v, found, _ := mt.list.get(ctx, cmd.key)
 			cost := mt.list.visitCost()
-			switch {
-			case found && tomb:
-				resp := m
-				resp.Data = statusNotFound
-				ctx.Reply(resp)
-			case found:
+			if found {
 				resp := m
 				resp.Data = append([]byte{byte(StatusOK)}, v...)
 				ctx.Reply(resp)
-			default:
+			} else {
 				// Miss: forward to the SSTable read actor, Reply intact.
 				mt.misses++
 				ctx.Send(mt.sstReader, m)

@@ -13,10 +13,6 @@ func e(k, v string) entry {
 	return entry{key: padded([]byte(k)), value: []byte(v)}
 }
 
-func tomb(k string) entry {
-	return entry{key: padded([]byte(k)), tombstone: true}
-}
-
 func TestSSTStoreLookupNewestWins(t *testing.T) {
 	s := NewSSTStore(1 << 20)
 	s.addL0([]entry{e("a", "old"), e("b", "b1")})
@@ -34,12 +30,14 @@ func TestSSTStoreLookupNewestWins(t *testing.T) {
 	}
 }
 
+// TestSSTStoreTombstoneHidesOlder: a newer empty value hides an older
+// value, and the key reads back present and empty.
 func TestSSTStoreTombstoneHidesOlder(t *testing.T) {
 	s := NewSSTStore(1 << 20)
 	s.addL0([]entry{e("k", "v1")})
-	s.addL0([]entry{tomb("k")})
-	if _, ok := s.lookup([]byte("k")); ok {
-		t.Fatal("tombstone did not hide older value")
+	s.addL0([]entry{e("k", "")})
+	if v, ok := s.lookup([]byte("k")); !ok || len(v) != 0 {
+		t.Fatalf("Lookup(k) = %q %v; want present and empty", v, ok)
 	}
 }
 
@@ -79,30 +77,23 @@ func TestSSTStoreByteLimitCascade(t *testing.T) {
 	}
 }
 
+// TestSSTStoreBottomLevelDropsTombstones: a merge into the bottom level
+// drops only the older versions of a key. An empty value is a value, so
+// it survives the merge and still hides the older one.
 func TestSSTStoreBottomLevelDropsTombstones(t *testing.T) {
 	s := NewSSTStore(1 << 30)
-	s.addL0([]entry{e("dead", "v")})
-	s.addL0([]entry{tomb("dead")})
-	// Force merges until the tombstone reaches the bottom.
+	s.addL0([]entry{e("empty", "v")})
+	s.addL0([]entry{e("empty", "")})
+	// Force merges until the empty value reaches the bottom.
 	for i := 0; i < s.l0Runs+2; i++ {
 		s.addL0([]entry{e(fmt.Sprintf("pad%d", i), "v")})
 	}
-	total := 0
-	for _, runs := range s.levels {
-		for _, r := range runs {
-			for _, en := range r {
-				if en.tombstone {
-					total++
-				}
-			}
-		}
+	if len(s.levels) < 2 {
+		t.Fatal("no merge reached level 1")
 	}
-	// After the full merge into the bottom level, the tombstone is gone
-	// (it may linger only if some runs were not merged yet).
-	if _, ok := s.lookup([]byte("dead")); ok {
-		t.Fatal("deleted key resurfaced")
+	if v, ok := s.lookup([]byte("empty")); !ok || len(v) != 0 {
+		t.Fatalf("Lookup(empty) = %q %v after the merges; want present and empty", v, ok)
 	}
-	_ = total
 }
 
 func TestNormalizeRunDedupsKeepingNewest(t *testing.T) {
@@ -120,7 +111,7 @@ func TestNormalizeRunDedupsKeepingNewest(t *testing.T) {
 func TestMergeRunsOrderAndPrecedence(t *testing.T) {
 	newer := run{e("a", "new"), e("c", "c")}
 	older := run{e("a", "old"), e("b", "b")}
-	out := mergeRuns([]run{newer, older}, false)
+	out := mergeRuns([]run{newer, older})
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -135,7 +126,7 @@ func TestMergeRunsOrderAndPrecedence(t *testing.T) {
 }
 
 // Property: SSTStore lookups agree with a reference map under random
-// write/delete flushes, regardless of compaction activity.
+// flushes of writes and empty writes, regardless of compaction activity.
 func TestSSTStoreMatchesMapProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewSSTStore(512)
@@ -149,14 +140,12 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 		}
 		for i, op := range ops {
 			k := fmt.Sprintf("key-%02d", op%30)
-			if op%5 == 0 {
-				batch = append(batch, tomb(k))
-				delete(ref, k)
-			} else {
-				v := []byte(fmt.Sprintf("v%d", i))
-				batch = append(batch, entry{key: padded([]byte(k)), value: v})
-				ref[k] = v
+			var v []byte
+			if op%5 != 0 {
+				v = []byte(fmt.Sprintf("v%d", i))
 			}
+			batch = append(batch, entry{key: padded([]byte(k)), value: v})
+			ref[k] = v
 			if op%3 == 0 {
 				flush()
 			}
@@ -193,19 +182,16 @@ func TestMemtableActorGetHitMissAndApply(t *testing.T) {
 
 	// Apply a committed write.
 	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opPut, key: []byte("k"), value: []byte("v")}), nil))
-	if mt.List().Count() != 1 {
-		t.Fatalf("memtable count %d", mt.List().Count())
-	}
 	// Hit.
 	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}), reply))
 	if len(lastReply) == 0 || StatusOf(lastReply) != StatusOK || string(lastReply[1:]) != "v" {
 		t.Fatalf("get hit reply %q", lastReply)
 	}
-	// Tombstone.
-	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opDel, key: []byte("k")}), nil))
+	// An empty value overwrites, and a hit returns it.
+	mt.Actor.OnMessage(ctx, msgWith(kindApply, encodeCmd(command{op: opPut, key: []byte("k")}), nil))
 	mt.Actor.OnMessage(ctx, msgWith(kindGet, encodeCmd(command{op: opGet, key: []byte("k")}), reply))
-	if StatusOf(lastReply) != StatusNotFound {
-		t.Fatalf("get after delete reply %q", lastReply)
+	if StatusOf(lastReply) != StatusOK || len(lastReply) != 1 {
+		t.Fatalf("get after an empty put reply %q, want ok and empty", lastReply)
 	}
 }
 

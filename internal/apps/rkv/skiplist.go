@@ -25,7 +25,7 @@ const maxLevel = 12
 // IDs"):
 //
 //	key     [keyLen]byte
-//	valObj  uint64   // object ID of the value object; 0 = tombstone
+//	valObj  uint64   // object ID of the value object
 //	valLen  uint32   // value size in bytes
 //	level   uint8
 //	forward [level]uint64 // object IDs of successor nodes; 0 = nil
@@ -67,9 +67,6 @@ func newSkipList(ctx actor.Ctx) (*skipList, error) {
 	}
 	return s, nil
 }
-
-// Count returns live entries (including tombstones).
-func (s *skipList) Count() int { return s.count }
 
 func (s *skipList) randLevel() int {
 	// xorshift64*; each coin flip promotes with p=1/4 as in LevelDB.
@@ -159,8 +156,8 @@ func (s *skipList) findPredecessors(ctx actor.Ctx, k []byte, update *[maxLevel]u
 	return s.forward(ctx, x, 0)
 }
 
-// put inserts or overwrites a key. A nil value writes a tombstone
-// (deletions are insertions with a deletion marker, §4).
+// put inserts or overwrites a key. Every value, a 0-byte one included,
+// lives in its own object.
 func (s *skipList) put(ctx actor.Ctx, key, value []byte) error {
 	s.visits = 0
 	var kbuf [keyLen]byte
@@ -176,23 +173,19 @@ func (s *skipList) put(ctx actor.Ctx, key, value []byte) error {
 			return err
 		}
 		if bytes.Equal(ck, k) {
-			// Overwrite: free the old value object, attach the new one.
+			// Overwrite: allocate the new value before freeing the old,
+			// so a value the region refuses leaves the key with its last
+			// value. The refused write itself is still lost.
 			old, oldLen, err := s.nodeVal(ctx, cand)
 			if err != nil {
 				return err
 			}
-			if old != 0 {
-				s.bytes -= oldLen
-				ctx.Free(old)
-			}
 			vo, n, err := s.allocValue(ctx, value)
 			if err != nil {
-				// The node must not keep the ID just freed: the key reads
-				// as deleted until it is next put.
-				s.setVal(ctx, cand, 0, 0)
 				return err
 			}
-			s.bytes += n
+			ctx.Free(old)
+			s.bytes += n - oldLen
 			return s.setVal(ctx, cand, vo, n)
 		}
 	}
@@ -237,12 +230,8 @@ func (s *skipList) put(ctx actor.Ctx, key, value []byte) error {
 	return nil
 }
 
-// allocValue stores a value in its own object; nil values (tombstones)
-// use object ID 0.
+// allocValue stores a value in its own object.
 func (s *skipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) {
-	if value == nil {
-		return 0, 0, nil
-	}
 	vo, err := ctx.Alloc(len(value))
 	if err != nil {
 		return 0, 0, err
@@ -253,44 +242,34 @@ func (s *skipList) allocValue(ctx actor.Ctx, value []byte) (uint64, int, error) 
 	return vo, len(value), nil
 }
 
-// get returns (value, found, tombstone).
-func (s *skipList) get(ctx actor.Ctx, key []byte) ([]byte, bool, bool, error) {
+// get returns the key's value and whether the key is present.
+func (s *skipList) get(ctx actor.Ctx, key []byte) ([]byte, bool, error) {
 	s.visits = 0
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
 	var update [maxLevel]uint64
 	cand, err := s.findPredecessors(ctx, k, &update)
-	if err != nil {
-		return nil, false, false, err
-	}
-	if cand == 0 {
-		return nil, false, false, nil
+	if err != nil || cand == 0 {
+		return nil, false, err
 	}
 	ck, err := s.nodeKey(ctx, cand)
-	if err != nil {
-		return nil, false, false, err
-	}
-	if !bytes.Equal(ck, k) {
-		return nil, false, false, nil
+	if err != nil || !bytes.Equal(ck, k) {
+		return nil, false, err
 	}
 	vo, n, err := s.nodeVal(ctx, cand)
 	if err != nil {
-		return nil, false, false, err
-	}
-	if vo == 0 {
-		return nil, true, true, nil
+		return nil, false, err
 	}
 	v, err := ctx.ObjRead(vo, 0, n)
 	// The value outlives the handler (it travels in the reply), the
 	// ObjRead view does not.
-	return bytes.Clone(v), true, false, err
+	return bytes.Clone(v), true, err
 }
 
-// entry is one key/value pair; tombstone marks deletion.
+// entry is one key/value pair.
 type entry struct {
-	key       []byte
-	value     []byte
-	tombstone bool
+	key   []byte
+	value []byte
 }
 
 // drain iterates all entries in key order, frees every node and value
@@ -312,16 +291,12 @@ func (s *skipList) drain(ctx actor.Ctx) ([]entry, error) {
 			return nil, err
 		}
 		e := entry{key: append([]byte(nil), k...)}
-		if vo == 0 {
-			e.tombstone = true
-		} else {
-			v, err := ctx.ObjRead(vo, 0, n)
-			if err != nil {
-				return nil, err
-			}
-			e.value = bytes.Clone(v) // the view dies with the object
-			ctx.Free(vo)
+		v, err := ctx.ObjRead(vo, 0, n)
+		if err != nil {
+			return nil, err
 		}
+		e.value = bytes.Clone(v) // the view dies with the object
+		ctx.Free(vo)
 		out = append(out, e)
 		nxt, err := s.forward(ctx, x, 0)
 		if err != nil {

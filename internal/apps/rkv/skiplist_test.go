@@ -66,20 +66,20 @@ func TestSkipListPutGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Count() != 200 {
-		t.Fatalf("Count = %d", s.Count())
+	if s.count != 200 {
+		t.Fatalf("count = %d", s.count)
 	}
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key-%03d", i))
-		v, found, tomb, err := s.get(ctx, k)
-		if err != nil || !found || tomb {
-			t.Fatalf("Get(%s): %v %v %v", k, found, tomb, err)
+		v, found, err := s.get(ctx, k)
+		if err != nil || !found {
+			t.Fatalf("Get(%s): %v %v", k, found, err)
 		}
 		if string(v) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("Get(%s) = %q", k, v)
 		}
 	}
-	if _, found, _, _ := s.get(ctx, []byte("nope")); found {
+	if _, found, _ := s.get(ctx, []byte("nope")); found {
 		t.Fatal("phantom key")
 	}
 }
@@ -90,26 +90,34 @@ func TestSkipListOverwrite(t *testing.T) {
 	s.put(ctx, []byte("k"), []byte("v1"))
 	before := s.bytes
 	s.put(ctx, []byte("k"), []byte("v2-longer"))
-	if s.Count() != 1 {
-		t.Fatalf("Count after overwrite = %d", s.Count())
+	if s.count != 1 {
+		t.Fatalf("count after overwrite = %d", s.count)
 	}
 	if s.bytes <= before {
 		t.Fatalf("bytes should grow with longer value: %d → %d", before, s.bytes)
 	}
-	v, found, _, _ := s.get(ctx, []byte("k"))
+	v, found, _ := s.get(ctx, []byte("k"))
 	if !found || string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
 }
 
+// TestSkipListTombstone: a 0-byte value is a value. It overwrites the
+// old one in a 0-byte object of its own and reads back present and empty.
 func TestSkipListTombstone(t *testing.T) {
 	ctx := newDmoCtx()
 	s, _ := newSkipList(ctx)
 	s.put(ctx, []byte("k"), []byte("v"))
-	s.put(ctx, []byte("k"), nil) // deletion marker
-	_, found, tomb, _ := s.get(ctx, []byte("k"))
-	if !found || !tomb {
-		t.Fatalf("tombstone: found=%v tomb=%v", found, tomb)
+	objects := ctx.st.Objects()
+	if err := s.put(ctx, []byte("k"), nil); err != nil {
+		t.Fatal(err)
+	}
+	v, found, err := s.get(ctx, []byte("k"))
+	if err != nil || !found || len(v) != 0 {
+		t.Fatalf("Get after an empty put = %q found=%v err=%v; want present and empty", v, found, err)
+	}
+	if ctx.st.Objects() != objects || s.count != 1 || s.bytes != keyLen {
+		t.Fatalf("objects %d → %d, count %d, bytes %d", objects, ctx.st.Objects(), s.count, s.bytes)
 	}
 }
 
@@ -133,7 +141,7 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 	}) {
 		t.Fatal("drain not sorted")
 	}
-	if s.Count() != 0 || s.bytes != 0 {
+	if s.count != 0 || s.bytes != 0 {
 		t.Fatal("not reset after drain")
 	}
 	// Node and value objects were freed (only head remains of the list).
@@ -144,7 +152,7 @@ func TestSkipListDrainSortedAndResets(t *testing.T) {
 	if err := s.put(ctx, []byte("new"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, _, _ := s.get(ctx, []byte("new")); !found || string(v) != "x" {
+	if v, found, _ := s.get(ctx, []byte("new")); !found || string(v) != "x" {
 		t.Fatal("list broken after drain")
 	}
 }
@@ -181,8 +189,8 @@ func TestSkipListRegionExhaustion(t *testing.T) {
 	}
 }
 
-// Property: skip list agrees with a reference map under random put/
-// delete/get sequences.
+// Property: skip list agrees with a reference map under random
+// sequences of puts, empty puts and gets.
 func TestSkipListMatchesMap(t *testing.T) {
 	f := func(ops []uint16) bool {
 		ctx := newDmoCtx()
@@ -198,22 +206,17 @@ func TestSkipListMatchesMap(t *testing.T) {
 				}
 				ref[k] = v
 			case 2:
-				s.put(ctx, []byte(k), nil)
-				delete(ref, k)
+				if err := s.put(ctx, []byte(k), nil); err != nil {
+					return false
+				}
+				ref[k] = ""
 			}
 		}
 		for op := 0; op < 40; op++ {
 			k := fmt.Sprintf("key-%02d", op)
-			v, found, tomb, err := s.get(ctx, []byte(k))
-			if err != nil {
-				return false
-			}
+			v, found, err := s.get(ctx, []byte(k))
 			want, ok := ref[k]
-			if ok {
-				if !found || tomb || string(v) != want {
-					return false
-				}
-			} else if found && !tomb {
+			if err != nil || found != ok || string(v) != want {
 				return false
 			}
 		}
@@ -241,15 +244,15 @@ func TestCmdCodec(t *testing.T) {
 func TestEntriesCodec(t *testing.T) {
 	in := []entry{
 		{key: padded([]byte("a")), value: []byte("va")},
-		{key: padded([]byte("b")), tombstone: true},
+		{key: padded([]byte("b"))},
 		{key: padded([]byte("c")), value: make([]byte, 300)},
 	}
 	out := decodeEntries(encodeEntries(in))
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
-	if !out[1].tombstone || out[1].value != nil {
-		t.Fatal("tombstone lost")
+	if !bytes.Equal(out[1].key, in[1].key) || len(out[1].value) != 0 || string(out[0].value) != "va" {
+		t.Fatalf("entries decode as %q=%q %q=%q", out[0].key, out[0].value, out[1].key, out[1].value)
 	}
 	if len(out[2].value) != 300 {
 		t.Fatal("long value truncated")
@@ -267,7 +270,7 @@ func TestGetValueSurvivesOverwriteAndFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.put(ctx, []byte("k"), []byte("first"))
-	got, found, _, err := s.get(ctx, []byte("k"))
+	got, found, err := s.get(ctx, []byte("k"))
 	if err != nil || !found || string(got) != "first" {
 		t.Fatalf("Get = %q %v %v", got, found, err)
 	}
@@ -352,10 +355,11 @@ func tightCtx(t *testing.T, room int, setup func(*dmoCtx, *skipList)) (*dmoCtx, 
 	return ctx, s
 }
 
-// TestPutOverwriteAllocFailureLeavesNoDanglingValue: an overwrite frees
-// the old value before it allocates the new one. When that allocation
-// fails the node must not go on naming the object just freed: the key
-// reads as deleted, nothing else is lost, and the next Put repairs it.
+// TestPutOverwriteAllocFailureLeavesNoDanglingValue: an overwrite
+// allocates the new value before it frees the old one. When that
+// allocation fails the node keeps naming its old value: the key reads
+// as it did, the region and the table are as they were, and the next
+// Put that fits replaces it.
 func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 	ctx, s := tightCtx(t, 32, func(ctx *dmoCtx, s *skipList) {
 		s.put(ctx, []byte("k"), []byte("old-value"))
@@ -364,28 +368,28 @@ func TestPutOverwriteAllocFailureLeavesNoDanglingValue(t *testing.T) {
 	before := ctx.used()
 	objects, bytesBefore := ctx.st.Objects(), s.bytes
 
-	err := s.put(ctx, []byte("k"), make([]byte, 64)) // 9 B freed + 32 B of room < 64 B
+	err := s.put(ctx, []byte("k"), make([]byte, 64)) // 32 B of room < 64 B
 	if err != dmo.ErrRegionExhausted {
 		t.Fatalf("Put = %v, want ErrRegionExhausted", err)
 	}
-	v, found, tomb, err := s.get(ctx, []byte("k"))
-	if err != nil || !found || !tomb || v != nil {
-		t.Fatalf("Get after the failed overwrite = %q found=%v tomb=%v err=%v; want a tombstone and no error", v, found, tomb, err)
+	v, found, err := s.get(ctx, []byte("k"))
+	if err != nil || !found || string(v) != "old-value" {
+		t.Fatalf("Get after the failed overwrite = %q found=%v err=%v; want the old value", v, found, err)
 	}
-	if used := ctx.used(); used != before-len("old-value") {
-		t.Fatalf("region use %d → %d, want the old value's %d bytes back and nothing else", before, used, len("old-value"))
+	if used := ctx.used(); used != before {
+		t.Fatalf("region use %d → %d after a refused overwrite", before, used)
 	}
-	if ctx.st.Objects() != objects-1 || s.bytes != bytesBefore-len("old-value") || s.Count() != 2 {
-		t.Fatalf("objects %d → %d, bytes %d → %d, count %d", objects, ctx.st.Objects(), bytesBefore, s.bytes, s.Count())
+	if ctx.st.Objects() != objects || s.bytes != bytesBefore || s.count != 2 {
+		t.Fatalf("objects %d → %d, bytes %d → %d, count %d", objects, ctx.st.Objects(), bytesBefore, s.bytes, s.count)
 	}
-	if v, found, _, _ := s.get(ctx, []byte("other")); !found || string(v) != "stays" {
+	if v, found, _ := s.get(ctx, []byte("other")); !found || string(v) != "stays" {
 		t.Fatalf("neighbouring key = %q, %v", v, found)
 	}
 	if err := s.put(ctx, []byte("k"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, tomb, err := s.get(ctx, []byte("k")); err != nil || !found || tomb || string(v) != "new" {
-		t.Fatalf("Get after the repair = %q found=%v tomb=%v err=%v", v, found, tomb, err)
+	if v, found, err := s.get(ctx, []byte("k")); err != nil || !found || string(v) != "new" {
+		t.Fatalf("Get after an overwrite that fits = %q found=%v err=%v", v, found, err)
 	}
 	entries, err := s.drain(ctx)
 	if err != nil || len(entries) != 2 || ctx.st.Objects() != 1 {
@@ -410,24 +414,24 @@ func TestPutInsertAllocFailureFreesNode(t *testing.T) {
 		if used := ctx.used(); used != before || ctx.st.Objects() != objects {
 			t.Fatalf("failed insert %d: region use %d → %d, objects %d → %d: the node leaked", i, before, used, objects, ctx.st.Objects())
 		}
-		if _, found, _, err := s.get(ctx, key); found || err != nil {
+		if _, found, err := s.get(ctx, key); found || err != nil {
 			t.Fatalf("failed insert is visible: found=%v err=%v", found, err)
 		}
 	}
-	if s.Count() != 1 || s.bytes != keyLen+2 {
-		t.Fatalf("count %d, bytes %d after failed inserts", s.Count(), s.bytes)
+	if s.count != 1 || s.bytes != keyLen+2 {
+		t.Fatalf("count %d, bytes %d after failed inserts", s.count, s.bytes)
 	}
 	if err := s.put(ctx, []byte("b"), []byte("fits")); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, _, _ := s.get(ctx, []byte("b")); !found || string(v) != "fits" {
+	if v, found, _ := s.get(ctx, []byte("b")); !found || string(v) != "fits" {
 		t.Fatalf("insert after the failures = %q, %v", v, found)
 	}
 }
 
 // TestMemtableCountsPutErrors: the memtable actor has no one to return
 // Put's error to (the write was acknowledged at commit), so an overwrite
-// the region refuses is lost and the key reads as deleted.
+// the region refuses is lost, and the key keeps its last applied value.
 func TestMemtableCountsPutErrors(t *testing.T) {
 	ctx := newDmoCtx()
 	mt := NewMemtable(1, 1<<20, 2, 3)
@@ -447,8 +451,8 @@ func TestMemtableCountsPutErrors(t *testing.T) {
 		t.Fatalf("get = %q after a write that fits", reply)
 	}
 	apply(make([]byte, 500))
-	if get(); StatusOf(reply) != StatusNotFound {
-		t.Fatalf("get = %q after an overwrite the region refused, want NotFound", reply)
+	if get(); StatusOf(reply) != StatusOK || string(reply[1:]) != "fits" {
+		t.Fatalf("get = %q after an overwrite the region refused, want the value that fit", reply)
 	}
 }
 
@@ -481,11 +485,11 @@ func TestSkipListWritesAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("a tombstone over an existing key allocates %v, want 0", allocs)
+		t.Fatalf("a 0-byte value over an existing key allocates %v, want 0", allocs)
 	}
 	s.put(a, key, val)
 	if allocs := testing.AllocsPerRun(200, func() {
-		if v, found, _, err := s.get(a, key); err != nil || !found || len(v) != len(val) {
+		if v, found, err := s.get(a, key); err != nil || !found || len(v) != len(val) {
 			t.Fatal("Get missed")
 		}
 	}); allocs != 1 {
@@ -503,10 +507,6 @@ func encodeEntriesRef(es []entry) []byte {
 	for _, e := range es {
 		b.WriteByte(byte(len(e.key)))
 		b.Write(e.key)
-		if e.tombstone {
-			b.WriteByte(1)
-			continue
-		}
 		b.WriteByte(0)
 		var vl [4]byte
 		binary.LittleEndian.PutUint32(vl[:], uint32(len(e.value)))
@@ -551,7 +551,7 @@ func TestEncodeEntriesBytesUnchanged(t *testing.T) {
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		encodeEntries([]entry{{key: []byte("a"), value: make([]byte, 0, 1)}, {key: []byte("b"), tombstone: true}})
+		encodeEntries([]entry{{key: []byte("a"), value: make([]byte, 0, 1)}, {key: []byte("b")}})
 	}); allocs != 1 {
 		t.Fatalf("encodeEntries allocates %v times, want 1", allocs)
 	}
@@ -579,19 +579,21 @@ func TestDecodeCmdBorrows(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { decodeCmd(buf) }); allocs != 0 {
 		t.Fatalf("decodeCmd allocates %v, want 0", allocs)
 	}
-	if c, ok := decodeCmd(encodeCmd(command{op: opDel})); !ok || c.key != nil || c.value != nil {
+	if c, ok := decodeCmd(encodeCmd(command{op: opGet})); !ok || c.key != nil || c.value != nil {
 		t.Fatalf("empty fields decode as %+v, %v; want nil", c, ok)
 	}
 }
 
-// FuzzDecodeCmd: no input panics the decoder; whatever it accepts lies
-// inside the input, cannot be grown, and survives a round trip through
-// encodeCmd.
+// FuzzDecodeCmd: no input panics the decoder; whatever it accepts is a
+// GET or a PUT, lies inside the input, cannot be grown, and survives a
+// round trip through encodeCmd.
 func FuzzDecodeCmd(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeCmd(command{op: opGet, key: []byte("key-0001")}))
 	f.Add(encodeCmd(command{op: opPut, key: []byte("k"), value: []byte("value")}))
 	f.Add([]byte{opPut, 200, 1, 2, 3})
+	f.Add(encodeCmd(command{op: 3, key: []byte("k")}))
+	f.Add(encodeCmd(command{op: 7, key: []byte("k"), value: []byte("v")}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		c, ok := decodeCmd(p)
 		if !ok {
@@ -599,6 +601,9 @@ func FuzzDecodeCmd(f *testing.F) {
 				t.Fatalf("rejected input decoded to %+v", c)
 			}
 			return
+		}
+		if c.op != opGet && c.op != opPut {
+			t.Fatalf("accepted op %d", c.op)
 		}
 		inside := func(name string, v []byte, off int) {
 			if len(v) == 0 {

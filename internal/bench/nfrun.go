@@ -4,6 +4,7 @@ import (
 	"repro/internal/actor"
 	"repro/internal/apps/nf"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -15,10 +16,8 @@ func runFirewall(opts Options, load float64, window sim.Time) appRun {
 	cl := opts.cluster()
 	nic := spec.LiquidIOII_CN2350()
 	n := cl.AddNode(core.Config{Name: "fw", NIC: nic, DisableMigration: true})
-	tcam := nf.NewTCAM(nf.UniformRules(8192))
-	fw := nf.NewFirewall(500, tcam)
-	fw.PinNIC = true
-	if err := n.Register(fw, true, 0); err != nil {
+	fw := deploy.FirewallSpec{Common: deploy.Common{Placement: deploy.NIC}, Node: n, ID: 500, Rules: nf.UniformRules(8192)}
+	if _, err := fw.Deploy(); err != nil {
 		panic(err)
 	}
 	client := workload.NewClient(cl, "cli", nic.LinkGbps)
@@ -49,13 +48,9 @@ func runIPSec(opts Options, nic *spec.NICModel, window sim.Time) float64 {
 	// One gateway actor per two NIC cores: the crypto engines serialize,
 	// so a handful of actors model the firmware's worker pool.
 	for i := 0; i < 4; i++ {
-		st, err := nf.NewIPSecState(make([]byte, 32), []byte("ipsec-mac-key"))
-		if err != nil {
-			panic(err)
-		}
-		gw := nf.NewIPSecGateway(actor.ID(600+i), st)
-		gw.PinNIC = true
-		if err := n.Register(gw, true, 0); err != nil {
+		gw := deploy.IPSecSpec{Common: deploy.Common{Placement: deploy.NIC}, Node: n, ID: actor.ID(600 + i),
+			Key: make([]byte, 32), MACKey: []byte("ipsec-mac-key")}
+		if _, err := gw.Deploy(); err != nil {
 			panic(err)
 		}
 		gws = append(gws, gw.ID)

@@ -780,7 +780,6 @@ func (n *Node) putRing(r *ringMsg) {
 func (r *ringMsg) slot() msgring.Message {
 	return msgring.Message{
 		Kind:     uint16(r.m.Kind),
-		SrcActor: uint32(r.m.Src),
 		DstActor: uint32(r.m.Dst),
 		Data:     r.m.Data,
 		App:      r,

@@ -421,9 +421,6 @@ func (in *Injector) Log() []string {
 	return out
 }
 
-// Fingerprint joins the log into one comparable string.
-func (in *Injector) Fingerprint() string { return strings.Join(in.Log(), "\n") }
-
 // logAt appends a log line to the source's private vector, stamped for
 // the deterministic merge.
 func (s *injSrc) logAt(t sim.Time, text string) {

@@ -112,7 +112,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl.Eng.Run()
-		return in.Fingerprint()
+		return strings.Join(in.Log(), "\n")
 	}
 	a, b := run(42), run(42)
 	if a != b {
@@ -306,9 +306,9 @@ func TestClassicDriveStyleEquivalence(t *testing.T) {
 		sprayAll(cl, nodes, 6*sim.Millisecond, 50*sim.Microsecond)
 		drive(cl)
 		if in.Injected() != 8 || in.Active() != 0 {
-			t.Fatalf("injected %d, active %d; want 8 and 0:\n%s", in.Injected(), in.Active(), in.Fingerprint())
+			t.Fatalf("injected %d, active %d; want 8 and 0:\n%s", in.Injected(), in.Active(), strings.Join(in.Log(), "\n"))
 		}
-		return in.Fingerprint()
+		return strings.Join(in.Log(), "\n")
 	}
 	viaEngine := run(func(cl *core.Cluster) { cl.Eng.Run() })
 	viaGroup := run(func(cl *core.Cluster) { cl.RunUntil(8 * sim.Millisecond) })
@@ -330,7 +330,7 @@ func TestInstallOnPartitionedCluster(t *testing.T) {
 	sprayAll(cl, nodes, 6*sim.Millisecond, 50*sim.Microsecond)
 	cl.RunUntil(8 * sim.Millisecond)
 	if got := in.Injected(); got != 8 {
-		t.Fatalf("Injected = %d, want all 8 faults activated:\n%s", got, in.Fingerprint())
+		t.Fatalf("Injected = %d, want all 8 faults activated:\n%s", got, strings.Join(in.Log(), "\n"))
 	}
 	if in.Active() != 0 {
 		t.Fatalf("Active = %d after all windows closed, want 0", in.Active())
@@ -360,7 +360,7 @@ func TestPartitionedFingerprintAcrossWorkers(t *testing.T) {
 		for i, n := range nodes {
 			counts = append(counts, fmt.Sprintf("%s=%d", n.Name, recv[i]))
 		}
-		return in.Fingerprint(), strings.Join(counts, " ")
+		return strings.Join(in.Log(), "\n"), strings.Join(counts, " ")
 	}
 	fp1, rc1 := run(1)
 	if !strings.Contains(fp1, "+crash n0") || !strings.Contains(fp1, "-nic-down n1") {

@@ -87,7 +87,7 @@ func runChannelOps(t testing.TB, data []byte) int {
 		emptyReads int         // empty NIC polls whose callback has not run
 		nicReady   int         // OnNICReady calls
 		step       int         // the operation being run
-		seq        uint32      // SrcActor of the next message pushed
+		seq        uint32      // DstActor of the next message pushed
 	)
 	ch.OnHostReady = func() {
 		if flights == 0 {
@@ -105,16 +105,16 @@ func runChannelOps(t testing.TB, data []byte) int {
 			return
 		}
 		for i, r := range reads {
-			if r[0].SrcActor == ms[0].SrcActor {
+			if r[0].DstActor == ms[0].DstActor {
 				sameBatch(t, step, "NICPoll callback", ms, r)
 				reads = append(reads[:i], reads[i+1:]...)
 				return
 			}
 		}
-		t.Fatalf("step %d: a NIC read delivered message #%d, which no read in flight holds", step, ms[0].SrcActor)
+		t.Fatalf("step %d: a NIC read delivered message #%d, which no read in flight holds", step, ms[0].DstActor)
 	}
 	message := func() Message {
-		m := Message{Kind: uint16(in.u8()), SrcActor: seq, Data: make([]byte, in.u8()%40)}
+		m := Message{Kind: uint16(in.u8()), DstActor: seq, Data: make([]byte, in.u8()%40)}
 		for i := range m.Data {
 			m.Data[i] = byte(int(seq) + i)
 		}
@@ -273,9 +273,9 @@ func sameBatch(t testing.TB, step int, op string, got, want []Message) {
 	}
 	for i := range got {
 		g, w := &got[i], &want[i]
-		if g.SrcActor != w.SrcActor || g.Kind != w.Kind || !bytes.Equal(g.Data, w.Data) {
+		if g.DstActor != w.DstActor || g.Kind != w.Kind || !bytes.Equal(g.Data, w.Data) {
 			t.Fatalf("step %d: %s message %d is #%d kind %d (%d B); model #%d kind %d (%d B)", step, op, i,
-				g.SrcActor, g.Kind, len(g.Data), w.SrcActor, w.Kind, len(w.Data))
+				g.DstActor, g.Kind, len(g.Data), w.DstActor, w.Kind, len(w.Data))
 		}
 	}
 }

@@ -35,7 +35,6 @@ var errRingFull = errors.New("msgring: ring full")
 // Message is one entry in a ring.
 type Message struct {
 	Kind     uint16
-	SrcActor uint32
 	DstActor uint32
 	Data     []byte
 	// App is an opaque handle to the staged application message; it is

@@ -444,8 +444,8 @@ func TestRingPathAllocFree(t *testing.T) {
 				return
 			}
 			for i := range ms {
-				if ms[i].SrcActor != hostGot {
-					t.Fatalf("host polled message %d, want %d", ms[i].SrcActor, hostGot)
+				if ms[i].DstActor != hostGot {
+					t.Fatalf("host polled message %d, want %d", ms[i].DstActor, hostGot)
 				}
 				hostGot++
 			}
@@ -453,9 +453,9 @@ func TestRingPathAllocFree(t *testing.T) {
 	}
 	var batches [][2]int // each batch of a round: its first message, relative to the round's end, and its length
 	deliver := func(ms []Message) {
-		batches = append(batches, [2]int{int(ms[0].SrcActor) - int(toNIC), len(ms)})
+		batches = append(batches, [2]int{int(ms[0].DstActor) - int(toNIC), len(ms)})
 		for i := range ms {
-			if ms[i].SrcActor != ms[0].SrcActor+uint32(i) {
+			if ms[i].DstActor != ms[0].DstActor+uint32(i) {
 				t.Fatalf("NIC read batch %v is not consecutive", ms)
 			}
 		}
@@ -464,11 +464,11 @@ func TestRingPathAllocFree(t *testing.T) {
 	round := func() {
 		batches = batches[:0]
 		for i := 0; i < 6; i++ {
-			if _, err := ch.NICPush(Message{SrcActor: toHost, Data: data}); err != nil {
+			if _, err := ch.NICPush(Message{DstActor: toHost, Data: data}); err != nil {
 				t.Fatal(err)
 			}
 			toHost++
-			if _, err := ch.HostPush(Message{SrcActor: toNIC, Data: data}); err != nil {
+			if _, err := ch.HostPush(Message{DstActor: toNIC, Data: data}); err != nil {
 				t.Fatal(err)
 			}
 			toNIC++

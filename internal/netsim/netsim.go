@@ -289,15 +289,6 @@ func (n *Network) tracePort(p *port) {
 	}
 }
 
-// setHandler replaces the receive handler for a node.
-func (n *Network) setHandler(name string, h Handler) {
-	p, ok := n.nodes[name]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown node %q", name))
-	}
-	p.handler = h
-}
-
 // Nodes returns the attached node names (order unspecified).
 func (n *Network) Nodes() []string {
 	out := make([]string, 0, len(n.nodes))

@@ -122,17 +122,6 @@ func TestTracedObserveAfterAttachPanics(t *testing.T) {
 	net.Observe(tr, func(node string) obs.GroupID { return tr.Group(node) }, nil)
 }
 
-func TestSetHandler(t *testing.T) {
-	eng, net, _ := twoNodeNet(t, 25)
-	n := 0
-	net.setHandler("a", HandlerFunc(func(p *Packet) { n++ }))
-	net.Send(&Packet{Src: "b", Dst: "a", Size: 64})
-	eng.Run()
-	if n != 1 {
-		t.Fatalf("replacement handler saw %d packets, want 1", n)
-	}
-}
-
 func TestMixedLinkSpeeds(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := New(eng)

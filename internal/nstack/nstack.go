@@ -158,26 +158,3 @@ func (w *WQE) Decap() error {
 	w.Headers.DstPort = binary.BigEndian.Uint16(udp[2:4])
 	return nil
 }
-
-// reverse swaps the frame's source and destination at every layer and
-// recomputes the IPv4 checksum — the echo server's retransmit path.
-func (w *WQE) reverse() error {
-	f := w.packet
-	if len(f) < headerOverhead {
-		return errTruncated
-	}
-	for i := 0; i < 6; i++ {
-		f[i], f[6+i] = f[6+i], f[i]
-	}
-	ip := f[ethHeaderLen:]
-	for i := 0; i < 4; i++ {
-		ip[12+i], ip[16+i] = ip[16+i], ip[12+i]
-	}
-	binary.BigEndian.PutUint16(ip[10:12], 0)
-	binary.BigEndian.PutUint16(ip[10:12], ipv4Checksum(ip[:ipv4HeaderLen]))
-	udp := ip[ipv4HeaderLen:]
-	for i := 0; i < 2; i++ {
-		udp[i], udp[2+i] = udp[2+i], udp[i]
-	}
-	return nil
-}

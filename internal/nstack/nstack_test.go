@@ -94,30 +94,6 @@ func TestInconsistentLengthsRejected(t *testing.T) {
 	}
 }
 
-func TestReverseEchoPath(t *testing.T) {
-	frame := Encap(srcAddr, dstAddr, []byte("ping"), 64)
-	w := NewWQE(frame)
-	if err := w.reverse(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Decap(); err != nil {
-		t.Fatalf("reversed frame invalid: %v (checksum must be recomputed)", err)
-	}
-	h := w.Headers
-	if h.SrcIP != dstAddr.IP || h.DstIP != srcAddr.IP {
-		t.Fatal("IPs not swapped")
-	}
-	if h.SrcPort != 9000 || h.DstPort != 7000 {
-		t.Fatal("ports not swapped")
-	}
-	if h.srcMAC != dstAddr.MAC || h.dstMAC != srcAddr.MAC {
-		t.Fatal("MACs not swapped")
-	}
-	if string(w.packet[headerOverhead:]) != "ping" {
-		t.Fatal("payload damaged by reverse")
-	}
-}
-
 // Property: Encap→Decap is the identity on the addresses, and the frame
 // carries the payload and TTL, for arbitrary payloads and TTLs.
 func TestEncapDecapProperty(t *testing.T) {

@@ -40,7 +40,7 @@ func TestHistogramQuantileMatchesExact(t *testing.T) {
 			s.Observe(v)
 		}
 		for _, q := range qs {
-			exact := s.Quantile(q)
+			exact := s.Percentile(q * 100)
 			got := h.quantile(q)
 			if got < exact*(1-1e-12) || got > exact*quantileBound*(1+1e-12) {
 				t.Fatalf("seed %d n %d q %.2f: hist quantile %.9g outside [%.9g, %.9g]",

@@ -7,28 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// laneQueue is a FIFO with amortized O(1) pop (head cursor, buffer
-// recycled when drained).
-type laneQueue struct {
-	buf  []actor.Msg
-	head int
-}
-
-func (q *laneQueue) depth() int { return len(q.buf) - q.head }
-
-func (q *laneQueue) push(m actor.Msg) { q.buf = append(q.buf, m) }
-
-func (q *laneQueue) pop() actor.Msg {
-	m := q.buf[q.head]
-	q.buf[q.head] = actor.Msg{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m
-}
-
 // laneSched is one node's strict-priority lane front: wire messages are
 // offered here after traffic-gate admission and before the FCFS/DRR
 // actor scheduler. Lanes dispatch in priority order (control > data >
@@ -45,7 +23,7 @@ type laneSched struct {
 	deliver func(actor.Msg)
 	label   string
 
-	queues  [NumLanes]laneQueue
+	queues  [NumLanes]actor.MsgFIFO
 	pumping bool
 
 	chk *invariant.Checker
@@ -112,7 +90,7 @@ func (ls *laneSched) cap(l Lane) int {
 func (ls *laneSched) backlog(limit Lane) int {
 	n := 0
 	for l := Lane(0); l < limit; l++ {
-		n += ls.queues[l].depth()
+		n += ls.queues[l].Len()
 	}
 	return n
 }
@@ -121,7 +99,7 @@ func (ls *laneSched) backlog(limit Lane) int {
 // through its class's lane. Called on the node's engine.
 func (ls *laneSched) Offer(m actor.Msg) {
 	lane := laneOf(Class(m.Class))
-	if c := ls.cap(lane); c > 0 && ls.queues[lane].depth() >= c {
+	if c := ls.cap(lane); c > 0 && ls.queues[lane].Len() >= c {
 		switch lane {
 		case LaneTelemetry:
 			// Watermark action: shed. Telemetry is lossy by contract.
@@ -142,7 +120,7 @@ func (ls *laneSched) Offer(m actor.Msg) {
 			return
 		}
 	}
-	ls.queues[lane].push(m)
+	ls.queues[lane].Push(m)
 	ls.enqueued[lane]++
 	ls.chk.LaneEnqueue()
 	if !ls.pumping {
@@ -159,7 +137,7 @@ func (ls *laneSched) Offer(m actor.Msg) {
 func (ls *laneSched) pump() {
 	var lane Lane
 	for lane = 0; lane < NumLanes; lane++ {
-		if ls.queues[lane].depth() > 0 {
+		if ls.queues[lane].Len() > 0 {
 			break
 		}
 	}
@@ -167,7 +145,7 @@ func (ls *laneSched) pump() {
 		ls.pumping = false
 		return
 	}
-	m := ls.queues[lane].pop()
+	m, _ := ls.queues[lane].Pop()
 	ls.delivered[lane]++
 	// Strict priority: when this delivery happens, every higher lane
 	// must already be empty.

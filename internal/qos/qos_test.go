@@ -135,7 +135,7 @@ func TestLaneBusyWindow(t *testing.T) {
 	eng.At(0, func() { ls.Offer(msg(ClassTelemetry)) }) // delivered at t=0, busy until 1µs
 	eng.At(500, func() {
 		ls.Offer(msg(ClassTelemetry)) // inside the busy window: must queue
-		depthAt500 = ls.queues[LaneTelemetry].depth()
+		depthAt500 = ls.queues[LaneTelemetry].Len()
 	})
 	eng.At(600, func() { ls.Offer(msg(ClassTelemetry)) }) // cap 1 exceeded: shed
 	eng.Run()

@@ -13,7 +13,7 @@ package sim
 //
 // It backs every message and job queue on the per-message path: the
 // scheduler's ingress queues, actor mailboxes, the host's per-core
-// queues and Station's wait queue.
+// queues, the QoS lane queues and Station's wait queue.
 type FIFO[T any] struct {
 	buf  []T
 	head int

@@ -174,14 +174,6 @@ func (s *Sample) PercentileOK(p float64) (float64, bool) {
 	return s.values[rank-1], true
 }
 
-// Quantile returns the q-th quantile (q in [0,1]) by the same
-// nearest-rank rule as Percentile — rank ceil(q·n) clamped to ≥ 1 — so
-// it is directly comparable with obs.Histogram.Quantile, which uses the
-// identical rank semantics at bucket resolution. Returns 0 when empty.
-func (s *Sample) Quantile(q float64) float64 {
-	return s.Percentile(q * 100)
-}
-
 // Mean returns the mean of retained values.
 func (s *Sample) Mean() float64 {
 	s.fold()

@@ -115,8 +115,8 @@ type Request struct {
 	// Backoff multiplies the timeout after every unanswered attempt
 	// (capped exponential backoff; values ≤ 1 keep the interval fixed).
 	Backoff float64
-	// MaxTimeout caps the grown interval. 0 falls back to
-	// MaxUncappedTimeout — exponential growth must saturate somewhere,
+	// MaxTimeout caps the grown interval. 0 falls back to 10 s
+	// (maxUncappedTimeout) — exponential growth must saturate somewhere,
 	// or enough retries overflow sim.Time into a negative timer wait.
 	MaxTimeout sim.Time
 	// OnGiveUp, if set, fires when the final attempt also times out —
@@ -136,16 +136,16 @@ type Request struct {
 	next func()
 }
 
-// MaxUncappedTimeout bounds exponential backoff growth when a Request
+// maxUncappedTimeout bounds exponential backoff growth when a Request
 // sets no MaxTimeout: doubling a microsecond-scale timeout ~60 times
 // overflows sim.Time (int64 nanoseconds) into a negative timer wait,
 // which the engine rejects as an event in the past. Ten seconds is far
 // past any simulated run window, so saturating there preserves the
 // "effectively unbounded" intent without the overflow.
-const MaxUncappedTimeout = 10 * sim.Second
+const maxUncappedTimeout = 10 * sim.Second
 
 // GrowTimeout applies one unanswered attempt's backoff to a timeout:
-// t × backoff, saturating at maxTimeout (MaxUncappedTimeout when
+// t × backoff, saturating at maxTimeout (maxUncappedTimeout when
 // maxTimeout ≤ 0); backoff ≤ 1 keeps t. The product is compared in
 // float space: converting an out-of-range float to sim.Time is
 // implementation-defined, so the clamp comes before the conversion.
@@ -154,7 +154,7 @@ func GrowTimeout(t sim.Time, backoff float64, maxTimeout sim.Time) sim.Time {
 		return t
 	}
 	if maxTimeout <= 0 {
-		maxTimeout = MaxUncappedTimeout
+		maxTimeout = maxUncappedTimeout
 	}
 	if next := float64(t) * backoff; next < float64(maxTimeout) {
 		return sim.Time(next)
