@@ -112,10 +112,6 @@ func DTOutcomeOf(p []byte) DTOutcome { return dt.OutcomeOf(p) }
 // DTEncodeTxn translates a transaction into a request payload.
 func DTEncodeTxn(t DTTxn) []byte { return dt.EncodeTxn(t) }
 
-// DTDecodeOutcome splits a client response into typed outcome and read
-// values.
-func DTDecodeOutcome(p []byte) (DTOutcome, map[string][]byte) { return dt.DecodeOutcome(p) }
-
 // --- Real-time analytics ------------------------------------------------
 
 // RTA aliases.

@@ -21,46 +21,43 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 3 {
-		usage()
+	if len(os.Args) != 3 || os.Args[1] != "check" && os.Args[1] != "check-metrics" {
+		fmt.Fprintln(os.Stderr, "usage: ipipe-trace check <trace.json> | check-metrics <metrics.ndjson>")
+		os.Exit(2)
 	}
-	cmd, path := os.Args[1], os.Args[2]
+	if err := check(os.Args[1], os.Args[2]); err != nil {
+		fmt.Fprintln(os.Stderr, "ipipe-trace:", err)
+		os.Exit(1)
+	}
+}
+
+// check validates the artifact at path as a trace (cmd "check") or as
+// metrics ("check-metrics") and prints its summary.
+func check(cmd, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
-	switch cmd {
-	case "check":
-		st, err := obs.ValidateChromeTrace(f)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		fmt.Printf("%s: valid trace: %d events (%d spans, %d instants) across %d processes / %d tracks",
-			path, st.Events, st.Spans, st.Instants, st.Processes, st.Tracks)
-		if st.Handoffs > 0 || st.HandoffsInFlight > 0 {
-			fmt.Printf("; %d cross-partition handoff pairs (%d in flight at window end)",
-				st.Handoffs, st.HandoffsInFlight)
-		}
-		fmt.Println()
-	case "check-metrics":
+	if cmd == "check-metrics" {
 		st, err := obs.ValidateMetricsNDJSON(f)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		fmt.Printf("%s: valid metrics: %d records across %d registries\n",
 			path, st.Records, st.Registries)
-	default:
-		usage()
+		return nil
 	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ipipe-trace check <trace.json> | check-metrics <metrics.ndjson>")
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ipipe-trace:", err)
-	os.Exit(1)
+	st, err := obs.ValidateChromeTrace(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Printf("%s: valid trace: %d events (%d spans, %d instants) across %d processes / %d tracks",
+		path, st.Events, st.Spans, st.Instants, st.Processes, st.Tracks)
+	if st.Handoffs > 0 || st.HandoffsInFlight > 0 {
+		fmt.Printf("; %d cross-partition handoff pairs (%d in flight at window end)",
+			st.Handoffs, st.HandoffsInFlight)
+	}
+	fmt.Println()
+	return nil
 }

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -458,8 +459,9 @@ type finding struct {
 // and Unwrap); a field also through == or a map key, or when
 // encoding/json sees its struct. Only a read reaches a field: a struct
 // literal's key, the target of = or op= (x.f[i] = v included), ++ and --,
-// and an update that reads a field only to write it back (x.f =
-// max(x.f, n), if n > x.f { x.f = n }, x.f = append(x.f, v)) do not.
+// the destination of copy (copy(x.f[:], src)), and an update that reads
+// a field only to write it back (x.f = max(x.f, n),
+// if n > x.f { x.f = n }, x.f = append(x.f, v)) do not.
 // A blank assignment _ = x fails wherever non-test code has one: it
 // silences a name nothing reads, which should go instead.
 //
@@ -1227,7 +1229,7 @@ func (r *reach) callIface(f *types.Func) {
 
 // walk marks what one reached syntax tree uses. The identifiers in skip
 // do not reach what they name: a struct literal's keys, and the fields
-// an assignment, ++, -- or a write-back (writeBack, raise) writes.
+// an assignment, ++, --, copy or a write-back (writeBack, raise) writes.
 func (r *reach) walk(s site) {
 	info := s.p.info
 	skip := map[*ast.Ident]bool{}
@@ -1275,6 +1277,9 @@ func (r *reach) walk(s site) {
 				}
 			}
 		case *ast.CallExpr:
+			if isBuiltin(info, n.Fun, "copy") {
+				written(info, n.Args[0], skip)
+			}
 			r.call(info, n)
 		case *ast.BinaryExpr:
 			if n.Op == token.EQL || n.Op == token.NEQ {
@@ -1294,12 +1299,15 @@ func (r *reach) walk(s site) {
 
 // written adds to skip the fields an assignment to lhs writes: the
 // field it selects and, while the target is stored inside it, the field
-// that holds it. x.f = v, x.f[i] = v and x.f.g = v (f a struct value)
-// write f; x.p.g = v reads p to find g.
+// that holds it. x.f = v, x.f[i] = v, x.f.g = v (f a struct value) and
+// copy(x.f[:], src) write f; x.p.g = v reads p to find g.
 func written(info *types.Info, lhs ast.Expr, skip map[*ast.Ident]bool) {
 	for {
 		switch e := ast.Unparen(lhs).(type) {
 		case *ast.IndexExpr:
+			lhs = e.X
+			continue
+		case *ast.SliceExpr:
 			lhs = e.X
 			continue
 		case *ast.SelectorExpr:
@@ -1326,18 +1334,12 @@ func writeBack(info *types.Info, a *ast.AssignStmt, skip map[*ast.Ident]bool) {
 	if !ok {
 		return
 	}
-	id, ok := ast.Unparen(c.Fun).(*ast.Ident)
-	if !ok {
-		return
-	}
-	if _, ok := info.Uses[id].(*types.Builtin); !ok {
-		return
-	}
-	args := c.Args
-	switch id.Name {
-	case "append":
-		args = args[:1]
-	case "max", "min":
+	var args []ast.Expr
+	switch {
+	case isBuiltin(info, c.Fun, "append"):
+		args = c.Args[:1]
+	case isBuiltin(info, c.Fun, "max"), isBuiltin(info, c.Fun, "min"):
+		args = c.Args
 	default:
 		return
 	}
@@ -1347,6 +1349,16 @@ func writeBack(info *types.Info, a *ast.AssignStmt, skip map[*ast.Ident]bool) {
 			written(info, arg, skip)
 		}
 	}
+}
+
+// isBuiltin reports whether fun names the builtin function name.
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = info.Uses[id].(*types.Builtin)
+	return ok
 }
 
 // raise adds to skip the read in the condition of if n > x.f { x.f = n }
@@ -1474,6 +1486,73 @@ func (r *reach) unreached() []finding {
 	}
 	return out
 }
+
+// TestCensusFile checks the form of testdata/unexecuted.txt, which
+// make census holds the merged coverage of its roots to: every line
+// names a file of the module and parses as a count, a min-max range or
+// a classified function; each file has one count and each function one
+// line; every class is known; the test an error path names exists; and
+// a test seam names its surfaceAllowed entry, so the census and the
+// reachability audit give a kept name one reason.
+func TestCensusFile(t *testing.T) {
+	m := mustLoad(t)
+	const path = "testdata/unexecuted.txt"
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i, line := range strings.Split(string(text), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		file, rest, _ := strings.Cut(line, " ")
+		if _, err := os.Stat(file); err != nil || !strings.HasSuffix(file, ".go") {
+			t.Errorf("%s:%d: %q is no Go file of the module", path, i+1, file)
+		}
+		if sm := censusCount.FindStringSubmatch(rest); sm != nil {
+			lo, _ := strconv.Atoi(sm[1])
+			if hi, _ := strconv.Atoi(sm[2]); sm[2] != "" && hi < lo {
+				t.Errorf("%s:%d: range %s has min above max", path, i+1, rest)
+			}
+			if seen[file] {
+				t.Errorf("%s:%d: %s has a second count", path, i+1, file)
+			}
+			seen[file] = true
+			continue
+		}
+		fn, class, ok := strings.Cut(rest, ": ")
+		if !ok || fn == "" || strings.Contains(fn, " ") {
+			t.Errorf("%s:%d: want <file> <count>, <file> <min>-<max> or <file> <function>: <class>", path, i+1)
+			continue
+		}
+		if seen[file+" "+fn] {
+			t.Errorf("%s:%d: %s %s has a second line", path, i+1, file, fn)
+		}
+		seen[file+" "+fn] = true
+		kind, arg, _ := strings.Cut(class, ": ")
+		switch kind {
+		case "error path":
+			if !m.tests[arg] {
+				t.Errorf("%s:%d: error path names %q, which is no test of the module", path, i+1, arg)
+			}
+		case "test seam":
+			if _, ok := surfaceAllowed[arg]; !ok {
+				t.Errorf("%s:%d: test seam names %q, which is no surfaceAllowed key", path, i+1, arg)
+			}
+		case "violation path", "frozen benchmark", "String/Error":
+			if arg != "" {
+				t.Errorf("%s:%d: class %q takes no argument", path, i+1, kind)
+			}
+		default:
+			t.Errorf("%s:%d: unknown class %q; want error path: <Test>, violation path, "+
+				"test seam: <surfaceAllowed key>, frozen benchmark or String/Error", path, i+1, class)
+		}
+	}
+}
+
+// censusCount matches a census count line's count or min-max range.
+var censusCount = regexp.MustCompile(`^(\d+)(?:-(\d+))?$`)
 
 // TestReadmeQuotesExample keeps the README's deployment-spec block a
 // quote of Example_deploymentSpec, indentation aside, so the facade

@@ -750,18 +750,3 @@ func (c *Coordinator) finish(ctx actor.Ctx, st *txnState, outcome Outcome) {
 	ctx.Reply(resp)
 	c.release(st)
 }
-
-// DecodeOutcome splits a client response into outcome and read values.
-func DecodeOutcome(p []byte) (Outcome, map[string][]byte) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	out := Outcome(p[0])
-	r := rbuf{p[1:]}
-	vals := map[string][]byte{}
-	for r.more() {
-		k := string(r.blob())
-		vals[k] = append([]byte(nil), r.blob16()...)
-	}
-	return out, vals
-}

@@ -216,12 +216,28 @@ func TestPartitionStable(t *testing.T) {
 	}
 }
 
+// decodeOutcome splits a client response (Coordinator.finish's reply)
+// into outcome and read values; tests read transaction results with it.
+func decodeOutcome(p []byte) (Outcome, map[string][]byte) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	out := Outcome(p[0])
+	r := rbuf{p[1:]}
+	vals := map[string][]byte{}
+	for r.more() {
+		k := string(r.blob())
+		vals[k] = append([]byte(nil), r.blob16()...)
+	}
+	return out, vals
+}
+
 func TestDecodeOutcome(t *testing.T) {
-	out, vals := DecodeOutcome(nil)
+	out, vals := decodeOutcome(nil)
 	if out != 0 || vals != nil {
 		t.Fatal("empty outcome")
 	}
-	out, vals = DecodeOutcome([]byte{byte(OutcomeCommitted)})
+	out, vals = decodeOutcome([]byte{byte(OutcomeCommitted)})
 	if out != OutcomeCommitted || len(vals) != 0 {
 		t.Fatalf("bare outcome: %d %v", out, vals)
 	}

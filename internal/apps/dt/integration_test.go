@@ -116,7 +116,7 @@ func TestTransactionsReadYourWrites(t *testing.T) {
 			client.Send(workload.Request{
 				Node: "coord", Dst: 100, Kind: KindTxn, Data: EncodeTxn(read), Size: 256,
 				OnResp: func(resp actor.Msg) {
-					out, vals := DecodeOutcome(resp.Data)
+					out, vals := decodeOutcome(resp.Data)
 					if out != OutcomeCommitted {
 						t.Errorf("read txn outcome %d", out)
 					}

@@ -63,7 +63,7 @@ func Deploy(nodes []*core.Node, baseID actor.ID, memLimit int, onNIC bool) (*Dep
 				peers = append(peers, id)
 			}
 		}
-		sst := NewSSTStore(0)
+		sst := NewSSTStore()
 		mt := NewMemtable(memID, memLimit, sstID, cmpID)
 		cons := NewConsensus(consID[k], peers, memID, k == 0)
 		cons.ballotOffset = uint64(k)

@@ -182,83 +182,24 @@ func decodeEntries(p []byte) []entry {
 // run is a sorted, deduplicated sequence of entries.
 type run []entry
 
-// SSTStore is the on-disk level structure shared by the SSTable read
-// actor and the compaction actor. In the paper both actors live on the
-// host because they need the persistent store; the disk — not memory —
-// is the shared substrate, so sharing this struct between exactly those
-// two actors preserves the no-shared-memory actor rule in spirit.
+// SSTStore is the on-disk store shared by the SSTable read actor and the
+// compaction actor: level-0 runs, one per drained Memtable, newest
+// first. In the paper both actors live on the host because they need
+// the persistent store; the disk — not memory — is the shared
+// substrate, so sharing this struct between exactly those two actors
+// preserves the no-shared-memory actor rule in spirit. It keeps no
+// deeper levels: a leveled store would first merge at a fifth run, and
+// no program reaches one (DESIGN.md §6).
 type SSTStore struct {
-	// levels[i] holds the runs of level i, newest first. Level limits
-	// grow exponentially (×10 per level, as in LevelDB).
-	levels [][]run
-	// baseLimit is level 1's byte limit; level i allows baseLimit·10^(i-1).
-	baseLimit int
-	// l0Runs bounds level 0 by run count.
-	l0Runs int
+	runs []run
 }
 
 // NewSSTStore builds an empty store.
-func NewSSTStore(baseLimit int) *SSTStore {
-	if baseLimit <= 0 {
-		baseLimit = 4 << 20
-	}
-	return &SSTStore{baseLimit: baseLimit, l0Runs: 4}
-}
+func NewSSTStore() *SSTStore { return &SSTStore{} }
 
-func runBytes(r run) int {
-	n := 0
-	for _, e := range r {
-		n += len(e.key) + len(e.value)
-	}
-	return n
-}
-
-func levelBytes(runs []run) int {
-	n := 0
-	for _, r := range runs {
-		n += runBytes(r)
-	}
-	return n
-}
-
-// addL0 installs a new level-0 run (a drained Memtable) and performs
-// any cascading major compactions. It returns the bytes rewritten,
-// which the compaction actor charges as work.
-func (s *SSTStore) addL0(entries []entry) int {
-	r := normalizeRun(entries)
-	if len(s.levels) == 0 {
-		s.levels = append(s.levels, nil)
-	}
-	s.levels[0] = append([]run{r}, s.levels[0]...)
-	rewritten := 0
-	// Cascade: compact level i into i+1 while over limit.
-	for i := 0; i < len(s.levels); i++ {
-		over := false
-		if i == 0 {
-			over = len(s.levels[0]) > s.l0Runs
-		} else {
-			limit := s.baseLimit
-			for k := 1; k < i; k++ {
-				limit *= 10
-			}
-			over = levelBytes(s.levels[i]) > limit
-		}
-		if !over {
-			continue
-		}
-		if i+1 >= len(s.levels) {
-			s.levels = append(s.levels, nil)
-		}
-		// Merge all runs of level i and i+1 into one run at i+1.
-		var all []run
-		all = append(all, s.levels[i]...)
-		all = append(all, s.levels[i+1]...)
-		merged := mergeRuns(all)
-		rewritten += runBytes(merged)
-		s.levels[i] = nil
-		s.levels[i+1] = []run{merged}
-	}
-	return rewritten
+// add installs a drained Memtable as the newest level-0 run.
+func (s *SSTStore) add(entries []entry) {
+	s.runs = append([]run{normalizeRun(entries)}, s.runs...)
 }
 
 // normalizeRun sorts entries and keeps the last occurrence of each key.
@@ -276,57 +217,16 @@ func normalizeRun(entries []entry) run {
 	return run(append([]entry(nil), out...))
 }
 
-// mergeRuns k-way merges runs (earlier runs are newer and win ties).
-func mergeRuns(runs []run) run {
-	var out run
-	seen := map[string]bool{}
-	type cursor struct {
-		run run
-		pos int
-	}
-	cursors := make([]cursor, len(runs))
-	for i, r := range runs {
-		cursors[i] = cursor{run: r}
-	}
-	for {
-		best := -1
-		var bestKey []byte
-		for i := range cursors {
-			c := &cursors[i]
-			if c.pos >= len(c.run) {
-				continue
-			}
-			k := c.run[c.pos].key
-			if best == -1 || bytes.Compare(k, bestKey) < 0 {
-				best, bestKey = i, k
-			}
-		}
-		if best == -1 {
-			break
-		}
-		e := cursors[best].run[cursors[best].pos]
-		cursors[best].pos++
-		if seen[string(e.key)] {
-			continue
-		}
-		seen[string(e.key)] = true
-		out = append(out, e)
-	}
-	return out
-}
-
-// lookup searches the levels newest-first.
+// lookup searches the runs newest first.
 func (s *SSTStore) lookup(key []byte) ([]byte, bool) {
 	var kbuf [keyLen]byte
 	k := padKey(&kbuf, key)
-	for _, runs := range s.levels {
-		for _, r := range runs {
-			i := sort.Search(len(r), func(i int) bool {
-				return bytes.Compare(r[i].key, k) >= 0
-			})
-			if i < len(r) && bytes.Equal(r[i].key, k) {
-				return r[i].value, true
-			}
+	for _, r := range s.runs {
+		i := sort.Search(len(r), func(i int) bool {
+			return bytes.Compare(r[i].key, k) >= 0
+		})
+		if i < len(r) && bytes.Equal(r[i].key, k) {
+			return r[i].value, true
 		}
 	}
 	return nil, false
@@ -445,12 +345,8 @@ func NewSSTReader(id actor.ID, store *SSTStore) *actor.Actor {
 			resp.Data = statusNotFound
 		}
 		ctx.Reply(resp)
-		// Each level probe costs a (cached) storage read.
-		levels := len(store.levels)
-		if levels == 0 {
-			levels = 1
-		}
-		return sim.Time(levels) * 4 * sim.Microsecond
+		// One probe of level 0 costs a (cached) storage read.
+		return 4 * sim.Microsecond
 	}
 	return a
 }
@@ -469,10 +365,9 @@ func NewCompactor(id actor.ID, store *SSTStore) *actor.Actor {
 		if m.Kind != kindMinorCompact {
 			return 200 * sim.Nanosecond
 		}
-		entries := decodeEntries(m.Data)
-		rewritten := store.addL0(entries)
-		// Sequential merge I/O: ≈5ns/byte reference charge.
-		return 2*sim.Microsecond + sim.Time(5*(len(m.Data)+rewritten))
+		store.add(decodeEntries(m.Data))
+		// Sequential write I/O: ≈5ns/byte reference charge.
+		return 2*sim.Microsecond + sim.Time(5*len(m.Data))
 	}
 	return a
 }

@@ -14,9 +14,9 @@ func e(k, v string) entry {
 }
 
 func TestSSTStoreLookupNewestWins(t *testing.T) {
-	s := NewSSTStore(1 << 20)
-	s.addL0([]entry{e("a", "old"), e("b", "b1")})
-	s.addL0([]entry{e("a", "new")})
+	s := NewSSTStore()
+	s.add([]entry{e("a", "old"), e("b", "b1")})
+	s.add([]entry{e("a", "new")})
 	v, ok := s.lookup([]byte("a"))
 	if !ok || string(v) != "new" {
 		t.Fatalf("Lookup(a) = %q %v", v, ok)
@@ -33,66 +33,11 @@ func TestSSTStoreLookupNewestWins(t *testing.T) {
 // TestSSTStoreTombstoneHidesOlder: a newer empty value hides an older
 // value, and the key reads back present and empty.
 func TestSSTStoreTombstoneHidesOlder(t *testing.T) {
-	s := NewSSTStore(1 << 20)
-	s.addL0([]entry{e("k", "v1")})
-	s.addL0([]entry{e("k", "")})
+	s := NewSSTStore()
+	s.add([]entry{e("k", "v1")})
+	s.add([]entry{e("k", "")})
 	if v, ok := s.lookup([]byte("k")); !ok || len(v) != 0 {
 		t.Fatalf("Lookup(k) = %q %v; want present and empty", v, ok)
-	}
-}
-
-func TestSSTStoreL0CascadeOnRunCount(t *testing.T) {
-	s := NewSSTStore(1 << 30) // byte limits never bind; run count does
-	rewritten := 0
-	for i := 0; i < s.l0Runs+1; i++ {
-		rewritten += s.addL0([]entry{e(fmt.Sprintf("k%d", i), "v")})
-	}
-	if rewritten == 0 {
-		t.Fatal("L0 run-count overflow did not trigger a major compaction")
-	}
-	if len(s.levels) < 2 {
-		t.Fatal("no level 1 created")
-	}
-	// All keys still visible after the merge.
-	for i := 0; i < s.l0Runs+1; i++ {
-		if _, ok := s.lookup([]byte(fmt.Sprintf("k%d", i))); !ok {
-			t.Fatalf("key k%d lost in compaction", i)
-		}
-	}
-}
-
-func TestSSTStoreByteLimitCascade(t *testing.T) {
-	s := NewSSTStore(256) // tiny level-1 limit
-	big := make([]byte, 200)
-	for i := 0; i < 12; i++ {
-		s.addL0([]entry{{key: padded([]byte(fmt.Sprintf("b%02d", i))), value: big}})
-	}
-	if len(s.levels) < 3 {
-		t.Fatalf("cascade depth %d; byte limits never pushed to level 2", len(s.levels))
-	}
-	for i := 0; i < 12; i++ {
-		if _, ok := s.lookup([]byte(fmt.Sprintf("b%02d", i))); !ok {
-			t.Fatalf("key b%02d lost across cascades", i)
-		}
-	}
-}
-
-// TestSSTStoreBottomLevelDropsTombstones: a merge into the bottom level
-// drops only the older versions of a key. An empty value is a value, so
-// it survives the merge and still hides the older one.
-func TestSSTStoreBottomLevelDropsTombstones(t *testing.T) {
-	s := NewSSTStore(1 << 30)
-	s.addL0([]entry{e("empty", "v")})
-	s.addL0([]entry{e("empty", "")})
-	// Force merges until the empty value reaches the bottom.
-	for i := 0; i < s.l0Runs+2; i++ {
-		s.addL0([]entry{e(fmt.Sprintf("pad%d", i), "v")})
-	}
-	if len(s.levels) < 2 {
-		t.Fatal("no merge reached level 1")
-	}
-	if v, ok := s.lookup([]byte("empty")); !ok || len(v) != 0 {
-		t.Fatalf("Lookup(empty) = %q %v after the merges; want present and empty", v, ok)
 	}
 }
 
@@ -108,33 +53,18 @@ func TestNormalizeRunDedupsKeepingNewest(t *testing.T) {
 	}
 }
 
-func TestMergeRunsOrderAndPrecedence(t *testing.T) {
-	newer := run{e("a", "new"), e("c", "c")}
-	older := run{e("a", "old"), e("b", "b")}
-	out := mergeRuns([]run{newer, older})
-	if len(out) != 3 {
-		t.Fatalf("len = %d", len(out))
-	}
-	if string(out[0].value) != "new" {
-		t.Fatal("newer run should win ties")
-	}
-	for i := 1; i < len(out); i++ {
-		if bytes.Compare(out[i-1].key, out[i].key) >= 0 {
-			t.Fatal("merge output not sorted")
-		}
-	}
-}
-
 // Property: SSTStore lookups agree with a reference map under random
-// flushes of writes and empty writes, regardless of compaction activity.
+// flushes of writes and empty writes, across more level-0 runs than the
+// four at which a leveled store would first merge.
 func TestSSTStoreMatchesMapProperty(t *testing.T) {
+	most := 0
 	f := func(ops []uint16) bool {
-		s := NewSSTStore(512)
+		s := NewSSTStore()
 		ref := map[string][]byte{}
 		batch := []entry{}
 		flush := func() {
 			if len(batch) > 0 {
-				s.addL0(batch)
+				s.add(batch)
 				batch = nil
 			}
 		}
@@ -151,6 +81,7 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 			}
 		}
 		flush()
+		most = max(most, len(s.runs))
 		for k, want := range ref {
 			got, ok := s.lookup([]byte(k))
 			if !ok || !bytes.Equal(got, want) {
@@ -169,6 +100,9 @@ func TestSSTStoreMatchesMapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if most <= 4 {
+		t.Fatalf("no case flushed more than 4 runs (most %d)", most)
 	}
 }
 

@@ -48,7 +48,7 @@ func fig18(opts Options) *Result {
 	logger := dt.NewLogger(12, nil)
 	coord := dt.NewCoordinator(10, []actor.ID{11}, 12)
 	// RKV consensus pair + leader Memtable (SST actors host-side).
-	sst := rkv.NewSSTStore(0)
+	sst := rkv.NewSSTStore()
 	mem := rkv.NewMemtable(21, 256<<20, 22, 23) // huge limit: no compaction during prefill
 	sstR := rkv.NewSSTReader(22, sst)
 	comp := rkv.NewCompactor(23, sst)

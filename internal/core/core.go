@@ -152,7 +152,7 @@ type Config struct {
 	ringSlots int
 	ringBatch int
 	// WatchdogTimeout bounds per-invocation NIC core occupancy (§3.4);
-	// 0 uses 1ms; negative disables.
+	// 0 uses 50ms; negative disables.
 	WatchdogTimeout sim.Time
 	// DisableMigration pins the initial placement (the Floem-style
 	// static configuration uses this).

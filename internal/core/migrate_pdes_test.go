@@ -94,6 +94,42 @@ func TestMigrateNowDeadHardware(t *testing.T) {
 	}
 }
 
+// TestPullBouncesOffDeadNIC: a NIC complex that fails while a pulled
+// actor's objects cross PCIe bounces the actor back to the host. The
+// aborted pull records no migration, releases the latch and resolves
+// the checker's begun migration, so the next pull runs clean.
+func TestPullBouncesOffDeadNIC(t *testing.T) {
+	cl := core.NewCluster(1)
+	chk := cl.AttachCheckers()[0]
+	n := cl.AddNode(core.Config{Name: "srv", NIC: spec.LiquidIOII_CN2350(), DisableMigration: true})
+	a := echoActor(1, sim.Microsecond)
+	a.OnInit = func(ctx actor.Ctx) { ctx.Alloc(1 << 20) }
+	n.Register(a, false, 0)
+
+	if !n.PullNow() {
+		t.Fatal("pull refused")
+	}
+	n.FailNIC() // the objects are still in flight
+	cl.Eng.Run()
+	if side, err := actorSide(cl, n, 1); err != nil || side != dmo.Host {
+		t.Fatalf("actor side after the bounced pull = %v/%v, want Host", side, err)
+	}
+	if len(n.Migrations) != 0 {
+		t.Fatalf("migrations recorded = %d, want none for an aborted pull", len(n.Migrations))
+	}
+	n.RecoverNIC()
+	if !n.PullNow() {
+		t.Fatal("PullNow refused after the bounce: latch still held")
+	}
+	cl.Eng.Run()
+	if side, err := actorSide(cl, n, 1); err != nil || side != dmo.NIC {
+		t.Fatalf("actor side after the second pull = %v/%v, want NIC", side, err)
+	}
+	if vs := chk.Violations(); len(vs) != 0 {
+		t.Fatal(vs)
+	}
+}
+
 // TestPullRecordsMigration: pull migrations append a MigrationRecord
 // with the direction tag, so Node.Migrations accounts both directions
 // (the Figure 18 ledger used to silently undercount pulls).

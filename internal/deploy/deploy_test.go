@@ -171,8 +171,7 @@ func TestDTCoordinatorCrashAtomicity(t *testing.T) {
 				}}),
 				Size: 512, FlowID: i,
 				OnResp: func(m actor.Msg) {
-					o, _ := dt.DecodeOutcome(m.Data)
-					outcomes[i] = o
+					outcomes[i] = dt.OutcomeOf(m.Data)
 				},
 			})
 		})

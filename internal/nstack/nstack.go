@@ -58,7 +58,6 @@ type Addr struct {
 
 // Headers describes a decapsulated packet.
 type Headers struct {
-	srcMAC, dstMAC   MAC
 	SrcIP, DstIP     uint32
 	SrcPort, DstPort uint16
 }
@@ -150,8 +149,6 @@ func (w *WQE) Decap() error {
 	if udpLen < udpHeaderLen || ipv4HeaderLen+udpLen > totalLen {
 		return errBadLength
 	}
-	copy(w.Headers.dstMAC[:], f[0:6])
-	copy(w.Headers.srcMAC[:], f[6:12])
 	w.Headers.SrcIP = binary.BigEndian.Uint32(ip[12:16])
 	w.Headers.DstIP = binary.BigEndian.Uint32(ip[16:20])
 	w.Headers.SrcPort = binary.BigEndian.Uint16(udp[0:2])

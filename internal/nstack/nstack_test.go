@@ -29,8 +29,8 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	if h.SrcPort != 7000 || h.DstPort != 9000 {
 		t.Fatalf("ports: %d → %d", h.SrcPort, h.DstPort)
 	}
-	if h.srcMAC != srcAddr.MAC || h.dstMAC != dstAddr.MAC {
-		t.Fatalf("MACs: %v → %v", h.srcMAC, h.dstMAC)
+	if MAC(w.packet[6:12]) != srcAddr.MAC || MAC(w.packet[0:6]) != dstAddr.MAC {
+		t.Fatalf("MACs: %v → %v", MAC(w.packet[6:12]), MAC(w.packet[0:6]))
 	}
 	if ttl := w.packet[ethHeaderLen+8]; ttl != 64 {
 		t.Fatalf("TTL %d", ttl)

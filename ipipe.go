@@ -106,11 +106,8 @@ var (
 	Stingray_PS225    = spec.Stingray_PS225
 )
 
-// Experiment runs one of the paper's tables/figures by id (see
-// ExperimentIDs) and returns its rendered result.
+// Experiment runs one of the paper's tables/figures by id (ipipe-bench
+// with no arguments lists them) and returns its rendered result.
 func Experiment(id string, quick bool, seed uint64) (*bench.Result, error) {
 	return bench.Run(id, bench.Options{Quick: quick, Seed: seed})
 }
-
-// ExperimentIDs lists the reproducible tables and figures.
-func ExperimentIDs() []string { return bench.IDs() }
