@@ -33,8 +33,9 @@ race:
 # MemStats.Mallocs, no wall clock; the set-up budget: what building and
 # arming a 64-node mesh allocates (TestMeshSetupAllocBudget, objects and
 # bytes); and the byte budgets: the bytes one mesh request allocates
-# (MemStats.TotalAlloc) and the sizes of actor.Msg, core.RespEnvelope,
-# netsim.Packet and msgring.Message (TestMsgLayout).
+# (MemStats.TotalAlloc), the bytes a latency sample allocates
+# (TestSampleAllocBudget), and the sizes of actor.Msg,
+# core.RespEnvelope, netsim.Packet and msgring.Message (TestMsgLayout).
 alloc-budget:
 	$(GO) test -count=1 -run 'Alloc(Budget|Free|OneAllocation)|MsgLayout' ./internal/... .
 
@@ -42,8 +43,9 @@ alloc-budget:
 # committed seed corpus (testdata/fuzz) — the RKV command decoder, the
 # RKV consensus handlers under forged messages, the DT transaction codec,
 # the DMO page table against a map model, the host↔NIC channel against a
-# slice model, and the engine's two-tier event queue against a flat
-# reference scheduler. A failing input is written under the package's
+# slice model, the engine's two-tier event queue against a flat
+# reference scheduler, and the latency sample against a sorted flat
+# slice. A failing input is written under the package's
 # testdata/fuzz: commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCmd$$' -fuzztime 5s ./internal/apps/rkv
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime 5s ./internal/dmo
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelOps$$' -fuzztime 5s ./internal/msgring
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime 5s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzSample$$' -fuzztime 5s ./internal/stats
 
 # fault-smoke: run the availability experiment under the default fault
 # schedule with tracing on, validate the trace artifact, and confirm the

@@ -6,9 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // EWMA tracks an exponentially weighted moving average of a value and of
@@ -61,28 +62,30 @@ func (e *EWMA) Ready() bool { return e.n >= 2 }
 // Count returns the number of samples observed.
 func (e *EWMA) Count() uint64 { return e.n }
 
-// Sample collects individual values for exact percentile reporting. The
-// experiment harness uses it for P50/P99 latency series; runs are
-// bounded, so it keeps every value.
+// Sample collects values for exact percentile reporting. The experiment
+// harness uses it for P50/P99 latency series. A latency is a whole
+// number of virtual ns, so a run sees few distinct values: Sample keeps
+// each distinct value once, ascending, with the number of times it was
+// observed, plus a buffer of recent observations not yet merged in.
 //
-// Observe appends into blocks that grow geometrically up to
-// sampleBlockCap values rather than re-growing one slice, which would
-// allocate several times the kept bytes over a run (and leave a short
-// sample holding a large array). Percentile, Mean and Merge fold the
-// blocks into the flat slice in observation order, so their results and
-// Mean's summation order are those of one appended slice.
+// Observe appends to the buffer. A full buffer is sorted and merged
+// into the runs from the back, in place. The runs grow to the next power
+// of two, and the buffer holds max(256, cap/8) values of a run capacity
+// cap, so each observation costs O(1) amortized merge work and no flush
+// allocates unless the runs grow. Percentile walks the cumulative
+// counts, and Mean adds each value as many times as its count in
+// ascending order: both are what one sorted slice of every observation
+// gives, bit for bit, whatever the order of observes and merges. A
+// Sample holds at most 2³²−1 observations of one value.
 type Sample struct {
-	values []float64   // folded values, sorted while sorted is set
-	blocks [][]float64 // values observed since the last fold, in order
+	vals   []float64 // distinct values, ascending
+	counts []uint32  // counts[i] observations of vals[i]
+	buf    []float64 // observations not yet merged, unsorted
 	seen   uint64
-	sorted bool
 }
 
-// Block sizes of Sample.Observe: the first block's and the largest.
-const (
-	sampleFirstBlock = 8
-	sampleBlockCap   = 1024
-)
+// sampleBufMin is the smallest capacity of Sample's buffer.
+const sampleBufMin = 256
 
 // NewSample returns an unbounded sample collector.
 func NewSample() *Sample { return &Sample{} }
@@ -90,35 +93,78 @@ func NewSample() *Sample { return &Sample{} }
 // Observe records a value.
 func (s *Sample) Observe(x float64) {
 	s.seen++
-	n := len(s.blocks)
-	if n == 0 || len(s.blocks[n-1]) == cap(s.blocks[n-1]) {
-		size := sampleFirstBlock
-		if n > 0 {
-			size = min(2*cap(s.blocks[n-1]), sampleBlockCap)
+	if len(s.buf) == cap(s.buf) {
+		s.flush()
+		if n := max(sampleBufMin, cap(s.vals)/8); cap(s.buf) < n {
+			s.buf = make([]float64, 0, n)
 		}
-		s.blocks = append(s.blocks, make([]float64, 0, size))
-		n++
 	}
-	s.blocks[n-1] = append(s.blocks[n-1], x)
+	s.buf = append(s.buf, x)
 }
 
-// fold moves the blocks' values onto the end of the flat slice.
-func (s *Sample) fold() {
-	if len(s.blocks) == 0 {
+// flush merges the buffer into the runs and empties it.
+func (s *Sample) flush() {
+	if len(s.buf) == 0 {
 		return
 	}
-	n := 0
-	for _, b := range s.blocks {
-		n += len(b)
-	}
-	s.values = slices.Grow(s.values, n)
-	for _, b := range s.blocks {
-		s.values = append(s.values, b...)
-	}
-	clear(s.blocks)
-	s.blocks = s.blocks[:0]
-	s.sorted = false
+	slices.Sort(s.buf)
+	s.merge(s.buf, nil)
+	s.buf = s.buf[:0]
 }
+
+// merge adds the ascending values xs to the runs, each weighted by its
+// count in cs, or by 1 when cs is nil (xs may then repeat a value).
+// Values order as slices.Sort orders them: NaN below every number, and
+// equal to another NaN.
+func (s *Sample) merge(xs []float64, cs []uint32) {
+	n, u := len(s.vals), len(s.vals) // u: distinct values of the union
+	for i, j := 0, 0; j < len(xs); j++ {
+		if j > 0 && same(xs[j], xs[j-1]) {
+			continue
+		}
+		for i < n && cmp.Less(s.vals[i], xs[j]) {
+			i++
+		}
+		if i == n || !same(s.vals[i], xs[j]) {
+			u++
+		}
+	}
+	if u > cap(s.vals) {
+		c := 1 << bits.Len(uint(u-1))
+		vals, counts := make([]float64, n, c), make([]uint32, n, c)
+		copy(vals, s.vals)
+		copy(counts, s.counts)
+		s.vals, s.counts = vals, counts
+	}
+	s.vals, s.counts = s.vals[:u], s.counts[:u]
+	// From the back: slot k is free once every value above it has moved.
+	i, k := n-1, u-1
+	for j := len(xs) - 1; j >= 0; k-- {
+		x, c := xs[j], uint64(0)
+		for ; j >= 0 && same(xs[j], x); j-- {
+			if cs == nil {
+				c++
+			} else {
+				c += uint64(cs[j])
+			}
+		}
+		for ; i >= 0 && cmp.Less(x, s.vals[i]); i, k = i-1, k-1 {
+			s.vals[k], s.counts[k] = s.vals[i], s.counts[i]
+		}
+		if i >= 0 && same(s.vals[i], x) {
+			c += uint64(s.counts[i])
+			i--
+		}
+		if c > math.MaxUint32 {
+			panic("stats: more than 2^32-1 observations of one value")
+		}
+		s.vals[k], s.counts[k] = x, uint32(c)
+	}
+}
+
+// same reports whether a and b are one value of a Sample: equal, or
+// both NaN.
+func same(a, b float64) bool { return a == b || a != a && b != b }
 
 // Count returns the number of values observed.
 func (s *Sample) Count() uint64 { return s.seen }
@@ -130,15 +176,8 @@ func (s *Sample) Merge(o *Sample) {
 		return
 	}
 	s.seen += o.seen
-	if len(o.values) == 0 && len(o.blocks) == 0 {
-		return
-	}
-	s.fold()
-	s.values = append(s.values, o.values...)
-	for _, b := range o.blocks {
-		s.values = append(s.values, b...)
-	}
-	s.sorted = false
+	o.flush()
+	s.merge(o.vals, o.counts)
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) by nearest-rank
@@ -153,36 +192,36 @@ func (s *Sample) Percentile(p float64) float64 {
 // PercentileOK is Percentile with an explicit emptiness signal: ok is
 // false (and the value 0) when no values were retained.
 func (s *Sample) PercentileOK(p float64) (float64, bool) {
-	s.fold()
-	if len(s.values) == 0 {
+	s.flush()
+	if s.seen == 0 {
 		return 0, false
 	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
 	if p <= 0 {
-		return s.values[0], true
+		return s.vals[0], true
 	}
 	if p >= 100 {
-		return s.values[len(s.values)-1], true
+		return s.vals[len(s.vals)-1], true
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.values))))
-	if rank < 1 {
-		rank = 1
+	rank := max(int(math.Ceil(p/100*float64(s.seen))), 1)
+	i, cum := 0, int(s.counts[0])
+	for cum < rank {
+		i++
+		cum += int(s.counts[i])
 	}
-	return s.values[rank-1], true
+	return s.vals[i], true
 }
 
 // Mean returns the mean of retained values.
 func (s *Sample) Mean() float64 {
-	s.fold()
-	if len(s.values) == 0 {
+	s.flush()
+	if s.seen == 0 {
 		return 0
 	}
 	var sum float64
-	for _, v := range s.values {
-		sum += v
+	for i, v := range s.vals {
+		for range s.counts[i] {
+			sum += v
+		}
 	}
-	return sum / float64(len(s.values))
+	return sum / float64(s.seen)
 }
